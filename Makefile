@@ -18,15 +18,20 @@ build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 
 # -short keeps the long randomized soaks (failover chaos trials) out of
-# the tier-1 fast path; make test-failover runs them in full.
+# the tier-1 fast path; make test-failover runs them in full. bench/ is
+# a module of its own (the benchmark harness, `replace repro => ../`),
+# so ./... does not reach it: test and vet it explicitly, or a signature
+# slip in internal/* breaks the benchmark without failing CI.
 test:
 	$(GO) test -short ./...
+	$(GO) test -C bench -short ./...
 
 race:
 	$(GO) test -short -race ./...
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 # Invariant lint: the repo-specific analyzers of internal/analysis
 # (lock ordering, per-query metering, sentinel-error discipline,

@@ -425,6 +425,42 @@ func BenchmarkCacheAnalyze(b *testing.B) {
 			}
 		}
 	})
+	// The serving path of a never-repeated query: a cache-enabled engine,
+	// fresh weights per op, so every op is a lookup miss, a full
+	// computation and an admission (with LRU eviction once the default
+	// 1024 entries fill) — bench/'s cold-analyze workload at the engine
+	// seam. B/op here is the per-miss garbage the pooled scratch exists
+	// to remove; ST n = 20 000 scans deeper than WSJ and is what
+	// cold-analyze runs at ten times the size.
+	for _, tc := range []struct {
+		name string
+		ix   lists.Index
+		qs   []vec.Query
+	}{
+		{"miss", env.wsjI, qs},
+		{"miss-st", env.stI, queriesFor(env.st, 4, 10, 16, 219)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			eng := engine.New(tc.ix, engine.Config{MaxConcurrent: -1})
+			rng := rand.New(rand.NewSource(220))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				base := tc.qs[i%len(tc.qs)]
+				w := make([]float64, base.Len())
+				for j := range w {
+					w[j] = 0.1 + 0.9*rng.Float64()
+				}
+				a, err := eng.Analyze(context.Background(), vec.Query{Dims: base.Dims, Weights: w}, 10, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if a.Source != engine.SourceComputed {
+					b.Fatalf("source %v, want a miss", a.Source)
+				}
+			}
+		})
+	}
 	b.Run("cached", func(b *testing.B) {
 		eng := engine.New(env.wsjI, engine.Config{MaxConcurrent: -1})
 		for _, q := range qs { // prime the cache

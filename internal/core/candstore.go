@@ -100,11 +100,11 @@ func (s *CandidateStore) PrunedSet(jx int) []topk.Scored {
 			c0 = append(c0, s.singles[t]...)
 		}
 	}
-	c0 = sortScoreDesc(c0)
+	c0 = sortScoreDesc(nil, c0)
 	out = append(out, prefix(c0, keep)...)
 	// CH_jx representatives: stored pre-sorted by coordinate.
 	out = append(out, prefix(s.singles[jx], keep)...)
-	return sortScoreDesc(out)
+	return sortScoreDesc(nil, out)
 }
 
 // Size reports how many candidates the store retains.

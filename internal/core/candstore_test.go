@@ -30,6 +30,7 @@ func TestCandidateStoreMatchesFullList(t *testing.T) {
 				computer: &computer{ix: ix, q: ta.Query(), k: cs.K, n: ix.NumTuples(),
 					opts: Options{Method: MethodCPT, Phi: phi}, res: ta.Result()},
 				view: ta,
+				sc:   new(scratch),
 			}
 			for jx := range cs.Q.Dims {
 				want := comp.prunedSet(jx, phi)

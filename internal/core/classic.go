@@ -122,7 +122,8 @@ func (c *dimComputer) phase1(jx int, b *boundState) {
 func (c *dimComputer) fullSet() []topk.Scored {
 	cands := c.view.Candidates()
 	if len(cands) != c.cachedLen || (c.cachedFull == nil && len(cands) > 0) {
-		c.cachedFull = sortScoreDesc(cands)
+		c.cachedFull = sortScoreDesc(c.sc.full, cands)
+		c.sc.full = c.cachedFull
 		c.cachedLen = len(cands)
 	}
 	return c.cachedFull
@@ -134,31 +135,15 @@ func (c *dimComputer) fullSet() []topk.Scored {
 // entry plus the first keep0 C0 and keepH CH entries. The full list is
 // already in the (score desc, id asc) total order and a subsequence of
 // a sorted list is sorted, so this one filter pass produces exactly
-// what materializing the classes and re-sorting used to — without the
-// three per-dimension class copies and the O(n log n) re-sort.
+// what materializing the classes and re-sorting would. The view lives
+// in the scratch's one filter buffer: it is valid until the next
+// filterClasses call, which is all Phase 2 needs (one set per dimension
+// and side at a time).
 func (c *dimComputer) filterClasses(jx, keep0, keepH int) []topk.Scored {
-	full := c.fullSet()
 	bit := uint64(1) << uint(jx)
-	n0, nh, n := 0, 0, 0
-	for _, cd := range full {
-		switch {
-		case cd.NZMask&bit == 0:
-			if n0 < keep0 {
-				n0++
-				n++
-			}
-		case cd.NZMask == bit:
-			if nh < keepH {
-				nh++
-				n++
-			}
-		default:
-			n++
-		}
-	}
-	out := make([]topk.Scored, 0, n)
-	n0, nh = 0, 0
-	for _, cd := range full {
+	n0, nh := 0, 0
+	out := c.sc.filtered[:0]
+	for _, cd := range c.fullSet() {
 		switch {
 		case cd.NZMask&bit == 0:
 			if n0 < keep0 {
@@ -174,6 +159,7 @@ func (c *dimComputer) filterClasses(jx, keep0, keepH int) []topk.Scored {
 			out = append(out, cd)
 		}
 	}
+	c.sc.filtered = out
 	return out
 }
 
@@ -216,9 +202,10 @@ func (c *dimComputer) phase2Threshold(jx int, set []topk.Scored, b *boundState) 
 	// SLj↑ and SLj↓ are index lists over set, ordered against a flat
 	// coordinate column: sorting 4-byte indices over an 8-byte column is
 	// much cheaper than moving 40-byte Scored entries around.
-	coords := make([]float64, len(set))
-	up := make([]int32, 0, len(set))
-	down := make([]int32, 0, len(set))
+	c.sc.coords = resize(c.sc.coords, len(set))
+	c.sc.idxA = resize(c.sc.idxA, len(set))
+	c.sc.idxB = resize(c.sc.idxB, len(set))
+	coords, up, down := c.sc.coords, c.sc.idxA[:0], c.sc.idxB[:0]
 	for i, cd := range set {
 		cj := cd.Proj[jx]
 		coords[i] = cj
@@ -310,7 +297,7 @@ func (c *dimComputer) stepSide(set []topk.Scored, coords []float64, idx []int32,
 // peekUneval returns the first not-yet-evaluated entry at or after *i.
 func (c *dimComputer) peekUneval(list []topk.Scored, i int) (topk.Scored, bool) {
 	for ; i < len(list); i++ {
-		if !c.eval.contains(list[i].ID) {
+		if !c.sc.eval.contains(list[i].ID) {
 			return list[i], true
 		}
 	}
@@ -320,7 +307,7 @@ func (c *dimComputer) peekUneval(list []topk.Scored, i int) (topk.Scored, bool) 
 // nextUneval consumes and returns the first not-yet-evaluated entry.
 func (c *dimComputer) nextUneval(list []topk.Scored, i *int) (topk.Scored, bool) {
 	for ; *i < len(list); *i++ {
-		if !c.eval.contains(list[*i].ID) {
+		if !c.sc.eval.contains(list[*i].ID) {
 			sc := list[*i]
 			*i++
 			return sc, true
@@ -333,7 +320,7 @@ func (c *dimComputer) nextUneval(list []topk.Scored, i *int) (topk.Scored, bool)
 // index (into set) at or after position i whose entry is unevaluated.
 func (c *dimComputer) peekUnevalIdx(set []topk.Scored, idx []int32, i int) (int32, bool) {
 	for ; i < len(idx); i++ {
-		if !c.eval.contains(set[idx[i]].ID) {
+		if !c.sc.eval.contains(set[idx[i]].ID) {
 			return idx[i], true
 		}
 	}
@@ -343,7 +330,7 @@ func (c *dimComputer) peekUnevalIdx(set []topk.Scored, idx []int32, i int) (int3
 // nextUnevalIdx consumes and returns the first unevaluated index.
 func (c *dimComputer) nextUnevalIdx(set []topk.Scored, idx []int32, i *int) (int32, bool) {
 	for ; *i < len(idx); *i++ {
-		if !c.eval.contains(set[idx[*i]].ID) {
+		if !c.sc.eval.contains(set[idx[*i]].ID) {
 			v := idx[*i]
 			*i++
 			return v, true
@@ -365,7 +352,8 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 
 	sBar := sk + b.hi*dkj
 	sUnd := sk + b.lo*dkj
-	t := make([]float64, c.q.Len()) // reused across resume checks
+	c.sc.thr = resize(c.sc.thr, c.q.Len())
+	t := c.sc.thr // reused across resume checks
 	for {
 		if c.stop() {
 			return
@@ -413,11 +401,10 @@ func sortIdxByCoord(idx []int32, coords []float64, set []topk.Scored, asc bool) 
 	})
 }
 
-// sortScoreDesc returns a copy ordered by decreasing score (ties by
-// ascending id), the canonical C(q) order.
-func sortScoreDesc(s []topk.Scored) []topk.Scored {
-	out := make([]topk.Scored, len(s))
-	copy(out, s)
+// sortScoreDesc returns a copy of s, written over buf, ordered by
+// decreasing score (ties by ascending id) — the canonical C(q) order.
+func sortScoreDesc(buf, s []topk.Scored) []topk.Scored {
+	out := append(buf[:0], s...)
 	slices.SortFunc(out, func(a, b topk.Scored) int {
 		switch {
 		case a.Score > b.Score:

@@ -244,7 +244,10 @@ func (m Metrics) EvaluatedPerDimAvg() float64 {
 // CPU returns the total processing time across phases.
 func (m Metrics) CPU() time.Duration { return m.Phase1 + m.Phase2 + m.Phase3 }
 
-// Output is the full product of a region computation.
+// Output is the full product of a region computation. It owns its
+// memory: Result is a compact copy (topk.Compact), not a view of the
+// run's candidate list, so an Output may outlive — and never pins — the
+// scan that produced it.
 type Output struct {
 	Query   vec.Query
 	K       int
@@ -287,18 +290,20 @@ type computer struct {
 
 // dimComputer is the working state of one dimension's region
 // computation: the shared read-only computer plus this dimension's
-// private scan view, metrics, and evaluation memo.
+// private scan view, metrics, and pooled scratch (evaluation memo and
+// candidate-set buffers).
 type dimComputer struct {
 	*computer
 	view topk.View
 	met  *Metrics
-	eval *evalTable
+	sc   *scratch
 
 	// ctxTick strides the cancellation polls of the Phase-2/3 loops.
 	ctxTick uint32
 
-	// cachedFull memoizes the score-sorted candidate list; valid while
-	// the candidate list still has cachedLen entries (it only grows).
+	// cachedFull memoizes the score-sorted candidate list (backed by
+	// sc.full); valid while the candidate list still has cachedLen
+	// entries (it only grows).
 	cachedFull []topk.Scored
 	cachedLen  int
 }
@@ -363,38 +368,6 @@ func (t *evalTable) put(id int, p []float64) {
 	t.touched = append(t.touched, int32(id))
 }
 
-// evalPool recycles evalTables across Compute calls; dense tables are
-// sized to the dataset cardinality, which dominates their cost.
-var evalPool sync.Pool
-
-func getEvalTable(n int) *evalTable {
-	if n > evalDenseMax {
-		return &evalTable{sparse: make(map[int][]float64)}
-	}
-	if v := evalPool.Get(); v != nil {
-		t := v.(*evalTable)
-		if t.sparse == nil && len(t.mark) >= n {
-			return t
-		}
-	}
-	return &evalTable{proj: make([][]float64, n), mark: make([]uint32, n)}
-}
-
-// putEvalTable returns a table to the pool with the projection pointers
-// it wrote dropped, so a pooled table does not pin the finished query's
-// projection arenas until the pool is GC-evicted. Sparse tables are not
-// pooled; they are already sized to their query.
-func putEvalTable(t *evalTable) {
-	if t.sparse != nil {
-		return
-	}
-	for _, id := range t.touched {
-		t.proj[id] = nil
-	}
-	t.touched = t.touched[:0]
-	evalPool.Put(t)
-}
-
 // Runner is the execution surface region computation drives: a
 // topk.View that can additionally be run to termination (a no-op when
 // the scan already completed — e.g. a member view of a fused
@@ -444,7 +417,7 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 		ctx:  ctx,
 	}
 	qlen := c.q.Len()
-	out := &Output{Query: c.q, K: c.k, Result: c.res}
+	out := &Output{Query: c.q, K: c.k, Result: topk.Compact(c.res)}
 	out.Regions = make([]Regions, qlen)
 	met := Metrics{EvaluatedPerDim: make([]int, qlen)}
 
@@ -500,14 +473,14 @@ func (d *dimComputer) stop() bool {
 // computeSequential is the paper-literal pipeline: one shared scan, one
 // evaluation memo reset per dimension, metrics accumulated in place.
 func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) {
-	eval := getEvalTable(c.n)
-	defer putEvalTable(eval)
-	d := &dimComputer{computer: c, view: r, met: met, eval: eval}
+	sc := getScratch(c.n)
+	defer putScratch(sc)
+	d := &dimComputer{computer: c, view: r, met: met, sc: sc}
 	for jx := range c.q.Dims {
 		if c.canceled() != nil {
 			return // Compute reports the error after the loop
 		}
-		d.eval.reset()
+		sc.eval.reset()
 		out.Regions[jx] = d.computeDim(jx)
 	}
 }
@@ -526,8 +499,8 @@ func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
 	var panicOnce sync.Once
 	var panicked any
 	run := func() {
-		eval := getEvalTable(c.n)
-		defer putEvalTable(eval)
+		sc := getScratch(c.n)
+		defer putScratch(sc)
 		for {
 			jx := int(next.Add(1)) - 1
 			if jx >= qlen || c.canceled() != nil {
@@ -538,9 +511,9 @@ func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
 				computer: c,
 				view:     r.ForkView(),
 				met:      &perDim[jx],
-				eval:     eval,
+				sc:       sc,
 			}
-			eval.reset()
+			sc.eval.reset()
 			out.Regions[jx] = d.computeDim(jx)
 		}
 	}
@@ -605,11 +578,11 @@ func (c *computer) fullDomainRegions(jx int) Regions {
 // re-projected once per query dimension, which dominated wide-subspace
 // profiles.
 func (d *dimComputer) evaluate(jx int, cd topk.Scored) []float64 {
-	if p, ok := d.eval.get(cd.ID); ok {
+	if p, ok := d.sc.eval.get(cd.ID); ok {
 		return p
 	}
 	d.ix.Tuple(cd.ID)
-	d.eval.put(cd.ID, cd.Proj)
+	d.sc.eval.put(cd.ID, cd.Proj)
 	d.met.Evaluated++
 	d.met.EvaluatedPerDim[jx]++
 	return cd.Proj
@@ -618,10 +591,10 @@ func (d *dimComputer) evaluate(jx int, cd topk.Scored) []float64 {
 // noteEvaluated records an evaluation whose fetch was already charged
 // elsewhere (Phase 3 resume pulls).
 func (d *dimComputer) noteEvaluated(jx int, sc topk.Scored) []float64 {
-	if p, ok := d.eval.get(sc.ID); ok {
+	if p, ok := d.sc.eval.get(sc.ID); ok {
 		return p
 	}
-	d.eval.put(sc.ID, sc.Proj)
+	d.sc.eval.put(sc.ID, sc.Proj)
 	d.met.Evaluated++
 	d.met.EvaluatedPerDim[jx]++
 	return sc.Proj
@@ -650,7 +623,7 @@ func (c *computer) memFootprint(cands []topk.Scored) int64 {
 		// same predicate), so one pass over the masks yields all
 		// per-dimension counts and the multi total together.
 		multi := 0
-		counts := make([]int, c.q.Len())
+		var counts [64]int // qlen ≤ 64: the partition mask is a uint64
 		for _, cd := range cands {
 			if cd.NonZero() >= 2 {
 				multi++
@@ -662,7 +635,7 @@ func (c *computer) memFootprint(cands []topk.Scored) int64 {
 			}
 		}
 		maxPruned := 0
-		for _, n := range counts {
+		for _, n := range counts[:c.q.Len()] {
 			if n > maxPruned {
 				maxPruned = n
 			}

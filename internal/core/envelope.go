@@ -172,8 +172,10 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 	// SLS is set itself (score-descending, probed by position); SLj is an
 	// index list over set, sorted against a flat coordinate column (cheap
 	// 4-byte swaps instead of 40-byte Scored moves).
-	coords := make([]float64, len(set))
-	slj := make([]int32, 0, len(set))
+	c.sc.coords = resize(c.sc.coords, len(set))
+	c.sc.idxA = resize(c.sc.idxA, len(set))
+	c.sc.processed = resize(c.sc.processed, len(set))
+	coords, slj := c.sc.coords, c.sc.idxA[:0]
 	for i, cd := range set {
 		cj := cd.Proj[jx]
 		coords[i] = cj
@@ -188,7 +190,8 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 	// the fetch memo (the eval table) is shared across sides so a tuple's
 	// random read is charged once per dimension, but each side must still
 	// offer its own view of the tuple to its own boundary.
-	processed := make([]bool, len(set))
+	processed := c.sc.processed
+	clear(processed)
 	peekS := func(i int) (int32, bool) { // next unprocessed SLS position
 		for ; i < len(set); i++ {
 			if !processed[i] {
@@ -260,7 +263,8 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 // y = Σ qi·ti + tj·x (constant on the mirrored side, since coordinates
 // are non-negative) no longer intersects either envelope (§6 Phase 3).
 func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
-	t := make([]float64, c.q.Len()) // reused across resume checks
+	c.sc.thr = resize(c.sc.thr, c.q.Len())
+	t := c.sc.thr // reused across resume checks
 	for {
 		if c.stop() {
 			return
@@ -297,7 +301,7 @@ func (c *dimComputer) iterativeDim(jx int) Regions {
 		if c.canceled() != nil {
 			return reg
 		}
-		c.eval.reset() // refetch everything
+		c.sc.eval.reset() // refetch everything
 		reg = c.envelopeDim(jx, r)
 	}
 	return reg

@@ -15,7 +15,8 @@ func TestEvalTableModes(t *testing.T) {
 		{"sparse", evalDenseMax + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tab := getEvalTable(tc.n)
+			sc := getScratch(tc.n)
+			tab := &sc.eval
 			if (tab.sparse != nil) != (tc.n > evalDenseMax) {
 				t.Fatalf("mode mismatch for n=%d", tc.n)
 			}
@@ -36,8 +37,11 @@ func TestEvalTableModes(t *testing.T) {
 				t.Fatal("reset did not clear")
 			}
 			tab.put(9, p)
-			putEvalTable(tab)
-			if tab.sparse == nil && tab.proj[9] != nil {
+			putScratch(sc)
+			if tab.sparse != nil {
+				t.Fatal("pool return kept a sparse memo")
+			}
+			if tc.n <= evalDenseMax && tab.proj[9] != nil {
 				t.Fatal("pool return kept projection pointer alive")
 			}
 		})

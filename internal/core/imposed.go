@@ -152,8 +152,9 @@ func (v *imposedRunner) ForkView() topk.View {
 // including Phase-3 pulls — under global ids. The coordinator replays
 // these through ReplayRegions for φ > 0 merges; the set is a superset
 // of the boundary-accepted lines, which is all replay exactness needs.
+// The copy is compact, so it stays valid after the inner run is released.
 func (v *imposedRunner) ContributedLines() []topk.Scored {
-	return append([]topk.Scored(nil), v.Candidates()...)
+	return topk.Compact(v.Candidates())
 }
 
 // offsetIndex presents a shard-local index under global tuple ids:

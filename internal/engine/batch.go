@@ -218,6 +218,7 @@ func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []Batch
 	// The group shares one probe policy (the first member's): probing
 	// order is a heuristic that never changes answers.
 	multi := topk.NewMulti(qix, queries, pending[0].item.K, pending[0].item.Opts.policy())
+	defer multi.Release() // every member Output below is detached by core
 	seq0, rnd0, _ := qix.Stats().Snapshot()
 	if err := multi.RunContext(ctx); err != nil {
 		fail(fmt.Errorf("engine: query canceled: %w", err))
@@ -344,11 +345,12 @@ func (e *Engine) topkGroup(ctx context.Context, idx []int, items []TopKItem, res
 	if len(idx) == 1 {
 		i := idx[0]
 		ta := topk.New(e.queryIndex(), items[i].Q, items[i].K, topk.BestList)
+		defer ta.Release()
 		if err := ta.RunContext(ctx); err != nil {
 			results[i].Err = fmt.Errorf("engine: query canceled: %w", err)
 			return
 		}
-		results[i] = TopKResult{Result: ta.Result(), Source: SourceComputed}
+		results[i] = TopKResult{Result: topk.Compact(ta.Result()), Source: SourceComputed}
 		return
 	}
 	queries := make([]vec.Query, len(idx))
@@ -356,11 +358,12 @@ func (e *Engine) topkGroup(ctx context.Context, idx []int, items []TopKItem, res
 		queries[j] = items[i].Q
 	}
 	multi := topk.NewMulti(e.queryIndex(), queries, items[idx[0]].K, topk.BestList)
+	defer multi.Release()
 	if err := multi.RunContext(ctx); err != nil {
 		fail(fmt.Errorf("engine: query canceled: %w", err))
 		return
 	}
 	for j, i := range idx {
-		results[i] = TopKResult{Result: multi.Result(j), Source: SourceComputed}
+		results[i] = TopKResult{Result: topk.Compact(multi.Result(j)), Source: SourceComputed}
 	}
 }

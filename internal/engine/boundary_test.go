@@ -78,7 +78,7 @@ func TestContainsWeightsBoundaryPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := containsWeights(en, w); got != want {
+			if got := containsWeights(en, w, make([]float64, len(w))); got != want {
 				t.Fatalf("bound %v step %d: containsWeights=%v, SafeConcurrent=%v", bound, i, got, want)
 			}
 		}

@@ -22,8 +22,12 @@
 //     with CompositionOnly guarantee only set preservation, so hits are
 //     re-ranked by the rebuilt scores, which is correct in both modes.
 //
-// Eviction is LRU under two bounds, entry count and estimated bytes.
-// Counters are atomic so /stats never takes the cache lock.
+// Eviction is LRU under two bounds, entry count and bytes. An admitted
+// Output is detached from the scan that produced it (core hands out a
+// compact copy of the result), so an entry retains k tuples and a few
+// perturbations per dimension and nothing else; entrySize counts exactly
+// that, which makes the byte bound a bound on resident memory. Counters
+// are atomic so /stats never takes the cache lock.
 package engine
 
 import (
@@ -32,6 +36,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/topk"
@@ -166,9 +171,17 @@ func (c *cache) lookupAnalyze(q vec.Query, k int, opts core.Options) (*core.Outp
 // at least its innermost region.
 func (c *cache) lookupTopK(q vec.Query, k int) ([]topk.Scored, bool) {
 	key := keyOf(q, k)
+	// One deviation buffer per lookup, on the stack for ordinary query
+	// widths: the per-entry test below runs under the cache lock.
+	var stack [16]float64
+	devs := stack[:]
+	if q.Len() > len(stack) {
+		devs = make([]float64, q.Len())
+	}
+	devs = devs[:q.Len()]
 	c.mu.Lock()
 	for _, en := range c.buckets[key] {
-		if !containsWeights(en, q.Weights) {
+		if !containsWeights(en, q.Weights, devs) {
 			continue
 		}
 		c.lru.MoveToFront(en.elem)
@@ -190,11 +203,11 @@ func (c *cache) lookupTopK(q vec.Query, k int) ([]topk.Scored, bool) {
 // through vec.CrossSafe, which is the exact flat-column twin of
 // core.SafeConcurrent (equivalence pinned by boundary_test and the core
 // property test) — same verdict on every input, including boundary hits.
-func containsWeights(en *entry, weights []float64) bool {
+// devs is caller-provided scratch of len(weights).
+func containsWeights(en *entry, weights, devs []float64) bool {
 	if len(en.lo) != len(weights) {
 		return false // mirrors SafeConcurrent's length-mismatch error
 	}
-	devs := make([]float64, len(weights))
 	for i, w := range weights {
 		devs[i] = w - en.weights[i]
 	}
@@ -205,13 +218,13 @@ func containsWeights(en *entry, weights []float64) bool {
 // cached query-subspace projections: same ids, exact scores, re-ranked
 // by (score desc, id asc) — the canonical order — which also covers
 // CompositionOnly anchors, whose certificate preserves the set but not
-// the order. Projections are cloned: a live TA hands the caller
-// query-private slices, and a caller mutating a shared one would
-// corrupt the cache for every later hit.
+// the order. Projections are cloned (into one backing array): a computed
+// answer hands the caller query-private slices, and a caller mutating a
+// shared one would corrupt the cache for every later hit.
 func rescore(res []topk.Scored, weights []float64) []topk.Scored {
-	out := make([]topk.Scored, len(res))
-	for i, sc := range res {
-		out[i] = topk.Scored{ID: sc.ID, Score: vec.Dot(weights, sc.Proj), Proj: slices.Clone(sc.Proj), NZMask: sc.NZMask}
+	out := topk.Compact(res)
+	for i := range out {
+		out[i].Score = vec.Dot(weights, out[i].Proj)
 	}
 	slices.SortFunc(out, func(a, b topk.Scored) int {
 		switch {
@@ -229,17 +242,19 @@ func rescore(res []topk.Scored, weights []float64) []topk.Scored {
 // admit stores a completed analysis, replacing an existing anchor with
 // the same signature and weights, then evicts from the LRU tail until
 // both bounds hold. Outputs larger than the byte bound are not admitted
-// at all (they would evict the whole cache and then themselves).
+// at all (they would evict the whole cache and then themselves). out is
+// retained as is, which is safe because core.ComputeView outputs never
+// alias the run that produced them.
 func (c *cache) admit(q vec.Query, k int, opts core.Options, out *core.Output) {
-	size := outputSize(out)
-	if size > c.maxBytes {
-		return
-	}
-	en := &entry{key: keyOf(q, k), sig: sigOf(opts), weights: slices.Clone(q.Weights), out: out, size: size}
+	en := &entry{key: keyOf(q, k), sig: sigOf(opts), weights: slices.Clone(q.Weights), out: out}
 	en.lo = make([]float64, len(out.Regions))
 	en.hi = make([]float64, len(out.Regions))
 	for i, reg := range out.Regions {
 		en.lo[i], en.hi[i] = reg.Lo, reg.Hi
+	}
+	en.size = entrySize(en)
+	if en.size > c.maxBytes {
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -254,7 +269,7 @@ func (c *cache) admit(q vec.Query, k int, opts core.Options, out *core.Output) {
 	}
 	en.elem = c.lru.PushFront(en)
 	c.buckets[en.key] = append(bucket, en)
-	c.bytes += size
+	c.bytes += en.size
 	for c.lru.Len() > c.maxEntries || c.bytes > c.maxBytes {
 		c.evictOldest()
 	}
@@ -332,15 +347,33 @@ func (c *cache) publishGauges() {
 	c.entryGauge.Store(int64(c.lru.Len()))
 }
 
-// outputSize estimates an analysis' resident footprint: the Scored
-// result entries with their projection slices, the region structs with
-// their perturbation schedules, and the anchor bookkeeping.
-func outputSize(out *core.Output) int64 {
-	qlen := int64(out.Query.Len())
-	size := int64(128) + 24*qlen // entry + anchor weights + query dims/weights
-	size += int64(len(out.Result)) * (48 + 8*qlen)
+// entrySize counts the heap bytes an admitted entry retains: the entry
+// and its LRU element, the anchor columns, the Output with its query,
+// compact result (k Scored over one k×qlen projection array) and
+// per-dimension metrics, the region structs with their perturbation
+// schedules, and the entry's share of the bucket map. Slices count at
+// capacity — that is what the allocator handed out.
+func entrySize(en *entry) int64 {
+	const (
+		f64      = int64(unsafe.Sizeof(float64(0)))
+		word     = int64(unsafe.Sizeof(int(0)))
+		scored   = int64(unsafe.Sizeof(topk.Scored{}))
+		regions  = int64(unsafe.Sizeof(core.Regions{}))
+		perturb  = int64(unsafe.Sizeof(core.Perturbation{}))
+		fixed    = int64(unsafe.Sizeof(entry{}) + unsafe.Sizeof(list.Element{}) + unsafe.Sizeof(core.Output{}))
+		mapShare = 96 // bucket-map slot (key header, slice header, load-factor slack) + bucket slice slot
+	)
+	out := en.out
+	size := fixed + mapShare + int64(len(en.key))
+	size += f64 * int64(cap(en.weights)+cap(en.lo)+cap(en.hi)+cap(out.Query.Weights))
+	size += word * int64(cap(out.Query.Dims)+cap(out.Metrics.EvaluatedPerDim))
+	size += scored * int64(cap(out.Result))
+	for _, r := range out.Result {
+		size += f64 * int64(cap(r.Proj))
+	}
+	size += regions * int64(cap(out.Regions))
 	for _, reg := range out.Regions {
-		size += 64 + 32*int64(len(reg.Left)+len(reg.Right))
+		size += perturb * int64(cap(reg.Left)+cap(reg.Right))
 	}
 	return size
 }

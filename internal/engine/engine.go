@@ -468,13 +468,16 @@ func (e *Engine) Analyze(ctx context.Context, q vec.Query, k int, opts Options) 
 }
 
 // compute runs the full pipeline: TA over a child meter, then
-// core.Compute with the engine's default parallelism.
+// core.Compute with the engine's default parallelism. The Output is
+// detached from the run (core compacts the result), so the TA's scratch
+// is recycled on return.
 func (e *Engine) compute(ctx context.Context, q vec.Query, k int, opts Options) (*core.Output, error) {
 	copts := opts.Options
 	if copts.Parallelism == 0 {
 		copts.Parallelism = e.cfg.Parallelism
 	}
 	ta := topk.New(e.queryIndex(), q, k, opts.policy())
+	defer ta.Release()
 	out, err := core.Compute(ctx, ta, copts)
 	if err == nil {
 		observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, ta.SortedAccesses())
@@ -540,6 +543,7 @@ func (e *Engine) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Sc
 	info.Timings.Queue = time.Since(t0)
 	ix := e.queryIndex()
 	ta := topk.New(ix, q, k, topk.BestList)
+	defer ta.Release()
 	if err := ta.RunContext(ctx); err != nil {
 		return nil, info, fmt.Errorf("engine: query canceled: %w", err)
 	}
@@ -548,7 +552,7 @@ func (e *Engine) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Sc
 	if st := ix.Stats(); st != nil {
 		info.SeqPages, info.RandReads, _ = st.Snapshot()
 	}
-	return ta.Result(), info, nil
+	return topk.Compact(ta.Result()), info, nil
 }
 
 // TopKTrace answers the query while recording every sorted access,
@@ -573,12 +577,13 @@ func (e *Engine) TopKTrace(ctx context.Context, q vec.Query, k int) ([]topk.Scor
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	ta := topk.New(e.queryIndex(), q, k, topk.RoundRobin)
+	defer ta.Release()
 	var steps []topk.TraceStep
 	ta.SetTrace(func(ts topk.TraceStep) { steps = append(steps, ts) })
 	if err := ta.RunContext(ctx); err != nil {
 		return nil, nil, fmt.Errorf("engine: query canceled: %w", err)
 	}
-	return ta.Result(), steps, nil
+	return topk.Compact(ta.Result()), steps, nil
 }
 
 // CacheStats snapshots the answer cache's counters (zero value when the

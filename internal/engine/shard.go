@@ -59,6 +59,7 @@ func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, i
 	copts := opts.Options
 	copts.Parallelism = -1
 	ta := topk.New(e.queryIndex(), q, k, opts.policy())
+	defer ta.Release() // out and the contributed lines are compact copies
 	runner := core.WithImposed(ta, base, imposed)
 	out, err := core.ComputeView(ctx, runner, copts)
 	if err != nil {

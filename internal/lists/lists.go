@@ -107,15 +107,41 @@ func (pl PostingList) At(i int) storage.Posting {
 // row form (the on-disk format): every non-zero coordinate yields a
 // posting; lists are sorted by descending value with ties broken by
 // ascending tuple id (deterministic TA traces).
+//
+// Frequencies are counted first and every list is carved at its exact
+// size from one allocation: growing the lists by append copied each of
+// them ~log2(n) times, a fifth of the dataset writer's (and therefore a
+// checkpoint rewrite's) time at n = 200 000.
 func BuildPostings(tuples []vec.Sparse) map[int][]storage.Posting {
-	lists := make(map[int][]storage.Posting)
-	for id, t := range tuples {
+	var next []int // per dimension: the frequency, then the fill position
+	total := 0
+	for _, t := range tuples {
 		for _, e := range t {
-			lists[e.Dim] = append(lists[e.Dim], storage.Posting{ID: id, Val: e.Val})
+			if e.Dim >= len(next) {
+				next = append(next, make([]int, e.Dim+1-len(next))...)
+			}
+			next[e.Dim]++
+			total++
 		}
 	}
-	for d := range lists {
-		slices.SortFunc(lists[d], comparePostings)
+	backing := make([]storage.Posting, total)
+	lists := make(map[int][]storage.Posting)
+	start := 0
+	for d, n := range next {
+		if n > 0 {
+			lists[d] = backing[start : start+n : start+n]
+		}
+		next[d] = start
+		start += n
+	}
+	for id, t := range tuples {
+		for _, e := range t {
+			backing[next[e.Dim]] = storage.Posting{ID: id, Val: e.Val}
+			next[e.Dim]++
+		}
+	}
+	for _, l := range lists {
+		slices.SortFunc(l, comparePostings)
 	}
 	return lists
 }

@@ -28,7 +28,6 @@ import (
 	"slices"
 
 	"repro/internal/lists"
-	"repro/internal/storage"
 	"repro/internal/vec"
 )
 
@@ -37,7 +36,7 @@ import (
 // out per-member resumable views for region computation.
 type Multi struct {
 	scan    scanState // q = {Dims, per-dim max weight}: probe steering only
-	arena   ProjArena
+	sc      *scratch  // pooled scan memory; nil once released
 	queries []vec.Query
 	flatW   []float64 // len(queries)×qlen member weight rows
 
@@ -46,8 +45,7 @@ type Multi struct {
 	heaps       [][]float64
 	memDone     []bool
 
-	results [][]Scored
-	cands   [][]Scored
+	results [][]Scored // memoized Result(i)
 	done    bool
 }
 
@@ -79,30 +77,36 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 		}
 		flatW = append(flatW, q.Weights...)
 	}
-	m := &Multi{
-		scan: scanState{
-			ix: ix,
-			// Steering weights: probing the list maximizing wmax_j·t_j
-			// drains every member's threshold fastest; the scan's q is
-			// never used for scoring or projection beyond its Dims.
-			q:        vec.Query{Dims: base.Dims, Weights: wmax},
-			k:        k,
-			policy:   policy,
-			cursors:  make([]lists.Cursor, qlen),
-			last:     make([]storage.Posting, qlen),
-			consumed: make([]int, qlen),
-			seen:     newBitset(ix.NumTuples()),
-		},
-		arena:   ProjArena{Qlen: qlen},
-		queries: queries,
-		flatW:   flatW,
-		heaps:   make([][]float64, len(queries)),
-		memDone: make([]bool, len(queries)),
+	sc := getScratch(ix.NumTuples(), qlen)
+	return &Multi{
+		// Steering weights: probing the list maximizing wmax_j·t_j
+		// drains every member's threshold fastest; the scan's q is
+		// never used for scoring or projection beyond its Dims.
+		scan:        newScanState(ix, vec.Query{Dims: base.Dims, Weights: wmax}, k, policy, sc),
+		sc:          sc,
+		queries:     queries,
+		flatW:       flatW,
+		encountered: sc.encountered,
+		scores:      sc.scores,
+		heaps:       make([][]float64, len(queries)),
+		memDone:     make([]bool, len(queries)),
 	}
-	for i, dim := range base.Dims {
-		m.scan.cursors[i] = ix.Cursor(dim)
+}
+
+// Release returns the shared scan's scratch to the pool. Every member
+// result and MemberRun handed out aliases its projections and is dead
+// afterwards, as is the Multi; copy what must survive with Compact
+// first. Releasing twice is a no-op.
+func (m *Multi) Release() {
+	if m.sc == nil {
+		return
 	}
-	return m
+	sc := m.sc
+	sc.encountered, sc.scores = m.encountered, m.scores
+	m.sc, m.encountered, m.scores, m.results = nil, nil, nil, nil
+	m.scan.cursors, m.scan.last, m.scan.consumed, m.scan.seen = nil, nil, nil, nil
+	m.done = false
+	putScratch(sc)
 }
 
 // termCheckStride is how often (in sorted accesses) the fused scan runs
@@ -125,6 +129,9 @@ func (m *Multi) RunContext(ctx context.Context) error {
 func (m *Multi) Run() {
 	if m.done {
 		return
+	}
+	if m.sc == nil {
+		panic("topk: Run after Release")
 	}
 	nq := len(m.queries)
 	qlen := m.scan.q.Len()
@@ -153,7 +160,7 @@ func (m *Multi) Run() {
 		// row is bit-identical to the member's solo vec.Dot (the batch
 		// kernel gives every output its own accumulator).
 		d := m.scan.ix.Tuple(p.ID)
-		sc := Scored{ID: p.ID, Proj: m.arena.Alloc()}
+		sc := Scored{ID: p.ID, Proj: m.sc.arena.alloc()}
 		m.scan.q.ProjectInto(d, sc.Proj)
 		for b, v := range sc.Proj {
 			if v > 0 {
@@ -174,7 +181,6 @@ func (m *Multi) Run() {
 	// fused ranked queries), while Member — the region-computation
 	// entry — additionally ranks the full candidate tail.
 	m.results = make([][]Scored, nq)
-	m.cands = make([][]Scored, nq)
 	m.done = true
 }
 
@@ -212,12 +218,10 @@ func (m *Multi) selectTopK(mi int) []Scored {
 	return best
 }
 
-// rank fully materializes member mi: the ranked top-k plus the scored,
-// descending candidate tail (what region computation consumes).
-func (m *Multi) rank(mi int) {
-	if m.cands[mi] != nil {
-		return
-	}
+// rank fully materializes member mi: the whole encounter set scored
+// with the member's weights, in ranked order — the top-k followed by the
+// descending candidate tail region computation consumes.
+func (m *Multi) rank(mi int) []Scored {
 	nq := len(m.queries)
 	ranked := make([]Scored, len(m.encountered))
 	for e, sc := range m.encountered {
@@ -225,12 +229,7 @@ func (m *Multi) rank(mi int) {
 		ranked[e] = sc
 	}
 	sortScored(ranked)
-	cut := m.scan.k
-	if cut > len(ranked) {
-		cut = len(ranked)
-	}
-	m.results[mi] = ranked[:cut]
-	m.cands[mi] = ranked[cut:]
+	return ranked
 }
 
 // allSatisfied runs every live member's termination test against the
@@ -276,25 +275,32 @@ func (m *Multi) Result(i int) []Scored {
 }
 
 // Member returns member i's resumable view of the completed run,
-// suitable for region computation (core.ComputeView): its own clone of
-// the shared scan position with the member's query substituted, so
-// Resume pulls score with the member's weights and never disturb the
-// shared state or any sibling view. See the package comment for why
-// the view's candidate set legitimately differs from a solo scan's.
+// suitable for region computation (core.ComputeView): its own ranked
+// copy of the encounter set (projections still shared with the run) and
+// its own clone of the scan position with the member's query
+// substituted, so Resume pulls score with the member's weights and
+// never disturb the shared state or any sibling view. See the package
+// comment for why the view's candidate set legitimately differs from a
+// solo scan's.
 func (m *Multi) Member(i int) *MemberRun {
 	m.mustBeDone("Member")
-	m.rank(i)
+	// The view owns its ranked list: Resume appends to the tail.
+	ranked := m.rank(i)
+	cut := min(m.scan.k, len(ranked))
 	r := &MemberRun{
 		scanState: m.scan.clone(),
-		arena:     ProjArena{Qlen: m.scan.q.Len()},
-		result:    m.results[i],
-		cands:     slices.Clone(m.cands[i]),
+		arena:     projArena{qlen: m.scan.q.Len()},
+		result:    ranked[:cut:cut],
+		cands:     ranked[cut:],
 	}
 	r.q = m.queries[i]
 	return r
 }
 
 func (m *Multi) mustBeDone(op string) {
+	if m.sc == nil {
+		panic("topk: " + op + " after Release")
+	}
 	if !m.done {
 		panic("topk: " + op + " before Run")
 	}
@@ -305,7 +311,7 @@ func (m *Multi) mustBeDone(op string) {
 // RunContext only arms the context and reports any cancellation.
 type MemberRun struct {
 	scanState
-	arena  ProjArena
+	arena  projArena
 	result []Scored
 	cands  []Scored
 }
@@ -347,7 +353,7 @@ func (r *MemberRun) Resume() (Scored, bool) {
 func (r *MemberRun) ForkView() View {
 	return &Fork{
 		scanState: r.scanState.clone(),
-		arena:     ProjArena{Qlen: r.q.Len()},
+		arena:     projArena{qlen: r.q.Len()},
 		result:    r.result,
 		cands:     slices.Clone(r.cands),
 	}

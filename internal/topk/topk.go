@@ -119,8 +119,6 @@ const ctxCheckStride = 256
 // cloned per Fork, so compactness matters at large n.
 type bitset []uint64
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
-
 func (b bitset) test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
@@ -275,9 +273,9 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 // sparse merge; the two are bit-identical (vec.TestDotMatchesSparseScore
 // pins it) because the unmatched dimensions contribute exact +0.0 terms
 // to a running sum that never goes negative.
-func (s *scanState) score(id int, arena *ProjArena) Scored {
+func (s *scanState) score(id int, arena *projArena) Scored {
 	d := s.ix.Tuple(id)
-	sc := Scored{ID: id, Proj: arena.Alloc()}
+	sc := Scored{ID: id, Proj: arena.alloc()}
 	s.q.ProjectInto(d, sc.Proj)
 	sc.Score = vec.Dot(s.q.Weights, sc.Proj)
 	for b, v := range sc.Proj {
@@ -288,43 +286,20 @@ func (s *scanState) score(id int, arena *ProjArena) Scored {
 	return sc
 }
 
-// ProjArena hands out qlen-sized projection slices carved from larger
-// chunks, replacing one heap allocation per projected tuple with one
-// per arenaChunkTuples tuples. Slices remain valid after further allocs
-// (chunks are never reallocated, only replaced). The zero value with
-// Qlen set is ready to use; core shares this type for its Phase-2
-// evaluation projections.
-type ProjArena struct {
-	Qlen  int
-	chunk []float64
-}
-
-const arenaChunkTuples = 128
-
-// Alloc carves out one zeroed qlen-sized slice.
-func (a *ProjArena) Alloc() []float64 {
-	if a.Qlen == 0 {
-		return nil
-	}
-	if len(a.chunk)+a.Qlen > cap(a.chunk) {
-		a.chunk = make([]float64, 0, arenaChunkTuples*a.Qlen)
-	}
-	n := len(a.chunk)
-	a.chunk = a.chunk[:n+a.Qlen]
-	return a.chunk[n : n+a.Qlen : n+a.Qlen]
-}
-
-// TA is a resumable threshold-algorithm run.
+// TA is a resumable threshold-algorithm run. Its scan state, encountered
+// list and projections live in a pooled scratch: Release recycles it, and
+// a TA that is never released simply leaves it to the garbage collector.
 type TA struct {
 	scanState
-	arena ProjArena
+	sc *scratch // nil once released
 
+	// encountered holds every tuple the scan has met. Run ranks it in
+	// place: encountered[:cut] is then R(q) and encountered[cut:] is C(q),
+	// which Resume extends by appending.
 	encountered []Scored
 	topScores   []float64 // min-heap of the k best scores seen so far
-
-	result []Scored
-	cands  []Scored
-	done   bool
+	cut         int
+	done        bool
 
 	trace func(TraceStep)
 }
@@ -387,23 +362,50 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 	if k < 1 {
 		panic(fmt.Sprintf("topk: k=%d", k))
 	}
-	ta := &TA{
-		scanState: scanState{
-			ix:       ix,
-			q:        q,
-			k:        k,
-			policy:   policy,
-			cursors:  make([]lists.Cursor, q.Len()),
-			last:     make([]storage.Posting, q.Len()),
-			consumed: make([]int, q.Len()),
-			seen:     newBitset(ix.NumTuples()),
-		},
-		arena: ProjArena{Qlen: q.Len()},
+	sc := getScratch(ix.NumTuples(), q.Len())
+	return &TA{
+		scanState:   newScanState(ix, q, k, policy, sc),
+		sc:          sc,
+		encountered: sc.encountered,
+		topScores:   sc.heap,
+	}
+}
+
+// newScanState opens the query's cursors over the scratch's per-list
+// bookkeeping — the start position shared by New and NewMulti.
+func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy, sc *scratch) scanState {
+	s := scanState{
+		ix:       ix,
+		q:        q,
+		k:        k,
+		policy:   policy,
+		cursors:  sc.cursors,
+		last:     sc.last,
+		consumed: sc.consumed,
+		seen:     sc.seen,
 	}
 	for i, dim := range q.Dims {
-		ta.cursors[i] = ix.Cursor(dim)
+		s.cursors[i] = ix.Cursor(dim)
 	}
-	return ta
+	return s
+}
+
+// Release returns the run's scratch to the pool. Everything the TA
+// handed out — Result, Candidates, resumed tuples, their projections —
+// aliases that scratch and is dead afterwards, as is the TA itself and
+// every Fork taken from it; copy what must survive with Compact first.
+// Releasing twice is a no-op.
+func (ta *TA) Release() {
+	if ta.sc == nil {
+		return
+	}
+	sc := ta.sc
+	// The lists may have been regrown by append; keep the larger arrays.
+	sc.encountered, sc.heap = ta.encountered, ta.topScores
+	ta.sc, ta.encountered, ta.topScores = nil, nil, nil
+	ta.cursors, ta.last, ta.consumed, ta.seen = nil, nil, nil, nil
+	ta.done = false
+	putScratch(sc)
 }
 
 // step performs one sorted access and, if it encounters a new tuple, the
@@ -420,7 +422,7 @@ func (ta *TA) step() (*Scored, bool) {
 		}
 		return nil, true
 	}
-	sc := ta.score(p.ID, &ta.arena)
+	sc := ta.score(p.ID, &ta.sc.arena)
 	ta.encountered = append(ta.encountered, sc)
 	ta.offerScore(sc.Score)
 	if ta.trace != nil {
@@ -496,6 +498,9 @@ func (ta *TA) Run() {
 	if ta.done {
 		return
 	}
+	if ta.sc == nil {
+		panic("topk: Run after Release")
+	}
 	for {
 		// Termination: k-th tentative score ≥ threshold.
 		if len(ta.encountered) >= ta.k {
@@ -508,15 +513,8 @@ func (ta *TA) Run() {
 			break // dataset exhausted
 		}
 	}
-	ranked := make([]Scored, len(ta.encountered))
-	copy(ranked, ta.encountered)
-	sortScored(ranked)
-	cut := ta.k
-	if cut > len(ranked) {
-		cut = len(ranked)
-	}
-	ta.result = ranked[:cut]
-	ta.cands = ranked[cut:]
+	sortScored(ta.encountered)
+	ta.cut = min(ta.k, len(ta.encountered))
 	ta.done = true
 }
 
@@ -527,14 +525,14 @@ func (ta *TA) kthBest() float64 { return ta.topScores[0] }
 // Result returns the ranked top-k list R(q). Run must have completed.
 func (ta *TA) Result() []Scored {
 	ta.mustBeDone("Result")
-	return ta.result
+	return ta.encountered[:ta.cut:ta.cut]
 }
 
 // Candidates returns C(q), every encountered non-result tuple in
 // decreasing score order.
 func (ta *TA) Candidates() []Scored {
 	ta.mustBeDone("Candidates")
-	return ta.cands
+	return ta.encountered[ta.cut:]
 }
 
 // Resume continues the terminated scan until it encounters one new
@@ -548,7 +546,6 @@ func (ta *TA) Resume() (Scored, bool) {
 			return Scored{}, false
 		}
 		if sc != nil {
-			ta.cands = append(ta.cands, *sc)
 			return *sc, true
 		}
 	}
@@ -566,9 +563,9 @@ func (ta *TA) Fork() *Fork {
 	ta.mustBeDone("Fork")
 	return &Fork{
 		scanState: ta.scanState.clone(),
-		arena:     ProjArena{Qlen: ta.q.Len()},
-		result:    ta.result,
-		cands:     slices.Clone(ta.cands),
+		arena:     projArena{qlen: ta.q.Len()},
+		result:    ta.Result(),
+		cands:     slices.Clone(ta.Candidates()),
 	}
 }
 
@@ -580,7 +577,7 @@ func (ta *TA) ForkView() View { return ta.Fork() }
 // TA.Fork. It implements View.
 type Fork struct {
 	scanState
-	arena  ProjArena
+	arena  projArena
 	result []Scored
 	cands  []Scored
 }
@@ -609,6 +606,9 @@ func (f *Fork) Resume() (Scored, bool) {
 }
 
 func (ta *TA) mustBeDone(op string) {
+	if ta.sc == nil {
+		panic("topk: " + op + " after Release")
+	}
 	if !ta.done {
 		panic("topk: " + op + " before Run")
 	}
