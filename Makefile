@@ -10,7 +10,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION) -X repro/internal/obs.Commit=$(COMMIT)
 
-.PHONY: all build test race vet lint fuzz-smoke vuln bench-smoke bench-compare test-fallback test-wal test-replication test-failover test-obs test-shard check-docs ci
+.PHONY: all build test race vet lint fuzz-smoke vuln bench-smoke test-fallback test-wal test-replication test-failover test-obs test-shard check-docs ci
 
 all: ci
 
@@ -62,14 +62,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
 
-# Per-figure wall-time medians (fig10/fig12) against the committed PR
-# baseline, benchstat-style. A report, not a gate: the leading dash
-# keeps a slow machine or a regression from failing the build, and CI
-# runs it with continue-on-error for the same reason.
-bench-compare:
-	-$(GO) run ./cmd/irbench -fig fig10,fig12 -queries 5 -benchreps 3 \
-		-json /tmp/irbench_head.json -baseline BENCH_7.json
-
 # Fallback portability: the scalar kernels (noasm) and the pread-backed
 # pager (nommap) must produce the same answers as the default build —
 # the kernel property tests pin bit-identity against the reference
@@ -115,8 +107,10 @@ test-obs:
 
 # Sharding focus: the scatter-gather coordinator suite — bit-identity
 # to a single node across shard counts 1/2/4/8 with mutations, the
-# region-certificate property, the retry double-count guard, and the
-# shard-killed fault-injection e2e — all under -race.
+# region-certificate property, the retry double-count guard, the
+# shard-killed fault-injection e2e, and the dialect-parity test (the
+# coordinator front answers like a single node because it is
+# internal/server) — all under -race.
 test-shard:
 	$(GO) test -race -count=1 ./internal/shard/
 

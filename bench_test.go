@@ -364,7 +364,7 @@ func BenchmarkServerAnalyzeParallel(b *testing.B) {
 	env.init()
 	// Cache off: this measures the compute path under load; the cached
 	// serving rate is BenchmarkCacheAnalyze's subject.
-	srv := server.NewWithConfig(env.wsjI, server.Config{MaxConcurrent: 4 * runtime.NumCPU(), CacheEntries: -1})
+	srv := server.FromEngine(engine.New(env.wsjI, engine.Config{MaxConcurrent: 4 * runtime.NumCPU(), CacheEntries: -1}))
 	h := srv.Handler()
 	qs := queriesFor(env.wsj, 4, 10, 16, 216)
 	bodies := make([][]byte, len(qs))
@@ -497,7 +497,7 @@ func BenchmarkCacheTopK(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := eng.TopK(context.Background(), qs[i%len(qs)], 10); err != nil {
+		if _, _, err := eng.TopKMetered(context.Background(), qs[i%len(qs)], 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -564,7 +564,7 @@ func BenchmarkBatchTopK(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, it := range items {
-				if _, _, err := eng.TopK(context.Background(), it.Q, it.K); err != nil {
+				if _, _, err := eng.TopKMetered(context.Background(), it.Q, it.K); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -670,12 +670,12 @@ func BenchmarkCacheTopKAfterUpdate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, src, err := eng.TopK(context.Background(), queries[i%len(queries)], k)
+		_, info, err := eng.TopKMetered(context.Background(), queries[i%len(queries)], k)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if src != engine.SourceCacheRegion {
-			b.Fatalf("source %v, want region hit from a surviving entry", src)
+		if info.Source != engine.SourceCacheRegion {
+			b.Fatalf("source %v, want region hit from a surviving entry", info.Source)
 		}
 	}
 	b.StopTimer()

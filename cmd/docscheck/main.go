@@ -288,7 +288,7 @@ func main() {
 	// flags), not the daemons; check it against every command's flags.
 	targets[filepath.Join(*root, "docs", "static-analysis.md")] = union
 	// The sharding doc walks the full deployment — irgen partitioning
-	// and irbench measurement included — so it too gets the union.
+	// included — so it too gets the union.
 	targets[filepath.Join(*root, "docs", "sharding.md")] = union
 	// The spec and the operator guide are load-bearing: their absence
 	// is a failure, not a skip.

@@ -8,9 +8,9 @@
 //	irbench -fig fig10,fig14        # a subset
 //	irbench -scale 5 -queries 100   # closer to paper scale
 //	irbench -csv out/               # also write CSV per figure
-//	irbench -json bench.json        # per-figure wall-time medians + allocs
-//	irbench -json head.json -baseline BENCH_7.json
-//	                                # ...and a benchstat-style delta table
+//
+// Load and per-layer measurement is bench/'s job (go run -C bench .);
+// irbench keeps only what it alone does, the paper-figure tables.
 package main
 
 import (
@@ -26,29 +26,13 @@ import (
 
 func main() {
 	var (
-		figs     = flag.String("fig", "all", "comma-separated figure ids: fig6,fig7,fig10,...,fig16,phases,headline,stb,ablation")
-		queries  = flag.Int("queries", 20, "queries averaged per measurement point (paper: 100)")
-		scale    = flag.Float64("scale", 1, "dataset scale multiplier (≈20 reaches paper scale)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		csvDir   = flag.String("csv", "", "directory to also write per-figure CSV files")
-		jsonOut  = flag.String("json", "", "measure selected figures (wall-time medians, allocs) and write JSON here instead of tables")
-		baseline = flag.String("baseline", "", "prior -json file to print a per-figure delta table against (never fails the run)")
-		reps     = flag.Int("benchreps", 5, "timed repetitions per figure in -json mode")
-		shards   = flag.Int("shards", 0, "sharded mode: benchmark the scatter-gather coordinator over this many shards on a 10x ST dataset against single-node baselines, writing -json (default BENCH_10.json)")
+		figs    = flag.String("fig", "all", "comma-separated figure ids: fig6,fig7,fig10,...,fig16,phases,headline,stb,ablation")
+		queries = flag.Int("queries", 20, "queries averaged per measurement point (paper: 100)")
+		scale   = flag.Float64("scale", 1, "dataset scale multiplier (≈20 reaches paper scale)")
+		seed    = flag.Int64("seed", 1, "workload seed")
+		csvDir  = flag.String("csv", "", "directory to also write per-figure CSV files")
 	)
 	flag.Parse()
-
-	if *shards > 0 {
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_10.json"
-		}
-		if err := runShardBench(*shards, *scale, *queries, *seed, out); err != nil {
-			fmt.Fprintf(os.Stderr, "irbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	r := exp.NewRunner(exp.Config{Queries: *queries, Scale: *scale, Seed: *seed})
 	want := map[string]bool{}
@@ -57,21 +41,6 @@ func main() {
 	}
 	all := want["all"]
 	sel := func(id string) bool { return all || want[id] }
-
-	if *jsonOut != "" || *baseline != "" {
-		head := runBench(r, sel, *reps)
-		if *jsonOut != "" {
-			if err := writeBenchJSON(*jsonOut, head); err != nil {
-				fmt.Fprintf(os.Stderr, "irbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d figures)\n", *jsonOut, len(head.Figures))
-		}
-		if *baseline != "" {
-			compareBench(*baseline, head)
-		}
-		return
-	}
 
 	emit := func(f exp.Figure) {
 		f.WriteTable(os.Stdout)

@@ -24,8 +24,11 @@
 // the owning shards, and merges the answers bit-identically to a
 // single node over the union (docs/sharding.md). A shard failure fails
 // the query closed unless -allow-partial, which degrades to a flagged
-// partial answer (X-Partial header). Per-shard fan-out counters are on
-// GET /metrics.
+// partial answer (X-Partial header). The coordinator's front is
+// internal/server over the merge, so it serves the whole single-node
+// surface — batches, /stats (build block only), /readyz, the slow log
+// — and the ir_http_* families beside the per-shard fan-out counters
+// on GET /metrics.
 //
 // Usage:
 //

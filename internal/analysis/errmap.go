@@ -23,6 +23,11 @@ import (
 //     httpError/engineError/writeJSON helpers bypasses the mapping
 //     table entirely, which is exactly how PR 3's panic-through-
 //     httptest class of bug survives.
+//
+// The table covers the shard coordinator's front too: it is served by
+// internal/server over an adapter (shard.NewHandler), which tags shard
+// unavailability server.ErrUpstream→502, so internal/shard has no
+// status writer of its own left to guard.
 var ErrMap = &Analyzer{
 	Name: "errmap",
 	Doc:  "require errors.Is for wrapped sentinels and route server statuses through the central error mapping",

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/replication"
 )
 
@@ -422,9 +423,13 @@ func drain(resp *http.Response) {
 
 // PostJSON routes a JSON POST and decodes the response into out (which
 // may be nil). Non-2xx responses come back as errors carrying the
-// status and body.
+// status and body. A request ID carried by ctx is forwarded, so the
+// receiving node's logs and slow log share it with the caller's.
 func (c *Client) PostJSON(ctx context.Context, path string, reqBody []byte, out any) error {
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
+	if id := obs.RequestIDFrom(ctx); id != "" {
+		hdr.Set(obs.RequestIDHeader, id)
+	}
 	resp, err := c.Do(ctx, http.MethodPost, path, "", hdr, reqBody)
 	if err != nil {
 		return err

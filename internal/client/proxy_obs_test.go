@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/lists"
 	"repro/internal/obs"
@@ -48,7 +49,7 @@ func TestProxyRequestIDPropagation(t *testing.T) {
 	// Real backend, advertising itself as a single-member cluster's
 	// confirmed primary so the routing client will target it.
 	tuples, _, _ := fixture.RunningExample()
-	srv := server.New(lists.NewMemIndex(tuples, 2))
+	srv := server.FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
 	srv.SetSlowQuery(time.Nanosecond)
 	info := replication.ClusterInfo{
 		NodeID: "n1", Role: "primary", Confirmed: true, Ready: true, Epoch: 1,

@@ -139,7 +139,7 @@ func TestTopKBatch(t *testing.T) {
 		if res[i].Err != nil || res[i].Source != SourceComputed {
 			t.Fatalf("item %d: err=%v src=%v", i, res[i].Err, res[i].Source)
 		}
-		want, _, err := solo.TopK(context.Background(), items[i].Q, items[i].K)
+		want, _, err := solo.TopKMetered(context.Background(), items[i].Q, items[i].K)
 		if err != nil {
 			t.Fatal(err)
 		}

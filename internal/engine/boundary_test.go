@@ -95,11 +95,11 @@ func TestContainsWeightsBoundaryPinned(t *testing.T) {
 		w0 = math.Nextafter(w0, math.Inf(-1))
 	}
 	inQ := vec.Query{Dims: slices.Clone(q.Dims), Weights: []float64{w0, q.Weights[1]}}
-	if _, src, err := eng.TopK(context.Background(), inQ, k); err != nil || src != SourceCacheRegion {
-		t.Fatalf("boundary weight: src %v err %v, want region hit", src, err)
+	if _, info, err := eng.TopKMetered(context.Background(), inQ, k); err != nil || info.Source != SourceCacheRegion {
+		t.Fatalf("boundary weight: src %v err %v, want region hit", info.Source, err)
 	}
 	outQ := vec.Query{Dims: slices.Clone(q.Dims), Weights: []float64{math.Nextafter(w0, math.Inf(1)), q.Weights[1]}}
-	if _, src, err := eng.TopK(context.Background(), outQ, k); err != nil || src != SourceComputed {
-		t.Fatalf("one ulp outside: src %v err %v, want recompute", src, err)
+	if _, info, err := eng.TopKMetered(context.Background(), outQ, k); err != nil || info.Source != SourceComputed {
+		t.Fatalf("one ulp outside: src %v err %v, want recompute", info.Source, err)
 	}
 }

@@ -306,40 +306,6 @@ func (c *cache) remove(en *entry) {
 	}
 }
 
-func (c *cache) invalidateAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.buckets = make(map[bucketKey][]*entry)
-	c.lru.Init()
-	c.bytes = 0
-	c.publishGauges()
-}
-
-// invalidateDims drops every entry whose subspace uses any of dims.
-func (c *cache) invalidateDims(dims []int) {
-	hit := make(map[int]bool, len(dims))
-	for _, d := range dims {
-		hit[d] = true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var doomed []*entry
-	for _, bucket := range c.buckets {
-		for _, en := range bucket {
-			for _, d := range en.out.Query.Dims {
-				if hit[d] {
-					doomed = append(doomed, en)
-					break
-				}
-			}
-		}
-	}
-	for _, en := range doomed {
-		c.remove(en)
-	}
-	c.publishGauges()
-}
-
 // publishGauges mirrors the size gauges into atomics for lock-free
 // stats reads. Caller holds mu.
 func (c *cache) publishGauges() {

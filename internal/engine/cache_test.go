@@ -91,53 +91,6 @@ func TestCacheByteBound(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation covers both hooks: full invalidation and
-// per-dimension invalidation (the mutable-index hook) — entries on
-// untouched subspaces survive.
-func TestCacheInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7005))
-	cs := fixture.RandCase(rng, 80, 8, 3, 5)
-	eng := memEngine(cs.Tuples, cs.M, Config{})
-	opts := Options{Options: core.Options{Method: core.MethodCPT}}
-
-	analyzeMust(t, eng, cs.Q, cs.K, opts)
-	// A second subspace disjoint from the first would need sampling; use
-	// a different k instead, which lands in a different bucket but the
-	// same dimensions.
-	analyzeMust(t, eng, cs.Q, cs.K+1, opts)
-	if st := eng.CacheStats(); st.Entries != 2 {
-		t.Fatalf("entries %d, want 2", st.Entries)
-	}
-
-	// Invalidating an unused dimension keeps both.
-	unused := -1
-	for d := 0; d < cs.M; d++ {
-		if cs.Q.Pos(d) < 0 {
-			unused = d
-			break
-		}
-	}
-	eng.Invalidate(unused)
-	if st := eng.CacheStats(); st.Entries != 2 {
-		t.Fatalf("invalidating unused dim %d dropped entries: %+v", unused, st)
-	}
-
-	// Invalidating a query dimension drops every entry using it.
-	eng.Invalidate(cs.Q.Dims[0])
-	if st := eng.CacheStats(); st.Entries != 0 {
-		t.Fatalf("per-dim invalidation left %d entries", st.Entries)
-	}
-
-	analyzeMust(t, eng, cs.Q, cs.K, opts)
-	eng.Invalidate()
-	if st := eng.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("full invalidation left %+v", st)
-	}
-	if a := analyzeMust(t, eng, cs.Q, cs.K, opts); a.Source != SourceComputed {
-		t.Fatalf("post-invalidation source %v", a.Source)
-	}
-}
-
 // TestCacheDisabled ensures CacheEntries < 0 really turns everything
 // off: no hits, no stats, no admission.
 func TestCacheDisabled(t *testing.T) {
@@ -156,9 +109,11 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 // TestCacheConcurrent hammers one engine from many goroutines — mixed
-// analyzes (repeat-heavy), region-hit top-k lookups and invalidations —
-// and checks every response against the sequential ground truth. Run
-// under -race this is the cache's synchronization proof.
+// analyzes (repeat-heavy, over a cache small enough to keep evicting)
+// and region-hit top-k lookups — and checks every response against the
+// sequential ground truth. Run under -race this is the cache's
+// synchronization proof; TestApplyConcurrentWithQueries covers
+// invalidation racing queries.
 func TestCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7006))
 	cs := fixture.RandCase(rng, 150, 8, 3, 6)
@@ -200,7 +155,7 @@ func TestCacheConcurrent(t *testing.T) {
 						return
 					}
 				case 2:
-					res, _, err := eng.TopK(context.Background(), queries[i], cs.K)
+					res, _, err := eng.TopKMetered(context.Background(), queries[i], cs.K)
 					if err != nil {
 						errs <- err
 						return
@@ -211,9 +166,6 @@ func TestCacheConcurrent(t *testing.T) {
 							return
 						}
 					}
-				}
-				if g == 0 && r%10 == 9 {
-					eng.Invalidate(cs.Q.Dims[r%cs.Q.Len()])
 				}
 			}
 		}(g)

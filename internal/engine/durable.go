@@ -530,6 +530,12 @@ func (e *Engine) checkpoint(force bool) error {
 		if e.replSink != nil {
 			e.replSink.CheckpointEvent(man, false)
 		}
+		// Sweep here too, or every lost race leaves a full dataset copy
+		// behind until some later checkpoint wins. The manifest's
+		// generation is the one a reopen needs; the served one stays
+		// readable through its open mapping/handles after the unlink
+		// (the POSIX reliance OpenSnapshotFiles documents).
+		wal.RemoveStaleGenerations(d.dir, gen)
 		return nil
 	}
 

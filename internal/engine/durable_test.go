@@ -518,6 +518,64 @@ func TestCheckpointConcurrentApply(t *testing.T) {
 	assertSameAnswers(t, eng, fresh, cs.Q, cs.K, opts)
 }
 
+// TestCheckpointLostRaceSweeps: a checkpoint that loses the race to a
+// concurrent batch publishes a generation it cannot swap to. Each such
+// loss used to leave a full dataset copy on disk until some later
+// checkpoint won; now the losing branch sweeps too, so at most two
+// generations' files remain, and a reopen of the directory replays to
+// the same state.
+func TestCheckpointLostRaceSweeps(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	cs := fixture.RandCase(rng, 30, 4, 2, 2)
+	dir := t.TempDir()
+	saveDir(t, dir, cs.Tuples, cs.M)
+	eng := openDurable(t, dir, Config{CheckpointBytes: -1})
+
+	shadow := cloneTuples(cs.Tuples)
+	const losses = 5
+	for i := 0; i < losses; i++ {
+		mid := randOpTuple(rng, cs.M)
+		eng.dur.ckptHook = func(step string) error {
+			if step == "files" {
+				eng.dur.ckptHook = nil
+				if res, err := eng.Apply([]Op{{Kind: OpInsert, Tuple: mid}}); err != nil || res.Applied != 1 {
+					t.Errorf("mid-rewrite apply: %+v %v", res, err)
+				}
+				shadow = append(shadow, mid)
+			}
+			return nil
+		}
+		if err := eng.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.DurabilityStats()
+	if st.Generation != losses || st.Checkpoints != 0 {
+		t.Fatalf("stats %+v, want generation %d published and no swap", st, losses)
+	}
+	for _, pat := range []string{"tuples.g*.dat", "lists.g*.dat"} {
+		left, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) > 2 {
+			t.Fatalf("%d lost races left %d %s files on disk: %v", losses, len(left), pat, left)
+		}
+	}
+	opts := Options{Options: core.Options{Method: core.MethodCPT}}
+	fresh := memEngine(cloneTuples(shadow), cs.M, Config{CacheEntries: -1})
+	// The served generation's files are unlinked by now; it must still
+	// answer through its open handles.
+	assertSameAnswers(t, eng, fresh, cs.Q, cs.K, opts)
+
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDurable(t, dir, Config{CheckpointBytes: -1})
+	defer reopened.Close()
+	assertSameAnswers(t, reopened, fresh, cs.Q, cs.K, opts)
+}
+
 // TestCheckpointAutoTrigger: a tiny threshold makes Apply compact on
 // its own, and the failure of an auto-compaction is reported in
 // DurabilityStats, not as an Apply error.

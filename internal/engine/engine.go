@@ -297,6 +297,14 @@ const (
 	// SourceDeduped shared the answer of an identical query in the same
 	// batch.
 	SourceDeduped
+	// SourceMerged was merged from every shard's answer by a
+	// scatter-gather coordinator (internal/shard). No cache was
+	// consulted, so transports report no cache disposition for it.
+	SourceMerged
+	// SourcePartial is SourceMerged with one or more shards missing
+	// (allow-partial coordinators only): a partial result may miss
+	// tuples and a partial region is NOT a certificate.
+	SourcePartial
 )
 
 func (s Source) String() string {
@@ -311,6 +319,10 @@ func (s Source) String() string {
 		return "hit-region"
 	case SourceDeduped:
 		return "dedup"
+	case SourceMerged:
+		return "merged"
+	case SourcePartial:
+		return "partial"
 	default:
 		return fmt.Sprintf("source(%d)", int(s))
 	}
@@ -485,22 +497,10 @@ func (e *Engine) compute(ctx context.Context, q vec.Query, k int, opts Options) 
 	return out, err
 }
 
-// TopK answers the query with the threshold algorithm. Before touching
-// the index it consults the answer cache: any cached analysis of the
-// same subspace and k whose immutable regions contain the requested
-// weight vector certifies the ranked result, which is then rebuilt from
-// the cached projections (exact scores, zero index I/O,
-// Source=SourceCacheRegion). Top-k results alone carry no regions, so
-// misses are not admitted — the cache fills from Analyze traffic.
-func (e *Engine) TopK(ctx context.Context, q vec.Query, k int) ([]topk.Scored, Source, error) {
-	res, info, err := e.TopKMetered(ctx, q, k)
-	return res, info.Source, err
-}
-
-// TopKInfo meters one TopK execution: how it was answered, the engine
-// envelope timings, the TA stopping depth, and this query's own I/O
-// counts from its child meter (all zero on region-certified hits — no
-// index work was done).
+// TopKInfo meters one TopKMetered execution: how it was answered, the
+// engine envelope timings, the TA stopping depth, and this query's own
+// I/O counts from its child meter (all zero on region-certified hits —
+// no index work was done).
 type TopKInfo struct {
 	Source         Source
 	Timings        Timings
@@ -509,9 +509,16 @@ type TopKInfo struct {
 	RandReads      int64
 }
 
-// TopKMetered is TopK with the per-query cost accounting exposed; the
-// HTTP layer uses it to feed the slow-query log. Same semantics as
-// TopK otherwise.
+// TopKMetered answers the query with the threshold algorithm and
+// reports how: the result carries the full Scored view (ids, exact
+// scores and query-subspace projections), info the per-query cost
+// accounting the HTTP layer feeds the slow-query log with. Before
+// touching the index it consults the answer cache: any cached analysis
+// of the same subspace and k whose immutable regions contain the
+// requested weight vector certifies the ranked result, which is then
+// rebuilt from the cached projections (exact scores, zero index I/O,
+// Source=SourceCacheRegion). Top-k results alone carry no regions, so
+// misses are not admitted — the cache fills from Analyze traffic.
 func (e *Engine) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Scored, TopKInfo, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -597,24 +604,3 @@ func (e *Engine) CacheStats() CacheStats {
 
 // CacheEnabled reports whether the answer cache is active.
 func (e *Engine) CacheEnabled() bool { return e.cache != nil }
-
-// Invalidate drops cached analyses: with no arguments the whole cache,
-// otherwise every entry whose subspace uses any of the given
-// dimensions. Apply performs the far finer region-certified
-// invalidation automatically; this coarse hook remains for callers that
-// change data behind the engine's back (e.g. rewriting the dataset
-// files).
-func (e *Engine) Invalidate(dims ...int) {
-	if e.cache == nil {
-		return
-	}
-	// Drain in-flight queries like Apply does: an analysis of the
-	// pre-change data must not be admitted after this pass.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(dims) == 0 {
-		e.cache.invalidateAll()
-		return
-	}
-	e.cache.invalidateDims(dims)
-}

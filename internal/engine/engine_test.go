@@ -84,12 +84,12 @@ func TestTopKRegionHitAndMiss(t *testing.T) {
 
 	inRegion := vec.MustQuery([]int{0, 1}, []float64{0.85, 0.5})
 	seq0, rnd0, _ := eng.Stats().Snapshot()
-	res, src, err := eng.TopK(context.Background(), inRegion, k)
+	res, info, err := eng.TopKMetered(context.Background(), inRegion, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceCacheRegion {
-		t.Fatalf("in-region source %v, want region hit", src)
+	if info.Source != SourceCacheRegion {
+		t.Fatalf("in-region source %v, want region hit", info.Source)
 	}
 	if seq1, rnd1, _ := eng.Stats().Snapshot(); seq1 != seq0 || rnd1 != rnd0 {
 		t.Fatal("region hit touched the index")
@@ -99,7 +99,7 @@ func TestTopKRegionHitAndMiss(t *testing.T) {
 	}
 	// Scores must be bit-identical to a live TA at the nudged weights.
 	fresh := memEngine(tuples, 2, Config{CacheEntries: -1})
-	want, _, err := fresh.TopK(context.Background(), inRegion, k)
+	want, _, err := fresh.TopKMetered(context.Background(), inRegion, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,18 +111,18 @@ func TestTopKRegionHitAndMiss(t *testing.T) {
 
 	// Both weights nudged: the cross-polytope test, not a 1-D interval.
 	multi := vec.MustQuery([]int{0, 1}, []float64{0.78, 0.52})
-	if _, src, err = eng.TopK(context.Background(), multi, k); err != nil || src != SourceCacheRegion {
-		t.Fatalf("multi-dim in-region: src=%v err=%v", src, err)
+	if _, info, err = eng.TopKMetered(context.Background(), multi, k); err != nil || info.Source != SourceCacheRegion {
+		t.Fatalf("multi-dim in-region: src=%v err=%v", info.Source, err)
 	}
 
 	// Past the +0.1 bound: must miss, and the recomputed ranking flips.
 	outRegion := vec.MustQuery([]int{0, 1}, []float64{0.95, 0.5})
-	res, src, err = eng.TopK(context.Background(), outRegion, k)
+	res, info, err = eng.TopKMetered(context.Background(), outRegion, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src != SourceComputed {
-		t.Fatalf("out-of-region source %v, want computed", src)
+	if info.Source != SourceComputed {
+		t.Fatalf("out-of-region source %v, want computed", info.Source)
 	}
 	if res[0].ID != 0 || res[1].ID != 1 {
 		t.Fatalf("out-of-region result %v, want [d1 d2]", res)
@@ -154,11 +154,11 @@ func TestTopKRegionHitRandom(t *testing.T) {
 				}
 				q2.Weights[jx] = w
 			}
-			got, src, err := eng.TopK(context.Background(), q2, cs.K)
+			got, info, err := eng.TopKMetered(context.Background(), q2, cs.K)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := fresh.TopK(context.Background(), q2, cs.K)
+			want, _, err := fresh.TopKMetered(context.Background(), q2, cs.K)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestTopKRegionHitRandom(t *testing.T) {
 			}
 			for i := range want {
 				if got[i].ID != want[i].ID || got[i].Score != want[i].Score {
-					t.Fatalf("trial %d step %d (src %v): got %v want %v", trial, step, src, got, want)
+					t.Fatalf("trial %d step %d (src %v): got %v want %v", trial, step, info.Source, got, want)
 				}
 			}
 		}
@@ -193,7 +193,7 @@ func TestValidation(t *testing.T) {
 			_, err := eng.Analyze(nil, bad, 1, Options{})
 			return err
 		}},
-		{"topk zero k", func() error { _, _, err := eng.TopK(nil, q, 0); return err }},
+		{"topk zero k", func() error { _, _, err := eng.TopKMetered(nil, q, 0); return err }},
 	}
 	for _, c := range cases {
 		if err := c.run(); !errors.Is(err, ErrInvalid) {
@@ -247,7 +247,7 @@ func TestAnalyzeCancelMidQuery(t *testing.T) {
 	if _, err := eng.Analyze(done, cs.Q, cs.K, Options{}); err == nil {
 		t.Fatal("pre-canceled Analyze succeeded")
 	}
-	if _, _, err := eng.TopK(done, cs.Q, cs.K); err == nil {
+	if _, _, err := eng.TopKMetered(done, cs.Q, cs.K); err == nil {
 		t.Fatal("pre-canceled TopK succeeded")
 	}
 }

@@ -126,12 +126,12 @@ func TestAnswersDetachedFromScratch(t *testing.T) {
 		if hit.Source != SourceCache {
 			t.Fatalf("trial %d: repeat analysis source %v", trial, hit.Source)
 		}
-		region, src, err := eng.TopK(ctx, cs.Q, cs.K)
-		if err != nil || src != SourceCacheRegion {
-			t.Fatalf("trial %d: topk src %v err %v", trial, src, err)
+		region, info, err := eng.TopKMetered(ctx, cs.Q, cs.K)
+		if err != nil || info.Source != SourceCacheRegion {
+			t.Fatalf("trial %d: topk src %v err %v", trial, info.Source, err)
 		}
 		nocache := New(lists.NewMemIndex(cs.Tuples, cs.M), Config{CacheEntries: -1})
-		ranked, _, err := nocache.TopK(ctx, cs.Q, cs.K)
+		ranked, _, err := nocache.TopKMetered(ctx, cs.Q, cs.K)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,11 +52,11 @@ func assertSameAnswers(t *testing.T, eng, fresh *Engine, q vec.Query, k int, opt
 	if !reflect.DeepEqual(a1.Regions, a2.Regions) {
 		t.Fatalf("regions diverged (source %v):\n  got  %+v\n  want %+v", a1.Source, a1.Regions, a2.Regions)
 	}
-	r1, _, err := eng.TopK(context.Background(), q, k)
+	r1, _, err := eng.TopKMetered(context.Background(), q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := fresh.TopK(context.Background(), q, k)
+	r2, _, err := fresh.TopKMetered(context.Background(), q, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestApplyRunningExampleCertificates(t *testing.T) {
 
 	// An in-region /topk off the anchor still serves from the survivor.
 	qin := vec.MustQuery([]int{0, 1}, []float64{0.82, 0.5})
-	if _, src, err := eng.TopK(context.Background(), qin, k); err != nil || src != SourceCacheRegion {
-		t.Fatalf("in-region topk src %v err %v, want region hit", src, err)
+	if _, info, err := eng.TopKMetered(context.Background(), qin, k); err != nil || info.Source != SourceCacheRegion {
+		t.Fatalf("in-region topk src %v err %v, want region hit", info.Source, err)
 	}
 	assertSameAnswers(t, eng, fresh(), qin, k, opts)
 
@@ -328,7 +328,7 @@ func TestApplyErrors(t *testing.T) {
 	if res.Results[1].Err != nil || res.Results[1].ID != 4 || res.Applied != 1 {
 		t.Fatalf("valid op in failing batch: %+v", res)
 	}
-	if _, _, err := eng.TopK(context.Background(), q, k); err != nil {
+	if _, _, err := eng.TopKMetered(context.Background(), q, k); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -415,7 +415,7 @@ func TestApplyConcurrentWithQueries(t *testing.T) {
 					t.Errorf("analyze: %v", err)
 					return
 				}
-				if _, _, err := eng.TopK(context.Background(), q, cs.K); err != nil {
+				if _, _, err := eng.TopKMetered(context.Background(), q, cs.K); err != nil {
 					t.Errorf("topk: %v", err)
 					return
 				}

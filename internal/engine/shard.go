@@ -69,15 +69,6 @@ func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, i
 	return out, runner.(lineContributor).ContributedLines(), nil
 }
 
-// TopKScored answers the query with the full Scored view — ids, exact
-// scores AND query-subspace projections — the coordinator needs to
-// merge per-shard lists and build the imposed result. Same execution
-// path as TopKMetered.
-func (e *Engine) TopKScored(ctx context.Context, q vec.Query, k int) ([]topk.Scored, error) {
-	res, _, err := e.TopKMetered(ctx, q, k)
-	return res, err
-}
-
 // ShardDirName returns the conventional subdirectory of shard i inside
 // a range-partitioned dataset directory (cmd/irgen -shards).
 func ShardDirName(i int) string { return fmt.Sprintf("shard-%d", i) }

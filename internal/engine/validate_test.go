@@ -40,7 +40,7 @@ func TestValidateRejectsOversizedQuery(t *testing.T) {
 	if _, err := eng.Analyze(context.Background(), q, 2, Options{}); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("Analyze(65 dims) err %v, want ErrInvalid", err)
 	}
-	if _, _, err := eng.TopK(context.Background(), q, 2); !errors.Is(err, ErrInvalid) {
+	if _, _, err := eng.TopKMetered(context.Background(), q, 2); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("TopK(65 dims) err %v, want ErrInvalid", err)
 	}
 	if _, _, err := eng.TopKTrace(context.Background(), q, 2); !errors.Is(err, ErrInvalid) {
@@ -49,7 +49,7 @@ func TestValidateRejectsOversizedQuery(t *testing.T) {
 
 	// Exactly 64 dimensions is the boundary and must execute fine.
 	dims, weights = seq(64)
-	if _, _, err := eng.TopK(context.Background(), vec.Query{Dims: dims, Weights: weights}, 2); err != nil {
+	if _, _, err := eng.TopKMetered(context.Background(), vec.Query{Dims: dims, Weights: weights}, 2); err != nil {
 		t.Fatalf("TopK(64 dims): %v", err)
 	}
 }
@@ -74,7 +74,7 @@ func TestValidateRejectsMalformedQueries(t *testing.T) {
 		if _, err := eng.Analyze(context.Background(), tc.q, 2, Options{Options: core.Options{Method: core.MethodCPT}}); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: err %v, want ErrInvalid", tc.name, err)
 		}
-		if _, _, err := eng.TopK(context.Background(), tc.q, 2); !errors.Is(err, ErrInvalid) {
+		if _, _, err := eng.TopKMetered(context.Background(), tc.q, 2); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: TopK err %v, want ErrInvalid", tc.name, err)
 		}
 	}

@@ -5,7 +5,8 @@
 // The bridges read the exact snapshot functions /stats renders
 // (engine.Stats, CacheStats, DurabilityStats, OverlayStats,
 // MutationStats) through the most recently built server's engine
-// provider, so GET /stats and GET /metrics cannot drift apart. A
+// provider, so GET /stats and GET /metrics cannot drift apart (on a
+// coordinator front, which has no engine, they read 0). A
 // process hosts one server outside of tests; where several share a
 // process the bridge follows the last Handler() built, and each
 // server's /stats stays exact regardless.
@@ -30,7 +31,7 @@ var (
 	mInFlight = obs.NewGauge("ir_http_in_flight",
 		"requests currently being handled")
 	mDisposition = obs.NewCounterVec("ir_http_cache_disposition_total",
-		"query answers by cache disposition (miss, hit, hit-region, bypass, dedup)",
+		"query answers by cache disposition (miss, hit, hit-region, bypass, dedup; merged, partial on a shard coordinator)",
 		"disposition")
 	mValidationFailures = obs.NewCounter("ir_http_validation_failures_total",
 		"requests rejected by query validation (bad k, dimension range, weights, phi)")
@@ -50,7 +51,7 @@ func engineStat(f func(*engine.Engine) float64) func() float64 {
 		if srv == nil {
 			return 0
 		}
-		eng := srv.get()
+		eng := srv.engine()
 		if eng == nil {
 			return 0
 		}

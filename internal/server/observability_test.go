@@ -92,7 +92,7 @@ func TestMetricsConformance(t *testing.T) {
 // write-gated standby and a mid-re-seed server with no engine at all.
 func TestMetricsConformanceStandby(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
-	srv := New(lists.NewMemIndex(tuples, 2))
+	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
 	srv.SetWriteRedirect("http://primary.example:8080")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -162,7 +162,7 @@ func TestRequestIDEchoAndAdopt(t *testing.T) {
 // counts, newest first.
 func TestSlowlogEndpoint(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
-	srv := New(lists.NewMemIndex(tuples, 2))
+	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
 	srv.SetSlowQuery(time.Nanosecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -214,7 +214,7 @@ func TestSlowlogEndpoint(t *testing.T) {
 // TestSlowlogDisabled: a zero threshold records nothing.
 func TestSlowlogDisabled(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
-	srv := New(lists.NewMemIndex(tuples, 2))
+	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
 	srv.SetSlowQuery(0)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

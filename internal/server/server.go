@@ -3,9 +3,13 @@
 // server holding the inverted lists and tuple file, answering subspace
 // top-k queries and immutable-region analyses for remote clients. The
 // server is a thin transport: all execution — validation, admission,
-// caching, metering, cancellation — lives in internal/engine, which the
-// handlers call with the request's context so a disconnected client
-// aborts its query mid-run, not just while queued.
+// caching, metering, cancellation — lives behind the Querier interface,
+// which the handlers call with the request's context so a disconnected
+// client aborts its query mid-run, not just while queued. Two Queriers
+// exist: *engine.Engine (a single node) and internal/shard's adapter
+// over a scatter-gather coordinator, so a sharded front speaks this
+// dialect — routes, validation, status mapping, middleware, slow log —
+// because it is this code.
 //
 // Endpoints:
 //
@@ -40,6 +44,11 @@
 //	POST /promote       → force this node to promote itself to primary
 //	                    (cluster members only; operator override)
 //
+// Request bodies are POST-only, JSON, and capped at 64 MiB (413 beyond).
+// On a coordinator front merged answers carry no cache disposition,
+// degraded ones (-allow-partial) an X-Partial header and "partial":
+// true, and a shard that does not answer is a 502.
+//
 // A replication standby (irserver -follow) serves the same read
 // endpoints over its replayed state but rejects /update and /delete
 // with 409 plus a Location header pointing at the primary; see
@@ -66,37 +75,39 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/lists"
 	"repro/internal/obs"
 	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
-// Config tunes the server's engine. The zero value picks the defaults
-// of engine.Config: a 4×GOMAXPROCS worker pool, sequential per-query
-// dimension processing, and the answer cache at its default bounds.
-type Config struct {
-	// MaxConcurrent caps the number of queries executing at once
-	// (0 = default 4×GOMAXPROCS, negative = unlimited).
-	MaxConcurrent int
-	// Parallelism fans one query's per-dimension region work over up to
-	// n goroutines (0 = paper-literal sequential).
-	Parallelism int
-	// CacheEntries bounds the answer cache (0 = default, negative =
-	// cache disabled).
-	CacheEntries int
-	// CacheBytes bounds the cache's estimated footprint (0 = default).
-	CacheBytes int64
-	// ReadOnly disables the write endpoints (/update, /delete answer
-	// 409) even when the index itself could accept writes.
-	ReadOnly bool
+// Querier is the execution surface the server serves: single and
+// batched ranked queries and analyses, plus the write path. Answers
+// report how they were produced through engine.Source — a cache
+// disposition from an engine, SourceMerged/SourcePartial from a
+// coordinator.
+type Querier interface {
+	TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Scored, engine.TopKInfo, error)
+	Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*engine.Analysis, error)
+	TopKBatch(ctx context.Context, items []engine.TopKItem) []engine.TopKResult
+	AnalyzeBatch(ctx context.Context, items []engine.BatchItem) []engine.BatchResult
+	// Mutable reports whether Apply is enabled; a read-only Querier
+	// answers the write endpoints 409 whatever the payload.
+	Mutable() bool
+	Apply(ops []engine.Op) (engine.ApplyResult, error)
 }
 
-// Server handles the HTTP API over one engine. The engine is reached
-// through a provider func so a replication follower can atomically
-// swap its engine (a snapshot re-seed replaces it) under a live server.
+// ErrUpstream tags a failure of something the Querier depends on — a
+// shard that did not answer its coordinator. The front is then a
+// gateway, and the status table answers 502.
+var ErrUpstream = errors.New("upstream unavailable")
+
+// Server handles the HTTP API over one Querier. It is resolved per
+// request so a replication follower can atomically swap its engine (a
+// snapshot re-seed replaces it) under a live server.
 type Server struct {
-	get func() *engine.Engine
+	// get returns the Querier to serve, or nil while there is none (a
+	// standby mid-re-seed): requests then answer 503.
+	get func() Querier
 	// writeGate, when set, is consulted per write request: allow==false
 	// turns the request into a 409 with a Location header pointing at
 	// redirect (or a 503 when redirect is ""). A static standby sets a
@@ -109,7 +120,7 @@ type Server struct {
 	// once before serving.
 	replStats func() any
 	// readiness, when set, backs GET /readyz: nil means ready. Unset,
-	// /readyz reports ready whenever the engine is open.
+	// /readyz reports ready whenever there is a Querier to serve.
 	readiness func() error
 	// clusterInfo, when set, backs GET /cluster (404 when unset — the
 	// node is not a cluster member).
@@ -120,20 +131,6 @@ type Server struct {
 	// installs the default (DefaultSlowQuery, 128 entries) unless
 	// SetSlowQuery configured it first.
 	slow *obs.SlowLog
-}
-
-// New builds a Server over an index with default engine settings.
-func New(ix lists.Index) *Server { return NewWithConfig(ix, Config{}) }
-
-// NewWithConfig builds a Server over an index with explicit settings.
-func NewWithConfig(ix lists.Index, cfg Config) *Server {
-	return FromEngine(engine.New(ix, engine.Config{
-		MaxConcurrent: cfg.MaxConcurrent,
-		Parallelism:   cfg.Parallelism,
-		CacheEntries:  cfg.CacheEntries,
-		CacheBytes:    cfg.CacheBytes,
-		ReadOnly:      cfg.ReadOnly,
-	}))
 }
 
 // FromEngine builds a Server over an existing engine (the path
@@ -147,7 +144,18 @@ func FromEngine(eng *engine.Engine) *Server {
 // A replication follower passes its Follower.Engine accessor here: the
 // served engine changes identity when a snapshot transfer re-seeds the
 // standby, and may briefly be nil mid-swap (requests then answer 503).
-func FromEngineFunc(get func() *engine.Engine) *Server { return &Server{get: get} }
+func FromEngineFunc(get func() *engine.Engine) *Server {
+	return &Server{get: func() Querier {
+		if eng := get(); eng != nil {
+			return eng
+		}
+		return nil // not a typed-nil Querier
+	}}
+}
+
+// FromQuerier builds a Server over any Querier — how internal/shard
+// puts a coordinator behind the single-node surface.
+func FromQuerier(q Querier) *Server { return &Server{get: func() Querier { return q }} }
 
 // SetWriteRedirect makes the write endpoints (/update, /delete) answer
 // 409 with a Location header pointing at primaryURL — the static
@@ -190,18 +198,23 @@ func (s *Server) SetSlowQuery(threshold time.Duration) {
 	s.slow = obs.NewSlowLog(threshold, slowLogCapacity)
 }
 
-// Engine exposes the underlying engine (nil while a standby re-seeds).
-func (s *Server) Engine() *engine.Engine { return s.get() }
+// engine returns the served engine behind /stats and the bridge
+// gauges: nil while a standby re-seeds, and on a coordinator front,
+// which has no engine of its own.
+func (s *Server) engine() *engine.Engine {
+	eng, _ := s.get().(*engine.Engine)
+	return eng
+}
 
-// engine resolves the live engine for one request, answering 503 when
-// a standby is mid-re-seed.
-func (s *Server) engine(w http.ResponseWriter) (*engine.Engine, bool) {
-	eng := s.get()
-	if eng == nil {
+// querier resolves the Querier for one request, answering 503 when a
+// standby is mid-re-seed.
+func (s *Server) querier(w http.ResponseWriter) (Querier, bool) {
+	qr := s.get()
+	if qr == nil {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("standby is re-seeding from the primary"))
 		return nil, false
 	}
-	return eng, true
+	return qr, true
 }
 
 // Handler returns the routed http.Handler. Every endpoint runs inside
@@ -242,7 +255,8 @@ func (s *Server) Handler() http.Handler {
 
 // handleReadyz reports whether this node should receive traffic: 200
 // when ready, 503 with the reason otherwise. Without an installed
-// readiness check, ready means the engine is open (not mid-re-seed).
+// readiness check, ready means there is a Querier to serve (the engine
+// is open, not mid-re-seed).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.readiness != nil {
 		if err := s.readiness(); err != nil {
@@ -379,7 +393,10 @@ type BatchTopKRequest struct {
 type TopKEntryResponse struct {
 	Result []ResultEntry `json:"result,omitempty"`
 	Cache  string        `json:"cache,omitempty"`
-	Error  string        `json:"error,omitempty"`
+	// Partial marks a degraded scatter-gather answer, as in
+	// AnalyzeResponse.
+	Partial bool   `json:"partial,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
 
 // BatchTopKResponse is the body of a successful /batchtopk; Responses
@@ -508,16 +525,16 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := s.decodeQuery(w, r)
+	req, q, ok := decodeQuery(w, r)
 	if !ok {
 		return
 	}
-	eng, ok := s.engine(w)
+	qr, ok := s.querier(w)
 	if !ok {
 		return
 	}
 	t0 := time.Now()
-	res, info, err := eng.TopKMetered(r.Context(), q, req.K)
+	res, info, err := qr.TopKMetered(r.Context(), q, req.K)
 	if err != nil {
 		engineError(w, err)
 		return
@@ -533,8 +550,28 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordSlow(r, "topk", req, info.Source, total, info.Timings,
 		scan, 0, info.SeqPages, info.RandReads)
-	w.Header().Set("X-Cache", info.Source.String())
+	if cache := cacheField(info.Source); cache != "" {
+		w.Header().Set("X-Cache", cache)
+	}
+	markPartial(w, info.Source)
 	writeJSON(w, http.StatusOK, toEntries(res))
+}
+
+// cacheField is the cache disposition a response reports: none for a
+// coordinator's merged answer, which consulted no cache.
+func cacheField(src engine.Source) string {
+	if src == engine.SourceMerged || src == engine.SourcePartial {
+		return ""
+	}
+	return src.String()
+}
+
+// markPartial flags a degraded scatter-gather answer (merged without
+// every shard) in the response header.
+func markPartial(w http.ResponseWriter, src engine.Source) {
+	if src == engine.SourcePartial {
+		w.Header().Set("X-Partial", "true")
+	}
 }
 
 // buildOptions maps a request to engine options; the method string is
@@ -554,21 +591,23 @@ func buildOptions(req QueryRequest) (engine.Options, error) {
 	}, nil
 }
 
-// toAnalyzeResponse renders one completed analysis.
-func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
-	resp := AnalyzeResponse{
-		Result: toEntries(a.Result),
-		Cache:  a.Source.String(),
-		Metrics: MetricsJSON{
-			Evaluated:    a.Metrics.Evaluated,
-			EvaluatedAvg: a.Metrics.EvaluatedPerDimAvg(),
-			SeqPages:     a.Metrics.SeqPages,
-			RandReads:    a.Metrics.RandReads,
-			CPUMicros:    a.Metrics.CPU().Microseconds(),
-			MemBytes:     a.Metrics.MemBytes,
-		},
+// toMetricsJSON renders one computation's metering.
+func toMetricsJSON(m core.Metrics) MetricsJSON {
+	return MetricsJSON{
+		Evaluated:    m.Evaluated,
+		EvaluatedAvg: m.EvaluatedPerDimAvg(),
+		SeqPages:     m.SeqPages,
+		RandReads:    m.RandReads,
+		CPUMicros:    m.CPU().Microseconds(),
+		MemBytes:     m.MemBytes,
 	}
-	for _, reg := range a.Regions {
+}
+
+// toRegionsJSON converts computed regions to the wire form (nil, so
+// JSON null, when there are none).
+func toRegionsJSON(regions []core.Regions) []RegionJSON {
+	var out []RegionJSON
+	for _, reg := range regions {
 		rj := RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi}
 		for _, p := range reg.Left {
 			rj.Left = append(rj.Left, PerturbationJSON(p))
@@ -576,13 +615,41 @@ func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
 		for _, p := range reg.Right {
 			rj.Right = append(rj.Right, PerturbationJSON(p))
 		}
-		resp.Regions = append(resp.Regions, rj)
+		out = append(out, rj)
 	}
-	return resp
+	return out
+}
+
+// FromRegionsJSON converts wire regions, one per query dimension in
+// query order, back to the computed form.
+func FromRegionsJSON(regions []RegionJSON) []core.Regions {
+	out := make([]core.Regions, len(regions))
+	for jx, rj := range regions {
+		reg := core.Regions{Dim: rj.Dim, QPos: jx, Lo: rj.Lo, Hi: rj.Hi}
+		for _, p := range rj.Left {
+			reg.Left = append(reg.Left, core.Perturbation(p))
+		}
+		for _, p := range rj.Right {
+			reg.Right = append(reg.Right, core.Perturbation(p))
+		}
+		out[jx] = reg
+	}
+	return out
+}
+
+// toAnalyzeResponse renders one completed analysis.
+func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
+	return AnalyzeResponse{
+		Result:  toEntries(a.Result),
+		Regions: toRegionsJSON(a.Regions),
+		Metrics: toMetricsJSON(a.Metrics),
+		Cache:   cacheField(a.Source),
+		Partial: a.Source == engine.SourcePartial,
+	}
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := s.decodeQuery(w, r)
+	req, q, ok := decodeQuery(w, r)
 	if !ok {
 		return
 	}
@@ -591,12 +658,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		engineError(w, err)
 		return
 	}
-	eng, ok := s.engine(w)
+	qr, ok := s.querier(w)
 	if !ok {
 		return
 	}
 	t0 := time.Now()
-	a, err := eng.Analyze(r.Context(), q, req.K, opts)
+	a, err := qr.Analyze(r.Context(), q, req.K, opts)
 	if err != nil {
 		engineError(w, err)
 		return
@@ -608,17 +675,13 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.recordSlow(r, "analyze", req, a.Source, total, a.Timings,
 		a.Metrics.Phase1, a.Metrics.Phase2+a.Metrics.Phase3,
 		a.Metrics.SeqPages, a.Metrics.RandReads)
+	markPartial(w, a.Source)
 	writeJSON(w, http.StatusOK, toAnalyzeResponse(a))
 }
 
 func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req BatchAnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -642,11 +705,11 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Responses[i] = BatchEntryResponse{Error: err.Error()}
 	}
-	eng, ok := s.engine(w)
+	qr, ok := s.querier(w)
 	if !ok {
 		return
 	}
-	for j, res := range eng.AnalyzeBatch(r.Context(), items) {
+	for j, res := range qr.AnalyzeBatch(r.Context(), items) {
 		i := itemIdx[j]
 		if res.Err != nil {
 			resp.Responses[i] = BatchEntryResponse{Error: res.Err.Error()}
@@ -661,13 +724,8 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 // engine's fused scan path: queries sharing a dimension set and k cost
 // roughly one scan for the whole group.
 func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req BatchTopKRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -687,17 +745,21 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 		items = append(items, engine.TopKItem{Q: q, K: qr.K})
 		itemIdx = append(itemIdx, i)
 	}
-	eng, ok := s.engine(w)
+	qr, ok := s.querier(w)
 	if !ok {
 		return
 	}
-	for j, res := range eng.TopKBatch(r.Context(), items) {
+	for j, res := range qr.TopKBatch(r.Context(), items) {
 		i := itemIdx[j]
 		if res.Err != nil {
 			resp.Responses[i] = TopKEntryResponse{Error: res.Err.Error()}
 			continue
 		}
-		resp.Responses[i] = TopKEntryResponse{Result: toEntries(res.Result), Cache: res.Source.String()}
+		resp.Responses[i] = TopKEntryResponse{
+			Result:  toEntries(res.Result),
+			Cache:   cacheField(res.Source),
+			Partial: res.Source == engine.SourcePartial,
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -705,13 +767,8 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 // handleUpdate applies a batch of inserts and in-place updates through
 // the engine's write path.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req UpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Ops) == 0 {
@@ -757,13 +814,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 // handleDelete removes tuples by id through the engine's write path.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req DeleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -798,11 +850,11 @@ func (s *Server) applyOps(w http.ResponseWriter, r *http.Request, ops []engine.O
 			return
 		}
 	}
-	eng, ok := s.engine(w)
+	qr, ok := s.querier(w)
 	if !ok {
 		return
 	}
-	if !eng.Mutable() {
+	if !qr.Mutable() {
 		// Report read-only consistently (409) no matter the payload
 		// shape — even when every op already failed parsing.
 		engineError(w, fmt.Errorf("server: %w", engine.ErrImmutable))
@@ -810,7 +862,7 @@ func (s *Server) applyOps(w http.ResponseWriter, r *http.Request, ops []engine.O
 	}
 	resp := MutateResponse{Results: results}
 	if len(ops) > 0 {
-		res, err := eng.Apply(ops)
+		res, err := qr.Apply(ops)
 		if err != nil {
 			engineError(w, err)
 			return
@@ -840,12 +892,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.replStats != nil {
 		resp.Replication = s.replStats()
 	}
-	eng := s.get()
+	eng := s.engine()
 	if eng == nil {
 		// A standby mid-re-seed has no engine, but its replication
 		// block (connected, snapshots_loaded, last_error) is exactly
 		// what an operator watching the re-seed needs — serve it with
 		// the engine-derived blocks absent instead of a blanket 503.
+		// A coordinator front never has one: its shards keep their own.
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
@@ -912,32 +965,63 @@ func toEntries(res []topk.Scored) []ResultEntry {
 	return out
 }
 
-func parseMethod(s string) (core.Method, error) {
-	switch s {
-	case "", "cpt":
-		return core.MethodCPT, nil
-	case "scan":
-		return core.MethodScan, nil
-	case "prune":
-		return core.MethodPrune, nil
-	case "thres":
-		return core.MethodThres, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
-	}
+// methodNames is the wire spelling of each core.Method.
+var methodNames = [...]string{
+	core.MethodScan:  "scan",
+	core.MethodPrune: "prune",
+	core.MethodThres: "thres",
+	core.MethodCPT:   "cpt",
 }
 
-// decodeQuery parses and validates the request body common to /topk and
-// /analyze; structural validation beyond the query shape (k, dimension
-// range, φ) is the engine's job.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, vec.Query, bool) {
-	var req QueryRequest
+// MethodName is the wire spelling of m, parseMethod's inverse.
+func MethodName(m core.Method) string { return methodNames[m] }
+
+// parseMethod reads a request's method field; empty picks the paper's
+// full algorithm.
+func parseMethod(s string) (core.Method, error) {
+	if s == "" {
+		return core.MethodCPT, nil
+	}
+	for m, name := range methodNames {
+		if s == name {
+			return core.Method(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q", s)
+}
+
+// maxBodyBytes bounds every request body, the cap internal/client
+// already applies to response bodies. The largest legitimate payloads —
+// /shard/analyze's imposed result, a bulk /update — are far below it.
+const maxBodyBytes = 64 << 20
+
+// decodeBody is the one place a request body is read: POST only, at
+// most maxBodyBytes, one JSON value into v. It answers the failure
+// itself and reports whether the handler should go on.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return req, vec.Query{}, false
+		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+			return false
+		}
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+		return false
+	}
+	return true
+}
+
+// decodeQuery parses and validates the request body common to /topk,
+// /analyze and /shard/topk; structural validation beyond the query
+// shape (k, dimension range, φ) is the Querier's job.
+func decodeQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, vec.Query, bool) {
+	var req QueryRequest
+	if !decodeBody(w, r, &req) {
 		return req, vec.Query{}, false
 	}
 	q, err := vec.NewQuery(req.Dims, req.Weights)
@@ -962,11 +1046,12 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// engineError maps an engine failure to an HTTP status: validation
+// engineError maps a Querier failure to an HTTP status: validation
 // faults are the client's, cancellations mean the client is gone, a
 // missed replication quorum is a (dependency-)unavailability the client
 // must treat as indeterminate — the batch is committed locally but not
-// replication-durable — and the rest are ours.
+// replication-durable — an unanswering shard makes a coordinator front
+// a failed gateway, and the rest are ours.
 func engineError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, engine.ErrInvalid):
@@ -985,6 +1070,8 @@ func engineError(w http.ResponseWriter, err error) {
 		// apply it.
 		w.Header().Set("X-Indeterminate", "true")
 		httpError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrUpstream):
+		httpError(w, http.StatusBadGateway, err)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		httpError(w, http.StatusServiceUnavailable, err)
 	default:

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/lists"
 )
@@ -53,7 +54,7 @@ func TestConcurrentAnalyzeMatchesSequential(t *testing.T) {
 	// Cache off: this test compares repeat responses (metrics included)
 	// against their solo execution, which a cache hit's zero-work
 	// metering would legitimately break.
-	srv := NewWithConfig(ix, Config{MaxConcurrent: 4, CacheEntries: -1})
+	srv := FromEngine(engine.New(ix, engine.Config{MaxConcurrent: 4, CacheEntries: -1}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -125,7 +126,7 @@ func TestConcurrentTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(4321))
 	cs := fixture.RandCase(rng, 200, 6, 3, 10)
 	ix := lists.NewMemIndex(cs.Tuples, cs.M)
-	srv := NewWithConfig(ix, Config{MaxConcurrent: 3, CacheEntries: -1})
+	srv := FromEngine(engine.New(ix, engine.Config{MaxConcurrent: 3, CacheEntries: -1}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -86,7 +86,7 @@ func TestStatsDurableBlocks(t *testing.T) {
 	}
 
 	// A non-durable engine reports neither block.
-	mem := httptest.NewServer(New(lists.NewMemIndex(tuples, 2)).Handler())
+	mem := httptest.NewServer(FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{})).Handler())
 	defer mem.Close()
 	if st := getStats(mem.URL); st.WAL != nil || st.Overlay != nil {
 		t.Fatalf("non-durable /stats has durable blocks: %+v", st)

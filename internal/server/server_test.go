@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/lists"
 )
@@ -16,7 +17,7 @@ import (
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	tuples, _, _ := fixture.RunningExample()
-	srv := New(lists.NewMemIndex(tuples, 2))
+	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts

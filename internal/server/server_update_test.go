@@ -2,11 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/lists"
 	"repro/internal/vec"
@@ -21,7 +24,7 @@ func TestOversizedQueryRejected(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tuples = append(tuples, vec.MustSparse(vec.Entry{Dim: i, Val: 0.5}))
 	}
-	srv := New(lists.NewMemIndex(tuples, 70))
+	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 70), engine.Config{}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -44,6 +47,65 @@ func TestOversizedQueryRejected(t *testing.T) {
 	}
 }
 
+// padding yields n bytes of JSON whitespace without holding them.
+type padding struct{ n int }
+
+func (p *padding) Read(b []byte) (int, error) {
+	if p.n == 0 {
+		return 0, io.EOF
+	}
+	if len(b) > p.n {
+		b = b[:p.n]
+	}
+	for i := range b {
+		b[i] = ' '
+	}
+	p.n -= len(b)
+	return len(b), nil
+}
+
+// TestOversizedBodyRejected: a request body over maxBodyBytes is cut
+// off by the one decode helper with a 413, on a public write route and
+// on the shard RPC with the largest legitimate payload alike, and the
+// engine never sees the request. The body is well-formed JSON behind
+// leading whitespace, so only the size can be what fails it.
+func TestOversizedBodyRejected(t *testing.T) {
+	tuples, _, _ := fixture.RunningExample()
+	eng := engine.New(lists.NewMemIndex(tuples, 2), engine.Config{})
+	h := FromEngine(eng).Handler()
+	n := eng.N()
+
+	bodies := map[string]string{
+		"/update":        `{"ops":[{"tuple":[{"dim":0,"val":0.5}]}]}`,
+		"/shard/analyze": `{"dims":[0,1],"weights":[0.8,0.5],"k":2,"imposed":[]}`,
+	}
+	for path, body := range bodies {
+		r := httptest.NewRequest(http.MethodPost, path, io.MultiReader(&padding{n: maxBodyBytes}, strings.NewReader(body)))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: status %d, want 413", path, maxBodyBytes+len(body), w.Code)
+		}
+		var e map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e["error"] == "" {
+			t.Fatalf("%s: 413 body %q is not the JSON error envelope", path, w.Body.String())
+		}
+	}
+	seq, rnd, _ := eng.Stats().Snapshot()
+	if eng.MutationStats().Batches != 0 || eng.N() != n || seq != 0 || rnd != 0 {
+		t.Fatalf("oversized requests reached the engine: %+v, n %d -> %d, %d seq pages, %d random reads",
+			eng.MutationStats(), n, eng.N(), seq, rnd)
+	}
+	// The same bodies without the padding pass: size alone failed them.
+	for path, body := range bodies {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s unpadded: status %d: %s", path, w.Code, w.Body.String())
+		}
+	}
+}
+
 // TestUpdateDeleteEndpoints drives the write path over HTTP: inserts,
 // updates and deletes through /update and /delete, certificate
 // accounting in the responses, mutation counters in /stats, and answers
@@ -54,7 +116,7 @@ func TestUpdateDeleteEndpoints(t *testing.T) {
 	for i, tu := range tuples {
 		cp[i] = tu.Clone()
 	}
-	srv := New(lists.NewMemIndex(cp, 2))
+	srv := FromEngine(engine.New(lists.NewMemIndex(cp, 2), engine.Config{}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -168,7 +230,7 @@ func TestUpdateDeleteEndpoints(t *testing.T) {
 // with 409 and keeps serving queries.
 func TestUpdateReadOnly(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
-	srv := NewWithConfig(lists.NewMemIndex(tuples, 2), Config{ReadOnly: true})
+	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{ReadOnly: true}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

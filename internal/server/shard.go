@@ -7,7 +7,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -80,18 +79,33 @@ type ShardAnalyzeResponse struct {
 	Metrics MetricsJSON  `json:"metrics"`
 }
 
+// shardEngine resolves the engine behind the /shard/* RPCs. Only a
+// shard's own engine can answer them: a coordinator front is not a
+// shard (404), a standby mid-re-seed has nothing to serve yet (503).
+func (s *Server) shardEngine(w http.ResponseWriter) (*engine.Engine, bool) {
+	qr, ok := s.querier(w)
+	if !ok {
+		return nil, false
+	}
+	eng, ok := qr.(*engine.Engine)
+	if !ok {
+		httpError(w, http.StatusNotFound, fmt.Errorf("not a shard"))
+	}
+	return eng, ok
+}
+
 // handleShardTopK answers the coordinator's round-1 scatter: the local
 // top-k with projections, under local ids.
 func (s *Server) handleShardTopK(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := s.decodeQuery(w, r)
+	req, q, ok := decodeQuery(w, r)
 	if !ok {
 		return
 	}
-	eng, ok := s.engine(w)
+	eng, ok := s.shardEngine(w)
 	if !ok {
 		return
 	}
-	res, err := eng.TopKScored(r.Context(), q, req.K)
+	res, _, err := eng.TopKMetered(r.Context(), q, req.K)
 	if err != nil {
 		engineError(w, err)
 		return
@@ -102,13 +116,8 @@ func (s *Server) handleShardTopK(w http.ResponseWriter, r *http.Request) {
 // handleShardAnalyze answers the coordinator's round-2 scatter: the
 // imposed-result region computation over this shard's tuples.
 func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return
-	}
 	var req ShardAnalyzeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	q, err := vec.NewQuery(req.Dims, req.Weights)
@@ -128,7 +137,7 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 		ForceEnvelope:   req.ForceEnvelope,
 		Iterative:       req.Iterative,
 	}}
-	eng, ok := s.engine(w)
+	eng, ok := s.shardEngine(w)
 	if !ok {
 		return
 	}
@@ -137,26 +146,9 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 		engineError(w, err)
 		return
 	}
-	resp := ShardAnalyzeResponse{
-		Lines: ToScoredJSON(lines),
-		Metrics: MetricsJSON{
-			Evaluated:    out.Metrics.Evaluated,
-			EvaluatedAvg: out.Metrics.EvaluatedPerDimAvg(),
-			SeqPages:     out.Metrics.SeqPages,
-			RandReads:    out.Metrics.RandReads,
-			CPUMicros:    out.Metrics.CPU().Microseconds(),
-			MemBytes:     out.Metrics.MemBytes,
-		},
-	}
-	for _, reg := range out.Regions {
-		rj := RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi}
-		for _, p := range reg.Left {
-			rj.Left = append(rj.Left, PerturbationJSON(p))
-		}
-		for _, p := range reg.Right {
-			rj.Right = append(rj.Right, PerturbationJSON(p))
-		}
-		resp.Regions = append(resp.Regions, rj)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ShardAnalyzeResponse{
+		Regions: toRegionsJSON(out.Regions),
+		Lines:   ToScoredJSON(lines),
+		Metrics: toMetricsJSON(out.Metrics),
+	})
 }

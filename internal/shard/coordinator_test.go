@@ -143,7 +143,7 @@ func TestRetryNoDoubleMerge(t *testing.T) {
 	if r.err != nil {
 		t.Fatalf("sharded topk: %v", r.err)
 	}
-	want, err := single.TopKScored(ctx, cs.Q, cs.K)
+	want, _, err := single.TopKMetered(ctx, cs.Q, cs.K)
 	if err != nil {
 		t.Fatalf("single topk: %v", err)
 	}

@@ -1,8 +1,8 @@
 // HTTP glue of the scatter-gather layer: a Backend that speaks to a
 // shard's primary+standbys group over internal/client (so sharding
 // composes with HA — the client follows redirects and fails over
-// within the group), and the coordinator's own handler exposing the
-// public /topk, /analyze, /update and /delete surface over the merge.
+// within the group), and the adapter that lets internal/server serve
+// the coordinator behind the single-node surface.
 package shard
 
 import (
@@ -15,7 +15,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/server"
 	"repro/internal/topk"
@@ -67,7 +66,7 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 		Base:            base,
 		Imposed:         server.ToScoredJSON(imposed),
 		Phi:             opts.Phi,
-		Method:          methodName(opts.Method),
+		Method:          server.MethodName(opts.Method),
 		CompositionOnly: opts.CompositionOnly,
 		ForceEnvelope:   opts.ForceEnvelope,
 		Iterative:       opts.Iterative,
@@ -84,17 +83,7 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 	out.Metrics.SeqPages = resp.Metrics.SeqPages
 	out.Metrics.RandReads = resp.Metrics.RandReads
 	out.Metrics.MemBytes = resp.Metrics.MemBytes
-	out.Regions = make([]core.Regions, len(resp.Regions))
-	for jx, rj := range resp.Regions {
-		reg := core.Regions{Dim: rj.Dim, QPos: jx, Lo: rj.Lo, Hi: rj.Hi}
-		for _, p := range rj.Left {
-			reg.Left = append(reg.Left, core.Perturbation(p))
-		}
-		for _, p := range rj.Right {
-			reg.Right = append(reg.Right, core.Perturbation(p))
-		}
-		out.Regions[jx] = reg
-	}
+	out.Regions = server.FromRegionsJSON(resp.Regions)
 	return out, server.FromScoredJSON(resp.Lines), nil
 }
 
@@ -179,245 +168,77 @@ func SelfBeacon(nodeID, httpAddr string) func() any {
 	return func() any { return ci }
 }
 
-// methodName is parseMethod's inverse for the shard RPC.
-func methodName(m core.Method) string {
-	switch m {
-	case core.MethodScan:
-		return "scan"
-	case core.MethodPrune:
-		return "prune"
-	case core.MethodThres:
-		return "thres"
-	default:
-		return "cpt"
-	}
-}
-
-// NewHandler exposes the coordinator behind the public single-node
-// surface — /topk, /analyze, /update, /delete, plus /healthz and
-// /metrics — so existing clients work unchanged against a sharded
+// NewHandler exposes the coordinator behind the single-node surface —
+// internal/server's routes, validation, status mapping, middleware and
+// slow log — so existing clients work unchanged against a sharded
 // deployment. Degraded answers (allow-partial) carry an X-Partial
-// header, and /analyze additionally sets the partial response field.
+// header and the partial response field; /stats has no engine blocks
+// and the batch routes fan out per item.
 func NewHandler(c *Coordinator) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/topk", func(w http.ResponseWriter, r *http.Request) {
-		req, q, ok := decodeQuery(w, r)
-		if !ok {
-			return
-		}
-		res, err := c.TopK(r.Context(), q, req.K)
-		if err != nil {
-			scatterError(w, err)
-			return
-		}
-		if res.Partial {
-			w.Header().Set("X-Partial", "true")
-		}
-		entries := make([]server.ResultEntry, len(res.Result))
-		for i, sc := range res.Result {
-			entries[i] = server.ResultEntry{ID: sc.ID, Score: sc.Score}
-		}
-		writeJSON(w, http.StatusOK, entries)
-	})
-	mux.HandleFunc("/analyze", func(w http.ResponseWriter, r *http.Request) {
-		req, q, ok := decodeQuery(w, r)
-		if !ok {
-			return
-		}
-		method, err := parseMethodName(req.Method)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		opts := engine.Options{Options: core.Options{
-			Method:          method,
-			Phi:             req.Phi,
-			CompositionOnly: req.CompositionOnly,
-		}}
-		an, err := c.Analyze(r.Context(), q, req.K, opts)
-		if err != nil {
-			scatterError(w, err)
-			return
-		}
-		resp := server.AnalyzeResponse{Partial: an.Partial}
-		if an.Partial {
-			w.Header().Set("X-Partial", "true")
-		}
-		for _, sc := range an.Result {
-			resp.Result = append(resp.Result, server.ResultEntry{ID: sc.ID, Score: sc.Score})
-		}
-		for _, reg := range an.Regions {
-			rj := server.RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi}
-			for _, p := range reg.Left {
-				rj.Left = append(rj.Left, server.PerturbationJSON(p))
-			}
-			for _, p := range reg.Right {
-				rj.Right = append(rj.Right, server.PerturbationJSON(p))
-			}
-			resp.Regions = append(resp.Regions, rj)
-		}
-		resp.Metrics = server.MetricsJSON{
-			Evaluated:    an.Metrics.Evaluated,
-			EvaluatedAvg: an.Metrics.EvaluatedPerDimAvg(),
-			SeqPages:     an.Metrics.SeqPages,
-			RandReads:    an.Metrics.RandReads,
-			MemBytes:     an.Metrics.MemBytes,
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-	mux.HandleFunc("/update", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-			return
-		}
-		var req server.UpdateRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
-			return
-		}
-		if len(req.Ops) == 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("empty op batch"))
-			return
-		}
-		results := make([]server.OpResultJSON, len(req.Ops))
-		var ops []engine.Op
-		var opIdx []int
-		for i, op := range req.Ops {
-			entries := make([]vec.Entry, len(op.Tuple))
-			for j, e := range op.Tuple {
-				entries[j] = vec.Entry{Dim: e.Dim, Val: e.Val}
-			}
-			t, err := vec.NewSparse(entries)
-			if err == nil && t.NNZ() == 0 {
-				err = fmt.Errorf("empty tuple (use /delete to remove a tuple)")
-			}
-			if err != nil {
-				id := -1
-				if op.ID != nil {
-					id = *op.ID
-				}
-				results[i] = server.OpResultJSON{ID: id, Error: err.Error()}
-				continue
-			}
-			if op.ID != nil {
-				ops = append(ops, engine.Op{Kind: engine.OpUpdate, ID: *op.ID, Tuple: t})
-			} else {
-				ops = append(ops, engine.Op{Kind: engine.OpInsert, Tuple: t})
-			}
-			opIdx = append(opIdx, i)
-		}
-		applyOps(w, c, ops, opIdx, results)
-	})
-	mux.HandleFunc("/delete", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-			return
-		}
-		var req server.DeleteRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
-			return
-		}
-		if len(req.IDs) == 0 {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("empty id list"))
-			return
-		}
-		ops := make([]engine.Op, len(req.IDs))
-		opIdx := make([]int, len(req.IDs))
-		for i, id := range req.IDs {
-			ops[i] = engine.Op{Kind: engine.OpDelete, ID: id}
-			opIdx[i] = i
-		}
-		applyOps(w, c, ops, opIdx, make([]server.OpResultJSON, len(req.IDs)))
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.Handle("/metrics", obs.Handler())
-	return obs.RequestID(mux)
+	return server.FromQuerier(querier{c}).Handler()
 }
 
-// applyOps routes the parsed batch through the coordinator and renders
-// the single-node mutation response shape.
-func applyOps(w http.ResponseWriter, c *Coordinator, ops []engine.Op, opIdx []int, results []server.OpResultJSON) {
-	resp := server.MutateResponse{Results: results}
-	if len(ops) > 0 {
-		res, err := c.Apply(ops)
-		if err != nil {
-			scatterError(w, err)
-			return
-		}
-		for j, or := range res.Results {
-			results[opIdx[j]] = server.OpResultJSON{ID: or.ID}
-			if or.Err != nil {
-				results[opIdx[j]].Error = or.Err.Error()
-			}
-		}
-		resp.Applied = res.Applied
-		resp.CacheChecked = res.CacheChecked
-		resp.CacheEvicted = res.CacheEvicted
-		resp.CacheSurvived = res.CacheSurvived
+// querier adapts the coordinator to server.Querier.
+type querier struct{ c *Coordinator }
+
+// upstream tags a failure that is not the client's fault as a shard
+// not answering (server.ErrUpstream, 502); engine.ErrInvalid passes
+// through and keeps its 400.
+func upstream(err error) error {
+	if err == nil || errors.Is(err, engine.ErrInvalid) {
+		return err
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return fmt.Errorf("%w: %w", server.ErrUpstream, err)
 }
 
-// decodeQuery parses the shared topk/analyze request shape.
-func decodeQuery(w http.ResponseWriter, r *http.Request) (server.QueryRequest, vec.Query, bool) {
-	var req server.QueryRequest
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return req, vec.Query{}, false
+// source reports a merged answer's provenance in the engine's terms.
+func source(partial bool) engine.Source {
+	if partial {
+		return engine.SourcePartial
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad JSON: %v", err))
-		return req, vec.Query{}, false
-	}
-	q, err := vec.NewQuery(req.Dims, req.Weights)
+	return engine.SourceMerged
+}
+
+func (a querier) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Scored, engine.TopKInfo, error) {
+	res, err := a.c.TopK(ctx, q, k)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return req, vec.Query{}, false
+		return nil, engine.TopKInfo{}, upstream(err)
 	}
-	return req, q, true
+	return res.Result, engine.TopKInfo{Source: source(res.Partial)}, nil
 }
 
-// parseMethodName mirrors the single-node server's method strings.
-func parseMethodName(s string) (core.Method, error) {
-	switch s {
-	case "", "cpt":
-		return core.MethodCPT, nil
-	case "scan":
-		return core.MethodScan, nil
-	case "prune":
-		return core.MethodPrune, nil
-	case "thres":
-		return core.MethodThres, nil
-	default:
-		return 0, fmt.Errorf("unknown method %q", s)
+func (a querier) Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*engine.Analysis, error) {
+	an, err := a.c.Analyze(ctx, q, k, opts)
+	if err != nil {
+		return nil, upstream(err)
 	}
+	return &engine.Analysis{Output: an.Output, Source: source(an.Partial)}, nil
 }
 
-// scatterError maps a merge failure to a status: client faults are
-// 400s, shard unavailability is a 502 (the coordinator is a gateway).
-func scatterError(w http.ResponseWriter, err error) {
-	if errors.Is(err, engine.ErrInvalid) {
-		httpError(w, http.StatusBadRequest, err)
-		return
+// TopKBatch and AnalyzeBatch answer item by item, each a fan-out of
+// its own: the shards' fused same-subspace scan is a single-node
+// optimisation the coordinator does not reach for.
+func (a querier) TopKBatch(ctx context.Context, items []engine.TopKItem) []engine.TopKResult {
+	out := make([]engine.TopKResult, len(items))
+	for i, it := range items {
+		res, info, err := a.TopKMetered(ctx, it.Q, it.K)
+		out[i] = engine.TopKResult{Result: res, Source: info.Source, Err: err}
 	}
-	httpError(w, http.StatusBadGateway, err)
+	return out
 }
 
-// writeJSON and httpError mirror the single-node server's envelope.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		obs.Log().Error("shard: encode response", "err", err)
+func (a querier) AnalyzeBatch(ctx context.Context, items []engine.BatchItem) []engine.BatchResult {
+	out := make([]engine.BatchResult, len(items))
+	for i, it := range items {
+		out[i].Analysis, out[i].Err = a.Analyze(ctx, it.Q, it.K, it.Opts)
 	}
+	return out
 }
 
-func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+// Mutable is always true: a read-only shard refuses its own writes.
+func (a querier) Mutable() bool { return true }
+
+func (a querier) Apply(ops []engine.Op) (engine.ApplyResult, error) {
+	res, err := a.c.Apply(ops)
+	return res, upstream(err)
 }

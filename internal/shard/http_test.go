@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/fixture"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/topk"
 	"repro/internal/vec"
@@ -34,6 +36,13 @@ type httpCluster struct {
 
 func newHTTPCluster(t *testing.T, tuples []vec.Sparse, m, shards int, ccfg Config) *httpCluster {
 	t.Helper()
+	return newHTTPClusterWrapped(t, tuples, m, shards, ccfg, func(_ int, h http.Handler) http.Handler { return h })
+}
+
+// newHTTPClusterWrapped is newHTTPCluster with shard i's handler passed
+// through wrap first, so a test can observe what reaches the shards.
+func newHTTPClusterWrapped(t *testing.T, tuples []vec.Sparse, m, shards int, ccfg Config, wrap func(i int, h http.Handler) http.Handler) *httpCluster {
+	t.Helper()
 	bases := EvenBases(len(tuples), shards)
 	engines, err := engine.NewLocalShards(tuples, m, bases, engine.Config{CacheEntries: -1})
 	if err != nil {
@@ -43,7 +52,7 @@ func newHTTPCluster(t *testing.T, tuples []vec.Sparse, m, shards int, ccfg Confi
 	backends := make([]Backend, shards)
 	for i, eng := range engines {
 		srv := server.FromEngine(eng)
-		ts := httptest.NewServer(srv.Handler())
+		ts := httptest.NewServer(wrap(i, srv.Handler()))
 		// The beacon needs the listener's URL, so it is set right after
 		// start — before any request can hit /cluster.
 		srv.SetClusterInfo(SelfBeacon(fmt.Sprintf("shard-%d", i), ts.URL))
@@ -145,7 +154,7 @@ func TestHTTPShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: http topk: %v", tag, err)
 		}
-		want, err := single.TopKScored(ctx, cs.Q, cs.K)
+		want, _, err := single.TopKMetered(ctx, cs.Q, cs.K)
 		if err != nil {
 			t.Fatalf("%s: single topk: %v", tag, err)
 		}
@@ -201,7 +210,7 @@ func TestHTTPShardedBitIdentical(t *testing.T) {
 	if hdr.Get("X-Partial") != "" {
 		t.Fatal("healthy front set X-Partial")
 	}
-	want, err := single.TopKScored(ctx, cs.Q, cs.K)
+	want, _, err := single.TopKMetered(ctx, cs.Q, cs.K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +347,59 @@ func TestHTTPAllowPartialDegraded(t *testing.T) {
 
 	if got := hc.scrapeMetric(t, "ir_shard_partial_total"); got <= partialBefore {
 		t.Fatalf("ir_shard_partial_total did not grow: %v -> %v", partialBefore, got)
+	}
+}
+
+// TestHTTPRequestIDReachesShards: the request ID a client sends to the
+// front is the one every shard RPC of that query carries — two rounds
+// times two shards for an /analyze — so the shards' access logs and
+// slow logs can be joined to the front's by one ID.
+func TestHTTPRequestIDReachesShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(4304))
+	cs := fixture.RandCase(rng, 60, 6, 2, 3)
+	var mu sync.Mutex
+	seen := map[string][]string{} // shard RPC path -> inbound IDs
+	hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 2, Config{}, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/shard/") {
+				mu.Lock()
+				seen[r.URL.Path] = append(seen[r.URL.Path], r.Header.Get(obs.RequestIDHeader))
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+
+	const id = "trace-shard-fanout-01"
+	body, err := json.Marshal(server.QueryRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, hc.front.URL+"/analyze", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obs.RequestIDHeader, id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(obs.RequestIDHeader) != id {
+		t.Fatalf("front /analyze: status %d, echoed ID %q", resp.StatusCode, resp.Header.Get(obs.RequestIDHeader))
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, path := range []string{"/shard/topk", "/shard/analyze"} {
+		if len(seen[path]) != 2 {
+			t.Fatalf("%s reached the shards %d times, want once per shard: %v", path, len(seen[path]), seen)
+		}
+		for _, got := range seen[path] {
+			if got != id {
+				t.Fatalf("%s carried request ID %q, want the front's %q", path, got, id)
+			}
+		}
 	}
 }

@@ -8,11 +8,12 @@ import (
 	"repro/internal/topk"
 )
 
-// The shard-mode benchmark (cmd/irbench -shards) reports the
-// coordinator's critical path as max(round 1) + max(round 2) over the
-// per-shard RPCs and excludes the merge itself. These benchmarks pin
-// that exclusion: both merges run in microseconds against the
-// millisecond rounds, at realistic fan-in (k=10 over 4..16 shards).
+// The benchmark harness's sharded-analyze workload (go run -C bench .
+// -workload sharded-analyze -trace 1) reports the merge only as a
+// remainder, shard.merge_us = total - the slower shard of each round.
+// These benchmarks time it directly: both merges run in microseconds
+// against the millisecond rounds, at realistic fan-in (k=10 over 4..16
+// shards).
 
 func benchLists(shards, k int, seed int64) [][]topk.Scored {
 	rng := rand.New(rand.NewSource(seed))

@@ -95,7 +95,8 @@ type Local struct {
 }
 
 func (l Local) TopK(ctx context.Context, q vec.Query, k int) ([]topk.Scored, error) {
-	return l.E.TopKScored(ctx, q, k)
+	res, _, err := l.E.TopKMetered(ctx, q, k)
+	return res, err
 }
 
 func (l Local) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts engine.Options) (*core.Output, []topk.Scored, error) {

@@ -172,7 +172,7 @@ func TestShardedBitIdentical(t *testing.T) {
 			coord := localCoord(t, cs.Tuples, cs.M, shards, Config{})
 
 			check := func(stage string) {
-				want, err := single.TopKScored(ctx, cs.Q, cs.K)
+				want, _, err := single.TopKMetered(ctx, cs.Q, cs.K)
 				if err != nil {
 					t.Fatalf("trial %d %s: single topk: %v", trial, stage, err)
 				}

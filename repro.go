@@ -253,7 +253,7 @@ func (e *Engine) TopK(q Query, k int) []Scored {
 // errors.Is), and cancellation aborts the scan mid-run with the
 // context's error.
 func (e *Engine) TopKContext(ctx context.Context, q Query, k int) ([]Scored, error) {
-	res, _, err := e.eng.TopK(ctx, q, k)
+	res, _, err := e.eng.TopKMetered(ctx, q, k)
 	return res, err
 }
 
