@@ -57,10 +57,16 @@ vuln:
 	-@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "vuln: govulncheck not installed; skipping (report-only)"
 
 # A fast benchmark pass over the analyze path: enough to catch gross
-# regressions without the full figure sweep of cmd/irbench.
+# regressions without the full figure sweep of cmd/irbench. The bulk-load
+# layer rides along at a fixed iteration count: the dataset save that
+# irgen and every checkpoint rewrite go through (ST n = 200 000 and WSJ
+# -scale 2, the bench/ harness's two datasets), the MemIndex build, and
+# one whole checkpoint of the write-mix dataset.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
+	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 
 # Fallback portability: the scalar kernels (noasm) and the pread-backed
 # pager (nommap) must produce the same answers as the default build —

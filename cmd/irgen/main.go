@@ -17,9 +17,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/lists"
 	"repro/internal/shard"
 )
 
@@ -56,6 +60,7 @@ func main() {
 		return v
 	}
 
+	start := time.Now()
 	var d *dataset.Dataset
 	switch *which {
 	case "wsj":
@@ -68,55 +73,83 @@ func main() {
 		fmt.Fprintf(os.Stderr, "irgen: unknown dataset %q (want wsj, kb or st)\n", *which)
 		os.Exit(2)
 	}
+	generated := time.Since(start)
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "irgen: %v\n", err)
-		os.Exit(1)
+	// The statistics read the tuples only, so they run beside the save.
+	type timedStats struct {
+		dataset.Stats
+		took time.Duration
 	}
-	var written string
+	statsDone := make(chan timedStats, 1)
+	go func() {
+		t0 := time.Now()
+		st := dataset.ComputeStats(d, rand.New(rand.NewSource(*seed)), 16)
+		statsDone <- timedStats{st, time.Since(t0)}
+	}()
+
+	// One save per output directory: the whole dataset, or with -shards
+	// the range partition engine.OpenShard and the coordinator's Map
+	// expect — shard i owns global ids [bases[i], bases[i+1]) renumbered
+	// from 0. Partitions are saved side by side, as many at a time as
+	// there are CPUs; the timing line reports the slowest one.
+	dirs, bases := []string{*out}, []int{0}
 	if *shards > 1 {
-		// Range-partitioned layout: shard i owns global ids
-		// [bases[i], bases[i+1]) renumbered from 0, exactly the split
-		// engine.OpenShard and the coordinator's Map expect.
-		bases := shard.EvenBases(d.N(), *shards)
-		for i := 0; i < *shards; i++ {
-			lo := bases[i]
-			hi := d.N()
-			if i+1 < *shards {
-				hi = bases[i+1]
-			}
-			sd := filepath.Join(*out, engine.ShardDirName(i))
-			if err := os.MkdirAll(sd, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "irgen: %v\n", err)
-				os.Exit(1)
-			}
-			part := dataset.New(d.Name, d.Tuples[lo:hi], d.M)
-			if err := part.Save(filepath.Join(sd, "tuples.dat"), filepath.Join(sd, "lists.dat")); err != nil {
-				fmt.Fprintf(os.Stderr, "irgen: %v\n", err)
-				os.Exit(1)
-			}
+		bases = shard.EvenBases(d.N(), *shards)
+		dirs = make([]string, *shards)
+		for i := range dirs {
+			dirs[i] = filepath.Join(*out, engine.ShardDirName(i))
 		}
+	}
+	times := make([]lists.SaveTimes, len(dirs))
+	errs := make([]error, len(dirs))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, dir := range dirs {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			fatal(err)
+		}
+		part := d.Tuples[bases[i]:]
+		if i+1 < len(bases) {
+			part = d.Tuples[bases[i]:bases[i+1]]
+		}
+		wg.Add(1)
+		slots <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			times[i], errs[i] = lists.SaveDatasetTimed(filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat"), part, d.M)
+		}()
+	}
+	wg.Wait()
+	var saved lists.SaveTimes
+	for i, err := range errs {
+		if err != nil {
+			fatal(err)
+		}
+		saved.Build = max(saved.Build, times[i].Build)
+		saved.Write = max(saved.Write, times[i].Write)
+	}
+	written := filepath.Join(*out, "tuples.dat") + ", " + filepath.Join(*out, "lists.dat")
+	if *shards > 1 {
 		mp := filepath.Join(*out, "shards.json")
 		if err := shard.WriteManifest(mp, shard.Manifest{Shards: *shards, N: d.N(), M: d.M, Bases: bases}); err != nil {
-			fmt.Fprintf(os.Stderr, "irgen: %v\n", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		written = fmt.Sprintf("%d shard dirs under %s, %s", *shards, *out, mp)
-	} else {
-		tp := filepath.Join(*out, "tuples.dat")
-		lp := filepath.Join(*out, "lists.dat")
-		if err := d.Save(tp, lp); err != nil {
-			fmt.Fprintf(os.Stderr, "irgen: %v\n", err)
-			os.Exit(1)
-		}
-		written = tp + ", " + lp
 	}
 
-	st := dataset.ComputeStats(d, rand.New(rand.NewSource(*seed)), 16)
+	st := <-statsDone
 	fmt.Printf("dataset   : %s\n", d.Name)
 	fmt.Printf("tuples    : %d  (dim %d)\n", st.N, st.M)
 	fmt.Printf("postings  : %d  (mean nnz %.1f)\n", st.Postings, st.MeanNNZ)
 	fmt.Printf("lists     : max %d, median %d, gini %.2f\n", st.MaxListLen, st.MedListLen, st.GiniListLen)
 	fmt.Printf("pair corr : %.3f\n", st.MeanPairCorr)
 	fmt.Printf("written   : %s\n", written)
+	fmt.Printf("timing    : generate %d ms, build %d ms, write %d ms, stats %d ms (beside the save), total %d ms\n",
+		generated.Milliseconds(), saved.Build.Milliseconds(), saved.Write.Milliseconds(), st.took.Milliseconds(), time.Since(start).Milliseconds())
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "irgen: %v\n", err)
+	os.Exit(1)
 }

@@ -39,10 +39,12 @@ var LockSafe = &Analyzer{
 	Run:  runLockSafe,
 }
 
+const rewriteUnderLock = "the checkpoint rewrite belongs in the unlocked phase (see durable.go checkpoint())"
+
 // lockDenyFuncs are package-level functions that block on disk or the
 // clock: pkg path (repo-suffix matched) → function → why.
 var lockDenyFuncs = map[string]map[string]string{
-	"internal/lists":   {"SaveDataset": "the checkpoint rewrite belongs in the unlocked phase (see durable.go checkpoint())"},
+	"internal/lists":   {"SaveDataset": rewriteUnderLock, "SaveDatasetTimed": rewriteUnderLock},
 	"internal/wal":     {"SyncFile": "fsync blocks every queued query", "SyncDir": "fsync blocks every queued query"},
 	"internal/storage": {"VerifyChecksum": "a full-file scan blocks every queued query"},
 	"os":               {"WriteFile": "file writes block every queued query", "Rename": "directory syscalls block every queued query"},

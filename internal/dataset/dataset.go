@@ -19,9 +19,11 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/lists"
@@ -122,11 +124,17 @@ func GenerateWSJ(cfg WSJConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Vocab-1))
 
-	type posting struct {
-		doc int
-		tf  float64
+	// One flat array of draws in document order (docEnd marks where each
+	// document's run stops) and a vocabulary-sized stamp table: no map and
+	// no allocation per document or per term.
+	type draw struct {
+		term int32
+		tf   float64
 	}
-	byTerm := make(map[int][]posting, cfg.Vocab)
+	draws := make([]draw, 0, cfg.Docs*cfg.MeanTerms*5/4)
+	docEnd := make([]int, cfg.Docs)
+	df := make([]int, cfg.Vocab)
+	drawnBy := make([]int32, cfg.Vocab) // doc+1 of the last document that drew the term
 	for doc := 0; doc < cfg.Docs; doc++ {
 		// Log-normal distinct-term count, clamped.
 		nTerms := int(math.Exp(math.Log(float64(cfg.MeanTerms)) + 0.5*rng.NormFloat64()))
@@ -136,47 +144,50 @@ func GenerateWSJ(cfg WSJConfig) *Dataset {
 		if nTerms > cfg.Vocab/2 {
 			nTerms = cfg.Vocab / 2
 		}
-		seen := make(map[int]bool, nTerms)
-		for len(seen) < nTerms {
+		for drawn := 0; drawn < nTerms; {
 			term := int(zipf.Uint64())
-			if seen[term] {
+			if drawnBy[term] == int32(doc+1) {
 				continue
 			}
-			seen[term] = true
+			drawnBy[term] = int32(doc + 1)
+			drawn++
 			tf := 1 + rng.ExpFloat64()*2 // term frequency, heavy-tailed
-			byTerm[term] = append(byTerm[term], posting{doc: doc, tf: tf})
+			draws = append(draws, draw{term: int32(term), tf: tf})
+			df[term]++
 		}
+		docEnd[doc] = len(draws)
 	}
 
 	// TF-IDF values, normalized to (0,1] per dimension. Terms appearing
-	// in a single document are dropped, as in the paper's preprocessing.
-	entriesByDoc := make([][]vec.Entry, cfg.Docs)
-	for term, ps := range byTerm {
-		df := len(ps)
-		if df < 2 {
-			continue
-		}
-		idf := math.Log(float64(cfg.Docs) / float64(df))
-		maxV := 0.0
-		for _, p := range ps {
-			if v := p.tf * idf; v > maxV {
-				maxV = v
-			}
-		}
-		if maxV == 0 {
-			continue
-		}
-		for _, p := range ps {
-			entriesByDoc[p.doc] = append(entriesByDoc[p.doc], vec.Entry{Dim: term, Val: p.tf * idf / maxV})
+	// in a single document are dropped, as in the paper's preprocessing
+	// (their idf stays 0 here, and with it their maximum).
+	idf := make([]float64, cfg.Vocab)
+	maxV := make([]float64, cfg.Vocab)
+	for term, f := range df {
+		if f >= 2 {
+			idf[term] = math.Log(float64(cfg.Docs) / float64(f))
 		}
 	}
-	tuples := make([]vec.Sparse, cfg.Docs)
-	for doc, entries := range entriesByDoc {
-		t, err := vec.NewSparse(entries)
-		if err != nil {
-			panic(err)
+	for _, d := range draws {
+		if v := d.tf * idf[d.term]; v > maxV[d.term] {
+			maxV[d.term] = v
 		}
+	}
+	entries := make([]vec.Entry, 0, len(draws))
+	tuples := make([]vec.Sparse, cfg.Docs)
+	start := 0
+	for doc, end := range docEnd {
+		first := len(entries)
+		for _, d := range draws[start:end] {
+			if maxV[d.term] == 0 {
+				continue
+			}
+			entries = append(entries, vec.Entry{Dim: int(d.term), Val: d.tf * idf[d.term] / maxV[d.term]})
+		}
+		t := vec.Sparse(entries[first:len(entries):len(entries)])
+		slices.SortFunc(t, func(a, b vec.Entry) int { return cmp.Compare(a.Dim, b.Dim) })
 		tuples[doc] = t
+		start = end
 	}
 	return New("WSJ", tuples, cfg.Vocab)
 }
@@ -297,29 +308,33 @@ func GenerateST(cfg STConfig) *Dataset {
 	if err != nil {
 		panic(err)
 	}
+	// Every tuple is carved from one backing array; the capped slices
+	// keep an append through one tuple out of its neighbour.
+	entries := make([]vec.Entry, 0, cfg.N*cfg.M)
 	tuples := make([]vec.Sparse, cfg.N)
 	z := make([]float64, cfg.M)
-	x := make([]float64, cfg.M)
 	for i := 0; i < cfg.N; i++ {
 		for j := range z {
 			z[j] = rng.NormFloat64()
 		}
+		first := len(entries)
 		// x = mu + sigma * L z
-		for r := 0; r < cfg.M; r++ {
+		for r, row := range L {
 			s := 0.0
-			for c := 0; c <= r; c++ {
-				s += L[r][c] * z[c]
+			for c, l := range row[:r+1] {
+				s += l * z[c]
 			}
 			v := cfg.Mu + cfg.Sigma*s
-			if v < 0 {
-				v = 0
-			}
 			if v > 1 {
 				v = 1
 			}
-			x[r] = v
+			if v > 0 {
+				entries = append(entries, vec.Entry{Dim: r, Val: v})
+			}
 		}
-		tuples[i] = vec.FromDense(x)
+		if len(entries) > first {
+			tuples[i] = entries[first:len(entries):len(entries)]
+		}
 	}
 	return New("ST", tuples, cfg.M)
 }
@@ -436,20 +451,31 @@ func meanPairwiseCorrelation(d *Dataset, rng *rand.Rand, sampleDims int) float64
 		sampleDims = len(dims)
 	}
 	perm := rng.Perm(len(dims))[:sampleDims]
+	// Densify the sampled columns in one pass over the tuples.
+	colOf := make([]int32, d.M) // sampled dimension → its column + 1
 	cols := make([][]float64, sampleDims)
 	for i, p := range perm {
-		col := make([]float64, d.N())
-		dim := dims[p]
-		for id, t := range d.Tuples {
-			col[id] = t.Get(dim)
+		colOf[dims[p]] = int32(i + 1)
+		cols[i] = make([]float64, d.N())
+	}
+	for id, t := range d.Tuples {
+		for _, e := range t {
+			if c := colOf[e.Dim]; c > 0 {
+				cols[c-1][id] = e.Val
+			}
 		}
-		cols[i] = col
+	}
+	// Center each column once and keep its sum of squares: a pair then
+	// costs one pass instead of three.
+	sq := make([]float64, sampleDims)
+	for i, col := range cols {
+		sq[i] = center(col)
 	}
 	var sum float64
 	var cnt int
 	for i := 0; i < len(cols); i++ {
 		for j := i + 1; j < len(cols); j++ {
-			sum += pearson(cols[i], cols[j])
+			sum += pearson(cols[i], cols[j], sq[i], sq[j])
 			cnt++
 		}
 	}
@@ -459,24 +485,32 @@ func meanPairwiseCorrelation(d *Dataset, rng *rand.Rand, sampleDims int) float64
 	return sum / float64(cnt)
 }
 
-func pearson(a, b []float64) float64 {
-	n := float64(len(a))
-	var ma, mb float64
-	for i := range a {
-		ma += a[i]
-		mb += b[i]
+// center subtracts col's mean from it in place and returns the sum of
+// the squared deviations.
+func center(col []float64) float64 {
+	var mean float64
+	for _, v := range col {
+		mean += v
 	}
-	ma /= n
-	mb /= n
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
+	mean /= float64(len(col))
+	var sq float64
+	for i, v := range col {
+		dv := v - mean
+		col[i] = dv
+		sq += dv * dv
 	}
+	return sq
+}
+
+// pearson correlates two centered columns whose sums of squares are va
+// and vb.
+func pearson(a, b []float64, va, vb float64) float64 {
 	if va == 0 || vb == 0 {
 		return 0
+	}
+	var cov float64
+	for i := range a {
+		cov += a[i] * b[i]
 	}
 	return cov / math.Sqrt(va*vb)
 }

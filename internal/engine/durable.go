@@ -91,6 +91,14 @@ type durable struct {
 	checkpointBytes int64        // resolved threshold; <= 0 disables auto-compaction
 	lastCkptErr     atomic.Value // string: last auto-checkpoint failure
 
+	// A checkpoint that lost the race to a concurrent batch could not
+	// truncate the log or drop the overlay, so both still stand above the
+	// threshold; lostLog and lostDelta are their sizes at that snapshot,
+	// and the trigger re-arms only once either has grown by another
+	// threshold beyond it. Zero after a checkpoint that won. Guarded by
+	// the engine's mu.
+	lostLog, lostDelta int64
+
 	// ckptHook, when non-nil, is called after each named checkpoint step
 	// ("files", "manifest", "truncate"); returning an error aborts the
 	// checkpoint there. Crash-injection tests use it to stop the
@@ -432,7 +440,7 @@ func (e *Engine) checkpointDue() bool {
 	if !ok {
 		return false
 	}
-	return d.log.Size() >= d.checkpointBytes || ov.DeltaStats().Bytes >= d.checkpointBytes
+	return d.log.Size()-d.lostLog >= d.checkpointBytes || ov.DeltaStats().Bytes-d.lostDelta >= d.checkpointBytes
 }
 
 // checkpoint performs the compaction sequence of the package comment in
@@ -457,7 +465,18 @@ func (e *Engine) checkpoint(force bool) error {
 	if !force && !e.checkpointDue() {
 		return nil // another trigger compacted while we queued
 	}
+	// Every phase that ran is timed, also when a later one fails: the
+	// total stays in mCheckpointSeconds, the split says whether a slow
+	// checkpoint was building files, waiting for the disk, or waiting for
+	// the write lock.
 	ckptStart := time.Now()
+	phaseStart := ckptStart
+	lap := func() float64 { // seconds since the previous phase ended
+		now := time.Now()
+		took := now.Sub(phaseStart).Seconds()
+		phaseStart = now
+		return took
+	}
 	defer func() { mCheckpointSeconds.Observe(time.Since(ckptStart).Seconds()) }()
 	hook := func(step string) error {
 		if d.ckptHook != nil {
@@ -475,23 +494,24 @@ func (e *Engine) checkpoint(force bool) error {
 	}
 	snap := ov.Materialize()
 	seq := d.log.LastSeq()
+	snapLog, snapDelta := d.log.Size(), ov.DeltaStats().Bytes
 	dim := e.ix.Dim()
 	e.mu.RUnlock()
+	mCheckpointPhaseSeconds.Observe("snapshot", lap())
 
 	// Phase 2: write and fsync the new generation's files.
 	gen := d.gen + 1
 	tn, ln := wal.GenFileNames(gen)
 	tuplePath, listPath := filepath.Join(d.dir, tn), filepath.Join(d.dir, ln)
-	if err := lists.SaveDataset(tuplePath, listPath, snap, dim); err != nil {
+	err := lists.SaveDataset(tuplePath, listPath, snap, dim)
+	mCheckpointPhaseSeconds.Observe("rewrite", lap())
+	if err != nil {
 		return fmt.Errorf("engine: checkpoint write: %w", err)
 	}
-	for _, p := range []string{tuplePath, listPath} {
-		if err := wal.SyncFile(p); err != nil {
-			return fmt.Errorf("engine: checkpoint sync %s: %w", p, err)
-		}
-	}
-	if err := wal.SyncDir(d.dir); err != nil {
-		return fmt.Errorf("engine: checkpoint sync dir: %w", err)
+	err = syncGeneration(d.dir, tuplePath, listPath)
+	mCheckpointPhaseSeconds.Observe("sync", lap())
+	if err != nil {
+		return err
 	}
 	if err := hook("files"); err != nil {
 		return err
@@ -499,6 +519,7 @@ func (e *Engine) checkpoint(force bool) error {
 
 	// Phase 3: publish. The write lock drains in-flight queries for the
 	// cheap steps only.
+	defer func() { mCheckpointPhaseSeconds.Observe("publish", lap()) }() // the wait for the write lock included
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
@@ -536,6 +557,10 @@ func (e *Engine) checkpoint(force bool) error {
 		// readable through its open mapping/handles after the unlink
 		// (the POSIX reliance OpenSnapshotFiles documents).
 		wal.RemoveStaleGenerations(d.dir, gen)
+		// The log and the overlay stay as large as they were, so the
+		// size trigger would fire on every following batch and start a
+		// full rewrite each time; measure growth from this snapshot on.
+		d.lostLog, d.lostDelta = snapLog, snapDelta
 		return nil
 	}
 
@@ -573,6 +598,21 @@ func (e *Engine) checkpoint(force bool) error {
 	// generation plus any orphans earlier failed checkpoints left. The
 	// original irgen files (generation 0) never match the pattern.
 	wal.RemoveStaleGenerations(d.dir, gen)
+	d.lostLog, d.lostDelta = 0, 0
 	d.checkpoints.Add(1)
+	return nil
+}
+
+// syncGeneration makes a freshly written generation durable: both files,
+// then the directory entry that names them.
+func syncGeneration(dir, tuplePath, listPath string) error {
+	for _, p := range []string{tuplePath, listPath} {
+		if err := wal.SyncFile(p); err != nil {
+			return fmt.Errorf("engine: checkpoint sync %s: %w", p, err)
+		}
+	}
+	if err := wal.SyncDir(dir); err != nil {
+		return fmt.Errorf("engine: checkpoint sync dir: %w", err)
+	}
 	return nil
 }

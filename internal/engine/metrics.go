@@ -31,6 +31,9 @@ var (
 	mCheckpointSeconds = obs.NewHistogram("ir_engine_checkpoint_seconds",
 		"wall time of one durable checkpoint (snapshot, rewrite, publish)",
 		obs.LatencyBuckets)
+	mCheckpointPhaseSeconds = obs.NewHistogramVec("ir_engine_checkpoint_phase_seconds",
+		"wall time of one durable checkpoint's phases: snapshot (materialize under the read lock), rewrite (build and write the new generation's files, unlocked), sync (fsync files and directory, unlocked), publish (manifest, log truncation and index swap under the write lock, including the wait for it)",
+		"phase", obs.LatencyBuckets)
 	mCacheEvents = obs.NewCounterVec("ir_engine_cache_events_total",
 		"answer-cache outcomes: hit (exact-weight analysis), hit-region (region-certified top-k), miss, bypass (NoCache request), evict",
 		"event")

@@ -1,0 +1,225 @@
+package lists
+
+import (
+	"cmp"
+	"math"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/vec"
+)
+
+// The bulk-load kernel: every way this package turns tuples into sorted
+// inverted lists — MemIndex (BuildColumnar), the row form (BuildPostings)
+// and the dataset files (SaveDataset: irgen, shard builds and every
+// checkpoint rewrite) — carves and sorts through the code in this file,
+// so the in-memory and on-disk list orders cannot diverge.
+//
+// A posting is held as a sort key plus its tuple id. The key is the
+// coordinate's IEEE-754 bits mapped so that unsigned ascending key order
+// is descending coordinate order; ids enter every list in ascending
+// order (carve walks the tuples in id order), so a stable sort on the
+// key alone yields "descending value, ties by ascending id". Long lists
+// take an LSD radix sort, one byte per pass, skipping the bytes on which
+// the whole list agrees (coordinates in (0,1] share their top byte, so
+// seven passes in practice); short lists take a comparison sort on the
+// same (key, id) pair.
+
+// radixCutover is the list length from which the radix sort's fixed cost
+// (eight 256-bucket histograms) is cheaper than a comparison sort.
+const radixCutover = 64
+
+// sortKey maps a coordinate to its key. Flipping the sign bit of a
+// non-negative float (or every bit of a negative one) makes unsigned
+// order equal numeric order; the final complement reverses it.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return ^(b ^ (uint64(int64(b)>>63) | 1<<63))
+}
+
+// keyValue inverts sortKey.
+func keyValue(k uint64) float64 {
+	u := ^k
+	return math.Float64frombits(u ^ (uint64(int64(^u)>>63) | 1<<63))
+}
+
+// bulk holds all inverted lists of a dataset in one allocation per
+// column: list i belongs to dimension dims[i] and occupies
+// [off[i], off[i+1]) of keys and ids.
+type bulk struct {
+	dims []int
+	off  []int
+	keys []uint64
+	ids  []int32
+}
+
+// carve counts every dimension's frequency, gives each populated
+// dimension its exact extent and scatters the postings into it, ids
+// ascending within a list. Nothing is sorted yet.
+func carve(tuples []vec.Sparse) *bulk {
+	var next []int // per dimension: the frequency, then the fill position
+	total := 0
+	for _, t := range tuples {
+		for _, e := range t {
+			if e.Dim >= len(next) {
+				next = append(next, make([]int, e.Dim+1-len(next))...)
+			}
+			next[e.Dim]++
+		}
+		total += len(t)
+	}
+	b := &bulk{off: []int{0}, keys: make([]uint64, total), ids: make([]int32, total)}
+	for d, n := range next {
+		next[d] = b.off[len(b.off)-1]
+		if n > 0 {
+			b.dims = append(b.dims, d)
+			b.off = append(b.off, next[d]+n)
+		}
+	}
+	for id, t := range tuples {
+		for _, e := range t {
+			at := next[e.Dim]
+			b.keys[at], b.ids[at] = sortKey(e.Val), int32(id)
+			next[e.Dim] = at + 1
+		}
+	}
+	return b
+}
+
+// counts returns the list lengths, parallel to dims.
+func (b *bulk) counts() []int {
+	c := make([]int, len(b.dims))
+	for i := range c {
+		c[i] = b.off[i+1] - b.off[i]
+	}
+	return c
+}
+
+// longest returns the length of the longest list.
+func (b *bulk) longest() int {
+	n := 0
+	for i := range b.dims {
+		n = max(n, b.off[i+1]-b.off[i])
+	}
+	return n
+}
+
+// list returns list i's key and id columns, capped at its extent so an
+// append through either cannot reach the next list.
+func (b *bulk) list(i int) ([]uint64, []int32) {
+	lo, hi := b.off[i], b.off[i+1]
+	return b.keys[lo:hi:hi], b.ids[lo:hi:hi]
+}
+
+// sortLists sorts every list on workers goroutines, each with its own
+// scratch, sized once to the longest list. Lists are claimed in
+// ascending order and each finished index is sent on the returned
+// channel, which is closed after the last one; its buffer holds every
+// send, so a consumer that stops reading strands no worker.
+func (b *bulk) sortLists(workers int) <-chan int {
+	longest := b.longest()
+	workers = max(1, min(workers, len(b.dims)))
+	sorted := make(chan int, len(b.dims))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			var sc sortScratch
+			if longest >= radixCutover {
+				sc.keys, sc.ids = make([]uint64, longest), make([]int32, longest)
+			}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(b.dims) {
+					return
+				}
+				keys, ids := b.list(i)
+				sc.sort(keys, ids)
+				sorted <- i
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(sorted)
+	}()
+	return sorted
+}
+
+// sortAll sorts every list on GOMAXPROCS workers and waits for them.
+func (b *bulk) sortAll() {
+	for range b.sortLists(runtime.GOMAXPROCS(0)) {
+	}
+}
+
+// sortScratch is one worker's reusable memory: the radix sort's second
+// buffer and the comparison sort's pairs.
+type sortScratch struct {
+	keys  []uint64
+	ids   []int32
+	pairs []keyID
+}
+
+type keyID struct {
+	key uint64
+	id  int32
+}
+
+// sort orders one list by ascending key, ties by ascending id; ids must
+// come in ascending.
+func (sc *sortScratch) sort(keys []uint64, ids []int32) {
+	if len(keys) < radixCutover {
+		sc.pairs = sc.pairs[:0]
+		for i, k := range keys {
+			sc.pairs = append(sc.pairs, keyID{k, ids[i]})
+		}
+		slices.SortFunc(sc.pairs, func(a, b keyID) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		for i, p := range sc.pairs {
+			keys[i], ids[i] = p.key, p.id
+		}
+		return
+	}
+	n := len(keys)
+	var hist [8][256]int32
+	for _, k := range keys {
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
+		hist[4][byte(k>>32)]++
+		hist[5][byte(k>>40)]++
+		hist[6][byte(k>>48)]++
+		hist[7][byte(k>>56)]++
+	}
+	srcK, srcI, dstK, dstI := keys, ids, sc.keys[:n], sc.ids[:n]
+	for d := range hist {
+		shift := uint(8 * d)
+		h := &hist[d]
+		if int(h[byte(srcK[0]>>shift)]) == n {
+			continue // the whole list agrees on this byte
+		}
+		at := int32(0)
+		for v, c := range h {
+			h[v], at = at, at+c
+		}
+		for i, k := range srcK {
+			p := &h[byte(k>>shift)]
+			dstK[*p], dstI[*p] = k, srcI[i]
+			*p++
+		}
+		srcK, srcI, dstK, dstI = dstK, dstI, srcK, srcI
+	}
+	if &srcK[0] != &keys[0] {
+		copy(keys, srcK)
+		copy(ids, srcI)
+	}
+}

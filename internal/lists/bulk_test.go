@@ -1,0 +1,197 @@
+package lists
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"repro/internal/storage"
+	"repro/internal/vec"
+)
+
+// comparePostings is the order the index promises — descending value,
+// ties by ascending id — written as the comparator the list build used
+// to sort with. It survives here as the kernel's reference.
+func comparePostings(a, b storage.Posting) int {
+	switch {
+	case a.Val > b.Val:
+		return -1
+	case a.Val < b.Val:
+		return 1
+	case a.ID < b.ID:
+		return -1
+	case a.ID > b.ID:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// referencePostings builds the lists the slow, obvious way.
+func referencePostings(tuples []vec.Sparse) map[int][]storage.Posting {
+	ref := map[int][]storage.Posting{}
+	for id, t := range tuples {
+		for _, e := range t {
+			ref[e.Dim] = append(ref[e.Dim], storage.Posting{ID: id, Val: e.Val})
+		}
+	}
+	for _, l := range ref {
+		slices.SortFunc(l, comparePostings)
+	}
+	return ref
+}
+
+// awkwardTuples draws tuples whose coordinates come from a small pool
+// full of ties and edge values, over m dimensions of which some stay
+// empty, some get a single posting, and dimension 0 gets a list long
+// enough for the radix path.
+func awkwardTuples(rng *rand.Rand, n, m int) []vec.Sparse {
+	// Ties, 1.0 and its neighbour, stored zeros (which sort last among
+	// the non-negative), subnormals and the smallest normal, and two
+	// negatives: the data model has none, but the key orders them too.
+	pool := []float64{
+		1.0, 1.0, 0.5, 0.5, 0.25, 0.1, 0.1, math.Nextafter(0.1, 1), math.Nextafter(1, 0),
+		0, math.SmallestNonzeroFloat64, 5e-324 * 7, 2.2250738585072014e-308,
+		1e-300, 1e-9, 0.999999999, -0.25, -1,
+	}
+	tuples := make([]vec.Sparse, n)
+	for id := range tuples {
+		var t vec.Sparse
+		for d := 0; d < m; d++ {
+			switch {
+			case d%5 == 4: // empty dimension
+			case d%5 == 3: // single posting, owned by one tuple
+				if id == d%n {
+					t = append(t, vec.Entry{Dim: d, Val: rng.Float64()})
+				}
+			case d == 0 || rng.Intn(3) == 0:
+				v := pool[rng.Intn(len(pool))]
+				if rng.Intn(4) == 0 {
+					v = rng.Float64()
+				}
+				t = append(t, vec.Entry{Dim: d, Val: v})
+			}
+		}
+		tuples[id] = t
+	}
+	return tuples
+}
+
+// TestBulkOrderMatchesComparator: the kernel's list order is the
+// comparator's, in all three of its outputs, whatever the list length
+// (both sides of radixCutover) and whatever the worker count; and the
+// files it writes do not depend on the worker count.
+func TestBulkOrderMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 12; trial++ {
+		n := []int{1, 7, radixCutover - 1, radixCutover, radixCutover + 1, 900, 3000}[trial%7]
+		m := 3 + rng.Intn(12)
+		tuples := awkwardTuples(rng, n, m)
+		ref := referencePostings(tuples)
+
+		rows := BuildPostings(tuples)
+		if len(rows) != len(ref) {
+			t.Fatalf("trial %d: BuildPostings has %d lists, reference %d", trial, len(rows), len(ref))
+		}
+		cols := BuildColumnar(tuples)
+		for d, want := range ref {
+			if !slices.EqualFunc(rows[d], want, samePosting) {
+				t.Fatalf("trial %d dim %d: BuildPostings order differs from the comparator's", trial, d)
+			}
+			if cols[d].Len() != len(want) {
+				t.Fatalf("trial %d dim %d: columnar length %d, want %d", trial, d, cols[d].Len(), len(want))
+			}
+			for i, w := range want {
+				if !samePosting(cols[d].At(i), w) {
+					t.Fatalf("trial %d dim %d posting %d: columnar %v, want %v", trial, d, i, cols[d].At(i), w)
+				}
+			}
+		}
+
+		dir := t.TempDir()
+		var files [2][2][]byte
+		for wi, workers := range []int{1, 5} {
+			tp, lp := filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat")
+			if _, err := saveDataset(tp, lp, tuples, m, workers); err != nil {
+				t.Fatal(err)
+			}
+			for fi, p := range []string{tp, lp} {
+				raw, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[wi][fi] = raw
+			}
+			if wi == 1 {
+				continue
+			}
+			ix, err := OpenDiskIndex(tp, lp, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := 0; d < m; d++ {
+				if ix.ListLen(d) != len(ref[d]) {
+					t.Fatalf("trial %d dim %d: file list length %d, want %d", trial, d, ix.ListLen(d), len(ref[d]))
+				}
+				cur := ix.Cursor(d)
+				for i, w := range ref[d] {
+					if p, ok := cur.Next(); !ok || !samePosting(p, w) {
+						t.Fatalf("trial %d dim %d posting %d: file has %v, want %v", trial, d, i, p, w)
+					}
+				}
+			}
+			ix.Close()
+		}
+		if !bytes.Equal(files[0][0], files[1][0]) || !bytes.Equal(files[0][1], files[1][1]) {
+			t.Fatalf("trial %d: files written by 1 worker and by 5 differ", trial)
+		}
+	}
+}
+
+// samePosting compares bit patterns, so that a 0 is not taken for a -0.
+func samePosting(a, b storage.Posting) bool {
+	return a.ID == b.ID && math.Float64bits(a.Val) == math.Float64bits(b.Val)
+}
+
+// TestSortKeyRoundTrip: keyValue inverts sortKey on every kind of float,
+// and key order is descending numeric order.
+func TestSortKeyRoundTrip(t *testing.T) {
+	vals := []float64{math.Inf(1), 1, math.Nextafter(1, 0), 0.5, 1e-300, math.SmallestNonzeroFloat64, 0,
+		-math.SmallestNonzeroFloat64, -0.5, -1, math.Inf(-1)}
+	for i, v := range vals {
+		if got := keyValue(sortKey(v)); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("keyValue(sortKey(%v)) = %v", v, got)
+		}
+		if i > 0 && sortKey(vals[i-1]) >= sortKey(v) {
+			t.Fatalf("key of %v does not sort before key of %v", vals[i-1], v)
+		}
+	}
+}
+
+// TestSaveDatasetLeavesNoDebris: when either file cannot be written the
+// call fails and neither file is left behind.
+func TestSaveDatasetLeavesNoDebris(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	tuples := awkwardTuples(rand.New(rand.NewSource(3)), 50, 6)
+	for _, broken := range []string{"t.dat", "l.dat"} {
+		dir := t.TempDir()
+		// The writer follows the link, every write to /dev/full fails with
+		// ENOSPC, and removing the "file" removes only the link.
+		if err := os.Symlink("/dev/full", filepath.Join(dir, broken)); err != nil {
+			t.Fatal(err)
+		}
+		err := SaveDataset(filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat"), tuples, 6)
+		if err == nil {
+			t.Fatalf("%s on a full device: SaveDataset succeeded", broken)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("%s on a full device: %d entries left behind (%v)", broken, len(left), err)
+		}
+	}
+}

@@ -42,7 +42,9 @@ package lists
 
 import (
 	"fmt"
-	"slices"
+	"os"
+	"runtime"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -104,76 +106,38 @@ func (pl PostingList) At(i int) storage.Posting {
 }
 
 // BuildPostings constructs the per-dimension inverted lists for tuples in
-// row form (the on-disk format): every non-zero coordinate yields a
-// posting; lists are sorted by descending value with ties broken by
-// ascending tuple id (deterministic TA traces).
-//
-// Frequencies are counted first and every list is carved at its exact
-// size from one allocation: growing the lists by append copied each of
-// them ~log2(n) times, a fifth of the dataset writer's (and therefore a
-// checkpoint rewrite's) time at n = 200 000.
+// row form: every stored coordinate yields a posting; lists are sorted by
+// descending value with ties broken by ascending tuple id (deterministic
+// TA traces). All lists share one allocation.
 func BuildPostings(tuples []vec.Sparse) map[int][]storage.Posting {
-	var next []int // per dimension: the frequency, then the fill position
-	total := 0
-	for _, t := range tuples {
-		for _, e := range t {
-			if e.Dim >= len(next) {
-				next = append(next, make([]int, e.Dim+1-len(next))...)
-			}
-			next[e.Dim]++
-			total++
-		}
+	b := carve(tuples)
+	b.sortAll()
+	rows := make([]storage.Posting, len(b.keys))
+	for i, k := range b.keys {
+		rows[i] = storage.Posting{ID: int(b.ids[i]), Val: keyValue(k)}
 	}
-	backing := make([]storage.Posting, total)
-	lists := make(map[int][]storage.Posting)
-	start := 0
-	for d, n := range next {
-		if n > 0 {
-			lists[d] = backing[start : start+n : start+n]
-		}
-		next[d] = start
-		start += n
+	out := make(map[int][]storage.Posting, len(b.dims))
+	for i, d := range b.dims {
+		lo, hi := b.off[i], b.off[i+1]
+		out[d] = rows[lo:hi:hi]
 	}
-	for id, t := range tuples {
-		for _, e := range t {
-			backing[next[e.Dim]] = storage.Posting{ID: id, Val: e.Val}
-			next[e.Dim]++
-		}
-	}
-	for _, l := range lists {
-		slices.SortFunc(l, comparePostings)
-	}
-	return lists
-}
-
-// comparePostings orders by descending value, ties by ascending id.
-func comparePostings(a, b storage.Posting) int {
-	switch {
-	case a.Val > b.Val:
-		return -1
-	case a.Val < b.Val:
-		return 1
-	case a.ID < b.ID:
-		return -1
-	case a.ID > b.ID:
-		return 1
-	default:
-		return 0
-	}
+	return out
 }
 
 // BuildColumnar constructs the per-dimension inverted lists directly in
-// the columnar layout MemIndex serves from.
+// the columnar layout MemIndex serves from, in BuildPostings' order. The
+// lists are carved from one allocation per column.
 func BuildColumnar(tuples []vec.Sparse) map[int]PostingList {
-	rows := BuildPostings(tuples)
-	out := make(map[int]PostingList, len(rows))
-	for d, l := range rows {
-		pl := PostingList{IDs: make([]int32, len(l)), Vals: make([]float64, len(l))}
-		for i, p := range l {
-			pl.IDs[i] = int32(p.ID)
-			pl.Vals[i] = p.Val
-		}
-		out[d] = pl
+	b := carve(tuples)
+	b.sortAll()
+	vals := make([]float64, len(b.keys))
+	for i, k := range b.keys {
+		vals[i] = keyValue(k)
+	}
+	out := make(map[int]PostingList, len(b.dims))
+	for i, d := range b.dims {
+		lo, hi := b.off[i], b.off[i+1]
+		out[d] = PostingList{IDs: b.ids[lo:hi:hi], Vals: vals[lo:hi:hi]}
 	}
 	return out
 }
@@ -363,13 +327,76 @@ func (d *diskCursor) Consumed() int                 { return d.c.Consumed() }
 func (d *diskCursor) Clone() Cursor                 { return &diskCursor{c: d.c.CloneCursor()} }
 
 // SaveDataset writes tuples and their inverted lists to tuplePath and
-// listPath in the storage formats.
+// listPath in the storage formats. It is the one bulk-load path: irgen,
+// shard builds and every checkpoint rewrite come through here. The
+// output depends on the tuples alone, not on the worker count.
 func SaveDataset(tuplePath, listPath string, tuples []vec.Sparse, m int) error {
-	if err := storage.WriteTupleFile(tuplePath, tuples, m); err != nil {
-		return fmt.Errorf("lists: write tuples: %w", err)
+	_, err := SaveDatasetTimed(tuplePath, listPath, tuples, m)
+	return err
+}
+
+// SaveTimes splits one SaveDataset call's wall time: Build runs until
+// the last list is sorted, Write from there until both files are closed
+// (the tuple file and the finished lists are written while later lists
+// still sort, so Write is only what the sort did not hide).
+type SaveTimes struct {
+	Build, Write time.Duration
+}
+
+// SaveDatasetTimed is SaveDataset reporting where the time went.
+func SaveDatasetTimed(tuplePath, listPath string, tuples []vec.Sparse, m int) (SaveTimes, error) {
+	return saveDataset(tuplePath, listPath, tuples, m, runtime.GOMAXPROCS(0))
+}
+
+func saveDataset(tuplePath, listPath string, tuples []vec.Sparse, m, workers int) (SaveTimes, error) {
+	start := time.Now()
+	tupleErr := make(chan error, 1)
+	go func() { tupleErr <- storage.WriteTupleFile(tuplePath, tuples, m) }()
+
+	b := carve(tuples)
+	counts := b.counts()
+	sorted := b.sortLists(workers)
+	// Lists finish out of order and the file wants them in order: take
+	// notices until the wanted list is among them.
+	ready := make([]bool, len(b.dims))
+	pending := len(b.dims)
+	built := start
+	take := func() bool {
+		i, ok := <-sorted
+		if ok {
+			ready[i] = true
+			if pending--; pending == 0 {
+				built = time.Now()
+			}
+		}
+		return ok
 	}
-	if err := storage.WriteListFile(listPath, BuildPostings(tuples), m); err != nil {
-		return fmt.Errorf("lists: write lists: %w", err)
+	vals := make([]float64, 0, b.longest())
+	listErr := storage.WriteListFile(listPath, m, b.dims, counts, func(i int) ([]int32, []float64) {
+		for !ready[i] {
+			take()
+		}
+		keys, ids := b.list(i)
+		vals = vals[:0]
+		for _, k := range keys {
+			vals = append(vals, keyValue(k))
+		}
+		return ids, vals
+	})
+	for take() { // a failed writer stopped asking; the sort still has to end
 	}
-	return nil
+	err := <-tupleErr
+	times := SaveTimes{Build: built.Sub(start), Write: time.Since(built)}
+	switch {
+	case err != nil:
+		err = fmt.Errorf("lists: write tuples: %w", err)
+	case listErr != nil:
+		err = fmt.Errorf("lists: write lists: %w", listErr)
+	default:
+		return times, nil
+	}
+	// Half a dataset is debris: whichever file did get written goes too.
+	os.Remove(tuplePath)
+	os.Remove(listPath)
+	return times, err
 }

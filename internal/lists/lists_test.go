@@ -131,7 +131,7 @@ func TestOpenDiskIndexErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mismatched dimensionality between the two files must be rejected.
-	if err := storage.WriteListFile(lp, BuildPostings(tuples), m+3); err != nil {
+	if err := SaveDataset(filepath.Join(dir, "t3.dat"), lp, tuples, m+3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenDiskIndex(tp, lp, 0); err == nil {

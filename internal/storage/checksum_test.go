@@ -25,7 +25,7 @@ func writeBoth(t *testing.T) (tuplePath, listPath string) {
 			lists[e.Dim] = append(lists[e.Dim], Posting{ID: id, Val: e.Val})
 		}
 	}
-	if err := WriteListFile(listPath, lists, 8); err != nil {
+	if err := writeListMap(listPath, lists, 8); err != nil {
 		t.Fatal(err)
 	}
 	return tuplePath, listPath

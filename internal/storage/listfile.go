@@ -1,12 +1,9 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
-	"sort"
 )
 
 // Posting is one inverted-list entry 〈dα, dαj〉: the tuple id and its
@@ -21,62 +18,57 @@ const postingBytes = 12 // uint32 id + float64 val
 // listMagic identifies the inverted-list file.
 var listMagic = [8]byte{'I', 'R', 'L', 'S', 'T', '0', '1', 0}
 
-// WriteListFile persists per-dimension inverted lists. lists maps a
-// dimension to its postings, which must already be sorted by descending
-// Val (ties by ascending ID). Format:
+// WriteListFile persists inverted lists, streaming them one at a time:
+// dims names the populated dimensions in ascending order, counts their
+// list lengths, and list(i) returns dims[i]'s postings in columnar form,
+// already sorted by descending value (ties by ascending id). The writer
+// asks for the lists in order, once each, and is done with a list's
+// slices before it asks for the next, so the source may reuse them — and
+// may still be producing list i+1 while list i is written. Format:
 //
 //	magic[8] | numLists uint32 | m uint32 |
 //	directory: numLists × (dim uint32, count uint32, offset int64) |
 //	posting data: count × (id uint32, val float64) per list
-func WriteListFile(path string, lists map[int][]Posting, m int) error {
-	f, err := os.Create(path)
+func WriteListFile(path string, m int, dims, counts []int, list func(i int) (ids []int32, vals []float64)) error {
+	w, err := createFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	w := &crcWriter{w: bw}
-
-	dims := make([]int, 0, len(lists))
-	for d := range lists {
-		dims = append(dims, d)
-	}
-	sort.Ints(dims)
-
-	if _, err := w.Write(listMagic[:]); err != nil {
-		return err
-	}
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(dims)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(m))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
+	w.buf = append(w.buf, listMagic[:]...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(dims)))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(m))
 	off := int64(8+8) + int64(16*len(dims))
-	dirBuf := make([]byte, 16)
-	for _, d := range dims {
-		binary.LittleEndian.PutUint32(dirBuf[0:4], uint32(d))
-		binary.LittleEndian.PutUint32(dirBuf[4:8], uint32(len(lists[d])))
-		binary.LittleEndian.PutUint64(dirBuf[8:16], uint64(off))
-		if _, err := w.Write(dirBuf); err != nil {
-			return err
-		}
-		off += int64(postingBytes * len(lists[d]))
+	for i, d := range dims {
+		w.room(16)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(d))
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(counts[i]))
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(off))
+		off += int64(postingBytes * counts[i])
 	}
-	pBuf := make([]byte, postingBytes)
-	for _, d := range dims {
-		for _, p := range lists[d] {
-			binary.LittleEndian.PutUint32(pBuf[0:4], uint32(p.ID))
-			binary.LittleEndian.PutUint64(pBuf[4:12], math.Float64bits(p.Val))
-			if _, err := w.Write(pBuf); err != nil {
-				return err
+	for i := range dims {
+		if w.err != nil {
+			break
+		}
+		ids, vals := list(i)
+		if len(ids) != counts[i] || len(vals) != counts[i] {
+			w.fail(fmt.Errorf("storage: list of dimension %d has %d ids and %d values, directory says %d",
+				dims[i], len(ids), len(vals), counts[i]))
+			break
+		}
+		for len(ids) > 0 {
+			w.room(postingBytes)
+			n := min(len(ids), (cap(w.buf)-len(w.buf))/postingBytes)
+			at := len(w.buf)
+			w.buf = w.buf[:at+n*postingBytes]
+			for j, id := range ids[:n] {
+				p := w.buf[at+j*postingBytes : at+(j+1)*postingBytes]
+				binary.LittleEndian.PutUint32(p[0:4], uint32(id))
+				binary.LittleEndian.PutUint64(p[4:12], math.Float64bits(vals[j]))
 			}
+			ids, vals = ids[n:], vals[n:]
 		}
 	}
-	if err := w.writeTrailer(); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return w.finish()
 }
 
 // ListFile reads inverted lists persisted by WriteListFile. Sorted access

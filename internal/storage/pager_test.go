@@ -158,7 +158,7 @@ func TestListCursorMappedAccounting(t *testing.T) {
 		postings[i] = Posting{ID: i, Val: 1 - float64(i)/(n+1)}
 	}
 	path := filepath.Join(t.TempDir(), "lists.dat")
-	if err := WriteListFile(path, map[int][]Posting{0: postings}, 1); err != nil {
+	if err := writeListMap(path, map[int][]Posting{0: postings}, 1); err != nil {
 		t.Fatal(err)
 	}
 	stats := &IOStats{}

@@ -1,8 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"sort"
+	"syscall"
 	"testing"
 	"time"
 
@@ -25,6 +29,28 @@ func randTuples(rng *rand.Rand, n, m int) []vec.Sparse {
 		tuples[i] = t
 	}
 	return tuples
+}
+
+// writeListMap feeds WriteListFile from row-form lists keyed by
+// dimension, the shape these tests build their expectations in.
+func writeListMap(path string, lists map[int][]Posting, m int) error {
+	dims := make([]int, 0, len(lists))
+	for d := range lists {
+		dims = append(dims, d)
+	}
+	sort.Ints(dims)
+	counts := make([]int, len(dims))
+	for i, d := range dims {
+		counts[i] = len(lists[d])
+	}
+	return WriteListFile(path, m, dims, counts, func(i int) ([]int32, []float64) {
+		l := lists[dims[i]]
+		ids, vals := make([]int32, len(l)), make([]float64, len(l))
+		for j, p := range l {
+			ids[j], vals[j] = int32(p.ID), p.Val
+		}
+		return ids, vals
+	})
 }
 
 func TestTupleFileRoundTrip(t *testing.T) {
@@ -71,7 +97,7 @@ func TestTupleFileRoundTrip(t *testing.T) {
 
 func TestOpenTupleFileRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lists.dat")
-	if err := WriteListFile(path, map[int][]Posting{0: {{ID: 1, Val: 0.5}}}, 4); err != nil {
+	if err := writeListMap(path, map[int][]Posting{0: {{ID: 1, Val: 0.5}}}, 4); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenTupleFile(path, &IOStats{}, 0); err == nil {
@@ -96,7 +122,7 @@ func TestListFileRoundTrip(t *testing.T) {
 		lists[d] = l
 	}
 	path := filepath.Join(t.TempDir(), "lists.dat")
-	if err := WriteListFile(path, lists, 7); err != nil {
+	if err := writeListMap(path, lists, 7); err != nil {
 		t.Fatal(err)
 	}
 	stats := &IOStats{}
@@ -217,5 +243,71 @@ func TestPagerPoolAvoidsRereads(t *testing.T) {
 	}
 	if _, err := p.ReadRange(p.Size()-10, make([]byte, 20)); err == nil {
 		t.Fatal("read past EOF accepted")
+	}
+}
+
+// TestWritersFailClean: a write that fails (ENOSPC from /dev/full, on
+// the first chunk flush of a file larger than one chunk) or a file that
+// cannot be created makes both writers return the error and leave
+// nothing behind — no truncated file for a later open or a generation
+// sweep to find.
+func TestWritersFailClean(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	const n = 120_000 // both files exceed chunkSize
+	tuples := make([]vec.Sparse, n)
+	ids, vals := make([]int32, n), make([]float64, n)
+	for i := range tuples {
+		tuples[i] = vec.Sparse{{Dim: 0, Val: 1 - float64(i)/n}}
+		ids[i], vals[i] = int32(i), 1-float64(i)/n
+	}
+	writers := map[string]func(path string) error{
+		"tuples": func(path string) error { return WriteTupleFile(path, tuples, 1) },
+		"lists": func(path string) error {
+			return WriteListFile(path, 1, []int{0}, []int{n}, func(int) ([]int32, []float64) { return ids, vals })
+		},
+	}
+	for name, write := range writers {
+		dir := t.TempDir()
+		// The writer follows the link; removing the "file" afterwards
+		// removes only the link, never the device.
+		full := filepath.Join(dir, "full.dat")
+		if err := os.Symlink("/dev/full", full); err != nil {
+			t.Fatal(err)
+		}
+		if err := write(full); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("%s onto a full device: err = %v, want ENOSPC", name, err)
+		}
+		if err := write(filepath.Join(dir, "no-such-dir", "x.dat")); err == nil {
+			t.Fatalf("%s into a missing directory succeeded", name)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Fatalf("%s: failed writes left %d entries behind", name, len(left))
+		}
+		// The same writer on a healthy path still produces a valid file.
+		ok := filepath.Join(dir, "ok.dat")
+		if err := write(ok); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyChecksum(ok); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestWriteListFileRejectsWrongCount: a source that yields a list of
+// another length than the directory promised is refused, and the file
+// whose directory would lie is removed.
+func TestWriteListFileRejectsWrongCount(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "lists.dat")
+	err := WriteListFile(path, 1, []int{0}, []int{3}, func(int) ([]int32, []float64) {
+		return []int32{1, 2}, []float64{0.5, 0.25}
+	})
+	if err == nil {
+		t.Fatal("short list accepted")
+	}
+	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+		t.Fatalf("refused file still exists (stat: %v)", serr)
 	}
 }

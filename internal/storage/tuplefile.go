@@ -1,11 +1,9 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 
 	"repro/internal/vec"
 )
@@ -21,51 +19,28 @@ var tupleMagic = [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '1'}
 //
 // Records are addressed by the offsets table, enabling O(1) random access.
 func WriteTupleFile(path string, tuples []vec.Sparse, m int) error {
-	f, err := os.Create(path)
+	w, err := createFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	w := &crcWriter{w: bw}
-
-	if _, err := w.Write(tupleMagic[:]); err != nil {
-		return err
-	}
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(tuples)))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(m))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	// offsets
-	base := int64(8+8) + int64(8*len(tuples))
-	off := base
-	offBuf := make([]byte, 8)
+	w.buf = append(w.buf, tupleMagic[:]...)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(tuples)))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(m))
+	off := int64(8+8) + int64(8*len(tuples))
 	for _, t := range tuples {
-		binary.LittleEndian.PutUint64(offBuf, uint64(off))
-		if _, err := w.Write(offBuf); err != nil {
-			return err
-		}
+		w.room(8)
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(off))
 		off += int64(4 + 12*len(t))
 	}
-	// records
-	rec := make([]byte, 0, 4+12*64)
 	for _, t := range tuples {
-		rec = rec[:0]
-		rec = binary.LittleEndian.AppendUint32(rec, uint32(len(t)))
+		w.room(4 + 12*len(t))
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(t)))
 		for _, e := range t {
-			rec = binary.LittleEndian.AppendUint32(rec, uint32(e.Dim))
-			rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(e.Val))
-		}
-		if _, err := w.Write(rec); err != nil {
-			return err
+			w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.Dim))
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.Val))
 		}
 	}
-	if err := w.writeTrailer(); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return w.finish()
 }
 
 // TupleFile provides random access to tuples persisted by WriteTupleFile.
