@@ -61,12 +61,15 @@ vuln:
 # layer rides along at a fixed iteration count: the dataset save that
 # irgen and every checkpoint rewrite go through (ST n = 200 000 and WSJ
 # -scale 2, the bench/ harness's two datasets), the MemIndex build, and
-# one whole checkpoint of the write-mix dataset.
+# one whole checkpoint of the write-mix dataset. So does the sharded
+# round 2: the coordinator's replay at a pruned and an unpruned reply
+# size, and one recorded shard reply through encode, decode and replay.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
 
 # Fallback portability: the scalar kernels (noasm) and the pread-backed
 # pager (nommap) must produce the same answers as the default build —

@@ -119,6 +119,17 @@ type Options struct {
 	Parallelism int
 }
 
+// Envelope reports whether the options route a computation through the
+// §6 envelope machinery instead of Algorithms 1–3 — the one dispatch
+// computeDim, a shard's round-2 reply and the coordinator's merge must
+// agree on. Composition-only always takes the envelope path: a tuple
+// enters the result set when it crosses the k-th score envelope, which
+// is below dk's own line once result tuples reorder — the classic
+// dk-only comparison of Phase 2 would miss such entries.
+func (o Options) Envelope() bool {
+	return o.Phi > 0 || o.ForceEnvelope || o.CompositionOnly
+}
+
 // Schedule is the probing schedule of Thres/CPT. §5.2 reports having
 // tried alternatives to plain round-robin, such as drawing from the
 // score list twice as often (it feeds both bound searches); round-robin
@@ -209,15 +220,15 @@ func applyPerturbation(ranked []int, p Perturbation) error {
 // dimensions (in parallel mode they sum per-dimension CPU time, not wall
 // time); I/O counters are deltas against the index's meter.
 type Metrics struct {
-	Evaluated       int
-	EvaluatedPerDim []int
-	Phase1          time.Duration
-	Phase2          time.Duration
-	Phase3          time.Duration
-	Phase3Pulled    int
-	SeqPages        int64
-	RandReads       int64
-	MemBytes        int64
+	Evaluated       int           `json:"evaluated"`
+	EvaluatedPerDim []int         `json:"evaluated_per_dim"`
+	Phase1          time.Duration `json:"phase1_ns"`
+	Phase2          time.Duration `json:"phase2_ns"`
+	Phase3          time.Duration `json:"phase3_ns"`
+	Phase3Pulled    int           `json:"phase3_pulled"`
+	SeqPages        int64         `json:"seq_pages"`
+	RandReads       int64         `json:"rand_reads"`
+	MemBytes        int64         `json:"mem_bytes"`
 }
 
 // merge folds one dimension's metrics into the aggregate. Callers merge
@@ -550,12 +561,7 @@ func (d *dimComputer) computeDim(jx int) Regions {
 	switch {
 	case opts.Iterative && opts.Phi > 0:
 		return d.iterativeDim(jx)
-	case opts.Phi > 0 || opts.ForceEnvelope || opts.CompositionOnly:
-		// Composition-only always takes the envelope path: a tuple
-		// enters the result set when it crosses the k-th score
-		// envelope, which is below dk's own line once result tuples
-		// reorder — the classic dk-only comparison of Phase 2 would
-		// miss such entries.
+	case opts.Envelope():
 		return d.envelopeDim(jx, opts.Phi)
 	default:
 		return d.classicDim(jx)

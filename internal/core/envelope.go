@@ -21,18 +21,25 @@ type boundary struct {
 	env       geom.PiecewiseLinear
 }
 
-// newBoundary seeds a boundary with the k result lines. mirror=true
-// builds the negative-deviation side: slopes are negated so that the
-// sweep always advances in +x.
-func newBoundary(res []topk.Scored, jx, phi int, domainEnd float64, mirror, compOnly bool) *boundary {
-	b := &boundary{k: len(res), phi: phi, compOnly: compOnly, domainEnd: domainEnd}
-	for _, r := range res {
+// resultLines are the k result lines of dimension jx on one side.
+// mirror=true builds the negative-deviation side: slopes are negated so
+// that the sweep always advances in +x.
+func resultLines(res []topk.Scored, jx int, mirror bool) []geom.Line {
+	lines := make([]geom.Line, len(res))
+	for i, r := range res {
 		coord := r.Proj[jx]
 		if mirror {
 			coord = -coord
 		}
-		b.lines = append(b.lines, geom.Line{A: r.Score, B: coord, ID: r.ID})
+		lines[i] = geom.Line{A: r.Score, B: coord, ID: r.ID}
 	}
+	return lines
+}
+
+// newBoundary seeds a boundary with the k result lines.
+func newBoundary(res []topk.Scored, jx, phi int, domainEnd float64, mirror, compOnly bool) *boundary {
+	b := &boundary{k: len(res), phi: phi, compOnly: compOnly, domainEnd: domainEnd,
+		lines: resultLines(res, jx, mirror)}
 	b.rebuild()
 	return b
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"repro/internal/geom"
 	"repro/internal/lists"
 	"repro/internal/storage"
 	"repro/internal/topk"
@@ -43,8 +44,7 @@ import (
 //
 // The wrapped runner must be used with sequential region computation
 // (Options.Parallelism <= 0): Phase-3 pulls must land in the shared
-// candidate list so ContributedLines can report every line offered to
-// the boundaries.
+// candidate list ContributedLines selects from.
 func WithImposed(r Runner, base int, imposed []topk.Scored) Runner {
 	return &imposedRunner{inner: r, base: base, imposed: imposed}
 }
@@ -147,14 +147,76 @@ func (v *imposedRunner) ForkView() topk.View {
 	panic("core: imposed runner cannot fork; use Parallelism <= 0")
 }
 
-// ContributedLines returns every shard line the computation offered to
-// the result boundaries — the candidate view after all phases ran,
-// including Phase-3 pulls — under global ids. The coordinator replays
-// these through ReplayRegions for φ > 0 merges; the set is a superset
-// of the boundary-accepted lines, which is all replay exactness needs.
+// relevanceTol is how close to the imposed result's k-th envelope a line
+// must come to be shipped. Mathematically the bar is "rises strictly
+// above"; the slack covers lines concurrent with the envelope — exact
+// ties, typically every line sharing the result's other coordinates, at
+// the domain end where the weight reaches 0 — which a replay boundary's
+// own floating-point comparison accepts or rejects by rounding. It is
+// orders of magnitude above that rounding (scores are O(qlen)) and far
+// below any gap in untied data.
+const relevanceTol = 1e-9
+
+// ContributedLines returns the shard lines the coordinator's replay
+// (ReplayRegions) can use, under global ids, and offered, the size of
+// the candidate view after all phases ran (Phase-3 pulls included) they
+// were selected from. A line is relevant iff it reaches E_R, the k-th
+// envelope of the imposed result ALONE, somewhere in the weight domain
+// of at least one side of one query dimension. Every boundary the replay
+// builds contains R, so its envelope is ≥ E_R pointwise over a horizon
+// inside the domain: a line that stays below E_R is rejected by every
+// such boundary and, being rejected, leaves no trace in it. E_R minus a
+// line is piecewise linear, so the test runs at E_R's vertices. It must
+// not use this shard's own boundaries instead: their horizons stop at
+// entries the union's denser envelope never admits, so they reject
+// lines the union needs (docs/sharding.md, TestShardLocalAcceptanceTrap).
 // The copy is compact, so it stays valid after the inner run is released.
-func (v *imposedRunner) ContributedLines() []topk.Scored {
-	return topk.Compact(v.Candidates())
+func (v *imposedRunner) ContributedLines() (lines []topk.Scored, offered int) {
+	cands := v.Candidates()
+	if len(v.imposed) < v.K() {
+		return nil, len(cands) // the replay answers the full domain unasked
+	}
+	// One side of one dimension: E_R's vertices, and the sign that
+	// mirrors a coordinate onto it.
+	type side struct {
+		jx   int
+		sign float64
+		x, y []float64
+	}
+	q := v.Query()
+	sides := make([]side, 0, 2*q.Len())
+	for jx, qj := range q.Weights {
+		for _, sd := range [2]side{{jx: jx, sign: 1}, {jx: jx, sign: -1}} {
+			mirror, end := sd.sign < 0, 1-qj
+			if mirror {
+				end = qj
+			}
+			env := geom.KthEnvelope(resultLines(v.imposed, jx, mirror), len(v.imposed), 0, end)
+			sd.x = env.Breaks
+			for _, x := range env.Breaks {
+				sd.y = append(sd.y, env.Eval(x))
+			}
+			sides = append(sides, sd)
+		}
+	}
+	reaches := func(sc topk.Scored) bool {
+		for _, sd := range sides {
+			coord := sd.sign * sc.Proj[sd.jx]
+			for i, x := range sd.x {
+				if sc.Score+coord*x > sd.y[i]-relevanceTol {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	var kept []topk.Scored
+	for _, sc := range cands {
+		if reaches(sc) {
+			kept = append(kept, sc)
+		}
+	}
+	return topk.Compact(kept), len(cands)
 }
 
 // offsetIndex presents a shard-local index under global tuple ids:
@@ -200,13 +262,14 @@ func (c *offsetCursor) Clone() lists.Cursor {
 	return &offsetCursor{Cursor: c.Cursor.Clone(), base: c.base}
 }
 
-// ReplayRegions is the coordinator-side φ > 0 (and envelope-path) merge:
-// it reruns the §6 boundary machinery per dimension over the imposed
-// result lines, offering every shard-contributed line. Because a line
-// rejected by boundary.consider provably never touches the k-th
-// envelope within the horizon, offering a superset of the relevant
-// lines yields exactly the arrangement — and therefore exactly the
-// perturbation sequence — a single node computes over the union.
+// ReplayRegions is the coordinator-side envelope-path merge: it reruns
+// the §6 boundary machinery per dimension over the imposed result lines,
+// offering every shard-contributed line. Because a line rejected by
+// boundary.consider leaves the boundary untouched, any superset of the
+// lines a single node's boundaries accept — the shards ship every line
+// that reaches the result's own k-th envelope, see ContributedLines —
+// yields exactly the arrangement, and therefore exactly the perturbation
+// sequence, a single node computes over the union.
 // k is the requested result size; len(res) < k degenerates to the full
 // weight domain exactly as ComputeView's |R| < k branch does.
 func ReplayRegions(q vec.Query, k int, res, extra []topk.Scored, opts Options) []Regions {

@@ -37,6 +37,10 @@ var (
 	mCacheEvents = obs.NewCounterVec("ir_engine_cache_events_total",
 		"answer-cache outcomes: hit (exact-weight analysis), hit-region (region-certified top-k), miss, bypass (NoCache request), evict",
 		"event")
+	mShardLinesOffered = obs.NewCounter("ir_shard_lines_offered_total",
+		"candidate lines this shard's envelope-path round-2 computations selected their reply from (what an unpruned reply would carry)")
+	mShardLinesShipped = obs.NewCounter("ir_shard_lines_shipped_total",
+		"candidate lines this shard shipped to a coordinator in round-2 replies: those that reach the imposed result's k-th envelope somewhere in the weight domain")
 )
 
 // Timings is the engine envelope around one query, complementing the

@@ -18,9 +18,9 @@ import (
 )
 
 // lineContributor is the accessor core.WithImposed's runner exposes for
-// the lines the computation offered to the result boundaries.
+// the candidate lines the coordinator's replay can use.
 type lineContributor interface {
-	ContributedLines() []topk.Scored
+	ContributedLines() (lines []topk.Scored, offered int)
 }
 
 // AnalyzeImposed computes the immutable-region constraints this
@@ -28,16 +28,18 @@ type lineContributor interface {
 // this shard's id offset (global id = base + local id); imposed is the
 // coordinator's merged top-k under global ids, whose lines stand in for
 // the local result throughout the region phases. The returned Output
-// carries the shard's constraint regions (global ids everywhere) and
-// lines is every shard tuple line the phases offered to the result
-// boundaries — the raw material of the coordinator's φ > 0 replay
-// merge.
+// carries the shard's constraint regions (global ids everywhere). lines
+// is the raw material of the coordinator's replay merge on the envelope
+// paths (core.Options.Envelope): the shard's candidate lines that can
+// reach the imposed result's k-th envelope. On the classic φ = 0
+// path the coordinator merges the regions alone, so no lines are built
+// or returned.
 //
 // Imposed analyses bypass the answer cache in both directions: the
 // output certifies the imposed result, not a local answer, so it can
 // neither be served from nor admitted to the cache. The computation is
 // forced sequential (core Parallelism ≤ 0) so every Phase-3 pull lands
-// in the shared candidate list the contributed-line report reads.
+// in the shared candidate list the contributed lines are selected from.
 func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts Options) (*core.Output, []topk.Scored, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -66,7 +68,14 @@ func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, i
 		return nil, nil, err
 	}
 	observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, ta.SortedAccesses())
-	return out, runner.(lineContributor).ContributedLines(), nil
+	var lines []topk.Scored
+	if copts.Envelope() {
+		var offered int
+		lines, offered = runner.(lineContributor).ContributedLines()
+		mShardLinesOffered.Add(int64(offered))
+		mShardLinesShipped.Add(int64(len(lines)))
+	}
+	return out, lines, nil
 }
 
 // ShardDirName returns the conventional subdirectory of shard i inside

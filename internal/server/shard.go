@@ -70,13 +70,15 @@ type ShardAnalyzeRequest struct {
 
 // ShardAnalyzeResponse is the body of a successful /shard/analyze: the
 // constraint regions the shard's tuples impose on the imposed result
-// (in query-dimension order, global ids), and every shard line the
-// phases offered to the boundaries — the coordinator's φ > 0 replay
-// input.
+// (in query-dimension order, global ids); on the envelope paths, the
+// shard lines that can reach the imposed result's k-th envelope —
+// the coordinator's replay input, absent on the classic φ = 0 path; and
+// the shard's metering whole, phase times included, so a merged answer
+// reports the same cost over HTTP backends as over in-process ones.
 type ShardAnalyzeResponse struct {
 	Regions []RegionJSON `json:"regions"`
-	Lines   []ScoredJSON `json:"lines"`
-	Metrics MetricsJSON  `json:"metrics"`
+	Lines   []ScoredJSON `json:"lines,omitempty"`
+	Metrics core.Metrics `json:"metrics"`
 }
 
 // shardEngine resolves the engine behind the /shard/* RPCs. Only a
@@ -149,6 +151,6 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ShardAnalyzeResponse{
 		Regions: toRegionsJSON(out.Regions),
 		Lines:   ToScoredJSON(lines),
-		Metrics: toMetricsJSON(out.Metrics),
+		Metrics: out.Metrics,
 	})
 }

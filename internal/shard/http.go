@@ -78,12 +78,8 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 	if err := h.C.PostJSON(ctx, "/shard/analyze", body, &resp); err != nil {
 		return nil, nil, err
 	}
-	out := &core.Output{Query: q, K: k, Result: imposed}
-	out.Metrics.Evaluated = resp.Metrics.Evaluated
-	out.Metrics.SeqPages = resp.Metrics.SeqPages
-	out.Metrics.RandReads = resp.Metrics.RandReads
-	out.Metrics.MemBytes = resp.Metrics.MemBytes
-	out.Regions = server.FromRegionsJSON(resp.Regions)
+	out := &core.Output{Query: q, K: k, Result: imposed, Metrics: resp.Metrics,
+		Regions: server.FromRegionsJSON(resp.Regions)}
 	return out, server.FromScoredJSON(resp.Lines), nil
 }
 
@@ -182,11 +178,16 @@ func NewHandler(c *Coordinator) http.Handler {
 type querier struct{ c *Coordinator }
 
 // upstream tags a failure that is not the client's fault as a shard
-// not answering (server.ErrUpstream, 502); engine.ErrInvalid passes
-// through and keeps its 400.
+// not answering (server.ErrUpstream, 502). engine.ErrInvalid passes
+// through and keeps its 400, and a shard's own 400 over HTTP is that
+// same verdict on the same request, so it becomes ErrInvalid again.
 func upstream(err error) error {
 	if err == nil || errors.Is(err, engine.ErrInvalid) {
 		return err
+	}
+	var se *client.StatusError
+	if errors.As(err, &se) && se.Code == http.StatusBadRequest {
+		return fmt.Errorf("%w: %w", engine.ErrInvalid, err)
 	}
 	return fmt.Errorf("%w: %w", server.ErrUpstream, err)
 }

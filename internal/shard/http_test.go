@@ -403,3 +403,71 @@ func TestHTTPRequestIDReachesShards(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPRound2Reply pins what a round-2 reply carries over the wire.
+// Metering: the merged answer reports the shards' work — evaluated
+// candidates, random reads and phase CPU — the same through HTTP
+// backends as through in-process ones (cpu_us is a clock reading, so it
+// is only required to be there). Lines: a φ = 0 reply has no lines field
+// and moves neither line counter; a φ = 2 reply ships the relevant lines
+// only, and the counters say how many of how many.
+func TestHTTPRound2Reply(t *testing.T) {
+	rng := rand.New(rand.NewSource(4305))
+	cs := fixture.RandCase(rng, 400, 6, 3, 4)
+	local := NewHandler(localCoord(t, cs.Tuples, cs.M, 2, Config{}))
+	hc := newHTTPCluster(t, cs.Tuples, cs.M, 2, Config{})
+	lineCounters := func() (offered, shipped float64) {
+		return hc.scrapeMetric(t, "ir_shard_lines_offered_total"), hc.scrapeMetric(t, "ir_shard_lines_shipped_total")
+	}
+
+	for _, phi := range []int{0, 2} {
+		req := server.QueryRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K, Phi: phi}
+		var viaLocal, viaHTTP server.AnalyzeResponse
+		if w := call(local, http.MethodPost, "/analyze", mustJSON(t, req)); w.Code != http.StatusOK {
+			t.Fatalf("phi=%d: in-process coordinator: %d %s", phi, w.Code, w.Body)
+		} else if err := json.Unmarshal(w.Body.Bytes(), &viaLocal); err != nil {
+			t.Fatal(err)
+		}
+		offered0, shipped0 := lineCounters()
+		if code, _ := hc.postJSON(t, "/analyze", req, &viaHTTP); code != http.StatusOK {
+			t.Fatalf("phi=%d: HTTP coordinator: %d", phi, code)
+		}
+		offered1, shipped1 := lineCounters()
+
+		lm, hm := viaLocal.Metrics, viaHTTP.Metrics
+		if lm.Evaluated == 0 || lm.RandReads == 0 || lm.CPUMicros == 0 {
+			t.Errorf("phi=%d: in-process backends report no work: %+v", phi, lm)
+		}
+		if hm.Evaluated != lm.Evaluated || hm.EvaluatedAvg != lm.EvaluatedAvg || hm.RandReads != lm.RandReads || hm.MemBytes != lm.MemBytes || hm.CPUMicros == 0 {
+			t.Errorf("phi=%d: metrics over HTTP backends %+v, in process %+v", phi, hm, lm)
+		}
+
+		offered, shipped := offered1-offered0, shipped1-shipped0
+		switch {
+		case phi == 0 && (offered != 0 || shipped != 0):
+			t.Errorf("phi=0: line counters moved by %v offered, %v shipped", offered, shipped)
+		case phi > 0 && !(0 < shipped && shipped < offered):
+			t.Errorf("phi=%d: shipped %v of %v offered lines", phi, shipped, offered)
+		}
+
+		// The same round 2 against shard 0 directly, for the raw body.
+		res, err := hc.coord.TopK(context.Background(), cs.Q, cs.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := mustJSON(t, server.ShardAnalyzeRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K,
+			Imposed: server.ToScoredJSON(res.Result), Phi: phi, Method: "cpt"})
+		resp, err := http.Post(hc.shards[0].URL+"/shard/analyze", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("phi=%d: /shard/analyze: %d %s %v", phi, resp.StatusCode, raw, err)
+		}
+		if has := bytes.Contains(raw, []byte(`"lines"`)); has != (phi > 0) {
+			t.Errorf("phi=%d: /shard/analyze reply has a lines field: %v\n%s", phi, has, raw)
+		}
+	}
+}

@@ -76,9 +76,10 @@ func mergeTopK(lists [][]topk.Scored, k int) []topk.Scored {
 // mirroring core's computeDim dispatch: the envelope paths (φ > 0,
 // iterative, forced envelope, composition-only) merge by replaying the
 // union of shard-contributed lines against the imposed result; the
-// classic φ = 0 path merges by strict min/max of the per-shard bounds.
+// classic φ = 0 path merges by strict min/max of the per-shard bounds
+// and is sent no lines.
 func mergeRegions(q vec.Query, k int, res []topk.Scored, outs []*core.Output, lines []topk.Scored, opts engine.Options) []core.Regions {
-	if opts.Phi > 0 || opts.ForceEnvelope || opts.CompositionOnly {
+	if opts.Envelope() {
 		// Shards contribute disjoint tuple sets (imposed members are
 		// excluded shard-side), so the union needs no dedup. The replay
 		// is offer-order independent; sorting into the canonical

@@ -22,7 +22,7 @@ func call(h http.Handler, method, path, body string) *httptest.ResponseRecorder 
 	return w
 }
 
-func mustJSON(t *testing.T, v any) string {
+func mustJSON(t testing.TB, v any) string {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -34,7 +34,9 @@ func mustJSON(t *testing.T, v any) string {
 // TestDialectParity pins that a coordinator front and a single node
 // speak one HTTP dialect because they are one implementation: the same
 // malformed requests get the same status and the same error envelope
-// from both, the routes a hand-made coordinator front once lacked
+// from both — whether the coordinator reaches its shards in process or
+// over HTTP, where a shard's own 400 must come back as the front's 400,
+// not as a 502 — the routes a hand-made coordinator front once lacked
 // (/batchanalyze, /batchtopk, /readyz, /stats, /debug/slowlog) answer,
 // and batch items match per-item single-node answers bit for bit. A
 // second copy of the dialect drifting from internal/server fails here.
@@ -47,6 +49,10 @@ func TestDialectParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	front := NewHandler(coord)
+	fronts := map[string]http.Handler{
+		"coordinator":           front,
+		"coordinator over HTTP": NewHandler(newHTTPCluster(t, cs.Tuples, cs.M, 2, Config{}).coord),
+	}
 
 	good := server.QueryRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K}
 	with := func(edit func(*server.QueryRequest)) string {
@@ -59,6 +65,7 @@ func TestDialectParity(t *testing.T) {
 		r.Weights = []float64{0.5, 0.5}
 	})
 	zeroK := with(func(r *server.QueryRequest) { r.K = 0 })
+	outOfRange := with(func(r *server.QueryRequest) { r.Dims = []int{0, cs.M + 3} })
 
 	posts := []string{"/topk", "/analyze", "/batchtopk", "/batchanalyze", "/update", "/delete", "/shard/analyze"}
 	type probe struct {
@@ -78,6 +85,8 @@ func TestDialectParity(t *testing.T) {
 		probe{"k=0 /topk", http.MethodPost, "/topk", zeroK, http.StatusBadRequest},
 		probe{"k=0 /analyze", http.MethodPost, "/analyze", zeroK, http.StatusBadRequest},
 		probe{"negative phi", http.MethodPost, "/analyze", with(func(r *server.QueryRequest) { r.Phi = -1 }), http.StatusBadRequest},
+		probe{"dim out of range /topk", http.MethodPost, "/topk", outOfRange, http.StatusBadRequest},
+		probe{"dim out of range /analyze", http.MethodPost, "/analyze", outOfRange, http.StatusBadRequest},
 		probe{"empty analyze batch", http.MethodPost, "/batchanalyze", `{"queries":[]}`, http.StatusBadRequest},
 		probe{"empty topk batch", http.MethodPost, "/batchtopk", `{"queries":[]}`, http.StatusBadRequest},
 		probe{"empty op batch", http.MethodPost, "/update", `{"ops":[]}`, http.StatusBadRequest},
@@ -85,20 +94,23 @@ func TestDialectParity(t *testing.T) {
 		probe{"delete without ids", http.MethodPost, "/delete", `{"ids":[]}`, http.StatusBadRequest},
 	)
 	for _, p := range probes {
-		s, f := call(single, p.method, p.path, p.body), call(front, p.method, p.path, p.body)
-		if s.Code != p.want || f.Code != p.want {
-			t.Errorf("%s: single node %d, coordinator %d, want %d", p.name, s.Code, f.Code, p.want)
-			continue
+		replies := map[string]*httptest.ResponseRecorder{"single node": call(single, p.method, p.path, p.body)}
+		for who, h := range fronts {
+			replies[who] = call(h, p.method, p.path, p.body)
 		}
-		if p.want == http.StatusOK {
-			// Per-op shape errors are reported in place by the shared
-			// parser, before any Querier is involved.
-			if s.Body.String() != f.Body.String() {
-				t.Errorf("%s: bodies differ:\nsingle node: %scoordinator: %s", p.name, s.Body, f.Body)
+		for who, w := range replies {
+			if w.Code != p.want {
+				t.Errorf("%s: %s answered %d %s, want %d", p.name, who, w.Code, w.Body, p.want)
+				continue
 			}
-			continue
-		}
-		for who, w := range map[string]*httptest.ResponseRecorder{"single node": s, "coordinator": f} {
+			if p.want == http.StatusOK {
+				// Per-op shape errors are reported in place by the shared
+				// parser, before any Querier is involved.
+				if s := replies["single node"]; w.Body.String() != s.Body.String() {
+					t.Errorf("%s: bodies differ:\nsingle node: %s%s: %s", p.name, s.Body, who, w.Body)
+				}
+				continue
+			}
 			var e map[string]string
 			if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || len(e) != 1 || e["error"] == "" {
 				t.Errorf("%s: %s error body %q is not {\"error\": ...}", p.name, who, w.Body)

@@ -12,8 +12,9 @@
 // regions merge in two rounds: the coordinator first merges the global
 // result R, then asks every shard for the constraints its own tuples
 // impose on R (engine.AnalyzeImposed over core.WithImposed); at φ = 0
-// the per-dimension bounds combine by strict min/max, at φ > 0 the
-// coordinator replays the union of shard-contributed lines through
+// the per-dimension bounds combine by strict min/max and no lines
+// travel; at φ > 0 every shard also ships its lines that can reach
+// R's k-th envelope and the coordinator replays their union through
 // core.ReplayRegions. docs/sharding.md carries the correctness
 // argument; TestShardedBitIdentical machine-checks it.
 package shard
@@ -81,7 +82,9 @@ type Backend interface {
 	// with subspace projections filled, under LOCAL ids.
 	TopK(ctx context.Context, q vec.Query, k int) ([]topk.Scored, error)
 	// AnalyzeImposed computes the region constraints the shard's tuples
-	// impose on the coordinator-merged result (global ids in and out).
+	// impose on the coordinator-merged result (global ids in and out),
+	// and, when opts take the envelope path, the shard's lines the
+	// coordinator's replay can use.
 	AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts engine.Options) (*core.Output, []topk.Scored, error)
 	// Apply applies a mutation batch under LOCAL ids.
 	Apply(ops []engine.Op) (engine.ApplyResult, error)
