@@ -64,9 +64,13 @@ vuln:
 # one whole checkpoint of the write-mix dataset. So does the sharded
 # round 2: the coordinator's replay at a pruned and an unpruned reply
 # size, and one recorded shard reply through encode, decode and replay.
+# And the miss path where it is real: never-repeated /analyze over a
+# mapped DiskIndex under an empty Overlay (what irserver -wal serves) —
+# its allocs/op and B/op are what a random access costs in garbage.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
@@ -74,10 +78,13 @@ bench-smoke:
 # Fallback portability: the scalar kernels (noasm) and the pread-backed
 # pager (nommap) must produce the same answers as the default build —
 # the kernel property tests pin bit-identity against the reference
-# implementation, and the engine/topk suites re-run their oracles.
+# implementation, and the engine/topk suites re-run their oracles. lists
+# and core ride along for the random-access contract (Project ≡ Tuple,
+# charge for charge, on a pread-backed DiskIndex too) and the overlay's
+# pass-through cursor.
 # The cross-build proves the fallback matrix compiles on amd64 too.
 test-fallback:
-	$(GO) test -tags=noasm,nommap ./internal/storage/... ./internal/vec/... ./internal/topk/... ./internal/engine/...
+	$(GO) test -tags=noasm,nommap ./internal/storage/... ./internal/vec/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/...
 	GOARCH=amd64 $(GO) build -tags=noasm,nommap ./...
 
 # Durability focus: the WAL package under -race, the crash-recovery and

@@ -432,13 +432,29 @@ func BenchmarkCacheAnalyze(b *testing.B) {
 	// seam. B/op here is the per-miss garbage the pooled scratch exists
 	// to remove; ST n = 20 000 scans deeper than WSJ and is what
 	// cold-analyze runs at ten times the size.
+	// miss-st-disk is the same ST stream over the shape irserver -wal
+	// serves — a mapped DiskIndex under an empty Overlay — where a random
+	// access reads a record instead of returning a resident slice: its
+	// allocs/op and B/op are the real miss path's.
+	stQs := queriesFor(env.st, 4, 10, 16, 219)
+	dir := b.TempDir()
+	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
+	if err := env.st.Save(tp, lp); err != nil {
+		b.Fatal(err)
+	}
+	disk, err := lists.OpenDiskIndex(tp, lp, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
 	for _, tc := range []struct {
 		name string
 		ix   lists.Index
 		qs   []vec.Query
 	}{
 		{"miss", env.wsjI, qs},
-		{"miss-st", env.stI, queriesFor(env.st, 4, 10, 16, 219)},
+		{"miss-st", env.stI, stQs},
+		{"miss-st-disk", lists.NewOverlay(disk), stQs},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			eng := engine.New(tc.ix, engine.Config{MaxConcurrent: -1})

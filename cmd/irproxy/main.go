@@ -147,7 +147,7 @@ func main() {
 		handler = client.NewProxy(c).Handler()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: obs.AccessLog(handler)}
+	httpSrv := obs.NewServer(*addr, handler)
 	obs.Log().Info("starting", "version", obs.Version, "commit", obs.Commit, "addr", *addr)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()

@@ -340,7 +340,7 @@ func main() {
 	}
 
 	srv.SetSlowQuery(*slowQuery)
-	httpSrv := &http.Server{Addr: *addr, Handler: obs.AccessLog(srv.Handler())}
+	httpSrv := obs.NewServer(*addr, srv.Handler())
 	obs.Log().Info("starting", "version", obs.Version, "commit", obs.Commit, "addr", *addr)
 
 	if eng != nil {

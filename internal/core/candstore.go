@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/topk"
@@ -100,11 +101,29 @@ func (s *CandidateStore) PrunedSet(jx int) []topk.Scored {
 			c0 = append(c0, s.singles[t]...)
 		}
 	}
-	c0 = sortScoreDesc(nil, c0)
+	sortScoreDesc(c0)
 	out = append(out, prefix(c0, keep)...)
 	// CH_jx representatives: stored pre-sorted by coordinate.
 	out = append(out, prefix(s.singles[jx], keep)...)
-	return sortScoreDesc(nil, out)
+	sortScoreDesc(out)
+	return out
+}
+
+// byScoreDesc is the canonical C(q) order: decreasing score, ties by
+// ascending id.
+func byScoreDesc(a, b *topk.Scored) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	default:
+		return a.ID - b.ID
+	}
+}
+
+func sortScoreDesc(s []topk.Scored) {
+	slices.SortFunc(s, func(a, b topk.Scored) int { return byScoreDesc(&a, &b) })
 }
 
 // Size reports how many candidates the store retains.

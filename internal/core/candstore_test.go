@@ -27,13 +27,16 @@ func TestCandidateStoreMatchesFullList(t *testing.T) {
 				store.Add(cd)
 			}
 			comp := &dimComputer{
-				computer: &computer{ix: ix, q: ta.Query(), k: cs.K, n: ix.NumTuples(),
+				computer: &computer{ix: ix, q: ta.Query(), k: cs.K,
 					opts: Options{Method: MethodCPT, Phi: phi}, res: ta.Result()},
 				view: ta,
 				sc:   new(scratch),
 			}
 			for jx := range cs.Q.Dims {
-				want := comp.prunedSet(jx, phi)
+				var want []topk.Scored
+				for _, p := range comp.prunedSet(jx, phi) {
+					want = append(want, ta.Candidates()[p])
+				}
 				got := store.PrunedSet(jx)
 				if !sameIDSet(got, want) {
 					t.Fatalf("trial %d phi %d dim %d: store %v, full %v",

@@ -22,11 +22,13 @@ func lemma1(aboveScore, aboveCoord, belowScore, belowCoord float64) (float64, in
 	}
 }
 
-// boundState accumulates the φ=0 immutable region of one dimension.
+// boundState accumulates the φ=0 immutable region of one dimension. The
+// perturbations are held by value: Scan offers one per candidate, and a
+// pointer would send each of them to the heap.
 type boundState struct {
-	lo, hi float64
-	leftP  *Perturbation
-	rightP *Perturbation
+	lo, hi            float64
+	leftP, rightP     Perturbation
+	hasLeft, hasRight bool
 }
 
 // applyUpper tightens the upper bound to crit if smaller, recording the
@@ -35,7 +37,7 @@ func (b *boundState) applyUpper(crit float64, p Perturbation) {
 	if crit < b.hi {
 		b.hi = crit
 		p.Delta = crit
-		b.rightP = &p
+		b.rightP, b.hasRight = p, true
 	}
 }
 
@@ -44,7 +46,7 @@ func (b *boundState) applyLower(crit float64, p Perturbation) {
 	if crit > b.lo {
 		b.lo = crit
 		p.Delta = crit
-		b.leftP = &p
+		b.leftP, b.hasLeft = p, true
 	}
 }
 
@@ -61,11 +63,11 @@ func (b *boundState) apply(crit float64, kind int, p Perturbation) {
 // regions materializes the boundState into the reported Regions.
 func (b *boundState) regions(dim, qpos int) Regions {
 	r := Regions{Dim: dim, QPos: qpos, Lo: b.lo, Hi: b.hi}
-	if b.rightP != nil {
-		r.Right = []Perturbation{*b.rightP}
+	if b.hasRight {
+		r.Right = []Perturbation{b.rightP}
 	}
-	if b.leftP != nil {
-		r.Left = []Perturbation{*b.leftP}
+	if b.hasLeft {
+		r.Left = []Perturbation{b.leftP}
 	}
 	return r
 }
@@ -114,49 +116,58 @@ func (c *dimComputer) phase1(jx int, b *boundState) {
 }
 
 // fullSet returns all current candidates in decreasing score order (the
-// order C(q) is maintained in). The sorted copy is cached and reused
-// until the candidate list grows (it only ever grows, so an unchanged
-// length implies unchanged content): Thres/CPT consult it once per
-// dimension and side, and re-sorting |C| 40-byte entries each time
-// dominated Phase 2 before caching.
-func (c *dimComputer) fullSet() []topk.Scored {
+// order C(q) is maintained in) as positions into view.Candidates(): the
+// 48-byte entries stay where the scan put them and a 4-byte order stands
+// in for the sorted copy. It is rebuilt only when the candidate list has
+// grown (a Phase-3 pull appends out of order); the scan's own ranking is
+// already sorted, which the sort detects in one pass. The evaluation
+// memo is sized here too: every position Phase 2 evaluates comes out of
+// this order.
+func (c *dimComputer) fullSet() []int32 {
 	cands := c.view.Candidates()
-	if len(cands) != c.cachedLen || (c.cachedFull == nil && len(cands) > 0) {
-		c.cachedFull = sortScoreDesc(c.sc.full, cands)
-		c.sc.full = c.cachedFull
-		c.cachedLen = len(cands)
+	if n := len(cands); n != c.ordered {
+		order := c.sc.order[:c.ordered]
+		for p := c.ordered; p < n; p++ {
+			order = append(order, int32(p))
+		}
+		slices.SortFunc(order, func(a, b int32) int { return byScoreDesc(&cands[a], &cands[b]) })
+		c.sc.order, c.ordered = order, n
+		if n > len(c.sc.mark) {
+			c.sc.mark = append(c.sc.mark, make([]uint32, n-len(c.sc.mark))...)
+		}
 	}
-	return c.cachedFull
+	return c.sc.order[:c.ordered]
 }
 
 // filterClasses selects a dimension-jx pruned view of the candidate
 // list per the three classes of §5.1 — C0 (zero on jx), CH (non-zero
 // only on jx), CL (non-zero on jx and elsewhere) — keeping every CL
-// entry plus the first keep0 C0 and keepH CH entries. The full list is
+// entry plus the first keep0 C0 and keepH CH entries. The full order is
 // already in the (score desc, id asc) total order and a subsequence of
 // a sorted list is sorted, so this one filter pass produces exactly
 // what materializing the classes and re-sorting would. The view lives
 // in the scratch's one filter buffer: it is valid until the next
 // filterClasses call, which is all Phase 2 needs (one set per dimension
 // and side at a time).
-func (c *dimComputer) filterClasses(jx, keep0, keepH int) []topk.Scored {
+func (c *dimComputer) filterClasses(jx, keep0, keepH int) []int32 {
 	bit := uint64(1) << uint(jx)
 	n0, nh := 0, 0
+	cands := c.view.Candidates()
 	out := c.sc.filtered[:0]
-	for _, cd := range c.fullSet() {
-		switch {
-		case cd.NZMask&bit == 0:
+	for _, p := range c.fullSet() {
+		switch mask := cands[p].NZMask; {
+		case mask&bit == 0:
 			if n0 < keep0 {
 				n0++
-				out = append(out, cd)
+				out = append(out, p)
 			}
-		case cd.NZMask == bit:
+		case mask == bit:
 			if nh < keepH {
 				nh++
-				out = append(out, cd)
+				out = append(out, p)
 			}
 		default:
-			out = append(out, cd)
+			out = append(out, p)
 		}
 	}
 	c.sc.filtered = out
@@ -168,72 +179,164 @@ func (c *dimComputer) filterClasses(jx, keep0, keepH int) []topk.Scored {
 // candidates with the highest jx-coordinate (they alone can affect the
 // upper bounds). For CH singletons score order equals coordinate order,
 // so both representative picks are prefixes of the score-ordered class.
-func (c *dimComputer) prunedSet(jx, phi int) []topk.Scored {
+func (c *dimComputer) prunedSet(jx, phi int) []int32 {
 	return c.filterClasses(jx, phi+1, phi+1)
 }
 
 // phase2Evaluate checks every candidate in set against the k-th result
 // tuple (Scan's Phase 2; also Prune's, on the reduced set).
-func (c *dimComputer) phase2Evaluate(jx int, set []topk.Scored, b *boundState) {
+func (c *dimComputer) phase2Evaluate(jx int, set []int32, b *boundState) {
+	cands := c.view.Candidates()
 	dk := c.dk()
 	dkj := dk.Proj[jx]
-	for _, cd := range set {
+	for _, p := range set {
 		if c.stop() {
 			return
 		}
-		proj := c.evaluate(jx, cd)
-		crit, kind := lemma1(dk.Score, dkj, cd.Score, proj[jx])
+		cd := &cands[p]
+		c.evaluate(jx, p, cd.ID)
+		crit, kind := lemma1(dk.Score, dkj, cd.Score, cd.Proj[jx])
 		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: cd.ID, Entry: true})
 	}
+}
+
+// slj is one coordinate-ordered thresholding list (SLj↑ or SLj↓) over a
+// candidate set. Algorithm 3 and the envelope's Phase 2 stop after a
+// prefix of it, so it is not sorted: idx, the positions within set of
+// the entries on its side of dkj, is heapified once (O(n)) and each pull
+// pops the next entry in (coordinate, then tuple id) order — the order a
+// full sort would have produced, since ids make it total.
+type slj struct {
+	idx    []int32
+	coords []float64 // jx-coordinate per set entry
+	set    []int32
+	cands  []topk.Scored
+	asc    bool // SLj↑: ascending coordinate; SLj↓: descending
+}
+
+func (h *slj) before(a, b int32) bool {
+	if av, bv := h.coords[a], h.coords[b]; av != bv {
+		return (av < bv) == h.asc
+	}
+	return h.cands[h.set[a]].ID < h.cands[h.set[b]].ID
+}
+
+func (h *slj) heapify() {
+	for i := len(h.idx)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+}
+
+func (h *slj) siftDown(i int) {
+	idx := h.idx
+	for {
+		first := i
+		if l := 2*i + 1; l < len(idx) && h.before(idx[l], idx[first]) {
+			first = l
+		}
+		if r := 2*i + 2; r < len(idx) && h.before(idx[r], idx[first]) {
+			first = r
+		}
+		if first == i {
+			return
+		}
+		idx[i], idx[first] = idx[first], idx[i]
+		i = first
+	}
+}
+
+// peek returns the first entry not yet processed, discarding processed
+// ones on the way (processed entries stay processed, so they are never
+// wanted again).
+func (h *slj) peek(processed []bool) (int32, bool) {
+	for len(h.idx) > 0 {
+		if !processed[h.idx[0]] {
+			return h.idx[0], true
+		}
+		last := len(h.idx) - 1
+		h.idx[0] = h.idx[last]
+		h.idx = h.idx[:last]
+		h.siftDown(0)
+	}
+	return 0, false
+}
+
+// firstUnprocessed advances *i to the first unprocessed entry of the
+// score-ordered set and reports whether there is one.
+func firstUnprocessed(processed []bool, i *int) bool {
+	for ; *i < len(processed); *i++ {
+		if !processed[*i] {
+			return true
+		}
+	}
+	return false
 }
 
 // phase2Threshold is Algorithm 3: the 3-list round-robin probe of SLS
 // (score-descending), SLj↑ (coordinates below dkj, ascending) and SLj↓
 // (coordinates above dkj, descending) with the dual termination test per
-// bound. Entries already evaluated in this dimension are skipped both
+// bound. Entries one list already pulled are skipped by the others both
 // when pulling and when reading thresholds (a strictly tighter, still
 // safe threshold).
-func (c *dimComputer) phase2Threshold(jx int, set []topk.Scored, b *boundState) {
+func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
+	cands := c.view.Candidates()
 	dk := c.dk()
 	dkj := dk.Proj[jx]
 	sk := dk.Score
 
-	sls := set // already score-descending
-	// SLj↑ and SLj↓ are index lists over set, ordered against a flat
-	// coordinate column: sorting 4-byte indices over an 8-byte column is
-	// much cheaper than moving 40-byte Scored entries around.
+	// SLS is set itself, probed by position. SLj↑ and SLj↓ hold positions
+	// within set, ordered against a flat coordinate column.
 	c.sc.coords = resize(c.sc.coords, len(set))
 	c.sc.idxA = resize(c.sc.idxA, len(set))
 	c.sc.idxB = resize(c.sc.idxB, len(set))
-	coords, up, down := c.sc.coords, c.sc.idxA[:0], c.sc.idxB[:0]
-	for i, cd := range set {
-		cj := cd.Proj[jx]
+	c.sc.processed = resize(c.sc.processed, len(set))
+	coords, processed := c.sc.coords, c.sc.processed
+	clear(processed)
+	up := slj{idx: c.sc.idxA[:0], coords: coords, set: set, cands: cands, asc: true}
+	down := slj{idx: c.sc.idxB[:0], coords: coords, set: set, cands: cands}
+	for i, p := range set {
+		cj := cands[p].Proj[jx]
 		coords[i] = cj
 		switch {
 		case cj < dkj:
-			up = append(up, int32(i))
+			up.idx = append(up.idx, int32(i))
 		case cj > dkj:
-			down = append(down, int32(i))
+			down.idx = append(down.idx, int32(i))
 		}
 	}
-	sortIdxByCoord(up, coords, set, true)    // SLj↑: ascending coordinate
-	sortIdxByCoord(down, coords, set, false) // SLj↓: descending coordinate
+	up.heapify()
+	down.heapify()
 
-	iS, iUp, iDown := 0, 0, 0
+	// pull evaluates set entry i and, when its side is still searching,
+	// tightens that side's bound (Lemma 1 picks the side by coordinate).
+	pull := func(i int32, apply bool) {
+		processed[i] = true
+		cd := &cands[set[i]]
+		c.evaluate(jx, set[i], cd.ID)
+		if apply {
+			crit, kind := lemma1(sk, dkj, cd.Score, coords[i])
+			b.apply(crit, kind, Perturbation{Above: dk.ID, Below: cd.ID, Entry: true})
+		}
+	}
+	// stepSide performs one side's termination test and, if still active,
+	// one pull from its coordinate list (Alg. 3 lines 9–14 for the lower
+	// bound on SLj↑, lines 15–20 for the upper on SLj↓). It returns the
+	// updated active flag.
+	iS := 0
+	stepSide := func(h *slj) bool {
+		ni, ok := h.peek(processed)
+		if !ok || !firstUnprocessed(processed, &iS) {
+			return false // this side of dk, or the whole set, is exhausted
+		}
+		crit := (sk - cands[set[iS]].Score) / (coords[ni] - dkj)
+		if (h.asc && crit <= b.lo) || (!h.asc && crit >= b.hi) {
+			return false // no unseen candidate can tighten this bound
+		}
+		pull(ni, true)
+		return true
+	}
+
 	activeL, activeU := true, true
-
-	evalPull := func(cd topk.Scored) (coord float64) {
-		proj := c.evaluate(jx, cd)
-		return proj[jx]
-	}
-	update := func(cd topk.Scored, coord float64, side int) {
-		crit, kind := lemma1(sk, dkj, cd.Score, coord)
-		if side != 0 && kind != side {
-			return
-		}
-		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: cd.ID, Entry: true})
-	}
-
 	slsPulls := 1
 	if c.opts.Schedule == ScheduleScoreBiased {
 		slsPulls = 2
@@ -246,97 +349,19 @@ func (c *dimComputer) phase2Threshold(jx int, set []topk.Scored, b *boundState) 
 		// 4–8; the score-biased schedule draws twice since SLS feeds
 		// both searches).
 		for p := 0; p < slsPulls; p++ {
-			sc, ok := c.nextUneval(sls, &iS)
-			if !ok {
+			if !firstUnprocessed(processed, &iS) {
 				return // every candidate evaluated: both searches complete
 			}
-			coord := evalPull(sc)
-			if coord < dkj && activeL {
-				update(sc, coord, -1)
-			} else if coord > dkj && activeU {
-				update(sc, coord, +1)
-			}
+			cj := coords[iS]
+			pull(int32(iS), (cj < dkj && activeL) || (cj > dkj && activeU))
 		}
-
 		if activeL {
-			activeL = c.stepSide(set, coords, up, &iS, &iUp, -1, sk, dkj, b, update, evalPull)
+			activeL = stepSide(&up)
 		}
 		if activeU {
-			activeU = c.stepSide(set, coords, down, &iS, &iDown, +1, sk, dkj, b, update, evalPull)
+			activeU = stepSide(&down)
 		}
 	}
-}
-
-// stepSide performs one side's termination test and, if still active,
-// one pull from its coordinate list (Alg. 3 lines 9–14 for the lower
-// bound on SLj↑, side = -1; lines 15–20 for the upper on SLj↓,
-// side = +1). It returns the updated active flag.
-func (c *dimComputer) stepSide(set []topk.Scored, coords []float64, idx []int32, iS, iJ *int, side int, sk, dkj float64, b *boundState, update func(topk.Scored, float64, int), evalPull func(topk.Scored) float64) bool {
-	ni, okJ := c.peekUnevalIdx(set, idx, *iJ)
-	if !okJ || (side < 0 && coords[ni] >= dkj) || (side > 0 && coords[ni] <= dkj) {
-		return false // candidates on dk's side of the list exhausted
-	}
-	tS, okS := c.peekUneval(set, *iS)
-	if !okS {
-		return false
-	}
-	crit := (sk - tS.Score) / (coords[ni] - dkj)
-	if (side < 0 && crit <= b.lo) || (side > 0 && crit >= b.hi) {
-		return false // no unseen candidate can tighten this bound
-	}
-	i, ok := c.nextUnevalIdx(set, idx, iJ)
-	if !ok {
-		return false
-	}
-	sc := set[i]
-	coord := evalPull(sc)
-	update(sc, coord, side)
-	return true
-}
-
-// peekUneval returns the first not-yet-evaluated entry at or after *i.
-func (c *dimComputer) peekUneval(list []topk.Scored, i int) (topk.Scored, bool) {
-	for ; i < len(list); i++ {
-		if !c.sc.eval.contains(list[i].ID) {
-			return list[i], true
-		}
-	}
-	return topk.Scored{}, false
-}
-
-// nextUneval consumes and returns the first not-yet-evaluated entry.
-func (c *dimComputer) nextUneval(list []topk.Scored, i *int) (topk.Scored, bool) {
-	for ; *i < len(list); *i++ {
-		if !c.sc.eval.contains(list[*i].ID) {
-			sc := list[*i]
-			*i++
-			return sc, true
-		}
-	}
-	return topk.Scored{}, false
-}
-
-// peekUnevalIdx is peekUneval over an index list: it returns the first
-// index (into set) at or after position i whose entry is unevaluated.
-func (c *dimComputer) peekUnevalIdx(set []topk.Scored, idx []int32, i int) (int32, bool) {
-	for ; i < len(idx); i++ {
-		if !c.sc.eval.contains(set[idx[i]].ID) {
-			return idx[i], true
-		}
-	}
-	return 0, false
-}
-
-// nextUnevalIdx consumes and returns the first unevaluated index.
-func (c *dimComputer) nextUnevalIdx(set []topk.Scored, idx []int32, i *int) (int32, bool) {
-	for ; *i < len(idx); *i++ {
-		if !c.sc.eval.contains(set[idx[*i]].ID) {
-			v := idx[*i]
-			*i++
-			return v, true
-		}
-	}
-	return 0, false
 }
 
 // phase3 (Algorithm 2) resumes the TA scan to rule out — or account for —
@@ -376,44 +401,10 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 			return
 		}
 		c.met.Phase3Pulled++
-		proj := c.noteEvaluated(jx, sc)
-		crit, kind := lemma1(sk, dkj, sc.Score, proj[jx])
+		c.noteEvaluated(jx)
+		crit, kind := lemma1(sk, dkj, sc.Score, sc.Proj[jx])
 		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: sc.ID, Entry: true})
 		sBar = sk + b.hi*dkj
 		sUnd = sk + b.lo*dkj
 	}
-}
-
-// sortIdxByCoord orders an index list over set by the flat coordinate
-// column — ascending when asc, else descending — with ties broken by
-// ascending tuple id. Both the classic and envelope Phase-2 paths build
-// their SLj lists with this one ordering.
-func sortIdxByCoord(idx []int32, coords []float64, set []topk.Scored, asc bool) {
-	slices.SortFunc(idx, func(a, b int32) int {
-		av, bv := coords[a], coords[b]
-		if av != bv {
-			if (av < bv) == asc {
-				return -1
-			}
-			return 1
-		}
-		return set[a].ID - set[b].ID
-	})
-}
-
-// sortScoreDesc returns a copy of s, written over buf, ordered by
-// decreasing score (ties by ascending id) — the canonical C(q) order.
-func sortScoreDesc(buf, s []topk.Scored) []topk.Scored {
-	out := append(buf[:0], s...)
-	slices.SortFunc(out, func(a, b topk.Scored) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		default:
-			return a.ID - b.ID
-		}
-	})
-	return out
 }

@@ -283,7 +283,6 @@ type computer struct {
 	ix   lists.Index
 	q    vec.Query
 	k    int
-	n    int // dataset cardinality
 	opts Options
 	res  []topk.Scored
 
@@ -302,7 +301,7 @@ type computer struct {
 // dimComputer is the working state of one dimension's region
 // computation: the shared read-only computer plus this dimension's
 // private scan view, metrics, and pooled scratch (evaluation memo and
-// candidate-set buffers).
+// candidate-order buffers).
 type dimComputer struct {
 	*computer
 	view topk.View
@@ -312,71 +311,10 @@ type dimComputer struct {
 	// ctxTick strides the cancellation polls of the Phase-2/3 loops.
 	ctxTick uint32
 
-	// cachedFull memoizes the score-sorted candidate list (backed by
-	// sc.full); valid while the candidate list still has cachedLen
-	// entries (it only grows).
-	cachedFull []topk.Scored
-	cachedLen  int
-}
-
-// evalTable memoizes the projections of evaluated candidates, keyed by
-// tuple id. It is a dense epoch-tagged array rather than a map: the
-// uneval-scanning loops of Phase 2 probe it once per list entry, and a
-// slice index beats a map lookup there by an order of magnitude. reset
-// (one integer bump) starts a new dimension without clearing.
-type evalTable struct {
-	proj    [][]float64
-	mark    []uint32
-	sparse  map[int][]float64 // non-nil → sparse mode (huge datasets)
-	touched []int32           // ids written since the table left the pool
-	epoch   uint32
-}
-
-// evalDenseMax caps the dense layout: beyond ~1M tuples the O(n) arrays
-// (28 B/tuple, one table per concurrent query and per worker) would
-// dominate server memory, so larger datasets fall back to a map sized
-// by the candidates actually evaluated.
-const evalDenseMax = 1 << 20
-
-func (t *evalTable) reset() {
-	if t.sparse != nil {
-		clear(t.sparse)
-		return
-	}
-	t.epoch++
-	if t.epoch == 0 { // wrapped: marks from 4Gi resets ago could alias
-		clear(t.mark)
-		t.epoch = 1
-	}
-}
-
-func (t *evalTable) get(id int) ([]float64, bool) {
-	if t.sparse != nil {
-		p, ok := t.sparse[id]
-		return p, ok
-	}
-	if t.mark[id] == t.epoch {
-		return t.proj[id], true
-	}
-	return nil, false
-}
-
-func (t *evalTable) contains(id int) bool {
-	if t.sparse != nil {
-		_, ok := t.sparse[id]
-		return ok
-	}
-	return t.mark[id] == t.epoch
-}
-
-func (t *evalTable) put(id int, p []float64) {
-	if t.sparse != nil {
-		t.sparse[id] = p
-		return
-	}
-	t.mark[id] = t.epoch
-	t.proj[id] = p
-	t.touched = append(t.touched, int32(id))
+	// ordered is how many candidates sc.order ranks (fullSet); the
+	// candidate list only grows, so an unchanged length means an
+	// unchanged order.
+	ordered int
 }
 
 // Runner is the execution surface region computation drives: a
@@ -422,7 +360,6 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 		ix:   r.Index(),
 		q:    r.Query(),
 		k:    r.K(),
-		n:    r.Index().NumTuples(),
 		opts: opts,
 		res:  r.Result(),
 		ctx:  ctx,
@@ -484,14 +421,14 @@ func (d *dimComputer) stop() bool {
 // computeSequential is the paper-literal pipeline: one shared scan, one
 // evaluation memo reset per dimension, metrics accumulated in place.
 func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) {
-	sc := getScratch(c.n)
+	sc := getScratch()
 	defer putScratch(sc)
 	d := &dimComputer{computer: c, view: r, met: met, sc: sc}
 	for jx := range c.q.Dims {
 		if c.canceled() != nil {
 			return // Compute reports the error after the loop
 		}
-		sc.eval.reset()
+		sc.resetEval()
 		out.Regions[jx] = d.computeDim(jx)
 	}
 }
@@ -510,7 +447,7 @@ func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
 	var panicOnce sync.Once
 	var panicked any
 	run := func() {
-		sc := getScratch(c.n)
+		sc := getScratch()
 		defer putScratch(sc)
 		for {
 			jx := int(next.Add(1)) - 1
@@ -524,7 +461,7 @@ func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
 				met:      &perDim[jx],
 				sc:       sc,
 			}
-			sc.eval.reset()
+			sc.resetEval()
 			out.Regions[jx] = d.computeDim(jx)
 		}
 	}
@@ -574,36 +511,29 @@ func (c *computer) fullDomainRegions(jx int) Regions {
 	return Regions{Dim: c.q.Dims[jx], QPos: jx, Lo: -qj, Hi: 1 - qj}
 }
 
-// evaluate fetches candidate cd's full tuple (one random I/O — the
-// paper's accounting unit for Phase 2) and returns its projection onto
-// the query dimensions. Repeat evaluations within one dimension are
-// served from the per-dimension memo without re-charging. The fetch is
-// what Phase 2 pays for; the projection itself is the one the scan
-// already computed from the identical tuple (Scored.Proj), so it is
-// reused rather than recomputed — every candidate used to be
-// re-projected once per query dimension, which dominated wide-subspace
-// profiles.
-func (d *dimComputer) evaluate(jx int, cd topk.Scored) []float64 {
-	if p, ok := d.sc.eval.get(cd.ID); ok {
-		return p
+// evaluate pays for candidate position pos (tuple id) the one random
+// I/O that is the paper's accounting unit for Phase 2. Nothing is read
+// back: the projection Phase 2 works on is the one the scan already took
+// from the identical record (Scored.Proj), so the access is charged
+// (Index.Project with no dimensions) rather than repeated. A second
+// evaluation within one dimension is served from the memo without
+// re-charging.
+func (d *dimComputer) evaluate(jx int, pos int32, id int) {
+	if d.sc.mark[pos] == d.sc.epoch {
+		return
 	}
-	d.ix.Tuple(cd.ID)
-	d.sc.eval.put(cd.ID, cd.Proj)
-	d.met.Evaluated++
-	d.met.EvaluatedPerDim[jx]++
-	return cd.Proj
+	d.sc.mark[pos] = d.sc.epoch
+	d.ix.Project(id, nil, nil)
+	d.noteEvaluated(jx)
 }
 
-// noteEvaluated records an evaluation whose fetch was already charged
-// elsewhere (Phase 3 resume pulls).
-func (d *dimComputer) noteEvaluated(jx int, sc topk.Scored) []float64 {
-	if p, ok := d.sc.eval.get(sc.ID); ok {
-		return p
-	}
-	d.sc.eval.put(sc.ID, sc.Proj)
+// noteEvaluated counts one evaluation. Phase 3 calls it directly for the
+// tuple it just pulled: that fetch was charged by the resumed scan, and
+// the tuple — new to the scan, and last in its dimension — cannot meet
+// the memo again before the next reset.
+func (d *dimComputer) noteEvaluated(jx int) {
 	d.met.Evaluated++
 	d.met.EvaluatedPerDim[jx]++
-	return sc.Proj
 }
 
 // dk returns the k-th (last) result tuple.

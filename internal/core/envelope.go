@@ -142,7 +142,7 @@ func assembleRegions(dim, jx int, qj float64, right, left *boundary) Regions {
 // keeps, besides all of CL, only the φ+1 highest-coordinate CH tuples on
 // the positive side and the φ+1 best-scoring C0 tuples on the negative
 // side. Scan/Thres take everything.
-func (c *dimComputer) sideSet(jx, phi int, mirror bool) []topk.Scored {
+func (c *dimComputer) sideSet(jx, phi int, mirror bool) []int32 {
 	switch c.opts.Method {
 	case MethodScan, MethodThres:
 		return c.fullSet()
@@ -159,83 +159,65 @@ func (c *dimComputer) sideSet(jx, phi int, mirror bool) []topk.Scored {
 // envelope everywhere within the horizon.
 func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 	set := c.sideSet(jx, phi, mirror)
+	cands := c.view.Candidates()
 	sgn := 1.0
 	if mirror {
 		sgn = -1
 	}
+	// offer evaluates a candidate and shows its line to this boundary.
+	offer := func(p int32) {
+		cd := &cands[p]
+		c.evaluate(jx, p, cd.ID)
+		bd.consider(cd.ID, cd.Score, sgn*cd.Proj[jx])
+	}
 	switch c.opts.Method {
 	case MethodScan, MethodPrune:
-		for _, cd := range set {
+		for _, p := range set {
 			if c.stop() {
 				return
 			}
-			proj := c.evaluate(jx, cd)
-			bd.consider(cd.ID, cd.Score, sgn*proj[jx])
+			offer(p)
 		}
 		return
 	}
 
 	dkj := c.dk().Proj[jx]
-	// SLS is set itself (score-descending, probed by position); SLj is an
-	// index list over set, sorted against a flat coordinate column (cheap
-	// 4-byte swaps instead of 40-byte Scored moves).
+	// SLS is set itself (score-descending, probed by position); SLj holds
+	// positions within set, ordered against a flat coordinate column —
+	// SLj↑ (mirror): ascending coordinate; SLj↓: descending.
 	c.sc.coords = resize(c.sc.coords, len(set))
 	c.sc.idxA = resize(c.sc.idxA, len(set))
 	c.sc.processed = resize(c.sc.processed, len(set))
-	coords, slj := c.sc.coords, c.sc.idxA[:0]
-	for i, cd := range set {
-		cj := cd.Proj[jx]
+	coords := c.sc.coords
+	list := slj{idx: c.sc.idxA[:0], coords: coords, set: set, cands: cands, asc: mirror}
+	for i, p := range set {
+		cj := cands[p].Proj[jx]
 		coords[i] = cj
 		if (!mirror && cj > dkj) || (mirror && cj < dkj) {
-			slj = append(slj, int32(i))
+			list.idx = append(list.idx, int32(i))
 		}
 	}
-	// SLj↑ (mirror): ascending coordinate; SLj↓: descending.
-	sortIdxByCoord(slj, coords, set, mirror)
+	list.heapify()
 
-	// processed tracks set positions already offered to THIS boundary;
-	// the fetch memo (the eval table) is shared across sides so a tuple's
-	// random read is charged once per dimension, but each side must still
-	// offer its own view of the tuple to its own boundary.
+	// processed tracks set entries already offered to THIS boundary; the
+	// fetch memo is shared across sides so a tuple's random read is
+	// charged once per dimension, but each side must still offer its own
+	// view of the tuple to its own boundary.
 	processed := c.sc.processed
 	clear(processed)
-	peekS := func(i int) (int32, bool) { // next unprocessed SLS position
-		for ; i < len(set); i++ {
-			if !processed[i] {
-				return int32(i), true
-			}
-		}
-		return 0, false
-	}
-	peekJ := func(i int) (pos int, idx int32, ok bool) { // next unprocessed SLj entry
-		for ; i < len(slj); i++ {
-			if !processed[slj[i]] {
-				return i, slj[i], true
-			}
-		}
-		return 0, 0, false
-	}
-
-	iS, iJ := 0, 0
+	iS := 0
 	done := func() bool {
-		top, okS := peekS(iS)
-		if !okS {
+		if !firstUnprocessed(processed, &iS) {
 			return true // every candidate on this side processed
 		}
 		// Cap slope: the next coordinate key while the coordinate list
 		// has unprocessed entries, then dkj (all remaining coordinates
 		// are on dk's other side and bounded by it).
 		slope := dkj
-		if _, nxt, okJ := peekJ(iJ); okJ {
+		if nxt, ok := list.peek(processed); ok {
 			slope = coords[nxt]
 		}
-		return bd.env.AboveLine(geom.Line{A: set[top].Score, B: sgn * slope})
-	}
-	offer := func(i int32) {
-		processed[i] = true
-		sc := set[i]
-		proj := c.evaluate(jx, sc)
-		bd.consider(sc.ID, sc.Score, sgn*proj[jx])
+		return bd.env.AboveLine(geom.Line{A: cands[set[iS]].Score, B: sgn * slope})
 	}
 	slsPulls := 1
 	if c.opts.Schedule == ScheduleScoreBiased {
@@ -249,19 +231,15 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 			if done() {
 				return
 			}
-			i, ok := peekS(iS)
-			if !ok {
-				return
-			}
-			iS = int(i) + 1
-			offer(i)
+			processed[iS] = true // done left iS on the top unprocessed entry
+			offer(set[iS])
 		}
 		if done() {
 			return
 		}
-		if pos, i, ok := peekJ(iJ); ok {
-			iJ = pos + 1
-			offer(i)
+		if i, ok := list.peek(processed); ok {
+			processed[i] = true
+			offer(set[i])
 		}
 	}
 }
@@ -291,9 +269,9 @@ func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
 			return
 		}
 		c.met.Phase3Pulled++
-		proj := c.noteEvaluated(jx, sc)
-		right.consider(sc.ID, sc.Score, proj[jx])
-		left.consider(sc.ID, sc.Score, -proj[jx])
+		c.noteEvaluated(jx)
+		right.consider(sc.ID, sc.Score, sc.Proj[jx])
+		left.consider(sc.ID, sc.Score, -sc.Proj[jx])
 	}
 }
 
@@ -308,7 +286,7 @@ func (c *dimComputer) iterativeDim(jx int) Regions {
 		if c.canceled() != nil {
 			return reg
 		}
-		c.sc.eval.reset() // refetch everything
+		c.sc.resetEval() // refetch everything
 		reg = c.envelopeDim(jx, r)
 	}
 	return reg

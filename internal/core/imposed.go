@@ -220,10 +220,9 @@ func (v *imposedRunner) ContributedLines() (lines []topk.Scored, offered int) {
 }
 
 // offsetIndex presents a shard-local index under global tuple ids:
-// random access subtracts the shard base, the cardinality covers the
-// global id range [0, base+n) so id-indexed structures (the evaluation
-// memo) size correctly, and sorted-access cursors translate posting ids
-// on the way out.
+// both random accesses subtract the shard base, the cardinality covers
+// the global id range [0, base+n), and sorted-access cursors translate
+// posting ids on the way out.
 type offsetIndex struct {
 	lists.Index
 	base int
@@ -231,6 +230,10 @@ type offsetIndex struct {
 
 func (o *offsetIndex) NumTuples() int          { return o.base + o.Index.NumTuples() }
 func (o *offsetIndex) Tuple(id int) vec.Sparse { return o.Index.Tuple(id - o.base) }
+
+func (o *offsetIndex) Project(id int, dims []int, dst []float64) {
+	o.Index.Project(id-o.base, dims, dst)
+}
 
 func (o *offsetIndex) Cursor(dim int) lists.Cursor {
 	return &offsetCursor{Cursor: o.Index.Cursor(dim), base: o.base}

@@ -78,10 +78,10 @@ func TestQuickBoundStateMonotone(t *testing.T) {
 				return false // crossed over: impossible with crit sign split
 			}
 		}
-		if b.rightP != nil && b.rightP.Delta != b.hi {
+		if b.hasRight && b.rightP.Delta != b.hi {
 			return false
 		}
-		if b.leftP != nil && b.leftP.Delta != b.lo {
+		if b.hasLeft && b.leftP.Delta != b.lo {
 			return false
 		}
 		return true

@@ -8,74 +8,64 @@ import (
 )
 
 // scratch is the working memory of one dimension worker of a region
-// computation: the evaluation memo plus the candidate-set buffers Phase 2
-// and Phase 3 used to allocate per dimension and side. One scratch serves
-// a whole sequential computation, or one worker of a forked one; it is
-// recycled across queries through scratchPool. Nothing in it escapes a
-// ComputeView call — regions carry ids and deviations only — so it goes
-// back to the pool when the worker finishes.
+// computation: the evaluation memo plus the candidate-order buffers of
+// Phase 2 and Phase 3. Everything in it is an index or a number per
+// candidate — positions into view.Candidates(), never a copy of an
+// entry — so it grows with the candidate list, not with the dataset.
+// One scratch serves a whole sequential computation, or one worker of a
+// forked one; it is recycled across queries through scratchPool. Nothing
+// in it escapes a ComputeView call — regions carry ids and deviations
+// only — so it goes back to the pool when the worker finishes.
 type scratch struct {
-	eval evalTable
+	// mark is the evaluation memo: candidate position p was fetched in the
+	// current dimension iff mark[p] == epoch. resetEval (one integer bump)
+	// starts a new dimension without clearing.
+	mark  []uint32
+	epoch uint32
 
-	full      []topk.Scored // fullSet: C(q) re-sorted by score
-	filtered  []topk.Scored // filterClasses: the current pruned view
-	coords    []float64     // flat jx-coordinate column over the set
-	idxA      []int32       // SLj↑ (classic) / SLj (envelope)
-	idxB      []int32       // SLj↓ (classic)
-	processed []bool        // envelope: set positions offered to the side
-	thr       []float64     // Phase 3: current list thresholds
+	order     []int32   // fullSet: candidate positions by (score desc, id asc)
+	filtered  []int32   // filterClasses: the current pruned view of order
+	coords    []float64 // flat jx-coordinate column over the set
+	idxA      []int32   // SLj↑ (classic) / SLj (envelope), heap-ordered
+	idxB      []int32   // SLj↓ (classic), heap-ordered
+	processed []bool    // set entries already pulled by the running search
+	thr       []float64 // Phase 3: current list thresholds
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// getScratch takes a scratch from the pool with its evaluation memo
-// sized for a dataset of n tuples. Dense memos are sized to the dataset
-// cardinality, which dominates their cost, so a pooled one is kept
-// whenever it is large enough.
-func getScratch(n int) *scratch {
-	sc := scratchPool.Get().(*scratch)
-	switch {
-	case n > evalDenseMax:
-		sc.eval = evalTable{sparse: make(map[int][]float64)}
-	case len(sc.eval.mark) < n:
-		sc.eval = evalTable{proj: make([][]float64, n), mark: make([]uint32, n)}
-	}
-	return sc
-}
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-// putScratch returns a scratch to the pool with the projection pointers
-// its memo wrote dropped, so a pooled scratch does not pin the finished
-// query's projections. A sparse memo is not kept; it is sized to its
-// query. The buffers keep their contents — every user overwrites what it
-// reads — unless scratch poisoning is on (topk.PoisonScratch).
+// putScratch returns a scratch to the pool. The buffers keep their
+// contents — every user overwrites what it reads, and stale marks carry
+// epochs that never come back — unless scratch poisoning is on
+// (topk.PoisonScratch). Buffers are not trimmed on release: dropping the
+// ones a heavy query grew was measured to cost more in regrowth than the
+// memory it returned (docs/operations.md).
 func putScratch(sc *scratch) {
-	if sc.eval.sparse != nil {
-		sc.eval = evalTable{}
-	}
-	for _, id := range sc.eval.touched {
-		sc.eval.proj[id] = nil
-	}
-	sc.eval.touched = sc.eval.touched[:0]
 	if topk.ScratchPoisoned() {
 		sc.poison()
 	}
 	scratchPool.Put(sc)
 }
 
+// resetEval forgets every evaluation: the next dimension refetches.
+func (sc *scratch) resetEval() {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: marks from 4Gi resets ago could alias
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+}
+
 func (sc *scratch) poison() {
 	nan := math.NaN()
-	bad := topk.Scored{ID: -1, Score: nan, NZMask: ^uint64(0)}
-	for _, s := range [][]topk.Scored{sc.full[:cap(sc.full)], sc.filtered[:cap(sc.filtered)]} {
-		for i := range s {
-			s[i] = bad
-		}
-	}
 	for _, s := range [][]float64{sc.coords[:cap(sc.coords)], sc.thr[:cap(sc.thr)]} {
 		for i := range s {
 			s[i] = nan
 		}
 	}
-	for _, s := range [][]int32{sc.idxA[:cap(sc.idxA)], sc.idxB[:cap(sc.idxB)]} {
+	for _, s := range [][]int32{sc.order[:cap(sc.order)], sc.filtered[:cap(sc.filtered)], sc.idxA[:cap(sc.idxA)], sc.idxB[:cap(sc.idxB)]} {
 		for i := range s {
 			s[i] = -1
 		}
@@ -83,6 +73,12 @@ func (sc *scratch) poison() {
 	processed := sc.processed[:cap(sc.processed)]
 	for i := range processed {
 		processed[i] = true
+	}
+	// "Already fetched" everywhere: a dimension that forgot to reset would
+	// evaluate nothing and fail every count.
+	mark := sc.mark[:cap(sc.mark)]
+	for i := range mark {
+		mark[i] = sc.epoch
 	}
 }
 

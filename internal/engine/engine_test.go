@@ -211,10 +211,21 @@ type cancelIndex struct {
 }
 
 func (c *cancelIndex) Tuple(id int) vec.Sparse {
+	c.fetch()
+	return c.Index.Tuple(id)
+}
+
+// Project is the fetch the query path makes; without this override the
+// embedded index would serve it uncounted and the test would never fire.
+func (c *cancelIndex) Project(id int, dims []int, dst []float64) {
+	c.fetch()
+	c.Index.Project(id, dims, dst)
+}
+
+func (c *cancelIndex) fetch() {
 	if c.left.Add(-1) == 0 {
 		c.cancel()
 	}
-	return c.Index.Tuple(id)
 }
 
 func (c *cancelIndex) WithStats(st *storage.IOStats) lists.Index {

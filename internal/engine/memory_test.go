@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -187,5 +188,62 @@ func TestAnswersDetachedFromScratch(t *testing.T) {
 				t.Fatalf("trial %d: contributed line %+v aliases recycled scratch", trial, ln)
 			}
 		}
+	}
+}
+
+// TestMissAllocsIndependentOfAccesses is the allocation budget of the
+// miss path where it is real: a mapped DiskIndex under an empty Overlay
+// (what irserver -wal serves), ST n = 20 000. The same never-repeated
+// query stream is answered by CPT and by Scan; Scan pays thousands more
+// random accesses per query (it evaluates every candidate in every
+// dimension) and must not pay allocations for them — a random access
+// projects from the record into memory the query already owns. When
+// each access materialized the tuple, every one of them allocated.
+func TestMissAllocsIndependentOfAccesses(t *testing.T) {
+	ds := dataset.GenerateST(dataset.STConfig{N: 20000, Seed: 103})
+	dir := t.TempDir()
+	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
+	if err := ds.Save(tp, lp); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := lists.OpenDiskIndex(tp, lp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	ix := lists.NewOverlay(disk)
+
+	// Every run asks about a subspace of its own (a window of four
+	// consecutive dimensions), so with the cache on each one is a miss.
+	const runs = 12
+	measure := func(method core.Method) (allocs, accesses float64) {
+		eng := New(ix, Config{MaxConcurrent: -1})
+		rng := rand.New(rand.NewSource(9)) // the same weights for both methods
+		opts := Options{Options: core.Options{Method: method}}
+		reads0, first := ix.Stats().RandReads(), 0
+		allocs = testing.AllocsPerRun(runs, func() {
+			q := vec.Query{Dims: []int{first, first + 1, first + 2, first + 3}, Weights: make([]float64, 4)}
+			for j := range q.Weights {
+				q.Weights[j] = 0.1 + 0.9*rng.Float64()
+			}
+			first++
+			if a := analyzeMust(t, eng, q, 10, opts); a.Source != SourceComputed {
+				t.Fatalf("source %v, want a miss", a.Source)
+			}
+		})
+		return allocs, float64(ix.Stats().RandReads()-reads0) / (runs + 1)
+	}
+	cptAllocs, cptReads := measure(core.MethodCPT)
+	if ix.Stats().Bypasses() == 0 {
+		t.Skip("unmapped build: the pread fallback copies every record it reads")
+	}
+	scanAllocs, scanReads := measure(core.MethodScan)
+	t.Logf("CPT: %.0f allocs, %.0f random accesses per miss; Scan: %.0f allocs, %.0f accesses", cptAllocs, cptReads, scanAllocs, scanReads)
+	extra := scanReads - cptReads
+	if extra < 2000 {
+		t.Fatalf("Scan made only %.0f more random accesses than CPT: the fixture no longer separates them", extra)
+	}
+	if scanAllocs > cptAllocs+extra/20 {
+		t.Fatalf("%.0f more random accesses cost %.0f more allocations", extra, scanAllocs-cptAllocs)
 	}
 }

@@ -77,6 +77,13 @@ type Index interface {
 	Cursor(dim int) Cursor
 	// Tuple fetches the full vector of tuple id (one random I/O).
 	Tuple(id int) vec.Sparse
+	// Project is the same random I/O without the vector: it writes tuple
+	// id's coordinates on dims (ascending) into dst, as
+	// vec.Query.ProjectInto(Tuple(id), dst) would, charging exactly what
+	// Tuple charges. Empty dims pay the access and read nothing — the
+	// Phase-2 fetch of a candidate whose projection the scan already holds.
+	// A wrapper that overrides Tuple must override Project with it.
+	Project(id int, dims []int, dst []float64)
 	// Stats exposes the I/O meter all accesses are charged to.
 	Stats() *storage.IOStats
 	// WithStats returns a view of the same index whose accesses are
@@ -198,6 +205,18 @@ func (ix *MemIndex) Tuple(id int) vec.Sparse {
 	return t
 }
 
+// Project charges Tuple's random read and projects from memory.
+func (ix *MemIndex) Project(id int, dims []int, dst []float64) {
+	projectMem(ix.tuples[id], dims, dst, ix.stats)
+}
+
+// projectMem is Project over a memory-resident tuple, charged like a
+// record of the same length on disk.
+func projectMem(t vec.Sparse, dims []int, dst []float64, st *storage.IOStats) {
+	st.AddRandRead(4 + 12*len(t))
+	vec.Query{Dims: dims}.ProjectInto(t, dst)
+}
+
 // Postings materializes the raw list of a dimension in row form; used by
 // dataset statistics and tests, not the query path.
 func (ix *MemIndex) Postings(dim int) []storage.Posting {
@@ -313,6 +332,14 @@ func (ix *DiskIndex) Tuple(id int) vec.Sparse {
 		panic(fmt.Sprintf("lists: tuple %d: %v", id, err))
 	}
 	return t
+}
+
+// Project charges Tuple's random read and projects straight from the
+// record (a view of the mapping when the file is mapped).
+func (ix *DiskIndex) Project(id int, dims []int, dst []float64) {
+	if err := ix.tf.ProjectWith(id, dims, dst, ix.stats); err != nil {
+		panic(fmt.Sprintf("lists: tuple %d: %v", id, err))
+	}
 }
 
 // diskCursor adapts storage.ListCursor to the Cursor interface (the

@@ -114,6 +114,18 @@ func (ov *Overlay) Tuple(id int) vec.Sparse {
 	return ov.base.Tuple(id)
 }
 
+// Project follows Tuple: overlay-resident versions project from memory,
+// everything else from the base.
+func (ov *Overlay) Project(id int, dims []int, dst []float64) {
+	if id >= ov.baseN {
+		projectMem(ov.added[id-ov.baseN], dims, dst, ov.stats)
+	} else if e, ok := ov.over[id]; ok {
+		projectMem(e.t, dims, dst, ov.stats)
+	} else {
+		ov.base.Project(id, dims, dst)
+	}
+}
+
 // DeltaStats is a point-in-time measure of an overlay's in-memory
 // delta, the raw material of checkpoint-trigger decisions and /stats.
 type DeltaStats struct {
@@ -174,9 +186,15 @@ func (ov *Overlay) Materialize() []vec.Sparse {
 	return out
 }
 
-// Cursor opens a merged sorted-access cursor on dim.
+// Cursor opens a merged sorted-access cursor on dim. A dimension no
+// write has touched since the last checkpoint — no delta postings, no
+// tombstoned base postings — has nothing to merge or skip, so its cursor
+// is the base cursor itself: same postings, same Consumed, same charges.
 func (ov *Overlay) Cursor(dim int) Cursor {
 	pl := ov.delta[dim]
+	if pl.Len() == 0 && ov.deadPerDim[dim] == 0 {
+		return ov.base.Cursor(dim)
+	}
 	return &overlayCursor{
 		base:  ov.base.Cursor(dim),
 		dead:  ov.deadBase,

@@ -137,3 +137,17 @@ func AccessLog(next http.Handler) http.Handler {
 		)
 	})
 }
+
+// ReadHeaderTimeout is how long a connection may take to deliver a
+// request's headers before the daemons drop it.
+const ReadHeaderTimeout = 10 * time.Second
+
+// NewServer is the http.Server irserver and irproxy listen with: the
+// handler behind AccessLog, and a deadline on the request headers, so a
+// client that stalls mid-header cannot pin a connection and its
+// goroutine forever. Deliberately no ReadTimeout: that one covers the
+// body too, and would cut the replication stream and slow, large
+// /update batches.
+func NewServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: AccessLog(h), ReadHeaderTimeout: ReadHeaderTimeout}
+}

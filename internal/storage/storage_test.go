@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"syscall"
 	"testing"
@@ -309,5 +310,87 @@ func TestWriteListFileRejectsWrongCount(t *testing.T) {
 	}
 	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
 		t.Fatalf("refused file still exists (stat: %v)", serr)
+	}
+}
+
+// TestProjectWithIsGetWith: the query path's random access reads the
+// same record GetWith decodes — the projection equals
+// vec.Query.ProjectInto of the materialized tuple, and the meter is
+// charged identically (reads, bytes, bypasses), also by the charge-only
+// call with no dimensions. Both fail alike on a bad id and on a record
+// whose entry count runs past its end.
+func TestProjectWithIsGetWith(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	const n, m = 300, 12
+	tuples := randTuples(rng, n, m)
+	tuples[7] = nil // an empty record, as checkpoints write tombstones
+	path := filepath.Join(t.TempDir(), "tuples.dat")
+	if err := WriteTupleFile(path, tuples, m); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := OpenTupleFile(path, &IOStats{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
+	charges := func(st *IOStats) [3]int64 {
+		_, rnd, bytes := st.Snapshot()
+		return [3]int64{rnd, bytes, st.Bypasses()}
+	}
+	for id := 0; id < n; id++ {
+		dims := rng.Perm(m)[:1+rng.Intn(m)]
+		sort.Ints(dims)
+		var viaGet, viaProject, chargeOnly IOStats
+		tuple, err := tf.GetWith(id, &viaGet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := vec.Query{Dims: dims}.Project(tuple)
+		got := make([]float64, len(dims))
+		for i := range got {
+			got[i] = -1 // every slot must be written, zeros included
+		}
+		if err := tf.ProjectWith(id, dims, got, &viaProject); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("tuple %d on %v: projected %v, want %v", id, dims, got, want)
+		}
+		if err := tf.ProjectWith(id, nil, nil, &chargeOnly); err != nil {
+			t.Fatal(err)
+		}
+		if g, p, c := charges(&viaGet), charges(&viaProject), charges(&chargeOnly); g != p || g != c {
+			t.Fatalf("tuple %d: GetWith charged %v, ProjectWith %v, charge-only %v", id, g, p, c)
+		}
+	}
+	for _, id := range []int{-1, n} {
+		_, getErr := tf.GetWith(id, nil)
+		if err := tf.ProjectWith(id, nil, nil, nil); err == nil || err.Error() != getErr.Error() {
+			t.Fatalf("id %d: ProjectWith %v, GetWith %v", id, err, getErr)
+		}
+	}
+
+	// Corrupt tuple 0's entry count (the CRC trailer is only checked by
+	// VerifyChecksum, so the file still opens).
+	tf.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{0xFF, 0xFF, 0, 0}, 16+8*n); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	bad, err := OpenTupleFile(path, &IOStats{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	_, getErr := bad.GetWith(0, nil)
+	for _, dims := range [][]int{nil, {0, 1}} {
+		err := bad.ProjectWith(0, dims, make([]float64, len(dims)), nil)
+		if getErr == nil || err == nil || err.Error() != getErr.Error() {
+			t.Fatalf("corrupt record, dims %v: ProjectWith %v, GetWith %v", dims, err, getErr)
+		}
 	}
 }

@@ -114,19 +114,58 @@ func (tf *TupleFile) Get(id int) (vec.Sparse, error) { return tf.GetWith(id, tf.
 
 // GetWith fetches tuple id, charging the random read to st instead of the
 // file's meter (st is typically a per-query Child of the shared meter).
-// On a mapped pager the record is decoded straight out of the mmap
-// region (no copy, no buffer-pool traffic); the logical random-read
-// charge is identical either way, so the paper's metrics don't depend on
-// the transport.
+// It materializes the whole vector: /tuple, the write path and loaders
+// want that; the query path projects instead (ProjectWith).
 func (tf *TupleFile) GetWith(id int, st *IOStats) (vec.Sparse, error) {
+	raw, nnz, err := tf.record(id, st)
+	if err != nil {
+		return nil, err
+	}
+	t := make(vec.Sparse, nnz)
+	for i := range t {
+		t[i] = vec.Entry{Dim: entryDim(raw, i), Val: entryVal(raw, i)}
+	}
+	return t, nil
+}
+
+// ProjectWith is the query path's random access: it writes tuple id's
+// coordinates on dims (ascending, as vec.Query keeps them) into dst —
+// exactly vec.Query.ProjectInto of the tuple GetWith would return — and
+// charges st the same logical read, without materializing the vector.
+// Empty dims charge the read and touch nothing else.
+func (tf *TupleFile) ProjectWith(id int, dims []int, dst []float64, st *IOStats) error {
+	raw, nnz, err := tf.record(id, st)
+	if err != nil {
+		return err
+	}
+	j := 0
+	for i, dim := range dims {
+		for j < nnz && entryDim(raw, j) < dim {
+			j++
+		}
+		if j < nnz && entryDim(raw, j) == dim {
+			dst[i] = entryVal(raw, j)
+			j++
+		} else {
+			dst[i] = 0
+		}
+	}
+	return nil
+}
+
+// record returns tuple id's raw record and its entry count, charging st
+// one logical random read. On a mapped pager the record is a view of the
+// mmap region (no copy, no buffer-pool traffic); the charge is identical
+// either way, so the paper's metrics don't depend on the transport.
+func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error) {
 	if id < 0 || id >= len(tf.offsets) {
-		return nil, fmt.Errorf("storage: tuple id %d out of range [0,%d)", id, len(tf.offsets))
+		return nil, 0, fmt.Errorf("storage: tuple id %d out of range [0,%d)", id, len(tf.offsets))
 	}
 	raw, zeroCopy := tf.pager.Slice(tf.offsets[id], int(tf.sizes[id]))
 	if !zeroCopy {
 		raw = make([]byte, tf.sizes[id])
 		if _, err := tf.pager.ReadRange(tf.offsets[id], raw); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	if st != nil {
@@ -135,17 +174,19 @@ func (tf *TupleFile) GetWith(id int, st *IOStats) (vec.Sparse, error) {
 			st.AddBypass(1)
 		}
 	}
-	nnz := int(binary.LittleEndian.Uint32(raw[0:4]))
+	nnz = int(binary.LittleEndian.Uint32(raw[0:4]))
 	if 4+12*nnz > len(raw) {
-		return nil, fmt.Errorf("storage: tuple %d corrupt (nnz=%d, %d bytes)", id, nnz, len(raw))
+		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (nnz=%d, %d bytes)", id, nnz, len(raw))
 	}
-	t := make(vec.Sparse, nnz)
-	for i := 0; i < nnz; i++ {
-		base := 4 + 12*i
-		t[i] = vec.Entry{
-			Dim: int(binary.LittleEndian.Uint32(raw[base : base+4])),
-			Val: math.Float64frombits(binary.LittleEndian.Uint64(raw[base+4 : base+12])),
-		}
-	}
-	return t, nil
+	return raw, nnz, nil
+}
+
+// entryDim and entryVal decode the i-th (dim uint32, val float64) entry
+// of a raw record.
+func entryDim(raw []byte, i int) int {
+	return int(binary.LittleEndian.Uint32(raw[4+12*i:]))
+}
+
+func entryVal(raw []byte, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw[8+12*i:]))
 }

@@ -159,9 +159,8 @@ func (m *Multi) Run() {
 		// the scores fan out, through the batched kernel. Each DotBatch
 		// row is bit-identical to the member's solo vec.Dot (the batch
 		// kernel gives every output its own accumulator).
-		d := m.scan.ix.Tuple(p.ID)
 		sc := Scored{ID: p.ID, Proj: m.sc.arena.alloc()}
-		m.scan.q.ProjectInto(d, sc.Proj)
+		m.scan.ix.Project(p.ID, m.scan.q.Dims, sc.Proj)
 		for b, v := range sc.Proj {
 			if v > 0 {
 				sc.NZMask |= 1 << uint(b)

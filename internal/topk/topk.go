@@ -267,16 +267,16 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 	return id <= last.ID // lists break value ties by ascending id
 }
 
-// score materializes the Scored view of a newly encountered tuple,
-// carving its projection out of the arena. The score is computed from
+// score materializes the Scored view of a newly encountered tuple: one
+// random access that projects the record straight into a slot carved
+// out of the arena (no full vector in between). The score is computed from
 // the dense projection through the unrolled dot kernel rather than the
 // sparse merge; the two are bit-identical (vec.TestDotMatchesSparseScore
 // pins it) because the unmatched dimensions contribute exact +0.0 terms
 // to a running sum that never goes negative.
 func (s *scanState) score(id int, arena *projArena) Scored {
-	d := s.ix.Tuple(id)
 	sc := Scored{ID: id, Proj: arena.alloc()}
-	s.q.ProjectInto(d, sc.Proj)
+	s.ix.Project(id, s.q.Dims, sc.Proj)
 	sc.Score = vec.Dot(s.q.Weights, sc.Proj)
 	for b, v := range sc.Proj {
 		if v > 0 {
