@@ -58,10 +58,11 @@ vuln:
 
 # A fast benchmark pass over the analyze path: enough to catch gross
 # regressions without the full figure sweep of cmd/irbench. The bulk-load
-# layer rides along at a fixed iteration count: the dataset save that
-# irgen and every checkpoint rewrite go through (ST n = 200 000 and WSJ
-# -scale 2, the bench/ harness's two datasets), the MemIndex build, and
-# one whole checkpoint of the write-mix dataset. So does the sharded
+# layer rides along at a fixed iteration count: the dataset save irgen
+# goes through (ST n = 200 000 and WSJ -scale 2, the bench/ harness's two
+# datasets), the MemIndex build, and one whole checkpoint — a merge, not
+# a save — of each of the two datasets, whose B/op is what a checkpoint
+# costs in memory. So does the sharded
 # round 2: the coordinator's replay at a pruned and an unpruned reply
 # size, and one recorded shard reply through encode, decode and replay.
 # And the miss path where it is real: never-repeated /analyze over a
@@ -80,19 +81,25 @@ bench-smoke:
 # the kernel property tests pin bit-identity against the reference
 # implementation, and the engine/topk suites re-run their oracles. lists
 # and core ride along for the random-access contract (Project ≡ Tuple,
-# charge for charge, on a pread-backed DiskIndex too) and the overlay's
-# pass-through cursor.
+# charge for charge, on a pread-backed DiskIndex too), the overlay's
+# pass-through cursor, and the checkpoint merge over files that are not
+# mapped (storage's TestRawCopiesAreTheFileBytes, lists'
+# TestSaveIndexIsSaveDataset: the copy counts there fail a disk base
+# that decodes instead of copying).
 # The cross-build proves the fallback matrix compiles on amd64 too.
 test-fallback:
 	$(GO) test -tags=noasm,nommap ./internal/storage/... ./internal/vec/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/...
 	GOARCH=amd64 $(GO) build -tags=noasm,nommap ./...
 
 # Durability focus: the WAL package under -race, the crash-recovery and
-# checkpoint property tests, and a bench smoke so the fsync overhead of
-# the write path stays tracked.
+# checkpoint property tests — the checkpoint's contract with the bulk
+# loader (merged files byte-equal to rebuilt ones), its memory bound and
+# its wait-for-me with Close among them — and a bench smoke so the fsync
+# overhead of the write path stays tracked.
 test-wal:
 	$(GO) test -race ./internal/wal/...
-	$(GO) test -race -run 'TestDurable|TestCheckpoint|TestStatsDurable' ./internal/engine/... ./internal/server/...
+	$(GO) test -race -run 'TestSaveIndexIsSaveDataset|TestSaveDatasetLeavesNoDebris' ./internal/lists/
+	$(GO) test -race -run 'TestDurable|TestCheckpoint|TestCloseDuringCheckpoint|TestStatsDurable' ./internal/engine/... ./internal/server/...
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyWAL' -benchmem -benchtime=50ms ./internal/engine/
 
 # Replication focus: the shipping/follower package under -race (stream,

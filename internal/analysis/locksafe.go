@@ -16,7 +16,7 @@ import (
 // (lexical Lock/RLock…Unlock spans, plus the bodies of functions whose
 // name ends in "Locked", the package's caller-holds-mu convention):
 //
-//   - no blocking rewrite/sync syscalls: lists.SaveDataset,
+//   - no blocking rewrite/sync syscalls: lists.SaveIndex/SaveDataset,
 //     wal.SyncFile/SyncDir, storage.VerifyChecksum, (*os.File)
 //     Sync/Write*, os.WriteFile/Rename, (*wal.Writer).Sync,
 //     (net.Conn).Write, time.Sleep. (The WAL append itself is
@@ -44,7 +44,7 @@ const rewriteUnderLock = "the checkpoint rewrite belongs in the unlocked phase (
 // lockDenyFuncs are package-level functions that block on disk or the
 // clock: pkg path (repo-suffix matched) → function → why.
 var lockDenyFuncs = map[string]map[string]string{
-	"internal/lists":   {"SaveDataset": rewriteUnderLock, "SaveDatasetTimed": rewriteUnderLock},
+	"internal/lists":   {"SaveIndex": rewriteUnderLock, "SaveDataset": rewriteUnderLock, "SaveDatasetTimed": rewriteUnderLock},
 	"internal/wal":     {"SyncFile": "fsync blocks every queued query", "SyncDir": "fsync blocks every queued query"},
 	"internal/storage": {"VerifyChecksum": "a full-file scan blocks every queued query"},
 	"os":               {"WriteFile": "file writes block every queued query", "Rename": "directory syscalls block every queued query"},

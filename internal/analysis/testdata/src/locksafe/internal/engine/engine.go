@@ -24,6 +24,7 @@ func (e *Engine) badCheckpoint(dir string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	lists.SaveDataset(dir, nil)          // want `checkpoint rewrite belongs in the unlocked phase`
+	lists.SaveIndex(dir, nil)            // want `checkpoint rewrite belongs in the unlocked phase`
 	wal.SyncFile(dir)                    // want `fsync blocks every queued query`
 	os.WriteFile(dir, nil, 0o644)        // want `file writes block every queued query`
 	time.Sleep(time.Millisecond)         // want `stalls all queries`
@@ -39,7 +40,7 @@ func (e *Engine) goodCheckpoint(dir string) {
 	e.mu.RLock()
 	snap := e.snapshotLocked()
 	e.mu.RUnlock()
-	lists.SaveDataset(dir, snap)
+	lists.SaveIndex(dir, snap)
 	wal.SyncFile(dir)
 	e.mu.Lock()
 	e.log.Append(nil)

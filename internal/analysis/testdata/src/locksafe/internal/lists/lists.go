@@ -3,4 +3,6 @@ package lists
 
 func SaveDataset(path string, data []byte) error { return nil }
 
+func SaveIndex(path string, frozen []byte) error { return nil }
+
 func Walk(fn func(id uint64)) {}

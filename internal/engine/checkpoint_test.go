@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -153,24 +156,178 @@ func TestCheckpointWriteFailure(t *testing.T) {
 	assertSameAnswers(t, eng, memEngine(cloneTuples(shadow), 2, Config{CacheEntries: -1}), q, k, opts)
 }
 
-// BenchmarkCheckpoint times one forced checkpoint of the bench/
-// harness's write-mix dataset (WSJ -scale 2) with one batch in the log:
-// snapshot, rewrite through lists.SaveDataset, fsync, publish.
-func BenchmarkCheckpoint(b *testing.B) {
-	d := dataset.GenerateWSJ(dataset.WSJConfig{Docs: 16000, Vocab: 24000, Seed: 1})
-	dir := b.TempDir()
-	saveDir(b, dir, d.Tuples, d.M)
-	eng := openDurable(b, dir, Config{CheckpointBytes: -1, CacheEntries: -1})
-	defer eng.Close()
-	tu := d.Tuples[0].Clone()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Apply([]Op{{Kind: OpUpdate, ID: i % d.N(), Tuple: tu}}); err != nil {
-			b.Fatal(err)
+// TestCloseDuringCheckpoint: a checkpoint's rewrite reads the served
+// generation's files with no engine lock held, so Close — which unmaps
+// them — has to wait for it. The checkpoint is parked between its
+// snapshot and its rewrite, Close is called meanwhile, and the rewrite
+// then runs to its end over files that must still be there (a fault
+// here kills the test binary); the checkpoint is made to fail after its
+// files are written, so the directory is closed with an unpublished
+// generation in it, which the next open sweeps.
+func TestCloseDuringCheckpoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	cs := fixture.RandCase(rng, 600, 5, 3, 3)
+	dir := t.TempDir()
+	saveDir(t, dir, cs.Tuples, cs.M)
+	eng := openDurable(t, dir, Config{CheckpointBytes: -1})
+	shadow := cloneTuples(cs.Tuples)
+	for i := 0; i < 20; i++ {
+		tu := randOpTuple(rng, cs.M)
+		mustApply(t, eng, Op{Kind: OpUpdate, ID: i * 7, Tuple: tu})
+		shadow[i*7] = tu
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	aborted := errors.New("stopped after the files")
+	eng.dur.ckptHook = func(step string) error {
+		switch step {
+		case "snapshot":
+			close(parked)
+			<-release
+		case "files":
+			return aborted
 		}
+		return nil
+	}
+	ckptErr := make(chan error, 1)
+	go func() { ckptErr <- eng.Checkpoint() }()
+	<-parked
+	closed := make(chan error, 1)
+	go func() { closed <- eng.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a checkpoint was about to read the files it unmaps", err)
+	case <-time.After(100 * time.Millisecond): // Close has nothing to wait for but the checkpoint
+	}
+	close(release)
+	if err := <-ckptErr; !errors.Is(err, aborted) {
+		t.Fatalf("checkpoint: %v, want the injected stop", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	orphans, _ := filepath.Glob(filepath.Join(dir, "*.g*.dat"))
+	if len(orphans) != 2 {
+		t.Fatalf("the stopped checkpoint left %v, want its two unpublished files", orphans)
+	}
+
+	reopened := openDurable(t, dir, Config{CheckpointBytes: -1})
+	defer reopened.Close()
+	if left, _ := filepath.Glob(filepath.Join(dir, "*.g*.dat")); len(left) != 0 {
+		t.Fatalf("reopen did not sweep the unpublished generation: %v", left)
+	}
+	if st := reopened.DurabilityStats(); st.Generation != 0 || st.ReplayedOps != 20 {
+		t.Fatalf("reopened at %+v, want generation 0 with the 20 updates replayed", st)
+	}
+	opts := Options{Options: core.Options{Method: core.MethodCPT}}
+	assertSameAnswers(t, reopened, memEngine(shadow, cs.M, Config{CacheEntries: -1}), cs.Q, cs.K, opts)
+}
+
+// ckptDelta is the write load of TestCheckpointAllocsIndependentOfN:
+// 100 single-op batches over the first 4 000 ids, the same whatever the
+// dataset behind them.
+func ckptDelta(t testing.TB, eng *Engine, m int) {
+	rng := rand.New(rand.NewSource(1707))
+	payload := func() vec.Sparse {
+		entries := make([]vec.Entry, 0, 40)
+		for _, d := range rng.Perm(m)[:40] {
+			entries = append(entries, vec.Entry{Dim: d, Val: 0.01 + 0.99*rng.Float64()})
+		}
+		tu, err := vec.NewSparse(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tu
+	}
+	for i := 0; i < 100; i++ {
+		op := Op{Kind: OpUpdate, ID: rng.Intn(3000), Tuple: payload()}
+		switch i % 10 {
+		case 8:
+			op = Op{Kind: OpInsert, Tuple: payload()}
+		case 9:
+			op = Op{Kind: OpDelete, ID: 3000 + i} // above every update, each once
+		}
+		if res, err := eng.Apply([]Op{op}); err != nil || res.Applied != 1 {
+			t.Fatalf("op %d (%v %d): %+v %v", i, op.Kind, op.ID, res, err)
+		}
+	}
+}
+
+// TestCheckpointAllocsIndependentOfN: a checkpoint's memory follows the
+// delta it folds, not the dataset under it. The same 100 writes over
+// 4 000 and over 16 000 documents: the bytes one forced checkpoint
+// allocates — the frozen delta, the two writers' chunks, the reopened
+// generation's tables — stay under 4 MiB and within a quarter of each
+// other (materializing the live view took 10 and 40 MB). The rewrite
+// reads every byte of the served files and charges none of it: the
+// engine's I/O meter, which /stats reports, does not move.
+func TestCheckpointAllocsIndependentOfN(t *testing.T) {
+	const vocab = 6000
+	var allocated [2]uint64
+	for i, docs := range []int{4000, 16000} {
+		d := dataset.GenerateWSJ(dataset.WSJConfig{Docs: docs, Vocab: vocab, Seed: 1})
+		dir := t.TempDir()
+		saveDir(t, dir, d.Tuples, d.M)
+		eng := openDurable(t, dir, Config{CheckpointBytes: -1, CacheEntries: -1})
+		ckptDelta(t, eng, d.M)
+		d = nil
+
+		seq0, rand0, bytes0 := eng.Stats().Snapshot()
+		bypass0 := eng.Stats().Bypasses()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		if err := eng.Checkpoint(); err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		allocated[i] = after.TotalAlloc - before.TotalAlloc
+		seq, rnd, by := eng.Stats().Snapshot()
+		if seq != seq0 || rnd != rand0 || by != bytes0 || eng.Stats().Bypasses() != bypass0 {
+			t.Fatalf("%d docs: the checkpoint charged the engine's meter: seq_pages %d→%d rand_reads %d→%d bytes_read %d→%d pool_bypass %d→%d",
+				docs, seq0, seq, rand0, rnd, bytes0, by, bypass0, eng.Stats().Bypasses())
+		}
+		if st := eng.DurabilityStats(); st.Checkpoints != 1 || st.Generation != 1 {
+			t.Fatalf("%d docs: checkpoint did not publish: %+v", docs, st)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d docs: one checkpoint allocated %d KiB", docs, allocated[i]>>10)
+		if allocated[i] > 4<<20 {
+			t.Fatalf("%d docs: one checkpoint allocated %d bytes, want under 4 MiB", docs, allocated[i])
+		}
+	}
+	if small, large := float64(allocated[0]), float64(allocated[1]); large > 1.25*small || small > 1.25*large {
+		t.Fatalf("checkpoint allocations follow the dataset: %d bytes over 4 000 docs, %d over 16 000", allocated[0], allocated[1])
+	}
+}
+
+// BenchmarkCheckpoint times one forced checkpoint with one batch in the
+// log — freeze, merge through lists.SaveIndex, fsync, publish — over the
+// bench/ harness's two datasets: write-mix's (WSJ -scale 2) and the
+// paper-shaped ST n = 200 000, where the allocation per checkpoint is
+// what a checkpoint costs in memory at that scale.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, d := range []*dataset.Dataset{
+		dataset.GenerateWSJ(dataset.WSJConfig{Docs: 16000, Vocab: 24000, Seed: 1}),
+		dataset.GenerateST(dataset.STConfig{N: 200000, Seed: 1}),
+	} {
+		b.Run(d.Name, func(b *testing.B) {
+			dir := b.TempDir()
+			saveDir(b, dir, d.Tuples, d.M)
+			eng := openDurable(b, dir, Config{CheckpointBytes: -1, CacheEntries: -1})
+			defer eng.Close()
+			tu := d.Tuples[0].Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Apply([]Op{{Kind: OpUpdate, ID: i % d.N(), Tuple: tu}}); err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Checkpoint(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

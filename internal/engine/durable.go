@@ -22,8 +22,9 @@
 // crash-safe; a crash between any two steps recovers to a consistent
 // state:
 //
-//  1. write tuples.gNNNNNN.dat / lists.gNNNNNN.dat from the overlay's
-//     materialized view and fsync them (crash here: manifest still
+//  1. write tuples.gNNNNNN.dat / lists.gNNNNNN.dat by merging a frozen
+//     copy of the overlay's delta with the served generation's files,
+//     and fsync them (crash here: manifest still
 //     names the old generation, the full log replays — the orphan files
 //     are ignored and overwritten by the next attempt);
 //  2. atomically replace MANIFEST naming the new files and the last
@@ -85,7 +86,9 @@ type durable struct {
 	tornBytes       int64
 
 	// ckptMu serializes checkpoints against each other (they span lock
-	// regions, so the engine's RWMutex alone cannot).
+	// regions, so the engine's RWMutex alone cannot) and against Close:
+	// the rewrite reads the served generation's files under no other
+	// lock.
 	ckptMu          sync.Mutex
 	checkpoints     atomic.Int64
 	checkpointBytes int64        // resolved threshold; <= 0 disables auto-compaction
@@ -100,8 +103,8 @@ type durable struct {
 	lostLog, lostDelta int64
 
 	// ckptHook, when non-nil, is called after each named checkpoint step
-	// ("files", "manifest", "truncate"); returning an error aborts the
-	// checkpoint there. Crash-injection tests use it to stop the
+	// ("snapshot", "files", "manifest", "truncate"); returning an error
+	// aborts the checkpoint there. Crash-injection tests use it to stop the
 	// sequence mid-flight and reopen the directory as a fresh process
 	// would.
 	ckptHook func(step string) error
@@ -447,9 +450,11 @@ func (e *Engine) checkpointDue() bool {
 // three phases, keeping the expensive dataset rewrite off the engine's
 // write lock:
 //
-//   - snapshot (read lock): materialize the live view and pin the log
-//     position — queries run concurrently, mutations are excluded;
-//   - rewrite (no lock): write and fsync the new generation's files;
+//   - snapshot (read lock): freeze the overlay's delta (an O(delta)
+//     copy; the base files are shared) and pin the log position —
+//     queries run concurrently, mutations are excluded;
+//   - rewrite (no lock): merge the frozen delta with the base files into
+//     the new generation's files (lists.SaveIndex) and fsync them;
 //   - publish (write lock): manifest rename, log truncation, live-index
 //     swap, stale-generation sweep.
 //
@@ -492,22 +497,30 @@ func (e *Engine) checkpoint(force bool) error {
 		e.mu.RUnlock()
 		return fmt.Errorf("engine: checkpoint needs an overlay-backed index")
 	}
-	snap := ov.Materialize()
+	frozen := ov.Freeze()
 	seq := d.log.LastSeq()
 	snapLog, snapDelta := d.log.Size(), ov.DeltaStats().Bytes
-	dim := e.ix.Dim()
 	e.mu.RUnlock()
 	mCheckpointPhaseSeconds.Observe("snapshot", lap())
+	if err := hook("snapshot"); err != nil {
+		return err
+	}
 
-	// Phase 2: write and fsync the new generation's files.
+	// Phase 2: write and fsync the new generation's files. The rewrite
+	// reads the served generation's files with no engine lock held; it is
+	// ckptMu that keeps Close from unmapping them meanwhile.
 	gen := d.gen + 1
 	tn, ln := wal.GenFileNames(gen)
 	tuplePath, listPath := filepath.Join(d.dir, tn), filepath.Join(d.dir, ln)
-	err := lists.SaveDataset(tuplePath, listPath, snap, dim)
+	saved, err := lists.SaveIndex(tuplePath, listPath, frozen)
 	mCheckpointPhaseSeconds.Observe("rewrite", lap())
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint write: %w", err)
 	}
+	mCheckpointLists.Add("copied", int64(saved.ListsCopied))
+	mCheckpointLists.Add("merged", int64(saved.ListsMerged))
+	mCheckpointRecords.Add("copied", int64(saved.RecordsCopied))
+	mCheckpointRecords.Add("encoded", int64(saved.RecordsEncoded))
 	err = syncGeneration(d.dir, tuplePath, listPath)
 	mCheckpointPhaseSeconds.Observe("sync", lap())
 	if err != nil {

@@ -223,6 +223,12 @@ func Open(tuplePath, listPath string, poolPages int, cfg Config) (*Engine, error
 // their contexts (e.g. by force-closing the HTTP server) to bound the
 // wait.
 func (e *Engine) Close() error {
+	if e.dur != nil {
+		// A checkpoint's rewrite reads the files below with mu released;
+		// wait it out (ckptMu before mu, the documented order).
+		e.dur.ckptMu.Lock()
+		defer e.dur.ckptMu.Unlock()
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var firstErr error

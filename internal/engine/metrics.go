@@ -32,8 +32,14 @@ var (
 		"wall time of one durable checkpoint (snapshot, rewrite, publish)",
 		obs.LatencyBuckets)
 	mCheckpointPhaseSeconds = obs.NewHistogramVec("ir_engine_checkpoint_phase_seconds",
-		"wall time of one durable checkpoint's phases: snapshot (materialize under the read lock), rewrite (build and write the new generation's files, unlocked), sync (fsync files and directory, unlocked), publish (manifest, log truncation and index swap under the write lock, including the wait for it)",
+		"wall time of one durable checkpoint's phases: snapshot (freeze the overlay's delta under the read lock), rewrite (merge it with the served generation's files into the new generation's, unlocked), sync (fsync files and directory, unlocked), publish (manifest, log truncation and index swap under the write lock, including the wait for it)",
 		"phase", obs.LatencyBuckets)
+	mCheckpointLists = obs.NewCounterVec("ir_engine_checkpoint_lists_total",
+		"inverted lists written by checkpoint rewrites: copied (no write touched the dimension; its extent is taken from the served list file as encoded) or merged (base postings streamed through the delta)",
+		"path")
+	mCheckpointRecords = obs.NewCounterVec("ir_engine_checkpoint_records_total",
+		"tuple records written by checkpoint rewrites: copied (taken from the served tuple file as encoded) or encoded (the overlay's own versions: inserts, updates, tombstones)",
+		"path")
 	mCacheEvents = obs.NewCounterVec("ir_engine_cache_events_total",
 		"answer-cache outcomes: hit (exact-weight analysis), hit-region (region-certified top-k), miss, bypass (NoCache request), evict",
 		"event")

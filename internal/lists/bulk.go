@@ -34,10 +34,10 @@ const radixCutover = 64
 // sortKey maps a coordinate to its key. Flipping the sign bit of a
 // non-negative float (or every bit of a negative one) makes unsigned
 // order equal numeric order; the final complement reverses it.
-func sortKey(v float64) uint64 {
-	b := math.Float64bits(v)
-	return ^(b ^ (uint64(int64(b)>>63) | 1<<63))
-}
+func sortKey(v float64) uint64 { return bitsKey(math.Float64bits(v)) }
+
+// bitsKey is sortKey of the coordinate whose IEEE bits are b.
+func bitsKey(b uint64) uint64 { return ^(b ^ (uint64(int64(b)>>63) | 1<<63)) }
 
 // keyValue inverts sortKey.
 func keyValue(k uint64) float64 {

@@ -173,25 +173,45 @@ func TestSortKeyRoundTrip(t *testing.T) {
 }
 
 // TestSaveDatasetLeavesNoDebris: when either file cannot be written the
-// call fails and neither file is left behind.
+// call fails and neither file is left behind — from the bulk loader and
+// from the checkpoint's merge alike.
 func TestSaveDatasetLeavesNoDebris(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform")
 	}
 	tuples := awkwardTuples(rand.New(rand.NewSource(3)), 50, 6)
-	for _, broken := range []string{"t.dat", "l.dat"} {
-		dir := t.TempDir()
-		// The writer follows the link, every write to /dev/full fails with
-		// ENOSPC, and removing the "file" removes only the link.
-		if err := os.Symlink("/dev/full", filepath.Join(dir, broken)); err != nil {
-			t.Fatal(err)
-		}
-		err := SaveDataset(filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat"), tuples, 6)
-		if err == nil {
-			t.Fatalf("%s on a full device: SaveDataset succeeded", broken)
-		}
-		if left, _ := os.ReadDir(dir); len(left) != 0 {
-			t.Fatalf("%s on a full device: %d entries left behind (%v)", broken, len(left), err)
+	good := t.TempDir()
+	if err := SaveDataset(filepath.Join(good, "t.dat"), filepath.Join(good, "l.dat"), tuples, 6); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenDiskIndex(filepath.Join(good, "t.dat"), filepath.Join(good, "l.dat"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	ov := NewOverlay(disk)
+	if _, err := ov.Insert(vec.MustSparse(vec.Entry{Dim: 0, Val: 0.5})); err != nil {
+		t.Fatal(err)
+	}
+	saves := map[string]func(tp, lp string) error{
+		"SaveDataset": func(tp, lp string) error { return SaveDataset(tp, lp, tuples, 6) },
+		"SaveIndex":   func(tp, lp string) error { _, err := SaveIndex(tp, lp, ov); return err },
+	}
+	for name, save := range saves {
+		for _, broken := range []string{"t.dat", "l.dat"} {
+			dir := t.TempDir()
+			// The writer follows the link, every write to /dev/full fails
+			// with ENOSPC, and removing the "file" removes only the link.
+			if err := os.Symlink("/dev/full", filepath.Join(dir, broken)); err != nil {
+				t.Fatal(err)
+			}
+			err := save(filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat"))
+			if err == nil {
+				t.Fatalf("%s on a full device: %s succeeded", broken, name)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Fatalf("%s on a full device: %s left %d entries behind (%v)", broken, name, len(left), err)
+			}
 		}
 	}
 }

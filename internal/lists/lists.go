@@ -22,9 +22,10 @@
 // continue the base numbering and only advance on success (which is
 // what makes WAL replay reproduce id assignment exactly); a deleted id
 // stays allocated forever (its slot reads as an empty tuple).
-// Materialize folds the merged view back into a plain tuple slice —
-// the checkpoint compaction input — and DeltaStats measures the
-// overlay's in-memory footprint incrementally.
+// A checkpoint folds the merged view back into files without leaving
+// that order: Freeze copies the delta (not the base), SaveIndex streams
+// the base files through it. DeltaStats measures the overlay's
+// in-memory footprint incrementally.
 //
 // # Concurrency model
 //
@@ -354,9 +355,10 @@ func (d *diskCursor) Consumed() int                 { return d.c.Consumed() }
 func (d *diskCursor) Clone() Cursor                 { return &diskCursor{c: d.c.CloneCursor()} }
 
 // SaveDataset writes tuples and their inverted lists to tuplePath and
-// listPath in the storage formats. It is the one bulk-load path: irgen,
-// shard builds and every checkpoint rewrite come through here. The
-// output depends on the tuples alone, not on the worker count.
+// listPath in the storage formats. It is the bulk-load path: irgen and
+// shard builds come through here (a checkpoint, whose lists are already
+// sorted, merges instead: SaveIndex). The output depends on the tuples
+// alone, not on the worker count.
 func SaveDataset(tuplePath, listPath string, tuples []vec.Sparse, m int) error {
 	_, err := SaveDatasetTimed(tuplePath, listPath, tuples, m)
 	return err
@@ -399,7 +401,7 @@ func saveDataset(tuplePath, listPath string, tuples []vec.Sparse, m, workers int
 		return ok
 	}
 	vals := make([]float64, 0, b.longest())
-	listErr := storage.WriteListFile(listPath, m, b.dims, counts, func(i int) ([]int32, []float64) {
+	listErr := storage.WriteListFile(listPath, m, b.dims, counts, func(i int, out *storage.ListSink) error {
 		for !ready[i] {
 			take()
 		}
@@ -408,22 +410,30 @@ func saveDataset(tuplePath, listPath string, tuples []vec.Sparse, m, workers int
 		for _, k := range keys {
 			vals = append(vals, keyValue(k))
 		}
-		return ids, vals
+		out.Append(ids, vals)
+		return nil
 	})
 	for take() { // a failed writer stopped asking; the sort still has to end
 	}
 	err := <-tupleErr
 	times := SaveTimes{Build: built.Sub(start), Write: time.Since(built)}
+	return times, savedBoth(tuplePath, listPath, err, listErr)
+}
+
+// savedBoth is how every dataset save ends: nil when both writers
+// succeeded; otherwise the first failure, with whichever file did get
+// written removed too — half a dataset is debris.
+func savedBoth(tuplePath, listPath string, tupleErr, listErr error) error {
+	var err error
 	switch {
-	case err != nil:
-		err = fmt.Errorf("lists: write tuples: %w", err)
+	case tupleErr != nil:
+		err = fmt.Errorf("lists: write tuples: %w", tupleErr)
 	case listErr != nil:
 		err = fmt.Errorf("lists: write lists: %w", listErr)
 	default:
-		return times, nil
+		return nil
 	}
-	// Half a dataset is debris: whichever file did get written goes too.
 	os.Remove(tuplePath)
 	os.Remove(listPath)
-	return times, err
+	return err
 }

@@ -12,13 +12,16 @@
 // engine's reader-writer lock does this). The delta itself is
 // memory-only; durability comes from the engine's write-ahead log
 // (internal/wal), which replays into a fresh overlay on open, and from
-// checkpoint compaction, which folds the live view (Materialize) into
-// fresh tuple/list files. DeltaStats makes the overlay's growth
-// observable so the checkpointer can bound it.
+// checkpoint compaction, which merges a frozen copy of the delta
+// (Freeze) with the base files into fresh tuple/list files (SaveIndex).
+// DeltaStats makes the overlay's growth observable so the checkpointer
+// can bound it.
 package lists
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -159,31 +162,45 @@ func tupleBytes(t vec.Sparse) int64 { return 48 + 12*int64(len(t)) }
 // tombBytes is the per-slot estimate of a tombstone.
 const tombBytes = 16
 
-// Materialize snapshots the live dataset view: a slice of NumTuples()
-// tuples with nil at tombstoned slots, in id order — exactly what a
-// checkpoint writes to fresh tuple/list files (nil slots become empty
-// records, keeping ids stable across compaction). Base reads are
-// charged to a throwaway meter so a checkpoint's physical scan does not
-// distort query metering.
-func (ov *Overlay) Materialize() []vec.Sparse {
-	base := ov.base.WithStats(&storage.IOStats{})
-	out := make([]vec.Sparse, ov.NumTuples())
-	for id := 0; id < ov.baseN; id++ {
-		if e, ok := ov.over[id]; ok {
-			if !e.dead {
-				out[id] = e.t
-			}
-			continue
-		}
-		if ov.deadBase[id>>6]&(1<<(uint(id)&63)) != 0 {
-			continue
-		}
-		if t := base.Tuple(id); len(t) > 0 {
-			out[id] = t // empty base records are prior-compaction tombstones
-		}
+// Freeze returns a read-only copy of the overlay as it stands, for a
+// checkpoint to write out (SaveIndex) after the engine's lock is let go:
+// the delta is copied — O(delta), plus the one-bit-per-base-tuple
+// tombstone set — and the immutable base is shared, so it must stay open
+// for as long as the copy is used. Everything read through the copy
+// charges a throwaway meter: a checkpoint's scan is not query I/O.
+func (ov *Overlay) Freeze() *Overlay {
+	st := &storage.IOStats{}
+	cp := &Overlay{
+		base:       ov.base.WithStats(st),
+		baseN:      ov.baseN,
+		m:          ov.m,
+		stats:      st,
+		added:      slices.Clone(ov.added), // the vectors are never written in place
+		over:       maps.Clone(ov.over),
+		deadBase:   slices.Clone(ov.deadBase),
+		deadPerDim: maps.Clone(ov.deadPerDim),
+		delta:      make(map[int]PostingList, len(ov.delta)),
+		ds:         ov.ds,
 	}
-	copy(out[ov.baseN:], ov.added)
-	return out
+	// The live lists are spliced in place, so the copy takes its own
+	// columns: one allocation each, carved per dimension.
+	ids := make([]int32, 0, ov.ds.DeltaPostings)
+	vals := make([]float64, 0, ov.ds.DeltaPostings)
+	for d, pl := range ov.delta {
+		if pl.Len() == 0 {
+			continue
+		}
+		ids, vals = append(ids, pl.IDs...), append(vals, pl.Vals...)
+		lo, hi := len(ids)-pl.Len(), len(ids)
+		cp.delta[d] = PostingList{IDs: ids[lo:hi:hi], Vals: vals[lo:hi:hi]}
+	}
+	return cp
+}
+
+// overridden reports whether base tuple id has an entry in over: its
+// base postings are tombstoned exactly when it does.
+func (ov *Overlay) overridden(id int) bool {
+	return ov.deadBase[id>>6]&(1<<(uint(id)&63)) != 0
 }
 
 // Cursor opens a merged sorted-access cursor on dim. A dimension no

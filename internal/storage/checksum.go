@@ -54,6 +54,17 @@ func (w *fileWriter) room(n int) {
 	}
 }
 
+// write appends bytes that are already in the file's encoding, filling
+// and flushing chunks as it goes.
+func (w *fileWriter) write(p []byte) {
+	for len(p) > 0 {
+		w.room(1)
+		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:len(w.buf)+n]
+		p = p[n:]
+	}
+}
+
 // flush checksums and writes the open chunk.
 func (w *fileWriter) flush() {
 	if w.err == nil && len(w.buf) > 0 {
@@ -97,8 +108,8 @@ func dataEnd(p *Pager, path string) (int64, error) {
 	if p.Size() < trailerSize {
 		return 0, fmt.Errorf("storage: %s too short for integrity trailer", path)
 	}
-	tr := make([]byte, trailerSize)
-	if _, err := p.ReadRange(p.Size()-trailerSize, tr); err != nil {
+	tr, err := p.header(p.Size()-trailerSize, trailerSize)
+	if err != nil {
 		return 0, err
 	}
 	if string(tr[:8]) != string(crcMagic[:]) {

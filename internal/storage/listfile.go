@@ -20,16 +20,17 @@ var listMagic = [8]byte{'I', 'R', 'L', 'S', 'T', '0', '1', 0}
 
 // WriteListFile persists inverted lists, streaming them one at a time:
 // dims names the populated dimensions in ascending order, counts their
-// list lengths, and list(i) returns dims[i]'s postings in columnar form,
+// list lengths, and fill(i, out) hands dims[i]'s postings to the sink,
 // already sorted by descending value (ties by ascending id). The writer
-// asks for the lists in order, once each, and is done with a list's
-// slices before it asks for the next, so the source may reuse them — and
-// may still be producing list i+1 while list i is written. Format:
+// asks for the lists in order, once each, and has encoded whatever a
+// sink call was given before that call returns, so the source may reuse
+// its slices — and may still be producing list i+1 while list i is
+// written. Format:
 //
 //	magic[8] | numLists uint32 | m uint32 |
 //	directory: numLists × (dim uint32, count uint32, offset int64) |
 //	posting data: count × (id uint32, val float64) per list
-func WriteListFile(path string, m int, dims, counts []int, list func(i int) (ids []int32, vals []float64)) error {
+func WriteListFile(path string, m int, dims, counts []int, fill func(i int, out *ListSink) error) error {
 	w, err := createFile(path)
 	if err != nil {
 		return err
@@ -45,30 +46,52 @@ func WriteListFile(path string, m int, dims, counts []int, list func(i int) (ids
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(off))
 		off += int64(postingBytes * counts[i])
 	}
+	out := &ListSink{w: w}
 	for i := range dims {
 		if w.err != nil {
 			break
 		}
-		ids, vals := list(i)
-		if len(ids) != counts[i] || len(vals) != counts[i] {
-			w.fail(fmt.Errorf("storage: list of dimension %d has %d ids and %d values, directory says %d",
-				dims[i], len(ids), len(vals), counts[i]))
-			break
-		}
-		for len(ids) > 0 {
-			w.room(postingBytes)
-			n := min(len(ids), (cap(w.buf)-len(w.buf))/postingBytes)
-			at := len(w.buf)
-			w.buf = w.buf[:at+n*postingBytes]
-			for j, id := range ids[:n] {
-				p := w.buf[at+j*postingBytes : at+(j+1)*postingBytes]
-				binary.LittleEndian.PutUint32(p[0:4], uint32(id))
-				binary.LittleEndian.PutUint64(p[4:12], math.Float64bits(vals[j]))
-			}
-			ids, vals = ids[n:], vals[n:]
+		out.bytes = 0
+		if err := fill(i, out); err != nil {
+			w.fail(err)
+		} else if out.bytes != int64(postingBytes*counts[i]) {
+			w.fail(fmt.Errorf("storage: list of dimension %d takes %d bytes, directory says %d postings",
+				dims[i], out.bytes, counts[i]))
 		}
 	}
 	return w.finish()
+}
+
+// ListSink takes one list's postings, top down, from WriteListFile's
+// source.
+type ListSink struct {
+	w     *fileWriter
+	bytes int64 // taken for the list being filled
+}
+
+// Append encodes postings given in columnar form.
+func (s *ListSink) Append(ids []int32, vals []float64) {
+	w := s.w
+	s.bytes += int64(postingBytes * len(ids))
+	for len(ids) > 0 {
+		w.room(postingBytes)
+		n := min(len(ids), (cap(w.buf)-len(w.buf))/postingBytes)
+		at := len(w.buf)
+		w.buf = w.buf[:at+n*postingBytes]
+		for j, id := range ids[:n] {
+			p := w.buf[at+j*postingBytes : at+(j+1)*postingBytes]
+			binary.LittleEndian.PutUint32(p[0:4], uint32(id))
+			binary.LittleEndian.PutUint64(p[4:12], math.Float64bits(vals[j]))
+		}
+		ids, vals = ids[n:], vals[n:]
+	}
+}
+
+// Raw takes postings that are already encoded: any stretch of another
+// list file's posting data.
+func (s *ListSink) Raw(p []byte) {
+	s.w.write(p)
+	s.bytes += int64(len(p))
 }
 
 // ListFile reads inverted lists persisted by WriteListFile. Sorted access
@@ -94,13 +117,13 @@ func OpenListFile(path string, stats *IOStats, poolPages int) (*ListFile, error)
 	if err != nil {
 		return nil, err
 	}
-	lf := &ListFile{pager: pager, stats: stats, dir: make(map[int]listExtent)}
+	lf := &ListFile{pager: pager, stats: stats}
 	if _, err := dataEnd(pager, path); err != nil {
 		pager.Close()
 		return nil, err
 	}
-	hdr := make([]byte, 16)
-	if _, err := pager.ReadRange(0, hdr); err != nil {
+	hdr, err := pager.header(0, 16)
+	if err != nil {
 		pager.Close()
 		return nil, err
 	}
@@ -110,8 +133,9 @@ func OpenListFile(path string, stats *IOStats, poolPages int) (*ListFile, error)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	lf.m = int(binary.LittleEndian.Uint32(hdr[12:16]))
-	dirRaw := make([]byte, 16*n)
-	if _, err := pager.ReadRange(16, dirRaw); err != nil {
+	lf.dir = make(map[int]listExtent, n)
+	dirRaw, err := pager.header(16, 16*n)
+	if err != nil {
 		pager.Close()
 		return nil, err
 	}
@@ -134,6 +158,16 @@ func (lf *ListFile) Dim() int { return lf.m }
 // ListLen returns the number of postings in dimension dim's list (0 when
 // the dimension has no list).
 func (lf *ListFile) ListLen(dim int) int { return lf.dir[dim].count }
+
+// RawPostings hands fn dimension dim's encoded postings, top down, in
+// pieces of whole postings: what ListSink.Raw takes, and what a merge
+// decodes in place. It is a bulk copy, not sorted access, and charges no
+// meter. buf is the scratch an unmapped file is read through (see
+// Pager.stream).
+func (lf *ListFile) RawPostings(dim int, buf []byte, fn func(raw []byte)) error {
+	ext := lf.dir[dim]
+	return lf.pager.stream(ext.off, ext.count*postingBytes, buf[:len(buf)-len(buf)%postingBytes], fn)
+}
 
 // Cursor opens a sorted-access cursor over dimension dim's list, charging
 // sequential pages to the file's own meter.

@@ -15,7 +15,8 @@ import (
 // On platforms with mmap support (see mmap.go) the whole file is also
 // mapped read-only; Slice then hands out zero-copy views that bypass the
 // buffer pool entirely. ReadRange always uses the pread+pool path, so
-// callers choose per access whether pool accounting applies.
+// callers choose per access whether pool accounting applies. Bulk copies
+// of whole extents (stream) use neither the pool nor a meter.
 type Pager struct {
 	f      *os.File
 	size   int64
@@ -76,6 +77,49 @@ func (p *Pager) Slice(off int64, n int) ([]byte, bool) {
 		return nil, false
 	}
 	return p.mapped[off : off+int64(n) : off+int64(n)], true
+}
+
+// header returns the bytes [off, off+n) for an opener to decode its
+// tables from: a view of the mapping when the file is mapped (so opening
+// a generation copies nothing but the decoded tables), else a copy read
+// through the buffer pool.
+func (p *Pager) header(off int64, n int) ([]byte, error) {
+	if raw, ok := p.Slice(off, n); ok {
+		return raw, nil
+	}
+	raw := make([]byte, n)
+	_, err := p.ReadRange(off, raw)
+	return raw, err
+}
+
+// stream hands fn the bytes [off, off+n) in file order, for callers that
+// copy them somewhere else: the whole range as one view of the mapping
+// when the file is mapped, else piece by piece, read into buf. Every
+// piece but the last has buf's full length. The unmapped reads go
+// straight to the file: a bulk copy through the buffer pool would evict
+// every page the queries put there and allocate one page buffer per
+// page it passes. fn must be done with a piece when it returns.
+func (p *Pager) stream(off int64, n int, buf []byte, fn func(raw []byte)) error {
+	if raw, ok := p.Slice(off, n); ok {
+		fn(raw)
+		return nil
+	}
+	if off < 0 || n < 0 || off+int64(n) > p.size {
+		return fmt.Errorf("storage: read [%d,%d) beyond file size %d", off, off+int64(n), p.size)
+	}
+	if len(buf) == 0 && n > 0 {
+		return fmt.Errorf("storage: no scratch to read an unmapped file through")
+	}
+	for n > 0 {
+		piece := buf[:min(n, len(buf))]
+		if _, err := p.f.ReadAt(piece, off); err != nil {
+			return err
+		}
+		fn(piece)
+		off += int64(len(piece))
+		n -= len(piece)
+	}
+	return nil
 }
 
 // Size returns the file size in bytes.

@@ -44,13 +44,14 @@ func writeListMap(path string, lists map[int][]Posting, m int) error {
 	for i, d := range dims {
 		counts[i] = len(lists[d])
 	}
-	return WriteListFile(path, m, dims, counts, func(i int) ([]int32, []float64) {
+	return WriteListFile(path, m, dims, counts, func(i int, out *ListSink) error {
 		l := lists[dims[i]]
 		ids, vals := make([]int32, len(l)), make([]float64, len(l))
 		for j, p := range l {
 			ids[j], vals[j] = int32(p.ID), p.Val
 		}
-		return ids, vals
+		out.Append(ids, vals)
+		return nil
 	})
 }
 
@@ -266,7 +267,10 @@ func TestWritersFailClean(t *testing.T) {
 	writers := map[string]func(path string) error{
 		"tuples": func(path string) error { return WriteTupleFile(path, tuples, 1) },
 		"lists": func(path string) error {
-			return WriteListFile(path, 1, []int{0}, []int{n}, func(int) ([]int32, []float64) { return ids, vals })
+			return WriteListFile(path, 1, []int{0}, []int{n}, func(_ int, out *ListSink) error {
+				out.Append(ids, vals)
+				return nil
+			})
 		},
 	}
 	for name, write := range writers {
@@ -302,8 +306,9 @@ func TestWritersFailClean(t *testing.T) {
 // whose directory would lie is removed.
 func TestWriteListFileRejectsWrongCount(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lists.dat")
-	err := WriteListFile(path, 1, []int{0}, []int{3}, func(int) ([]int32, []float64) {
-		return []int32{1, 2}, []float64{0.5, 0.25}
+	err := WriteListFile(path, 1, []int{0}, []int{3}, func(_ int, out *ListSink) error {
+		out.Append([]int32{1, 2}, []float64{0.5, 0.25})
+		return nil
 	})
 	if err == nil {
 		t.Fatal("short list accepted")
@@ -392,5 +397,145 @@ func TestProjectWithIsGetWith(t *testing.T) {
 		if getErr == nil || err == nil || err.Error() != getErr.Error() {
 			t.Fatalf("corrupt record, dims %v: ProjectWith %v, GetWith %v", dims, err, getErr)
 		}
+	}
+}
+
+// TestRawCopiesAreTheFileBytes: RawRecords and RawPostings hand over
+// exactly the bytes the file holds for the range — in one view of the
+// mapping, or piece by piece through the caller's scratch once the file
+// is not mapped (the nommap build starts there) — and a copy made of
+// them and of freshly encoded records is the file WriteTupleFile /
+// WriteListFile would have written. Neither charges a meter.
+func TestRawCopiesAreTheFileBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const n, m = 400, 9
+	tuples := randTuples(rng, n, m)
+	tuples[0], tuples[123], tuples[n-1] = nil, nil, nil // tombstones at the edges and inside
+	lists := map[int][]Posting{}
+	for id, tu := range tuples {
+		for _, e := range tu {
+			lists[e.Dim] = append(lists[e.Dim], Posting{ID: id, Val: e.Val})
+		}
+	}
+	dir := t.TempDir()
+	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
+	if err := WriteTupleFile(tp, tuples, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeListMap(lp, lists, m); err != nil {
+		t.Fatal(err)
+	}
+	tupleBytes, _ := os.ReadFile(tp)
+	listBytes, _ := os.ReadFile(lp)
+
+	stats := &IOStats{}
+	tf, err := OpenTupleFile(tp, stats, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
+	lf, err := OpenListFile(lp, stats, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+
+	check := func(mapped bool) {
+		t.Helper()
+		scratch := make([]byte, 100) // 8 whole postings; records straddle it
+		for trial := 0; trial < 50; trial++ {
+			from := rng.Intn(n + 1)
+			to := from + rng.Intn(n+1-from)
+			var got []byte
+			pieces := 0
+			if err := tf.RawRecords(from, to, scratch, func(raw []byte) { got = append(got, raw...); pieces++ }); err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for id := from; id < to; id++ {
+				want += tf.RecordSize(id)
+			}
+			var lo int64
+			if from < n {
+				lo = tf.offsets[from]
+			}
+			if len(got) != want || !slices.Equal(got, tupleBytes[lo:lo+int64(want)]) {
+				t.Fatalf("mapped=%v: records [%d,%d): %d bytes, want the file's %d at %d", mapped, from, to, len(got), want, lo)
+			}
+			if mapped && pieces > 1 || !mapped && want > len(scratch) && pieces < 2 {
+				t.Fatalf("mapped=%v: %d bytes came in %d pieces", mapped, want, pieces)
+			}
+		}
+		for d := 0; d < m; d++ {
+			var got []byte
+			if err := lf.RawPostings(d, scratch, func(raw []byte) {
+				if len(raw)%postingBytes != 0 {
+					t.Fatalf("dim %d: a piece of %d bytes splits a posting", d, len(raw))
+				}
+				got = append(got, raw...)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ext := lf.dir[d]
+			if !slices.Equal(got, listBytes[ext.off:ext.off+int64(ext.count*postingBytes)]) {
+				t.Fatalf("mapped=%v: dim %d: raw postings differ from the file's extent", mapped, d)
+			}
+		}
+		// A copy spliced from raw stretches and re-encoded records.
+		cut := n / 3
+		out := filepath.Join(dir, "copy.dat")
+		err := WriteTupleRecords(out, n, m, tf.RecordSize, func(sink *TupleSink) error {
+			if err := tf.RawRecords(0, cut, scratch, sink.Raw); err != nil {
+				return err
+			}
+			for id := cut; id < 2*cut; id++ {
+				sink.Tuple(tuples[id])
+			}
+			return tf.RawRecords(2*cut, n, scratch, sink.Raw)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if copied, _ := os.ReadFile(out); !slices.Equal(copied, tupleBytes) {
+			t.Fatalf("mapped=%v: the spliced tuple file differs from the original", mapped)
+		}
+	}
+	if tf.pager.Mapped() {
+		check(true)
+		// Drop the mappings: the same calls now read the file.
+		for _, p := range []*Pager{tf.pager, lf.pager} {
+			if err := unmapFile(p.mapped); err != nil {
+				t.Fatal(err)
+			}
+			p.mapped = nil
+		}
+	}
+	check(false)
+	if err := tf.RawRecords(0, n, nil, func([]byte) {}); err == nil {
+		t.Fatal("an unmapped read through no scratch succeeded")
+	}
+	if err := tf.RawRecords(3, n+1, make([]byte, 64), func([]byte) {}); err == nil {
+		t.Fatal("a record range past the file accepted")
+	}
+	if seq, rnd, by := stats.Snapshot(); seq != 0 || rnd != 0 || by != 0 || stats.Bypasses() != 0 {
+		t.Fatalf("raw copies charged the meter: %v bypass=%d", stats, stats.Bypasses())
+	}
+}
+
+// TestWriteTupleRecordsRejectsWrongSizes: records that do not take the
+// bytes the offsets table was built from are refused, and the file
+// whose offsets would lie is removed.
+func TestWriteTupleRecordsRejectsWrongSizes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tuples.dat")
+	err := WriteTupleRecords(path, 2, 3, func(int) int { return 4 }, func(out *TupleSink) error {
+		out.Tuple(nil)
+		out.Tuple(vec.Sparse{{Dim: 1, Val: 0.5}})
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a record longer than its promised size accepted")
+	}
+	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+		t.Fatalf("refused file still exists (stat: %v)", serr)
 	}
 }

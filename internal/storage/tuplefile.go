@@ -19,28 +19,74 @@ var tupleMagic = [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '1'}
 //
 // Records are addressed by the offsets table, enabling O(1) random access.
 func WriteTupleFile(path string, tuples []vec.Sparse, m int) error {
+	return WriteTupleRecords(path, len(tuples), m,
+		func(id int) int { return recordSize(len(tuples[id])) },
+		func(out *TupleSink) error {
+			for _, t := range tuples {
+				out.Tuple(t)
+			}
+			return nil
+		})
+}
+
+// recordSize is the encoded length of a record of nnz entries.
+func recordSize(nnz int) int { return 4 + 12*nnz }
+
+// WriteTupleRecords is WriteTupleFile for a source that holds no tuple
+// slice: size(id) is the encoded length of tuple id's record, asked once
+// per id in order for the offsets table, and records then hands the n
+// records to the sink in id order — encoded from a vector, or as bytes
+// another tuple file already holds. The records must take exactly the
+// bytes the sizes promised, or the file is refused.
+func WriteTupleRecords(path string, n, m int, size func(id int) int, records func(out *TupleSink) error) error {
 	w, err := createFile(path)
 	if err != nil {
 		return err
 	}
 	w.buf = append(w.buf, tupleMagic[:]...)
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(tuples)))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(n))
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(m))
-	off := int64(8+8) + int64(8*len(tuples))
-	for _, t := range tuples {
+	first := int64(8+8) + int64(8*n)
+	off := first
+	for id := 0; id < n; id++ {
 		w.room(8)
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(off))
-		off += int64(4 + 12*len(t))
+		off += int64(size(id))
 	}
-	for _, t := range tuples {
-		w.room(4 + 12*len(t))
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(t)))
-		for _, e := range t {
-			w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.Dim))
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.Val))
-		}
+	out := &TupleSink{w: w}
+	if err := records(out); err != nil {
+		w.fail(err)
+	} else if out.wrote != off-first {
+		w.fail(fmt.Errorf("storage: tuple records take %d bytes, the offsets table says %d", out.wrote, off-first))
 	}
 	return w.finish()
+}
+
+// TupleSink takes a tuple file's records, in id order, from
+// WriteTupleRecords' source.
+type TupleSink struct {
+	w     *fileWriter
+	wrote int64
+}
+
+// Tuple encodes one record; a nil or empty vector is the empty record a
+// deleted id keeps.
+func (s *TupleSink) Tuple(t vec.Sparse) {
+	w := s.w
+	w.room(recordSize(len(t)))
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(t)))
+	for _, e := range t {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.Dim))
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.Val))
+	}
+	s.wrote += int64(recordSize(len(t)))
+}
+
+// Raw takes records that are already encoded — any stretch of another
+// tuple file's record area; it need not end on a record boundary.
+func (s *TupleSink) Raw(p []byte) {
+	s.w.write(p)
+	s.wrote += int64(len(p))
 }
 
 // TupleFile provides random access to tuples persisted by WriteTupleFile.
@@ -64,8 +110,8 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 		return nil, err
 	}
 	tf := &TupleFile{pager: pager, stats: stats}
-	hdr := make([]byte, 16)
-	if _, err := pager.ReadRange(0, hdr); err != nil {
+	hdr, err := pager.header(0, 16)
+	if err != nil {
 		pager.Close()
 		return nil, err
 	}
@@ -75,8 +121,8 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	tf.m = int(binary.LittleEndian.Uint32(hdr[12:16]))
-	offRaw := make([]byte, 8*n)
-	if _, err := pager.ReadRange(16, offRaw); err != nil {
+	offRaw, err := pager.header(16, 8*n)
+	if err != nil {
 		pager.Close()
 		return nil, err
 	}
@@ -108,6 +154,25 @@ func (tf *TupleFile) NumTuples() int { return len(tf.offsets) }
 
 // Dim returns the dimensionality m.
 func (tf *TupleFile) Dim() int { return tf.m }
+
+// RecordSize returns the encoded length of tuple id's record.
+func (tf *TupleFile) RecordSize(id int) int { return int(tf.sizes[id]) }
+
+// RawRecords hands fn the encoded records of tuples [from, to) — they
+// are contiguous in the file — in order and in pieces that need not end
+// on a record boundary: what TupleSink.Raw takes. It is a bulk copy, not
+// an access of the paper's cost model, and charges no meter. buf is the
+// scratch an unmapped file is read through (see Pager.stream).
+func (tf *TupleFile) RawRecords(from, to int, buf []byte, fn func(raw []byte)) error {
+	if from < 0 || to > len(tf.offsets) || from > to {
+		return fmt.Errorf("storage: tuple range [%d,%d) outside [0,%d)", from, to, len(tf.offsets))
+	}
+	if from == to {
+		return nil
+	}
+	end := tf.offsets[to-1] + int64(tf.sizes[to-1])
+	return tf.pager.stream(tf.offsets[from], int(end-tf.offsets[from]), buf, fn)
+}
 
 // Get fetches tuple id. One logical random read is charged per call.
 func (tf *TupleFile) Get(id int) (vec.Sparse, error) { return tf.GetWith(id, tf.stats) }
