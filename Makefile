@@ -10,12 +10,17 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION) -X repro/internal/obs.Commit=$(COMMIT)
 
-.PHONY: all build test race vet lint fuzz-smoke vuln bench-smoke test-fallback test-wal test-replication test-failover test-obs test-shard check-docs ci
+.PHONY: all build test race vet lint loc fuzz-smoke vuln bench-smoke test-fallback test-wal test-replication test-failover test-obs test-shard check-docs ci
 
 all: ci
 
+# The freebsd leg compiles the tree the way the platforms that really
+# take the storage fallback do (mmap_fallback.go is `(!linux && !darwin)
+# || nommap`): a symbol missing from or re-typed in the fallback fails
+# here. GOOS=windows does not build today (wal/lock.go needs Flock).
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
+	GOOS=freebsd $(GO) build ./...
 
 # -short keeps the long randomized soaks (failover chaos trials) out of
 # the tier-1 fast path; make test-failover runs them in full. bench/ is
@@ -29,18 +34,26 @@ test:
 race:
 	$(GO) test -short -race ./...
 
+# The nommap leg type-checks every package and its tests against
+# storage/mmap_fallback.go, so the compiler keeps the two variants'
+# surfaces in step on the host platform too.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags nommap ./...
 	$(GO) vet -C bench ./...
 
 # Invariant lint: the repo-specific analyzers of internal/analysis
-# (lock ordering, per-query metering, sentinel-error discipline,
-# build-tag surface parity, core determinism — see
-# docs/static-analysis.md) over the whole tree. Any unsuppressed
-# finding fails; `vet` above carries the stock suite (copylocks,
-# lostcancel, printf, ...).
+# (lock ordering, per-query metering, sentinel-error discipline, core
+# determinism, metric registration — see docs/static-analysis.md) over
+# the whole tree. Any unsuppressed finding fails; `vet` above carries
+# the stock suite (copylocks, lostcancel, printf, ...).
 lint:
 	$(GO) run ./cmd/irlint ./...
+
+# Non-test Go outside bench/ and testdata/: the figure ISSUE files and
+# every ROADMAP re-anchor quote.
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' -not -name '*_test.go' | xargs cat | wc -l
 
 # 10-second native-fuzz budget per target: the WAL frame decoder, the
 # crash-recovery scanner and the query validation gate. The committed
@@ -76,20 +89,18 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
 
-# Fallback portability: the scalar kernels (noasm) and the pread-backed
-# pager (nommap) must produce the same answers as the default build —
-# the kernel property tests pin bit-identity against the reference
-# implementation, and the engine/topk suites re-run their oracles. lists
-# and core ride along for the random-access contract (Project ≡ Tuple,
-# charge for charge, on a pread-backed DiskIndex too), the overlay's
-# pass-through cursor, and the checkpoint merge over files that are not
-# mapped (storage's TestRawCopiesAreTheFileBytes, lists'
-# TestSaveIndexIsSaveDataset: the copy counts there fail a disk base
-# that decodes instead of copying).
-# The cross-build proves the fallback matrix compiles on amd64 too.
+# Fallback portability: the pread-backed pager (nommap) must produce the
+# same answers as the default build — the engine/topk suites re-run
+# their oracles over it. lists and core ride along for the random-access
+# contract (Project ≡ Tuple, charge for charge, on a pread-backed
+# DiskIndex too), the overlay's pass-through cursor, and the checkpoint
+# merge over files that are not mapped (storage's
+# TestRawCopiesAreTheFileBytes, lists' TestSaveIndexIsSaveDataset: the
+# copy counts there fail a disk base that decodes instead of copying).
+# The cross-build proves the fallback compiles on amd64 too.
 test-fallback:
-	$(GO) test -tags=noasm,nommap ./internal/storage/... ./internal/vec/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/...
-	GOARCH=amd64 $(GO) build -tags=noasm,nommap ./...
+	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/...
+	GOARCH=amd64 $(GO) build -tags=nommap ./...
 
 # Durability focus: the WAL package under -race, the crash-recovery and
 # checkpoint property tests — the checkpoint's contract with the bulk

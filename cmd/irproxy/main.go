@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -83,7 +82,7 @@ func main() {
 		return
 	}
 	if *pprofAddr != "" {
-		go servePprof(*pprofAddr)
+		go obs.ServePprof(*pprofAddr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -169,20 +168,6 @@ func main() {
 		}
 	}
 	fmt.Println("irproxy: bye")
-}
-
-// servePprof exposes net/http/pprof on its own listener; explicit
-// registrations keep http.DefaultServeMux untouched.
-func servePprof(addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		obs.Log().Error("pprof_listen_failed", "addr", addr, "error", err.Error())
-	}
 }
 
 func splitList(s string) []string {

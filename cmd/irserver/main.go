@@ -53,8 +53,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -112,7 +110,7 @@ func main() {
 		return
 	}
 	if *pprofAddr != "" {
-		go servePprof(*pprofAddr)
+		go obs.ServePprof(*pprofAddr)
 	}
 
 	syncPolicy, err := wal.ParseSyncPolicy(*syncF)
@@ -159,17 +157,7 @@ func main() {
 		if *demo || *follow != "" || *readonly {
 			log.Fatal("irserver: -cluster is exclusive with -demo, -follow and -readonly")
 		}
-		adv := *advertise
-		if adv == "" {
-			host, port, err := net.SplitHostPort(*addr)
-			if err != nil {
-				log.Fatalf("irserver: cannot derive -advertise from -addr %q: %v", *addr, err)
-			}
-			if host == "" {
-				host = "127.0.0.1"
-			}
-			adv = "http://" + net.JoinHostPort(host, port)
-		}
+		adv := advertiseURL(*advertise, *addr)
 		node, err := replication.NewNode(replication.NodeConfig{
 			Dir:             *data,
 			PoolPages:       *pool,
@@ -234,19 +222,7 @@ func main() {
 			srv.SetWriteRedirect("http://" + *follow) // best effort pointer
 		}
 		srv.SetReplicationStats(func() any { return fol.Stats() })
-		srv.SetReadiness(func() error {
-			st := fol.Stats()
-			if fol.Engine() == nil {
-				return fmt.Errorf("snapshot bootstrap in progress")
-			}
-			if !st.Connected {
-				return fmt.Errorf("replication session down")
-			}
-			if st.SeqDelta > *readyLag {
-				return fmt.Errorf("replication lag %d exceeds the %d bound", st.SeqDelta, *readyLag)
-			}
-			return nil
-		})
+		srv.SetReadiness(func() error { return fol.Readiness(*readyLag) })
 		shutdown = func() {
 			stop() // ensure ctx is canceled so Run unwinds
 			<-fol.Done()
@@ -273,17 +249,7 @@ func main() {
 			log.Fatalf("irserver: %v", err)
 		}
 		srv = server.FromEngine(eng)
-		adv := *advertise
-		if adv == "" {
-			host, port, err := net.SplitHostPort(*addr)
-			if err != nil {
-				log.Fatalf("irserver: cannot derive -advertise from -addr %q: %v", *addr, err)
-			}
-			if host == "" {
-				host = "127.0.0.1"
-			}
-			adv = "http://" + net.JoinHostPort(host, port)
-		}
+		adv := advertiseURL(*advertise, *addr)
 		srv.SetClusterInfo(shard.SelfBeacon(fmt.Sprintf("shard-%d", *shardID), adv))
 		shutdown = func() { eng.Close() }
 		fmt.Printf("irserver: shard %d of %s, advertised at %s\n", *shardID, *shardDir, adv)
@@ -386,20 +352,21 @@ func main() {
 	fmt.Println("irserver: bye")
 }
 
-// servePprof exposes net/http/pprof on its own listener, so the
-// profiling surface never shares a port with the public API. Explicit
-// registrations on a private mux — a blank import of net/http/pprof
-// would mutate http.DefaultServeMux for the whole process.
-func servePprof(addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		obs.Log().Error("pprof_listen_failed", "addr", addr, "error", err.Error())
+// advertiseURL is this node's HTTP base URL as peers and clients should
+// reach it: -advertise when set, else derived from the listen address
+// (an empty host becomes loopback).
+func advertiseURL(advertise, addr string) string {
+	if advertise != "" {
+		return advertise
 	}
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		log.Fatalf("irserver: cannot derive -advertise from -addr %q: %v", addr, err)
+	}
+	if host == "" {
+		host = "127.0.0.1"
+	}
+	return "http://" + net.JoinHostPort(host, port)
 }
 
 // splitPeers parses the -cluster flag's comma-separated peer list.

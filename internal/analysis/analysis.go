@@ -2,8 +2,8 @@
 // dependency-free clone of the golang.org/x/tools/go/analysis API plus
 // the repo-specific analyzers that machine-check invariants this
 // codebase otherwise states only in prose (lock ordering, per-query
-// I/O metering, sentinel-error discipline, build-tag surface parity,
-// core determinism — see docs/static-analysis.md for the full list and
+// I/O metering, sentinel-error discipline, core determinism, metric
+// registration — see docs/static-analysis.md for the full list and
 // where each invariant is argued).
 //
 // Why a clone and not the real thing: the build environment pins the
@@ -59,11 +59,6 @@ type Pass struct {
 	// Pkg and TypesInfo carry full type information for the package.
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	// Dir is the package's source directory (tagparity reads files the
-	// current build context excludes).
-	Dir string
-	// GoFiles are the compiled file paths, parallel to Files.
-	GoFiles []string
 
 	diags *[]Diagnostic
 }
@@ -108,8 +103,6 @@ func RunAnalyzers(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) 
 				Files:     pkg.Files,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
-				Dir:       pkg.Dir,
-				GoFiles:   pkg.GoFiles,
 				diags:     &diags,
 			}
 			if err := a.Run(pass); err != nil {

@@ -17,8 +17,7 @@
 // been silenced by a //lint:allow comment. A diagnostic with no
 // matching expectation, or an expectation with no diagnostic, fails
 // the test. Expectations are collected textually from every non-test
-// .go file in the fixture directories — including files the current
-// build tags exclude, which tagparity still reports into.
+// .go file in the fixture directories.
 package analysistest
 
 import (
@@ -134,8 +133,7 @@ func overlayOf(t *testing.T, testdata string) map[string]string {
 	return overlay
 }
 
-// collectWants scans every non-test .go file of the fixture packages —
-// textually, so build-tag-excluded variant files count too.
+// collectWants scans every non-test .go file of the fixture packages.
 func collectWants(t *testing.T, pkgs []*analysis.Package) []*expectation {
 	t.Helper()
 	var exps []*expectation

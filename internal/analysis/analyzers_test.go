@@ -27,10 +27,6 @@ func TestErrMap(t *testing.T) {
 		"errmap/internal/wal", "errmap/internal/server")
 }
 
-func TestTagParity(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.TagParity, "tagparity/internal/vec")
-}
-
 func TestDetCore(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.DetCore,
 		"detcore/internal/core", "detcore/internal/util")

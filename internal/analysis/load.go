@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -234,8 +233,7 @@ func (l *Loader) check(importPath, dir string, standard bool, filenames []string
 }
 
 // checkOverlayDir loads an overlay package from a directory: every
-// non-test .go file whose build constraint holds under the default
-// (custom-tag-free) environment.
+// non-test .go file (fixtures carry no build constraints).
 func (l *Loader) checkOverlayDir(importPath, dir string) (*Package, error) {
 	if p, ok := l.pkgs[importPath]; ok {
 		return p, nil
@@ -250,78 +248,13 @@ func (l *Loader) checkOverlayDir(importPath, dir string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		ok, err := fileIncluded(path)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			filenames = append(filenames, path)
-		}
+		filenames = append(filenames, filepath.Join(dir, name))
 	}
 	if len(filenames) == 0 {
 		return nil, fmt.Errorf("analysis: overlay %s: no buildable files in %s", importPath, dir)
 	}
 	sort.Strings(filenames)
 	return l.check(importPath, dir, false, filenames)
-}
-
-// fileIncluded evaluates a file's //go:build constraint under the
-// default environment (host GOOS/GOARCH, no custom tags). Fixture
-// variant files tagged with custom build tags are excluded, exactly as
-// `go build` would exclude them.
-func fileIncluded(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	// Build constraints must precede the package clause; 4 KiB of
-	// header is more than the gofmt'd layout ever needs.
-	head := make([]byte, 4096)
-	n, _ := io.ReadFull(f, head)
-	for _, line := range strings.Split(string(head[:n]), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(line) {
-			continue
-		}
-		expr, err := constraint.Parse(line)
-		if err != nil {
-			return false, fmt.Errorf("analysis: %s: bad build constraint: %v", path, err)
-		}
-		return expr.Eval(defaultTag), nil
-	}
-	return true, nil
-}
-
-// defaultTag is the build-tag environment of the host platform with
-// every custom tag off.
-func defaultTag(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc", "unix":
-		return true
-	}
-	// Release tags: go1.1 through the toolchain's own version all hold.
-	if v, ok := strings.CutPrefix(tag, "go1."); ok {
-		var minor int
-		if _, err := fmt.Sscanf(v, "%d", &minor); err == nil {
-			return minor <= goMinorVersion()
-		}
-	}
-	return false
-}
-
-// goMinorVersion parses the running toolchain's minor version.
-func goMinorVersion() int {
-	v := runtime.Version() // "go1.24.0"
-	var minor int
-	if _, err := fmt.Sscanf(v, "go1.%d", &minor); err == nil {
-		return minor
-	}
-	return 99
 }
 
 // loaderImporter resolves imports during type-checking: overlay first

@@ -8,7 +8,6 @@ var Registry = []*Analyzer{
 	LockSafe,
 	Metered,
 	ErrMap,
-	TagParity,
 	DetCore,
 	ObsReg,
 }

@@ -87,6 +87,7 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchRes
 	// rest alias it.
 	order := make([]*cell, 0, len(items))
 	byKey := make(map[string]*cell, len(items))
+	mQueries.Add("analyze", int64(len(items)))
 	for i, it := range items {
 		k := itemKey(it)
 		if c, ok := byKey[k]; ok {
@@ -173,7 +174,7 @@ func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []Batch
 				continue
 			}
 		} else if e.cache != nil {
-			e.cache.bypasses.Add(1)
+			e.cache.bypass()
 		}
 		pending = append(pending, c)
 	}
@@ -243,6 +244,7 @@ func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []Batch
 		// scan once, as it should.
 		out.Metrics.SeqPages += seqScan
 		out.Metrics.RandReads += rndScan
+		observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, multi.SortedAccesses())
 		results[c.first] = BatchResult{Analysis: e.admitLocked(c.item, out)}
 	}
 }
@@ -284,6 +286,7 @@ func (e *Engine) TopKBatch(ctx context.Context, items []TopKItem) []TopKResult {
 	results := make([]TopKResult, len(items))
 	var order [][]int
 	groups := make(map[bucketKey]int, len(items))
+	mQueries.Add("topk", int64(len(items)))
 	for i, it := range items {
 		if err := e.validate(it.Q, it.K, 0); err != nil {
 			results[i].Err = err
@@ -350,6 +353,7 @@ func (e *Engine) topkGroup(ctx context.Context, idx []int, items []TopKItem, res
 			results[i].Err = fmt.Errorf("engine: query canceled: %w", err)
 			return
 		}
+		mSortedAccesses.Observe(float64(ta.SortedAccesses()))
 		results[i] = TopKResult{Result: topk.Compact(ta.Result()), Source: SourceComputed}
 		return
 	}
@@ -364,6 +368,7 @@ func (e *Engine) topkGroup(ctx context.Context, idx []int, items []TopKItem, res
 		return
 	}
 	for j, i := range idx {
+		mSortedAccesses.Observe(float64(multi.SortedAccesses()))
 		results[i] = TopKResult{Result: topk.Compact(multi.Result(j)), Source: SourceComputed}
 	}
 }

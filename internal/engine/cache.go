@@ -86,15 +86,16 @@ type entry struct {
 	elem    *list.Element
 }
 
-// CacheStats is a point-in-time snapshot of the cache counters.
+// CacheStats is a point-in-time snapshot of the cache counters, and the
+// "cache" block of /stats as it stands.
 type CacheStats struct {
-	Hits       int64 // Analyze served from an exact-weight anchor
-	RegionHits int64 // TopK served by region containment
-	Misses     int64
-	Bypasses   int64 // lookups skipped by request (NoCache)
-	Evictions  int64
-	Entries    int
-	Bytes      int64
+	Hits       int64 `json:"hits"`        // Analyze served from an exact-weight anchor
+	RegionHits int64 `json:"region_hits"` // TopK served by region containment
+	Misses     int64 `json:"misses"`
+	Bypasses   int64 `json:"bypasses"` // lookups skipped by request (NoCache)
+	Evictions  int64 `json:"evictions"`
+	Entries    int   `json:"entries"`
+	Bytes      int64 `json:"bytes"`
 }
 
 type cache struct {
@@ -163,6 +164,13 @@ func (c *cache) lookupAnalyze(q vec.Query, k int, opts core.Options) (*core.Outp
 	c.misses.Add(1)
 	mCacheEvents.Inc("miss")
 	return nil, false
+}
+
+// bypass counts one lookup skipped by request (NoCache), on both
+// surfaces: /stats and /metrics.
+func (c *cache) bypass() {
+	c.bypasses.Add(1)
+	mCacheEvents.Inc("bypass")
 }
 
 // lookupTopK serves a ranked result iff some anchor of the same

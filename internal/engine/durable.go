@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"repro/internal/lists"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -110,33 +109,35 @@ type durable struct {
 	ckptHook func(step string) error
 }
 
-// DurabilityStats is a point-in-time snapshot of the WAL subsystem.
+// DurabilityStats is a point-in-time snapshot of the WAL subsystem, and
+// the "wal" block of /stats as it stands (Enabled and Dir stay in
+// process: /stats omits the block instead, and does not publish paths).
 type DurabilityStats struct {
 	// Enabled reports whether this engine has a write-ahead log.
-	Enabled bool
+	Enabled bool `json:"-"`
 	// Dir is the data directory; Generation the live checkpoint
 	// generation (0 = original files).
-	Dir        string
-	Generation uint64
+	Dir        string `json:"-"`
+	Generation uint64 `json:"generation"`
 	// SyncPolicy renders the writer's fsync policy.
-	SyncPolicy string
+	SyncPolicy string `json:"sync_policy"`
 	// NextSeq is the sequence number the next batch will get; LogBytes
 	// the current log length; Appends/Syncs the writer's counters.
-	NextSeq  uint64
-	LogBytes int64
-	Appends  int64
-	Syncs    int64
+	NextSeq  uint64 `json:"next_seq"`
+	LogBytes int64  `json:"log_bytes"`
+	Appends  int64  `json:"appends"`
+	Syncs    int64  `json:"syncs"`
 	// ReplayedRecords/ReplayedOps count what recovery applied at open;
 	// TruncatedBytes is the torn tail repaired then.
-	ReplayedRecords int
-	ReplayedOps     int
-	TruncatedBytes  int64
+	ReplayedRecords int   `json:"replayed_records"`
+	ReplayedOps     int   `json:"replayed_ops"`
+	TruncatedBytes  int64 `json:"truncated_bytes"`
 	// Checkpoints counts completed compactions; CheckpointBytes is the
 	// auto-compaction threshold (<= 0 disabled); LastCheckpointError is
 	// the most recent auto-compaction failure ("" when none).
-	Checkpoints         int64
-	CheckpointBytes     int64
-	LastCheckpointError string
+	Checkpoints         int64  `json:"checkpoints"`
+	CheckpointBytes     int64  `json:"checkpoint_bytes"`
+	LastCheckpointError string `json:"last_checkpoint_error,omitempty"`
 }
 
 // Durable reports whether the engine has a write-ahead log.
@@ -265,14 +266,7 @@ func openSnapshot(dir string, poolPages int, cfg Config) (wal.Manifest, *Engine,
 	if openSnapshotRaceHook != nil {
 		openSnapshotRaceHook()
 	}
-	if cfg.VerifyChecksums {
-		for _, p := range []string{tuplePath, listPath} {
-			if err := storage.VerifyChecksum(p); err != nil {
-				return man, nil, fmt.Errorf("engine: verify %s: %w", p, err)
-			}
-		}
-	}
-	ix, err := lists.OpenDiskIndex(tuplePath, listPath, poolPages)
+	ix, err := openDisk(tuplePath, listPath, poolPages, cfg)
 	if err != nil {
 		return man, nil, err
 	}
@@ -316,14 +310,7 @@ func openDurableDir(dir string, poolPages int, cfg Config) (*Engine, error) {
 	// With the writer role secured, garbage from interrupted checkpoints
 	// (generation files no manifest references) can be swept.
 	wal.RemoveStaleGenerations(dir, man.Gen)
-	if cfg.VerifyChecksums {
-		for _, p := range []string{tuplePath, listPath} {
-			if err := storage.VerifyChecksum(p); err != nil {
-				return fail(fmt.Errorf("engine: verify %s: %w", p, err))
-			}
-		}
-	}
-	ix, err := lists.OpenDiskIndex(tuplePath, listPath, poolPages)
+	ix, err := openDisk(tuplePath, listPath, poolPages, cfg)
 	if err != nil {
 		return fail(err)
 	}

@@ -196,14 +196,7 @@ func New(ix lists.Index, cfg Config) *Engine {
 // write overlay (lists.Overlay) so Apply works over persisted datasets
 // too; the files themselves are never modified.
 func Open(tuplePath, listPath string, poolPages int, cfg Config) (*Engine, error) {
-	if cfg.VerifyChecksums {
-		for _, p := range []string{tuplePath, listPath} {
-			if err := storage.VerifyChecksum(p); err != nil {
-				return nil, fmt.Errorf("engine: verify %s: %w", p, err)
-			}
-		}
-	}
-	ix, err := lists.OpenDiskIndex(tuplePath, listPath, poolPages)
+	ix, err := openDisk(tuplePath, listPath, poolPages, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -214,6 +207,20 @@ func Open(tuplePath, listPath string, poolPages int, cfg Config) (*Engine, error
 	e := New(top, cfg)
 	e.closer = ix.Close
 	return e, nil
+}
+
+// openDisk is the first step of every open — path-based, snapshot and
+// writer-role alike: validate both files' checksum trailers when the
+// config asks, then open them as one DiskIndex.
+func openDisk(tuplePath, listPath string, poolPages int, cfg Config) (*lists.DiskIndex, error) {
+	if cfg.VerifyChecksums {
+		for _, p := range []string{tuplePath, listPath} {
+			if err := storage.VerifyChecksum(p); err != nil {
+				return nil, fmt.Errorf("engine: verify %s: %w", p, err)
+			}
+		}
+	}
+	return lists.OpenDiskIndex(tuplePath, listPath, poolPages)
 }
 
 // Close flushes and closes the write-ahead log (durable engines), then
@@ -456,8 +463,7 @@ func (e *Engine) Analyze(ctx context.Context, q vec.Query, k int, opts Options) 
 			return &Analysis{Output: out, Source: SourceCache, Timings: tm}, nil
 		}
 	} else if e.cache != nil {
-		e.cache.bypasses.Add(1)
-		mCacheEvents.Inc("bypass")
+		e.cache.bypass()
 	}
 	t0 = time.Now()
 	release, err := e.acquire(ctx)

@@ -108,13 +108,15 @@ type ApplyResult struct {
 }
 
 // MutationStats is a point-in-time snapshot of the engine's write-path
-// counters.
+// counters, and the "mutations" block of /stats as it stands.
 type MutationStats struct {
-	Inserts, Updates, Deletes int64
-	Batches                   int64
-	CacheChecked              int64
-	CacheEvicted              int64
-	CacheSurvived             int64
+	Inserts       int64 `json:"inserts"`
+	Updates       int64 `json:"updates"`
+	Deletes       int64 `json:"deletes"`
+	Batches       int64 `json:"batches"`
+	CacheChecked  int64 `json:"cache_checked"`
+	CacheEvicted  int64 `json:"cache_evicted"`
+	CacheSurvived int64 `json:"cache_survived"`
 }
 
 // Mutable reports whether Apply is enabled.

@@ -130,22 +130,23 @@ func (ov *Overlay) Project(id int, dims []int, dst []float64) {
 }
 
 // DeltaStats is a point-in-time measure of an overlay's in-memory
-// delta, the raw material of checkpoint-trigger decisions and /stats.
+// delta, the raw material of checkpoint-trigger decisions and the
+// "overlay" block of /stats as it stands.
 type DeltaStats struct {
 	// Added counts live inserted tuples (deleted inserts excluded).
-	Added int
+	Added int `json:"added"`
 	// Overridden counts base tuples replaced by an updated version.
-	Overridden int
+	Overridden int `json:"overridden"`
 	// Tombstoned counts dead slots: deleted base tuples plus deleted
 	// inserts.
-	Tombstoned int
+	Tombstoned int `json:"tombstoned"`
 	// DeltaPostings counts postings in the delta lists.
-	DeltaPostings int
+	DeltaPostings int `json:"delta_postings"`
 	// Bytes approximates the delta's memory footprint: tuple payloads at
 	// 12 B/entry plus delta postings at 12 B plus fixed per-slot
 	// overheads. It is an estimate for bounding growth, not an exact
 	// accounting.
-	Bytes int64
+	Bytes int64 `json:"bytes"`
 }
 
 // DeltaStats measures the overlay's current delta. The accounting is

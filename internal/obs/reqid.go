@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
+	"net/http/pprof"
 	"sync/atomic"
 	"time"
 )
@@ -150,4 +151,21 @@ const ReadHeaderTimeout = 10 * time.Second
 // /update batches.
 func NewServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{Addr: addr, Handler: AccessLog(h), ReadHeaderTimeout: ReadHeaderTimeout}
+}
+
+// ServePprof exposes net/http/pprof on its own listener, so the
+// profiling surface never shares a port with the public API; it returns
+// only if the listener fails. Explicit registrations on a private mux —
+// a blank import of net/http/pprof would mutate http.DefaultServeMux for
+// the whole process.
+func ServePprof(addr string) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	if err := http.ListenAndServe(addr, mux); err != nil {
+		Log().Error("pprof_listen_failed", "addr", addr, "error", err.Error())
+	}
 }

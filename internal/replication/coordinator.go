@@ -841,17 +841,7 @@ func (n *Node) Readiness() error {
 		}
 		return fmt.Errorf("not following a primary")
 	}
-	st := fol.Stats()
-	if fol.Engine() == nil {
-		return fmt.Errorf("snapshot bootstrap in progress")
-	}
-	if !st.Connected {
-		return fmt.Errorf("replication session down")
-	}
-	if st.SeqDelta > n.cfg.ReadyLag {
-		return fmt.Errorf("replication lag %d exceeds the %d bound", st.SeqDelta, n.cfg.ReadyLag)
-	}
-	return nil
+	return fol.Readiness(n.cfg.ReadyLag)
 }
 
 // ClusterInfo assembles this node's /cluster document.

@@ -735,3 +735,20 @@ func (f *Follower) Stats() FollowerStats {
 	f.mu.Unlock()
 	return st
 }
+
+// Readiness is the standby half of /readyz: nil when the follower has an
+// engine, a live replication session and at most maxLag sequence numbers
+// to catch up.
+func (f *Follower) Readiness(maxLag uint64) error {
+	st := f.Stats()
+	if f.Engine() == nil {
+		return fmt.Errorf("snapshot bootstrap in progress")
+	}
+	if !st.Connected {
+		return fmt.Errorf("replication session down")
+	}
+	if st.SeqDelta > maxLag {
+		return fmt.Errorf("replication lag %d exceeds the %d bound", st.SeqDelta, maxLag)
+	}
+	return nil
+}

@@ -75,6 +75,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/lists"
 	"repro/internal/obs"
 	"repro/internal/topk"
 	"repro/internal/vec"
@@ -447,54 +448,6 @@ type MutateResponse struct {
 	CacheSurvived int            `json:"cache_survived"`
 }
 
-// MutationStatsJSON mirrors engine.MutationStats.
-type MutationStatsJSON struct {
-	Inserts       int64 `json:"inserts"`
-	Updates       int64 `json:"updates"`
-	Deletes       int64 `json:"deletes"`
-	Batches       int64 `json:"batches"`
-	CacheChecked  int64 `json:"cache_checked"`
-	CacheEvicted  int64 `json:"cache_evicted"`
-	CacheSurvived int64 `json:"cache_survived"`
-}
-
-// CacheStatsJSON mirrors engine.CacheStats.
-type CacheStatsJSON struct {
-	Hits       int64 `json:"hits"`
-	RegionHits int64 `json:"region_hits"`
-	Misses     int64 `json:"misses"`
-	Bypasses   int64 `json:"bypasses"`
-	Evictions  int64 `json:"evictions"`
-	Entries    int   `json:"entries"`
-	Bytes      int64 `json:"bytes"`
-}
-
-// WALStatsJSON mirrors engine.DurabilityStats.
-type WALStatsJSON struct {
-	Generation          uint64 `json:"generation"`
-	SyncPolicy          string `json:"sync_policy"`
-	NextSeq             uint64 `json:"next_seq"`
-	LogBytes            int64  `json:"log_bytes"`
-	Appends             int64  `json:"appends"`
-	Syncs               int64  `json:"syncs"`
-	ReplayedRecords     int    `json:"replayed_records"`
-	ReplayedOps         int    `json:"replayed_ops"`
-	TruncatedBytes      int64  `json:"truncated_bytes"`
-	Checkpoints         int64  `json:"checkpoints"`
-	CheckpointBytes     int64  `json:"checkpoint_bytes"`
-	LastCheckpointError string `json:"last_checkpoint_error,omitempty"`
-}
-
-// OverlayStatsJSON mirrors lists.DeltaStats: the write overlay's
-// in-memory delta, the quantity checkpointing bounds.
-type OverlayStatsJSON struct {
-	Added         int   `json:"added"`
-	Overridden    int   `json:"overridden"`
-	Tombstoned    int   `json:"tombstoned"`
-	DeltaPostings int   `json:"delta_postings"`
-	Bytes         int64 `json:"bytes"`
-}
-
 // BuildJSON identifies the running binary: the -ldflags-injected
 // version and commit plus process start time and uptime.
 type BuildJSON struct {
@@ -516,12 +469,12 @@ type StatsResponse struct {
 	// PoolBypass counts page-equivalent accesses served straight from
 	// the mmap'd region, bypassing the buffer pool (always 0 on nommap
 	// builds or pread-backed stores).
-	PoolBypass  int64              `json:"pool_bypass"`
-	Cache       *CacheStatsJSON    `json:"cache,omitempty"`
-	Mutations   *MutationStatsJSON `json:"mutations,omitempty"`
-	WAL         *WALStatsJSON      `json:"wal,omitempty"`
-	Overlay     *OverlayStatsJSON  `json:"overlay,omitempty"`
-	Replication any                `json:"replication,omitempty"`
+	PoolBypass  int64                   `json:"pool_bypass"`
+	Cache       *engine.CacheStats      `json:"cache,omitempty"`
+	Mutations   *engine.MutationStats   `json:"mutations,omitempty"`
+	WAL         *engine.DurabilityStats `json:"wal,omitempty"`
+	Overlay     *lists.DeltaStats       `json:"overlay,omitempty"`
+	Replication any                     `json:"replication,omitempty"`
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -715,6 +668,7 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 			resp.Responses[i] = BatchEntryResponse{Error: res.Err.Error()}
 			continue
 		}
+		observeDisposition(res.Analysis.Source)
 		resp.Responses[i] = BatchEntryResponse{AnalyzeResponse: toAnalyzeResponse(res.Analysis)}
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -755,6 +709,7 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 			resp.Responses[i] = TopKEntryResponse{Error: res.Err.Error()}
 			continue
 		}
+		observeDisposition(res.Source)
 		resp.Responses[i] = TopKEntryResponse{
 			Result:  toEntries(res.Result),
 			Cache:   cacheField(res.Source),
@@ -906,53 +861,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.PoolBypass = eng.Stats().Bypasses()
 	if eng.Mutable() {
 		ms := eng.MutationStats()
-		resp.Mutations = &MutationStatsJSON{
-			Inserts:       ms.Inserts,
-			Updates:       ms.Updates,
-			Deletes:       ms.Deletes,
-			Batches:       ms.Batches,
-			CacheChecked:  ms.CacheChecked,
-			CacheEvicted:  ms.CacheEvicted,
-			CacheSurvived: ms.CacheSurvived,
-		}
+		resp.Mutations = &ms
 	}
 	if eng.Durable() {
 		ds := eng.DurabilityStats()
-		resp.WAL = &WALStatsJSON{
-			Generation:          ds.Generation,
-			SyncPolicy:          ds.SyncPolicy,
-			NextSeq:             ds.NextSeq,
-			LogBytes:            ds.LogBytes,
-			Appends:             ds.Appends,
-			Syncs:               ds.Syncs,
-			ReplayedRecords:     ds.ReplayedRecords,
-			ReplayedOps:         ds.ReplayedOps,
-			TruncatedBytes:      ds.TruncatedBytes,
-			Checkpoints:         ds.Checkpoints,
-			CheckpointBytes:     ds.CheckpointBytes,
-			LastCheckpointError: ds.LastCheckpointError,
-		}
+		resp.WAL = &ds
 	}
 	if ov, ok := eng.OverlayStats(); ok {
-		resp.Overlay = &OverlayStatsJSON{
-			Added:         ov.Added,
-			Overridden:    ov.Overridden,
-			Tombstoned:    ov.Tombstoned,
-			DeltaPostings: ov.DeltaPostings,
-			Bytes:         ov.Bytes,
-		}
+		resp.Overlay = &ov
 	}
 	if eng.CacheEnabled() {
 		cs := eng.CacheStats()
-		resp.Cache = &CacheStatsJSON{
-			Hits:       cs.Hits,
-			RegionHits: cs.RegionHits,
-			Misses:     cs.Misses,
-			Bypasses:   cs.Bypasses,
-			Evictions:  cs.Evictions,
-			Entries:    cs.Entries,
-			Bytes:      cs.Bytes,
-		}
+		resp.Cache = &cs
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

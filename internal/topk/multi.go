@@ -286,12 +286,12 @@ func (m *Multi) Member(i int) *MemberRun {
 	// The view owns its ranked list: Resume appends to the tail.
 	ranked := m.rank(i)
 	cut := min(m.scan.k, len(ranked))
-	r := &MemberRun{
+	r := &MemberRun{Fork{
 		scanState: m.scan.clone(),
 		arena:     projArena{qlen: m.scan.q.Len()},
 		result:    ranked[:cut:cut],
 		cands:     ranked[cut:],
-	}
+	}}
 	r.q = m.queries[i]
 	return r
 }
@@ -305,15 +305,12 @@ func (m *Multi) mustBeDone(op string) {
 	}
 }
 
-// MemberRun is one member's view of a completed fused run. It
-// implements View (and core.Runner): the scan is already terminated, so
-// RunContext only arms the context and reports any cancellation.
-type MemberRun struct {
-	scanState
-	arena  projArena
-	result []Scored
-	cands  []Scored
-}
+// MemberRun is one member's view of a completed fused run: a Fork of the
+// shared scan with the member's query substituted, so Result, Candidates
+// and Resume are Fork's. It implements View (and core.Runner): the scan
+// is already terminated, so RunContext only arms the context and reports
+// any cancellation.
+type MemberRun struct{ Fork }
 
 // RunContext arms ctx on the (already completed) member scan so that
 // later Resume pulls observe cancellation, and reports the scan error.
@@ -322,29 +319,6 @@ func (r *MemberRun) RunContext(ctx context.Context) error {
 		r.ctx = ctx
 	}
 	return r.ctxErr
-}
-
-// Result returns the member's ranked top-k (shared, read-only).
-func (r *MemberRun) Result() []Scored { return r.result }
-
-// Candidates returns the member's candidate list: every shared-scan
-// encounter outside its top-k, plus this view's own Resume pulls.
-func (r *MemberRun) Candidates() []Scored { return r.cands }
-
-// Resume continues the member's private scan continuation until one new
-// tuple is encountered, scored with the member's weights.
-func (r *MemberRun) Resume() (Scored, bool) {
-	for {
-		p, _, isNew, ok := r.rawStep()
-		if !ok {
-			return Scored{}, false
-		}
-		if isNew {
-			sc := r.score(p.ID, &r.arena)
-			r.cands = append(r.cands, sc)
-			return sc, true
-		}
-	}
 }
 
 // ForkView returns an isolated resumable copy for one dimension of a

@@ -1,18 +1,12 @@
-//go:build !noasm
-
 package vec
 
-// Unrolled portable kernels — the default build. The 4-wide unrolling
-// exists to amortize loop overhead and let the compiler elide bounds
-// checks on the full-capacity subslices; every accumulation stays a
-// single running sum in ascending index order, so the results are
-// bit-identical to the scalar references in kernel_ref.go (asserted by
-// property test). A SIMD-intrinsics backend can replace this file behind
-// the same build-tag seam, gonum-style, as long as it preserves that
-// bit-identity contract (i.e. no reassociating horizontal adds).
-
-// KernelImpl names the active kernel backend, for diagnostics.
-const KernelImpl = "unroll4"
+// Unrolled portable kernels — the one backend every build runs. The
+// 4-wide unrolling exists to amortize loop overhead and let the compiler
+// elide bounds checks on the full-capacity subslices; every accumulation
+// stays a single running sum in ascending index order, so the results
+// are bit-identical to the scalar references in kernel_ref.go (asserted
+// by TestKernelBitIdentity). Whatever replaces these loops must keep
+// that contract (i.e. no reassociating horizontal adds).
 
 func dotKernel(a, b []float64) float64 {
 	s := 0.0

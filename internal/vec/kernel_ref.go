@@ -3,10 +3,7 @@ package vec
 // Scalar reference kernels. These are the semantic ground truth for the
 // unrolled block kernels in kernel.go: every optimized variant must be
 // bit-identical to its reference on all inputs, which the property tests
-// in kernel_test.go assert by comparing float bits. The references are
-// always compiled (in every build-tag configuration) so the comparison
-// can run inside any build, including -tags=noasm where the active
-// kernels ARE the references.
+// in kernel_test.go assert by comparing float bits.
 //
 // Bit-identity discipline: all kernels keep a single accumulator per
 // output and add terms in ascending index order. Unrolling is only

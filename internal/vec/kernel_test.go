@@ -24,11 +24,9 @@ func randBlock(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// TestKernelBitIdentity proves the active kernel backend bit-identical
-// to the scalar references across random blocks of every length around
-// the unroll width, including boundary weights. Under -tags=noasm the
-// active kernels ARE the references, so the test degenerates to a
-// tautology there by design.
+// TestKernelBitIdentity proves the unrolled kernels bit-identical to the
+// scalar references across random blocks of every length around the
+// unroll width, including boundary weights.
 func TestKernelBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 2000; trial++ {

@@ -296,8 +296,7 @@ func (q Query) NonZeroQueryDims(d Sparse) int {
 }
 
 // Dot computes the dot product of two dense vectors of equal length,
-// through the active kernel backend (bit-identical to the naive loop in
-// every backend; see kernel_ref.go).
+// bit-identical to the naive loop (see kernel_ref.go).
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Dot length mismatch %d vs %d", len(a), len(b)))
