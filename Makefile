@@ -81,10 +81,15 @@ vuln:
 # And the miss path where it is real: never-repeated /analyze over a
 # mapped DiskIndex under an empty Overlay (what irserver -wal serves) —
 # its allocs/op and B/op are what a random access costs in garbage.
+# BenchmarkColdStream is bench/'s cold-analyze workload in process (ST
+# n = 200 000, two clients, 400 requests an op, a quarter of them φ = 2):
+# its peak-live-MB is the live heap with the deepest query in flight,
+# which is what the server's resident set follows.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
+	$(GO) test -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
@@ -96,8 +101,11 @@ bench-smoke:
 # DiskIndex too), the overlay's pass-through cursor, and the checkpoint
 # merge over files that are not mapped (storage's
 # TestRawCopiesAreTheFileBytes, lists' TestSaveIndexIsSaveDataset: the
-# copy counts there fail a disk base that decodes instead of copying).
-# The cross-build proves the fallback compiles on amd64 too.
+# copy counts there fail a disk base that decodes instead of copying),
+# and engine's TestFailedSortedAccessFailsTheQuery, which only this build
+# can run: a list file cut short under a scan fails the query instead of
+# ending the list. The cross-build proves the fallback compiles on amd64
+# too.
 test-fallback:
 	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/...
 	GOARCH=amd64 $(GO) build -tags=nommap ./...

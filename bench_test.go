@@ -15,9 +15,12 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"runtime/metrics"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -496,6 +499,105 @@ func BenchmarkCacheAnalyze(b *testing.B) {
 			}
 		}
 	})
+}
+
+// coldStream is bench/'s cold-analyze client in process: never-repeated
+// queries over qlen 4 of the m dimensions, weights U(0.1, 1), every fourth
+// one a φ = 2 analysis drawn from its own generator (heavySeed = 11 in
+// bench/workload.go), so the costly quarter is the same whatever the
+// seed of the light three quarters.
+type coldStream struct {
+	rng, heavy *rand.Rand
+	m, i       int
+}
+
+func newColdStream(m int, seed int64, client int) *coldStream {
+	clientSeed := func(seed int64) int64 { return seed*1_000_003 + int64(client)*7919 + 1 }
+	return &coldStream{rng: rand.New(rand.NewSource(clientSeed(seed))), heavy: rand.New(rand.NewSource(clientSeed(11))), m: m}
+}
+
+func (c *coldStream) next() (vec.Query, int) {
+	rng, phi := c.rng, 0
+	if c.i%4 == 3 {
+		rng, phi = c.heavy, 2
+	}
+	c.i++
+	dims := rng.Perm(c.m)[:4]
+	slices.Sort(dims)
+	weights := make([]float64, 4)
+	for j := range weights {
+		weights[j] = 0.1 + 0.9*rng.Float64()
+	}
+	return vec.Query{Dims: dims, Weights: weights}, phi
+}
+
+// BenchmarkColdStream — bench/'s cold-analyze workload at the engine
+// seam: ST n = 200 000 as irserver -wal serves it (a mapped DiskIndex
+// under an empty Overlay, cache on), two closed-loop clients, one op =
+// 200 requests from each. The streams run on across ops, so no query
+// ever repeats. Besides ns/op and B/op it reports the highest
+// /gc/heap/live:bytes a 1 ms poll saw — the live heap with the deepest
+// φ = 2 query in flight, which under GOGC = 100 is half the heap goal
+// and so what the server's resident set follows.
+func BenchmarkColdStream(b *testing.B) {
+	st := dataset.GenerateST(dataset.STConfig{N: 200000, Seed: 1})
+	dir := b.TempDir()
+	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
+	if err := st.Save(tp, lp); err != nil {
+		b.Fatal(err)
+	}
+	disk, err := lists.OpenDiskIndex(tp, lp, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+	eng := engine.New(lists.NewOverlay(disk), engine.Config{})
+	streams := []*coldStream{newColdStream(st.M, 1, 0), newColdStream(st.M, 1, 1)}
+	st = nil
+	runtime.GC()
+
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	var peak uint64
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				metrics.Read(live)
+				peak = max(peak, live[0].Value.Uint64())
+			}
+		}
+	}()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for _, cs := range streams {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for r := 0; r < 200; r++ {
+					q, phi := cs.next()
+					opts := engine.Options{Options: core.Options{Method: core.MethodCPT, Phi: phi}}
+					if _, err := eng.Analyze(context.Background(), q, 10, opts); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	b.StopTimer()
+	close(stop)
+	<-polled
+	b.ReportMetric(float64(peak)/(1<<20), "peak-live-MB")
 }
 
 // BenchmarkCacheTopK — region-certified /topk serving: weights nudged

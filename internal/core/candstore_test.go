@@ -26,17 +26,10 @@ func TestCandidateStoreMatchesFullList(t *testing.T) {
 			for _, cd := range ta.Candidates() {
 				store.Add(cd)
 			}
-			comp := &dimComputer{
-				computer: &computer{ix: ix, q: ta.Query(), k: cs.K,
-					opts: Options{Method: MethodCPT, Phi: phi}, res: ta.Result()},
-				view: ta,
-				sc:   new(scratch),
-			}
+			comp := (&computer{ix: ix, q: ta.Query(), k: cs.K,
+				opts: Options{Method: MethodCPT, Phi: phi}, res: ta.Result()}).newDim(ta, nil, new(scratch))
 			for jx := range cs.Q.Dims {
-				var want []topk.Scored
-				for _, p := range comp.prunedSet(jx, phi) {
-					want = append(want, ta.Candidates()[p])
-				}
+				want := ta.Table().Rows(comp.prunedSet(jx, phi))
 				got := store.PrunedSet(jx)
 				if !sameIDSet(got, want) {
 					t.Fatalf("trial %d phi %d dim %d: store %v, full %v",

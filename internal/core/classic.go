@@ -1,10 +1,6 @@
 package core
 
-import (
-	"slices"
-
-	"repro/internal/topk"
-)
+import "repro/internal/topk"
 
 // lemma1 returns the critical deviation at which `below` catches up with
 // `above` when the weight of the inspected dimension changes (Lemma 1),
@@ -115,28 +111,18 @@ func (c *dimComputer) phase1(jx int, b *boundState) {
 	}
 }
 
-// fullSet returns all current candidates in decreasing score order (the
-// order C(q) is maintained in) as positions into view.Candidates(): the
-// 48-byte entries stay where the scan put them and a 4-byte order stands
-// in for the sorted copy. It is rebuilt only when the candidate list has
-// grown (a Phase-3 pull appends out of order); the scan's own ranking is
-// already sorted, which the sort detects in one pass. The evaluation
-// memo is sized here too: every position Phase 2 evaluates comes out of
-// this order.
+// fullSet returns all current candidates in decreasing score order, as
+// row positions in the scan's table: the scan's own rank order, which
+// it built once when it terminated and extends by merging when Phase 3
+// has pulled new rows — nothing is sorted here. The evaluation memo is
+// sized here too: every position Phase 2 evaluates comes out of this
+// order.
 func (c *dimComputer) fullSet() []int32 {
-	cands := c.view.Candidates()
-	if n := len(cands); n != c.ordered {
-		order := c.sc.order[:c.ordered]
-		for p := c.ordered; p < n; p++ {
-			order = append(order, int32(p))
-		}
-		slices.SortFunc(order, func(a, b int32) int { return byScoreDesc(&cands[a], &cands[b]) })
-		c.sc.order, c.ordered = order, n
-		if n > len(c.sc.mark) {
-			c.sc.mark = append(c.sc.mark, make([]uint32, n-len(c.sc.mark))...)
-		}
+	if n := c.rows.Len(); n > len(c.sc.mark) {
+		c.sc.mark = append(c.sc.mark, make([]uint32, n-len(c.sc.mark))...)
 	}
-	return c.sc.order[:c.ordered]
+	order, cut := c.view.Ranking()
+	return order[cut:]
 }
 
 // filterClasses selects a dimension-jx pruned view of the candidate
@@ -152,10 +138,9 @@ func (c *dimComputer) fullSet() []int32 {
 func (c *dimComputer) filterClasses(jx, keep0, keepH int) []int32 {
 	bit := uint64(1) << uint(jx)
 	n0, nh := 0, 0
-	cands := c.view.Candidates()
 	out := c.sc.filtered[:0]
 	for _, p := range c.fullSet() {
-		switch mask := cands[p].NZMask; {
+		switch mask := c.rows.Mask(p); {
 		case mask&bit == 0:
 			if n0 < keep0 {
 				n0++
@@ -186,17 +171,15 @@ func (c *dimComputer) prunedSet(jx, phi int) []int32 {
 // phase2Evaluate checks every candidate in set against the k-th result
 // tuple (Scan's Phase 2; also Prune's, on the reduced set).
 func (c *dimComputer) phase2Evaluate(jx int, set []int32, b *boundState) {
-	cands := c.view.Candidates()
 	dk := c.dk()
 	dkj := dk.Proj[jx]
 	for _, p := range set {
 		if c.stop() {
 			return
 		}
-		cd := &cands[p]
-		c.evaluate(jx, p, cd.ID)
-		crit, kind := lemma1(dk.Score, dkj, cd.Score, cd.Proj[jx])
-		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: cd.ID, Entry: true})
+		c.evaluate(jx, p)
+		crit, kind := lemma1(dk.Score, dkj, c.rows.Score(p), c.rows.Coord(p, jx))
+		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
 	}
 }
 
@@ -210,7 +193,7 @@ type slj struct {
 	idx    []int32
 	coords []float64 // jx-coordinate per set entry
 	set    []int32
-	cands  []topk.Scored
+	rows   *topk.Table
 	asc    bool // SLj↑: ascending coordinate; SLj↓: descending
 }
 
@@ -218,7 +201,7 @@ func (h *slj) before(a, b int32) bool {
 	if av, bv := h.coords[a], h.coords[b]; av != bv {
 		return (av < bv) == h.asc
 	}
-	return h.cands[h.set[a]].ID < h.cands[h.set[b]].ID
+	return h.rows.ID(h.set[a]) < h.rows.ID(h.set[b])
 }
 
 func (h *slj) heapify() {
@@ -279,7 +262,7 @@ func firstUnprocessed(processed []bool, i *int) bool {
 // when pulling and when reading thresholds (a strictly tighter, still
 // safe threshold).
 func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
-	cands := c.view.Candidates()
+	rows := c.rows
 	dk := c.dk()
 	dkj := dk.Proj[jx]
 	sk := dk.Score
@@ -292,10 +275,10 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 	c.sc.processed = resize(c.sc.processed, len(set))
 	coords, processed := c.sc.coords, c.sc.processed
 	clear(processed)
-	up := slj{idx: c.sc.idxA[:0], coords: coords, set: set, cands: cands, asc: true}
-	down := slj{idx: c.sc.idxB[:0], coords: coords, set: set, cands: cands}
+	up := slj{idx: c.sc.idxA[:0], coords: coords, set: set, rows: rows, asc: true}
+	down := slj{idx: c.sc.idxB[:0], coords: coords, set: set, rows: rows}
 	for i, p := range set {
-		cj := cands[p].Proj[jx]
+		cj := rows.Coord(p, jx)
 		coords[i] = cj
 		switch {
 		case cj < dkj:
@@ -311,11 +294,10 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 	// tightens that side's bound (Lemma 1 picks the side by coordinate).
 	pull := func(i int32, apply bool) {
 		processed[i] = true
-		cd := &cands[set[i]]
-		c.evaluate(jx, set[i], cd.ID)
+		c.evaluate(jx, set[i])
 		if apply {
-			crit, kind := lemma1(sk, dkj, cd.Score, coords[i])
-			b.apply(crit, kind, Perturbation{Above: dk.ID, Below: cd.ID, Entry: true})
+			crit, kind := lemma1(sk, dkj, rows.Score(set[i]), coords[i])
+			b.apply(crit, kind, Perturbation{Above: dk.ID, Below: c.id(set[i]), Entry: true})
 		}
 	}
 	// stepSide performs one side's termination test and, if still active,
@@ -328,7 +310,7 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 		if !ok || !firstUnprocessed(processed, &iS) {
 			return false // this side of dk, or the whole set, is exhausted
 		}
-		crit := (sk - cands[set[iS]].Score) / (coords[ni] - dkj)
+		crit := (sk - rows.Score(set[iS])) / (coords[ni] - dkj)
 		if (h.asc && crit <= b.lo) || (!h.asc && crit >= b.hi) {
 			return false // no unseen candidate can tighten this bound
 		}
@@ -396,14 +378,14 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 		if !condL && !condU {
 			return
 		}
-		sc, ok := c.view.Resume()
+		p, ok := c.view.Resume()
 		if !ok {
 			return
 		}
 		c.met.Phase3Pulled++
 		c.noteEvaluated(jx)
-		crit, kind := lemma1(sk, dkj, sc.Score, sc.Proj[jx])
-		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: sc.ID, Entry: true})
+		crit, kind := lemma1(sk, dkj, c.rows.Score(p), c.rows.Coord(p, jx))
+		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
 		sBar = sk + b.hi*dkj
 		sUnd = sk + b.lo*dkj
 	}

@@ -22,10 +22,12 @@
 // Dimensions are independent given the TA state, so Compute can fan the
 // per-dimension work out across a goroutine pool (Options.Parallelism).
 // What is shared between dimension workers is strictly read-only: the
-// index, the query, the ranked result, and the candidate snapshot taken
-// when TA terminated. Everything a dimension mutates is private to it —
-// its topk.Fork (an isolated resumable scan with cloned cursors, so
-// Phase-3 pulls never leak across dimensions), its evaluation memo, and
+// index, the query, the ranked result, and the candidate rows and rank
+// order as they stood when TA terminated — forks read the parent's table
+// pages in place. Everything a dimension mutates is private to it — its
+// topk.Fork (an isolated resumable scan with cloned cursors and pages of
+// its own for what it pulls, so Phase-3 pulls never leak across
+// dimensions), its evaluation memo, and
 // its own Metrics, which are merged in ascending dimension order after
 // the workers drain so the reported totals are deterministic. Phase
 // durations then sum per-dimension CPU time, not wall time. I/O charges
@@ -296,6 +298,10 @@ type computer struct {
 	// which case Phase-3 pulls live in the forks' private candidate
 	// lists (not the parent's) and the memory model adds them separately.
 	forked bool
+
+	// idBase is what to add to a table row's tuple id to get the id the
+	// regions report: 0, or the shard's offset under an imposed result.
+	idBase int
 }
 
 // dimComputer is the working state of one dimension's region
@@ -305,17 +311,20 @@ type computer struct {
 type dimComputer struct {
 	*computer
 	view topk.View
+	rows *topk.Table // view.Table(): every candidate is read in place, by position
 	met  *Metrics
 	sc   *scratch
 
 	// ctxTick strides the cancellation polls of the Phase-2/3 loops.
 	ctxTick uint32
-
-	// ordered is how many candidates sc.order ranks (fullSet); the
-	// candidate list only grows, so an unchanged length means an
-	// unchanged order.
-	ordered int
 }
+
+func (c *computer) newDim(view topk.View, met *Metrics, sc *scratch) *dimComputer {
+	return &dimComputer{computer: c, view: view, rows: view.Table(), met: met, sc: sc}
+}
+
+// id returns the reported tuple id of candidate row p.
+func (d *dimComputer) id(p int32) int { return d.rows.ID(p) + d.idBase }
 
 // Runner is the execution surface region computation drives: a
 // topk.View that can additionally be run to termination (a no-op when
@@ -325,7 +334,7 @@ type dimComputer struct {
 type Runner interface {
 	topk.View
 	RunContext(ctx context.Context) error
-	ForkView() topk.View
+	ForkView() *topk.Fork
 }
 
 // Compute derives the immutable regions of every query dimension from a
@@ -364,6 +373,9 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 		res:  r.Result(),
 		ctx:  ctx,
 	}
+	if v, ok := r.(*imposedRunner); ok {
+		c.idBase = v.base
+	}
 	qlen := c.q.Len()
 	out := &Output{Query: c.q, K: c.k, Result: topk.Compact(c.res)}
 	out.Regions = make([]Regions, qlen)
@@ -387,7 +399,8 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 	seq1, rnd1, _ := c.ix.Stats().Snapshot()
 	met.SeqPages = seq1 - seq0
 	met.RandReads = rnd1 - rnd0
-	met.MemBytes = c.memFootprint(r.Candidates())
+	order, cut := r.Ranking()
+	met.MemBytes = c.memFootprint(r.Table(), order[cut:])
 	// Forked Phase-3 pulls grow the forks' private candidate lists, not
 	// the parent's, so memFootprint missed them; add all pulls at the
 	// candidate-entry unit (16 B) to match the sequential path, where
@@ -423,7 +436,7 @@ func (d *dimComputer) stop() bool {
 func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) {
 	sc := getScratch()
 	defer putScratch(sc)
-	d := &dimComputer{computer: c, view: r, met: met, sc: sc}
+	d := c.newDim(r, met, sc)
 	for jx := range c.q.Dims {
 		if c.canceled() != nil {
 			return // Compute reports the error after the loop
@@ -455,14 +468,10 @@ func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
 				return
 			}
 			perDim[jx].EvaluatedPerDim = make([]int, qlen)
-			d := &dimComputer{
-				computer: c,
-				view:     r.ForkView(),
-				met:      &perDim[jx],
-				sc:       sc,
-			}
+			fork := r.ForkView()
 			sc.resetEval()
-			out.Regions[jx] = d.computeDim(jx)
+			out.Regions[jx] = c.newDim(fork, &perDim[jx], sc).computeDim(jx)
+			fork.Release()
 		}
 	}
 	if workers == 1 {
@@ -511,19 +520,19 @@ func (c *computer) fullDomainRegions(jx int) Regions {
 	return Regions{Dim: c.q.Dims[jx], QPos: jx, Lo: -qj, Hi: 1 - qj}
 }
 
-// evaluate pays for candidate position pos (tuple id) the one random
-// I/O that is the paper's accounting unit for Phase 2. Nothing is read
-// back: the projection Phase 2 works on is the one the scan already took
-// from the identical record (Scored.Proj), so the access is charged
+// evaluate pays for the candidate at row pos the one random I/O that is
+// the paper's accounting unit for Phase 2. Nothing is read back: the
+// projection Phase 2 works on is the one the scan already took from the
+// identical record (the row's coordinates), so the access is charged
 // (Index.Project with no dimensions) rather than repeated. A second
 // evaluation within one dimension is served from the memo without
 // re-charging.
-func (d *dimComputer) evaluate(jx int, pos int32, id int) {
+func (d *dimComputer) evaluate(jx int, pos int32) {
 	if d.sc.mark[pos] == d.sc.epoch {
 		return
 	}
 	d.sc.mark[pos] = d.sc.epoch
-	d.ix.Project(id, nil, nil)
+	d.ix.Project(d.id(pos), nil, nil)
 	d.noteEvaluated(jx)
 }
 
@@ -544,7 +553,7 @@ func (c *computer) dk() topk.Scored { return c.res[c.k-1] }
 // sorted-list entry a pointer+key (16 B). Prune and CPT use the
 // CandidateStore optimization of §5.1 (only CL tuples plus φ+1 singleton
 // representatives per dimension are retained).
-func (c *computer) memFootprint(cands []topk.Scored) int64 {
+func (c *computer) memFootprint(rows *topk.Table, cands []int32) int64 {
 	const entry = 16
 	total := int64(len(cands)) * entry
 	switch c.opts.Method {
@@ -560,10 +569,9 @@ func (c *computer) memFootprint(cands []topk.Scored) int64 {
 		// per-dimension counts and the multi total together.
 		multi := 0
 		var counts [64]int // qlen ≤ 64: the partition mask is a uint64
-		for _, cd := range cands {
-			if cd.NonZero() >= 2 {
+		for _, p := range cands {
+			if m := rows.Mask(p); m&(m-1) != 0 { // non-zero on ≥ 2 query dimensions
 				multi++
-				m := cd.NZMask
 				for m != 0 {
 					counts[bits.TrailingZeros64(m)]++
 					m &= m - 1

@@ -159,16 +159,15 @@ func (c *dimComputer) sideSet(jx, phi int, mirror bool) []int32 {
 // envelope everywhere within the horizon.
 func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 	set := c.sideSet(jx, phi, mirror)
-	cands := c.view.Candidates()
+	rows := c.rows
 	sgn := 1.0
 	if mirror {
 		sgn = -1
 	}
 	// offer evaluates a candidate and shows its line to this boundary.
 	offer := func(p int32) {
-		cd := &cands[p]
-		c.evaluate(jx, p, cd.ID)
-		bd.consider(cd.ID, cd.Score, sgn*cd.Proj[jx])
+		c.evaluate(jx, p)
+		bd.consider(c.id(p), rows.Score(p), sgn*rows.Coord(p, jx))
 	}
 	switch c.opts.Method {
 	case MethodScan, MethodPrune:
@@ -189,9 +188,9 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 	c.sc.idxA = resize(c.sc.idxA, len(set))
 	c.sc.processed = resize(c.sc.processed, len(set))
 	coords := c.sc.coords
-	list := slj{idx: c.sc.idxA[:0], coords: coords, set: set, cands: cands, asc: mirror}
+	list := slj{idx: c.sc.idxA[:0], coords: coords, set: set, rows: rows, asc: mirror}
 	for i, p := range set {
-		cj := cands[p].Proj[jx]
+		cj := rows.Coord(p, jx)
 		coords[i] = cj
 		if (!mirror && cj > dkj) || (mirror && cj < dkj) {
 			list.idx = append(list.idx, int32(i))
@@ -217,7 +216,7 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 		if nxt, ok := list.peek(processed); ok {
 			slope = coords[nxt]
 		}
-		return bd.env.AboveLine(geom.Line{A: cands[set[iS]].Score, B: sgn * slope})
+		return bd.env.AboveLine(geom.Line{A: rows.Score(set[iS]), B: sgn * slope})
 	}
 	slsPulls := 1
 	if c.opts.Schedule == ScheduleScoreBiased {
@@ -264,14 +263,15 @@ func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
 		if right.env.AboveLine(capR) && left.env.AboveLine(capL) {
 			return
 		}
-		sc, ok := c.view.Resume()
+		p, ok := c.view.Resume()
 		if !ok {
 			return
 		}
 		c.met.Phase3Pulled++
 		c.noteEvaluated(jx)
-		right.consider(sc.ID, sc.Score, sc.Proj[jx])
-		left.consider(sc.ID, sc.Score, -sc.Proj[jx])
+		id, score, coord := c.id(p), c.rows.Score(p), c.rows.Coord(p, jx)
+		right.consider(id, score, coord)
+		left.consider(id, score, -coord)
 	}
 }
 

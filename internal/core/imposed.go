@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/lists"
@@ -17,8 +18,8 @@ import (
 // asks every shard for the region constraints ITS tuples impose on that
 // result. The shard computation is the unmodified pipeline of this
 // package run over a translated view: Result() reports the imposed
-// global lines, Candidates()/Resume() report the shard's own tuples
-// under their global ids, and the k-th result line may belong to
+// global lines, Ranking()/Resume() the shard's own rows — reported under
+// their global ids (computer.idBase) — and the k-th result line may belong to
 // another shard entirely — Lemma 1 and the §6 envelope only consume the
 // line coefficients (score, coordinate), never the backing tuple, so
 // the phases work unchanged.
@@ -46,21 +47,30 @@ import (
 // (Options.Parallelism <= 0): Phase-3 pulls must land in the shared
 // candidate list ContributedLines selects from.
 func WithImposed(r Runner, base int, imposed []topk.Scored) Runner {
-	return &imposedRunner{inner: r, base: base, imposed: imposed}
+	v := &imposedRunner{inner: r, base: base, imposed: imposed}
+	for _, sc := range imposed {
+		if local := sc.ID - base; local >= 0 && local < r.Index().NumTuples() {
+			v.owned++
+		}
+	}
+	return v
 }
 
 // imposedRunner translates a shard-local Runner into the global id
-// space and substitutes the imposed result for the local one.
+// space and substitutes the imposed result for the local one. The rows
+// stay where the inner scan put them, under their local ids; the
+// computation adds base wherever an id leaves the table.
 type imposedRunner struct {
 	inner   Runner
 	base    int
 	imposed []topk.Scored
 
-	// cands is the translated candidate view: the shard's local result
-	// and candidate lists minus imposed members, rebuilt when the inner
-	// lists grow (Resume only ever appends).
-	cands    []topk.Scored
-	innerLen int
+	// order is the candidate view: the inner rank order — local result
+	// first, then local candidates — minus imposed members, rebuilt when
+	// the inner scan has grown (Resume only ever adds rows).
+	order []int32
+	rows  int
+	owned int // imposed members in this shard's id range
 }
 
 func (v *imposedRunner) Query() vec.Query { return v.inner.Query() }
@@ -68,6 +78,9 @@ func (v *imposedRunner) K() int           { return v.inner.K() }
 
 // Result returns the imposed global result, not the shard-local one.
 func (v *imposedRunner) Result() []topk.Scored { return v.imposed }
+
+// Table returns the shard's rows, under local ids.
+func (v *imposedRunner) Table() *topk.Table { return v.inner.Table() }
 
 // ownsImposed reports whether the given global id is an imposed result
 // member (k is small, so a linear probe beats a map here).
@@ -80,43 +93,47 @@ func (v *imposedRunner) ownsImposed(gid int) bool {
 	return false
 }
 
-// Candidates returns every shard tuple that may constrain the imposed
-// result — the local top-k members that did not make the global result,
-// plus the local candidate list — under global ids. The concatenation
-// preserves the decreasing-score contract: local result scores dominate
-// local candidate scores.
-func (v *imposedRunner) Candidates() []topk.Scored {
-	res, cs := v.inner.Result(), v.inner.Candidates()
-	if n := len(res) + len(cs); n != v.innerLen || (v.cands == nil && n > 0) {
-		v.innerLen = n
-		v.cands = v.cands[:0]
-		for _, part := range [2][]topk.Scored{res, cs} {
-			for _, sc := range part {
-				sc.ID += v.base
-				if v.ownsImposed(sc.ID) {
-					continue
-				}
-				v.cands = append(v.cands, sc)
+// Ranking returns every shard row that may constrain the imposed result
+// — the local top-k members that did not make the global result, then
+// the local candidate list — all of it C(q) (cut 0). The inner order
+// already satisfies the decreasing-score contract: local result scores
+// dominate local candidate scores.
+func (v *imposedRunner) Ranking() ([]int32, int) {
+	rows := v.inner.Table()
+	if n := rows.Len(); n != v.rows {
+		v.rows = n
+		inner, _ := v.inner.Ranking()
+		v.order = slices.Grow(v.order[:0], len(inner))
+		// The members to drop sit among the first k: past the last of
+		// them the rest of the order is taken as it stands.
+		left := v.owned
+		for i, p := range inner {
+			if left == 0 {
+				v.order = append(v.order, inner[i:]...)
+				break
 			}
+			if v.ownsImposed(rows.ID(p) + v.base) {
+				left--
+				continue
+			}
+			v.order = append(v.order, p)
 		}
 	}
-	return v.cands
+	return v.order, 0
 }
 
-// Resume pulls the shard scan and translates the id. Imposed members
-// can never surface here — they are in the local top-k, which the scan
-// saw before terminating — but the filter guards the invariant anyway.
-func (v *imposedRunner) Resume() (topk.Scored, bool) {
+// Resume pulls the shard scan. Imposed members can never surface here —
+// they are in the local top-k, which the scan saw before terminating —
+// but the filter guards the invariant anyway.
+func (v *imposedRunner) Resume() (int32, bool) {
 	for {
-		sc, ok := v.inner.Resume()
+		p, ok := v.inner.Resume()
 		if !ok {
-			return topk.Scored{}, false
+			return 0, false
 		}
-		sc.ID += v.base
-		if v.ownsImposed(sc.ID) {
-			continue
+		if !v.ownsImposed(v.inner.Table().ID(p) + v.base) {
+			return p, true
 		}
-		return sc, true
 	}
 }
 
@@ -143,7 +160,7 @@ func (v *imposedRunner) RunContext(ctx context.Context) error { return v.inner.R
 
 // ForkView panics: imposed computations are sequential by contract (see
 // WithImposed), so the forked per-dimension path never runs.
-func (v *imposedRunner) ForkView() topk.View {
+func (v *imposedRunner) ForkView() *topk.Fork {
 	panic("core: imposed runner cannot fork; use Parallelism <= 0")
 }
 
@@ -170,9 +187,9 @@ const relevanceTol = 1e-9
 // not use this shard's own boundaries instead: their horizons stop at
 // entries the union's denser envelope never admits, so they reject
 // lines the union needs (docs/sharding.md, TestShardLocalAcceptanceTrap).
-// The copy is compact, so it stays valid after the inner run is released.
+// The lines are copies, so they stay valid after the inner run is released.
 func (v *imposedRunner) ContributedLines() (lines []topk.Scored, offered int) {
-	cands := v.Candidates()
+	cands, _ := v.Ranking()
 	if len(v.imposed) < v.K() {
 		return nil, len(cands) // the replay answers the full domain unasked
 	}
@@ -199,24 +216,38 @@ func (v *imposedRunner) ContributedLines() (lines []topk.Scored, offered int) {
 			sides = append(sides, sd)
 		}
 	}
-	reaches := func(sc topk.Scored) bool {
+	rows := v.inner.Table()
+	reaches := func(p int32) bool {
+		score := rows.Score(p)
 		for _, sd := range sides {
-			coord := sd.sign * sc.Proj[sd.jx]
+			coord := sd.sign * rows.Coord(p, sd.jx)
 			for i, x := range sd.x {
-				if sc.Score+coord*x > sd.y[i]-relevanceTol {
+				if score+coord*x > sd.y[i]-relevanceTol {
 					return true
 				}
 			}
 		}
 		return false
 	}
-	var kept []topk.Scored
-	for _, sc := range cands {
-		if reaches(sc) {
-			kept = append(kept, sc)
+	var kept []int32
+	for _, p := range cands {
+		if reaches(p) {
+			kept = append(kept, p)
 		}
 	}
-	return topk.Compact(kept), len(cands)
+	return v.lines(kept), len(cands)
+}
+
+// lines materializes candidate rows under their global ids.
+func (v *imposedRunner) lines(pos []int32) []topk.Scored {
+	if pos == nil {
+		return nil
+	}
+	out := v.inner.Table().Rows(pos)
+	for i := range out {
+		out[i].ID += v.base
+	}
+	return out
 }
 
 // offsetIndex presents a shard-local index under global tuple ids:

@@ -29,7 +29,8 @@ func shardLines(t *testing.T, part []vec.Sparse, m, base int, q vec.Query, k int
 		t.Fatal(err)
 	}
 	shipped, offered := runner.(*imposedRunner).ContributedLines()
-	all = topk.Compact(runner.Candidates())
+	view, _ := runner.Ranking()
+	all = runner.(*imposedRunner).lines(view)
 	if offered != len(all) {
 		t.Fatalf("offered %d lines, candidate view has %d", offered, len(all))
 	}

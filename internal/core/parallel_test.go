@@ -12,6 +12,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/lists"
 	"repro/internal/topk"
+	"repro/internal/vec"
 )
 
 // computeWith runs one full TA+Compute at the given parallelism.
@@ -135,6 +136,46 @@ func TestParallelDegenerate(t *testing.T) {
 	for _, reg := range out.Regions {
 		if reg.Lo != -cs.Q.Weights[reg.QPos] || reg.Hi != 1-cs.Q.Weights[reg.QPos] {
 			t.Fatalf("degenerate region %+v not full-domain", reg)
+		}
+	}
+}
+
+// TestParallelAcrossPages: the same determinism where forks share more
+// than one table page with their parent — a scan deeper than a page —
+// so every fork's pulls start in a page the parent half filled and go on
+// into pages of the fork's own. Regions and every count must not depend
+// on the worker count; `make race` runs it with the detector watching
+// the shared pages.
+func TestParallelAcrossPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	const n, m = 40_000, 3
+	tuples := make([]vec.Sparse, n)
+	for i := range tuples {
+		tp := make(vec.Sparse, m)
+		for d := range tp {
+			tp[d] = vec.Entry{Dim: d, Val: 0.05 + 0.95*rng.Float64()}
+		}
+		tuples[i] = tp
+	}
+	cs := fixture.Case{Tuples: tuples, M: m, Q: vec.MustQuery([]int{0, 1, 2}, []float64{0.9, 0.5, 0.7}), K: 400}
+	ta := topk.New(lists.NewMemIndex(cs.Tuples, cs.M), cs.Q, cs.K, topk.BestList)
+	ta.Run()
+	if rows := ta.Table().Len(); rows <= 8192 { // one 64 KiB page of 8-byte values per column
+		t.Fatalf("the scan stopped at %d rows, inside its first page", rows)
+	}
+	ta.Release()
+	for _, opts := range []core.Options{{Method: core.MethodCPT, Phi: 1}, {Method: core.MethodThres, Phi: 2}} {
+		one, many := computeWith(t, cs, opts, 1), computeWith(t, cs, opts, 3)
+		if !reflect.DeepEqual(one.Regions, many.Regions) {
+			t.Errorf("%v φ=%d: regions depend on the worker count", opts.Method, opts.Phi)
+		}
+		om, mm := one.Metrics, many.Metrics
+		if om.Evaluated != mm.Evaluated || !reflect.DeepEqual(om.EvaluatedPerDim, mm.EvaluatedPerDim) ||
+			om.Phase3Pulled != mm.Phase3Pulled || om.RandReads != mm.RandReads || om.SeqPages != mm.SeqPages || om.MemBytes != mm.MemBytes {
+			t.Errorf("%v φ=%d: counts depend on the worker count:\n  1: %+v\n  3: %+v", opts.Method, opts.Phi, om, mm)
+		}
+		if om.Phase3Pulled == 0 {
+			t.Errorf("%v φ=%d: no fork pulled anything", opts.Method, opts.Phi)
 		}
 	}
 }

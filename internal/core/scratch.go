@@ -8,23 +8,23 @@ import (
 )
 
 // scratch is the working memory of one dimension worker of a region
-// computation: the evaluation memo plus the candidate-order buffers of
+// computation: the evaluation memo plus the candidate-set buffers of
 // Phase 2 and Phase 3. Everything in it is an index or a number per
-// candidate — positions into view.Candidates(), never a copy of an
-// entry — so it grows with the candidate list, not with the dataset.
+// candidate — row positions in the scan's table (topk.Table), never a
+// copy of a row — so it grows with the candidate list, not with the
+// dataset. The rank order itself is the scan's, not kept here.
 // One scratch serves a whole sequential computation, or one worker of a
 // forked one; it is recycled across queries through scratchPool. Nothing
 // in it escapes a ComputeView call — regions carry ids and deviations
 // only — so it goes back to the pool when the worker finishes.
 type scratch struct {
-	// mark is the evaluation memo: candidate position p was fetched in the
+	// mark is the evaluation memo: table row p was fetched in the
 	// current dimension iff mark[p] == epoch. resetEval (one integer bump)
 	// starts a new dimension without clearing.
 	mark  []uint32
 	epoch uint32
 
-	order     []int32   // fullSet: candidate positions by (score desc, id asc)
-	filtered  []int32   // filterClasses: the current pruned view of order
+	filtered  []int32   // filterClasses: the current pruned view of the rank order
 	coords    []float64 // flat jx-coordinate column over the set
 	idxA      []int32   // SLj↑ (classic) / SLj (envelope), heap-ordered
 	idxB      []int32   // SLj↓ (classic), heap-ordered
@@ -65,7 +65,7 @@ func (sc *scratch) poison() {
 			s[i] = nan
 		}
 	}
-	for _, s := range [][]int32{sc.order[:cap(sc.order)], sc.filtered[:cap(sc.filtered)], sc.idxA[:cap(sc.idxA)], sc.idxB[:cap(sc.idxB)]} {
+	for _, s := range [][]int32{sc.filtered[:cap(sc.filtered)], sc.idxA[:cap(sc.idxA)], sc.idxB[:cap(sc.idxB)]} {
 		for i := range s {
 			s[i] = -1
 		}

@@ -5,7 +5,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/lists"
 	"repro/internal/topk"
+	"repro/internal/vec"
 )
 
 // TestEvalMemoEpochs drives the position memo through the life of a
@@ -41,7 +43,7 @@ func TestEvalMemoEpochs(t *testing.T) {
 // sortIdxByCoord is the whole-list sort the lazy SLj replaced, kept as
 // its reference: an index list over set ordered by the flat coordinate
 // column — ascending when asc, else descending — ties by ascending id.
-func sortIdxByCoord(idx []int32, coords []float64, set []int32, cands []topk.Scored, asc bool) {
+func sortIdxByCoord(idx []int32, coords []float64, set []int32, rows *topk.Table, asc bool) {
 	slices.SortFunc(idx, func(a, b int32) int {
 		av, bv := coords[a], coords[b]
 		if av != bv {
@@ -50,8 +52,25 @@ func sortIdxByCoord(idx []int32, coords []float64, set []int32, cands []topk.Sco
 			}
 			return 1
 		}
-		return cands[set[a]].ID - cands[set[b]].ID
+		return rows.ID(set[a]) - rows.ID(set[b])
 	})
+}
+
+// shuffledTable returns a candidate table of n rows whose ids are a
+// random permutation of the positions: a one-dimensional scan run to
+// exhaustion meets the tuples in the order of their random coordinates.
+func shuffledTable(rng *rand.Rand, n int) *topk.Table {
+	tuples := make([]vec.Sparse, n)
+	for i := range tuples {
+		tuples[i] = vec.Sparse{{Dim: 0, Val: 0.1 + 0.9*rng.Float64()}}
+	}
+	ta := topk.New(lists.NewMemIndex(tuples, 1), vec.MustQuery([]int{0}, []float64{1}), 1, topk.RoundRobin)
+	ta.Run()
+	for {
+		if _, ok := ta.Resume(); !ok {
+			return ta.Table() // never released: the pages stay this test's
+		}
+	}
 }
 
 // TestSLjPopsInSortedOrder: pulling the heap-ordered SLj yields exactly
@@ -62,10 +81,7 @@ func TestSLjPopsInSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(60)
-		cands := make([]topk.Scored, n)
-		for i, id := range rng.Perm(n) {
-			cands[i].ID = id
-		}
+		rows := shuffledTable(rng, n)
 		set := make([]int32, n) // a shuffled order over the candidates
 		for i, p := range rng.Perm(n) {
 			set[i] = int32(p)
@@ -82,9 +98,9 @@ func TestSLjPopsInSortedOrder(t *testing.T) {
 				}
 			}
 			want := slices.Clone(members)
-			sortIdxByCoord(want, coords, set, cands, asc)
+			sortIdxByCoord(want, coords, set, rows, asc)
 
-			h := slj{idx: members, coords: coords, set: set, cands: cands, asc: asc}
+			h := slj{idx: members, coords: coords, set: set, rows: rows, asc: asc}
 			h.heapify()
 			processed := make([]bool, n)
 			stopAt := len(want)

@@ -216,6 +216,7 @@ func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []Batch
 		queries[i] = c.item.Q
 	}
 	qix := e.queryIndex()
+	defer qix.Stats().Flush()
 	// The group shares one probe policy (the first member's): probing
 	// order is a heuristic that never changes answers.
 	multi := topk.NewMulti(qix, queries, pending[0].item.K, pending[0].item.Opts.policy())
@@ -233,7 +234,9 @@ func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []Batch
 		if copts.Parallelism == 0 {
 			copts.Parallelism = e.cfg.Parallelism
 		}
-		out, err := core.ComputeView(ctx, multi.Member(i), copts)
+		member := multi.Member(i)
+		out, err := core.ComputeView(ctx, member, copts)
+		member.Release()
 		if err != nil {
 			results[c.first] = BatchResult{Err: err}
 			continue
@@ -347,21 +350,25 @@ func (e *Engine) topkGroup(ctx context.Context, idx []int, items []TopKItem, res
 	defer e.mu.RUnlock()
 	if len(idx) == 1 {
 		i := idx[0]
-		ta := topk.New(e.queryIndex(), items[i].Q, items[i].K, topk.BestList)
+		ix := e.queryIndex()
+		defer ix.Stats().Flush()
+		ta := topk.New(ix, items[i].Q, items[i].K, topk.BestList)
 		defer ta.Release()
 		if err := ta.RunContext(ctx); err != nil {
 			results[i].Err = fmt.Errorf("engine: query canceled: %w", err)
 			return
 		}
 		mSortedAccesses.Observe(float64(ta.SortedAccesses()))
-		results[i] = TopKResult{Result: topk.Compact(ta.Result()), Source: SourceComputed}
+		results[i] = TopKResult{Result: ta.Result(), Source: SourceComputed}
 		return
 	}
 	queries := make([]vec.Query, len(idx))
 	for j, i := range idx {
 		queries[j] = items[i].Q
 	}
-	multi := topk.NewMulti(e.queryIndex(), queries, items[idx[0]].K, topk.BestList)
+	ix := e.queryIndex()
+	defer ix.Stats().Flush()
+	multi := topk.NewMulti(ix, queries, items[idx[0]].K, topk.BestList)
 	defer multi.Release()
 	if err := multi.RunContext(ctx); err != nil {
 		fail(fmt.Errorf("engine: query canceled: %w", err))
@@ -369,6 +376,6 @@ func (e *Engine) topkGroup(ctx context.Context, idx []int, items []TopKItem, res
 	}
 	for j, i := range idx {
 		mSortedAccesses.Observe(float64(multi.SortedAccesses()))
-		results[i] = TopKResult{Result: topk.Compact(multi.Result(j)), Source: SourceComputed}
+		results[i] = TopKResult{Result: multi.Result(j), Source: SourceComputed}
 	}
 }

@@ -423,10 +423,12 @@ func (e *Engine) workers() int {
 }
 
 // queryIndex returns a per-request view of the index charging a fresh
-// child meter, so this query's I/O is metered in isolation while still
-// aggregating into the index-wide counters.
+// meter, so this query's I/O is metered in isolation. The index-wide
+// counters get its totals when the caller, done with the query, calls
+// Flush on the view's meter: one addition per counter and query instead
+// of one per access.
 func (e *Engine) queryIndex() lists.Index {
-	return e.ix.WithStats(e.ix.Stats().Child())
+	return e.ix.WithStats(e.ix.Stats().PerQuery())
 }
 
 // policy maps the request options to a TA probe policy.
@@ -500,7 +502,9 @@ func (e *Engine) compute(ctx context.Context, q vec.Query, k int, opts Options) 
 	if copts.Parallelism == 0 {
 		copts.Parallelism = e.cfg.Parallelism
 	}
-	ta := topk.New(e.queryIndex(), q, k, opts.policy())
+	ix := e.queryIndex()
+	defer ix.Stats().Flush()
+	ta := topk.New(ix, q, k, opts.policy())
 	defer ta.Release()
 	out, err := core.Compute(ctx, ta, copts)
 	if err == nil {
@@ -561,6 +565,7 @@ func (e *Engine) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Sc
 	defer e.mu.RUnlock()
 	info.Timings.Queue = time.Since(t0)
 	ix := e.queryIndex()
+	defer ix.Stats().Flush()
 	ta := topk.New(ix, q, k, topk.BestList)
 	defer ta.Release()
 	if err := ta.RunContext(ctx); err != nil {
@@ -571,7 +576,7 @@ func (e *Engine) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Sc
 	if st := ix.Stats(); st != nil {
 		info.SeqPages, info.RandReads, _ = st.Snapshot()
 	}
-	return topk.Compact(ta.Result()), info, nil
+	return ta.Result(), info, nil
 }
 
 // TopKTrace answers the query while recording every sorted access,
@@ -595,14 +600,16 @@ func (e *Engine) TopKTrace(ctx context.Context, q vec.Query, k int) ([]topk.Scor
 	defer release()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ta := topk.New(e.queryIndex(), q, k, topk.RoundRobin)
+	ix := e.queryIndex()
+	defer ix.Stats().Flush()
+	ta := topk.New(ix, q, k, topk.RoundRobin)
 	defer ta.Release()
 	var steps []topk.TraceStep
 	ta.SetTrace(func(ts topk.TraceStep) { steps = append(steps, ts) })
 	if err := ta.RunContext(ctx); err != nil {
 		return nil, nil, fmt.Errorf("engine: query canceled: %w", err)
 	}
-	return topk.Compact(ta.Result()), steps, nil
+	return ta.Result(), steps, nil
 }
 
 // CacheStats snapshots the answer cache's counters (zero value when the

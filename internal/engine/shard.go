@@ -60,8 +60,10 @@ func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, i
 	defer e.mu.RUnlock()
 	copts := opts.Options
 	copts.Parallelism = -1
-	ta := topk.New(e.queryIndex(), q, k, opts.policy())
-	defer ta.Release() // out and the contributed lines are compact copies
+	ix := e.queryIndex()
+	defer ix.Stats().Flush()
+	ta := topk.New(ix, q, k, opts.policy())
+	defer ta.Release() // out and the contributed lines are copies
 	runner := core.WithImposed(ta, base, imposed)
 	out, err := core.ComputeView(ctx, runner, copts)
 	if err != nil {

@@ -36,9 +36,9 @@
 // are not safe for sharing — each query (or each forked per-dimension
 // scan) opens or Clones its own. WithStats derives a view of the index
 // whose accesses are charged to a separate meter; a concurrent server
-// gives each query a view over a Child of the shared meter so
-// per-query deltas stay exact while the global counters keep
-// aggregating.
+// gives each query a view over a PerQuery meter of the shared one, so
+// per-query deltas stay exact and the global counters take each query's
+// totals when it ends (storage.IOStats).
 package lists
 
 import (
@@ -326,11 +326,13 @@ func (ix *DiskIndex) Cursor(dim int) Cursor {
 	return &diskCursor{c: ix.lf.CursorWith(dim, ix.stats)}
 }
 
-// Tuple fetches a tuple, charging one random read.
+// Tuple fetches a tuple, charging one random read. A read that fails —
+// here, in Project or under a cursor — fails the query: Index has no
+// error to return, so it panics with one.
 func (ix *DiskIndex) Tuple(id int) vec.Sparse {
 	t, err := ix.tf.GetWith(id, ix.stats)
 	if err != nil {
-		panic(fmt.Sprintf("lists: tuple %d: %v", id, err))
+		panic(fmt.Errorf("lists: tuple %d: %w", id, err))
 	}
 	return t
 }
@@ -339,7 +341,7 @@ func (ix *DiskIndex) Tuple(id int) vec.Sparse {
 // record (a view of the mapping when the file is mapped).
 func (ix *DiskIndex) Project(id int, dims []int, dst []float64) {
 	if err := ix.tf.ProjectWith(id, dims, dst, ix.stats); err != nil {
-		panic(fmt.Sprintf("lists: tuple %d: %v", id, err))
+		panic(fmt.Errorf("lists: tuple %d: %w", id, err))
 	}
 }
 
@@ -349,10 +351,33 @@ type diskCursor struct {
 	c *storage.ListCursor
 }
 
-func (d *diskCursor) Peek() (storage.Posting, bool) { return d.c.Peek() }
-func (d *diskCursor) Next() (storage.Posting, bool) { return d.c.Next() }
-func (d *diskCursor) Consumed() int                 { return d.c.Consumed() }
-func (d *diskCursor) Clone() Cursor                 { return &diskCursor{c: d.c.CloneCursor()} }
+func (d *diskCursor) Peek() (storage.Posting, bool) {
+	p, ok := d.c.Peek()
+	if !ok {
+		d.check()
+	}
+	return p, ok
+}
+
+func (d *diskCursor) Next() (storage.Posting, bool) {
+	p, ok := d.c.Next()
+	if !ok {
+		d.check()
+	}
+	return p, ok
+}
+
+// check fails the query when the cursor stopped on a failed page read:
+// passing that on as "end of list" would let TA terminate on a truncated
+// list and the engine serve, and cache, a wrong top-k.
+func (d *diskCursor) check() {
+	if err := d.c.Err(); err != nil {
+		panic(fmt.Errorf("lists: sorted access: %w", err))
+	}
+}
+
+func (d *diskCursor) Consumed() int { return d.c.Consumed() }
+func (d *diskCursor) Clone() Cursor { return &diskCursor{c: d.c.CloneCursor()} }
 
 // SaveDataset writes tuples and their inverted lists to tuplePath and
 // listPath in the storage formats. It is the bulk-load path: irgen and

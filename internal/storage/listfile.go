@@ -175,7 +175,7 @@ func (lf *ListFile) Cursor(dim int) *ListCursor { return lf.CursorWith(dim, lf.s
 
 // CursorWith opens a cursor whose sequential-page charges go to st
 // instead of the file's meter — the hook concurrent servers use to meter
-// each query separately (st is typically a Child of the shared meter).
+// each query separately (st is typically a child of the shared meter: IOStats.PerQuery).
 func (lf *ListFile) CursorWith(dim int, st *IOStats) *ListCursor {
 	ext, ok := lf.dir[dim]
 	if !ok {
@@ -185,41 +185,38 @@ func (lf *ListFile) CursorWith(dim int, st *IOStats) *ListCursor {
 }
 
 // ListCursor iterates one inverted list from the top (highest coordinate)
-// downward, fetching a page worth of postings at a time. The decoded
-// buffer is columnar (parallel id/value arrays) to match the in-memory
-// index layout.
+// downward, a page worth of postings at a time. A posting is decoded
+// where it lies, when it is asked for: in the view of the mapping the
+// page is, or in the one buffer the pread path read it into — the cursor
+// holds no decoded copy.
 type ListCursor struct {
 	lf    *ListFile
 	ext   listExtent
 	stats *IOStats
-	pos   int // postings consumed
-	ids   []int32
-	vals  []float64
-	bufI  int
+	pos   int    // postings consumed
+	raw   []byte // the encoded postings of the current page not yet consumed
+	buf   []byte // the pread path's page; raw points into it when set
+	err   error
 }
 
-// fill loads the next batch of postings into the buffer.
+// fill makes the next page of postings current.
 //
-// On a mapped pager the batch decodes straight from the mmap region:
-// sequential scans bypass the buffer pool (counted on the meter's bypass
-// gauge) and allocate nothing per fill. One logical sequential page is
-// charged per fill — a fill is exactly one page worth of postings except
-// at the list tail — which matches the in-memory index's deterministic
-// page model (one page per postingsPerPage consumed), so mapped disk
-// scans meter like memory scans instead of depending on pool residency.
+// On a mapped pager the page is a view of the mmap region: sequential
+// scans bypass the buffer pool (counted on the meter's bypass gauge) and
+// copy nothing. One logical sequential page is charged per fill — a fill
+// is exactly one page worth of postings except at the list tail — which
+// matches the in-memory index's deterministic page model (one page per
+// postingsPerPage consumed), so mapped disk scans meter like memory
+// scans instead of depending on pool residency.
 func (c *ListCursor) fill() error {
-	remaining := c.ext.count - c.pos
-	if remaining <= 0 || c.lf == nil {
-		return nil
-	}
-	batch := PageSize / postingBytes
-	if batch > remaining {
-		batch = remaining
-	}
+	batch := min(PageSize/postingBytes, c.ext.count-c.pos)
 	off := c.ext.off + int64(c.pos*postingBytes)
 	raw, zeroCopy := c.lf.pager.Slice(off, batch*postingBytes)
 	if !zeroCopy {
-		raw = make([]byte, batch*postingBytes)
+		if c.buf == nil {
+			c.buf = make([]byte, PageSize/postingBytes*postingBytes)
+		}
+		raw = c.buf[:batch*postingBytes]
 		misses, err := c.lf.pager.ReadRange(off, raw)
 		if err != nil {
 			return err
@@ -231,28 +228,27 @@ func (c *ListCursor) fill() error {
 		c.stats.AddSeqPage(1)
 		c.stats.AddBypass(1)
 	}
-	c.ids = c.ids[:0]
-	c.vals = c.vals[:0]
-	for i := 0; i < batch; i++ {
-		base := postingBytes * i
-		c.ids = append(c.ids, int32(binary.LittleEndian.Uint32(raw[base:base+4])))
-		c.vals = append(c.vals, math.Float64frombits(binary.LittleEndian.Uint64(raw[base+4:base+12])))
-	}
-	c.bufI = 0
+	c.raw = raw
 	return nil
 }
 
-// Peek returns the next posting without consuming it; ok=false at list end.
+// Peek returns the next posting without consuming it; ok=false at list
+// end — and after a page read has failed, which is not the end of the
+// list: Err tells the two apart, and a caller that takes ok=false for
+// exhaustion without asking would rank a truncated list.
 func (c *ListCursor) Peek() (Posting, bool) {
-	if c.bufI >= len(c.ids) {
-		if c.lf == nil || c.pos >= c.ext.count {
+	if len(c.raw) == 0 {
+		if c.lf == nil || c.pos >= c.ext.count || c.err != nil {
 			return Posting{}, false
 		}
-		if err := c.fill(); err != nil || len(c.ids) == 0 {
+		if c.err = c.fill(); c.err != nil {
 			return Posting{}, false
 		}
 	}
-	return Posting{ID: int(c.ids[c.bufI]), Val: c.vals[c.bufI]}, true
+	return Posting{
+		ID:  int(int32(binary.LittleEndian.Uint32(c.raw[0:4]))),
+		Val: math.Float64frombits(binary.LittleEndian.Uint64(c.raw[4:12])),
+	}, true
 }
 
 // Next consumes and returns the next posting; ok=false at list end.
@@ -261,7 +257,7 @@ func (c *ListCursor) Next() (Posting, bool) {
 	if !ok {
 		return Posting{}, false
 	}
-	c.bufI++
+	c.raw = c.raw[postingBytes:]
 	c.pos++
 	return p, true
 }
@@ -269,13 +265,18 @@ func (c *ListCursor) Next() (Posting, bool) {
 // Consumed reports how many postings this cursor has consumed.
 func (c *ListCursor) Consumed() int { return c.pos }
 
-// CloneCursor returns an independent cursor at the same position. The
-// decoded buffer is copied, so re-reading buffered postings through the
-// clone charges no further I/O; pages past the buffer are charged to the
-// clone's meter as usual.
+// Err returns the page read failure that stopped the cursor, if any.
+func (c *ListCursor) Err() error { return c.err }
+
+// CloneCursor returns an independent cursor at the same position. It
+// shares a mapped view and copies a pread page, so re-reading the
+// current page's postings through the clone charges no further I/O;
+// pages past it are charged to the clone's meter as usual.
 func (c *ListCursor) CloneCursor() *ListCursor {
 	cp := *c
-	cp.ids = append([]int32(nil), c.ids...)
-	cp.vals = append([]float64(nil), c.vals...)
+	if c.buf != nil {
+		cp.buf = make([]byte, len(c.buf))
+		cp.raw = cp.buf[:copy(cp.buf, c.raw)]
+	}
 	return &cp
 }

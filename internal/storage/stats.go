@@ -22,21 +22,47 @@ const PageSize = 4096
 // Counters are lock-free atomics, so many queries may charge one meter
 // concurrently.
 //
-// A meter may be a child of another (see Child): every charge to the
-// child is forwarded to its parent. Concurrent servers give each query a
-// child of the index-wide meter, so per-query deltas stay exact while
-// the global counters keep aggregating.
+// A meter may be a child of another: reading the child observes only the
+// charges made through it, and the parent ends up with them too — as
+// they are made (Child), or in one addition per counter when the work
+// they belong to is over (PerQuery, Flush). Concurrent servers give each
+// query a PerQuery meter of the index-wide one, so per-query deltas stay
+// exact, the global counters keep aggregating, and the queries in flight
+// do not all write the one cache line the global counters share on every
+// random access.
 type IOStats struct {
 	seqPages  atomic.Int64 // inverted-list pages fetched by sorted access
 	randReads atomic.Int64 // tuple-file fetches by random access
 	bytesRead atomic.Int64
 	bypass    atomic.Int64 // page-equivalents served from the mmap, pool bypassed
-	parent    *IOStats
+	parent    *IOStats     // charged along with this meter, charge by charge
+	total     *IOStats     // charged by Flush
+	flushed   [4]int64     // what Flush has passed on: seq, rand, bytes, bypass
 }
 
-// Child returns a fresh meter that forwards every charge to s. Reading
-// the child observes only the charges made through it.
+// Child returns a fresh meter that forwards every charge to s as it is
+// made.
 func (s *IOStats) Child() *IOStats { return &IOStats{parent: s} }
+
+// PerQuery returns a fresh meter for one query: its charges reach s when
+// the query ends and calls Flush.
+func (s *IOStats) PerQuery() *IOStats { return &IOStats{total: s} }
+
+// Flush adds to the meter PerQuery was called on whatever this one has
+// been charged since the last Flush. It is the owner's call, made when
+// nothing charges the meter any more; on any other meter it does nothing.
+func (s *IOStats) Flush() {
+	if s.total == nil {
+		return
+	}
+	now := [4]int64{s.seqPages.Load(), s.randReads.Load(), s.bytesRead.Load(), s.bypass.Load()}
+	for i, c := range []*atomic.Int64{&s.total.seqPages, &s.total.randReads, &s.total.bytesRead, &s.total.bypass} {
+		if d := now[i] - s.flushed[i]; d != 0 {
+			c.Add(d)
+		}
+	}
+	s.flushed = now
+}
 
 // AddSeqPage records n sequential page fetches.
 func (s *IOStats) AddSeqPage(n int) {
@@ -88,6 +114,7 @@ func (s *IOStats) Reset() {
 	s.randReads.Store(0)
 	s.bytesRead.Store(0)
 	s.bypass.Store(0)
+	s.flushed = [4]int64{}
 }
 
 // Sub returns the difference s - o as plain numbers (seq, rand, bytes).

@@ -178,7 +178,7 @@ func (tf *TupleFile) RawRecords(from, to int, buf []byte, fn func(raw []byte)) e
 func (tf *TupleFile) Get(id int) (vec.Sparse, error) { return tf.GetWith(id, tf.stats) }
 
 // GetWith fetches tuple id, charging the random read to st instead of the
-// file's meter (st is typically a per-query Child of the shared meter).
+// file's meter (st is typically a per-query child of the shared meter).
 // It materializes the whole vector: /tuple, the write path and loaders
 // want that; the query path projects instead (ProjectWith).
 func (tf *TupleFile) GetWith(id int, st *IOStats) (vec.Sparse, error) {

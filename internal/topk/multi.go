@@ -25,6 +25,7 @@ package topk
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/lists"
@@ -40,10 +41,10 @@ type Multi struct {
 	queries []vec.Query
 	flatW   []float64 // len(queries)×qlen member weight rows
 
-	encountered []Scored  // shared: ID/Proj/NZMask; Score is per-member
-	scores      []float64 // encounter-major: scores[e*len(queries)+m]
-	heaps       [][]float64
-	memDone     []bool
+	rows    Table    // shared: id, mask, coordinates; scores are per member
+	scores  []column // scores[m] is member m's score column over rows
+	heaps   [][]float64
+	memDone []bool
 
 	results [][]Scored // memoized Result(i)
 	done    bool
@@ -78,32 +79,39 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 		flatW = append(flatW, q.Weights...)
 	}
 	sc := getScratch(ix.NumTuples(), qlen)
+	if cap(sc.scores) < len(queries) {
+		sc.scores = append(sc.scores[:cap(sc.scores)], make([]column, len(queries)-cap(sc.scores))...)
+	}
 	return &Multi{
 		// Steering weights: probing the list maximizing wmax_j·t_j
 		// drains every member's threshold fastest; the scan's q is
 		// never used for scoring or projection beyond its Dims.
-		scan:        newScanState(ix, vec.Query{Dims: base.Dims, Weights: wmax}, k, policy, sc),
-		sc:          sc,
-		queries:     queries,
-		flatW:       flatW,
-		encountered: sc.encountered,
-		scores:      sc.scores,
-		heaps:       make([][]float64, len(queries)),
-		memDone:     make([]bool, len(queries)),
+		scan:    newScanState(ix, vec.Query{Dims: base.Dims, Weights: wmax}, k, policy, sc),
+		sc:      sc,
+		queries: queries,
+		flatW:   flatW,
+		rows:    sc.rows,
+		scores:  sc.scores[:len(queries)],
+		heaps:   make([][]float64, len(queries)),
+		memDone: make([]bool, len(queries)),
 	}
 }
 
-// Release returns the shared scan's scratch to the pool. Every member
-// result and MemberRun handed out aliases its projections and is dead
-// afterwards, as is the Multi; copy what must survive with Compact
-// first. Releasing twice is a no-op.
+// Release returns the shared scan's pages and scratch to their pools.
+// Every MemberRun handed out reads those pages and is dead afterwards, as
+// is the Multi; member results are copies and survive. Releasing twice
+// is a no-op.
 func (m *Multi) Release() {
 	if m.sc == nil {
 		return
 	}
 	sc := m.sc
-	sc.encountered, sc.scores = m.encountered, m.scores
-	m.sc, m.encountered, m.scores, m.results = nil, nil, nil, nil
+	m.rows.release()
+	for i := range m.scores {
+		m.scores[i].release()
+	}
+	sc.rows = m.rows
+	m.sc, m.rows, m.scores, m.results = nil, Table{}, nil, nil
 	m.scan.cursors, m.scan.last, m.scan.consumed, m.scan.seen = nil, nil, nil, nil
 	m.done = false
 	putScratch(sc)
@@ -159,19 +167,14 @@ func (m *Multi) Run() {
 		// the scores fan out, through the batched kernel. Each DotBatch
 		// row is bit-identical to the member's solo vec.Dot (the batch
 		// kernel gives every output its own accumulator).
-		sc := Scored{ID: p.ID, Proj: m.sc.arena.alloc()}
-		m.scan.ix.Project(p.ID, m.scan.q.Dims, sc.Proj)
-		for b, v := range sc.Proj {
-			if v > 0 {
-				sc.NZMask |= 1 << uint(b)
-			}
-		}
-		vec.DotBatch(m.flatW, sc.Proj, scoreBuf)
-		m.encountered = append(m.encountered, sc)
-		m.scores = append(m.scores, scoreBuf...)
-		for mi := 0; mi < nq; mi++ {
+		proj := m.sc.proj
+		m.scan.ix.Project(p.ID, m.scan.q.Dims, proj)
+		vec.DotBatch(m.flatW, proj, scoreBuf)
+		pos := m.rows.add(p.ID, nzMask(proj), proj)
+		for mi, s := range scoreBuf {
+			m.scores[mi].put(pos, math.Float64bits(s))
 			if !m.memDone[mi] {
-				m.heaps[mi] = offerHeap(m.heaps[mi], m.scan.k, scoreBuf[mi])
+				m.heaps[mi] = offerHeap(m.heaps[mi], m.scan.k, s)
 			}
 		}
 	}
@@ -183,52 +186,31 @@ func (m *Multi) Run() {
 	m.done = true
 }
 
+// view returns the shared rows under member mi's scores: a table that
+// reads the fused scan's pages and owns none of them.
+func (m *Multi) view(mi int) Table { return m.rows.share(&m.scores[mi]) }
+
 // selectTopK extracts member mi's ranked top-k from the encounter set
 // by bounded insertion — one comparison per encounter in the common
-// case — instead of sorting all E entries per member.
+// case — instead of ranking all E rows per member.
 func (m *Multi) selectTopK(mi int) []Scored {
-	nq := len(m.queries)
+	t := m.view(mi)
 	k := m.scan.k
-	best := make([]Scored, 0, k+1)
-	for e, sc := range m.encountered {
-		sc.Score = m.scores[e*nq+mi]
-		if len(best) == k {
-			last := best[k-1]
-			if sc.Score < last.Score || (sc.Score == last.Score && sc.ID > last.ID) {
-				continue
+	best := make([]int32, 0, k+1)
+	for p := int32(0); p < t.n; p++ {
+		if len(best) == k && !t.before(p, best[k-1]) {
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(best, p, func(b, p int32) int {
+			if t.before(b, p) {
+				return -1
 			}
-		}
-		lo, hi := 0, len(best)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if best[mid].Score > sc.Score || (best[mid].Score == sc.Score && best[mid].ID < sc.ID) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		best = append(best, Scored{})
-		copy(best[lo+1:], best[lo:])
-		best[lo] = sc
-		if len(best) > k {
-			best = best[:k]
-		}
+			return 1
+		})
+		best = slices.Insert(best, at, p)
+		best = best[:min(len(best), k)]
 	}
-	return best
-}
-
-// rank fully materializes member mi: the whole encounter set scored
-// with the member's weights, in ranked order — the top-k followed by the
-// descending candidate tail region computation consumes.
-func (m *Multi) rank(mi int) []Scored {
-	nq := len(m.queries)
-	ranked := make([]Scored, len(m.encountered))
-	for e, sc := range m.encountered {
-		sc.Score = m.scores[e*nq+mi]
-		ranked[e] = sc
-	}
-	sortScored(ranked)
-	return ranked
+	return t.Rows(best)
 }
 
 // allSatisfied runs every live member's termination test against the
@@ -239,7 +221,7 @@ func (m *Multi) rank(mi int) []Scored {
 // Satisfaction is sticky: thresholds only fall and the k-th best only
 // rises as the scan advances.
 func (m *Multi) allSatisfied(thrVec, memThr []float64) bool {
-	if len(m.encountered) < m.scan.k {
+	if m.rows.Len() < m.scan.k {
 		return false
 	}
 	m.scan.ThresholdsInto(thrVec)
@@ -274,25 +256,22 @@ func (m *Multi) Result(i int) []Scored {
 }
 
 // Member returns member i's resumable view of the completed run,
-// suitable for region computation (core.ComputeView): its own ranked
-// copy of the encounter set (projections still shared with the run) and
-// its own clone of the scan position with the member's query
-// substituted, so Resume pulls score with the member's weights and
-// never disturb the shared state or any sibling view. See the package
-// comment for why the view's candidate set legitimately differs from a
-// solo scan's.
+// suitable for region computation (core.ComputeView): the shared rows
+// read in place under the member's own score column, its own rank order
+// over them, and its own clone of the scan position with the member's
+// query substituted, so Resume pulls score with the member's weights,
+// land in pages of the view's own and never disturb the shared state or
+// any sibling view. See the package comment for why the view's candidate
+// set legitimately differs from a solo scan's.
 func (m *Multi) Member(i int) *MemberRun {
 	m.mustBeDone("Member")
-	// The view owns its ranked list: Resume appends to the tail.
-	ranked := m.rank(i)
-	cut := min(m.scan.k, len(ranked))
-	r := &MemberRun{Fork{
+	r := &MemberRun{Fork{run{
 		scanState: m.scan.clone(),
-		arena:     projArena{qlen: m.scan.q.Len()},
-		result:    ranked[:cut:cut],
-		cands:     ranked[cut:],
-	}}
+		rows:      m.view(i),
+		proj:      make([]float64, m.scan.q.Len()),
+	}}}
 	r.q = m.queries[i]
+	r.finish()
 	return r
 }
 
@@ -306,8 +285,8 @@ func (m *Multi) mustBeDone(op string) {
 }
 
 // MemberRun is one member's view of a completed fused run: a Fork of the
-// shared scan with the member's query substituted, so Result, Candidates
-// and Resume are Fork's. It implements View (and core.Runner): the scan
+// shared scan with the member's query substituted, so Result, Ranking,
+// Resume and Release are Fork's. It implements View (and core.Runner): the scan
 // is already terminated, so RunContext only arms the context and reports
 // any cancellation.
 type MemberRun struct{ Fork }
@@ -323,11 +302,4 @@ func (r *MemberRun) RunContext(ctx context.Context) error {
 
 // ForkView returns an isolated resumable copy for one dimension of a
 // parallel region computation, mirroring TA.Fork.
-func (r *MemberRun) ForkView() View {
-	return &Fork{
-		scanState: r.scanState.clone(),
-		arena:     projArena{qlen: r.q.Len()},
-		result:    r.result,
-		cands:     slices.Clone(r.cands),
-	}
-}
+func (r *MemberRun) ForkView() *Fork { return &Fork{r.fork()} }

@@ -79,8 +79,8 @@ func TestMultiMemberViewValid(t *testing.T) {
 		multi := NewMulti(ix, queries, cs.K, BestList)
 		multi.Run()
 		encIDs := map[int]bool{}
-		for _, sc := range multi.encountered {
-			encIDs[sc.ID] = true
+		for p := 0; p < multi.rows.Len(); p++ {
+			encIDs[multi.rows.ID(int32(p))] = true
 		}
 		for mi, q := range queries {
 			mr := multi.Member(mi)
@@ -125,10 +125,11 @@ func TestMultiMemberResume(t *testing.T) {
 	a, b := multi.Member(0), multi.Member(1)
 	lenB := len(b.Candidates())
 	for i := 0; i < 5; i++ {
-		sc, ok := a.Resume()
+		p, ok := a.Resume()
 		if !ok {
 			break
 		}
+		sc := a.Table().Rows([]int32{p})[0]
 		if want := vec.Dot(queries[0].Weights, sc.Proj); sc.Score != want {
 			t.Fatalf("resume pull %d scored %v, want member-weight score %v", i, sc.Score, want)
 		}

@@ -9,22 +9,25 @@ import (
 	"repro/internal/storage"
 )
 
-// scratch is the working memory of one scan — everything a TA or Multi
-// run allocates in proportion to the dataset (the encountered bitset) or
-// to the scan depth (the encountered tuples, their projections, the
-// per-list bookkeeping). It is recycled across queries through
-// scratchPool: New/NewMulti take one, Release hands it back. Nothing in
-// it may outlive the run that holds it, so every Scored that leaves for a
-// longer-lived holder goes through Compact first.
+// scratch is the working memory of one scan apart from its rows — the
+// part a TA or Multi run allocates in proportion to the dataset (the
+// encountered bitset) or keeps in one piece (the 4-byte rank order, the
+// page directories of the candidate table, the per-list bookkeeping). It
+// is recycled across queries through scratchPool: New/NewMulti take one,
+// Release hands it back. The rows themselves live in pooled pages (see
+// Table), which a release returns one by one: no scratch carries the
+// deepest query's rows around.
 type scratch struct {
-	seen        bitset
-	encountered []Scored
-	heap        []float64
-	scores      []float64 // Multi only: the encounter-major score matrix
-	cursors     []lists.Cursor
-	last        []storage.Posting
-	consumed    []int
-	arena       projArena
+	seen     bitset
+	rows     Table    // directories only: a pooled scratch holds no page
+	scores   []column // Multi only: one score column per member
+	order    []int32
+	tail     []int32
+	heap     []float64
+	proj     []float64
+	cursors  []lists.Cursor
+	last     []storage.Posting
+	consumed []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -52,10 +55,12 @@ func getScratch(n, qlen int) *scratch {
 		clear(sc.last)
 		clear(sc.consumed)
 	}
-	sc.encountered = sc.encountered[:0]
-	sc.heap = sc.heap[:0]
-	sc.scores = sc.scores[:0]
-	sc.arena.reset(qlen)
+	sc.rows.reset(qlen)
+	sc.order, sc.tail, sc.heap = sc.order[:0], sc.tail[:0], sc.heap[:0]
+	if cap(sc.proj) < qlen {
+		sc.proj = make([]float64, qlen)
+	}
+	sc.proj = sc.proj[:qlen]
 	return sc
 }
 
@@ -71,9 +76,9 @@ func putScratch(sc *scratch) {
 
 var poisonScratch atomic.Bool
 
-// PoisonScratch makes every scratch returned to the pool get overwritten
-// with NaN/-1 first, so a value that still aliases recycled memory turns
-// into garbage the bit-identity suites catch. Tests of this package and
+// PoisonScratch makes every scratch and every table page returned to its
+// pool get overwritten with NaN/-1 first, so a value that still aliases
+// recycled memory turns into garbage the bit-identity suites catch. Tests of this package and
 // of the layers above it (core, engine, shard) switch it on from
 // TestMain; nothing else calls it.
 func PoisonScratch(on bool) { poisonScratch.Store(on) }
@@ -88,64 +93,27 @@ func (sc *scratch) poison() {
 	for i := range seen {
 		seen[i] = ^uint64(0)
 	}
-	enc := sc.encountered[:cap(sc.encountered)]
-	for i := range enc {
-		enc[i] = Scored{ID: -1, Score: nan, NZMask: ^uint64(0)}
+	for _, ps := range [][]int32{sc.order[:cap(sc.order)], sc.tail[:cap(sc.tail)]} {
+		for i := range ps {
+			ps[i] = -1
+		}
 	}
 	last, consumed := sc.last[:cap(sc.last)], sc.consumed[:cap(sc.consumed)]
 	for i := range last {
 		last[i] = storage.Posting{ID: -1, Val: nan}
 		consumed[i] = -1
 	}
-	floats := append([][]float64{sc.heap[:cap(sc.heap)], sc.scores[:cap(sc.scores)]}, sc.arena.chunks...)
-	for _, fs := range floats {
+	for _, fs := range [][]float64{sc.heap[:cap(sc.heap)], sc.proj[:cap(sc.proj)]} {
 		for i := range fs {
 			fs[i] = nan
 		}
 	}
 }
 
-// projArena hands out qlen-sized projection slices carved from
-// fixed-size chunks, replacing one heap allocation per projected tuple
-// with one per chunk. Slices stay valid after further allocs (chunks are
-// never reallocated). Chunks are independent of qlen, so a recycled
-// arena serves any query; reset rewinds it without freeing them. The
-// slices are NOT zeroed: every caller fills all qlen entries
-// (vec.Query.ProjectInto). The zero value with qlen set is ready to use.
-type projArena struct {
-	qlen   int
-	chunks [][]float64
-	next   int       // chunks[next:] are unused
-	free   []float64 // uncarved tail of chunks[next-1]
-}
-
-// arenaChunkFloats is 8 KiB of projections: 256 tuples at qlen 4, 16 at
-// the qlen ceiling of 64.
-const arenaChunkFloats = 1024
-
-func (a *projArena) reset(qlen int) {
-	a.qlen = qlen
-	a.next = 0
-	a.free = nil
-}
-
-func (a *projArena) alloc() []float64 {
-	if len(a.free) < a.qlen {
-		if a.next == len(a.chunks) {
-			a.chunks = append(a.chunks, make([]float64, arenaChunkFloats))
-		}
-		a.free = a.chunks[a.next]
-		a.next++
-	}
-	p := a.free[:a.qlen:a.qlen]
-	a.free = a.free[a.qlen:]
-	return p
-}
-
 // Compact returns a deep copy of s whose projections share one
 // len(s)×qlen backing array: two allocations regardless of len(s), and no
-// reference into the scan that produced s. It is how a result (or any
-// Scored list) leaves a run for a holder that outlives it.
+// reference into whatever produced s. It is how a Scored list is handed
+// to a holder that must own it.
 func Compact(s []Scored) []Scored {
 	if s == nil {
 		return nil

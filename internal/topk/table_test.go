@@ -1,0 +1,242 @@
+package topk
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/lists"
+	"repro/internal/vec"
+)
+
+// denseCase builds n tuples non-zero on every one of qlen dimensions, so
+// a scan run to exhaustion encounters exactly n rows. Coordinates come
+// from a grid of the given size: a small grid makes score ties common.
+func denseCase(rng *rand.Rand, n, qlen, grid int) ([]vec.Sparse, vec.Query) {
+	tuples := make([]vec.Sparse, n)
+	for i := range tuples {
+		t := make(vec.Sparse, qlen)
+		for d := range t {
+			t[d] = vec.Entry{Dim: d, Val: float64(1+rng.Intn(grid)) / float64(grid)}
+		}
+		tuples[i] = t
+	}
+	dims, weights := make([]int, qlen), make([]float64, qlen)
+	for d := range dims {
+		dims[d], weights[d] = d, float64(1+rng.Intn(4))/4
+	}
+	return tuples, vec.MustQuery(dims, weights)
+}
+
+// exhaust resumes the scan until the lists run dry.
+func exhaust(v interface{ Resume() (int32, bool) }) {
+	for {
+		if _, ok := v.Resume(); !ok {
+			return
+		}
+	}
+}
+
+// TestScanAllocatesLinearly: from cold pools, a scan that encounters E
+// tuples allocates its rows once — at most 1.25 × E × row bytes, plus one
+// page of slack per column — because a page is never copied to grow.
+// (Contiguous slices grown by append allocate about five times the final
+// size on the way there.) The bound covers everything the run allocates
+// besides: the rank order, the bitset, cursors, the result.
+func TestScanAllocatesLinearly(t *testing.T) {
+	const n, qlen, k = 50_000, 4, 10
+	tuples, q := denseCase(rand.New(rand.NewSource(31)), n, qlen, 1<<20)
+	ix := lists.NewMemIndex(tuples, qlen)
+	// Two collections empty every sync.Pool, victim caches included.
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ta := New(ix, q, k, BestList)
+	ta.Run()
+	exhaust(ta)
+	order, cut := ta.Ranking()
+	runtime.ReadMemStats(&after)
+	if ta.Table().Len() != n || len(order) != n || cut != k {
+		t.Fatalf("scan holds %d rows, ranks %d, cut %d; want %d, %d, %d", ta.Table().Len(), len(order), cut, n, n, k)
+	}
+	ta.Release()
+
+	const columns = 3 + qlen // id, score, mask, coordinates
+	rowBytes := 8 * columns
+	bound := uint64(1.25*float64(n*rowBytes)) + columns*pageBytes
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("scan of %d rows × %d B allocated %d B, bound %d", n, rowBytes, got, bound)
+	}
+}
+
+// rankedRef is the reference ranking: one full sort of the candidate
+// rows by (score desc, id asc), over materialized copies.
+func rankedRef(rows []Scored, cands []int32) []int32 {
+	ref := slices.Clone(cands)
+	slices.SortFunc(ref, func(a, b int32) int {
+		switch ra, rb := rows[a], rows[b]; {
+		case ra.Score > rb.Score:
+			return -1
+		case ra.Score < rb.Score:
+			return 1
+		default:
+			return ra.ID - rb.ID
+		}
+	})
+	return ref
+}
+
+func allPositions(n int) []int32 {
+	pos := make([]int32, n)
+	for p := range pos {
+		pos[p] = int32(p)
+	}
+	return pos
+}
+
+func sameRow(a, b Scored) bool {
+	return a.ID == b.ID && a.Score == b.Score && a.NZMask == b.NZMask && slices.Equal(a.Proj, b.Proj)
+}
+
+// TestRankingMergesTails: a row's position never changes — what a
+// position held before a Resume it holds after, across page boundaries —
+// the result stays frozen, and the candidate order after merging any
+// number of pulled tails is exactly one full sort's, ties included. Runs
+// under scratch poisoning (TestMain), with a second scan recycling pages
+// in between.
+func TestRankingMergesTails(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for trial := 0; trial < 6; trial++ {
+		n := 9_000 + rng.Intn(12_000) // the table crosses one or two page boundaries
+		tuples, q := denseCase(rng, n, 3, 6)
+		ix := lists.NewMemIndex(tuples, 3)
+		ta := New(ix, q, 1+rng.Intn(8), BestList)
+		ta.Run()
+		order, cut := ta.Ranking()
+		result := slices.Clone(order[:cut])
+		known := ta.Table().Rows(allPositions(ta.Table().Len()))
+		for round := 0; ; round++ {
+			pulls, dry := 1+rng.Intn(3000), false
+			for i := 0; i < pulls && !dry; i++ {
+				p, ok := ta.Resume()
+				if dry = !ok; ok && int(p) != len(known)+i {
+					t.Fatalf("trial %d: pull landed at position %d, want %d", trial, p, len(known)+i)
+				}
+			}
+			// Someone else's scan takes and returns pages meanwhile.
+			other := New(ix, q, 3, RoundRobin)
+			other.Run()
+			other.Release()
+
+			rows := ta.Table().Rows(allPositions(ta.Table().Len()))
+			for p := range known {
+				if !sameRow(known[p], rows[p]) {
+					t.Fatalf("trial %d round %d: position %d held %+v, now %+v", trial, round, p, known[p], rows[p])
+				}
+			}
+			known = rows
+			order, cut = ta.Ranking()
+			if !slices.Equal(order[:cut], result) {
+				t.Fatalf("trial %d round %d: result positions moved", trial, round)
+			}
+			cands := allPositions(len(rows))
+			cands = slices.DeleteFunc(cands, func(p int32) bool { return slices.Contains(result, p) })
+			if want := rankedRef(rows, cands); !slices.Equal(order[cut:], want) {
+				t.Fatalf("trial %d round %d: merged order differs from a full sort of %d candidates", trial, round, len(want))
+			}
+			if dry {
+				if len(rows) != n {
+					t.Fatalf("trial %d: exhausted at %d rows of %d", trial, len(rows), n)
+				}
+				break
+			}
+		}
+		ta.Release()
+	}
+}
+
+// pageImage copies every page a table can read.
+func pageImage(t *Table) [][]uint64 {
+	var img [][]uint64
+	for _, c := range append([]column{t.id, t.score, t.mask}, t.coord...) {
+		for _, pg := range c.pages {
+			img = append(img, slices.Clone(pg[:]))
+		}
+	}
+	return img
+}
+
+// TestForksNeverWriteParentPages: forks taken concurrently from one run
+// pull and rank concurrently (the race detector watches the parent's
+// pages), each sees the parent's rows at the parent's positions plus its
+// own pulls, identical from fork to fork, and afterwards every page and
+// the rank order of the parent are bit for bit what they were — also
+// when the fork's first pull lands in a page the parent half filled.
+func TestForksNeverWriteParentPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	tuples, q := denseCase(rng, 30_000, 4, 50)
+	ix := lists.NewMemIndex(tuples, 4)
+	ta := New(ix, q, 10, BestList)
+	ta.Run()
+	for ta.Table().Len() <= pageRows+100 { // a full page and a partial one
+		if _, ok := ta.Resume(); !ok {
+			t.Fatal("dataset exhausted before the table crossed a page")
+		}
+	}
+	parentOrder, _ := ta.Ranking()
+	parentOrder = slices.Clone(parentOrder)
+	parentRows := ta.Table().Rows(allPositions(ta.Table().Len()))
+	image := pageImage(ta.Table())
+
+	const forks, pulls = 4, 9_000 // each fork fills its copied page and a fresh one
+	views := make([][]Scored, forks)
+	orders := make([][]int32, forks)
+	var wg sync.WaitGroup
+	for f := 0; f < forks; f++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fork := ta.Fork()
+			defer fork.Release()
+			for i := 0; i < pulls; i++ {
+				if _, ok := fork.Resume(); !ok {
+					t.Error("fork ran dry")
+					return
+				}
+				if i%2500 == 0 {
+					fork.Ranking() // merge a tail mid-way: the fork leaves the parent's order array
+				}
+			}
+			order, _ := fork.Ranking()
+			orders[f] = slices.Clone(order)
+			views[f] = fork.Table().Rows(allPositions(fork.Table().Len()))
+		}()
+	}
+	wg.Wait()
+
+	if now := pageImage(ta.Table()); !slices.EqualFunc(now, image, func(a, b []uint64) bool { return slices.Equal(a, b) }) {
+		t.Fatal("a fork wrote a parent page")
+	}
+	if order, _ := ta.Ranking(); !slices.Equal(order, parentOrder) {
+		t.Fatal("a fork changed the parent's rank order")
+	}
+	for f, view := range views {
+		if len(view) != len(parentRows)+pulls {
+			t.Fatalf("fork %d holds %d rows, want %d", f, len(view), len(parentRows)+pulls)
+		}
+		if !slices.EqualFunc(view[:len(parentRows)], parentRows, sameRow) {
+			t.Fatalf("fork %d does not see the parent's rows at the parent's positions", f)
+		}
+		if !slices.EqualFunc(view, views[0], sameRow) || !slices.Equal(orders[f], orders[0]) {
+			t.Fatalf("fork %d diverged from fork 0", f)
+		}
+		cands := slices.DeleteFunc(allPositions(len(view)), func(p int32) bool { return slices.Contains(parentOrder[:10], p) })
+		if !slices.Equal(orders[f][10:], rankedRef(view, cands)) {
+			t.Fatalf("fork %d: merged order differs from a full sort", f)
+		}
+	}
+	ta.Release()
+}

@@ -8,16 +8,24 @@
 // which is the raw material of immutable-region computation, and the
 // state is resumable — Phase 3 of Scan/CPT continues the very same scan.
 //
+// Every encountered tuple lives in the run's candidate table (Table): a
+// row appended once into pooled pages and addressed by its position from
+// then on. Ranking, region computation and forks all work on positions;
+// a []Scored is built only where rows leave the scan.
+//
 // A completed run can also be forked (Fork): each fork carries its own
-// cursor clones and encountered-set copy, so several region computations
-// (one per query dimension) can resume the scan independently and
-// concurrently without observing each other's pulls. The View interface
-// abstracts over the shared TA and its forks for that purpose.
+// cursor clones and encountered-set copy and reads the parent's rows in
+// place, appending its own pulls to pages of its own, so several region
+// computations (one per query dimension) can resume the scan
+// independently and concurrently without observing each other's pulls.
+// The View interface abstracts over the shared TA and its forks for that
+// purpose.
 package topk
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/lists"
@@ -67,18 +75,28 @@ func (s Scored) NonZero() int {
 }
 
 // View is the read/resume surface region computation needs from a TA
-// run: the ranked result, the candidate list, and a resumable scan. It
-// is implemented by *TA itself (the paper-literal shared scan, where
-// later dimensions observe earlier dimensions' Phase-3 pulls) and by
-// *Fork (an isolated per-dimension scan for deterministic parallel
-// execution).
+// run: the ranked result, the candidate rows with their rank order, and
+// a resumable scan. It is implemented by *TA itself (the paper-literal
+// shared scan, where later dimensions observe earlier dimensions'
+// Phase-3 pulls) and by *Fork (an isolated per-dimension scan for
+// deterministic parallel execution).
 type View interface {
 	Query() vec.Query
 	K() int
 	Index() lists.Index
+	// Result is the ranked top-k R(q), materialized.
 	Result() []Scored
-	Candidates() []Scored
-	Resume() (Scored, bool)
+	// Table holds every encountered tuple, result members included, by
+	// position; the pointer stays valid for the life of the view.
+	Table() *Table
+	// Ranking is the rank order of the rows (decreasing score, ties by
+	// ascending id) as positions: order[:cut] is R(q), order[cut:] is
+	// C(q). The slice is valid until the next Resume.
+	Ranking() (order []int32, cut int)
+	// Resume continues the terminated scan until it encounters one new
+	// tuple and returns its position; ok=false when the lists are
+	// exhausted.
+	Resume() (pos int32, ok bool)
 	Thresholds() []float64
 	ThresholdsInto(dst []float64)
 	WasSortedAccessed(i, id int, val float64) bool
@@ -267,39 +285,167 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 	return id <= last.ID // lists break value ties by ascending id
 }
 
-// score materializes the Scored view of a newly encountered tuple: one
-// random access that projects the record straight into a slot carved
-// out of the arena (no full vector in between). The score is computed from
-// the dense projection through the unrolled dot kernel rather than the
-// sparse merge; the two are bit-identical (vec.TestDotMatchesSparseScore
-// pins it) because the unmatched dimensions contribute exact +0.0 terms
-// to a running sum that never goes negative.
-func (s *scanState) score(id int, arena *projArena) Scored {
-	sc := Scored{ID: id, Proj: arena.alloc()}
-	s.ix.Project(id, s.q.Dims, sc.Proj)
-	sc.Score = vec.Dot(s.q.Weights, sc.Proj)
-	for b, v := range sc.Proj {
-		if v > 0 {
-			sc.NZMask |= 1 << uint(b)
-		}
-	}
-	return sc
+// run is a scan together with the rows it has encountered and their rank
+// order: what a TA and its Forks have in common.
+type run struct {
+	scanState
+	rows Table
+
+	// order ranks rows [0, len(order)): order[:cut] is R(q), frozen when
+	// the scan terminated, order[cut:] is C(q). Rows past len(order) —
+	// Resume's pulls — are ranked and merged in by the next Ranking call.
+	// A fork starts on its parent's array, capped so that its first merge
+	// moves it to one of its own.
+	order  []int32
+	cut    int
+	result []Scored // order[:cut], materialized once
+
+	tail []int32   // merge buffer: the newly ranked pulls
+	proj []float64 // the projection of the tuple being encountered
+
+	done, released bool
 }
 
-// TA is a resumable threshold-algorithm run. Its scan state, encountered
-// list and projections live in a pooled scratch: Release recycles it, and
-// a TA that is never released simply leaves it to the garbage collector.
-type TA struct {
-	scanState
-	sc *scratch // nil once released
+// must panics unless the scan has terminated and still holds its rows.
+func (r *run) must(op string) {
+	if r.released {
+		panic("topk: " + op + " after Release")
+	}
+	if !r.done {
+		panic("topk: " + op + " before Run")
+	}
+}
 
-	// encountered holds every tuple the scan has met. Run ranks it in
-	// place: encountered[:cut] is then R(q) and encountered[cut:] is C(q),
-	// which Resume extends by appending.
-	encountered []Scored
-	topScores   []float64 // min-heap of the k best scores seen so far
-	cut         int
-	done        bool
+// encounter adds newly met tuple id to the table: one random access that
+// projects the record into the run's buffer (no full vector in between),
+// then one row. The score is computed from the dense projection through
+// the unrolled dot kernel rather than the sparse merge; the two are
+// bit-identical (vec.TestDotMatchesSparseScore pins it) because the
+// unmatched dimensions contribute exact +0.0 terms to a running sum that
+// never goes negative.
+func (r *run) encounter(id int) (pos int32, score float64) {
+	r.ix.Project(id, r.q.Dims, r.proj)
+	score = vec.Dot(r.q.Weights, r.proj)
+	pos = r.rows.add(id, nzMask(r.proj), r.proj)
+	r.rows.score.put(pos, math.Float64bits(score))
+	return pos, score
+}
+
+// nzMask is the partition mask of a projection: bit i set when proj[i] > 0.
+func nzMask(proj []float64) (mask uint64) {
+	for b, v := range proj {
+		if v > 0 {
+			mask |= 1 << uint(b)
+		}
+	}
+	return mask
+}
+
+// finish ranks every encountered row once the scan has terminated and
+// fixes the result.
+func (r *run) finish() {
+	n := r.rows.Len()
+	r.order = slices.Grow(r.order[:0], n)[:n]
+	for p := range r.order {
+		r.order[p] = int32(p)
+	}
+	r.rows.sortRanked(r.order)
+	r.cut = min(r.k, n)
+	r.result = r.rows.Rows(r.order[:r.cut])
+	r.done = true
+}
+
+// Table returns the candidate table: every encountered tuple, result
+// members included, by position.
+func (r *run) Table() *Table {
+	r.must("Table")
+	return &r.rows
+}
+
+// Result returns the ranked top-k list R(q). The scan must have
+// terminated. The list is a copy and outlives the run.
+func (r *run) Result() []Scored {
+	r.must("Result")
+	return r.result
+}
+
+// Ranking returns the rank order of the rows — decreasing score, ties by
+// ascending id — as positions: order[:cut] is R(q), order[cut:] is C(q).
+// It is valid until the next Resume. Pulls made since the last call are
+// ranked among themselves and merged into C(q) from the back, so the cost
+// is that of the tail and of the rows it overtakes, not of the list.
+func (r *run) Ranking() (order []int32, cut int) {
+	r.must("Ranking")
+	if old, n := len(r.order), r.rows.Len(); old < n {
+		r.order = slices.Grow(r.order, n-old)[:n]
+		for p := old; p < n; p++ {
+			r.order[p] = int32(p)
+		}
+		r.rows.sortRanked(r.order[old:])
+		r.tail = append(r.tail[:0], r.order[old:]...)
+		i, w := old-1, n-1
+		for j := len(r.tail) - 1; j >= 0; w-- {
+			if i >= r.cut && r.rows.before(r.tail[j], r.order[i]) {
+				r.order[w] = r.order[i]
+				i--
+			} else {
+				r.order[w] = r.tail[j]
+				j--
+			}
+		}
+	}
+	return r.order, r.cut
+}
+
+// Candidates materializes C(q), every encountered non-result tuple in
+// decreasing score order. Region computation reads rows in place
+// (Table, Ranking); this copy is for callers outside the scan.
+func (r *run) Candidates() []Scored {
+	order, cut := r.Ranking()
+	return r.rows.Rows(order[cut:])
+}
+
+// Resume continues the terminated scan until it encounters one new
+// (previously unseen) tuple, which Phase 3 of the region algorithms
+// evaluates and which joins C(q); it returns the new row's position.
+// ok=false when the lists are exhausted.
+func (r *run) Resume() (int32, bool) {
+	r.must("Resume")
+	for {
+		p, _, isNew, ok := r.rawStep()
+		if !ok {
+			return 0, false
+		}
+		if isNew {
+			pos, _ := r.encounter(p.ID)
+			return pos, true
+		}
+	}
+}
+
+// fork returns an independent continuation of a terminated run. It only
+// reads r, so any number of forks may be taken concurrently.
+func (r *run) fork() run {
+	r.must("Fork")
+	return run{
+		scanState: r.scanState.clone(),
+		rows:      r.rows.share(&r.rows.score),
+		order:     r.order[:len(r.order):len(r.order)],
+		cut:       r.cut,
+		result:    r.result,
+		proj:      make([]float64, r.q.Len()),
+		done:      true,
+	}
+}
+
+// TA is a resumable threshold-algorithm run. Its scan state, table
+// directories and rank order live in a pooled scratch and its rows in
+// pooled pages: Release recycles both, and a TA that is never released
+// simply leaves them to the garbage collector.
+type TA struct {
+	run
+	sc        *scratch  // nil once released
+	topScores []float64 // min-heap of the k best scores seen so far
 
 	trace func(TraceStep)
 }
@@ -336,18 +482,17 @@ func (ta *TA) emitTrace(qpos, tuple int, score float64) {
 		ThresholdScore: ta.ThresholdScore(),
 	}
 	if tuple >= 0 {
-		ranked := make([]Scored, len(ta.encountered))
-		copy(ranked, ta.encountered)
-		sortScored(ranked)
-		cut := ta.k
-		if cut > len(ranked) {
-			cut = len(ranked)
+		ranked := make([]int32, ta.rows.Len())
+		for p := range ranked {
+			ranked[p] = int32(p)
 		}
-		for _, r := range ranked[:cut] {
-			ts.ResultIDs = append(ts.ResultIDs, r.ID)
-		}
-		for _, r := range ranked[cut:] {
-			ts.CandidateIDs = append(ts.CandidateIDs, r.ID)
+		ta.rows.sortRanked(ranked)
+		for i, p := range ranked {
+			if i < ta.k {
+				ts.ResultIDs = append(ts.ResultIDs, ta.rows.ID(p))
+			} else {
+				ts.CandidateIDs = append(ts.CandidateIDs, ta.rows.ID(p))
+			}
 		}
 	}
 	ta.trace(ts)
@@ -364,10 +509,15 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 	}
 	sc := getScratch(ix.NumTuples(), q.Len())
 	return &TA{
-		scanState:   newScanState(ix, q, k, policy, sc),
-		sc:          sc,
-		encountered: sc.encountered,
-		topScores:   sc.heap,
+		run: run{
+			scanState: newScanState(ix, q, k, policy, sc),
+			rows:      sc.rows,
+			order:     sc.order,
+			tail:      sc.tail,
+			proj:      sc.proj,
+		},
+		sc:        sc,
+		topScores: sc.heap,
 	}
 }
 
@@ -390,50 +540,45 @@ func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy, sc *sc
 	return s
 }
 
-// Release returns the run's scratch to the pool. Everything the TA
-// handed out — Result, Candidates, resumed tuples, their projections —
-// aliases that scratch and is dead afterwards, as is the TA itself and
-// every Fork taken from it; copy what must survive with Compact first.
-// Releasing twice is a no-op.
+// Release returns the run's pages and scratch to their pools. The table,
+// its rank order and every Fork taken from the run are dead afterwards,
+// as is the TA itself; what was materialized (Result, Candidates, Rows)
+// is a copy and survives. Releasing twice is a no-op.
 func (ta *TA) Release() {
 	if ta.sc == nil {
 		return
 	}
 	sc := ta.sc
-	// The lists may have been regrown by append; keep the larger arrays.
-	sc.encountered, sc.heap = ta.encountered, ta.topScores
-	ta.sc, ta.encountered, ta.topScores = nil, nil, nil
-	ta.cursors, ta.last, ta.consumed, ta.seen = nil, nil, nil, nil
-	ta.done = false
+	ta.rows.release()
+	// The directories and lists may have been regrown; keep the larger arrays.
+	sc.rows, sc.order, sc.tail, sc.heap = ta.rows, ta.order, ta.tail, ta.topScores
+	ta.sc, ta.topScores = nil, nil
+	// What the run counted stays readable; what it held does not.
+	ta.run = run{scanState: scanState{sortedAccesses: ta.sortedAccesses, ctxErr: ta.ctxErr}, released: true}
 	putScratch(sc)
 }
 
 // step performs one sorted access and, if it encounters a new tuple, the
-// corresponding random access. It returns the new Scored tuple (nil if
-// the tuple was already seen) and ok=false when every list is exhausted.
-func (ta *TA) step() (*Scored, bool) {
+// corresponding random access. It returns the new row's position (isNew
+// false if the tuple was already seen) and ok=false when every list is
+// exhausted.
+func (ta *TA) step() (pos int32, isNew, ok bool) {
 	p, i, isNew, ok := ta.rawStep()
 	if !ok {
-		return nil, false
+		return 0, false, false
 	}
 	if !isNew {
 		if ta.trace != nil {
 			ta.emitTrace(i, -1, 0)
 		}
-		return nil, true
+		return 0, false, true
 	}
-	sc := ta.score(p.ID, &ta.sc.arena)
-	ta.encountered = append(ta.encountered, sc)
-	ta.offerScore(sc.Score)
+	pos, score := ta.encounter(p.ID)
+	ta.topScores = offerHeap(ta.topScores, ta.k, score)
 	if ta.trace != nil {
-		ta.emitTrace(i, sc.ID, sc.Score)
+		ta.emitTrace(i, p.ID, score)
 	}
-	return &ta.encountered[len(ta.encountered)-1], true
-}
-
-// offerScore maintains the min-heap of the k highest scores seen.
-func (ta *TA) offerScore(s float64) {
-	ta.topScores = offerHeap(ta.topScores, ta.k, s)
+	return pos, true, true
 }
 
 // offerHeap pushes s into the k-bounded min-heap h of the highest
@@ -492,8 +637,8 @@ func (ta *TA) RunContext(ctx context.Context) error {
 	return ta.ctxErr
 }
 
-// Run executes TA to termination and materializes the ranked result R(q)
-// and candidate list C(q).
+// Run executes TA to termination and ranks what it encountered: the
+// result R(q) and the candidate list C(q).
 func (ta *TA) Run() {
 	if ta.done {
 		return
@@ -502,115 +647,57 @@ func (ta *TA) Run() {
 		panic("topk: Run after Release")
 	}
 	for {
-		// Termination: k-th tentative score ≥ threshold.
-		if len(ta.encountered) >= ta.k {
-			kth := ta.kthBest()
-			if kth >= ta.ThresholdScore() {
-				break
-			}
+		// Termination: k-th tentative score ≥ threshold. topScores[0] is
+		// the k-th highest score among encountered tuples.
+		if ta.rows.Len() >= ta.k && ta.topScores[0] >= ta.ThresholdScore() {
+			break
 		}
-		if _, ok := ta.step(); !ok {
+		if _, _, ok := ta.step(); !ok {
 			break // dataset exhausted
 		}
 	}
-	sortScored(ta.encountered)
-	ta.cut = min(ta.k, len(ta.encountered))
-	ta.done = true
+	ta.finish()
 }
 
-// kthBest returns the k-th highest score among encountered tuples,
-// maintained incrementally in the topScores min-heap.
-func (ta *TA) kthBest() float64 { return ta.topScores[0] }
-
-// Result returns the ranked top-k list R(q). Run must have completed.
-func (ta *TA) Result() []Scored {
-	ta.mustBeDone("Result")
-	return ta.encountered[:ta.cut:ta.cut]
-}
-
-// Candidates returns C(q), every encountered non-result tuple in
-// decreasing score order.
-func (ta *TA) Candidates() []Scored {
-	ta.mustBeDone("Candidates")
-	return ta.encountered[ta.cut:]
-}
-
-// Resume continues the terminated scan until it encounters one new
-// (previously unseen) tuple, which Phase 3 of the region algorithms
-// evaluates and appends to C(q). ok=false when the lists are exhausted.
-func (ta *TA) Resume() (Scored, bool) {
-	ta.mustBeDone("Resume")
+// Resume is run.Resume over the traced step.
+func (ta *TA) Resume() (int32, bool) {
+	ta.must("Resume")
 	for {
-		sc, ok := ta.step()
+		pos, isNew, ok := ta.step()
 		if !ok {
-			return Scored{}, false
+			return 0, false
 		}
-		if sc != nil {
-			return *sc, true
+		if isNew {
+			return pos, true
 		}
 	}
 }
 
 // Fork returns an independent resumable view of the completed run: its
-// own cursor clones, encountered set, and candidate-list copy. Resuming
-// a fork never mutates the parent TA or any sibling fork, so one fork
-// per query dimension lets Phase 3 of each dimension pull down its lists
+// own cursor clones and encountered set, the parent's rows read in place
+// and its own pulls appended to pages of its own. Resuming a fork never
+// mutates the parent TA or any sibling fork, so one fork per query
+// dimension lets Phase 3 of each dimension pull down its lists
 // concurrently and deterministically (every fork sees exactly the
 // post-Run state, regardless of scheduling). Forked sorted accesses are
 // NOT reported to a SetTrace callback — the callback is not safe for
 // concurrent forks — so Fig. 2 traces only cover the shared scan.
-func (ta *TA) Fork() *Fork {
-	ta.mustBeDone("Fork")
-	return &Fork{
-		scanState: ta.scanState.clone(),
-		arena:     projArena{qlen: ta.q.Len()},
-		result:    ta.Result(),
-		cands:     slices.Clone(ta.Candidates()),
-	}
-}
+func (ta *TA) Fork() *Fork { return &Fork{ta.fork()} }
 
-// ForkView is Fork behind the View interface — the shape region
-// computation (core.Runner) consumes for its per-dimension isolation.
-func (ta *TA) ForkView() View { return ta.Fork() }
+// ForkView is Fork under the name region computation (core.Runner)
+// asks for its per-dimension isolation by.
+func (ta *TA) ForkView() *Fork { return ta.Fork() }
 
 // Fork is an isolated resumable continuation of a completed TA run; see
 // TA.Fork. It implements View.
-type Fork struct {
-	scanState
-	arena  projArena
-	result []Scored
-	cands  []Scored
-}
+type Fork struct{ run }
 
-// Result returns the ranked top-k of the parent run (shared, read-only).
-func (f *Fork) Result() []Scored { return f.result }
-
-// Candidates returns this fork's view of C(q): the parent's candidates
-// at fork time plus this fork's own Resume pulls.
-func (f *Fork) Candidates() []Scored { return f.cands }
-
-// Resume continues this fork's scan until one new tuple is encountered,
-// appending it to the fork's candidate list. ok=false at exhaustion.
-func (f *Fork) Resume() (Scored, bool) {
-	for {
-		p, _, isNew, ok := f.rawStep()
-		if !ok {
-			return Scored{}, false
-		}
-		if isNew {
-			sc := f.score(p.ID, &f.arena)
-			f.cands = append(f.cands, sc)
-			return sc, true
-		}
-	}
-}
-
-func (ta *TA) mustBeDone(op string) {
-	if ta.sc == nil {
-		panic("topk: " + op + " after Release")
-	}
-	if !ta.done {
-		panic("topk: " + op + " before Run")
+// Release hands the pages the fork's own pulls filled back to the pool;
+// the fork is dead afterwards. The parent's rows are untouched.
+func (f *Fork) Release() {
+	if !f.released {
+		f.rows.release()
+		f.run = run{released: true}
 	}
 }
 

@@ -114,14 +114,15 @@ func TestResumeEnumeratesRemaining(t *testing.T) {
 		seen[c.ID] = true
 	}
 	for {
-		sc, ok := ta.Resume()
+		p, ok := ta.Resume()
 		if !ok {
 			break
 		}
-		if seen[sc.ID] {
-			t.Fatalf("Resume returned duplicate %d", sc.ID)
+		id := ta.Table().ID(p)
+		if seen[id] {
+			t.Fatalf("Resume returned duplicate %d", id)
 		}
-		seen[sc.ID] = true
+		seen[id] = true
 	}
 	if len(seen) != len(cs.Tuples) {
 		t.Fatalf("saw %d tuples, want %d", len(seen), len(cs.Tuples))
