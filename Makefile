@@ -70,7 +70,7 @@ vuln:
 	-@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "vuln: govulncheck not installed; skipping (report-only)"
 
 # A fast benchmark pass over the analyze path: enough to catch gross
-# regressions without the full figure sweep of cmd/irbench. The bulk-load
+# regressions without the full figure sweep of BenchmarkFig. The bulk-load
 # layer rides along at a fixed iteration count: the dataset save irgen
 # goes through (ST n = 200 000 and WSJ -scale 2, the bench/ harness's two
 # datasets), the MemIndex build, and one whole checkpoint — a merge, not
@@ -86,7 +86,7 @@ vuln:
 # its peak-live-MB is the live heap with the deepest query in flight,
 # which is what the server's resident set follows.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
 	$(GO) test -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
@@ -104,10 +104,11 @@ bench-smoke:
 # copy counts there fail a disk base that decodes instead of copying),
 # and engine's TestFailedSortedAccessFailsTheQuery, which only this build
 # can run: a list file cut short under a scan fails the query instead of
-# ending the list. The cross-build proves the fallback compiles on amd64
-# too.
+# ending the list. exp rides along for the counts matrix (TestFigures/counts),
+# whose memory half must not move on this build either. The cross-build
+# proves the fallback compiles on amd64 too.
 test-fallback:
-	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/...
+	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/... ./internal/exp/...
 	GOARCH=amd64 $(GO) build -tags=nommap ./...
 
 # Durability focus: the WAL package under -race, the crash-recovery and
@@ -156,8 +157,9 @@ test-obs:
 test-shard:
 	$(GO) test -race -count=1 ./internal/shard/
 
-# Docs drift check: markdown cross-references must resolve and every
-# flag the docs mention must exist in the binaries.
+# Docs drift check: markdown cross-references must resolve, every flag
+# the docs mention must exist in the binaries, and the analyzer, metric
+# and figure tables must list exactly what the code registers.
 check-docs:
 	$(GO) run ./cmd/docscheck
 

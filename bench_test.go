@@ -1,8 +1,9 @@
-// Benchmarks: one testing.B entry per evaluation figure of the paper
-// (§7), plus ablations for the design choices DESIGN.md calls out. Each
-// benchmark op is one full query analysis (TA + region computation) at a
-// representative parameter point of the corresponding figure; the
-// cmd/irbench tool regenerates the full series.
+// Benchmarks: BenchmarkFig times every sweep figure of the paper's
+// evaluation (§7) from the internal/exp registry — one op is one full
+// query analysis (TA + region computation) at the figure's midpoint;
+// cmd/irbench prints the exact counts of the full series, and
+// docs/figures.md maps one to the other — plus ablations of the design
+// choices and the serving paths grown around the algorithm.
 package repro_test
 
 import (
@@ -25,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/exp"
 	"repro/internal/fixture"
 	"repro/internal/geom"
 	"repro/internal/lists"
@@ -57,25 +59,6 @@ func (e *benchEnv) init() {
 	})
 }
 
-// queriesFor pre-samples a deterministic workload.
-func queriesFor(d *dataset.Dataset, qlen, k, n int, seed int64) []vec.Query {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]vec.Query, 0, n)
-	minDF := 3*k + 20
-	for len(out) < n {
-		q, err := d.SampleQuery(rng, qlen, minDF)
-		if err != nil {
-			minDF /= 2
-			if minDF == 0 {
-				panic(err)
-			}
-			continue
-		}
-		out = append(out, q)
-	}
-	return out
-}
-
 // measureEngine wraps an index in the unified execution layer with the
 // answer cache off: figure benchmarks measure the algorithms, so cached
 // answers must never stand in for computation.
@@ -102,100 +85,32 @@ func benchCompute(b *testing.B, ix lists.Index, queries []vec.Query, k int, opts
 	b.ReportMetric(float64(evaluated)/float64(b.N), "evaluated/op")
 }
 
-func perMethod(b *testing.B, run func(b *testing.B, opts core.Options)) {
-	for _, m := range core.Methods {
-		b.Run(m.String(), func(b *testing.B) {
-			run(b, core.Options{Method: m})
+// BenchmarkFig — the CPU-time panels of the paper's figures: every sweep
+// figure of the exp registry at the midpoint of its x axis, one
+// sub-benchmark per series (BenchmarkFig/fig10/CPT), over the workload
+// the figure's golden counts were taken on.
+func BenchmarkFig(b *testing.B) {
+	r := exp.NewRunner(exp.Golden)
+	for _, f := range exp.Figures {
+		if f.Series == nil {
+			continue
+		}
+		b.Run(f.ID, func(b *testing.B) {
+			ix, queries, k, base := r.Point(f, f.Xs[len(f.Xs)/2])
+			for _, s := range f.Series {
+				b.Run(s.Label, func(b *testing.B) {
+					benchCompute(b, ix, queries, k, s.Options(base))
+				})
+			}
 		})
 	}
 }
 
-// BenchmarkFig10 — WSJ, k=10, qlen=4 (the paper's Fig. 10 midpoint).
-func BenchmarkFig10(b *testing.B) {
-	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 16, 201)
-	perMethod(b, func(b *testing.B, opts core.Options) {
-		benchCompute(b, env.wsjI, qs, 10, opts)
-	})
-}
-
-// BenchmarkFig11 — ST correlated data, k=10, qlen=4 (Fig. 11).
-func BenchmarkFig11(b *testing.B) {
-	env.init()
-	qs := queriesFor(env.st, 4, 10, 16, 202)
-	perMethod(b, func(b *testing.B, opts core.Options) {
-		benchCompute(b, env.stI, qs, 10, opts)
-	})
-}
-
-// BenchmarkFig12 — KB features, k=10, qlen=16 (Fig. 12 midpoint).
-func BenchmarkFig12(b *testing.B) {
-	env.init()
-	qs := queriesFor(env.kb, 16, 10, 16, 203)
-	perMethod(b, func(b *testing.B, opts core.Options) {
-		benchCompute(b, env.kbI, qs, 10, opts)
-	})
-}
-
-// BenchmarkFig13 — k sweep at qlen=4 (Fig. 13): k=40 on both datasets.
-func BenchmarkFig13(b *testing.B) {
-	env.init()
-	for _, ds := range []struct {
-		name string
-		d    *dataset.Dataset
-		ix   *lists.MemIndex
-	}{{"WSJ", env.wsj, env.wsjI}, {"ST", env.st, env.stI}} {
-		qs := queriesFor(ds.d, 4, 40, 8, 204)
-		for _, m := range core.Methods {
-			b.Run(fmt.Sprintf("%s/%s", ds.name, m), func(b *testing.B) {
-				benchCompute(b, ds.ix, qs, 40, core.Options{Method: m})
-			})
-		}
-	}
-}
-
-// BenchmarkFig14 — φ=20 on WSJ, k=10, qlen=4 (Fig. 14 midpoint).
-func BenchmarkFig14(b *testing.B) {
-	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 8, 205)
-	perMethod(b, func(b *testing.B, opts core.Options) {
-		opts.Phi = 20
-		benchCompute(b, env.wsjI, qs, 10, opts)
-	})
-}
-
-// BenchmarkFig15 — one-off vs iterative at φ=10 for Prune and CPT.
-func BenchmarkFig15(b *testing.B) {
-	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 8, 206)
-	for _, m := range []core.Method{core.MethodPrune, core.MethodCPT} {
-		for _, iter := range []bool{false, true} {
-			name := m.String() + "/oneoff"
-			if iter {
-				name = m.String() + "/iterative"
-			}
-			b.Run(name, func(b *testing.B) {
-				benchCompute(b, env.wsjI, qs, 10, core.Options{Method: m, Phi: 10, Iterative: iter})
-			})
-		}
-	}
-}
-
-// BenchmarkFig16 — composition-only perturbations, WSJ, k=10, qlen=4.
-func BenchmarkFig16(b *testing.B) {
-	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 16, 207)
-	perMethod(b, func(b *testing.B, opts core.Options) {
-		opts.CompositionOnly = true
-		benchCompute(b, env.wsjI, qs, 10, opts)
-	})
-}
-
 // BenchmarkTA — the substrate alone: TA cost per query under both
-// probing policies (ablation 1 of DESIGN.md).
+// probing policies.
 func BenchmarkTA(b *testing.B) {
 	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 16, 208)
+	qs := exp.Sample(env.wsj, 16, 4, 50, 208)
 	for _, policy := range []topk.ProbePolicy{topk.RoundRobin, topk.BestList} {
 		b.Run(policy.String(), func(b *testing.B) {
 			b.ReportAllocs()
@@ -215,7 +130,7 @@ func BenchmarkTA(b *testing.B) {
 // probing policies.
 func BenchmarkAblationProbing(b *testing.B) {
 	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 16, 209)
+	qs := exp.Sample(env.wsj, 16, 4, 50, 209)
 	eng := measureEngine(env.wsjI)
 	for _, policy := range []topk.ProbePolicy{topk.RoundRobin, topk.BestList} {
 		b.Run(policy.String(), func(b *testing.B) {
@@ -234,20 +149,8 @@ func BenchmarkAblationProbing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSchedule — thresholding probe schedule (ablation 2 of
-// DESIGN.md): round-robin vs score-biased list pulls in Thres/CPT.
-func BenchmarkAblationSchedule(b *testing.B) {
-	env.init()
-	qs := queriesFor(env.kb, 8, 10, 16, 214)
-	for _, sched := range []core.Schedule{core.ScheduleRoundRobin, core.ScheduleScoreBiased} {
-		b.Run(sched.String(), func(b *testing.B) {
-			benchCompute(b, env.kbI, qs, 10, core.Options{Method: core.MethodCPT, Schedule: sched})
-		})
-	}
-}
-
 // BenchmarkAblationBufferPool — disk-index scan cost versus buffer-pool
-// size (ablation 4 of DESIGN.md).
+// size.
 func BenchmarkAblationBufferPool(b *testing.B) {
 	env.init()
 	dir := b.TempDir()
@@ -256,7 +159,7 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 	if err := small.Save(tp, lp); err != nil {
 		b.Fatal(err)
 	}
-	qs := queriesFor(small, 4, 10, 8, 210)
+	qs := exp.Sample(small, 8, 4, 50, 210)
 	for _, pool := range []int{0, 64, 4096} {
 		b.Run(fmt.Sprintf("pool%d", pool), func(b *testing.B) {
 			ix, err := lists.OpenDiskIndex(tp, lp, pool)
@@ -279,7 +182,7 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 }
 
 // BenchmarkCandidateStore — on-the-fly pruning store throughput
-// (ablation 3: the §5.1 memory optimization).
+// (the §5.1 memory optimization).
 func BenchmarkCandidateStore(b *testing.B) {
 	rng := rand.New(rand.NewSource(111))
 	cands := make([]topk.Scored, 4096)
@@ -351,7 +254,7 @@ func BenchmarkKthEnvelope(b *testing.B) {
 // fan-out enough dimensions to spread.
 func BenchmarkParallelCompute(b *testing.B) {
 	env.init()
-	qs := queriesFor(env.kb, 8, 10, 16, 215)
+	qs := exp.Sample(env.kb, 16, 8, 50, 215)
 	for _, p := range []int{0, 1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
 			benchCompute(b, env.kbI, qs, 10, core.Options{Method: core.MethodCPT, Parallelism: p})
@@ -369,7 +272,7 @@ func BenchmarkServerAnalyzeParallel(b *testing.B) {
 	// serving rate is BenchmarkCacheAnalyze's subject.
 	srv := server.FromEngine(engine.New(env.wsjI, engine.Config{MaxConcurrent: 4 * runtime.NumCPU(), CacheEntries: -1}))
 	h := srv.Handler()
-	qs := queriesFor(env.wsj, 4, 10, 16, 216)
+	qs := exp.Sample(env.wsj, 16, 4, 50, 216)
 	bodies := make([][]byte, len(qs))
 	for i, q := range qs {
 		raw, err := json.Marshal(server.QueryRequest{Dims: q.Dims, Weights: q.Weights, K: 10, Method: "cpt"})
@@ -416,7 +319,7 @@ func BenchmarkRunningExample(b *testing.B) {
 // from the immutable-region cache (exact-anchor hit, zero index I/O).
 func BenchmarkCacheAnalyze(b *testing.B) {
 	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 16, 217)
+	qs := exp.Sample(env.wsj, 16, 4, 50, 217)
 	opts := engine.Options{Options: core.Options{Method: core.MethodCPT, Phi: 1}}
 	b.Run("recompute", func(b *testing.B) {
 		eng := measureEngine(env.wsjI)
@@ -439,7 +342,7 @@ func BenchmarkCacheAnalyze(b *testing.B) {
 	// serves — a mapped DiskIndex under an empty Overlay — where a random
 	// access reads a record instead of returning a resident slice: its
 	// allocs/op and B/op are the real miss path's.
-	stQs := queriesFor(env.st, 4, 10, 16, 219)
+	stQs := exp.Sample(env.st, 16, 4, 50, 219)
 	dir := b.TempDir()
 	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
 	if err := env.st.Save(tp, lp); err != nil {
@@ -605,7 +508,7 @@ func BenchmarkColdStream(b *testing.B) {
 // the cached projections.
 func BenchmarkCacheTopK(b *testing.B) {
 	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 16, 218)
+	qs := exp.Sample(env.wsj, 16, 4, 50, 218)
 	eng := engine.New(env.wsjI, engine.Config{MaxConcurrent: -1})
 	for _, q := range qs {
 		if _, err := eng.Analyze(context.Background(), q, 10, engine.Options{Options: core.Options{Method: core.MethodCPT}}); err != nil {
@@ -627,7 +530,7 @@ func BenchmarkCacheTopK(b *testing.B) {
 // one by one with the cache off.
 func BenchmarkBatchAnalyze(b *testing.B) {
 	env.init()
-	qs := queriesFor(env.wsj, 4, 10, 8, 219)
+	qs := exp.Sample(env.wsj, 8, 4, 50, 219)
 	items := make([]engine.BatchItem, 0, 64)
 	for i := 0; i < 64; i++ { // 8 distinct queries × 8 repeats
 		items = append(items, engine.BatchItem{
@@ -666,7 +569,7 @@ func BenchmarkBatchAnalyze(b *testing.B) {
 // accesses, tuple fetches and projections.
 func BenchmarkBatchTopK(b *testing.B) {
 	env.init()
-	base := queriesFor(env.kb, 16, 10, 1, 220)[0]
+	base := exp.Sample(env.kb, 1, 16, 50, 220)[0]
 	rng := rand.New(rand.NewSource(221))
 	items := make([]engine.TopKItem, 16)
 	for i := range items {

@@ -1,7 +1,7 @@
 // Command docscheck is the CI documentation linter: it fails when the
 // markdown docs drift from the code they describe.
 //
-// Four checks, over README.md and docs/*.md:
+// Five checks, over README.md and docs/*.md:
 //
 //  1. Cross-references: every relative markdown link [text](path)
 //     must point at a file that exists (anchors are stripped;
@@ -18,6 +18,8 @@
 //  4. Metric parity: the catalogue of docs/observability.md must list
 //     exactly the metric names registered through obs.New* in
 //     internal/ (both directions — phantom rows and missing rows).
+//  5. Figure parity: the table of docs/figures.md must list exactly
+//     the ids of the internal/exp registry.
 //
 // Usage: go run ./cmd/docscheck [-root DIR]   (default: the repo root)
 package main
@@ -25,6 +27,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -57,6 +60,11 @@ var (
 	// metricDocRe captures a metric row of the observability doc's
 	// catalogue (first cell, backticked name).
 	metricDocRe = regexp.MustCompile("^\\|\\s*`(ir_[a-z0-9_]+)`\\s*\\|")
+	// figureDefRe captures the ID literal of an entry of exp.Figures.
+	figureDefRe = regexp.MustCompile(`\{ID:\s*"([a-z0-9-]+)"`)
+	// figureDocRe captures a row of the figures doc's table (first cell,
+	// backticked id).
+	figureDocRe = regexp.MustCompile("^\\|\\s*`([a-z0-9-]+)`\\s*\\|")
 )
 
 // goToolFlags are inline-mentionable flags that belong to the go tool
@@ -68,13 +76,14 @@ var goToolFlags = map[string]bool{
 	"fuzztime": true,
 }
 
-// collectFlags parses the flag definitions of one main package file.
-func collectFlags(path string, into map[string]bool) error {
+// collect adds what re captures in one source file — flag definitions of
+// a main package, analyzer names, figure ids — to into.
+func collect(path string, re *regexp.Regexp, into map[string]bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	for _, m := range flagDefRe.FindAllStringSubmatch(string(raw), -1) {
+	for _, m := range re.FindAllStringSubmatch(string(raw), -1) {
 		into[m[1]] = true
 	}
 	return nil
@@ -95,15 +104,27 @@ func checkAnalyzerParity(root string) ([]string, error) {
 		if strings.HasSuffix(s, "_test.go") {
 			continue
 		}
-		raw, err := os.ReadFile(s)
-		if err != nil {
+		if err := collect(s, analyzerDefRe, registered); err != nil {
 			return nil, err
 		}
-		for _, m := range analyzerDefRe.FindAllStringSubmatch(string(raw), -1) {
-			registered[m[1]] = true
-		}
 	}
-	docPath := filepath.Join(root, "docs", "static-analysis.md")
+	return tableParity(filepath.Join(root, "docs", "static-analysis.md"), analyzerDocRe, registered, "analyzer")
+}
+
+// checkFigureParity cross-references the table of docs/figures.md
+// against the ids of the exp.Figures registry, both directions.
+func checkFigureParity(root string) ([]string, error) {
+	registered := map[string]bool{}
+	if err := collect(filepath.Join(root, "internal", "exp", "figures.go"), figureDefRe, registered); err != nil {
+		return nil, err
+	}
+	return tableParity(filepath.Join(root, "docs", "figures.md"), figureDocRe, registered, "figure")
+}
+
+// tableParity compares the names a doc's table lists (rowRe captures one
+// from a row's first cell) with the registered ones: a row naming
+// nothing registered and a registered name with no row are both drift.
+func tableParity(docPath string, rowRe *regexp.Regexp, registered map[string]bool, kind string) ([]string, error) {
 	raw, err := os.ReadFile(docPath)
 	if err != nil {
 		return nil, err
@@ -111,18 +132,18 @@ func checkAnalyzerParity(root string) ([]string, error) {
 	var problems []string
 	documented := map[string]bool{}
 	for i, line := range strings.Split(string(raw), "\n") {
-		m := analyzerDocRe.FindStringSubmatch(line)
+		m := rowRe.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
 		documented[m[1]] = true
 		if !registered[m[1]] {
-			problems = append(problems, fmt.Sprintf("%s:%d: analyzer `%s` is documented but not defined in internal/analysis", docPath, i+1, m[1]))
+			problems = append(problems, fmt.Sprintf("%s:%d: %s `%s` is documented but not registered", docPath, i+1, kind, m[1]))
 		}
 	}
 	for name := range registered {
 		if !documented[name] {
-			problems = append(problems, fmt.Sprintf("%s: analyzer %q is registered but missing from the analyzer table", docPath, name))
+			problems = append(problems, fmt.Sprintf("%s: %s %q is registered but missing from the table", docPath, kind, name))
 		}
 	}
 	sort.Strings(problems)
@@ -167,30 +188,7 @@ func checkMetricParity(root string) ([]string, error) {
 	for _, name := range []string{"ir_build_info", "ir_process_start_time_seconds", "ir_process_uptime_seconds"} {
 		registered[name] = true
 	}
-	docPath := filepath.Join(root, "docs", "observability.md")
-	raw, err := os.ReadFile(docPath)
-	if err != nil {
-		return nil, err
-	}
-	var problems []string
-	documented := map[string]bool{}
-	for i, line := range strings.Split(string(raw), "\n") {
-		m := metricDocRe.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		documented[m[1]] = true
-		if !registered[m[1]] {
-			problems = append(problems, fmt.Sprintf("%s:%d: metric `%s` is documented but never registered", docPath, i+1, m[1]))
-		}
-	}
-	for name := range registered {
-		if !documented[name] {
-			problems = append(problems, fmt.Sprintf("%s: metric %q is registered but missing from the catalogue", docPath, name))
-		}
-	}
-	sort.Strings(problems)
-	return problems, nil
+	return tableParity(filepath.Join(root, "docs", "observability.md"), metricDocRe, registered, "metric")
 }
 
 // checkFile lints one markdown file; problems are returned as
@@ -255,7 +253,7 @@ func main() {
 	// usage).
 	daemons := map[string]bool{}
 	for _, cmd := range []string{"irserver", "irproxy"} {
-		if err := collectFlags(filepath.Join(*root, "cmd", cmd, "main.go"), daemons); err != nil {
+		if err := collect(filepath.Join(*root, "cmd", cmd, "main.go"), flagDefRe, daemons); err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 			os.Exit(2)
 		}
@@ -267,7 +265,7 @@ func main() {
 		os.Exit(2)
 	}
 	for _, m := range mains {
-		if err := collectFlags(m, union); err != nil {
+		if err := collect(m, flagDefRe, union); err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 			os.Exit(2)
 		}
@@ -290,9 +288,16 @@ func main() {
 	// The sharding doc walks the full deployment — irgen partitioning
 	// included — so it too gets the union.
 	targets[filepath.Join(*root, "docs", "sharding.md")] = union
+	// The figures doc documents irbench and the golden test's own flag.
+	figures := maps.Clone(union)
+	if err := collect(filepath.Join(*root, "internal", "exp", "exp_test.go"), flagDefRe, figures); err != nil {
+		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+		os.Exit(2)
+	}
+	targets[filepath.Join(*root, "docs", "figures.md")] = figures
 	// The spec and the operator guide are load-bearing: their absence
 	// is a failure, not a skip.
-	for _, required := range []string{"replication.md", "operations.md", "architecture.md", "static-analysis.md", "observability.md", "sharding.md"} {
+	for _, required := range []string{"replication.md", "operations.md", "architecture.md", "static-analysis.md", "observability.md", "sharding.md", "figures.md"} {
 		if _, err := os.Stat(filepath.Join(*root, "docs", required)); err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: required doc docs/%s missing\n", required)
 			os.Exit(1)
@@ -308,18 +313,14 @@ func main() {
 		}
 		all = append(all, problems...)
 	}
-	parity, err := checkAnalyzerParity(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-		os.Exit(2)
+	for _, parity := range []func(string) ([]string, error){checkAnalyzerParity, checkMetricParity, checkFigureParity} {
+		problems, err := parity(*root)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
+			os.Exit(2)
+		}
+		all = append(all, problems...)
 	}
-	all = append(all, parity...)
-	metrics, err := checkMetricParity(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
-		os.Exit(2)
-	}
-	all = append(all, metrics...)
 	if len(all) > 0 {
 		for _, p := range all {
 			fmt.Fprintln(os.Stderr, p)

@@ -1,7 +1,7 @@
 // Command irgen generates one of the three evaluation datasets (WSJ-like
 // corpus, KB-like image features, ST correlated synthetic) and persists
 // it in the library's on-disk format (tuples.dat + lists.dat), printing
-// the structural statistics DESIGN.md pins for each.
+// the structural statistics docs/figures.md gives for each.
 //
 // Usage:
 //

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	// ~6000 images with moderately correlated feature blocks, standing
-	// in for the KB dataset (see DESIGN.md on the substitution).
+	// in for the KB dataset (see docs/figures.md on the substitution).
 	images := dataset.GenerateKB(dataset.KBConfig{Images: 6000, Features: 900, Seed: 21})
 	eng := repro.NewEngine(images.Tuples, images.M)
 

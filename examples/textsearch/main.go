@@ -22,7 +22,7 @@ import (
 
 func main() {
 	// A ~4000-document synthetic corpus standing in for WSJ (see
-	// DESIGN.md on the substitution).
+	// docs/figures.md on the substitution).
 	corpus := dataset.GenerateWSJ(dataset.WSJConfig{Docs: 4000, Vocab: 6000, MeanTerms: 30, Seed: 7})
 	eng := repro.NewEngine(corpus.Tuples, corpus.M)
 

@@ -1,6 +1,6 @@
 // Package dataset provides the three evaluation datasets of §7.1 as
 // synthetic equivalents (the originals are not redistributable; see
-// DESIGN.md for the substitution rationale):
+// docs/figures.md for the substitution rationale):
 //
 //   - WSJ: a sparse text corpus with Zipf-distributed document
 //     frequencies and TF-IDF values — most tuples touch exactly one of a

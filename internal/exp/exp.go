@@ -1,169 +1,103 @@
-// Package exp is the benchmark harness: one runner per table/figure of
-// the paper's evaluation (§7), each printing the same series the paper
-// plots. Absolute numbers differ from the 2012 testbed (see DESIGN.md);
-// the shapes — which method wins, by what factor, where trends bend —
-// are the reproduction target recorded in EXPERIMENTS.md.
+// Package exp is the paper's evaluation (§7) as data: Figures lists every
+// reproduced figure once, a Runner turns an entry into a Table of exact
+// cost counters, and Table.String renders it. Three readers consume the
+// registry — the golden test of this package, cmd/irbench and the root
+// BenchmarkFig — so a figure added to Figures appears in all three. Only
+// counts that are a function of the data and the algorithm are reported;
+// CPU time is BenchmarkFig's job. docs/figures.md maps paper figures to
+// registry ids and records the synthetic-dataset substitution.
 package exp
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/lists"
 	"repro/internal/storage"
+	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
-// Config controls harness-wide parameters.
+// Config sizes a run of the registry.
 type Config struct {
-	// Queries per measurement point (the paper averages 100).
-	Queries int
-	// Scale multiplies dataset cardinalities; 1.0 is the laptop default,
-	// ≈20 approaches paper scale.
-	Scale float64
-	// Seed makes query sampling and generators deterministic.
-	Seed int64
-	// Disk is the I/O cost model used to convert counted I/Os to time.
-	Disk storage.DiskModel
+	Queries int     // per measurement point (the paper averages 100)
+	Scale   float64 // of dataset cardinalities: 1 is laptop scale, ≈20 the paper's
+	Seed    int64   // of the generators and of query sampling
 }
 
-// Defaults fills zero fields.
-func (c Config) Defaults() Config {
-	if c.Queries == 0 {
-		c.Queries = 20
-	}
-	if c.Scale == 0 {
-		c.Scale = 1
-	}
-	if c.Disk == (storage.DiskModel{}) {
-		c.Disk = storage.DefaultDiskModel
-	}
-	return c
-}
+// Golden is the configuration testdata/*.golden was generated at and
+// irbench defaults to. Half of laptop scale keeps the whole registry
+// under 3 s in a plain test run and under 40 s with the race detector on
+// (scale 1: 7 s and 100 s); every asserted ordering was checked to hold
+// at scales 0.5 and 1 for seeds 1–4 as well.
+var Golden = Config{Queries: 5, Scale: 0.5, Seed: 1}
 
-// Point is one measurement: the method's averages at one x position.
-type Point struct {
-	X         float64
-	Evaluated float64 // evaluated candidates per query dimension
-	IO        time.Duration
-	CPU       time.Duration
-	MemBytes  float64
-	SeqPages  float64
-	RandReads float64
-}
-
-// Series is one method's line across the x axis.
-type Series struct {
-	Label  string
-	Points []Point
-}
-
-// Figure is one reproduced chart.
-type Figure struct {
-	ID     string
-	Title  string
-	XLabel string
-	Series []Series
-	// Notes carries reproduction caveats shown alongside the data.
-	Notes string
-}
-
-// Runner caches generated datasets across figures.
+// Runner generates each dataset and computes each table at most once.
 type Runner struct {
-	Cfg Config
-
-	wsj, kb, st *dataset.Dataset
-	wsjIx       *lists.MemIndex
-	kbIx        *lists.MemIndex
-	stIx        *lists.MemIndex
+	cfg    Config
+	data   map[string]*dataset.Dataset
+	index  map[string]*lists.MemIndex
+	tables map[string]Table
 }
 
-// NewRunner prepares a harness with the given config.
-func NewRunner(cfg Config) *Runner { return &Runner{Cfg: cfg.Defaults()} }
+// NewRunner prepares a run of the registry at cfg.
+func NewRunner(cfg Config) *Runner {
+	return &Runner{cfg: cfg, data: map[string]*dataset.Dataset{}, index: map[string]*lists.MemIndex{}, tables: map[string]Table{}}
+}
 
-func scale(base int, s float64) int {
-	n := int(float64(base) * s)
-	if n < 100 {
-		n = 100
+// The three evaluation datasets of §7.1 (synthetic stand-ins, see
+// package dataset).
+const (
+	WSJ = "WSJ"
+	KB  = "KB"
+	ST  = "ST"
+)
+
+// Dataset returns the named dataset at the runner's scale and its index.
+// WSJ's terms per document scale with the vocabulary so that term
+// co-occurrence stays in the sparse regime of the real corpus at every
+// scale (the property the pruning results depend on).
+func (r *Runner) Dataset(name string) (*dataset.Dataset, *lists.MemIndex) {
+	if d, ok := r.data[name]; ok {
+		return d, r.index[name]
 	}
-	return n
-}
-
-// WSJ returns the (cached) WSJ-like corpus and its index. Terms per
-// document scale with the vocabulary so that term co-occurrence stays in
-// the sparse regime of the real corpus at every Scale (the property the
-// pruning results depend on).
-func (r *Runner) WSJ() (*dataset.Dataset, *lists.MemIndex) {
-	if r.wsj == nil {
-		vocab := scale(12000, r.Cfg.Scale)
-		meanTerms := vocab / 200
-		if meanTerms < 6 {
-			meanTerms = 6
-		}
-		if meanTerms > 60 {
-			meanTerms = 60
-		}
-		r.wsj = dataset.GenerateWSJ(dataset.WSJConfig{
-			Docs:      scale(8000, r.Cfg.Scale),
-			Vocab:     vocab,
-			MeanTerms: meanTerms,
-			Seed:      r.Cfg.Seed + 1,
+	scale := func(base int) int { return max(100, int(float64(base)*r.cfg.Scale)) }
+	var d *dataset.Dataset
+	switch name {
+	case WSJ:
+		vocab := scale(12000)
+		d = dataset.GenerateWSJ(dataset.WSJConfig{
+			Docs: scale(8000), Vocab: vocab, MeanTerms: min(max(vocab/200, 6), 60), Seed: r.cfg.Seed + 1,
 		})
-		r.wsjIx = r.wsj.Index()
+	case KB:
+		d = dataset.GenerateKB(dataset.KBConfig{Images: scale(8000), Features: scale(1200), Seed: r.cfg.Seed + 2})
+	case ST:
+		d = dataset.GenerateST(dataset.STConfig{N: scale(50000), Seed: r.cfg.Seed + 3})
+	default:
+		panic("exp: no dataset " + name)
 	}
-	return r.wsj, r.wsjIx
+	r.data[name], r.index[name] = d, d.Index()
+	return d, r.index[name]
 }
 
-// KB returns the (cached) KB-like feature set and its index.
-func (r *Runner) KB() (*dataset.Dataset, *lists.MemIndex) {
-	if r.kb == nil {
-		r.kb = dataset.GenerateKB(dataset.KBConfig{
-			Images:   scale(8000, r.Cfg.Scale),
-			Features: scale(1200, r.Cfg.Scale),
-			Seed:     r.Cfg.Seed + 2,
-		})
-		r.kbIx = r.kb.Index()
-	}
-	return r.kb, r.kbIx
-}
-
-// ST returns the (cached) correlated synthetic dataset and its index.
-func (r *Runner) ST() (*dataset.Dataset, *lists.MemIndex) {
-	if r.st == nil {
-		r.st = dataset.GenerateST(dataset.STConfig{
-			N:    scale(50000, r.Cfg.Scale),
-			Seed: r.Cfg.Seed + 3,
-		})
-		r.stIx = r.st.Index()
-	}
-	return r.st, r.stIx
-}
-
-// sampleQueries draws the per-point query workload; the same workload is
-// replayed for every method so comparisons are paired.
-func (r *Runner) sampleQueries(d *dataset.Dataset, qlen, k int) []vec.Query {
-	return r.sampleQueriesDF(d, qlen, k, 3*k+20)
-}
-
-// sampleQueriesDF is sampleQueries with an explicit document-frequency
-// floor. Fig. 13 keeps the floor constant while k grows: rare terms must
-// stay eligible for the paper's "Prune improves with k" effect (a larger
-// result absorbs a rare term's entire list, emptying CH_j).
-func (r *Runner) sampleQueriesDF(d *dataset.Dataset, qlen, k, minDF int) []vec.Query {
-	rng := rand.New(rand.NewSource(r.Cfg.Seed + int64(qlen)*1009 + int64(k)*9176))
-	queries := make([]vec.Query, 0, r.Cfg.Queries)
-	for len(queries) < r.Cfg.Queries {
+// Sample draws n queries over qlen dimensions whose inverted lists hold
+// at least minDF postings, halving the floor when the dataset is too
+// small to supply them. It panics when d has fewer than qlen non-empty
+// dimensions: every caller passes a dataset it generated for the purpose.
+func Sample(d *dataset.Dataset, n, qlen, minDF int, seed int64) []vec.Query {
+	rng := rand.New(rand.NewSource(seed))
+	queries := make([]vec.Query, 0, n)
+	for len(queries) < n {
 		q, err := d.SampleQuery(rng, qlen, minDF)
 		if err != nil {
-			// Degrade the df requirement rather than fail on tiny scales.
-			minDF /= 2
-			if minDF == 0 {
-				panic(fmt.Sprintf("exp: cannot sample qlen=%d queries on %s", qlen, d.Name))
+			if minDF /= 2; minDF == 0 {
+				panic(fmt.Sprintf("exp: %v", err))
 			}
 			continue
 		}
@@ -172,58 +106,168 @@ func (r *Runner) sampleQueriesDF(d *dataset.Dataset, qlen, k, minDF int) []vec.Q
 	return queries
 }
 
-// measureEngine wraps an index in the unified execution layer with the
-// answer cache off and no admission gate: the harness measures the
-// algorithms themselves, so a cached answer must never stand in for a
-// computation.
-func measureEngine(ix lists.Index) *engine.Engine {
-	return engine.New(ix, engine.Config{MaxConcurrent: -1, CacheEntries: -1})
+// queries is the workload of one measurement point. The seed depends on
+// the query length alone, so every method, every x of a k or φ sweep and
+// every figure that shares a (dataset, qlen, floor) replays the same
+// queries: comparisons are paired.
+func (r *Runner) queries(d *dataset.Dataset, qlen, minDF int) []vec.Query {
+	return Sample(d, r.cfg.Queries, qlen, minDF, r.cfg.Seed+int64(qlen)*1009)
 }
 
-// measure runs one method over the query workload and averages metrics.
-// Metrics cover the region computation only (the TA cost is common to
-// all methods and excluded, as the paper's Phase-2-centric charts do).
-func (r *Runner) measure(ix lists.Index, queries []vec.Query, k int, opts core.Options) Point {
-	var p Point
-	eng := measureEngine(ix)
+// analyze is Analyze over a runner's memory index, where core.Compute has
+// nothing to fail on: no context to cancel, no file to read.
+func analyze(ix lists.Index, q vec.Query, k int, opts core.Options) (*core.Output, Counts) {
+	out, c, err := Analyze(ix, q, k, opts)
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
+	return out, c
+}
+
+// Counts are the exact cost counters of one analysis: core's metrics
+// plus the scan's depth and candidate count, at TA's stop and after
+// Phase 3.
+type Counts struct {
+	core.Metrics
+	SortedTA, Sorted int
+	CandTA, Cand     int
+}
+
+// Analyze runs TA and the region computation for one query and releases
+// the scan. Everything Counts reports is deterministic; the phase
+// timings inside Metrics are not and no table prints them.
+func Analyze(ix lists.Index, q vec.Query, k int, opts core.Options) (*core.Output, Counts, error) {
+	ta := topk.New(ix, q, k, topk.BestList)
+	defer ta.Release()
+	ta.Run()
+	candidates := func() int {
+		order, cut := ta.Ranking()
+		return len(order) - cut
+	}
+	c := Counts{SortedTA: ta.SortedAccesses(), CandTA: candidates()}
+	out, err := core.Compute(context.Background(), ta, opts)
+	if err != nil {
+		return nil, c, err
+	}
+	c.Metrics, c.Sorted, c.Cand = out.Metrics, ta.SortedAccesses(), candidates()
+	return out, c, nil
+}
+
+// Table is what a registry entry produces: titled panels of numbers. A
+// panel is one chart panel of the paper (a line per column) or a plain
+// table; a column prints with Prec decimals; a row holds one value per
+// column.
+type (
+	Table struct {
+		ID, Title string
+		Panels    []Panel
+	}
+	Panel struct {
+		Name   string
+		Corner string // header of the row-label column
+		Cols   []Col
+		Rows   []Row
+	}
+	Col struct {
+		Name string
+		Prec int
+	}
+	Row struct {
+		Label string
+		Vals  []float64
+	}
+)
+
+// panel returns the named panel, or nil.
+func (t Table) panel(name string) *Panel {
+	for i := range t.Panels {
+		if t.Panels[i].Name == name {
+			return &t.Panels[i]
+		}
+	}
+	return nil
+}
+
+// Col returns the values of one column of one panel in row order, or nil
+// when the table has no such column.
+func (t Table) Col(panel, col string) []float64 {
+	p := t.panel(panel)
+	if p == nil {
+		return nil
+	}
+	for ci, c := range p.Cols {
+		if c.Name == col {
+			vals := make([]float64, len(p.Rows))
+			for ri, row := range p.Rows {
+				vals[ri] = row.Vals[ci]
+			}
+			return vals
+		}
+	}
+	return nil
+}
+
+// String renders the table as aligned text, one block per panel.
+func (t Table) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s — %s ==\n", t.ID, t.Title)
+	for _, p := range t.Panels {
+		fmt.Fprintf(&b, "-- %s --\n%-16s", p.Name, p.Corner)
+		width := make([]int, len(p.Cols))
+		for ci, c := range p.Cols {
+			width[ci] = max(14, len(c.Name)+2)
+			fmt.Fprintf(&b, "%*s", width[ci], c.Name)
+		}
+		b.WriteByte('\n')
+		for _, row := range p.Rows {
+			fmt.Fprintf(&b, "%-16s", row.Label)
+			for ci, v := range row.Vals {
+				fmt.Fprintf(&b, "%*s", width[ci], strconv.FormatFloat(v, 'f', p.Cols[ci].Prec, 64))
+			}
+			b.WriteByte('\n')
+		}
+	}
+	b.WriteByte('\n')
+	return b.String()
+}
+
+// The panels of a sweep figure, one per reported counter.
+const (
+	PanelEvaluated  = "evaluated candidates / dimension"
+	PanelSeqPages   = "sequential pages"
+	PanelRandReads  = "random reads"
+	PanelIO         = "modelled I/O (ms)"
+	PanelMem        = "mem_bytes"
+	PanelPulled     = "Phase-3 pulls"
+	PanelCandidates = "candidates after Phase 3"
+)
+
+var sweepPanels = []Col{
+	{PanelEvaluated, 1}, {PanelSeqPages, 1}, {PanelRandReads, 1}, {PanelIO, 2}, {PanelMem, 1}, {PanelPulled, 1}, {PanelCandidates, 1},
+}
+
+// values are the counters a sweep figure reports, in sweepPanels order;
+// modelled I/O is the two access counts under storage.DefaultDiskModel.
+func (c Counts) values() []float64 {
+	io := storage.DefaultDiskModel.Time(c.SeqPages, c.RandReads)
+	return []float64{c.EvaluatedPerDimAvg(), float64(c.SeqPages), float64(c.RandReads),
+		float64(io) / float64(time.Millisecond), float64(c.MemBytes), float64(c.Phase3Pulled), float64(c.Cand)}
+}
+
+// mean averages per's values over the queries.
+func mean(queries []vec.Query, per func(vec.Query) []float64) []float64 {
+	var sum []float64
 	for _, q := range queries {
-		out, err := eng.Analyze(context.Background(), q, k, engine.Options{Options: opts})
-		if err != nil {
-			panic(fmt.Sprintf("exp: compute: %v", err))
+		vals := per(q)
+		if sum == nil {
+			sum = make([]float64, len(vals))
 		}
-		m := out.Metrics
-		p.Evaluated += m.EvaluatedPerDimAvg()
-		p.CPU += m.CPU()
-		p.IO += r.Cfg.Disk.Time(m.SeqPages, m.RandReads)
-		p.MemBytes += float64(m.MemBytes)
-		p.SeqPages += float64(m.SeqPages)
-		p.RandReads += float64(m.RandReads)
-	}
-	n := float64(len(queries))
-	p.Evaluated /= n
-	p.CPU = time.Duration(float64(p.CPU) / n)
-	p.IO = time.Duration(float64(p.IO) / n)
-	p.MemBytes /= n
-	p.SeqPages /= n
-	p.RandReads /= n
-	return p
-}
-
-// sweep runs all four methods across xs, building one Series per method.
-func (r *Runner) sweep(ix lists.Index, xs []float64, mk func(x float64) ([]vec.Query, int, core.Options)) []Series {
-	series := make([]Series, len(core.Methods))
-	for mi, method := range core.Methods {
-		series[mi].Label = method.String()
-	}
-	for _, x := range xs {
-		queries, k, opts := mk(x)
-		for mi, method := range core.Methods {
-			o := opts
-			o.Method = method
-			pt := r.measure(ix, queries, k, o)
-			pt.X = x
-			series[mi].Points = append(series[mi].Points, pt)
+		for i, v := range vals {
+			sum[i] += v
 		}
 	}
-	return series
+	for i := range sum {
+		sum[i] /= float64(len(queries))
+	}
+	return sum
 }

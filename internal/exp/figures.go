@@ -1,445 +1,352 @@
 package exp
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"math/rand"
-	"sort"
-	"time"
+	"math/bits"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/lists"
+	"repro/internal/stb"
 	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
-// Fig10 — WSJ, k=10, qlen 2..10: evaluated candidates/dim, I/O, CPU and
-// memory footprint for Scan/Thres/Prune/CPT (paper Fig. 10a–d).
-func (r *Runner) Fig10() Figure {
-	d, ix := r.WSJ()
-	xs := []float64{2, 4, 6, 8, 10}
-	series := r.sweep(ix, xs, func(x float64) ([]vec.Query, int, core.Options) {
-		return r.sampleQueries(d, int(x), 10), 10, core.Options{}
-	})
-	return Figure{
-		ID: "fig10", Title: "WSJ corpus, k=10, varying query length",
-		XLabel: "qlen", Series: series,
-		Notes: "expect: Prune ≪ Scan (singleton candidates dominate); CPT best overall",
-	}
+// Axis is the query parameter a sweep figure's x sets.
+type Axis string
+
+const (
+	Qlen Axis = "qlen"
+	K    Axis = "k"
+	Phi  Axis = "phi"
+)
+
+// Series is one line of a sweep figure: what it overrides in the
+// figure's base options.
+type Series struct {
+	Label     string
+	Method    core.Method
+	Iterative bool
+	Schedule  core.Schedule
 }
 
-// Fig11 — ST (correlated), k=10, qlen 2..10: evaluated candidates and
-// CPU (paper Fig. 11a–b). Pruning is expected to be ineffective here.
-func (r *Runner) Fig11() Figure {
-	d, ix := r.ST()
-	xs := []float64{2, 4, 6, 8, 10}
-	series := r.sweep(ix, xs, func(x float64) ([]vec.Query, int, core.Options) {
-		return r.sampleQueries(d, int(x), 10), 10, core.Options{}
-	})
-	return Figure{
-		ID: "fig11", Title: "Synthetic correlated data, k=10, varying query length",
-		XLabel: "qlen", Series: series,
-		Notes: "expect: Prune ≈ Scan (CL dominates); Thres carries CPT",
-	}
+// Options returns base with the series' overrides applied.
+func (s Series) Options(base core.Options) core.Options {
+	base.Method, base.Iterative, base.Schedule = s.Method, s.Iterative, s.Schedule
+	return base
 }
 
-// Fig12 — KB, k=10, qlen 2..48: evaluated candidates and CPU (paper
-// Fig. 12a–b). All three candidate classes are sizable.
-func (r *Runner) Fig12() Figure {
-	d, ix := r.KB()
-	xs := []float64{2, 8, 16, 32, 48}
-	series := r.sweep(ix, xs, func(x float64) ([]vec.Query, int, core.Options) {
-		return r.sampleQueries(d, int(x), 10), 10, core.Options{}
-	})
-	return Figure{
-		ID: "fig12", Title: "KB image features, k=10, varying query length",
-		XLabel: "qlen", Series: series,
-		Notes: "expect: both pruning and thresholding effective; CPT best",
-	}
+// Figure is one registry entry. A sweep figure is data — dataset, axis,
+// the fixed values of the two parameters the axis does not set, base
+// options, series — which Figure.sweep measures and BenchmarkFig times;
+// the headline is data too, points of other figures; the rest supply
+// their panels themselves.
+type Figure struct {
+	ID, Title string
+
+	Data    string
+	Axis    Axis
+	Xs      []int
+	Qlen, K int          // fixed when the axis is not theirs; φ is Base.Phi
+	Base    core.Options // Method, Iterative and Schedule come from the series
+	Series  []Series
+
+	Points []Ref
+
+	panels func(*Runner) []Panel
 }
 
-// Fig13 — WSJ and ST, qlen=4, k 10..80 (paper Fig. 13a–d). Scan degrades
-// with k; Prune/Thres/CPT improve or stay flat on WSJ.
-func (r *Runner) Fig13() (wsj, st Figure) {
-	dw, ixw := r.WSJ()
-	xs := []float64{10, 20, 40, 80}
-	mkw := func(x float64) ([]vec.Query, int, core.Options) {
-		// Constant df floor: rare query terms must stay eligible as k
-		// grows, or the Fig. 13 pruning effect disappears (see
-		// sampleQueriesDF).
-		return r.sampleQueriesDF(dw, 4, int(x), 50), int(x), core.Options{}
-	}
-	wsj = Figure{
-		ID: "fig13-wsj", Title: "WSJ corpus, qlen=4, varying k",
-		XLabel: "k", Series: r.sweep(ixw, xs, mkw),
-		Notes: "expect: Scan grows with k; Prune/Thres/CPT flat or improving",
-	}
-	ds, ixs := r.ST()
-	mks := func(x float64) ([]vec.Query, int, core.Options) {
-		return r.sampleQueries(ds, 4, int(x)), int(x), core.Options{}
-	}
-	st = Figure{
-		ID: "fig13-st", Title: "Synthetic correlated data, qlen=4, varying k",
-		XLabel: "k", Series: r.sweep(ixs, xs, mks),
-		Notes: "expect: Prune tracks Scan; CPT relies on thresholding",
-	}
-	return wsj, st
+// Ref names one measured point of a sweep figure.
+type Ref struct {
+	Fig string
+	X   int
 }
 
-// Fig14 — WSJ, k=10, qlen=4, φ 0..40: evaluated candidates, I/O and CPU
-// (paper Fig. 14a–c). Scan/Thres degrade with φ much faster than
-// Prune/CPT.
-func (r *Runner) Fig14() Figure {
-	d, ix := r.WSJ()
-	xs := []float64{0, 10, 20, 40}
-	queries := r.sampleQueries(d, 4, 10)
-	series := r.sweep(ix, xs, func(x float64) ([]vec.Query, int, core.Options) {
-		return queries, 10, core.Options{Phi: int(x)}
-	})
-	return Figure{
-		ID: "fig14", Title: "WSJ corpus, k=10, qlen=4, varying φ",
-		XLabel: "phi", Series: series,
-		Notes: "expect: Scan/Thres grow sharply with φ; Prune/CPT nearly flat",
+// methods is the series set of most figures: the paper's four methods.
+var methods = func() []Series {
+	series := make([]Series, len(core.Methods))
+	for i, m := range core.Methods {
+		series[i] = Series{Label: m.String(), Method: m}
 	}
+	return series
+}()
+
+// Figures is the registry, in the order irbench prints it. Adding a
+// figure is one entry here plus its golden (go test ./internal/exp
+// -update) and its row in docs/figures.md.
+var Figures = []Figure{
+	{ID: "fig6", Title: "result/candidate scatter, score vs 1st query coordinate (qlen=4, k=10, equal weights)", panels: fig6},
+	{ID: "fig7", Title: "candidate partition sizes per query dimension (qlen=4, k=10)", panels: fig7},
+	{ID: "fig10", Title: "WSJ corpus, k=10, varying query length",
+		Data: WSJ, Axis: Qlen, Xs: []int{2, 4, 6, 8, 10}, K: 10, Series: methods},
+	{ID: "fig11", Title: "synthetic correlated data, k=10, varying query length",
+		Data: ST, Axis: Qlen, Xs: []int{2, 4, 6, 8, 10}, K: 10, Series: methods},
+	{ID: "fig12", Title: "KB image features, k=10, varying query length",
+		Data: KB, Axis: Qlen, Xs: []int{2, 8, 16, 32, 48}, K: 10, Series: methods},
+	{ID: "fig13-wsj", Title: "WSJ corpus, qlen=4, varying k",
+		Data: WSJ, Axis: K, Xs: []int{10, 20, 40, 80}, Qlen: 4, Series: methods},
+	{ID: "fig13-st", Title: "synthetic correlated data, qlen=4, varying k",
+		Data: ST, Axis: K, Xs: []int{10, 20, 40, 80}, Qlen: 4, Series: methods},
+	{ID: "fig14", Title: "WSJ corpus, k=10, qlen=4, varying φ",
+		Data: WSJ, Axis: Phi, Xs: []int{0, 10, 20, 40}, Qlen: 4, K: 10, Series: methods},
+	{ID: "fig15", Title: "one-off vs iterative processing, WSJ, k=10, qlen=4",
+		Data: WSJ, Axis: Phi, Xs: []int{1, 5, 10, 20, 40}, Qlen: 4, K: 10, Series: []Series{
+			{Label: "Prune-oneoff", Method: core.MethodPrune},
+			{Label: "Prune-iterative", Method: core.MethodPrune, Iterative: true},
+			{Label: "CPT-oneoff", Method: core.MethodCPT},
+			{Label: "CPT-iterative", Method: core.MethodCPT, Iterative: true},
+		}},
+	{ID: "fig16", Title: "WSJ corpus, composition-only perturbations, k=10, varying query length",
+		Data: WSJ, Axis: Qlen, Xs: []int{2, 4, 6, 8, 10}, K: 10, Base: core.Options{CompositionOnly: true}, Series: methods},
+	{ID: "headline", Title: "Scan vs CPT evaluated candidates / dimension (abstract: 2x to >500x)",
+		Points: []Ref{{"fig10", 4}, {"fig10", 10}, {"fig14", 40}, {"fig12", 16}, {"fig11", 4}}},
+	{ID: "ablation-probing", Title: "TA probing policy and NRA (WSJ, k=10, qlen=4)", panels: ablationProbing},
+	{ID: "ablation-schedule", Title: "thresholding probe schedule of §5.2 under CPT (KB, k=10)",
+		Data: KB, Axis: Qlen, Xs: []int{8}, K: 10, Series: []Series{
+			{Label: "round-robin", Method: core.MethodCPT, Schedule: core.ScheduleRoundRobin},
+			{Label: "score-biased", Method: core.MethodCPT, Schedule: core.ScheduleScoreBiased},
+		}},
+	{ID: "stb", Title: "STB sensitivity radius vs immutable regions, §2 (WSJ, k=10, qlen=4)", panels: stbComparison},
 }
 
-// Fig15 — one-off versus iterative processing for φ>0, Prune and CPT
-// (paper Fig. 15a–b).
-func (r *Runner) Fig15() Figure {
-	d, ix := r.WSJ()
-	xs := []float64{1, 5, 10, 20, 40}
-	queries := r.sampleQueries(d, 4, 10)
-	var series []Series
-	for _, method := range []core.Method{core.MethodPrune, core.MethodCPT} {
-		for _, iterative := range []bool{false, true} {
-			label := method.String()
-			if iterative {
-				label += "-iterative"
-			} else {
-				label += "-oneoff"
-			}
-			s := Series{Label: label}
-			for _, x := range xs {
-				pt := r.measure(ix, queries, 10, core.Options{Method: method, Phi: int(x), Iterative: iterative})
-				pt.X = x
-				s.Points = append(s.Points, pt)
-			}
-			series = append(series, s)
+// minDF is the document-frequency floor of the figure's queries: 3k+20
+// at a fixed k, as everywhere in the harness; on a k axis the largest k,
+// which keeps every result full while rare terms stay eligible — a
+// larger result absorbs a rare term's entire list and empties CH_j,
+// the paper's "Prune improves with k" (Fig. 13).
+func (f Figure) minDF() int {
+	if f.Axis == K {
+		return f.Xs[len(f.Xs)-1]
+	}
+	return 3*f.K + 20
+}
+
+// Point is the workload of a sweep figure at x: the index, the queries,
+// k and the base options each series overrides. Only a qlen axis moves
+// the queries; a k or φ sweep replays one sample at every x.
+func (r *Runner) Point(f Figure, x int) (lists.Index, []vec.Query, int, core.Options) {
+	qlen, k, opts := f.Qlen, f.K, f.Base
+	switch f.Axis {
+	case Qlen:
+		qlen = x
+	case K:
+		k = x
+	case Phi:
+		opts.Phi = x
+	}
+	d, ix := r.Dataset(f.Data)
+	return ix, r.queries(d, qlen, f.minDF()), k, opts
+}
+
+// sweep measures every series at every x, one panel per counter.
+func (f Figure) sweep(r *Runner) []Panel {
+	panels := make([]Panel, len(sweepPanels))
+	for pi, sp := range sweepPanels {
+		panels[pi] = Panel{Name: sp.Name, Corner: string(f.Axis) + ` \ series`}
+		for _, s := range f.Series {
+			panels[pi].Cols = append(panels[pi].Cols, Col{s.Label, sp.Prec})
 		}
 	}
-	return Figure{
-		ID: "fig15", Title: "One-off vs iterative processing, WSJ, k=10, qlen=4",
-		XLabel: "phi", Series: series,
-		Notes: "expect: iterative cost grows ~linearly in φ relative to one-off",
+	for xi, x := range f.Xs {
+		ix, queries, k, base := r.Point(f, x)
+		for pi := range panels {
+			panels[pi].Rows = append(panels[pi].Rows, Row{Label: strconv.Itoa(x)})
+		}
+		for _, s := range f.Series {
+			// The counters cover the region computation only: the TA cost
+			// is common to all methods and excluded, as in the paper's
+			// Phase-2-centric charts.
+			vals := mean(queries, func(q vec.Query) []float64 {
+				_, c := analyze(ix, q, k, s.Options(base))
+				return c.values()
+			})
+			for pi, v := range vals {
+				panels[pi].Rows[xi].Vals = append(panels[pi].Rows[xi].Vals, v)
+			}
+		}
 	}
+	return panels
 }
 
-// Fig16 — WSJ, composition-only perturbations (reorderings ignored),
-// φ=0, k=10, qlen 2..10 (paper Fig. 16a–c).
-func (r *Runner) Fig16() Figure {
-	d, ix := r.WSJ()
-	xs := []float64{2, 4, 6, 8, 10}
-	series := r.sweep(ix, xs, func(x float64) ([]vec.Query, int, core.Options) {
-		return r.sampleQueries(d, int(x), 10), 10, core.Options{CompositionOnly: true}
-	})
-	return Figure{
-		ID: "fig16", Title: "WSJ corpus, composition-only perturbations, k=10",
-		XLabel: "qlen", Series: series,
-		Notes: "expect: same ordering as Fig. 10 with Thres less effective",
+// Table computes the table of one registry entry, once per runner.
+func (r *Runner) Table(id string) (Table, error) {
+	if t, ok := r.tables[id]; ok {
+		return t, nil
 	}
+	for _, f := range Figures {
+		if f.ID != id {
+			continue
+		}
+		build := f.panels
+		switch {
+		case f.Series != nil:
+			build = f.sweep
+		case f.Points != nil:
+			build = f.headline
+		}
+		r.tables[id] = Table{ID: f.ID, Title: f.Title, Panels: build(r)}
+		return r.tables[id], nil
+	}
+	return Table{}, fmt.Errorf("exp: no figure %q", id)
 }
 
-// ScatterRow is one tuple in the Fig. 6/7 score–coordinate scatter.
-type ScatterRow struct {
-	Class string  // "result" or "candidate"
-	Coord float64 // coordinate on the first query dimension
-	Score float64
-	NZ    int // non-zero query dimensions (class partition of Fig. 7)
+// workload4 is the qlen=4, k=10 workload of Fig. 10 at x=4 on the named
+// dataset, which the non-sweep entries share.
+func (r *Runner) workload4(name string) (*dataset.Dataset, lists.Index, []vec.Query) {
+	d, ix := r.Dataset(name)
+	return d, ix, r.queries(d, 4, 50)
 }
 
-// Fig6 — the score-vs-coordinate scatter of result and candidate tuples
-// for one qlen=4, k=10 query (paper Fig. 6a on WSJ, 6b on ST).
-func (r *Runner) Fig6(useST bool) []ScatterRow {
-	var d *dataset.Dataset
-	var ix *lists.MemIndex
-	if useST {
-		d, ix = r.ST()
-	} else {
-		d, ix = r.WSJ()
-	}
-	rng := rand.New(rand.NewSource(r.Cfg.Seed + 66))
-	q, err := d.SampleQuery(rng, 4, 50)
-	if err != nil {
-		panic(err)
-	}
-	// Equal weights, as in the paper's illustration.
-	for i := range q.Weights {
-		q.Weights[i] = 0.5
-	}
+// ranked runs TA (k=10) for q, hands visit the scan's table with its
+// rank order — order[:cut] is R(q), order[cut:] is C(q) — and releases
+// the scan.
+func ranked(ix lists.Index, q vec.Query, visit func(rows *topk.Table, order []int32, cut int)) {
 	ta := topk.New(ix, q, 10, topk.BestList)
+	defer ta.Release()
 	ta.Run()
-	var rows []ScatterRow
-	for _, sc := range ta.Result() {
-		rows = append(rows, ScatterRow{Class: "result", Coord: sc.Proj[0], Score: sc.Score, NZ: sc.NonZero()})
-	}
-	for _, sc := range ta.Candidates() {
-		rows = append(rows, ScatterRow{Class: "candidate", Coord: sc.Proj[0], Score: sc.Score, NZ: sc.NonZero()})
-	}
-	return rows
+	order, cut := ta.Ranking()
+	visit(ta.Table(), order, cut)
 }
 
-// PartitionStats are the per-dimension candidate-class sizes of Fig. 7.
-type PartitionStats struct {
-	Dataset        string
-	C0, CH, CL     float64 // mean class sizes over queries and dimensions
-	CandidateTotal float64
-}
-
-// Fig7 measures the average candidate partition sizes per query
-// dimension on all three datasets (the structure behind Fig. 6/7).
-func (r *Runner) Fig7() []PartitionStats {
-	var out []PartitionStats
-	for _, pick := range []string{"WSJ", "KB", "ST"} {
-		var d *dataset.Dataset
-		var ix *lists.MemIndex
-		switch pick {
-		case "WSJ":
-			d, ix = r.WSJ()
-		case "KB":
-			d, ix = r.KB()
-		default:
-			d, ix = r.ST()
+// fig6 — the score-vs-coordinate scatter of the result and candidate
+// tuples of one query (paper Fig. 6a on WSJ, 6b on ST), in rank order;
+// nz is the number of query dimensions the tuple is non-zero on.
+func fig6(r *Runner) []Panel {
+	var panels []Panel
+	for _, name := range []string{WSJ, ST} {
+		_, ix, queries := r.workload4(name)
+		q := queries[0].Clone()
+		for i := range q.Weights {
+			q.Weights[i] = 0.5 // equal weights, as in the paper's illustration
 		}
-		queries := r.sampleQueries(d, 4, 50)
-		ps := PartitionStats{Dataset: pick}
-		var dims float64
-		for _, q := range queries {
-			ta := topk.New(ix, q, 10, topk.BestList)
-			ta.Run()
-			cands := ta.Candidates()
-			ps.CandidateTotal += float64(len(cands))
-			for jx := range q.Dims {
-				bit := uint64(1) << uint(jx)
-				for _, cd := range cands {
-					switch {
-					case cd.NZMask&bit == 0:
-						ps.C0++
-					case cd.NZMask == bit:
-						ps.CH++
-					default:
-						ps.CL++
+		p := Panel{Name: name, Corner: "class", Cols: []Col{{"coord", 4}, {"score", 4}, {"nz", 0}}}
+		ranked(ix, q, func(rows *topk.Table, order []int32, cut int) {
+			for i, pos := range order {
+				class := "candidate"
+				if i < cut {
+					class = "result"
+				}
+				nz := bits.OnesCount64(rows.Mask(pos))
+				p.Rows = append(p.Rows, Row{class, []float64{rows.Coord(pos, 0), rows.Score(pos), float64(nz)}})
+			}
+		})
+		panels = append(panels, p)
+	}
+	return panels
+}
+
+// fig7 — mean candidate class sizes per query dimension on the three
+// datasets: C0 (zero on the dimension), CH (non-zero on it alone), CL
+// (non-zero on it and another), and |C(q)|.
+func fig7(r *Runner) []Panel {
+	p := Panel{Name: "mean class size", Corner: "dataset", Cols: []Col{{"C0", 1}, {"CH", 1}, {"CL", 1}, {"|C(q)|", 1}}}
+	for _, name := range []string{WSJ, KB, ST} {
+		_, ix, queries := r.workload4(name)
+		p.Rows = append(p.Rows, Row{name, mean(queries, func(q vec.Query) []float64 {
+			size := make([]float64, 4) // C0, CH, CL, |C(q)|
+			ranked(ix, q, func(rows *topk.Table, order []int32, cut int) {
+				size[3] = float64(len(order) - cut)
+				for jx := range q.Dims {
+					bit := uint64(1) << uint(jx)
+					for _, pos := range order[cut:] {
+						switch mask := rows.Mask(pos); {
+						case mask&bit == 0:
+							size[0]++
+						case mask == bit:
+							size[1]++
+						default:
+							size[2]++
+						}
 					}
 				}
-				dims++
+			})
+			for i := range size[:3] {
+				size[i] /= float64(q.Len())
 			}
-		}
-		ps.C0 /= dims
-		ps.CH /= dims
-		ps.CL /= dims
-		ps.CandidateTotal /= float64(len(queries))
-		out = append(out, ps)
+			return size
+		})})
 	}
-	return out
+	return []Panel{p}
 }
 
-// PhaseCost is one row of the §7.2 phase-cost breakdown.
-type PhaseCost struct {
-	Method                 string
-	Phase1, Phase2, Phase3 time.Duration
-	Phase3Pulled           float64
-}
-
-// PhaseBreakdown reproduces the §7.2 observation that Phase 2 dominates:
-// per-method CPU split across the three phases (WSJ, k=10, qlen=4).
-func (r *Runner) PhaseBreakdown() []PhaseCost {
-	d, ix := r.WSJ()
-	queries := r.sampleQueries(d, 4, 10)
-	var out []PhaseCost
-	eng := measureEngine(ix)
-	for _, method := range core.Methods {
-		pc := PhaseCost{Method: method.String()}
-		for _, q := range queries {
-			res, err := eng.Analyze(context.Background(), q, 10, engine.Options{Options: core.Options{Method: method}})
-			if err != nil {
-				panic(err)
-			}
-			pc.Phase1 += res.Metrics.Phase1
-			pc.Phase2 += res.Metrics.Phase2
-			pc.Phase3 += res.Metrics.Phase3
-			pc.Phase3Pulled += float64(res.Metrics.Phase3Pulled)
-		}
-		n := time.Duration(len(queries))
-		pc.Phase1 /= n
-		pc.Phase2 /= n
-		pc.Phase3 /= n
-		pc.Phase3Pulled /= float64(len(queries))
-		out = append(out, pc)
-	}
-	return out
-}
-
-// HeadlineRow is the Scan/CPT evaluated-candidate ratio on one workload —
-// the paper's abstract claims 2× to >500×.
-type HeadlineRow struct {
-	Workload string
-	Scan     float64
-	CPT      float64
-	Ratio    float64
-}
-
-// Headline computes the Scan-vs-CPT reduction across representative
-// workloads (one per dataset plus a large-φ one).
-func (r *Runner) Headline() []HeadlineRow {
-	type workload struct {
-		name string
-		ix   lists.Index
-		qs   []vec.Query
-		k    int
-		opts core.Options
-	}
-	dw, ixw := r.WSJ()
-	dk, ixk := r.KB()
-	ds, ixs := r.ST()
-	wls := []workload{
-		{"WSJ qlen=4 k=10", ixw, r.sampleQueries(dw, 4, 10), 10, core.Options{}},
-		{"WSJ qlen=10 k=10", ixw, r.sampleQueries(dw, 10, 10), 10, core.Options{}},
-		{"WSJ qlen=4 k=10 phi=40", ixw, r.sampleQueries(dw, 4, 10), 10, core.Options{Phi: 40}},
-		{"KB qlen=16 k=10", ixk, r.sampleQueries(dk, 16, 10), 10, core.Options{}},
-		{"ST qlen=4 k=10", ixs, r.sampleQueries(ds, 4, 10), 10, core.Options{}},
-	}
-	var out []HeadlineRow
-	for _, wl := range wls {
-		scanOpts := wl.opts
-		scanOpts.Method = core.MethodScan
-		cptOpts := wl.opts
-		cptOpts.Method = core.MethodCPT
-		scan := r.measure(wl.ix, wl.qs, wl.k, scanOpts)
-		cpt := r.measure(wl.ix, wl.qs, wl.k, cptOpts)
-		row := HeadlineRow{Workload: wl.name, Scan: scan.Evaluated, CPT: cpt.Evaluated}
-		if cpt.Evaluated > 0 {
-			row.Ratio = scan.Evaluated / cpt.Evaluated
-		}
-		out = append(out, row)
-	}
-	return out
-}
-
-// STBComparison contrasts immutable regions with the STB radius on one
-// workload: candidates examined and what each output offers (§2).
-type STBComparison struct {
-	Queries         int
-	STBScanned      float64 // tuples STB examines (all non-result)
-	CPTEvaluated    float64 // candidates CPT evaluates per query
-	MeanRho         float64
-	MeanMinIRExtent float64 // min axis bound magnitude, comparable to rho
-}
-
-// STB runs the Soliman-et-al. sensitivity radius next to CPT on a small
-// WSJ workload. STB must scan every non-result tuple; CPT touches a
-// handful — the §2 positioning, quantified. (Uses the raw tuple set: STB
-// has no index support.)
-func (r *Runner) STB() STBComparison {
-	d, ix := r.WSJ()
-	queries := r.sampleQueries(d, 4, 10)
-	if len(queries) > 10 {
-		queries = queries[:10] // STB is O(n) per query; keep this modest
-	}
-	eng := measureEngine(ix)
-	out := STBComparison{Queries: len(queries)}
-	for _, q := range queries {
-		res := stbRadius(d, q, 10)
-		out.STBScanned += float64(res.scanned)
-		out.MeanRho += res.rho
-
-		cptOut, err := eng.Analyze(context.Background(), q, 10, engine.Options{Options: core.Options{Method: core.MethodCPT}})
+// headline — the abstract's Scan/CPT reduction on one workload per
+// dataset, a long query and a large φ, read off the figures that
+// measured them.
+func (f Figure) headline(r *Runner) []Panel {
+	p := Panel{Name: PanelEvaluated, Corner: "figure@x", Cols: []Col{{"Scan", 1}, {"CPT", 1}, {"ratio", 1}}}
+	for _, ref := range f.Points {
+		t, err := r.Table(ref.Fig)
 		if err != nil {
-			panic(err)
+			panic(err) // a registry entry naming a figure that is not one
 		}
-		out.CPTEvaluated += float64(cptOut.Metrics.Evaluated)
+		scan, cpt := t.Col(PanelEvaluated, "Scan"), t.Col(PanelEvaluated, "CPT")
+		x := strconv.Itoa(ref.X)
+		for ri, row := range t.panel(PanelEvaluated).Rows {
+			if row.Label == x {
+				p.Rows = append(p.Rows, Row{ref.Fig + "@" + x, []float64{scan[ri], cpt[ri], scan[ri] / cpt[ri]}})
+			}
+		}
+	}
+	return []Panel{p}
+}
+
+// ablationProbing — TA under round-robin and Persin best-list probing,
+// and the no-random-access variant NRA: sorted accesses and the random
+// reads the index meter saw, per query. The substrate choices §2 and
+// §7.1 discuss.
+func ablationProbing(r *Runner) []Panel {
+	_, ix, queries := r.workload4(WSJ)
+	taDepth := func(policy topk.ProbePolicy) func(vec.Query) int {
+		return func(q vec.Query) int {
+			ta := topk.New(ix, q, 10, policy)
+			defer ta.Release()
+			ta.Run()
+			return ta.SortedAccesses()
+		}
+	}
+	nraDepth := func(q vec.Query) int {
+		nra := topk.NewNRA(ix, q, 10)
+		nra.Run()
+		return nra.SortedAccesses()
+	}
+	p := Panel{Name: "per query", Corner: "variant", Cols: []Col{{"sorted accesses", 1}, {"random reads", 1}}}
+	for _, v := range []struct {
+		label  string
+		sorted func(vec.Query) int
+	}{{"TA/round-robin", taDepth(topk.RoundRobin)}, {"TA/best-list", taDepth(topk.BestList)}, {"NRA", nraDepth}} {
+		p.Rows = append(p.Rows, Row{v.label, mean(queries, func(q vec.Query) []float64 {
+			r0 := ix.Stats().RandReads()
+			sorted := v.sorted(q)
+			return []float64{float64(sorted), float64(ix.Stats().RandReads() - r0)}
+		})})
+	}
+	return []Panel{p}
+}
+
+// stbComparison — the Soliman-et-al. sensitivity radius next to CPT. STB
+// has no index support and scans every non-result tuple; CPT evaluates a
+// handful and names the new result.
+func stbComparison(r *Runner) []Panel {
+	d, ix, queries := r.workload4(WSJ)
+	row := mean(queries, func(q vec.Query) []float64 {
+		res := stb.Radius(d.Tuples, q, 10)
+		out, c := analyze(ix, q, 10, core.Options{Method: core.MethodCPT})
 		// Minimal perturbation-backed extent; domain-edge bounds are
 		// excluded (ρ ignores the [0,1] weight domain, so only bounds
 		// caused by an actual perturbation are comparable to it).
-		minExtent := 1.0
-		for _, reg := range cptOut.Regions {
-			if len(reg.Left) > 0 && -reg.Lo < minExtent {
-				minExtent = -reg.Lo
+		extent := 1.0
+		for _, reg := range out.Regions {
+			if len(reg.Left) > 0 {
+				extent = min(extent, -reg.Lo)
 			}
-			if len(reg.Right) > 0 && reg.Hi < minExtent {
-				minExtent = reg.Hi
-			}
-		}
-		out.MeanMinIRExtent += minExtent
-	}
-	n := float64(len(queries))
-	out.STBScanned /= n
-	out.CPTEvaluated /= n
-	out.MeanRho /= n
-	out.MeanMinIRExtent /= n
-	return out
-}
-
-// WriteCSV emits the figure's series as CSV.
-func (f Figure) WriteCSV(w io.Writer) {
-	fmt.Fprintf(w, "# %s: %s\n", f.ID, f.Title)
-	fmt.Fprintf(w, "method,%s,evaluated_per_dim,io_ms,cpu_ms,mem_bytes,seq_pages,rand_reads\n", f.XLabel)
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			fmt.Fprintf(w, "%s,%g,%.2f,%.3f,%.3f,%.0f,%.1f,%.1f\n",
-				s.Label, p.X, p.Evaluated,
-				float64(p.IO)/1e6, float64(p.CPU)/1e6, p.MemBytes, p.SeqPages, p.RandReads)
-		}
-	}
-}
-
-// WriteTable renders the figure as aligned text, one block per metric,
-// mirroring the paper's chart panels.
-func (f Figure) WriteTable(w io.Writer) {
-	fmt.Fprintf(w, "== %s — %s ==\n", f.ID, f.Title)
-	if f.Notes != "" {
-		fmt.Fprintf(w, "   (%s)\n", f.Notes)
-	}
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
+			if len(reg.Right) > 0 {
+				extent = min(extent, reg.Hi)
 			}
 		}
-	}
-	sort.Float64s(xs)
-	metric := func(name string, get func(Point) float64, format string) {
-		fmt.Fprintf(w, "-- %s --\n", name)
-		fmt.Fprintf(w, "%-16s", f.XLabel+" \\ method")
-		for _, s := range f.Series {
-			fmt.Fprintf(w, "%14s", s.Label)
-		}
-		fmt.Fprintln(w)
-		for _, x := range xs {
-			fmt.Fprintf(w, "%-16g", x)
-			for _, s := range f.Series {
-				found := false
-				for _, p := range s.Points {
-					if p.X == x {
-						fmt.Fprintf(w, format, get(p))
-						found = true
-						break
-					}
-				}
-				if !found {
-					fmt.Fprintf(w, "%14s", "-")
-				}
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	metric("evaluated candidates / dimension", func(p Point) float64 { return p.Evaluated }, "%14.1f")
-	metric("modeled I/O time (ms)", func(p Point) float64 { return float64(p.IO) / 1e6 }, "%14.2f")
-	metric("CPU time (ms)", func(p Point) float64 { return float64(p.CPU) / 1e6 }, "%14.3f")
-	metric("memory footprint (KiB)", func(p Point) float64 { return p.MemBytes / 1024 }, "%14.1f")
-	fmt.Fprintln(w)
+		return []float64{float64(d.N()), float64(res.Scanned), float64(c.Evaluated), res.Rho, extent}
+	})
+	return []Panel{{Name: "per query", Corner: "dataset", Cols: []Col{
+		{"tuples", 0}, {"STB scanned", 1}, {"CPT evaluated", 1}, {"mean rho", 5}, {"mean min IR extent", 5},
+	}, Rows: []Row{{WSJ, row}}}}
 }
