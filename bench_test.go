@@ -131,21 +131,23 @@ func BenchmarkTA(b *testing.B) {
 func BenchmarkAblationProbing(b *testing.B) {
 	env.init()
 	qs := exp.Sample(env.wsj, 16, 4, 50, 209)
-	eng := measureEngine(env.wsjI)
 	for _, policy := range []topk.ProbePolicy{topk.RoundRobin, topk.BestList} {
 		b.Run(policy.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			opts := engine.Options{
-				Options:         core.Options{Method: core.MethodCPT},
-				RoundRobinProbe: policy == topk.RoundRobin,
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Analyze(context.Background(), qs[i%len(qs)], 10, opts); err != nil {
-					b.Fatal(err)
-				}
+				analyzeWith(b, env.wsjI, qs[i%len(qs)], 10, policy)
 			}
 		})
+	}
+}
+
+// analyzeWith is one CPT analysis under the given probing policy, driven
+// on topk and core directly: the engine always probes best-list.
+func analyzeWith(b *testing.B, ix lists.Index, q vec.Query, k int, policy topk.ProbePolicy) {
+	ta := topk.New(ix, q, k, policy)
+	defer ta.Release()
+	if _, err := core.Compute(context.Background(), ta, core.Options{Method: core.MethodCPT}); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -181,41 +183,8 @@ func BenchmarkAblationBufferPool(b *testing.B) {
 	}
 }
 
-// BenchmarkCandidateStore — on-the-fly pruning store throughput
-// (the §5.1 memory optimization).
-func BenchmarkCandidateStore(b *testing.B) {
-	rng := rand.New(rand.NewSource(111))
-	cands := make([]topk.Scored, 4096)
-	for i := range cands {
-		proj := []float64{0, 0, 0, 0}
-		mask := uint64(0)
-		for d := 0; d < 4; d++ {
-			if rng.Float64() < 0.4 {
-				proj[d] = rng.Float64()
-				mask |= 1 << uint(d)
-			}
-		}
-		if mask == 0 {
-			proj[0] = rng.Float64()
-			mask = 1
-		}
-		cands[i] = topk.Scored{ID: i, Score: rng.Float64(), Proj: proj, NZMask: mask}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		store := core.NewCandidateStore(4, 2)
-		for _, cd := range cands {
-			store.Add(cd)
-		}
-		if store.Size() == 0 {
-			b.Fatal("empty store")
-		}
-	}
-}
-
-// BenchmarkSweep — the arrangement sweep over k result lines (the φ>0
-// Phase-1 primitive).
+// BenchmarkSweep — the arrangement sweep over k result lines, stopped
+// after the first φ+1 crossings (the φ>0 Phase-1 primitive).
 func BenchmarkSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(112))
 	lines := make([]geom.Line, 80)
@@ -225,7 +194,13 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := geom.FirstCrossings(lines, 0, 1, 41); len(got) == 0 {
+		sw, n := geom.NewSweep(lines, 0, 1), 0
+		for ; n < 41; n++ {
+			if _, ok := sw.Next(); !ok {
+				break
+			}
+		}
+		if n == 0 {
 			b.Fatal("no crossings")
 		}
 	}
@@ -303,14 +278,11 @@ func BenchmarkServerAnalyzeParallel(b *testing.B) {
 // a floor measurement for per-query overhead.
 func BenchmarkRunningExample(b *testing.B) {
 	tuples, q, k := fixture.RunningExample()
-	eng := measureEngine(lists.NewMemIndex(tuples, 2))
-	opts := engine.Options{Options: core.Options{Method: core.MethodCPT}, RoundRobinProbe: true}
+	ix := lists.NewMemIndex(tuples, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Analyze(context.Background(), q, k, opts); err != nil {
-			b.Fatal(err)
-		}
+		analyzeWith(b, ix, q, k, topk.RoundRobin)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command docscheck is the CI documentation linter: it fails when the
 // markdown docs drift from the code they describe.
 //
-// Five checks, over README.md and docs/*.md:
+// Six checks, over README.md and docs/*.md:
 //
 //  1. Cross-references: every relative markdown link [text](path)
 //     must point at a file that exists (anchors are stripped;
@@ -20,6 +20,9 @@
 //     internal/ (both directions — phantom rows and missing rows).
 //  5. Figure parity: the table of docs/figures.md must list exactly
 //     the ids of the internal/exp registry.
+//  6. Test-only declarations: every declaration the table of
+//     docs/static-analysis.md excuses as reachable from tests alone
+//     must still be declared in a non-test file of its package.
 //
 // Usage: go run ./cmd/docscheck [-root DIR]   (default: the repo root)
 package main
@@ -27,6 +30,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"maps"
 	"os"
 	"path/filepath"
@@ -65,6 +71,10 @@ var (
 	// figureDocRe captures a row of the figures doc's table (first cell,
 	// backticked id).
 	figureDocRe = regexp.MustCompile("^\\|\\s*`([a-z0-9-]+)`\\s*\\|")
+	// testOnlyDocRe captures a row of the static-analysis doc's table of
+	// declarations only tests reach (first cell, backticked): dir.Name or
+	// dir.Type.Method, dir being the package's path under internal/.
+	testOnlyDocRe = regexp.MustCompile("(?m)^\\|\\s*`([a-z]+(?:/[a-z]+)*\\.[A-Za-z_]\\w*(?:\\.[A-Za-z_]\\w*)?)`\\s*\\|")
 )
 
 // goToolFlags are inline-mentionable flags that belong to the go tool
@@ -119,6 +129,77 @@ func checkFigureParity(root string) ([]string, error) {
 		return nil, err
 	}
 	return tableParity(filepath.Join(root, "docs", "figures.md"), figureDocRe, registered, "figure")
+}
+
+// checkTestOnlyParity holds the static-analysis doc's table of
+// declarations only tests reach to the tree: a row whose declaration
+// has been deleted, or moved into a _test.go file, is a stale excuse.
+// Only that direction is checked — which declarations belong in the
+// table is the reachability pass's business, described beside it.
+func checkTestOnlyParity(root string) ([]string, error) {
+	doc := filepath.Join(root, "docs", "static-analysis.md")
+	documented := map[string]bool{}
+	if err := collect(doc, testOnlyDocRe, documented); err != nil {
+		return nil, err
+	}
+	declared, parsed := map[string]bool{}, map[string]bool{}
+	for name := range documented {
+		dir := name[:strings.Index(name, ".")]
+		if parsed[dir] {
+			continue
+		}
+		parsed[dir] = true
+		pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(root, "internal", dir), func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, d := range f.Decls {
+					for _, n := range declNames(d) {
+						if n = dir + "." + n; documented[n] {
+							declared[n] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return tableParity(doc, testOnlyDocRe, declared, "test-only declaration")
+}
+
+// declNames lists what one top-level declaration declares: Name for a
+// function, type, variable or constant, Type.Name for a method.
+func declNames(d ast.Decl) []string {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			return []string{d.Name.Name}
+		}
+		t := d.Recv.List[0].Type
+		if s, ok := t.(*ast.StarExpr); ok {
+			t = s.X
+		}
+		if id, ok := t.(*ast.Ident); ok {
+			return []string{id.Name + "." + d.Name.Name}
+		}
+	case *ast.GenDecl:
+		var names []string
+		for _, s := range d.Specs {
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				names = append(names, s.Name.Name)
+			case *ast.ValueSpec:
+				for _, id := range s.Names {
+					names = append(names, id.Name)
+				}
+			}
+		}
+		return names
+	}
+	return nil
 }
 
 // tableParity compares the names a doc's table lists (rowRe captures one
@@ -313,7 +394,7 @@ func main() {
 		}
 		all = append(all, problems...)
 	}
-	for _, parity := range []func(string) ([]string, error){checkAnalyzerParity, checkMetricParity, checkFigureParity} {
+	for _, parity := range []func(string) ([]string, error){checkAnalyzerParity, checkMetricParity, checkFigureParity, checkTestOnlyParity} {
 		problems, err := parity(*root)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)

@@ -74,7 +74,7 @@ func main() {
 		data         = flag.String("data", "", "dataset directory (tuples/lists files, MANIFEST, wal.log)")
 		demo         = flag.Bool("demo", false, "serve the paper's running example")
 		addr         = flag.String("addr", ":8080", "listen address")
-		pool         = flag.Int("pool", 1024, "buffer pool pages for the disk index")
+		pool         = flag.Int("pool", 1024, "buffer pool pages (4 KiB each) for the disk index; no effect where the files are memory-mapped (linux, darwin)")
 		maxConc      = flag.Int("max-concurrent", 0, "max queries executing at once (0 = default 4×GOMAXPROCS, negative = unlimited)")
 		parallelism  = flag.Int("parallelism", 0, "per-query dimension parallelism for /analyze (0 = paper-literal sequential)")
 		cacheEntries = flag.Int("cache-entries", 0, "answer cache entry bound (0 = default)")

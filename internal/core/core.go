@@ -156,10 +156,10 @@ func (s Schedule) String() string {
 // tuple Below overtakes tuple Above. Entry is true when Below was outside
 // the result (composition change) and false for a reordering within it.
 type Perturbation struct {
-	Delta float64
-	Above int
-	Below int
-	Entry bool
+	Delta float64 `json:"delta"`
+	Above int     `json:"above"`
+	Below int     `json:"below"`
+	Entry bool    `json:"entry"`
 }
 
 // Regions holds the immutable regions of one query dimension. Lo/Hi is
@@ -550,8 +550,8 @@ func (c *computer) dk() topk.Scored { return c.res[c.k-1] }
 
 // memFootprint models each method's working-set size in bytes, after the
 // paper's Fig. 10(d): a candidate-list entry is a pointer+score (16 B), a
-// sorted-list entry a pointer+key (16 B). Prune and CPT use the
-// CandidateStore optimization of §5.1 (only CL tuples plus φ+1 singleton
+// sorted-list entry a pointer+key (16 B). Prune and CPT are charged for
+// the on-the-fly pruning of §5.1 (only CL tuples plus φ+1 singleton
 // representatives per dimension are retained).
 func (c *computer) memFootprint(rows *topk.Table, cands []int32) int64 {
 	const entry = 16

@@ -137,7 +137,6 @@ func (v *imposedRunner) Resume() (int32, bool) {
 	}
 }
 
-func (v *imposedRunner) Thresholds() []float64        { return v.inner.Thresholds() }
 func (v *imposedRunner) ThresholdsInto(dst []float64) { v.inner.ThresholdsInto(dst) }
 
 // WasSortedAccessed answers for shard-owned tuples only. A foreign id —

@@ -312,3 +312,11 @@ func TestShardHorizonGap(t *testing.T) {
 			idsOf(all0), unpruned[0].Left, want.Regions[0].Left)
 	}
 }
+
+func idsOf(s []topk.Scored) []int {
+	out := make([]int, len(s))
+	for i, x := range s {
+		out[i] = x.ID
+	}
+	return out
+}

@@ -95,23 +95,10 @@ func SafeConcurrent(regions []Regions, devs []float64) (bool, error) {
 	if len(devs) != len(regions) {
 		return false, fmt.Errorf("core: %d deviations for %d query dimensions", len(devs), len(regions))
 	}
-	sum := 0.0
+	ext := make([]float64, 2*len(regions))
+	lo, hi := ext[:len(regions)], ext[len(regions):]
 	for i, reg := range regions {
-		d := devs[i]
-		switch {
-		case d == 0:
-			continue
-		case d > 0:
-			if reg.Hi <= 0 {
-				return false, nil
-			}
-			sum += d / reg.Hi
-		default:
-			if reg.Lo >= 0 {
-				return false, nil
-			}
-			sum += d / reg.Lo // both negative: positive ratio
-		}
+		lo[i], hi[i] = reg.Lo, reg.Hi
 	}
-	return sum <= 1, nil
+	return vec.CrossSafe(lo, hi, devs), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -137,7 +138,8 @@ func TestQuickApplyPerturbationReversible(t *testing.T) {
 // TestQuickRegionsWellFormed: on random inputs, every computed region
 // contains δ=0 (the current weights preserve their own result), stays
 // within the weight domain, reports perturbations in the right order,
-// and the footprint model returns a positive value.
+// the footprint model returns a positive value, and the pruned candidate
+// set Phase 2 would examine in each dimension obeys the §5.1 bound.
 func TestQuickRegionsWellFormed(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
 	f := func() bool {
@@ -152,6 +154,13 @@ func TestQuickRegionsWellFormed(t *testing.T) {
 		}
 		if out.Metrics.MemBytes < 0 {
 			return false
+		}
+		comp := (&computer{ix: ix, q: ta.Query(), k: cs.K,
+			opts: Options{Method: MethodCPT, Phi: phi}, res: ta.Result()}).newDim(ta, nil, new(scratch))
+		for jx := range cs.Q.Dims {
+			if !prunedSetWithinBound(comp, jx, phi) {
+				return false
+			}
 		}
 		for _, reg := range out.Regions {
 			qj := cs.Q.Weights[reg.QPos]
@@ -184,4 +193,38 @@ func TestQuickRegionsWellFormed(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// prunedSetWithinBound checks Lemmas 2–4 on prunedSet's own output: a
+// subsequence of the full (score desc, id asc) order that keeps every CL
+// candidate of dimension jx (non-zero on jx and elsewhere) and, of C0
+// (zero on jx) and CH (non-zero on jx alone), exactly the φ+1
+// top-ranked members — |CL| + 2(φ+1) candidates at most.
+func prunedSetWithinBound(c *dimComputer, jx, phi int) bool {
+	const c0, ch, cl = 0, 1, 2
+	bit := uint64(1) << uint(jx)
+	full := slices.Clone(c.fullSet())
+	got := c.prunedSet(jx, phi)
+	var kept, skipped [3]int
+	gi := 0
+	for _, p := range full {
+		class := cl
+		switch mask := c.rows.Mask(p); {
+		case mask&bit == 0:
+			class = c0
+		case mask == bit:
+			class = ch
+		}
+		if gi < len(got) && got[gi] == p {
+			gi++
+			kept[class]++
+			if skipped[class] > 0 {
+				return false // a representative ranked below one left out
+			}
+		} else {
+			skipped[class]++
+		}
+	}
+	rep := func(class int) int { return min(phi+1, kept[class]+skipped[class]) }
+	return gi == len(got) && skipped[cl] == 0 && kept[c0] == rep(c0) && kept[ch] == rep(ch)
 }

@@ -54,9 +54,6 @@ func New(name string, tuples []vec.Sparse, m int) *Dataset {
 // N returns the dataset cardinality.
 func (d *Dataset) N() int { return len(d.Tuples) }
 
-// DF returns the document frequency (inverted-list length) of dim.
-func (d *Dataset) DF(dim int) int { return d.df[dim] }
-
 // Index builds an in-memory inverted-list index over the dataset.
 func (d *Dataset) Index() *lists.MemIndex { return lists.NewMemIndex(d.Tuples, d.M) }
 

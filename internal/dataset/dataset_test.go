@@ -50,7 +50,13 @@ func TestWSJSingletonDominance(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tp := range d.Tuples {
-			switch nz := q.NonZeroQueryDims(tp); {
+			nz := 0
+			for _, c := range q.Project(tp) {
+				if c != 0 {
+					nz++
+				}
+			}
+			switch {
 			case nz == 1:
 				single++
 			case nz > 1:
@@ -136,8 +142,8 @@ func TestSampleQuery(t *testing.T) {
 		t.Fatalf("qlen = %d", q.Len())
 	}
 	for i, dim := range q.Dims {
-		if d.DF(dim) < 10 {
-			t.Errorf("dim %d has df %d < 10", dim, d.DF(dim))
+		if d.df[dim] < 10 {
+			t.Errorf("dim %d has df %d < 10", dim, d.df[dim])
 		}
 		if q.Weights[i] < 0.2 || q.Weights[i] > 1 {
 			t.Errorf("weight %v outside [0.2,1]", q.Weights[i])

@@ -12,7 +12,7 @@
 // additionally FUSED: the group runs one shared TA scan (topk.Multi)
 // that pays the sorted accesses, the random-access tuple fetches and
 // the projections once, scoring every member's weight vector per
-// encountered tuple through the batched dot kernel. Each member's
+// encountered tuple through vec.DotBatch. Each member's
 // answer is exactly what its solo execution would produce; for Analyze
 // requests, region computation proceeds per member on an isolated view
 // of the shared scan (core.ComputeView).
@@ -217,9 +217,7 @@ func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []Batch
 	}
 	qix := e.queryIndex()
 	defer qix.Stats().Flush()
-	// The group shares one probe policy (the first member's): probing
-	// order is a heuristic that never changes answers.
-	multi := topk.NewMulti(qix, queries, pending[0].item.K, pending[0].item.Opts.policy())
+	multi := topk.NewMulti(qix, queries, pending[0].item.K, topk.BestList)
 	defer multi.Release() // every member Output below is detached by core
 	seq0, rnd0, _ := qix.Stats().Snapshot()
 	if err := multi.RunContext(ctx); err != nil {

@@ -74,8 +74,8 @@ func keyOf(q vec.Query, k int) bucketKey {
 // entry is one admitted analysis: the anchor weights it was computed at
 // and the completed output it certifies. lo/hi are the region extents
 // flattened into columns at admission, so the containment and
-// invalidation checks run as block kernels over flat float64 arrays
-// instead of walking the Regions structs per lookup.
+// invalidation checks run over flat float64 arrays instead of walking
+// the Regions structs per lookup.
 type entry struct {
 	key     bucketKey
 	sig     sig
@@ -207,11 +207,9 @@ func (c *cache) lookupTopK(q vec.Query, k int) ([]topk.Scored, bool) {
 
 // containsWeights is the footnote-1 containment test: the deviation
 // from the anchor weights lies inside the cross-polytope spanned by the
-// anchor's immutable regions. It runs on the entry's flattened extents
-// through vec.CrossSafe, which is the exact flat-column twin of
-// core.SafeConcurrent (equivalence pinned by boundary_test and the core
-// property test) — same verdict on every input, including boundary hits.
-// devs is caller-provided scratch of len(weights).
+// anchor's immutable regions. It runs vec.CrossSafe — the arithmetic
+// behind core.SafeConcurrent — on the entry's flattened extents. devs is
+// caller-provided scratch of len(weights).
 func containsWeights(en *entry, weights, devs []float64) bool {
 	if len(en.lo) != len(weights) {
 		return false // mirrors SafeConcurrent's length-mismatch error
@@ -234,16 +232,7 @@ func rescore(res []topk.Scored, weights []float64) []topk.Scored {
 	for i := range out {
 		out[i].Score = vec.Dot(weights, out[i].Proj)
 	}
-	slices.SortFunc(out, func(a, b topk.Scored) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		default:
-			return a.ID - b.ID
-		}
-	})
+	slices.SortFunc(out, topk.ByRank)
 	return out
 }
 

@@ -288,10 +288,6 @@ type Options struct {
 	// experiment harness) use it so cached answers never contaminate
 	// algorithm metering.
 	NoCache bool
-	// RoundRobinProbe switches the TA probing policy from the default
-	// Persin best-list heuristic to strict round-robin (the paper's
-	// Fig. 2 presentation order; also the ablation knob).
-	RoundRobinProbe bool
 }
 
 // Source records how a response was produced.
@@ -431,14 +427,6 @@ func (e *Engine) queryIndex() lists.Index {
 	return e.ix.WithStats(e.ix.Stats().PerQuery())
 }
 
-// policy maps the request options to a TA probe policy.
-func (o Options) policy() topk.ProbePolicy {
-	if o.RoundRobinProbe {
-		return topk.RoundRobin
-	}
-	return topk.BestList
-}
-
 // Analyze answers the query and computes the immutable regions of every
 // query dimension. The answer cache is consulted first: a cached
 // analysis of the same subspace, k and options whose weight vector
@@ -504,7 +492,7 @@ func (e *Engine) compute(ctx context.Context, q vec.Query, k int, opts Options) 
 	}
 	ix := e.queryIndex()
 	defer ix.Stats().Flush()
-	ta := topk.New(ix, q, k, opts.policy())
+	ta := topk.New(ix, q, k, topk.BestList)
 	defer ta.Release()
 	out, err := core.Compute(ctx, ta, copts)
 	if err == nil {

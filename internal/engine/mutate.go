@@ -364,10 +364,8 @@ const crossingSlack = 1e-9
 // hand the ranking to the id tiebreak, which the certificate does not
 // model).
 func canCrossResult(en *entry, p []float64) bool {
-	// vec.GapMax is the kernelized form of the original inline loop: it
-	// accumulates the gap and updates the running max in the same
-	// ascending-j order over the entry's flattened extents, so the floats
-	// (and the slack comparison) are bit-identical.
+	// vec.GapMax accumulates the gap and updates the running max in
+	// ascending-j order over the entry's flattened extents.
 	for i := len(en.out.Result) - 1; i >= 0; i-- { // d_k first: the tightest line
 		r := en.out.Result[i]
 		gap, extra := vec.GapMax(en.weights, en.lo, en.hi, p, r.Proj)

@@ -62,7 +62,7 @@ func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, i
 	copts.Parallelism = -1
 	ix := e.queryIndex()
 	defer ix.Stats().Flush()
-	ta := topk.New(ix, q, k, opts.policy())
+	ta := topk.New(ix, q, k, topk.BestList)
 	defer ta.Release() // out and the contributed lines are copies
 	runner := core.WithImposed(ta, base, imposed)
 	out, err := core.ComputeView(ctx, runner, copts)

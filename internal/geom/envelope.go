@@ -16,11 +16,6 @@ type PiecewiseLinear struct {
 	Lines  []Line
 }
 
-// Domain returns the function's domain endpoints.
-func (p PiecewiseLinear) Domain() (lo, hi float64) {
-	return p.Breaks[0], p.Breaks[len(p.Breaks)-1]
-}
-
 // Eval evaluates the function at x, clamped to the domain.
 func (p PiecewiseLinear) Eval(x float64) float64 {
 	return p.segmentAt(x).Eval(x)
@@ -41,37 +36,6 @@ func (p PiecewiseLinear) segmentAt(x float64) Line {
 	default:
 		return p.Lines[i-1]
 	}
-}
-
-// SegmentIDAt returns the ID of the line active at x — for the envelope,
-// the identity of the k-th ranked tuple at deviation x.
-func (p PiecewiseLinear) SegmentIDAt(x float64) int { return p.segmentAt(x).ID }
-
-// Truncate restricts the domain to [lo, hi] ⊆ current domain.
-func (p PiecewiseLinear) Truncate(lo, hi float64) PiecewiseLinear {
-	curLo, curHi := p.Domain()
-	lo = math.Max(lo, curLo)
-	hi = math.Min(hi, curHi)
-	if lo > hi {
-		lo = hi
-	}
-	var breaks []float64
-	var lines []Line
-	breaks = append(breaks, lo)
-	for i := 0; i < len(p.Lines); i++ {
-		segLo, segHi := p.Breaks[i], p.Breaks[i+1]
-		if segHi <= lo || segLo >= hi {
-			continue
-		}
-		lines = append(lines, p.Lines[i])
-		breaks = append(breaks, math.Min(segHi, hi))
-	}
-	if len(lines) == 0 {
-		lines = []Line{p.segmentAt(lo)}
-		breaks = []float64{lo, hi}
-	}
-	breaks[len(breaks)-1] = hi
-	return PiecewiseLinear{Breaks: breaks, Lines: lines}
 }
 
 // MinDiff returns the minimum of p(x) - l(x) over the domain. Because
@@ -126,31 +90,6 @@ func (p PiecewiseLinear) FirstCrossingAbove(l Line) (float64, bool) {
 
 func (p PiecewiseLinear) String() string {
 	return fmt.Sprintf("pwl{breaks=%v}", p.Breaks)
-}
-
-// validate checks structural invariants; used by tests.
-func (p PiecewiseLinear) validate() error {
-	if len(p.Breaks) != len(p.Lines)+1 {
-		return fmt.Errorf("geom: %d breaks for %d lines", len(p.Breaks), len(p.Lines))
-	}
-	for i := 1; i < len(p.Breaks); i++ {
-		if p.Breaks[i] < p.Breaks[i-1] {
-			return fmt.Errorf("geom: breaks out of order at %d", i)
-		}
-	}
-	return nil
-}
-
-// LowerEnvelope computes the pointwise minimum of lines over [xmin, xmax].
-// With exactly k result tuples this is the score of the k-th ranked one —
-// the initial result boundary of §6.
-func LowerEnvelope(lines []Line, xmin, xmax float64) PiecewiseLinear {
-	return KthEnvelope(lines, len(lines), xmin, xmax)
-}
-
-// UpperEnvelope computes the pointwise maximum of lines over [xmin, xmax].
-func UpperEnvelope(lines []Line, xmin, xmax float64) PiecewiseLinear {
-	return KthEnvelope(lines, 1, xmin, xmax)
 }
 
 // KthEnvelope computes the piecewise-linear function giving the k-th

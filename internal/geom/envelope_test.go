@@ -27,10 +27,10 @@ func TestKthEnvelopeMatchesPointwise(t *testing.T) {
 		lines := randLines(rng, n)
 		xmax := 0.5 + rng.Float64()
 		env := KthEnvelope(lines, k, 0, xmax)
-		if err := env.validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		if len(env.Breaks) != len(env.Lines)+1 || !sort.Float64sAreSorted(env.Breaks) {
+			t.Fatalf("trial %d: %d breaks %v for %d lines", trial, len(env.Breaks), env.Breaks, len(env.Lines))
 		}
-		if lo, hi := env.Domain(); lo != 0 || hi != xmax {
+		if lo, hi := env.Breaks[0], env.Breaks[len(env.Breaks)-1]; lo != 0 || hi != xmax {
 			t.Fatalf("trial %d: domain (%v,%v), want (0,%v)", trial, lo, hi, xmax)
 		}
 		for s := 0; s <= 40; s++ {
@@ -40,19 +40,6 @@ func TestKthEnvelopeMatchesPointwise(t *testing.T) {
 				t.Fatalf("trial %d k=%d: env(%v)=%v, want %v", trial, k, x, got, want)
 			}
 		}
-	}
-}
-
-func TestLowerUpperEnvelope(t *testing.T) {
-	lines := []Line{{A: 0, B: 2, ID: 0}, {A: 1, B: 0, ID: 1}}
-	lower := LowerEnvelope(lines, 0, 2)
-	upper := UpperEnvelope(lines, 0, 2)
-	// cross at x=0.5: below it line0 is lower, above it line1.
-	if lower.SegmentIDAt(0.25) != 0 || lower.SegmentIDAt(1.0) != 1 {
-		t.Fatalf("lower envelope segments wrong: %v", lower)
-	}
-	if upper.SegmentIDAt(0.25) != 1 || upper.SegmentIDAt(1.0) != 0 {
-		t.Fatalf("upper envelope segments wrong: %v", upper)
 	}
 }
 
@@ -99,26 +86,6 @@ func TestAboveLineAndMinDiff(t *testing.T) {
 	}
 	if d := env.MinDiff(Line{A: 0.5, B: 1}); math.Abs(d-0.5) > 1e-15 {
 		t.Fatalf("MinDiff = %v, want 0.5", d)
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	lines := []Line{{A: 0, B: 2, ID: 0}, {A: 1, B: 0, ID: 1}}
-	env := LowerEnvelope(lines, 0, 2) // break at 0.5
-	tr := env.Truncate(0.25, 0.75)
-	if lo, hi := tr.Domain(); lo != 0.25 || hi != 0.75 {
-		t.Fatalf("Truncate domain (%v,%v)", lo, hi)
-	}
-	for s := 0; s <= 10; s++ {
-		x := 0.25 + 0.5*float64(s)/10
-		if math.Abs(tr.Eval(x)-env.Eval(x)) > 1e-15 {
-			t.Fatalf("Truncate changed values at %v", x)
-		}
-	}
-	// Truncating to a degenerate window still yields a usable function.
-	point := env.Truncate(0.5, 0.5)
-	if err := point.validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -38,32 +38,6 @@ func (l Line) IntersectX(o Line) (x float64, ok bool) {
 
 func (l Line) String() string { return fmt.Sprintf("y=%.6g%+.6gx (id=%d)", l.A, l.B, l.ID) }
 
-// Interval is a range of weight deviations [Lo, Hi]. The immutable-region
-// semantics make bounds open where a strict overtake occurs, but interval
-// arithmetic only needs the endpoints; openness is tracked by callers.
-type Interval struct {
-	Lo, Hi float64
-}
-
-// Intersect returns the intersection of two intervals.
-func (iv Interval) Intersect(o Interval) Interval {
-	return Interval{Lo: math.Max(iv.Lo, o.Lo), Hi: math.Min(iv.Hi, o.Hi)}
-}
-
-// Contains reports whether x lies inside the closed interval.
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
-// Empty reports whether the interval contains no point.
-func (iv Interval) Empty() bool { return iv.Lo > iv.Hi }
-
-// Width returns Hi-Lo, or 0 for empty intervals.
-func (iv Interval) Width() float64 {
-	if iv.Empty() {
-		return 0
-	}
-	return iv.Hi - iv.Lo
-}
-
 // Crossing is a pairwise intersection of two lines at X. I and J are
 // indices into the slice the sweep was run on, with I ranked above J
 // (higher value) immediately before X. RankAbove is I's 0-based rank

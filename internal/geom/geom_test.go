@@ -19,23 +19,6 @@ func TestLineIntersectX(t *testing.T) {
 	}
 }
 
-func TestIntervalOps(t *testing.T) {
-	iv := Interval{0, 2}.Intersect(Interval{1, 3})
-	if iv.Lo != 1 || iv.Hi != 2 {
-		t.Fatalf("Intersect = %+v", iv)
-	}
-	if !iv.Contains(1.5) || iv.Contains(2.5) {
-		t.Fatal("Contains wrong")
-	}
-	empty := Interval{2, 1}
-	if !empty.Empty() || empty.Width() != 0 {
-		t.Fatal("empty interval handling wrong")
-	}
-	if (Interval{1, 4}).Width() != 3 {
-		t.Fatal("Width wrong")
-	}
-}
-
 func randLines(rng *rand.Rand, n int) []Line {
 	lines := make([]Line, n)
 	for i := range lines {
@@ -101,18 +84,6 @@ func TestSweepRanks(t *testing.T) {
 				t.Fatalf("trial %d: RankAbove=%d, true rank %d", trial, c.RankAbove, higher)
 			}
 		}
-	}
-}
-
-func TestFirstCrossings(t *testing.T) {
-	lines := []Line{{A: 0, B: 3, ID: 0}, {A: 1, B: 1, ID: 1}, {A: 2, B: 0, ID: 2}}
-	// crossings: 0-1 at 0.5, 1-2 at 1.0, 0-2 at 2/3
-	cs := FirstCrossings(lines, 0, 10, 2)
-	if len(cs) != 2 {
-		t.Fatalf("got %d crossings", len(cs))
-	}
-	if math.Abs(cs[0].X-0.5) > 1e-15 || math.Abs(cs[1].X-2.0/3) > 1e-12 {
-		t.Fatalf("crossings at %v, %v; want 0.5, 2/3", cs[0].X, cs[1].X)
 	}
 }
 

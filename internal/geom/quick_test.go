@@ -122,32 +122,6 @@ func TestQuickFirstCrossingAboveConsistent(t *testing.T) {
 	}
 }
 
-// TestQuickIntervalIntersection: intersection is commutative, contained
-// in both operands, and idempotent.
-func TestQuickIntervalIntersection(t *testing.T) {
-	f := func(a0, a1, b0, b1 float64) bool {
-		if math.IsNaN(a0) || math.IsNaN(a1) || math.IsNaN(b0) || math.IsNaN(b1) {
-			return true
-		}
-		a := Interval{math.Min(a0, a1), math.Max(a0, a1)}
-		b := Interval{math.Min(b0, b1), math.Max(b0, b1)}
-		ab := a.Intersect(b)
-		ba := b.Intersect(a)
-		if ab != ba {
-			return false
-		}
-		if !ab.Empty() {
-			if !a.Contains(ab.Lo) || !a.Contains(ab.Hi) || !b.Contains(ab.Lo) || !b.Contains(ab.Hi) {
-				return false
-			}
-		}
-		return ab.Intersect(ab) == ab
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickHullIdempotent: the hull of a hull is itself.
 func TestQuickHullIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(102))

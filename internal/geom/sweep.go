@@ -97,22 +97,6 @@ func (s *Sweep) Order() []int {
 	return out
 }
 
-// FirstCrossings returns up to n pairwise crossings of lines within
-// (xmin, xmax) in ascending x order. It is the "stop after the first φ+1
-// intersections" primitive of §6 Phase 1.
-func FirstCrossings(lines []Line, xmin, xmax float64, n int) []Crossing {
-	sw := NewSweep(lines, xmin, xmax)
-	var out []Crossing
-	for len(out) < n {
-		c, ok := sw.Next()
-		if !ok {
-			break
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
 type event struct {
 	x    float64
 	i, j int

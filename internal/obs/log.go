@@ -21,14 +21,6 @@ func init() {
 // X-Request-ID stitches proxy and backend logs together.
 func Log() *slog.Logger { return logger.Load() }
 
-// SetLogger replaces the process logger (tests, or a daemon routing
-// to a file).
-func SetLogger(l *slog.Logger) {
-	if l != nil {
-		logger.Store(l)
-	}
-}
-
 // SetLogOutput points the default JSON logger at w.
 func SetLogOutput(w io.Writer) {
 	logger.Store(slog.New(slog.NewJSONHandler(w, nil)))

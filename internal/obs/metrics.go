@@ -270,7 +270,7 @@ func (v *CounterVec) write(w *bufio.Writer) {
 
 // ---- Gauge ----
 
-// Gauge is a settable float sample.
+// Gauge is an adjustable float sample.
 type Gauge struct {
 	nm, hp string
 	bits   atomic.Uint64
@@ -282,9 +282,6 @@ func NewGauge(name, help string) *Gauge {
 	Default.register(g)
 	return g
 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adjusts the value by d (d may be negative).
 func (g *Gauge) Add(d float64) {

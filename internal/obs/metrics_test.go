@@ -58,7 +58,7 @@ func TestGaugeAndFunc(t *testing.T) {
 	r := NewRegistry()
 	g := &Gauge{nm: "ir_test_gauge", hp: "g"}
 	r.register(g)
-	g.Set(2.5)
+	g.Add(2.5)
 	g.Add(-1)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("Value() = %v, want 1.5", got)

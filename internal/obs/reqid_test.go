@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -58,9 +59,8 @@ func TestRequestIDRejectsGarbage(t *testing.T) {
 
 func TestAccessLogEmitsJSON(t *testing.T) {
 	var buf bytes.Buffer
-	old := Log()
 	SetLogOutput(&buf)
-	defer SetLogger(old)
+	defer SetLogOutput(os.Stderr)
 
 	h := RequestID(AccessLog(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)

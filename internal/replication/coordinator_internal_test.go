@@ -18,14 +18,14 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	a1 := NewFollower(FollowerConfig{Dir: t.TempDir(), PrimaryAddr: "x", ID: "node-a"})
 	a2 := NewFollower(FollowerConfig{Dir: t.TempDir(), PrimaryAddr: "x", ID: "node-a"})
 	b := NewFollower(FollowerConfig{Dir: t.TempDir(), PrimaryAddr: "x", ID: "node-b"})
-	if a1.BackoffJitter() != a2.BackoffJitter() {
-		t.Fatalf("same ID, different jitter: %v vs %v", a1.BackoffJitter(), a2.BackoffJitter())
+	if a1.jitter != a2.jitter {
+		t.Fatalf("same ID, different jitter: %v vs %v", a1.jitter, a2.jitter)
 	}
-	if a1.BackoffJitter() == b.BackoffJitter() {
-		t.Fatalf("distinct IDs collided on jitter %v", a1.BackoffJitter())
+	if a1.jitter == b.jitter {
+		t.Fatalf("distinct IDs collided on jitter %v", a1.jitter)
 	}
 	for _, f := range []*Follower{a1, b} {
-		if j := f.BackoffJitter(); j < 0 || j >= 0.5 {
+		if j := f.jitter; j < 0 || j >= 0.5 {
 			t.Fatalf("jitter %v outside [0, 0.5)", j)
 		}
 	}
@@ -33,8 +33,8 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	// same primary in different directories still spread.
 	c := NewFollower(FollowerConfig{Dir: t.TempDir(), PrimaryAddr: "x"})
 	d := NewFollower(FollowerConfig{Dir: t.TempDir(), PrimaryAddr: "x"})
-	if c.BackoffJitter() == d.BackoffJitter() {
-		t.Fatalf("directory-derived jitter collided: %v", c.BackoffJitter())
+	if c.jitter == d.jitter {
+		t.Fatalf("directory-derived jitter collided: %v", c.jitter)
 	}
 }
 
@@ -87,7 +87,11 @@ func dialSilentFollower(t testing.TB, p *primaryHarness) *silentFollower {
 		Epoch:     p.eng.Epoch(),
 		LastEpoch: p.eng.EpochAt(lastSeq),
 	}
-	if err := writeJSONMsg(conn, msgHello, h); err != nil {
+	raw, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeMsg(conn, msgHello, raw); err != nil {
 		t.Fatal(err)
 	}
 	kind, payload, err := readMsg(conn)
@@ -188,7 +192,11 @@ func TestHandshakeFencesStalePrimary(t *testing.T) {
 		LastSeq:   p.eng.LastSeq(),
 		Epoch:     p.eng.Epoch() + 3, // I have seen a newer primary
 	}
-	if err := writeJSONMsg(conn, msgHello, h); err != nil {
+	raw, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeMsg(conn, msgHello, raw); err != nil {
 		t.Fatal(err)
 	}
 	kind, payload, err := readMsg(conn)

@@ -206,10 +206,6 @@ func (f *Follower) Run(ctx context.Context) {
 	}
 }
 
-// BackoffJitter exposes the follower's deterministic jitter fraction
-// (tests pin the derivation; operators can log it).
-func (f *Follower) BackoffJitter() float64 { return f.jitter }
-
 // DetachEngine hands the live engine to the caller and forgets it —
 // the promotion path: the coordinator stops the follower (cancel Run's
 // ctx, wait on Done), detaches the engine with its WAL, dir lock and

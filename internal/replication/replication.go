@@ -51,7 +51,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -186,15 +185,6 @@ func writeMsg(w io.Writer, kind byte, payload []byte) error {
 		}
 	}
 	return nil
-}
-
-// writeJSONMsg marshals v and writes it as kind.
-func writeJSONMsg(w io.Writer, kind byte, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return writeMsg(w, kind, raw)
 }
 
 // readMsg reads one framed message, allowing data-plane payloads up to

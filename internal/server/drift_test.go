@@ -20,7 +20,8 @@ func driftCounters(t *testing.T, url string) map[string]int64 {
 		series, val, _ := strings.Cut(line, " ")
 		switch name, _, _ := strings.Cut(series, "{"); name {
 		case "ir_engine_queries_total", "ir_engine_cache_events_total",
-			"ir_engine_ta_sorted_accesses_count", "ir_http_cache_disposition_total":
+			"ir_engine_ta_sorted_accesses_count", "ir_http_cache_disposition_total",
+			"ir_http_validation_failures_total":
 			f, err := strconv.ParseFloat(val, 64)
 			if err != nil {
 				t.Fatalf("metrics line %q: %v", line, err)
@@ -46,7 +47,9 @@ func driftCounters(t *testing.T, url string) map[string]int64 {
 // /metrics and on /stats, whether it arrives alone or as one item of a
 // batch — solo unit or fused scan. The one sanctioned difference is an
 // item repeated inside a batch, which is answered as "dedup" without a
-// cache probe or a computation of its own.
+// cache probe or a computation of its own. A query the validation gate
+// turns away counts as a validation failure either way: a 400 alone, an
+// error in place inside a batch that still answers 200.
 func TestBatchItemsCountLikeSingles(t *testing.T) {
 	distinct := []QueryRequest{
 		{Dims: []int{0}, Weights: []float64{0.8}, K: 2, Phi: 1},
@@ -80,6 +83,19 @@ func TestBatchItemsCountLikeSingles(t *testing.T) {
 		`ir_http_cache_disposition_total{disposition="miss"}`: 3,
 		"stats.cache.misses":                                  3,
 	}
+	// One per shape of refusal: the query constructor and the method
+	// parser, which turn a query away before the engine sees it, and the
+	// engine's gate on k and on φ, which counts the query first. /topk
+	// reads neither method nor φ.
+	const failures = "ir_http_validation_failures_total"
+	invalid := []QueryRequest{
+		{Dims: []int{0, 0}, Weights: []float64{0.8, 0.5}, K: 2},
+		{Dims: []int{0}, Weights: []float64{0.8}, K: 0},
+		{Dims: []int{0}, Weights: []float64{0.8}, K: 2, Phi: -1},
+		{Dims: []int{0}, Weights: []float64{0.8}, K: 2, Method: "nope"},
+	}
+	analyzeInvalid := map[string]int64{failures: 4, `ir_engine_queries_total{kind="analyze"}`: 2}
+	topkInvalid := map[string]int64{failures: 2, `ir_engine_queries_total{kind="topk"}`: 1}
 	for _, tc := range []struct {
 		name     string
 		endpoint string // the single-query route; the batch route is "/batch"+endpoint
@@ -87,6 +103,10 @@ func TestBatchItemsCountLikeSingles(t *testing.T) {
 		batch    bool
 		want     map[string]int64
 	}{
+		{"analyze singles, invalid", "analyze", invalid, false, analyzeInvalid},
+		{"analyze batch, invalid", "analyze", invalid, true, analyzeInvalid},
+		{"topk singles, invalid", "topk", invalid[:2], false, topkInvalid},
+		{"topk batch, invalid", "topk", invalid[:2], true, topkInvalid},
 		{"analyze singles, distinct subspaces", "analyze", distinct, false, analyze},
 		{"analyze batch, distinct subspaces", "analyze", distinct, true, analyze},
 		{"analyze singles, one subspace", "analyze", fused, false, analyze},
@@ -106,9 +126,13 @@ func TestBatchItemsCountLikeSingles(t *testing.T) {
 					t.Fatalf("batch status %d", resp.StatusCode)
 				}
 			} else {
+				status := http.StatusOK
+				if tc.want[failures] > 0 {
+					status = http.StatusBadRequest
+				}
 				for _, q := range tc.queries {
-					if resp := post(t, ts.URL+"/"+tc.endpoint, q, nil); resp.StatusCode != http.StatusOK {
-						t.Fatalf("status %d", resp.StatusCode)
+					if resp := post(t, ts.URL+"/"+tc.endpoint, q, nil); resp.StatusCode != status {
+						t.Fatalf("status %d, want %d", resp.StatusCode, status)
 					}
 				}
 			}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/lists"
 	"repro/internal/obs"
+	"repro/internal/vec"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -96,7 +97,7 @@ func TestMetricsConformanceStandby(t *testing.T) {
 	srv.SetWriteRedirect("http://primary.example:8080")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.5}}}}}, nil)
+	post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}}}}}, nil)
 	lintMetrics(t, ts.URL)
 
 	nilSrv := FromEngineFunc(func() *engine.Engine { return nil })

@@ -322,21 +322,13 @@ type ResultEntry struct {
 	Score float64 `json:"score"`
 }
 
-// PerturbationJSON mirrors core.Perturbation.
-type PerturbationJSON struct {
-	Delta float64 `json:"delta"`
-	Above int     `json:"above"`
-	Below int     `json:"below"`
-	Entry bool    `json:"entry"`
-}
-
 // RegionJSON is one dimension's immutable regions.
 type RegionJSON struct {
-	Dim   int                `json:"dim"`
-	Lo    float64            `json:"lo"`
-	Hi    float64            `json:"hi"`
-	Left  []PerturbationJSON `json:"left,omitempty"`
-	Right []PerturbationJSON `json:"right,omitempty"`
+	Dim   int                 `json:"dim"`
+	Lo    float64             `json:"lo"`
+	Hi    float64             `json:"hi"`
+	Left  []core.Perturbation `json:"left,omitempty"`
+	Right []core.Perturbation `json:"right,omitempty"`
 }
 
 // AnalyzeResponse is the body of a successful /analyze. Cache reports
@@ -406,17 +398,11 @@ type BatchTopKResponse struct {
 	Responses []TopKEntryResponse `json:"responses"`
 }
 
-// TupleEntryJSON is one non-zero coordinate of a tuple payload.
-type TupleEntryJSON struct {
-	Dim int     `json:"dim"`
-	Val float64 `json:"val"`
-}
-
 // UpdateOpJSON is one element of /update's ops: without an id the tuple
 // is inserted, with an id it replaces that tuple.
 type UpdateOpJSON struct {
-	ID    *int             `json:"id,omitempty"`
-	Tuple []TupleEntryJSON `json:"tuple"`
+	ID    *int        `json:"id,omitempty"`
+	Tuple []vec.Entry `json:"tuple"`
 }
 
 // UpdateRequest is the body of /update.
@@ -561,14 +547,7 @@ func toMetricsJSON(m core.Metrics) MetricsJSON {
 func toRegionsJSON(regions []core.Regions) []RegionJSON {
 	var out []RegionJSON
 	for _, reg := range regions {
-		rj := RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi}
-		for _, p := range reg.Left {
-			rj.Left = append(rj.Left, PerturbationJSON(p))
-		}
-		for _, p := range reg.Right {
-			rj.Right = append(rj.Right, PerturbationJSON(p))
-		}
-		out = append(out, rj)
+		out = append(out, RegionJSON{Dim: reg.Dim, Lo: reg.Lo, Hi: reg.Hi, Left: reg.Left, Right: reg.Right})
 	}
 	return out
 }
@@ -578,14 +557,7 @@ func toRegionsJSON(regions []core.Regions) []RegionJSON {
 func FromRegionsJSON(regions []RegionJSON) []core.Regions {
 	out := make([]core.Regions, len(regions))
 	for jx, rj := range regions {
-		reg := core.Regions{Dim: rj.Dim, QPos: jx, Lo: rj.Lo, Hi: rj.Hi}
-		for _, p := range rj.Left {
-			reg.Left = append(reg.Left, core.Perturbation(p))
-		}
-		for _, p := range rj.Right {
-			reg.Right = append(reg.Right, core.Perturbation(p))
-		}
-		out[jx] = reg
+		out[jx] = core.Regions{Dim: rj.Dim, QPos: jx, Lo: rj.Lo, Hi: rj.Hi, Left: rj.Left, Right: rj.Right}
 	}
 	return out
 }
@@ -642,7 +614,9 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Per-item shape errors are reported in place; valid items still
-	// run, so one malformed query cannot sink a fleet batch.
+	// run, so one malformed query cannot sink a fleet batch. An invalid
+	// item counts as a validation failure, as it does sent alone
+	// (decodeQuery, engineError).
 	items := make([]engine.BatchItem, 0, len(req.Queries))
 	itemIdx := make([]int, 0, len(req.Queries))
 	resp := BatchAnalyzeResponse{Responses: make([]BatchEntryResponse, len(req.Queries))}
@@ -656,6 +630,7 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 		}
+		mValidationFailures.Inc()
 		resp.Responses[i] = BatchEntryResponse{Error: err.Error()}
 	}
 	qr, ok := s.querier(w)
@@ -665,6 +640,9 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 	for j, res := range qr.AnalyzeBatch(r.Context(), items) {
 		i := itemIdx[j]
 		if res.Err != nil {
+			if errors.Is(res.Err, engine.ErrInvalid) {
+				mValidationFailures.Inc()
+			}
 			resp.Responses[i] = BatchEntryResponse{Error: res.Err.Error()}
 			continue
 		}
@@ -693,6 +671,7 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 	for i, qr := range req.Queries {
 		q, err := vec.NewQuery(qr.Dims, qr.Weights)
 		if err != nil {
+			mValidationFailures.Inc()
 			resp.Responses[i] = TopKEntryResponse{Error: err.Error()}
 			continue
 		}
@@ -706,6 +685,9 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 	for j, res := range qr.TopKBatch(r.Context(), items) {
 		i := itemIdx[j]
 		if res.Err != nil {
+			if errors.Is(res.Err, engine.ErrInvalid) {
+				mValidationFailures.Inc()
+			}
 			resp.Responses[i] = TopKEntryResponse{Error: res.Err.Error()}
 			continue
 		}
@@ -737,11 +719,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	ops := make([]engine.Op, 0, len(req.Ops))
 	opIdx := make([]int, 0, len(req.Ops))
 	for i, op := range req.Ops {
-		entries := make([]vec.Entry, len(op.Tuple))
-		for j, e := range op.Tuple {
-			entries[j] = vec.Entry{Dim: e.Dim, Val: e.Val}
-		}
-		t, err := vec.NewSparse(entries)
+		t, err := vec.NewSparse(op.Tuple)
 		if err == nil && t.NNZ() == 0 {
 			// An op without coordinates is almost always a malformed
 			// request (a typoed field, or delete intent aimed at the

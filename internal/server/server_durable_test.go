@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/lists"
+	"repro/internal/vec"
 )
 
 // TestStatsDurableBlocks: a durable engine's /stats reports the WAL and
@@ -52,7 +53,7 @@ func TestStatsDurableBlocks(t *testing.T) {
 
 	var mr MutateResponse
 	resp := post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.42}}},
+		{Tuple: []vec.Entry{{Dim: 0, Val: 0.42}}},
 	}}, &mr)
 	if resp.StatusCode != http.StatusOK || mr.Applied != 1 {
 		t.Fatalf("update status %d resp %+v", resp.StatusCode, mr)

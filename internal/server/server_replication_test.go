@@ -126,7 +126,7 @@ func TestStandbyHTTP(t *testing.T) {
 	// Write through the primary's HTTP API.
 	var mu MutateResponse
 	resp := post(t, rp.primTS.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.95}, {Dim: 2, Val: 0.1}}},
+		{Tuple: []vec.Entry{{Dim: 0, Val: 0.95}, {Dim: 2, Val: 0.1}}},
 	}}, &mu)
 	if resp.StatusCode != http.StatusOK || mu.Applied != 1 {
 		t.Fatalf("primary update: status %d %+v", resp.StatusCode, mu)
@@ -134,7 +134,7 @@ func TestStandbyHTTP(t *testing.T) {
 
 	// The standby rejects the same write with a pointer home.
 	resp = post(t, rp.folTS.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.5}}},
+		{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}}},
 	}}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("standby update: status %d, want 409", resp.StatusCode)

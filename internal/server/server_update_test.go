@@ -131,7 +131,7 @@ func TestUpdateDeleteEndpoints(t *testing.T) {
 	var mu MutateResponse
 	id3 := 3
 	resp := post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{ID: &id3, Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.1}, {Dim: 1, Val: 0.55}}},
+		{ID: &id3, Tuple: []vec.Entry{{Dim: 0, Val: 0.1}, {Dim: 1, Val: 0.55}}},
 	}}, &mu)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status %d", resp.StatusCode)
@@ -151,7 +151,7 @@ func TestUpdateDeleteEndpoints(t *testing.T) {
 
 	// An insert that joins the result evicts and shows up in /topk.
 	resp = post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.9}, {Dim: 1, Val: 0.9}}},
+		{Tuple: []vec.Entry{{Dim: 0, Val: 0.9}, {Dim: 1, Val: 0.9}}},
 	}}, &mu)
 	if resp.StatusCode != http.StatusOK || mu.Results[0].ID != 4 || mu.CacheEvicted != 1 {
 		t.Fatalf("insert response %d %+v", resp.StatusCode, mu)
@@ -177,10 +177,10 @@ func TestUpdateDeleteEndpoints(t *testing.T) {
 	// target.
 	id0 := 0
 	resp = post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{ID: &[]int{99}[0], Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.5}}},  // out of range
-		{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.5}, {Dim: 0, Val: 0.6}}}, // duplicate dim
-		{ID: &id0}, // empty tuple
-		{Tuple: []TupleEntryJSON{{Dim: 1, Val: 0.2}}}, // fine
+		{ID: &[]int{99}[0], Tuple: []vec.Entry{{Dim: 0, Val: 0.5}}},  // out of range
+		{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}, {Dim: 0, Val: 0.6}}}, // duplicate dim
+		{ID: &id0},                               // empty tuple
+		{Tuple: []vec.Entry{{Dim: 1, Val: 0.2}}}, // fine
 	}}, &mu)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mixed batch status %d", resp.StatusCode)
@@ -235,7 +235,7 @@ func TestUpdateReadOnly(t *testing.T) {
 	defer ts.Close()
 
 	resp := post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.5}}},
+		{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}}},
 	}}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("read-only update status %d, want 409", resp.StatusCode)
@@ -247,7 +247,7 @@ func TestUpdateReadOnly(t *testing.T) {
 	// Even a batch whose ops all fail shape parsing reports read-only:
 	// the status code must not depend on payload shape.
 	resp = post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{
-		{Tuple: []TupleEntryJSON{{Dim: 0, Val: 0.5}, {Dim: 0, Val: 0.6}}},
+		{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}, {Dim: 0, Val: 0.6}}},
 	}}, nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("read-only shape-failed update status %d, want 409", resp.StatusCode)

@@ -16,37 +16,12 @@ import (
 	"repro/internal/vec"
 )
 
-// ScoredJSON is the wire form of one scored tuple line: the id, the
-// exact score, and the projections onto the query dimensions in query
-// order. NZMask carries the candidate-class bitset of §5.1.
-type ScoredJSON struct {
-	ID     int       `json:"id"`
-	Score  float64   `json:"score"`
-	Proj   []float64 `json:"proj"`
-	NZMask uint64    `json:"nzmask,omitempty"`
-}
-
-// ToScoredJSON converts scored lines to the wire form.
-func ToScoredJSON(res []topk.Scored) []ScoredJSON {
-	out := make([]ScoredJSON, len(res))
-	for i, sc := range res {
-		out[i] = ScoredJSON{ID: sc.ID, Score: sc.Score, Proj: sc.Proj, NZMask: sc.NZMask}
-	}
-	return out
-}
-
-// FromScoredJSON converts wire lines back to scored form.
-func FromScoredJSON(res []ScoredJSON) []topk.Scored {
-	out := make([]topk.Scored, len(res))
-	for i, sc := range res {
-		out[i] = topk.Scored{ID: sc.ID, Score: sc.Score, Proj: sc.Proj, NZMask: sc.NZMask}
-	}
-	return out
-}
-
-// ShardTopKResponse is the body of a successful /shard/topk.
+// ShardTopKResponse is the body of a successful /shard/topk: scored
+// lines in topk.Scored's own wire form — the id, the exact score, the
+// projections onto the query dimensions in query order and the
+// candidate-class bitset of §5.1.
 type ShardTopKResponse struct {
-	Result []ScoredJSON `json:"result"`
+	Result []topk.Scored `json:"result"`
 }
 
 // ShardAnalyzeRequest is the body of /shard/analyze — round 2 of a
@@ -56,16 +31,16 @@ type ShardTopKResponse struct {
 // /analyze they include the cross-validation toggles, because the
 // coordinator must mirror whatever dispatch the caller asked for.
 type ShardAnalyzeRequest struct {
-	Dims            []int        `json:"dims"`
-	Weights         []float64    `json:"weights"`
-	K               int          `json:"k"`
-	Base            int          `json:"base"`
-	Imposed         []ScoredJSON `json:"imposed"`
-	Phi             int          `json:"phi"`
-	Method          string       `json:"method"`
-	CompositionOnly bool         `json:"composition_only,omitempty"`
-	ForceEnvelope   bool         `json:"force_envelope,omitempty"`
-	Iterative       bool         `json:"iterative,omitempty"`
+	Dims            []int         `json:"dims"`
+	Weights         []float64     `json:"weights"`
+	K               int           `json:"k"`
+	Base            int           `json:"base"`
+	Imposed         []topk.Scored `json:"imposed"`
+	Phi             int           `json:"phi"`
+	Method          string        `json:"method"`
+	CompositionOnly bool          `json:"composition_only,omitempty"`
+	ForceEnvelope   bool          `json:"force_envelope,omitempty"`
+	Iterative       bool          `json:"iterative,omitempty"`
 }
 
 // ShardAnalyzeResponse is the body of a successful /shard/analyze: the
@@ -76,9 +51,9 @@ type ShardAnalyzeRequest struct {
 // the shard's metering whole, phase times included, so a merged answer
 // reports the same cost over HTTP backends as over in-process ones.
 type ShardAnalyzeResponse struct {
-	Regions []RegionJSON `json:"regions"`
-	Lines   []ScoredJSON `json:"lines,omitempty"`
-	Metrics core.Metrics `json:"metrics"`
+	Regions []RegionJSON  `json:"regions"`
+	Lines   []topk.Scored `json:"lines,omitempty"`
+	Metrics core.Metrics  `json:"metrics"`
 }
 
 // shardEngine resolves the engine behind the /shard/* RPCs. Only a
@@ -112,7 +87,7 @@ func (s *Server) handleShardTopK(w http.ResponseWriter, r *http.Request) {
 		engineError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ShardTopKResponse{Result: ToScoredJSON(res)})
+	writeJSON(w, http.StatusOK, ShardTopKResponse{Result: res})
 }
 
 // handleShardAnalyze answers the coordinator's round-2 scatter: the
@@ -143,14 +118,14 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	out, lines, err := eng.AnalyzeImposed(r.Context(), q, req.K, req.Base, FromScoredJSON(req.Imposed), opts)
+	out, lines, err := eng.AnalyzeImposed(r.Context(), q, req.K, req.Base, req.Imposed, opts)
 	if err != nil {
 		engineError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ShardAnalyzeResponse{
 		Regions: toRegionsJSON(out.Regions),
-		Lines:   ToScoredJSON(lines),
+		Lines:   lines,
 		Metrics: out.Metrics,
 	})
 }

@@ -82,18 +82,13 @@ func (s *Session) Query() vec.Query { return s.q.Clone() }
 // Result returns the current ranked result ids.
 func (s *Session) Result() []int { return append([]int(nil), s.ranked...) }
 
-// Regions returns the regions of the last full analysis. They are
-// expressed relative to the weights at analysis time; AdjustWeight
-// accounts for accumulated deviations internally.
-func (s *Session) Regions() []core.Regions { return s.analysis.Regions }
-
 // Stats returns the adjustment accounting.
 func (s *Session) Stats() Stats { return s.stats }
 
 // Invalidate marks the session's analysis stale — the client-side
 // reaction to a server-side data update, which voids every safe-region
-// and perturbation-schedule guarantee the session holds. Result and
-// Regions keep reporting the stale state until the next AdjustWeight,
+// and perturbation-schedule guarantee the session holds. Result
+// keeps reporting the stale state until the next AdjustWeight,
 // which recomputes unconditionally.
 func (s *Session) Invalidate() { s.stale = true }
 

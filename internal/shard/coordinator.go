@@ -50,12 +50,6 @@ func New(m Map, backends []Backend, cfg Config) (*Coordinator, error) {
 	return &Coordinator{m: m, backends: backends, cfg: cfg}, nil
 }
 
-// Map returns the partition the coordinator routes by.
-func (c *Coordinator) Map() Map { return c.m }
-
-// NumShards returns the shard count.
-func (c *Coordinator) NumShards() int { return len(c.backends) }
-
 // reply carries one attempt's answer back to the fan-out slot.
 type reply struct {
 	gen int

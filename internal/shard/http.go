@@ -55,7 +55,7 @@ func (h HTTPBackend) TopK(ctx context.Context, q vec.Query, k int) ([]topk.Score
 	if err := h.C.PostJSON(ctx, "/shard/topk", body, &resp); err != nil {
 		return nil, err
 	}
-	return server.FromScoredJSON(resp.Result), nil
+	return resp.Result, nil
 }
 
 func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts engine.Options) (*core.Output, []topk.Scored, error) {
@@ -64,7 +64,7 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 		Weights:         q.Weights,
 		K:               k,
 		Base:            base,
-		Imposed:         server.ToScoredJSON(imposed),
+		Imposed:         imposed,
 		Phi:             opts.Phi,
 		Method:          server.MethodName(opts.Method),
 		CompositionOnly: opts.CompositionOnly,
@@ -80,7 +80,7 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 	}
 	out := &core.Output{Query: q, K: k, Result: imposed, Metrics: resp.Metrics,
 		Regions: server.FromRegionsJSON(resp.Regions)}
-	return out, server.FromScoredJSON(resp.Lines), nil
+	return out, resp.Lines, nil
 }
 
 // Apply ships the batch as /update and /delete calls, splitting runs at
@@ -109,13 +109,10 @@ func (h HTTPBackend) Apply(ops []engine.Op) (engine.ApplyResult, error) {
 		} else {
 			req := server.UpdateRequest{}
 			for _, op := range ops[start:end] {
-				oj := server.UpdateOpJSON{}
+				oj := server.UpdateOpJSON{Tuple: op.Tuple}
 				if op.Kind == engine.OpUpdate {
 					id := op.ID
 					oj.ID = &id
-				}
-				for _, e := range op.Tuple {
-					oj.Tuple = append(oj.Tuple, server.TupleEntryJSON{Dim: e.Dim, Val: e.Val})
 				}
 				req.Ops = append(req.Ops, oj)
 			}

@@ -279,7 +279,7 @@ func TestHTTPShardKilledFailsClosed(t *testing.T) {
 		t.Fatal("analyze with dead shard succeeded")
 	}
 	// A delete owned by the dead shard fails closed, with no retry.
-	victim := hc.coord.Map().Base(1)
+	victim := hc.coord.m.Base(1)
 	if _, err := hc.coord.Apply([]engine.Op{{Kind: engine.OpDelete, ID: victim}}); err == nil {
 		t.Fatal("apply routed to dead shard succeeded")
 	}
@@ -318,7 +318,7 @@ func TestHTTPAllowPartialDegraded(t *testing.T) {
 	// The degraded answer is a single node over the union minus the dead
 	// shard's range (ids renumbered in the oracle, so scores only).
 	var surviving []vec.Sparse
-	lo, hi := hc.coord.Map().Base(1), hc.coord.Map().Base(2)
+	lo, hi := hc.coord.m.Base(1), hc.coord.m.Base(2)
 	for id, tu := range cs.Tuples {
 		if id < lo || id >= hi {
 			surviving = append(surviving, tu)
@@ -456,7 +456,7 @@ func TestHTTPRound2Reply(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := mustJSON(t, server.ShardAnalyzeRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K,
-			Imposed: server.ToScoredJSON(res.Result), Phi: phi, Method: "cpt"})
+			Imposed: res.Result, Phi: phi, Method: "cpt"})
 		resp, err := http.Post(hc.shards[0].URL+"/shard/analyze", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -16,18 +16,9 @@ import (
 	"repro/internal/vec"
 )
 
-// scoredLess is the global result order: score descending, id
-// ascending — the same total order internal/topk maintains, so the
-// k-way merge of per-shard lists reproduces a single node's result
-// list exactly, ties included.
-func scoredLess(a, b topk.Scored) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.ID < b.ID
-}
-
-// headHeap is a k-way merge heap over the per-shard lists' heads.
+// headHeap is a k-way merge heap over the per-shard lists' heads, in
+// topk.ByRank order — the total order internal/topk maintains, so the
+// merge reproduces a single node's result list exactly, ties included.
 type headHeap struct {
 	lists [][]topk.Scored
 	pos   []int
@@ -37,7 +28,7 @@ type headHeap struct {
 func (h *headHeap) Len() int { return len(h.order) }
 func (h *headHeap) Less(i, j int) bool {
 	a, b := h.order[i], h.order[j]
-	return scoredLess(h.lists[a][h.pos[a]], h.lists[b][h.pos[b]])
+	return topk.ByRank(h.lists[a][h.pos[a]], h.lists[b][h.pos[b]]) < 0
 }
 func (h *headHeap) Swap(i, j int) { h.order[i], h.order[j] = h.order[j], h.order[i] }
 func (h *headHeap) Push(x any)    { h.order = append(h.order, x.(int)) }
@@ -84,26 +75,11 @@ func mergeRegions(q vec.Query, k int, res []topk.Scored, outs []*core.Output, li
 		// excluded shard-side), so the union needs no dedup. The replay
 		// is offer-order independent; sorting into the canonical
 		// candidate order just makes the merge deterministic.
-		lines = sortScoredGlobal(lines)
+		lines = slices.Clone(lines)
+		slices.SortFunc(lines, topk.ByRank)
 		return core.ReplayRegions(q, k, res, lines, opts.Options)
 	}
 	return mergeClassic(outs)
-}
-
-// sortScoredGlobal returns the lines in (score desc, id asc) order.
-func sortScoredGlobal(lines []topk.Scored) []topk.Scored {
-	out := append([]topk.Scored(nil), lines...)
-	slices.SortFunc(out, func(a, b topk.Scored) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		default:
-			return a.ID - b.ID
-		}
-	})
-	return out
 }
 
 // mergeClassic merges φ = 0 regions by per-dimension strict min/max.

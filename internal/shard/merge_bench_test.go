@@ -121,7 +121,7 @@ func BenchmarkShardReply(b *testing.B) {
 	_, c, q, k, res, opts := stRound2(b)
 	w := call(server.FromEngine(c.backends[0].(Local).E).Handler(), http.MethodPost, "/shard/analyze",
 		mustJSON(b, server.ShardAnalyzeRequest{Dims: q.Dims, Weights: q.Weights, K: k,
-			Imposed: server.ToScoredJSON(res), Phi: opts.Phi, Method: server.MethodName(opts.Method)}))
+			Imposed: res, Phi: opts.Phi, Method: server.MethodName(opts.Method)}))
 	if w.Code != http.StatusOK {
 		b.Fatalf("/shard/analyze: %d %s", w.Code, w.Body)
 	}
@@ -142,7 +142,7 @@ func BenchmarkShardReply(b *testing.B) {
 		if err := json.Unmarshal(raw, &got); err != nil {
 			b.Fatal(err)
 		}
-		mergeRegions(q, k, res, nil, server.FromScoredJSON(got.Lines), opts)
+		mergeRegions(q, k, res, nil, got.Lines, opts)
 	}
 	b.ReportMetric(float64(len(reply.Lines)), "lines")
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -230,6 +231,22 @@ func TestShardedBitIdentical(t *testing.T) {
 			}
 
 			check("post-mutation")
+
+			// Exact ties across shards: every tuple twice, the copy in the
+			// other half of the id space, so equal scores meet in the
+			// coordinator's merge and only the id tie-break of topk.ByRank
+			// orders them as one node does. Ranked results only: regions
+			// under exact ties are ROADMAP item 1(b).
+			twice := append(slices.Clone(cs.Tuples), cs.Tuples...)
+			want, _, err := singleNode(twice, cs.M).TopKMetered(ctx, cs.Q, 2*cs.K)
+			if err != nil {
+				t.Fatalf("trial %d ties: single topk: %v", trial, err)
+			}
+			got, err := localCoord(t, twice, cs.M, shards, Config{}).TopK(ctx, cs.Q, 2*cs.K)
+			if err != nil {
+				t.Fatalf("trial %d ties: sharded topk: %v", trial, err)
+			}
+			diffScored(t, "ties/topk", got.Result, want)
 		}
 	}
 }

@@ -66,18 +66,3 @@ func (c *lruCache) put(k lruKey, v interface{}) {
 		}
 	}
 }
-
-// len reports the number of cached entries.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// reset drops all entries.
-func (c *lruCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[lruKey]*list.Element, c.cap)
-}

@@ -117,12 +117,6 @@ func (s *IOStats) Reset() {
 	s.flushed = [4]int64{}
 }
 
-// Sub returns the difference s - o as plain numbers (seq, rand, bytes).
-func (s *IOStats) Sub(seq, rand, bytes int64) (int64, int64, int64) {
-	a, b, c := s.Snapshot()
-	return a - seq, b - rand, c - bytes
-}
-
 func (s *IOStats) String() string {
 	a, b, c := s.Snapshot()
 	return fmt.Sprintf("io{seqPages=%d randReads=%d bytes=%d}", a, b, c)
@@ -143,10 +137,4 @@ var DefaultDiskModel = DiskModel{SeqPage: 50 * time.Microsecond, RandRead: 5 * t
 // Time converts counters into modeled elapsed I/O time.
 func (m DiskModel) Time(seqPages, randReads int64) time.Duration {
 	return time.Duration(seqPages)*m.SeqPage + time.Duration(randReads)*m.RandRead
-}
-
-// TimeOf converts an IOStats snapshot into modeled elapsed I/O time.
-func (m DiskModel) TimeOf(s *IOStats) time.Duration {
-	seq, rnd, _ := s.Snapshot()
-	return m.Time(seq, rnd)
 }

@@ -182,11 +182,6 @@ func TestDiskModel(t *testing.T) {
 	if got := m.Time(5, 2); got != 25*time.Millisecond {
 		t.Fatalf("Time = %v", got)
 	}
-	s := &IOStats{}
-	s.AddSeqPage(2)
-	if got := m.TimeOf(s); got != 2*time.Millisecond {
-		t.Fatalf("TimeOf = %v", got)
-	}
 }
 
 func TestLRU(t *testing.T) {
@@ -203,16 +198,12 @@ func TestLRU(t *testing.T) {
 	if _, ok := c.get(lruKey{1, 1}); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	if n := c.order.Len(); n != 2 || len(c.items) != 2 {
+		t.Fatalf("%d entries in the list, %d in the map, want 2", n, len(c.items))
 	}
 	c.put(lruKey{1, 1}, "a2") // refresh
 	if v, _ := c.get(lruKey{1, 1}); v != "a2" {
 		t.Fatal("refresh failed")
-	}
-	c.reset()
-	if c.len() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 

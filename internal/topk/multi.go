@@ -164,9 +164,9 @@ func (m *Multi) Run() {
 			continue
 		}
 		// One random access and one projection serve every member; only
-		// the scores fan out, through the batched kernel. Each DotBatch
-		// row is bit-identical to the member's solo vec.Dot (the batch
-		// kernel gives every output its own accumulator).
+		// the scores fan out, through vec.DotBatch. Each row is
+		// bit-identical to the member's solo vec.Dot (every output has
+		// its own accumulator).
 		proj := m.sc.proj
 		m.scan.ix.Project(p.ID, m.scan.q.Dims, proj)
 		vec.DotBatch(m.flatW, proj, scoreBuf)

@@ -15,7 +15,6 @@ const (
 	pageShift = 13
 	pageRows  = 1 << pageShift
 	pageMask  = pageRows - 1
-	pageBytes = 8 * pageRows
 )
 
 type page [pageRows]uint64
@@ -155,8 +154,8 @@ func (t *Table) Mask(p int32) uint64 { return t.mask.at(p) }
 // Coord returns row p's coordinate on query dimension j.
 func (t *Table) Coord(p int32, j int) float64 { return math.Float64frombits(t.coord[j].at(p)) }
 
-// before is the rank order: decreasing score, ties by ascending id. Ids
-// are distinct, so it is total.
+// before is the rank order, ByRank over row positions: decreasing score,
+// ties by ascending id.
 func (t *Table) before(a, b int32) bool {
 	if sa, sb := t.Score(a), t.Score(b); sa != sb {
 		return sa > sb

@@ -66,7 +66,7 @@ func TestScanAllocatesLinearly(t *testing.T) {
 
 	const columns = 3 + qlen // id, score, mask, coordinates
 	rowBytes := 8 * columns
-	bound := uint64(1.25*float64(n*rowBytes)) + columns*pageBytes
+	bound := uint64(1.25*float64(n*rowBytes)) + columns*8*pageRows
 	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 		t.Fatalf("scan of %d rows × %d B allocated %d B, bound %d", n, rowBytes, got, bound)
 	}

@@ -23,6 +23,7 @@
 package topk
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -58,20 +59,13 @@ func (p ProbePolicy) String() string {
 // Scored is an encountered tuple with its materialized query-subspace
 // view: Score = S(d,q), Proj[i] = coordinate on q.Dims[i], and NZMask bit
 // i set when Proj[i] > 0. The mask drives the C0/CH/CL partition of §5.1.
+// The json tags are the wire form of a scored line on the /shard/* RPCs:
+// the exact score and projections, which round-trip exactly as float64.
 type Scored struct {
-	ID     int
-	Score  float64
-	Proj   []float64
-	NZMask uint64
-}
-
-// NonZero reports how many query dimensions the tuple is non-zero on.
-func (s Scored) NonZero() int {
-	n := 0
-	for m := s.NZMask; m != 0; m &= m - 1 {
-		n++
-	}
-	return n
+	ID     int       `json:"id"`
+	Score  float64   `json:"score"`
+	Proj   []float64 `json:"proj"`
+	NZMask uint64    `json:"nzmask,omitempty"`
 }
 
 // View is the read/resume surface region computation needs from a TA
@@ -97,7 +91,6 @@ type View interface {
 	// tuple and returns its position; ok=false when the lists are
 	// exhausted.
 	Resume() (pos int32, ok bool)
-	Thresholds() []float64
 	ThresholdsInto(dst []float64)
 	WasSortedAccessed(i, id int, val float64) bool
 }
@@ -197,14 +190,6 @@ func (s *scanState) ThresholdScore() float64 {
 
 // SortedAccesses reports how many sorted accesses have been performed.
 func (s *scanState) SortedAccesses() int { return s.sortedAccesses }
-
-// Err reports why the scan refuses to advance — the context-cancellation
-// error observed by a sorted access — or nil while the scan is live.
-func (s *scanState) Err() error { return s.ctxErr }
-
-// Depth reports how many postings have been consumed from the i-th query
-// list.
-func (s *scanState) Depth(i int) int { return s.consumed[i] }
 
 // pick selects the next list to probe, or -1 when all are exhausted.
 func (s *scanState) pick() int {
@@ -319,7 +304,7 @@ func (r *run) must(op string) {
 // encounter adds newly met tuple id to the table: one random access that
 // projects the record into the run's buffer (no full vector in between),
 // then one row. The score is computed from the dense projection through
-// the unrolled dot kernel rather than the sparse merge; the two are
+// vec.Dot rather than the sparse merge; the two are
 // bit-identical (vec.TestDotMatchesSparseScore pins it) because the
 // unmatched dimensions contribute exact +0.0 terms to a running sum that
 // never goes negative.
@@ -701,23 +686,19 @@ func (f *Fork) Release() {
 	}
 }
 
-// sortScored orders by descending score, ties by ascending id, giving
-// deterministic ranked lists.
-func sortScored(s []Scored) {
-	slices.SortFunc(s, func(a, b Scored) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case a.Score < b.Score:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+// ByRank is the one result order — score descending, ties by ascending
+// id — as a slices.SortFunc comparator: every []Scored that is ranked
+// anywhere (a naive or rescored result, a shard merge, the coordinator's
+// contributed lines) is ranked by it, and Table.before is the same order
+// over row positions. Ids are distinct, so it is total.
+func ByRank(a, b Scored) int {
+	switch {
+	case a.Score > b.Score:
+		return -1
+	case a.Score < b.Score:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // TopKNaive computes the exact ranked top-k by scoring every tuple — the
@@ -734,7 +715,7 @@ func TopKNaive(tuples []vec.Sparse, q vec.Query, k int) []Scored {
 		}
 		all = append(all, sc)
 	}
-	sortScored(all)
+	slices.SortFunc(all, ByRank)
 	if k > len(all) {
 		k = len(all)
 	}

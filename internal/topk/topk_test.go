@@ -142,7 +142,7 @@ func TestWasSortedAccessed(t *testing.T) {
 		ta := New(ix, cs.Q, cs.K, BestList)
 		ta.Run()
 		for i, dim := range cs.Q.Dims {
-			consumed := ta.Depth(i)
+			consumed := ta.consumed[i]
 			postings := ix.Postings(dim)
 			inPrefix := map[int]bool{}
 			for _, p := range postings[:consumed] {
@@ -156,16 +156,6 @@ func TestWasSortedAccessed(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestScoredNonZero(t *testing.T) {
-	s := Scored{NZMask: 0b1011}
-	if s.NonZero() != 3 {
-		t.Fatalf("NonZero = %d", s.NonZero())
-	}
-	if (Scored{}).NonZero() != 0 {
-		t.Fatal("empty mask")
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 	"strings"
 )
 
-// Entry is a single non-zero coordinate of a sparse vector.
+// Entry is a single non-zero coordinate of a sparse vector (the json
+// tags are its form in an /update payload).
 type Entry struct {
-	Dim int     // dimension index, 0-based
-	Val float64 // coordinate value in [0,1]
+	Dim int     `json:"dim"` // dimension index, 0-based
+	Val float64 `json:"val"` // coordinate value in [0,1]
 }
 
 // Sparse is a sparse vector: its entries are sorted by ascending Dim and
@@ -80,17 +81,6 @@ func (s Sparse) MaxDim() int {
 		return -1
 	}
 	return s[len(s)-1].Dim
-}
-
-// Dense materializes s into a dense slice of length m.
-func (s Sparse) Dense(m int) []float64 {
-	out := make([]float64, m)
-	for _, e := range s {
-		if e.Dim < m {
-			out[e.Dim] = e.Val
-		}
-	}
-	return out
 }
 
 // Clone returns a deep copy of s.
@@ -182,15 +172,6 @@ func MustQuery(dims []int, weights []float64) Query {
 // Len returns qlen, the number of query dimensions.
 func (q Query) Len() int { return len(q.Dims) }
 
-// Weight returns the weight of dimension dim, or 0 if dim is not queried.
-func (q Query) Weight(dim int) float64 {
-	i := sort.SearchInts(q.Dims, dim)
-	if i < len(q.Dims) && q.Dims[i] == dim {
-		return q.Weights[i]
-	}
-	return 0
-}
-
 // Pos returns the index of dim within q.Dims, or -1.
 func (q Query) Pos(dim int) int {
 	i := sort.SearchInts(q.Dims, dim)
@@ -274,42 +255,21 @@ func (q Query) ProjectInto(d Sparse, dst []float64) {
 	}
 }
 
-// NonZeroQueryDims counts how many query dimensions of q have a non-zero
-// coordinate in d. The candidate partition of Section 5.1 (C0/CH/CL) is
-// driven by this count.
-func (q Query) NonZeroQueryDims(d Sparse) int {
-	n := 0
-	i, j := 0, 0
-	for i < len(q.Dims) && j < len(d) {
-		switch {
-		case q.Dims[i] == d[j].Dim:
-			n++
-			i++
-			j++
-		case q.Dims[i] < d[j].Dim:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
-}
+// The dense kernels below are one plain loop per operation, with a single
+// accumulator per output and terms added in ascending index order: every
+// score, threshold and certificate in the repo is a function of that
+// order, so whatever replaces a loop must not reassociate its additions.
 
-// Dot computes the dot product of two dense vectors of equal length,
-// bit-identical to the naive loop (see kernel_ref.go).
+// Dot computes the dot product of two dense vectors of equal length.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: Dot length mismatch %d vs %d", len(a), len(b)))
 	}
-	return dotKernel(a, b)
-}
-
-// Axpy performs y += alpha·x over dense vectors of equal length.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vec: Axpy length mismatch %d vs %d", len(x), len(y)))
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
 	}
-	axpyKernel(alpha, x, y)
+	return s
 }
 
 // DotBatch scores one dense vector x against many weight rows at once:
@@ -321,49 +281,64 @@ func DotBatch(flatW, x, out []float64) {
 	if len(flatW) != len(x)*len(out) {
 		panic(fmt.Sprintf("vec: DotBatch flatW length %d != %d rows × %d", len(flatW), len(out), len(x)))
 	}
-	dotBatchKernel(flatW, x, out)
+	q := len(x)
+	for m := range out {
+		row := flatW[m*q : (m+1)*q]
+		s := 0.0
+		for j := range row {
+			s += row[j] * x[j]
+		}
+		out[m] = s
+	}
 }
 
 // GapMax evaluates the closed-form polytope gap maximum used by the
-// cache-invalidation certificate: with c_j = p[j] − rp[j] it returns
-// gap = Σ_j w[j]·c_j and extra = max(0, max_j hi[j]·c_j, lo[j]·c_j).
-// All five slices must share one length.
+// cache-invalidation certificate (internal/engine/mutate.go): with
+// c_j = p[j] − rp[j] it returns gap = Σ_j w[j]·c_j and
+// extra = max(0, max_j hi[j]·c_j, lo[j]·c_j), the max updated in
+// ascending j order. All five slices must share one length.
 func GapMax(w, lo, hi, p, rp []float64) (gap, extra float64) {
 	if len(w) != len(p) || len(lo) != len(p) || len(hi) != len(p) || len(rp) != len(p) {
 		panic("vec: GapMax length mismatch")
 	}
-	return gapMaxKernel(w, lo, hi, p, rp)
+	for j := range p {
+		cj := p[j] - rp[j]
+		gap += w[j] * cj
+		if v := hi[j] * cj; v > extra {
+			extra = v
+		}
+		if v := lo[j] * cj; v > extra {
+			extra = v
+		}
+	}
+	return gap, extra
 }
 
-// CrossSafe is the cross-polytope vertex check over flat per-dimension
-// extents: deviation vector devs is certified safe iff
-// Σ_j |devs[j]| / extent_j ≤ 1 (extent hi[j] on the positive side,
-// |lo[j]| on the negative; a zero extent against a non-zero component is
-// unsafe). It is the flat-column twin of core.SafeConcurrent.
+// CrossSafe is the cross-polytope vertex check (the paper's footnote 1)
+// over flat per-dimension extents: deviation vector devs is certified
+// safe iff Σ_j |devs[j]| / extent_j ≤ 1, where the extent is hi[j] for a
+// positive component and |lo[j]| for a negative one; a zero extent
+// against a non-zero component is unsafe.
 func CrossSafe(lo, hi, devs []float64) bool {
 	if len(lo) != len(devs) || len(hi) != len(devs) {
 		panic("vec: CrossSafe length mismatch")
 	}
-	return crossSafeKernel(lo, hi, devs)
-}
-
-// Norm computes the Euclidean norm of a dense vector.
-func Norm(a []float64) float64 {
-	s := 0.0
-	for _, v := range a {
-		s += v * v
+	sum := 0.0
+	for j, d := range devs {
+		switch {
+		case d == 0:
+			continue
+		case d > 0:
+			if hi[j] <= 0 {
+				return false
+			}
+			sum += d / hi[j]
+		default:
+			if lo[j] >= 0 {
+				return false
+			}
+			sum += d / lo[j] // both negative: positive ratio
+		}
 	}
-	return math.Sqrt(s)
-}
-
-// Sub returns a-b for dense vectors of equal length.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
+	return sum <= 1
 }

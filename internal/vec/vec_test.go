@@ -46,13 +46,12 @@ func TestSparseDenseRoundTrip(t *testing.T) {
 			}
 		}
 		s := FromDense(raw)
-		back := s.Dense(m)
 		for i := range raw {
-			if back[i] != raw[i] {
+			if s.Get(i) != raw[i] {
 				return false
 			}
 		}
-		return true
+		return s.MaxDim() < m
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -125,30 +124,23 @@ func TestScoreMatchesDenseDot(t *testing.T) {
 			t.Fatalf("Score = %v, dense dot = %v", got, want)
 		}
 		proj := q.Project(s)
-		nz := 0
 		for i, d := range q.Dims {
 			if proj[i] != dense[d] {
 				t.Fatalf("Project[%d] = %v, want %v", i, proj[i], dense[d])
 			}
-			if proj[i] != 0 {
-				nz++
-			}
-		}
-		if got := q.NonZeroQueryDims(s); got != nz {
-			t.Fatalf("NonZeroQueryDims = %d, want %d", got, nz)
 		}
 	}
 }
 
 func TestQueryAdjustClamps(t *testing.T) {
 	q := MustQuery([]int{0, 1}, []float64{0.8, 0.5})
-	if got := q.Adjust(0, 0.5).Weight(0); got != 1 {
+	if got := q.Adjust(0, 0.5).Weights[0]; got != 1 {
 		t.Errorf("Adjust above 1: weight = %v, want 1", got)
 	}
-	if got := q.Adjust(1, -0.7).Weight(1); got != 0 {
+	if got := q.Adjust(1, -0.7).Weights[1]; got != 0 {
 		t.Errorf("Adjust below 0: weight = %v, want 0", got)
 	}
-	if got := q.Adjust(0, -0.3).Weight(0); math.Abs(got-0.5) > 1e-15 {
+	if got := q.Adjust(0, -0.3).Weights[0]; math.Abs(got-0.5) > 1e-15 {
 		t.Errorf("Adjust(-0.3) = %v, want 0.5", got)
 	}
 	// Original must be untouched.
@@ -159,7 +151,7 @@ func TestQueryAdjustClamps(t *testing.T) {
 
 func TestQueryWeightPos(t *testing.T) {
 	q := MustQuery([]int{2, 9}, []float64{0.4, 0.6})
-	if q.Weight(2) != 0.4 || q.Weight(9) != 0.6 || q.Weight(5) != 0 {
+	if q.Weights[q.Pos(2)] != 0.4 || q.Weights[q.Pos(9)] != 0.6 {
 		t.Errorf("Weight lookups wrong")
 	}
 	if q.Pos(2) != 0 || q.Pos(9) != 1 || q.Pos(5) != -1 {
@@ -167,13 +159,102 @@ func TestQueryWeightPos(t *testing.T) {
 	}
 }
 
-func TestNormSub(t *testing.T) {
-	a := []float64{3, 4}
-	if Norm(a) != 5 {
-		t.Errorf("Norm = %v, want 5", Norm(a))
+// TestDotMatchesSparseScore pins the identity the TA hot loop relies on:
+// scoring via the dense projection (Dot over proj) is bit-identical to
+// the sparse merge Score, because the unmatched dimensions contribute
+// exact +0.0 terms to a non-negative running sum — and both add their
+// terms in ascending dimension order.
+func TestDotMatchesSparseScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for trial := 0; trial < 500; trial++ {
+		m := 2 + rng.Intn(40)
+		var entries []Entry
+		for d := 0; d < m; d++ {
+			if rng.Float64() < 0.5 {
+				entries = append(entries, Entry{Dim: d, Val: rng.Float64() + 1e-9})
+			}
+		}
+		sp, err := NewSparse(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qlen := 1 + rng.Intn(m)
+		dims := rng.Perm(m)[:qlen]
+		weights := make([]float64, qlen)
+		for i := range weights {
+			weights[i] = rng.Float64() // includes near-0; 0 itself is engine-legal
+		}
+		if rng.Intn(4) == 0 {
+			weights[rng.Intn(qlen)] = 0
+		}
+		type qt struct {
+			d int
+			w float64
+		}
+		q := Query{Dims: make([]int, qlen), Weights: make([]float64, qlen)}
+		pairs := make([]qt, qlen)
+		for i := range dims {
+			pairs[i] = qt{dims[i], weights[i]}
+		}
+		for i := range pairs {
+			for j := i + 1; j < len(pairs); j++ {
+				if pairs[j].d < pairs[i].d {
+					pairs[i], pairs[j] = pairs[j], pairs[i]
+				}
+			}
+		}
+		for i, p := range pairs {
+			q.Dims[i], q.Weights[i] = p.d, p.w
+		}
+		proj := q.Project(sp)
+		merge := q.Score(sp)
+		dense := Dot(q.Weights, proj)
+		if math.Float64bits(merge) != math.Float64bits(dense) {
+			t.Fatalf("score mismatch: merge %v (%x) dense %v (%x) q=%v t=%v",
+				merge, math.Float64bits(merge), dense, math.Float64bits(dense), q, sp)
+		}
 	}
-	d := Sub([]float64{5, 7}, []float64{2, 3})
-	if d[0] != 3 || d[1] != 4 {
-		t.Errorf("Sub = %v", d)
+}
+
+func TestKernelAPIPanics(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic on length mismatch", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
+	mustPanic("DotBatch", func() { DotBatch([]float64{1, 2, 3}, []float64{1, 2}, make([]float64, 2)) })
+	mustPanic("GapMax", func() { GapMax([]float64{1}, []float64{1}, []float64{1}, []float64{1, 2}, []float64{1, 2}) })
+	mustPanic("CrossSafe", func() { CrossSafe([]float64{1}, []float64{1, 2}, []float64{1, 2}) })
+}
+
+// TestCrossSafe: the closed cross-polytope test on its boundary cases —
+// a deviation reaching one extent exactly is safe and one ulp past it is
+// not, per-axis shares add up, a zero extent blocks its direction
+// whatever the other axes allow, and zero components never count.
+func TestCrossSafe(t *testing.T) {
+	lo, hi := []float64{-0.2, -0.1, 0}, []float64{0.1, 0.3, 0}
+	for _, c := range []struct {
+		name string
+		devs []float64
+		want bool
+	}{
+		{"zero vector", []float64{0, 0, 0}, true},
+		{"on the positive extent", []float64{0.1, 0, 0}, true},
+		{"on the negative extent", []float64{0, -0.1, 0}, true},
+		{"one ulp past the extent", []float64{math.Nextafter(0.1, 1), 0, 0}, false},
+		{"one ulp past the negative extent", []float64{0, math.Nextafter(-0.1, -1), 0}, false},
+		{"half and half", []float64{0.05, 0.15, 0}, true},
+		{"half and half, mixed signs", []float64{-0.1, 0.15, 0}, true},
+		{"0.9 + 0.9 of the extents", []float64{0.09, 0.27, 0}, false},
+		{"into a zero positive extent", []float64{0, 0, 1e-12}, false},
+		{"into a zero negative extent", []float64{0, 0, -1e-12}, false},
+	} {
+		if got := CrossSafe(lo, hi, c.devs); got != c.want {
+			t.Errorf("%s: CrossSafe(%v) = %v, want %v", c.name, c.devs, got, c.want)
+		}
 	}
 }

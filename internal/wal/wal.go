@@ -374,17 +374,6 @@ func (w *Writer) rollback(cause error) error {
 	return cause
 }
 
-// Sync forces an fsync regardless of policy.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	w.syncs.Add(1)
-	return nil
-}
-
 // Truncate discards every logged record — the checkpoint has folded
 // them into the dataset files — while keeping the sequence counter
 // monotonic. The truncation is fsynced before returning.
