@@ -146,7 +146,7 @@ test-failover:
 # propagation suites.
 test-obs:
 	$(GO) test -race ./internal/obs/...
-	$(GO) test -race -run 'TestProxy|TestStatsBuild|TestMetrics|TestRequestID|TestSlowlog|TestObservability' ./internal/server/ ./internal/client/
+	$(GO) test -race -run 'TestProxy|TestStatsBuild|TestMetrics|TestRequestID|TestSlowlog' ./internal/server/ ./internal/client/
 
 # Sharding focus: the scatter-gather coordinator suite — bit-identity
 # to a single node across shard counts 1/2/4/8 with mutations, the

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // Metered enforces the per-query I/O metering contract: every index
@@ -20,12 +21,13 @@ import (
 //   - (*storage.Pager).ReadRange and .Slice sit below the logical
 //     meter entirely and are storage-internal;
 //   - in internal/engine and internal/shard, a TA constructor
-//     (topk.New / NewMulti / NewNRA) must receive an index derived
-//     from Engine.queryIndex() or a .WithStats(...) view, never a raw
-//     index. The shard coordinator merges per-shard metrics into the
-//     distributed answer's cost report, so a coordinator-side read
-//     outside a child meter would silently undercount exactly like an
-//     engine-side one.
+//     (topk.New / NewMulti / NewNRA) must receive the index the
+//     engine's funnel (Engine.run) hands the …Locked function it is
+//     called from — that function's own parameter — or a
+//     .WithStats(...) view, never a raw index. The shard coordinator
+//     merges per-shard metrics into the distributed answer's cost
+//     report, so a coordinator-side read outside a child meter would
+//     silently undercount exactly like an engine-side one.
 var Metered = &Analyzer{
 	Name: "metered",
 	Doc:  "index reads in core/topk/engine/shard must flow through an IOStats child meter",
@@ -63,10 +65,18 @@ func runMetered(pass *Pass) error {
 }
 
 func meteredFunc(pass *Pass, fn *ast.FuncDecl, checkTA bool) {
-	// Locals assigned from queryIndex()/.WithStats(...) are metered
-	// views; collected first so later uses anywhere in the body count
+	// The parameters of a …Locked function are what the funnel handed
+	// it, and locals assigned from .WithStats(...) are metered views;
+	// collected first so later uses anywhere in the body count
 	// (assignment order is checked by the compiler, not us).
 	meteredVars := map[types.Object]bool{}
+	if strings.HasSuffix(fn.Name.Name, "Locked") {
+		for _, field := range fn.Type.Params.List {
+			for _, name := range field.Names {
+				meteredVars[pass.TypesInfo.Defs[name]] = true
+			}
+		}
+	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok || len(assign.Lhs) != len(assign.Rhs) {
@@ -102,7 +112,7 @@ func meteredFunc(pass *Pass, fn *ast.FuncDecl, checkTA bool) {
 			if obj := calleeObject(pass, call); obj != nil && obj.Pkg() != nil &&
 				pathIs(obj.Pkg(), "internal/topk") && taConstructors[obj.Name()] && len(call.Args) > 0 {
 				if !isMeteredIndexExpr(pass, call.Args[0], meteredVars) {
-					pass.Reportf(call.Args[0].Pos(), "topk.%s over an unmetered index: pass e.queryIndex() (or a .WithStats child-meter view) so the query's I/O is metered in isolation", obj.Name())
+					pass.Reportf(call.Args[0].Pos(), "topk.%s over an unmetered index: pass the index Engine.run hands a …Locked function (or a .WithStats child-meter view) so the query's I/O is metered in isolation", obj.Name())
 				}
 			}
 		}
@@ -134,16 +144,13 @@ func storageMethodCall(pass *Pass, call *ast.CallExpr) (recv, method string, ok 
 }
 
 // isMeteredIndexExpr reports whether e evidently carries a per-query
-// meter: a direct queryIndex()/.WithStats(...) call, or a local
-// variable previously assigned from one.
+// meter: a direct .WithStats(...) call, or a variable known to hold a
+// metered view.
 func isMeteredIndexExpr(pass *Pass, e ast.Expr, meteredVars map[types.Object]bool) bool {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
-		switch fun := e.Fun.(type) {
-		case *ast.SelectorExpr:
-			return fun.Sel.Name == "queryIndex" || fun.Sel.Name == "WithStats"
-		case *ast.Ident:
-			return fun.Name == "queryIndex" || fun.Name == "WithStats"
+		if fun, ok := e.Fun.(*ast.SelectorExpr); ok {
+			return fun.Sel.Name == "WithStats"
 		}
 	case *ast.Ident:
 		if meteredVars == nil {

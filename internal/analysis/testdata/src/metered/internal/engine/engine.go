@@ -1,5 +1,6 @@
 // Fixture for the metered analyzer's engine-side rules: TA
-// constructors must receive a queryIndex()/WithStats view.
+// constructors must receive the index the funnel hands a …Locked
+// function, or a WithStats view.
 package engine
 
 import (
@@ -12,17 +13,27 @@ type Engine struct {
 	st *storage.IOStats
 }
 
-func (e *Engine) queryIndex() topk.Index { return e.ix }
+func (e *Engine) WithStats(st *storage.IOStats) topk.Index { return e.ix }
 
 func (e *Engine) bad(tf *storage.TupleFile, k int) {
 	_ = tf.Get(7)         // want `charges the file-wide meter`
 	_ = topk.New(e.ix, k) // want `unmetered index`
 }
 
+// A parameter is the funnel's only in a …Locked function.
+func (e *Engine) helper(ix topk.Index, k int) {
+	_ = topk.New(ix, k) // want `unmetered index`
+}
+
+func (e *Engine) unitLocked(ix topk.Index, k int) {
+	_ = topk.New(ix, k)
+	_ = topk.New(e.ix, k) // want `unmetered index`
+}
+
 func (e *Engine) good(tf *storage.TupleFile, k int) {
 	_ = tf.GetWith(7, e.st.Child())
-	_ = topk.New(e.queryIndex(), k)
-	ix := e.queryIndex()
+	_ = topk.New(e.WithStats(e.st.Child()), k)
+	ix := e.WithStats(e.st.Child())
 	_ = topk.NewMulti(ix, k)
 }
 

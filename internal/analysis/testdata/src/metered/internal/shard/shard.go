@@ -15,7 +15,7 @@ type Coordinator struct {
 	st *storage.IOStats
 }
 
-func (c *Coordinator) queryIndex() topk.Index { return c.ix }
+func (c *Coordinator) WithStats(st *storage.IOStats) topk.Index { return c.ix }
 
 func (c *Coordinator) bad(tf *storage.TupleFile, lf *storage.ListFile, k int) {
 	_ = tf.Get(3)         // want `charges the file-wide meter`
@@ -26,7 +26,7 @@ func (c *Coordinator) bad(tf *storage.TupleFile, lf *storage.ListFile, k int) {
 func (c *Coordinator) good(tf *storage.TupleFile, lf *storage.ListFile, k int) {
 	_ = tf.GetWith(3, c.st.Child())
 	_ = lf.CursorWith(0, c.st.Child())
-	_ = topk.New(c.queryIndex(), k)
-	ix := c.queryIndex()
+	_ = topk.New(c.WithStats(c.st.Child()), k)
+	ix := c.WithStats(c.st.Child())
 	_ = topk.NewNRA(ix, k)
 }

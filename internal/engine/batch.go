@@ -1,28 +1,20 @@
-// Batch execution: AnalyzeBatch and TopKBatch answer a slice of
-// requests by fanning work over the engine's worker pool. The paper's
-// §1 refinement scenario at fleet scale produces heavily repeated
-// weight vectors — many clients exploring the same rankings — so the
-// batch path is cache-aware twice over: identical requests within one
-// batch are de-duplicated before any work is scheduled (computed once,
-// shared as SourceDeduped), and each distinct request still goes
-// through the cache lookup, so repeats across batches are served at
-// cache speed too.
-//
-// Requests that share a subspace (identical dimension set) and k are
-// additionally FUSED: the group runs one shared TA scan (topk.Multi)
-// that pays the sorted accesses, the random-access tuple fetches and
-// the projections once, scoring every member's weight vector per
-// encountered tuple through vec.DotBatch. Each member's
-// answer is exactly what its solo execution would produce; for Analyze
-// requests, region computation proceeds per member on an isolated view
-// of the shared scan (core.ComputeView).
+// Batch execution: AnalyzeBatch and TopKBatch are de-duplication,
+// grouping and fan-out around the one read pipeline of engine.go. The
+// paper's §1 refinement scenario at fleet scale produces heavily
+// repeated weight vectors — many clients exploring the same rankings —
+// so identical analysis requests within one batch are de-duplicated
+// before anything else (answered once, shared as SourceDeduped); every
+// distinct request is then probed exactly as a single one is, so
+// repeats across batches are served at cache speed too; and what the
+// probe leaves is grouped into units by subspace (identical dimension
+// set) and k, one fused scan each, the units running concurrently.
 package engine
 
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -45,17 +37,15 @@ type BatchResult struct {
 	Err      error
 }
 
-// itemKey is the full identity of a request: subspace+k, options
-// signature and the exact weight bits.
+// itemKey is the identity under which requests of one batch share an
+// answer: what the cache would match them on — subspace+k, the options
+// that select the output (sig), the exact weight bits.
 func itemKey(it BatchItem) string {
 	buf := []byte(keyOf(it.Q, it.K))
 	buf = binary.AppendVarint(buf, int64(it.Opts.Phi))
 	var flags int64
 	if it.Opts.CompositionOnly {
 		flags |= 1
-	}
-	if it.Opts.NoCache {
-		flags |= 2
 	}
 	buf = binary.AppendVarint(buf, flags)
 	for _, w := range it.Q.Weights {
@@ -64,200 +54,98 @@ func itemKey(it BatchItem) string {
 	return string(buf)
 }
 
-// cell is one distinct request of a batch: the first occurrence
-// computes, dups alias its answer.
-type cell struct {
-	item  BatchItem
-	first int   // index of the computing occurrence
-	dups  []int // indexes sharing the answer
+// runBatch takes a batch's jobs through the pipeline, the same way for
+// either kind: probe each, group what that left unanswered into units
+// by subspace and k (in order of first appearance), and execute the
+// units concurrently, up to the worker-pool capacity (a CPU-shaped
+// default when the pool is unlimited). It returns when every job has its
+// answer. jobs must not be appended to afterwards: units point into it.
+func runBatch[J any](e *Engine, jobs []J, probe func(*J) bool, key func(*J) bucketKey, execute func(unit []*J)) {
+	var units [][]*J
+	groups := make(map[bucketKey]int, len(jobs))
+	for i := range jobs {
+		j := &jobs[i]
+		if probe(j) {
+			continue
+		}
+		gk := key(j)
+		u, ok := groups[gk]
+		if !ok {
+			u = len(units)
+			groups[gk] = u
+			units = append(units, nil)
+		}
+		units[u] = append(units[u], j)
+	}
+	workers := 4 * runtime.GOMAXPROCS(0)
+	if e.sem != nil {
+		workers = cap(e.sem)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(units)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(units); i = int(next.Add(1)) - 1 {
+				execute(units[i])
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // AnalyzeBatch answers every item and returns results aligned with the
 // input slice. Distinct queries run concurrently, up to the engine's
 // worker-pool width; duplicates of an item share its answer, and items
-// sharing a subspace and k share one fused scan. ctx cancels the whole
-// batch: items not yet finished report the context's error.
+// sharing a subspace and k share one fused scan. A NoCache item asked
+// for a computation of its own and is never anyone's duplicate. ctx
+// cancels the whole batch: items not yet finished report the context's
+// error.
 func (e *Engine) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]BatchResult, len(items))
-
-	// De-duplicate: the first occurrence of each identity computes, the
-	// rest alias it.
-	order := make([]*cell, 0, len(items))
-	byKey := make(map[string]*cell, len(items))
 	mQueries.Add("analyze", int64(len(items)))
+
+	// De-duplicate: the first occurrence of each identity becomes a job,
+	// the rest alias it. jobs never grows past its capacity, so pointers
+	// into it stay valid.
+	jobs := make([]analysisJob, 0, len(items))
+	owner := make([]int, len(items)) // items[i] is answered by jobs[owner[i]]
+	byKey := make(map[string]int, len(items))
 	for i, it := range items {
-		k := itemKey(it)
-		if c, ok := byKey[k]; ok {
-			c.dups = append(c.dups, i)
-			continue
-		}
-		c := &cell{item: it, first: i}
-		byKey[k] = c
-		order = append(order, c)
-	}
-
-	// Fusion grouping: validated cells sharing (Dims, k) form one unit
-	// answered by a single shared scan. Invalid cells fail in place and
-	// never join a group.
-	units := make([][]*cell, 0, len(order))
-	groups := make(map[bucketKey]int, len(order))
-	for _, c := range order {
-		if err := e.validate(c.item.Q, c.item.K, c.item.Opts.Phi); err != nil {
-			results[c.first] = BatchResult{Err: err}
-			continue
-		}
-		gk := keyOf(c.item.Q, c.item.K)
-		if u, ok := groups[gk]; ok {
-			units[u] = append(units[u], c)
-			continue
-		}
-		groups[gk] = len(units)
-		units = append(units, []*cell{c})
-	}
-
-	workers := e.workers()
-	if workers > len(units) {
-		workers = len(units)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(units) {
-					return
-				}
-				e.analyzeUnit(ctx, units[i], results)
-			}
-		}()
-	}
-	wg.Wait()
-
-	for _, c := range order {
-		r := results[c.first]
-		for _, i := range c.dups {
-			if r.Err != nil {
-				results[i] = r
+		if !it.Opts.NoCache {
+			key := itemKey(it)
+			if j, ok := byKey[key]; ok {
+				owner[i] = j
 				continue
 			}
-			// Share the answer but zero the metrics, matching cache hits:
-			// summing per-item I/O over a batch must not double-count the
-			// one computation.
-			dedup := &core.Output{
-				Query:   r.Analysis.Query,
-				K:       r.Analysis.K,
-				Result:  r.Analysis.Result,
-				Regions: r.Analysis.Regions,
-			}
-			results[i] = BatchResult{Analysis: &Analysis{Output: dedup, Source: SourceDeduped}}
+			byKey[key] = len(jobs)
 		}
+		owner[i] = len(jobs)
+		jobs = append(jobs, analysisJob{BatchItem: it, first: i})
+	}
+
+	runBatch(e, jobs, e.probeAnalyze,
+		func(j *analysisJob) bucketKey { return keyOf(j.Q, j.K) },
+		func(unit []*analysisJob) { e.executeAnalyze(ctx, unit) })
+
+	results := make([]BatchResult, len(items))
+	for i := range items {
+		j := &jobs[owner[i]]
+		if j.first == i || j.res.Err != nil {
+			results[i] = j.res
+			continue
+		}
+		// Share the answer but zero the metrics, matching cache hits:
+		// summing per-item I/O over a batch must not double-count the
+		// one computation.
+		a := j.res.Analysis
+		dedup := &core.Output{Query: a.Query, K: a.K, Result: a.Result, Regions: a.Regions}
+		results[i] = BatchResult{Analysis: &Analysis{Output: dedup, Source: SourceDeduped}}
 	}
 	return results
-}
-
-// analyzeUnit answers one fusion group. Cells served by the cache drop
-// out first; a single survivor runs the plain pipeline, several share a
-// fused scan.
-func (e *Engine) analyzeUnit(ctx context.Context, cells []*cell, results []BatchResult) {
-	pending := make([]*cell, 0, len(cells))
-	for _, c := range cells {
-		useCache := e.cache != nil && !c.item.Opts.NoCache
-		if useCache {
-			if out, ok := e.cache.lookupAnalyze(c.item.Q, c.item.K, c.item.Opts.Options); ok {
-				results[c.first] = BatchResult{Analysis: &Analysis{Output: out, Source: SourceCache}}
-				continue
-			}
-		} else if e.cache != nil {
-			e.cache.bypass()
-		}
-		pending = append(pending, c)
-	}
-	if len(pending) == 0 {
-		return
-	}
-
-	fail := func(err error) {
-		for _, c := range pending {
-			if results[c.first].Analysis == nil && results[c.first].Err == nil {
-				results[c.first] = BatchResult{Err: err}
-			}
-		}
-	}
-	// One worker slot covers the whole group: the shared scan is one
-	// query execution's worth of scan state.
-	release, err := e.acquire(ctx)
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer release()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-
-	if len(pending) == 1 {
-		c := pending[0]
-		out, err := e.compute(ctx, c.item.Q, c.item.K, c.item.Opts)
-		if err != nil {
-			results[c.first] = BatchResult{Err: err}
-			return
-		}
-		results[c.first] = BatchResult{Analysis: e.admitLocked(c.item, out)}
-		return
-	}
-
-	queries := make([]vec.Query, len(pending))
-	for i, c := range pending {
-		queries[i] = c.item.Q
-	}
-	qix := e.queryIndex()
-	defer qix.Stats().Flush()
-	multi := topk.NewMulti(qix, queries, pending[0].item.K, topk.BestList)
-	defer multi.Release() // every member Output below is detached by core
-	seq0, rnd0, _ := qix.Stats().Snapshot()
-	if err := multi.RunContext(ctx); err != nil {
-		fail(fmt.Errorf("engine: query canceled: %w", err))
-		return
-	}
-	seqScan, rndScan, _ := qix.Stats().Snapshot()
-	seqScan -= seq0
-	rndScan -= rnd0
-	for i, c := range pending {
-		copts := c.item.Opts.Options
-		if copts.Parallelism == 0 {
-			copts.Parallelism = e.cfg.Parallelism
-		}
-		member := multi.Member(i)
-		out, err := core.ComputeView(ctx, member, copts)
-		member.Release()
-		if err != nil {
-			results[c.first] = BatchResult{Err: err}
-			continue
-		}
-		// Each member reports the shared scan's I/O on top of its own
-		// region-phase charges, mirroring the solo path where every
-		// analysis pays its own scan. The engine-wide meter counted the
-		// scan once, as it should.
-		out.Metrics.SeqPages += seqScan
-		out.Metrics.RandReads += rndScan
-		observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, multi.SortedAccesses())
-		results[c.first] = BatchResult{Analysis: e.admitLocked(c.item, out)}
-	}
-}
-
-// admitLocked finishes a computed analysis under the read lock the
-// caller already holds: cache admission when eligible, source tagging.
-func (e *Engine) admitLocked(it BatchItem, out *core.Output) *Analysis {
-	if e.cache != nil && !it.Opts.NoCache {
-		e.cache.admit(it.Q, it.K, it.Opts.Options, out)
-		return &Analysis{Output: out, Source: SourceComputed}
-	}
-	return &Analysis{Output: out, Source: SourceBypass}
 }
 
 // TopKItem is one ranked-query request of a TopKBatch.
@@ -284,96 +172,18 @@ func (e *Engine) TopKBatch(ctx context.Context, items []TopKItem) []TopKResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	results := make([]TopKResult, len(items))
-	var order [][]int
-	groups := make(map[bucketKey]int, len(items))
 	mQueries.Add("topk", int64(len(items)))
+	jobs := make([]topkJob, len(items))
 	for i, it := range items {
-		if err := e.validate(it.Q, it.K, 0); err != nil {
-			results[i].Err = err
-			continue
-		}
-		if e.cache != nil {
-			if res, ok := e.cache.lookupTopK(it.Q, it.K); ok {
-				results[i] = TopKResult{Result: res, Source: SourceCacheRegion}
-				continue
-			}
-		}
-		gk := keyOf(it.Q, it.K)
-		if u, ok := groups[gk]; ok {
-			order[u] = append(order[u], i)
-			continue
-		}
-		groups[gk] = len(order)
-		order = append(order, []int{i})
+		jobs[i].TopKItem = it
 	}
+	runBatch(e, jobs, e.probeTopK,
+		func(j *topkJob) bucketKey { return keyOf(j.Q, j.K) },
+		func(unit []*topkJob) { e.executeTopK(ctx, unit) })
 
-	workers := e.workers()
-	if workers > len(order) {
-		workers = len(order)
+	results := make([]TopKResult, len(items))
+	for i := range jobs {
+		results[i] = TopKResult{Result: jobs[i].res, Source: jobs[i].info.Source, Err: jobs[i].err}
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(order) {
-					return
-				}
-				e.topkGroup(ctx, order[i], items, results)
-			}
-		}()
-	}
-	wg.Wait()
 	return results
-}
-
-// topkGroup runs one subspace+k group under a single worker slot.
-func (e *Engine) topkGroup(ctx context.Context, idx []int, items []TopKItem, results []TopKResult) {
-	fail := func(err error) {
-		for _, i := range idx {
-			results[i].Err = err
-		}
-	}
-	release, err := e.acquire(ctx)
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer release()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if len(idx) == 1 {
-		i := idx[0]
-		ix := e.queryIndex()
-		defer ix.Stats().Flush()
-		ta := topk.New(ix, items[i].Q, items[i].K, topk.BestList)
-		defer ta.Release()
-		if err := ta.RunContext(ctx); err != nil {
-			results[i].Err = fmt.Errorf("engine: query canceled: %w", err)
-			return
-		}
-		mSortedAccesses.Observe(float64(ta.SortedAccesses()))
-		results[i] = TopKResult{Result: ta.Result(), Source: SourceComputed}
-		return
-	}
-	queries := make([]vec.Query, len(idx))
-	for j, i := range idx {
-		queries[j] = items[i].Q
-	}
-	ix := e.queryIndex()
-	defer ix.Stats().Flush()
-	multi := topk.NewMulti(ix, queries, items[idx[0]].K, topk.BestList)
-	defer multi.Release()
-	if err := multi.RunContext(ctx); err != nil {
-		fail(fmt.Errorf("engine: query canceled: %w", err))
-		return
-	}
-	for j, i := range idx {
-		mSortedAccesses.Observe(float64(multi.SortedAccesses()))
-		results[i] = TopKResult{Result: multi.Result(j), Source: SourceComputed}
-	}
 }

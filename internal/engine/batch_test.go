@@ -4,11 +4,15 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixture"
+	"repro/internal/lists"
 	"repro/internal/vec"
 )
 
@@ -27,7 +31,8 @@ func TestBatchDedupAndCache(t *testing.T) {
 		{Q: q, K: k, Opts: opts},     // duplicate of 0
 		{Q: other, K: k, Opts: opts}, // computes
 		{Q: q, K: 0, Opts: opts},     // invalid
-		{Q: q, K: k, Opts: Options{Options: opts.Options, NoCache: true}}, // distinct identity
+		{Q: q, K: k, Opts: Options{Options: opts.Options, NoCache: true}},                                  // distinct identity
+		{Q: q, K: k, Opts: Options{Options: core.Options{Method: core.MethodScan, Phi: 1}, NoCache: true}}, // its own computation too
 	}
 	res := eng.AnalyzeBatch(context.Background(), items)
 	if len(res) != len(items) {
@@ -58,6 +63,11 @@ func TestBatchDedupAndCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res[0].Analysis.Regions, res[4].Analysis.Regions) {
 		t.Fatal("bypass and cached-path answers diverge")
+	}
+	// no_cache exists to compare the methods' metering: the same query
+	// under another method is computed and metered, not shared.
+	if res[5].Err != nil || res[5].Analysis.Source != SourceBypass || res[5].Analysis.Metrics.Evaluated == 0 {
+		t.Fatalf("item 5: %+v, want a metered bypass", res[5])
 	}
 
 	// Second round: repeats are cache hits, zero index I/O.
@@ -106,6 +116,62 @@ func TestBatchMatchesSingles(t *testing.T) {
 			t.Fatalf("item %d diverges from single-query execution", i)
 		}
 	}
+
+	// A batch of one IS the single query: the same answer, source and
+	// counters (durations aside) and the same I/O on the engine-wide
+	// meter, round after round — a miss and then an exact hit with the
+	// cache on, two computations with it off — in memory and over the
+	// dataset files, which make test-fallback opens pread-backed.
+	for _, cacheEntries := range []int{0, -1} {
+		for name, pair := range enginePairs(t, cs, Config{CacheEntries: cacheEntries}) {
+			for round := 0; round < 2; round++ {
+				for i, it := range items {
+					want, err := pair[0].Analyze(context.Background(), it.Q, it.K, it.Opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := pair[1].AnalyzeBatch(context.Background(), []BatchItem{it})[0]
+					if got.Err != nil {
+						t.Fatal(got.Err)
+					}
+					for _, a := range []*Analysis{want, got.Analysis} {
+						a.Metrics.Phase1, a.Metrics.Phase2, a.Metrics.Phase3, a.Timings = 0, 0, 0, Timings{}
+					}
+					if !reflect.DeepEqual(got.Analysis, want) {
+						t.Fatalf("%s, cache %d, round %d, item %d: batch of one %+v (%+v), single %+v (%+v)",
+							name, cacheEntries, round, i, got.Analysis, got.Analysis.Output, want, want.Output)
+					}
+					if a, b := pair[0].Stats().String(), pair[1].Stats().String(); a != b {
+						t.Fatalf("%s, cache %d, round %d, item %d: single moved the totals to %s, batch of one to %s", name, cacheEntries, round, i, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// enginePairs builds two engines over each of the case's two forms, in
+// memory and on disk under a write overlay, for comparing one call path
+// with another on identical, separately metered data.
+func enginePairs(t *testing.T, cs fixture.Case, cfg Config) map[string][2]*Engine {
+	t.Helper()
+	dir := t.TempDir()
+	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
+	if err := lists.SaveDataset(tp, lp, cs.Tuples, cs.M); err != nil {
+		t.Fatal(err)
+	}
+	pairs := map[string][2]*Engine{"mem": {memEngine(cs.Tuples, cs.M, cfg), memEngine(cs.Tuples, cs.M, cfg)}}
+	var disk [2]*Engine
+	for i := range disk {
+		eng, err := Open(tp, lp, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.Close() })
+		disk[i] = eng
+	}
+	pairs["disk"] = disk
+	return pairs
 }
 
 // TestTopKBatch covers the fused ranked-query path: a shared-subspace
@@ -157,6 +223,31 @@ func TestTopKBatch(t *testing.T) {
 		t.Fatalf("invalid item err=%v, want ErrInvalid", res[5].Err)
 	}
 
+	// A batch of one IS the single query, with the cache on (a miss,
+	// then a region hit once an analysis has primed it) and off.
+	for _, cacheEntries := range []int{0, -1} {
+		for name, pair := range enginePairs(t, cs, Config{CacheEntries: cacheEntries}) {
+			for round := 0; round < 2; round++ {
+				for i, it := range items[:5] {
+					want, info, err := pair[0].TopKMetered(context.Background(), it.Q, it.K)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := pair[1].TopKBatch(context.Background(), []TopKItem{it})[0]
+					if !reflect.DeepEqual(got, TopKResult{Result: want, Source: info.Source}) {
+						t.Fatalf("%s, cache %d, round %d, item %d: batch of one %+v, single %+v (%v)", name, cacheEntries, round, i, got, want, info.Source)
+					}
+					if a, b := pair[0].Stats().String(), pair[1].Stats().String(); a != b {
+						t.Fatalf("%s, cache %d, round %d, item %d: single moved the totals to %s, batch of one to %s", name, cacheEntries, round, i, a, b)
+					}
+				}
+				for _, eng := range pair {
+					analyzeMust(t, eng, items[0].Q, items[0].K, Options{})
+				}
+			}
+		}
+	}
+
 	// Prime the cache with an analysis at item 0's exact weights: the
 	// repeat batch serves it by region containment without touching the
 	// index, while the rest recompute.
@@ -173,8 +264,10 @@ func TestTopKBatch(t *testing.T) {
 	}
 }
 
-// TestBatchCanceled: a pre-canceled context fails every item with the
-// context's error rather than hanging or computing.
+// TestBatchCanceled: a canceled context fails every item with the
+// context's error rather than hanging or computing — and fails a query
+// the same way, down to the wrapping, whether it was sent alone or as a
+// batch of one, canceled in the queue or in the middle of its scan.
 func TestBatchCanceled(t *testing.T) {
 	tuples, q, k := fixture.RunningExample()
 	eng := memEngine(tuples, 2, Config{CacheEntries: -1})
@@ -184,6 +277,58 @@ func TestBatchCanceled(t *testing.T) {
 	for i, r := range res {
 		if r.Err == nil {
 			t.Fatalf("item %d completed under canceled context", i)
+		}
+	}
+
+	cs := fixture.RandCase(rand.New(rand.NewSource(7004)), 3000, 8, 4, 10)
+	opts := Options{Options: core.Options{Method: core.MethodScan, Phi: 2}}
+	for _, row := range []struct {
+		name  string
+		setup func() (*Engine, context.Context)
+	}{
+		{"queued", func() (*Engine, context.Context) {
+			eng := memEngine(cs.Tuples, cs.M, Config{CacheEntries: -1, MaxConcurrent: 1})
+			eng.sem <- struct{}{} // the one slot is taken
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return eng, ctx
+		}},
+		{"mid-scan", func() (*Engine, context.Context) {
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			var left atomic.Int64
+			left.Store(1) // canceled by the first random access
+			ix := &cancelIndex{Index: lists.NewMemIndex(cs.Tuples, cs.M), cancel: cancel, left: &left}
+			return New(ix, Config{CacheEntries: -1}), ctx
+		}},
+	} {
+		for kind, forms := range map[string][2]func(*Engine, context.Context) error{
+			"analyze": {
+				func(eng *Engine, ctx context.Context) error {
+					_, err := eng.Analyze(ctx, cs.Q, cs.K, opts)
+					return err
+				},
+				func(eng *Engine, ctx context.Context) error {
+					return eng.AnalyzeBatch(ctx, []BatchItem{{Q: cs.Q, K: cs.K, Opts: opts}})[0].Err
+				},
+			},
+			"topk": {
+				func(eng *Engine, ctx context.Context) error {
+					_, _, err := eng.TopKMetered(ctx, cs.Q, cs.K)
+					return err
+				},
+				func(eng *Engine, ctx context.Context) error {
+					return eng.TopKBatch(ctx, []TopKItem{{Q: cs.Q, K: cs.K}})[0].Err
+				},
+			},
+		} {
+			single, batch := forms[0](row.setup()), forms[1](row.setup())
+			if !errors.Is(single, context.Canceled) || !errors.Is(batch, context.Canceled) || single.Error() != batch.Error() {
+				t.Errorf("%s %s: alone %v, as a batch of one %v: want one wrapping of context.Canceled", row.name, kind, single, batch)
+			}
+			if row.name == "queued" && !strings.Contains(single.Error(), "while queued") {
+				t.Errorf("%s %s: %v did not fail in the queue", row.name, kind, single)
+			}
 		}
 	}
 }

@@ -2,23 +2,28 @@
 // point of the system — the public repro facade, the HTTP server, the
 // refinement sessions, the CLI tools and the experiment harness — goes
 // through an Engine instead of assembling the TA + region pipeline by
-// hand. The Engine owns the full plan → execute → analyze path:
+// hand. The read path is one pipeline, written once, in three pieces:
 //
-//   - query validation (k, dimension range, φ) with errors tagged
-//     ErrInvalid so transports can map them to client faults,
-//   - TA construction over a per-query child I/O meter, so each
-//     analysis is metered in isolation while the index-wide counters
-//     keep aggregating,
-//   - region computation (core.Compute) with the engine's default
-//     per-dimension parallelism,
-//   - context-aware admission (a bounded worker pool; queued requests
-//     abandon cleanly) and in-flight cancellation threaded down to the
-//     TA round loop,
-//   - the immutable-region answer cache (cache.go): completed analyses
-//     are certificates of result validity, so repeat and in-region
-//     queries are answered without touching the index,
-//   - batch execution (batch.go): AnalyzeBatch fans a slice of queries
-//     over the worker pool with cache-aware de-duplication.
+//   - the probe (probeAnalyze, probeTopK): query validation (k,
+//     dimension range, φ) with errors tagged ErrInvalid so transports
+//     can map them to client faults, then the immutable-region answer
+//     cache (cache.go): completed analyses are certificates of result
+//     validity, so repeat and in-region queries are answered without
+//     touching the index;
+//   - the unit (analyzeLocked, topkLocked): the requests over one
+//     subspace and k the probe left unanswered, sharing one scan, then
+//     region computation (core.ComputeView) with the engine's default
+//     per-dimension parallelism, and cache admission;
+//   - the funnel (run) a unit executes in: context-aware admission (a
+//     bounded worker pool; queued requests abandon cleanly), the read
+//     lock, and a per-query child I/O meter, so each execution is
+//     metered in isolation while the index-wide counters keep
+//     aggregating; cancellation is threaded down to the TA round loop.
+//
+// A single request is a unit of one, run inline; a batch (batch.go) is
+// de-duplication, grouping and fan-out over the worker pool around the
+// same probe and unit, so a batch item cannot behave differently from
+// the same query sent alone.
 //
 // The Engine is safe for any number of concurrent callers: per-query
 // state is private, the cache is internally synchronized, and
@@ -340,7 +345,9 @@ func (s Source) String() string {
 // Analysis is one answered analysis. The embedded Output is shared with
 // the cache on hits and must be treated as read-only; on cache hits its
 // Metrics are zero (no work was done). Timings is the engine envelope
-// around the computation (zero for batch-deduped items).
+// around the computation, for a batch item as for a single query (only
+// an item answered as another's duplicate went through no envelope of
+// its own).
 type Analysis struct {
 	*core.Output
 	Source  Source
@@ -409,22 +416,137 @@ func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// workers returns the batch fan-out width: the worker-pool capacity, or
-// a CPU-shaped default when the pool is unlimited.
-func (e *Engine) workers() int {
-	if e.sem != nil {
-		return cap(e.sem)
+// run is the funnel: whatever reads the index on behalf of a request
+// does it in here. fn runs holding one worker slot and the read side of
+// mu, over a view of the index charging a fresh meter, which passes its
+// totals on to the index-wide counters once, when fn returns: the
+// execution is metered in isolation, at one addition per counter instead
+// of one per access. queued is how long the slot and the lock took to
+// get. locksafe checks what runs under the lock only in functions named
+// …Locked, so fn is a literal that does nothing but call one.
+func (e *Engine) run(ctx context.Context, fn func(ix lists.Index, queued time.Duration) error) error {
+	t0 := time.Now()
+	release, err := e.acquire(ctx)
+	if err != nil {
+		return err
 	}
-	return 4 * runtime.GOMAXPROCS(0)
+	defer release()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	queued := time.Since(t0)
+	ix := e.ix.WithStats(e.ix.Stats().PerQuery())
+	defer ix.Stats().Flush()
+	return fn(ix, queued)
 }
 
-// queryIndex returns a per-request view of the index charging a fresh
-// meter, so this query's I/O is metered in isolation. The index-wide
-// counters get its totals when the caller, done with the query, calls
-// Flush on the view's meter: one addition per counter and query instead
-// of one per access.
-func (e *Engine) queryIndex() lists.Index {
-	return e.ix.WithStats(e.ix.Stats().PerQuery())
+// analysisJob is one analysis request on its way through the pipeline:
+// what was asked, the probe's timings, and the answer once there is one.
+type analysisJob struct {
+	BatchItem
+	tm    Timings
+	res   BatchResult
+	first int // in AnalyzeBatch, the item the job was made for
+}
+
+// probeAnalyze is the first half of the analysis pipeline: validate,
+// then look for an exact anchor in the cache. It reports whether that
+// settled the request, as a failure or as a hit.
+func (e *Engine) probeAnalyze(j *analysisJob) bool {
+	t0 := time.Now()
+	if err := e.validate(j.Q, j.K, j.Opts.Phi); err != nil {
+		j.res.Err = err
+		return true
+	}
+	j.tm.Validate = time.Since(t0)
+	if e.cache == nil {
+		return false
+	}
+	if j.Opts.NoCache {
+		e.cache.bypass()
+		return false
+	}
+	t0 = time.Now()
+	out, ok := e.cache.lookupAnalyze(j.Q, j.K, j.Opts.Options)
+	j.tm.Cache = time.Since(t0)
+	if ok {
+		j.res.Analysis = &Analysis{Output: out, Source: SourceCache, Timings: j.tm}
+	}
+	return ok
+}
+
+// executeAnalyze is the second half: one unit — the requests over one
+// subspace and k the probe left unanswered — through the funnel. A unit
+// canceled in the queue or during its scan fails as a whole.
+func (e *Engine) executeAnalyze(ctx context.Context, unit []*analysisJob) {
+	err := e.run(ctx, func(ix lists.Index, queued time.Duration) error {
+		return e.analyzeLocked(ctx, ix, queued, unit)
+	})
+	if err != nil {
+		for _, j := range unit {
+			j.res = BatchResult{Err: err}
+		}
+	}
+}
+
+// analyzeLocked computes a unit. One request runs the threshold
+// algorithm; several share one fused scan (topk.Multi) that pays the
+// sorted accesses, the random-access fetches and the projections once
+// and scores every member's weight vector per encountered tuple, each
+// member then computing its regions on an isolated view of that scan:
+// the answer is exactly its solo execution's. Either way a member's
+// Metrics count its own region phases, as core.ComputeView brackets
+// them; the scan is charged to the engine-wide meter, once, and is in
+// no member's report. Admission happens before the read lock goes: an
+// analysis of the pre-update dataset must not land in the cache after
+// Apply's invalidation pass has run. Every Output is detached from its
+// scan (core compacts the result), so the scratch is recycled here.
+func (e *Engine) analyzeLocked(ctx context.Context, ix lists.Index, queued time.Duration, unit []*analysisJob) error {
+	var multi *topk.Multi
+	if len(unit) > 1 {
+		queries := make([]vec.Query, len(unit))
+		for i, j := range unit {
+			queries[i] = j.Q
+		}
+		multi = topk.NewMulti(ix, queries, unit[0].K, topk.BestList)
+		defer multi.Release()
+		if err := multi.RunContext(ctx); err != nil {
+			return fmt.Errorf("engine: query canceled: %w", err)
+		}
+	}
+	for i, j := range unit {
+		var scan interface {
+			core.Runner
+			SortedAccesses() int
+			Release()
+		}
+		if multi == nil {
+			scan = topk.New(ix, j.Q, j.K, topk.BestList)
+		} else {
+			scan = multi.Member(i)
+		}
+		copts := j.Opts.Options
+		if copts.Parallelism == 0 {
+			copts.Parallelism = e.cfg.Parallelism
+		}
+		out, err := core.ComputeView(ctx, scan, copts)
+		sorted := scan.SortedAccesses()
+		scan.Release()
+		if err != nil {
+			j.res.Err = err
+			continue
+		}
+		observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, sorted)
+		a := &Analysis{Output: out, Source: SourceBypass, Timings: j.tm}
+		a.Timings.Queue = queued
+		if e.cache != nil && !j.Opts.NoCache {
+			a.Source = SourceComputed
+			t0 := time.Now()
+			e.cache.admit(j.Q, j.K, j.Opts.Options, out)
+			a.Timings.Admit = time.Since(t0)
+		}
+		j.res.Analysis = a
+	}
+	return nil
 }
 
 // Analyze answers the query and computes the immutable regions of every
@@ -438,67 +560,11 @@ func (e *Engine) Analyze(ctx context.Context, q vec.Query, k int, opts Options) 
 		ctx = context.Background()
 	}
 	mQueries.Inc("analyze")
-	var tm Timings
-	t0 := time.Now()
-	if err := e.validate(q, k, opts.Phi); err != nil {
-		return nil, err
+	j := analysisJob{BatchItem: BatchItem{Q: q, K: k, Opts: opts}}
+	if !e.probeAnalyze(&j) {
+		e.executeAnalyze(ctx, []*analysisJob{&j})
 	}
-	tm.Validate = time.Since(t0)
-	useCache := e.cache != nil && !opts.NoCache
-	if useCache {
-		t0 = time.Now()
-		out, ok := e.cache.lookupAnalyze(q, k, opts.Options)
-		tm.Cache = time.Since(t0)
-		if ok {
-			return &Analysis{Output: out, Source: SourceCache, Timings: tm}, nil
-		}
-	} else if e.cache != nil {
-		e.cache.bypass()
-	}
-	t0 = time.Now()
-	release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	// The read lock spans computation AND admission: an analysis of the
-	// pre-update dataset must not land in the cache after Apply's
-	// invalidation pass has run.
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	tm.Queue = time.Since(t0)
-	out, err := e.compute(ctx, q, k, opts)
-	if err != nil {
-		return nil, err
-	}
-	src := SourceBypass
-	if useCache {
-		src = SourceComputed
-		t0 = time.Now()
-		e.cache.admit(q, k, opts.Options, out)
-		tm.Admit = time.Since(t0)
-	}
-	return &Analysis{Output: out, Source: src, Timings: tm}, nil
-}
-
-// compute runs the full pipeline: TA over a child meter, then
-// core.Compute with the engine's default parallelism. The Output is
-// detached from the run (core compacts the result), so the TA's scratch
-// is recycled on return.
-func (e *Engine) compute(ctx context.Context, q vec.Query, k int, opts Options) (*core.Output, error) {
-	copts := opts.Options
-	if copts.Parallelism == 0 {
-		copts.Parallelism = e.cfg.Parallelism
-	}
-	ix := e.queryIndex()
-	defer ix.Stats().Flush()
-	ta := topk.New(ix, q, k, topk.BestList)
-	defer ta.Release()
-	out, err := core.Compute(ctx, ta, copts)
-	if err == nil {
-		observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, ta.SortedAccesses())
-	}
-	return out, err
+	return j.res.Analysis, j.res.Err
 }
 
 // TopKInfo meters one TopKMetered execution: how it was answered, the
@@ -511,6 +577,85 @@ type TopKInfo struct {
 	SortedAccesses int
 	SeqPages       int64
 	RandReads      int64
+}
+
+// topkJob is one ranked-query request on its way through the pipeline.
+type topkJob struct {
+	TopKItem
+	res  []topk.Scored
+	info TopKInfo
+	err  error
+}
+
+// probeTopK is the first half of the ranked-query pipeline: validate,
+// then look for a cached analysis whose regions contain the weights. It
+// reports whether that settled the request.
+func (e *Engine) probeTopK(j *topkJob) bool {
+	t0 := time.Now()
+	if err := e.validate(j.Q, j.K, 0); err != nil {
+		j.err = err
+		return true
+	}
+	j.info.Timings.Validate = time.Since(t0)
+	if e.cache == nil {
+		return false
+	}
+	t0 = time.Now()
+	res, ok := e.cache.lookupTopK(j.Q, j.K)
+	j.info.Timings.Cache = time.Since(t0)
+	if ok {
+		j.res, j.info.Source = res, SourceCacheRegion
+	}
+	return ok
+}
+
+// executeTopK is the second half: one unit through the funnel, failing
+// as a whole.
+func (e *Engine) executeTopK(ctx context.Context, unit []*topkJob) {
+	err := e.run(ctx, func(ix lists.Index, queued time.Duration) error {
+		return topkLocked(ctx, ix, queued, unit)
+	})
+	if err != nil {
+		for _, j := range unit {
+			j.res, j.err = nil, err
+		}
+	}
+}
+
+// topkLocked answers a unit with one scan: the threshold algorithm for
+// one request, a fused topk.Multi for several, every member reporting
+// the shared scan's depth. The I/O is the scan's, so only a request
+// that ran alone has any to call its own.
+func topkLocked(ctx context.Context, ix lists.Index, queued time.Duration, unit []*topkJob) error {
+	if len(unit) == 1 {
+		j := unit[0]
+		ta := topk.New(ix, j.Q, j.K, topk.BestList)
+		defer ta.Release()
+		if err := ta.RunContext(ctx); err != nil {
+			return fmt.Errorf("engine: query canceled: %w", err)
+		}
+		j.answer(ta.Result(), ta.SortedAccesses(), queued)
+		j.info.SeqPages, j.info.RandReads, _ = ix.Stats().Snapshot()
+		return nil
+	}
+	queries := make([]vec.Query, len(unit))
+	for i, j := range unit {
+		queries[i] = j.Q
+	}
+	multi := topk.NewMulti(ix, queries, unit[0].K, topk.BestList)
+	defer multi.Release()
+	if err := multi.RunContext(ctx); err != nil {
+		return fmt.Errorf("engine: query canceled: %w", err)
+	}
+	for i, j := range unit {
+		j.answer(multi.Result(i), multi.SortedAccesses(), queued)
+	}
+	return nil
+}
+
+func (j *topkJob) answer(res []topk.Scored, sortedAccesses int, queued time.Duration) {
+	j.res, j.info.SortedAccesses, j.info.Timings.Queue = res, sortedAccesses, queued
+	mSortedAccesses.Observe(float64(sortedAccesses))
 }
 
 // TopKMetered answers the query with the threshold algorithm and
@@ -528,43 +673,11 @@ func (e *Engine) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Sc
 		ctx = context.Background()
 	}
 	mQueries.Inc("topk")
-	info := TopKInfo{Source: SourceComputed}
-	t0 := time.Now()
-	if err := e.validate(q, k, 0); err != nil {
-		return nil, info, err
+	j := topkJob{TopKItem: TopKItem{Q: q, K: k}}
+	if !e.probeTopK(&j) {
+		e.executeTopK(ctx, []*topkJob{&j})
 	}
-	info.Timings.Validate = time.Since(t0)
-	if e.cache != nil {
-		t0 = time.Now()
-		res, ok := e.cache.lookupTopK(q, k)
-		info.Timings.Cache = time.Since(t0)
-		if ok {
-			info.Source = SourceCacheRegion
-			return res, info, nil
-		}
-	}
-	t0 = time.Now()
-	release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, info, err
-	}
-	defer release()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	info.Timings.Queue = time.Since(t0)
-	ix := e.queryIndex()
-	defer ix.Stats().Flush()
-	ta := topk.New(ix, q, k, topk.BestList)
-	defer ta.Release()
-	if err := ta.RunContext(ctx); err != nil {
-		return nil, info, fmt.Errorf("engine: query canceled: %w", err)
-	}
-	info.SortedAccesses = ta.SortedAccesses()
-	mSortedAccesses.Observe(float64(info.SortedAccesses))
-	if st := ix.Stats(); st != nil {
-		info.SeqPages, info.RandReads, _ = st.Snapshot()
-	}
-	return ta.Result(), info, nil
+	return j.res, j.info, j.err
 }
 
 // TopKTrace answers the query while recording every sorted access,
@@ -574,22 +687,21 @@ func (e *Engine) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Sc
 // — but still hold a worker slot, since a trace run carries the same
 // O(n) scan state (plus the trace itself) as any other query. A nil ctx
 // is treated as context.Background().
-func (e *Engine) TopKTrace(ctx context.Context, q vec.Query, k int) ([]topk.Scored, []topk.TraceStep, error) {
+func (e *Engine) TopKTrace(ctx context.Context, q vec.Query, k int) (res []topk.Scored, steps []topk.TraceStep, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := e.validate(q, k, 0); err != nil {
+	if err = e.validate(q, k, 0); err != nil {
 		return nil, nil, err
 	}
-	release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	ix := e.queryIndex()
-	defer ix.Stats().Flush()
+	err = e.run(ctx, func(ix lists.Index, _ time.Duration) error {
+		res, steps, err = traceLocked(ctx, ix, q, k)
+		return err
+	})
+	return res, steps, err
+}
+
+func traceLocked(ctx context.Context, ix lists.Index, q vec.Query, k int) ([]topk.Scored, []topk.TraceStep, error) {
 	ta := topk.New(ix, q, k, topk.RoundRobin)
 	defer ta.Release()
 	var steps []topk.TraceStep

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lists"
@@ -40,28 +41,26 @@ type lineContributor interface {
 // neither be served from nor admitted to the cache. The computation is
 // forced sequential (core Parallelism ≤ 0) so every Phase-3 pull lands
 // in the shared candidate list the contributed lines are selected from.
-func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts Options) (*core.Output, []topk.Scored, error) {
+func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts Options) (out *core.Output, lines []topk.Scored, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	mQueries.Inc("analyze-imposed")
-	if err := e.validate(q, k, opts.Phi); err != nil {
+	if err = e.validate(q, k, opts.Phi); err != nil {
 		return nil, nil, err
 	}
 	if len(imposed) > k {
 		return nil, nil, fmt.Errorf("engine: imposed result has %d entries for k=%d: %w", len(imposed), k, ErrInvalid)
 	}
-	release, err := e.acquire(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	copts := opts.Options
+	err = e.run(ctx, func(ix lists.Index, _ time.Duration) error {
+		out, lines, err = imposedLocked(ctx, ix, q, k, base, imposed, opts.Options)
+		return err
+	})
+	return out, lines, err
+}
+
+func imposedLocked(ctx context.Context, ix lists.Index, q vec.Query, k, base int, imposed []topk.Scored, copts core.Options) (*core.Output, []topk.Scored, error) {
 	copts.Parallelism = -1
-	ix := e.queryIndex()
-	defer ix.Stats().Flush()
 	ta := topk.New(ix, q, k, topk.BestList)
 	defer ta.Release() // out and the contributed lines are copies
 	runner := core.WithImposed(ta, base, imposed)

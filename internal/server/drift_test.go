@@ -96,6 +96,7 @@ func TestBatchItemsCountLikeSingles(t *testing.T) {
 	}
 	analyzeInvalid := map[string]int64{failures: 4, `ir_engine_queries_total{kind="analyze"}`: 2}
 	topkInvalid := map[string]int64{failures: 2, `ir_engine_queries_total{kind="topk"}`: 1}
+	imposedInvalid := map[string]int64{failures: 4, `ir_engine_queries_total{kind="analyze-imposed"}`: 2}
 	for _, tc := range []struct {
 		name     string
 		endpoint string // the single-query route; the batch route is "/batch"+endpoint
@@ -107,6 +108,7 @@ func TestBatchItemsCountLikeSingles(t *testing.T) {
 		{"analyze batch, invalid", "analyze", invalid, true, analyzeInvalid},
 		{"topk singles, invalid", "topk", invalid[:2], false, topkInvalid},
 		{"topk batch, invalid", "topk", invalid[:2], true, topkInvalid},
+		{"shard/analyze, invalid", "shard/analyze", invalid, false, imposedInvalid},
 		{"analyze singles, distinct subspaces", "analyze", distinct, false, analyze},
 		{"analyze batch, distinct subspaces", "analyze", distinct, true, analyze},
 		{"analyze singles, one subspace", "analyze", fused, false, analyze},

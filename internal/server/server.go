@@ -464,7 +464,7 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := decodeQuery(w, r)
+	req, q, _, ok := decodeQuery(w, r, true)
 	if !ok {
 		return
 	}
@@ -513,14 +513,26 @@ func markPartial(w http.ResponseWriter, src engine.Source) {
 	}
 }
 
-// buildOptions maps a request to engine options; the method string is
-// the only field needing parsing.
-func buildOptions(req QueryRequest) (engine.Options, error) {
-	method, err := parseMethod(req.Method)
-	if err != nil {
-		return engine.Options{}, fmt.Errorf("%w: %v", engine.ErrInvalid, err)
+// parseQuery maps a read request to the engine's terms. Every read
+// route — single, batch and shard — comes through here, so this is the
+// one place the server turns a query away before the Querier sees it,
+// and the one place it counts that; what the Querier's own gate refuses
+// is counted where its error is mapped. ranked routes (/topk and its
+// twins) read no options, so a method they would not use cannot fail
+// them.
+func parseQuery(req QueryRequest, ranked bool) (vec.Query, engine.Options, error) {
+	q, err := vec.NewQuery(req.Dims, req.Weights)
+	method := core.MethodCPT
+	if err == nil && !ranked {
+		if method, err = parseMethod(req.Method); err != nil {
+			err = fmt.Errorf("%w: %v", engine.ErrInvalid, err)
+		}
 	}
-	return engine.Options{
+	if err != nil {
+		mValidationFailures.Inc()
+		return vec.Query{}, engine.Options{}, err
+	}
+	return q, engine.Options{
 		Options: core.Options{
 			Method:          method,
 			Phi:             req.Phi,
@@ -574,13 +586,8 @@ func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := decodeQuery(w, r)
+	req, q, opts, ok := decodeQuery(w, r, false)
 	if !ok {
-		return
-	}
-	opts, err := buildOptions(req)
-	if err != nil {
-		engineError(w, err)
 		return
 	}
 	qr, ok := s.querier(w)
@@ -615,23 +622,18 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-item shape errors are reported in place; valid items still
 	// run, so one malformed query cannot sink a fleet batch. An invalid
-	// item counts as a validation failure, as it does sent alone
-	// (decodeQuery, engineError).
+	// item counts as a validation failure, as it does sent alone.
 	items := make([]engine.BatchItem, 0, len(req.Queries))
 	itemIdx := make([]int, 0, len(req.Queries))
 	resp := BatchAnalyzeResponse{Responses: make([]BatchEntryResponse, len(req.Queries))}
 	for i, qr := range req.Queries {
-		q, err := vec.NewQuery(qr.Dims, qr.Weights)
-		if err == nil {
-			var opts engine.Options
-			if opts, err = buildOptions(qr); err == nil {
-				items = append(items, engine.BatchItem{Q: q, K: qr.K, Opts: opts})
-				itemIdx = append(itemIdx, i)
-				continue
-			}
+		q, opts, err := parseQuery(qr, false)
+		if err != nil {
+			resp.Responses[i] = BatchEntryResponse{Error: err.Error()}
+			continue
 		}
-		mValidationFailures.Inc()
-		resp.Responses[i] = BatchEntryResponse{Error: err.Error()}
+		items = append(items, engine.BatchItem{Q: q, K: qr.K, Opts: opts})
+		itemIdx = append(itemIdx, i)
 	}
 	qr, ok := s.querier(w)
 	if !ok {
@@ -669,9 +671,8 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 	itemIdx := make([]int, 0, len(req.Queries))
 	resp := BatchTopKResponse{Responses: make([]TopKEntryResponse, len(req.Queries))}
 	for i, qr := range req.Queries {
-		q, err := vec.NewQuery(qr.Dims, qr.Weights)
+		q, _, err := parseQuery(qr, true)
 		if err != nil {
-			mValidationFailures.Inc()
 			resp.Responses[i] = TopKEntryResponse{Error: err.Error()}
 			continue
 		}
@@ -914,21 +915,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// decodeQuery parses and validates the request body common to /topk,
-// /analyze and /shard/topk; structural validation beyond the query
-// shape (k, dimension range, φ) is the Querier's job.
-func decodeQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, vec.Query, bool) {
-	var req QueryRequest
+// decodeQuery reads and parses the body of /topk, /analyze and
+// /shard/topk, answering a failure itself; structural validation beyond
+// the query shape (k, dimension range, φ) is the Querier's job.
+func decodeQuery(w http.ResponseWriter, r *http.Request, ranked bool) (req QueryRequest, q vec.Query, opts engine.Options, ok bool) {
 	if !decodeBody(w, r, &req) {
-		return req, vec.Query{}, false
+		return req, q, opts, false
 	}
-	q, err := vec.NewQuery(req.Dims, req.Weights)
+	q, opts, err := parseQuery(req, ranked)
 	if err != nil {
-		mValidationFailures.Inc()
 		httpError(w, http.StatusBadRequest, err)
-		return req, vec.Query{}, false
 	}
-	return req, q, true
+	return req, q, opts, err == nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {

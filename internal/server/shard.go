@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/topk"
-	"repro/internal/vec"
 )
 
 // ShardTopKResponse is the body of a successful /shard/topk: scored
@@ -74,7 +73,7 @@ func (s *Server) shardEngine(w http.ResponseWriter) (*engine.Engine, bool) {
 // handleShardTopK answers the coordinator's round-1 scatter: the local
 // top-k with projections, under local ids.
 func (s *Server) handleShardTopK(w http.ResponseWriter, r *http.Request) {
-	req, q, ok := decodeQuery(w, r)
+	req, q, _, ok := decodeQuery(w, r, true)
 	if !ok {
 		return
 	}
@@ -97,23 +96,13 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	q, err := vec.NewQuery(req.Dims, req.Weights)
+	q, opts, err := parseQuery(QueryRequest{Dims: req.Dims, Weights: req.Weights,
+		Phi: req.Phi, Method: req.Method, CompositionOnly: req.CompositionOnly}, false)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	method, err := parseMethod(req.Method)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	opts := engine.Options{Options: core.Options{
-		Method:          method,
-		Phi:             req.Phi,
-		CompositionOnly: req.CompositionOnly,
-		ForceEnvelope:   req.ForceEnvelope,
-		Iterative:       req.Iterative,
-	}}
+	opts.ForceEnvelope, opts.Iterative = req.ForceEnvelope, req.Iterative
 	eng, ok := s.shardEngine(w)
 	if !ok {
 		return
