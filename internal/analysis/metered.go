@@ -20,6 +20,10 @@ import (
 //     lists.Index WithStats view) are required;
 //   - (*storage.Pager).ReadRange and .Slice sit below the logical
 //     meter entirely and are storage-internal;
+//   - (*storage.TupleFile).Prefetch charges no meter at all: it only
+//     overlaps memory misses, and the lists cursor that issues it for
+//     the postings it is about to return is its one caller — one issued
+//     from above would read records outside every count unnoticed;
 //   - in internal/engine and internal/shard, a TA constructor
 //     (topk.New / NewMulti / NewNRA) must receive the index the
 //     engine's funnel (Engine.run) hands the …Locked function it is
@@ -43,6 +47,12 @@ var unmeteredMethods = map[string]map[string]string{
 		"ReadRange": "a TupleFile/ListFile accessor that charges the logical meter",
 		"Slice":     "a TupleFile/ListFile accessor that charges the logical meter",
 	},
+}
+
+// unchargedMethods are storage reads that charge no meter by design,
+// with the one place that may issue them.
+var unchargedMethods = map[string]map[string]string{
+	"TupleFile": {"Prefetch": "the lists cursor prefetches the records of its own next postings"},
 }
 
 // taConstructors are the topk entry points whose index argument must be
@@ -105,6 +115,9 @@ func meteredFunc(pass *Pass, fn *ast.FuncDecl, checkTA bool) {
 		if recv, method, ok := storageMethodCall(pass, call); ok {
 			if fix, bad := unmeteredMethods[recv][method]; bad {
 				pass.Reportf(call.Pos(), "(*storage.%s).%s charges the file-wide meter, not this query's: use %s", recv, method, fix)
+			}
+			if owner, bad := unchargedMethods[recv][method]; bad {
+				pass.Reportf(call.Pos(), "(*storage.%s).%s charges no meter: only %s", recv, method, owner)
 			}
 			return true
 		}

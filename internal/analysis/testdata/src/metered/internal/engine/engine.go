@@ -18,6 +18,7 @@ func (e *Engine) WithStats(st *storage.IOStats) topk.Index { return e.ix }
 func (e *Engine) bad(tf *storage.TupleFile, k int) {
 	_ = tf.Get(7)         // want `charges the file-wide meter`
 	_ = topk.New(e.ix, k) // want `unmetered index`
+	_ = tf.Prefetch(nil)  // want `charges no meter: only the lists cursor`
 }
 
 // A parameter is the funnel's only in a …Locked function.

@@ -21,6 +21,7 @@ func (c *Coordinator) bad(tf *storage.TupleFile, lf *storage.ListFile, k int) {
 	_ = tf.Get(3)         // want `charges the file-wide meter`
 	_ = lf.Cursor(0)      // want `charges the file-wide meter`
 	_ = topk.New(c.ix, k) // want `unmetered index`
+	_ = tf.Prefetch(nil)  // want `charges no meter: only the lists cursor`
 }
 
 func (c *Coordinator) good(tf *storage.TupleFile, lf *storage.ListFile, k int) {

@@ -11,6 +11,8 @@ func (t *TupleFile) Get(id uint64) []float64 { return nil }
 
 func (t *TupleFile) GetWith(id uint64, st *IOStats) []float64 { return nil }
 
+func (t *TupleFile) Prefetch(ids []int32) uint64 { return 0 }
+
 type Cursor struct{}
 
 type ListFile struct{}

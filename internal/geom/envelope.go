@@ -40,11 +40,21 @@ func (p PiecewiseLinear) segmentAt(x float64) Line {
 
 // MinDiff returns the minimum of p(x) - l(x) over the domain. Because
 // both functions are piecewise linear, the minimum is attained at a
-// breakpoint or a domain endpoint.
+// breakpoint or a domain endpoint. Each breakpoint is evaluated on the
+// segment segmentAt picks there — the one ending at it, or for a run of
+// equal breaks the one ending at the run's first — found in one pass
+// instead of a search per break, so the result is Eval's to the bit.
 func (p PiecewiseLinear) MinDiff(l Line) float64 {
+	if len(p.Breaks) > 0 && len(p.Lines) == 0 {
+		panic("geom: empty PiecewiseLinear")
+	}
 	min := math.Inf(1)
-	for _, x := range p.Breaks {
-		if d := p.Eval(x) - l.Eval(x); d < min {
+	seg := 0
+	for i, x := range p.Breaks {
+		if i > 0 && x != p.Breaks[i-1] {
+			seg = i - 1
+		}
+		if d := p.Lines[seg].Eval(x) - l.Eval(x); d < min {
 			min = d
 		}
 	}

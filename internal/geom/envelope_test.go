@@ -97,3 +97,41 @@ func TestKthEnvelopePanics(t *testing.T) {
 	}()
 	KthEnvelope([]Line{{A: 1, B: 1}}, 2, 0, 1)
 }
+
+// minDiffEval is MinDiff as it was written before its one-pass form:
+// Eval, and so segmentAt's binary search, at every break.
+func minDiffEval(p PiecewiseLinear, l Line) float64 {
+	min := math.Inf(1)
+	for _, x := range p.Breaks {
+		if d := p.Eval(x) - l.Eval(x); d < min {
+			min = d
+		}
+	}
+	return min
+}
+
+// TestMinDiffIsPerBreakEval: the one-pass MinDiff equals, to the bit,
+// the per-break Eval form on random envelopes — with runs of equal
+// breaks (at the domain's ends too), and single-segment ones — against
+// random lines.
+func TestMinDiffIsPerBreakEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 2000; trial++ {
+		segs := 1 + rng.Intn(8)
+		if trial%5 == 0 {
+			segs = 1
+		}
+		p := PiecewiseLinear{Breaks: make([]float64, segs+1), Lines: randLines(rng, segs)}
+		for i := range p.Breaks {
+			p.Breaks[i] = float64(rng.Intn(6)) / 5 // a coarse grid: duplicates are common
+		}
+		sort.Float64s(p.Breaks)
+		for probe := 0; probe < 5; probe++ {
+			l := Line{A: rng.Float64() - 0.5, B: 2 * (rng.Float64() - 0.5)}
+			got, want := p.MinDiff(l), minDiffEval(p, l)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: breaks %v: MinDiff %v, per-break Eval %v", trial, p.Breaks, got, want)
+			}
+		}
+	}
+}

@@ -31,15 +31,16 @@ import (
 // (eight 256-bucket histograms) is cheaper than a comparison sort.
 const radixCutover = 64
 
-// sortKey maps a coordinate to its key. Flipping the sign bit of a
-// non-negative float (or every bit of a negative one) makes unsigned
-// order equal numeric order; the final complement reverses it.
-func sortKey(v float64) uint64 { return bitsKey(math.Float64bits(v)) }
+// SortKey maps a value to its key: ascending keys are descending values.
+// Flipping the sign bit of a non-negative float (or every bit of a
+// negative one) makes unsigned order equal numeric order; the final
+// complement reverses it. -0 and +0 get distinct keys.
+func SortKey(v float64) uint64 { return bitsKey(math.Float64bits(v)) }
 
-// bitsKey is sortKey of the coordinate whose IEEE bits are b.
+// bitsKey is SortKey of the value whose IEEE bits are b.
 func bitsKey(b uint64) uint64 { return ^(b ^ (uint64(int64(b)>>63) | 1<<63)) }
 
-// keyValue inverts sortKey.
+// keyValue inverts SortKey.
 func keyValue(k uint64) float64 {
 	u := ^k
 	return math.Float64frombits(u ^ (uint64(int64(^u)>>63) | 1<<63))
@@ -81,7 +82,7 @@ func carve(tuples []vec.Sparse) *bulk {
 	for id, t := range tuples {
 		for _, e := range t {
 			at := next[e.Dim]
-			b.keys[at], b.ids[at] = sortKey(e.Val), int32(id)
+			b.keys[at], b.ids[at] = SortKey(e.Val), int32(id)
 			next[e.Dim] = at + 1
 		}
 	}
@@ -188,24 +189,49 @@ func (sc *sortScratch) sort(keys []uint64, ids []int32) {
 		}
 		return
 	}
+	RadixSort(keys, ids, sc.keys[:len(keys)], sc.ids[:len(keys)])
+}
+
+// RadixSort sorts keys into ascending order, stably, carrying vals along:
+// an LSD radix sort, one byte per pass, that skips the bytes on which
+// every key agrees. bufK and bufV are its second buffers, at least
+// len(keys) long; the result ends up in keys and vals. It is the one
+// radix kernel of the repo: the bulk load sorts inverted lists by their
+// SortKey with it, topk ranks candidate rows by the key's top 32 bits.
+func RadixSort[K uint32 | uint64](keys []K, vals []int32, bufK []K, bufV []int32) {
 	n := len(keys)
-	var hist [8][256]int32
-	for _, k := range keys {
-		hist[0][byte(k)]++
-		hist[1][byte(k>>8)]++
-		hist[2][byte(k>>16)]++
-		hist[3][byte(k>>24)]++
-		hist[4][byte(k>>32)]++
-		hist[5][byte(k>>40)]++
-		hist[6][byte(k>>48)]++
-		hist[7][byte(k>>56)]++
+	if n < 2 {
+		return
 	}
-	srcK, srcI, dstK, dstI := keys, ids, sc.keys[:n], sc.ids[:n]
-	for d := range hist {
+	var hist [8][256]int32
+	width := 4
+	if ^K(0) > math.MaxUint32 {
+		width = 8
+		for _, k := range keys {
+			hi := uint64(k) >> 32
+			hist[0][byte(k)]++
+			hist[1][byte(k>>8)]++
+			hist[2][byte(k>>16)]++
+			hist[3][byte(k>>24)]++
+			hist[4][byte(hi)]++
+			hist[5][byte(hi>>8)]++
+			hist[6][byte(hi>>16)]++
+			hist[7][byte(hi>>24)]++
+		}
+	} else {
+		for _, k := range keys {
+			hist[0][byte(k)]++
+			hist[1][byte(k>>8)]++
+			hist[2][byte(k>>16)]++
+			hist[3][byte(k>>24)]++
+		}
+	}
+	srcK, srcV, dstK, dstV := keys, vals, bufK[:n], bufV[:n]
+	for d := range width {
 		shift := uint(8 * d)
 		h := &hist[d]
 		if int(h[byte(srcK[0]>>shift)]) == n {
-			continue // the whole list agrees on this byte
+			continue // every key agrees on this byte
 		}
 		at := int32(0)
 		for v, c := range h {
@@ -213,13 +239,13 @@ func (sc *sortScratch) sort(keys []uint64, ids []int32) {
 		}
 		for i, k := range srcK {
 			p := &h[byte(k>>shift)]
-			dstK[*p], dstI[*p] = k, srcI[i]
+			dstK[*p], dstV[*p] = k, srcV[i]
 			*p++
 		}
-		srcK, srcI, dstK, dstI = dstK, dstI, srcK, srcI
+		srcK, srcV, dstK, dstV = dstK, dstV, srcK, srcV
 	}
 	if &srcK[0] != &keys[0] {
 		copy(keys, srcK)
-		copy(ids, srcI)
+		copy(vals, srcV)
 	}
 }

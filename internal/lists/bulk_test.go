@@ -157,16 +157,16 @@ func samePosting(a, b storage.Posting) bool {
 	return a.ID == b.ID && math.Float64bits(a.Val) == math.Float64bits(b.Val)
 }
 
-// TestSortKeyRoundTrip: keyValue inverts sortKey on every kind of float,
+// TestSortKeyRoundTrip: keyValue inverts SortKey on every kind of float,
 // and key order is descending numeric order.
 func TestSortKeyRoundTrip(t *testing.T) {
 	vals := []float64{math.Inf(1), 1, math.Nextafter(1, 0), 0.5, 1e-300, math.SmallestNonzeroFloat64, 0,
 		-math.SmallestNonzeroFloat64, -0.5, -1, math.Inf(-1)}
 	for i, v := range vals {
-		if got := keyValue(sortKey(v)); math.Float64bits(got) != math.Float64bits(v) {
-			t.Fatalf("keyValue(sortKey(%v)) = %v", v, got)
+		if got := keyValue(SortKey(v)); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("keyValue(SortKey(%v)) = %v", v, got)
 		}
-		if i > 0 && sortKey(vals[i-1]) >= sortKey(v) {
+		if i > 0 && SortKey(vals[i-1]) >= SortKey(v) {
 			t.Fatalf("key of %v does not sort before key of %v", vals[i-1], v)
 		}
 	}

@@ -156,3 +156,56 @@ func TestMemCursorPageAccounting(t *testing.T) {
 		t.Fatalf("seq pages = %d, want 3", got)
 	}
 }
+
+// TestDiskCursorPrefetchesAhead: after every posting a disk cursor
+// returns, the records it has prefetched reach at least prefetchRefill
+// postings past it (or its page's end, the farthest a cursor looks) and
+// at most prefetchDistance. A clone starts at its original's prefetch
+// position and from then on each keeps its own: advancing one never
+// moves the other's.
+func TestDiskCursorPrefetchesAhead(t *testing.T) {
+	const n = 1000 // three pages of postings
+	tuples := make([]vec.Sparse, n)
+	for i := range tuples {
+		tuples[i] = vec.MustSparse(vec.Entry{Dim: 0, Val: float64(i+1) / (n + 1)})
+	}
+	dir := t.TempDir()
+	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
+	if err := SaveDataset(tp, lp, tuples, 1); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenDiskIndex(tp, lp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	next := func(d *diskCursor, steps int) {
+		t.Helper()
+		for range steps {
+			if _, ok := d.Next(); !ok {
+				t.Fatal("list ended early")
+			}
+			pos := d.Consumed()
+			pageEnd := min((pos-1)/postingsPerPage*postingsPerPage+postingsPerPage, n)
+			if d.fetched < min(pos+prefetchRefill, pageEnd) || d.fetched > pos+prefetchDistance {
+				t.Fatalf("at position %d the cursor prefetched up to %d", pos, d.fetched)
+			}
+		}
+	}
+	orig := disk.Cursor(0).(*diskCursor)
+	next(orig, 300)
+	clone := orig.Clone().(*diskCursor)
+	if clone.fetched != orig.fetched {
+		t.Fatalf("clone starts prefetched to %d, its original to %d", clone.fetched, orig.fetched)
+	}
+	at := orig.fetched
+	next(clone, 100) // across a page boundary
+	if orig.fetched != at || orig.Consumed() != 300 {
+		t.Fatalf("advancing the clone moved the original to %d/%d", orig.Consumed(), orig.fetched)
+	}
+	at = clone.fetched
+	next(orig, 500)
+	if clone.fetched != at || clone.Consumed() != 400 {
+		t.Fatalf("advancing the original moved the clone to %d/%d", clone.Consumed(), clone.fetched)
+	}
+}

@@ -144,7 +144,7 @@ func (ov *Overlay) saveLists(path string, disk *DiskIndex, st *SaveIndexStats) e
 // listMerge merges one base list, as encoded in the list file, with the
 // dimension's delta list: tombstoned base postings drop out, delta
 // postings go in where the bulk-load sort would have put them (ascending
-// sortKey, then ascending id), and the live base postings between are
+// SortKey, then ascending id), and the live base postings between are
 // passed on still encoded, a run at a time.
 type listMerge struct {
 	out  *storage.ListSink
@@ -171,7 +171,7 @@ func (mg *listMerge) base(raw []byte) {
 		key := bitsKey(binary.LittleEndian.Uint64(raw[at+4:]))
 		from := mg.next
 		for mg.next < mg.pl.Len() {
-			if dk := sortKey(mg.pl.Vals[mg.next]); dk > key || dk == key && mg.pl.IDs[mg.next] > id {
+			if dk := SortKey(mg.pl.Vals[mg.next]); dk > key || dk == key && mg.pl.IDs[mg.next] > id {
 				break
 			}
 			mg.next++

@@ -262,6 +262,23 @@ func (c *ListCursor) Next() (Posting, bool) {
 	return p, true
 }
 
+// Ahead writes into dst the ids of the postings that follow the next
+// from ones (from = 0 starts at the posting Next returns next), as far
+// as the current page holds them, and returns how many it wrote. It is a
+// look, not an access: it charges nothing, consumes nothing and never
+// reads a page — a cursor whose page is used up sees none.
+func (c *ListCursor) Ahead(from int, dst []int32) int {
+	if from*postingBytes >= len(c.raw) {
+		return 0
+	}
+	raw := c.raw[from*postingBytes:]
+	n := min(len(dst), len(raw)/postingBytes)
+	for i := range n {
+		dst[i] = int32(binary.LittleEndian.Uint32(raw[i*postingBytes:]))
+	}
+	return n
+}
+
 // Consumed reports how many postings this cursor has consumed.
 func (c *ListCursor) Consumed() int { return c.pos }
 

@@ -4,7 +4,9 @@
 // files consumed by sorted access, a page-granular LRU buffer pool, and
 // explicit I/O accounting with a spinning-disk cost model so that the
 // experiment harness can report I/O time comparable in shape to the
-// paper's 2012 testbed.
+// paper's 2012 testbed. Accounting is logical: a list cursor's look
+// ahead (ListCursor.Ahead) and the record prefetch it feeds
+// (TupleFile.Prefetch) only overlap memory misses and charge nothing.
 package storage
 
 import (

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -528,5 +529,116 @@ func TestWriteTupleRecordsRejectsWrongSizes(t *testing.T) {
 	}
 	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
 		t.Fatalf("refused file still exists (stat: %v)", serr)
+	}
+}
+
+// TestListCursorAheadIsNext: at every position of a list three pages
+// long, Ahead reports exactly the ids the following Next calls return,
+// from any offset and up to the end of the current page, and never more
+// than asked; it charges no page and no bypass, on the mapped build and
+// through the buffer pool alike.
+func TestListCursorAheadIsNext(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const n, perPage = 800, PageSize / postingBytes
+	postings := make([]Posting, n)
+	for i, id := range rng.Perm(n) {
+		postings[i] = Posting{ID: id, Val: 1 - float64(i)/(n+1)}
+	}
+	path := filepath.Join(t.TempDir(), "lists.dat")
+	if err := writeListMap(path, map[int][]Posting{0: postings}, 1); err != nil {
+		t.Fatal(err)
+	}
+	stats := &IOStats{}
+	lf, err := OpenListFile(path, stats, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lf.Close()
+	cur := lf.Cursor(0)
+	dst := make([]int32, 40)
+	for pos := 0; pos < n; pos++ {
+		if got := cur.Ahead(0, dst); pos%perPage == 0 && got != 0 {
+			t.Fatalf("position %d: Ahead saw %d ids of a page not read yet", pos, got)
+		}
+		cur.Peek() // reads the page a new one starts
+		before := [2]int64{stats.SeqPages(), stats.Bypasses()}
+		from, want := rng.Intn(30), 1+rng.Intn(len(dst))
+		got := cur.Ahead(from, dst[:want])
+		pageEnd := min((pos/perPage+1)*perPage, n)
+		if wantN := max(0, min(want, pageEnd-pos-from)); got != wantN {
+			t.Fatalf("position %d: Ahead(%d, %d ids) = %d, want %d", pos, from, want, got, wantN)
+		}
+		for i, id := range dst[:got] {
+			if p := postings[pos+from+i]; int(id) != p.ID {
+				t.Fatalf("position %d: Ahead(%d)[%d] = %d, Next will return %d", pos, from, i, id, p.ID)
+			}
+		}
+		if now := [2]int64{stats.SeqPages(), stats.Bypasses()}; now != before {
+			t.Fatalf("position %d: Ahead moved the meter from %v to %v", pos, before, now)
+		}
+		if p, ok := cur.Next(); !ok || p != postings[pos] {
+			t.Fatalf("position %d: Next = %v, %v", pos, p, ok)
+		}
+	}
+	if got := cur.Ahead(0, dst); got != 0 {
+		t.Fatalf("Ahead at the list end saw %d ids", got)
+	}
+}
+
+// TestPrefetchChargesNothing: Prefetch moves no counter of the meter,
+// skips ids out of range and records a corrupt offsets table places
+// outside the file — the real access refuses those with an error, not a
+// panic — and touches bytes only when the file is mapped: the nommap
+// build (make test-fallback) runs this with Prefetch a no-op.
+func TestPrefetchChargesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	const n, m = 200, 10
+	tuples := randTuples(rng, n, m)
+	path := filepath.Join(t.TempDir(), "tuples.dat")
+	if err := WriteTupleFile(path, tuples, m); err != nil {
+		t.Fatal(err)
+	}
+	// Tuple 5's record starts past the file, tuple 9's ends before it
+	// starts (its successor's offset is below its own).
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var off [8]byte
+	binary.LittleEndian.PutUint64(off[:], 1<<40)
+	if _, err := f.WriteAt(off[:], 16+8*5); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(off[:], 16)
+	if _, err := f.WriteAt(off[:], 16+8*10); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	stats := &IOStats{}
+	tf, err := OpenTupleFile(path, stats, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tf.Close()
+
+	ids := []int32{-1, n, 1 << 30}
+	for id := range n {
+		ids = append(ids, int32(id))
+	}
+	valid := tf.Prefetch(ids[3:5])
+	all := tf.Prefetch(ids)
+	if bad := tf.Prefetch([]int32{-1, n, 5, 9}); bad != 0 {
+		t.Fatalf("Prefetch of ids and records outside the file touched bytes (sum %d)", bad)
+	}
+	if tf.pager.Mapped() != (valid > 0 && all > valid) {
+		t.Fatalf("mapped=%v, yet Prefetch touched bytes summing to %d and %d", tf.pager.Mapped(), valid, all)
+	}
+	if seq, rnd, bytes := stats.Snapshot(); seq != 0 || rnd != 0 || bytes != 0 || stats.Bypasses() != 0 {
+		t.Fatalf("Prefetch charged the meter: %v bypass=%d", stats, stats.Bypasses())
+	}
+	for _, id := range []int{5, 9} {
+		if _, err := tf.GetWith(id, nil); err == nil {
+			t.Fatalf("tuple %d, whose record lies outside the file, read without error", id)
+		}
 	}
 }

@@ -97,7 +97,7 @@ type TupleFile struct {
 	pager   *Pager
 	stats   *IOStats
 	offsets []int64
-	sizes   []int32
+	end     int64 // where the payload, and so the last record, ends
 	m       int
 }
 
@@ -130,18 +130,9 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 	for i := 0; i < n; i++ {
 		tf.offsets[i] = int64(binary.LittleEndian.Uint64(offRaw[8*i:]))
 	}
-	payloadEnd, err := dataEnd(pager, path)
-	if err != nil {
+	if tf.end, err = dataEnd(pager, path); err != nil {
 		pager.Close()
 		return nil, err
-	}
-	tf.sizes = make([]int32, n)
-	for i := 0; i < n; i++ {
-		end := payloadEnd
-		if i+1 < n {
-			end = tf.offsets[i+1]
-		}
-		tf.sizes[i] = int32(end - tf.offsets[i])
 	}
 	return tf, nil
 }
@@ -156,7 +147,21 @@ func (tf *TupleFile) NumTuples() int { return len(tf.offsets) }
 func (tf *TupleFile) Dim() int { return tf.m }
 
 // RecordSize returns the encoded length of tuple id's record.
-func (tf *TupleFile) RecordSize(id int) int { return int(tf.sizes[id]) }
+func (tf *TupleFile) RecordSize(id int) int {
+	_, size := tf.span(id)
+	return size
+}
+
+// span returns where tuple id's record starts and its length: records
+// are contiguous, so one ends where the next begins, the last where the
+// payload does.
+func (tf *TupleFile) span(id int) (off int64, size int) {
+	end := tf.end
+	if id+1 < len(tf.offsets) {
+		end = tf.offsets[id+1]
+	}
+	return tf.offsets[id], int(end - tf.offsets[id])
+}
 
 // RawRecords hands fn the encoded records of tuples [from, to) — they
 // are contiguous in the file — in order and in pieces that need not end
@@ -170,8 +175,9 @@ func (tf *TupleFile) RawRecords(from, to int, buf []byte, fn func(raw []byte)) e
 	if from == to {
 		return nil
 	}
-	end := tf.offsets[to-1] + int64(tf.sizes[to-1])
-	return tf.pager.stream(tf.offsets[from], int(end-tf.offsets[from]), buf, fn)
+	off, _ := tf.span(from)
+	last, size := tf.span(to - 1)
+	return tf.pager.stream(off, int(last+int64(size)-off), buf, fn)
 }
 
 // Get fetches tuple id. One logical random read is charged per call.
@@ -226,10 +232,16 @@ func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error
 	if id < 0 || id >= len(tf.offsets) {
 		return nil, 0, fmt.Errorf("storage: tuple id %d out of range [0,%d)", id, len(tf.offsets))
 	}
-	raw, zeroCopy := tf.pager.Slice(tf.offsets[id], int(tf.sizes[id]))
+	off, size := tf.span(id)
+	raw, zeroCopy := tf.pager.Slice(off, size)
 	if !zeroCopy {
-		raw = make([]byte, tf.sizes[id])
-		if _, err := tf.pager.ReadRange(tf.offsets[id], raw); err != nil {
+		if size < 0 || off < 0 || off+int64(size) > tf.pager.Size() {
+			// Checked before the buffer is made: a corrupt offsets table
+			// must fail the read, not size an allocation.
+			return nil, 0, fmt.Errorf("storage: tuple %d corrupt (record [%d,%d) outside the file)", id, off, off+int64(size))
+		}
+		raw = make([]byte, size)
+		if _, err := tf.pager.ReadRange(off, raw); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -244,6 +256,51 @@ func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error
 		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (nnz=%d, %d bytes)", id, nnz, len(raw))
 	}
 	return raw, nnz, nil
+}
+
+// cacheLine is the stride Prefetch touches a record at.
+const cacheLine = 64
+
+// Prefetch loads the cache lines of the named tuples' records in tight
+// loops, so that their memory misses overlap instead of each stalling,
+// in turn, the random access that reads the record later: per batch of
+// up to 16 ids one loop reads every record's extent from the offsets
+// table, the next touches every line of every record, so no record
+// waits on its own offset. It is physical only: it charges no meter and
+// decodes nothing, and what it returns is a sum of the bytes it touched,
+// no use as data — a caller keeps it only so the loads are not optimized
+// away. An id out of range, or a record the offsets table places outside
+// the file, is skipped — the real access is what fails on it; on an
+// unmapped file Prefetch does nothing.
+func (tf *TupleFile) Prefetch(ids []int32) uint64 {
+	mapped := tf.pager.mapped
+	if mapped == nil {
+		return 0
+	}
+	var sum uint64
+	var offs, ends [16]int64
+	for len(ids) > 0 {
+		batch := ids[:min(len(ids), len(offs))]
+		ids = ids[len(batch):]
+		n := 0
+		for _, id := range batch {
+			if id < 0 || int(id) >= len(tf.offsets) {
+				continue
+			}
+			off, size := tf.span(int(id))
+			if end := off + int64(size); size > 0 && off >= 0 && end <= int64(len(mapped)) {
+				offs[n], ends[n] = off, end
+				n++
+			}
+		}
+		for i := range n {
+			for at := offs[i]; at < ends[i]; at += cacheLine {
+				sum += uint64(mapped[at])
+			}
+			sum += uint64(mapped[ends[i]-1]) // the last line, when the stride stepped over it
+		}
+	}
+	return sum
 }
 
 // entryDim and entryVal decode the i-th (dim uint32, val float64) entry

@@ -23,6 +23,7 @@ type scratch struct {
 	scores   []column // Multi only: one score column per member
 	order    []int32
 	tail     []int32
+	rank     *ranker // allocated by the first TA that takes this scratch
 	heap     []float64
 	proj     []float64
 	cursors  []lists.Cursor

@@ -4,6 +4,8 @@ import (
 	"math"
 	"slices"
 	"sync"
+
+	"repro/internal/lists"
 )
 
 // A page is the unit every column of every candidate table grows by:
@@ -163,10 +165,117 @@ func (t *Table) before(a, b int32) bool {
 	return t.ID(a) < t.ID(b)
 }
 
-// sortRanked sorts positions into rank order. The comparator is before
-// over the two page directories it needs, loaded once: ranking is the
-// one place that reads rows n·log n times.
-func (t *Table) sortRanked(pos []int32) {
+// rankCutover is the length from which sortRanked ranks by radix: below
+// it the comparator's n·log n row reads cost less than the radix passes'
+// fixed histograms (on random scores the two meet between 64 and 128
+// rows).
+const rankCutover = 128
+
+// rankRun is the most positions one radix sort ranks at once; longer
+// lists are ranked in runs and the runs merged, so the radix keys take
+// 8 B × rankRun whatever the length ranked.
+const rankRun = pageRows
+
+// ranker holds the radix keys of one run and the kernel's second key
+// buffer. A TA's lives in its pooled scratch; a fork, which ranks too
+// but has no scratch, borrows one from rankerPool for the call.
+type ranker struct {
+	keys, keyBuf [rankRun]uint32
+}
+
+var rankerPool = sync.Pool{New: func() any { return new(ranker) }}
+
+// sortRanked sorts positions into rank order and returns buf, grown to
+// len(pos) if it was shorter, for the caller to keep. From rankCutover on
+// it ranks runs of rankRun positions by radix (radixRun, with buf as the
+// kernel's second position buffer) and merges the runs through buf;
+// below it, it compares.
+func (t *Table) sortRanked(pos, buf []int32, rk *ranker) []int32 {
+	if len(pos) < rankCutover {
+		t.compareRanked(pos)
+		return buf
+	}
+	if cap(buf) < len(pos) {
+		buf = make([]int32, len(pos))
+	}
+	buf = buf[:len(pos)]
+	for lo := 0; lo < len(pos); lo += rankRun {
+		hi := min(lo+rankRun, len(pos))
+		t.radixRun(pos[lo:hi], buf[lo:hi], rk)
+	}
+	src, dst := pos, buf
+	for w := rankRun; w < len(pos); w *= 2 {
+		for lo := 0; lo < len(pos); lo += 2 * w {
+			mid, hi := min(lo+w, len(pos)), min(lo+2*w, len(pos))
+			if mid == hi {
+				copy(dst[lo:hi], src[lo:hi]) // an odd run out: nothing to merge it with
+				continue
+			}
+			t.merge(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &pos[0] {
+		copy(pos, src)
+	}
+	return buf
+}
+
+// radixRun ranks one run of at most rankRun positions: the radix kernel
+// the bulk load sorts lists with (lists.RadixSort) orders them by the top
+// 32 bits of their score's key — four passes, not eight — and the rare
+// runs of rows that agree on those are then ranked by comparison.
+func (t *Table) radixRun(pos, posBuf []int32, rk *ranker) {
+	keys := rk.keys[:len(pos)]
+	for i, p := range pos {
+		s := t.Score(p)
+		if s == 0 {
+			s = 0 // -0 ties with +0, as the comparator has it
+		}
+		keys[i] = uint32(lists.SortKey(s) >> 32)
+	}
+	lists.RadixSort(keys, pos, rk.keyBuf[:len(pos)], posBuf)
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi] == keys[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			t.compareRanked(pos[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// merge merges two non-empty ranked lists of positions into dst, holding
+// the score and id of each list's head so that every row is read once.
+func (t *Table) merge(dst, a, b []int32) {
+	i, j := 0, 0
+	sa, ia := t.Score(a[0]), t.ID(a[0])
+	sb, ib := t.Score(b[0]), t.ID(b[0])
+	for w := range dst {
+		if sa > sb || sa == sb && ia < ib {
+			dst[w] = a[i]
+			if i++; i == len(a) {
+				copy(dst[w+1:], b[j:])
+				return
+			}
+			sa, ia = t.Score(a[i]), t.ID(a[i])
+		} else {
+			dst[w] = b[j]
+			if j++; j == len(b) {
+				copy(dst[w+1:], a[i:])
+				return
+			}
+			sb, ib = t.Score(b[j]), t.ID(b[j])
+		}
+	}
+}
+
+// compareRanked sorts positions into rank order by comparison. The
+// comparator is before over the two page directories it needs, loaded
+// once.
+func (t *Table) compareRanked(pos []int32) {
 	scores, ids := t.score.pages, t.id.pages
 	slices.SortFunc(pos, func(a, b int32) int {
 		sa := math.Float64frombits(scores[a>>pageShift][a&pageMask])

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -239,4 +240,52 @@ func TestForksNeverWriteParentPages(t *testing.T) {
 		}
 	}
 	ta.Release()
+}
+
+// TestRadixRankIsCompareRank: sortRanked ranks exactly as the comparator
+// does — on scores from a coarse grid, where most rows tie and the tied
+// rows arrive out of id order, with -0 among them and with neighbours a
+// few ulps apart (equal on the 32 bits the radix passes see); on lists
+// just below, at and above rankCutover; on one, two and an odd number
+// of radix runs; and on tails that start and end inside pages of a table
+// several pages long. What it returns is a merge buffer at least as long
+// as the list.
+func TestRadixRankIsCompareRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var tab Table
+	tab.reset(1)
+	const rows = 3*pageRows + 500
+	for _, id := range rng.Perm(rows) {
+		score := float64(rng.Intn(40)) / 8
+		switch {
+		case score == 0 && rng.Intn(2) == 0:
+			score = math.Copysign(0, -1)
+		case score > 0 && rng.Intn(3) == 0:
+			score = math.Float64frombits(math.Float64bits(score) + uint64(rng.Intn(4)))
+		}
+		p := tab.add(id, 1, []float64{score})
+		tab.score.put(p, math.Float64bits(score))
+	}
+	sizes := []int{rankCutover - 1, rankCutover, rankCutover + 1, 1000,
+		rankRun - 1, rankRun, rankRun + 1, 2*rankRun + 7, 3 * rankRun, rows - 1}
+	var buf []int32
+	rk := new(ranker)
+	for trial, size := range sizes {
+		from := rng.Intn(rows - size + 1)
+		pos := make([]int32, size)
+		for i := range pos {
+			pos[i] = int32(from + i)
+		}
+		rng.Shuffle(size, func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
+		want := slices.Clone(pos)
+		tab.compareRanked(want)
+		buf = tab.sortRanked(pos, buf, rk)
+		if !slices.Equal(pos, want) {
+			t.Fatalf("trial %d: radix ranking of rows [%d,%d) differs from the comparator's", trial, from, from+size)
+		}
+		if size >= rankCutover && len(buf) < size {
+			t.Fatalf("trial %d: merge buffer of %d for %d rows", trial, len(buf), size)
+		}
+	}
+	tab.release()
 }

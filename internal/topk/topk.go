@@ -286,6 +286,7 @@ type run struct {
 	result []Scored // order[:cut], materialized once
 
 	tail []int32   // merge buffer: the newly ranked pulls
+	rank *ranker   // radix buffers; nil on a fork, which borrows them (sortRanked)
 	proj []float64 // the projection of the tuple being encountered
 
 	done, released bool
@@ -334,7 +335,7 @@ func (r *run) finish() {
 	for p := range r.order {
 		r.order[p] = int32(p)
 	}
-	r.rows.sortRanked(r.order)
+	r.sortRanked(r.order)
 	r.cut = min(r.k, n)
 	r.result = r.rows.Rows(r.order[:r.cut])
 	r.done = true
@@ -366,7 +367,7 @@ func (r *run) Ranking() (order []int32, cut int) {
 		for p := old; p < n; p++ {
 			r.order[p] = int32(p)
 		}
-		r.rows.sortRanked(r.order[old:])
+		r.sortRanked(r.order[old:])
 		r.tail = append(r.tail[:0], r.order[old:]...)
 		i, w := old-1, n-1
 		for j := len(r.tail) - 1; j >= 0; w-- {
@@ -380,6 +381,18 @@ func (r *run) Ranking() (order []int32, cut int) {
 		}
 	}
 	return r.order, r.cut
+}
+
+// sortRanked ranks positions of the run's table with the run's radix
+// buffers — a fork borrows a pool's for the call — and the tail buffer
+// for merging.
+func (r *run) sortRanked(pos []int32) {
+	rk := r.rank
+	if rk == nil {
+		rk = rankerPool.Get().(*ranker)
+		defer rankerPool.Put(rk)
+	}
+	r.tail = r.rows.sortRanked(pos, r.tail, rk)
 }
 
 // Candidates materializes C(q), every encountered non-result tuple in
@@ -471,7 +484,7 @@ func (ta *TA) emitTrace(qpos, tuple int, score float64) {
 		for p := range ranked {
 			ranked[p] = int32(p)
 		}
-		ta.rows.sortRanked(ranked)
+		ta.rows.sortRanked(ranked, nil, ta.rank)
 		for i, p := range ranked {
 			if i < ta.k {
 				ts.ResultIDs = append(ts.ResultIDs, ta.rows.ID(p))
@@ -493,12 +506,16 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 		panic(fmt.Sprintf("topk: k=%d", k))
 	}
 	sc := getScratch(ix.NumTuples(), q.Len())
+	if sc.rank == nil {
+		sc.rank = new(ranker)
+	}
 	return &TA{
 		run: run{
 			scanState: newScanState(ix, q, k, policy, sc),
 			rows:      sc.rows,
 			order:     sc.order,
 			tail:      sc.tail,
+			rank:      sc.rank,
 			proj:      sc.proj,
 		},
 		sc:        sc,
