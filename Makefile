@@ -105,10 +105,12 @@ bench-smoke:
 # and engine's TestFailedSortedAccessFailsTheQuery, which only this build
 # can run: a list file cut short under a scan fails the query instead of
 # ending the list. exp rides along for the counts matrix (TestFigures/counts),
-# whose memory half must not move on this build either. The cross-build
-# proves the fallback compiles on amd64 too.
+# whose memory half must not move on this build either, and server for
+# TestReadFaultFailsOneQuery: damaged generation files fail exactly the
+# queries that read them, as counted 500s, over pread as over the mapping.
+# The cross-build proves the fallback compiles on amd64 too.
 test-fallback:
-	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/... ./internal/exp/...
+	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/... ./internal/exp/... ./internal/server/...
 	GOARCH=amd64 $(GO) build -tags=nommap ./...
 
 # Durability focus: the WAL package under -race, the crash-recovery and

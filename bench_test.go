@@ -118,7 +118,9 @@ func BenchmarkTA(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ta := topk.New(env.wsjI, qs[i%len(qs)], 10, policy)
-				ta.Run()
+				if err := ta.RunContext(context.Background()); err != nil {
+					b.Fatal(err)
+				}
 				accesses += ta.SortedAccesses()
 			}
 			b.ReportMetric(float64(accesses)/float64(b.N), "sorted-accesses/op")

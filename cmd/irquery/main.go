@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -73,7 +74,7 @@ func main() {
 	if *trace {
 		printTrace(eng, q, *k)
 	}
-	a, err := eng.Analyze(q, *k, repro.Options{Method: m, Phi: *phi})
+	a, err := eng.Analyze(context.Background(), q, *k, repro.Options{Method: m, Phi: *phi})
 	if err != nil {
 		fatal(err)
 	}
@@ -131,7 +132,10 @@ func printSchedule(reg repro.Regions, base []int) {
 
 // printTrace renders the Fig. 2-style TA execution table.
 func printTrace(eng *repro.Engine, q repro.Query, k int) {
-	_, steps := eng.TopKTrace(q, k)
+	_, steps, err := eng.TopKTrace(context.Background(), q, k)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Println("TA execution trace:")
 	fmt.Printf("  %-4s %-10s %-18s %10s %-22s %s\n", "step", "access", "tuple", "threshold", "R(q)", "C(q)")
 	for _, ts := range steps {

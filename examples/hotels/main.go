@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -47,7 +48,7 @@ func main() {
 	}
 
 	const k, phi = 5, 2
-	a, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT, Phi: phi})
+	a, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT, Phi: phi})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	const k = 10
-	a, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT})
+	a, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func main() {
 	fmt.Println("\nalgorithm comparison on this query:")
 	fmt.Printf("  %-6s %12s %14s %14s %12s\n", "method", "evaluated", "modeled I/O", "CPU", "memory")
 	for _, m := range []repro.Method{repro.Scan, repro.Thres, repro.Prune, repro.CPT} {
-		res, err := eng.Analyze(q, k, repro.Options{Method: m})
+		res, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: m})
 		if err != nil {
 			log.Fatal(err)
 		}

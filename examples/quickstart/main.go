@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	a, err := eng.Analyze(q, 2, repro.Options{Method: repro.CPT})
+	a, err := eng.Analyze(context.Background(), q, 2, repro.Options{Method: repro.CPT})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,7 +36,7 @@ func main() {
 
 	const k = 10
 	for round := 1; round <= 3; round++ {
-		a, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT})
+		a, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,7 +74,7 @@ func main() {
 // scanCount runs the baseline for comparison and returns its evaluated
 // candidate total.
 func scanCount(eng *repro.Engine, q repro.Query, k int) int {
-	a, err := eng.Analyze(q, k, repro.Options{Method: repro.Scan})
+	a, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.Scan})
 	if err != nil {
 		log.Fatal(err)
 	}

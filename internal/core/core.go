@@ -315,7 +315,9 @@ type dimComputer struct {
 	met  *Metrics
 	sc   *scratch
 
-	// ctxTick strides the cancellation polls of the Phase-2/3 loops.
+	// err stops the Phase-2/3 loops: a cancellation their strided polls
+	// (ctxTick) saw, or a failed Phase-2 fetch.
+	err     error
 	ctxTick uint32
 }
 
@@ -347,9 +349,9 @@ type Runner interface {
 // ctx cancels the computation mid-flight: the TA round loop, the
 // Phase-2 evaluation/thresholding loops and the Phase-3 resume loops all
 // poll it at a coarse stride, so a disconnected client stops costing CPU
-// and I/O within a few hundred accesses. On cancellation the partial
-// output is discarded and the context's error is returned. A nil ctx is
-// treated as context.Background().
+// and I/O within a few hundred accesses. A failed read stops them the
+// same way. Either way the partial output is discarded and the error is
+// returned. A nil ctx is treated as context.Background().
 func Compute(ctx context.Context, ta *topk.TA, opts Options) (*Output, error) {
 	return ComputeView(ctx, ta, opts)
 }
@@ -363,7 +365,7 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 		return nil, fmt.Errorf("core: negative phi %d", opts.Phi)
 	}
 	if err := r.RunContext(ctx); err != nil {
-		return nil, fmt.Errorf("core: query canceled during top-k: %w", err)
+		return nil, fmt.Errorf("core: top-k scan: %w", err)
 	}
 	c := &computer{
 		ix:   r.Index(),
@@ -382,6 +384,7 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 	met := Metrics{EvaluatedPerDim: make([]int, qlen)}
 
 	seq0, rnd0, _ := c.ix.Stats().Snapshot()
+	var err error
 	switch {
 	case len(c.res) < c.k:
 		// Fewer tuples than k: no tuple can displace anything.
@@ -389,12 +392,12 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 			out.Regions[jx] = c.fullDomainRegions(jx)
 		}
 	case opts.Parallelism <= 0:
-		c.computeSequential(r, out, &met)
+		err = c.computeSequential(r, out, &met)
 	default:
-		c.computeForked(r, out, &met)
+		err = c.computeForked(r, out, &met)
 	}
-	if err := c.canceled(); err != nil {
-		return nil, fmt.Errorf("core: query canceled: %w", err)
+	if err != nil {
+		return nil, fmt.Errorf("core: region computation: %w", err)
 	}
 	seq1, rnd1, _ := c.ix.Stats().Snapshot()
 	met.SeqPages = seq1 - seq0
@@ -412,65 +415,68 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 	return out, nil
 }
 
-// canceled reports the computation's cancellation error, if any.
-func (c *computer) canceled() error {
-	if c.ctx == nil {
-		return nil
+// stop is the Phase-2/3 loops' check for a reason to quit: err, and the
+// context, polled only every 64th call, because one loop iteration costs
+// roughly a tuple fetch while ctx.Err may take a lock.
+func (d *dimComputer) stop() bool {
+	if d.err == nil && d.ctx != nil {
+		if d.ctxTick++; d.ctxTick&63 == 0 {
+			d.err = d.ctx.Err()
+		}
 	}
-	return c.ctx.Err()
+	return d.err != nil
 }
 
-// stop is the strided cancellation poll of the Phase-2/3 loops: it
-// checks the context only every 64th call, because one loop iteration
-// costs roughly a tuple fetch while ctx.Err may take a lock.
-func (d *dimComputer) stop() bool {
-	if d.ctx == nil {
-		return false
+// failed reports what failed the finished dimension: err, the failure of
+// the scan Phase 3 resumed, or a cancellation no strided poll reached.
+func (d *dimComputer) failed() error {
+	if d.err == nil {
+		d.err = d.view.Err()
 	}
-	d.ctxTick++
-	return d.ctxTick&63 == 0 && d.ctx.Err() != nil
+	if d.err == nil && d.ctx != nil {
+		d.err = d.ctx.Err()
+	}
+	return d.err
 }
 
 // computeSequential is the paper-literal pipeline: one shared scan, one
 // evaluation memo reset per dimension, metrics accumulated in place.
-func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) {
+func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) error {
 	sc := getScratch()
 	defer putScratch(sc)
 	d := c.newDim(r, met, sc)
 	for jx := range c.q.Dims {
-		if c.canceled() != nil {
-			return // Compute reports the error after the loop
-		}
 		sc.resetEval()
 		out.Regions[jx] = d.computeDim(jx)
+		if err := d.failed(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // computeForked fans the dimensions out over min(Parallelism, qlen)
 // workers, each dimension on its own TA fork, and merges the
-// per-dimension metrics in ascending dimension order.
-func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
+// per-dimension metrics in ascending dimension order. A failure stops
+// the hand-out of dimensions; the first in dimension order is returned.
+func (c *computer) computeForked(r Runner, out *Output, met *Metrics) error {
 	qlen := c.q.Len()
-	workers := c.opts.Parallelism
-	if workers > qlen {
-		workers = qlen
-	}
+	workers := min(c.opts.Parallelism, qlen)
 	perDim := make([]Metrics, qlen)
+	errs := make([]error, qlen)
 	var next atomic.Int64
-	var panicOnce sync.Once
-	var panicked any
 	run := func() {
 		sc := getScratch()
 		defer putScratch(sc)
-		for {
-			jx := int(next.Add(1)) - 1
-			if jx >= qlen || c.canceled() != nil {
-				return
-			}
+		for jx := int(next.Add(1)) - 1; jx < qlen; jx = int(next.Add(1)) - 1 {
 			perDim[jx].EvaluatedPerDim = make([]int, qlen)
 			fork := r.ForkView()
 			sc.resetEval()
-			out.Regions[jx] = c.newDim(fork, &perDim[jx], sc).computeDim(jx)
+			d := c.newDim(fork, &perDim[jx], sc)
+			out.Regions[jx] = d.computeDim(jx)
+			if errs[jx] = d.failed(); errs[jx] != nil {
+				next.Store(int64(qlen))
+			}
 			fork.Release()
 		}
 	}
@@ -482,23 +488,19 @@ func (c *computer) computeForked(r Runner, out *Output, met *Metrics) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicOnce.Do(func() { panicked = r })
-					}
-				}()
 				run()
 			}()
 		}
 		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
 	}
 	for jx := range perDim {
+		if errs[jx] != nil {
+			return errs[jx]
+		}
 		met.merge(perDim[jx])
 	}
 	c.forked = true
+	return nil
 }
 
 // computeDim routes one dimension to the right algorithm variant.
@@ -526,13 +528,15 @@ func (c *computer) fullDomainRegions(jx int) Regions {
 // identical record (the row's coordinates), so the access is charged
 // (Index.Project with no dimensions) rather than repeated. A second
 // evaluation within one dimension is served from the memo without
-// re-charging.
+// re-charging. A failed fetch is kept in err, which stops the loop.
 func (d *dimComputer) evaluate(jx int, pos int32) {
 	if d.sc.mark[pos] == d.sc.epoch {
 		return
 	}
 	d.sc.mark[pos] = d.sc.epoch
-	d.ix.Project(d.id(pos), nil, nil)
+	if err := d.ix.Project(d.id(pos), nil, nil); err != nil && d.err == nil {
+		d.err = err
+	}
 	d.noteEvaluated(jx)
 }
 

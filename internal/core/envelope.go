@@ -283,7 +283,7 @@ func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
 func (c *dimComputer) iterativeDim(jx int) Regions {
 	var reg Regions
 	for r := 0; r <= c.opts.Phi; r++ {
-		if c.canceled() != nil {
+		if c.failed() != nil {
 			return reg
 		}
 		c.sc.resetEval() // refetch everything

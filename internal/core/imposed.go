@@ -138,6 +138,7 @@ func (v *imposedRunner) Resume() (int32, bool) {
 }
 
 func (v *imposedRunner) ThresholdsInto(dst []float64) { v.inner.ThresholdsInto(dst) }
+func (v *imposedRunner) Err() error                   { return v.inner.Err() }
 
 // WasSortedAccessed answers for shard-owned tuples only. A foreign id —
 // typically the imposed d_k living on another shard — reports false,
@@ -261,8 +262,8 @@ type offsetIndex struct {
 func (o *offsetIndex) NumTuples() int          { return o.base + o.Index.NumTuples() }
 func (o *offsetIndex) Tuple(id int) vec.Sparse { return o.Index.Tuple(id - o.base) }
 
-func (o *offsetIndex) Project(id int, dims []int, dst []float64) {
-	o.Index.Project(id-o.base, dims, dst)
+func (o *offsetIndex) Project(id int, dims []int, dst []float64) error {
+	return o.Index.Project(id-o.base, dims, dst)
 }
 
 func (o *offsetIndex) Cursor(dim int) lists.Cursor {

@@ -159,7 +159,9 @@ func TestParallelAcrossPages(t *testing.T) {
 	}
 	cs := fixture.Case{Tuples: tuples, M: m, Q: vec.MustQuery([]int{0, 1, 2}, []float64{0.9, 0.5, 0.7}), K: 400}
 	ta := topk.New(lists.NewMemIndex(cs.Tuples, cs.M), cs.Q, cs.K, topk.BestList)
-	ta.Run()
+	if err := ta.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if rows := ta.Table().Len(); rows <= 8192 { // one 64 KiB page of 8-byte values per column
 		t.Fatalf("the scan stopped at %d rows, inside its first page", rows)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -65,7 +66,9 @@ func shuffledTable(rng *rand.Rand, n int) *topk.Table {
 		tuples[i] = vec.Sparse{{Dim: 0, Val: 0.1 + 0.9*rng.Float64()}}
 	}
 	ta := topk.New(lists.NewMemIndex(tuples, 1), vec.MustQuery([]int{0}, []float64{1}), 1, topk.RoundRobin)
-	ta.Run()
+	if err := ta.RunContext(context.Background()); err != nil {
+		panic(err) // a memory index has no read to fail
+	}
 	for {
 		if _, ok := ta.Resume(); !ok {
 			return ta.Table() // never released: the pages stay this test's

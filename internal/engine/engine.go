@@ -510,7 +510,7 @@ func (e *Engine) analyzeLocked(ctx context.Context, ix lists.Index, queued time.
 		multi = topk.NewMulti(ix, queries, unit[0].K, topk.BestList)
 		defer multi.Release()
 		if err := multi.RunContext(ctx); err != nil {
-			return fmt.Errorf("engine: query canceled: %w", err)
+			return fmt.Errorf("engine: top-k scan: %w", err)
 		}
 	}
 	for i, j := range unit {
@@ -632,7 +632,7 @@ func topkLocked(ctx context.Context, ix lists.Index, queued time.Duration, unit 
 		ta := topk.New(ix, j.Q, j.K, topk.BestList)
 		defer ta.Release()
 		if err := ta.RunContext(ctx); err != nil {
-			return fmt.Errorf("engine: query canceled: %w", err)
+			return fmt.Errorf("engine: top-k scan: %w", err)
 		}
 		j.answer(ta.Result(), ta.SortedAccesses(), queued)
 		j.info.SeqPages, j.info.RandReads, _ = ix.Stats().Snapshot()
@@ -645,7 +645,7 @@ func topkLocked(ctx context.Context, ix lists.Index, queued time.Duration, unit 
 	multi := topk.NewMulti(ix, queries, unit[0].K, topk.BestList)
 	defer multi.Release()
 	if err := multi.RunContext(ctx); err != nil {
-		return fmt.Errorf("engine: query canceled: %w", err)
+		return fmt.Errorf("engine: top-k scan: %w", err)
 	}
 	for i, j := range unit {
 		j.answer(multi.Result(i), multi.SortedAccesses(), queued)
@@ -707,7 +707,7 @@ func traceLocked(ctx context.Context, ix lists.Index, q vec.Query, k int) ([]top
 	var steps []topk.TraceStep
 	ta.SetTrace(func(ts topk.TraceStep) { steps = append(steps, ts) })
 	if err := ta.RunContext(ctx); err != nil {
-		return nil, nil, fmt.Errorf("engine: query canceled: %w", err)
+		return nil, nil, fmt.Errorf("engine: top-k scan: %w", err)
 	}
 	return ta.Result(), steps, nil
 }

@@ -223,9 +223,9 @@ func (c *cancelIndex) Tuple(id int) vec.Sparse {
 
 // Project is the fetch the query path makes; without this override the
 // embedded index would serve it uncounted and the test would never fire.
-func (c *cancelIndex) Project(id int, dims []int, dst []float64) {
+func (c *cancelIndex) Project(id int, dims []int, dst []float64) error {
 	c.fetch()
-	c.Index.Project(id, dims, dst)
+	return c.Index.Project(id, dims, dst)
 }
 
 func (c *cancelIndex) fetch() {

@@ -48,27 +48,19 @@ func TestFailedSortedAccessFailsTheQuery(t *testing.T) {
 	kept := vec.MustQuery([]int{0, 1, 2, 3}, []float64{0.9, 0.4, 0.7, 0.6})
 	opts := Options{Options: core.Options{Method: core.MethodCPT}}
 
-	failure := func(what string, query func()) {
-		t.Helper()
-		defer func() {
-			t.Helper()
-			r := recover()
-			if r == nil {
-				return // answered: reported below
-			}
-			err, ok := r.(error)
-			if !ok {
-				t.Fatalf("%s over a truncated list panicked with %v, want an error", what, r)
-			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("%s failed with %v, want the read error", what, err)
-			}
-		}()
-		query()
-		t.Fatalf("%s over a truncated list was answered", what)
+	ctx := context.Background()
+	for what, query := range map[string]func() error{
+		"Analyze":     func() error { _, err := eng.Analyze(ctx, lost, 10, opts); return err },
+		"TopKMetered": func() error { _, _, err := eng.TopKMetered(ctx, lost, 10); return err },
+		"AnalyzeBatch": func() error {
+			return eng.AnalyzeBatch(ctx, []BatchItem{{Q: lost, K: 10, Opts: opts}})[0].Err
+		},
+		"TopKBatch": func() error { return eng.TopKBatch(ctx, []TopKItem{{Q: lost, K: 10}})[0].Err },
+	} {
+		if err := query(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s over a truncated list returned %v, want the read error", what, err)
+		}
 	}
-	failure("Analyze", func() { eng.Analyze(context.Background(), lost, 10, opts) })
-	failure("TopKMetered", func() { eng.TopKMetered(context.Background(), lost, 10) })
 	if cs := eng.CacheStats(); cs.Entries != 0 {
 		t.Fatalf("the failed analysis left %d cache entries", cs.Entries)
 	}

@@ -139,7 +139,9 @@ type Counts struct {
 func Analyze(ix lists.Index, q vec.Query, k int, opts core.Options) (*core.Output, Counts, error) {
 	ta := topk.New(ix, q, k, topk.BestList)
 	defer ta.Release()
-	ta.Run()
+	if err := ta.RunContext(context.Background()); err != nil {
+		return nil, Counts{}, err
+	}
 	candidates := func() int {
 		order, cut := ta.Ranking()
 		return len(order) - cut

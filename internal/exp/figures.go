@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"strconv"
@@ -204,7 +205,7 @@ func (r *Runner) workload4(name string) (*dataset.Dataset, lists.Index, []vec.Qu
 func ranked(ix lists.Index, q vec.Query, visit func(rows *topk.Table, order []int32, cut int)) {
 	ta := topk.New(ix, q, 10, topk.BestList)
 	defer ta.Release()
-	ta.Run()
+	_ = ta.RunContext(context.Background()) // a runner's memory index has no read to fail
 	order, cut := ta.Ranking()
 	visit(ta.Table(), order, cut)
 }
@@ -301,7 +302,7 @@ func ablationProbing(r *Runner) []Panel {
 		return func(q vec.Query) int {
 			ta := topk.New(ix, q, 10, policy)
 			defer ta.Release()
-			ta.Run()
+			_ = ta.RunContext(context.Background()) // as in ranked
 			return ta.SortedAccesses()
 		}
 	}

@@ -1,6 +1,7 @@
 package lists_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -35,7 +36,9 @@ func TestDiskIndexConcurrentQueries(t *testing.T) {
 		st := ix.Stats().Child()
 		view := ix.WithStats(st)
 		ta := topk.New(view, cs.Q, cs.K, topk.BestList)
-		ta.Run()
+		if err := ta.RunContext(context.Background()); err != nil {
+			t.Error(err)
+		}
 		_, rnd, _ := st.Snapshot()
 		return ta.Result(), rnd
 	}

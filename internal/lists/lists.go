@@ -58,6 +58,9 @@ type Cursor interface {
 	Peek() (storage.Posting, bool)
 	// Next consumes and returns the next posting.
 	Next() (storage.Posting, bool)
+	// Err returns the read failure that stopped the cursor, if any: Peek
+	// and Next then report ok=false, which is not the end of the list.
+	Err() error
 	// Consumed reports how many postings have been consumed.
 	Consumed() int
 	// Clone returns an independent cursor at the same position, so a
@@ -83,8 +86,9 @@ type Index interface {
 	// vec.Query.ProjectInto(Tuple(id), dst) would, charging exactly what
 	// Tuple charges. Empty dims pay the access and read nothing — the
 	// Phase-2 fetch of a candidate whose projection the scan already holds.
+	// A failed read is returned, and fails the query that made it.
 	// A wrapper that overrides Tuple must override Project with it.
-	Project(id int, dims []int, dst []float64)
+	Project(id int, dims []int, dst []float64) error
 	// Stats exposes the I/O meter all accesses are charged to.
 	Stats() *storage.IOStats
 	// WithStats returns a view of the same index whose accesses are
@@ -207,8 +211,9 @@ func (ix *MemIndex) Tuple(id int) vec.Sparse {
 }
 
 // Project charges Tuple's random read and projects from memory.
-func (ix *MemIndex) Project(id int, dims []int, dst []float64) {
+func (ix *MemIndex) Project(id int, dims []int, dst []float64) error {
 	projectMem(ix.tuples[id], dims, dst, ix.stats)
+	return nil
 }
 
 // projectMem is Project over a memory-resident tuple, charged like a
@@ -256,6 +261,7 @@ func (c *memCursor) Next() (storage.Posting, bool) {
 }
 
 func (c *memCursor) Consumed() int { return c.pos }
+func (c *memCursor) Err() error    { return nil }
 
 func (c *memCursor) Clone() Cursor {
 	cp := *c
@@ -323,12 +329,12 @@ func (ix *DiskIndex) WithStats(st *storage.IOStats) Index {
 
 // Cursor opens a sorted-access cursor on dim.
 func (ix *DiskIndex) Cursor(dim int) Cursor {
-	return &diskCursor{c: ix.lf.CursorWith(dim, ix.stats), tf: ix.tf}
+	return &diskCursor{ListCursor: ix.lf.CursorWith(dim, ix.stats), tf: ix.tf}
 }
 
-// Tuple fetches a tuple, charging one random read. A read that fails —
-// here, in Project or under a cursor — fails the query: Index has no
-// error to return, so it panics with one.
+// Tuple fetches a tuple, charging one random read. It panics when the
+// read fails: Index.Tuple returns no error, and only callers off the
+// query path (GET /tuple, the write path, loaders) use it.
 func (ix *DiskIndex) Tuple(id int) vec.Sparse {
 	t, err := ix.tf.GetWith(id, ix.stats)
 	if err != nil {
@@ -339,10 +345,11 @@ func (ix *DiskIndex) Tuple(id int) vec.Sparse {
 
 // Project charges Tuple's random read and projects straight from the
 // record (a view of the mapping when the file is mapped).
-func (ix *DiskIndex) Project(id int, dims []int, dst []float64) {
+func (ix *DiskIndex) Project(id int, dims []int, dst []float64) error {
 	if err := ix.tf.ProjectWith(id, dims, dst, ix.stats); err != nil {
-		panic(fmt.Errorf("lists: tuple %d: %w", id, err))
+		return fmt.Errorf("lists: tuple %d: %w", id, err)
 	}
+	return nil
 }
 
 // The records of the next postings of a list are what TA reads next at
@@ -363,28 +370,16 @@ const (
 // charged, and every count the paper's figures report, does not depend
 // on it.
 type diskCursor struct {
-	c       *storage.ListCursor
+	*storage.ListCursor
 	tf      *storage.TupleFile
 	fetched int // list position up to which records have been prefetched
 	ids     [prefetchDistance]int32
 	sum     uint64 // Prefetch's result, kept so its loads are not optimized away
 }
 
-func (d *diskCursor) Peek() (storage.Posting, bool) {
-	p, ok := d.c.Peek()
-	if !ok {
-		d.check()
-	}
-	return p, ok
-}
-
 func (d *diskCursor) Next() (storage.Posting, bool) {
-	p, ok := d.c.Next()
-	if !ok {
-		d.check()
-		return p, ok
-	}
-	if pos := d.c.Consumed(); d.fetched-pos < prefetchRefill {
+	p, ok := d.ListCursor.Next()
+	if pos := d.Consumed(); ok && d.fetched-pos < prefetchRefill {
 		d.prefetch(pos)
 	}
 	return p, ok
@@ -394,23 +389,13 @@ func (d *diskCursor) Next() (storage.Posting, bool) {
 // that the current page holds; pos is the next posting's position.
 func (d *diskCursor) prefetch(pos int) {
 	from := max(d.fetched, pos)
-	n := d.c.Ahead(from-pos, d.ids[:pos+prefetchDistance-from])
+	n := d.Ahead(from-pos, d.ids[:pos+prefetchDistance-from])
 	d.sum += d.tf.Prefetch(d.ids[:n])
 	d.fetched = from + n
 }
 
-// check fails the query when the cursor stopped on a failed page read:
-// passing that on as "end of list" would let TA terminate on a truncated
-// list and the engine serve, and cache, a wrong top-k.
-func (d *diskCursor) check() {
-	if err := d.c.Err(); err != nil {
-		panic(fmt.Errorf("lists: sorted access: %w", err))
-	}
-}
-
-func (d *diskCursor) Consumed() int { return d.c.Consumed() }
 func (d *diskCursor) Clone() Cursor {
-	return &diskCursor{c: d.c.CloneCursor(), tf: d.tf, fetched: d.fetched}
+	return &diskCursor{ListCursor: d.CloneCursor(), tf: d.tf, fetched: d.fetched}
 }
 
 // SaveDataset writes tuples and their inverted lists to tuplePath and

@@ -119,14 +119,15 @@ func (ov *Overlay) Tuple(id int) vec.Sparse {
 
 // Project follows Tuple: overlay-resident versions project from memory,
 // everything else from the base.
-func (ov *Overlay) Project(id int, dims []int, dst []float64) {
+func (ov *Overlay) Project(id int, dims []int, dst []float64) error {
 	if id >= ov.baseN {
 		projectMem(ov.added[id-ov.baseN], dims, dst, ov.stats)
 	} else if e, ok := ov.over[id]; ok {
 		projectMem(e.t, dims, dst, ov.stats)
 	} else {
-		ov.base.Project(id, dims, dst)
+		return ov.base.Project(id, dims, dst)
 	}
+	return nil
 }
 
 // DeltaStats is a point-in-time measure of an overlay's in-memory
@@ -369,10 +370,11 @@ type overlayCursor struct {
 
 // skipDead consumes base postings of tombstoned tuples. Reading past
 // them is charged to the base cursor: the scan physically visits them.
+// An id outside the base is passed on, for the scan to fail on.
 func (c *overlayCursor) skipDead() {
 	for {
 		p, ok := c.base.Peek()
-		if !ok || c.dead[p.ID>>6]&(1<<(uint(p.ID)&63)) == 0 {
+		if !ok || uint(p.ID>>6) >= uint(len(c.dead)) || c.dead[p.ID>>6]&(1<<(uint(p.ID)&63)) == 0 {
 			return
 		}
 		c.base.Next()
@@ -416,6 +418,7 @@ func (c *overlayCursor) Next() (storage.Posting, bool) {
 }
 
 func (c *overlayCursor) Consumed() int { return c.n }
+func (c *overlayCursor) Err() error    { return c.base.Err() }
 
 func (c *overlayCursor) Clone() Cursor {
 	cp := *c

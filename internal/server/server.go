@@ -641,10 +641,10 @@ func (s *Server) handleBatchAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	for j, res := range qr.AnalyzeBatch(r.Context(), items) {
 		i := itemIdx[j]
+		if itemFailed(w, res.Err) {
+			return
+		}
 		if res.Err != nil {
-			if errors.Is(res.Err, engine.ErrInvalid) {
-				mValidationFailures.Inc()
-			}
 			resp.Responses[i] = BatchEntryResponse{Error: res.Err.Error()}
 			continue
 		}
@@ -685,10 +685,10 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	for j, res := range qr.TopKBatch(r.Context(), items) {
 		i := itemIdx[j]
+		if itemFailed(w, res.Err) {
+			return
+		}
 		if res.Err != nil {
-			if errors.Is(res.Err, engine.ErrInvalid) {
-				mValidationFailures.Inc()
-			}
 			resp.Responses[i] = TopKEntryResponse{Error: res.Err.Error()}
 			continue
 		}
@@ -940,6 +940,20 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// itemFailed answers a batch whose item failed for a reason other than
+// its own validity (a failed read, a cancellation) as that item alone
+// would be, and reports whether it did. Invalid items are counted here.
+func itemFailed(w http.ResponseWriter, err error) bool {
+	if errors.Is(err, engine.ErrInvalid) {
+		mValidationFailures.Inc()
+		return false
+	}
+	if err != nil {
+		engineError(w, err)
+	}
+	return err != nil
 }
 
 // engineError maps a Querier failure to an HTTP status: validation

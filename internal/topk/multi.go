@@ -33,8 +33,8 @@ import (
 )
 
 // Multi is a fused TA run over a group of same-subspace, same-k
-// queries. Run/RunContext executes the shared scan; Member then hands
-// out per-member resumable views for region computation.
+// queries. RunContext executes the shared scan; Member then hands out
+// per-member resumable views for region computation.
 type Multi struct {
 	scan    scanState // q = {Dims, per-dim max weight}: probe steering only
 	sc      *scratch  // pooled scan memory; nil once released
@@ -118,28 +118,22 @@ func (m *Multi) Release() {
 }
 
 // termCheckStride is how often (in sorted accesses) the fused scan runs
-// the whole group's termination test; see Run.
+// the whole group's termination test; see RunContext.
 const termCheckStride = 16
 
-// RunContext executes the fused scan to termination under a context,
-// with the same cancellation contract as TA.RunContext.
+// RunContext executes the fused scan until every member has individually
+// terminated (or the lists are exhausted) and materializes each
+// member's ranked result and candidate list, with the same cancellation
+// and failure contract as TA.RunContext.
 func (m *Multi) RunContext(ctx context.Context) error {
 	if ctx != nil && m.scan.ctx == nil {
 		m.scan.ctx = ctx
 	}
-	m.Run()
-	return m.scan.ctxErr
-}
-
-// Run executes the fused scan until every member has individually
-// terminated (or the lists are exhausted) and materializes each
-// member's ranked result and candidate list.
-func (m *Multi) Run() {
 	if m.done {
-		return
+		return m.scan.Err()
 	}
 	if m.sc == nil {
-		panic("topk: Run after Release")
+		panic("topk: RunContext after Release")
 	}
 	nq := len(m.queries)
 	qlen := m.scan.q.Len()
@@ -158,7 +152,7 @@ func (m *Multi) Run() {
 		}
 		p, _, isNew, ok := m.scan.rawStep()
 		if !ok {
-			break // dataset exhausted (or context canceled)
+			break // dataset exhausted, or the scan failed
 		}
 		if !isNew {
 			continue
@@ -168,7 +162,9 @@ func (m *Multi) Run() {
 		// bit-identical to the member's solo vec.Dot (every output has
 		// its own accumulator).
 		proj := m.sc.proj
-		m.scan.ix.Project(p.ID, m.scan.q.Dims, proj)
+		if m.scan.err = m.scan.ix.Project(p.ID, m.scan.q.Dims, proj); m.scan.err != nil {
+			break
+		}
 		vec.DotBatch(m.flatW, proj, scoreBuf)
 		pos := m.rows.add(p.ID, nzMask(proj), proj)
 		for mi, s := range scoreBuf {
@@ -184,6 +180,7 @@ func (m *Multi) Run() {
 	// entry — additionally ranks the full candidate tail.
 	m.results = make([][]Scored, nq)
 	m.done = true
+	return m.scan.Err()
 }
 
 // view returns the shared rows under member mi's scores: a table that
@@ -244,7 +241,7 @@ func (m *Multi) allSatisfied(thrVec, memThr []float64) bool {
 // whole group's, paid once.
 func (m *Multi) SortedAccesses() int { return m.scan.sortedAccesses }
 
-// Result returns member i's ranked top-k. Run must have completed.
+// Result returns member i's ranked top-k. RunContext must have completed.
 // Like TA, a Multi is not safe for concurrent use: materialization is
 // lazy and memoized.
 func (m *Multi) Result(i int) []Scored {
@@ -280,7 +277,7 @@ func (m *Multi) mustBeDone(op string) {
 		panic("topk: " + op + " after Release")
 	}
 	if !m.done {
-		panic("topk: " + op + " before Run")
+		panic("topk: " + op + " before RunContext")
 	}
 }
 
@@ -288,7 +285,7 @@ func (m *Multi) mustBeDone(op string) {
 // shared scan with the member's query substituted, so Result, Ranking,
 // Resume and Release are Fork's. It implements View (and core.Runner): the scan
 // is already terminated, so RunContext only arms the context and reports
-// any cancellation.
+// the scan's error.
 type MemberRun struct{ Fork }
 
 // RunContext arms ctx on the (already completed) member scan so that
@@ -297,7 +294,7 @@ func (r *MemberRun) RunContext(ctx context.Context) error {
 	if ctx != nil && r.ctx == nil {
 		r.ctx = ctx
 	}
-	return r.ctxErr
+	return r.Err()
 }
 
 // ForkView returns an isolated resumable copy for one dimension of a

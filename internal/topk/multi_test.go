@@ -35,10 +35,10 @@ func TestMultiMatchesSolo(t *testing.T) {
 		for _, policy := range []ProbePolicy{RoundRobin, BestList} {
 			ix := lists.NewMemIndex(cs.Tuples, cs.M)
 			multi := NewMulti(ix, queries, cs.K, policy)
-			multi.Run()
+			mustRun(t, multi)
 			for mi, q := range queries {
 				solo := New(lists.NewMemIndex(cs.Tuples, cs.M), q, cs.K, policy)
-				solo.Run()
+				mustRun(t, solo)
 				want := solo.Result()
 				got := multi.Result(mi)
 				if len(got) != len(want) {
@@ -77,7 +77,7 @@ func TestMultiMemberViewValid(t *testing.T) {
 		queries := weightVariants(rng, cs.Q, 2+rng.Intn(5))
 		ix := lists.NewMemIndex(cs.Tuples, cs.M)
 		multi := NewMulti(ix, queries, cs.K, BestList)
-		multi.Run()
+		mustRun(t, multi)
 		encIDs := map[int]bool{}
 		for p := 0; p < multi.rows.Len(); p++ {
 			encIDs[multi.rows.ID(int32(p))] = true
@@ -120,7 +120,7 @@ func TestMultiMemberResume(t *testing.T) {
 	queries := weightVariants(rng, cs.Q, 3)
 	ix := lists.NewMemIndex(cs.Tuples, cs.M)
 	multi := NewMulti(ix, queries, cs.K, BestList)
-	multi.Run()
+	mustRun(t, multi)
 
 	a, b := multi.Member(0), multi.Member(1)
 	lenB := len(b.Candidates())

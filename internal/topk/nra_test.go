@@ -76,7 +76,7 @@ func TestNRAReadsDeeperThanTA(t *testing.T) {
 		cs := fixture.RandCase(rng, 150, 6, 3, 5)
 		ixTA := lists.NewMemIndex(cs.Tuples, cs.M)
 		ta := New(ixTA, cs.Q, cs.K, RoundRobin)
-		ta.Run()
+		mustRun(t, ta)
 
 		ixNRA := lists.NewMemIndex(cs.Tuples, cs.M)
 		nra := NewNRA(ixNRA, cs.Q, cs.K)

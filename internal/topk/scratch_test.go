@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -40,7 +41,7 @@ func TestCompactSurvivesRelease(t *testing.T) {
 		cs := fixture.RandCase(rng, 80+rng.Intn(200), 8, 2+rng.Intn(5), 1+rng.Intn(8))
 		ix := lists.NewMemIndex(cs.Tuples, cs.M)
 		ta := New(ix, cs.Q, cs.K, BestList)
-		ta.Run()
+		mustRun(t, ta)
 		for i := 0; i < 3; i++ {
 			ta.Resume()
 		}
@@ -53,7 +54,7 @@ func TestCompactSurvivesRelease(t *testing.T) {
 		// scribbles over it.
 		other := fixture.RandCase(rng, 50+rng.Intn(300), 8, 2+rng.Intn(5), 3)
 		tb := New(lists.NewMemIndex(other.Tuples, other.M), other.Q, other.K, RoundRobin)
-		tb.Run()
+		mustRun(t, tb)
 		assertClean(t, "second run", tb.Result(), other.Q)
 		tb.Release()
 
@@ -76,10 +77,10 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	tuples, q, k := fixture.RunningExample()
 	ix := lists.NewMemIndex(tuples, 2)
 	ta := New(ix, q, k, RoundRobin)
-	ta.Run()
+	mustRun(t, ta)
 	ta.Release()
 	multi := NewMulti(ix, []vec.Query{q, q}, k, RoundRobin)
-	multi.Run()
+	mustRun(t, multi)
 	multi.Release()
 	multi.Release()
 	for name, fn := range map[string]func(){
@@ -87,10 +88,10 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		"TA.Candidates": func() { ta.Candidates() },
 		"TA.Resume":     func() { ta.Resume() },
 		"TA.Fork":       func() { ta.Fork() },
-		"TA.Run":        func() { ta.Run() },
+		"TA.Run":        func() { ta.RunContext(context.Background()) },
 		"Multi.Result":  func() { multi.Result(0) },
 		"Multi.Member":  func() { multi.Member(0) },
-		"Multi.Run":     func() { multi.Run() },
+		"Multi.Run":     func() { multi.RunContext(context.Background()) },
 	} {
 		func() {
 			defer func() {
@@ -111,7 +112,7 @@ func TestMultiCompactSurvivesRelease(t *testing.T) {
 	queries := weightVariants(rng, cs.Q, 4)
 	ix := lists.NewMemIndex(cs.Tuples, cs.M)
 	multi := NewMulti(ix, queries, cs.K, BestList)
-	multi.Run()
+	mustRun(t, multi)
 	var res, views [][]Scored
 	for i := range queries {
 		res = append(res, Compact(multi.Result(i)))

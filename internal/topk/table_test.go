@@ -56,7 +56,7 @@ func TestScanAllocatesLinearly(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	ta := New(ix, q, k, BestList)
-	ta.Run()
+	mustRun(t, ta)
 	exhaust(ta)
 	order, cut := ta.Ranking()
 	runtime.ReadMemStats(&after)
@@ -115,7 +115,7 @@ func TestRankingMergesTails(t *testing.T) {
 		tuples, q := denseCase(rng, n, 3, 6)
 		ix := lists.NewMemIndex(tuples, 3)
 		ta := New(ix, q, 1+rng.Intn(8), BestList)
-		ta.Run()
+		mustRun(t, ta)
 		order, cut := ta.Ranking()
 		result := slices.Clone(order[:cut])
 		known := ta.Table().Rows(allPositions(ta.Table().Len()))
@@ -129,7 +129,7 @@ func TestRankingMergesTails(t *testing.T) {
 			}
 			// Someone else's scan takes and returns pages meanwhile.
 			other := New(ix, q, 3, RoundRobin)
-			other.Run()
+			mustRun(t, other)
 			other.Release()
 
 			rows := ta.Table().Rows(allPositions(ta.Table().Len()))
@@ -181,7 +181,7 @@ func TestForksNeverWriteParentPages(t *testing.T) {
 	tuples, q := denseCase(rng, 30_000, 4, 50)
 	ix := lists.NewMemIndex(tuples, 4)
 	ta := New(ix, q, 10, BestList)
-	ta.Run()
+	mustRun(t, ta)
 	for ta.Table().Len() <= pageRows+100 { // a full page and a partial one
 		if _, ok := ta.Resume(); !ok {
 			t.Fatal("dataset exhausted before the table crossed a page")

@@ -89,8 +89,11 @@ type View interface {
 	Ranking() (order []int32, cut int)
 	// Resume continues the terminated scan until it encounters one new
 	// tuple and returns its position; ok=false when the lists are
-	// exhausted.
+	// exhausted, or the scan has failed.
 	Resume() (pos int32, ok bool)
+	// Err reports why the scan failed, if it did — cancellation, or a read
+	// that failed or named no tuple — leaving its rows a meaningless snapshot.
+	Err() error
 	ThresholdsInto(dst []float64)
 	WasSortedAccessed(i, id int, val float64) bool
 }
@@ -110,14 +113,16 @@ type scanState struct {
 	rr       int // round-robin position
 
 	seen           bitset // tuple id → already encountered
+	n              int    // the index cardinality: posting ids lie in [0, n)
 	sortedAccesses int
 
 	// ctx, when non-nil, is polled every ctxCheckStride sorted accesses;
-	// once it is cancelled the scan refuses further work (rawStep reports
-	// exhaustion) and ctxErr records why. Forks inherit both fields, so
-	// cancelling the query stops every per-dimension continuation too.
-	ctx    context.Context
-	ctxErr error
+	// once it is cancelled, a random access fails or a posting names an id
+	// outside [0, n), the scan refuses further work and err records why.
+	// Forks inherit both fields, so cancelling the query stops every
+	// per-dimension continuation too. Cursors keep their own failures.
+	ctx context.Context
+	err error
 }
 
 // ctxCheckStride is how often (in sorted accesses) the scan polls its
@@ -191,6 +196,16 @@ func (s *scanState) ThresholdScore() float64 {
 // SortedAccesses reports how many sorted accesses have been performed.
 func (s *scanState) SortedAccesses() int { return s.sortedAccesses }
 
+// Err reports why the scan failed, if it did (see View).
+func (s *scanState) Err() error {
+	for i := 0; s.err == nil && i < len(s.cursors); i++ {
+		if err := s.cursors[i].Err(); err != nil {
+			s.err = fmt.Errorf("topk: sorted access on dimension %d: %w", s.q.Dims[i], err)
+		}
+	}
+	return s.err
+}
+
 // pick selects the next list to probe, or -1 when all are exhausted.
 func (s *scanState) pick() int {
 	switch s.policy {
@@ -218,16 +233,13 @@ func (s *scanState) pick() int {
 
 // rawStep performs one sorted access. It returns the consumed posting,
 // the probed list index, whether the tuple is newly encountered, and
-// ok=false when every list is exhausted.
+// ok=false when every list is exhausted or the scan has failed.
 func (s *scanState) rawStep() (p storage.Posting, list int, isNew, ok bool) {
-	if s.ctxErr != nil {
-		return storage.Posting{}, -1, false, false
+	if s.err == nil && s.ctx != nil && s.sortedAccesses%ctxCheckStride == 0 {
+		s.err = s.ctx.Err()
 	}
-	if s.ctx != nil && s.sortedAccesses%ctxCheckStride == 0 {
-		if err := s.ctx.Err(); err != nil {
-			s.ctxErr = err
-			return storage.Posting{}, -1, false, false
-		}
+	if s.err != nil {
+		return storage.Posting{}, -1, false, false
 	}
 	i := s.pick()
 	if i < 0 {
@@ -237,10 +249,9 @@ func (s *scanState) rawStep() (p storage.Posting, list int, isNew, ok bool) {
 	s.sortedAccesses++
 	s.last[i] = p
 	s.consumed[i]++
-	if p.ID < 0 || p.ID>>6 >= len(s.seen) {
-		// Keep a descriptive failure for corrupt list files; the bitset
-		// would otherwise die with an anonymous bounds panic.
-		panic(fmt.Sprintf("topk: posting id %d out of range [0,%d) (corrupt list?)", p.ID, len(s.seen)*64))
+	if uint(p.ID) >= uint(s.n) {
+		s.err = fmt.Errorf("topk: posting id %d in the list of dimension %d is out of range [0,%d) (corrupt list?)", p.ID, s.q.Dims[i], s.n)
+		return storage.Posting{}, -1, false, false
 	}
 	if s.seen.test(p.ID) {
 		return p, i, false, true
@@ -298,7 +309,7 @@ func (r *run) must(op string) {
 		panic("topk: " + op + " after Release")
 	}
 	if !r.done {
-		panic("topk: " + op + " before Run")
+		panic("topk: " + op + " before RunContext")
 	}
 }
 
@@ -309,12 +320,15 @@ func (r *run) must(op string) {
 // bit-identical (vec.TestDotMatchesSparseScore pins it) because the
 // unmatched dimensions contribute exact +0.0 terms to a running sum that
 // never goes negative.
-func (r *run) encounter(id int) (pos int32, score float64) {
-	r.ix.Project(id, r.q.Dims, r.proj)
+// A failed access fails the scan: ok=false, and Err says why.
+func (r *run) encounter(id int) (pos int32, score float64, ok bool) {
+	if r.err = r.ix.Project(id, r.q.Dims, r.proj); r.err != nil {
+		return 0, 0, false
+	}
 	score = vec.Dot(r.q.Weights, r.proj)
 	pos = r.rows.add(id, nzMask(r.proj), r.proj)
 	r.rows.score.put(pos, math.Float64bits(score))
-	return pos, score
+	return pos, score, true
 }
 
 // nzMask is the partition mask of a projection: bit i set when proj[i] > 0.
@@ -406,7 +420,7 @@ func (r *run) Candidates() []Scored {
 // Resume continues the terminated scan until it encounters one new
 // (previously unseen) tuple, which Phase 3 of the region algorithms
 // evaluates and which joins C(q); it returns the new row's position.
-// ok=false when the lists are exhausted.
+// ok=false when the lists are exhausted or the scan has failed.
 func (r *run) Resume() (int32, bool) {
 	r.must("Resume")
 	for {
@@ -415,8 +429,8 @@ func (r *run) Resume() (int32, bool) {
 			return 0, false
 		}
 		if isNew {
-			pos, _ := r.encounter(p.ID)
-			return pos, true
+			pos, _, ok := r.encounter(p.ID)
+			return pos, ok
 		}
 	}
 }
@@ -465,7 +479,7 @@ type TraceStep struct {
 
 // SetTrace installs a per-sorted-access callback. Tracing materializes a
 // ranked snapshot on every new tuple, so it is meant for demonstrations
-// and tests, not benchmarks. Must be called before Run.
+// and tests, not benchmarks. Must be called before RunContext.
 func (ta *TA) SetTrace(fn func(TraceStep)) { ta.trace = fn }
 
 // emitTrace builds and delivers the snapshot after a sorted access.
@@ -535,6 +549,7 @@ func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy, sc *sc
 		last:     sc.last,
 		consumed: sc.consumed,
 		seen:     sc.seen,
+		n:        ix.NumTuples(),
 	}
 	for i, dim := range q.Dims {
 		s.cursors[i] = ix.Cursor(dim)
@@ -556,14 +571,14 @@ func (ta *TA) Release() {
 	sc.rows, sc.order, sc.tail, sc.heap = ta.rows, ta.order, ta.tail, ta.topScores
 	ta.sc, ta.topScores = nil, nil
 	// What the run counted stays readable; what it held does not.
-	ta.run = run{scanState: scanState{sortedAccesses: ta.sortedAccesses, ctxErr: ta.ctxErr}, released: true}
+	ta.run = run{scanState: scanState{sortedAccesses: ta.sortedAccesses, err: ta.Err()}, released: true}
 	putScratch(sc)
 }
 
 // step performs one sorted access and, if it encounters a new tuple, the
 // corresponding random access. It returns the new row's position (isNew
 // false if the tuple was already seen) and ok=false when every list is
-// exhausted.
+// exhausted or the scan has failed.
 func (ta *TA) step() (pos int32, isNew, ok bool) {
 	p, i, isNew, ok := ta.rawStep()
 	if !ok {
@@ -575,7 +590,10 @@ func (ta *TA) step() (pos int32, isNew, ok bool) {
 		}
 		return 0, false, true
 	}
-	pos, score := ta.encounter(p.ID)
+	pos, score, ok := ta.encounter(p.ID)
+	if !ok {
+		return 0, false, false
+	}
 	ta.topScores = offerHeap(ta.topScores, ta.k, score)
 	if ta.trace != nil {
 		ta.emitTrace(i, p.ID, score)
@@ -625,28 +643,22 @@ func offerHeap(h []float64, k int, s float64) []float64 {
 	return h
 }
 
-// RunContext executes TA to termination under a context. A nil ctx (or
-// context.Background()) is never cancelled and behaves exactly like Run.
-// When the context is cancelled mid-scan the run stops within
-// ctxCheckStride sorted accesses and the returned error is non-nil; the
-// TA's result and candidate accessors then hold a truncated, meaningless
-// snapshot and must not be consulted.
+// RunContext executes TA to termination under a context and ranks what
+// it encountered: the result R(q) and the candidate list C(q). A nil ctx
+// (or context.Background()) is never cancelled. When the context is
+// cancelled mid-scan the run stops within ctxCheckStride sorted
+// accesses; when a read fails, at that read. Either way the returned
+// error is Err's, and the TA's result and candidate accessors then hold
+// a truncated, meaningless snapshot and must not be consulted.
 func (ta *TA) RunContext(ctx context.Context) error {
 	if ctx != nil && ta.ctx == nil {
 		ta.ctx = ctx
 	}
-	ta.Run()
-	return ta.ctxErr
-}
-
-// Run executes TA to termination and ranks what it encountered: the
-// result R(q) and the candidate list C(q).
-func (ta *TA) Run() {
 	if ta.done {
-		return
+		return ta.Err()
 	}
 	if ta.sc == nil {
-		panic("topk: Run after Release")
+		panic("topk: RunContext after Release")
 	}
 	for {
 		// Termination: k-th tentative score ≥ threshold. topScores[0] is
@@ -655,10 +667,11 @@ func (ta *TA) Run() {
 			break
 		}
 		if _, _, ok := ta.step(); !ok {
-			break // dataset exhausted
+			break // dataset exhausted, or the scan failed
 		}
 	}
 	ta.finish()
+	return ta.Err()
 }
 
 // Resume is run.Resume over the traced step.

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,14 @@ import (
 	"repro/internal/lists"
 )
 
+// mustRun runs a scan to termination, failing the test if it fails.
+func mustRun(t testing.TB, r interface{ RunContext(context.Context) error }) {
+	t.Helper()
+	if err := r.RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunningExampleTrace reproduces the TA execution of Fig. 2: three
 // sorted accesses (d1 on L1, d3 on L2, d2 on L1), result [d2, d1],
 // candidates [d3], final threshold 0.38.
@@ -16,7 +25,7 @@ func TestRunningExampleTrace(t *testing.T) {
 	tuples, q, k := fixture.RunningExample()
 	ix := lists.NewMemIndex(tuples, 2)
 	ta := New(ix, q, k, RoundRobin)
-	ta.Run()
+	mustRun(t, ta)
 
 	if got := ta.SortedAccesses(); got != 3 {
 		t.Errorf("sorted accesses = %d, want 3", got)
@@ -54,7 +63,7 @@ func TestTAMatchesNaive(t *testing.T) {
 		for _, policy := range []ProbePolicy{RoundRobin, BestList} {
 			ix := lists.NewMemIndex(cs.Tuples, cs.M)
 			ta := New(ix, cs.Q, cs.K, policy)
-			ta.Run()
+			mustRun(t, ta)
 			got := ta.Result()
 			if len(got) != len(want) {
 				t.Fatalf("trial %d %v: %d results, want %d", trial, policy, len(got), len(want))
@@ -79,7 +88,7 @@ func TestCandidatesSortedAndBelowResult(t *testing.T) {
 		cs := fixture.RandCase(rng, 80, 6, 3, 5)
 		ix := lists.NewMemIndex(cs.Tuples, cs.M)
 		ta := New(ix, cs.Q, cs.K, BestList)
-		ta.Run()
+		mustRun(t, ta)
 		kth := ta.Result()[len(ta.Result())-1].Score
 		prev := math.Inf(1)
 		for _, c := range ta.Candidates() {
@@ -101,7 +110,7 @@ func TestResumeEnumeratesRemaining(t *testing.T) {
 	cs := fixture.RandCase(rng, 60, 5, 3, 4)
 	ix := lists.NewMemIndex(cs.Tuples, cs.M)
 	ta := New(ix, cs.Q, cs.K, RoundRobin)
-	ta.Run()
+	mustRun(t, ta)
 
 	seen := map[int]bool{}
 	for _, r := range ta.Result() {
@@ -140,7 +149,7 @@ func TestWasSortedAccessed(t *testing.T) {
 		cs := fixture.RandCase(rng, 50, 5, 3, 3)
 		ix := lists.NewMemIndex(cs.Tuples, cs.M)
 		ta := New(ix, cs.Q, cs.K, BestList)
-		ta.Run()
+		mustRun(t, ta)
 		for i, dim := range cs.Q.Dims {
 			consumed := ta.consumed[i]
 			postings := ix.Postings(dim)
@@ -193,7 +202,7 @@ func TestTraceMatchesFig2(t *testing.T) {
 	ta := New(ix, q, k, RoundRobin)
 	var steps []TraceStep
 	ta.SetTrace(func(ts TraceStep) { steps = append(steps, ts) })
-	ta.Run()
+	mustRun(t, ta)
 
 	if len(steps) != 3 {
 		t.Fatalf("%d trace steps, want 3", len(steps))

@@ -12,7 +12,7 @@
 // Quick start:
 //
 //	eng := repro.NewEngine(tuples, m)
-//	a, err := eng.Analyze(q, 10, repro.Options{Method: repro.CPT})
+//	a, err := eng.Analyze(ctx, q, 10, repro.Options{Method: repro.CPT})
 //	for _, reg := range a.Regions { fmt.Println(repro.RenderSlider(q, reg, 40)) }
 //
 // The heavy lifting lives in internal packages: internal/engine is the
@@ -234,25 +234,16 @@ func (e *Engine) Dim() int { return e.eng.Dim() }
 // Tuple fetches one tuple by id (counted as a random I/O).
 func (e *Engine) Tuple(id int) Tuple { return e.eng.Tuple(id) }
 
+// Every query method takes a context and returns an error: ErrInvalid
+// for an invalid query (k < 1, a dimension outside the dataset, …), the
+// context's error once ctx is cancelled (down to the TA round loop), and
+// the read error when the dataset's files fail a read.
+
 // TopK answers the query with the threshold algorithm and returns the
 // ranked result. If a prior analysis' immutable regions contain the
 // weight vector, the result is served from the answer cache without
-// touching the index. It panics on an invalid query (k < 1 or a
-// dimension outside the dataset), like indexing out of range; use
-// TopKContext for an error-returning (and cancelable) variant.
-func (e *Engine) TopK(q Query, k int) []Scored {
-	res, err := e.TopKContext(context.Background(), q, k)
-	if err != nil {
-		panic(fmt.Sprintf("repro: TopK: %v", err))
-	}
-	return res
-}
-
-// TopKContext is TopK under a context, returning errors instead of
-// panicking: an invalid query reports ErrInvalid (test with
-// errors.Is), and cancellation aborts the scan mid-run with the
-// context's error.
-func (e *Engine) TopKContext(ctx context.Context, q Query, k int) ([]Scored, error) {
+// touching the index.
+func (e *Engine) TopK(ctx context.Context, q Query, k int) ([]Scored, error) {
 	res, _, err := e.eng.TopKMetered(ctx, q, k)
 	return res, err
 }
@@ -262,21 +253,8 @@ type TraceStep = topk.TraceStep
 
 // TopKTrace answers the query while recording every sorted access,
 // returning the ranked result and the execution trace. Round-robin
-// probing is used so traces match the paper's presentation. It panics
-// on an invalid query, like TopK; use TopKTraceContext for an
-// error-returning variant.
-func (e *Engine) TopKTrace(q Query, k int) ([]Scored, []TraceStep) {
-	res, steps, err := e.TopKTraceContext(context.Background(), q, k)
-	if err != nil {
-		panic(fmt.Sprintf("repro: TopKTrace: %v", err))
-	}
-	return res, steps
-}
-
-// TopKTraceContext is TopKTrace under a context, returning errors
-// instead of panicking on invalid queries and aborting cleanly on
-// cancellation.
-func (e *Engine) TopKTraceContext(ctx context.Context, q Query, k int) ([]Scored, []TraceStep, error) {
+// probing is used so traces match the paper's presentation.
+func (e *Engine) TopKTrace(ctx context.Context, q Query, k int) ([]Scored, []TraceStep, error) {
 	return e.eng.TopKTrace(ctx, q, k)
 }
 
@@ -285,13 +263,7 @@ func (e *Engine) TopKTraceContext(ctx context.Context, q Query, k int) ([]Scored
 // the zero Options value is Scan; pass Method: repro.CPT for the paper's
 // algorithm). Identical repeat queries are served from the answer cache
 // with zero index I/O; check Analysis.Source for the disposition.
-func (e *Engine) Analyze(q Query, k int, opts Options) (*Analysis, error) {
-	return e.AnalyzeContext(context.Background(), q, k, opts)
-}
-
-// AnalyzeContext is Analyze under a context: cancellation aborts the
-// query mid-computation, down to the TA round loop.
-func (e *Engine) AnalyzeContext(ctx context.Context, q Query, k int, opts Options) (*Analysis, error) {
+func (e *Engine) Analyze(ctx context.Context, q Query, k int, opts Options) (*Analysis, error) {
 	return e.eng.Analyze(ctx, q, k, engine.Options{Options: opts})
 }
 

@@ -20,9 +20,18 @@ func exampleEngine() (*repro.Engine, repro.Query, int) {
 	return repro.NewEngine(tuples, 2), q, k
 }
 
+func topK(t *testing.T, eng *repro.Engine, q repro.Query, k int) []repro.Scored {
+	t.Helper()
+	res, err := eng.TopK(context.Background(), q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestEngineTopK(t *testing.T) {
 	eng, q, k := exampleEngine()
-	res := eng.TopK(q, k)
+	res := topK(t, eng, q, k)
 	if len(res) != 2 || res[0].ID != 1 || res[1].ID != 0 {
 		t.Fatalf("TopK = %+v", res)
 	}
@@ -33,7 +42,7 @@ func TestEngineTopK(t *testing.T) {
 
 func TestEngineAnalyze(t *testing.T) {
 	eng, q, k := exampleEngine()
-	a, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT})
+	a, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	a, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT})
+	a, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,12 +144,12 @@ func TestSessionOverDiskIndex(t *testing.T) {
 // identical regions, and CacheStats reports it.
 func TestFacadeCache(t *testing.T) {
 	eng, q, k := exampleEngine()
-	first, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT, Phi: 1})
+	first, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT, Phi: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq0, rnd0, _ := eng.Stats().Snapshot()
-	second, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT, Phi: 1})
+	second, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT, Phi: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +182,7 @@ func TestNewQueryNewTuple(t *testing.T) {
 
 func TestRenderSlider(t *testing.T) {
 	eng, q, k := exampleEngine()
-	a, err := eng.Analyze(q, k, repro.Options{Method: repro.CPT})
+	a, err := eng.Analyze(context.Background(), q, k, repro.Options{Method: repro.CPT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,39 +199,35 @@ func TestRenderSlider(t *testing.T) {
 	}
 }
 
-// TestTopKContextErrorPaths: the error-returning facade variants must
-// report invalid queries and cancellation as errors — the legacy
-// panicking TopK/TopKTrace are for literal-style code only.
+// TestTopKContextErrorPaths: the facade's query methods report invalid
+// queries and cancellation as errors.
 func TestTopKContextErrorPaths(t *testing.T) {
 	eng, q, k := exampleEngine()
 
-	if _, err := eng.TopKContext(context.Background(), q, 0); !errors.Is(err, repro.ErrInvalid) {
+	if _, err := eng.TopK(context.Background(), q, 0); !errors.Is(err, repro.ErrInvalid) {
 		t.Fatalf("k=0 err %v, want ErrInvalid", err)
 	}
 	bad := repro.Query{Dims: []int{0, 99}, Weights: []float64{0.5, 0.5}}
-	if _, err := eng.TopKContext(context.Background(), bad, k); !errors.Is(err, repro.ErrInvalid) {
+	if _, err := eng.TopK(context.Background(), bad, k); !errors.Is(err, repro.ErrInvalid) {
 		t.Fatalf("out-of-range dim err %v, want ErrInvalid", err)
 	}
-	if _, _, err := eng.TopKTraceContext(context.Background(), bad, k); !errors.Is(err, repro.ErrInvalid) {
+	if _, _, err := eng.TopKTrace(context.Background(), bad, k); !errors.Is(err, repro.ErrInvalid) {
 		t.Fatalf("trace out-of-range dim err %v, want ErrInvalid", err)
+	}
+	if _, err := eng.Analyze(context.Background(), bad, k, repro.Options{}); !errors.Is(err, repro.ErrInvalid) {
+		t.Fatalf("analyze out-of-range dim err %v, want ErrInvalid", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.TopKContext(ctx, q, k); !errors.Is(err, context.Canceled) {
+	if _, err := eng.TopK(ctx, q, k); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx err %v, want context.Canceled", err)
 	}
-	if _, _, err := eng.TopKTraceContext(ctx, q, k); !errors.Is(err, context.Canceled) {
+	if _, _, err := eng.TopKTrace(ctx, q, k); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled trace err %v, want context.Canceled", err)
 	}
-
-	// Valid paths still agree with the panicking variants.
-	got, err := eng.TopKContext(context.Background(), q, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, eng.TopK(q, k)) {
-		t.Fatal("TopKContext and TopK diverge")
+	if _, err := eng.Analyze(ctx, q, k, repro.Options{Method: repro.CPT}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled analyze err %v, want context.Canceled", err)
 	}
 }
 
@@ -232,7 +237,7 @@ func TestFacadeApply(t *testing.T) {
 	if !eng.Mutable() {
 		t.Fatal("in-memory facade engine is not mutable")
 	}
-	before := eng.TopK(q, k)
+	before := topK(t, eng, q, k)
 
 	res, err := eng.Apply([]repro.Op{
 		{Kind: repro.OpInsert, Tuple: repro.FromDense([]float64{0.95, 0.95})},
@@ -243,7 +248,7 @@ func TestFacadeApply(t *testing.T) {
 	if res.Applied != 1 || res.Results[0].ID != 4 {
 		t.Fatalf("apply result %+v", res)
 	}
-	after := eng.TopK(q, k)
+	after := topK(t, eng, q, k)
 	if after[0].ID != 4 || reflect.DeepEqual(before, after) {
 		t.Fatalf("insert invisible: before %v after %v", before, after)
 	}
@@ -291,7 +296,7 @@ func TestOpenEngineDirReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	res := eng.TopK(q, k)
+	res := topK(t, eng, q, k)
 	if len(res) == 0 || res[0].ID != 4 {
 		t.Fatalf("facade dir open missed the WAL-resident insert: %+v", res)
 	}
