@@ -84,10 +84,14 @@ vuln:
 # BenchmarkColdStream is bench/'s cold-analyze workload in process (ST
 # n = 200 000, two clients, 400 requests an op, a quarter of them φ = 2):
 # its peak-live-MB is the live heap with the deepest query in flight,
-# which is what the server's resident set follows.
+# which is what the server's resident set follows. The two region-hit
+# paths close it: a /topk served by a cached entry's containment test,
+# and a write checked against 64 cached certificates (its allocs/op is
+# the invalidation pass's garbage).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyInvalidation|BenchmarkCacheTopK' -benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
 	$(GO) test -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/

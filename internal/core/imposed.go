@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 
-	"repro/internal/geom"
 	"repro/internal/lists"
 	"repro/internal/storage"
 	"repro/internal/topk"
@@ -164,26 +163,15 @@ func (v *imposedRunner) ForkView() *topk.Fork {
 	panic("core: imposed runner cannot fork; use Parallelism <= 0")
 }
 
-// relevanceTol is how close to the imposed result's k-th envelope a line
-// must come to be shipped. Mathematically the bar is "rises strictly
-// above"; the slack covers lines concurrent with the envelope — exact
-// ties, typically every line sharing the result's other coordinates, at
-// the domain end where the weight reaches 0 — which a replay boundary's
-// own floating-point comparison accepts or rejects by rounding. It is
-// orders of magnitude above that rounding (scores are O(qlen)) and far
-// below any gap in untied data.
-const relevanceTol = 1e-9
-
 // ContributedLines returns the shard lines the coordinator's replay
 // (ReplayRegions) can use, under global ids, and offered, the size of
 // the candidate view after all phases ran (Phase-3 pulls included) they
 // were selected from. A line is relevant iff it reaches E_R, the k-th
-// envelope of the imposed result ALONE, somewhere in the weight domain
-// of at least one side of one query dimension. Every boundary the replay
+// envelope of the imposed result ALONE, somewhere on the 2·qlen axes of
+// the weight domain (Domain(q).Reaches). Every boundary the replay
 // builds contains R, so its envelope is ≥ E_R pointwise over a horizon
 // inside the domain: a line that stays below E_R is rejected by every
-// such boundary and, being rejected, leaves no trace in it. E_R minus a
-// line is piecewise linear, so the test runs at E_R's vertices. It must
+// such boundary and, being rejected, leaves no trace in it. It must
 // not use this shard's own boundaries instead: their horizons stop at
 // entries the union's denser envelope never admits, so they reject
 // lines the union needs (docs/sharding.md, TestShardLocalAcceptanceTrap).
@@ -193,45 +181,16 @@ func (v *imposedRunner) ContributedLines() (lines []topk.Scored, offered int) {
 	if len(v.imposed) < v.K() {
 		return nil, len(cands) // the replay answers the full domain unasked
 	}
-	// One side of one dimension: E_R's vertices, and the sign that
-	// mirrors a coordinate onto it.
-	type side struct {
-		jx   int
-		sign float64
-		x, y []float64
-	}
 	q := v.Query()
-	sides := make([]side, 0, 2*q.Len())
-	for jx, qj := range q.Weights {
-		for _, sd := range [2]side{{jx: jx, sign: 1}, {jx: jx, sign: -1}} {
-			mirror, end := sd.sign < 0, 1-qj
-			if mirror {
-				end = qj
-			}
-			env := geom.KthEnvelope(resultLines(v.imposed, jx, mirror), len(v.imposed), 0, end)
-			sd.x = env.Breaks
-			for _, x := range env.Breaks {
-				sd.y = append(sd.y, env.Eval(x))
-			}
-			sides = append(sides, sd)
-		}
-	}
+	dom := Domain(q.Weights)
 	rows := v.inner.Table()
-	reaches := func(p int32) bool {
-		score := rows.Score(p)
-		for _, sd := range sides {
-			coord := sd.sign * rows.Coord(p, sd.jx)
-			for i, x := range sd.x {
-				if score+coord*x > sd.y[i]-relevanceTol {
-					return true
-				}
-			}
-		}
-		return false
-	}
+	proj := make([]float64, q.Len())
 	var kept []int32
 	for _, p := range cands {
-		if reaches(p) {
+		for j := range proj {
+			proj[j] = rows.Coord(p, j)
+		}
+		if dom.Reaches(v.imposed, rows.Score(p), proj) {
 			kept = append(kept, p)
 		}
 	}

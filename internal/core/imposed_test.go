@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/lists"
 	"repro/internal/topk"
 	"repro/internal/vec"
@@ -151,12 +152,13 @@ func TestRelevancePruningExact(t *testing.T) {
 	if testing.Short() {
 		trials = 150
 	}
-	var offered, sent, tied, tiedOff int
+	var offered, sent, tied, tiedOff, tiedSent, tiedRef int
 	for trial := 0; trial < trials; trial++ {
 		tuples, m, q, k, bases, general := randShardedCase(rng)
 		opts := Options{Method: Methods[rng.Intn(len(Methods))], Phi: 1 + rng.Intn(3), CompositionOnly: rng.Intn(5) == 0}
 		want := singleNode(t, tuples, m, q, k, opts)
 
+		tag := fmt.Sprintf("trial %d (n=%d k=%d bases=%v q=%v %+v)", trial, len(tuples), k, bases, q.Weights, opts)
 		var all, shipped [][]topk.Scored
 		for i, lo := range bases {
 			hi := len(tuples)
@@ -166,8 +168,16 @@ func TestRelevancePruningExact(t *testing.T) {
 			a, s := shardLines(t, tuples[lo:hi], m, lo, q, k, want.Result, opts)
 			all, shipped = append(all, a), append(shipped, s)
 			offered, sent = offered+len(a), sent+len(s)
+			got, ref := idsOf(s), idsOf(perBreakLines(q, k, want.Result, a))
+			switch {
+			case general && !slices.Equal(got, ref):
+				t.Errorf("%s: shard at %d shipped %v, the per-break filter %v", tag, lo, got, ref)
+			case !general && slices.ContainsFunc(ref, func(id int) bool { return !slices.Contains(got, id) }):
+				t.Errorf("%s: shard at %d shipped %v, not a superset of the per-break filter's %v", tag, lo, got, ref)
+			case !general:
+				tiedSent, tiedRef = tiedSent+len(got), tiedRef+len(ref)
+			}
 		}
-		tag := fmt.Sprintf("trial %d (n=%d k=%d bases=%v q=%v %+v)", trial, len(tuples), k, bases, q.Weights, opts)
 		unpruned := replay(q, k, want.Result, opts, all...)
 		if pruned := replay(q, k, want.Result, opts, shipped...); !reflect.DeepEqual(pruned, unpruned) {
 			t.Errorf("%s: pruned replay differs from the unpruned one:\n got %+v\nwant %+v", tag, pruned, unpruned)
@@ -187,6 +197,41 @@ func TestRelevancePruningExact(t *testing.T) {
 	}
 	t.Logf("shipped %d of %d offered lines; %d of %d tied instances already replay differently from the single node unpruned",
 		sent, offered, tiedOff, tied)
+	t.Logf("tied instances: shipped %d lines, the per-break filter %d", tiedSent, tiedRef)
+}
+
+// perBreakLines is ContributedLines' filter as it was written before
+// Polytope.Reaches, kept as the reference TestRelevancePruningExact holds
+// the closed form to: per side of each dimension E_R is swept into a
+// piecewise-linear function, and a line is kept iff it comes within 1e-9
+// of E_R at one of its breaks.
+func perBreakLines(q vec.Query, k int, res, offered []topk.Scored) []topk.Scored {
+	if len(res) < k {
+		return nil
+	}
+	type side struct {
+		jx   int
+		sign float64
+		env  geom.PiecewiseLinear
+	}
+	var sides []side
+	for jx, qj := range q.Weights {
+		sides = append(sides,
+			side{jx, 1, geom.KthEnvelope(resultLines(res, jx, false), len(res), 0, 1-qj)},
+			side{jx, -1, geom.KthEnvelope(resultLines(res, jx, true), len(res), 0, qj)})
+	}
+	var kept []topk.Scored
+	for _, sc := range offered {
+		if slices.ContainsFunc(sides, func(sd side) bool {
+			coord := sd.sign * sc.Proj[sd.jx]
+			return slices.ContainsFunc(sd.env.Breaks, func(x float64) bool {
+				return sc.Score+coord*x > sd.env.Eval(x)-1e-9
+			})
+		}) {
+			kept = append(kept, sc)
+		}
+	}
+	return kept
 }
 
 // locallyAccepted is the WRONG filter, kept here as the thing the trap

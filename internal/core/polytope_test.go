@@ -223,6 +223,97 @@ func TestSafeConcurrentRejections(t *testing.T) {
 	}
 }
 
+// TestPolytopeContains: the closed cross-polytope test on its boundary
+// cases — a deviation reaching one extent exactly is inside and one ulp
+// past it is not, per-axis shares add up, a zero extent blocks its
+// direction whatever the other axes allow, and zero components never
+// count. The anchor is 0, so w is the deviation itself, bit for bit.
+func TestPolytopeContains(t *testing.T) {
+	p := core.PolytopeOf(make([]float64, 3), []core.Regions{{Lo: -0.2, Hi: 0.1}, {Lo: -0.1, Hi: 0.3}, {}})
+	for _, c := range []struct {
+		name string
+		w    []float64
+		want bool
+	}{
+		{"zero vector", []float64{0, 0, 0}, true},
+		{"on the positive extent", []float64{0.1, 0, 0}, true},
+		{"on the negative extent", []float64{0, -0.1, 0}, true},
+		{"one ulp past the extent", []float64{math.Nextafter(0.1, 1), 0, 0}, false},
+		{"one ulp past the negative extent", []float64{0, math.Nextafter(-0.1, -1), 0}, false},
+		{"half and half", []float64{0.05, 0.15, 0}, true},
+		{"half and half, mixed signs", []float64{-0.1, 0.15, 0}, true},
+		{"0.9 + 0.9 of the extents", []float64{0.09, 0.27, 0}, false},
+		{"into a zero positive extent", []float64{0, 0, 1e-12}, false},
+		{"into a zero negative extent", []float64{0, 0, -1e-12}, false},
+		{"shorter weight vector", []float64{0, 0}, false},
+		{"longer weight vector", []float64{0, 0, 0, 0}, false},
+	} {
+		if got := p.Contains(c.w); got != c.want {
+			t.Errorf("%s: Contains(%v) = %v, want %v", c.name, c.w, got, c.want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reaches: no panic on a projection of another length")
+		}
+	}()
+	p.Reaches([]topk.Scored{{Proj: []float64{1, 2, 3}}}, 0, []float64{1, 2})
+}
+
+// TestReachTolDerived derives core.ReachTol. On general-position
+// instances, the two lines of every side's first perturbation meet
+// exactly at the polytope vertex that perturbation bounds; evaluated
+// there the way Reaches evaluates a line (anchor-score difference plus
+// semi-axis times coordinate difference), their gap is pure rounding.
+// That residue must be ulp-scale, ReachTol must clear its maximum by
+// three orders of magnitude, and every entering line that defines a
+// bound must reach its own analysis' polytope.
+func TestReachTolDerived(t *testing.T) {
+	rng := rand.New(rand.NewSource(506))
+	maxRes, vertices := 0.0, 0
+	for trial := 0; trial < 200; trial++ {
+		cs := fixture.RandCase(rng, 40+rng.Intn(120), 6, 2+rng.Intn(3), 1+rng.Intn(5))
+		ta := topk.New(lists.NewMemIndex(cs.Tuples, cs.M), cs.Q, cs.K, topk.BestList)
+		out, err := core.Compute(context.Background(), ta, core.Options{Method: core.MethodCPT})
+		ta.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Result) < cs.K {
+			continue
+		}
+		line := map[int]topk.Scored{}
+		for _, sc := range topk.TopKNaive(cs.Tuples, cs.Q, len(cs.Tuples)) {
+			line[sc.ID] = sc
+		}
+		poly := core.PolytopeOf(cs.Q.Weights, out.Regions)
+		for jx, reg := range out.Regions {
+			for _, side := range []struct {
+				x     float64
+				perts []core.Perturbation
+			}{{reg.Hi, reg.Right}, {reg.Lo, reg.Left}} {
+				if len(side.perts) == 0 {
+					continue // a domain-edge bound: no line defines it
+				}
+				a, b := line[side.perts[0].Above], line[side.perts[0].Below]
+				res := math.Abs(b.Score - a.Score + side.x*(b.Proj[jx]-a.Proj[jx]))
+				maxRes = max(maxRes, res)
+				vertices++
+				if res > 1e-14 {
+					t.Errorf("trial %d dim %d: lines %d and %d miss at their vertex %v by %.3g", trial, reg.Dim, a.ID, b.ID, side.x, res)
+				}
+				if side.perts[0].Entry && !poly.Reaches(out.Result, b.Score, b.Proj) {
+					t.Errorf("trial %d dim %d: line %d defines bound %v but does not reach the polytope", trial, reg.Dim, b.ID, side.x)
+				}
+			}
+		}
+	}
+	if vertices == 0 || core.ReachTol < 1e3*maxRes {
+		t.Fatalf("ReachTol %g is not 10³ above the largest vertex residue %.3g (%d vertices)", core.ReachTol, maxRes, vertices)
+	}
+	t.Logf("largest vertex residue %.3g over %d bound-defining vertices", maxRes, vertices)
+}
+
 // TestValidityPolygonVsSTB: the STB ball B(q, ρ), clipped to the weight
 // domain, must sit inside the validity polygon (ρ is the distance from q
 // to the nearest constraint hyperplane).

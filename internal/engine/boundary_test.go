@@ -24,10 +24,10 @@ func cachedEntry(t *testing.T, eng *Engine, q vec.Query, k int) *entry {
 
 // TestContainsWeightsBoundaryPinned pins the cache's containment
 // semantics to core.SafeConcurrent's CLOSED cross-polytope test, with
-// no tolerance of its own: for any weight vector w the cache's verdict
-// must equal SafeConcurrent on the recovered deviations w − anchor, and
-// deviations landing exactly on the boundary (normalized sum exactly 1)
-// are contained. The end-to-end consequence: the largest representable
+// no tolerance of its own: for any weight vector w the cache entry's
+// Polytope.Contains must equal SafeConcurrent on the recovered
+// deviations w − anchor, and deviations landing exactly on the boundary
+// (normalized sum exactly 1) are contained. The end-to-end consequence: the largest representable
 // in-region weight still region-serves /topk, the next ulp misses.
 func TestContainsWeightsBoundaryPinned(t *testing.T) {
 	tuples, q, k := fixture.RunningExample()
@@ -59,7 +59,7 @@ func TestContainsWeightsBoundaryPinned(t *testing.T) {
 		t.Fatalf("mixed boundary point: safe=%v err=%v", safe, err)
 	}
 
-	// Pin containsWeights ≡ SafeConcurrent on recovered deviations for a
+	// Pin Contains ≡ SafeConcurrent on recovered deviations for a
 	// sweep of weight vectors around both bounds of dimension 0 — the
 	// cache must not add or lose an epsilon anywhere.
 	for _, bound := range []float64{a.Regions[0].Hi, a.Regions[0].Lo} {
@@ -78,8 +78,8 @@ func TestContainsWeightsBoundaryPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := containsWeights(en, w, make([]float64, len(w))); got != want {
-				t.Fatalf("bound %v step %d: containsWeights=%v, SafeConcurrent=%v", bound, i, got, want)
+			if got := en.poly.Contains(w); got != want {
+				t.Fatalf("bound %v step %d: Contains=%v, SafeConcurrent=%v", bound, i, got, want)
 			}
 		}
 	}

@@ -71,19 +71,16 @@ func keyOf(q vec.Query, k int) bucketKey {
 	return bucketKey(buf)
 }
 
-// entry is one admitted analysis: the anchor weights it was computed at
-// and the completed output it certifies. lo/hi are the region extents
-// flattened into columns at admission, so the containment and
-// invalidation checks run over flat float64 arrays instead of walking
-// the Regions structs per lookup.
+// entry is one admitted analysis: the completed output it certifies and
+// its innermost-region polytope, anchored at the weights it was computed
+// at, which the containment and invalidation checks test against.
 type entry struct {
-	key     bucketKey
-	sig     sig
-	weights []float64
-	lo, hi  []float64
-	out     *core.Output
-	size    int64
-	elem    *list.Element
+	key  bucketKey
+	sig  sig
+	poly core.Polytope
+	out  *core.Output
+	size int64
+	elem *list.Element
 }
 
 // CacheStats is a point-in-time snapshot of the cache counters, and the
@@ -147,7 +144,7 @@ func (c *cache) lookupAnalyze(q vec.Query, k int, opts core.Options) (*core.Outp
 	want := sigOf(opts)
 	c.mu.Lock()
 	for _, en := range c.buckets[key] {
-		if en.sig == want && slices.Equal(en.weights, q.Weights) {
+		if en.sig == want && slices.Equal(en.poly.W, q.Weights) {
 			c.lru.MoveToFront(en.elem)
 			c.mu.Unlock()
 			c.hits.Add(1)
@@ -179,17 +176,9 @@ func (c *cache) bypass() {
 // at least its innermost region.
 func (c *cache) lookupTopK(q vec.Query, k int) ([]topk.Scored, bool) {
 	key := keyOf(q, k)
-	// One deviation buffer per lookup, on the stack for ordinary query
-	// widths: the per-entry test below runs under the cache lock.
-	var stack [16]float64
-	devs := stack[:]
-	if q.Len() > len(stack) {
-		devs = make([]float64, q.Len())
-	}
-	devs = devs[:q.Len()]
 	c.mu.Lock()
 	for _, en := range c.buckets[key] {
-		if !containsWeights(en, q.Weights, devs) {
+		if !en.poly.Contains(q.Weights) {
 			continue
 		}
 		c.lru.MoveToFront(en.elem)
@@ -203,21 +192,6 @@ func (c *cache) lookupTopK(q vec.Query, k int) ([]topk.Scored, bool) {
 	c.misses.Add(1)
 	mCacheEvents.Inc("miss")
 	return nil, false
-}
-
-// containsWeights is the footnote-1 containment test: the deviation
-// from the anchor weights lies inside the cross-polytope spanned by the
-// anchor's immutable regions. It runs vec.CrossSafe — the arithmetic
-// behind core.SafeConcurrent — on the entry's flattened extents. devs is
-// caller-provided scratch of len(weights).
-func containsWeights(en *entry, weights, devs []float64) bool {
-	if len(en.lo) != len(weights) {
-		return false // mirrors SafeConcurrent's length-mismatch error
-	}
-	for i, w := range weights {
-		devs[i] = w - en.weights[i]
-	}
-	return vec.CrossSafe(en.lo, en.hi, devs)
 }
 
 // rescore rebuilds the ranked result at the requested weights from the
@@ -243,12 +217,7 @@ func rescore(res []topk.Scored, weights []float64) []topk.Scored {
 // retained as is, which is safe because core.ComputeView outputs never
 // alias the run that produced them.
 func (c *cache) admit(q vec.Query, k int, opts core.Options, out *core.Output) {
-	en := &entry{key: keyOf(q, k), sig: sigOf(opts), weights: slices.Clone(q.Weights), out: out}
-	en.lo = make([]float64, len(out.Regions))
-	en.hi = make([]float64, len(out.Regions))
-	for i, reg := range out.Regions {
-		en.lo[i], en.hi[i] = reg.Lo, reg.Hi
-	}
+	en := &entry{key: keyOf(q, k), sig: sigOf(opts), poly: core.PolytopeOf(slices.Clone(q.Weights), out.Regions), out: out}
 	en.size = entrySize(en)
 	if en.size > c.maxBytes {
 		return
@@ -257,7 +226,7 @@ func (c *cache) admit(q vec.Query, k int, opts core.Options, out *core.Output) {
 	defer c.mu.Unlock()
 	bucket := c.buckets[en.key]
 	for _, old := range bucket {
-		if old.sig == en.sig && slices.Equal(old.weights, en.weights) {
+		if old.sig == en.sig && slices.Equal(old.poly.W, en.poly.W) {
 			// A concurrent identical computation already landed; keep the
 			// incumbent (the outputs are interchangeable) and refresh it.
 			c.lru.MoveToFront(old.elem)
@@ -328,7 +297,7 @@ func entrySize(en *entry) int64 {
 	)
 	out := en.out
 	size := fixed + mapShare + int64(len(en.key))
-	size += f64 * int64(cap(en.weights)+cap(en.lo)+cap(en.hi)+cap(out.Query.Weights))
+	size += f64 * int64(cap(en.poly.W)+cap(en.poly.Lo)+cap(en.poly.Hi)+cap(out.Query.Weights))
 	size += word * int64(cap(out.Query.Dims)+cap(out.Metrics.EvaluatedPerDim))
 	size += scored * int64(cap(out.Result))
 	for _, r := range out.Result {

@@ -5,27 +5,27 @@
 // # Region-certified invalidation
 //
 // A cached entry certifies that every weight vector w' inside its
-// cross-polytope P (anchor w, semi-axes per dimension j of [Lo_j, Hi_j])
-// has the cached ranked result R. Within P no perturbation occurs, so
-// the k-th line is the cached d_k everywhere in P and every result line
-// stays above it. A changed tuple t with subspace projection p can break
-// the certificate only if its score line can reach some cached result
-// line inside P, i.e. if for some result member r
+// cross-polytope P (the entry's core.Polytope: anchor w, semi-axes per
+// dimension j of [Lo_j, Hi_j]) has the cached ranked result R. Within P
+// no perturbation occurs, so the k-th line is the cached d_k everywhere
+// in P and every result line stays above it. A changed tuple t with
+// subspace projection p can break the certificate only if its score
+// line can reach some cached result line inside P, which is
+// P.Reaches(R, w·p, p): the gap is convex in w', so its maximum over P
+// is attained at the anchor or an axis vertex and has the closed form
 //
-//	max_{w' ∈ P}  w'·(p − r.Proj)  ≥  0.
+//	w·p − r.Score + max_j max(Hi_j·c_j, Lo_j·c_j),   c = p − r.Proj
 //
-// The gap is linear in w' and P is the convex hull of the 2·qlen axis
-// vertices w + Hi_j·e_j and w + Lo_j·e_j, so the maximum has the closed
-// form
-//
-//	w·c + max_j max(Hi_j·c_j, Lo_j·c_j),   c = p − r.Proj
-//
-// — O(k·qlen) arithmetic over the cached projections, no index I/O. If
-// the maximum is negative for every result line (checking d_k first: it
-// is the tightest), the change provably cannot alter the ranked result,
-// the region bounds, or the boundary perturbation anywhere in P, and the
-// entry keeps serving. Checking all result lines (not just d_k) also
-// covers CompositionOnly entries, whose members may reorder inside P.
+// with the stored score r.Score as the result line's intercept —
+// O(k·qlen) arithmetic over the cached projections, no index I/O. If
+// the maximum stays below −core.ReachTol for every result line (d_k
+// first: it is the tightest), the change provably cannot alter the
+// ranked result, the region bounds, or the boundary perturbation
+// anywhere in P, and the entry keeps serving. Anything closer is a
+// crossing, ties included: equality would hand the ranking to the id
+// tiebreak, which the certificate does not model. Checking all result
+// lines (not just d_k) also covers CompositionOnly entries, whose
+// members may reorder inside P.
 //
 // Conservative short-cuts, in order:
 //
@@ -287,10 +287,14 @@ func (c *cache) invalidateCertified(changes []tupleChange) (checked, evicted int
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var doomed []*entry
+	var proj []float64 // one entry's old and new projections, grown to the widest subspace
 	for _, bucket := range c.buckets {
 		for _, en := range bucket {
 			checked++
-			if !entrySurvives(en, changes) {
+			if n := 2 * en.out.Query.Len(); cap(proj) < n {
+				proj = make([]float64, n)
+			}
+			if !entrySurvives(en, changes, proj) {
 				doomed = append(doomed, en)
 			}
 		}
@@ -303,11 +307,11 @@ func (c *cache) invalidateCertified(changes []tupleChange) (checked, evicted int
 }
 
 // entrySurvives applies the invalidation certificate of the package
-// comment to one entry against a batch of changes.
-func entrySurvives(en *entry, changes []tupleChange) bool {
+// comment to one entry against a batch of changes. proj is scratch of at
+// least twice the entry's query length.
+func entrySurvives(en *entry, changes []tupleChange, proj []float64) bool {
 	q := en.out.Query
-	oldP := make([]float64, q.Len())
-	newP := make([]float64, q.Len())
+	oldP, newP := proj[:q.Len()], proj[q.Len():2*q.Len()]
 	for _, ch := range changes {
 		q.ProjectInto(ch.old, oldP)
 		q.ProjectInto(ch.new, newP)
@@ -326,10 +330,10 @@ func entrySurvives(en *entry, changes []tupleChange) bool {
 		if en.sig.phi > 0 {
 			return false // perturbation schedules reach beyond the polytope
 		}
-		if ch.hasOld && canCrossResult(en, oldP) {
+		if ch.hasOld && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, oldP), oldP) {
 			return false
 		}
-		if ch.hasNew && canCrossResult(en, newP) {
+		if ch.hasNew && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, newP), newP) {
 			return false
 		}
 	}
@@ -339,37 +343,6 @@ func entrySurvives(en *entry, changes []tupleChange) bool {
 func resultMember(en *entry, id int) bool {
 	for _, r := range en.out.Result {
 		if r.ID == id {
-			return true
-		}
-	}
-	return false
-}
-
-// crossingSlack absorbs the float asymmetry between this check and the
-// region computation: a candidate that defines a region bound touches
-// the k-th line exactly AT a polytope vertex (real-arithmetic gap 0),
-// but the gap recomputed here from the stored Lo/Hi can round to ±1
-// ulp-scale noise (~1e-16 for the O(1) quantities involved). Treating
-// anything above −crossingSlack as a crossing keeps such candidates
-// firmly on the evict side; a genuine survivor's margin is orders of
-// magnitude larger, so the slack costs only pathological near-ties —
-// which eviction handles correctly anyway.
-const crossingSlack = 1e-9
-
-// canCrossResult reports whether a tuple with subspace projection p can
-// reach any cached result line anywhere in the entry's cross-polytope:
-// the maximum of the linear gap w'·(p − r.Proj) over the polytope is
-// attained at an axis vertex and evaluated in closed form. Anything
-// not safely negative is a crossing (ties included — equality would
-// hand the ranking to the id tiebreak, which the certificate does not
-// model).
-func canCrossResult(en *entry, p []float64) bool {
-	// vec.GapMax accumulates the gap and updates the running max in
-	// ascending-j order over the entry's flattened extents.
-	for i := len(en.out.Result) - 1; i >= 0; i-- { // d_k first: the tightest line
-		r := en.out.Result[i]
-		gap, extra := vec.GapMax(en.weights, en.lo, en.hi, p, r.Proj)
-		if gap+extra >= -crossingSlack {
 			return true
 		}
 	}

@@ -271,15 +271,13 @@ func TestIntersectedRegionIsCertificate(t *testing.T) {
 			t.Fatalf("trial %d: analyze: %v", trial, err)
 		}
 		qlen := cs.Q.Len()
-		lo := make([]float64, qlen)
-		hi := make([]float64, qlen)
-		for _, r := range an.Regions {
-			lo[r.QPos], hi[r.QPos] = r.Lo, r.Hi
-		}
+		// Anchored at 0, the polytope's points are the deviations themselves.
+		poly := core.PolytopeOf(make([]float64, qlen), an.Regions)
+		lo, hi := poly.Lo, poly.Hi
 		baseIDs := an.RankedIDs()
 
 		checkAt := func(devs []float64, mustBeInside, mustBeOutside bool) {
-			inside := vec.CrossSafe(lo, hi, devs)
+			inside := poly.Contains(devs)
 			if mustBeInside && !inside {
 				t.Fatalf("trial %d: certifier rejected an interior point %v of lo=%v hi=%v", trial, devs, lo, hi)
 			}

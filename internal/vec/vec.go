@@ -291,54 +291,3 @@ func DotBatch(flatW, x, out []float64) {
 		out[m] = s
 	}
 }
-
-// GapMax evaluates the closed-form polytope gap maximum used by the
-// cache-invalidation certificate (internal/engine/mutate.go): with
-// c_j = p[j] − rp[j] it returns gap = Σ_j w[j]·c_j and
-// extra = max(0, max_j hi[j]·c_j, lo[j]·c_j), the max updated in
-// ascending j order. All five slices must share one length.
-func GapMax(w, lo, hi, p, rp []float64) (gap, extra float64) {
-	if len(w) != len(p) || len(lo) != len(p) || len(hi) != len(p) || len(rp) != len(p) {
-		panic("vec: GapMax length mismatch")
-	}
-	for j := range p {
-		cj := p[j] - rp[j]
-		gap += w[j] * cj
-		if v := hi[j] * cj; v > extra {
-			extra = v
-		}
-		if v := lo[j] * cj; v > extra {
-			extra = v
-		}
-	}
-	return gap, extra
-}
-
-// CrossSafe is the cross-polytope vertex check (the paper's footnote 1)
-// over flat per-dimension extents: deviation vector devs is certified
-// safe iff Σ_j |devs[j]| / extent_j ≤ 1, where the extent is hi[j] for a
-// positive component and |lo[j]| for a negative one; a zero extent
-// against a non-zero component is unsafe.
-func CrossSafe(lo, hi, devs []float64) bool {
-	if len(lo) != len(devs) || len(hi) != len(devs) {
-		panic("vec: CrossSafe length mismatch")
-	}
-	sum := 0.0
-	for j, d := range devs {
-		switch {
-		case d == 0:
-			continue
-		case d > 0:
-			if hi[j] <= 0 {
-				return false
-			}
-			sum += d / hi[j]
-		default:
-			if lo[j] >= 0 {
-				return false
-			}
-			sum += d / lo[j] // both negative: positive ratio
-		}
-	}
-	return sum <= 1
-}

@@ -227,34 +227,4 @@ func TestKernelAPIPanics(t *testing.T) {
 	}
 	mustPanic("Dot", func() { Dot([]float64{1}, []float64{1, 2}) })
 	mustPanic("DotBatch", func() { DotBatch([]float64{1, 2, 3}, []float64{1, 2}, make([]float64, 2)) })
-	mustPanic("GapMax", func() { GapMax([]float64{1}, []float64{1}, []float64{1}, []float64{1, 2}, []float64{1, 2}) })
-	mustPanic("CrossSafe", func() { CrossSafe([]float64{1}, []float64{1, 2}, []float64{1, 2}) })
-}
-
-// TestCrossSafe: the closed cross-polytope test on its boundary cases —
-// a deviation reaching one extent exactly is safe and one ulp past it is
-// not, per-axis shares add up, a zero extent blocks its direction
-// whatever the other axes allow, and zero components never count.
-func TestCrossSafe(t *testing.T) {
-	lo, hi := []float64{-0.2, -0.1, 0}, []float64{0.1, 0.3, 0}
-	for _, c := range []struct {
-		name string
-		devs []float64
-		want bool
-	}{
-		{"zero vector", []float64{0, 0, 0}, true},
-		{"on the positive extent", []float64{0.1, 0, 0}, true},
-		{"on the negative extent", []float64{0, -0.1, 0}, true},
-		{"one ulp past the extent", []float64{math.Nextafter(0.1, 1), 0, 0}, false},
-		{"one ulp past the negative extent", []float64{0, math.Nextafter(-0.1, -1), 0}, false},
-		{"half and half", []float64{0.05, 0.15, 0}, true},
-		{"half and half, mixed signs", []float64{-0.1, 0.15, 0}, true},
-		{"0.9 + 0.9 of the extents", []float64{0.09, 0.27, 0}, false},
-		{"into a zero positive extent", []float64{0, 0, 1e-12}, false},
-		{"into a zero negative extent", []float64{0, 0, -1e-12}, false},
-	} {
-		if got := CrossSafe(lo, hi, c.devs); got != c.want {
-			t.Errorf("%s: CrossSafe(%v) = %v, want %v", c.name, c.devs, got, c.want)
-		}
-	}
 }
