@@ -10,7 +10,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION) -X repro/internal/obs.Commit=$(COMMIT)
 
-.PHONY: all build test race vet lint loc fuzz-smoke vuln bench-smoke test-fallback test-wal test-replication test-failover test-obs test-shard check-docs ci
+.PHONY: all build test race vet lint loc fuzz-smoke vuln bench-smoke test-fallback test-wal test-replication test-failover test-obs test-shard test-oracle check-docs ci
 
 all: ci
 
@@ -56,12 +56,14 @@ loc:
 	@find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' -not -name '*_test.go' | xargs cat | wc -l
 
 # 10-second native-fuzz budget per target: the WAL frame decoder, the
-# crash-recovery scanner and the query validation gate. The committed
-# seed corpora under testdata/fuzz replay in every plain `go test`.
+# crash-recovery scanner, the query validation gate and the shard route's
+# imposed result. The committed seed corpora under testdata/fuzz replay
+# in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzValidateQuery -fuzztime=10s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeImposed -fuzztime=10s ./internal/engine
 
 # Known-vulnerability report, never a gate: runs where the govulncheck
 # binary exists and prints a skip note where it does not (the build
@@ -162,6 +164,14 @@ test-obs:
 # internal/server) — all under -race.
 test-shard:
 	$(GO) test -race -count=1 ./internal/shard/
+
+# Exact-oracle focus: TestMethodsMatchOracle at full scale — 100 000
+# general-position and 100 000 tie-heavy instances (grids, duplicates),
+# each held to internal/oracle's exact answer for every method, φ 0–2,
+# composition on and off. The two rows run in parallel; a plain `go test`
+# draws 150 instances per row. About 6 minutes on 2 CPUs.
+test-oracle:
+	ORACLE_INSTANCES=100000 $(GO) test -count=1 -run 'TestMethodsMatchOracle' -v -timeout 30m ./internal/core/
 
 # Docs drift check: markdown cross-references must resolve, every flag
 # the docs mention must exist in the binaries, and the analyzer, metric

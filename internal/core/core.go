@@ -14,8 +14,8 @@
 //   - CPT   — pruning followed by thresholding (§5, §6).
 //
 // φ = 0 runs the paper's three-phase pipeline literally (Algorithms
-// 1–3); φ > 0 runs the score–deviation envelope machinery of §6. An
-// exact brute-force oracle (oracle.go) independent of TA validates both.
+// 1–3); φ > 0 runs the score–deviation envelope machinery of §6. Both
+// are held to internal/oracle, which is exact and shares no code with core.
 //
 // # Concurrency model
 //

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/lists"
+	"repro/internal/oracle"
 	"repro/internal/topk"
 	"repro/internal/vec"
 )
@@ -17,10 +19,12 @@ import (
 // schedule must not change any answer, only the probing order.
 func TestScheduleMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(314))
+	var c oracleCheck
 	for trial := 0; trial < 8; trial++ {
-		cs := fixture.RandCase(rng, 60, 5, 3, 4)
+		cs := fixture.RandCase(rng, 24, 5, 3, 4)
+		arr := oracle.Arrange(cs.Tuples, cs.Q, cs.K)
 		for _, phi := range []int{0, 2} {
-			want := core.ExactRegions(cs.Tuples, cs.Q, cs.K, phi, false)
+			want := arr.Regions(phi, false)
 			for _, method := range []core.Method{core.MethodThres, core.MethodCPT} {
 				ix := lists.NewMemIndex(cs.Tuples, cs.M)
 				ta := topk.New(ix, cs.Q, cs.K, topk.BestList)
@@ -30,7 +34,7 @@ func TestScheduleMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareRegions(t, "score-biased "+method.String(), out.Regions, want)
+				c.match(t, func() string { return fmt.Sprintf("trial %d φ=%d score-biased %v", trial, phi, method) }, cs, out.Regions, want)
 			}
 		}
 	}
@@ -39,11 +43,13 @@ func TestScheduleMatchesOracle(t *testing.T) {
 // TestExtremeK covers k=1 and k=n against the oracle.
 func TestExtremeK(t *testing.T) {
 	rng := rand.New(rand.NewSource(315))
+	var c oracleCheck
 	for trial := 0; trial < 6; trial++ {
-		n := 20 + rng.Intn(20)
+		n := 12 + rng.Intn(13)
 		cs := fixture.RandCase(rng, n, 5, 3, 1)
 		for _, k := range []int{1, n} {
-			want := core.ExactRegions(cs.Tuples, cs.Q, k, 1, false)
+			cs.K = k
+			want := oracle.Arrange(cs.Tuples, cs.Q, k).Regions(1, false)
 			for _, method := range core.Methods {
 				ix := lists.NewMemIndex(cs.Tuples, cs.M)
 				ta := topk.New(ix, cs.Q, k, topk.BestList)
@@ -51,7 +57,7 @@ func TestExtremeK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareRegions(t, method.String(), out.Regions, want)
+				c.match(t, func() string { return fmt.Sprintf("trial %d k=%d %v", trial, k, method) }, cs, out.Regions, want)
 			}
 		}
 	}
@@ -115,8 +121,9 @@ func TestWeightAtDomainEdge(t *testing.T) {
 	if r0.Lo < -1 {
 		t.Errorf("lower deviation %v below -qj", r0.Lo)
 	}
-	want := core.ExactRegions(tuples, q, 2, 0, false)
-	compareRegions(t, "domain-edge", out.Regions, want)
+	var c oracleCheck
+	cs := fixture.Case{Tuples: tuples, M: 2, Q: q, K: 2}
+	c.match(t, func() string { return "domain-edge" }, cs, out.Regions, oracle.Arrange(tuples, q, 2).Regions(0, false))
 }
 
 // TestKExceedsN: with fewer tuples than k nothing can perturb the

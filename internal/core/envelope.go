@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/geom"
 	"repro/internal/topk"
 )
@@ -19,6 +22,7 @@ type boundary struct {
 	events    []Perturbation // ascending x (pre-mirror deltas)
 	horizon   float64
 	env       geom.PiecewiseLinear
+	decided   float64 // the shortest horizon this pass decided under (settle)
 }
 
 // resultLines are the k result lines of dimension jx on one side.
@@ -79,17 +83,40 @@ func (b *boundary) rebuild() {
 
 // consider tests whether a candidate line can climb above the boundary
 // within the horizon; if so it joins the tracked set (coord pre-mirrored
-// by the caller). Because the k-th envelope only rises as lines are
-// added, a rejected candidate stays rejected forever.
+// by the caller) unless it is there already. The k-th envelope only
+// rises as lines are added, but for φ > 0 the horizon may not fall (an
+// early entry can push later events out of the top k), so a rejection
+// holds only within the horizon it was decided under: decide records it.
 func (b *boundary) consider(id int, score, coord float64) bool {
 	ln := geom.Line{A: score, B: coord, ID: id}
 	x, ok := b.env.FirstCrossingAbove(ln)
 	if !ok || x >= b.horizon {
+		b.decide()
 		return false
+	}
+	if slices.ContainsFunc(b.lines, func(l geom.Line) bool { return l.ID == id }) {
+		return true
 	}
 	b.lines = append(b.lines, ln)
 	b.rebuild()
 	return true
+}
+
+// decide notes a rejection, or a stop, decided under the current
+// horizon, and returns true so that it can close the stop's condition.
+func (b *boundary) decide() bool {
+	b.decided = min(b.decided, b.horizon)
+	return true
+}
+
+// settle repeats pass — offers to both boundaries — until no horizon has
+// outgrown one its rejections or stops were decided under. Tracked lines
+// are not added twice, nor are evaluations charged twice (the memo).
+func settle(right, left *boundary, pass func()) {
+	for stale := true; stale; stale = right.horizon > right.decided || left.horizon > left.decided {
+		right.decided, left.decided = math.Inf(1), math.Inf(1)
+		pass()
+	}
 }
 
 // innerBound returns the first perturbation position, or the domain end.
@@ -111,17 +138,19 @@ func (c *dimComputer) envelopeDim(jx, phi int) Regions {
 	left := newBoundary(c.res, jx, phi, qj, true, c.opts.CompositionOnly)
 	c.met.Phase1 += t0()
 
-	// Phase 2: per-side pruning (Lemma 4) and thresholding.
-	t1 := stopwatch()
-	c.envelopeSide(jx, phi, right, false)
-	c.envelopeSide(jx, phi, left, true)
-	c.met.Phase2 += t1()
+	settle(right, left, func() {
+		// Phase 2: per-side pruning (Lemma 4) and thresholding.
+		t1 := stopwatch()
+		c.envelopeSide(jx, phi, right, false)
+		c.envelopeSide(jx, phi, left, true)
+		c.met.Phase2 += t1()
 
-	// Phase 3: resume TA until the unseen-tuple cap line clears both
-	// envelopes.
-	t2 := stopwatch()
-	c.envelopePhase3(jx, right, left)
-	c.met.Phase3 += t2()
+		// Phase 3: resume TA until the unseen-tuple cap line clears both
+		// envelopes.
+		t2 := stopwatch()
+		c.envelopePhase3(jx, right, left)
+		c.met.Phase3 += t2()
+	})
 
 	return assembleRegions(c.q.Dims[jx], jx, qj, right, left)
 }
@@ -216,7 +245,7 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 		if nxt, ok := list.peek(processed); ok {
 			slope = coords[nxt]
 		}
-		return bd.env.AboveLine(geom.Line{A: rows.Score(set[iS]), B: sgn * slope})
+		return bd.env.AboveLine(geom.Line{A: rows.Score(set[iS]), B: sgn * slope}) && bd.decide()
 	}
 	slsPulls := 1
 	if c.opts.Schedule == ScheduleScoreBiased {
@@ -260,7 +289,7 @@ func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
 		}
 		capR := geom.Line{A: base, B: t[jx]}
 		capL := geom.Line{A: base, B: 0}
-		if right.env.AboveLine(capR) && left.env.AboveLine(capL) {
+		if right.env.AboveLine(capR) && left.env.AboveLine(capL) && right.decide() && left.decide() {
 			return
 		}
 		p, ok := c.view.Resume()

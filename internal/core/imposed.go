@@ -276,10 +276,12 @@ func ReplayRegions(q vec.Query, k int, res, extra []topk.Scored, opts Options) [
 		qj := q.Weights[jx]
 		right := newBoundary(res, jx, opts.Phi, 1-qj, false, opts.CompositionOnly)
 		left := newBoundary(res, jx, opts.Phi, qj, true, opts.CompositionOnly)
-		for _, sc := range extra {
-			right.consider(sc.ID, sc.Score, sc.Proj[jx])
-			left.consider(sc.ID, sc.Score, -sc.Proj[jx])
-		}
+		settle(right, left, func() {
+			for _, sc := range extra {
+				right.consider(sc.ID, sc.Score, sc.Proj[jx])
+				left.consider(sc.ID, sc.Score, -sc.Proj[jx])
+			}
+		})
 		out[jx] = assembleRegions(q.Dims[jx], jx, qj, right, left)
 	}
 	return out

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/lists"
+	"repro/internal/oracle"
 	"repro/internal/topk"
 	"repro/internal/vec"
 )
@@ -32,7 +33,7 @@ func computeWith(t *testing.T, cs fixture.Case, opts core.Options, parallelism i
 // per-dimension path must be deterministic — Parallelism = 1 (forked,
 // run on the calling goroutine) and Parallelism = NumCPU must return
 // bit-identical Regions, Evaluated counts and Phase-3 pulls. The forked
-// regions must also match the brute-force oracle, and the paper-literal
+// regions must also match the exact oracle, and the paper-literal
 // shared-scan path (Parallelism = 0) must agree on the regions (its
 // Evaluated counts legitimately differ: later dimensions of the shared
 // scan observe and evaluate earlier dimensions' Phase-3 pulls).
@@ -46,14 +47,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		trials = 5
 	}
+	var c oracleCheck
 	for trial := 0; trial < trials; trial++ {
-		n := 30 + rng.Intn(60)
+		n := 8 + rng.Intn(17)
 		m := 4 + rng.Intn(5)
 		qlen := 2 + rng.Intn(3)
 		k := 1 + rng.Intn(5)
 		cs := fixture.RandCase(rng, n, m, qlen, k)
+		arr := oracle.Arrange(cs.Tuples, cs.Q, cs.K)
 		for phi := 0; phi <= 2; phi++ {
-			want := core.ExactRegions(cs.Tuples, cs.Q, cs.K, phi, false)
+			want := arr.Regions(phi, false)
 			for _, method := range core.Methods {
 				opts := core.Options{Method: method, Phi: phi}
 				label := fmt.Sprintf("trial=%d n=%d qlen=%d k=%d phi=%d %v", trial, n, qlen, k, phi, method)
@@ -81,7 +84,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 						seq.Metrics.SeqPages, seq.Metrics.RandReads,
 						par.Metrics.SeqPages, par.Metrics.RandReads)
 				}
-				compareRegions(t, label+" forked-vs-oracle", seq.Regions, want)
+				c.match(t, func() string { return label + " forked-vs-oracle" }, cs, seq.Regions, want)
 				compareRegions(t, label+" legacy-vs-forked", legacy.Regions, seq.Regions)
 			}
 		}

@@ -4,146 +4,67 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixture"
-	"repro/internal/geom"
 	"repro/internal/lists"
+	"repro/internal/oracle"
 	"repro/internal/stb"
 	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
-// rankedAtW computes the ranked top-k under an arbitrary weight vector
-// (parallel to q.Dims).
-func rankedAtW(tuples []vec.Sparse, q vec.Query, k int, w []float64) []int {
-	q2 := q.Clone()
-	copy(q2.Weights, w)
-	res := topk.TopKNaive(tuples, q2, k)
-	ids := make([]int, len(res))
-	for i, r := range res {
-		ids[i] = r.ID
-	}
-	return ids
+// rankAt is the exact ranked top-k at weight vector w, parallel to
+// q.Dims.
+func rankAt(tuples []vec.Sparse, q vec.Query, k int, w []float64) []int {
+	return oracle.Rank(tuples, vec.Query{Dims: q.Dims, Weights: w}, k)
 }
 
-// TestValidityPolygonPreserves: points sampled strictly inside the
-// polygon preserve the ranked result; points in the domain but clearly
-// outside perturb it.
-func TestValidityPolygonPreserves(t *testing.T) {
-	rng := rand.New(rand.NewSource(501))
-	for trial := 0; trial < 12; trial++ {
-		cs := fixture.RandCase(rng, 40+rng.Intn(40), 4, 2, 1+rng.Intn(4))
-		poly, err := core.ValidityPolygon2D(cs.Tuples, cs.Q, cs.K)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		qPt := geom.Point{X: cs.Q.Weights[0], Y: cs.Q.Weights[1]}
-		if !geom.InConvexPolygon(qPt, poly) {
-			t.Fatalf("trial %d: query point outside its own validity polygon", trial)
-		}
-		base := rankedAtW(cs.Tuples, cs.Q, cs.K, cs.Q.Weights)
-
-		for s := 0; s < 40; s++ {
-			p := geom.Point{X: rng.Float64(), Y: rng.Float64()}
-			if p.X <= 0 || p.Y <= 0 {
-				continue
-			}
-			got := rankedAtW(cs.Tuples, cs.Q, cs.K, []float64{p.X, p.Y})
-			inside := geom.InConvexPolygon(p, poly)
-			preserved := equalIDs(got, base)
-			margin := geom.DistanceToBoundary(p, poly)
-			if margin < 1e-7 {
-				continue // too close to the boundary to trust either side
-			}
-			if inside && !preserved {
-				t.Errorf("trial %d: point %v inside polygon but result changed", trial, p)
-			}
-			if !inside && preserved {
-				t.Errorf("trial %d: point %v outside polygon but result preserved", trial, p)
-			}
-		}
-	}
-}
-
-// TestAxisProjectionsOnBoundary: the immutable-region endpoints are the
-// axis-parallel projections of q onto the validity boundary (Fig. 3) —
-// each perturbation-backed endpoint must lie on the polygon boundary.
-func TestAxisProjectionsOnBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(502))
-	for trial := 0; trial < 12; trial++ {
-		cs := fixture.RandCase(rng, 50, 4, 2, 2)
-		poly, err := core.ValidityPolygon2D(cs.Tuples, cs.Q, cs.K)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix := lists.NewMemIndex(cs.Tuples, cs.M)
-		ta := topk.New(ix, cs.Q, cs.K, topk.BestList)
-		out, err := core.Compute(context.Background(), ta, core.Options{Method: core.MethodCPT})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, reg := range out.Regions {
-			check := func(dev float64, backed bool) {
-				if !backed {
-					return // domain-edge bound: not on a constraint face
-				}
-				w := append([]float64(nil), cs.Q.Weights...)
-				w[reg.QPos] += dev
-				p := geom.Point{X: w[0], Y: w[1]}
-				if d := geom.DistanceToBoundary(p, poly); d > 1e-9 {
-					t.Errorf("trial %d dim %d: endpoint %v is %.2g from the boundary", trial, reg.Dim, p, d)
-				}
-			}
-			check(reg.Lo, len(reg.Left) > 0)
-			check(reg.Hi, len(reg.Right) > 0)
-		}
-	}
-}
-
-// TestFootnote1HullInsidePolygon: the convex hull of the axis
-// projections lies fully inside the validity polygon — the paper's
-// footnote-1 claim, verified exactly in 2-D.
+// TestFootnote1HullInsidePolygon: the cross-polytope spanned by the
+// region endpoints — the convex hull of the axis projections — lies
+// inside the validity region, at any qlen (footnote 1). Each vertex sits
+// on a constraint face, where two lines tie, so the vertices are taken a
+// hair inside; the ranked result must hold at every one of them and at
+// random convex combinations of them.
 func TestFootnote1HullInsidePolygon(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	for trial := 0; trial < 12; trial++ {
-		cs := fixture.RandCase(rng, 60, 4, 2, 2)
-		poly, err := core.ValidityPolygon2D(cs.Tuples, cs.Q, cs.K)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := fixture.RandCase(rng, 60, 5, 2+rng.Intn(3), 1+rng.Intn(4))
 		ix := lists.NewMemIndex(cs.Tuples, cs.M)
 		ta := topk.New(ix, cs.Q, cs.K, topk.BestList)
 		out, err := core.Compute(context.Background(), ta, core.Options{Method: core.MethodCPT})
 		if err != nil {
 			t.Fatal(err)
 		}
-		proj := core.AxisProjections(cs.Q, out.Regions)
-		var pts []geom.Point
-		for _, w := range proj {
-			pts = append(pts, geom.Point{X: w[0], Y: w[1]})
-		}
-		hull := geom.ConvexHull(pts)
-		// Every hull vertex (and hence the hull) must be in the polygon.
-		for _, p := range hull {
-			if !geom.InConvexPolygon(p, poly) {
-				t.Errorf("trial %d: hull vertex %v escapes the validity polygon", trial, p)
+		base := out.RankedIDs()
+		var vertices [][]float64
+		for _, reg := range out.Regions {
+			for _, dev := range []float64{reg.Lo, reg.Hi} {
+				w := slices.Clone(cs.Q.Weights)
+				w[reg.QPos] += dev * (1 - 1e-9)
+				vertices = append(vertices, w)
 			}
 		}
-		// Sampled points of the hull interior as well.
-		for s := 0; s < 20 && len(hull) >= 3; s++ {
-			a, b, c := hull[rng.Intn(len(hull))], hull[rng.Intn(len(hull))], hull[rng.Intn(len(hull))]
-			u, v := rng.Float64(), rng.Float64()
-			if u+v > 1 {
-				u, v = 1-u, 1-v
+		points := slices.Clone(vertices)
+		for s := 0; s < 20; s++ {
+			w, sum := make([]float64, cs.Q.Len()), 0.0
+			for _, v := range vertices {
+				l := rng.Float64()
+				sum += l
+				for j := range w {
+					w[j] += l * v[j]
+				}
 			}
-			p := geom.Point{
-				X: a.X + u*(b.X-a.X) + v*(c.X-a.X),
-				Y: a.Y + u*(b.Y-a.Y) + v*(c.Y-a.Y),
+			for j := range w {
+				w[j] /= sum
 			}
-			if !geom.InConvexPolygon(p, poly) {
-				t.Errorf("trial %d: hull interior point %v escapes the polygon", trial, p)
+			points = append(points, w)
+		}
+		for i, w := range points {
+			if got := rankAt(cs.Tuples, cs.Q, cs.K, w); !slices.Equal(got, base) {
+				t.Errorf("trial %d point %d (%v) of the cross-polytope: result %v, want %v", trial, i, w, got, base)
 			}
 		}
 	}
@@ -183,7 +104,7 @@ func TestSafeConcurrentSufficiency(t *testing.T) {
 			for i := range w {
 				w[i] += devs[i]
 			}
-			if got := rankedAtW(cs.Tuples, cs.Q, cs.K, w); !equalIDs(got, base) {
+			if got := rankAt(cs.Tuples, cs.Q, cs.K, w); !slices.Equal(got, base) {
 				t.Errorf("trial %d: SafeConcurrent approved %v but result changed (%v vs %v)", trial, devs, got, base)
 			}
 		}
@@ -315,45 +236,32 @@ func TestReachTolDerived(t *testing.T) {
 }
 
 // TestValidityPolygonVsSTB: the STB ball B(q, ρ), clipped to the weight
-// domain, must sit inside the validity polygon (ρ is the distance from q
-// to the nearest constraint hyperplane).
+// domain, must sit inside the validity region (ρ is the distance from q
+// to the nearest constraint hyperplane): the ranked result holds at
+// random points at radius ρ(1 − 10⁻³), at any qlen.
 func TestValidityPolygonVsSTB(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 10; trial++ {
-		cs := fixture.RandCase(rng, 60, 4, 2, 2)
-		poly, err := core.ValidityPolygon2D(cs.Tuples, cs.Q, cs.K)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cs := fixture.RandCase(rng, 60, 5, 2+rng.Intn(3), 2)
 		res := stb.Radius(cs.Tuples, cs.Q, cs.K)
 		if math.IsInf(res.Rho, 1) {
 			continue
 		}
+		base := oracle.Rank(cs.Tuples, cs.Q, cs.K)
 		for s := 0; s < 24; s++ {
-			ang := 2 * math.Pi * float64(s) / 24
-			p := geom.Point{
-				X: cs.Q.Weights[0] + 0.999*res.Rho*math.Cos(ang),
-				Y: cs.Q.Weights[1] + 0.999*res.Rho*math.Sin(ang),
+			w, norm := make([]float64, cs.Q.Len()), 0.0
+			for j := range w {
+				w[j] = rng.NormFloat64()
+				norm += w[j] * w[j]
 			}
-			if p.X < 0 || p.X > 1 || p.Y < 0 || p.Y > 1 {
-				continue
+			in := true
+			for j := range w {
+				w[j] = cs.Q.Weights[j] + (1-1e-3)*res.Rho*w[j]/math.Sqrt(norm)
+				in = in && w[j] >= 0 && w[j] <= 1
 			}
-			if !geom.InConvexPolygon(p, poly) {
-				t.Errorf("trial %d: ball point %v (ρ=%v) outside validity polygon", trial, p, res.Rho)
+			if in && !slices.Equal(rankAt(cs.Tuples, cs.Q, cs.K, w), base) {
+				t.Errorf("trial %d: ball point %v (ρ=%v) outside the validity region", trial, w, res.Rho)
 			}
 		}
-	}
-}
-
-// TestValidityPolygonErrors covers the qlen guard.
-func TestValidityPolygonErrors(t *testing.T) {
-	tuples, _, _ := fixture.RunningExample()
-	q3 := vec.MustQuery([]int{0, 1}, []float64{0.5, 0.5})
-	if _, err := core.ValidityPolygon2D(tuples, q3, 2); err != nil {
-		t.Fatalf("qlen=2 rejected: %v", err)
-	}
-	q1 := vec.MustQuery([]int{0}, []float64{0.5})
-	if _, err := core.ValidityPolygon2D(tuples, q1, 2); err == nil {
-		t.Fatal("qlen=1 accepted")
 	}
 }

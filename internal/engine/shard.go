@@ -9,7 +9,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -49,14 +51,35 @@ func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, i
 	if err = e.validate(q, k, opts.Phi); err != nil {
 		return nil, nil, err
 	}
-	if len(imposed) > k {
-		return nil, nil, fmt.Errorf("engine: imposed result has %d entries for k=%d: %w", len(imposed), k, ErrInvalid)
+	if err = checkImposed(imposed, k, q.Len()); err != nil {
+		return nil, nil, err
 	}
 	err = e.run(ctx, func(ix lists.Index, _ time.Duration) error {
 		out, lines, err = imposedLocked(ctx, ix, q, k, base, imposed, opts.Options)
 		return err
 	})
 	return out, lines, err
+}
+
+// checkImposed rejects, as ErrInvalid, an imposed result the region
+// phases cannot take for R: more than k entries, or one with other than
+// qlen coordinates, a value not finite, an id seen before, or a rank
+// (score descending, id ascending) not after the one before it.
+func checkImposed(imposed []topk.Scored, k, qlen int) error {
+	if len(imposed) > k {
+		return fmt.Errorf("engine: imposed result has %d entries for k=%d: %w", len(imposed), k, ErrInvalid)
+	}
+	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	seen := make(map[int]bool, len(imposed))
+	for i, sc := range imposed {
+		if len(sc.Proj) != qlen || nonFinite(sc.Score) || slices.ContainsFunc(sc.Proj, nonFinite) ||
+			seen[sc.ID] || i > 0 && topk.ByRank(imposed[i-1], sc) > 0 {
+			return fmt.Errorf("engine: imposed entry %d (id %d, score %v, %d of %d coordinates) is not the next line of a ranked result: %w",
+				i, sc.ID, sc.Score, len(sc.Proj), qlen, ErrInvalid)
+		}
+		seen[sc.ID] = true
+	}
+	return nil
 }
 
 func imposedLocked(ctx context.Context, ix lists.Index, q vec.Query, k, base int, imposed []topk.Scored, copts core.Options) (*core.Output, []topk.Scored, error) {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
@@ -76,6 +78,46 @@ func TestValidateRejectsMalformedQueries(t *testing.T) {
 		}
 		if _, _, err := eng.TopKMetered(context.Background(), tc.q, 2); !errors.Is(err, ErrInvalid) {
 			t.Errorf("%s: TopK err %v, want ErrInvalid", tc.name, err)
+		}
+	}
+}
+
+// TestAnalyzeImposedRejectsMalformed: an imposed result the region
+// phases cannot take for R is a client fault (ErrInvalid), not a panic in
+// Phase 2. The well-formed payload beside them is answered.
+func TestAnalyzeImposedRejectsMalformed(t *testing.T) {
+	tuples := []vec.Sparse{
+		vec.MustSparse(vec.Entry{Dim: 0, Val: 0.9}, vec.Entry{Dim: 1, Val: 0.2}),
+		vec.MustSparse(vec.Entry{Dim: 0, Val: 0.4}, vec.Entry{Dim: 1, Val: 0.7}),
+		vec.MustSparse(vec.Entry{Dim: 0, Val: 0.3}, vec.Entry{Dim: 1, Val: 0.1}),
+	}
+	eng := memEngine(tuples, 2, Config{CacheEntries: -1})
+	q := vec.MustQuery([]int{0, 1}, []float64{0.8, 0.5})
+	d0 := topk.Scored{ID: 0, Score: q.Score(tuples[0]), Proj: q.Project(tuples[0])}
+	d1 := topk.Scored{ID: 1, Score: q.Score(tuples[1]), Proj: q.Project(tuples[1])}
+	with := func(sc topk.Scored, edit func(*topk.Scored)) topk.Scored {
+		sc.Proj = slices.Clone(sc.Proj)
+		edit(&sc)
+		return sc
+	}
+	for _, c := range []struct {
+		name    string
+		imposed []topk.Scored
+		ok      bool
+	}{
+		{"ranked", []topk.Scored{d0, d1}, true},
+		{"no coordinates", []topk.Scored{with(d0, func(s *topk.Scored) { s.Proj = nil }), d1}, false},
+		{"one coordinate too many", []topk.Scored{d0, with(d1, func(s *topk.Scored) { s.Proj = append(s.Proj, 0.5) })}, false},
+		{"NaN score", []topk.Scored{with(d0, func(s *topk.Scored) { s.Score = math.NaN() }), d1}, false},
+		{"infinite coordinate", []topk.Scored{d0, with(d1, func(s *topk.Scored) { s.Proj[1] = math.Inf(-1) })}, false},
+		{"an id twice", []topk.Scored{d0, with(d1, func(s *topk.Scored) { s.ID = 0 })}, false},
+		{"score ascending", []topk.Scored{d1, d0}, false},
+		{"tie, ids descending", []topk.Scored{with(d0, func(s *topk.Scored) { s.ID = 2 }), with(d1, func(s *topk.Scored) { s.Score = d0.Score })}, false},
+		{"more than k", []topk.Scored{d0, d1, d1}, false},
+	} {
+		_, _, err := eng.AnalyzeImposed(context.Background(), q, 2, 0, c.imposed, Options{Options: core.Options{Phi: 1}})
+		if c.ok && err != nil || !c.ok && !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v", c.name, err)
 		}
 	}
 }

@@ -116,7 +116,7 @@ func KthEnvelope(lines []Line, k int, xmin, xmax float64) PiecewiseLinear {
 		panic(fmt.Sprintf("geom: rank %d out of range [1,%d]", k, len(lines)))
 	}
 	sw := NewSweep(lines, xmin, xmax)
-	cur := lines[sw.Order()[k-1]]
+	cur := lines[sw.order[k-1]]
 	breaks := []float64{xmin}
 	var segs []Line
 	for {
@@ -124,7 +124,7 @@ func KthEnvelope(lines []Line, k int, xmin, xmax float64) PiecewiseLinear {
 		if !ok {
 			break
 		}
-		next := lines[sw.Order()[k-1]]
+		next := lines[sw.order[k-1]]
 		if next != cur {
 			breaks = append(breaks, c.X)
 			segs = append(segs, cur)

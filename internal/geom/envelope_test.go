@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/oracle"
 )
 
 // kthHighestAt computes the rank-k value among lines at x by sorting.
@@ -18,14 +20,23 @@ func kthHighestAt(lines []Line, k int, x float64) float64 {
 }
 
 // TestKthEnvelopeMatchesPointwise samples the envelope across its domain
-// and compares with direct rank computation.
+// and compares with the exact k-th level. The last rows are two
+// identical lines and a third through a point on them, at k = 3: past
+// that point the lowest line is the third one or the pair, whichever
+// the sweep swapped there.
 func TestKthEnvelopeMatchesPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 80; trial++ {
+	for trial := 0; trial < 120; trial++ {
 		n := 1 + rng.Intn(12)
 		k := 1 + rng.Intn(n)
 		lines := randLines(rng, n)
 		xmax := 0.5 + rng.Float64()
+		if trial >= 80 {
+			l, x0 := lines[0], xmax*rng.Float64()
+			slope := rng.Float64()
+			lines = []Line{l, l, {A: l.Eval(x0) - slope*x0, B: slope}}
+			k = 3
+		}
 		env := KthEnvelope(lines, k, 0, xmax)
 		if len(env.Breaks) != len(env.Lines)+1 || !sort.Float64sAreSorted(env.Breaks) {
 			t.Fatalf("trial %d: %d breaks %v for %d lines", trial, len(env.Breaks), env.Breaks, len(env.Lines))
@@ -35,7 +46,7 @@ func TestKthEnvelopeMatchesPointwise(t *testing.T) {
 		}
 		for s := 0; s <= 40; s++ {
 			x := xmax * float64(s) / 40
-			want := kthHighestAt(lines, k, x)
+			want := oracle.Level(oracleLines(lines), k, x)
 			if got := env.Eval(x); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("trial %d k=%d: env(%v)=%v, want %v", trial, k, x, got, want)
 			}

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/oracle"
 )
 
 // lineSet is a quick.Generator producing 2–10 random lines in general
@@ -22,10 +24,10 @@ func (lineSet) Generate(rng *rand.Rand, _ int) reflect.Value {
 }
 
 // TestQuickSweepCompleteness: the sweep finds exactly the crossings the
-// quadratic enumeration finds, for arbitrary line sets.
+// exact all-pairs enumeration finds, for arbitrary line sets.
 func TestQuickSweepCompleteness(t *testing.T) {
 	f := func(ls lineSet) bool {
-		want := CrossingsAllPairs(ls, 0, 1)
+		want := oracle.Crossings(oracleLines(ls), 0, 1)
 		sw := NewSweep(ls, 0, 1)
 		count := 0
 		lastX := 0.0
@@ -118,36 +120,6 @@ func TestQuickFirstCrossingAboveConsistent(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickHullIdempotent: the hull of a hull is itself.
-func TestQuickHullIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	f := func() bool {
-		n := 3 + rng.Intn(30)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Point{rng.Float64(), rng.Float64()}
-		}
-		h1 := ConvexHull(pts)
-		h2 := ConvexHull(h1)
-		if len(h1) != len(h2) {
-			return false
-		}
-		set := map[Point]bool{}
-		for _, p := range h1 {
-			set[p] = true
-		}
-		for _, p := range h2 {
-			if !set[p] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -53,12 +53,17 @@ func NewSweep(lines []Line, xmin, xmax float64) *Sweep {
 	return s
 }
 
-// schedule enqueues the crossing between ranks r and r+1, if it happens
-// strictly after the current sweep position and before xmax.
+// schedule enqueues the crossing between ranks r and r+1 if the lower
+// line overtakes the upper (so a pair swaps once) in [current position,
+// xmax): where lines meet in one point, the pairs the first swap makes
+// adjacent cross at the current position too.
 func (s *Sweep) schedule(r int) {
 	i, j := s.order[r], s.order[r+1]
-	x, ok := s.lines[i].IntersectX(s.lines[j])
-	if !ok || x <= s.lastX || x >= s.xmax {
+	if s.lines[j].B <= s.lines[i].B {
+		return
+	}
+	x, _ := s.lines[i].IntersectX(s.lines[j])
+	if x < s.lastX || x >= s.xmax {
 		return
 	}
 	heap.Push(&s.ev, event{x: x, i: i, j: j})
@@ -87,14 +92,6 @@ func (s *Sweep) Next() (Crossing, bool) {
 		return Crossing{X: e.x, I: e.i, J: e.j, RankAbove: ri}, true
 	}
 	return Crossing{}, false
-}
-
-// Order returns the current top-to-bottom ordering of line indices at the
-// sweep position (immediately after the last returned crossing).
-func (s *Sweep) Order() []int {
-	out := make([]int, len(s.order))
-	copy(out, s.order)
-	return out
 }
 
 type event struct {

@@ -12,7 +12,8 @@
 // As the paper notes, STB must scan all non-result tuples (like the Scan
 // baseline), and moving q outside the ball does not say what the result
 // becomes — the two shortcomings immutable regions address. The package
-// exists as the comparator for those claims.
+// exists as the comparator for those claims; its tests check the ball
+// against internal/oracle's exact ranking.
 package stb
 
 import (
@@ -66,25 +67,6 @@ func Radius(tuples []vec.Sparse, q vec.Query, k int) Result {
 		res.Scanned++
 	}
 	return res
-}
-
-// PreservedAt reports whether the ranked top-k at weight vector w (given
-// as weights parallel to q.Dims) equals the ranked top-k at q — the
-// check used to validate the ball empirically.
-func PreservedAt(tuples []vec.Sparse, q vec.Query, k int, w []float64) bool {
-	q2 := q.Clone()
-	copy(q2.Weights, w)
-	a := topk.TopKNaive(tuples, q, k)
-	b := topk.TopKNaive(tuples, q2, k)
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID {
-			return false
-		}
-	}
-	return true
 }
 
 func diff(a, b []float64) []float64 {

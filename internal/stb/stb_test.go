@@ -3,10 +3,19 @@ package stb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fixture"
+	"repro/internal/oracle"
+	"repro/internal/vec"
 )
+
+// preservedAt reports whether the exact ranked top-k at weight vector w
+// (parallel to cs.Q.Dims) is the one at cs.Q.
+func preservedAt(cs fixture.Case, w []float64) bool {
+	return slices.Equal(oracle.Rank(cs.Tuples, cs.Q, cs.K), oracle.Rank(cs.Tuples, vec.Query{Dims: cs.Q.Dims, Weights: w}, cs.K))
+}
 
 // TestRadiusBallPreserves: sampled weight vectors strictly inside the
 // ball B(q, ρ) must preserve the ranked result; the binding constraint's
@@ -45,7 +54,7 @@ func TestRadiusBallPreserves(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if !PreservedAt(cs.Tuples, cs.Q, cs.K, w) {
+			if !preservedAt(cs, w) {
 				t.Fatalf("trial %d: result changed inside the ball (ρ=%v)", trial, res.Rho)
 			}
 		}
@@ -93,7 +102,7 @@ func TestRadiusTightness(t *testing.T) {
 			continue
 		}
 		found++
-		if PreservedAt(cs.Tuples, cs.Q, cs.K, w) {
+		if preservedAt(cs, w) {
 			t.Fatalf("trial %d: result preserved just past ρ=%v along binding normal", trial, res.Rho)
 		}
 	}

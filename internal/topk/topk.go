@@ -731,9 +731,8 @@ func ByRank(a, b Scored) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// TopKNaive computes the exact ranked top-k by scoring every tuple — the
-// correctness oracle for TA and the reference the brute-force region
-// oracle builds on.
+// TopKNaive computes the ranked top-k by scoring every tuple — the
+// correctness oracle for TA, and the ranking STB's radius is built on.
 func TopKNaive(tuples []vec.Sparse, q vec.Query, k int) []Scored {
 	all := make([]Scored, 0, len(tuples))
 	for id, d := range tuples {
