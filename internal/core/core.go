@@ -106,9 +106,6 @@ type Options struct {
 	// the one-off computation of §6 — the wasteful strategy Fig. 15
 	// compares against.
 	Iterative bool
-	// ForceEnvelope routes φ = 0 through the §6 envelope path instead of
-	// Algorithms 1–3; used for cross-validation.
-	ForceEnvelope bool
 	// Schedule selects the probing schedule of the thresholding lists.
 	Schedule Schedule
 	// Parallelism selects the per-dimension execution mode. ≤ 0 (the
@@ -129,7 +126,7 @@ type Options struct {
 // is below dk's own line once result tuples reorder — the classic
 // dk-only comparison of Phase 2 would miss such entries.
 func (o Options) Envelope() bool {
-	return o.Phi > 0 || o.ForceEnvelope || o.CompositionOnly
+	return o.Phi > 0 || o.CompositionOnly
 }
 
 // Schedule is the probing schedule of Thres/CPT. §5.2 reports having

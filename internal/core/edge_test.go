@@ -75,24 +75,22 @@ func TestSingleQueryDimension(t *testing.T) {
 		cs := fixture.RandCase(rng, 40, 4, 1, 3)
 		q0 := cs.Q.Weights[0]
 		for _, method := range core.Methods {
-			for _, force := range []bool{false, true} {
-				ix := lists.NewMemIndex(cs.Tuples, cs.M)
-				ta := topk.New(ix, cs.Q, cs.K, topk.BestList)
-				out, err := core.Compute(context.Background(), ta, core.Options{Method: method, ForceEnvelope: force})
-				if err != nil {
-					t.Fatal(err)
-				}
-				reg := out.Regions[0]
-				if math.Abs(reg.Hi-(1-q0)) > 1e-9 {
-					t.Errorf("trial %d %v force=%v: Hi=%v, want %v", trial, method, force, reg.Hi, 1-q0)
-				}
-				if math.Abs(reg.Lo-(-q0)) > 1e-9 {
-					t.Errorf("trial %d %v force=%v: Lo=%v, want %v", trial, method, force, reg.Lo, -q0)
-				}
-				for _, p := range append(append([]core.Perturbation{}, reg.Left...), reg.Right...) {
-					if math.Abs(math.Abs(p.Delta)-q0) > 1e-9 && math.Abs(p.Delta-(1-q0)) > 1e-9 {
-						t.Errorf("trial %d %v force=%v: interior perturbation %+v", trial, method, force, p)
-					}
+			ix := lists.NewMemIndex(cs.Tuples, cs.M)
+			ta := topk.New(ix, cs.Q, cs.K, topk.BestList)
+			out, err := core.Compute(context.Background(), ta, core.Options{Method: method})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := out.Regions[0]
+			if math.Abs(reg.Hi-(1-q0)) > 1e-9 {
+				t.Errorf("trial %d %v: Hi=%v, want %v", trial, method, reg.Hi, 1-q0)
+			}
+			if math.Abs(reg.Lo-(-q0)) > 1e-9 {
+				t.Errorf("trial %d %v: Lo=%v, want %v", trial, method, reg.Lo, -q0)
+			}
+			for _, p := range append(append([]core.Perturbation{}, reg.Left...), reg.Right...) {
+				if math.Abs(math.Abs(p.Delta)-q0) > 1e-9 && math.Abs(p.Delta-(1-q0)) > 1e-9 {
+					t.Errorf("trial %d %v: interior perturbation %+v", trial, method, p)
 				}
 			}
 		}

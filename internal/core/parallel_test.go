@@ -92,15 +92,14 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelVariants covers the remaining option combinations on the
-// forked path: composition-only, forced envelope, iterative φ>0 and the
-// score-biased schedule must all be scheduling-independent too.
+// forked path: composition-only, iterative φ>0 and the score-biased
+// schedule must all be scheduling-independent too.
 func TestParallelVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 6; trial++ {
 		cs := fixture.RandCase(rng, 40+rng.Intn(40), 5, 3, 1+rng.Intn(4))
 		variants := []core.Options{
 			{Method: core.MethodCPT, CompositionOnly: true},
-			{Method: core.MethodCPT, ForceEnvelope: true},
 			{Method: core.MethodPrune, Phi: 2, Iterative: true},
 			{Method: core.MethodCPT, Phi: 1, Schedule: core.ScheduleScoreBiased},
 		}

@@ -165,8 +165,8 @@ func oracleInstances(t *testing.T) int {
 }
 
 // TestMethodsMatchOracle is the central cross-validation: every method
-// (Scan/Prune/Thres/CPT), both algorithm paths (classic φ=0 and
-// envelope), the iterative mode and the composition-only variant must
+// (Scan/Prune/Thres/CPT), both algorithm paths (classic at φ=0;
+// envelope at φ>0 and for composition-only) and the iterative mode must
 // reproduce the exact oracle's answer at φ = 0, 1, 2 — perturbation for
 // perturbation. One row draws general-position instances; the other
 // draws them from grids and duplicates (core.RandShardedCase), where a
@@ -200,9 +200,9 @@ func TestMethodsMatchOracle(t *testing.T) {
 						want := arr.Regions(phi, compOnly)
 						c.tally(want, seen)
 						for _, method := range core.Methods {
-							variants := []core.Options{
-								{Method: method, Phi: phi, CompositionOnly: compOnly},
-								{Method: method, Phi: phi, CompositionOnly: compOnly, ForceEnvelope: phi == 0, Iterative: phi > 0},
+							variants := []core.Options{{Method: method, Phi: phi, CompositionOnly: compOnly}}
+							if phi > 0 {
+								variants = append(variants, core.Options{Method: method, Phi: phi, CompositionOnly: compOnly, Iterative: true})
 							}
 							for _, opts := range variants {
 								ta := topk.New(lists.NewMemIndex(cs.Tuples, cs.M), cs.Q, cs.K, topk.BestList)
@@ -211,8 +211,8 @@ func TestMethodsMatchOracle(t *testing.T) {
 									t.Fatalf("trial %d: Compute: %v", trial, err)
 								}
 								c.match(t, func() string {
-									return fmt.Sprintf("trial=%d n=%d q=%v k=%d phi=%d comp=%v %v force=%v iter=%v",
-										trial, len(cs.Tuples), cs.Q, cs.K, phi, compOnly, method, opts.ForceEnvelope, opts.Iterative)
+									return fmt.Sprintf("trial=%d n=%d q=%v k=%d phi=%d comp=%v %v iter=%v",
+										trial, len(cs.Tuples), cs.Q, cs.K, phi, compOnly, method, opts.Iterative)
 								}, cs, out.Regions, want)
 								ta.Release()
 							}

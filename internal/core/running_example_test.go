@@ -27,36 +27,34 @@ func runExample(t *testing.T, opts core.Options) *core.Output {
 }
 
 // TestRunningExampleRegions reproduces Fig. 1/5: IR1 = (−16/35, 0.1),
-// IR2 = (−1/18, 0.5), for every method and both algorithm paths.
+// IR2 = (−1/18, 0.5), for every method.
 func TestRunningExampleRegions(t *testing.T) {
 	for _, method := range core.Methods {
-		for _, force := range []bool{false, true} {
-			out := runExample(t, core.Options{Method: method, ForceEnvelope: force})
-			if got := out.RankedIDs(); len(got) != 2 || got[0] != 1 || got[1] != 0 {
-				t.Fatalf("%v force=%v: result %v, want [1 0]", method, force, got)
-			}
-			r1, r2 := out.Regions[0], out.Regions[1]
-			if math.Abs(r1.Lo-(-16.0/35)) > eps || math.Abs(r1.Hi-0.1) > eps {
-				t.Errorf("%v force=%v: IR1 = (%v, %v), want (-16/35, 0.1)", method, force, r1.Lo, r1.Hi)
-			}
-			if math.Abs(r2.Lo-(-1.0/18)) > eps || math.Abs(r2.Hi-0.5) > eps {
-				t.Errorf("%v force=%v: IR2 = (%v, %v), want (-1/18, 0.5)", method, force, r2.Lo, r2.Hi)
-			}
-			// The perturbations at the inner bounds (Fig. 1 discussion):
-			// at +0.1 d1 overtakes d2 (reorder); at −16/35 d3 enters over d1.
-			if len(r1.Right) == 0 || r1.Right[0].Above != 1 || r1.Right[0].Below != 0 || r1.Right[0].Entry {
-				t.Errorf("%v force=%v: IR1 right perturbation %+v, want d1 over d2 reorder", method, force, r1.Right)
-			}
-			if len(r1.Left) == 0 || r1.Left[0].Above != 0 || r1.Left[0].Below != 2 || !r1.Left[0].Entry {
-				t.Errorf("%v force=%v: IR1 left perturbation %+v, want d3 enters over d1", method, force, r1.Left)
-			}
-			// IR2's upper bound is the weight-domain edge: no perturbation.
-			if len(r2.Right) != 0 {
-				t.Errorf("%v force=%v: IR2 right should reach the domain edge, got %+v", method, force, r2.Right)
-			}
-			if len(r2.Left) == 0 || r2.Left[0].Above != 1 || r2.Left[0].Below != 0 || r2.Left[0].Entry {
-				t.Errorf("%v force=%v: IR2 left perturbation %+v, want d1 over d2 reorder", method, force, r2.Left)
-			}
+		out := runExample(t, core.Options{Method: method})
+		if got := out.RankedIDs(); len(got) != 2 || got[0] != 1 || got[1] != 0 {
+			t.Fatalf("%v: result %v, want [1 0]", method, got)
+		}
+		r1, r2 := out.Regions[0], out.Regions[1]
+		if math.Abs(r1.Lo-(-16.0/35)) > eps || math.Abs(r1.Hi-0.1) > eps {
+			t.Errorf("%v: IR1 = (%v, %v), want (-16/35, 0.1)", method, r1.Lo, r1.Hi)
+		}
+		if math.Abs(r2.Lo-(-1.0/18)) > eps || math.Abs(r2.Hi-0.5) > eps {
+			t.Errorf("%v: IR2 = (%v, %v), want (-1/18, 0.5)", method, r2.Lo, r2.Hi)
+		}
+		// The perturbations at the inner bounds (Fig. 1 discussion):
+		// at +0.1 d1 overtakes d2 (reorder); at −16/35 d3 enters over d1.
+		if len(r1.Right) == 0 || r1.Right[0].Above != 1 || r1.Right[0].Below != 0 || r1.Right[0].Entry {
+			t.Errorf("%v: IR1 right perturbation %+v, want d1 over d2 reorder", method, r1.Right)
+		}
+		if len(r1.Left) == 0 || r1.Left[0].Above != 0 || r1.Left[0].Below != 2 || !r1.Left[0].Entry {
+			t.Errorf("%v: IR1 left perturbation %+v, want d3 enters over d1", method, r1.Left)
+		}
+		// IR2's upper bound is the weight-domain edge: no perturbation.
+		if len(r2.Right) != 0 {
+			t.Errorf("%v: IR2 right should reach the domain edge, got %+v", method, r2.Right)
+		}
+		if len(r2.Left) == 0 || r2.Left[0].Above != 1 || r2.Left[0].Below != 0 || r2.Left[0].Entry {
+			t.Errorf("%v: IR2 left perturbation %+v, want d1 over d2 reorder", method, r2.Left)
 		}
 	}
 }
@@ -129,15 +127,13 @@ func TestRunningExampleResultAfter(t *testing.T) {
 // still the entry of d3.
 func TestRunningExampleCompositionOnly(t *testing.T) {
 	for _, method := range core.Methods {
-		for _, force := range []bool{false, true} {
-			out := runExample(t, core.Options{Method: method, CompositionOnly: true, ForceEnvelope: force})
-			r1 := out.Regions[0]
-			if math.Abs(r1.Hi-0.2) > eps {
-				t.Errorf("%v force=%v: composition-only IR1 upper = %v, want 0.2 (domain edge)", method, force, r1.Hi)
-			}
-			if math.Abs(r1.Lo-(-16.0/35)) > eps {
-				t.Errorf("%v force=%v: composition-only IR1 lower = %v, want -16/35", method, force, r1.Lo)
-			}
+		out := runExample(t, core.Options{Method: method, CompositionOnly: true})
+		r1 := out.Regions[0]
+		if math.Abs(r1.Hi-0.2) > eps {
+			t.Errorf("%v: composition-only IR1 upper = %v, want 0.2 (domain edge)", method, r1.Hi)
+		}
+		if math.Abs(r1.Lo-(-16.0/35)) > eps {
+			t.Errorf("%v: composition-only IR1 lower = %v, want -16/35", method, r1.Lo)
 		}
 	}
 }

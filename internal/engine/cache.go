@@ -47,9 +47,9 @@ import (
 // produces. Method, Schedule and Parallelism are excluded: every
 // variant provably computes the same regions (the repo's property and
 // parallel-equality tests enforce it), so a CPT analysis may serve a
-// Scan request and vice versa. Iterative/ForceEnvelope likewise only
-// change the route, not the answer — but they exist for measurement, so
-// requests carrying them are expected to arrive with NoCache anyway.
+// Scan request and vice versa. Iterative likewise only changes the
+// route, not the answer — but it exists for measurement, so requests
+// carrying it are expected to arrive with NoCache anyway.
 type sig struct {
 	phi      int
 	compOnly bool

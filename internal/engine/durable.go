@@ -174,7 +174,8 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 }
 
 // OverlayStats measures the write overlay's in-memory delta; ok is
-// false when the index is not overlay-backed (MemIndex engines).
+// false when there is none: a ReadOnly engine that serves its index as
+// it is. Every writable engine has one, in-memory ones included.
 func (e *Engine) OverlayStats() (lists.DeltaStats, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -347,24 +348,16 @@ func openDurableDir(dir string, poolPages int, cfg Config) (*Engine, error) {
 }
 
 // replayInto adapts a logged batch back onto the overlay through the
-// same mutation entry points live Apply uses. Per-op failures are
+// per-op dispatch live Apply uses (applyOp). Per-op failures are
 // skipped, not fatal: they failed identically when first applied (the
 // mutation code is deterministic), so skipping reproduces the committed
 // state exactly — including insert-id assignment, which only advances
-// on success.
+// on success. Recovery feeds neither the mutation counters nor the
+// cache: applied is its own count.
 func replayInto(ov *lists.Overlay, applied *int) func(seq uint64, ops []wal.Op) error {
-	return func(seq uint64, ops []wal.Op) error {
-		for _, op := range ops {
-			var err error
-			switch op.Kind {
-			case wal.OpInsert:
-				_, err = ov.Insert(op.Tuple)
-			case wal.OpUpdate:
-				_, err = ov.Update(int(op.ID), op.Tuple)
-			case wal.OpDelete:
-				_, err = ov.Delete(int(op.ID))
-			}
-			if err == nil {
+	return func(seq uint64, wops []wal.Op) error {
+		for _, op := range engineOps(wops) {
+			if _, err := applyOp(ov, op); err == nil {
 				*applied++
 			}
 		}
@@ -372,26 +365,30 @@ func replayInto(ov *lists.Overlay, applied *int) func(seq uint64, ops []wal.Op) 
 	}
 }
 
-// walOps converts a batch for logging. Ops the engine will reject
-// outright (unknown kinds) are dropped: they cannot mutate, so the log
-// stays a record of effective mutations only.
+// walOps converts a batch for logging; the log numbers the engine's op
+// kinds in the same order from wal.OpInsert on. Ops the engine will
+// reject outright (unknown kinds) are dropped: they cannot mutate, so
+// the log stays a record of effective mutations only.
 func walOps(ops []Op) []wal.Op {
 	out := make([]wal.Op, 0, len(ops))
 	for _, op := range ops {
-		var k wal.OpKind
-		switch op.Kind {
-		case OpInsert:
-			k = wal.OpInsert
-		case OpUpdate:
-			k = wal.OpUpdate
-		case OpDelete:
-			k = wal.OpDelete
-		default:
-			continue
+		if op.Kind.valid() {
+			out = append(out, wal.Op{Kind: wal.OpInsert + wal.OpKind(op.Kind), ID: int64(op.ID), Tuple: op.Tuple})
 		}
-		out = append(out, wal.Op{Kind: k, ID: int64(op.ID), Tuple: op.Tuple})
 	}
 	return out
+}
+
+// engineOps converts logged ops back to the engine's mutation form.
+// EncodeRecord refuses unknown kinds; one is dropped all the same.
+func engineOps(wops []wal.Op) []Op {
+	ops := make([]Op, 0, len(wops))
+	for _, op := range wops {
+		if k := OpKind(op.Kind) - OpKind(wal.OpInsert); k.valid() {
+			ops = append(ops, Op{Kind: k, ID: int(op.ID), Tuple: op.Tuple})
+		}
+	}
+	return ops
 }
 
 // Checkpoint forces a compaction now, regardless of thresholds.
@@ -426,11 +423,7 @@ func (e *Engine) checkpointDue() bool {
 	d := e.dur
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ov, ok := e.ix.(*lists.Overlay)
-	if !ok {
-		return false
-	}
-	return d.log.Size()-d.lostLog >= d.checkpointBytes || ov.DeltaStats().Bytes-d.lostDelta >= d.checkpointBytes
+	return d.log.Size()-d.lostLog >= d.checkpointBytes || e.mut.DeltaStats().Bytes-d.lostDelta >= d.checkpointBytes
 }
 
 // checkpoint performs the compaction sequence of the package comment in
@@ -479,14 +472,9 @@ func (e *Engine) checkpoint(force bool) error {
 
 	// Phase 1: snapshot. ckptMu is held, so d.gen cannot move under us.
 	e.mu.RLock()
-	ov, ok := e.ix.(*lists.Overlay)
-	if !ok {
-		e.mu.RUnlock()
-		return fmt.Errorf("engine: checkpoint needs an overlay-backed index")
-	}
-	frozen := ov.Freeze()
+	frozen := e.mut.Freeze()
 	seq := d.log.LastSeq()
-	snapLog, snapDelta := d.log.Size(), ov.DeltaStats().Bytes
+	snapLog, snapDelta := d.log.Size(), e.mut.DeltaStats().Bytes
 	e.mu.RUnlock()
 	mCheckpointPhaseSeconds.Observe("snapshot", lap())
 	if err := hook("snapshot"); err != nil {

@@ -107,9 +107,9 @@ type Config struct {
 	// VerifyChecksums makes Open validate the dataset files' integrity
 	// trailers before serving them. Ignored by New.
 	VerifyChecksums bool
-	// ReadOnly disables the write path: Apply fails with ErrImmutable
-	// even over a mutable index, and Open serves the disk files directly
-	// instead of wrapping them in a write overlay.
+	// ReadOnly is the one switch for writability. Unset, New wraps the
+	// index in a write overlay (lists.Overlay) and Apply works; set, the
+	// index is served as it is and Apply fails with ErrImmutable.
 	ReadOnly bool
 	// WAL enables the durability subsystem when opening a dataset
 	// directory via OpenDir: Apply batches are appended to wal.log
@@ -130,7 +130,7 @@ type Config struct {
 // over one index.
 type Engine struct {
 	ix     lists.Index
-	mut    lists.Mutable // non-nil when the index accepts writes
+	mut    *lists.Overlay // the write path; nil when ReadOnly
 	cfg    Config
 	sem    chan struct{} // nil when unlimited
 	cache  *cache        // nil when disabled
@@ -161,17 +161,23 @@ type Engine struct {
 	epochs   []wal.EpochStart
 
 	// Mutation counters (see MutationStats).
-	mutInserts, mutUpdates, mutDeletes, mutBatches atomic.Int64
-	invChecked, invEvicted, invSurvived            atomic.Int64
+	mutOps                              [numOpKinds]atomic.Int64 // applied ops per kind
+	mutBatches                          atomic.Int64
+	invChecked, invEvicted, invSurvived atomic.Int64
 }
 
-// New builds an Engine over an existing index. If the index is mutable
-// (lists.Mutable) and the config does not say ReadOnly, Apply is
-// enabled.
+// New builds an Engine over an existing index. Unless the config says
+// ReadOnly, Apply is enabled: the engine serves and mutates a write
+// overlay over ix (ix itself, when it already is one), so the index,
+// and the tuples it was built from, are never written.
 func New(ix lists.Index, cfg Config) *Engine {
 	e := &Engine{ix: ix, cfg: cfg}
-	if m, ok := ix.(lists.Mutable); ok && !cfg.ReadOnly {
-		e.mut = m
+	if !cfg.ReadOnly {
+		ov, ok := ix.(*lists.Overlay)
+		if !ok {
+			ov = lists.NewOverlay(ix)
+		}
+		e.ix, e.mut = ov, ov
 	}
 	limit := cfg.MaxConcurrent
 	if limit == 0 {
@@ -196,20 +202,15 @@ func New(ix lists.Index, cfg Config) *Engine {
 
 // Open opens a persisted dataset through a buffer pool of poolPages
 // pages, optionally verifying the files' checksum trailers first
-// (Config.VerifyChecksums), and builds an Engine over it. Unless the
-// config says ReadOnly, the disk index is wrapped in a memory-resident
-// write overlay (lists.Overlay) so Apply works over persisted datasets
-// too; the files themselves are never modified.
+// (Config.VerifyChecksums), and builds an Engine over it with New, so
+// Apply works over persisted datasets too unless the config says
+// ReadOnly; the files themselves are never modified.
 func Open(tuplePath, listPath string, poolPages int, cfg Config) (*Engine, error) {
 	ix, err := openDisk(tuplePath, listPath, poolPages, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var top lists.Index = ix
-	if !cfg.ReadOnly {
-		top = lists.NewOverlay(ix)
-	}
-	e := New(top, cfg)
+	e := New(ix, cfg)
 	e.closer = ix.Close
 	return e, nil
 }
@@ -267,8 +268,8 @@ func (e *Engine) Index() lists.Index { return e.ix }
 // Stats exposes the index-wide I/O meter.
 func (e *Engine) Stats() *storage.IOStats { return e.ix.Stats() }
 
-// N returns the dataset cardinality (including tombstoned slots of a
-// mutable index; it grows with inserts).
+// N returns the dataset cardinality (including tombstoned slots; it
+// grows with inserts).
 func (e *Engine) N() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -1,6 +1,6 @@
 // The write path: Engine.Apply feeds tuple inserts, updates and deletes
-// to a mutable index and decides — per cached analysis — whether the
-// cached certificate survives the change.
+// to the engine's write overlay and decides — per cached analysis —
+// whether the cached certificate survives the change.
 //
 // # Region-certified invalidation
 //
@@ -47,11 +47,11 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/lists"
 	"repro/internal/vec"
 )
 
-// ErrImmutable tags Apply calls on an engine whose index cannot change
-// (a read-only configuration, or an index without a write path).
+// ErrImmutable tags Apply calls on an engine configured ReadOnly.
 var ErrImmutable = errors.New("index is immutable")
 
 // OpKind selects a mutation.
@@ -66,18 +66,19 @@ const (
 	OpDelete
 )
 
+// numOpKinds bounds the valid kinds, [OpInsert, numOpKinds).
+const numOpKinds = OpDelete + 1
+
+var opKindNames = [numOpKinds]string{OpInsert: "insert", OpUpdate: "update", OpDelete: "delete"}
+
 func (k OpKind) String() string {
-	switch k {
-	case OpInsert:
-		return "insert"
-	case OpUpdate:
-		return "update"
-	case OpDelete:
-		return "delete"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("op(%d)", int(k))
 	}
+	return opKindNames[k]
 }
+
+func (k OpKind) valid() bool { return k >= OpInsert && k < numOpKinds }
 
 // Op is one mutation of a batch.
 type Op struct {
@@ -125,9 +126,9 @@ func (e *Engine) Mutable() bool { return e.mut != nil }
 // MutationStats snapshots the write-path counters.
 func (e *Engine) MutationStats() MutationStats {
 	return MutationStats{
-		Inserts:       e.mutInserts.Load(),
-		Updates:       e.mutUpdates.Load(),
-		Deletes:       e.mutDeletes.Load(),
+		Inserts:       e.mutOps[OpInsert].Load(),
+		Updates:       e.mutOps[OpUpdate].Load(),
+		Deletes:       e.mutOps[OpDelete].Load(),
 		Batches:       e.mutBatches.Load(),
 		CacheChecked:  e.invChecked.Load(),
 		CacheEvicted:  e.invEvicted.Load(),
@@ -229,42 +230,41 @@ func (e *Engine) lockAndApply(ops []Op) (ApplyResult, uint64, func(seq uint64) e
 	return e.runOpsLocked(ops), seq, e.commitGate, nil
 }
 
-// runOpsLocked applies a batch's ops to the index and runs the
-// region-certified cache invalidation. Callers hold the write lock and
-// have already committed the batch to the WAL (durable engines);
-// Apply and ApplyReplicated share this path, which is what makes a
-// standby's replay behaviorally identical to the primary's original
-// execution.
+// applyOp applies one op to the overlay and returns the change it made:
+// the one dispatch over op kinds, shared by live batches (runOpsLocked)
+// and WAL recovery (replayInto). The change's id is the assigned
+// (insert) or targeted id, -1 for an op that names no valid kind.
+func applyOp(ov *lists.Overlay, op Op) (tupleChange, error) {
+	switch op.Kind {
+	case OpInsert:
+		id, err := ov.Insert(op.Tuple)
+		return tupleChange{id: id, new: op.Tuple, hasNew: true}, err
+	case OpUpdate:
+		old, err := ov.Update(op.ID, op.Tuple)
+		return tupleChange{id: op.ID, old: old, new: op.Tuple, hasOld: true, hasNew: true}, err
+	case OpDelete:
+		old, err := ov.Delete(op.ID)
+		return tupleChange{id: op.ID, old: old, hasOld: true}, err
+	default:
+		return tupleChange{id: -1}, fmt.Errorf("engine: unknown op kind %d: %w", int(op.Kind), ErrInvalid)
+	}
+}
+
+// runOpsLocked applies a batch's ops to the overlay, counts them and
+// runs the region-certified cache invalidation. Callers hold the write
+// lock and have already committed the batch to the WAL (durable
+// engines); Apply and ApplyReplicated share this path, which is what
+// makes a standby's replay behaviorally identical to the primary's
+// original execution.
 func (e *Engine) runOpsLocked(ops []Op) ApplyResult {
 	res := ApplyResult{Results: make([]OpResult, len(ops))}
 	changes := make([]tupleChange, 0, len(ops))
 	for i, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			id, err := e.mut.Insert(op.Tuple)
-			res.Results[i] = OpResult{ID: id, Err: err}
-			if err == nil {
-				changes = append(changes, tupleChange{id: id, new: op.Tuple, hasNew: true})
-				e.mutInserts.Add(1)
-			}
-		case OpUpdate:
-			old, err := e.mut.Update(op.ID, op.Tuple)
-			res.Results[i] = OpResult{ID: op.ID, Err: err}
-			if err == nil {
-				changes = append(changes, tupleChange{id: op.ID, old: old, new: op.Tuple, hasOld: true, hasNew: true})
-				e.mutUpdates.Add(1)
-			}
-		case OpDelete:
-			old, err := e.mut.Delete(op.ID)
-			res.Results[i] = OpResult{ID: op.ID, Err: err}
-			if err == nil {
-				changes = append(changes, tupleChange{id: op.ID, old: old, hasOld: true})
-				e.mutDeletes.Add(1)
-			}
-		default:
-			res.Results[i] = OpResult{ID: -1, Err: fmt.Errorf("engine: unknown op kind %d: %w", int(op.Kind), ErrInvalid)}
-		}
-		if res.Results[i].Err == nil {
+		ch, err := applyOp(e.mut, op)
+		res.Results[i] = OpResult{ID: ch.id, Err: err}
+		if err == nil {
+			changes = append(changes, ch)
+			e.mutOps[op.Kind].Add(1)
 			res.Applied++
 		}
 	}

@@ -88,26 +88,6 @@ func (e *Engine) LastSeq() uint64 {
 	return e.dur.log.LastSeq()
 }
 
-// engineOps converts logged ops back to the engine's mutation form.
-func engineOps(wops []wal.Op) []Op {
-	ops := make([]Op, 0, len(wops))
-	for _, op := range wops {
-		var k OpKind
-		switch op.Kind {
-		case wal.OpInsert:
-			k = OpInsert
-		case wal.OpUpdate:
-			k = OpUpdate
-		case wal.OpDelete:
-			k = OpDelete
-		default:
-			continue // EncodeRecord refuses unknown kinds; be defensive
-		}
-		ops = append(ops, Op{Kind: k, ID: int(op.ID), Tuple: op.Tuple})
-	}
-	return ops
-}
-
 // ApplyReplicated applies one batch received from a replication stream
 // to a standby engine: the batch is appended to the standby's own WAL
 // (fsynced per the engine's sync policy — quorum followers use

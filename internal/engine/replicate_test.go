@@ -49,6 +49,9 @@ func TestCommitSinkStream(t *testing.T) {
 	if len(sink.seqs) != 2 || sink.seqs[0] != 1 || sink.seqs[1] != 2 {
 		t.Fatalf("sink saw seqs %v", sink.seqs)
 	}
+	if _, ops, err := wal.DecodeRecord(sink.frames[0]); err != nil || len(ops) != 1 || ops[0].Kind != wal.OpInsert {
+		t.Fatalf("frame 1 ops %+v, err %v", ops, err)
+	}
 	seq, ops, err := wal.DecodeRecord(sink.frames[1])
 	if err != nil || seq != 2 || len(ops) != 2 {
 		t.Fatalf("frame 2 decodes to seq=%d ops=%d err=%v", seq, len(ops), err)

@@ -134,9 +134,7 @@ func NewLocalShards(tuples []vec.Sparse, m int, bases []int, cfg Config) ([]*Eng
 		if lo > hi || hi > len(tuples) {
 			return nil, fmt.Errorf("engine: shard %d range [%d,%d) outside dataset of %d", i, lo, hi, len(tuples))
 		}
-		part := make([]vec.Sparse, hi-lo)
-		copy(part, tuples[lo:hi])
-		engines[i] = New(lists.NewMemIndex(part, m), cfg)
+		engines[i] = New(lists.NewMemIndex(tuples[lo:hi], m), cfg)
 	}
 	return engines, nil
 }

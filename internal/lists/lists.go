@@ -9,16 +9,15 @@
 //
 // # Mutability and overlay merge rules
 //
-// The write path (Mutable: Insert/Update/Delete) has two
-// implementations. MemIndex mutates its postings in place, keeping each
-// list in exactly the order BuildPostings would produce (descending
-// value, ties by ascending id) via binary-searched splices. Overlay
-// makes a read-only DiskIndex writable without touching its files: it
-// layers (1) delta posting lists, merged into every cursor in the same
-// descending-value order, (2) a tombstone set hiding base postings of
-// changed or deleted ids, and (3) an id-stable tuple override table.
-// The merge invariants: a base id is either served from the base files
-// or tombstoned and re-inserted as a delta — never both; insert ids
+// MemIndex and DiskIndex are read-only. The write path
+// (Insert/Update/Delete) has one implementation, Overlay, which makes
+// either writable without writing to it: it layers (1) delta posting
+// lists, merged into every cursor in the order BuildPostings would
+// produce (descending value, ties by ascending id), (2) a tombstone set
+// hiding base postings of changed or deleted ids, and (3) an id-stable
+// tuple override table.
+// The merge invariants: a base id is either served from the base or
+// tombstoned and re-inserted as a delta — never both; insert ids
 // continue the base numbering and only advance on success (which is
 // what makes WAL replay reproduce id assignment exactly); a deleted id
 // stays allocated forever (its slot reads as an empty tuple).
@@ -163,12 +162,10 @@ type MemIndex struct {
 	lists  map[int]PostingList
 	m      int
 	stats  *storage.IOStats
-	// dead marks tombstoned ids (see Mutable); nil until the first
-	// Delete. Deleted tuples keep their slot but have no postings.
-	dead map[int]bool
 }
 
-// NewMemIndex builds an in-memory index over tuples in [0,1]^m.
+// NewMemIndex builds an in-memory index over tuples in [0,1]^m. The
+// index reads tuples in place and never writes them.
 func NewMemIndex(tuples []vec.Sparse, m int) *MemIndex {
 	return &MemIndex{
 		tuples: tuples,

@@ -1,27 +1,37 @@
-// Overlay: a write layer over a read-only Index (typically a DiskIndex)
-// that makes it Mutable without touching the underlying files. New and
-// updated tuples live in memory as delta posting lists; base postings of
-// updated or deleted tuples are tombstoned and skipped by the merged
-// cursor. The merged sorted order is exactly BuildPostings' (descending
-// value, ties by ascending id), so to the query path an overlay is
-// indistinguishable from an index freshly built on the post-update
-// dataset.
+// Overlay: the write path of the system. The paper treats the dataset as
+// static — immutable regions certify result validity against *weight*
+// change — but the orthogonal axis, *data* change, is what the engine's
+// region-certified cache invalidation is built on. An Overlay makes a
+// read-only Index (a MemIndex or a DiskIndex) writable without writing
+// to it: new and updated tuples live in memory as delta posting lists;
+// base postings of updated or deleted tuples are tombstoned and skipped
+// by the merged cursor. The merged sorted order is exactly
+// BuildPostings' (descending value, ties by ascending id), so to the
+// query path an overlay is indistinguishable from an index freshly built
+// on the post-update dataset.
 //
-// The overlay follows the same synchronization contract as every other
-// Mutable: mutations must be externally serialized against readers (the
-// engine's reader-writer lock does this). The delta itself is
-// memory-only; durability comes from the engine's write-ahead log
-// (internal/wal), which replays into a fresh overlay on open, and from
-// checkpoint compaction, which merges a frozen copy of the delta
-// (Freeze) with the base files into fresh tuple/list files (SaveIndex).
-// DeltaStats makes the overlay's growth observable so the checkpointer
-// can bound it.
+// Tuple ids are stable: Insert assigns the next id, Delete tombstones
+// its slot (the id is never reused and NumTuples does not shrink),
+// Update replaces the tuple. Update and Delete return the previous
+// version — the raw material of the engine's cache-invalidation
+// certificate — charging the one base read that takes when the tuple
+// still lives in the base.
+//
+// Mutations are NOT internally synchronized: they must be serialized
+// against each other and against readers (the engine's reader-writer
+// lock does this). The delta itself is memory-only; durability comes
+// from the engine's write-ahead log (internal/wal), which replays into a
+// fresh overlay on open, and from checkpoint compaction, which merges a
+// frozen copy of the delta (Freeze) with the base files into fresh
+// tuple/list files (SaveIndex). DeltaStats makes the overlay's growth
+// observable so the checkpointer can bound it.
 package lists
 
 import (
 	"fmt"
 	"maps"
 	"slices"
+	"sort"
 
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -34,8 +44,7 @@ type overlayTuple struct {
 	dead bool
 }
 
-// Overlay is a Mutable Index layering in-memory changes over a read-only
-// base.
+// Overlay is an Index layering in-memory changes over a read-only base.
 type Overlay struct {
 	base  Index
 	baseN int
@@ -249,6 +258,55 @@ func (ov *Overlay) tombstoneBase(id int, base vec.Sparse) {
 	for _, e := range base {
 		ov.deadPerDim[e.Dim]++
 	}
+}
+
+// validateTuple checks a mutation payload against the index geometry.
+// Empty tuples are rejected: an all-zero vector can never appear in any
+// inverted list or result, and empty records on disk are how checkpoint
+// compaction persists TOMBSTONES — allowing one as a payload would make
+// a live tuple indistinguishable from a deleted id after compaction.
+func validateTuple(t vec.Sparse, m int) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	if len(t) == 0 {
+		return fmt.Errorf("lists: empty tuple (delete the id instead)")
+	}
+	if d := t.MaxDim(); d >= m {
+		return fmt.Errorf("lists: tuple dimension %d outside dataset [0,%d)", d, m)
+	}
+	return nil
+}
+
+// insertPosting places (id, val) at its sorted position: descending
+// value, ties by ascending id — the BuildPostings order.
+func insertPosting(pl PostingList, id int32, val float64) PostingList {
+	i := sort.Search(pl.Len(), func(i int) bool {
+		if pl.Vals[i] != val {
+			return pl.Vals[i] < val
+		}
+		return pl.IDs[i] > id
+	})
+	pl.IDs = slices.Insert(pl.IDs, i, id)
+	pl.Vals = slices.Insert(pl.Vals, i, val)
+	return pl
+}
+
+// removePosting deletes the (id, val) posting, located by binary search
+// on the (val desc, id asc) order.
+func removePosting(pl PostingList, id int32, val float64) (PostingList, bool) {
+	i := sort.Search(pl.Len(), func(i int) bool {
+		if pl.Vals[i] != val {
+			return pl.Vals[i] < val
+		}
+		return pl.IDs[i] >= id
+	})
+	if i >= pl.Len() || pl.IDs[i] != id || pl.Vals[i] != val {
+		return pl, false
+	}
+	pl.IDs = slices.Delete(pl.IDs, i, i+1)
+	pl.Vals = slices.Delete(pl.Vals, i, i+1)
+	return pl, true
 }
 
 func (ov *Overlay) addDelta(id int, t vec.Sparse) {

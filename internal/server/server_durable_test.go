@@ -86,10 +86,11 @@ func TestStatsDurableBlocks(t *testing.T) {
 		t.Fatalf("post-restart overlay stats %+v", st.Overlay)
 	}
 
-	// A non-durable engine reports neither block.
+	// A writable in-memory engine writes through an overlay too, but keeps
+	// no log: it reports the overlay block and no wal block.
 	mem := httptest.NewServer(FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{})).Handler())
 	defer mem.Close()
-	if st := getStats(mem.URL); st.WAL != nil || st.Overlay != nil {
-		t.Fatalf("non-durable /stats has durable blocks: %+v", st)
+	if st := getStats(mem.URL); st.WAL != nil || st.Overlay == nil {
+		t.Fatalf("in-memory /stats: wal %+v overlay %+v, want an overlay and no wal", st.WAL, st.Overlay)
 	}
 }

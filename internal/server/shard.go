@@ -27,8 +27,8 @@ type ShardTopKResponse struct {
 // distributed analysis. Base is this shard's id offset; Imposed is the
 // coordinator-merged global result the shard computes constraints
 // against. The option fields mirror core.Options; unlike the public
-// /analyze they include the cross-validation toggles, because the
-// coordinator must mirror whatever dispatch the caller asked for.
+// /analyze they include Iterative, because the coordinator must mirror
+// whatever dispatch the caller asked for.
 type ShardAnalyzeRequest struct {
 	Dims            []int         `json:"dims"`
 	Weights         []float64     `json:"weights"`
@@ -38,7 +38,6 @@ type ShardAnalyzeRequest struct {
 	Phi             int           `json:"phi"`
 	Method          string        `json:"method"`
 	CompositionOnly bool          `json:"composition_only,omitempty"`
-	ForceEnvelope   bool          `json:"force_envelope,omitempty"`
 	Iterative       bool          `json:"iterative,omitempty"`
 }
 
@@ -102,7 +101,7 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts.ForceEnvelope, opts.Iterative = req.ForceEnvelope, req.Iterative
+	opts.Iterative = req.Iterative
 	eng, ok := s.shardEngine(w)
 	if !ok {
 		return

@@ -68,7 +68,6 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 		Phi:             opts.Phi,
 		Method:          server.MethodName(opts.Method),
 		CompositionOnly: opts.CompositionOnly,
-		ForceEnvelope:   opts.ForceEnvelope,
 		Iterative:       opts.Iterative,
 	})
 	if err != nil {

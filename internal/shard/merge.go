@@ -65,7 +65,7 @@ func mergeTopK(lists [][]topk.Scored, k int) []topk.Scored {
 
 // mergeRegions combines the shards' per-dimension constraint regions,
 // mirroring core's computeDim dispatch: the envelope paths (φ > 0,
-// iterative, forced envelope, composition-only) merge by replaying the
+// iterative or not, and composition-only) merge by replaying the
 // union of shard-contributed lines against the imposed result; the
 // classic φ = 0 path merges by strict min/max of the per-shard bounds
 // and is sent no lines.

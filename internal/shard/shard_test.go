@@ -130,7 +130,7 @@ func randOps(rng *rand.Rand, q vec.Query, m, n, count int) []engine.Op {
 
 // optsVariants covers both merge paths (classic min/max and envelope
 // replay) and every dispatch special-case: plain φ=0 per method, φ>0,
-// iterative φ>0, forced envelope and composition-only.
+// iterative φ>0 and composition-only.
 func optsVariants(rng *rand.Rand) []engine.Options {
 	return []engine.Options{
 		{Options: core.Options{Method: core.MethodScan}},
@@ -140,7 +140,6 @@ func optsVariants(rng *rand.Rand) []engine.Options {
 		{Options: core.Options{Method: core.MethodScan, Phi: 1 + rng.Intn(2)}},
 		{Options: core.Options{Method: core.MethodCPT, Phi: 2}},
 		{Options: core.Options{Method: core.MethodScan, Phi: 1 + rng.Intn(2), Iterative: true}},
-		{Options: core.Options{Method: core.MethodThres, ForceEnvelope: true}},
 		{Options: core.Options{Method: core.MethodScan, CompositionOnly: true, Phi: 1}},
 	}
 }

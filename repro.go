@@ -113,7 +113,7 @@ type EngineConfig struct {
 	// VerifyChecksums makes OpenEngineWithConfig validate the dataset
 	// files' integrity trailers before serving them.
 	VerifyChecksums bool
-	// ReadOnly disables the write path (Apply); opened datasets are then
+	// ReadOnly disables the write path (Apply); the dataset is then
 	// served without the in-memory write overlay.
 	ReadOnly bool
 }
@@ -144,17 +144,10 @@ func NewEngine(tuples []Tuple, m int) *Engine {
 }
 
 // NewEngineWithConfig indexes tuples in memory with explicit settings.
-// Unless cfg.ReadOnly is set the engine is mutable, so the tuples are
-// deep-copied: Apply must write through engine-owned memory, never the
-// caller's slice.
+// The engine reads the tuples in place and never writes them — Apply
+// writes to its overlay — so the caller must not modify them while the
+// engine is in use.
 func NewEngineWithConfig(tuples []Tuple, m int, cfg EngineConfig) *Engine {
-	if !cfg.ReadOnly {
-		cp := make([]Tuple, len(tuples))
-		for i, t := range tuples {
-			cp[i] = t.Clone()
-		}
-		tuples = cp
-	}
 	return &Engine{eng: engine.New(lists.NewMemIndex(tuples, m), cfg.internal())}
 }
 
@@ -291,9 +284,10 @@ type ApplyResult = engine.ApplyResult
 // MutationStats snapshots the engine's write-path counters.
 type MutationStats = engine.MutationStats
 
-// Mutable reports whether this engine accepts Apply (in-memory engines
-// do by default; opened datasets go through a write overlay unless
-// EngineConfig.ReadOnly is set).
+// Mutable reports whether this engine accepts Apply: every engine does
+// unless EngineConfig.ReadOnly is set (OpenEngineDir's never do). Writes
+// go to an in-memory overlay, never to the tuples or files the engine
+// was built from.
 func (e *Engine) Mutable() bool { return e.eng.Mutable() }
 
 // Apply executes a batch of tuple mutations. Cached analyses are kept
