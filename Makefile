@@ -89,7 +89,10 @@ vuln:
 # which is what the server's resident set follows. The two region-hit
 # paths close it: a /topk served by a cached entry's containment test,
 # and a write checked against 64 cached certificates (its allocs/op is
-# the invalidation pass's garbage).
+# the invalidation pass's garbage). The last line is the nommap build's
+# buffer pool at 0, 64 and 4096 pages: the pread fallback keeps its LRU
+# because pool64 and pool4096 beat pool0 there (docs/architecture.md
+# has the table), and this keeps that measured.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
@@ -99,6 +102,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
+	$(GO) test -tags nommap -run '^$$' -bench 'BenchmarkAblationBufferPool' -benchtime=200x .
 
 # Fallback portability: the pread-backed pager (nommap) must produce the
 # same answers as the default build — the engine/topk suites re-run

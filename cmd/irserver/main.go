@@ -19,7 +19,8 @@
 // server is a warm read-only standby: it replicates the named primary
 // into -data (bootstrapping via snapshot transfer when needed), serves
 // the read endpoints from its replayed state, and answers writes with
-// 409 plus a Location pointer to the primary. See docs/replication.md
+// 409 plus a Location pointer to the primary's HTTP address (503 until
+// the primary's first welcome names it). See docs/replication.md
 // and docs/operations.md.
 //
 // With -cluster the server joins an HA cluster under the failover
@@ -140,7 +141,7 @@ func main() {
 	defer stop()
 
 	var (
-		srv      *server.Server
+		scfg     = server.Config{SlowQuery: *slowQuery}
 		eng      *engine.Engine
 		prim     *replication.Primary
 		fol      *replication.Follower
@@ -178,12 +179,12 @@ func main() {
 		}
 		go node.Run(ctx)
 		eng = node.Engine() // may be nil on a fresh member awaiting its first snapshot
-		srv = server.FromEngineFunc(node.Engine)
-		srv.SetWriteGate(node.WriteGate)
-		srv.SetReadiness(node.Readiness)
-		srv.SetClusterInfo(func() any { return node.ClusterInfo() })
-		srv.SetPromote(node.Promote)
-		srv.SetReplicationStats(func() any { return node.Stats() })
+		scfg.Querier = func() server.Querier { return node.Engine() }
+		scfg.WriteGate = node.WriteGate
+		scfg.Readiness = node.Readiness
+		scfg.ClusterInfo = func() any { return node.ClusterInfo() }
+		scfg.Promote = node.Promote
+		scfg.Replication = func() any { return node.Stats() }
 		shutdown = func() {
 			stop() // cancel ctx so node.Run unwinds and closes the engine
 			<-node.Done()
@@ -194,7 +195,8 @@ func main() {
 	case *follow != "":
 		// Replication standby: the follower owns the engine lifecycle
 		// (it may replace it on a snapshot re-seed), the server resolves
-		// it per request, and writes are redirected to the primary.
+		// it per request, and writes are redirected to the primary's
+		// HTTP address as the follower last heard it (503 before then).
 		if *data == "" {
 			log.Fatal("irserver: -follow needs -data DIR (the standby's own directory)")
 		}
@@ -215,14 +217,10 @@ func main() {
 			log.Fatalf("irserver: %v", err)
 		}
 		eng = e
-		srv = server.FromEngineFunc(fol.Engine)
-		if url := fol.PrimaryHTTPURL(); url != "" {
-			srv.SetWriteRedirect(url)
-		} else {
-			srv.SetWriteRedirect("http://" + *follow) // best effort pointer
-		}
-		srv.SetReplicationStats(func() any { return fol.Stats() })
-		srv.SetReadiness(func() error { return fol.Readiness(*readyLag) })
+		scfg.Querier = func() server.Querier { return fol.Engine() }
+		scfg.WriteGate = fol.WriteGate
+		scfg.Replication = func() any { return fol.Stats() }
+		scfg.Readiness = func() error { return fol.Readiness(*readyLag) }
 		shutdown = func() {
 			stop() // ensure ctx is canceled so Run unwinds
 			<-fol.Done()
@@ -248,16 +246,14 @@ func main() {
 		if err != nil {
 			log.Fatalf("irserver: %v", err)
 		}
-		srv = server.FromEngine(eng)
 		adv := advertiseURL(*advertise, *addr)
-		srv.SetClusterInfo(shard.SelfBeacon(fmt.Sprintf("shard-%d", *shardID), adv))
+		scfg.ClusterInfo = shard.SelfBeacon(fmt.Sprintf("shard-%d", *shardID), adv)
 		shutdown = func() { eng.Close() }
 		fmt.Printf("irserver: shard %d of %s, advertised at %s\n", *shardID, *shardDir, adv)
 
 	case *demo:
 		tuples, _, _ := fixture.RunningExample()
 		eng = engine.New(lists.NewMemIndex(tuples, 2), cfg)
-		srv = server.FromEngine(eng)
 		shutdown = func() { eng.Close() }
 
 	case *data != "":
@@ -265,7 +261,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("irserver: %v", err)
 		}
-		srv = server.FromEngine(eng)
 		shutdown = func() { eng.Close() }
 		if *replListen != "" {
 			if !*useWAL {
@@ -292,7 +287,7 @@ func main() {
 					obs.Log().Error("replication_serve_failed", "error", err.Error())
 				}
 			}()
-			srv.SetReplicationStats(func() any { return prim.Stats() })
+			scfg.Replication = func() any { return prim.Stats() }
 			closeEng := shutdown
 			shutdown = func() {
 				prim.Close() // sever followers + fail pending quorum waits first
@@ -305,8 +300,10 @@ func main() {
 		log.Fatal("irserver: need -data DIR, -demo, or -follow PRIMARY")
 	}
 
-	srv.SetSlowQuery(*slowQuery)
-	httpSrv := obs.NewServer(*addr, srv.Handler())
+	if scfg.Querier == nil { // a shard, -demo or -data: one fixed engine
+		scfg.Querier = func() server.Querier { return eng }
+	}
+	httpSrv := obs.NewServer(*addr, server.New(scfg).Handler())
 	obs.Log().Info("starting", "version", obs.Version, "commit", obs.Commit, "addr", *addr)
 
 	if eng != nil {

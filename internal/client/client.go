@@ -103,25 +103,9 @@ func New(cfg Config) (*Client, error) {
 	cfg.setDefaults()
 	return &Client{
 		cfg:    cfg,
-		jitter: jitterFraction(cfg.ID),
+		jitter: replication.JitterFraction(cfg.ID),
 		views:  make(map[string]replication.ClusterInfo),
 	}, nil
-}
-
-// jitterFraction maps an identity to a stable fraction in [0, 0.5)
-// (FNV-1a), so a client's backoff schedule is reproducible in tests yet
-// distinct clients don't stampede in sync.
-func jitterFraction(id string) float64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return float64(h%1024) / 2048
 }
 
 // WritePath reports whether path must be served by the primary.

@@ -185,13 +185,13 @@ func TestIndeterminate503NotRetried(t *testing.T) {
 // TestJitterDeterministic: the retry jitter is a pure function of the
 // client identity.
 func TestJitterDeterministic(t *testing.T) {
-	if jitterFraction("a") != jitterFraction("a") {
+	if replication.JitterFraction("a") != replication.JitterFraction("a") {
 		t.Fatal("jitter not deterministic")
 	}
-	if jitterFraction("a") == jitterFraction("b") {
+	if replication.JitterFraction("a") == replication.JitterFraction("b") {
 		t.Fatal("distinct identities collided")
 	}
-	if j := jitterFraction("proxy-1"); j < 0 || j >= 0.5 {
+	if j := replication.JitterFraction("proxy-1"); j < 0 || j >= 0.5 {
 		t.Fatalf("jitter %v outside [0, 0.5)", j)
 	}
 }

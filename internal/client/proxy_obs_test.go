@@ -49,16 +49,19 @@ func TestProxyRequestIDPropagation(t *testing.T) {
 	// Real backend, advertising itself as a single-member cluster's
 	// confirmed primary so the routing client will target it.
 	tuples, _, _ := fixture.RunningExample()
-	srv := server.FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
-	srv.SetSlowQuery(time.Nanosecond)
+	eng := engine.New(lists.NewMemIndex(tuples, 2), engine.Config{})
 	info := replication.ClusterInfo{
 		NodeID: "n1", Role: "primary", Confirmed: true, Ready: true, Epoch: 1,
 	}
 	var infoMu sync.Mutex
-	srv.SetClusterInfo(func() any {
-		infoMu.Lock()
-		defer infoMu.Unlock()
-		return info
+	srv := server.New(server.Config{
+		Querier: func() server.Querier { return eng },
+		ClusterInfo: func() any {
+			infoMu.Lock()
+			defer infoMu.Unlock()
+			return info
+		},
+		SlowQuery: time.Nanosecond,
 	})
 	backend := httptest.NewServer(obs.AccessLog(srv.Handler()))
 	defer backend.Close()

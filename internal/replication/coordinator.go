@@ -778,7 +778,7 @@ func (n *Node) Promote() (uint64, error) {
 
 // Engine returns the currently serving engine (nil mid-bootstrap).
 // The pointer changes across re-seeds and role changes; serve traffic
-// through a func() accessor (server.FromEngineFunc).
+// through a func() accessor (server.Config's Querier).
 func (n *Node) Engine() *engine.Engine { return n.liveEngine() }
 
 func (n *Node) liveEngine() *engine.Engine {

@@ -38,6 +38,25 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 	}
 }
 
+// TestBackoffJitterPinned: JitterFraction's values are the ones the
+// hand-rolled FNV-1a loops of the follower and internal/client
+// produced, so no deployment's retry schedule moved when they became
+// one function.
+func TestBackoffJitterPinned(t *testing.T) {
+	for id, want := range map[string]float64{
+		"":        0.39306640625,
+		"a":       0.068359375,
+		"b":       0.20556640625,
+		"proxy-1": 0.36376953125,
+		"node-a":  0.41552734375,
+		"node-b":  0.1279296875,
+	} {
+		if got := JitterFraction(id); got != want {
+			t.Errorf("JitterFraction(%q) = %v, want %v", id, got, want)
+		}
+	}
+}
+
 // TestHeartbeatAgeZeroOnDisconnect: the staleness clock must not keep
 // ticking from the last received heartbeat after the session dies — a
 // disconnected follower reports no heartbeat at all, so failover

@@ -188,12 +188,15 @@ func (c *cluster) start(i int, bootPrimary bool) {
 	if err != nil {
 		c.t.Fatalf("start member %d: %v", i, err)
 	}
-	srv := server.FromEngineFunc(node.Engine)
-	srv.SetWriteGate(node.WriteGate)
-	srv.SetReadiness(node.Readiness)
-	srv.SetClusterInfo(func() any { return node.ClusterInfo() })
-	srv.SetPromote(node.Promote)
-	srv.SetReplicationStats(func() any { return node.Stats() })
+	srv := server.New(server.Config{
+		Querier:     func() server.Querier { return node.Engine() },
+		WriteGate:   node.WriteGate,
+		Readiness:   node.Readiness,
+		ClusterInfo: func() any { return node.ClusterInfo() },
+		Promote:     node.Promote,
+		Replication: func() any { return node.Stats() },
+		SlowQuery:   server.DefaultSlowQuery,
+	})
 	ctx, cancel := context.WithCancel(context.Background())
 	go node.Run(ctx)
 	m.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"net"
 	"os"
 	"path/filepath"
@@ -91,26 +92,19 @@ func NewFollower(cfg FollowerConfig) *Follower {
 	if cfg.ID == "" {
 		cfg.ID = cfg.Dir
 	}
-	f := &Follower{cfg: cfg, done: make(chan struct{}), jitter: jitterFraction(cfg.ID)}
+	f := &Follower{cfg: cfg, done: make(chan struct{}), jitter: JitterFraction(cfg.ID)}
 	gaugeFollower.Store(f)
 	return f
 }
 
-// jitterFraction maps a follower ID to a backoff jitter fraction in
+// JitterFraction maps an identity to a backoff jitter fraction in
 // [0, 0.5) — an FNV-1a hash, so it is deterministic (reproducible test
-// timing) yet spreads simultaneous reconnects across half a backoff
-// period.
-func jitterFraction(id string) float64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return float64(h%1024) / 2048
+// timing) yet spreads simultaneous retries across half a backoff
+// period. Followers and internal/client both draw their jitter here.
+func JitterFraction(id string) float64 {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return float64(h.Sum64()%1024) / 2048
 }
 
 // engineConfig is the follower's forced engine configuration: durable,
@@ -127,7 +121,7 @@ func (f *Follower) engineConfig() engine.Config {
 // Engine returns the live standby engine, nil until the first
 // bootstrap completes. The pointer changes when a snapshot re-seed
 // replaces the engine; serve traffic through a func() accessor
-// (server.FromEngineFunc) rather than a captured pointer.
+// (server.Config's Querier) rather than a captured pointer.
 func (f *Follower) Engine() *engine.Engine {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -141,6 +135,14 @@ func (f *Follower) PrimaryHTTPURL() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.primaryHTTP
+}
+
+// WriteGate is the standby's write admission, Node.WriteGate's
+// counterpart: writes are never taken here and go to the primary's
+// HTTP URL, read per request. Before the first welcome names it the
+// redirect is "", which the HTTP layer answers with a retryable 503.
+func (f *Follower) WriteGate() (allow bool, redirect string) {
+	return false, f.PrimaryHTTPURL()
 }
 
 // Done is closed when Run returns.
@@ -561,10 +563,10 @@ func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) error {
 	return nil
 }
 
-// receiveFile streams one snapshot file to disk, verifying size and —
-// when the sender announced one — the whole-file CRC before the fsync,
-// so a truncated or corrupted transfer is rejected before the manifest
-// is saved and the re-seeded engine swapped in.
+// receiveFile streams one snapshot file to disk, verifying size and the
+// whole-file CRC before the fsync, so a truncated or corrupted transfer
+// is rejected before the manifest is saved and the re-seeded engine
+// swapped in.
 func (f *Follower) receiveFile(conn net.Conn, fb fileBegin) error {
 	path := filepath.Join(f.cfg.Dir, fb.Name)
 	out, err := os.Create(path)
@@ -594,7 +596,7 @@ func (f *Follower) receiveFile(conn net.Conn, fb fileBegin) error {
 		out.Close()
 		return fmt.Errorf("got %d bytes, want %d", got, fb.Size)
 	}
-	if fb.Crc32 != 0 && crc.Sum32() != fb.Crc32 {
+	if crc.Sum32() != fb.Crc32 {
 		out.Close()
 		return fmt.Errorf("crc mismatch: got %08x, want %08x (truncated or corrupted transfer)", crc.Sum32(), fb.Crc32)
 	}

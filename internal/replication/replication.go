@@ -154,8 +154,7 @@ type deposed struct {
 
 // fileBegin announces one snapshot file. Crc32 (IEEE, whole file) lets
 // the receiver detect a truncated or corrupted transfer before the
-// re-seeded engine ever opens the data; zero means the sender did not
-// compute one and the receiver verifies size only.
+// re-seeded engine ever opens the data.
 type fileBegin struct {
 	Name  string `json:"name"`
 	Size  int64  `json:"size"`

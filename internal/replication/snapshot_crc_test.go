@@ -98,12 +98,14 @@ func TestSnapshotTransferCorruptionDetected(t *testing.T) {
 		t.Fatal("truncated transfer accepted")
 	}
 
-	// Legacy senders (no CRC announced) still pass on size alone.
+	// A header without a CRC is a CRC of 0 (the field is omitempty), not
+	// a licence to check the size alone: bytes whose CRC is not 0 fail.
 	a3, b3 := net.Pipe()
 	defer a3.Close()
 	defer b3.Close()
 	go func() { writeMsg(a3, msgFileChunk, payload) }()
-	if err := fl.receiveFile(b3, fileBegin{Name: "lists.dat", Size: int64(len(payload))}); err != nil {
-		t.Fatalf("crc-less transfer rejected: %v", err)
+	err = fl.receiveFile(b3, fileBegin{Name: "lists.dat", Size: int64(len(payload))})
+	if err == nil || !strings.Contains(err.Error(), "crc mismatch") {
+		t.Fatalf("crc-less transfer err=%v, want crc mismatch", err)
 	}
 }

@@ -138,8 +138,9 @@ var (
 		engineStat(func(e *engine.Engine) float64 { return float64(e.MutationStats().Batches) }))
 )
 
-// DefaultSlowQuery is the slow-query threshold applied when no
-// -slow-query flag (or SetSlowQuery call) overrides it.
+// DefaultSlowQuery is the slow-query threshold of FromEngine, of a
+// coordinator front, and of irserver when no -slow-query flag
+// overrides it.
 const DefaultSlowQuery = 500 * time.Millisecond
 
 // slowLogCapacity is the ring size of the slow-query log.
@@ -180,7 +181,7 @@ func (s *Server) recordSlow(r *http.Request, endpoint string, req QueryRequest,
 	src engine.Source, total time.Duration, tm engine.Timings,
 	scan, region time.Duration, seqPages, randReads int64) {
 	sl := s.slow
-	if sl == nil || sl.Threshold() <= 0 || total < sl.Threshold() {
+	if sl.Threshold() <= 0 || total < sl.Threshold() {
 		return
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -93,14 +93,17 @@ func TestMetricsConformance(t *testing.T) {
 // write-gated standby and a mid-re-seed server with no engine at all.
 func TestMetricsConformanceStandby(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
-	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
-	srv.SetWriteRedirect("http://primary.example:8080")
+	eng := engine.New(lists.NewMemIndex(tuples, 2), engine.Config{})
+	srv := New(Config{
+		Querier:   func() Querier { return eng },
+		WriteGate: func() (bool, string) { return false, "http://primary.example:8080" },
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	post(t, ts.URL+"/update", UpdateRequest{Ops: []UpdateOpJSON{{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}}}}}, nil)
 	lintMetrics(t, ts.URL)
 
-	nilSrv := FromEngineFunc(func() *engine.Engine { return nil })
+	nilSrv := New(Config{Querier: func() Querier { return (*engine.Engine)(nil) }})
 	ns := httptest.NewServer(nilSrv.Handler())
 	defer ns.Close()
 	post(t, ns.URL+"/topk", QueryRequest{Dims: []int{0}, Weights: []float64{1}, K: 1}, nil)
@@ -163,8 +166,8 @@ func TestRequestIDEchoAndAdopt(t *testing.T) {
 // counts, newest first.
 func TestSlowlogEndpoint(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
-	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
-	srv.SetSlowQuery(time.Nanosecond)
+	eng := engine.New(lists.NewMemIndex(tuples, 2), engine.Config{})
+	srv := New(Config{Querier: func() Querier { return eng }, SlowQuery: time.Nanosecond})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -215,8 +218,8 @@ func TestSlowlogEndpoint(t *testing.T) {
 // TestSlowlogDisabled: a zero threshold records nothing.
 func TestSlowlogDisabled(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
-	srv := FromEngine(engine.New(lists.NewMemIndex(tuples, 2), engine.Config{}))
-	srv.SetSlowQuery(0)
+	eng := engine.New(lists.NewMemIndex(tuples, 2), engine.Config{})
+	srv := New(Config{Querier: func() Querier { return eng }, SlowQuery: 0})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	post(t, ts.URL+"/topk", QueryRequest{Dims: []int{0, 1}, Weights: []float64{0.8, 0.5}, K: 2}, nil)

@@ -49,9 +49,16 @@
 // degraded ones (-allow-partial) an X-Partial header and "partial":
 // true, and a shard that does not answer is a 502.
 //
+// A Server is built once, by New, from a Config that fixes its role: a
+// Querier accessor plus optional hooks, where a nil hook is a plain
+// single node's posture (writes admitted, ready whenever there is a
+// Querier, /cluster and /promote 404, no /stats replication block).
+//
 // A replication standby (irserver -follow) serves the same read
 // endpoints over its replayed state but rejects /update and /delete
-// with 409 plus a Location header pointing at the primary; see
+// with 409 plus a Location header pointing at the primary's HTTP
+// address, which its gate reads per request from the replication
+// stream; before the first welcome names one it answers 503. See
 // docs/replication.md.
 //
 // # Concurrency model
@@ -102,115 +109,86 @@ type Querier interface {
 // gateway, and the status table answers 502.
 var ErrUpstream = errors.New("upstream unavailable")
 
-// Server handles the HTTP API over one Querier. It is resolved per
-// request so a replication follower can atomically swap its engine (a
-// snapshot re-seed replaces it) under a live server.
+// Config is what a Server serves through. Querier is required; every
+// other hook may be nil, which is the plain single node's posture.
+type Config struct {
+	// Querier returns the Querier to serve. It is resolved per request
+	// so a replication follower can swap its engine (a snapshot re-seed
+	// replaces it) under a live server, and may return nil — or a nil
+	// *engine.Engine — while there is none: requests then answer 503.
+	Querier func() Querier
+	// WriteGate is consulted per /update and /delete: allow==false turns
+	// the request into a 409 with a Location header pointing at redirect,
+	// or a 503 when redirect is "" (no primary known yet). A standby
+	// passes replication.Follower.WriteGate, a cluster member
+	// replication.Node.WriteGate. Nil admits every write.
+	WriteGate func() (allow bool, redirect string)
+	// Readiness backs GET /readyz (nil error = ready). Nil: ready
+	// whenever there is a Querier to serve.
+	Readiness func() error
+	// ClusterInfo backs GET /cluster with its value (a
+	// replication.ClusterInfo). Nil answers 404: not a cluster member.
+	ClusterInfo func() any
+	// Promote backs POST /promote, the operator's forced promotion
+	// override. Nil answers 404.
+	Promote func() (epoch uint64, err error)
+	// Replication contributes the /stats "replication" block (a
+	// replication.PrimaryStats, FollowerStats or NodeStats). Nil omits it.
+	Replication func() any
+	// SlowQuery is the slow-query threshold: single queries slower than
+	// it are retained in GET /debug/slowlog with per-phase timings and
+	// I/O counts. <= 0 disables recording; cmd/irserver's -slow-query
+	// flag defaults to DefaultSlowQuery.
+	SlowQuery time.Duration
+}
+
+// Server handles the HTTP API over one Config.
 type Server struct {
-	// get returns the Querier to serve, or nil while there is none (a
-	// standby mid-re-seed): requests then answer 503.
-	get func() Querier
-	// writeGate, when set, is consulted per write request: allow==false
-	// turns the request into a 409 with a Location header pointing at
-	// redirect (or a 503 when redirect is ""). A static standby sets a
-	// constant gate via SetWriteRedirect; a failover coordinator sets a
-	// dynamic one that flips with the node's role. Set once before
-	// serving.
-	writeGate func() (allow bool, redirect string)
-	// replStats, when set, contributes the /stats "replication" block
-	// (a replication.PrimaryStats, FollowerStats or NodeStats). Set
-	// once before serving.
-	replStats func() any
-	// readiness, when set, backs GET /readyz: nil means ready. Unset,
-	// /readyz reports ready whenever there is a Querier to serve.
-	readiness func() error
-	// clusterInfo, when set, backs GET /cluster (404 when unset — the
-	// node is not a cluster member).
-	clusterInfo func() any
-	// promote, when set, backs POST /promote (404 when unset).
-	promote func() (epoch uint64, err error)
-	// slow is the slow-query ring behind GET /debug/slowlog. Handler()
-	// installs the default (DefaultSlowQuery, 128 entries) unless
-	// SetSlowQuery configured it first.
-	slow *obs.SlowLog
+	cfg  Config
+	slow *obs.SlowLog // the ring behind GET /debug/slowlog
 }
 
-// FromEngine builds a Server over an existing engine (the path
-// cmd/irserver uses, so open-time options like checksum verification
-// stay with the engine).
+// New builds a Server from a copy of cfg, so its role is fixed here.
+func New(cfg Config) *Server {
+	return &Server{cfg: cfg, slow: obs.NewSlowLog(cfg.SlowQuery, slowLogCapacity)}
+}
+
+// FromEngine builds a Server over one fixed engine with the
+// DefaultSlowQuery threshold. It stays for bench/ladder.go, which may
+// not change before ROADMAP item 2 moves the ladder onto the binaries'
+// surface and removes it; everything else calls New.
 func FromEngine(eng *engine.Engine) *Server {
-	return FromEngineFunc(func() *engine.Engine { return eng })
+	return New(Config{Querier: func() Querier { return eng }, SlowQuery: DefaultSlowQuery})
 }
 
-// FromEngineFunc builds a Server whose engine is resolved per request.
-// A replication follower passes its Follower.Engine accessor here: the
-// served engine changes identity when a snapshot transfer re-seeds the
-// standby, and may briefly be nil mid-swap (requests then answer 503).
-func FromEngineFunc(get func() *engine.Engine) *Server {
-	return &Server{get: func() Querier {
-		if eng := get(); eng != nil {
-			return eng
-		}
-		return nil // not a typed-nil Querier
-	}}
-}
+// SetClusterInfo sets Config.ClusterInfo after New, before the server
+// handles traffic. It stays for bench/ladder.go, which may not change
+// before ROADMAP item 2 removes it; everything else sets the field.
+func (s *Server) SetClusterInfo(fn func() any) { s.cfg.ClusterInfo = fn }
 
-// FromQuerier builds a Server over any Querier — how internal/shard
-// puts a coordinator behind the single-node surface.
-func FromQuerier(q Querier) *Server { return &Server{get: func() Querier { return q }} }
-
-// SetWriteRedirect makes the write endpoints (/update, /delete) answer
-// 409 with a Location header pointing at primaryURL — the static
-// read-only standby posture. Must be called before the server handles
-// traffic.
-func (s *Server) SetWriteRedirect(primaryURL string) {
-	s.SetWriteGate(func() (bool, string) { return false, primaryURL })
-}
-
-// SetWriteGate installs a dynamic write admission check, consulted on
-// every /update and /delete. A failover coordinator's node passes its
-// role-dependent gate here (replication.Node.WriteGate). Must be called
-// before the server handles traffic.
-func (s *Server) SetWriteGate(fn func() (allow bool, redirect string)) { s.writeGate = fn }
-
-// SetReadiness backs GET /readyz with fn (nil error = ready). Must be
-// called before the server handles traffic.
-func (s *Server) SetReadiness(fn func() error) { s.readiness = fn }
-
-// SetClusterInfo backs GET /cluster with fn's value (a
-// replication.ClusterInfo). Must be called before the server handles
-// traffic.
-func (s *Server) SetClusterInfo(fn func() any) { s.clusterInfo = fn }
-
-// SetPromote backs POST /promote with fn — the operator's forced
-// promotion override. Must be called before the server handles traffic.
-func (s *Server) SetPromote(fn func() (epoch uint64, err error)) { s.promote = fn }
-
-// SetReplicationStats contributes fn's value as the /stats
-// "replication" block. Must be called before the server handles
-// traffic.
-func (s *Server) SetReplicationStats(fn func() any) { s.replStats = fn }
-
-// SetSlowQuery configures the slow-query log: single queries slower
-// than threshold are retained in GET /debug/slowlog with per-phase
-// timings and I/O counts (threshold <= 0 disables recording). Must be
-// called before the server handles traffic; cmd/irserver maps the
-// -slow-query flag here.
-func (s *Server) SetSlowQuery(threshold time.Duration) {
-	s.slow = obs.NewSlowLog(threshold, slowLogCapacity)
+// current resolves the Querier to serve: nil while there is none. A nil
+// *engine.Engine (a standby mid-re-seed) is none too, never a typed-nil
+// Querier.
+func (s *Server) current() Querier {
+	qr := s.cfg.Querier()
+	if eng, ok := qr.(*engine.Engine); ok && eng == nil {
+		return nil
+	}
+	return qr
 }
 
 // engine returns the served engine behind /stats and the bridge
 // gauges: nil while a standby re-seeds, and on a coordinator front,
 // which has no engine of its own.
 func (s *Server) engine() *engine.Engine {
-	eng, _ := s.get().(*engine.Engine)
+	eng, _ := s.current().(*engine.Engine)
 	return eng
 }
 
 // querier resolves the Querier for one request, answering 503 when a
 // standby is mid-re-seed.
 func (s *Server) querier(w http.ResponseWriter) (Querier, bool) {
-	qr := s.get()
+	qr := s.current()
 	if qr == nil {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("standby is re-seeding from the primary"))
 		return nil, false
@@ -224,9 +202,6 @@ func (s *Server) querier(w http.ResponseWriter) (Querier, bool) {
 // middleware, so each response carries an X-Request-ID that the
 // structured logs and the slow-query log share.
 func (s *Server) Handler() http.Handler {
-	if s.slow == nil {
-		s.slow = obs.NewSlowLog(DefaultSlowQuery, slowLogCapacity)
-	}
 	liveServer.Store(s)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/topk", s.instrument("topk", s.handleTopK))
@@ -259,12 +234,12 @@ func (s *Server) Handler() http.Handler {
 // readiness check, ready means there is a Querier to serve (the engine
 // is open, not mid-re-seed).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if s.readiness != nil {
-		if err := s.readiness(); err != nil {
+	if s.cfg.Readiness != nil {
+		if err := s.cfg.Readiness(); err != nil {
 			httpError(w, http.StatusServiceUnavailable, fmt.Errorf("not ready: %v", err))
 			return
 		}
-	} else if s.get() == nil {
+	} else if s.current() == nil {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("not ready: engine not open"))
 		return
 	}
@@ -275,17 +250,17 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // handleCluster serves the node's topology beacon; 404 on nodes that
 // are not cluster members.
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if s.clusterInfo == nil {
+	if s.cfg.ClusterInfo == nil {
 		httpError(w, http.StatusNotFound, fmt.Errorf("not a cluster member"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.clusterInfo())
+	writeJSON(w, http.StatusOK, s.cfg.ClusterInfo())
 }
 
 // handlePromote forces this node to promote itself to primary — the
 // operator override documented in docs/operations.md.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if s.promote == nil {
+	if s.cfg.Promote == nil {
 		httpError(w, http.StatusNotFound, fmt.Errorf("not a cluster member"))
 		return
 	}
@@ -293,7 +268,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	epoch, err := s.promote()
+	epoch, err := s.cfg.Promote()
 	if err != nil {
 		httpError(w, http.StatusConflict, err)
 		return
@@ -769,8 +744,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // results arrives pre-filled with any per-op shape errors; opIdx maps
 // each engine op back to its response slot.
 func (s *Server) applyOps(w http.ResponseWriter, r *http.Request, ops []engine.Op, opIdx []int, results []OpResultJSON) {
-	if s.writeGate != nil {
-		if allow, redirect := s.writeGate(); !allow {
+	if s.cfg.WriteGate != nil {
+		if allow, redirect := s.cfg.WriteGate(); !allow {
 			// This node must not take the write — it is a standby, a
 			// deposed primary, or an unconfirmed one. With a known
 			// primary the client gets a 409 plus Location; without one,
@@ -823,8 +798,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		StartTimeUnix: obs.StartTime().Unix(),
 		UptimeSeconds: obs.Uptime().Seconds(),
 	}
-	if s.replStats != nil {
-		resp.Replication = s.replStats()
+	if s.cfg.Replication != nil {
+		resp.Replication = s.cfg.Replication()
 	}
 	eng := s.engine()
 	if eng == nil {

@@ -19,20 +19,22 @@ import (
 )
 
 // replPair is a primary HTTP server and a standby HTTP server joined by
-// a live replication stream.
+// a live replication stream, each over its own directory.
 type replPair struct {
-	primEng *engine.Engine
-	prim    *replication.Primary
-	fol     *replication.Follower
-	cancel  context.CancelFunc
-	primTS  *httptest.Server
-	folTS   *httptest.Server
+	pdir, fdir string
+	replAddr   string // the primary's replication listener
+	primEng    *engine.Engine
+	prim       *replication.Primary
+	fol        *replication.Follower
+	cancel     context.CancelFunc
+	primTS     *httptest.Server
+	folTS      *httptest.Server
 }
 
 func startReplPair(t *testing.T) *replPair {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
-	pdir, fdir := t.TempDir(), t.TempDir()
+	rp := &replPair{pdir: t.TempDir(), fdir: t.TempDir()}
 	var tuples []vec.Sparse
 	for i := 0; i < 30; i++ {
 		tuples = append(tuples, vec.MustSparse(
@@ -41,35 +43,58 @@ func startReplPair(t *testing.T) *replPair {
 			vec.Entry{Dim: 2, Val: rng.Float64()},
 		))
 	}
-	if err := lists.SaveDataset(filepath.Join(pdir, "tuples.dat"), filepath.Join(pdir, "lists.dat"), tuples, 3); err != nil {
+	if err := lists.SaveDataset(filepath.Join(rp.pdir, "tuples.dat"), filepath.Join(rp.pdir, "lists.dat"), tuples, 3); err != nil {
 		t.Fatal(err)
 	}
+	rp.startPrimary(t, "127.0.0.1:0")
+	rp.startStandby(t)
+	return rp
+}
 
-	eng, err := engine.OpenDir(pdir, 64, engine.Config{WAL: true, CheckpointBytes: -1})
+// startPrimary opens the primary's directory, ships its WAL on
+// replAddr, and serves HTTP on the address its welcome advertises.
+func (rp *replPair) startPrimary(t *testing.T, replAddr string) {
+	t.Helper()
+	eng, err := engine.OpenDir(rp.pdir, 64, engine.Config{WAL: true, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prim, err := replication.NewPrimary(eng, pdir, replication.PrimaryConfig{
-		HTTPAddr:          ":8080",
+	primTS := httptest.NewUnstartedServer(nil)
+	prim, err := replication.NewPrimary(eng, rp.pdir, replication.PrimaryConfig{
+		HTTPAddr:          primTS.Listener.Addr().String(),
 		HeartbeatInterval: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.SetReplicationSink(prim)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := net.Listen("tcp", replAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go prim.Serve(ln)
+	primTS.Config.Handler = New(Config{
+		Querier:     func() Querier { return eng },
+		Replication: func() any { return prim.Stats() },
+	}).Handler()
+	primTS.Start()
+	rp.replAddr, rp.primEng, rp.prim, rp.primTS = ln.Addr().String(), eng, prim, primTS
+}
 
-	primSrv := FromEngine(eng)
-	primSrv.SetReplicationStats(func() any { return prim.Stats() })
-	primTS := httptest.NewServer(primSrv.Handler())
+func (rp *replPair) stopPrimary() {
+	rp.primTS.Close()
+	rp.prim.Close()
+	rp.primEng.Close()
+}
 
+// startStandby runs a follower of rp.replAddr over the standby's
+// directory and serves it once it has an engine, as irserver -follow
+// does.
+func (rp *replPair) startStandby(t *testing.T) {
+	t.Helper()
 	fol := replication.NewFollower(replication.FollowerConfig{
-		Dir:           fdir,
-		PrimaryAddr:   ln.Addr().String(),
+		Dir:           rp.fdir,
+		PrimaryAddr:   rp.replAddr,
 		PoolPages:     64,
 		RetryInterval: 25 * time.Millisecond,
 	})
@@ -80,18 +105,17 @@ func startReplPair(t *testing.T) *replPair {
 	if _, err := fol.WaitReady(readyCtx); err != nil {
 		t.Fatal(err)
 	}
-	folSrv := FromEngineFunc(fol.Engine)
-	folSrv.SetWriteRedirect(primTS.URL)
-	folSrv.SetReplicationStats(func() any { return fol.Stats() })
-	folTS := httptest.NewServer(folSrv.Handler())
-
-	return &replPair{primEng: eng, prim: prim, fol: fol, cancel: cancel, primTS: primTS, folTS: folTS}
+	rp.folTS = httptest.NewServer(New(Config{
+		Querier:     func() Querier { return fol.Engine() },
+		WriteGate:   fol.WriteGate,
+		Replication: func() any { return fol.Stats() },
+	}).Handler())
+	rp.fol, rp.cancel = fol, cancel
 }
 
-func (rp *replPair) close(t *testing.T) {
+func (rp *replPair) stopStandby(t *testing.T) {
 	t.Helper()
 	rp.folTS.Close()
-	rp.primTS.Close()
 	rp.cancel()
 	select {
 	case <-rp.fol.Done():
@@ -99,8 +123,12 @@ func (rp *replPair) close(t *testing.T) {
 		t.Fatal("follower did not stop")
 	}
 	rp.fol.Close()
-	rp.prim.Close()
-	rp.primEng.Close()
+}
+
+func (rp *replPair) close(t *testing.T) {
+	t.Helper()
+	rp.stopStandby(t)
+	rp.stopPrimary()
 }
 
 func (rp *replPair) waitCaughtUp(t *testing.T) {
@@ -116,9 +144,10 @@ func (rp *replPair) waitCaughtUp(t *testing.T) {
 }
 
 // TestStandbyHTTP drives the replication pair over HTTP: writes land on
-// the primary and are rejected by the standby with 409 + Location,
-// reads on the standby are bit-identical to the primary's, and both
-// /stats expose their replication block.
+// the primary and are rejected by the standby with 409 + Location (the
+// HTTP address the primary's welcome advertised), reads on the standby
+// are bit-identical to the primary's, and both /stats expose their
+// replication block.
 func TestStandbyHTTP(t *testing.T) {
 	rp := startReplPair(t)
 	defer rp.close(t)
@@ -200,13 +229,53 @@ func TestStandbyHTTP(t *testing.T) {
 	lintMetrics(t, rp.folTS.URL)
 }
 
+// TestStandbyHTTPRedirectBeforeWelcome: a standby restarted on its own
+// directory serves its local engine before any primary has welcomed it.
+// Until a welcome names the primary's HTTP address, writes get a
+// retryable 503 with no Location, never a pointer at the replication
+// port; once the primary is back, a 409 pointing at its HTTP address.
+func TestStandbyHTTPRedirectBeforeWelcome(t *testing.T) {
+	rp := startReplPair(t)
+	replAddr := rp.replAddr
+	rp.close(t)
+
+	rp.startStandby(t) // the primary is down: ready on the local engine
+	defer rp.stopStandby(t)
+	write := UpdateRequest{Ops: []UpdateOpJSON{{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}}}}}
+	resp := post(t, rp.folTS.URL+"/update", write, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Location") != "" {
+		t.Fatalf("standby before welcome: status %d Location %q, want 503 and none",
+			resp.StatusCode, resp.Header.Get("Location"))
+	}
+
+	rp.startPrimary(t, replAddr)
+	defer rp.stopPrimary()
+	want := rp.primTS.URL + "/update"
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp = post(t, rp.folTS.URL+"/update", write, nil)
+		if resp.StatusCode == http.StatusConflict {
+			break
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable || time.Now().After(deadline) {
+			t.Fatalf("standby after the primary returned: status %d, want 409", resp.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if loc := resp.Header.Get("Location"); loc != want {
+		t.Fatalf("standby Location %q, want %q", loc, want)
+	}
+}
+
 // TestNilEngine503: a server whose engine provider yields nil (a
 // standby mid-re-seed) answers queries with 503 instead of panicking,
 // while /stats keeps serving the replication block — that is what an
 // operator watches during the re-seed.
 func TestNilEngine503(t *testing.T) {
-	srv := FromEngineFunc(func() *engine.Engine { return nil })
-	srv.SetReplicationStats(func() any { return map[string]string{"role": "follower"} })
+	srv := New(Config{
+		Querier:     func() Querier { return (*engine.Engine)(nil) },
+		Replication: func() any { return map[string]string{"role": "follower"} },
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	for _, path := range []string{"/topk", "/analyze"} {

@@ -147,7 +147,7 @@ func (h HTTPBackend) Apply(ops []engine.Op) (engine.ApplyResult, error) {
 // advertises: a confirmed, ready, single-member primary. It makes a
 // bare shard routable by internal/client — the same discovery path an
 // HA shard group uses — so sharding composes with both deployments.
-// Pass the result to (*server.Server).SetClusterInfo.
+// The result is a server.Config's ClusterInfo.
 func SelfBeacon(nodeID, httpAddr string) func() any {
 	ci := replication.ClusterInfo{
 		NodeID:      nodeID,
@@ -167,7 +167,10 @@ func SelfBeacon(nodeID, httpAddr string) func() any {
 // header and the partial response field; /stats has no engine blocks
 // and the batch routes fan out per item.
 func NewHandler(c *Coordinator) http.Handler {
-	return server.FromQuerier(querier{c}).Handler()
+	return server.New(server.Config{
+		Querier:   func() server.Querier { return querier{c} },
+		SlowQuery: server.DefaultSlowQuery,
+	}).Handler()
 }
 
 // querier adapts the coordinator to server.Querier.

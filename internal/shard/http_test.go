@@ -51,11 +51,16 @@ func newHTTPClusterWrapped(t *testing.T, tuples []vec.Sparse, m, shards int, ccf
 	hc := &httpCluster{shards: make([]*httptest.Server, shards)}
 	backends := make([]Backend, shards)
 	for i, eng := range engines {
-		srv := server.FromEngine(eng)
-		ts := httptest.NewServer(wrap(i, srv.Handler()))
-		// The beacon needs the listener's URL, so it is set right after
-		// start — before any request can hit /cluster.
-		srv.SetClusterInfo(SelfBeacon(fmt.Sprintf("shard-%d", i), ts.URL))
+		// The beacon needs the listener's URL, so the server is built
+		// between listen and start.
+		ts := httptest.NewUnstartedServer(nil)
+		srv := server.New(server.Config{
+			Querier:     func() server.Querier { return eng },
+			ClusterInfo: SelfBeacon(fmt.Sprintf("shard-%d", i), "http://"+ts.Listener.Addr().String()),
+			SlowQuery:   server.DefaultSlowQuery,
+		})
+		ts.Config.Handler = wrap(i, srv.Handler())
+		ts.Start()
 		t.Cleanup(ts.Close) // idempotent; tests may Close earlier to kill a shard
 		cl, err := client.New(client.Config{
 			Seeds:       []string{ts.URL},
