@@ -81,18 +81,21 @@ vuln:
 # round 2: the coordinator's replay at a pruned and an unpruned reply
 # size, and one recorded shard reply through encode, decode and replay.
 # And the miss path where it is real: never-repeated /analyze over a
-# mapped DiskIndex under an empty Overlay (what irserver -wal serves) —
-# its allocs/op and B/op are what a random access costs in garbage.
-# BenchmarkColdStream is bench/'s cold-analyze workload in process (ST
-# n = 200 000, two clients, 400 requests an op, a quarter of them φ = 2):
-# its peak-live-MB is the live heap with the deepest query in flight,
-# which is what the server's resident set follows. The two region-hit
+# DiskIndex under an empty Overlay (what irserver -wal serves) — its
+# allocs/op and B/op are what a random access and a list page read cost
+# in garbage. BenchmarkColdStream is bench/'s cold-analyze workload in
+# process (ST n = 200 000, two clients, 400 requests an op, a quarter of
+# them φ = 2): its peak-live-MB is the live heap with the deepest query
+# in flight, and its rss-file-MB the file-backed part of the resident set
+# (the touched pages of the mapped tuple file, and the test binary), the
+# two things the server's resident set follows; a list file mapped again
+# shows up in the second. The two region-hit
 # paths close it: a /topk served by a cached entry's containment test,
 # and a write checked against 64 cached certificates (its allocs/op is
 # the invalidation pass's garbage). The last line is the nommap build's
 # buffer pool at 0, 64 and 4096 pages: the pread fallback keeps its LRU
-# because pool64 and pool4096 beat pool0 there (docs/architecture.md
-# has the table), and this keeps that measured.
+# for tuple records because pool64 and pool4096 beat pool0 there
+# (docs/architecture.md has the table), and this keeps that measured.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
@@ -104,21 +107,20 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
 	$(GO) test -tags nommap -run '^$$' -bench 'BenchmarkAblationBufferPool' -benchtime=200x .
 
-# Fallback portability: the pread-backed pager (nommap) must produce the
-# same answers as the default build — the engine/topk suites re-run
+# Fallback portability: the pread-backed tuple file (nommap) must produce
+# the same answers as the default build — the engine/topk suites re-run
 # their oracles over it. lists and core ride along for the random-access
 # contract (Project ≡ Tuple, charge for charge, on a pread-backed
 # DiskIndex too), the overlay's pass-through cursor, and the checkpoint
-# merge over files that are not mapped (storage's
-# TestRawCopiesAreTheFileBytes, lists' TestSaveIndexIsSaveDataset: the
-# copy counts there fail a disk base that decodes instead of copying),
-# and engine's TestFailedSortedAccessFailsTheQuery, which only this build
-# can run: a list file cut short under a scan fails the query instead of
-# ending the list. exp rides along for the counts matrix (TestFigures/counts),
-# whose memory half must not move on this build either, and server for
-# TestReadFaultFailsOneQuery: damaged generation files fail exactly the
-# queries that read them, as counted 500s, over pread as over the mapping.
-# The cross-build proves the fallback compiles on amd64 too.
+# merge (storage's TestRawCopiesAreTheFileBytes, lists'
+# TestSaveIndexIsSaveDataset: the copy counts there fail a disk base
+# that decodes instead of copying). exp rides along for the counts
+# matrix (TestFigures/counts), all of which — the disk half's page
+# charges included — must hold on this build too, since list pages are
+# read the same way on both; and server for TestReadFaultFailsOneQuery:
+# damaged generation files fail exactly the queries that read them, as
+# counted 500s, over pread as over the mapping. The cross-build proves
+# the fallback compiles on amd64 too.
 test-fallback:
 	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/... ./internal/exp/... ./internal/server/...
 	GOARCH=amd64 $(GO) build -tags=nommap ./...

@@ -30,6 +30,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/geom"
 	"repro/internal/lists"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/topk"
 	"repro/internal/vec"
@@ -153,8 +154,9 @@ func analyzeWith(b *testing.B, ix lists.Index, q vec.Query, k int, policy topk.P
 	}
 }
 
-// BenchmarkAblationBufferPool — disk-index scan cost versus buffer-pool
-// size.
+// BenchmarkAblationBufferPool — disk-index analysis cost versus the
+// size of the tuple file's buffer pool, which only a build that cannot
+// map the file reads through (list pages never use it).
 func BenchmarkAblationBufferPool(b *testing.B) {
 	env.init()
 	dir := b.TempDir()
@@ -313,9 +315,10 @@ func BenchmarkCacheAnalyze(b *testing.B) {
 	// to remove; ST n = 20 000 scans deeper than WSJ and is what
 	// cold-analyze runs at ten times the size.
 	// miss-st-disk is the same ST stream over the shape irserver -wal
-	// serves — a mapped DiskIndex under an empty Overlay — where a random
-	// access reads a record instead of returning a resident slice: its
-	// allocs/op and B/op are the real miss path's.
+	// serves — a DiskIndex under an empty Overlay — where a random access
+	// reads a record of the mapped tuple file instead of returning a
+	// resident slice, and a list page is a pread into a recycled buffer:
+	// its allocs/op and B/op are the real miss path's.
 	stQs := exp.Sample(env.st, 16, 4, 50, 219)
 	dir := b.TempDir()
 	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
@@ -409,13 +412,16 @@ func (c *coldStream) next() (vec.Query, int) {
 }
 
 // BenchmarkColdStream — bench/'s cold-analyze workload at the engine
-// seam: ST n = 200 000 as irserver -wal serves it (a mapped DiskIndex
-// under an empty Overlay, cache on), two closed-loop clients, one op =
-// 200 requests from each. The streams run on across ops, so no query
-// ever repeats. Besides ns/op and B/op it reports the highest
+// seam: ST n = 200 000 as irserver -wal serves it (a DiskIndex under an
+// empty Overlay, cache on), two closed-loop clients, one op = 200
+// requests from each. The streams run on across ops, so no query ever
+// repeats. Besides ns/op and B/op it reports the highest
 // /gc/heap/live:bytes a 1 ms poll saw — the live heap with the deepest
-// φ = 2 query in flight, which under GOGC = 100 is half the heap goal
-// and so what the server's resident set follows.
+// φ = 2 query in flight, which under GOGC = 100 is half the heap goal —
+// and, on Linux, RssFile at the end of the run: the file-backed part of
+// the resident set, the mapped tuple pages the queries touched plus the
+// test binary's text. Those two are what the server's resident set
+// follows; a list file mapped again would show up in the second.
 func BenchmarkColdStream(b *testing.B) {
 	st := dataset.GenerateST(dataset.STConfig{N: 200000, Seed: 1})
 	dir := b.TempDir()
@@ -475,6 +481,9 @@ func BenchmarkColdStream(b *testing.B) {
 	close(stop)
 	<-polled
 	b.ReportMetric(float64(peak)/(1<<20), "peak-live-MB")
+	if runtime.GOOS == "linux" {
+		b.ReportMetric(obs.ProcStatusBytes("RssFile")/(1<<20), "rss-file-MB")
+	}
 }
 
 // BenchmarkCacheTopK — region-certified /topk serving: weights nudged

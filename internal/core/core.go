@@ -42,10 +42,8 @@
 // scheduling, Parallelism = 1 and Parallelism = N produce bit-identical
 // Regions and evaluation metrics (Evaluated, per-dimension counts,
 // Phase-3 pulls, RandReads; durations excepted). SeqPages is likewise
-// identical on a MemIndex, whose logical page charges are
-// deterministic; on a DiskIndex the buffer pool is shared across
-// workers, so which access pays a physical page miss depends on
-// interleaving and SeqPages may vary between runs.
+// identical: every index charges one logical page per page of postings
+// a cursor reads, whatever the interleaving.
 package core
 
 import (

@@ -200,8 +200,9 @@ func New(ix lists.Index, cfg Config) *Engine {
 	return e
 }
 
-// Open opens a persisted dataset through a buffer pool of poolPages
-// pages, optionally verifying the files' checksum trailers first
+// Open opens a persisted dataset (poolPages sizes the tuple file's
+// buffer pool where it cannot be mapped: lists.OpenDiskIndex),
+// optionally verifying the files' checksum trailers first
 // (Config.VerifyChecksums), and builds an Engine over it with New, so
 // Apply works over persisted datasets too unless the config says
 // ReadOnly; the files themselves are never modified.

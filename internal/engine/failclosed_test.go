@@ -1,5 +1,3 @@
-//go:build nommap
-
 package engine
 
 import (
@@ -15,14 +13,14 @@ import (
 	"repro/internal/vec"
 )
 
-// TestFailedSortedAccessFailsTheQuery: on the pread path a list file cut
-// short after it was opened makes a page read fail in the middle of a
-// scan. That is not the end of the list: a TA that took it for one would
-// terminate early, and the engine would serve — and cache — a top-k with
-// tuples missing. The query must fail instead, the way a failed random
-// access fails it, and leave nothing behind. (On a mapped file the same
-// truncation is a SIGBUS, which no test can assert on: hence the tag;
-// `make test-fallback` runs this.)
+// TestFailedSortedAccessFailsTheQuery: a list file cut short after it was
+// opened makes a page read fail in the middle of a scan. That is not the
+// end of the list: a TA that took it for one would terminate early, and
+// the engine would serve — and cache — a top-k with tuples missing. The
+// query must fail instead, the way a failed random access fails it, and
+// leave nothing behind. The list file is read, never mapped, on every
+// build, so the truncation is a failed read here and not a SIGBUS that
+// takes the process down.
 func TestFailedSortedAccessFailsTheQuery(t *testing.T) {
 	ds := dataset.GenerateST(dataset.STConfig{N: 5000, Seed: 5})
 	dir := t.TempDir()

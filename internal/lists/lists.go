@@ -65,6 +65,10 @@ type Cursor interface {
 	// Clone returns an independent cursor at the same position, so a
 	// forked scan can resume from here without disturbing the original.
 	Clone() Cursor
+	// Release hands back what the cursor holds to read with (a disk
+	// cursor's page buffer). The scan that opened or cloned the cursor
+	// calls it when the scan is released.
+	Release()
 }
 
 // Index is the query-facing view of a dataset: sorted access per
@@ -259,6 +263,7 @@ func (c *memCursor) Next() (storage.Posting, bool) {
 
 func (c *memCursor) Consumed() int { return c.pos }
 func (c *memCursor) Err() error    { return nil }
+func (c *memCursor) Release()      {}
 
 func (c *memCursor) Clone() Cursor {
 	cp := *c
@@ -273,15 +278,17 @@ type DiskIndex struct {
 	stats *storage.IOStats
 }
 
-// OpenDiskIndex opens tuplePath and listPath with a shared I/O meter and
-// buffer pool size (pages; 0 disables pooling).
+// OpenDiskIndex opens tuplePath and listPath with a shared I/O meter.
+// poolPages sizes the tuple file's buffer pool (pages; 0 disables it),
+// which only a build that cannot map the file reads through; the lists
+// are never pooled.
 func OpenDiskIndex(tuplePath, listPath string, poolPages int) (*DiskIndex, error) {
 	stats := &storage.IOStats{}
 	tf, err := storage.OpenTupleFile(tuplePath, stats, poolPages)
 	if err != nil {
 		return nil, fmt.Errorf("lists: open tuples: %w", err)
 	}
-	lf, err := storage.OpenListFile(listPath, stats, poolPages)
+	lf, err := storage.OpenListFile(listPath, stats, 0)
 	if err != nil {
 		tf.Close()
 		return nil, fmt.Errorf("lists: open lists: %w", err)
@@ -316,8 +323,8 @@ func (ix *DiskIndex) ListLen(dim int) int { return ix.lf.ListLen(dim) }
 // Stats returns the I/O meter.
 func (ix *DiskIndex) Stats() *storage.IOStats { return ix.stats }
 
-// WithStats returns a view over the same files charging st. The buffer
-// pool stays shared; only the metering target changes.
+// WithStats returns a view over the same files charging st. The files
+// stay shared; only the metering target changes.
 func (ix *DiskIndex) WithStats(st *storage.IOStats) Index {
 	cp := *ix
 	cp.stats = st
@@ -326,7 +333,7 @@ func (ix *DiskIndex) WithStats(st *storage.IOStats) Index {
 
 // Cursor opens a sorted-access cursor on dim.
 func (ix *DiskIndex) Cursor(dim int) Cursor {
-	return &diskCursor{ListCursor: ix.lf.CursorWith(dim, ix.stats), tf: ix.tf}
+	return &diskCursor{ListCursor: *ix.lf.CursorWith(dim, ix.stats), tf: ix.tf}
 }
 
 // Tuple fetches a tuple, charging one random read. It panics when the
@@ -367,11 +374,11 @@ const (
 // charged, and every count the paper's figures report, does not depend
 // on it.
 type diskCursor struct {
-	*storage.ListCursor
-	tf      *storage.TupleFile
-	fetched int // list position up to which records have been prefetched
-	ids     [prefetchDistance]int32
-	sum     uint64 // Prefetch's result, kept so its loads are not optimized away
+	storage.ListCursor // by value: one allocation per cursor, not two
+	tf                 *storage.TupleFile
+	fetched            int // list position up to which records have been prefetched
+	ids                [prefetchDistance]int32
+	sum                uint64 // Prefetch's result, kept so its loads are not optimized away
 }
 
 func (d *diskCursor) Next() (storage.Posting, bool) {
@@ -392,7 +399,7 @@ func (d *diskCursor) prefetch(pos int) {
 }
 
 func (d *diskCursor) Clone() Cursor {
-	return &diskCursor{ListCursor: d.CloneCursor(), tf: d.tf, fetched: d.fetched}
+	return &diskCursor{ListCursor: *d.CloneCursor(), tf: d.tf, fetched: d.fetched}
 }
 
 // SaveDataset writes tuples and their inverted lists to tuplePath and

@@ -477,6 +477,7 @@ func (c *overlayCursor) Next() (storage.Posting, bool) {
 
 func (c *overlayCursor) Consumed() int { return c.n }
 func (c *overlayCursor) Err() error    { return c.base.Err() }
+func (c *overlayCursor) Release()      { c.base.Release() }
 
 func (c *overlayCursor) Clone() Cursor {
 	cp := *c

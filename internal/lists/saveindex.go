@@ -40,7 +40,7 @@ type SaveIndexStats struct {
 	RecordsCopied, RecordsEncoded int
 }
 
-// readScratch is what a base file that is not mapped is read through.
+// readScratch is what the base files are read through.
 const readScratch = 64 << 10
 
 // recordBytes is the encoded length of t's record in the tuple file.

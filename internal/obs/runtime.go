@@ -27,7 +27,7 @@ var (
 		func() float64 { return runtimeMetric("/gc/cycles/total:gc-cycles") })
 	_ = NewGaugeFunc("process_resident_memory_bytes",
 		"resident set size from /proc/self/status (0 where that file does not exist)",
-		residentBytes)
+		func() float64 { return ProcStatusBytes("VmRSS") })
 )
 
 // runtimeMetric reads one uint64 runtime/metrics sample (0 if this Go
@@ -41,13 +41,15 @@ func runtimeMetric(name string) float64 {
 	return float64(s[0].Value.Uint64())
 }
 
-// residentBytes parses the VmRSS line ("VmRSS:   123456 kB").
-func residentBytes() float64 {
+// ProcStatusBytes reads one kB line of /proc/self/status ("VmRSS:
+// 123456 kB") in bytes, 0 where the file or the line does not exist:
+// VmRSS is the resident set, RssFile its file-backed part.
+func ProcStatusBytes(name string) float64 {
 	raw, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0
 	}
-	_, rest, ok := bytes.Cut(raw, []byte("VmRSS:"))
+	_, rest, ok := bytes.Cut(raw, []byte(name+":"))
 	if !ok {
 		return 0
 	}

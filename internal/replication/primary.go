@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -599,34 +598,16 @@ func (p *Primary) sendSnapshot(s *session) (wal.Manifest, error) {
 	return man, nil
 }
 
-// sendFile ships one snapshot file. On mmap-capable builds the mapped
-// bytes are chunked straight onto the wire, zero-copy; the fallback
-// takes one extra pass over the file to compute the CRC announced in
-// the header, then streams through a chunk buffer.
+// sendFile ships one snapshot file: one pass over the file computes the
+// CRC announced in the header, a second streams it through a chunk
+// buffer. The file is read, not mapped, so a snapshot leaves nothing of
+// the generation in the primary's resident set.
 func (p *Primary) sendFile(s *session, name string, f *os.File) error {
 	st, err := f.Stat()
 	if err != nil {
 		return err
 	}
 	size := st.Size()
-	if data, release, ok := storage.MapForRead(f); ok {
-		defer release()
-		hdr := fileBegin{Name: name, Size: size, Crc32: crc32.ChecksumIEEE(data)}
-		if err := s.sendJSON(msgFileBegin, hdr); err != nil {
-			return err
-		}
-		for off := int64(0); off < size; off += snapshotChunkBytes {
-			end := off + snapshotChunkBytes
-			if end > size {
-				end = size
-			}
-			if err := s.send(msgFileChunk, data[off:end]); err != nil {
-				return err
-			}
-			mSnapshotBytes.Add(end - off)
-		}
-		return nil
-	}
 	crc := crc32.NewIEEE()
 	if _, err := io.Copy(crc, f); err != nil {
 		return err

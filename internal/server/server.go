@@ -427,9 +427,10 @@ type StatsResponse struct {
 	SeqPages  int64     `json:"seq_pages"`
 	RandReads int64     `json:"rand_reads"`
 	BytesRead int64     `json:"bytes_read"`
-	// PoolBypass counts page-equivalent accesses served straight from
-	// the mmap'd region, bypassing the buffer pool (always 0 on nommap
-	// builds or pread-backed stores).
+	// PoolBypass counts tuple-record reads served straight from the
+	// mapped tuple file, bypassing the buffer pool (always 0 on nommap
+	// builds or in-memory stores). List pages are never pooled and
+	// never counted here.
 	PoolBypass  int64                   `json:"pool_bypass"`
 	Cache       *engine.CacheStats      `json:"cache,omitempty"`
 	Mutations   *engine.MutationStats   `json:"mutations,omitempty"`

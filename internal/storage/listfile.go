@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Posting is one inverted-list entry 〈dα, dαj〉: the tuple id and its
@@ -95,9 +96,12 @@ func (s *ListSink) Raw(p []byte) {
 }
 
 // ListFile reads inverted lists persisted by WriteListFile. Sorted access
-// proceeds through cursors; each page-boundary crossing during cursor
-// advancement charges one sequential page to stats (pool hits are free —
-// the buffer pool models the list caching of a warm server).
+// proceeds through cursors, which read the file a page of postings at a
+// time with pread and charge one sequential page to stats per page read.
+// The file is never mapped and never pooled: a list is walked once from
+// the top, so a mapping would only keep the pages a scan has passed (and
+// the kernel's read-around of each) in the resident set, and a pool would
+// only hold them in the heap instead.
 type ListFile struct {
 	pager *Pager
 	stats *IOStats
@@ -110,10 +114,12 @@ type listExtent struct {
 	count int
 }
 
-// OpenListFile opens an inverted-list file with a buffer pool of
-// poolPages pages (0 disables pooling).
+// OpenListFile opens an inverted-list file, reading its directory and
+// integrity trailer once. poolPages does nothing: lists are read past
+// any buffer pool. It stays for bench/ladder.go:142, which passes it;
+// re-basing the benchmark (ROADMAP.md item 3) removes it.
 func OpenListFile(path string, stats *IOStats, poolPages int) (*ListFile, error) {
-	pager, err := NewPager(path, poolPages)
+	pager, err := openPager(path)
 	if err != nil {
 		return nil, err
 	}
@@ -162,8 +168,7 @@ func (lf *ListFile) ListLen(dim int) int { return lf.dir[dim].count }
 // RawPostings hands fn dimension dim's encoded postings, top down, in
 // pieces of whole postings: what ListSink.Raw takes, and what a merge
 // decodes in place. It is a bulk copy, not sorted access, and charges no
-// meter. buf is the scratch an unmapped file is read through (see
-// Pager.stream).
+// meter. buf is the scratch the file is read through (see Pager.stream).
 func (lf *ListFile) RawPostings(dim int, buf []byte, fn func(raw []byte)) error {
 	ext := lf.dir[dim]
 	return lf.pager.stream(ext.off, ext.count*postingBytes, buf[:len(buf)-len(buf)%postingBytes], fn)
@@ -184,49 +189,47 @@ func (lf *ListFile) CursorWith(dim int, st *IOStats) *ListCursor {
 	return &ListCursor{lf: lf, ext: ext, stats: st}
 }
 
+// postingsPerPage is how many postings one page holds, and so how many
+// one fill reads.
+const postingsPerPage = PageSize / postingBytes
+
+// listPage is the buffer a cursor reads its current page into.
+type listPage [postingsPerPage * postingBytes]byte
+
+// listPages recycles page buffers: a cursor takes one at its first read
+// and hands it back on Release, which a scan calls for its cursors when
+// it is itself released — so a query's cursors cost no allocation.
+var listPages = sync.Pool{New: func() any { return new(listPage) }}
+
 // ListCursor iterates one inverted list from the top (highest coordinate)
 // downward, a page worth of postings at a time. A posting is decoded
-// where it lies, when it is asked for: in the view of the mapping the
-// page is, or in the one buffer the pread path read it into — the cursor
-// holds no decoded copy.
+// where it lies, when it is asked for, in the one page buffer the cursor
+// read — the cursor holds no decoded copy.
 type ListCursor struct {
 	lf    *ListFile
 	ext   listExtent
 	stats *IOStats
-	pos   int    // postings consumed
-	raw   []byte // the encoded postings of the current page not yet consumed
-	buf   []byte // the pread path's page; raw points into it when set
+	pos   int       // postings consumed
+	raw   []byte    // the encoded postings of the current page not yet consumed, in page
+	page  *listPage // from listPages, from the first read until Release
 	err   error
 }
 
-// fill makes the next page of postings current.
-//
-// On a mapped pager the page is a view of the mmap region: sequential
-// scans bypass the buffer pool (counted on the meter's bypass gauge) and
-// copy nothing. One logical sequential page is charged per fill — a fill
-// is exactly one page worth of postings except at the list tail — which
-// matches the in-memory index's deterministic page model (one page per
-// postingsPerPage consumed), so mapped disk scans meter like memory
-// scans instead of depending on pool residency.
+// fill reads the next page of postings into the page buffer, with one
+// pread, and charges one sequential page. A fill is exactly one page
+// worth of postings except at the list tail, so this is the in-memory
+// index's deterministic page model (one page per postingsPerPage
+// consumed) and a disk scan meters like a memory scan, on every build.
 func (c *ListCursor) fill() error {
-	batch := min(PageSize/postingBytes, c.ext.count-c.pos)
-	off := c.ext.off + int64(c.pos*postingBytes)
-	raw, zeroCopy := c.lf.pager.Slice(off, batch*postingBytes)
-	if !zeroCopy {
-		if c.buf == nil {
-			c.buf = make([]byte, PageSize/postingBytes*postingBytes)
-		}
-		raw = c.buf[:batch*postingBytes]
-		misses, err := c.lf.pager.ReadRange(off, raw)
-		if err != nil {
-			return err
-		}
-		if c.stats != nil && misses > 0 {
-			c.stats.AddSeqPage(misses)
-		}
-	} else if c.stats != nil {
+	if c.page == nil {
+		c.page = listPages.Get().(*listPage)
+	}
+	raw := c.page[:min(postingsPerPage, c.ext.count-c.pos)*postingBytes]
+	if err := c.lf.pager.readAt(c.ext.off+int64(c.pos*postingBytes), raw); err != nil {
+		return err
+	}
+	if c.stats != nil {
 		c.stats.AddSeqPage(1)
-		c.stats.AddBypass(1)
 	}
 	c.raw = raw
 	return nil
@@ -285,15 +288,26 @@ func (c *ListCursor) Consumed() int { return c.pos }
 // Err returns the page read failure that stopped the cursor, if any.
 func (c *ListCursor) Err() error { return c.err }
 
-// CloneCursor returns an independent cursor at the same position. It
-// shares a mapped view and copies a pread page, so re-reading the
-// current page's postings through the clone charges no further I/O;
-// pages past it are charged to the clone's meter as usual.
+// CloneCursor returns an independent cursor at the same position, with
+// a page buffer of its own holding what is left of the current page, so
+// reading those postings through the clone charges no further I/O; pages
+// past it are charged to the clone's meter as usual.
 func (c *ListCursor) CloneCursor() *ListCursor {
 	cp := *c
-	if c.buf != nil {
-		cp.buf = make([]byte, len(c.buf))
-		cp.raw = cp.buf[:copy(cp.buf, c.raw)]
+	cp.page, cp.raw = nil, nil
+	if len(c.raw) > 0 {
+		cp.page = listPages.Get().(*listPage)
+		cp.raw = cp.page[:copy(cp.page[:], c.raw)]
 	}
 	return &cp
+}
+
+// Release hands the cursor's page buffer back for another cursor to read
+// into; the scan that owns the cursor calls it when the scan is released
+// itself. A later read takes a buffer again. Releasing twice is a no-op.
+func (c *ListCursor) Release() {
+	if c.page != nil {
+		listPages.Put(c.page)
+		c.page, c.raw = nil, nil
+	}
 }

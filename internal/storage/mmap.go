@@ -7,20 +7,23 @@ import (
 	"syscall"
 )
 
-// Read-only mmap support for generation files. Generation files are
-// immutable once written (writers always create a fresh generation and
-// swap), so a shared read-only mapping is safe for any number of
-// concurrent readers: TupleFile/ListFile cursors decode straight out of
-// the mapping without per-read buffer allocation or buffer-pool copies,
-// and the replication sender ships snapshot chunks as subslices of the
-// mapping. The mapping pins the file's data blocks via the fd, so a
-// checkpoint swap may unlink the path at any time; readers drain (the
-// engine's write lock) before Close munmaps.
+// Read-only mmap support for the tuple file. Only random access is
+// mapped: a candidate's record is fetched wherever its id points, and a
+// view of the mapping serves it with no syscall, no buffer and no pool.
+// The inverted lists are read with pread instead (ListFile): sorted
+// access walks a list once from the top, and a mapping would keep every
+// page a scan has passed, with the kernel's fault-around of each, in
+// the resident set. Generation files are immutable once written
+// (writers always create a fresh generation and swap), so a shared
+// read-only mapping is safe for any number of concurrent readers. The
+// mapping pins the file's data blocks via the fd, so a checkpoint swap
+// may unlink the path at any time; readers drain (the engine's write
+// lock) before Close munmaps.
 //
 // The fallback build (mmap_fallback.go, tag nommap or an unsupported
-// platform) keeps the original pread+LRU path byte-for-byte.
+// platform) reads tuple records with pread through the LRU pool.
 
-// mmapEnabled reports whether this build maps generation files.
+// mmapEnabled reports whether this build maps tuple files.
 const mmapEnabled = true
 
 // mapFile maps size bytes of f read-only. A nil mapping (with nil
@@ -42,21 +45,4 @@ func unmapFile(data []byte) error {
 		return nil
 	}
 	return syscall.Munmap(data)
-}
-
-// MapForRead maps an already-open file read-only and returns the mapped
-// bytes with a release func. The mapping references the fd's inode, not
-// the path, so it stays valid even if the path is unlinked or swapped by
-// a checkpoint while the bytes are being streamed. ok=false means the
-// build or platform cannot map and the caller should stream via reads.
-func MapForRead(f *os.File) (data []byte, release func() error, ok bool) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, nil, false
-	}
-	data, err = mapFile(f, st.Size())
-	if err != nil || data == nil {
-		return nil, nil, false
-	}
-	return data, func() error { return unmapFile(data) }, true
 }

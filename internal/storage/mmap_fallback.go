@@ -4,20 +4,15 @@ package storage
 
 import "os"
 
-// Fallback build: no mmap. Pagers keep the original pread+LRU buffer
-// pool path unchanged, which is what makes the fallback trivially
+// Fallback build: no mmap. Tuple records are read with pread through the
+// LRU buffer pool, which is what makes the fallback trivially
 // answer-identical to the mapped build — the decoded bytes are the same,
-// only the transport differs.
+// only the transport differs. Inverted lists are read the same way on
+// both builds (ListFile).
 
-// mmapEnabled reports whether this build maps generation files.
+// mmapEnabled reports whether this build maps tuple files.
 const mmapEnabled = false
 
 func mapFile(f *os.File, size int64) ([]byte, error) { return nil, nil }
 
 func unmapFile(data []byte) error { return nil }
-
-// MapForRead always reports ok=false in the fallback build; callers
-// stream through reads instead.
-func MapForRead(f *os.File) (data []byte, release func() error, ok bool) {
-	return nil, nil, false
-}

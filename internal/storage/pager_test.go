@@ -149,8 +149,11 @@ func TestBypassAccounting(t *testing.T) {
 }
 
 // TestListCursorMappedAccounting pins the deterministic sequential-page
-// model of the mapped scan: one page per fill (341 postings), matching
-// the in-memory index's charge, with the pool bypassed.
+// model of a list scan on every build: one page per fill (341
+// postings), matching the in-memory index's charge, and no pool bypass —
+// the list file is read, never mapped, and never goes near the pool
+// whatever size OpenListFile is handed. A released cursor hands its page
+// buffer back and a clone reads through its own.
 func TestListCursorMappedAccounting(t *testing.T) {
 	const n = 700 // ceil(700/341) = 3 fills
 	postings := make([]Posting, n)
@@ -167,9 +170,21 @@ func TestListCursorMappedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lf.Close()
-	stats.Reset() // drop header/directory charges
+	if lf.pager.Mapped() || lf.pager.pool != nil {
+		t.Fatalf("list file mapped=%v, pooled=%v", lf.pager.Mapped(), lf.pager.pool != nil)
+	}
+	if seq, rnd, by := stats.Snapshot(); seq != 0 || rnd != 0 || by != 0 {
+		t.Fatalf("opening the file charged the meter: %v", stats)
+	}
 	cur := lf.Cursor(0)
+	var clone *ListCursor
 	for i := 0; ; i++ {
+		if i == 400 { // mid second page
+			clone = cur.CloneCursor()
+			if clone.page == cur.page {
+				t.Fatal("the clone reads through its parent's page buffer")
+			}
+		}
 		p, ok := cur.Next()
 		if !ok {
 			break
@@ -178,16 +193,28 @@ func TestListCursorMappedAccounting(t *testing.T) {
 			t.Fatalf("posting %d = %v, want %v", i, p, postings[i])
 		}
 	}
-	if !mmapEnabled {
-		if stats.SeqPages() == 0 {
-			t.Fatal("fallback scan charged no sequential pages")
-		}
-		return
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if got := stats.SeqPages(); got != 3 {
-		t.Fatalf("mapped scan seq pages = %d, want 3 (one per fill)", got)
+		t.Fatalf("scan seq pages = %d, want 3 (one per fill)", got)
 	}
-	if got := stats.Bypasses(); got != 3 {
-		t.Fatalf("mapped scan bypasses = %d, want 3", got)
+	if got := stats.Bypasses(); got != 0 {
+		t.Fatalf("scan bypasses = %d, want 0", got)
+	}
+	for i := 400; i < n; i++ {
+		if p, ok := clone.Next(); !ok || p != postings[i] {
+			t.Fatalf("clone posting %d = %v, %v, want %v", i, p, ok, postings[i])
+		}
+	}
+	if got := stats.SeqPages(); got != 4 {
+		t.Fatalf("after the clone's scan seq pages = %d, want 4 (its own third page only)", got)
+	}
+	for _, c := range []*ListCursor{cur, clone} {
+		c.Release()
+		c.Release() // idempotent
+		if c.page != nil || c.raw != nil {
+			t.Fatal("a released cursor still holds its page")
+		}
 	}
 }

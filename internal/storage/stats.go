@@ -1,7 +1,8 @@
 // Package storage provides the disk substrate of the reproduction: an
 // external tuple file accessed at random (one fetch per evaluated
 // candidate — the cost the paper's I/O charts measure), inverted-list
-// files consumed by sorted access, a page-granular LRU buffer pool, and
+// files consumed by sorted access, a page-granular LRU buffer pool for
+// tuple reads where the tuple file cannot be mapped, and
 // explicit I/O accounting with a spinning-disk cost model so that the
 // experiment harness can report I/O time comparable in shape to the
 // paper's 2012 testbed. Accounting is logical: a list cursor's look
@@ -36,7 +37,7 @@ type IOStats struct {
 	seqPages  atomic.Int64 // inverted-list pages fetched by sorted access
 	randReads atomic.Int64 // tuple-file fetches by random access
 	bytesRead atomic.Int64
-	bypass    atomic.Int64 // page-equivalents served from the mmap, pool bypassed
+	bypass    atomic.Int64 // tuple records served from the mapping, pool bypassed
 	parent    *IOStats     // charged along with this meter, charge by charge
 	total     *IOStats     // charged by Flush
 	flushed   [4]int64     // what Flush has passed on: seq, rand, bytes, bypass
@@ -84,11 +85,12 @@ func (s *IOStats) AddRandRead(bytes int) {
 	}
 }
 
-// AddBypass records n page-equivalent accesses served straight from the
-// mmap region, bypassing the buffer pool. Bypass accesses are physical-
-// path bookkeeping only — the logical counters (AddSeqPage/AddRandRead)
-// are still charged separately, so the paper's cost model is unaffected
-// by which transport served the bytes.
+// AddBypass records n tuple-record reads served straight from the
+// mapping, bypassing the buffer pool (list pages never use the pool, so
+// they are not counted). Bypass accesses are physical-path bookkeeping
+// only — the logical counters (AddSeqPage/AddRandRead) are still charged
+// separately, so the paper's cost model is unaffected by which transport
+// served the bytes.
 func (s *IOStats) AddBypass(n int) {
 	s.bypass.Add(int64(n))
 	if s.parent != nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -393,11 +394,11 @@ func TestProjectWithIsGetWith(t *testing.T) {
 }
 
 // TestRawCopiesAreTheFileBytes: RawRecords and RawPostings hand over
-// exactly the bytes the file holds for the range — in one view of the
-// mapping, or piece by piece through the caller's scratch once the file
-// is not mapped (the nommap build starts there) — and a copy made of
-// them and of freshly encoded records is the file WriteTupleFile /
-// WriteListFile would have written. Neither charges a meter.
+// exactly the bytes the file holds for the range, piece by piece through
+// the caller's scratch — every piece scratch-sized but the last, on every
+// build, mapped tuple file or not — and a copy made of them and of
+// freshly encoded records is the file WriteTupleFile / WriteListFile
+// would have written. Neither charges a meter.
 func TestRawCopiesAreTheFileBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	const n, m = 400, 9
@@ -432,79 +433,75 @@ func TestRawCopiesAreTheFileBytes(t *testing.T) {
 	}
 	defer lf.Close()
 
-	check := func(mapped bool) {
-		t.Helper()
-		scratch := make([]byte, 100) // 8 whole postings; records straddle it
-		for trial := 0; trial < 50; trial++ {
-			from := rng.Intn(n + 1)
-			to := from + rng.Intn(n+1-from)
-			var got []byte
-			pieces := 0
-			if err := tf.RawRecords(from, to, scratch, func(raw []byte) { got = append(got, raw...); pieces++ }); err != nil {
-				t.Fatal(err)
+	const scratchBytes = 100 // 8 whole postings; records straddle it
+	scratch := make([]byte, scratchBytes)
+	// pieces collects what a copy hands over and fails on a piece that is
+	// not scratch-sized unless it is the last.
+	pieces := func(what string, size int) (fn func([]byte), got func() []byte) {
+		var all []byte
+		var short int
+		fn = func(raw []byte) {
+			if short > 0 {
+				t.Fatalf("%s: a %d-byte piece followed a short one of %d", what, len(raw), short)
 			}
-			want := 0
-			for id := from; id < to; id++ {
-				want += tf.RecordSize(id)
+			if len(raw) < size {
+				short = len(raw)
+			} else if len(raw) > size {
+				t.Fatalf("%s: a %d-byte piece through %d bytes of scratch", what, len(raw), size)
 			}
-			var lo int64
-			if from < n {
-				lo = tf.offsets[from]
-			}
-			if len(got) != want || !slices.Equal(got, tupleBytes[lo:lo+int64(want)]) {
-				t.Fatalf("mapped=%v: records [%d,%d): %d bytes, want the file's %d at %d", mapped, from, to, len(got), want, lo)
-			}
-			if mapped && pieces > 1 || !mapped && want > len(scratch) && pieces < 2 {
-				t.Fatalf("mapped=%v: %d bytes came in %d pieces", mapped, want, pieces)
-			}
+			all = append(all, raw...)
 		}
-		for d := 0; d < m; d++ {
-			var got []byte
-			if err := lf.RawPostings(d, scratch, func(raw []byte) {
-				if len(raw)%postingBytes != 0 {
-					t.Fatalf("dim %d: a piece of %d bytes splits a posting", d, len(raw))
-				}
-				got = append(got, raw...)
-			}); err != nil {
-				t.Fatal(err)
-			}
-			ext := lf.dir[d]
-			if !slices.Equal(got, listBytes[ext.off:ext.off+int64(ext.count*postingBytes)]) {
-				t.Fatalf("mapped=%v: dim %d: raw postings differ from the file's extent", mapped, d)
-			}
-		}
-		// A copy spliced from raw stretches and re-encoded records.
-		cut := n / 3
-		out := filepath.Join(dir, "copy.dat")
-		err := WriteTupleRecords(out, n, m, tf.RecordSize, func(sink *TupleSink) error {
-			if err := tf.RawRecords(0, cut, scratch, sink.Raw); err != nil {
-				return err
-			}
-			for id := cut; id < 2*cut; id++ {
-				sink.Tuple(tuples[id])
-			}
-			return tf.RawRecords(2*cut, n, scratch, sink.Raw)
-		})
-		if err != nil {
+		return fn, func() []byte { return all }
+	}
+	for trial := 0; trial < 50; trial++ {
+		from := rng.Intn(n + 1)
+		to := from + rng.Intn(n+1-from)
+		fn, got := pieces(fmt.Sprintf("records [%d,%d)", from, to), scratchBytes)
+		if err := tf.RawRecords(from, to, scratch, fn); err != nil {
 			t.Fatal(err)
 		}
-		if copied, _ := os.ReadFile(out); !slices.Equal(copied, tupleBytes) {
-			t.Fatalf("mapped=%v: the spliced tuple file differs from the original", mapped)
+		want := 0
+		for id := from; id < to; id++ {
+			want += tf.RecordSize(id)
+		}
+		var lo int64
+		if from < n {
+			lo = tf.offsets[from]
+		}
+		if !slices.Equal(got(), tupleBytes[lo:lo+int64(want)]) {
+			t.Fatalf("records [%d,%d): %d bytes, want the file's %d at %d", from, to, len(got()), want, lo)
 		}
 	}
-	if tf.pager.Mapped() {
-		check(true)
-		// Drop the mappings: the same calls now read the file.
-		for _, p := range []*Pager{tf.pager, lf.pager} {
-			if err := unmapFile(p.mapped); err != nil {
-				t.Fatal(err)
-			}
-			p.mapped = nil
+	for d := 0; d < m; d++ {
+		fn, got := pieces(fmt.Sprintf("dim %d", d), scratchBytes-scratchBytes%postingBytes)
+		if err := lf.RawPostings(d, scratch, fn); err != nil {
+			t.Fatal(err)
+		}
+		ext := lf.dir[d]
+		if !slices.Equal(got(), listBytes[ext.off:ext.off+int64(ext.count*postingBytes)]) {
+			t.Fatalf("dim %d: raw postings differ from the file's extent", d)
 		}
 	}
-	check(false)
+	// A copy spliced from raw stretches and re-encoded records.
+	cut := n / 3
+	out := filepath.Join(dir, "copy.dat")
+	err = WriteTupleRecords(out, n, m, tf.RecordSize, func(sink *TupleSink) error {
+		if err := tf.RawRecords(0, cut, scratch, sink.Raw); err != nil {
+			return err
+		}
+		for id := cut; id < 2*cut; id++ {
+			sink.Tuple(tuples[id])
+		}
+		return tf.RawRecords(2*cut, n, scratch, sink.Raw)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if copied, _ := os.ReadFile(out); !slices.Equal(copied, tupleBytes) {
+		t.Fatal("the spliced tuple file differs from the original")
+	}
 	if err := tf.RawRecords(0, n, nil, func([]byte) {}); err == nil {
-		t.Fatal("an unmapped read through no scratch succeeded")
+		t.Fatal("a read through no scratch succeeded")
 	}
 	if err := tf.RawRecords(3, n+1, make([]byte, 64), func([]byte) {}); err == nil {
 		t.Fatal("a record range past the file accepted")
@@ -535,8 +532,7 @@ func TestWriteTupleRecordsRejectsWrongSizes(t *testing.T) {
 // TestListCursorAheadIsNext: at every position of a list three pages
 // long, Ahead reports exactly the ids the following Next calls return,
 // from any offset and up to the end of the current page, and never more
-// than asked; it charges no page and no bypass, on the mapped build and
-// through the buffer pool alike.
+// than asked; it charges no page and no bypass, on every build.
 func TestListCursorAheadIsNext(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	const n, perPage = 800, PageSize / postingBytes

@@ -101,9 +101,10 @@ type TupleFile struct {
 	m       int
 }
 
-// OpenTupleFile opens a tuple file. poolPages sizes the buffer pool used
-// for the physical reads (0 disables it); logical random-read counting is
-// unaffected by pool hits.
+// OpenTupleFile opens a tuple file, mapped where the build can map it.
+// poolPages sizes the buffer pool the physical reads go through where it
+// cannot (0 disables it); logical random-read counting is unaffected by
+// pool hits.
 func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, error) {
 	pager, err := NewPager(path, poolPages)
 	if err != nil {
@@ -167,7 +168,7 @@ func (tf *TupleFile) span(id int) (off int64, size int) {
 // are contiguous in the file — in order and in pieces that need not end
 // on a record boundary: what TupleSink.Raw takes. It is a bulk copy, not
 // an access of the paper's cost model, and charges no meter. buf is the
-// scratch an unmapped file is read through (see Pager.stream).
+// scratch the file is read through (see Pager.stream).
 func (tf *TupleFile) RawRecords(from, to int, buf []byte, fn func(raw []byte)) error {
 	if from < 0 || to > len(tf.offsets) || from > to {
 		return fmt.Errorf("storage: tuple range [%d,%d) outside [0,%d)", from, to, len(tf.offsets))

@@ -65,9 +65,15 @@ func getScratch(n, qlen int) *scratch {
 	return sc
 }
 
-// putScratch returns a scratch to the pool. Cursors are dropped so a
-// pooled scratch does not pin the finished query's index view.
+// putScratch returns a scratch to the pool. Cursors are released (their
+// page buffers go back to theirs) and dropped, so a pooled scratch does
+// not pin the finished query's index view.
 func putScratch(sc *scratch) {
+	for _, c := range sc.cursors {
+		if c != nil {
+			c.Release()
+		}
+	}
 	clear(sc.cursors)
 	if poisonScratch.Load() {
 		sc.poison()

@@ -707,10 +707,14 @@ func (ta *TA) ForkView() *Fork { return ta.Fork() }
 // TA.Fork. It implements View.
 type Fork struct{ run }
 
-// Release hands the pages the fork's own pulls filled back to the pool;
-// the fork is dead afterwards. The parent's rows are untouched.
+// Release hands the pages the fork's own pulls filled back to the pool
+// and releases its cursor clones; the fork is dead afterwards. The
+// parent's rows and cursors are untouched.
 func (f *Fork) Release() {
 	if !f.released {
+		for _, c := range f.cursors {
+			c.Release()
+		}
 		f.rows.release()
 		f.run = run{released: true}
 	}

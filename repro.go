@@ -151,8 +151,9 @@ func NewEngineWithConfig(tuples []Tuple, m int, cfg EngineConfig) *Engine {
 	return &Engine{eng: engine.New(lists.NewMemIndex(tuples, m), cfg.internal())}
 }
 
-// OpenEngine opens a dataset persisted with SaveDataset, reading through
-// a buffer pool of poolPages pages, with default settings.
+// OpenEngine opens a dataset persisted with SaveDataset, with default
+// settings. poolPages sizes the tuple file's buffer pool on a build that
+// cannot map it.
 func OpenEngine(tuplePath, listPath string, poolPages int) (*Engine, error) {
 	return OpenEngineWithConfig(tuplePath, listPath, poolPages, EngineConfig{})
 }
