@@ -97,7 +97,7 @@ vuln:
 # for tuple records because pool64 and pool4096 beat pool0 there
 # (docs/architecture.md has the table), and this keeps that measured.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkParallelCompute|BenchmarkServerAnalyzeParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyInvalidation|BenchmarkCacheTopK' -benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .

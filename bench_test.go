@@ -227,20 +227,6 @@ func BenchmarkKthEnvelope(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCompute — the forked per-dimension path of CPT at
-// parallelism 1 (isolated but single-threaded) and NumCPU, against the
-// paper-literal sequential pipeline (p0) as reference. qlen=8 gives the
-// fan-out enough dimensions to spread.
-func BenchmarkParallelCompute(b *testing.B) {
-	env.init()
-	qs := exp.Sample(env.kb, 16, 8, 50, 215)
-	for _, p := range []int{0, 1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			benchCompute(b, env.kbI, qs, 10, core.Options{Method: core.MethodCPT, Parallelism: p})
-		})
-	}
-}
-
 // BenchmarkServerAnalyzeParallel — the full HTTP /analyze path under
 // concurrent load (b.RunParallel drives one goroutine per GOMAXPROCS by
 // default). The throughput here is what the server-wide mutex used to

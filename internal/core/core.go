@@ -19,39 +19,21 @@
 //
 // # Concurrency model
 //
-// Dimensions are independent given the TA state, so Compute can fan the
-// per-dimension work out across a goroutine pool (Options.Parallelism).
-// What is shared between dimension workers is strictly read-only: the
-// index, the query, the ranked result, and the candidate rows and rank
-// order as they stood when TA terminated — forks read the parent's table
-// pages in place. Everything a dimension mutates is private to it — its
-// topk.Fork (an isolated resumable scan with cloned cursors and pages of
-// its own for what it pulls, so Phase-3 pulls never leak across
-// dimensions), its evaluation memo, and
-// its own Metrics, which are merged in ascending dimension order after
-// the workers drain so the reported totals are deterministic. Phase
-// durations then sum per-dimension CPU time, not wall time. I/O charges
-// from all workers land on the index's (atomic) meter; the SeqPages and
+// One Compute call runs on the calling goroutine over one shared scan,
+// exactly as the published pseudo-code reads: the dimensions run in
+// ascending order, and each dimension's Phase 3 resumes the same TA run,
+// so later dimensions see earlier dimensions' pulls. Concurrency is
+// between queries: each has its own run (or its own member view of a
+// fused batch, which reads the shared table pages in place and writes
+// only pages of its own), its own pooled scratch and its own Metrics.
+// I/O charges land on the index's (atomic) meter; the SeqPages and
 // RandReads deltas in Metrics bracket the whole call.
-//
-// Parallelism ≤ 0 keeps the paper-literal sequential semantics: one
-// shared scan, later dimensions observing earlier dimensions' Phase-3
-// pulls, exactly as the published pseudo-code reads. Parallelism ≥ 1
-// switches to fork isolation; 1 runs the forked dimensions on the
-// calling goroutine, and because forks are deterministic regardless of
-// scheduling, Parallelism = 1 and Parallelism = N produce bit-identical
-// Regions and evaluation metrics (Evaluated, per-dimension counts,
-// Phase-3 pulls, RandReads; durations excepted). SeqPages is likewise
-// identical: every index charges one logical page per page of postings
-// a cursor reads, whatever the interleaving.
 package core
 
 import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/lists"
@@ -106,13 +88,9 @@ type Options struct {
 	Iterative bool
 	// Schedule selects the probing schedule of the thresholding lists.
 	Schedule Schedule
-	// Parallelism selects the per-dimension execution mode. ≤ 0 (the
-	// default) is the paper-literal sequential pipeline: one shared TA
-	// scan, later dimensions seeing earlier dimensions' Phase-3 pulls.
-	// ≥ 1 isolates every dimension on its own TA fork and runs up to
-	// Parallelism dimensions concurrently; 1 and N are bit-identical in
-	// results and evaluation metrics (see the package comment for the
-	// exact guarantee and the DiskIndex SeqPages caveat).
+	// Parallelism is ignored. It stays only because bench/ladder.go:181
+	// assigns it; ROADMAP item 3, which moves the ladder off this
+	// package, removes it.
 	Parallelism int
 }
 
@@ -214,8 +192,7 @@ func applyPerturbation(ranked []int, p Perturbation) error {
 // Metrics meters one Compute call. Evaluated counts candidates checked
 // against the result boundary (the paper's "# evaluated candidates";
 // fetching each costs one random I/O). Phase durations cover all query
-// dimensions (in parallel mode they sum per-dimension CPU time, not wall
-// time); I/O counters are deltas against the index's meter.
+// dimensions; I/O counters are deltas against the index's meter.
 type Metrics struct {
 	Evaluated       int           `json:"evaluated"`
 	EvaluatedPerDim []int         `json:"evaluated_per_dim"`
@@ -226,19 +203,6 @@ type Metrics struct {
 	SeqPages        int64         `json:"seq_pages"`
 	RandReads       int64         `json:"rand_reads"`
 	MemBytes        int64         `json:"mem_bytes"`
-}
-
-// merge folds one dimension's metrics into the aggregate. Callers merge
-// in ascending dimension order, making parallel totals deterministic.
-func (m *Metrics) merge(o Metrics) {
-	m.Evaluated += o.Evaluated
-	for i, v := range o.EvaluatedPerDim {
-		m.EvaluatedPerDim[i] += v
-	}
-	m.Phase1 += o.Phase1
-	m.Phase2 += o.Phase2
-	m.Phase3 += o.Phase3
-	m.Phase3Pulled += o.Phase3Pulled
 }
 
 // EvaluatedPerDimAvg is Evaluated averaged over the query dimensions.
@@ -274,8 +238,7 @@ func (o *Output) RankedIDs() []int {
 }
 
 // computer carries the state shared by every dimension of one Compute
-// call. All fields are read-only once the TA run has completed, so any
-// number of dimension workers may consult them concurrently.
+// call. All fields are read-only once the TA run has completed.
 type computer struct {
 	ix   lists.Index
 	q    vec.Query
@@ -289,20 +252,15 @@ type computer struct {
 	// output and surfaces the context's error.
 	ctx context.Context
 
-	// forked reports whether the per-dimension work ran on TA forks, in
-	// which case Phase-3 pulls live in the forks' private candidate
-	// lists (not the parent's) and the memory model adds them separately.
-	forked bool
-
 	// idBase is what to add to a table row's tuple id to get the id the
 	// regions report: 0, or the shard's offset under an imposed result.
 	idBase int
 }
 
-// dimComputer is the working state of one dimension's region
-// computation: the shared read-only computer plus this dimension's
-// private scan view, metrics, and pooled scratch (evaluation memo and
-// candidate-order buffers).
+// dimComputer is the working state of the region computation: the
+// shared read-only computer plus the scan view Phase 3 resumes, the
+// metrics, and pooled scratch (evaluation memo and candidate-order
+// buffers), all of them carried from one dimension to the next.
 type dimComputer struct {
 	*computer
 	view topk.View
@@ -326,20 +284,15 @@ func (d *dimComputer) id(p int32) int { return d.rows.ID(p) + d.idBase }
 // Runner is the execution surface region computation drives: a
 // topk.View that can additionally be run to termination (a no-op when
 // the scan already completed — e.g. a member view of a fused
-// multi-query run) and forked for per-dimension isolation. *topk.TA and
-// *topk.MemberRun both implement it.
+// multi-query run). *topk.TA and *topk.MemberRun both implement it.
 type Runner interface {
 	topk.View
 	RunContext(ctx context.Context) error
-	ForkView() *topk.Fork
 }
 
 // Compute derives the immutable regions of every query dimension from a
-// completed TA run. With Options.Parallelism ≤ 0 the TA's candidate
-// list grows as Phase 3 resumes the scan, exactly as in the paper
-// (later dimensions see earlier additions); with Parallelism ≥ 1 every
-// dimension works on an isolated fork of the scan (see the package
-// comment for the full concurrency model).
+// completed TA run. The TA's candidate list grows as Phase 3 resumes the
+// scan, exactly as in the paper: later dimensions see earlier additions.
 //
 // ctx cancels the computation mid-flight: the TA round loop, the
 // Phase-2 evaluation/thresholding loops and the Phase-3 resume loops all
@@ -379,19 +332,12 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 	met := Metrics{EvaluatedPerDim: make([]int, qlen)}
 
 	seq0, rnd0, _ := c.ix.Stats().Snapshot()
-	var err error
-	switch {
-	case len(c.res) < c.k:
+	if len(c.res) < c.k {
 		// Fewer tuples than k: no tuple can displace anything.
 		for jx := range c.q.Dims {
 			out.Regions[jx] = c.fullDomainRegions(jx)
 		}
-	case opts.Parallelism <= 0:
-		err = c.computeSequential(r, out, &met)
-	default:
-		err = c.computeForked(r, out, &met)
-	}
-	if err != nil {
+	} else if err := c.computeSequential(r, out, &met); err != nil {
 		return nil, fmt.Errorf("core: region computation: %w", err)
 	}
 	seq1, rnd1, _ := c.ix.Stats().Snapshot()
@@ -399,13 +345,6 @@ func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 	met.RandReads = rnd1 - rnd0
 	order, cut := r.Ranking()
 	met.MemBytes = c.memFootprint(r.Table(), order[cut:])
-	// Forked Phase-3 pulls grow the forks' private candidate lists, not
-	// the parent's, so memFootprint missed them; add all pulls at the
-	// candidate-entry unit (16 B) to match the sequential path, where
-	// the same pulls land in ta.cands before the footprint is taken.
-	if c.forked {
-		met.MemBytes += int64(met.Phase3Pulled) * 16
-	}
 	out.Metrics = met
 	return out, nil
 }
@@ -447,54 +386,6 @@ func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) error 
 			return err
 		}
 	}
-	return nil
-}
-
-// computeForked fans the dimensions out over min(Parallelism, qlen)
-// workers, each dimension on its own TA fork, and merges the
-// per-dimension metrics in ascending dimension order. A failure stops
-// the hand-out of dimensions; the first in dimension order is returned.
-func (c *computer) computeForked(r Runner, out *Output, met *Metrics) error {
-	qlen := c.q.Len()
-	workers := min(c.opts.Parallelism, qlen)
-	perDim := make([]Metrics, qlen)
-	errs := make([]error, qlen)
-	var next atomic.Int64
-	run := func() {
-		sc := getScratch()
-		defer putScratch(sc)
-		for jx := int(next.Add(1)) - 1; jx < qlen; jx = int(next.Add(1)) - 1 {
-			perDim[jx].EvaluatedPerDim = make([]int, qlen)
-			fork := r.ForkView()
-			sc.resetEval()
-			d := c.newDim(fork, &perDim[jx], sc)
-			out.Regions[jx] = d.computeDim(jx)
-			if errs[jx] = d.failed(); errs[jx] != nil {
-				next.Store(int64(qlen))
-			}
-			fork.Release()
-		}
-	}
-	if workers == 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-	}
-	for jx := range perDim {
-		if errs[jx] != nil {
-			return errs[jx]
-		}
-		met.merge(perDim[jx])
-	}
-	c.forked = true
 	return nil
 }
 

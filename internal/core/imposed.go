@@ -40,11 +40,8 @@ import (
 // result R, carrying global ids; result members owned by this shard are
 // recognized by their id range and excluded from the candidate stream
 // (a shard's local top-k always contains its global-result members, so
-// they would otherwise be double-reported as candidates).
-//
-// The wrapped runner must be used with sequential region computation
-// (Options.Parallelism <= 0): Phase-3 pulls must land in the shared
-// candidate list ContributedLines selects from.
+// they would otherwise be double-reported as candidates). Phase-3 pulls
+// land in the shared candidate list ContributedLines selects from.
 func WithImposed(r Runner, base int, imposed []topk.Scored) Runner {
 	v := &imposedRunner{inner: r, base: base, imposed: imposed}
 	for _, sc := range imposed {
@@ -156,12 +153,6 @@ func (v *imposedRunner) Index() lists.Index {
 }
 
 func (v *imposedRunner) RunContext(ctx context.Context) error { return v.inner.RunContext(ctx) }
-
-// ForkView panics: imposed computations are sequential by contract (see
-// WithImposed), so the forked per-dimension path never runs.
-func (v *imposedRunner) ForkView() *topk.Fork {
-	panic("core: imposed runner cannot fork; use Parallelism <= 0")
-}
 
 // ContributedLines returns the shard lines the coordinator's replay
 // (ReplayRegions) can use, under global ids, and offered, the size of

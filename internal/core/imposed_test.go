@@ -24,7 +24,6 @@ func shardLines(t *testing.T, part []vec.Sparse, m, base int, q vec.Query, k int
 	t.Helper()
 	ta := topk.New(lists.NewMemIndex(part, m), q, k, topk.BestList)
 	defer ta.Release()
-	opts.Parallelism = -1
 	runner := WithImposed(ta, base, imposed)
 	if _, err := ComputeView(context.Background(), runner, opts); err != nil {
 		t.Fatal(err)
@@ -354,6 +353,41 @@ func TestShardHorizonGap(t *testing.T) {
 	if !reflect.DeepEqual(unpruned, want.Regions) {
 		t.Skipf("known gap: shard 0 offered tuples %v and never reached tuple 6, so the replay misses the union's second perturbation:\n got %+v\nwant %+v",
 			idsOf(all0), unpruned[0].Left, want.Regions[0].Left)
+	}
+}
+
+// TestImposedIgnoresParallelism: Options.Parallelism is inert, so an
+// imposed computation asked for it answers exactly as without it —
+// regions, counts and contributed lines — where it used to panic.
+func TestImposedIgnoresParallelism(t *testing.T) {
+	rng := rand.New(rand.NewSource(1502))
+	imposed := func(part []vec.Sparse, m, base int, q vec.Query, k int, res []topk.Scored, opts Options) (*Output, []topk.Scored) {
+		ta := topk.New(lists.NewMemIndex(part, m), q, k, topk.BestList)
+		defer ta.Release()
+		runner := WithImposed(ta, base, res)
+		out, err := ComputeView(context.Background(), runner, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines, _ := runner.(*imposedRunner).ContributedLines()
+		return out, lines
+	}
+	for trial := 0; trial < 20; trial++ {
+		tuples, m, q, k, bases, _ := randShardedCase(rng, 60)
+		opts := Options{Method: Methods[trial%len(Methods)], Phi: trial % 3}
+		res := singleNode(t, tuples, m, q, k, opts).Result
+		hi := len(tuples)
+		if len(bases) > 1 {
+			hi = bases[1]
+		}
+		want, wantLines := imposed(tuples[:hi], m, 0, q, k, res, opts)
+		opts.Parallelism = 2
+		got, gotLines := imposed(tuples[:hi], m, 0, q, k, res, opts)
+		gm, wm := got.Metrics, want.Metrics
+		gm.Phase1, gm.Phase2, gm.Phase3 = wm.Phase1, wm.Phase2, wm.Phase3
+		if !reflect.DeepEqual(got.Regions, want.Regions) || !reflect.DeepEqual(gm, wm) || !reflect.DeepEqual(gotLines, wantLines) {
+			t.Errorf("trial %d %+v: Parallelism 2 answers\n %+v %+v\nnot\n %+v %+v", trial, opts, got.Regions, gm, want.Regions, wm)
+		}
 	}
 }
 

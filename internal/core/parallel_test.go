@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
-	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/lists"
 	"repro/internal/oracle"
@@ -16,33 +19,89 @@ import (
 	"repro/internal/vec"
 )
 
-// computeWith runs one full TA+Compute at the given parallelism.
-func computeWith(t *testing.T, cs fixture.Case, opts core.Options, parallelism int) *core.Output {
+// The concurrency a region computation meets is several queries at once
+// on one engine: each runs the paper's shared scan on its own goroutine,
+// over its own run and scratch, and charges a per-query view of the
+// index's meter. The tests below analyze from several goroutines at once
+// and hold every answer to a serial run's on the same engine.
+
+// clients is how many goroutines analyze at once.
+const clients = 4
+
+// sharedEngines serves cs twice, without a cache so that every request
+// computes: over the MemIndex as it is, and over a DiskIndex of the same
+// tuples under a write overlay (what irserver -data serves).
+func sharedEngines(t *testing.T, cs fixture.Case) map[string]*engine.Engine {
 	t.Helper()
-	ix := lists.NewMemIndex(cs.Tuples, cs.M)
-	ta := topk.New(ix, cs.Q, cs.K, topk.BestList)
-	opts.Parallelism = parallelism
-	out, err := core.Compute(context.Background(), ta, opts)
+	dir := t.TempDir()
+	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
+	if err := lists.SaveDataset(tp, lp, cs.Tuples, cs.M); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := engine.Open(tp, lp, 0, engine.Config{CacheEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	t.Cleanup(func() { disk.Close() })
+	mem := engine.New(lists.NewMemIndex(cs.Tuples, cs.M), engine.Config{ReadOnly: true, CacheEntries: -1})
+	return map[string]*engine.Engine{"mem": mem, "disk": disk}
 }
 
-// TestParallelMatchesSequential: for every method and φ, the forked
-// per-dimension path must be deterministic — Parallelism = 1 (forked,
-// run on the calling goroutine) and Parallelism = NumCPU must return
-// bit-identical Regions, Evaluated counts and Phase-3 pulls. The forked
-// regions must also match the exact oracle, and the paper-literal
-// shared-scan path (Parallelism = 0) must agree on the regions (its
-// Evaluated counts legitimately differ: later dimensions of the shared
-// scan observe and evaluate earlier dimensions' Phase-3 pulls).
+// sameAnswer reports whether two analyses agree on the result, the
+// regions and every Metrics count (durations aside).
+func sameAnswer(a, b *core.Output) bool {
+	am, bm := a.Metrics, b.Metrics
+	return reflect.DeepEqual(a.Result, b.Result) && reflect.DeepEqual(a.Regions, b.Regions) &&
+		am.Evaluated == bm.Evaluated && slices.Equal(am.EvaluatedPerDim, bm.EvaluatedPerDim) &&
+		am.Phase3Pulled == bm.Phase3Pulled && am.SeqPages == bm.SeqPages &&
+		am.RandReads == bm.RandReads && am.MemBytes == bm.MemBytes
+}
+
+// concurrentMatchesSerial analyzes q under every row of opts once,
+// serially, on eng, then again from clients goroutines at once, each
+// walking the rows from its own offset, and fails on any concurrent
+// answer that differs from the serial one. It returns the serial answers.
+func concurrentMatchesSerial(t *testing.T, label string, eng *engine.Engine, q vec.Query, k int, opts []core.Options) []*core.Output {
+	t.Helper()
+	ctx := context.Background()
+	serial := make([]*core.Output, len(opts))
+	for i, o := range opts {
+		a, err := eng.Analyze(ctx, q, k, engine.Options{Options: o})
+		if err != nil {
+			t.Fatalf("%s %+v: %v", label, o, err)
+		}
+		serial[i] = a.Output
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range opts {
+				i := (c + r) % len(opts)
+				a, err := eng.Analyze(ctx, q, k, engine.Options{Options: opts[i]})
+				if err != nil {
+					t.Errorf("%s %+v, client %d: %v", label, opts[i], c, err)
+					return
+				}
+				if !sameAnswer(a.Output, serial[i]) {
+					t.Errorf("%s %+v, client %d: differs from the serial run:\n  got  %+v %+v\n  want %+v %+v",
+						label, opts[i], c, a.Regions, a.Metrics, serial[i].Regions, serial[i].Metrics)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return serial
+}
+
+// TestParallelMatchesSequential: for every method and φ, analyses run
+// concurrently on one engine return exactly what a serial run on it
+// returns — regions, result, evaluated counts, Phase-3 pulls and I/O —
+// on a memory and on a disk index, and the regions match the exact
+// oracle.
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	workers := runtime.NumCPU()
-	if workers < 2 {
-		workers = 2
-	}
 	trials := 12
 	if testing.Short() {
 		trials = 5
@@ -55,99 +114,88 @@ func TestParallelMatchesSequential(t *testing.T) {
 		k := 1 + rng.Intn(5)
 		cs := fixture.RandCase(rng, n, m, qlen, k)
 		arr := oracle.Arrange(cs.Tuples, cs.Q, cs.K)
+		var opts []core.Options
 		for phi := 0; phi <= 2; phi++ {
-			want := arr.Regions(phi, false)
 			for _, method := range core.Methods {
-				opts := core.Options{Method: method, Phi: phi}
-				label := fmt.Sprintf("trial=%d n=%d qlen=%d k=%d phi=%d %v", trial, n, qlen, k, phi, method)
-
-				seq := computeWith(t, cs, opts, 1)
-				par := computeWith(t, cs, opts, workers)
-				legacy := computeWith(t, cs, opts, 0)
-
-				if !reflect.DeepEqual(seq.Regions, par.Regions) {
-					t.Errorf("%s: parallel regions differ from sequential:\n  seq %+v\n  par %+v",
-						label, seq.Regions, par.Regions)
-				}
-				if seq.Metrics.Evaluated != par.Metrics.Evaluated ||
-					!reflect.DeepEqual(seq.Metrics.EvaluatedPerDim, par.Metrics.EvaluatedPerDim) {
-					t.Errorf("%s: evaluated %d %v (seq) vs %d %v (par)", label,
-						seq.Metrics.Evaluated, seq.Metrics.EvaluatedPerDim,
-						par.Metrics.Evaluated, par.Metrics.EvaluatedPerDim)
-				}
-				if seq.Metrics.Phase3Pulled != par.Metrics.Phase3Pulled {
-					t.Errorf("%s: phase3 pulled %d (seq) vs %d (par)", label,
-						seq.Metrics.Phase3Pulled, par.Metrics.Phase3Pulled)
-				}
-				if seq.Metrics.SeqPages != par.Metrics.SeqPages || seq.Metrics.RandReads != par.Metrics.RandReads {
-					t.Errorf("%s: io (%d,%d) (seq) vs (%d,%d) (par)", label,
-						seq.Metrics.SeqPages, seq.Metrics.RandReads,
-						par.Metrics.SeqPages, par.Metrics.RandReads)
-				}
-				c.match(t, func() string { return label + " forked-vs-oracle" }, cs, seq.Regions, want)
-				compareRegions(t, label+" legacy-vs-forked", legacy.Regions, seq.Regions)
+				opts = append(opts, core.Options{Method: method, Phi: phi})
+			}
+		}
+		for name, eng := range sharedEngines(t, cs) {
+			prefix := fmt.Sprintf("trial=%d %s n=%d qlen=%d k=%d", trial, name, n, qlen, k)
+			for i, out := range concurrentMatchesSerial(t, prefix, eng, cs.Q, cs.K, opts) {
+				label := func() string { return fmt.Sprintf("%s phi=%d %v", prefix, opts[i].Phi, opts[i].Method) }
+				c.match(t, label, cs, out.Regions, arr.Regions(opts[i].Phi, false))
 			}
 		}
 	}
 }
 
-// TestParallelVariants covers the remaining option combinations on the
-// forked path: composition-only, iterative φ>0 and the score-biased
-// schedule must all be scheduling-independent too.
+// TestParallelVariants covers the remaining option combinations under
+// concurrent load: composition-only, iterative φ>0 and the score-biased
+// schedule.
 func TestParallelVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
+	variants := []core.Options{
+		{Method: core.MethodCPT, CompositionOnly: true},
+		{Method: core.MethodPrune, Phi: 2, Iterative: true},
+		{Method: core.MethodCPT, Phi: 1, Schedule: core.ScheduleScoreBiased},
+	}
 	for trial := 0; trial < 6; trial++ {
 		cs := fixture.RandCase(rng, 40+rng.Intn(40), 5, 3, 1+rng.Intn(4))
-		variants := []core.Options{
-			{Method: core.MethodCPT, CompositionOnly: true},
-			{Method: core.MethodPrune, Phi: 2, Iterative: true},
-			{Method: core.MethodCPT, Phi: 1, Schedule: core.ScheduleScoreBiased},
-		}
-		for vi, opts := range variants {
-			seq := computeWith(t, cs, opts, 1)
-			par := computeWith(t, cs, opts, 4)
-			if !reflect.DeepEqual(seq.Regions, par.Regions) {
-				t.Errorf("trial %d variant %d: regions diverge under parallelism", trial, vi)
-			}
-			if seq.Metrics.Evaluated != par.Metrics.Evaluated {
-				t.Errorf("trial %d variant %d: evaluated %d vs %d", trial, vi,
-					seq.Metrics.Evaluated, par.Metrics.Evaluated)
-			}
+		for name, eng := range sharedEngines(t, cs) {
+			concurrentMatchesSerial(t, fmt.Sprintf("trial %d %s", trial, name), eng, cs.Q, cs.K, variants)
 		}
 	}
 }
 
-// TestParallelDegenerate: |R| < k and qlen = 1 must behave under every
-// parallelism setting.
+// TestParallelDegenerate: |R| < k (tuples off the subspace, and k past
+// the dataset) and qlen = 1 behave under concurrent load, and a result
+// shorter than k answers the full weight domain.
 func TestParallelDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	cs := fixture.RandCase(rng, 8, 4, 2, 1)
-	for _, p := range []int{0, 1, 8} {
-		out := computeWith(t, cs, core.Options{Method: core.MethodCPT}, p)
-		if len(out.Regions) != cs.Q.Len() {
-			t.Fatalf("parallelism %d: %d regions", p, len(out.Regions))
+	short := fixture.RandCase(rng, 8, 4, 2, 10)
+	for id := 0; id < 4; id++ { // four tuples no query list holds: |R| = 8 < k ≤ n
+		var off vec.Sparse
+		for d := 0; d < short.M; d++ {
+			if short.Q.Pos(d) < 0 {
+				off = append(off, vec.Entry{Dim: d, Val: 0.1 + 0.2*float64(id)})
+			}
 		}
+		short.Tuples = append(short.Tuples, off)
 	}
-	// k larger than the dataset: full-domain regions on every path.
-	ixSeq := lists.NewMemIndex(cs.Tuples, cs.M)
-	ta := topk.New(ixSeq, cs.Q, 1000, topk.BestList)
-	out, err := core.Compute(context.Background(), ta, core.Options{Method: core.MethodCPT, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
+	pastN := fixture.RandCase(rng, 8, 4, 2, 1)
+	pastN.K = 1000
+	cases := []struct {
+		shape string
+		cs    fixture.Case
+		short bool // |R| < k: the full weight domain on every side
+	}{
+		{"k=1", fixture.RandCase(rng, 8, 4, 2, 1), false},
+		{"qlen=1", fixture.RandCase(rng, 8, 4, 1, 2), false},
+		{"|R|<k<=n", short, true},
+		{"k>n", pastN, true},
 	}
-	for _, reg := range out.Regions {
-		if reg.Lo != -cs.Q.Weights[reg.QPos] || reg.Hi != 1-cs.Q.Weights[reg.QPos] {
-			t.Fatalf("degenerate region %+v not full-domain", reg)
+	opts := []core.Options{{Method: core.MethodCPT}, {Method: core.MethodScan, Phi: 1}}
+	for _, c := range cases {
+		for name, eng := range sharedEngines(t, c.cs) {
+			for _, out := range concurrentMatchesSerial(t, c.shape+" "+name, eng, c.cs.Q, c.cs.K, opts) {
+				if len(out.Regions) != c.cs.Q.Len() || (len(out.Result) < c.cs.K) != c.short {
+					t.Fatalf("%s %s: %d regions, |R| = %d", c.shape, name, len(out.Regions), len(out.Result))
+				}
+				for _, reg := range out.Regions {
+					if c.short && (reg.Lo != -c.cs.Q.Weights[reg.QPos] || reg.Hi != 1-c.cs.Q.Weights[reg.QPos]) {
+						t.Fatalf("%s %s: degenerate region %+v not full-domain", c.shape, name, reg)
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestParallelAcrossPages: the same determinism where forks share more
-// than one table page with their parent — a scan deeper than a page —
-// so every fork's pulls start in a page the parent half filled and go on
-// into pages of the fork's own. Regions and every count must not depend
-// on the worker count; `make race` runs it with the detector watching
-// the shared pages.
+// TestParallelAcrossPages: the same equality where the scan runs deeper
+// than one table page, so Phase 3 pulls into a page the scan half filled
+// and on into fresh ones while other queries do the same; `make race`
+// runs it with the detector watching the pooled pages.
 func TestParallelAcrossPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(80))
 	const n, m = 40_000, 3
@@ -168,18 +216,12 @@ func TestParallelAcrossPages(t *testing.T) {
 		t.Fatalf("the scan stopped at %d rows, inside its first page", rows)
 	}
 	ta.Release()
-	for _, opts := range []core.Options{{Method: core.MethodCPT, Phi: 1}, {Method: core.MethodThres, Phi: 2}} {
-		one, many := computeWith(t, cs, opts, 1), computeWith(t, cs, opts, 3)
-		if !reflect.DeepEqual(one.Regions, many.Regions) {
-			t.Errorf("%v φ=%d: regions depend on the worker count", opts.Method, opts.Phi)
-		}
-		om, mm := one.Metrics, many.Metrics
-		if om.Evaluated != mm.Evaluated || !reflect.DeepEqual(om.EvaluatedPerDim, mm.EvaluatedPerDim) ||
-			om.Phase3Pulled != mm.Phase3Pulled || om.RandReads != mm.RandReads || om.SeqPages != mm.SeqPages || om.MemBytes != mm.MemBytes {
-			t.Errorf("%v φ=%d: counts depend on the worker count:\n  1: %+v\n  3: %+v", opts.Method, opts.Phi, om, mm)
-		}
-		if om.Phase3Pulled == 0 {
-			t.Errorf("%v φ=%d: no fork pulled anything", opts.Method, opts.Phi)
+	opts := []core.Options{{Method: core.MethodCPT, Phi: 1}, {Method: core.MethodThres, Phi: 2}}
+	for name, eng := range sharedEngines(t, cs) {
+		for i, out := range concurrentMatchesSerial(t, name, eng, cs.Q, cs.K, opts) {
+			if out.Metrics.Phase3Pulled == 0 {
+				t.Errorf("%s %v φ=%d: Phase 3 pulled nothing", name, opts[i].Method, opts[i].Phi)
+			}
 		}
 	}
 }

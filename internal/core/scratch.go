@@ -7,16 +7,16 @@ import (
 	"repro/internal/topk"
 )
 
-// scratch is the working memory of one dimension worker of a region
-// computation: the evaluation memo plus the candidate-set buffers of
-// Phase 2 and Phase 3. Everything in it is an index or a number per
-// candidate — row positions in the scan's table (topk.Table), never a
-// copy of a row — so it grows with the candidate list, not with the
-// dataset. The rank order itself is the scan's, not kept here.
-// One scratch serves a whole sequential computation, or one worker of a
-// forked one; it is recycled across queries through scratchPool. Nothing
-// in it escapes a ComputeView call — regions carry ids and deviations
-// only — so it goes back to the pool when the worker finishes.
+// scratch is the working memory of one region computation: the
+// evaluation memo plus the candidate-set buffers of Phase 2 and Phase 3.
+// Everything in it is an index or a number per candidate — row positions
+// in the scan's table (topk.Table), never a copy of a row — so it grows
+// with the candidate list, not with the dataset. The rank order itself
+// is the scan's, not kept here.
+// One scratch serves every dimension of the computation; it is recycled
+// across queries through scratchPool. Nothing in it escapes a ComputeView
+// call — regions carry ids and deviations only — so it goes back to the
+// pool when the computation finishes.
 type scratch struct {
 	// mark is the evaluation memo: table row p was fetched in the
 	// current dimension iff mark[p] == epoch. resetEval (one integer bump)

@@ -44,12 +44,12 @@ import (
 )
 
 // sig is the part of the options that selects WHICH output an analysis
-// produces. Method, Schedule and Parallelism are excluded: every
-// variant provably computes the same regions (the repo's property and
-// parallel-equality tests enforce it), so a CPT analysis may serve a
-// Scan request and vice versa. Iterative likewise only changes the
-// route, not the answer — but it exists for measurement, so requests
-// carrying it are expected to arrive with NoCache anyway.
+// produces. Method and Schedule are excluded: every variant provably
+// computes the same regions (the repo's oracle and property tests
+// enforce it), so a CPT analysis may serve a Scan request and vice
+// versa. Iterative likewise only changes the route, not the answer —
+// but it exists for measurement, so requests carrying it are expected
+// to arrive with NoCache anyway.
 type sig struct {
 	phi      int
 	compOnly bool

@@ -12,8 +12,8 @@
 //     touching the index;
 //   - the unit (analyzeLocked, topkLocked): the requests over one
 //     subspace and k the probe left unanswered, sharing one scan, then
-//     region computation (core.ComputeView) with the engine's default
-//     per-dimension parallelism, and cache admission;
+//     region computation (core.ComputeView) on the unit's own goroutine,
+//     and cache admission;
 //   - the funnel (run) a unit executes in: context-aware admission (a
 //     bounded worker pool; queued requests abandon cleanly), the read
 //     lock, and a per-query child I/O meter, so each execution is
@@ -90,14 +90,11 @@ type Config struct {
 	// MaxConcurrent caps the number of queries executing at once (the
 	// worker pool AnalyzeBatch fans over). Each in-flight query holds
 	// O(n) working state, so the cap is the engine's memory
-	// backpressure. 0 picks the default of 4×GOMAXPROCS; a negative
-	// value disables the cap entirely. Cache hits bypass the pool.
+	// backpressure. It is also the engine's one concurrency knob: a
+	// query's region computation runs on one goroutine, over the shared
+	// scan. 0 picks the default of 4×GOMAXPROCS; a negative value
+	// disables the cap entirely. Cache hits bypass the pool.
 	MaxConcurrent int
-	// Parallelism is the default core.Options.Parallelism applied when a
-	// query's own options leave it 0: the number of goroutines one
-	// query's per-dimension region work fans over (≤ 0 keeps the
-	// paper-literal sequential pipeline).
-	Parallelism int
 	// CacheEntries bounds the answer cache's entry count. 0 picks
 	// DefaultCacheEntries; a negative value disables the cache.
 	CacheEntries int
@@ -526,11 +523,7 @@ func (e *Engine) analyzeLocked(ctx context.Context, ix lists.Index, queued time.
 		} else {
 			scan = multi.Member(i)
 		}
-		copts := j.Opts.Options
-		if copts.Parallelism == 0 {
-			copts.Parallelism = e.cfg.Parallelism
-		}
-		out, err := core.ComputeView(ctx, scan, copts)
+		out, err := core.ComputeView(ctx, scan, j.Opts.Options)
 		sorted := scan.SortedAccesses()
 		scan.Release()
 		if err != nil {

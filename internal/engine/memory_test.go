@@ -119,7 +119,7 @@ func TestAnswersDetachedFromScratch(t *testing.T) {
 	ctx := context.Background()
 	for trial := 0; trial < 10; trial++ {
 		cs := fixture.RandCase(rng, 150+rng.Intn(150), 8, 2+rng.Intn(4), 2+rng.Intn(6))
-		eng := New(lists.NewMemIndex(cs.Tuples, cs.M), Config{Parallelism: trial % 3})
+		eng := New(lists.NewMemIndex(cs.Tuples, cs.M), Config{})
 		opts := Options{Options: core.Options{Method: core.Methods[trial%len(core.Methods)], Phi: trial % 3}}
 
 		miss := analyzeMust(t, eng, cs.Q, cs.K, opts)

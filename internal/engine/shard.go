@@ -40,9 +40,9 @@ type lineContributor interface {
 //
 // Imposed analyses bypass the answer cache in both directions: the
 // output certifies the imposed result, not a local answer, so it can
-// neither be served from nor admitted to the cache. The computation is
-// forced sequential (core Parallelism ≤ 0) so every Phase-3 pull lands
-// in the shared candidate list the contributed lines are selected from.
+// neither be served from nor admitted to the cache. Every Phase-3 pull
+// lands in the shared candidate list the contributed lines are selected
+// from.
 func (e *Engine) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts Options) (out *core.Output, lines []topk.Scored, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -83,7 +83,6 @@ func checkImposed(imposed []topk.Scored, k, qlen int) error {
 }
 
 func imposedLocked(ctx context.Context, ix lists.Index, q vec.Query, k, base int, imposed []topk.Scored, copts core.Options) (*core.Output, []topk.Scored, error) {
-	copts.Parallelism = -1
 	ta := topk.New(ix, q, k, topk.BestList)
 	defer ta.Release() // out and the contributed lines are copies
 	runner := core.WithImposed(ta, base, imposed)

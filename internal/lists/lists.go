@@ -32,7 +32,7 @@
 // I/O meter is written. Mutations are NOT internally synchronized —
 // the engine serializes them against queries under its RWMutex (see
 // internal/engine's lock ordering). Cursors are single-query state and
-// are not safe for sharing — each query (or each forked per-dimension
+// are not safe for sharing — each query (or each member view of a fused
 // scan) opens or Clones its own. WithStats derives a view of the index
 // whose accesses are charged to a separate meter; a concurrent server
 // gives each query a view over a PerQuery meter of the shared one, so
@@ -63,7 +63,8 @@ type Cursor interface {
 	// Consumed reports how many postings have been consumed.
 	Consumed() int
 	// Clone returns an independent cursor at the same position, so a
-	// forked scan can resume from here without disturbing the original.
+	// member view of a fused scan can resume from here without disturbing
+	// the original.
 	Clone() Cursor
 	// Release hands back what the cursor holds to read with (a disk
 	// cursor's page buffer). The scan that opened or cloned the cursor

@@ -118,15 +118,14 @@ func TestReadFaultFailsOneQuery(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name        string
-		parallelism int
-		corrupt     func(t *testing.T, tp, lp string) (inError string)
-		fail, pass  []string // the routes the lost query fails and answers on
+		name       string
+		corrupt    func(t *testing.T, tp, lp string) (inError string)
+		fail, pass []string // the routes the lost query fails and answers on
 	}{
-		{"records the scan reads", 0, corruptRecords(scanned), append(ranked, analyses...), nil},
-		// The scan is intact; a forked dimension's Phase 3 meets the damage.
-		{"records only Phase 3 reads, forked", 2, corruptRecords(phase3), analyses, ranked},
-		{"posting id past the last tuple", 0, func(t *testing.T, tp, lp string) string {
+		{"records the scan reads", corruptRecords(scanned), append(ranked, analyses...), nil},
+		// The scan is intact; Phase 3, resuming it, meets the damage.
+		{"records only Phase 3 reads", corruptRecords(phase3), analyses, ranked},
+		{"posting id past the last tuple", func(t *testing.T, tp, lp string) string {
 			// The directory after the 16-byte header holds (dim, count,
 			// offset) per list, dim 0 first: the first posting of dim 0's
 			// list is the first thing the scan reads from it.
@@ -142,7 +141,7 @@ func TestReadFaultFailsOneQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := c.corrupt(t, tp, lp)
-			eng, err := engine.Open(tp, lp, 0, engine.Config{Parallelism: c.parallelism})
+			eng, err := engine.Open(tp, lp, 0, engine.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,9 +26,7 @@ type ShardTopKResponse struct {
 // ShardAnalyzeRequest is the body of /shard/analyze — round 2 of a
 // distributed analysis. Base is this shard's id offset; Imposed is the
 // coordinator-merged global result the shard computes constraints
-// against. The option fields mirror core.Options; unlike the public
-// /analyze they include Iterative, because the coordinator must mirror
-// whatever dispatch the caller asked for.
+// against. The option fields are the public /analyze's.
 type ShardAnalyzeRequest struct {
 	Dims            []int         `json:"dims"`
 	Weights         []float64     `json:"weights"`
@@ -38,7 +36,6 @@ type ShardAnalyzeRequest struct {
 	Phi             int           `json:"phi"`
 	Method          string        `json:"method"`
 	CompositionOnly bool          `json:"composition_only,omitempty"`
-	Iterative       bool          `json:"iterative,omitempty"`
 }
 
 // ShardAnalyzeResponse is the body of a successful /shard/analyze: the
@@ -101,7 +98,6 @@ func (s *Server) handleShardAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	opts.Iterative = req.Iterative
 	eng, ok := s.shardEngine(w)
 	if !ok {
 		return

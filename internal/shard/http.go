@@ -68,7 +68,6 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 		Phi:             opts.Phi,
 		Method:          server.MethodName(opts.Method),
 		CompositionOnly: opts.CompositionOnly,
-		Iterative:       opts.Iterative,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -168,6 +168,9 @@ func TestHTTPShardedBitIdentical(t *testing.T) {
 			t.Fatalf("%s: healthy cluster answered Partial", tag)
 		}
 		for vi, opts := range optsVariants(rng) {
+			if opts.Iterative {
+				continue // the shard wire carries no Iterative: no served request sets it
+			}
 			an, err := hc.coord.Analyze(ctx, cs.Q, cs.K, opts)
 			if err != nil {
 				t.Fatalf("%s: http analyze variant %d: %v", tag, vi, err)

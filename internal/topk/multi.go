@@ -262,11 +262,11 @@ func (m *Multi) Result(i int) []Scored {
 // set legitimately differs from a solo scan's.
 func (m *Multi) Member(i int) *MemberRun {
 	m.mustBeDone("Member")
-	r := &MemberRun{Fork{run{
+	r := &MemberRun{run{
 		scanState: m.scan.clone(),
 		rows:      m.view(i),
 		proj:      make([]float64, m.scan.q.Len()),
-	}}}
+	}}
 	r.q = m.queries[i]
 	r.finish()
 	return r
@@ -281,12 +281,24 @@ func (m *Multi) mustBeDone(op string) {
 	}
 }
 
-// MemberRun is one member's view of a completed fused run: a Fork of the
-// shared scan with the member's query substituted, so Result, Ranking,
-// Resume and Release are Fork's. It implements View (and core.Runner): the scan
-// is already terminated, so RunContext only arms the context and reports
-// the scan's error.
-type MemberRun struct{ Fork }
+// MemberRun is one member's view of a completed fused run: a clone of
+// the shared scan with the member's query substituted. It implements View
+// (and core.Runner): the scan is already terminated, so RunContext only
+// arms the context and reports the scan's error.
+type MemberRun struct{ run }
+
+// Release hands the pages the view's own pulls filled back to the pool
+// and releases its cursor clones; the view is dead afterwards. The
+// shared rows and the fused run's cursors are untouched.
+func (r *MemberRun) Release() {
+	if !r.released {
+		for _, c := range r.cursors {
+			c.Release()
+		}
+		r.rows.release()
+		r.run = run{released: true}
+	}
+}
 
 // RunContext arms ctx on the (already completed) member scan so that
 // later Resume pulls observe cancellation, and reports the scan error.
@@ -296,7 +308,3 @@ func (r *MemberRun) RunContext(ctx context.Context) error {
 	}
 	return r.Err()
 }
-
-// ForkView returns an isolated resumable copy for one dimension of a
-// parallel region computation, mirroring TA.Fork.
-func (r *MemberRun) ForkView() *Fork { return &Fork{r.fork()} }

@@ -87,7 +87,7 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		"TA.Result":     func() { ta.Result() },
 		"TA.Candidates": func() { ta.Candidates() },
 		"TA.Resume":     func() { ta.Resume() },
-		"TA.Fork":       func() { ta.Fork() },
+		"TA.Ranking":    func() { ta.Ranking() },
 		"TA.Run":        func() { ta.RunContext(context.Background()) },
 		"Multi.Result":  func() { multi.Result(0) },
 		"Multi.Member":  func() { multi.Member(0) },

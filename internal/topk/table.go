@@ -84,7 +84,7 @@ func (c *column) release() {
 // query-subspace coordinates — is appended once, column by column, into
 // pages from the shared pool, and is addressed ever after by its
 // position, which never changes: rows are not moved to grow the table,
-// to rank it, or to fork it. Ranking orders positions, not rows (see
+// to rank it, or to share it. Ranking orders positions, not rows (see
 // ranking). A table taken with share reads its parent's pages and writes
 // only its own.
 type Table struct {
@@ -177,8 +177,8 @@ const rankCutover = 128
 const rankRun = pageRows
 
 // ranker holds the radix keys of one run and the kernel's second key
-// buffer. A TA's lives in its pooled scratch; a fork, which ranks too
-// but has no scratch, borrows one from rankerPool for the call.
+// buffer. A TA's lives in its pooled scratch; a member view, which ranks
+// too but has no scratch, borrows one from rankerPool for the call.
 type ranker struct {
 	keys, keyBuf [rankRun]uint32
 }

@@ -170,76 +170,82 @@ func pageImage(t *Table) [][]uint64 {
 	return img
 }
 
-// TestForksNeverWriteParentPages: forks taken concurrently from one run
-// pull and rank concurrently (the race detector watches the parent's
-// pages), each sees the parent's rows at the parent's positions plus its
-// own pulls, identical from fork to fork, and afterwards every page and
-// the rank order of the parent are bit for bit what they were — also
-// when the fork's first pull lands in a page the parent half filled.
+// TestForksNeverWriteParentPages: member views of one fused run pull and
+// rank concurrently (the race detector watches the shared pages), each
+// sees the shared rows at the shared positions plus its own pulls,
+// identical from view to view, and afterwards every page of the fused
+// run is bit for bit what it was — also when a view's first pull lands
+// in a page the fused scan half filled.
 func TestForksNeverWriteParentPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	tuples, q := denseCase(rng, 30_000, 4, 50)
+	tuples, q := denseCase(rng, 60_000, 4, 50)
 	ix := lists.NewMemIndex(tuples, 4)
-	ta := New(ix, q, 10, BestList)
-	mustRun(t, ta)
-	for ta.Table().Len() <= pageRows+100 { // a full page and a partial one
-		if _, ok := ta.Resume(); !ok {
-			t.Fatal("dataset exhausted before the table crossed a page")
-		}
+	const members, k, pulls = 4, pageRows + 100, 9_000 // each view fills its copied page and a fresh one
+	multi := NewMulti(ix, slices.Repeat([]vec.Query{q}, members), k, BestList)
+	mustRun(t, multi)
+	if n := multi.rows.Len(); n <= pageRows || n%pageRows == 0 {
+		t.Fatalf("the fused scan holds %d rows: no half-filled page past the first", n)
 	}
-	parentOrder, _ := ta.Ranking()
-	parentOrder = slices.Clone(parentOrder)
-	parentRows := ta.Table().Rows(allPositions(ta.Table().Len()))
-	image := pageImage(ta.Table())
+	image := func() (img [][]uint64) {
+		for i := 0; i < members; i++ {
+			view := multi.view(i)
+			img = append(img, pageImage(&view)...)
+		}
+		return img
+	}
+	before := image()
+	shared := multi.view(0)
+	sharedRows := shared.Rows(allPositions(shared.Len()))
 
-	const forks, pulls = 4, 9_000 // each fork fills its copied page and a fresh one
-	views := make([][]Scored, forks)
-	orders := make([][]int32, forks)
+	views := make([]*MemberRun, members)
+	for i := range views {
+		views[i] = multi.Member(i)
+	}
+	order, cut := views[0].Ranking()
+	result := slices.Clone(order[:cut])
+	rows := make([][]Scored, members)
+	orders := make([][]int32, members)
 	var wg sync.WaitGroup
-	for f := 0; f < forks; f++ {
+	for i, v := range views {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fork := ta.Fork()
-			defer fork.Release()
-			for i := 0; i < pulls; i++ {
-				if _, ok := fork.Resume(); !ok {
-					t.Error("fork ran dry")
+			defer v.Release()
+			for n := 0; n < pulls; n++ {
+				if _, ok := v.Resume(); !ok {
+					t.Error("member view ran dry")
 					return
 				}
-				if i%2500 == 0 {
-					fork.Ranking() // merge a tail mid-way: the fork leaves the parent's order array
+				if n%2500 == 0 {
+					v.Ranking() // merge a tail mid-way
 				}
 			}
-			order, _ := fork.Ranking()
-			orders[f] = slices.Clone(order)
-			views[f] = fork.Table().Rows(allPositions(fork.Table().Len()))
+			order, _ := v.Ranking()
+			orders[i] = slices.Clone(order)
+			rows[i] = v.Table().Rows(allPositions(v.Table().Len()))
 		}()
 	}
 	wg.Wait()
 
-	if now := pageImage(ta.Table()); !slices.EqualFunc(now, image, func(a, b []uint64) bool { return slices.Equal(a, b) }) {
-		t.Fatal("a fork wrote a parent page")
+	if now := image(); !slices.EqualFunc(now, before, func(a, b []uint64) bool { return slices.Equal(a, b) }) {
+		t.Fatal("a member view wrote a shared page")
 	}
-	if order, _ := ta.Ranking(); !slices.Equal(order, parentOrder) {
-		t.Fatal("a fork changed the parent's rank order")
-	}
-	for f, view := range views {
-		if len(view) != len(parentRows)+pulls {
-			t.Fatalf("fork %d holds %d rows, want %d", f, len(view), len(parentRows)+pulls)
+	for i, view := range rows {
+		if len(view) != len(sharedRows)+pulls {
+			t.Fatalf("view %d holds %d rows, want %d", i, len(view), len(sharedRows)+pulls)
 		}
-		if !slices.EqualFunc(view[:len(parentRows)], parentRows, sameRow) {
-			t.Fatalf("fork %d does not see the parent's rows at the parent's positions", f)
+		if !slices.EqualFunc(view[:len(sharedRows)], sharedRows, sameRow) {
+			t.Fatalf("view %d does not see the shared rows at the shared positions", i)
 		}
-		if !slices.EqualFunc(view, views[0], sameRow) || !slices.Equal(orders[f], orders[0]) {
-			t.Fatalf("fork %d diverged from fork 0", f)
+		if !slices.EqualFunc(view, rows[0], sameRow) || !slices.Equal(orders[i], orders[0]) {
+			t.Fatalf("view %d diverged from view 0", i)
 		}
-		cands := slices.DeleteFunc(allPositions(len(view)), func(p int32) bool { return slices.Contains(parentOrder[:10], p) })
-		if !slices.Equal(orders[f][10:], rankedRef(view, cands)) {
-			t.Fatalf("fork %d: merged order differs from a full sort", f)
+		cands := slices.DeleteFunc(allPositions(len(view)), func(p int32) bool { return slices.Contains(result, p) })
+		if !slices.Equal(orders[i][cut:], rankedRef(view, cands)) {
+			t.Fatalf("view %d: merged order differs from a full sort", i)
 		}
 	}
-	ta.Release()
+	multi.Release()
 }
 
 // TestRadixRankIsCompareRank: sortRanked ranks exactly as the comparator

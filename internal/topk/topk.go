@@ -10,16 +10,11 @@
 //
 // Every encountered tuple lives in the run's candidate table (Table): a
 // row appended once into pooled pages and addressed by its position from
-// then on. Ranking, region computation and forks all work on positions;
-// a []Scored is built only where rows leave the scan.
+// then on. Ranking and region computation work on positions; a []Scored
+// is built only where rows leave the scan.
 //
-// A completed run can also be forked (Fork): each fork carries its own
-// cursor clones and encountered-set copy and reads the parent's rows in
-// place, appending its own pulls to pages of its own, so several region
-// computations (one per query dimension) can resume the scan
-// independently and concurrently without observing each other's pulls.
-// The View interface abstracts over the shared TA and its forks for that
-// purpose.
+// The View interface is what region computation reads and resumes: a TA,
+// or one member's view of a fused multi-query run (Multi.Member).
 package topk
 
 import (
@@ -72,8 +67,7 @@ type Scored struct {
 // run: the ranked result, the candidate rows with their rank order, and
 // a resumable scan. It is implemented by *TA itself (the paper-literal
 // shared scan, where later dimensions observe earlier dimensions'
-// Phase-3 pulls) and by *Fork (an isolated per-dimension scan for
-// deterministic parallel execution).
+// Phase-3 pulls) and by *MemberRun.
 type View interface {
 	Query() vec.Query
 	K() int
@@ -100,7 +94,8 @@ type View interface {
 
 // scanState is the resumable position of a TA scan over the inverted
 // lists: cursor positions, per-list consumption bookkeeping and the
-// encountered-tuple set. It is the part of a run that Fork duplicates.
+// encountered-tuple set. It is the part of a fused run that each member
+// view clones.
 type scanState struct {
 	ix     lists.Index
 	q      vec.Query
@@ -119,8 +114,7 @@ type scanState struct {
 	// ctx, when non-nil, is polled every ctxCheckStride sorted accesses;
 	// once it is cancelled, a random access fails or a posting names an id
 	// outside [0, n), the scan refuses further work and err records why.
-	// Forks inherit both fields, so cancelling the query stops every
-	// per-dimension continuation too. Cursors keep their own failures.
+	// Cursors keep their own failures.
 	ctx context.Context
 	err error
 }
@@ -132,7 +126,7 @@ const ctxCheckStride = 256
 
 // bitset is a fixed-size bit array over tuple ids. One bit per tuple
 // keeps the per-query footprint at n/8 bytes — the encountered set is
-// cloned per Fork, so compactness matters at large n.
+// cloned per member view of a fused run, so compactness matters at large n.
 type bitset []uint64
 
 func (b bitset) test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -282,7 +276,7 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 }
 
 // run is a scan together with the rows it has encountered and their rank
-// order: what a TA and its Forks have in common.
+// order: what a TA and a member view of a fused run have in common.
 type run struct {
 	scanState
 	rows Table
@@ -290,14 +284,12 @@ type run struct {
 	// order ranks rows [0, len(order)): order[:cut] is R(q), frozen when
 	// the scan terminated, order[cut:] is C(q). Rows past len(order) —
 	// Resume's pulls — are ranked and merged in by the next Ranking call.
-	// A fork starts on its parent's array, capped so that its first merge
-	// moves it to one of its own.
 	order  []int32
 	cut    int
 	result []Scored // order[:cut], materialized once
 
 	tail []int32   // merge buffer: the newly ranked pulls
-	rank *ranker   // radix buffers; nil on a fork, which borrows them (sortRanked)
+	rank *ranker   // radix buffers; nil on a member view, which borrows them (sortRanked)
 	proj []float64 // the projection of the tuple being encountered
 
 	done, released bool
@@ -398,7 +390,7 @@ func (r *run) Ranking() (order []int32, cut int) {
 }
 
 // sortRanked ranks positions of the run's table with the run's radix
-// buffers — a fork borrows a pool's for the call — and the tail buffer
+// buffers — a member view borrows a pool's for the call — and the tail buffer
 // for merging.
 func (r *run) sortRanked(pos []int32) {
 	rk := r.rank
@@ -432,21 +424,6 @@ func (r *run) Resume() (int32, bool) {
 			pos, _, ok := r.encounter(p.ID)
 			return pos, ok
 		}
-	}
-}
-
-// fork returns an independent continuation of a terminated run. It only
-// reads r, so any number of forks may be taken concurrently.
-func (r *run) fork() run {
-	r.must("Fork")
-	return run{
-		scanState: r.scanState.clone(),
-		rows:      r.rows.share(&r.rows.score),
-		order:     r.order[:len(r.order):len(r.order)],
-		cut:       r.cut,
-		result:    r.result,
-		proj:      make([]float64, r.q.Len()),
-		done:      true,
 	}
 }
 
@@ -558,8 +535,7 @@ func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy, sc *sc
 }
 
 // Release returns the run's pages and scratch to their pools. The table,
-// its rank order and every Fork taken from the run are dead afterwards,
-// as is the TA itself; what was materialized (Result, Candidates, Rows)
+// its rank order and the TA itself are dead afterwards; what was materialized (Result, Candidates, Rows)
 // is a copy and survives. Releasing twice is a no-op.
 func (ta *TA) Release() {
 	if ta.sc == nil {
@@ -685,38 +661,6 @@ func (ta *TA) Resume() (int32, bool) {
 		if isNew {
 			return pos, true
 		}
-	}
-}
-
-// Fork returns an independent resumable view of the completed run: its
-// own cursor clones and encountered set, the parent's rows read in place
-// and its own pulls appended to pages of its own. Resuming a fork never
-// mutates the parent TA or any sibling fork, so one fork per query
-// dimension lets Phase 3 of each dimension pull down its lists
-// concurrently and deterministically (every fork sees exactly the
-// post-Run state, regardless of scheduling). Forked sorted accesses are
-// NOT reported to a SetTrace callback — the callback is not safe for
-// concurrent forks — so Fig. 2 traces only cover the shared scan.
-func (ta *TA) Fork() *Fork { return &Fork{ta.fork()} }
-
-// ForkView is Fork under the name region computation (core.Runner)
-// asks for its per-dimension isolation by.
-func (ta *TA) ForkView() *Fork { return ta.Fork() }
-
-// Fork is an isolated resumable continuation of a completed TA run; see
-// TA.Fork. It implements View.
-type Fork struct{ run }
-
-// Release hands the pages the fork's own pulls filled back to the pool
-// and releases its cursor clones; the fork is dead afterwards. The
-// parent's rows and cursors are untouched.
-func (f *Fork) Release() {
-	if !f.released {
-		for _, c := range f.cursors {
-			c.Release()
-		}
-		f.rows.release()
-		f.run = run{released: true}
 	}
 }
 

@@ -103,9 +103,6 @@ type EngineConfig struct {
 	// MaxConcurrent caps concurrently executing queries (0 = default
 	// 4×GOMAXPROCS, negative = unlimited).
 	MaxConcurrent int
-	// Parallelism fans one query's per-dimension region work over up to
-	// n goroutines (0 = paper-literal sequential).
-	Parallelism int
 	// CacheEntries / CacheBytes bound the immutable-region answer cache
 	// (0 = defaults; CacheEntries < 0 disables the cache).
 	CacheEntries int
@@ -121,7 +118,6 @@ type EngineConfig struct {
 func (c EngineConfig) internal() engine.Config {
 	return engine.Config{
 		MaxConcurrent:   c.MaxConcurrent,
-		Parallelism:     c.Parallelism,
 		CacheEntries:    c.CacheEntries,
 		CacheBytes:      c.CacheBytes,
 		VerifyChecksums: c.VerifyChecksums,
