@@ -56,14 +56,17 @@ loc:
 	@find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' -not -name '*_test.go' | xargs cat | wc -l
 
 # 10-second native-fuzz budget per target: the WAL frame decoder, the
-# crash-recovery scanner, the query validation gate and the shard route's
-# imposed result. The committed seed corpora under testdata/fuzz replay
-# in every plain `go test`.
+# crash-recovery scanner, the query validation gate, the shard route's
+# imposed result, and the tuple- and list-file openers with every read
+# their files then serve. The committed seed corpora under testdata/fuzz
+# replay in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzValidateQuery -fuzztime=10s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeImposed -fuzztime=10s ./internal/engine
+	$(GO) test -run='^$$' -fuzz=FuzzOpenTupleFile -fuzztime=10s ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzOpenListFile -fuzztime=10s ./internal/storage
 
 # Known-vulnerability report, never a gate: runs where the govulncheck
 # binary exists and prints a skip note where it does not (the build
@@ -86,10 +89,11 @@ vuln:
 # in garbage. BenchmarkColdStream is bench/'s cold-analyze workload in
 # process (ST n = 200 000, two clients, 400 requests an op, a quarter of
 # them φ = 2): its peak-live-MB is the live heap with the deepest query
-# in flight, and its rss-file-MB the file-backed part of the resident set
-# (the touched pages of the mapped tuple file, and the test binary), the
-# two things the server's resident set follows; a list file mapped again
-# shows up in the second. The two region-hit
+# in flight, its scan-pages-MB the candidate-table pages at their peak
+# (outside the heap on Linux), and its rss-file-MB the file-backed part
+# of the resident set (the touched pages of the mapped tuple file, and
+# the test binary), the three things the server's resident set follows;
+# a list file mapped again shows up in the last. The two region-hit
 # paths close it: a /topk served by a cached entry's containment test,
 # and a write checked against 64 cached certificates (its allocs/op is
 # the invalidation pass's garbage). The last line is the nommap build's

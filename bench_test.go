@@ -401,13 +401,20 @@ func (c *coldStream) next() (vec.Query, int) {
 // seam: ST n = 200 000 as irserver -wal serves it (a DiskIndex under an
 // empty Overlay, cache on), two closed-loop clients, one op = 200
 // requests from each. The streams run on across ops, so no query ever
-// repeats. Besides ns/op and B/op it reports the highest
-// /gc/heap/live:bytes a 1 ms poll saw — the live heap with the deepest
-// φ = 2 query in flight, which under GOGC = 100 is half the heap goal —
-// and, on Linux, RssFile at the end of the run: the file-backed part of
-// the resident set, the mapped tuple pages the queries touched plus the
-// test binary's text. Those two are what the server's resident set
-// follows; a list file mapped again would show up in the second.
+// repeats. Besides ns/op and B/op it reports:
+//   - peak-live-MB, the highest /gc/heap/live:bytes a 1 ms poll saw: the
+//     live heap with the deepest φ = 2 query in flight, which under
+//     GOGC = 100 is half the heap goal. On Linux it does not include the
+//     candidate tables' pages, which topk's page arena keeps outside the
+//     heap;
+//   - scan-pages-MB, the highest topk.PageBytes (the ir_scan_pages_bytes
+//     gauge) the same poll saw: those pages;
+//   - on Linux, rss-file-MB, RssFile at the end of the run: the
+//     file-backed part of the resident set, the mapped tuple pages the
+//     queries touched plus the test binary's text.
+//
+// Those three are what the server's resident set follows; a list file
+// mapped again would show up in the last.
 func BenchmarkColdStream(b *testing.B) {
 	st := dataset.GenerateST(dataset.STConfig{N: 200000, Seed: 1})
 	dir := b.TempDir()
@@ -427,6 +434,7 @@ func BenchmarkColdStream(b *testing.B) {
 
 	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	var peak uint64
+	var peakPages int64
 	stop, polled := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(polled)
@@ -439,6 +447,7 @@ func BenchmarkColdStream(b *testing.B) {
 			case <-tick.C:
 				metrics.Read(live)
 				peak = max(peak, live[0].Value.Uint64())
+				peakPages = max(peakPages, topk.PageBytes())
 			}
 		}
 	}()
@@ -467,6 +476,7 @@ func BenchmarkColdStream(b *testing.B) {
 	close(stop)
 	<-polled
 	b.ReportMetric(float64(peak)/(1<<20), "peak-live-MB")
+	b.ReportMetric(float64(peakPages)/(1<<20), "scan-pages-MB")
 	if runtime.GOOS == "linux" {
 		b.ReportMetric(obs.ProcStatusBytes("RssFile")/(1<<20), "rss-file-MB")
 	}

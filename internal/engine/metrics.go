@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/topk"
 )
 
 var (
@@ -47,6 +48,9 @@ var (
 		"candidate lines this shard's envelope-path round-2 computations selected their reply from (what an unpruned reply would carry)")
 	mShardLinesShipped = obs.NewCounter("ir_shard_lines_shipped_total",
 		"candidate lines this shard shipped to a coordinator in round-2 replies: those that reach the imposed result's k-th envelope somewhere in the weight domain")
+	_ = obs.NewGaugeFunc("ir_scan_pages_bytes",
+		"bytes of candidate-table pages the process keeps: those held by running scans plus, on Linux, where they live outside the Go heap, idle ones not yet handed back to the kernel",
+		func() float64 { return float64(topk.PageBytes()) })
 )
 
 // Timings is the engine envelope around one query, complementing the

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/vec"
@@ -108,6 +111,51 @@ func TestOpenRejectsTinyFiles(t *testing.T) {
 	}
 	if err := VerifyChecksum(path); err == nil {
 		t.Error("8-byte file passed checksum verification")
+	}
+}
+
+// hugeCountFile is the smallest file an opener gets past its trailer
+// check with: magic, a count of entries, m = 4 and the 16-byte trailer,
+// 32 bytes in all — no room for a single offset or directory entry.
+func hugeCountFile(magic [8]byte, count uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(append([]byte{}, magic[:]...), count)
+	b = binary.LittleEndian.AppendUint32(b, 4)
+	return append(append(b, crcMagic[:]...), make([]byte, 8)...)
+}
+
+// TestOpenRejectsHugeCounts: a header count the file has no room for
+// fails the open before anything is sized by it — a 32-byte file that
+// claimed 2³²−1 tuples or lists used to end the process out of memory.
+// It runs on the mapped build and, under -tags nommap, on the pread one.
+func TestOpenRejectsHugeCounts(t *testing.T) {
+	dir := t.TempDir()
+	openTuples := func(p string) error { _, err := OpenTupleFile(p, &IOStats{}, 8); return err }
+	openLists := func(p string) error { _, err := OpenListFile(p, &IOStats{}, 0); return err }
+	for _, c := range []struct {
+		name  string
+		magic [8]byte
+		count uint32
+		open  func(string) error
+	}{
+		{"tuples-max", tupleMagic, math.MaxUint32, openTuples},
+		{"tuples-one", tupleMagic, 1, openTuples},
+		{"lists-max", listMagic, math.MaxUint32, openLists},
+		{"lists-one", listMagic, 1, openLists},
+	} {
+		path := filepath.Join(dir, c.name+".dat")
+		if err := os.WriteFile(path, hugeCountFile(c.magic, c.count), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.open(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a 32-byte file claiming %d entries opened", c.name, c.count)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("%s: failing the open allocated %d B", c.name, got)
+		}
 	}
 }
 

@@ -124,7 +124,8 @@ func OpenListFile(path string, stats *IOStats, poolPages int) (*ListFile, error)
 		return nil, err
 	}
 	lf := &ListFile{pager: pager, stats: stats}
-	if _, err := dataEnd(pager, path); err != nil {
+	end, err := dataEnd(pager, path)
+	if err != nil {
 		pager.Close()
 		return nil, err
 	}
@@ -139,12 +140,18 @@ func OpenListFile(path string, stats *IOStats, poolPages int) (*ListFile, error)
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	lf.m = int(binary.LittleEndian.Uint32(hdr[12:16]))
-	lf.dir = make(map[int]listExtent, n)
+	// The count comes from the file: it is held to what the payload can
+	// hold before it sizes anything.
+	if int64(n) > (end-16)/16 {
+		pager.Close()
+		return nil, fmt.Errorf("storage: %s claims %d lists, more directory entries than its %d bytes hold", path, n, end)
+	}
 	dirRaw, err := pager.header(16, 16*n)
 	if err != nil {
 		pager.Close()
 		return nil, err
 	}
+	lf.dir = make(map[int]listExtent, n)
 	for i := 0; i < n; i++ {
 		base := 16 * i
 		dim := int(binary.LittleEndian.Uint32(dirRaw[base : base+4]))

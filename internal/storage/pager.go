@@ -81,7 +81,7 @@ func (p *Pager) Mapped() bool { return p.mapped != nil }
 // then use ReadRange. The slice is valid until Close — callers must
 // decode out of it, not retain it.
 func (p *Pager) Slice(off int64, n int) ([]byte, bool) {
-	if p.mapped == nil || off < 0 || n < 0 || off+int64(n) > p.size {
+	if p.mapped == nil || !p.within(off, int64(n)) {
 		return nil, false
 	}
 	return p.mapped[off : off+int64(n) : off+int64(n)], true
@@ -91,18 +91,28 @@ func (p *Pager) Slice(off int64, n int) ([]byte, bool) {
 // pool. A range past the size the file had at open is refused; a file
 // cut short since then fails with the read's io.EOF.
 func (p *Pager) readAt(off int64, dst []byte) error {
-	if off < 0 || off+int64(len(dst)) > p.size {
+	if !p.within(off, int64(len(dst))) {
 		return fmt.Errorf("storage: read [%d,%d) beyond file size %d", off, off+int64(len(dst)), p.size)
 	}
 	_, err := p.f.ReadAt(dst, off)
 	return err
 }
 
+// within reports whether [off, off+n) lies inside the file as it was at
+// open, without overflowing on offsets a corrupt file supplies.
+func (p *Pager) within(off, n int64) bool {
+	return off >= 0 && n >= 0 && off <= p.size && n <= p.size-off
+}
+
 // header returns the bytes [off, off+n) for an opener to decode its
 // tables from: a view of the mapping when the file is mapped (so opening
 // a generation copies nothing but the decoded tables), else a copy read
-// once, past the pool.
+// once, past the pool. n comes from the file, so the range is checked
+// before anything is sized by it.
 func (p *Pager) header(off int64, n int) ([]byte, error) {
+	if !p.within(off, int64(n)) {
+		return nil, fmt.Errorf("storage: header [%d,%d) beyond file size %d", off, off+int64(n), p.size)
+	}
 	if raw, ok := p.Slice(off, n); ok {
 		return raw, nil
 	}
@@ -118,7 +128,7 @@ func (p *Pager) header(off int64, n int) ([]byte, error) {
 // the whole extent in the resident set. fn must be done with a piece
 // when it returns.
 func (p *Pager) stream(off int64, n int, buf []byte, fn func(raw []byte)) error {
-	if off < 0 || n < 0 || off+int64(n) > p.size {
+	if !p.within(off, int64(n)) {
 		return fmt.Errorf("storage: read [%d,%d) beyond file size %d", off, off+int64(n), p.size)
 	}
 	if len(buf) == 0 && n > 0 {
@@ -168,7 +178,7 @@ func (p *Pager) page(no int64) ([]byte, bool, error) {
 // ReadRange fills dst from the file starting at off, through the buffer
 // pool. It returns the number of pool misses (pages physically fetched).
 func (p *Pager) ReadRange(off int64, dst []byte) (misses int, err error) {
-	if off < 0 || off+int64(len(dst)) > p.size {
+	if !p.within(off, int64(len(dst))) {
 		return 0, fmt.Errorf("storage: read [%d,%d) beyond file size %d", off, off+int64(len(dst)), p.size)
 	}
 	done := 0

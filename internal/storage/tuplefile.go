@@ -111,6 +111,10 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 		return nil, err
 	}
 	tf := &TupleFile{pager: pager, stats: stats}
+	if tf.end, err = dataEnd(pager, path); err != nil {
+		pager.Close()
+		return nil, err
+	}
 	hdr, err := pager.header(0, 16)
 	if err != nil {
 		pager.Close()
@@ -122,6 +126,12 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
 	tf.m = int(binary.LittleEndian.Uint32(hdr[12:16]))
+	// The count comes from the file: it is held to what the payload can
+	// hold before it sizes anything.
+	if int64(n) > (tf.end-16)/8 {
+		pager.Close()
+		return nil, fmt.Errorf("storage: %s claims %d tuples, more offsets than its %d bytes hold", path, n, tf.end)
+	}
 	offRaw, err := pager.header(16, 8*n)
 	if err != nil {
 		pager.Close()
@@ -130,10 +140,6 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 	tf.offsets = make([]int64, n)
 	for i := 0; i < n; i++ {
 		tf.offsets[i] = int64(binary.LittleEndian.Uint64(offRaw[8*i:]))
-	}
-	if tf.end, err = dataEnd(pager, path); err != nil {
-		pager.Close()
-		return nil, err
 	}
 	return tf, nil
 }
@@ -236,7 +242,7 @@ func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error
 	off, size := tf.span(id)
 	raw, zeroCopy := tf.pager.Slice(off, size)
 	if !zeroCopy {
-		if size < 0 || off < 0 || off+int64(size) > tf.pager.Size() {
+		if !tf.pager.within(off, int64(size)) {
 			// Checked before the buffer is made: a corrupt offsets table
 			// must fail the read, not size an allocation.
 			return nil, 0, fmt.Errorf("storage: tuple %d corrupt (record [%d,%d) outside the file)", id, off, off+int64(size))
@@ -251,6 +257,9 @@ func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error
 		if zeroCopy {
 			st.AddBypass(1)
 		}
+	}
+	if len(raw) < 4 {
+		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (%d-byte record)", id, len(raw))
 	}
 	nnz = int(binary.LittleEndian.Uint32(raw[0:4]))
 	if 4+12*nnz > len(raw) {
@@ -288,9 +297,8 @@ func (tf *TupleFile) Prefetch(ids []int32) uint64 {
 			if id < 0 || int(id) >= len(tf.offsets) {
 				continue
 			}
-			off, size := tf.span(int(id))
-			if end := off + int64(size); size > 0 && off >= 0 && end <= int64(len(mapped)) {
-				offs[n], ends[n] = off, end
+			if off, size := tf.span(int(id)); size > 0 && tf.pager.within(off, int64(size)) {
+				offs[n], ends[n] = off, off+int64(size)
 				n++
 			}
 		}

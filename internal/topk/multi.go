@@ -26,6 +26,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"repro/internal/lists"
@@ -82,7 +83,7 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 	if cap(sc.scores) < len(queries) {
 		sc.scores = append(sc.scores[:cap(sc.scores)], make([]column, len(queries)-cap(sc.scores))...)
 	}
-	return &Multi{
+	m := &Multi{
 		// Steering weights: probing the list maximizing wmax_j·t_j
 		// drains every member's threshold fastest; the scan's q is
 		// never used for scoring or projection beyond its Dims.
@@ -95,6 +96,8 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 		heaps:   make([][]float64, len(queries)),
 		memDone: make([]bool, len(queries)),
 	}
+	runtime.SetFinalizer(m, (*Multi).Release) // as for TA
+	return m
 }
 
 // Release returns the shared scan's pages and scratch to their pools.
@@ -105,6 +108,7 @@ func (m *Multi) Release() {
 	if m.sc == nil {
 		return
 	}
+	runtime.SetFinalizer(m, nil)
 	sc := m.sc
 	m.rows.release()
 	for i := range m.scores {
@@ -262,13 +266,14 @@ func (m *Multi) Result(i int) []Scored {
 // set legitimately differs from a solo scan's.
 func (m *Multi) Member(i int) *MemberRun {
 	m.mustBeDone("Member")
-	r := &MemberRun{run{
+	r := &MemberRun{run: run{
 		scanState: m.scan.clone(),
 		rows:      m.view(i),
 		proj:      make([]float64, m.scan.q.Len()),
-	}}
+	}, fused: m}
 	r.q = m.queries[i]
 	r.finish()
+	runtime.SetFinalizer(r, (*MemberRun).Release) // as for TA
 	return r
 }
 
@@ -285,18 +290,22 @@ func (m *Multi) mustBeDone(op string) {
 // the shared scan with the member's query substituted. It implements View
 // (and core.Runner): the scan is already terminated, so RunContext only
 // arms the context and reports the scan's error.
-type MemberRun struct{ run }
+type MemberRun struct {
+	run
+	fused *Multi // keeps the shared pages' owner from being finalized under the view
+}
 
 // Release hands the pages the view's own pulls filled back to the pool
 // and releases its cursor clones; the view is dead afterwards. The
 // shared rows and the fused run's cursors are untouched.
 func (r *MemberRun) Release() {
 	if !r.released {
+		runtime.SetFinalizer(r, nil)
 		for _, c := range r.cursors {
 			c.Release()
 		}
 		r.rows.release()
-		r.run = run{released: true}
+		r.run, r.fused = run{released: true}, nil
 	}
 }
 

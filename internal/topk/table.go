@@ -10,18 +10,18 @@ import (
 
 // A page is the unit every column of every candidate table grows by:
 // 8192 eight-byte words. Pages are pointer-free, all alike and never
-// resized, so an idle one serves any column of any later scan — or is
-// dropped by the collector at no cost to anyone: nothing is ever copied
-// out of a page to make room.
+// resized, so an idle one serves any column of any later scan — or goes
+// back to the system at no cost to anyone: nothing is ever copied out of
+// a page to make room. getPage and putPage take and return them (see
+// arena_linux.go and arena_heap.go).
 const (
 	pageShift = 13
 	pageRows  = 1 << pageShift
 	pageMask  = pageRows - 1
+	pageBytes = 8 * pageRows
 )
 
 type page [pageRows]uint64
-
-var pagePool = sync.Pool{New: func() any { return new(page) }}
 
 // column holds one attribute of a table's rows, row p at
 // pages[p>>pageShift][p&pageMask]. pages[:own] were drawn by another
@@ -47,7 +47,7 @@ func (c *column) put(p int32, v uint64) {
 // append lands in a page another table owns — a private copy of the rows
 // that page already holds, so the owner's page is never written.
 func (c *column) grow(i, used int) {
-	pg := pagePool.Get().(*page)
+	pg := getPage()
 	if i == len(c.pages) {
 		c.pages = append(c.pages, pg)
 		return
@@ -63,7 +63,7 @@ func (c *column) share() column {
 	return column{pages: slices.Clone(c.pages), own: len(c.pages)}
 }
 
-// release hands the column's own pages back to the pool and empties it,
+// release hands the column's own pages back and empties it,
 // keeping the directory's capacity for the next scan.
 func (c *column) release() {
 	poison := poisonScratch.Load()
@@ -73,7 +73,7 @@ func (c *column) release() {
 				pg[i] = ^uint64(0) // id -1, NaN score and coordinate, full mask
 			}
 		}
-		pagePool.Put(pg)
+		putPage(pg)
 	}
 	clear(c.pages)
 	c.pages, c.own = c.pages[:0], 0
@@ -82,7 +82,7 @@ func (c *column) release() {
 // Table is the candidate table of one scan: the only home of an
 // encountered tuple. A row — id, score, partition mask and the qlen
 // query-subspace coordinates — is appended once, column by column, into
-// pages from the shared pool, and is addressed ever after by its
+// pages every scan draws from, and is addressed ever after by its
 // position, which never changes: rows are not moved to grow the table,
 // to rank it, or to share it. Ranking orders positions, not rows (see
 // ranking). A table taken with share reads its parent's pages and writes
@@ -128,7 +128,7 @@ func (t *Table) share(score *column) Table {
 	return cp
 }
 
-// release returns the table's own pages to the pool; its rows are dead.
+// release hands the table's own pages back; its rows are dead.
 func (t *Table) release() {
 	t.id.release()
 	t.score.release()

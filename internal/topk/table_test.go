@@ -41,11 +41,12 @@ func exhaust(v interface{ Resume() (int32, bool) }) {
 }
 
 // TestScanAllocatesLinearly: from cold pools, a scan that encounters E
-// tuples allocates its rows once — at most 1.25 × E × row bytes, plus one
-// page of slack per column — because a page is never copied to grow.
-// (Contiguous slices grown by append allocate about five times the final
-// size on the way there.) The bound covers everything the run allocates
-// besides: the rank order, the bitset, cursors, the result.
+// tuples allocates its rows once — heap bytes plus the arena pages it
+// draws come to at most 1.25 × E × row bytes, plus one page of slack per
+// column — because a page is never copied to grow. (Contiguous slices
+// grown by append allocate about five times the final size on the way
+// there.) The bound covers everything the run allocates besides: the
+// rank order, the bitset, cursors, the result.
 func TestScanAllocatesLinearly(t *testing.T) {
 	const n, qlen, k = 50_000, 4, 10
 	tuples, q := denseCase(rand.New(rand.NewSource(31)), n, qlen, 1<<20)
@@ -60,6 +61,7 @@ func TestScanAllocatesLinearly(t *testing.T) {
 	exhaust(ta)
 	order, cut := ta.Ranking()
 	runtime.ReadMemStats(&after)
+	drawn := offHeapPages(ta.Table())
 	if ta.Table().Len() != n || len(order) != n || cut != k {
 		t.Fatalf("scan holds %d rows, ranks %d, cut %d; want %d, %d, %d", ta.Table().Len(), len(order), cut, n, n, k)
 	}
@@ -67,8 +69,8 @@ func TestScanAllocatesLinearly(t *testing.T) {
 
 	const columns = 3 + qlen // id, score, mask, coordinates
 	rowBytes := 8 * columns
-	bound := uint64(1.25*float64(n*rowBytes)) + columns*8*pageRows
-	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+	bound := uint64(1.25*float64(n*rowBytes)) + columns*pageBytes
+	if got := after.TotalAlloc - before.TotalAlloc + uint64(drawn*pageBytes); got > bound {
 		t.Fatalf("scan of %d rows × %d B allocated %d B, bound %d", n, rowBytes, got, bound)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"repro/internal/lists"
@@ -429,8 +430,9 @@ func (r *run) Resume() (int32, bool) {
 
 // TA is a resumable threshold-algorithm run. Its scan state, table
 // directories and rank order live in a pooled scratch and its rows in
-// pooled pages: Release recycles both, and a TA that is never released
-// simply leaves them to the garbage collector.
+// table pages: Release recycles both. A TA that is never released is
+// released by a finalizer once the collector finds it unreachable — the
+// pages are not heap objects, so nothing else would take them back.
 type TA struct {
 	run
 	sc        *scratch  // nil once released
@@ -500,7 +502,7 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 	if sc.rank == nil {
 		sc.rank = new(ranker)
 	}
-	return &TA{
+	ta := &TA{
 		run: run{
 			scanState: newScanState(ix, q, k, policy, sc),
 			rows:      sc.rows,
@@ -512,6 +514,8 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 		sc:        sc,
 		topScores: sc.heap,
 	}
+	runtime.SetFinalizer(ta, (*TA).Release)
+	return ta
 }
 
 // newScanState opens the query's cursors over the scratch's per-list
@@ -541,6 +545,7 @@ func (ta *TA) Release() {
 	if ta.sc == nil {
 		return
 	}
+	runtime.SetFinalizer(ta, nil)
 	sc := ta.sc
 	ta.rows.release()
 	// The directories and lists may have been regrown; keep the larger arrays.
