@@ -57,9 +57,9 @@ loc:
 
 # 10-second native-fuzz budget per target: the WAL frame decoder, the
 # crash-recovery scanner, the query validation gate, the shard route's
-# imposed result, and the tuple- and list-file openers with every read
-# their files then serve. The committed seed corpora under testdata/fuzz
-# replay in every plain `go test`.
+# imposed result, the tuple- and list-file openers with every read
+# their files then serve, and the shard manifest loader. The committed
+# seed corpora under testdata/fuzz replay in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzReplay -fuzztime=10s ./internal/wal
@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeImposed -fuzztime=10s ./internal/engine
 	$(GO) test -run='^$$' -fuzz=FuzzOpenTupleFile -fuzztime=10s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzOpenListFile -fuzztime=10s ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzLoadManifest -fuzztime=10s ./internal/shard
 
 # Known-vulnerability report, never a gate: runs where the govulncheck
 # binary exists and prints a skip note where it does not (the build

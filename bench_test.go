@@ -410,8 +410,10 @@ func (c *coldStream) next() (vec.Query, int) {
 //   - scan-pages-MB, the highest topk.PageBytes (the ir_scan_pages_bytes
 //     gauge) the same poll saw: those pages;
 //   - on Linux, rss-file-MB, RssFile at the end of the run: the
-//     file-backed part of the resident set, the mapped tuple pages the
-//     queries touched plus the test binary's text.
+//     file-backed part of the resident set, mostly the mapped tuple file
+//     (ST's records are dense, 164 B each: 34 MB, nearly all of it
+//     resident, as the kernel maps large folios per fault) plus the
+//     test binary's text.
 //
 // Those three are what the server's resident set follows; a list file
 // mapped again would show up in the last.

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -129,13 +130,25 @@ func main() {
 		saved.Build = max(saved.Build, times[i].Build)
 		saved.Write = max(saved.Write, times[i].Write)
 	}
-	written := filepath.Join(*out, "tuples.dat") + ", " + filepath.Join(*out, "lists.dat")
+	var files []string
+	for _, dir := range dirs {
+		files = append(files, filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat"))
+	}
 	if *shards > 1 {
 		mp := filepath.Join(*out, "shards.json")
 		if err := shard.WriteManifest(mp, shard.Manifest{Shards: *shards, N: d.N(), M: d.M, Bases: bases}); err != nil {
 			fatal(err)
 		}
-		written = fmt.Sprintf("%d shard dirs under %s, %s", *shards, *out, mp)
+		files = append(files, mp)
+	}
+	// Each file with its size, so a format change shows in the output.
+	written := make([]string, len(files))
+	for i, f := range files {
+		info, err := os.Stat(f)
+		if err != nil {
+			fatal(err)
+		}
+		written[i] = fmt.Sprintf("%s (%d B)", f, info.Size())
 	}
 
 	st := <-statsDone
@@ -144,7 +157,7 @@ func main() {
 	fmt.Printf("postings  : %d  (mean nnz %.1f)\n", st.Postings, st.MeanNNZ)
 	fmt.Printf("lists     : max %d, median %d, gini %.2f\n", st.MaxListLen, st.MedListLen, st.GiniListLen)
 	fmt.Printf("pair corr : %.3f\n", st.MeanPairCorr)
-	fmt.Printf("written   : %s\n", written)
+	fmt.Printf("written   : %s\n", strings.Join(written, ", "))
 	fmt.Printf("timing    : generate %d ms, build %d ms, write %d ms, stats %d ms (beside the save), total %d ms\n",
 		generated.Milliseconds(), saved.Build.Milliseconds(), saved.Write.Milliseconds(), st.took.Milliseconds(), time.Since(start).Milliseconds())
 }

@@ -222,9 +222,38 @@ func TestDurableRecoveryPropertyTruncation(t *testing.T) {
 // file generation that (a) answers identically, (b) passes full
 // checksum verification, (c) truncates the log, and (d) reopens — both
 // writable and read-only — to the same answers with nothing to replay.
+// It runs over mostly sparse tuples and over dense ones (every dimension
+// set), so both record encodings go through the checkpoint's raw copy.
 func TestCheckpointEquivalence(t *testing.T) {
+	t.Run("sparse", func(t *testing.T) { checkpointEquivalence(t, false) })
+	t.Run("dense", func(t *testing.T) { checkpointEquivalence(t, true) })
+}
+
+// fillDims sets every dimension of [0,m) that t lacks to a small
+// non-zero value, so t's tuple-file record is dense.
+func fillDims(rng *rand.Rand, t vec.Sparse, m int) vec.Sparse {
+	out := make(vec.Sparse, 0, m)
+	for d, i := 0, 0; d < m; d++ {
+		if i < len(t) && t[i].Dim == d {
+			out = append(out, t[i])
+			i++
+		} else {
+			out = append(out, vec.Entry{Dim: d, Val: 0.01 + 0.04*rng.Float64()})
+		}
+	}
+	return out
+}
+
+func checkpointEquivalence(t *testing.T, full bool) {
 	rng := rand.New(rand.NewSource(515))
 	cs := fixture.RandCase(rng, 50, 5, 3, 2)
+	opTuple := func() vec.Sparse { return randOpTuple(rng, cs.M) }
+	if full {
+		for i, tu := range cs.Tuples {
+			cs.Tuples[i] = fillDims(rng, tu, cs.M)
+		}
+		opTuple = func() vec.Sparse { return fillDims(rng, randOpTuple(rng, cs.M), cs.M) }
+	}
 	dir := t.TempDir()
 	saveDir(t, dir, cs.Tuples, cs.M)
 
@@ -238,7 +267,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	for b := 0; b < 3; b++ {
 		var ops []Op
 		for j := 0; j < 4; j++ {
-			tu := randOpTuple(rng, cs.M)
+			tu := opTuple()
 			if rng.Intn(2) == 0 && shadow[j] != nil {
 				ops = append(ops, Op{Kind: OpUpdate, ID: j, Tuple: tu})
 				shadow[j] = tu
@@ -283,7 +312,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 	// writes keep working on the new generation.
 	fresh := memEngine(cloneTuples(shadow), cs.M, Config{CacheEntries: -1})
 	assertSameAnswers(t, eng, fresh, cs.Q, cs.K, opts)
-	post := randOpTuple(rng, cs.M)
+	post := opTuple()
 	mustApply(t, eng, Op{Kind: OpInsert, Tuple: post})
 	shadow = append(shadow, post)
 	fresh = memEngine(cloneTuples(shadow), cs.M, Config{CacheEntries: -1})

@@ -81,10 +81,26 @@ func awkwardTuples(rng *rand.Rand, n, m int) []vec.Sparse {
 	return tuples
 }
 
+// storable drops the entries a tuple file refuses (values outside
+// (0, 1]) from awkward tuples: the list build orders every float, the
+// files hold only what the data model admits.
+func storable(tuples []vec.Sparse) []vec.Sparse {
+	out := make([]vec.Sparse, len(tuples))
+	for id, t := range tuples {
+		for _, e := range t {
+			if e.Val > 0 && e.Val <= 1 {
+				out[id] = append(out[id], e)
+			}
+		}
+	}
+	return out
+}
+
 // TestBulkOrderMatchesComparator: the kernel's list order is the
 // comparator's, in all three of its outputs, whatever the list length
 // (both sides of radixCutover) and whatever the worker count; and the
-// files it writes do not depend on the worker count.
+// files it writes (of the storable entries) do not depend on the worker
+// count.
 func TestBulkOrderMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 12; trial++ {
@@ -113,6 +129,8 @@ func TestBulkOrderMatchesComparator(t *testing.T) {
 		}
 
 		dir := t.TempDir()
+		tuples = storable(tuples)
+		ref = referencePostings(tuples)
 		var files [2][2][]byte
 		for wi, workers := range []int{1, 5} {
 			tp, lp := filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat")
@@ -179,7 +197,7 @@ func TestSaveDatasetLeavesNoDebris(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full on this platform")
 	}
-	tuples := awkwardTuples(rand.New(rand.NewSource(3)), 50, 6)
+	tuples := storable(awkwardTuples(rand.New(rand.NewSource(3)), 50, 6))
 	good := t.TempDir()
 	if err := SaveDataset(filepath.Join(good, "t.dat"), filepath.Join(good, "l.dat"), tuples, 6); err != nil {
 		t.Fatal(err)

@@ -208,20 +208,20 @@ func (ix *MemIndex) Cursor(dim int) Cursor {
 // Tuple fetches a tuple, charging one random read.
 func (ix *MemIndex) Tuple(id int) vec.Sparse {
 	t := ix.tuples[id]
-	ix.stats.AddRandRead(4 + 12*len(t))
+	ix.stats.AddRandRead(storage.RecordBytes(len(t), ix.m))
 	return t
 }
 
 // Project charges Tuple's random read and projects from memory.
 func (ix *MemIndex) Project(id int, dims []int, dst []float64) error {
-	projectMem(ix.tuples[id], dims, dst, ix.stats)
+	projectMem(ix.tuples[id], ix.m, dims, dst, ix.stats)
 	return nil
 }
 
-// projectMem is Project over a memory-resident tuple, charged like a
-// record of the same length on disk.
-func projectMem(t vec.Sparse, dims []int, dst []float64, st *storage.IOStats) {
-	st.AddRandRead(4 + 12*len(t))
+// projectMem is Project over a memory-resident tuple, charged like its
+// record in a tuple file of dimensionality m.
+func projectMem(t vec.Sparse, m int, dims []int, dst []float64, st *storage.IOStats) {
+	st.AddRandRead(storage.RecordBytes(len(t), m))
 	vec.Query{Dims: dims}.ProjectInto(t, dst)
 }
 
@@ -407,7 +407,8 @@ func (d *diskCursor) Clone() Cursor {
 // listPath in the storage formats. It is the bulk-load path: irgen and
 // shard builds come through here (a checkpoint, whose lists are already
 // sorted, merges instead: SaveIndex). The output depends on the tuples
-// alone, not on the worker count.
+// alone, not on the worker count. A tuple the tuple file cannot hold
+// (see storage.TupleSink.Tuple) fails the save and leaves neither file.
 func SaveDataset(tuplePath, listPath string, tuples []vec.Sparse, m int) error {
 	_, err := SaveDatasetTimed(tuplePath, listPath, tuples, m)
 	return err

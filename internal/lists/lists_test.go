@@ -3,6 +3,8 @@ package lists
 import (
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/fixture"
@@ -60,16 +62,49 @@ func TestMemIndexBasics(t *testing.T) {
 	}
 }
 
+// shapedTuples draws n tuples over m dimensions, each with between lo
+// and hi entries (of at most m) at random dimensions: ST-shaped when
+// nearly every dimension is set, WSJ-shaped when few of many are.
+func shapedTuples(rng *rand.Rand, n, m, lo, hi int) []vec.Sparse {
+	tuples := make([]vec.Sparse, n)
+	for i := range tuples {
+		entries := make([]vec.Entry, lo+rng.Intn(hi-lo+1))
+		for j, d := range rng.Perm(m)[:len(entries)] {
+			entries[j] = vec.Entry{Dim: d, Val: 1 - rng.Float64()}
+		}
+		tuples[i] = vec.MustSparse(entries...)
+	}
+	return tuples
+}
+
 // TestDiskIndexMatchesMemIndex: the two implementations must agree on
-// every list and every tuple.
+// every list, every tuple and every projection, and charge the same
+// logical work for them — bytes read included, so the memory index and
+// an overlay's own tuples charge what the disk record costs — over
+// mixed, ST-shaped (dense records) and WSJ-shaped (sparse records)
+// tuples.
 func TestDiskIndexMatchesMemIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	cs := fixture.RandCase(rng, 300, 10, 4, 5)
-	mem := NewMemIndex(cs.Tuples, cs.M)
+	mixed := fixture.RandCase(rng, 300, 10, 4, 5)
+	for _, c := range []struct {
+		name   string
+		tuples []vec.Sparse
+		m      int
+	}{
+		{"mixed", mixed.Tuples, mixed.M},
+		{"st", shapedTuples(rng, 300, 20, 15, 20), 20},
+		{"wsj", shapedTuples(rng, 300, 3000, 20, 100), 3000},
+	} {
+		t.Run(c.name, func(t *testing.T) { diskMatchesMem(t, rng, c.tuples, c.m) })
+	}
+}
+
+func diskMatchesMem(t *testing.T, rng *rand.Rand, tuples []vec.Sparse, m int) {
+	mem := NewMemIndex(tuples, m)
 
 	dir := t.TempDir()
 	tp, lp := filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat")
-	if err := SaveDataset(tp, lp, cs.Tuples, cs.M); err != nil {
+	if err := SaveDataset(tp, lp, tuples, m); err != nil {
 		t.Fatal(err)
 	}
 	disk, err := OpenDiskIndex(tp, lp, 16)
@@ -81,7 +116,7 @@ func TestDiskIndexMatchesMemIndex(t *testing.T) {
 	if disk.NumTuples() != mem.NumTuples() || disk.Dim() != mem.Dim() {
 		t.Fatalf("disk n=%d m=%d, mem n=%d m=%d", disk.NumTuples(), disk.Dim(), mem.NumTuples(), mem.Dim())
 	}
-	for d := 0; d < cs.M; d++ {
+	for d := 0; d < m; d++ {
 		if disk.ListLen(d) != mem.ListLen(d) {
 			t.Fatalf("dim %d: disk len %d, mem len %d", d, disk.ListLen(d), mem.ListLen(d))
 		}
@@ -100,20 +135,40 @@ func TestDiskIndexMatchesMemIndex(t *testing.T) {
 			}
 		}
 	}
-	for id := 0; id < disk.NumTuples(); id++ {
-		dt, mt := disk.Tuple(id), mem.Tuple(id)
-		if len(dt) != len(mt) {
-			t.Fatalf("tuple %d nnz mismatch", id)
+	// The random accesses, also through an overlay that holds every tuple
+	// as an insert, each charging a meter of its own.
+	ov := NewOverlay(NewMemIndex(nil, m))
+	for _, tu := range tuples {
+		if _, err := ov.Insert(tu); err != nil {
+			t.Fatal(err)
 		}
-		for i := range mt {
-			if dt[i] != mt[i] {
-				t.Fatalf("tuple %d entry %d: %v vs %v", id, i, dt[i], mt[i])
+	}
+	var meters [3]storage.IOStats
+	ixs := []Index{disk.WithStats(&meters[0]), mem.WithStats(&meters[1]), ov.WithStats(&meters[2])}
+	for id := range tuples {
+		dims := rng.Perm(m)[:1+rng.Intn(min(m, 8))]
+		sort.Ints(dims)
+		want := vec.Query{Dims: dims}.Project(tuples[id])
+		for i, ix := range ixs {
+			if tu := ix.Tuple(id); !slices.Equal(tu, tuples[id]) {
+				t.Fatalf("index %d tuple %d: %v, want %v", i, id, tu, tuples[id])
+			}
+			got := make([]float64, len(dims))
+			if err := ix.Project(id, dims, got); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("index %d tuple %d on %v: projected %v, want %v", i, id, dims, got, want)
 			}
 		}
 	}
-	// Both meters must have counted the same logical work, on every build.
-	if disk.Stats().RandReads() != mem.Stats().RandReads() {
-		t.Fatalf("random reads: disk %d, mem %d", disk.Stats().RandReads(), mem.Stats().RandReads())
+	// Every meter must have counted the same logical work, bytes included,
+	// on every build.
+	for i := range meters {
+		seq, rnd, bytes := meters[i].Snapshot()
+		if wseq, wrnd, wbytes := meters[0].Snapshot(); seq != wseq || rnd != wrnd || bytes != wbytes {
+			t.Fatalf("index %d charged %d pages, %d reads, %d bytes; the disk index %d, %d, %d", i, seq, rnd, bytes, wseq, wrnd, wbytes)
+		}
 	}
 	if disk.Stats().SeqPages() != mem.Stats().SeqPages() || mem.Stats().SeqPages() == 0 {
 		t.Fatalf("sequential pages: disk %d, mem %d", disk.Stats().SeqPages(), mem.Stats().SeqPages())

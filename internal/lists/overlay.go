@@ -116,11 +116,11 @@ func (ov *Overlay) WithStats(st *storage.IOStats) Index {
 func (ov *Overlay) Tuple(id int) vec.Sparse {
 	if id >= ov.baseN {
 		t := ov.added[id-ov.baseN]
-		ov.stats.AddRandRead(4 + 12*len(t))
+		ov.stats.AddRandRead(storage.RecordBytes(len(t), ov.m))
 		return t
 	}
 	if e, ok := ov.over[id]; ok {
-		ov.stats.AddRandRead(4 + 12*len(e.t))
+		ov.stats.AddRandRead(storage.RecordBytes(len(e.t), ov.m))
 		return e.t
 	}
 	return ov.base.Tuple(id)
@@ -130,9 +130,9 @@ func (ov *Overlay) Tuple(id int) vec.Sparse {
 // everything else from the base.
 func (ov *Overlay) Project(id int, dims []int, dst []float64) error {
 	if id >= ov.baseN {
-		projectMem(ov.added[id-ov.baseN], dims, dst, ov.stats)
+		projectMem(ov.added[id-ov.baseN], ov.m, dims, dst, ov.stats)
 	} else if e, ok := ov.over[id]; ok {
-		projectMem(e.t, dims, dst, ov.stats)
+		projectMem(e.t, ov.m, dims, dst, ov.stats)
 	} else {
 		return ov.base.Project(id, dims, dst)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/storage"
-	"repro/internal/vec"
 )
 
 // SaveIndex is the checkpoint's save: it writes the dataset an overlay
@@ -43,22 +42,19 @@ type SaveIndexStats struct {
 // readScratch is what the base files are read through.
 const readScratch = 64 << 10
 
-// recordBytes is the encoded length of t's record in the tuple file.
-func recordBytes(t vec.Sparse) int { return 4 + 12*len(t) }
-
 // saveTuples writes the tuple file: the overlay's version where it has
 // one, the base's record otherwise.
 func (ov *Overlay) saveTuples(path string, disk *DiskIndex, st *SaveIndexStats) error {
 	size := func(id int) int {
 		switch {
 		case id >= ov.baseN:
-			return recordBytes(ov.added[id-ov.baseN])
+			return storage.RecordBytes(len(ov.added[id-ov.baseN]), ov.m)
 		case ov.overridden(id):
-			return recordBytes(ov.over[id].t)
+			return storage.RecordBytes(len(ov.over[id].t), ov.m)
 		case disk != nil:
 			return disk.tf.RecordSize(id)
 		}
-		return recordBytes(ov.base.Tuple(id))
+		return storage.RecordBytes(len(ov.base.Tuple(id)), ov.m)
 	}
 	return storage.WriteTupleRecords(path, ov.NumTuples(), ov.m, size, func(out *storage.TupleSink) error {
 		buf := make([]byte, readScratch)

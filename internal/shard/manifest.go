@@ -34,7 +34,8 @@ func WriteManifest(path string, mf Manifest) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
-// LoadManifest reads and validates a shards.json.
+// LoadManifest reads and validates a shards.json: a partition of N ≥ 0
+// tuples over M ≥ 0 dimensions whose last base is at most N.
 func LoadManifest(path string) (Manifest, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -44,8 +45,14 @@ func LoadManifest(path string) (Manifest, error) {
 	if err := json.Unmarshal(raw, &mf); err != nil {
 		return Manifest{}, fmt.Errorf("shard: %s: %w", path, err)
 	}
+	if mf.N < 0 || mf.M < 0 {
+		return Manifest{}, fmt.Errorf("shard: %s claims n=%d, m=%d", path, mf.N, mf.M)
+	}
 	if _, err := mf.Map(); err != nil {
 		return Manifest{}, fmt.Errorf("shard: %s: %w", path, err)
+	}
+	if last := mf.Bases[len(mf.Bases)-1]; last > mf.N {
+		return Manifest{}, fmt.Errorf("shard: %s: last base %d is past its %d tuples", path, last, mf.N)
 	}
 	return mf, nil
 }

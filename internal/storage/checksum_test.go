@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/vec"
@@ -126,7 +127,9 @@ func hugeCountFile(magic [8]byte, count uint32) []byte {
 // TestOpenRejectsHugeCounts: a header count the file has no room for
 // fails the open before anything is sized by it — a 32-byte file that
 // claimed 2³²−1 tuples or lists used to end the process out of memory.
-// It runs on the mapped build and, under -tags nommap, on the pread one.
+// A tuple file of the previous format version is refused by the error
+// that names its version. It runs on the mapped build and, under
+// -tags nommap, on the pread one.
 func TestOpenRejectsHugeCounts(t *testing.T) {
 	dir := t.TempDir()
 	openTuples := func(p string) error { _, err := OpenTupleFile(p, &IOStats{}, 8); return err }
@@ -136,11 +139,13 @@ func TestOpenRejectsHugeCounts(t *testing.T) {
 		magic [8]byte
 		count uint32
 		open  func(string) error
+		want  string // in the error, when set
 	}{
-		{"tuples-max", tupleMagic, math.MaxUint32, openTuples},
-		{"tuples-one", tupleMagic, 1, openTuples},
-		{"lists-max", listMagic, math.MaxUint32, openLists},
-		{"lists-one", listMagic, 1, openLists},
+		{"tuples-max", tupleMagic, math.MaxUint32, openTuples, ""},
+		{"tuples-one", tupleMagic, 1, openTuples, ""},
+		{"tuples-v1", [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '1'}, 1, openTuples, "format IRTUP001"},
+		{"lists-max", listMagic, math.MaxUint32, openLists, ""},
+		{"lists-one", listMagic, 1, openLists, ""},
 	} {
 		path := filepath.Join(dir, c.name+".dat")
 		if err := os.WriteFile(path, hugeCountFile(c.magic, c.count), 0o644); err != nil {
@@ -152,6 +157,8 @@ func TestOpenRejectsHugeCounts(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("%s: a 32-byte file claiming %d entries opened", c.name, c.count)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want it to say %q", c.name, err, c.want)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
 			t.Errorf("%s: failing the open allocated %d B", c.name, got)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/vec"
 )
 
 // fuzzSeeds are the openers' seed files: a valid file, the same file cut
@@ -35,11 +37,28 @@ func fuzzFile(t *testing.T, data []byte) string {
 
 // FuzzOpenTupleFile: whatever a tuple file holds, OpenTupleFile fails or
 // returns a file on which every GetWith and ProjectWith returns a value
-// or an error and Prefetch returns; nothing panics.
+// or an error and Prefetch returns; nothing panics. Besides the common
+// seeds it starts from a file of dense records only and one that mixes
+// both encodings.
 func FuzzOpenTupleFile(f *testing.F) {
 	fuzzSeeds(f, tupleMagic, func(path string) error {
 		return WriteTupleFile(path, randTuples(rand.New(rand.NewSource(7)), 6, 5), 5)
 	})
+	full := vec.Sparse{{Dim: 0, Val: 0.5}, {Dim: 1, Val: 1}, {Dim: 2, Val: 0.25}, {Dim: 3, Val: 0.75}}
+	for _, tuples := range [][]vec.Sparse{
+		{full, full[1:], full},                     // dense: nnz 4 and 3 of m = 4
+		{full, nil, full[:1], full[1:], full[2:3]}, // mixed
+	} {
+		path := filepath.Join(f.TempDir(), "seed.dat")
+		if err := WriteTupleFile(path, tuples, 4); err != nil {
+			f.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tf, err := OpenTupleFile(fuzzFile(t, data), &IOStats{}, 4)
 		if err != nil {

@@ -105,9 +105,9 @@ func (p *Pager) within(off, n int64) bool {
 }
 
 // header returns the bytes [off, off+n) for an opener to decode its
-// tables from: a view of the mapping when the file is mapped (so opening
-// a generation copies nothing but the decoded tables), else a copy read
-// once, past the pool. n comes from the file, so the range is checked
+// tables from: a view of the mapping when the file is mapped (so the
+// tuple file's offsets table is read in place and opening it copies
+// nothing), else a copy read once, past the pool. n comes from the file, so the range is checked
 // before anything is sized by it.
 func (p *Pager) header(off int64, n int) ([]byte, error) {
 	if !p.within(off, int64(n)) {

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -22,11 +24,11 @@ func randTuples(rng *rand.Rand, n, m int) []vec.Sparse {
 		var entries []vec.Entry
 		for d := 0; d < m; d++ {
 			if rng.Float64() < 0.4 {
-				entries = append(entries, vec.Entry{Dim: d, Val: rng.Float64()})
+				entries = append(entries, vec.Entry{Dim: d, Val: 1 - rng.Float64()})
 			}
 		}
 		if len(entries) == 0 {
-			entries = append(entries, vec.Entry{Dim: rng.Intn(m), Val: rng.Float64() + 0.001})
+			entries = append(entries, vec.Entry{Dim: rng.Intn(m), Val: 1 - rng.Float64()})
 		}
 		t, _ := vec.NewSparse(entries)
 		tuples[i] = t
@@ -466,7 +468,7 @@ func TestRawCopiesAreTheFileBytes(t *testing.T) {
 		}
 		var lo int64
 		if from < n {
-			lo = tf.offsets[from]
+			lo, _ = tf.span(from)
 		}
 		if !slices.Equal(got(), tupleBytes[lo:lo+int64(want)]) {
 			t.Fatalf("records [%d,%d): %d bytes, want the file's %d at %d", from, to, len(got()), want, lo)
@@ -636,5 +638,139 @@ func TestPrefetchChargesNothing(t *testing.T) {
 		if _, err := tf.GetWith(id, nil); err == nil {
 			t.Fatalf("tuple %d, whose record lies outside the file, read without error", id)
 		}
+	}
+}
+
+// TestTupleRecordEncodings: records on both sides of the dense/sparse
+// switch — every nnz from 0 to m, m ∈ {1, 2, 3, 20, 64} — read back as
+// written (GetWith), project exactly as vec.Query.ProjectInto does, on
+// dimensions inside and past m (ProjectWith), and take RecordBytes each.
+// A dense record whose non-zero slots disagree with its nnz, either way,
+// fails GetWith as corrupt. It runs on the mapped build and, under
+// -tags nommap, on the pread one.
+func TestTupleRecordEncodings(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for _, m := range []int{1, 2, 3, 20, 64} {
+		var tuples []vec.Sparse
+		var kinds [2]int // sparse, dense
+		for nnz := 0; nnz <= m; nnz++ {
+			for range 3 {
+				dims := rng.Perm(m)[:nnz]
+				sort.Ints(dims)
+				tu := make(vec.Sparse, nnz)
+				for i, d := range dims {
+					tu[i] = vec.Entry{Dim: d, Val: 1 - rng.Float64()}
+				}
+				tuples = append(tuples, tu)
+			}
+			if dense(nnz, m) {
+				kinds[1]++
+			} else {
+				kinds[0]++
+			}
+		}
+		if kinds[0] == 0 || kinds[1] == 0 {
+			t.Fatalf("m=%d: %d sparse and %d dense nnz values, want both", m, kinds[0], kinds[1])
+		}
+		path := filepath.Join(t.TempDir(), fmt.Sprintf("m%d.dat", m))
+		if err := WriteTupleFile(path, tuples, m); err != nil {
+			t.Fatal(err)
+		}
+		n := len(tuples)
+		want := int64(16 + 8*n + trailerSize)
+		for _, tu := range tuples {
+			want += int64(RecordBytes(len(tu), m))
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() != want {
+			t.Fatalf("m=%d: file of %d bytes, want %d", m, info.Size(), want)
+		}
+		tf, err := OpenTupleFile(path, &IOStats{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, tu := range tuples {
+			got, err := tf.GetWith(id, nil)
+			if err != nil || !slices.Equal(got, tu) {
+				t.Fatalf("m=%d tuple %d (nnz %d): GetWith %v, %v; want %v", m, id, len(tu), got, err, tu)
+			}
+			dims := rng.Perm(m + 3)[:1+rng.Intn(m+3)]
+			sort.Ints(dims)
+			wantProj, gotProj := make([]float64, len(dims)), make([]float64, len(dims))
+			vec.Query{Dims: dims}.ProjectInto(tu, wantProj)
+			for i := range gotProj {
+				gotProj[i] = -1
+			}
+			if err := tf.ProjectWith(id, dims, gotProj, nil); err != nil || !slices.Equal(gotProj, wantProj) {
+				t.Fatalf("m=%d tuple %d on %v: ProjectWith %v, %v; want %v", m, id, dims, gotProj, err, wantProj)
+			}
+		}
+		// The last two tuples are full, so dense: empty one's first slot,
+		// and claim one entry more than the other holds.
+		emptied, overclaimed := n-1, n-2
+		at, _ := tf.span(emptied)
+		claim, _ := tf.span(overclaimed)
+		tf.Close()
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(make([]byte, 8), at+4); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(binary.LittleEndian.AppendUint32(nil, uint32(m+1)), claim); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		bad, err := OpenTupleFile(path, &IOStats{}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int{emptied, overclaimed} {
+			if _, err := bad.GetWith(id, nil); err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("m=%d tuple %d: a dense record with a wrong count read as %v", m, id, err)
+			}
+		}
+		bad.Close()
+	}
+}
+
+// TestTupleSinkRejectsInvalid: the tuple writer refuses, with an error
+// and no file left behind, every vector the data model does not admit —
+// the dense encoding would lose a 0 and cannot place a dimension past m —
+// and keeps writing nil and empty records, which deleted ids need.
+func TestTupleSinkRejectsInvalid(t *testing.T) {
+	const m = 4
+	ok := vec.Sparse{{Dim: 0, Val: 0.5}, {Dim: 3, Val: 1}}
+	for _, c := range []struct {
+		name string
+		t    vec.Sparse
+	}{
+		{"zero-value", vec.Sparse{{Dim: 1, Val: 0}}},
+		{"negative-value", vec.Sparse{{Dim: 1, Val: -0.5}}},
+		{"value-above-one", vec.Sparse{{Dim: 1, Val: 1.5}}},
+		{"nan-value", vec.Sparse{{Dim: 1, Val: math.NaN()}}},
+		{"unsorted-dims", vec.Sparse{{Dim: 2, Val: 0.5}, {Dim: 1, Val: 0.5}}},
+		{"duplicate-dim", vec.Sparse{{Dim: 1, Val: 0.5}, {Dim: 1, Val: 0.25}}},
+		{"negative-dim", vec.Sparse{{Dim: -1, Val: 0.5}}},
+		{"dim-past-m", vec.Sparse{{Dim: 1, Val: 0.5}, {Dim: m, Val: 0.5}}},
+		{"dense-dim-past-m", vec.Sparse{{Dim: 0, Val: 0.5}, {Dim: 1, Val: 0.5}, {Dim: 2, Val: 0.5}, {Dim: m, Val: 0.5}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "tuples.dat")
+			if err := WriteTupleFile(path, []vec.Sparse{ok, c.t}, m); err == nil {
+				t.Fatalf("%v written", c.t)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("refused file still exists (stat: %v)", err)
+			}
+		})
+	}
+	path := filepath.Join(t.TempDir(), "tuples.dat")
+	if err := WriteTupleFile(path, []vec.Sparse{nil, ok, {}}, m); err != nil {
+		t.Fatalf("empty records refused: %v", err)
 	}
 }

@@ -9,18 +9,30 @@ import (
 )
 
 // tupleMagic identifies the external tuple file ("external file holding
-// the entire data vectors" in the paper's system model).
-var tupleMagic = [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '1'}
+// the entire data vectors" in the paper's system model). Its last three
+// bytes are the format version; a file of another version is refused.
+var tupleMagic = [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '2'}
 
 // WriteTupleFile persists tuples to path. The format is:
 //
 //	magic[8] | numTuples uint32 | m uint32 | offsets [numTuples]int64 |
-//	records: (nnz uint32, nnz × (dim uint32, val float64))
+//	records
 //
-// Records are addressed by the offsets table, enabling O(1) random access.
+// Records are addressed by the offsets table, enabling O(1) random
+// access. A record of nnz entries is encoded one of two ways, whichever
+// is shorter (dense: 8·m < 12·nnz, ties sparse):
+//
+//	sparse: nnz uint32 | nnz × (dim uint32, val float64), dims ascending
+//	dense:  nnz uint32 | m × float64, slot d holding dimension d's value
+//
+// A dense slot of 0 is a dimension the tuple does not have: a stored
+// value is in (0, 1] (vec.Sparse.Validate), so 0 is never data. The
+// encoding is a function of (nnz, m) alone — the reader recomputes it
+// from the record's nnz and the header's m, and no record carries a
+// flag. RecordBytes is the one place the sizes are defined.
 func WriteTupleFile(path string, tuples []vec.Sparse, m int) error {
 	return WriteTupleRecords(path, len(tuples), m,
-		func(id int) int { return recordSize(len(tuples[id])) },
+		func(id int) int { return RecordBytes(len(tuples[id]), m) },
 		func(out *TupleSink) error {
 			for _, t := range tuples {
 				out.Tuple(t)
@@ -29,8 +41,20 @@ func WriteTupleFile(path string, tuples []vec.Sparse, m int) error {
 		})
 }
 
-// recordSize is the encoded length of a record of nnz entries.
-func recordSize(nnz int) int { return 4 + 12*nnz }
+// dense reports whether a record of nnz entries in a file of
+// dimensionality m is encoded as m value slots rather than nnz
+// (dim, val) pairs.
+func dense(nnz, m int) bool { return 8*m < 12*nnz }
+
+// RecordBytes is the encoded length of a record of nnz entries in a
+// tuple file of dimensionality m — what a random access to it reads, so
+// the in-memory indexes charge it too.
+func RecordBytes(nnz, m int) int {
+	if dense(nnz, m) {
+		return 4 + 8*m
+	}
+	return 4 + 12*nnz
+}
 
 // WriteTupleRecords is WriteTupleFile for a source that holds no tuple
 // slice: size(id) is the encoded length of tuple id's record, asked once
@@ -53,7 +77,7 @@ func WriteTupleRecords(path string, n, m int, size func(id int) int, records fun
 		w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(off))
 		off += int64(size(id))
 	}
-	out := &TupleSink{w: w}
+	out := &TupleSink{w: w, m: m}
 	if err := records(out); err != nil {
 		w.fail(err)
 	} else if out.wrote != off-first {
@@ -66,20 +90,39 @@ func WriteTupleRecords(path string, n, m int, size func(id int) int, records fun
 // WriteTupleRecords' source.
 type TupleSink struct {
 	w     *fileWriter
+	m     int
 	wrote int64
 }
 
 // Tuple encodes one record; a nil or empty vector is the empty record a
-// deleted id keeps.
+// deleted id keeps. A vector the file cannot hold — one Validate rejects,
+// or with a dimension at or past m — fails the file instead.
 func (s *TupleSink) Tuple(t vec.Sparse) {
 	w := s.w
-	w.room(recordSize(len(t)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(t)))
-	for _, e := range t {
-		w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.Dim))
-		w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.Val))
+	if err := t.Validate(); err != nil {
+		w.fail(fmt.Errorf("storage: a tuple the file cannot hold: %w", err))
+		return
 	}
-	s.wrote += int64(recordSize(len(t)))
+	if d := t.MaxDim(); d >= s.m {
+		w.fail(fmt.Errorf("storage: a tuple has dimension %d, the file holds [0,%d)", d, s.m))
+		return
+	}
+	size := RecordBytes(len(t), s.m)
+	w.room(size)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(t)))
+	if dense(len(t), s.m) {
+		slots := len(w.buf)
+		w.buf = append(w.buf, make([]byte, 8*s.m)...)
+		for _, e := range t {
+			binary.LittleEndian.PutUint64(w.buf[slots+8*e.Dim:], math.Float64bits(e.Val))
+		}
+	} else {
+		for _, e := range t {
+			w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.Dim))
+			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.Val))
+		}
+	}
+	s.wrote += int64(size)
 }
 
 // Raw takes records that are already encoded — any stretch of another
@@ -94,9 +137,13 @@ func (s *TupleSink) Raw(p []byte) {
 // mirroring the paper's accounting where each evaluated candidate costs
 // one random fetch of its full vector.
 type TupleFile struct {
-	pager   *Pager
-	stats   *IOStats
-	offsets []int64
+	pager *Pager
+	stats *IOStats
+	// offsets is the file's offsets table as encoded, read in place: a
+	// view of the mapping where the file is mapped, else a copy read at
+	// open.
+	offsets []byte
+	n       int
 	end     int64 // where the payload, and so the last record, ends
 	m       int
 }
@@ -120,26 +167,24 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 		pager.Close()
 		return nil, err
 	}
-	if string(hdr[:8]) != string(tupleMagic[:]) {
+	if magic := string(hdr[:8]); magic != string(tupleMagic[:]) {
 		pager.Close()
+		if magic[:5] == string(tupleMagic[:5]) {
+			return nil, fmt.Errorf("storage: %s is a tuple file of format %s, this build reads %s: regenerate it (irgen) or re-seed the node from a primary", path, magic, tupleMagic[:])
+		}
 		return nil, fmt.Errorf("storage: %s is not a tuple file", path)
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[8:12]))
+	tf.n = int(binary.LittleEndian.Uint32(hdr[8:12]))
 	tf.m = int(binary.LittleEndian.Uint32(hdr[12:16]))
 	// The count comes from the file: it is held to what the payload can
 	// hold before it sizes anything.
-	if int64(n) > (tf.end-16)/8 {
+	if int64(tf.n) > (tf.end-16)/8 {
 		pager.Close()
-		return nil, fmt.Errorf("storage: %s claims %d tuples, more offsets than its %d bytes hold", path, n, tf.end)
+		return nil, fmt.Errorf("storage: %s claims %d tuples, more offsets than its %d bytes hold", path, tf.n, tf.end)
 	}
-	offRaw, err := pager.header(16, 8*n)
-	if err != nil {
+	if tf.offsets, err = pager.header(16, 8*tf.n); err != nil {
 		pager.Close()
 		return nil, err
-	}
-	tf.offsets = make([]int64, n)
-	for i := 0; i < n; i++ {
-		tf.offsets[i] = int64(binary.LittleEndian.Uint64(offRaw[8*i:]))
 	}
 	return tf, nil
 }
@@ -148,7 +193,7 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 func (tf *TupleFile) Close() error { return tf.pager.Close() }
 
 // NumTuples returns the dataset cardinality.
-func (tf *TupleFile) NumTuples() int { return len(tf.offsets) }
+func (tf *TupleFile) NumTuples() int { return tf.n }
 
 // Dim returns the dimensionality m.
 func (tf *TupleFile) Dim() int { return tf.m }
@@ -163,11 +208,12 @@ func (tf *TupleFile) RecordSize(id int) int {
 // are contiguous, so one ends where the next begins, the last where the
 // payload does.
 func (tf *TupleFile) span(id int) (off int64, size int) {
+	off = int64(binary.LittleEndian.Uint64(tf.offsets[8*id:]))
 	end := tf.end
-	if id+1 < len(tf.offsets) {
-		end = tf.offsets[id+1]
+	if id+1 < tf.n {
+		end = int64(binary.LittleEndian.Uint64(tf.offsets[8*id+8:]))
 	}
-	return tf.offsets[id], int(end - tf.offsets[id])
+	return off, int(end - off)
 }
 
 // RawRecords hands fn the encoded records of tuples [from, to) — they
@@ -176,8 +222,8 @@ func (tf *TupleFile) span(id int) (off int64, size int) {
 // an access of the paper's cost model, and charges no meter. buf is the
 // scratch the file is read through (see Pager.stream).
 func (tf *TupleFile) RawRecords(from, to int, buf []byte, fn func(raw []byte)) error {
-	if from < 0 || to > len(tf.offsets) || from > to {
-		return fmt.Errorf("storage: tuple range [%d,%d) outside [0,%d)", from, to, len(tf.offsets))
+	if from < 0 || to > tf.n || from > to {
+		return fmt.Errorf("storage: tuple range [%d,%d) outside [0,%d)", from, to, tf.n)
 	}
 	if from == to {
 		return nil
@@ -199,9 +245,23 @@ func (tf *TupleFile) GetWith(id int, st *IOStats) (vec.Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := make(vec.Sparse, nnz)
-	for i := range t {
-		t[i] = vec.Entry{Dim: entryDim(raw, i), Val: entryVal(raw, i)}
+	if !dense(nnz, tf.m) {
+		t := make(vec.Sparse, nnz)
+		for i := range t {
+			t[i] = vec.Entry{Dim: entryDim(raw, i), Val: entryVal(raw, i)}
+		}
+		return t, nil
+	}
+	// A corrupt nnz is not trusted to size anything: a valid one is at
+	// most m.
+	t := make(vec.Sparse, 0, min(nnz, tf.m))
+	for d := 0; d < tf.m; d++ {
+		if v := slotVal(raw, d); v != 0 {
+			t = append(t, vec.Entry{Dim: d, Val: v})
+		}
+	}
+	if len(t) != nnz {
+		return nil, fmt.Errorf("storage: tuple %d corrupt (nnz=%d, %d non-zero slots)", id, nnz, len(t))
 	}
 	return t, nil
 }
@@ -215,6 +275,16 @@ func (tf *TupleFile) ProjectWith(id int, dims []int, dst []float64, st *IOStats)
 	raw, nnz, err := tf.record(id, st)
 	if err != nil {
 		return err
+	}
+	if dense(nnz, tf.m) {
+		for i, dim := range dims {
+			if uint(dim) < uint(tf.m) {
+				dst[i] = slotVal(raw, dim)
+			} else {
+				dst[i] = 0
+			}
+		}
+		return nil
 	}
 	j := 0
 	for i, dim := range dims {
@@ -236,8 +306,8 @@ func (tf *TupleFile) ProjectWith(id int, dims []int, dst []float64, st *IOStats)
 // mmap region (no copy, no buffer-pool traffic); the charge is identical
 // either way, so the paper's metrics don't depend on the transport.
 func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error) {
-	if id < 0 || id >= len(tf.offsets) {
-		return nil, 0, fmt.Errorf("storage: tuple id %d out of range [0,%d)", id, len(tf.offsets))
+	if id < 0 || id >= tf.n {
+		return nil, 0, fmt.Errorf("storage: tuple id %d out of range [0,%d)", id, tf.n)
 	}
 	off, size := tf.span(id)
 	raw, zeroCopy := tf.pager.Slice(off, size)
@@ -262,7 +332,7 @@ func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error
 		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (%d-byte record)", id, len(raw))
 	}
 	nnz = int(binary.LittleEndian.Uint32(raw[0:4]))
-	if 4+12*nnz > len(raw) {
+	if RecordBytes(nnz, tf.m) > len(raw) {
 		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (nnz=%d, %d bytes)", id, nnz, len(raw))
 	}
 	return raw, nnz, nil
@@ -294,7 +364,7 @@ func (tf *TupleFile) Prefetch(ids []int32) uint64 {
 		ids = ids[len(batch):]
 		n := 0
 		for _, id := range batch {
-			if id < 0 || int(id) >= len(tf.offsets) {
+			if id < 0 || int(id) >= tf.n {
 				continue
 			}
 			if off, size := tf.span(int(id)); size > 0 && tf.pager.within(off, int64(size)) {
@@ -313,11 +383,15 @@ func (tf *TupleFile) Prefetch(ids []int32) uint64 {
 }
 
 // entryDim and entryVal decode the i-th (dim uint32, val float64) entry
-// of a raw record.
+// of a raw sparse record, slotVal dimension d's slot of a raw dense one.
 func entryDim(raw []byte, i int) int {
 	return int(binary.LittleEndian.Uint32(raw[4+12*i:]))
 }
 
 func entryVal(raw []byte, i int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(raw[8+12*i:]))
+}
+
+func slotVal(raw []byte, d int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw[4+8*d:]))
 }

@@ -197,7 +197,8 @@ func OpenEngineDir(dir string, poolPages int, cfg EngineConfig) (*Engine, error)
 }
 
 // SaveDataset persists tuples and their inverted lists in the on-disk
-// format OpenEngine reads.
+// format OpenEngine reads. It fails, writing nothing, when a tuple is not
+// a valid vector (Validate) or has a dimension at or past m.
 func SaveDataset(tuplePath, listPath string, tuples []Tuple, m int) error {
 	return lists.SaveDataset(tuplePath, listPath, tuples, m)
 }
