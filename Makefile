@@ -10,17 +10,18 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION) -X repro/internal/obs.Commit=$(COMMIT)
 
-.PHONY: all build test race vet lint loc fuzz-smoke vuln bench-smoke test-fallback test-wal test-replication test-failover test-obs test-shard test-oracle check-docs ci
+.PHONY: all build test race vet lint loc fuzz-smoke vuln bench-smoke test-wal test-replication test-failover test-obs test-shard test-oracle check-docs ci
 
 all: ci
 
-# The freebsd leg compiles the tree the way the platforms that really
-# take the storage fallback do (mmap_fallback.go is `(!linux && !darwin)
-# || nommap`): a symbol missing from or re-typed in the fallback fails
-# here. GOOS=windows does not build today (wal/lock.go needs Flock).
+# The BSD legs compile the mapped tuple storage (storage/mmap.go is
+# `unix`) and the directory lock for the other platforms that take them.
+# GOOS=windows does not build (wal/lock.go needs Flock).
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
 	GOOS=freebsd $(GO) build ./...
+	GOOS=openbsd $(GO) build ./...
+	GOOS=netbsd $(GO) build ./...
 
 # -short keeps the long randomized soaks (failover chaos trials) out of
 # the tier-1 fast path; make test-failover runs them in full. bench/ is
@@ -34,12 +35,8 @@ test:
 race:
 	$(GO) test -short -race ./...
 
-# The nommap leg type-checks every package and its tests against
-# storage/mmap_fallback.go, so the compiler keeps the two variants'
-# surfaces in step on the host platform too.
 vet:
 	$(GO) vet ./...
-	$(GO) vet -tags nommap ./...
 	$(GO) vet -C bench ./...
 
 # Invariant lint: the repo-specific analyzers of internal/analysis
@@ -97,10 +94,7 @@ vuln:
 # a list file mapped again shows up in the last. The two region-hit
 # paths close it: a /topk served by a cached entry's containment test,
 # and a write checked against 64 cached certificates (its allocs/op is
-# the invalidation pass's garbage). The last line is the nommap build's
-# buffer pool at 0, 64 and 4096 pages: the pread fallback keeps its LRU
-# for tuple records because pool64 and pool4096 beat pool0 there
-# (docs/architecture.md has the table), and this keeps that measured.
+# the invalidation pass's garbage).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
@@ -110,25 +104,6 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
-	$(GO) test -tags nommap -run '^$$' -bench 'BenchmarkAblationBufferPool' -benchtime=200x .
-
-# Fallback portability: the pread-backed tuple file (nommap) must produce
-# the same answers as the default build — the engine/topk suites re-run
-# their oracles over it. lists and core ride along for the random-access
-# contract (Project ≡ Tuple, charge for charge, on a pread-backed
-# DiskIndex too), the overlay's pass-through cursor, and the checkpoint
-# merge (storage's TestRawCopiesAreTheFileBytes, lists'
-# TestSaveIndexIsSaveDataset: the copy counts there fail a disk base
-# that decodes instead of copying). exp rides along for the counts
-# matrix (TestFigures/counts), all of which — the disk half's page
-# charges included — must hold on this build too, since list pages are
-# read the same way on both; and server for TestReadFaultFailsOneQuery:
-# damaged generation files fail exactly the queries that read them, as
-# counted 500s, over pread as over the mapping. The cross-build proves
-# the fallback compiles on amd64 too.
-test-fallback:
-	$(GO) test -tags=nommap ./internal/storage/... ./internal/lists/... ./internal/topk/... ./internal/core/... ./internal/engine/... ./internal/exp/... ./internal/server/...
-	GOARCH=amd64 $(GO) build -tags=nommap ./...
 
 # Durability focus: the WAL package under -race, the crash-recovery and
 # checkpoint property tests — the checkpoint's contract with the bulk

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -154,39 +153,6 @@ func analyzeWith(b *testing.B, ix lists.Index, q vec.Query, k int, policy topk.P
 	}
 }
 
-// BenchmarkAblationBufferPool — disk-index analysis cost versus the
-// size of the tuple file's buffer pool, which only a build that cannot
-// map the file reads through (list pages never use it).
-func BenchmarkAblationBufferPool(b *testing.B) {
-	env.init()
-	dir := b.TempDir()
-	tp, lp := filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat")
-	small := dataset.GenerateWSJ(dataset.WSJConfig{Docs: 1500, Vocab: 2000, MeanTerms: 15, Seed: 110})
-	if err := small.Save(tp, lp); err != nil {
-		b.Fatal(err)
-	}
-	qs := exp.Sample(small, 8, 4, 50, 210)
-	for _, pool := range []int{0, 64, 4096} {
-		b.Run(fmt.Sprintf("pool%d", pool), func(b *testing.B) {
-			ix, err := lists.OpenDiskIndex(tp, lp, pool)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ix.Close()
-			eng := measureEngine(ix)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Analyze(context.Background(), qs[i%len(qs)], 10, engine.Options{Options: core.Options{Method: core.MethodCPT}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			seq, rnd, _ := ix.Stats().Snapshot()
-			b.ReportMetric(float64(seq)/float64(b.N), "seq-pages/op")
-			b.ReportMetric(float64(rnd)/float64(b.N), "rand-reads/op")
-		})
-	}
-}
-
 // BenchmarkSweep — the arrangement sweep over k result lines, stopped
 // after the first φ+1 crossings (the φ>0 Phase-1 primitive).
 func BenchmarkSweep(b *testing.B) {
@@ -311,7 +277,7 @@ func BenchmarkCacheAnalyze(b *testing.B) {
 	if err := env.st.Save(tp, lp); err != nil {
 		b.Fatal(err)
 	}
-	disk, err := lists.OpenDiskIndex(tp, lp, 0)
+	disk, err := lists.OpenDiskIndex(tp, lp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -424,7 +390,7 @@ func BenchmarkColdStream(b *testing.B) {
 	if err := st.Save(tp, lp); err != nil {
 		b.Fatal(err)
 	}
-	disk, err := lists.OpenDiskIndex(tp, lp, 0)
+	disk, err := lists.OpenDiskIndex(tp, lp)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func main() {
 		// Directory-aware open: follow the checkpoint MANIFEST to the
 		// live file generation and replay any wal.log, so irquery and a
 		// durable irserver pointed at the same directory agree.
-		eng, err = repro.OpenEngineDir(*data, 256, repro.EngineConfig{VerifyChecksums: *verify})
+		eng, err = repro.OpenEngineDir(*data, repro.EngineConfig{VerifyChecksums: *verify})
 		if err != nil {
 			fatal(err)
 		}

@@ -75,7 +75,6 @@ func main() {
 		data         = flag.String("data", "", "dataset directory (tuples/lists files, MANIFEST, wal.log)")
 		demo         = flag.Bool("demo", false, "serve the paper's running example")
 		addr         = flag.String("addr", ":8080", "listen address")
-		pool         = flag.Int("pool", 1024, "buffer pool pages (4 KiB each) for the tuple file where it cannot be memory-mapped (nommap builds, platforms other than linux and darwin); the list file is never pooled")
 		maxConc      = flag.Int("max-concurrent", 0, "max queries executing at once (0 = default 4×GOMAXPROCS, negative = unlimited)")
 		cacheEntries = flag.Int("cache-entries", 0, "answer cache entry bound (0 = default)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "answer cache byte bound (0 = default)")
@@ -159,7 +158,6 @@ func main() {
 		adv := advertiseURL(*advertise, *addr)
 		node, err := replication.NewNode(replication.NodeConfig{
 			Dir:             *data,
-			PoolPages:       *pool,
 			Engine:          cfg,
 			NodeID:          *nodeID,
 			AdvertiseHTTP:   adv,
@@ -204,7 +202,6 @@ func main() {
 		fol = replication.NewFollower(replication.FollowerConfig{
 			Dir:         *data,
 			PrimaryAddr: *follow,
-			PoolPages:   *pool,
 			Engine:      cfg,
 		})
 		go fol.Run(ctx)
@@ -240,7 +237,7 @@ func main() {
 		if *demo || *data != "" || *follow != "" || *useWAL || *cluster != "" || *clusterPrim {
 			log.Fatal("irserver: -shard-dir is exclusive with -data, -demo, -follow, -wal and -cluster")
 		}
-		eng, err = engine.OpenShard(*shardDir, *shardID, *pool, cfg)
+		eng, err = engine.OpenShard(*shardDir, *shardID, 0, cfg)
 		if err != nil {
 			log.Fatalf("irserver: %v", err)
 		}
@@ -255,7 +252,7 @@ func main() {
 		shutdown = func() { eng.Close() }
 
 	case *data != "":
-		eng, err = engine.OpenDir(*data, *pool, cfg)
+		eng, err = engine.OpenDir(*data, 0, cfg)
 		if err != nil {
 			log.Fatalf("irserver: %v", err)
 		}

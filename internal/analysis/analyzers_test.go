@@ -24,7 +24,7 @@ func TestMetered(t *testing.T) {
 
 func TestErrMap(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.ErrMap,
-		"errmap/internal/wal", "errmap/internal/server")
+		"errmap/internal/wal", "errmap/internal/server", "errmap/internal/storage", "errmap/internal/engine")
 }
 
 func TestDetCore(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -23,6 +24,10 @@ import (
 //     httpError/engineError/writeJSON helpers bypasses the mapping
 //     table entirely, which is exactly how PR 3's panic-through-
 //     httptest class of bug survives.
+//   - a query fails by returning its error, never by a recovered panic:
+//     recover() and debug.SetPanicOnFault appear only in
+//     storage.CatchFault and Engine.run, where a fault on the tuple
+//     mapping becomes the query's read error.
 //
 // The table covers the shard coordinator's front too: it is served by
 // internal/server over an adapter (shard.NewHandler), which tags shard
@@ -30,7 +35,7 @@ import (
 // status writer of its own left to guard.
 var ErrMap = &Analyzer{
 	Name: "errmap",
-	Doc:  "require errors.Is for wrapped sentinels and route server statuses through the central error mapping",
+	Doc:  "require errors.Is for wrapped sentinels, route server statuses through the central error mapping, and recover panics only where a mapping fault becomes a read error",
 	Run:  runErrMap,
 }
 
@@ -56,6 +61,8 @@ func errMapFunc(pass *Pass, fn *ast.FuncDecl, inServer bool) {
 		return
 	}
 	inHelper := serverErrorHelpers[fn.Name.Name]
+	fullName := pass.TypesInfo.Defs[fn.Name].(*types.Func).FullName()
+	atFaultSite := slices.ContainsFunc(faultSites, func(s string) bool { return strings.HasSuffix(fullName, s) })
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
@@ -83,6 +90,9 @@ func errMapFunc(pass *Pass, fn *ast.FuncDecl, inServer bool) {
 				}
 			}
 		case *ast.CallExpr:
+			if name := panicControl(pass, n); name != "" && !atFaultSite {
+				pass.Reportf(n.Pos(), "%s outside storage.CatchFault and Engine.run; a query fails by returning its error, and only a fault on the tuple mapping is turned into one", name)
+			}
 			if !inServer {
 				return true
 			}
@@ -104,6 +114,23 @@ func errMapFunc(pass *Pass, fn *ast.FuncDecl, inServer bool) {
 		}
 		return true
 	})
+}
+
+// faultSites are the functions (types.Func.FullName suffixes) that may
+// recover a panic or call debug.SetPanicOnFault.
+var faultSites = []string{"/internal/storage.CatchFault", "/internal/engine.Engine).run"}
+
+// panicControl names call when it is recover() or
+// debug.SetPanicOnFault, else returns "".
+func panicControl(pass *Pass, call *ast.CallExpr) string {
+	obj := calleeObject(pass, call)
+	if b, ok := obj.(*types.Builtin); ok && b.Name() == "recover" {
+		return "recover()"
+	}
+	if f, ok := obj.(*types.Func); ok && f.FullName() == "runtime/debug.SetPanicOnFault" {
+		return "debug.SetPanicOnFault"
+	}
+	return ""
 }
 
 // checkSentinelCompare reports x ==/!= y when x is a sentinel error and

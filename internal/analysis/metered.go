@@ -18,8 +18,8 @@ import (
 //   - (*storage.TupleFile).Get and (*storage.ListFile).Cursor charge
 //     the file-wide meter, not the query's; the *With variants (or a
 //     lists.Index WithStats view) are required;
-//   - (*storage.Pager).ReadRange and .Slice sit below the logical
-//     meter entirely and are storage-internal;
+//   - (*storage.Pager).Slice sits below the logical meter entirely and
+//     is storage-internal;
 //   - (*storage.TupleFile).Prefetch charges no meter at all: it only
 //     overlaps memory misses, and the lists cursor that issues it for
 //     the postings it is about to return is its one caller — one issued
@@ -43,10 +43,7 @@ var Metered = &Analyzer{
 var unmeteredMethods = map[string]map[string]string{
 	"TupleFile": {"Get": "GetWith(id, st) with the query's child meter"},
 	"ListFile":  {"Cursor": "CursorWith(dim, st) with the query's child meter"},
-	"Pager": {
-		"ReadRange": "a TupleFile/ListFile accessor that charges the logical meter",
-		"Slice":     "a TupleFile/ListFile accessor that charges the logical meter",
-	},
+	"Pager":     {"Slice": "a TupleFile/ListFile accessor that charges the logical meter"},
 }
 
 // unchargedMethods are storage reads that charge no meter by design,

@@ -23,6 +23,4 @@ func (l *ListFile) CursorWith(dim int, st *IOStats) *Cursor { return nil }
 
 type Pager struct{}
 
-func (p *Pager) ReadRange(off, n int64) []byte { return nil }
-
 func (p *Pager) Slice(off, n int64) []byte { return nil }

@@ -38,7 +38,7 @@ func sharedEngines(t *testing.T, cs fixture.Case) map[string]*engine.Engine {
 	if err := lists.SaveDataset(tp, lp, cs.Tuples, cs.M); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := engine.Open(tp, lp, 0, engine.Config{CacheEntries: -1})
+	disk, err := engine.Open(tp, lp, engine.Config{CacheEntries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,7 @@ import (
 // contract of the query path's random access: Project writes what
 // vec.Query.ProjectInto makes of Tuple(id), and both — and the
 // charge-only call with no dimensions — cost the meter the same reads,
-// bytes and pool bypasses. Covered: MemIndex; DiskIndex (mapped here,
-// pread under -tags nommap, which make test-fallback runs); Overlay over
+// bytes and pool bypasses. Covered: MemIndex; DiskIndex; Overlay over
 // the disk index with inserted, replaced and deleted tuples on both
 // sides of the base boundary; offsetIndex at a non-zero shard base,
 // whose embedded index would otherwise be asked for the wrong tuple.
@@ -30,7 +29,7 @@ func TestProjectIsTuple(t *testing.T) {
 	if err := lists.SaveDataset(tp, lp, cs.Tuples, m); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := lists.OpenDiskIndex(tp, lp, 0)
+	disk, err := lists.OpenDiskIndex(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}

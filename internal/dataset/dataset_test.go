@@ -161,7 +161,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := d.Save(tp, lp); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := lists.OpenDiskIndex(tp, lp, 8)
+	ix, err := lists.OpenDiskIndex(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestBatchMatchesSingles(t *testing.T) {
 	// counters (durations aside) and the same I/O on the engine-wide
 	// meter, round after round — a miss and then an exact hit with the
 	// cache on, two computations with it off — in memory and over the
-	// dataset files, which make test-fallback opens pread-backed.
+	// dataset files.
 	for _, cacheEntries := range []int{0, -1} {
 		for name, pair := range enginePairs(t, cs, Config{CacheEntries: cacheEntries}) {
 			for round := 0; round < 2; round++ {
@@ -163,7 +163,7 @@ func enginePairs(t *testing.T, cs fixture.Case, cfg Config) map[string][2]*Engin
 	pairs := map[string][2]*Engine{"mem": {memEngine(cs.Tuples, cs.M, cfg), memEngine(cs.Tuples, cs.M, cfg)}}
 	var disk [2]*Engine
 	for i := range disk {
-		eng, err := Open(tp, lp, 0, cfg)
+		eng, err := Open(tp, lp, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,11 +74,10 @@ const DefaultCheckpointBytes = 64 << 20
 
 // durable bundles the engine's WAL state; nil on non-durable engines.
 type durable struct {
-	log       *wal.Writer
-	lock      *wal.DirLock // the directory's exclusive writer role
-	dir       string
-	gen       uint64
-	poolPages int
+	log  *wal.Writer
+	lock *wal.DirLock // the directory's exclusive writer role
+	dir  string
+	gen  uint64
 
 	replayedRecords int
 	replayedOps     int
@@ -196,10 +195,12 @@ func (e *Engine) OverlayStats() (lists.DeltaStats, bool) {
 // existing log is replayed read-only, so neither a -wal=false restart
 // nor a side-car tool ever serves state missing acknowledged batches;
 // these snapshot opens retry when a concurrent writer's checkpoint
-// moves the manifest mid-open.
+// moves the manifest mid-open. poolPages does nothing: it stays for
+// bench/ladder.go:120 and :477, which pass it; re-basing the benchmark
+// (ROADMAP.md item 3) removes it.
 func OpenDir(dir string, poolPages int, cfg Config) (*Engine, error) {
 	if cfg.WAL && !cfg.ReadOnly {
-		return openDurableDir(dir, poolPages, cfg)
+		return openDurableDir(dir, cfg)
 	}
 	// Snapshot open: no lock is held, so a live writer can publish a
 	// checkpoint (new manifest, truncated log, removed old generation)
@@ -211,7 +212,7 @@ func OpenDir(dir string, poolPages int, cfg Config) (*Engine, error) {
 	// misread checkpoint churn as corruption).
 	var lastErr error
 	for attempt := 0; attempt < SnapshotOpenAttempts; attempt++ {
-		before, e, err := openSnapshot(dir, poolPages, cfg)
+		before, e, err := openSnapshot(dir, cfg)
 		if err == nil {
 			after, aerr := currentManifest(dir)
 			if aerr == nil && sameGeneration(after, before) {
@@ -259,7 +260,7 @@ var openSnapshotRaceHook func()
 // openSnapshot performs one manifest-resolved, log-replaying open
 // without taking the writer lock, returning the manifest it started
 // from so the caller can detect a concurrent checkpoint.
-func openSnapshot(dir string, poolPages int, cfg Config) (wal.Manifest, *Engine, error) {
+func openSnapshot(dir string, cfg Config) (wal.Manifest, *Engine, error) {
 	tuplePath, listPath, man, err := wal.ResolveDataset(dir)
 	if err != nil {
 		return man, nil, fmt.Errorf("engine: %w", err)
@@ -267,7 +268,7 @@ func openSnapshot(dir string, poolPages int, cfg Config) (wal.Manifest, *Engine,
 	if openSnapshotRaceHook != nil {
 		openSnapshotRaceHook()
 	}
-	ix, err := openDisk(tuplePath, listPath, poolPages, cfg)
+	ix, err := openDisk(tuplePath, listPath, cfg)
 	if err != nil {
 		return man, nil, err
 	}
@@ -293,7 +294,7 @@ func openSnapshot(dir string, poolPages int, cfg Config) (wal.Manifest, *Engine,
 
 // openDurableDir is the writer-role open: lock, resolve, replay, attach
 // the log.
-func openDurableDir(dir string, poolPages int, cfg Config) (*Engine, error) {
+func openDurableDir(dir string, cfg Config) (*Engine, error) {
 	// The lock comes first: once held, no other writer can move the
 	// manifest or the log underneath the steps below.
 	lock, err := wal.AcquireDirLock(dir)
@@ -311,7 +312,7 @@ func openDurableDir(dir string, poolPages int, cfg Config) (*Engine, error) {
 	// With the writer role secured, garbage from interrupted checkpoints
 	// (generation files no manifest references) can be swept.
 	wal.RemoveStaleGenerations(dir, man.Gen)
-	ix, err := openDisk(tuplePath, listPath, poolPages, cfg)
+	ix, err := openDisk(tuplePath, listPath, cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -333,7 +334,6 @@ func openDurableDir(dir string, poolPages int, cfg Config) (*Engine, error) {
 		lock:            lock,
 		dir:             dir,
 		gen:             man.Gen,
-		poolPages:       poolPages,
 		replayedRecords: res.Records,
 		replayedOps:     replayedOps,
 		tornBytes:       res.TruncatedBytes,
@@ -570,7 +570,7 @@ func (e *Engine) checkpoint(force bool) error {
 	// meter carries over, so /stats stays cumulative across compactions.
 	// Failing here is recoverable: the old index keeps serving the same
 	// logical data, and the next open follows the manifest.
-	disk, err := lists.OpenDiskIndex(tuplePath, listPath, d.poolPages)
+	disk, err := lists.OpenDiskIndex(tuplePath, listPath)
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint reopen: %w", err)
 	}

@@ -46,7 +46,7 @@ func copyDir(t testing.TB, src, dst string) {
 func openDurable(t testing.TB, dir string, cfg Config) *Engine {
 	t.Helper()
 	cfg.WAL = true
-	eng, err := OpenDir(dir, 64, cfg)
+	eng, err := OpenDir(dir, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestDurableOpenReplayStats(t *testing.T) {
 	defer re.Close()
 	// The writer role is exclusive: a second durable open on the same
 	// directory must be refused while re holds the lock.
-	if _, err := OpenDir(dir, 64, Config{WAL: true}); err == nil {
+	if _, err := OpenDir(dir, 0, Config{WAL: true}); err == nil {
 		t.Fatal("second durable writer acquired the same directory")
 	}
 	st := re.DurabilityStats()
@@ -108,7 +108,7 @@ func TestDurableOpenReplayStats(t *testing.T) {
 
 	// A read-only open of the same directory serves the replayed state
 	// too (stale reads would defeat the log), but refuses writes.
-	ro, err := OpenDir(dir, 64, Config{ReadOnly: true})
+	ro, err := OpenDir(dir, 0, Config{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func checkpointEquivalence(t *testing.T, full bool) {
 		t.Fatalf("reopen stats %+v", st)
 	}
 	assertSameAnswers(t, re, fresh, cs.Q, cs.K, opts)
-	ro, err := OpenDir(dir, 64, Config{ReadOnly: true, VerifyChecksums: true})
+	ro, err := OpenDir(dir, 0, Config{ReadOnly: true, VerifyChecksums: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,14 +668,14 @@ func BenchmarkApplyWAL(b *testing.B) {
 			var err error
 			switch mode {
 			case "nowal":
-				eng, err = OpenDir(dir, 64, cfg)
+				eng, err = OpenDir(dir, 0, cfg)
 			case "sync=batch":
 				cfg.WAL = true
-				eng, err = OpenDir(dir, 64, cfg)
+				eng, err = OpenDir(dir, 0, cfg)
 			case "sync=none":
 				cfg.WAL = true
 				cfg.WALSync = wal.SyncPolicy{Mode: wal.SyncNone}
-				eng, err = OpenDir(dir, 64, cfg)
+				eng, err = OpenDir(dir, 0, cfg)
 			}
 			if err != nil {
 				b.Fatal(err)

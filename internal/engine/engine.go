@@ -62,6 +62,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -197,14 +198,12 @@ func New(ix lists.Index, cfg Config) *Engine {
 	return e
 }
 
-// Open opens a persisted dataset (poolPages sizes the tuple file's
-// buffer pool where it cannot be mapped: lists.OpenDiskIndex),
-// optionally verifying the files' checksum trailers first
-// (Config.VerifyChecksums), and builds an Engine over it with New, so
-// Apply works over persisted datasets too unless the config says
-// ReadOnly; the files themselves are never modified.
-func Open(tuplePath, listPath string, poolPages int, cfg Config) (*Engine, error) {
-	ix, err := openDisk(tuplePath, listPath, poolPages, cfg)
+// Open opens a persisted dataset, optionally verifying the files'
+// checksum trailers first (Config.VerifyChecksums), and builds an Engine
+// over it with New, so Apply works over persisted datasets too unless
+// the config says ReadOnly; the files themselves are never modified.
+func Open(tuplePath, listPath string, cfg Config) (*Engine, error) {
+	ix, err := openDisk(tuplePath, listPath, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +215,7 @@ func Open(tuplePath, listPath string, poolPages int, cfg Config) (*Engine, error
 // openDisk is the first step of every open — path-based, snapshot and
 // writer-role alike: validate both files' checksum trailers when the
 // config asks, then open them as one DiskIndex.
-func openDisk(tuplePath, listPath string, poolPages int, cfg Config) (*lists.DiskIndex, error) {
+func openDisk(tuplePath, listPath string, cfg Config) (*lists.DiskIndex, error) {
 	if cfg.VerifyChecksums {
 		for _, p := range []string{tuplePath, listPath} {
 			if err := storage.VerifyChecksum(p); err != nil {
@@ -224,7 +223,7 @@ func openDisk(tuplePath, listPath string, poolPages int, cfg Config) (*lists.Dis
 			}
 		}
 	}
-	return lists.OpenDiskIndex(tuplePath, listPath, poolPages)
+	return lists.OpenDiskIndex(tuplePath, listPath)
 }
 
 // Close flushes and closes the write-ahead log (durable engines), then
@@ -423,7 +422,16 @@ func (e *Engine) acquire(ctx context.Context) (release func(), err error) {
 // of one per access. queued is how long the slot and the lock took to
 // get. locksafe checks what runs under the lock only in functions named
 // …Locked, so fn is a literal that does nothing but call one.
-func (e *Engine) run(ctx context.Context, fn func(ix lists.Index, queued time.Duration) error) error {
+//
+// A memory fault on the tuple file's mapping (the file cut short under
+// the open engine, or a disk error under a mapped page) fails the
+// request with a read error instead of killing the process: the fault
+// panics on this goroutine, everything fn holds is released by its own
+// defers as the panic unwinds, and storage.CatchFault turns it into err.
+// Any other panic goes on.
+func (e *Engine) run(ctx context.Context, fn func(ix lists.Index, queued time.Duration) error) (err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer storage.CatchFault(&err)
 	t0 := time.Now()
 	release, err := e.acquire(ctx)
 	if err != nil {
@@ -513,19 +521,13 @@ func (e *Engine) analyzeLocked(ctx context.Context, ix lists.Index, queued time.
 		}
 	}
 	for i, j := range unit {
-		var scan interface {
-			core.Runner
-			SortedAccesses() int
-			Release()
-		}
+		var scan regionScan
 		if multi == nil {
 			scan = topk.New(ix, j.Q, j.K, topk.BestList)
 		} else {
 			scan = multi.Member(i)
 		}
-		out, err := core.ComputeView(ctx, scan, j.Opts.Options)
-		sorted := scan.SortedAccesses()
-		scan.Release()
+		out, sorted, err := computeLocked(ctx, scan, j.Opts.Options)
 		if err != nil {
 			j.res.Err = err
 			continue
@@ -542,6 +544,22 @@ func (e *Engine) analyzeLocked(ctx context.Context, ix lists.Index, queued time.
 		j.res.Analysis = a
 	}
 	return nil
+}
+
+// regionScan is the scan a unit member computes its regions over: its
+// own threshold run or its view of the fused one.
+type regionScan interface {
+	core.Runner
+	SortedAccesses() int
+	Release()
+}
+
+// computeLocked computes one member's regions and releases its scan,
+// also when a fault on the tuple mapping unwinds the query (Engine.run).
+func computeLocked(ctx context.Context, scan regionScan, opts core.Options) (*core.Output, int, error) {
+	defer scan.Release()
+	out, err := core.ComputeView(ctx, scan, opts)
+	return out, scan.SortedAccesses(), err
 }
 
 // Analyze answers the query and computes the immutable regions of every

@@ -278,7 +278,7 @@ func TestOpenVerifyChecksums(t *testing.T) {
 	if err := lists.SaveDataset(tp, lp, tuples, 2); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Open(tp, lp, 8, Config{VerifyChecksums: true})
+	eng, err := Open(tp, lp, Config{VerifyChecksums: true})
 	if err != nil {
 		t.Fatalf("verified open of intact files: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestOpenVerifyChecksums(t *testing.T) {
 	eng.Close()
 
 	corruptFile(t, tp)
-	if _, err := Open(tp, lp, 8, Config{VerifyChecksums: true}); err == nil {
+	if _, err := Open(tp, lp, Config{VerifyChecksums: true}); err == nil {
 		t.Fatal("verified open accepted a corrupted tuple file")
 	}
 }

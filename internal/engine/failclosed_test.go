@@ -28,7 +28,7 @@ func TestFailedSortedAccessFailsTheQuery(t *testing.T) {
 	if err := ds.Save(tp, lp); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Open(tp, lp, 0, Config{MaxConcurrent: -1})
+	eng, err := Open(tp, lp, Config{MaxConcurrent: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

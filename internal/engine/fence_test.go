@@ -22,7 +22,7 @@ func fenceTestEngine(t *testing.T) (*Engine, string) {
 	if err := lists.SaveDataset(filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat"), tuples, 2); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := OpenDir(dir, 64, Config{WAL: true, CheckpointBytes: -1})
+	eng, err := OpenDir(dir, 0, Config{WAL: true, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAdvanceEpochPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reopened, err := OpenDir(dir, 64, Config{WAL: true, CheckpointBytes: -1})
+	reopened, err := OpenDir(dir, 0, Config{WAL: true, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -374,7 +374,7 @@ func TestApplyDiskOverlayEngine(t *testing.T) {
 	if err := lists.SaveDataset(tp, lp, tuples, 2); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := Open(tp, lp, 64, Config{})
+	eng, err := Open(tp, lp, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestApplyDiskOverlayEngine(t *testing.T) {
 	assertSameAnswers(t, eng, fresh, q, k, opts)
 
 	// ReadOnly open serves the raw disk index: immutable.
-	ro, err := Open(tp, lp, 64, Config{ReadOnly: true})
+	ro, err := Open(tp, lp, Config{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestOpenDirManifestMovedTyped(t *testing.T) {
 	}
 	defer func() { openSnapshotRaceHook = nil }()
 
-	_, err := OpenDir(dir, 16, Config{ReadOnly: true})
+	_, err := OpenDir(dir, 0, Config{ReadOnly: true})
 	if !errors.Is(err, ErrManifestMoved) {
 		t.Fatalf("raced open returned %v, want ErrManifestMoved", err)
 	}
@@ -178,7 +178,7 @@ func TestOpenDirManifestMovedTyped(t *testing.T) {
 	// the raw cause (the files really are missing), not the typed race
 	// error.
 	openSnapshotRaceHook = nil
-	if _, err := OpenDir(dir, 16, Config{ReadOnly: true}); err == nil || errors.Is(err, ErrManifestMoved) {
+	if _, err := OpenDir(dir, 0, Config{ReadOnly: true}); err == nil || errors.Is(err, ErrManifestMoved) {
 		t.Fatalf("quiescent open returned %v, want a raw open failure", err)
 	}
 	_ = os.Remove(filepath.Join(dir, wal.ManifestName))

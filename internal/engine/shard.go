@@ -107,10 +107,12 @@ func ShardDirName(i int) string { return fmt.Sprintf("shard-%d", i) }
 
 // OpenShard opens shard i of a range-partitioned dataset directory —
 // the layout cmd/irgen -shards writes: <dir>/shard-<i>/tuples.dat and
-// lists.dat. Every shard gets its own buffer pool of poolPages pages.
+// lists.dat. poolPages does nothing: it stays for bench/ladder.go:576,
+// which passes it; re-basing the benchmark (ROADMAP.md item 3) removes
+// it.
 func OpenShard(dir string, i, poolPages int, cfg Config) (*Engine, error) {
 	sd := filepath.Join(dir, ShardDirName(i))
-	return Open(filepath.Join(sd, "tuples.dat"), filepath.Join(sd, "lists.dat"), poolPages, cfg)
+	return Open(filepath.Join(sd, "tuples.dat"), filepath.Join(sd, "lists.dat"), cfg)
 }
 
 // NewLocalShards partitions a dataset by id range and builds one

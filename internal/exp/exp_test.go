@@ -304,9 +304,7 @@ func countLines(t *testing.T, name string, ix lists.Index, queries []vec.Query) 
 // so a pass means none of that moved a count. The same lines must come
 // out of a DiskIndex under an empty Overlay — the shape irserver -wal
 // serves — which differs from the memory index only in when a cursor
-// charges its page (on fill, not on consumption). A list page is read
-// the same way on every build, so the whole golden holds under -tags
-// nommap too (make test-fallback).
+// charges its page (on fill, not on consumption).
 func testCounts(t *testing.T) {
 	var got, onDisk strings.Builder
 	dir := t.TempDir()
@@ -317,7 +315,7 @@ func testCounts(t *testing.T) {
 		if err := fx.d.Save(tp, lp); err != nil {
 			t.Fatal(err)
 		}
-		disk, err := lists.OpenDiskIndex(tp, lp, 0)
+		disk, err := lists.OpenDiskIndex(tp, lp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,7 +147,7 @@ func TestBulkOrderMatchesComparator(t *testing.T) {
 			if wi == 1 {
 				continue
 			}
-			ix, err := OpenDiskIndex(tp, lp, 0)
+			ix, err := OpenDiskIndex(tp, lp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,7 @@ func TestSaveDatasetLeavesNoDebris(t *testing.T) {
 	if err := SaveDataset(filepath.Join(good, "t.dat"), filepath.Join(good, "l.dat"), tuples, 6); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := OpenDiskIndex(filepath.Join(good, "t.dat"), filepath.Join(good, "l.dat"), 0)
+	disk, err := OpenDiskIndex(filepath.Join(good, "t.dat"), filepath.Join(good, "l.dat"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,9 @@ import (
 )
 
 // TestDiskIndexConcurrentQueries runs many TA scans at once over one
-// disk-backed index with a small buffer pool, through per-query stats
-// views. Every run must reproduce the solo result, the per-query random
-// read counts must be exact, and the run must be race-clean (the pool's
-// LRU is the shared mutable structure under test).
+// disk-backed index, through per-query stats views. Every run must
+// reproduce the solo result, the per-query random read counts must be
+// exact, and the run must be race-clean.
 func TestDiskIndexConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	cs := fixture.RandCase(rng, 250, 6, 3, 8)
@@ -26,7 +25,7 @@ func TestDiskIndexConcurrentQueries(t *testing.T) {
 	if err := lists.SaveDataset(tp, lp, cs.Tuples, cs.M); err != nil {
 		t.Fatal(err)
 	}
-	ix, err := lists.OpenDiskIndex(tp, lp, 16) // tiny pool: force eviction churn
+	ix, err := lists.OpenDiskIndex(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -280,12 +280,9 @@ type DiskIndex struct {
 }
 
 // OpenDiskIndex opens tuplePath and listPath with a shared I/O meter.
-// poolPages sizes the tuple file's buffer pool (pages; 0 disables it),
-// which only a build that cannot map the file reads through; the lists
-// are never pooled.
-func OpenDiskIndex(tuplePath, listPath string, poolPages int) (*DiskIndex, error) {
+func OpenDiskIndex(tuplePath, listPath string) (*DiskIndex, error) {
 	stats := &storage.IOStats{}
-	tf, err := storage.OpenTupleFile(tuplePath, stats, poolPages)
+	tf, err := storage.OpenTupleFile(tuplePath, stats, 0)
 	if err != nil {
 		return nil, fmt.Errorf("lists: open tuples: %w", err)
 	}

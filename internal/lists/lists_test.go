@@ -107,7 +107,7 @@ func diskMatchesMem(t *testing.T, rng *rand.Rand, tuples []vec.Sparse, m int) {
 	if err := SaveDataset(tp, lp, tuples, m); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := OpenDiskIndex(tp, lp, 16)
+	disk, err := OpenDiskIndex(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func diskMatchesMem(t *testing.T, rng *rand.Rand, tuples []vec.Sparse, m int) {
 func TestOpenDiskIndexErrors(t *testing.T) {
 	dir := t.TempDir()
 	tp, lp := filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat")
-	if _, err := OpenDiskIndex(tp, lp, 0); err == nil {
+	if _, err := OpenDiskIndex(tp, lp); err == nil {
 		t.Fatal("missing files accepted")
 	}
 	tuples, m := exampleTuples()
@@ -189,7 +189,7 @@ func TestOpenDiskIndexErrors(t *testing.T) {
 	if err := SaveDataset(filepath.Join(dir, "t3.dat"), lp, tuples, m+3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenDiskIndex(tp, lp, 0); err == nil {
+	if _, err := OpenDiskIndex(tp, lp); err == nil {
 		t.Fatal("dimensionality mismatch accepted")
 	}
 }
@@ -229,7 +229,7 @@ func TestDiskCursorPrefetchesAhead(t *testing.T) {
 	if err := SaveDataset(tp, lp, tuples, 1); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := OpenDiskIndex(tp, lp, 0)
+	disk, err := OpenDiskIndex(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/fixture"
 )
 
-// TestListFileIsNotMapped: a DiskIndex maps its tuple file (where the
-// build maps at all) and never its list file, not even after every list
+// TestListFileIsNotMapped: a DiskIndex maps its tuple file and never its
+// list file, not even after every list
 // has been scanned to the end — what the kernel's /proc/self/maps says
 // of the process, not what the storage package believes of itself.
 func TestListFileIsNotMapped(t *testing.T) {
@@ -24,7 +24,7 @@ func TestListFileIsNotMapped(t *testing.T) {
 	if err := SaveDataset(tp, lp, cs.Tuples, cs.M); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := OpenDiskIndex(tp, lp, 16)
+	disk, err := OpenDiskIndex(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +38,6 @@ func TestListFileIsNotMapped(t *testing.T) {
 		}
 		c.Release()
 	}
-	disk.Tuple(0)
-	tuplesMapped := disk.Stats().Bypasses() > 0 // a record read from the mapping skips the pool
 
 	raw, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
@@ -54,7 +52,7 @@ func TestListFileIsNotMapped(t *testing.T) {
 			sawTuples = true
 		}
 	}
-	if sawTuples != tuplesMapped {
-		t.Fatalf("/proc/self/maps shows the tuple file mapped=%v; its reads say mapped=%v", sawTuples, tuplesMapped)
+	if !sawTuples {
+		t.Fatal("/proc/self/maps does not show the tuple file mapped")
 	}
 }

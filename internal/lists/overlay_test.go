@@ -70,7 +70,7 @@ func TestOverlayCursorPassThrough(t *testing.T) {
 		if err := SaveDataset(tp, lp, ts, m); err != nil {
 			t.Fatal(err)
 		}
-		disk, err := OpenDiskIndex(tp, lp, 0)
+		disk, err := OpenDiskIndex(tp, lp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +293,7 @@ func saveAndOpen(t *testing.T, tuples []vec.Sparse, m int) *DiskIndex {
 	if err := SaveDataset(tp, lp, tuples, m); err != nil {
 		t.Fatal(err)
 	}
-	disk, err := OpenDiskIndex(tp, lp, 64)
+	disk, err := OpenDiskIndex(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}

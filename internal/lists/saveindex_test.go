@@ -155,7 +155,7 @@ func TestSaveIndexIsSaveDataset(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(1701))
 			for gen := 1; gen <= 3; gen++ {
-				disk, err := lists.OpenDiskIndex(tp, lp, 0)
+				disk, err := lists.OpenDiskIndex(tp, lp)
 				if err != nil {
 					t.Fatal(err)
 				}

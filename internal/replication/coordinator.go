@@ -128,12 +128,11 @@ func FetchClusterInfo(ctx context.Context, hc *http.Client, baseURL string) (Clu
 
 // NodeConfig tunes a cluster member.
 type NodeConfig struct {
-	// Dir is the member's data directory; PoolPages the buffer pool
-	// size; Engine the base engine configuration (durability and
-	// writability are forced, as for followers).
-	Dir       string
-	PoolPages int
-	Engine    engine.Config
+	// Dir is the member's data directory; Engine the base engine
+	// configuration (durability and writability are forced, as for
+	// followers).
+	Dir    string
+	Engine engine.Config
 	// NodeID is the member's stable identity and the election
 	// tiebreaker (default AdvertiseHTTP).
 	NodeID string
@@ -239,7 +238,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		role: RoleFollower,
 	}
 	if hasDataset(cfg.Dir) {
-		eng, err := engine.OpenDir(cfg.Dir, cfg.PoolPages, n.engineConfig())
+		eng, err := engine.OpenDir(cfg.Dir, 0, n.engineConfig())
 		if err != nil {
 			return nil, fmt.Errorf("replication: node open %s: %w", cfg.Dir, err)
 		}
@@ -719,7 +718,6 @@ func (n *Node) retarget(ctx context.Context, v ClusterInfo) {
 	f := NewFollower(FollowerConfig{
 		Dir:           n.cfg.Dir,
 		PrimaryAddr:   v.ReplAddr,
-		PoolPages:     n.cfg.PoolPages,
 		Engine:        n.cfg.Engine,
 		DialTimeout:   n.cfg.DialTimeout,
 		RetryInterval: n.cfg.RetryInterval,

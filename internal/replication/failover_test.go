@@ -170,7 +170,6 @@ func (c *cluster) start(i int, bootPrimary bool) {
 	}
 	node, err := replication.NewNode(replication.NodeConfig{
 		Dir:               m.dir,
-		PoolPages:         64,
 		Engine:            engine.Config{CheckpointBytes: -1},
 		NodeID:            fmt.Sprintf("node-%d", i),
 		AdvertiseHTTP:     m.hs.URL,
@@ -424,7 +423,7 @@ func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
 
 	oracleDir := t.TempDir()
 	fSaveDataset(t, oracleDir, tuples)
-	oracle, err := engine.OpenDir(oracleDir, 64, engine.Config{WAL: true, CheckpointBytes: -1})
+	oracle, err := engine.OpenDir(oracleDir, 0, engine.Config{WAL: true, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,8 +32,6 @@ type FollowerConfig struct {
 	Dir string
 	// PrimaryAddr is the primary's -replicate-listen address.
 	PrimaryAddr string
-	// PoolPages sizes the disk index buffer pool.
-	PoolPages int
 	// Engine is the base engine configuration (cache bounds, worker
 	// pool). WAL, sync policy (fsync-per-batch — an ack
 	// must mean stable storage) and writability are forced.
@@ -284,7 +282,7 @@ func (f *Follower) session(ctx context.Context) error {
 	f.mu.Unlock()
 	if eng == nil && hasDataset(f.cfg.Dir) {
 		var err error
-		eng, err = engine.OpenDir(f.cfg.Dir, f.cfg.PoolPages, f.engineConfig())
+		eng, err = engine.OpenDir(f.cfg.Dir, 0, f.engineConfig())
 		if err != nil {
 			return fmt.Errorf("open %s: %w", f.cfg.Dir, err)
 		}
@@ -550,7 +548,7 @@ func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) error {
 	if err := writeDatasetID(f.cfg.Dir, datasetID); err != nil {
 		return err
 	}
-	eng, err := engine.OpenDir(f.cfg.Dir, f.cfg.PoolPages, f.engineConfig())
+	eng, err := engine.OpenDir(f.cfg.Dir, 0, f.engineConfig())
 	if err != nil {
 		return fmt.Errorf("open snapshot: %w", err)
 	}

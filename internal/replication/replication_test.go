@@ -50,7 +50,7 @@ type primaryHarness struct {
 
 func startPrimary(t testing.TB, dir string, ack AckMode, ackTimeout time.Duration) *primaryHarness {
 	t.Helper()
-	eng, err := engine.OpenDir(dir, 64, engine.Config{WAL: true, CheckpointBytes: -1})
+	eng, err := engine.OpenDir(dir, 0, engine.Config{WAL: true, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,6 @@ func startFollower(t testing.TB, dir, addr string) *followerHarness {
 	f := NewFollower(FollowerConfig{
 		Dir:           dir,
 		PrimaryAddr:   addr,
-		PoolPages:     64,
 		RetryInterval: 25 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -421,7 +420,7 @@ func TestQuorumAckDurability(t *testing.T) {
 	fh.stop(t)
 
 	// The standby alone must hold every acknowledged batch.
-	standby, err := engine.OpenDir(fdir, 64, engine.Config{WAL: true})
+	standby, err := engine.OpenDir(fdir, 0, engine.Config{WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ var (
 		"index-wide bytes read (storage.IOStats)",
 		engineStat(func(e *engine.Engine) float64 { _, _, b := e.Stats().Snapshot(); return float64(b) }))
 	_ = obs.NewGaugeFunc("ir_io_pool_bypass",
-		"tuple-record reads served straight from the mapped tuple file, bypassing the buffer pool",
+		"tuple-record reads served from the mapping",
 		engineStat(func(e *engine.Engine) float64 { return float64(e.Stats().Bypasses()) }))
 
 	_ = obs.NewGaugeFunc("ir_cache_entries",

@@ -66,22 +66,25 @@ func patchWord(t *testing.T, path string, off int64, v uint32) {
 // TestReadFaultFailsOneQuery: a generation file that fails a read fails
 // exactly the queries that read it, on every read route, as a counted 500
 // carrying the read's error — never a dropped connection, a dead process,
-// a cache admission or a wrong answer. The dataset splits into two groups
-// of tuples over disjoint dimensions, so a query on the other group reads
-// none of the damaged records and must still answer. Before read errors
-// were values, the batch rows killed the test binary.
+// a cache admission or a wrong answer — and leaves the engine writable.
+// The dataset splits into two halves of the ids over disjoint
+// dimensions, so a query on the first half reads none of the damaged
+// records, nor any page of the tuple file past the second half's start,
+// and must still answer. A regression on the batch rows or the
+// truncation row kills the test binary (a panic, SIGBUS) rather than
+// failing it.
 func TestReadFaultFailsOneQuery(t *testing.T) {
 	const n, m, k = 2000, 6, 5
 	rng := rand.New(rand.NewSource(26))
 	tuples := make([]vec.Sparse, n)
 	for id := range tuples {
-		first := 3 * (id % 2) // even ids live on dims 0–2, odd ids on 3–5
+		first := 3 * (2 * id / n) // ids below n/2 live on dims 0–2, the rest on 3–5
 		for d := first; d < first+3; d++ {
 			tuples[id] = append(tuples[id], vec.Entry{Dim: d, Val: 0.01 + 0.99*rng.Float64()})
 		}
 	}
-	lost := QueryRequest{Dims: []int{0, 1, 2}, Weights: []float64{0.9, 0.4, 0.7}, K: k, Phi: 2, Method: "cpt"}
-	healthy := QueryRequest{Dims: []int{3, 4, 5}, Weights: []float64{0.9, 0.4, 0.7}, K: k, Phi: 2, Method: "cpt"}
+	lost := QueryRequest{Dims: []int{3, 4, 5}, Weights: []float64{0.9, 0.4, 0.7}, K: k, Phi: 2, Method: "cpt"}
+	healthy := QueryRequest{Dims: []int{0, 1, 2}, Weights: []float64{0.9, 0.4, 0.7}, K: k, Phi: 2, Method: "cpt"}
 
 	// What the lost query reads: the tuples its scan meets, then the ones
 	// only its region phases pull (Phase 3 resumes the scan).
@@ -121,17 +124,28 @@ func TestReadFaultFailsOneQuery(t *testing.T) {
 		name       string
 		corrupt    func(t *testing.T, tp, lp string) (inError string)
 		fail, pass []string // the routes the lost query fails and answers on
+		underOpen  bool     // corrupt runs after the engine has opened the files
 	}{
-		{"records the scan reads", corruptRecords(scanned), append(ranked, analyses...), nil},
+		{"records the scan reads", corruptRecords(scanned), append(ranked, analyses...), nil, false},
 		// The scan is intact; Phase 3, resuming it, meets the damage.
-		{"records only Phase 3 reads", corruptRecords(phase3), analyses, ranked},
+		{"records only Phase 3 reads", corruptRecords(phase3), analyses, ranked, false},
 		{"posting id past the last tuple", func(t *testing.T, tp, lp string) string {
 			// The directory after the 16-byte header holds (dim, count,
-			// offset) per list, dim 0 first: the first posting of dim 0's
+			// offset) per list, dim 0 first: the first posting of dim 3's
 			// list is the first thing the scan reads from it.
-			patchWord(t, lp, int64(fileWord(t, lp, 16+8)), n+7)
+			patchWord(t, lp, int64(fileWord(t, lp, 16+16*3+8)), n+7)
 			return fmt.Sprintf("posting id %d", n+7)
-		}, append(ranked, analyses...), nil},
+		}, append(ranked, analyses...), nil, false},
+		// The tuple file is cut short under the open engine, at the first
+		// page boundary past where the second half's records start: the
+		// pages of the mapping past the cut fault when read.
+		{"tuple file cut short under the engine", func(t *testing.T, tp, lp string) string {
+			cut := (int64(fileWord(t, tp, 16+8*n/2)) + 4095) &^ 4095
+			if err := os.Truncate(tp, cut); err != nil {
+				t.Fatal(err)
+			}
+			return "read fault at offset"
+		}, append(ranked, analyses...), nil, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -140,10 +154,16 @@ func TestReadFaultFailsOneQuery(t *testing.T) {
 			if err := lists.SaveDataset(tp, lp, tuples, m); err != nil {
 				t.Fatal(err)
 			}
-			want := c.corrupt(t, tp, lp)
-			eng, err := engine.Open(tp, lp, 0, engine.Config{})
+			var want string
+			if !c.underOpen {
+				want = c.corrupt(t, tp, lp)
+			}
+			eng, err := engine.Open(tp, lp, engine.Config{})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.underOpen {
+				want = c.corrupt(t, tp, lp)
 			}
 			t.Cleanup(func() { eng.Close() })
 			ts := httptest.NewServer(FromEngine(eng).Handler())
@@ -187,6 +207,17 @@ func TestReadFaultFailsOneQuery(t *testing.T) {
 				if code, body := call(route, healthy); code != http.StatusOK {
 					t.Errorf("/%s on the healthy group: %d %s", route, code, body)
 				}
+			}
+			// The failed queries released the read side of the engine's
+			// lock: a write, which takes the other side, goes through.
+			raw, _ := json.Marshal(UpdateRequest{Ops: []UpdateOpJSON{{Tuple: []vec.Entry{{Dim: 0, Val: 0.5}}}}})
+			resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("/update after the failed queries: %d", resp.StatusCode)
 			}
 		})
 	}

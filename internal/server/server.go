@@ -155,7 +155,7 @@ func New(cfg Config) *Server {
 
 // FromEngine builds a Server over one fixed engine with the
 // DefaultSlowQuery threshold. It stays for bench/ladder.go, which may
-// not change before ROADMAP item 2 moves the ladder onto the binaries'
+// not change before ROADMAP item 3 moves the ladder onto the binaries'
 // surface and removes it; everything else calls New.
 func FromEngine(eng *engine.Engine) *Server {
 	return New(Config{Querier: func() Querier { return eng }, SlowQuery: DefaultSlowQuery})
@@ -163,7 +163,7 @@ func FromEngine(eng *engine.Engine) *Server {
 
 // SetClusterInfo sets Config.ClusterInfo after New, before the server
 // handles traffic. It stays for bench/ladder.go, which may not change
-// before ROADMAP item 2 removes it; everything else sets the field.
+// before ROADMAP item 3 removes it; everything else sets the field.
 func (s *Server) SetClusterInfo(fn func() any) { s.cfg.ClusterInfo = fn }
 
 // current resolves the Querier to serve: nil while there is none. A nil
@@ -427,10 +427,9 @@ type StatsResponse struct {
 	SeqPages  int64     `json:"seq_pages"`
 	RandReads int64     `json:"rand_reads"`
 	BytesRead int64     `json:"bytes_read"`
-	// PoolBypass counts tuple-record reads served straight from the
-	// mapped tuple file, bypassing the buffer pool (always 0 on nommap
-	// builds or in-memory stores). List pages are never pooled and
-	// never counted here.
+	// PoolBypass counts tuple-record reads served from the mapping of
+	// the tuple file (0 on in-memory stores). List pages are read with
+	// pread and never counted here.
 	PoolBypass  int64                   `json:"pool_bypass"`
 	Cache       *engine.CacheStats      `json:"cache,omitempty"`
 	Mutations   *engine.MutationStats   `json:"mutations,omitempty"`

@@ -22,7 +22,7 @@ func TestStatsDurableBlocks(t *testing.T) {
 	if err := lists.SaveDataset(filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat"), tuples, 2); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.OpenDir(dir, 64, engine.Config{WAL: true})
+	eng, err := engine.OpenDir(dir, 0, engine.Config{WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestStatsDurableBlocks(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := engine.OpenDir(dir, 64, engine.Config{WAL: true})
+	eng2, err := engine.OpenDir(dir, 0, engine.Config{WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func startReplPair(t *testing.T) *replPair {
 // replAddr, and serves HTTP on the address its welcome advertises.
 func (rp *replPair) startPrimary(t *testing.T, replAddr string) {
 	t.Helper()
-	eng, err := engine.OpenDir(rp.pdir, 64, engine.Config{WAL: true, CheckpointBytes: -1})
+	eng, err := engine.OpenDir(rp.pdir, 0, engine.Config{WAL: true, CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,6 @@ func (rp *replPair) startStandby(t *testing.T) {
 	fol := replication.NewFollower(replication.FollowerConfig{
 		Dir:           rp.fdir,
 		PrimaryAddr:   rp.replAddr,
-		PoolPages:     64,
 		RetryInterval: 25 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -235,7 +235,7 @@ func TestShardedBitIdentical(t *testing.T) {
 			// other half of the id space, so equal scores meet in the
 			// coordinator's merge and only the id tie-break of topk.ByRank
 			// orders them as one node does. Ranked results only: regions
-			// under exact ties are ROADMAP item 1(b).
+			// under exact ties are ROADMAP item 2.
 			twice := append(slices.Clone(cs.Tuples), cs.Tuples...)
 			want, _, err := singleNode(twice, cs.M).TopKMetered(ctx, cs.Q, 2*cs.K)
 			if err != nil {

@@ -128,11 +128,10 @@ func hugeCountFile(magic [8]byte, count uint32) []byte {
 // fails the open before anything is sized by it — a 32-byte file that
 // claimed 2³²−1 tuples or lists used to end the process out of memory.
 // A tuple file of the previous format version is refused by the error
-// that names its version. It runs on the mapped build and, under
-// -tags nommap, on the pread one.
+// that names its version.
 func TestOpenRejectsHugeCounts(t *testing.T) {
 	dir := t.TempDir()
-	openTuples := func(p string) error { _, err := OpenTupleFile(p, &IOStats{}, 8); return err }
+	openTuples := func(p string) error { _, err := OpenTupleFile(p, &IOStats{}, 0); return err }
 	openLists := func(p string) error { _, err := OpenListFile(p, &IOStats{}, 0); return err }
 	for _, c := range []struct {
 		name  string

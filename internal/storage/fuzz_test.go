@@ -60,7 +60,7 @@ func FuzzOpenTupleFile(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tf, err := OpenTupleFile(fuzzFile(t, data), &IOStats{}, 4)
+		tf, err := OpenTupleFile(fuzzFile(t, data), &IOStats{}, 0)
 		if err != nil {
 			return
 		}

@@ -115,8 +115,8 @@ type listExtent struct {
 }
 
 // OpenListFile opens an inverted-list file, reading its directory and
-// integrity trailer once. poolPages does nothing: lists are read past
-// any buffer pool. It stays for bench/ladder.go:142, which passes it;
+// integrity trailer once. poolPages does nothing: lists are read with
+// pread. It stays for bench/ladder.go:142, which passes it;
 // re-basing the benchmark (ROADMAP.md item 3) removes it.
 func OpenListFile(path string, stats *IOStats, poolPages int) (*ListFile, error) {
 	pager, err := openPager(path)

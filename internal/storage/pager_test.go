@@ -2,10 +2,16 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // writeRaw persists a deterministic pseudo-random blob of n bytes and
@@ -21,13 +27,14 @@ func writeRaw(t *testing.T, n int) (string, []byte) {
 	return path, content
 }
 
-// TestReadRangeEdgeCases pins the ReadRange contract at the boundaries:
-// reads straddling the final partial page, zero-length reads (in bounds
-// and at EOF), reads ending exactly at EOF, and out-of-bounds rejections.
-func TestReadRangeEdgeCases(t *testing.T) {
+// TestReadAtEdgeCases pins the readAt contract (the pread every list
+// page and bulk copy goes through) at the boundaries: reads straddling
+// the final partial page, zero-length reads (in bounds and at EOF),
+// reads ending exactly at EOF, and out-of-bounds rejections.
+func TestReadAtEdgeCases(t *testing.T) {
 	size := PageSize + 100 // final page is partial
 	path, content := writeRaw(t, size)
-	p, err := NewPager(path, 4)
+	p, err := openPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +43,7 @@ func TestReadRangeEdgeCases(t *testing.T) {
 	check := func(name string, off int64, n int) {
 		t.Helper()
 		dst := make([]byte, n)
-		if _, err := p.ReadRange(off, dst); err != nil {
+		if err := p.readAt(off, dst); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !bytes.Equal(dst, content[off:off+int64(n)]) {
@@ -51,46 +58,35 @@ func TestReadRangeEdgeCases(t *testing.T) {
 	check("zero-length mid-file", 123, 0)
 	check("zero-length exactly at EOF", int64(size), 0)
 
-	if _, err := p.ReadRange(int64(size)-10, make([]byte, 20)); err == nil {
+	if err := p.readAt(int64(size)-10, make([]byte, 20)); err == nil {
 		t.Fatal("read past EOF accepted")
 	}
-	if _, err := p.ReadRange(int64(size)+1, nil); err == nil {
+	if err := p.readAt(int64(size)+1, nil); err == nil {
 		t.Fatal("zero-length read past EOF accepted")
 	}
-	if _, err := p.ReadRange(-1, make([]byte, 1)); err == nil {
+	if err := p.readAt(-1, make([]byte, 1)); err == nil {
 		t.Fatal("negative offset accepted")
 	}
 }
 
 // TestPagerSlice proves the zero-copy view agrees byte-for-byte with
-// ReadRange when mapped, and that the fallback build reports ok=false
-// consistently (this branch is what -tags=nommap CI exercises).
+// the file and refuses, rather than clamps, a range outside it.
 func TestPagerSlice(t *testing.T) {
 	size := 3*PageSize + 17
 	path, content := writeRaw(t, size)
-	p, err := NewPager(path, 0)
+	p, err := NewPager(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	if p.Mapped() != mmapEnabled {
-		t.Fatalf("Mapped() = %v, build says mmapEnabled=%v", p.Mapped(), mmapEnabled)
-	}
 	sl, ok := p.Slice(PageSize-5, 40)
-	if !mmapEnabled {
-		if ok {
-			t.Fatal("fallback build returned a mapped slice")
-		}
-		return
-	}
 	if !ok {
-		t.Fatal("mapped build refused an in-bounds slice")
+		t.Fatal("an in-bounds slice was refused")
 	}
 	if !bytes.Equal(sl, content[PageSize-5:PageSize+35]) {
 		t.Fatal("slice content mismatch")
 	}
-	// Out-of-bounds requests must be refused, not clamped.
 	if _, ok := p.Slice(int64(size)-10, 11); ok {
 		t.Fatal("slice past EOF accepted")
 	}
@@ -102,8 +98,111 @@ func TestPagerSlice(t *testing.T) {
 	}
 }
 
-// TestBypassAccounting checks that the mapped build counts pool-bypass
-// accesses while charging identical logical I/O to the fallback path.
+// TestNewPagerFailsUnmappable: a file that cannot be mapped fails the
+// open instead of being served some other way.
+func TestNewPagerFailsUnmappable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "empty.dat")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := NewPager(path); err == nil {
+		p.Close()
+		t.Fatal("an empty file opened without a mapping")
+	}
+	if _, err := OpenTupleFile(path, &IOStats{}, 0); err == nil {
+		t.Fatal("an empty tuple file opened")
+	}
+}
+
+// TestCatchFault: a read of a mapped page the file no longer backs (it
+// was cut short under the open pager) comes back from CatchFault as an
+// error naming the file and the offset, while the rest of the page the
+// cut falls in reads as zeros; any other panic goes on; a
+// closed pager's range is no longer claimed.
+func TestCatchFault(t *testing.T) {
+	path, _ := writeRaw(t, 4*PageSize)
+	p, err := NewPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := os.Truncate(path, PageSize+100); err != nil {
+		t.Fatal(err)
+	}
+	read := func(b []byte) (v byte, err error) {
+		defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+		defer CatchFault(&err)
+		return b[0], nil
+	}
+	raw, _ := p.Slice(2*PageSize+8, 1)
+	if _, err := read(raw); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), fmt.Sprint("offset ", 2*PageSize+8)) {
+		t.Fatalf("a read past the cut: %v, want the fault as an error naming the file and offset", err)
+	}
+	if v, err := read(p.mapped[:1]); err != nil || v != p.mapped[0] {
+		t.Fatalf("a read before the cut: %v, %v", v, err)
+	}
+	// Past the new end on the page the cut falls in, bytes read as zeros.
+	if v, err := read(p.mapped[PageSize+200:]); err != nil || v != 0 {
+		t.Fatalf("a read past the cut on its own page: %v, %v, want 0 and no fault", v, err)
+	}
+	repanics := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: CatchFault swallowed the panic", name)
+			}
+		}()
+		fn()
+	}
+	repanics("plain panic", func() {
+		var err error
+		defer CatchFault(&err)
+		panic("not a fault")
+	})
+	repanics("index out of range", func() {
+		_, _ = read(nil)
+	})
+	q, err := NewPager(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(q.mapped)))
+	registered := func() bool {
+		mappings.Lock()
+		defer mappings.Unlock()
+		return slices.ContainsFunc(mappings.live, func(m mapping) bool { return m.lo == lo })
+	}
+	if !registered() {
+		t.Fatal("a live mapping is not registered")
+	}
+	q.Close()
+	if registered() {
+		t.Fatal("a closed pager's mapping is still registered")
+	}
+
+	// Opens, faults and closes on several goroutines share the registry.
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q, err := NewPager(path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer q.Close()
+			if _, err := read(p.mapped[3*PageSize:]); err == nil {
+				t.Error("a read past the cut did not fault")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestBypassAccounting: every tuple-record read is served from the
+// mapping, so the bypass counter moves with the random reads, one for
+// one, through child meters too.
 func TestBypassAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	tuples := randTuples(rng, 300, 8)
@@ -113,7 +212,7 @@ func TestBypassAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &IOStats{}
-	tf, err := OpenTupleFile(tp, stats, 8)
+	tf, err := OpenTupleFile(tp, stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,15 +222,8 @@ func TestBypassAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if stats.RandReads() != 300 {
-		t.Fatalf("rand reads = %d, want 300 regardless of transport", stats.RandReads())
-	}
-	if mmapEnabled {
-		if stats.Bypasses() != 300 {
-			t.Fatalf("bypasses = %d, want 300 on the mapped build", stats.Bypasses())
-		}
-	} else if stats.Bypasses() != 0 {
-		t.Fatalf("bypasses = %d, want 0 on the fallback build", stats.Bypasses())
+	if stats.RandReads() != 300 || stats.Bypasses() != stats.RandReads() {
+		t.Fatalf("rand reads = %d, bypasses = %d, want 300 of each", stats.RandReads(), stats.Bypasses())
 	}
 
 	// Child meters forward bypass charges to the parent.
@@ -139,7 +231,7 @@ func TestBypassAccounting(t *testing.T) {
 	if _, err := tf.GetWith(0, child); err != nil {
 		t.Fatal(err)
 	}
-	if mmapEnabled && (child.Bypasses() != 1 || stats.Bypasses() != 301) {
+	if child.Bypasses() != 1 || stats.Bypasses() != 301 {
 		t.Fatalf("child bypass forwarding: child=%d parent=%d", child.Bypasses(), stats.Bypasses())
 	}
 	stats.Reset()
@@ -149,10 +241,9 @@ func TestBypassAccounting(t *testing.T) {
 }
 
 // TestListCursorMappedAccounting pins the deterministic sequential-page
-// model of a list scan on every build: one page per fill (341
-// postings), matching the in-memory index's charge, and no pool bypass —
-// the list file is read, never mapped, and never goes near the pool
-// whatever size OpenListFile is handed. A released cursor hands its page
+// model of a list scan: one page per fill (341 postings), matching the
+// in-memory index's charge, and no bypass — the list file is read with
+// pread, never mapped. A released cursor hands its page
 // buffer back and a clone reads through its own.
 func TestListCursorMappedAccounting(t *testing.T) {
 	const n = 700 // ceil(700/341) = 3 fills
@@ -165,13 +256,13 @@ func TestListCursorMappedAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &IOStats{}
-	lf, err := OpenListFile(path, stats, 4)
+	lf, err := OpenListFile(path, stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lf.Close()
-	if lf.pager.Mapped() || lf.pager.pool != nil {
-		t.Fatalf("list file mapped=%v, pooled=%v", lf.pager.Mapped(), lf.pager.pool != nil)
+	if lf.pager.mapped != nil {
+		t.Fatal("the list file is mapped")
 	}
 	if seq, rnd, by := stats.Snapshot(); seq != 0 || rnd != 0 || by != 0 {
 		t.Fatalf("opening the file charged the meter: %v", stats)

@@ -1,9 +1,8 @@
 // Package storage provides the disk substrate of the reproduction: an
 // external tuple file accessed at random (one fetch per evaluated
-// candidate — the cost the paper's I/O charts measure), inverted-list
-// files consumed by sorted access, a page-granular LRU buffer pool for
-// tuple reads where the tuple file cannot be mapped, and
-// explicit I/O accounting with a spinning-disk cost model so that the
+// candidate — the cost the paper's I/O charts measure) read from a
+// mapping, inverted-list files consumed by sorted access, and explicit
+// I/O accounting with a spinning-disk cost model so that the
 // experiment harness can report I/O time comparable in shape to the
 // paper's 2012 testbed. Accounting is logical: a list cursor's look
 // ahead (ListCursor.Ahead) and the record prefetch it feeds
@@ -37,7 +36,7 @@ type IOStats struct {
 	seqPages  atomic.Int64 // inverted-list pages fetched by sorted access
 	randReads atomic.Int64 // tuple-file fetches by random access
 	bytesRead atomic.Int64
-	bypass    atomic.Int64 // tuple records served from the mapping, pool bypassed
+	bypass    atomic.Int64 // tuple-record reads served from the mapping
 	parent    *IOStats     // charged along with this meter, charge by charge
 	total     *IOStats     // charged by Flush
 	flushed   [4]int64     // what Flush has passed on: seq, rand, bytes, bypass
@@ -85,12 +84,10 @@ func (s *IOStats) AddRandRead(bytes int) {
 	}
 }
 
-// AddBypass records n tuple-record reads served straight from the
-// mapping, bypassing the buffer pool (list pages never use the pool, so
-// they are not counted). Bypass accesses are physical-path bookkeeping
-// only — the logical counters (AddSeqPage/AddRandRead) are still charged
-// separately, so the paper's cost model is unaffected by which transport
-// served the bytes.
+// AddBypass records n tuple-record reads served from the mapping (list
+// pages are read with pread and not counted). It is physical-path
+// bookkeeping only — the logical counters (AddSeqPage/AddRandRead) are
+// charged separately, so the paper's cost model does not depend on it.
 func (s *IOStats) AddBypass(n int) {
 	s.bypass.Add(int64(n))
 	if s.parent != nil {
@@ -98,7 +95,8 @@ func (s *IOStats) AddBypass(n int) {
 	}
 }
 
-// Bypasses returns the pool-bypass counter.
+// Bypasses returns the count of tuple-record reads served from the
+// mapping.
 func (s *IOStats) Bypasses() int64 { return s.bypass.Load() }
 
 // Snapshot returns the current counter values.

@@ -67,7 +67,7 @@ func TestTupleFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &IOStats{}
-	tf, err := OpenTupleFile(path, stats, 8)
+	tf, err := OpenTupleFile(path, stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,61 +185,6 @@ func TestDiskModel(t *testing.T) {
 	m := DiskModel{SeqPage: time.Millisecond, RandRead: 10 * time.Millisecond}
 	if got := m.Time(5, 2); got != 25*time.Millisecond {
 		t.Fatalf("Time = %v", got)
-	}
-}
-
-func TestLRU(t *testing.T) {
-	c := newLRU(2)
-	c.put(lruKey{1, 1}, "a")
-	c.put(lruKey{1, 2}, "b")
-	if v, ok := c.get(lruKey{1, 1}); !ok || v != "a" {
-		t.Fatal("miss on present key")
-	}
-	c.put(lruKey{1, 3}, "c") // evicts (1,2), the LRU
-	if _, ok := c.get(lruKey{1, 2}); ok {
-		t.Fatal("LRU entry not evicted")
-	}
-	if _, ok := c.get(lruKey{1, 1}); !ok {
-		t.Fatal("recently used entry evicted")
-	}
-	if n := c.order.Len(); n != 2 || len(c.items) != 2 {
-		t.Fatalf("%d entries in the list, %d in the map, want 2", n, len(c.items))
-	}
-	c.put(lruKey{1, 1}, "a2") // refresh
-	if v, _ := c.get(lruKey{1, 1}); v != "a2" {
-		t.Fatal("refresh failed")
-	}
-}
-
-func TestPagerPoolAvoidsRereads(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	tuples := randTuples(rng, 50, 6)
-	path := filepath.Join(t.TempDir(), "tuples.dat")
-	if err := WriteTupleFile(path, tuples, 6); err != nil {
-		t.Fatal(err)
-	}
-	p, err := NewPager(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	buf := make([]byte, 128)
-	m1, err := p.ReadRange(0, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 == 0 {
-		t.Fatal("first read had no misses")
-	}
-	m2, err := p.ReadRange(0, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2 != 0 {
-		t.Fatalf("second read missed %d pages despite pool", m2)
-	}
-	if _, err := p.ReadRange(p.Size()-10, make([]byte, 20)); err == nil {
-		t.Fatal("read past EOF accepted")
 	}
 }
 
@@ -424,12 +369,12 @@ func TestRawCopiesAreTheFileBytes(t *testing.T) {
 	listBytes, _ := os.ReadFile(lp)
 
 	stats := &IOStats{}
-	tf, err := OpenTupleFile(tp, stats, 4)
+	tf, err := OpenTupleFile(tp, stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tf.Close()
-	lf, err := OpenListFile(lp, stats, 4)
+	lf, err := OpenListFile(lp, stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +492,7 @@ func TestListCursorAheadIsNext(t *testing.T) {
 		t.Fatal(err)
 	}
 	stats := &IOStats{}
-	lf, err := OpenListFile(path, stats, 4)
+	lf, err := OpenListFile(path, stats, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,8 +531,7 @@ func TestListCursorAheadIsNext(t *testing.T) {
 // TestPrefetchChargesNothing: Prefetch moves no counter of the meter,
 // skips ids out of range and records a corrupt offsets table places
 // outside the file — the real access refuses those with an error, not a
-// panic — and touches bytes only when the file is mapped: the nommap
-// build (make test-fallback) runs this with Prefetch a no-op.
+// panic — and touches the bytes of the records it is given.
 func TestPrefetchChargesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	const n, m = 200, 10
@@ -628,8 +572,8 @@ func TestPrefetchChargesNothing(t *testing.T) {
 	if bad := tf.Prefetch([]int32{-1, n, 5, 9}); bad != 0 {
 		t.Fatalf("Prefetch of ids and records outside the file touched bytes (sum %d)", bad)
 	}
-	if tf.pager.Mapped() != (valid > 0 && all > valid) {
-		t.Fatalf("mapped=%v, yet Prefetch touched bytes summing to %d and %d", tf.pager.Mapped(), valid, all)
+	if valid == 0 || all <= valid {
+		t.Fatalf("Prefetch touched bytes summing to %d and %d", valid, all)
 	}
 	if seq, rnd, bytes := stats.Snapshot(); seq != 0 || rnd != 0 || bytes != 0 || stats.Bypasses() != 0 {
 		t.Fatalf("Prefetch charged the meter: %v bypass=%d", stats, stats.Bypasses())
@@ -646,8 +590,7 @@ func TestPrefetchChargesNothing(t *testing.T) {
 // written (GetWith), project exactly as vec.Query.ProjectInto does, on
 // dimensions inside and past m (ProjectWith), and take RecordBytes each.
 // A dense record whose non-zero slots disagree with its nnz, either way,
-// fails GetWith as corrupt. It runs on the mapped build and, under
-// -tags nommap, on the pread one.
+// fails GetWith as corrupt.
 func TestTupleRecordEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	for _, m := range []int{1, 2, 3, 20, 64} {
@@ -688,7 +631,7 @@ func TestTupleRecordEncodings(t *testing.T) {
 		if info.Size() != want {
 			t.Fatalf("m=%d: file of %d bytes, want %d", m, info.Size(), want)
 		}
-		tf, err := OpenTupleFile(path, &IOStats{}, 4)
+		tf, err := OpenTupleFile(path, &IOStats{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -725,7 +668,7 @@ func TestTupleRecordEncodings(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		bad, err := OpenTupleFile(path, &IOStats{}, 4)
+		bad, err := OpenTupleFile(path, &IOStats{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,20 +140,19 @@ type TupleFile struct {
 	pager *Pager
 	stats *IOStats
 	// offsets is the file's offsets table as encoded, read in place: a
-	// view of the mapping where the file is mapped, else a copy read at
-	// open.
+	// view of the mapping.
 	offsets []byte
 	n       int
 	end     int64 // where the payload, and so the last record, ends
 	m       int
 }
 
-// OpenTupleFile opens a tuple file, mapped where the build can map it.
-// poolPages sizes the buffer pool the physical reads go through where it
-// cannot (0 disables it); logical random-read counting is unaffected by
-// pool hits.
+// OpenTupleFile opens and maps a tuple file. poolPages does nothing:
+// records are read from the mapping. It stays for bench/ladder.go:146,
+// which passes it; re-basing the benchmark (ROADMAP.md item 3) removes
+// it.
 func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, error) {
-	pager, err := NewPager(path, poolPages)
+	pager, err := NewPager(path)
 	if err != nil {
 		return nil, err
 	}
@@ -301,32 +300,21 @@ func (tf *TupleFile) ProjectWith(id int, dims []int, dst []float64, st *IOStats)
 	return nil
 }
 
-// record returns tuple id's raw record and its entry count, charging st
-// one logical random read. On a mapped pager the record is a view of the
-// mmap region (no copy, no buffer-pool traffic); the charge is identical
-// either way, so the paper's metrics don't depend on the transport.
+// record returns tuple id's raw record, a view of the mapping, and its
+// entry count, charging st one logical random read (and one read served
+// from the mapping): the paper's metrics count accesses, not transport.
 func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error) {
 	if id < 0 || id >= tf.n {
 		return nil, 0, fmt.Errorf("storage: tuple id %d out of range [0,%d)", id, tf.n)
 	}
 	off, size := tf.span(id)
-	raw, zeroCopy := tf.pager.Slice(off, size)
-	if !zeroCopy {
-		if !tf.pager.within(off, int64(size)) {
-			// Checked before the buffer is made: a corrupt offsets table
-			// must fail the read, not size an allocation.
-			return nil, 0, fmt.Errorf("storage: tuple %d corrupt (record [%d,%d) outside the file)", id, off, off+int64(size))
-		}
-		raw = make([]byte, size)
-		if _, err := tf.pager.ReadRange(off, raw); err != nil {
-			return nil, 0, err
-		}
+	raw, ok := tf.pager.Slice(off, size)
+	if !ok {
+		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (record [%d,%d) outside the file)", id, off, off+int64(size))
 	}
 	if st != nil {
 		st.AddRandRead(len(raw))
-		if zeroCopy {
-			st.AddBypass(1)
-		}
+		st.AddBypass(1)
 	}
 	if len(raw) < 4 {
 		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (%d-byte record)", id, len(raw))
@@ -350,13 +338,9 @@ const cacheLine = 64
 // decodes nothing, and what it returns is a sum of the bytes it touched,
 // no use as data — a caller keeps it only so the loads are not optimized
 // away. An id out of range, or a record the offsets table places outside
-// the file, is skipped — the real access is what fails on it; on an
-// unmapped file Prefetch does nothing.
+// the file, is skipped — the real access is what fails on it.
 func (tf *TupleFile) Prefetch(ids []int32) uint64 {
 	mapped := tf.pager.mapped
-	if mapped == nil {
-		return 0
-	}
 	var sum uint64
 	var offs, ends [16]int64
 	for len(ids) > 0 {

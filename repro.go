@@ -148,16 +148,15 @@ func NewEngineWithConfig(tuples []Tuple, m int, cfg EngineConfig) *Engine {
 }
 
 // OpenEngine opens a dataset persisted with SaveDataset, with default
-// settings. poolPages sizes the tuple file's buffer pool on a build that
-// cannot map it.
-func OpenEngine(tuplePath, listPath string, poolPages int) (*Engine, error) {
-	return OpenEngineWithConfig(tuplePath, listPath, poolPages, EngineConfig{})
+// settings.
+func OpenEngine(tuplePath, listPath string) (*Engine, error) {
+	return OpenEngineWithConfig(tuplePath, listPath, EngineConfig{})
 }
 
 // OpenEngineWithConfig opens a persisted dataset with explicit settings
 // (including optional checksum verification of both files).
-func OpenEngineWithConfig(tuplePath, listPath string, poolPages int, cfg EngineConfig) (*Engine, error) {
-	eng, err := engine.Open(tuplePath, listPath, poolPages, cfg.internal())
+func OpenEngineWithConfig(tuplePath, listPath string, cfg EngineConfig) (*Engine, error) {
+	eng, err := engine.Open(tuplePath, listPath, cfg.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -186,10 +185,10 @@ var ErrManifestMoved = engine.ErrManifestMoved
 // the new generation, up to engine.SnapshotOpenAttempts (4) times,
 // after which it fails with the typed ErrManifestMoved rather than a
 // misleading raw I/O error.
-func OpenEngineDir(dir string, poolPages int, cfg EngineConfig) (*Engine, error) {
+func OpenEngineDir(dir string, cfg EngineConfig) (*Engine, error) {
 	icfg := cfg.internal()
 	icfg.ReadOnly = true
-	eng, err := engine.OpenDir(dir, poolPages, icfg)
+	eng, err := engine.OpenDir(dir, 0, icfg)
 	if err != nil {
 		return nil, err
 	}

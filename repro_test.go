@@ -64,7 +64,7 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 	if err := repro.SaveDataset(tp, lp, tuples, 2); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := repro.OpenEngine(tp, lp, 16)
+	eng, err := repro.OpenEngine(tp, lp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSessionOverDiskIndex(t *testing.T) {
 	if err := repro.SaveDataset(tp, lp, tuples, 2); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := repro.OpenEngineWithConfig(tp, lp, 16, repro.EngineConfig{VerifyChecksums: true})
+	eng, err := repro.OpenEngineWithConfig(tp, lp, repro.EngineConfig{VerifyChecksums: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestOpenEngineDirReplaysWAL(t *testing.T) {
 	if err := repro.SaveDataset(filepath.Join(dir, "tuples.dat"), filepath.Join(dir, "lists.dat"), tuples, 2); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := engine.OpenDir(dir, 64, engine.Config{WAL: true})
+	srv, err := engine.OpenDir(dir, 0, engine.Config{WAL: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestOpenEngineDirReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng, err := repro.OpenEngineDir(dir, 64, repro.EngineConfig{VerifyChecksums: true})
+	eng, err := repro.OpenEngineDir(dir, repro.EngineConfig{VerifyChecksums: true})
 	if err != nil {
 		t.Fatal(err)
 	}
