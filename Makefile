@@ -94,13 +94,16 @@ vuln:
 # a list file mapped again shows up in the last. The two region-hit
 # paths close it: a /topk served by a cached entry's containment test,
 # and a write checked against 64 cached certificates (its allocs/op is
-# the invalidation pass's garbage).
+# the invalidation pass's garbage). BenchmarkBatchTopK is the measurement
+# topk.Multi stands on: 16 ranked queries over one subspace, fused into
+# one scan against sixteen scans of their own.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyInvalidation|BenchmarkCacheTopK' -benchmem -benchtime=200ms .
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
 	$(GO) test -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchTopK' -benchmem -benchtime=20x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/

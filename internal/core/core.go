@@ -23,9 +23,8 @@
 // exactly as the published pseudo-code reads: the dimensions run in
 // ascending order, and each dimension's Phase 3 resumes the same TA run,
 // so later dimensions see earlier dimensions' pulls. Concurrency is
-// between queries: each has its own run (or its own member view of a
-// fused batch, which reads the shared table pages in place and writes
-// only pages of its own), its own pooled scratch and its own Metrics.
+// between queries: each has its own run, its own pooled scratch and its
+// own Metrics.
 // I/O charges land on the index's (atomic) meter; the SeqPages and
 // RandReads deltas in Metrics bracket the whole call.
 package core
@@ -283,8 +282,8 @@ func (d *dimComputer) id(p int32) int { return d.rows.ID(p) + d.idBase }
 
 // Runner is the execution surface region computation drives: a
 // topk.View that can additionally be run to termination (a no-op when
-// the scan already completed — e.g. a member view of a fused
-// multi-query run). *topk.TA and *topk.MemberRun both implement it.
+// the scan already completed). *topk.TA implements it, and WithImposed
+// wraps one for a shard's imposed-result analysis.
 type Runner interface {
 	topk.View
 	RunContext(ctx context.Context) error
@@ -304,10 +303,9 @@ func Compute(ctx context.Context, ta *topk.TA, opts Options) (*Output, error) {
 	return ComputeView(ctx, ta, opts)
 }
 
-// ComputeView is Compute over any Runner — the entry point the fused
-// batch path uses to compute regions for each member view of a shared
-// multi-query scan. The answer is identical to a solo run's: a member
-// view's candidate superset only adds non-binding constraints.
+// ComputeView is Compute over any Runner — the entry point for a run
+// wrapped by WithImposed, whose result is the coordinator's and whose
+// ids are offset to the shard's global ones.
 func ComputeView(ctx context.Context, r Runner, opts Options) (*Output, error) {
 	if opts.Phi < 0 {
 		return nil, fmt.Errorf("core: negative phi %d", opts.Phi)

@@ -1,13 +1,14 @@
-// Batch execution: AnalyzeBatch and TopKBatch are de-duplication,
-// grouping and fan-out around the one read pipeline of engine.go. The
-// paper's §1 refinement scenario at fleet scale produces heavily
-// repeated weight vectors — many clients exploring the same rankings —
-// so identical analysis requests within one batch are de-duplicated
-// before anything else (answered once, shared as SourceDeduped); every
-// distinct request is then probed exactly as a single one is, so
-// repeats across batches are served at cache speed too; and what the
-// probe leaves is grouped into units by subspace (identical dimension
-// set) and k, one fused scan each, the units running concurrently.
+// Batch execution: AnalyzeBatch and TopKBatch are a fan-out over the
+// worker pool around the one read pipeline of engine.go. The paper's §1
+// refinement scenario at fleet scale produces heavily repeated weight
+// vectors — many clients exploring the same rankings — so identical
+// analysis requests within one batch are de-duplicated before anything
+// else (answered once, shared as SourceDeduped); every distinct request
+// is then probed exactly as a single one is, so repeats across batches
+// are served at cache speed too. What the probe leaves runs concurrently:
+// each analysis as its own job, exactly as it would alone, and ranked
+// queries grouped into units by subspace (identical dimension set) and
+// k, one fused scan (topk.Multi) each.
 package engine
 
 import (
@@ -54,41 +55,22 @@ func itemKey(it BatchItem) string {
 	return string(buf)
 }
 
-// runBatch takes a batch's jobs through the pipeline, the same way for
-// either kind: probe each, group what that left unanswered into units
-// by subspace and k (in order of first appearance), and execute the
-// units concurrently, up to the worker-pool capacity (a CPU-shaped
-// default when the pool is unlimited). It returns when every job has its
-// answer. jobs must not be appended to afterwards: units point into it.
-func runBatch[J any](e *Engine, jobs []J, probe func(*J) bool, key func(*J) bucketKey, execute func(unit []*J)) {
-	var units [][]*J
-	groups := make(map[bucketKey]int, len(jobs))
-	for i := range jobs {
-		j := &jobs[i]
-		if probe(j) {
-			continue
-		}
-		gk := key(j)
-		u, ok := groups[gk]
-		if !ok {
-			u = len(units)
-			groups[gk] = u
-			units = append(units, nil)
-		}
-		units[u] = append(units[u], j)
-	}
+// fanOut calls do(0) … do(n-1) concurrently, up to the worker-pool
+// capacity (a CPU-shaped default when the pool is unlimited), and
+// returns when every call has.
+func (e *Engine) fanOut(n int, do func(i int)) {
 	workers := 4 * runtime.GOMAXPROCS(0)
 	if e.sem != nil {
 		workers = cap(e.sem)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(units)); w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(units); i = int(next.Add(1)) - 1 {
-				execute(units[i])
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(i)
 			}
 		}()
 	}
@@ -97,11 +79,10 @@ func runBatch[J any](e *Engine, jobs []J, probe func(*J) bool, key func(*J) buck
 
 // AnalyzeBatch answers every item and returns results aligned with the
 // input slice. Distinct queries run concurrently, up to the engine's
-// worker-pool width; duplicates of an item share its answer, and items
-// sharing a subspace and k share one fused scan. A NoCache item asked
-// for a computation of its own and is never anyone's duplicate. ctx
-// cancels the whole batch: items not yet finished report the context's
-// error.
+// worker-pool width, each exactly as Analyze runs it; duplicates of an
+// item share its answer. A NoCache item asked for a computation of its
+// own and is never anyone's duplicate. ctx cancels the whole batch:
+// items not yet finished report the context's error.
 func (e *Engine) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -127,9 +108,13 @@ func (e *Engine) AnalyzeBatch(ctx context.Context, items []BatchItem) []BatchRes
 		jobs = append(jobs, analysisJob{BatchItem: it, first: i})
 	}
 
-	runBatch(e, jobs, e.probeAnalyze,
-		func(j *analysisJob) bucketKey { return keyOf(j.Q, j.K) },
-		func(unit []*analysisJob) { e.executeAnalyze(ctx, unit) })
+	var todo []*analysisJob
+	for i := range jobs {
+		if !e.probeAnalyze(&jobs[i]) {
+			todo = append(todo, &jobs[i])
+		}
+	}
+	e.fanOut(len(todo), func(i int) { e.executeAnalyze(ctx, todo[i]) })
 
 	results := make([]BatchResult, len(items))
 	for i := range items {
@@ -177,9 +162,25 @@ func (e *Engine) TopKBatch(ctx context.Context, items []TopKItem) []TopKResult {
 	for i, it := range items {
 		jobs[i].TopKItem = it
 	}
-	runBatch(e, jobs, e.probeTopK,
-		func(j *topkJob) bucketKey { return keyOf(j.Q, j.K) },
-		func(unit []*topkJob) { e.executeTopK(ctx, unit) })
+	// Group what the probe leaves into units by subspace and k, in order
+	// of first appearance.
+	var units [][]*topkJob
+	groups := make(map[bucketKey]int, len(jobs))
+	for i := range jobs {
+		j := &jobs[i]
+		if e.probeTopK(j) {
+			continue
+		}
+		gk := keyOf(j.Q, j.K)
+		u, ok := groups[gk]
+		if !ok {
+			u = len(units)
+			groups[gk] = u
+			units = append(units, nil)
+		}
+		units[u] = append(units[u], j)
+	}
+	e.fanOut(len(units), func(i int) { e.executeTopK(ctx, units[i]) })
 
 	results := make([]TopKResult, len(items))
 	for i := range jobs {

@@ -87,7 +87,10 @@ func TestBatchDedupAndCache(t *testing.T) {
 }
 
 // TestBatchMatchesSingles proves batch answers are the same analyses
-// the single-query path produces, across a mixed random workload.
+// the single-query path produces, across a mixed random workload — down
+// to the metering: an item over a subspace its neighbours share reports
+// the candidates it evaluated, the pages and records it read and the
+// memory it held exactly as the same query sent alone does.
 func TestBatchMatchesSingles(t *testing.T) {
 	rng := rand.New(rand.NewSource(7007))
 	cs := fixture.RandCase(rng, 100, 7, 3, 5)
@@ -114,6 +117,13 @@ func TestBatchMatchesSingles(t *testing.T) {
 		}
 		if !reflect.DeepEqual(r.Analysis.Result, want.Result) || !reflect.DeepEqual(r.Analysis.Regions, want.Regions) {
 			t.Fatalf("item %d diverges from single-query execution", i)
+		}
+		got, alone := r.Analysis.Metrics, want.Metrics
+		for _, m := range []*core.Metrics{&got, &alone} {
+			m.Phase1, m.Phase2, m.Phase3 = 0, 0, 0
+		}
+		if !reflect.DeepEqual(got, alone) {
+			t.Errorf("item %d: metrics %+v in the batch, %+v alone", i, got, alone)
 		}
 	}
 

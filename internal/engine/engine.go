@@ -10,20 +10,22 @@
 //     cache (cache.go): completed analyses are certificates of result
 //     validity, so repeat and in-region queries are answered without
 //     touching the index;
-//   - the unit (analyzeLocked, topkLocked): the requests over one
-//     subspace and k the probe left unanswered, sharing one scan, then
-//     region computation (core.ComputeView) on the unit's own goroutine,
-//     and cache admission;
-//   - the funnel (run) a unit executes in: context-aware admission (a
+//   - the execution (analyzeLocked, topkLocked) of what the probe left
+//     unanswered: an analysis runs its own threshold scan, then region
+//     computation over that scan (core.Compute) on its own goroutine,
+//     then cache admission; ranked queries over one subspace and k may
+//     share one fused scan (topk.Multi);
+//   - the funnel (run) an execution runs in: context-aware admission (a
 //     bounded worker pool; queued requests abandon cleanly), the read
 //     lock, and a per-query child I/O meter, so each execution is
 //     metered in isolation while the index-wide counters keep
 //     aggregating; cancellation is threaded down to the TA round loop.
 //
-// A single request is a unit of one, run inline; a batch (batch.go) is
-// de-duplication, grouping and fan-out over the worker pool around the
-// same probe and unit, so a batch item cannot behave differently from
-// the same query sent alone.
+// A single request runs inline; a batch (batch.go) is de-duplication,
+// the same probe and a fan-out over the worker pool around the same
+// execution, so a batch item cannot behave differently from the same
+// query sent alone: an analysis item reports exactly what the query
+// reports on its own.
 //
 // The Engine is safe for any number of concurrent callers: per-query
 // state is private, the cache is internally synchronized, and
@@ -481,85 +483,43 @@ func (e *Engine) probeAnalyze(j *analysisJob) bool {
 	return ok
 }
 
-// executeAnalyze is the second half: one unit — the requests over one
-// subspace and k the probe left unanswered — through the funnel. A unit
-// canceled in the queue or during its scan fails as a whole.
-func (e *Engine) executeAnalyze(ctx context.Context, unit []*analysisJob) {
+// executeAnalyze is the second half: one analysis through the funnel.
+func (e *Engine) executeAnalyze(ctx context.Context, j *analysisJob) {
 	err := e.run(ctx, func(ix lists.Index, queued time.Duration) error {
-		return e.analyzeLocked(ctx, ix, queued, unit)
+		return e.analyzeLocked(ctx, ix, queued, j)
 	})
 	if err != nil {
-		for _, j := range unit {
-			j.res = BatchResult{Err: err}
-		}
+		j.res = BatchResult{Err: err}
 	}
 }
 
-// analyzeLocked computes a unit. One request runs the threshold
-// algorithm; several share one fused scan (topk.Multi) that pays the
-// sorted accesses, the random-access fetches and the projections once
-// and scores every member's weight vector per encountered tuple, each
-// member then computing its regions on an isolated view of that scan:
-// the answer is exactly its solo execution's. Either way a member's
-// Metrics count its own region phases, as core.ComputeView brackets
-// them; the scan is charged to the engine-wide meter, once, and is in
-// no member's report. Admission happens before the read lock goes: an
-// analysis of the pre-update dataset must not land in the cache after
-// Apply's invalidation pass has run. Every Output is detached from its
-// scan (core compacts the result), so the scratch is recycled here.
-func (e *Engine) analyzeLocked(ctx context.Context, ix lists.Index, queued time.Duration, unit []*analysisJob) error {
-	var multi *topk.Multi
-	if len(unit) > 1 {
-		queries := make([]vec.Query, len(unit))
-		for i, j := range unit {
-			queries[i] = j.Q
-		}
-		multi = topk.NewMulti(ix, queries, unit[0].K, topk.BestList)
-		defer multi.Release()
-		if err := multi.RunContext(ctx); err != nil {
-			return fmt.Errorf("engine: top-k scan: %w", err)
-		}
+// analyzeLocked computes one analysis: the threshold algorithm, then the
+// regions over that same scan (core.Compute), then cache admission. Its
+// Metrics count the region phases only, as core.Compute brackets them;
+// the scan is charged to the engine-wide meter and is in no report.
+// Admission happens before the read lock goes: an analysis of the
+// pre-update dataset must not land in the cache after Apply's
+// invalidation pass has run. The Output is detached from its scan (core
+// compacts the result), so the scan is released here — also when a fault
+// on the tuple mapping unwinds the query (Engine.run).
+func (e *Engine) analyzeLocked(ctx context.Context, ix lists.Index, queued time.Duration, j *analysisJob) error {
+	ta := topk.New(ix, j.Q, j.K, topk.BestList)
+	defer ta.Release()
+	out, err := core.Compute(ctx, ta, j.Opts.Options)
+	if err != nil {
+		return err
 	}
-	for i, j := range unit {
-		var scan regionScan
-		if multi == nil {
-			scan = topk.New(ix, j.Q, j.K, topk.BestList)
-		} else {
-			scan = multi.Member(i)
-		}
-		out, sorted, err := computeLocked(ctx, scan, j.Opts.Options)
-		if err != nil {
-			j.res.Err = err
-			continue
-		}
-		observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, sorted)
-		a := &Analysis{Output: out, Source: SourceBypass, Timings: j.tm}
-		a.Timings.Queue = queued
-		if e.cache != nil && !j.Opts.NoCache {
-			a.Source = SourceComputed
-			t0 := time.Now()
-			e.cache.admit(j.Q, j.K, j.Opts.Options, out)
-			a.Timings.Admit = time.Since(t0)
-		}
-		j.res.Analysis = a
+	observeCompute(out.Metrics.Phase1, out.Metrics.Phase2, out.Metrics.Phase3, ta.SortedAccesses())
+	a := &Analysis{Output: out, Source: SourceBypass, Timings: j.tm}
+	a.Timings.Queue = queued
+	if e.cache != nil && !j.Opts.NoCache {
+		a.Source = SourceComputed
+		t0 := time.Now()
+		e.cache.admit(j.Q, j.K, j.Opts.Options, out)
+		a.Timings.Admit = time.Since(t0)
 	}
+	j.res.Analysis = a
 	return nil
-}
-
-// regionScan is the scan a unit member computes its regions over: its
-// own threshold run or its view of the fused one.
-type regionScan interface {
-	core.Runner
-	SortedAccesses() int
-	Release()
-}
-
-// computeLocked computes one member's regions and releases its scan,
-// also when a fault on the tuple mapping unwinds the query (Engine.run).
-func computeLocked(ctx context.Context, scan regionScan, opts core.Options) (*core.Output, int, error) {
-	defer scan.Release()
-	out, err := core.ComputeView(ctx, scan, opts)
-	return out, scan.SortedAccesses(), err
 }
 
 // Analyze answers the query and computes the immutable regions of every
@@ -575,7 +535,7 @@ func (e *Engine) Analyze(ctx context.Context, q vec.Query, k int, opts Options) 
 	mQueries.Inc("analyze")
 	j := analysisJob{BatchItem: BatchItem{Q: q, K: k, Opts: opts}}
 	if !e.probeAnalyze(&j) {
-		e.executeAnalyze(ctx, []*analysisJob{&j})
+		e.executeAnalyze(ctx, &j)
 	}
 	return j.res.Analysis, j.res.Err
 }
@@ -622,7 +582,8 @@ func (e *Engine) probeTopK(j *topkJob) bool {
 	return ok
 }
 
-// executeTopK is the second half: one unit through the funnel, failing
+// executeTopK is the second half: one unit — the ranked queries over one
+// subspace and k the probe left unanswered — through the funnel, failing
 // as a whole.
 func (e *Engine) executeTopK(ctx context.Context, unit []*topkJob) {
 	err := e.run(ctx, func(ix lists.Index, queued time.Duration) error {

@@ -141,7 +141,8 @@ func TestAnswersDetachedFromScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Same-subspace variants: fused scans in both batch paths.
+		// Same-subspace variants: a fused scan in the top-k batch, one
+		// scan per item in the analysis batch.
 		variants := []vec.Query{cs.Q}
 		for v := 0; v < 3; v++ {
 			w := make([]float64, cs.Q.Len())

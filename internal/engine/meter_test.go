@@ -27,8 +27,9 @@ func TestStatsTotalsAreTheSumOfQueryDeltas(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Options: core.Options{Method: core.MethodCPT, Phi: 1}}
 
-	// Queries over pairwise distinct subspaces (so a batch fuses none of
-	// them), and one group over a shared subspace (which a batch fuses).
+	// Queries over pairwise distinct subspaces, and one group over a
+	// shared subspace (which a top-k batch fuses into one scan; an
+	// analysis batch runs each item's scan on its own).
 	var distinct []vec.Query
 	for first := 0; first+3 <= cs.M; first++ {
 		distinct = append(distinct, vec.MustQuery([]int{first, first + 1, first + 2},
@@ -123,21 +124,19 @@ func TestStatsTotalsAreTheSumOfQueryDeltas(t *testing.T) {
 	})
 	check("TopKBatch", seq, rnd, topkSeq, topkRnd)
 
-	// The fused scan of the shared group, on its own: what the fused
-	// analysis below pays once, on the engine-wide meter, and no member
-	// reports.
-	fused := make([]TopKItem, len(shared))
-	for i, q := range shared {
-		fused[i] = TopKItem{Q: q, K: cs.K}
+	// Every batch item runs its own scan, which no item reports: the
+	// same query's top-k cost, as above.
+	for _, q := range shared {
+		_, info, err := eng.TopKMetered(ctx, q, cs.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan[&q.Weights[0]] = [2]int64{info.SeqPages, info.RandReads}
 	}
-	scanSeq, scanRnd := moved(func() { eng.TopKBatch(ctx, fused) })
-
 	var batch []BatchItem
+	wantSeq, wantRnd = 0, 0
 	for _, q := range append(append([]vec.Query(nil), distinct[1:]...), shared...) {
 		batch = append(batch, BatchItem{Q: q, K: cs.K, Opts: opts})
-	}
-	wantSeq, wantRnd = scanSeq, scanRnd
-	for _, q := range distinct[1:] {
 		wantSeq, wantRnd = wantSeq+scan[&q.Weights[0]][0], wantRnd+scan[&q.Weights[0]][1]
 	}
 	seq, rnd = moved(func() {

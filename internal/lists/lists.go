@@ -32,8 +32,7 @@
 // I/O meter is written. Mutations are NOT internally synchronized —
 // the engine serializes them against queries under its RWMutex (see
 // internal/engine's lock ordering). Cursors are single-query state and
-// are not safe for sharing — each query (or each member view of a fused
-// scan) opens or Clones its own. WithStats derives a view of the index
+// are not safe for sharing — each scan opens its own. WithStats derives a view of the index
 // whose accesses are charged to a separate meter; a concurrent server
 // gives each query a view over a PerQuery meter of the shared one, so
 // per-query deltas stay exact and the global counters take each query's
@@ -62,13 +61,13 @@ type Cursor interface {
 	Err() error
 	// Consumed reports how many postings have been consumed.
 	Consumed() int
-	// Clone returns an independent cursor at the same position, so a
-	// member view of a fused scan can resume from here without disturbing
-	// the original.
+	// Clone returns an independent cursor at the same position. No scan
+	// clones a cursor; it stays for bench/recindex.go:83,95, which calls
+	// it, and re-basing the benchmark (ROADMAP.md item 3) removes it.
 	Clone() Cursor
 	// Release hands back what the cursor holds to read with (a disk
-	// cursor's page buffer). The scan that opened or cloned the cursor
-	// calls it when the scan is released.
+	// cursor's page buffer). The scan that opened the cursor calls it
+	// when the scan is released.
 	Release()
 }
 

@@ -47,7 +47,8 @@ func driftCounters(t *testing.T, url string) map[string]int64 {
 
 // TestBatchItemsCountLikeSingles: a query moves the same counters, on
 // /metrics and on /stats, whether it arrives alone or as one item of a
-// batch — solo unit or fused scan. The one sanctioned difference is an
+// batch — over a subspace of its own or one its neighbours share (which
+// /batchtopk fuses into one scan). The one sanctioned difference is an
 // item repeated inside a batch, which is answered as "dedup" without a
 // cache probe or a computation of its own. A query the validation gate
 // turns away counts as a validation failure either way: a 400 alone, an

@@ -215,8 +215,8 @@ func (a querier) Analyze(ctx context.Context, q vec.Query, k int, opts engine.Op
 }
 
 // TopKBatch and AnalyzeBatch answer item by item, each a fan-out of
-// its own: the shards' fused same-subspace scan is a single-node
-// optimisation the coordinator does not reach for.
+// its own: the fused same-subspace scan of a single node's /batchtopk is
+// an optimisation the coordinator does not reach for.
 func (a querier) TopKBatch(ctx context.Context, items []engine.TopKItem) []engine.TopKResult {
 	out := make([]engine.TopKResult, len(items))
 	for i, it := range items {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
@@ -14,12 +13,11 @@ import (
 	"repro/internal/vec"
 )
 
-// offHeapPages is the number of pages tab holds outside the Go heap: all
-// its own.
+// offHeapPages is the number of pages tab holds outside the Go heap.
 func offHeapPages(tab *Table) int {
 	n := 0
 	for _, c := range append([]column{tab.id, tab.score, tab.mask}, tab.coord...) {
-		n += len(c.pages) - c.own
+		n += len(c.pages)
 	}
 	return n
 }
@@ -153,12 +151,10 @@ func TestArenaHandsOutEachPageOnce(t *testing.T) {
 	<-stopped
 }
 
-// TestDroppedScansReturnPages: scans dropped without Release — as the
-// benchmark's traced ladder drops its probes — hand their pages back once
-// the collector finds them unreachable; the arena would keep them for the
-// life of the process otherwise. A member view keeps its fused run from
-// being finalized: the shared rows it reads stay intact while the view
-// lives, though nothing else holds the run.
+// TestDroppedScansReturnPages: scans dropped without Release — a TA as
+// the benchmark's traced ladder drops its probes, and a fused run — hand
+// their pages back once the collector finds them unreachable; the arena
+// would keep them for the life of the process otherwise.
 func TestDroppedScansReturnPages(t *testing.T) {
 	tuples, q := denseCase(rand.New(rand.NewSource(36)), 20_000, 3, 1<<20)
 	ix := lists.NewMemIndex(tuples, 3)
@@ -168,17 +164,9 @@ func TestDroppedScansReturnPages(t *testing.T) {
 		mustRun(t, ta)
 		exhaust(ta)
 	}()
-	view := func() *MemberRun {
+	func() {
 		m := NewMulti(ix, []vec.Query{q, q}, 10, BestList)
 		mustRun(t, m)
-		return m.Member(1)
 	}()
-	rows := view.Table().Rows(allPositions(view.Table().Len()))
-	for range 3 {
-		collect(t)
-	}
-	if now := view.Table().Rows(allPositions(view.Table().Len())); !slices.EqualFunc(now, rows, sameRow) {
-		t.Fatal("a member view's shared rows changed while only the view held its fused run")
-	}
 	drainArena(t)
 }

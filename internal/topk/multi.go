@@ -8,18 +8,12 @@
 // test (k-th tentative score ≥ that member's threshold S(t,q_m))
 // passes, so each member's top-k carries the full TA guarantee.
 //
-// A member's view of the run is a valid terminated TA state for its
-// query: the ranked result carries the full TA guarantee (tuples
-// encountered after the member's own termination point were bounded by
-// its threshold, so they rank below its k-th score), and the candidate
-// list is exactly the shared scan's encounter set outside the top-k,
-// scored with the member's weights. The encounter set follows the
-// GROUP's probe trajectory, so it generally differs from what the
-// member's solo scan would have collected — the same freedom the
-// round-robin/best-list policy knob already exercises — and region
-// computation, which is exact for any valid terminated state, produces
-// identical regions either way (the engine's batch-vs-singles property
-// test pins this end to end).
+// Each member's result is exactly its solo TA's: tuples encountered after
+// the member's own termination point were bounded by its threshold, so
+// they rank below its k-th score. The fused run answers ranked queries
+// only (/batchtopk): an analysis runs its own TA, whose candidate set
+// and Phase-3 pulls are its query's own, so what it evaluates and
+// reads does not depend on the batch it arrived in.
 package topk
 
 import (
@@ -34,8 +28,8 @@ import (
 )
 
 // Multi is a fused TA run over a group of same-subspace, same-k
-// queries. RunContext executes the shared scan; Member then hands out
-// per-member resumable views for region computation.
+// queries. RunContext executes the shared scan; Result then selects each
+// member's ranked top-k.
 type Multi struct {
 	scan    scanState // q = {Dims, per-dim max weight}: probe steering only
 	sc      *scratch  // pooled scan memory; nil once released
@@ -101,9 +95,8 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 }
 
 // Release returns the shared scan's pages and scratch to their pools.
-// Every MemberRun handed out reads those pages and is dead afterwards, as
-// is the Multi; member results are copies and survive. Releasing twice
-// is a no-op.
+// The Multi is dead afterwards; member results are copies and survive.
+// Releasing twice is a no-op.
 func (m *Multi) Release() {
 	if m.sc == nil {
 		return
@@ -126,8 +119,7 @@ func (m *Multi) Release() {
 const termCheckStride = 16
 
 // RunContext executes the fused scan until every member has individually
-// terminated (or the lists are exhausted) and materializes each
-// member's ranked result and candidate list, with the same cancellation
+// terminated (or the lists are exhausted), with the same cancellation
 // and failure contract as TA.RunContext.
 func (m *Multi) RunContext(ctx context.Context) error {
 	if ctx != nil && m.scan.ctx == nil {
@@ -179,17 +171,19 @@ func (m *Multi) RunContext(ctx context.Context) error {
 		}
 	}
 	// Materialization is lazy and per member: Result needs only a
-	// k-selection over the encounter set (O(E), the common case for
-	// fused ranked queries), while Member — the region-computation
-	// entry — additionally ranks the full candidate tail.
+	// k-selection over the encounter set (O(E)), never a full ranking.
 	m.results = make([][]Scored, nq)
 	m.done = true
 	return m.scan.Err()
 }
 
-// view returns the shared rows under member mi's scores: a table that
-// reads the fused scan's pages and owns none of them.
-func (m *Multi) view(mi int) Table { return m.rows.share(&m.scores[mi]) }
+// view returns the shared rows under member mi's scores: a read-only
+// shallow copy of the table, which nothing appends to.
+func (m *Multi) view(mi int) Table {
+	t := m.rows
+	t.score = m.scores[mi]
+	return t
+}
 
 // selectTopK extracts member mi's ranked top-k from the encounter set
 // by bounded insertion — one comparison per encounter in the common
@@ -256,27 +250,6 @@ func (m *Multi) Result(i int) []Scored {
 	return m.results[i]
 }
 
-// Member returns member i's resumable view of the completed run,
-// suitable for region computation (core.ComputeView): the shared rows
-// read in place under the member's own score column, its own rank order
-// over them, and its own clone of the scan position with the member's
-// query substituted, so Resume pulls score with the member's weights,
-// land in pages of the view's own and never disturb the shared state or
-// any sibling view. See the package comment for why the view's candidate
-// set legitimately differs from a solo scan's.
-func (m *Multi) Member(i int) *MemberRun {
-	m.mustBeDone("Member")
-	r := &MemberRun{run: run{
-		scanState: m.scan.clone(),
-		rows:      m.view(i),
-		proj:      make([]float64, m.scan.q.Len()),
-	}, fused: m}
-	r.q = m.queries[i]
-	r.finish()
-	runtime.SetFinalizer(r, (*MemberRun).Release) // as for TA
-	return r
-}
-
 func (m *Multi) mustBeDone(op string) {
 	if m.sc == nil {
 		panic("topk: " + op + " after Release")
@@ -284,36 +257,4 @@ func (m *Multi) mustBeDone(op string) {
 	if !m.done {
 		panic("topk: " + op + " before RunContext")
 	}
-}
-
-// MemberRun is one member's view of a completed fused run: a clone of
-// the shared scan with the member's query substituted. It implements View
-// (and core.Runner): the scan is already terminated, so RunContext only
-// arms the context and reports the scan's error.
-type MemberRun struct {
-	run
-	fused *Multi // keeps the shared pages' owner from being finalized under the view
-}
-
-// Release hands the pages the view's own pulls filled back to the pool
-// and releases its cursor clones; the view is dead afterwards. The
-// shared rows and the fused run's cursors are untouched.
-func (r *MemberRun) Release() {
-	if !r.released {
-		runtime.SetFinalizer(r, nil)
-		for _, c := range r.cursors {
-			c.Release()
-		}
-		r.rows.release()
-		r.run, r.fused = run{released: true}, nil
-	}
-}
-
-// RunContext arms ctx on the (already completed) member scan so that
-// later Resume pulls observe cancellation, and reports the scan error.
-func (r *MemberRun) RunContext(ctx context.Context) error {
-	if ctx != nil && r.ctx == nil {
-		r.ctx = ctx
-	}
-	return r.Err()
 }

@@ -64,85 +64,6 @@ func TestMultiMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestMultiMemberViewValid: each member view is a valid terminated TA
-// state for its query — result ∪ candidates is exactly the shared
-// scan's encounter set, every entry scored bit-exactly with the
-// member's own weights, candidates ranked, and the k-th result score at
-// or above the member's threshold at the final scan position (the TA
-// termination certificate region computation relies on).
-func TestMultiMemberViewValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	for trial := 0; trial < 25; trial++ {
-		cs := fixture.RandCase(rng, 40+rng.Intn(80), 4+rng.Intn(6), 2+rng.Intn(3), 2+rng.Intn(5))
-		queries := weightVariants(rng, cs.Q, 2+rng.Intn(5))
-		ix := lists.NewMemIndex(cs.Tuples, cs.M)
-		multi := NewMulti(ix, queries, cs.K, BestList)
-		mustRun(t, multi)
-		encIDs := map[int]bool{}
-		for p := 0; p < multi.rows.Len(); p++ {
-			encIDs[multi.rows.ID(int32(p))] = true
-		}
-		for mi, q := range queries {
-			mr := multi.Member(mi)
-			all := append(append([]Scored(nil), mr.Result()...), mr.Candidates()...)
-			if len(all) != len(encIDs) {
-				t.Fatalf("trial %d member %d: view holds %d tuples, scan encountered %d", trial, mi, len(all), len(encIDs))
-			}
-			for _, sc := range all {
-				if !encIDs[sc.ID] {
-					t.Fatalf("trial %d member %d: tuple %d not in the shared encounter set", trial, mi, sc.ID)
-				}
-				if want := vec.Dot(q.Weights, sc.Proj); sc.Score != want {
-					t.Fatalf("trial %d member %d tuple %d: score %v, want member-weight %v", trial, mi, sc.ID, sc.Score, want)
-				}
-			}
-			cands := mr.Candidates()
-			for i := 1; i < len(cands); i++ {
-				if cands[i].Score > cands[i-1].Score {
-					t.Fatalf("trial %d member %d: candidates not ranked at %d", trial, mi, i)
-				}
-			}
-			if res := mr.Result(); len(res) == cs.K {
-				if thr := mr.ThresholdScore(); res[cs.K-1].Score < thr {
-					t.Fatalf("trial %d member %d: kth score %v below final threshold %v", trial, mi, res[cs.K-1].Score, thr)
-				}
-			}
-		}
-	}
-}
-
-// TestMultiMemberResume: a member view's Resume pulls score with the
-// member's weights and extend only that view — siblings and the shared
-// run stay untouched.
-func TestMultiMemberResume(t *testing.T) {
-	rng := rand.New(rand.NewSource(90))
-	cs := fixture.RandCase(rng, 200, 6, 3, 3)
-	queries := weightVariants(rng, cs.Q, 3)
-	ix := lists.NewMemIndex(cs.Tuples, cs.M)
-	multi := NewMulti(ix, queries, cs.K, BestList)
-	mustRun(t, multi)
-
-	a, b := multi.Member(0), multi.Member(1)
-	lenA, lenB := len(a.Candidates()), len(b.Candidates())
-	for i := 0; i < 5; i++ {
-		p, ok := a.Resume()
-		if !ok {
-			break
-		}
-		sc := a.Table().Rows([]int32{p})[0]
-		if want := vec.Dot(queries[0].Weights, sc.Proj); sc.Score != want {
-			t.Fatalf("resume pull %d scored %v, want member-weight score %v", i, sc.Score, want)
-		}
-	}
-	if len(b.Candidates()) != lenB {
-		t.Fatal("resuming member 0 grew member 1's candidate list")
-	}
-	// A view taken afterwards starts from the fused run, not from member 0.
-	if c := multi.Member(0); len(c.Candidates()) != lenA {
-		t.Fatal("resuming member 0 grew the fused run")
-	}
-}
-
 // TestMultiPanics pins the constructor's contract violations.
 func TestMultiPanics(t *testing.T) {
 	tuples, q, k := fixture.RunningExample()
@@ -160,5 +81,5 @@ func TestMultiPanics(t *testing.T) {
 	expectPanic("k<1", func() { NewMulti(ix, []vec.Query{q}, 0, BestList) })
 	other := vec.MustQuery([]int{0}, []float64{0.5})
 	expectPanic("dims mismatch", func() { NewMulti(ix, []vec.Query{q, other}, k, BestList) })
-	expectPanic("Member before Run", func() { NewMulti(ix, []vec.Query{q}, k, BestList).Member(0) })
+	expectPanic("Result before Run", func() { NewMulti(ix, []vec.Query{q}, k, BestList).Result(0) })
 }

@@ -90,7 +90,6 @@ func TestUseAfterReleasePanics(t *testing.T) {
 		"TA.Ranking":    func() { ta.Ranking() },
 		"TA.Run":        func() { ta.RunContext(context.Background()) },
 		"Multi.Result":  func() { multi.Result(0) },
-		"Multi.Member":  func() { multi.Member(0) },
 		"Multi.Run":     func() { multi.RunContext(context.Background()) },
 	} {
 		func() {
@@ -104,8 +103,8 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	}
 }
 
-// TestMultiCompactSurvivesRelease: member results and member-view lists
-// compacted before Multi.Release stay intact.
+// TestMultiCompactSurvivesRelease: member results compacted before
+// Multi.Release stay intact.
 func TestMultiCompactSurvivesRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cs := fixture.RandCase(rng, 300, 8, 4, 5)
@@ -113,17 +112,13 @@ func TestMultiCompactSurvivesRelease(t *testing.T) {
 	ix := lists.NewMemIndex(cs.Tuples, cs.M)
 	multi := NewMulti(ix, queries, cs.K, BestList)
 	mustRun(t, multi)
-	var res, views [][]Scored
+	var res [][]Scored
 	for i := range queries {
 		res = append(res, Compact(multi.Result(i)))
-		mr := multi.Member(i)
-		mr.Resume()
-		views = append(views, Compact(mr.Candidates()))
 	}
 	multi.Release()
 	for i, q := range queries {
 		assertClean(t, "member result", res[i], q)
-		assertClean(t, "member candidates", views[i], q)
 		want := TopKNaive(cs.Tuples, q, cs.K)
 		for r := range want {
 			if res[i][r].ID != want[r].ID || res[i][r].Score != want[r].Score {

@@ -3,7 +3,6 @@ package topk
 import (
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/lists"
 )
@@ -24,12 +23,10 @@ const (
 type page [pageRows]uint64
 
 // column holds one attribute of a table's rows, row p at
-// pages[p>>pageShift][p&pageMask]. pages[:own] were drawn by another
-// table (the one this column was shared from) and are read-only here;
-// pages[own:] are this column's to write and to hand back.
+// pages[p>>pageShift][p&pageMask]. Every page is the column's own: it
+// drew each one itself, writes only by appending, and hands them all back.
 type column struct {
 	pages []*page
-	own   int
 }
 
 func (c *column) at(p int32) uint64 { return c.pages[p>>pageShift][p&pageMask] }
@@ -37,37 +34,17 @@ func (c *column) at(p int32) uint64 { return c.pages[p>>pageShift][p&pageMask] }
 // put stores row p's value; p is the row being appended.
 func (c *column) put(p int32, v uint64) {
 	i := int(p >> pageShift)
-	if i >= len(c.pages) || i < c.own {
-		c.grow(i, int(p&pageMask))
+	if i == len(c.pages) {
+		c.pages = append(c.pages, getPage())
 	}
 	c.pages[i][p&pageMask] = v
 }
 
-// grow makes page i writable: a fresh page past the end, or — when the
-// append lands in a page another table owns — a private copy of the rows
-// that page already holds, so the owner's page is never written.
-func (c *column) grow(i, used int) {
-	pg := getPage()
-	if i == len(c.pages) {
-		c.pages = append(c.pages, pg)
-		return
-	}
-	copy(pg[:used], c.pages[i][:used])
-	c.pages[i] = pg
-	c.own = i
-}
-
-// share returns a column reading the same pages, none of them its own.
-// The page directory is copied: the copy's appends replace entries.
-func (c *column) share() column {
-	return column{pages: slices.Clone(c.pages), own: len(c.pages)}
-}
-
-// release hands the column's own pages back and empties it,
+// release hands the column's pages back and empties it,
 // keeping the directory's capacity for the next scan.
 func (c *column) release() {
 	poison := poisonScratch.Load()
-	for _, pg := range c.pages[c.own:] {
+	for _, pg := range c.pages {
 		if poison {
 			for i := range pg {
 				pg[i] = ^uint64(0) // id -1, NaN score and coordinate, full mask
@@ -76,17 +53,15 @@ func (c *column) release() {
 		putPage(pg)
 	}
 	clear(c.pages)
-	c.pages, c.own = c.pages[:0], 0
+	c.pages = c.pages[:0]
 }
 
 // Table is the candidate table of one scan: the only home of an
 // encountered tuple. A row — id, score, partition mask and the qlen
 // query-subspace coordinates — is appended once, column by column, into
 // pages every scan draws from, and is addressed ever after by its
-// position, which never changes: rows are not moved to grow the table,
-// to rank it, or to share it. Ranking orders positions, not rows (see
-// ranking). A table taken with share reads its parent's pages and writes
-// only its own.
+// position, which never changes: rows are not moved to grow the table
+// or to rank it. Ranking orders positions, not rows (see sortRanked).
 type Table struct {
 	n     int32
 	id    column
@@ -117,18 +92,7 @@ func (t *Table) add(id int, mask uint64, proj []float64) int32 {
 	return p
 }
 
-// share returns a table over the same rows that appends to pages of its
-// own, with score as its score column.
-func (t *Table) share(score *column) Table {
-	cp := Table{n: t.n, id: t.id.share(), score: score.share(), mask: t.mask.share(),
-		coord: make([]column, len(t.coord))}
-	for j := range t.coord {
-		cp.coord[j] = t.coord[j].share()
-	}
-	return cp
-}
-
-// release hands the table's own pages back; its rows are dead.
+// release hands the table's pages back; its rows are dead.
 func (t *Table) release() {
 	t.id.release()
 	t.score.release()
@@ -177,13 +141,10 @@ const rankCutover = 128
 const rankRun = pageRows
 
 // ranker holds the radix keys of one run and the kernel's second key
-// buffer. A TA's lives in its pooled scratch; a member view, which ranks
-// too but has no scratch, borrows one from rankerPool for the call.
+// buffer. A TA's lives in its pooled scratch.
 type ranker struct {
 	keys, keyBuf [rankRun]uint32
 }
-
-var rankerPool = sync.Pool{New: func() any { return new(ranker) }}
 
 // sortRanked sorts positions into rank order and returns buf, grown to
 // len(pos) if it was shorter, for the caller to keep. From rankCutover on

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/lists"
@@ -159,95 +158,6 @@ func TestRankingMergesTails(t *testing.T) {
 		}
 		ta.Release()
 	}
-}
-
-// pageImage copies every page a table can read.
-func pageImage(t *Table) [][]uint64 {
-	var img [][]uint64
-	for _, c := range append([]column{t.id, t.score, t.mask}, t.coord...) {
-		for _, pg := range c.pages {
-			img = append(img, slices.Clone(pg[:]))
-		}
-	}
-	return img
-}
-
-// TestForksNeverWriteParentPages: member views of one fused run pull and
-// rank concurrently (the race detector watches the shared pages), each
-// sees the shared rows at the shared positions plus its own pulls,
-// identical from view to view, and afterwards every page of the fused
-// run is bit for bit what it was — also when a view's first pull lands
-// in a page the fused scan half filled.
-func TestForksNeverWriteParentPages(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	tuples, q := denseCase(rng, 60_000, 4, 50)
-	ix := lists.NewMemIndex(tuples, 4)
-	const members, k, pulls = 4, pageRows + 100, 9_000 // each view fills its copied page and a fresh one
-	multi := NewMulti(ix, slices.Repeat([]vec.Query{q}, members), k, BestList)
-	mustRun(t, multi)
-	if n := multi.rows.Len(); n <= pageRows || n%pageRows == 0 {
-		t.Fatalf("the fused scan holds %d rows: no half-filled page past the first", n)
-	}
-	image := func() (img [][]uint64) {
-		for i := 0; i < members; i++ {
-			view := multi.view(i)
-			img = append(img, pageImage(&view)...)
-		}
-		return img
-	}
-	before := image()
-	shared := multi.view(0)
-	sharedRows := shared.Rows(allPositions(shared.Len()))
-
-	views := make([]*MemberRun, members)
-	for i := range views {
-		views[i] = multi.Member(i)
-	}
-	order, cut := views[0].Ranking()
-	result := slices.Clone(order[:cut])
-	rows := make([][]Scored, members)
-	orders := make([][]int32, members)
-	var wg sync.WaitGroup
-	for i, v := range views {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer v.Release()
-			for n := 0; n < pulls; n++ {
-				if _, ok := v.Resume(); !ok {
-					t.Error("member view ran dry")
-					return
-				}
-				if n%2500 == 0 {
-					v.Ranking() // merge a tail mid-way
-				}
-			}
-			order, _ := v.Ranking()
-			orders[i] = slices.Clone(order)
-			rows[i] = v.Table().Rows(allPositions(v.Table().Len()))
-		}()
-	}
-	wg.Wait()
-
-	if now := image(); !slices.EqualFunc(now, before, func(a, b []uint64) bool { return slices.Equal(a, b) }) {
-		t.Fatal("a member view wrote a shared page")
-	}
-	for i, view := range rows {
-		if len(view) != len(sharedRows)+pulls {
-			t.Fatalf("view %d holds %d rows, want %d", i, len(view), len(sharedRows)+pulls)
-		}
-		if !slices.EqualFunc(view[:len(sharedRows)], sharedRows, sameRow) {
-			t.Fatalf("view %d does not see the shared rows at the shared positions", i)
-		}
-		if !slices.EqualFunc(view, rows[0], sameRow) || !slices.Equal(orders[i], orders[0]) {
-			t.Fatalf("view %d diverged from view 0", i)
-		}
-		cands := slices.DeleteFunc(allPositions(len(view)), func(p int32) bool { return slices.Contains(result, p) })
-		if !slices.Equal(orders[i][cut:], rankedRef(view, cands)) {
-			t.Fatalf("view %d: merged order differs from a full sort", i)
-		}
-	}
-	multi.Release()
 }
 
 // TestRadixRankIsCompareRank: sortRanked ranks exactly as the comparator

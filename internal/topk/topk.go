@@ -13,8 +13,8 @@
 // then on. Ranking and region computation work on positions; a []Scored
 // is built only where rows leave the scan.
 //
-// The View interface is what region computation reads and resumes: a TA,
-// or one member's view of a fused multi-query run (Multi.Member).
+// The View interface is what region computation reads and resumes: a TA.
+// A fused multi-query run (Multi) answers ranked queries only.
 package topk
 
 import (
@@ -66,9 +66,9 @@ type Scored struct {
 
 // View is the read/resume surface region computation needs from a TA
 // run: the ranked result, the candidate rows with their rank order, and
-// a resumable scan. It is implemented by *TA itself (the paper-literal
-// shared scan, where later dimensions observe earlier dimensions'
-// Phase-3 pulls) and by *MemberRun.
+// a resumable scan. It is implemented by *TA (the paper-literal shared
+// scan, where later dimensions observe earlier dimensions' Phase-3
+// pulls) and wrapped by core's imposed-result runner.
 type View interface {
 	Query() vec.Query
 	K() int
@@ -95,8 +95,7 @@ type View interface {
 
 // scanState is the resumable position of a TA scan over the inverted
 // lists: cursor positions, per-list consumption bookkeeping and the
-// encountered-tuple set. It is the part of a fused run that each member
-// view clones.
+// encountered-tuple set. A TA and a fused Multi run are both built on it.
 type scanState struct {
 	ix     lists.Index
 	q      vec.Query
@@ -126,27 +125,12 @@ type scanState struct {
 const ctxCheckStride = 256
 
 // bitset is a fixed-size bit array over tuple ids. One bit per tuple
-// keeps the per-query footprint at n/8 bytes — the encountered set is
-// cloned per member view of a fused run, so compactness matters at large n.
+// keeps the per-query footprint at n/8 bytes, which matters at large n.
 type bitset []uint64
 
 func (b bitset) test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
-
-// clone deep-copies the scan position; cursors are cloned so the copy
-// advances independently.
-func (s *scanState) clone() scanState {
-	cp := *s
-	cp.cursors = make([]lists.Cursor, len(s.cursors))
-	for i, c := range s.cursors {
-		cp.cursors[i] = c.Clone()
-	}
-	cp.last = slices.Clone(s.last)
-	cp.consumed = slices.Clone(s.consumed)
-	cp.seen = slices.Clone(s.seen)
-	return cp
-}
 
 // Query returns the query this scan answers.
 func (s *scanState) Query() vec.Query { return s.q }
@@ -276,10 +260,15 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 	return id <= last.ID // lists break value ties by ascending id
 }
 
-// run is a scan together with the rows it has encountered and their rank
-// order: what a TA and a member view of a fused run have in common.
-type run struct {
+// TA is a resumable threshold-algorithm run: a scan together with the
+// rows it has encountered and their rank order. Its scan state, table
+// directories and rank order live in a pooled scratch and its rows in
+// table pages: Release recycles both. A TA that is never released is
+// released by a finalizer once the collector finds it unreachable — the
+// pages are not heap objects, so nothing else would take them back.
+type TA struct {
 	scanState
+	sc   *scratch // nil once released
 	rows Table
 
 	// order ranks rows [0, len(order)): order[:cut] is R(q), frozen when
@@ -288,20 +277,22 @@ type run struct {
 	order  []int32
 	cut    int
 	result []Scored // order[:cut], materialized once
+	done   bool
 
-	tail []int32   // merge buffer: the newly ranked pulls
-	rank *ranker   // radix buffers; nil on a member view, which borrows them (sortRanked)
-	proj []float64 // the projection of the tuple being encountered
+	tail      []int32   // merge buffer: the newly ranked pulls
+	rank      *ranker   // radix buffers
+	proj      []float64 // the projection of the tuple being encountered
+	topScores []float64 // min-heap of the k best scores seen so far
 
-	done, released bool
+	trace func(TraceStep)
 }
 
 // must panics unless the scan has terminated and still holds its rows.
-func (r *run) must(op string) {
-	if r.released {
+func (ta *TA) must(op string) {
+	if ta.sc == nil {
 		panic("topk: " + op + " after Release")
 	}
-	if !r.done {
+	if !ta.done {
 		panic("topk: " + op + " before RunContext")
 	}
 }
@@ -314,13 +305,13 @@ func (r *run) must(op string) {
 // unmatched dimensions contribute exact +0.0 terms to a running sum that
 // never goes negative.
 // A failed access fails the scan: ok=false, and Err says why.
-func (r *run) encounter(id int) (pos int32, score float64, ok bool) {
-	if r.err = r.ix.Project(id, r.q.Dims, r.proj); r.err != nil {
+func (ta *TA) encounter(id int) (pos int32, score float64, ok bool) {
+	if ta.err = ta.ix.Project(id, ta.q.Dims, ta.proj); ta.err != nil {
 		return 0, 0, false
 	}
-	score = vec.Dot(r.q.Weights, r.proj)
-	pos = r.rows.add(id, nzMask(r.proj), r.proj)
-	r.rows.score.put(pos, math.Float64bits(score))
+	score = vec.Dot(ta.q.Weights, ta.proj)
+	pos = ta.rows.add(id, nzMask(ta.proj), ta.proj)
+	ta.rows.score.put(pos, math.Float64bits(score))
 	return pos, score, true
 }
 
@@ -336,30 +327,30 @@ func nzMask(proj []float64) (mask uint64) {
 
 // finish ranks every encountered row once the scan has terminated and
 // fixes the result.
-func (r *run) finish() {
-	n := r.rows.Len()
-	r.order = slices.Grow(r.order[:0], n)[:n]
-	for p := range r.order {
-		r.order[p] = int32(p)
+func (ta *TA) finish() {
+	n := ta.rows.Len()
+	ta.order = slices.Grow(ta.order[:0], n)[:n]
+	for p := range ta.order {
+		ta.order[p] = int32(p)
 	}
-	r.sortRanked(r.order)
-	r.cut = min(r.k, n)
-	r.result = r.rows.Rows(r.order[:r.cut])
-	r.done = true
+	ta.tail = ta.rows.sortRanked(ta.order, ta.tail, ta.rank)
+	ta.cut = min(ta.k, n)
+	ta.result = ta.rows.Rows(ta.order[:ta.cut])
+	ta.done = true
 }
 
 // Table returns the candidate table: every encountered tuple, result
 // members included, by position.
-func (r *run) Table() *Table {
-	r.must("Table")
-	return &r.rows
+func (ta *TA) Table() *Table {
+	ta.must("Table")
+	return &ta.rows
 }
 
 // Result returns the ranked top-k list R(q). The scan must have
 // terminated. The list is a copy and outlives the run.
-func (r *run) Result() []Scored {
-	r.must("Result")
-	return r.result
+func (ta *TA) Result() []Scored {
+	ta.must("Result")
+	return ta.result
 }
 
 // Ranking returns the rank order of the rows — decreasing score, ties by
@@ -367,78 +358,35 @@ func (r *run) Result() []Scored {
 // It is valid until the next Resume. Pulls made since the last call are
 // ranked among themselves and merged into C(q) from the back, so the cost
 // is that of the tail and of the rows it overtakes, not of the list.
-func (r *run) Ranking() (order []int32, cut int) {
-	r.must("Ranking")
-	if old, n := len(r.order), r.rows.Len(); old < n {
-		r.order = slices.Grow(r.order, n-old)[:n]
+func (ta *TA) Ranking() (order []int32, cut int) {
+	ta.must("Ranking")
+	if old, n := len(ta.order), ta.rows.Len(); old < n {
+		ta.order = slices.Grow(ta.order, n-old)[:n]
 		for p := old; p < n; p++ {
-			r.order[p] = int32(p)
+			ta.order[p] = int32(p)
 		}
-		r.sortRanked(r.order[old:])
-		r.tail = append(r.tail[:0], r.order[old:]...)
+		ta.tail = ta.rows.sortRanked(ta.order[old:], ta.tail, ta.rank)
+		ta.tail = append(ta.tail[:0], ta.order[old:]...)
 		i, w := old-1, n-1
-		for j := len(r.tail) - 1; j >= 0; w-- {
-			if i >= r.cut && r.rows.before(r.tail[j], r.order[i]) {
-				r.order[w] = r.order[i]
+		for j := len(ta.tail) - 1; j >= 0; w-- {
+			if i >= ta.cut && ta.rows.before(ta.tail[j], ta.order[i]) {
+				ta.order[w] = ta.order[i]
 				i--
 			} else {
-				r.order[w] = r.tail[j]
+				ta.order[w] = ta.tail[j]
 				j--
 			}
 		}
 	}
-	return r.order, r.cut
-}
-
-// sortRanked ranks positions of the run's table with the run's radix
-// buffers — a member view borrows a pool's for the call — and the tail buffer
-// for merging.
-func (r *run) sortRanked(pos []int32) {
-	rk := r.rank
-	if rk == nil {
-		rk = rankerPool.Get().(*ranker)
-		defer rankerPool.Put(rk)
-	}
-	r.tail = r.rows.sortRanked(pos, r.tail, rk)
+	return ta.order, ta.cut
 }
 
 // Candidates materializes C(q), every encountered non-result tuple in
 // decreasing score order. Region computation reads rows in place
 // (Table, Ranking); this copy is for callers outside the scan.
-func (r *run) Candidates() []Scored {
-	order, cut := r.Ranking()
-	return r.rows.Rows(order[cut:])
-}
-
-// Resume continues the terminated scan until it encounters one new
-// (previously unseen) tuple, which Phase 3 of the region algorithms
-// evaluates and which joins C(q); it returns the new row's position.
-// ok=false when the lists are exhausted or the scan has failed.
-func (r *run) Resume() (int32, bool) {
-	r.must("Resume")
-	for {
-		p, _, isNew, ok := r.rawStep()
-		if !ok {
-			return 0, false
-		}
-		if isNew {
-			pos, _, ok := r.encounter(p.ID)
-			return pos, ok
-		}
-	}
-}
-
-// TA is a resumable threshold-algorithm run. Its scan state, table
-// directories and rank order live in a pooled scratch and its rows in
-// table pages: Release recycles both. A TA that is never released is
-// released by a finalizer once the collector finds it unreachable — the
-// pages are not heap objects, so nothing else would take them back.
-type TA struct {
-	run
-	sc        *scratch  // nil once released
-	topScores []float64 // min-heap of the k best scores seen so far
-
-	trace func(TraceStep)
+func (ta *TA) Candidates() []Scored {
+	order, cut := ta.Ranking()
+	return ta.rows.Rows(order[cut:])
 }
 
 // TraceStep is one sorted access in a TA execution — the rows of the
@@ -503,15 +451,13 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 		sc.rank = new(ranker)
 	}
 	ta := &TA{
-		run: run{
-			scanState: newScanState(ix, q, k, policy, sc),
-			rows:      sc.rows,
-			order:     sc.order,
-			tail:      sc.tail,
-			rank:      sc.rank,
-			proj:      sc.proj,
-		},
+		scanState: newScanState(ix, q, k, policy, sc),
 		sc:        sc,
+		rows:      sc.rows,
+		order:     sc.order,
+		tail:      sc.tail,
+		rank:      sc.rank,
+		proj:      sc.proj,
 		topScores: sc.heap,
 	}
 	runtime.SetFinalizer(ta, (*TA).Release)
@@ -550,9 +496,8 @@ func (ta *TA) Release() {
 	ta.rows.release()
 	// The directories and lists may have been regrown; keep the larger arrays.
 	sc.rows, sc.order, sc.tail, sc.heap = ta.rows, ta.order, ta.tail, ta.topScores
-	ta.sc, ta.topScores = nil, nil
 	// What the run counted stays readable; what it held does not.
-	ta.run = run{scanState: scanState{sortedAccesses: ta.sortedAccesses, err: ta.Err()}, released: true}
+	*ta = TA{scanState: scanState{sortedAccesses: ta.sortedAccesses, err: ta.Err()}}
 	putScratch(sc)
 }
 
@@ -655,7 +600,10 @@ func (ta *TA) RunContext(ctx context.Context) error {
 	return ta.Err()
 }
 
-// Resume is run.Resume over the traced step.
+// Resume continues the terminated scan until it encounters one new
+// (previously unseen) tuple, which Phase 3 of the region algorithms
+// evaluates and which joins C(q); it returns the new row's position.
+// ok=false when the lists are exhausted or the scan has failed.
 func (ta *TA) Resume() (int32, bool) {
 	ta.must("Resume")
 	for {
