@@ -87,11 +87,13 @@ vuln:
 # in garbage. BenchmarkColdStream is bench/'s cold-analyze workload in
 # process (ST n = 200 000, two clients, 400 requests an op, a quarter of
 # them φ = 2): its peak-live-MB is the live heap with the deepest query
-# in flight, its scan-pages-MB the candidate-table pages at their peak
-# (outside the heap on Linux), and its rss-file-MB the file-backed part
-# of the resident set (the touched pages of the mapped tuple file, and
-# the test binary), the three things the server's resident set follows;
-# a list file mapped again shows up in the last. The two region-hit
+# in flight, its scan-pages-MB the page arena at its peak (the
+# candidate-table pages, the rank order and the region phases'
+# per-candidate buffers, outside the heap on Linux), its rss-anon-MB the
+# anonymous part of the resident set at its peak (heap and arena), and
+# its rss-file-MB the file-backed part (the touched pages of the mapped
+# tuple file, and the test binary): the last two are what the server's
+# resident set follows; a list file mapped again shows up in the last. The two region-hit
 # paths close it: a /topk served by a cached entry's containment test,
 # and a write checked against 64 cached certificates (its allocs/op is
 # the invalidation pass's garbage). BenchmarkBatchTopK is the measurement

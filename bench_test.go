@@ -13,8 +13,10 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"slices"
 	"sync"
@@ -370,18 +372,21 @@ func (c *coldStream) next() (vec.Query, int) {
 // repeats. Besides ns/op and B/op it reports:
 //   - peak-live-MB, the highest /gc/heap/live:bytes a 1 ms poll saw: the
 //     live heap with the deepest φ = 2 query in flight, which under
-//     GOGC = 100 is half the heap goal. On Linux it does not include the
-//     candidate tables' pages, which topk's page arena keeps outside the
-//     heap;
+//     GOGC = 100 is half the heap goal. On Linux it includes neither the
+//     candidate tables' pages nor the per-candidate buffers of the rank
+//     order and the region phases: topk's page arena keeps those outside
+//     the heap;
 //   - scan-pages-MB, the highest topk.PageBytes (the ir_scan_pages_bytes
-//     gauge) the same poll saw: those pages;
+//     gauge) the same poll saw: those pages and spans;
+//   - on Linux, rss-anon-MB, the highest RssAnon the same poll saw: the
+//     anonymous part of the resident set, the heap and the arena both;
 //   - on Linux, rss-file-MB, RssFile at the end of the run: the
 //     file-backed part of the resident set, mostly the mapped tuple file
 //     (ST's records are dense, 164 B each: 34 MB, nearly all of it
 //     resident, as the kernel maps large folios per fault) plus the
 //     test binary's text.
 //
-// Those three are what the server's resident set follows; a list file
+// The last two are what the server's resident set follows; a list file
 // mapped again would show up in the last.
 func BenchmarkColdStream(b *testing.B) {
 	st := dataset.GenerateST(dataset.STConfig{N: 200000, Seed: 1})
@@ -398,11 +403,19 @@ func BenchmarkColdStream(b *testing.B) {
 	eng := engine.New(lists.NewOverlay(disk), engine.Config{})
 	streams := []*coldStream{newColdStream(st.M, 1, 0), newColdStream(st.M, 1, 1)}
 	st = nil
-	runtime.GC()
+	// A collection that also hands the generator's freed heap back to the
+	// kernel: rss-anon-MB then starts from what the engine holds, not
+	// from memory the heap would reuse before it grew.
+	debug.FreeOSMemory()
 
 	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	var peak uint64
 	var peakPages int64
+	var peakAnon float64
+	status, err := os.Open("/proc/self/status")
+	if err == nil {
+		defer status.Close()
+	}
 	stop, polled := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(polled)
@@ -416,6 +429,9 @@ func BenchmarkColdStream(b *testing.B) {
 				metrics.Read(live)
 				peak = max(peak, live[0].Value.Uint64())
 				peakPages = max(peakPages, topk.PageBytes())
+				if status != nil {
+					peakAnon = max(peakAnon, procStatusKB(status, "RssAnon:"))
+				}
 			}
 		}
 	}()
@@ -446,8 +462,35 @@ func BenchmarkColdStream(b *testing.B) {
 	b.ReportMetric(float64(peak)/(1<<20), "peak-live-MB")
 	b.ReportMetric(float64(peakPages)/(1<<20), "scan-pages-MB")
 	if runtime.GOOS == "linux" {
+		b.ReportMetric(peakAnon/(1<<10), "rss-anon-MB")
 		b.ReportMetric(obs.ProcStatusBytes("RssFile")/(1<<20), "rss-file-MB")
 	}
+}
+
+// procStatusBuf is procStatusKB's read buffer; only the poll uses it.
+var procStatusBuf [4 << 10]byte
+
+// procStatusKB reads one kB line of an open /proc/self/status ("RssAnon:
+// 123 kB"), 0 if it is missing. It is obs.ProcStatusBytes without the
+// allocations a 1 ms poll would add to B/op: the file stays open, a
+// pread from offset 0 regenerates it into one buffer.
+func procStatusKB(f *os.File, key string) float64 {
+	n, _ := f.ReadAt(procStatusBuf[:], 0)
+	i := bytes.Index(procStatusBuf[:n], []byte(key))
+	if i < 0 {
+		return 0
+	}
+	kb := 0
+	for _, c := range procStatusBuf[i+len(key) : n] {
+		switch {
+		case c >= '0' && c <= '9':
+			kb = 10*kb + int(c-'0')
+		case c == ' ' || c == '\t':
+		default:
+			return float64(kb)
+		}
+	}
+	return float64(kb)
 }
 
 // BenchmarkCacheTopK — region-certified /topk serving: weights nudged

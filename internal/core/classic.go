@@ -118,9 +118,7 @@ func (c *dimComputer) phase1(jx int, b *boundState) {
 // sized here too: every position Phase 2 evaluates comes out of this
 // order.
 func (c *dimComputer) fullSet() []int32 {
-	if n := c.rows.Len(); n > len(c.sc.mark) {
-		c.sc.mark = append(c.sc.mark, make([]uint32, n-len(c.sc.mark))...)
-	}
+	c.sc.growMark(c.rows.Len())
 	order, cut := c.view.Ranking()
 	return order[cut:]
 }
@@ -132,14 +130,17 @@ func (c *dimComputer) fullSet() []int32 {
 // already in the (score desc, id asc) total order and a subsequence of
 // a sorted list is sorted, so this one filter pass produces exactly
 // what materializing the classes and re-sorting would. The view lives
-// in the scratch's one filter buffer: it is valid until the next
-// filterClasses call, which is all Phase 2 needs (one set per dimension
-// and side at a time).
+// in the scratch's one filter buffer, sized to the full order first so
+// that appending never moves it off its span: it is valid until the
+// next filterClasses call, which is all Phase 2 needs (one set per
+// dimension and side at a time).
 func (c *dimComputer) filterClasses(jx, keep0, keepH int) []int32 {
 	bit := uint64(1) << uint(jx)
 	n0, nh := 0, 0
+	full := c.fullSet()
+	c.sc.filtered = resize(c.sc.filtered, len(full))
 	out := c.sc.filtered[:0]
-	for _, p := range c.fullSet() {
+	for _, p := range full {
 		switch mask := c.rows.Mask(p); {
 		case mask&bit == 0:
 			if n0 < keep0 {
@@ -359,8 +360,7 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 
 	sBar := sk + b.hi*dkj
 	sUnd := sk + b.lo*dkj
-	c.sc.thr = resize(c.sc.thr, c.q.Len())
-	t := c.sc.thr // reused across resume checks
+	t := c.sc.thresholds(c.q.Len()) // reused across resume checks
 	for {
 		if c.stop() {
 			return

@@ -276,8 +276,7 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 // y = Σ qi·ti + tj·x (constant on the mirrored side, since coordinates
 // are non-negative) no longer intersects either envelope (§6 Phase 3).
 func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
-	c.sc.thr = resize(c.sc.thr, c.q.Len())
-	t := c.sc.thr // reused across resume checks
+	t := c.sc.thresholds(c.q.Len()) // reused across resume checks
 	for {
 		if c.stop() {
 			return

@@ -13,10 +13,12 @@ import (
 
 // TestEvalMemoEpochs drives the position memo through the life of a
 // pooled scratch: a reset forgets every mark without clearing, a stale
-// mark from an earlier query never reads as evaluated, and a wrapped
-// epoch counter does not resurrect marks from 4Gi resets ago.
+// mark from an earlier query never reads as evaluated, a wrapped epoch
+// counter does not resurrect marks from 4Gi resets ago, and a memo
+// extended over a recycled span reads as not evaluated.
 func TestEvalMemoEpochs(t *testing.T) {
-	sc := &scratch{mark: make([]uint32, 4)}
+	sc := &scratch{}
+	sc.growMark(4)
 	sc.resetEval()
 	sc.mark[2] = sc.epoch
 	sc.resetEval() // next dimension: everything forgotten
@@ -34,11 +36,21 @@ func TestEvalMemoEpochs(t *testing.T) {
 		t.Fatal("mark survived epoch wrap")
 	}
 	sc.mark[1] = sc.epoch
-	sc.poison() // what a release under PoisonScratch leaves behind
+	sc.release() // the span goes back to the arena, poisoned (TestMain)
+	if sc.mark != nil {
+		t.Fatal("a released scratch still holds its memo")
+	}
+	sc.growMark(2) // most likely the span just released
+	sc.mark[1] = sc.epoch
+	sc.growMark(4)
+	if sc.mark[1] != sc.epoch || sc.mark[2] != 0 || sc.mark[3] != 0 {
+		t.Fatalf("memo extended to %v, want the old mark kept and the new ones clear", sc.mark)
+	}
 	sc.resetEval()
 	if slices.Contains(sc.mark, sc.epoch) {
-		t.Fatal("poisoned marks read as evaluated after a reset")
+		t.Fatal("recycled marks read as evaluated after a reset")
 	}
+	sc.release()
 }
 
 // sortIdxByCoord is the whole-list sort the lazy SLj replaced, kept as

@@ -5,19 +5,30 @@ package topk
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Off Linux, and under the race detector (which sees writes to heap
-// memory only), table pages are heap pages recycled through a sync.Pool.
+// memory only), spans are heap arrays recycled through one sync.Pool per
+// class.
 var (
-	pagePool = sync.Pool{New: func() any { return new(page) }}
-	pagesOut atomic.Int64
+	spanPools [spanClasses]sync.Pool
+	spansOut  atomic.Int64
 )
 
-func getPage() *page { pagesOut.Add(1); return pagePool.Get().(*page) }
+func getSpan(c int) unsafe.Pointer {
+	spansOut.Add(int64(spanBytes(c)))
+	if p, ok := spanPools[c].Get().(unsafe.Pointer); ok {
+		return p
+	}
+	return unsafe.Pointer(unsafe.SliceData(make([]uint64, spanBytes(c)/8)))
+}
 
-func putPage(pg *page) { pagesOut.Add(-1); pagePool.Put(pg) }
+func putSpan(p unsafe.Pointer, c int) {
+	spansOut.Add(-int64(spanBytes(c)))
+	spanPools[c].Put(p)
+}
 
-// PageBytes reports the bytes of candidate-table pages handed out to
-// scans; the heap statistics count them too.
-func PageBytes() int64 { return pagesOut.Load() * pageBytes }
+// PageBytes reports the bytes of spans handed out to scans and region
+// computations; the heap statistics count them too.
+func PageBytes() int64 { return spansOut.Load() }

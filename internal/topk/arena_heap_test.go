@@ -2,6 +2,6 @@
 
 package topk
 
-// offHeapPages is the number of pages tab holds outside the Go heap: none
-// on this build, where the heap statistics count every page.
-func offHeapPages(*Table) int { return 0 }
+// offHeapBytes is the bytes ta holds outside the Go heap: none on this
+// build, where the heap statistics count every page and span.
+func offHeapBytes(*TA) int { return 0 }

@@ -9,21 +9,19 @@ import (
 	"repro/internal/storage"
 )
 
-// scratch is the working memory of one scan apart from its rows — the
-// part a TA or Multi run allocates in proportion to the dataset (the
-// encountered bitset) or keeps in one piece (the 4-byte rank order, the
+// scratch is the working memory of one scan apart from its rows and
+// their rank order — the part a TA or Multi run allocates in proportion
+// to the dataset (the encountered bitset) or keeps in one piece (the
 // page directories of the candidate table, the per-list bookkeeping). It
 // is recycled across queries through scratchPool: New/NewMulti take one,
-// Release hands it back. The rows themselves live in pooled pages (see
-// Table), which a release returns one by one: no scratch carries the
-// deepest query's rows around.
+// Release hands it back. The rows live in table pages (see Table) and
+// the rank order in spans, which a release hands back to the arena: no
+// scratch carries the deepest query's candidates around.
 type scratch struct {
 	seen     bitset
 	rows     Table    // directories only: a pooled scratch holds no page
 	scores   []column // Multi only: one score column per member
-	order    []int32
-	tail     []int32
-	rank     *ranker // allocated by the first TA that takes this scratch
+	rank     *ranker  // allocated by the first TA that takes this scratch
 	heap     []float64
 	proj     []float64
 	cursors  []lists.Cursor
@@ -57,7 +55,7 @@ func getScratch(n, qlen int) *scratch {
 		clear(sc.consumed)
 	}
 	sc.rows.reset(qlen)
-	sc.order, sc.tail, sc.heap = sc.order[:0], sc.tail[:0], sc.heap[:0]
+	sc.heap = sc.heap[:0]
 	if cap(sc.proj) < qlen {
 		sc.proj = make([]float64, qlen)
 	}
@@ -83,8 +81,8 @@ func putScratch(sc *scratch) {
 
 var poisonScratch atomic.Bool
 
-// PoisonScratch makes every scratch and every table page returned to its
-// pool get overwritten with NaN/-1 first, so a value that still aliases
+// PoisonScratch makes every scratch, table page and span returned to
+// its pool get overwritten with NaN/-1 first, so a value that still aliases
 // recycled memory turns into garbage the bit-identity suites catch. Tests of this package and
 // of the layers above it (core, engine, shard) switch it on from
 // TestMain; nothing else calls it.
@@ -99,11 +97,6 @@ func (sc *scratch) poison() {
 	seen := sc.seen[:cap(sc.seen)]
 	for i := range seen {
 		seen[i] = ^uint64(0)
-	}
-	for _, ps := range [][]int32{sc.order[:cap(sc.order)], sc.tail[:cap(sc.tail)]} {
-		for i := range ps {
-			ps[i] = -1
-		}
 	}
 	last, consumed := sc.last[:cap(sc.last)], sc.consumed[:cap(sc.consumed)]
 	for i := range last {

@@ -8,11 +8,11 @@ import (
 )
 
 // A page is the unit every column of every candidate table grows by:
-// 8192 eight-byte words. Pages are pointer-free, all alike and never
-// resized, so an idle one serves any column of any later scan — or goes
-// back to the system at no cost to anyone: nothing is ever copied out of
-// a page to make room. getPage and putPage take and return them (see
-// arena_linux.go and arena_heap.go).
+// 8192 eight-byte words, the arena's smallest span. Pages are
+// pointer-free, all alike and never resized, so an idle one serves any
+// column of any later scan — or goes back to the system at no cost to
+// anyone: nothing is ever copied out of a page to make room. getPage and
+// putPage take and return them (see span.go).
 const (
 	pageShift = 13
 	pageRows  = 1 << pageShift
@@ -147,7 +147,8 @@ type ranker struct {
 }
 
 // sortRanked sorts positions into rank order and returns buf, grown to
-// len(pos) if it was shorter, for the caller to keep. From rankCutover on
+// len(pos) from a span if it was shorter, for the caller to keep and
+// hand back (buf is nil or a span, see GrowSpan). From rankCutover on
 // it ranks runs of rankRun positions by radix (radixRun, with buf as the
 // kernel's second position buffer) and merges the runs through buf;
 // below it, it compares.
@@ -156,10 +157,7 @@ func (t *Table) sortRanked(pos, buf []int32, rk *ranker) []int32 {
 		t.compareRanked(pos)
 		return buf
 	}
-	if cap(buf) < len(pos) {
-		buf = make([]int32, len(pos))
-	}
-	buf = buf[:len(pos)]
+	buf = GrowSpan(buf[:0], len(pos))
 	for lo := 0; lo < len(pos); lo += rankRun {
 		hi := min(lo+rankRun, len(pos))
 		t.radixRun(pos[lo:hi], buf[lo:hi], rk)

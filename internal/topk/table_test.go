@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lists"
 	"repro/internal/vec"
@@ -40,12 +41,14 @@ func exhaust(v interface{ Resume() (int32, bool) }) {
 }
 
 // TestScanAllocatesLinearly: from cold pools, a scan that encounters E
-// tuples allocates its rows once — heap bytes plus the arena pages it
-// draws come to at most 1.25 × E × row bytes, plus one page of slack per
-// column — because a page is never copied to grow. (Contiguous slices
-// grown by append allocate about five times the final size on the way
-// there.) The bound covers everything the run allocates besides: the
-// rank order, the bitset, cursors, the result.
+// tuples allocates its rows once — heap bytes plus the arena pages and
+// spans it draws come to at most 1.25 × E × row bytes, plus one page of
+// slack per column — because a page is never copied to grow. (Contiguous
+// slices grown by append allocate about five times the final size on the
+// way there.) The bound covers everything the run allocates besides: the
+// rank order, the bitset, cursors, the result. Where the arena lives
+// outside the heap, the heap holds nothing per row: the rank order is
+// arena bytes too.
 func TestScanAllocatesLinearly(t *testing.T) {
 	const n, qlen, k = 50_000, 4, 10
 	tuples, q := denseCase(rand.New(rand.NewSource(31)), n, qlen, 1<<20)
@@ -60,7 +63,7 @@ func TestScanAllocatesLinearly(t *testing.T) {
 	exhaust(ta)
 	order, cut := ta.Ranking()
 	runtime.ReadMemStats(&after)
-	drawn := offHeapPages(ta.Table())
+	drawn := offHeapBytes(ta)
 	if ta.Table().Len() != n || len(order) != n || cut != k {
 		t.Fatalf("scan holds %d rows, ranks %d, cut %d; want %d, %d, %d", ta.Table().Len(), len(order), cut, n, n, k)
 	}
@@ -68,9 +71,15 @@ func TestScanAllocatesLinearly(t *testing.T) {
 
 	const columns = 3 + qlen // id, score, mask, coordinates
 	rowBytes := 8 * columns
+	heap := after.TotalAlloc - before.TotalAlloc
 	bound := uint64(1.25*float64(n*rowBytes)) + columns*pageBytes
-	if got := after.TotalAlloc - before.TotalAlloc + uint64(drawn*pageBytes); got > bound {
+	if got := heap + uint64(drawn); got > bound {
 		t.Fatalf("scan of %d rows × %d B allocated %d B, bound %d", n, rowBytes, got, bound)
+	}
+	// The radix buffers, the bitset (n/8 B), the cursors and the result
+	// are all the heap keeps; one byte per row would exceed this.
+	if drawn > 0 && heap > uint64(unsafe.Sizeof(ranker{}))+n/8+32<<10 {
+		t.Fatalf("scan of %d rows allocated %d heap bytes besides its %d B of arena memory", n, heap, drawn)
 	}
 }
 

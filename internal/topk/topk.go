@@ -261,11 +261,12 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 }
 
 // TA is a resumable threshold-algorithm run: a scan together with the
-// rows it has encountered and their rank order. Its scan state, table
-// directories and rank order live in a pooled scratch and its rows in
-// table pages: Release recycles both. A TA that is never released is
-// released by a finalizer once the collector finds it unreachable — the
-// pages are not heap objects, so nothing else would take them back.
+// rows it has encountered and their rank order. Its scan state and
+// table directories live in a pooled scratch, its rows in table pages
+// and its rank order in spans: Release recycles all three. A TA that is
+// never released is released by a finalizer once the collector finds it
+// unreachable — pages and spans are not heap objects, so nothing else
+// would take them back.
 type TA struct {
 	scanState
 	sc   *scratch // nil once released
@@ -274,6 +275,7 @@ type TA struct {
 	// order ranks rows [0, len(order)): order[:cut] is R(q), frozen when
 	// the scan terminated, order[cut:] is C(q). Rows past len(order) —
 	// Resume's pulls — are ranked and merged in by the next Ranking call.
+	// It is a span, as is tail.
 	order  []int32
 	cut    int
 	result []Scored // order[:cut], materialized once
@@ -329,7 +331,7 @@ func nzMask(proj []float64) (mask uint64) {
 // fixes the result.
 func (ta *TA) finish() {
 	n := ta.rows.Len()
-	ta.order = slices.Grow(ta.order[:0], n)[:n]
+	ta.order = GrowSpan(ta.order[:0], n)
 	for p := range ta.order {
 		ta.order[p] = int32(p)
 	}
@@ -361,12 +363,13 @@ func (ta *TA) Result() []Scored {
 func (ta *TA) Ranking() (order []int32, cut int) {
 	ta.must("Ranking")
 	if old, n := len(ta.order), ta.rows.Len(); old < n {
-		ta.order = slices.Grow(ta.order, n-old)[:n]
+		ta.order = GrowSpan(ta.order, n)
 		for p := old; p < n; p++ {
 			ta.order[p] = int32(p)
 		}
 		ta.tail = ta.rows.sortRanked(ta.order[old:], ta.tail, ta.rank)
-		ta.tail = append(ta.tail[:0], ta.order[old:]...)
+		ta.tail = GrowSpan(ta.tail[:0], n-old)
+		copy(ta.tail, ta.order[old:])
 		i, w := old-1, n-1
 		for j := len(ta.tail) - 1; j >= 0; w-- {
 			if i >= ta.cut && ta.rows.before(ta.tail[j], ta.order[i]) {
@@ -425,7 +428,7 @@ func (ta *TA) emitTrace(qpos, tuple int, score float64) {
 		for p := range ranked {
 			ranked[p] = int32(p)
 		}
-		ta.rows.sortRanked(ranked, nil, ta.rank)
+		ReleaseSpan(ta.rows.sortRanked(ranked, nil, ta.rank))
 		for i, p := range ranked {
 			if i < ta.k {
 				ts.ResultIDs = append(ts.ResultIDs, ta.rows.ID(p))
@@ -454,8 +457,6 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 		scanState: newScanState(ix, q, k, policy, sc),
 		sc:        sc,
 		rows:      sc.rows,
-		order:     sc.order,
-		tail:      sc.tail,
 		rank:      sc.rank,
 		proj:      sc.proj,
 		topScores: sc.heap,
@@ -484,9 +485,10 @@ func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy, sc *sc
 	return s
 }
 
-// Release returns the run's pages and scratch to their pools. The table,
-// its rank order and the TA itself are dead afterwards; what was materialized (Result, Candidates, Rows)
-// is a copy and survives. Releasing twice is a no-op.
+// Release returns the run's pages, spans and scratch to their pools. The
+// table, its rank order and the TA itself are dead afterwards; what was
+// materialized (Result, Candidates, Rows) is a copy and survives.
+// Releasing twice is a no-op.
 func (ta *TA) Release() {
 	if ta.sc == nil {
 		return
@@ -494,8 +496,10 @@ func (ta *TA) Release() {
 	runtime.SetFinalizer(ta, nil)
 	sc := ta.sc
 	ta.rows.release()
-	// The directories and lists may have been regrown; keep the larger arrays.
-	sc.rows, sc.order, sc.tail, sc.heap = ta.rows, ta.order, ta.tail, ta.topScores
+	ReleaseSpan(ta.order)
+	ReleaseSpan(ta.tail)
+	// The directories and the heap may have been regrown; keep the larger arrays.
+	sc.rows, sc.heap = ta.rows, ta.topScores
 	// What the run counted stays readable; what it held does not.
 	*ta = TA{scanState: scanState{sortedAccesses: ta.sortedAccesses, err: ta.Err()}}
 	putScratch(sc)
