@@ -232,9 +232,9 @@ func (h *slj) siftDown(i int) {
 // peek returns the first entry not yet processed, discarding processed
 // ones on the way (processed entries stay processed, so they are never
 // wanted again).
-func (h *slj) peek(processed []bool) (int32, bool) {
+func (h *slj) peek(processed bitset) (int32, bool) {
 	for len(h.idx) > 0 {
-		if !processed[h.idx[0]] {
+		if !processed.has(int(h.idx[0])) {
 			return h.idx[0], true
 		}
 		last := len(h.idx) - 1
@@ -246,10 +246,10 @@ func (h *slj) peek(processed []bool) (int32, bool) {
 }
 
 // firstUnprocessed advances *i to the first unprocessed entry of the
-// score-ordered set and reports whether there is one.
-func firstUnprocessed(processed []bool, i *int) bool {
-	for ; *i < len(processed); *i++ {
-		if !processed[*i] {
+// score-ordered set of n entries and reports whether there is one.
+func firstUnprocessed(processed bitset, n int, i *int) bool {
+	for ; *i < n; *i++ {
+		if !processed.has(*i) {
 			return true
 		}
 	}
@@ -269,32 +269,34 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 	sk := dk.Score
 
 	// SLS is set itself, probed by position. SLj↑ and SLj↓ hold positions
-	// within set, ordered against a flat coordinate column.
+	// within set, ordered against a flat coordinate column; they share
+	// one buffer, SLj↑ filling it from the front and SLj↓ from the back
+	// (the order a heap starts from does not change the order it pops).
 	c.sc.coords = resize(c.sc.coords, len(set))
-	c.sc.idxA = resize(c.sc.idxA, len(set))
-	c.sc.idxB = resize(c.sc.idxB, len(set))
-	c.sc.processed = resize(c.sc.processed, len(set))
-	coords, processed := c.sc.coords, c.sc.processed
-	clear(processed)
-	up := slj{idx: c.sc.idxA[:0], coords: coords, set: set, rows: rows, asc: true}
-	down := slj{idx: c.sc.idxB[:0], coords: coords, set: set, rows: rows}
+	c.sc.idx = resize(c.sc.idx, len(set))
+	coords, idx, processed := c.sc.coords, c.sc.idx, c.sc.resetProcessed(len(set))
+	nUp, nDown := 0, 0
 	for i, p := range set {
 		cj := rows.Coord(p, jx)
 		coords[i] = cj
 		switch {
 		case cj < dkj:
-			up.idx = append(up.idx, int32(i))
+			idx[nUp] = int32(i)
+			nUp++
 		case cj > dkj:
-			down.idx = append(down.idx, int32(i))
+			nDown++
+			idx[len(idx)-nDown] = int32(i)
 		}
 	}
+	up := slj{idx: idx[:nUp], coords: coords, set: set, rows: rows, asc: true}
+	down := slj{idx: idx[len(idx)-nDown:], coords: coords, set: set, rows: rows}
 	up.heapify()
 	down.heapify()
 
 	// pull evaluates set entry i and, when its side is still searching,
 	// tightens that side's bound (Lemma 1 picks the side by coordinate).
 	pull := func(i int32, apply bool) {
-		processed[i] = true
+		processed.set(int(i))
 		c.evaluate(jx, set[i])
 		if apply {
 			crit, kind := lemma1(sk, dkj, rows.Score(set[i]), coords[i])
@@ -308,7 +310,7 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 	iS := 0
 	stepSide := func(h *slj) bool {
 		ni, ok := h.peek(processed)
-		if !ok || !firstUnprocessed(processed, &iS) {
+		if !ok || !firstUnprocessed(processed, len(set), &iS) {
 			return false // this side of dk, or the whole set, is exhausted
 		}
 		crit := (sk - rows.Score(set[iS])) / (coords[ni] - dkj)
@@ -332,7 +334,7 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 		// 4–8; the score-biased schedule draws twice since SLS feeds
 		// both searches).
 		for p := 0; p < slsPulls; p++ {
-			if !firstUnprocessed(processed, &iS) {
+			if !firstUnprocessed(processed, len(set), &iS) {
 				return // every candidate evaluated: both searches complete
 			}
 			cj := coords[iS]

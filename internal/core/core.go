@@ -287,6 +287,10 @@ func (d *dimComputer) id(p int32) int { return d.rows.ID(p) + d.idBase }
 type Runner interface {
 	topk.View
 	RunContext(ctx context.Context) error
+	// Release hands back the memory the run holds; the runner is dead
+	// afterwards, what it materialized survives. Releasing twice is a
+	// no-op.
+	Release()
 }
 
 // Compute derives the immutable regions of every query dimension from a
@@ -414,10 +418,10 @@ func (c *computer) fullDomainRegions(jx int) Regions {
 // evaluation within one dimension is served from the memo without
 // re-charging. A failed fetch is kept in err, which stops the loop.
 func (d *dimComputer) evaluate(jx int, pos int32) {
-	if d.sc.mark[pos] == d.sc.epoch {
+	if d.sc.mark.has(int(pos)) {
 		return
 	}
-	d.sc.mark[pos] = d.sc.epoch
+	d.sc.mark.set(int(pos))
 	if err := d.ix.Project(d.id(pos), nil, nil); err != nil && d.err == nil {
 		d.err = err
 	}

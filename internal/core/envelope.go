@@ -214,10 +214,9 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 	// positions within set, ordered against a flat coordinate column —
 	// SLj↑ (mirror): ascending coordinate; SLj↓: descending.
 	c.sc.coords = resize(c.sc.coords, len(set))
-	c.sc.idxA = resize(c.sc.idxA, len(set))
-	c.sc.processed = resize(c.sc.processed, len(set))
+	c.sc.idx = resize(c.sc.idx, len(set))
 	coords := c.sc.coords
-	list := slj{idx: c.sc.idxA[:0], coords: coords, set: set, rows: rows, asc: mirror}
+	list := slj{idx: c.sc.idx[:0], coords: coords, set: set, rows: rows, asc: mirror}
 	for i, p := range set {
 		cj := rows.Coord(p, jx)
 		coords[i] = cj
@@ -231,11 +230,10 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 	// fetch memo is shared across sides so a tuple's random read is
 	// charged once per dimension, but each side must still offer its own
 	// view of the tuple to its own boundary.
-	processed := c.sc.processed
-	clear(processed)
+	processed := c.sc.resetProcessed(len(set))
 	iS := 0
 	done := func() bool {
-		if !firstUnprocessed(processed, &iS) {
+		if !firstUnprocessed(processed, len(set), &iS) {
 			return true // every candidate on this side processed
 		}
 		// Cap slope: the next coordinate key while the coordinate list
@@ -259,14 +257,14 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 			if done() {
 				return
 			}
-			processed[iS] = true // done left iS on the top unprocessed entry
+			processed.set(iS) // done left iS on the top unprocessed entry
 			offer(set[iS])
 		}
 		if done() {
 			return
 		}
 		if i, ok := list.peek(processed); ok {
-			processed[i] = true
+			processed.set(int(i))
 			offer(set[i])
 		}
 	}

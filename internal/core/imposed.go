@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 
 	"repro/internal/lists"
 	"repro/internal/storage"
@@ -63,7 +62,8 @@ type imposedRunner struct {
 
 	// order is the candidate view: the inner rank order — local result
 	// first, then local candidates — minus imposed members, rebuilt when
-	// the inner scan has grown (Resume only ever adds rows).
+	// the inner scan has grown (Resume only ever adds rows). It is a span
+	// of topk's arena, handed back by Release.
 	order []int32
 	rows  int
 	owned int // imposed members in this shard's id range
@@ -99,23 +99,32 @@ func (v *imposedRunner) Ranking() ([]int32, int) {
 	if n := rows.Len(); n != v.rows {
 		v.rows = n
 		inner, _ := v.inner.Ranking()
-		v.order = slices.Grow(v.order[:0], len(inner))
+		v.order = topk.GrowSpan(v.order[:0], len(inner))
 		// The members to drop sit among the first k: past the last of
 		// them the rest of the order is taken as it stands.
-		left := v.owned
+		w, left := 0, v.owned
 		for i, p := range inner {
 			if left == 0 {
-				v.order = append(v.order, inner[i:]...)
+				w += copy(v.order[w:], inner[i:])
 				break
 			}
 			if v.ownsImposed(rows.ID(p) + v.base) {
 				left--
 				continue
 			}
-			v.order = append(v.order, p)
+			v.order[w] = p
+			w++
 		}
+		v.order = v.order[:w]
 	}
 	return v.order, 0
+}
+
+// Release hands the candidate view back, then the inner run.
+func (v *imposedRunner) Release() {
+	topk.ReleaseSpan(v.order)
+	v.order, v.rows = nil, 0
+	v.inner.Release()
 }
 
 // Resume pulls the shard scan. Imposed members can never surface here —

@@ -23,8 +23,8 @@ import (
 func shardLines(t *testing.T, part []vec.Sparse, m, base int, q vec.Query, k int, imposed []topk.Scored, opts Options) (all, shipped []topk.Scored) {
 	t.Helper()
 	ta := topk.New(lists.NewMemIndex(part, m), q, k, topk.BestList)
-	defer ta.Release()
 	runner := WithImposed(ta, base, imposed)
+	defer runner.Release()
 	if _, err := ComputeView(context.Background(), runner, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +363,8 @@ func TestImposedIgnoresParallelism(t *testing.T) {
 	rng := rand.New(rand.NewSource(1502))
 	imposed := func(part []vec.Sparse, m, base int, q vec.Query, k int, res []topk.Scored, opts Options) (*Output, []topk.Scored) {
 		ta := topk.New(lists.NewMemIndex(part, m), q, k, topk.BestList)
-		defer ta.Release()
 		runner := WithImposed(ta, base, res)
+		defer runner.Release()
 		out, err := ComputeView(context.Background(), runner, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -11,44 +11,36 @@ import (
 	"repro/internal/vec"
 )
 
-// TestEvalMemoEpochs drives the position memo through the life of a
-// pooled scratch: a reset forgets every mark without clearing, a stale
-// mark from an earlier query never reads as evaluated, a wrapped epoch
-// counter does not resurrect marks from 4Gi resets ago, and a memo
-// extended over a recycled span reads as not evaluated.
-func TestEvalMemoEpochs(t *testing.T) {
+// TestEvalMemoResets drives the evaluation memo, a bit per row, through
+// the life of a pooled scratch: a reset forgets every mark, and a memo
+// extended over a recycled span — all ones under scratch poisoning —
+// keeps its old marks and reads the new rows as not evaluated.
+func TestEvalMemoResets(t *testing.T) {
 	sc := &scratch{}
 	sc.growMark(4)
-	sc.resetEval()
-	sc.mark[2] = sc.epoch
+	sc.mark.set(2)
 	sc.resetEval() // next dimension: everything forgotten
-	if sc.mark[2] == sc.epoch {
+	if sc.mark.has(2) {
 		t.Fatal("reset did not forget")
 	}
-	sc.epoch = ^uint32(0) - 1
-	sc.resetEval()
-	sc.mark[3] = sc.epoch
-	sc.resetEval() // wraps to 0 → forced to 1 with marks cleared
-	if sc.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", sc.epoch)
-	}
-	if slices.Contains(sc.mark, sc.epoch) {
-		t.Fatal("mark survived epoch wrap")
-	}
-	sc.mark[1] = sc.epoch
+	sc.mark.set(1)
 	sc.release() // the span goes back to the arena, poisoned (TestMain)
 	if sc.mark != nil {
 		t.Fatal("a released scratch still holds its memo")
 	}
 	sc.growMark(2) // most likely the span just released
-	sc.mark[1] = sc.epoch
-	sc.growMark(4)
-	if sc.mark[1] != sc.epoch || sc.mark[2] != 0 || sc.mark[3] != 0 {
-		t.Fatalf("memo extended to %v, want the old mark kept and the new ones clear", sc.mark)
+	sc.mark.set(1)
+	sc.growMark(200)
+	for p := range 200 {
+		if sc.mark.has(p) != (p == 1) {
+			t.Fatalf("memo extended to 200 rows reads %v at row %d, want only row 1 evaluated", sc.mark.has(p), p)
+		}
 	}
 	sc.resetEval()
-	if slices.Contains(sc.mark, sc.epoch) {
-		t.Fatal("recycled marks read as evaluated after a reset")
+	for p := range 200 {
+		if sc.mark.has(p) {
+			t.Fatalf("row %d reads as evaluated after a reset", p)
+		}
 	}
 	sc.release()
 }
@@ -90,8 +82,9 @@ func shuffledTable(rng *rand.Rand, n int) *topk.Table {
 
 // TestSLjPopsInSortedOrder: pulling the heap-ordered SLj yields exactly
 // the sorted list, both directions, on coordinates full of duplicates
-// (ties fall back to the tuple id), consumed fully, partially, and with
-// entries another list processed in between.
+// (ties fall back to the tuple id), whatever order the heap starts from,
+// consumed fully, partially, and with entries another list processed in
+// between.
 func TestSLjPopsInSortedOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 200; trial++ {
@@ -114,16 +107,17 @@ func TestSLjPopsInSortedOrder(t *testing.T) {
 			}
 			want := slices.Clone(members)
 			sortIdxByCoord(want, coords, set, rows, asc)
+			rng.Shuffle(len(members), func(i, j int) { members[i], members[j] = members[j], members[i] })
 
 			h := slj{idx: members, coords: coords, set: set, rows: rows, asc: asc}
 			h.heapify()
-			processed := make([]bool, n)
+			processed := make(bitset, words(n))
 			stopAt := len(want)
 			if trial%2 == 1 && stopAt > 0 {
 				stopAt = rng.Intn(stopAt) // partial consumption
 			}
 			for w := 0; w < stopAt; w++ {
-				if processed[want[w]] {
+				if processed.has(int(want[w])) {
 					continue // pulled through another list earlier
 				}
 				got, ok := h.peek(processed)
@@ -133,9 +127,9 @@ func TestSLjPopsInSortedOrder(t *testing.T) {
 				if again, _ := h.peek(processed); again != got {
 					t.Fatalf("trial %d: peek is not idempotent", trial)
 				}
-				processed[got] = true
+				processed.set(int(got))
 				if later := w + 1 + rng.Intn(4); later < len(want) && rng.Intn(3) == 0 {
-					processed[want[later]] = true
+					processed.set(int(want[later]))
 				}
 			}
 			if stopAt == len(want) {

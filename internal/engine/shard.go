@@ -84,8 +84,8 @@ func checkImposed(imposed []topk.Scored, k, qlen int) error {
 
 func imposedLocked(ctx context.Context, ix lists.Index, q vec.Query, k, base int, imposed []topk.Scored, copts core.Options) (*core.Output, []topk.Scored, error) {
 	ta := topk.New(ix, q, k, topk.BestList)
-	defer ta.Release() // out and the contributed lines are copies
 	runner := core.WithImposed(ta, base, imposed)
+	defer runner.Release() // ta's too; out and the contributed lines are copies
 	out, err := core.ComputeView(ctx, runner, copts)
 	if err != nil {
 		return nil, nil, err

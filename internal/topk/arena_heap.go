@@ -4,31 +4,29 @@ package topk
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
 // Off Linux, and under the race detector (which sees writes to heap
-// memory only), spans are heap arrays recycled through one sync.Pool per
-// class.
-var (
-	spanPools [spanClasses]sync.Pool
-	spansOut  atomic.Int64
-)
+// memory only), pages are heap arrays recycled through a sync.Pool and
+// buffers are heap arrays the collector takes back once released.
+var pagePool sync.Pool
 
-func getSpan(c int) unsafe.Pointer {
-	spansOut.Add(int64(spanBytes(c)))
-	if p, ok := spanPools[c].Get().(unsafe.Pointer); ok {
+func allocPage() unsafe.Pointer {
+	if p, ok := pagePool.Get().(unsafe.Pointer); ok {
 		return p
 	}
-	return unsafe.Pointer(unsafe.SliceData(make([]uint64, spanBytes(c)/8)))
+	return unsafe.Pointer(new(page))
 }
 
-func putSpan(p unsafe.Pointer, c int) {
-	spansOut.Add(-int64(spanBytes(c)))
-	spanPools[c].Put(p)
+func freePage(p unsafe.Pointer) { pagePool.Put(p) }
+
+func allocBuffer(n int) unsafe.Pointer {
+	return unsafe.Pointer(unsafe.SliceData(make([]uint64, n/8)))
 }
+
+func freeBuffer(unsafe.Pointer, int) {}
 
 // PageBytes reports the bytes of spans handed out to scans and region
 // computations; the heap statistics count them too.
-func PageBytes() int64 { return spansOut.Load() }
+func PageBytes() int64 { return held.Load() }

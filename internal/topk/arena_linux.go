@@ -11,72 +11,60 @@ import (
 )
 
 // The page arena. On Linux spans live outside the Go heap, in anonymous
-// private mappings never unmapped: spans up to chunkBytes are carved
-// from chunkBytes mappings, larger ones are mapped whole. Spans hold no
-// pointers, so the collector never needed to see them; while they were
-// heap objects, GOGC's heap goal counted every live row a second time. A
-// released span goes on its class's free list; one that stays idle
-// through two collections — the lifetime a sync.Pool gives an object —
-// is handed back to the kernel with MADV_DONTNEED and reads as zeros on
-// its next use. A finalizer re-armed after every collection drives that
-// (armSweep).
+// private mappings. Spans hold no pointers, so the collector never
+// needed to see them; while they were heap objects, GOGC's heap goal
+// counted every live row a second time.
+//
+// Pages are carved from chunkBytes mappings, never unmapped. A released
+// page goes on the free list; one that stays idle through two
+// collections — the lifetime a sync.Pool gives an object — is handed
+// back to the kernel with MADV_DONTNEED and reads as zeros on its next
+// use. A finalizer re-armed after every collection drives that
+// (armSweep). A buffer is a mapping of its own, unmapped when released.
 const chunkBytes = 1 << 20
-
-// spanList is one class's free spans by idleness.
-type spanList struct {
-	fresh []unsafe.Pointer // released since the last collection
-	aged  []unsafe.Pointer // released before it: idle through one collection so far
-	cold  []unsafe.Pointer // handed back to the kernel
-}
 
 var arena struct {
 	mu       sync.Mutex
 	chunk    unsafe.Pointer // the uncarved rest of the newest chunk
 	chunkLen int            // its bytes
-	free     [spanClasses]spanList
 
-	resident int64 // bytes of spans held, or idle and not yet handed back
+	// The free pages by idleness.
+	fresh []unsafe.Pointer // released since the last collection
+	aged  []unsafe.Pointer // released before it: idle through one collection so far
+	cold  []unsafe.Pointer // handed back to the kernel
+	idle  int64            // bytes of free pages not yet handed back
 
-	// For tests: mappings made, bytes handed back, sweeps completed.
-	maps, returned, sweeps int
+	// For tests: chunks mapped, bytes handed back, sweeps completed.
+	chunks, returned, sweeps int
 }
 
-func getSpan(c int) unsafe.Pointer {
-	n := spanBytes(c)
+func allocPage() unsafe.Pointer {
 	arena.mu.Lock()
 	defer arena.mu.Unlock()
-	fl := &arena.free[c]
-	if p := pop(&fl.fresh); p != nil {
+	if p := pop(&arena.fresh); p != nil {
+		arena.idle -= pageBytes
 		return p
 	}
-	if p := pop(&fl.aged); p != nil {
+	if p := pop(&arena.aged); p != nil {
+		arena.idle -= pageBytes
 		return p
 	}
-	arena.resident += int64(n)
-	if p := pop(&fl.cold); p != nil {
+	if p := pop(&arena.cold); p != nil {
 		return p
 	}
-	if n > chunkBytes {
-		return mapBytes(n)
-	}
-	if arena.chunkLen < n {
-		// The rest of the chunk was never touched, so it is as good as
-		// handed back: it goes to the cold lists, in the largest spans
-		// it holds.
-		for k := len(arena.free) - 1; k >= 0; k-- {
-			if b := spanBytes(k); arena.chunkLen >= b {
-				arena.free[k].cold = append(arena.free[k].cold, arena.chunk)
-				arena.chunk, arena.chunkLen = unsafe.Add(arena.chunk, b), arena.chunkLen-b
-			}
-		}
+	if arena.chunkLen == 0 {
 		arena.chunk, arena.chunkLen = mapBytes(chunkBytes), chunkBytes
+		if arena.chunks == 0 {
+			armSweep()
+		}
+		arena.chunks++
 	}
 	p := arena.chunk
-	arena.chunk, arena.chunkLen = unsafe.Add(p, n), arena.chunkLen-n
+	arena.chunk, arena.chunkLen = unsafe.Add(p, pageBytes), arena.chunkLen-pageBytes
 	return p
 }
 
-// pop takes the most recently freed span off a list, nil if it is empty.
+// pop takes the most recently freed page off a list, nil if it is empty.
 func pop(free *[]unsafe.Pointer) unsafe.Pointer {
 	k := len(*free)
 	if k == 0 {
@@ -87,23 +75,28 @@ func pop(free *[]unsafe.Pointer) unsafe.Pointer {
 	return p
 }
 
-// mapBytes maps n bytes of anonymous memory; arena.mu is held.
+func freePage(p unsafe.Pointer) {
+	arena.mu.Lock()
+	arena.fresh = append(arena.fresh, p)
+	arena.idle += pageBytes
+	arena.mu.Unlock()
+}
+
+func allocBuffer(n int) unsafe.Pointer { return mapBytes(n) }
+
+func freeBuffer(p unsafe.Pointer, n int) {
+	if err := syscall.Munmap(unsafe.Slice((*byte)(p), n)); err != nil {
+		panic(fmt.Sprintf("topk: unmapping %d KiB of scan memory: %v", n>>10, err))
+	}
+}
+
+// mapBytes maps n bytes of anonymous memory.
 func mapBytes(n int) unsafe.Pointer {
 	b, err := syscall.Mmap(-1, 0, n, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		panic(fmt.Sprintf("topk: mapping %d KiB of scan memory: %v", n>>10, err))
 	}
-	if arena.maps == 0 {
-		armSweep()
-	}
-	arena.maps++
 	return unsafe.Pointer(unsafe.SliceData(b))
-}
-
-func putSpan(p unsafe.Pointer, c int) {
-	arena.mu.Lock()
-	arena.free[c].fresh = append(arena.free[c].fresh, p)
-	arena.mu.Unlock()
 }
 
 // gcTick's finalizer is the sweep's clock: it runs once a collection has
@@ -119,33 +112,23 @@ func armSweep() {
 	})
 }
 
-// sweep hands back the spans of every class idle through two
-// collections and ages those released since the last one. The spans
-// being handed back are on no free list meanwhile, so no scan can take
-// one mid-madvise.
+// sweep hands back the pages idle through two collections and ages
+// those released since the last one. The pages being handed back are
+// on no free list meanwhile, so no scan can take one mid-madvise.
 func sweep() {
-	var old [spanClasses][]unsafe.Pointer
 	arena.mu.Lock()
-	for c := range arena.free {
-		fl := &arena.free[c]
-		old[c] = fl.aged
-		fl.aged, fl.fresh = fl.fresh, nil
-	}
+	old := arena.aged
+	arena.aged, arena.fresh = arena.fresh, nil
 	arena.mu.Unlock()
-	returned := 0
-	for c, spans := range old {
-		for _, p := range spans {
-			// A span the kernel would not take back stays resident and is
-			// as good as a returned one; nothing depends on the zeros.
-			_ = syscall.Madvise(unsafe.Slice((*byte)(p), spanBytes(c)), syscall.MADV_DONTNEED)
-		}
-		returned += len(spans) * spanBytes(c)
+	for _, p := range old {
+		// A page the kernel would not take back stays resident and is as
+		// good as a returned one; nothing depends on the zeros.
+		_ = syscall.Madvise(unsafe.Slice((*byte)(p), pageBytes), syscall.MADV_DONTNEED)
 	}
+	returned := len(old) * pageBytes
 	arena.mu.Lock()
-	for c, spans := range old {
-		arena.free[c].cold = append(arena.free[c].cold, spans...)
-	}
-	arena.resident -= int64(returned)
+	arena.cold = append(arena.cold, old...)
+	arena.idle -= int64(returned)
 	arena.returned += returned
 	arena.sweeps++
 	arena.mu.Unlock()
@@ -153,10 +136,10 @@ func sweep() {
 
 // PageBytes reports the bytes of scan memory the process keeps
 // resident: the spans held by scans and region computations (candidate
-// table pages, rank orders, core's per-candidate buffers) plus idle ones
-// not yet handed back. The heap statistics count none of them.
+// table pages, rank orders, core's per-candidate buffers) plus idle
+// pages not yet handed back. The heap statistics count none of them.
 func PageBytes() int64 {
 	arena.mu.Lock()
 	defer arena.mu.Unlock()
-	return arena.resident
+	return held.Load() + arena.idle
 }

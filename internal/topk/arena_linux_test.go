@@ -8,28 +8,28 @@ import (
 	"runtime"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/lists"
+	"repro/internal/obs"
 	"repro/internal/vec"
 )
 
 // offHeapBytes is the bytes ta holds outside the Go heap: its table
-// pages and the spans of its rank order.
+// pages and the span of its rank order.
 func offHeapBytes(ta *TA) int {
-	n := 0
-	for _, c := range append([]column{ta.rows.id, ta.rows.score, ta.rows.mask}, ta.rows.coord...) {
-		n += len(c.pages) * pageBytes
+	pages := len(ta.rows.id.pages) + len(ta.rows.score.pages) + len(ta.rows.mask.pages)
+	for _, c := range ta.rows.coord {
+		pages += len(c.pages)
 	}
-	return n + 4*cap(ta.order) + 4*cap(ta.tail)
+	return pages*pageBytes + 4*cap(ta.order)
 }
 
-// arenaCounts reads the arena's test counters: mappings made, bytes
+// arenaCounts reads the arena's test counters: chunks mapped, bytes
 // handed back, sweeps completed.
-func arenaCounts() (maps, returned, sweeps int) {
+func arenaCounts() (chunks, returned, sweeps int) {
 	arena.mu.Lock()
 	defer arena.mu.Unlock()
-	return arena.maps, arena.returned, arena.sweeps
+	return arena.chunks, arena.returned, arena.sweeps
 }
 
 // collect runs collections until the arena has swept once more: the sweep
@@ -62,65 +62,93 @@ func drainArena(t *testing.T) {
 	}
 }
 
-// TestIdlePagesReturnToOS: the pages and spans of a released scan, and a
-// span larger than a chunk, go back to the kernel once they have been
-// idle through two collections — the gauge then reads 0 and every byte
-// of them was madvised — and a later scan takes them from the mappings
-// already made, without a new one.
+// TestIdlePagesReturnToOS: a released buffer leaves the gauge and the
+// resident set at once, with no collection; the pages of a released
+// scan go back to the kernel only once they have been idle through two
+// collections — the gauge then reads 0 and every byte of them was
+// madvised — and a later scan takes them from the chunks already
+// mapped, without a new one.
 func TestIdlePagesReturnToOS(t *testing.T) {
 	const n, qlen = 50_000, 4
 	tuples, q := denseCase(rand.New(rand.NewSource(35)), n, qlen, 1<<20)
 	ix := lists.NewMemIndex(tuples, qlen)
-	const bigLen = chunkBytes/8 + 1 // float64s: just over a chunk, so a 2 MiB span mapped whole
+	const bigLen = 2 * chunkBytes // float64s: a 16 MiB buffer
 	scan := func() (*TA, []float64) {
 		ta := New(ix, q, 10, BestList)
 		mustRun(t, ta)
 		exhaust(ta)
 		ta.Ranking()
-		return ta, GrowSpan([]float64(nil), bigLen)
+		big := GrowSpan([]float64(nil), bigLen)
+		for i := range big {
+			big[i] = 1 // resident, every page of it
+		}
+		return ta, big
 	}
 	drainArena(t)
 
 	ta, big := scan()
+	tablePages := 0
+	for _, perPage := range []int{pageBytes / 4, pageBytes / 8, pageBytes} { // id, score, mask
+		tablePages += (n + perPage - 1) / perPage
+	}
+	tablePages += qlen * ((n + pageRows - 1) / pageRows)
 	held := offHeapBytes(ta) + 8*cap(big)
-	if want := (3+qlen)*((n+pageRows-1)/pageRows)*pageBytes + 4*cap(ta.order) + 4*cap(ta.tail) + 2*chunkBytes; held != want {
-		t.Fatalf("a scan of %d rows and a big span hold %d B, want %d", n, held, want)
+	if want := tablePages*pageBytes + 4*cap(ta.order) + 8*bigLen; held != want {
+		t.Fatalf("a scan of %d rows and a big buffer hold %d B, want %d", n, held, want)
 	}
-	// The gauge counts the spans the rank order outgrew too: idle, not
+	if now, _ := HeldBytes(); int(now) != held {
+		t.Fatalf("HeldBytes reads %d B, the scan and the buffer hold %d B", now, held)
+	}
+	// The gauge counts the pages the scan drew and let go too: idle, not
 	// yet handed back.
-	resident := int(PageBytes())
-	if resident < held || resident > held+4*cap(ta.order)+4*cap(ta.tail) {
-		t.Fatalf("gauge reads %d B, the scan and the span hold %d B", resident, held)
+	idle := int(PageBytes()) - held
+	if idle < 0 || idle%pageBytes != 0 {
+		t.Fatalf("gauge reads %d B, the scan and the buffer hold %d B", PageBytes(), held)
 	}
-	maps, returned, _ := arenaCounts()
-	ta.Release()
+
+	anon := obs.ProcStatusBytes("RssAnon")
 	ReleaseSpan(big)
-	for range 3 {
-		collect(t)
+	if got := int(PageBytes()); got != held+idle-8*bigLen {
+		t.Fatalf("gauge reads %d B after the buffer's release, want %d", got, held+idle-8*bigLen)
 	}
+	if drop := anon - obs.ProcStatusBytes("RssAnon"); drop < 0.9*8*bigLen {
+		t.Fatalf("RssAnon fell by %.0f B when a %d B buffer was released, want nearly all of it", drop, 8*bigLen)
+	}
+
+	chunks, returned, sweeps := arenaCounts()
+	ta.Release()
+	if got, want := int(PageBytes()), tablePages*pageBytes+idle; got != want {
+		t.Fatalf("gauge reads %d B after the scan's release, want its %d B of idle pages", got, want)
+	}
+	collect(t)
+	if _, r, s := arenaCounts(); s == sweeps+1 && r != returned {
+		t.Fatalf("%d B handed back after one collection; pages wait out two", r-returned)
+	}
+	collect(t)
+	collect(t)
 	if got := PageBytes(); got != 0 {
 		t.Fatalf("gauge reads %d B after three collections, want 0", got)
 	}
-	if _, r, _ := arenaCounts(); r-returned != resident {
-		t.Fatalf("%d B handed back to the kernel, want the %d B resident", r-returned, resident)
+	if _, r, _ := arenaCounts(); r-returned != tablePages*pageBytes+idle {
+		t.Fatalf("%d B handed back to the kernel, want the %d B of idle pages", r-returned, tablePages*pageBytes+idle)
 	}
 
 	ta, big = scan()
 	ta.Release()
 	ReleaseSpan(big)
-	if m, _, _ := arenaCounts(); m != maps {
-		t.Fatalf("the second scan mapped %d times, want 0", m-maps)
+	if c, _, _ := arenaCounts(); c != chunks {
+		t.Fatalf("the second scan mapped %d chunks, want 0", c-chunks)
 	}
 }
 
 // TestArenaHandsOutEachPageOnce: goroutines take, fill, check and hand
-// back spans of every class up to twice a chunk — pages, spans carved
-// from chunks, spans mapped whole — while collections sweep the free
-// lists underneath them; a span handed to two holders at once, or
-// madvised while held, shows up as a word its holder did not write.
-// Every 64th word is written: spans overlap, if at all, by whole pages.
+// back spans — pages and buffers of up to five pages — while
+// collections sweep the free lists underneath them; a page handed to two
+// holders at once, or madvised while held, shows up as a word its holder
+// did not write. Every 64th word is written: spans overlap, if at all,
+// by whole pages.
 func TestArenaHandsOutEachPageOnce(t *testing.T) {
-	const workers, rounds, held, classes, stride = 4, 400, 6, 6, 64
+	const workers, rounds, held, sizes, stride = 4, 400, 6, 6, 64
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(stopped)
@@ -140,8 +168,8 @@ func TestArenaHandsOutEachPageOnce(t *testing.T) {
 			for r := range rounds {
 				mark := uint64(w)<<32 | uint64(r)
 				for i := range spans {
-					c := (w + r + i) % classes
-					spans[i] = unsafe.Slice((*uint64)(getSpan(c)), spanBytes(c)/8)
+					size := (w + r + i) % sizes
+					spans[i] = GrowSpan([]uint64(nil), size*pageRows+100*size+1)
 					for j := 0; j < len(spans[i]); j += stride {
 						spans[i][j] = mark
 					}
@@ -150,11 +178,11 @@ func TestArenaHandsOutEachPageOnce(t *testing.T) {
 				for i, s := range spans {
 					for j := 0; j < len(s); j += stride {
 						if s[j] != mark {
-							errs <- fmt.Errorf("worker %d round %d span %d (%d B): read %#x, wrote %#x", w, r, i, 8*len(s), s[j], mark)
+							errs <- fmt.Errorf("worker %d round %d span %d (%d B): read %#x, wrote %#x", w, r, i, 8*cap(s), s[j], mark)
 							return
 						}
 					}
-					putSpan(unsafe.Pointer(unsafe.SliceData(s)), spanClass(8*len(s)))
+					ReleaseSpan(s)
 				}
 			}
 			errs <- nil

@@ -36,8 +36,8 @@ type Multi struct {
 	queries []vec.Query
 	flatW   []float64 // len(queries)×qlen member weight rows
 
-	rows    Table    // shared: id, mask, coordinates; scores are per member
-	scores  []column // scores[m] is member m's score column over rows
+	rows    Table            // shared: id, mask, coordinates; scores are per member
+	scores  []column[uint64] // scores[m] is member m's score column over rows
 	heaps   [][]float64
 	memDone []bool
 
@@ -75,7 +75,7 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 	}
 	sc := getScratch(ix.NumTuples(), qlen)
 	if cap(sc.scores) < len(queries) {
-		sc.scores = append(sc.scores[:cap(sc.scores)], make([]column, len(queries)-cap(sc.scores))...)
+		sc.scores = append(sc.scores[:cap(sc.scores)], make([]column[uint64], len(queries)-cap(sc.scores))...)
 	}
 	m := &Multi{
 		// Steering weights: probing the list maximizing wmax_j·t_j

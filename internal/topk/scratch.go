@@ -15,13 +15,13 @@ import (
 // page directories of the candidate table, the per-list bookkeeping). It
 // is recycled across queries through scratchPool: New/NewMulti take one,
 // Release hands it back. The rows live in table pages (see Table) and
-// the rank order in spans, which a release hands back to the arena: no
+// the rank order in a span, which a release hands back to the arena: no
 // scratch carries the deepest query's candidates around.
 type scratch struct {
 	seen     bitset
-	rows     Table    // directories only: a pooled scratch holds no page
-	scores   []column // Multi only: one score column per member
-	rank     *ranker  // allocated by the first TA that takes this scratch
+	rows     Table            // directories only: a pooled scratch holds no page
+	scores   []column[uint64] // Multi only: one score column per member
+	rank     *ranker          // allocated by the first TA that takes this scratch
 	heap     []float64
 	proj     []float64
 	cursors  []lists.Cursor

@@ -2,51 +2,64 @@ package topk
 
 import (
 	"fmt"
-	"math/bits"
+	"sync/atomic"
 	"unsafe"
 )
 
-// A span is a power-of-two run of bytes from the page arena: class c
-// holds pageBytes << c, so a table page is a class-0 span. Spans hold
-// no pointers. They are how a scan and the region computation over it
-// hold their per-candidate buffers — the rank order, core's memo and
-// candidate-set columns — without putting them on the Go heap, where
-// GOGC would count them twice and a pooled owner would keep the deepest
-// query's size. getSpan and putSpan take and return them (see
-// arena_linux.go and arena_heap.go).
-const spanClasses = 20 // the largest span is pageBytes << 19: 32 GiB
+// A span is what the page arena hands out: pointer-free memory in which
+// a scan and the region computation over it hold their per-candidate
+// state — the candidate table's pages, the rank order, core's memo and
+// candidate-set columns — instead of the Go heap, where GOGC would count
+// it twice and a pooled owner would keep the deepest query's size.
+//
+// A span of up to pageBytes is a page. Pages are all alike: a released
+// one goes on the arena's free list, where the next scan takes it, and
+// one idle through two collections goes back to the system. A larger
+// span is a buffer of whole bufAlign units, sized to what it holds; a
+// released buffer leaves the resident set at once, so the deepest
+// query's buffers never wait for a later one. allocPage, freePage,
+// allocBuffer and freeBuffer are the two builds' arenas (arena_linux.go,
+// arena_heap.go).
 
-// spanBytes is the size of a class-c span.
-func spanBytes(c int) int { return pageBytes << c }
+// bufAlign is the unit a buffer is sized in: the page the kernel maps.
+const bufAlign = 4 << 10
 
-// spanClass is the smallest class whose span holds n > 0 bytes.
-func spanClass(n int) int {
-	c := bits.Len(uint(n-1) / pageBytes)
-	if c >= spanClasses {
-		panic(fmt.Sprintf("topk: a span of %d B exceeds the arena's largest", n))
+// spanBytes is the size of the span that holds n > 0 bytes.
+func spanBytes(n int) int {
+	if n <= pageBytes {
+		return pageBytes
 	}
-	return c
+	return (n + bufAlign - 1) &^ (bufAlign - 1)
 }
 
 // Elem is what a span may hold: pointer-free, so no collector ever needs
 // to see the memory.
 type Elem interface {
-	~int32 | ~uint32 | ~float64 | ~bool
+	~int32 | ~uint64 | ~float64
 }
 
 // GrowSpan returns s with length n, its first len(s) elements kept, so
 // GrowSpan(s[:0], n) resizes and GrowSpan(s, n) extends. When cap(s) < n
 // the elements move to a span large enough for n and s's own span goes
 // back to the arena: s must be nil or a slice GrowSpan returned, never a
-// heap slice. Elements past len(s) are unspecified; a span fresh from
-// the arena may hold anything (see PoisonScratch).
+// heap slice. A resize takes the span n needs; an extension grows by a
+// quarter at least, so a buffer extended step by step is copied a
+// logarithmic number of times. Elements past len(s) are unspecified; a
+// span fresh from the arena may hold anything (see PoisonScratch).
 func GrowSpan[T Elem](s []T, n int) []T {
 	if n <= cap(s) {
 		return s[:n]
 	}
 	size := int(unsafe.Sizeof(*new(T)))
-	c := spanClass(n * size)
-	t := unsafe.Slice((*T)(getSpan(c)), spanBytes(c)/size)
+	b := spanBytes(max(n, len(s)+len(s)/4) * size)
+	var p unsafe.Pointer
+	if b == pageBytes {
+		p = unsafe.Pointer(getPage())
+	} else {
+		hold(b)
+		p = allocBuffer(b)
+	}
+	t := unsafe.Slice((*T)(p), b/size)
 	copy(t, s)
 	ReleaseSpan(s)
 	return t[:n]
@@ -54,33 +67,59 @@ func GrowSpan[T Elem](s []T, n int) []T {
 
 // ReleaseSpan hands the span behind s back to the arena; s and every
 // slice of it are dead afterwards. A nil s is a no-op. Under
-// PoisonScratch the span is overwritten first — NaN, -1 or true in every
-// element — so a use after the hand-back breaks the bit-identity suites.
+// PoisonScratch the span is overwritten first — NaN or all ones in every
+// element — so a use after the hand-back breaks the bit-identity suites
+// (where a released buffer is unmapped, such a use faults).
 func ReleaseSpan[T Elem](s []T) {
 	if cap(s) == 0 {
 		return
 	}
 	s = s[:cap(s)]
 	n := len(s) * int(unsafe.Sizeof(s[0]))
-	c := spanClass(n)
-	if spanBytes(c) != n {
+	if spanBytes(n) != n {
 		panic(fmt.Sprintf("topk: releasing a %d B slice that is no span", n))
 	}
 	p := unsafe.Pointer(unsafe.SliceData(s))
 	if poisonScratch.Load() {
-		fill := byte(0xff) // -1 and NaN
-		var zero T
-		if _, ok := any(zero).(bool); ok {
-			fill = 1
-		}
 		b := unsafe.Slice((*byte)(p), n)
 		for i := range b {
-			b[i] = fill
+			b[i] = 0xff // -1 and NaN
 		}
 	}
-	putSpan(p, c)
+	if n == pageBytes {
+		putPage((*page)(p))
+		return
+	}
+	hold(-n)
+	freeBuffer(p, n)
 }
 
-func getPage() *page { return (*page)(getSpan(0)) }
+func getPage() *page {
+	hold(pageBytes)
+	return (*page)(allocPage())
+}
 
-func putPage(pg *page) { putSpan(unsafe.Pointer(pg), 0) }
+func putPage(pg *page) {
+	hold(-pageBytes)
+	freePage(unsafe.Pointer(pg))
+}
+
+// held is the bytes of spans handed out and not yet released; heldPeak
+// is its high-water mark since HeldBytes last read it.
+var held, heldPeak atomic.Int64
+
+func hold(n int) {
+	h := held.Add(int64(n))
+	for p := heldPeak.Load(); h > p && !heldPeak.CompareAndSwap(p, h); p = heldPeak.Load() {
+	}
+}
+
+// HeldBytes reports the bytes of scan memory that running scans and
+// region computations hold now — what PageBytes counts, less the idle
+// pages not yet handed back — and the most they held at once since the
+// previous call, which starts a new watermark. Admitting queries by the
+// memory their scans take would count these bytes.
+func HeldBytes() (now, peak int64) {
+	now = held.Load()
+	return now, max(heldPeak.Swap(now), now)
+}

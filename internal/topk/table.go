@@ -3,46 +3,59 @@ package topk
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"repro/internal/lists"
 )
 
 // A page is the unit every column of every candidate table grows by:
-// 8192 eight-byte words, the arena's smallest span. Pages are
-// pointer-free, all alike and never resized, so an idle one serves any
-// column of any later scan — or goes back to the system at no cost to
-// anyone: nothing is ever copied out of a page to make room. getPage and
-// putPage take and return them (see span.go).
+// 64 KiB, the arena's smallest span, holding 8192 rows of an 8-byte
+// column, 16384 of a 4-byte one and so on. Pages are pointer-free, all
+// alike and never resized, so an idle one serves any column of any
+// later scan — or goes back to the system at no cost to anyone: nothing
+// is ever copied out of a page to make room. getPage and putPage take
+// and return them (see span.go).
 const (
-	pageShift = 13
-	pageRows  = 1 << pageShift
-	pageMask  = pageRows - 1
+	pageRows  = 1 << 13 // 8-byte rows per page
 	pageBytes = 8 * pageRows
 )
 
 type page [pageRows]uint64
 
-// column holds one attribute of a table's rows, row p at
-// pages[p>>pageShift][p&pageMask]. Every page is the column's own: it
-// drew each one itself, writes only by appending, and hands them all back.
-type column struct {
+// A word is what a column holds per row.
+type word interface {
+	~uint8 | ~uint32 | ~uint64
+}
+
+// column holds one attribute of a table's rows at its own width: row p
+// is slot p%n of page p/n, n = perPage[T](). Every page is the column's
+// own: it drew each one itself, writes only by appending, and hands
+// them all back.
+type column[T word] struct {
 	pages []*page
 }
 
-func (c *column) at(p int32) uint64 { return c.pages[p>>pageShift][p&pageMask] }
+// perPage is the rows a page of a T column holds.
+func perPage[T word]() uint32 { return pageBytes / uint32(unsafe.Sizeof(T(0))) }
+
+func (c *column[T]) cell(p int32) *T {
+	n := perPage[T]()
+	return (*T)(unsafe.Add(unsafe.Pointer(c.pages[uint32(p)/n]), uintptr(uint32(p)%n)*unsafe.Sizeof(T(0))))
+}
+
+func (c *column[T]) at(p int32) T { return *c.cell(p) }
 
 // put stores row p's value; p is the row being appended.
-func (c *column) put(p int32, v uint64) {
-	i := int(p >> pageShift)
-	if i == len(c.pages) {
+func (c *column[T]) put(p int32, v T) {
+	if int(uint32(p)/perPage[T]()) == len(c.pages) {
 		c.pages = append(c.pages, getPage())
 	}
-	c.pages[i][p&pageMask] = v
+	*c.cell(p) = v
 }
 
 // release hands the column's pages back and empties it,
 // keeping the directory's capacity for the next scan.
-func (c *column) release() {
+func (c *column[T]) release() {
 	poison := poisonScratch.Load()
 	for _, pg := range c.pages {
 		if poison {
@@ -56,25 +69,79 @@ func (c *column) release() {
 	c.pages = c.pages[:0]
 }
 
+// maskColumn holds the partition masks in the fewest bytes that hold a
+// bit per query dimension: 1 << shift per row, 1 up to qlen 8, 8 at
+// qlen 64. A row never straddles two pages.
+type maskColumn struct {
+	column[uint8]
+	shift uint
+}
+
+// maskShift is the mask width, as a shift, for qlen query dimensions.
+func maskShift(qlen int) (shift uint) {
+	for 8<<shift < qlen {
+		shift++
+	}
+	return shift
+}
+
+func (m *maskColumn) slot(p int32) unsafe.Pointer {
+	b := uint(p) << m.shift
+	return unsafe.Add(unsafe.Pointer(m.pages[b/pageBytes]), b%pageBytes)
+}
+
+func (m *maskColumn) at(p int32) uint64 {
+	s := m.slot(p)
+	switch m.shift {
+	case 0:
+		return uint64(*(*uint8)(s))
+	case 1:
+		return uint64(*(*uint16)(s))
+	case 2:
+		return uint64(*(*uint32)(s))
+	}
+	return *(*uint64)(s)
+}
+
+// put stores row p's mask; p is the row being appended.
+func (m *maskColumn) put(p int32, v uint64) {
+	if int(uint(p)<<m.shift/pageBytes) == len(m.pages) {
+		m.pages = append(m.pages, getPage())
+	}
+	switch s := m.slot(p); m.shift {
+	case 0:
+		*(*uint8)(s) = uint8(v)
+	case 1:
+		*(*uint16)(s) = uint16(v)
+	case 2:
+		*(*uint32)(s) = uint32(v)
+	default:
+		*(*uint64)(s) = v
+	}
+}
+
 // Table is the candidate table of one scan: the only home of an
 // encountered tuple. A row — id, score, partition mask and the qlen
 // query-subspace coordinates — is appended once, column by column, into
 // pages every scan draws from, and is addressed ever after by its
 // position, which never changes: rows are not moved to grow the table
 // or to rank it. Ranking orders positions, not rows (see sortRanked).
+// An id takes 4 B, a score and a coordinate 8 B each and a mask 1 to
+// 8 B: 45 B a row at qlen 4.
 type Table struct {
 	n     int32
-	id    column
-	score column
-	mask  column
-	coord []column // one per query dimension
+	id    column[uint32]
+	score column[uint64]
+	mask  maskColumn
+	coord []column[uint64] // one per query dimension
 }
 
 // reset empties the table for a scan of qlen query dimensions.
 func (t *Table) reset(qlen int) {
 	t.n = 0
+	t.mask.shift = maskShift(qlen)
 	if cap(t.coord) < qlen {
-		t.coord = append(t.coord[:cap(t.coord)], make([]column, qlen-cap(t.coord))...)
+		t.coord = append(t.coord[:cap(t.coord)], make([]column[uint64], qlen-cap(t.coord))...)
 	}
 	t.coord = t.coord[:qlen]
 }
@@ -83,7 +150,7 @@ func (t *Table) reset(qlen int) {
 // stores the score (a fused scan keeps one score column per member).
 func (t *Table) add(id int, mask uint64, proj []float64) int32 {
 	p := t.n
-	t.id.put(p, uint64(id))
+	t.id.put(p, uint32(id))
 	t.mask.put(p, mask)
 	for j, v := range proj {
 		t.coord[j].put(p, math.Float64bits(v))
@@ -147,7 +214,7 @@ type ranker struct {
 }
 
 // sortRanked sorts positions into rank order and returns buf, grown to
-// len(pos) from a span if it was shorter, for the caller to keep and
+// len(pos) from a span if it was shorter, for the caller to reuse and
 // hand back (buf is nil or a span, see GrowSpan). From rankCutover on
 // it ranks runs of rankRun positions by radix (radixRun, with buf as the
 // kernel's second position buffer) and merges the runs through buf;
@@ -232,20 +299,19 @@ func (t *Table) merge(dst, a, b []int32) {
 }
 
 // compareRanked sorts positions into rank order by comparison. The
-// comparator is before over the two page directories it needs, loaded
-// once.
+// comparator is before over the two columns it needs, loaded once.
 func (t *Table) compareRanked(pos []int32) {
-	scores, ids := t.score.pages, t.id.pages
+	scores, ids := t.score, t.id
 	slices.SortFunc(pos, func(a, b int32) int {
-		sa := math.Float64frombits(scores[a>>pageShift][a&pageMask])
-		sb := math.Float64frombits(scores[b>>pageShift][b&pageMask])
+		sa := math.Float64frombits(scores.at(a))
+		sb := math.Float64frombits(scores.at(b))
 		switch {
 		case sa > sb:
 			return -1
 		case sa < sb:
 			return 1
 		}
-		return int(int32(ids[a>>pageShift][a&pageMask])) - int(int32(ids[b>>pageShift][b&pageMask]))
+		return int(int32(ids.at(a))) - int(int32(ids.at(b)))
 	})
 }
 

@@ -42,7 +42,8 @@ func exhaust(v interface{ Resume() (int32, bool) }) {
 
 // TestScanAllocatesLinearly: from cold pools, a scan that encounters E
 // tuples allocates its rows once — heap bytes plus the arena pages and
-// spans it draws come to at most 1.25 × E × row bytes, plus one page of
+// spans it draws come to at most 1.25 × E × row bytes (a 4 B id, an
+// 8 B score, a 1 B mask and 8 B per coordinate), plus one page of
 // slack per column — because a page is never copied to grow. (Contiguous
 // slices grown by append allocate about five times the final size on the
 // way there.) The bound covers everything the run allocates besides: the
@@ -70,8 +71,9 @@ func TestScanAllocatesLinearly(t *testing.T) {
 	ta.Release()
 
 	const columns = 3 + qlen // id, score, mask, coordinates
-	rowBytes := 8 * columns
+	rowBytes := 4 + 8 + 1 + 8*qlen
 	heap := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d rows: %d heap bytes, %d arena bytes", n, heap, drawn)
 	bound := uint64(1.25*float64(n*rowBytes)) + columns*pageBytes
 	if got := heap + uint64(drawn); got > bound {
 		t.Fatalf("scan of %d rows × %d B allocated %d B, bound %d", n, rowBytes, got, bound)
@@ -215,4 +217,34 @@ func TestRadixRankIsCompareRank(t *testing.T) {
 		}
 	}
 	tab.release()
+}
+
+// TestMaskColumnWidths: the partition mask takes the fewest bytes that
+// hold qlen bits — 1 up to qlen 8, 2, 4, then 8 at qlen 64 — and every
+// width stores and reads back each row's mask across page boundaries.
+func TestMaskColumnWidths(t *testing.T) {
+	for _, c := range []struct {
+		qlen  int
+		shift uint
+	}{{1, 0}, {8, 0}, {9, 1}, {16, 1}, {17, 2}, {32, 2}, {33, 3}, {64, 3}} {
+		if got := maskShift(c.qlen); got != c.shift {
+			t.Fatalf("qlen %d: mask shift %d, want %d", c.qlen, got, c.shift)
+		}
+		rng := rand.New(rand.NewSource(int64(c.qlen)))
+		m := maskColumn{shift: c.shift}
+		want := make([]uint64, 2*(pageBytes>>c.shift)+5) // three pages
+		for p := range want {
+			want[p] = rng.Uint64() >> (64 - c.qlen)
+			m.put(int32(p), want[p])
+		}
+		if len(m.pages) != 3 {
+			t.Fatalf("qlen %d: %d masks took %d pages, want 3", c.qlen, len(want), len(m.pages))
+		}
+		for p, v := range want {
+			if got := m.at(int32(p)); got != v {
+				t.Fatalf("qlen %d: row %d reads mask %#x, want %#x", c.qlen, p, got, v)
+			}
+		}
+		m.release()
+	}
 }

@@ -263,7 +263,7 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 // TA is a resumable threshold-algorithm run: a scan together with the
 // rows it has encountered and their rank order. Its scan state and
 // table directories live in a pooled scratch, its rows in table pages
-// and its rank order in spans: Release recycles all three. A TA that is
+// and its rank order in a span: Release recycles all three. A TA that is
 // never released is released by a finalizer once the collector finds it
 // unreachable — pages and spans are not heap objects, so nothing else
 // would take them back.
@@ -275,13 +275,12 @@ type TA struct {
 	// order ranks rows [0, len(order)): order[:cut] is R(q), frozen when
 	// the scan terminated, order[cut:] is C(q). Rows past len(order) —
 	// Resume's pulls — are ranked and merged in by the next Ranking call.
-	// It is a span, as is tail.
+	// It is a span.
 	order  []int32
 	cut    int
 	result []Scored // order[:cut], materialized once
 	done   bool
 
-	tail      []int32   // merge buffer: the newly ranked pulls
 	rank      *ranker   // radix buffers
 	proj      []float64 // the projection of the tuple being encountered
 	topScores []float64 // min-heap of the k best scores seen so far
@@ -335,7 +334,7 @@ func (ta *TA) finish() {
 	for p := range ta.order {
 		ta.order[p] = int32(p)
 	}
-	ta.tail = ta.rows.sortRanked(ta.order, ta.tail, ta.rank)
+	ReleaseSpan(ta.rows.sortRanked(ta.order, nil, ta.rank))
 	ta.cut = min(ta.k, n)
 	ta.result = ta.rows.Rows(ta.order[:ta.cut])
 	ta.done = true
@@ -359,7 +358,8 @@ func (ta *TA) Result() []Scored {
 // ascending id — as positions: order[:cut] is R(q), order[cut:] is C(q).
 // It is valid until the next Resume. Pulls made since the last call are
 // ranked among themselves and merged into C(q) from the back, so the cost
-// is that of the tail and of the rows it overtakes, not of the list.
+// is that of the tail and of the rows it overtakes, not of the list. The
+// merge buffer goes back to the arena when the merge is done.
 func (ta *TA) Ranking() (order []int32, cut int) {
 	ta.must("Ranking")
 	if old, n := len(ta.order), ta.rows.Len(); old < n {
@@ -367,19 +367,20 @@ func (ta *TA) Ranking() (order []int32, cut int) {
 		for p := old; p < n; p++ {
 			ta.order[p] = int32(p)
 		}
-		ta.tail = ta.rows.sortRanked(ta.order[old:], ta.tail, ta.rank)
-		ta.tail = GrowSpan(ta.tail[:0], n-old)
-		copy(ta.tail, ta.order[old:])
+		tail := ta.rows.sortRanked(ta.order[old:], nil, ta.rank)
+		tail = GrowSpan(tail[:0], n-old)
+		copy(tail, ta.order[old:])
 		i, w := old-1, n-1
-		for j := len(ta.tail) - 1; j >= 0; w-- {
-			if i >= ta.cut && ta.rows.before(ta.tail[j], ta.order[i]) {
+		for j := len(tail) - 1; j >= 0; w-- {
+			if i >= ta.cut && ta.rows.before(tail[j], ta.order[i]) {
 				ta.order[w] = ta.order[i]
 				i--
 			} else {
-				ta.order[w] = ta.tail[j]
+				ta.order[w] = tail[j]
 				j--
 			}
 		}
+		ReleaseSpan(tail)
 	}
 	return ta.order, ta.cut
 }
@@ -485,7 +486,7 @@ func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy, sc *sc
 	return s
 }
 
-// Release returns the run's pages, spans and scratch to their pools. The
+// Release returns the run's pages, span and scratch to their pools. The
 // table, its rank order and the TA itself are dead afterwards; what was
 // materialized (Result, Candidates, Rows) is a copy and survives.
 // Releasing twice is a no-op.
@@ -497,7 +498,6 @@ func (ta *TA) Release() {
 	sc := ta.sc
 	ta.rows.release()
 	ReleaseSpan(ta.order)
-	ReleaseSpan(ta.tail)
 	// The directories and the heap may have been regrown; keep the larger arrays.
 	sc.rows, sc.heap = ta.rows, ta.topScores
 	// What the run counted stays readable; what it held does not.
