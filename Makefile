@@ -165,8 +165,10 @@ test-oracle:
 	ORACLE_INSTANCES=100000 $(GO) test -count=1 -run 'TestMethodsMatchOracle' -v -timeout 30m ./internal/core/
 
 # Docs drift check: markdown cross-references must resolve, every flag
-# the docs mention must exist in the binaries, and the analyzer, metric
-# and figure tables must list exactly what the code registers.
+# the docs mention must exist in the binaries, the analyzer, metric
+# and figure tables must list exactly what the code registers, and the
+# file-format versions the docs name (IRTUP003, ...) must include the
+# current one and none newer.
 check-docs:
 	$(GO) run ./cmd/docscheck
 

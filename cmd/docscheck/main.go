@@ -1,7 +1,7 @@
 // Command docscheck is the CI documentation linter: it fails when the
 // markdown docs drift from the code they describe.
 //
-// Six checks, over README.md and docs/*.md:
+// Seven checks, over README.md and docs/*.md:
 //
 //  1. Cross-references: every relative markdown link [text](path)
 //     must point at a file that exists (anchors are stripped;
@@ -23,6 +23,12 @@
 //  6. Test-only declarations: every declaration the table of
 //     docs/static-analysis.md excuses as reachable from tests alone
 //     must still be declared in a non-test file of its package.
+//  7. Format versions: for each file magic declared in internal/ as
+//     five letters and a three-digit version (IRTUP, IRWAL, IRCRC),
+//     the docs must never name a version newer than the source's, and
+//     a doc that names any version of that magic must also name the
+//     current one — a format bump cannot leave the docs describing the
+//     old format as current.
 //
 // Usage: go run ./cmd/docscheck [-root DIR]   (default: the repo root)
 package main
@@ -71,6 +77,12 @@ var (
 	// figureDocRe captures a row of the figures doc's table (first cell,
 	// backticked id).
 	figureDocRe = regexp.MustCompile("^\\|\\s*`([a-z0-9-]+)`\\s*\\|")
+	// magicDefRe captures the bytes of an eight-byte file magic declared
+	// as a composite literal; magicRe splits a magic of five letters and
+	// a three-digit format version, as the source declares and the docs
+	// name it.
+	magicDefRe = regexp.MustCompile(`\[8\]byte\{([^}]*)\}`)
+	magicRe    = regexp.MustCompile(`\b(IR[A-Z]{3})([0-9]{3})\b`)
 	// testOnlyDocRe captures a row of the static-analysis doc's table of
 	// declarations only tests reach (first cell, backticked): dir.Name or
 	// dir.Type.Method, dir being the package's path under internal/.
@@ -170,6 +182,82 @@ func checkTestOnlyParity(root string) ([]string, error) {
 	return tableParity(doc, testOnlyDocRe, declared, "test-only declaration")
 }
 
+// eachSource hands fn the contents of every non-test Go file under
+// internal/, testdata excluded.
+func eachSource(root string, fn func(raw []byte)) error {
+	return filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
+			strings.HasSuffix(path, "_test.go") || strings.Contains(path, "testdata") {
+			return err
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fn(raw)
+		return nil
+	})
+}
+
+// checkFormatVersions holds the format versions the docs name to the
+// file magics declared in internal/: a version newer than the source's
+// is drift, and so is a doc that names versions of a magic but not the
+// current one.
+func checkFormatVersions(root string) ([]string, error) {
+	current := map[string]string{} // IRTUP → 003
+	err := eachSource(root, func(raw []byte) {
+		for _, m := range magicDefRe.FindAllStringSubmatch(string(raw), -1) {
+			var magic strings.Builder
+			for _, b := range strings.Split(m[1], ",") {
+				if b = strings.TrimSpace(b); len(b) == 3 && b[0] == '\'' && b[2] == '\'' {
+					magic.WriteByte(b[1])
+				}
+			}
+			if v := magicRe.FindStringSubmatch(magic.String()); v != nil && v[0] == magic.String() {
+				current[v[1]] = v[2]
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(current) == 0 {
+		return nil, fmt.Errorf("no file magic declared in internal/")
+	}
+	docs, _ := filepath.Glob(filepath.Join(root, "docs", "*.md"))
+	var problems []string
+	for _, doc := range append([]string{filepath.Join(root, "README.md")}, docs...) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			return nil, err
+		}
+		named, namedCurrent := map[string]bool{}, map[string]bool{}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range magicRe.FindAllStringSubmatch(line, -1) {
+				kind, version := m[1], m[2]
+				cur, ok := current[kind]
+				if !ok {
+					continue
+				}
+				named[kind] = true
+				switch {
+				case version > cur:
+					problems = append(problems, fmt.Sprintf("%s:%d: format %s is newer than the source's %s%s", doc, i+1, m[0], kind, cur))
+				case version == cur:
+					namedCurrent[kind] = true
+				}
+			}
+		}
+		for kind := range named {
+			if !namedCurrent[kind] {
+				problems = append(problems, fmt.Sprintf("%s: names versions of %s but not the current %s%s", doc, kind, kind, current[kind]))
+			}
+		}
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
 // declNames lists what one top-level declaration declares: Name for a
 // function, type, variable or constant, Type.Name for a method.
 func declNames(d ast.Decl) []string {
@@ -240,15 +328,7 @@ func tableParity(docPath string, rowRe *regexp.Regexp, registered map[string]boo
 // register throwaway names.
 func checkMetricParity(root string) ([]string, error) {
 	registered := map[string]bool{}
-	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") ||
-			strings.HasSuffix(path, "_test.go") || strings.Contains(path, "testdata") {
-			return err
-		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
+	err := eachSource(root, func(raw []byte) {
 		// Per line, skipping // comments: obs.go's doc comment shows an
 		// example registration that must not count as a real one.
 		for _, line := range strings.Split(string(raw), "\n") {
@@ -259,7 +339,6 @@ func checkMetricParity(root string) ([]string, error) {
 				registered[m[1]] = true
 			}
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -394,7 +473,7 @@ func main() {
 		}
 		all = append(all, problems...)
 	}
-	for _, parity := range []func(string) ([]string, error){checkAnalyzerParity, checkMetricParity, checkFigureParity, checkTestOnlyParity} {
+	for _, parity := range []func(string) ([]string, error){checkAnalyzerParity, checkMetricParity, checkFigureParity, checkTestOnlyParity, checkFormatVersions} {
 		problems, err := parity(*root)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)

@@ -286,16 +286,37 @@ func (e *Engine) runOpsLocked(ops []Op) ApplyResult {
 func (c *cache) invalidateCertified(changes []tupleChange) (checked, evicted int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var doomed []*entry
-	var proj []float64 // one entry's old and new projections, grown to the widest subspace
+	var doomed, live []*entry
+	var proj []float64 // one change's old and new projections, grown to the widest subspace
 	for _, bucket := range c.buckets {
-		for _, en := range bucket {
-			checked++
-			if n := 2 * en.out.Query.Len(); cap(proj) < n {
-				proj = make([]float64, n)
+		checked += len(bucket)
+		// A bucket's entries (one at least: remove drops an emptied
+		// bucket) share one subspace, so each change is projected once
+		// for all of them.
+		q := bucket[0].out.Query
+		if n := 2 * q.Len(); cap(proj) < n {
+			proj = make([]float64, n)
+		}
+		oldP, newP := proj[:q.Len()], proj[q.Len():2*q.Len()]
+		live = append(live[:0], bucket...)
+		for _, ch := range changes {
+			q.ProjectInto(ch.old, oldP)
+			q.ProjectInto(ch.new, newP)
+			if slices.Equal(oldP, newP) {
+				// The change is invisible on this subspace (this also
+				// covers inserts/deletes of tuples that are zero on all
+				// its dimensions): scores and regions are untouched.
+				continue
 			}
-			if !entrySurvives(en, changes, proj) {
+			live = slices.DeleteFunc(live, func(en *entry) bool {
+				if changeSurvives(en, ch, oldP, newP) {
+					return false
+				}
 				doomed = append(doomed, en)
+				return true
+			})
+			if len(live) == 0 {
+				break
 			}
 		}
 	}
@@ -306,36 +327,25 @@ func (c *cache) invalidateCertified(changes []tupleChange) (checked, evicted int
 	return checked, len(doomed)
 }
 
-// entrySurvives applies the invalidation certificate of the package
-// comment to one entry against a batch of changes. proj is scratch of at
-// least twice the entry's query length.
-func entrySurvives(en *entry, changes []tupleChange, proj []float64) bool {
-	q := en.out.Query
-	oldP, newP := proj[:q.Len()], proj[q.Len():2*q.Len()]
-	for _, ch := range changes {
-		q.ProjectInto(ch.old, oldP)
-		q.ProjectInto(ch.new, newP)
-		if slices.Equal(oldP, newP) {
-			// The change is invisible on this subspace (this also covers
-			// inserts/deletes of tuples that are zero on all its
-			// dimensions): scores and regions are untouched.
-			continue
-		}
-		if resultMember(en, ch.id) {
-			return false // cached projections/scores of the member are stale
-		}
-		if len(en.out.Result) < en.out.K {
-			return false // under-full result: any new mass can join it
-		}
-		if en.sig.phi > 0 {
-			return false // perturbation schedules reach beyond the polytope
-		}
-		if ch.hasOld && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, oldP), oldP) {
-			return false
-		}
-		if ch.hasNew && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, newP), newP) {
-			return false
-		}
+// changeSurvives applies the invalidation certificate of the package
+// comment to one entry against one change that is visible on its
+// subspace: oldP and newP are the change's old and new projections
+// there, and differ.
+func changeSurvives(en *entry, ch tupleChange, oldP, newP []float64) bool {
+	if resultMember(en, ch.id) {
+		return false // cached projections/scores of the member are stale
+	}
+	if len(en.out.Result) < en.out.K {
+		return false // under-full result: any new mass can join it
+	}
+	if en.sig.phi > 0 {
+		return false // perturbation schedules reach beyond the polytope
+	}
+	if ch.hasOld && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, oldP), oldP) {
+		return false
+	}
+	if ch.hasNew && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, newP), newP) {
+		return false
 	}
 	return true
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -280,6 +281,107 @@ func TestApplyPropertyFreshEquivalence(t *testing.T) {
 	if evicted == 0 {
 		t.Fatal("no cache entry was ever evicted: the test is too weak")
 	}
+}
+
+// TestInvalidateProjectsOncePerBucket: over random batches, the cache
+// entries invalidateCertified keeps — it projects each change once per
+// subspace bucket — are exactly the entries the per-entry scan keeps
+// (every change projected onto each entry's own query), and every entry
+// counts as checked. A batch mixes updates of one dimension, some to
+// the value already stored, inserts and deletes of short tuples, so
+// buckets fall on both sides: some see no change, some a visible one.
+func TestInvalidateProjectsOncePerBucket(t *testing.T) {
+	const m = 12
+	rng := rand.New(rand.NewSource(4040))
+	short := func() vec.Sparse { // one or two entries, or none
+		var es []vec.Entry
+		for _, d := range rng.Perm(m)[:rng.Intn(3)] {
+			es = append(es, vec.Entry{Dim: d, Val: 0.05 + 0.9*rng.Float64()})
+		}
+		return vec.MustSparse(es...)
+	}
+	var skipped, scanned, mixed, survived, evicted int
+	for trial := 0; trial < 40; trial++ {
+		cs := fixture.RandCase(rng, 60, m, 2, 1+rng.Intn(4))
+		eng := memEngine(cloneTuples(cs.Tuples), m, Config{})
+		for range 24 {
+			phi := 0
+			if rng.Intn(5) == 0 {
+				phi = 1
+			}
+			analyzeMust(t, eng, randSubspaceQuery(rng, m, 1+rng.Intn(3)), cs.K,
+				Options{Options: core.Options{Method: core.MethodCPT, Phi: phi}})
+		}
+		var changes []tupleChange
+		for range 1 + rng.Intn(3) {
+			id := rng.Intn(len(cs.Tuples))
+			switch rng.Intn(4) {
+			case 0: // insert
+				changes = append(changes, tupleChange{id: len(cs.Tuples), new: short(), hasNew: true})
+			case 1: // delete
+				changes = append(changes, tupleChange{id: id, old: short(), hasOld: true})
+			default: // update: one dimension set, dropped or left as it is
+				old := cs.Tuples[id]
+				cur := old.Clone()
+				i := rng.Intn(len(cur))
+				switch rng.Intn(3) {
+				case 0:
+					cur[i].Val = 0.05 + 0.9*rng.Float64()
+				case 1:
+					cur = slices.Delete(cur, i, i+1)
+				}
+				changes = append(changes, tupleChange{id: id, old: old, new: cur, hasOld: true, hasNew: true})
+			}
+		}
+
+		c := eng.cache
+		want, total := map[*entry]bool{}, 0
+		for _, bucket := range c.buckets {
+			touched, kept := false, 0
+			for _, en := range bucket {
+				total++
+				survives := true
+				for _, ch := range changes {
+					oldP, newP := en.out.Query.Project(ch.old), en.out.Query.Project(ch.new)
+					if !slices.Equal(oldP, newP) {
+						touched = true
+						survives = survives && changeSurvives(en, ch, oldP, newP)
+					}
+				}
+				if survives {
+					want[en] = true
+					kept++
+				}
+			}
+			if kept > 0 && kept < len(bucket) {
+				mixed++
+			}
+			if touched {
+				scanned++
+			} else {
+				skipped++
+			}
+		}
+		checked, ev := c.invalidateCertified(changes)
+		got := map[*entry]bool{}
+		for _, bucket := range c.buckets {
+			for _, en := range bucket {
+				got[en] = true
+			}
+		}
+		if checked != total || ev != total-len(want) || !maps.Equal(got, want) {
+			t.Fatalf("trial %d: checked %d, evicted %d, %d survivors; the per-entry scan checks %d and keeps %d (changes %+v)",
+				trial, checked, ev, len(got), total, len(want), changes)
+		}
+		survived += len(want)
+		evicted += ev
+	}
+	if skipped == 0 || scanned == 0 || mixed == 0 || survived == 0 || evicted == 0 {
+		t.Fatalf("%d buckets untouched, %d touched, %d mixed; %d entries survived, %d evicted: want each > 0",
+			skipped, scanned, mixed, survived, evicted)
+	}
+	t.Logf("%d buckets untouched, %d touched, %d mixed (survivors and evictions); %d entries survived, %d evicted",
+		skipped, scanned, mixed, survived, evicted)
 }
 
 // TestApplyInvalidationZeroIndexIO: the per-entry certificate checks of

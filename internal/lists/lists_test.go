@@ -81,8 +81,8 @@ func shapedTuples(rng *rand.Rand, n, m, lo, hi int) []vec.Sparse {
 // every list, every tuple and every projection, and charge the same
 // logical work for them — bytes read included, so the memory index and
 // an overlay's own tuples charge what the disk record costs — over
-// mixed, ST-shaped (dense records) and WSJ-shaped (sparse records)
-// tuples.
+// mixed, ST-shaped (dense records) and WSJ-shaped (sparse records, 2-byte
+// dims) tuples, and sparse ones past m = 65 536 (4-byte dims).
 func TestDiskIndexMatchesMemIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	mixed := fixture.RandCase(rng, 300, 10, 4, 5)
@@ -94,6 +94,7 @@ func TestDiskIndexMatchesMemIndex(t *testing.T) {
 		{"mixed", mixed.Tuples, mixed.M},
 		{"st", shapedTuples(rng, 300, 20, 15, 20), 20},
 		{"wsj", shapedTuples(rng, 300, 3000, 20, 100), 3000},
+		{"wide", shapedTuples(rng, 100, 1<<16+4, 20, 100), 1<<16 + 4},
 	} {
 		t.Run(c.name, func(t *testing.T) { diskMatchesMem(t, rng, c.tuples, c.m) })
 	}

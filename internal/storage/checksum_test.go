@@ -127,7 +127,7 @@ func hugeCountFile(magic [8]byte, count uint32) []byte {
 // TestOpenRejectsHugeCounts: a header count the file has no room for
 // fails the open before anything is sized by it — a 32-byte file that
 // claimed 2³²−1 tuples or lists used to end the process out of memory.
-// A tuple file of the previous format version is refused by the error
+// A tuple file of an earlier format version is refused by the error
 // that names its version.
 func TestOpenRejectsHugeCounts(t *testing.T) {
 	dir := t.TempDir()
@@ -143,6 +143,7 @@ func TestOpenRejectsHugeCounts(t *testing.T) {
 		{"tuples-max", tupleMagic, math.MaxUint32, openTuples, ""},
 		{"tuples-one", tupleMagic, 1, openTuples, ""},
 		{"tuples-v1", [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '1'}, 1, openTuples, "format IRTUP001"},
+		{"tuples-v2", [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '2'}, 1, openTuples, "format IRTUP002"},
 		{"lists-max", listMagic, math.MaxUint32, openLists, ""},
 		{"lists-one", listMagic, 1, openLists, ""},
 	} {

@@ -38,19 +38,26 @@ func fuzzFile(t *testing.T, data []byte) string {
 // FuzzOpenTupleFile: whatever a tuple file holds, OpenTupleFile fails or
 // returns a file on which every GetWith and ProjectWith returns a value
 // or an error and Prefetch returns; nothing panics. Besides the common
-// seeds it starts from a file of dense records only and one that mixes
-// both encodings.
+// seeds it starts from a file of dense records only, one that mixes
+// both encodings, and sparse files at m = 65 536 (2-byte dims, the
+// widest id 65 535) and m = 65 537 (4-byte dims).
 func FuzzOpenTupleFile(f *testing.F) {
 	fuzzSeeds(f, tupleMagic, func(path string) error {
 		return WriteTupleFile(path, randTuples(rand.New(rand.NewSource(7)), 6, 5), 5)
 	})
 	full := vec.Sparse{{Dim: 0, Val: 0.5}, {Dim: 1, Val: 1}, {Dim: 2, Val: 0.25}, {Dim: 3, Val: 0.75}}
-	for _, tuples := range [][]vec.Sparse{
-		{full, full[1:], full},                     // dense: nnz 4 and 3 of m = 4
-		{full, nil, full[:1], full[1:], full[2:3]}, // mixed
+	far := vec.Sparse{{Dim: 2, Val: 0.25}, {Dim: 1<<16 - 1, Val: 0.125}}
+	for _, seed := range []struct {
+		tuples []vec.Sparse
+		m      int
+	}{
+		{[]vec.Sparse{full, full[1:], full}, 4},                     // dense: nnz 4 and 3 of m = 4
+		{[]vec.Sparse{full, nil, full[:1], full[1:], full[2:3]}, 4}, // mixed
+		{[]vec.Sparse{full, far, nil}, 1 << 16},                     // sparse, 2-byte dims
+		{[]vec.Sparse{far, full, nil}, 1<<16 + 1},                   // sparse, 4-byte dims
 	} {
 		path := filepath.Join(f.TempDir(), "seed.dat")
-		if err := WriteTupleFile(path, tuples, 4); err != nil {
+		if err := WriteTupleFile(path, seed.tuples, seed.m); err != nil {
 			f.Fatal(err)
 		}
 		raw, err := os.ReadFile(path)

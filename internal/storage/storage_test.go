@@ -586,19 +586,33 @@ func TestPrefetchChargesNothing(t *testing.T) {
 }
 
 // TestTupleRecordEncodings: records on both sides of the dense/sparse
-// switch — every nnz from 0 to m, m ∈ {1, 2, 3, 20, 64} — read back as
-// written (GetWith), project exactly as vec.Query.ProjectInto does, on
-// dimensions inside and past m (ProjectWith), and take RecordBytes each.
-// A dense record whose non-zero slots disagree with its nnz, either way,
-// fails GetWith as corrupt.
+// switch — every nnz from 0 to m, m ∈ {1, 2, 3, 20, 64} — and sparse
+// records at both dim widths — m = 65 536, the last with 2-byte dims,
+// and m = 65 537, the first with 4-byte ones, where no record is dense —
+// read back as written (GetWith), project exactly as
+// vec.Query.ProjectInto does, on dimensions inside and past m
+// (ProjectWith), and take RecordBytes each. A dense record whose
+// non-zero slots disagree with its nnz, either way, fails GetWith as
+// corrupt.
 func TestTupleRecordEncodings(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	for _, m := range []int{1, 2, 3, 20, 64} {
+	for _, m := range []int{1, 2, 3, 20, 64, 1 << 16, 1<<16 + 1} {
+		large := m > 64
+		var counts []int
+		for nnz := 0; nnz <= m && (!large || nnz <= 12); nnz++ {
+			counts = append(counts, nnz)
+		}
+		if large {
+			counts = append(counts, 300)
+		}
 		var tuples []vec.Sparse
 		var kinds [2]int // sparse, dense
-		for nnz := 0; nnz <= m; nnz++ {
-			for range 3 {
+		for _, nnz := range counts {
+			for rep := range 3 {
 				dims := rng.Perm(m)[:nnz]
+				if large && nnz > 1 && rep == 0 {
+					dims[0], dims[1] = 0, m-1 // the widest id the record holds
+				}
 				sort.Ints(dims)
 				tu := make(vec.Sparse, nnz)
 				for i, d := range dims {
@@ -612,8 +626,11 @@ func TestTupleRecordEncodings(t *testing.T) {
 				kinds[0]++
 			}
 		}
-		if kinds[0] == 0 || kinds[1] == 0 {
-			t.Fatalf("m=%d: %d sparse and %d dense nnz values, want both", m, kinds[0], kinds[1])
+		if kinds[0] == 0 || (kinds[1] == 0) != large {
+			t.Fatalf("m=%d: %d sparse and %d dense nnz values", m, kinds[0], kinds[1])
+		}
+		if w := map[int]int{1 << 16: 2, 1<<16 + 1: 4}[m]; large && RecordBytes(300, m) != 4+(w+8)*300 {
+			t.Fatalf("m=%d: a 300-entry record takes %d bytes, want %d-byte dims", m, RecordBytes(300, m), w)
 		}
 		path := filepath.Join(t.TempDir(), fmt.Sprintf("m%d.dat", m))
 		if err := WriteTupleFile(path, tuples, m); err != nil {
@@ -640,8 +657,19 @@ func TestTupleRecordEncodings(t *testing.T) {
 			if err != nil || !slices.Equal(got, tu) {
 				t.Fatalf("m=%d tuple %d (nnz %d): GetWith %v, %v; want %v", m, id, len(tu), got, err, tu)
 			}
-			dims := rng.Perm(m + 3)[:1+rng.Intn(m+3)]
-			sort.Ints(dims)
+			var dims []int
+			if large {
+				// The tuple's own dims, interleaved with ones it lacks.
+				for _, e := range tu {
+					dims = append(dims, e.Dim)
+				}
+				dims = append(dims, rng.Intn(m), m, m+2)
+				slices.Sort(dims)
+				dims = slices.Compact(dims)
+			} else {
+				dims = rng.Perm(m + 3)[:1+rng.Intn(m+3)]
+				sort.Ints(dims)
+			}
 			wantProj, gotProj := make([]float64, len(dims)), make([]float64, len(dims))
 			vec.Query{Dims: dims}.ProjectInto(tu, wantProj)
 			for i := range gotProj {
@@ -650,6 +678,10 @@ func TestTupleRecordEncodings(t *testing.T) {
 			if err := tf.ProjectWith(id, dims, gotProj, nil); err != nil || !slices.Equal(gotProj, wantProj) {
 				t.Fatalf("m=%d tuple %d on %v: ProjectWith %v, %v; want %v", m, id, dims, gotProj, err, wantProj)
 			}
+		}
+		if large {
+			tf.Close()
+			continue
 		}
 		// The last two tuples are full, so dense: empty one's first slot,
 		// and claim one entry more than the other holds.
@@ -676,6 +708,62 @@ func TestTupleRecordEncodings(t *testing.T) {
 			if _, err := bad.GetWith(id, nil); err == nil || !strings.Contains(err.Error(), "corrupt") {
 				t.Fatalf("m=%d tuple %d: a dense record with a wrong count read as %v", m, id, err)
 			}
+		}
+		bad.Close()
+	}
+}
+
+// TestTupleRecordWrongExtent: a sparse record whose nnz is lowered by
+// one — its extent then exceeds RecordBytes(nnz, m), and a reader that
+// trusted nnz would take dim bytes for values — fails both GetWith and
+// ProjectWith as corrupt, at both dim widths; so does one whose nnz is
+// raised. Its neighbours still read.
+func TestTupleRecordWrongExtent(t *testing.T) {
+	for _, m := range []int{64, 1<<16 + 1} {
+		tuples := []vec.Sparse{
+			{{Dim: 1, Val: 0.5}, {Dim: 7, Val: 0.25}, {Dim: 40, Val: 1}},
+			{{Dim: 2, Val: 0.75}, {Dim: 9, Val: 0.5}, {Dim: 63, Val: 0.125}},
+			{{Dim: 3, Val: 1}},
+		}
+		path := filepath.Join(t.TempDir(), "tuples.dat")
+		if err := WriteTupleFile(path, tuples, m); err != nil {
+			t.Fatal(err)
+		}
+		tf, err := OpenTupleFile(path, &IOStats{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lowered, _ := tf.span(0)
+		raised, _ := tf.span(1)
+		tf.Close()
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []struct {
+			at  int64
+			nnz uint32
+		}{{lowered, 2}, {raised, 4}} {
+			if _, err := f.WriteAt(binary.LittleEndian.AppendUint32(nil, w.nnz), w.at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.Close()
+		bad, err := OpenTupleFile(path, &IOStats{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]float64, 2)
+		for id := range 2 {
+			if _, err := bad.GetWith(id, nil); err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("m=%d tuple %d: GetWith of a record with a wrong nnz returned %v", m, id, err)
+			}
+			if err := bad.ProjectWith(id, []int{1, 7}, dst, nil); err == nil || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("m=%d tuple %d: ProjectWith of a record with a wrong nnz returned %v", m, id, err)
+			}
+		}
+		if got, err := bad.GetWith(2, nil); err != nil || !slices.Equal(got, tuples[2]) {
+			t.Fatalf("m=%d: the intact record read as %v, %v", m, got, err)
 		}
 		bad.Close()
 	}

@@ -11,7 +11,7 @@ import (
 // tupleMagic identifies the external tuple file ("external file holding
 // the entire data vectors" in the paper's system model). Its last three
 // bytes are the format version; a file of another version is refused.
-var tupleMagic = [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '2'}
+var tupleMagic = [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '3'}
 
 // WriteTupleFile persists tuples to path. The format is:
 //
@@ -20,11 +20,13 @@ var tupleMagic = [8]byte{'I', 'R', 'T', 'U', 'P', '0', '0', '2'}
 //
 // Records are addressed by the offsets table, enabling O(1) random
 // access. A record of nnz entries is encoded one of two ways, whichever
-// is shorter (dense: 8·m < 12·nnz, ties sparse):
+// is shorter (dense: 8·m < (w+8)·nnz, ties sparse):
 //
-//	sparse: nnz uint32 | nnz × (dim uint32, val float64), dims ascending
+//	sparse: nnz uint32 | nnz dims | nnz × float64
 //	dense:  nnz uint32 | m × float64, slot d holding dimension d's value
 //
+// A sparse record holds its dims in one ascending block, w bytes each
+// (w = 2 when m ≤ 65 536, else 4), then the values in the same order.
 // A dense slot of 0 is a dimension the tuple does not have: a stored
 // value is in (0, 1] (vec.Sparse.Validate), so 0 is never data. The
 // encoding is a function of (nnz, m) alone — the reader recomputes it
@@ -41,10 +43,19 @@ func WriteTupleFile(path string, tuples []vec.Sparse, m int) error {
 		})
 }
 
+// dimWidth is the bytes a sparse record of a file of dimensionality m
+// spends on one dimension id: 2 while every id, < m, fits in a uint16.
+func dimWidth(m int) int {
+	if m <= 1<<16 {
+		return 2
+	}
+	return 4
+}
+
 // dense reports whether a record of nnz entries in a file of
-// dimensionality m is encoded as m value slots rather than nnz
-// (dim, val) pairs.
-func dense(nnz, m int) bool { return 8*m < 12*nnz }
+// dimensionality m is encoded as m value slots rather than nnz dims and
+// nnz values.
+func dense(nnz, m int) bool { return 8*m < (dimWidth(m)+8)*nnz }
 
 // RecordBytes is the encoded length of a record of nnz entries in a
 // tuple file of dimensionality m — what a random access to it reads, so
@@ -53,7 +64,7 @@ func RecordBytes(nnz, m int) int {
 	if dense(nnz, m) {
 		return 4 + 8*m
 	}
-	return 4 + 12*nnz
+	return 4 + (dimWidth(m)+8)*nnz
 }
 
 // WriteTupleRecords is WriteTupleFile for a source that holds no tuple
@@ -117,8 +128,15 @@ func (s *TupleSink) Tuple(t vec.Sparse) {
 			binary.LittleEndian.PutUint64(w.buf[slots+8*e.Dim:], math.Float64bits(e.Val))
 		}
 	} else {
+		wide := dimWidth(s.m) == 4
 		for _, e := range t {
-			w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.Dim))
+			if wide {
+				w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(e.Dim))
+			} else {
+				w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(e.Dim))
+			}
+		}
+		for _, e := range t {
 			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(e.Val))
 		}
 	}
@@ -145,6 +163,7 @@ type TupleFile struct {
 	n       int
 	end     int64 // where the payload, and so the last record, ends
 	m       int
+	w       int // dimWidth(m)
 }
 
 // OpenTupleFile opens and maps a tuple file. poolPages does nothing:
@@ -175,6 +194,7 @@ func OpenTupleFile(path string, stats *IOStats, poolPages int) (*TupleFile, erro
 	}
 	tf.n = int(binary.LittleEndian.Uint32(hdr[8:12]))
 	tf.m = int(binary.LittleEndian.Uint32(hdr[12:16]))
+	tf.w = dimWidth(tf.m)
 	// The count comes from the file: it is held to what the payload can
 	// hold before it sizes anything.
 	if int64(tf.n) > (tf.end-16)/8 {
@@ -247,7 +267,7 @@ func (tf *TupleFile) GetWith(id int, st *IOStats) (vec.Sparse, error) {
 	if !dense(nnz, tf.m) {
 		t := make(vec.Sparse, nnz)
 		for i := range t {
-			t[i] = vec.Entry{Dim: entryDim(raw, i), Val: entryVal(raw, i)}
+			t[i] = vec.Entry{Dim: tf.entryDim(raw, i), Val: tf.entryVal(raw, nnz, i)}
 		}
 		return t, nil
 	}
@@ -285,13 +305,15 @@ func (tf *TupleFile) ProjectWith(id int, dims []int, dst []float64, st *IOStats)
 		}
 		return nil
 	}
+	// Merge dims against the record's dims block; only a matched entry's
+	// value slot is read.
 	j := 0
 	for i, dim := range dims {
-		for j < nnz && entryDim(raw, j) < dim {
+		for j < nnz && tf.entryDim(raw, j) < dim {
 			j++
 		}
-		if j < nnz && entryDim(raw, j) == dim {
-			dst[i] = entryVal(raw, j)
+		if j < nnz && tf.entryDim(raw, j) == dim {
+			dst[i] = tf.entryVal(raw, nnz, j)
 			j++
 		} else {
 			dst[i] = 0
@@ -319,8 +341,11 @@ func (tf *TupleFile) record(id int, st *IOStats) (raw []byte, nnz int, err error
 	if len(raw) < 4 {
 		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (%d-byte record)", id, len(raw))
 	}
+	// The extent must be exactly what nnz promises: a sparse record's
+	// values sit after its nnz dims, so a wrong nnz would read one block
+	// as the other.
 	nnz = int(binary.LittleEndian.Uint32(raw[0:4]))
-	if RecordBytes(nnz, tf.m) > len(raw) {
+	if RecordBytes(nnz, tf.m) != len(raw) {
 		return nil, 0, fmt.Errorf("storage: tuple %d corrupt (nnz=%d, %d bytes)", id, nnz, len(raw))
 	}
 	return raw, nnz, nil
@@ -366,14 +391,17 @@ func (tf *TupleFile) Prefetch(ids []int32) uint64 {
 	return sum
 }
 
-// entryDim and entryVal decode the i-th (dim uint32, val float64) entry
-// of a raw sparse record, slotVal dimension d's slot of a raw dense one.
-func entryDim(raw []byte, i int) int {
-	return int(binary.LittleEndian.Uint32(raw[4+12*i:]))
+// entryDim and entryVal decode the i-th dim and value of a raw sparse
+// record of nnz entries, slotVal dimension d's slot of a raw dense one.
+func (tf *TupleFile) entryDim(raw []byte, i int) int {
+	if tf.w == 2 {
+		return int(binary.LittleEndian.Uint16(raw[4+2*i:]))
+	}
+	return int(binary.LittleEndian.Uint32(raw[4+4*i:]))
 }
 
-func entryVal(raw []byte, i int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(raw[8+12*i:]))
+func (tf *TupleFile) entryVal(raw []byte, nnz, i int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(raw[4+tf.w*nnz+8*i:]))
 }
 
 func slotVal(raw []byte, d int) float64 {
