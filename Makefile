@@ -74,9 +74,10 @@ vuln:
 
 # A fast benchmark pass over the analyze path: enough to catch gross
 # regressions without the full figure sweep of BenchmarkFig. The bulk-load
-# layer rides along at a fixed iteration count: the dataset save irgen
-# goes through (ST n = 200 000 and WSJ -scale 2, the bench/ harness's two
-# datasets), the MemIndex build, and one whole checkpoint — a merge, not
+# layer rides along at a fixed iteration count: the generators and the
+# dataset save irgen goes through (ST n = 200 000 and WSJ -scale 2, the
+# bench/ harness's two datasets; KB too for the generators), the MemIndex
+# build, and one whole checkpoint — a merge, not
 # a save — of each of the two datasets, whose B/op is what a checkpoint
 # costs in memory. So does the sharded
 # round 2: the coordinator's replay at a pruned and an unpruned reply
@@ -107,6 +108,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchTopK' -benchmem -benchtime=20x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate' -benchmem -benchtime=3x ./internal/dataset/
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
 

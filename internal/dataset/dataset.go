@@ -23,8 +23,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/lists"
 	"repro/internal/vec"
@@ -81,7 +83,7 @@ func (d *Dataset) SampleQuery(rng *rand.Rand, qlen, minDF int) (vec.Query, error
 	weights := make([]float64, qlen)
 	for i, p := range perm {
 		dims[i] = eligible[p]
-		weights[i] = 0.2 + 0.8*rng.Float64()
+		weights[i] = 0.2 + float64(0.8*rng.Float64())
 	}
 	return vec.NewQuery(dims, weights)
 }
@@ -134,7 +136,7 @@ func GenerateWSJ(cfg WSJConfig) *Dataset {
 	drawnBy := make([]int32, cfg.Vocab) // doc+1 of the last document that drew the term
 	for doc := 0; doc < cfg.Docs; doc++ {
 		// Log-normal distinct-term count, clamped.
-		nTerms := int(math.Exp(math.Log(float64(cfg.MeanTerms)) + 0.5*rng.NormFloat64()))
+		nTerms := int(math.Exp(math.Log(float64(cfg.MeanTerms)) + float64(0.5*rng.NormFloat64())))
 		if nTerms < 5 {
 			nTerms = 5
 		}
@@ -148,7 +150,7 @@ func GenerateWSJ(cfg WSJConfig) *Dataset {
 			}
 			drawnBy[term] = int32(doc + 1)
 			drawn++
-			tf := 1 + rng.ExpFloat64()*2 // term frequency, heavy-tailed
+			tf := 1 + float64(rng.ExpFloat64()*2) // term frequency, heavy-tailed
 			draws = append(draws, draw{term: int32(term), tf: tf})
 			df[term]++
 		}
@@ -241,7 +243,7 @@ func GenerateKB(cfg KBConfig) *Dataset {
 				if rng.Float64() > 0.7 {
 					continue
 				}
-				v := 0.5 + 0.22*(rootRho*z+rootRest*rng.NormFloat64())
+				v := 0.5 + float64(0.22*(float64(rootRho*z)+float64(rootRest*rng.NormFloat64())))
 				if v <= 0 {
 					continue
 				}
@@ -253,7 +255,7 @@ func GenerateKB(cfg KBConfig) *Dataset {
 		}
 		if len(entries) == 0 {
 			f := rng.Intn(cfg.Features)
-			entries = append(entries, vec.Entry{Dim: f, Val: 0.1 + 0.9*rng.Float64()})
+			entries = append(entries, vec.Entry{Dim: f, Val: 0.1 + float64(0.9*rng.Float64())})
 		}
 		t, err := vec.NewSparse(entries)
 		if err != nil {
@@ -297,6 +299,11 @@ func (c *STConfig) defaults() {
 // pairwise correlation Rho via the Cholesky factor of the correlation
 // matrix (our stand-in for mvnrnd), clipped to [0,1]^M. Tuples cluster
 // along the [0,…,0]–[1,…,1] diagonal exactly as the paper describes.
+//
+// The one generator draws the normals in tuple order, up to a ring of
+// 2·GOMAXPROCS chunks of stChunk tuples ahead of GOMAXPROCS workers that
+// apply the transform: each tuple's arithmetic is the sequential one, so
+// the output does not depend on the worker count.
 func GenerateST(cfg STConfig) *Dataset {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -305,35 +312,74 @@ func GenerateST(cfg STConfig) *Dataset {
 	if err != nil {
 		panic(err)
 	}
-	// Every tuple is carved from one backing array; the capped slices
-	// keep an append through one tuple out of its neighbour.
-	entries := make([]vec.Entry, 0, cfg.N*cfg.M)
+	// Every tuple is carved from one backing array, M entries a tuple;
+	// the capped slices keep an append through one tuple out of its
+	// neighbour.
+	m := cfg.M
+	entries := make([]vec.Entry, cfg.N*m)
 	tuples := make([]vec.Sparse, cfg.N)
-	z := make([]float64, cfg.M)
-	for i := 0; i < cfg.N; i++ {
+	type chunk struct {
+		first int       // the chunk's first tuple
+		z     []float64 // its draws, m per tuple
+	}
+	workers := runtime.GOMAXPROCS(0)
+	ring := 2 * workers
+	// Both channels hold every buffer: a worker never blocks handing one
+	// back, and the generator waits only for a free one.
+	free := make(chan []float64, ring)
+	drawn := make(chan chunk, ring)
+	for range ring {
+		free <- make([]float64, stChunk*m)
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for c := range drawn {
+				for i := 0; i*m < len(c.z); i++ {
+					id := c.first + i
+					out := entries[id*m : id*m : (id+1)*m]
+					if t := stTuple(out, L, c.z[i*m:(i+1)*m], cfg.Mu, cfg.Sigma); len(t) > 0 {
+						tuples[id] = t[:len(t):len(t)]
+					}
+				}
+				free <- c.z
+			}
+		}()
+	}
+	for first := 0; first < cfg.N; first += stChunk {
+		z := (<-free)[:min(stChunk, cfg.N-first)*m]
 		for j := range z {
 			z[j] = rng.NormFloat64()
 		}
-		first := len(entries)
-		// x = mu + sigma * L z
-		for r, row := range L {
-			s := 0.0
-			for c, l := range row[:r+1] {
-				s += l * z[c]
-			}
-			v := cfg.Mu + cfg.Sigma*s
-			if v > 1 {
-				v = 1
-			}
-			if v > 0 {
-				entries = append(entries, vec.Entry{Dim: r, Val: v})
-			}
+		drawn <- chunk{first, z}
+	}
+	close(drawn)
+	wg.Wait()
+	return New("ST", tuples, m)
+}
+
+// stChunk is how many tuples GenerateST hands a worker at once.
+const stChunk = 1024
+
+// stTuple appends to out the tuple x = mu + sigma·L·z, clipped to
+// [0,1], and returns it; coordinates at or below 0 are not stored.
+func stTuple(out vec.Sparse, L [][]float64, z []float64, mu, sigma float64) vec.Sparse {
+	for r, row := range L {
+		s, zr := 0.0, z[:r+1]
+		for c, l := range row[:len(zr)] {
+			s += float64(l * zr[c])
 		}
-		if len(entries) > first {
-			tuples[i] = entries[first:len(entries):len(entries)]
+		v := mu + float64(sigma*s)
+		if v > 1 {
+			v = 1
+		}
+		if v > 0 {
+			out = append(out, vec.Entry{Dim: r, Val: v})
 		}
 	}
-	return New("ST", tuples, cfg.M)
+	return out
 }
 
 // constantCorrelation builds (1-rho)·I + rho·J.
@@ -364,7 +410,7 @@ func Cholesky(a [][]float64) ([][]float64, error) {
 		for j := 0; j <= i; j++ {
 			s := a[i][j]
 			for k := 0; k < j; k++ {
-				s -= L[i][k] * L[j][k]
+				s -= float64(L[i][k] * L[j][k])
 			}
 			if i == j {
 				if s <= 0 {
@@ -423,7 +469,7 @@ func gini(sorted []int) float64 {
 	}
 	var cum, total float64
 	for i, v := range sorted {
-		cum += float64(v) * float64(2*(i+1)-n-1)
+		cum += float64(float64(v) * float64(2*(i+1)-n-1))
 		total += float64(v)
 	}
 	if total == 0 {
@@ -494,7 +540,7 @@ func center(col []float64) float64 {
 	for i, v := range col {
 		dv := v - mean
 		col[i] = dv
-		sq += dv * dv
+		sq += float64(dv * dv)
 	}
 	return sq
 }
@@ -507,7 +553,7 @@ func pearson(a, b []float64, va, vb float64) float64 {
 	}
 	var cov float64
 	for i := range a {
-		cov += a[i] * b[i]
+		cov += float64(a[i] * b[i])
 	}
 	return cov / math.Sqrt(va*vb)
 }

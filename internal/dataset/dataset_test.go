@@ -1,12 +1,17 @@
 package dataset
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/lists"
+	"repro/internal/vec"
 )
 
 func TestGenerateWSJShape(t *testing.T) {
@@ -201,6 +206,53 @@ func TestDeterminism(t *testing.T) {
 			if a.Tuples[i][j] != b.Tuples[i][j] {
 				t.Fatalf("doc %d entry %d differs", i, j)
 			}
+		}
+	}
+}
+
+// TestGenerateSTWorkerCount: the transform workers change nothing —
+// GenerateST and the files SaveDataset writes of its output are the
+// same at GOMAXPROCS 1 and 4, across a partial last chunk and with
+// clipped coordinates left out of some tuples.
+func TestGenerateSTWorkerCount(t *testing.T) {
+	for _, cfg := range []STConfig{
+		{N: 5*stChunk + 7, Seed: 3},
+		{N: 3*stChunk - 1, M: 7, Sigma: 0.45, Seed: 4},
+	} {
+		var sets [2]*Dataset
+		var files [2][2][]byte
+		for i, procs := range []int{1, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			sets[i] = GenerateST(cfg)
+			runtime.GOMAXPROCS(prev)
+			dir := t.TempDir()
+			tp, lp := filepath.Join(dir, "t.dat"), filepath.Join(dir, "l.dat")
+			if err := sets[i].Save(tp, lp); err != nil {
+				t.Fatal(err)
+			}
+			for fi, p := range []string{tp, lp} {
+				raw, err := os.ReadFile(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[i][fi] = raw
+			}
+		}
+		clipped := 0
+		for id, want := range sets[0].Tuples {
+			got := sets[1].Tuples[id]
+			clipped += cfg.M - len(want)
+			if !slices.EqualFunc(got, want, func(a, b vec.Entry) bool {
+				return a.Dim == b.Dim && math.Float64bits(a.Val) == math.Float64bits(b.Val)
+			}) {
+				t.Fatalf("%+v tuple %d: %v at 4 workers, %v at 1", cfg, id, got, want)
+			}
+		}
+		if cfg.Sigma > 0 && clipped == 0 {
+			t.Fatalf("%+v: no coordinate was clipped", cfg)
+		}
+		if !bytes.Equal(files[0][0], files[1][0]) || !bytes.Equal(files[0][1], files[1][1]) {
+			t.Fatalf("%+v: files differ between GOMAXPROCS 1 and 4", cfg)
 		}
 	}
 }

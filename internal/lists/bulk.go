@@ -21,15 +21,18 @@ import (
 // A posting is held as a sort key plus its tuple id. The key is the
 // coordinate's IEEE-754 bits mapped so that unsigned ascending key order
 // is descending coordinate order; ids enter every list in ascending
-// order (carve walks the tuples in id order), so a stable sort on the
-// key alone yields "descending value, ties by ascending id". Long lists
-// take an LSD radix sort, one byte per pass, skipping the bytes on which
-// the whole list agrees (coordinates in (0,1] share their top byte, so
-// seven passes in practice); short lists take a comparison sort on the
-// same (key, id) pair.
+// order (carve walks the tuples in id order). Long lists are ranked the
+// way topk ranks candidate rows: an LSD radix sort on the top 32 bits of
+// the key (sign, exponent and 20 mantissa bits; coordinates in (0,1]
+// share their top byte, so three passes in practice) carries positions,
+// the full keys and ids are gathered in that order, and the runs that tie
+// on the prefix — stably ranked, so ids still ascend — are sorted by
+// comparison on (key, id). Short lists take that comparison sort alone.
+// Either way a list comes out in "descending value, ties by ascending
+// id" order.
 
 // radixCutover is the list length from which the radix sort's fixed cost
-// (eight 256-bucket histograms) is cheaper than a comparison sort.
+// (four 256-bucket histograms) is cheaper than a comparison sort.
 const radixCutover = 64
 
 // SortKey maps a value to its key: ascending keys are descending values.
@@ -132,7 +135,7 @@ func (b *bulk) sortLists(workers int) <-chan int {
 			defer wg.Done()
 			var sc sortScratch
 			if longest >= radixCutover {
-				sc.keys, sc.ids = make([]uint64, longest), make([]int32, longest)
+				sc.grow(longest)
 			}
 			for {
 				i := int(next.Add(1)) - 1
@@ -158,12 +161,22 @@ func (b *bulk) sortAll() {
 	}
 }
 
-// sortScratch is one worker's reusable memory: the radix sort's second
-// buffer and the comparison sort's pairs.
+// sortScratch is one worker's reusable memory: the radix keys and the
+// positions they carry, each with the kernel's second buffer, the rest
+// of each posting packed in one word for the gather, and the comparison
+// sort's pairs.
 type sortScratch struct {
-	keys  []uint64
-	ids   []int32
-	pairs []keyID
+	prefix, prefixBuf []uint32
+	pos, posBuf       []int32
+	rest              []uint64 // the key's low 32 bits, then the id
+	pairs             []keyID
+}
+
+// grow sizes the radix scratch for lists of up to n postings.
+func (sc *sortScratch) grow(n int) {
+	sc.prefix, sc.prefixBuf = make([]uint32, n), make([]uint32, n)
+	sc.pos, sc.posBuf = make([]int32, n), make([]int32, n)
+	sc.rest = make([]uint64, n)
 }
 
 type keyID struct {
@@ -174,61 +187,74 @@ type keyID struct {
 // sort orders one list by ascending key, ties by ascending id; ids must
 // come in ascending.
 func (sc *sortScratch) sort(keys []uint64, ids []int32) {
-	if len(keys) < radixCutover {
-		sc.pairs = sc.pairs[:0]
-		for i, k := range keys {
-			sc.pairs = append(sc.pairs, keyID{k, ids[i]})
-		}
-		slices.SortFunc(sc.pairs, func(a, b keyID) int {
-			if c := cmp.Compare(a.key, b.key); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.id, b.id)
-		})
-		for i, p := range sc.pairs {
-			keys[i], ids[i] = p.key, p.id
-		}
+	n := len(keys)
+	if n < radixCutover {
+		sc.compare(keys, ids)
 		return
 	}
-	RadixSort(keys, ids, sc.keys[:len(keys)], sc.ids[:len(keys)])
+	prefix, pos, rest := sc.prefix[:n], sc.pos[:n], sc.rest[:n]
+	for i, k := range keys {
+		prefix[i], pos[i] = uint32(k>>32), int32(i)
+		rest[i] = k<<32 | uint64(uint32(ids[i]))
+	}
+	RadixSort(prefix, pos, sc.prefixBuf[:n], sc.posBuf[:n])
+	// One random read a posting: its packed rest. The runs that tie on
+	// the prefix are ranked in a pass of their own, which keeps this
+	// loop's reads independent of one another.
+	for j, p := range pos {
+		r := rest[p]
+		keys[j], ids[j] = uint64(prefix[j])<<32|r>>32, int32(uint32(r))
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && prefix[hi] == prefix[lo] {
+			hi++
+		}
+		if hi-lo > 1 {
+			sc.compare(keys[lo:hi], ids[lo:hi])
+		}
+		lo = hi
+	}
+}
+
+// compare sorts a list, or a run of one, by (key, id) through pairs.
+func (sc *sortScratch) compare(keys []uint64, ids []int32) {
+	sc.pairs = sc.pairs[:0]
+	for i, k := range keys {
+		sc.pairs = append(sc.pairs, keyID{k, ids[i]})
+	}
+	slices.SortFunc(sc.pairs, func(a, b keyID) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	for i, p := range sc.pairs {
+		keys[i], ids[i] = p.key, p.id
+	}
 }
 
 // RadixSort sorts keys into ascending order, stably, carrying vals along:
 // an LSD radix sort, one byte per pass, that skips the bytes on which
 // every key agrees. bufK and bufV are its second buffers, at least
 // len(keys) long; the result ends up in keys and vals. It is the one
-// radix kernel of the repo: the bulk load sorts inverted lists by their
-// SortKey with it, topk ranks candidate rows by the key's top 32 bits.
-func RadixSort[K uint32 | uint64](keys []K, vals []int32, bufK []K, bufV []int32) {
+// radix kernel of the repo, and both its callers rank the same way: on
+// the top 32 bits of a SortKey, the ties on those settled by comparison
+// — the bulk load its inverted lists, topk its candidate rows.
+func RadixSort(keys []uint32, vals []int32, bufK []uint32, bufV []int32) {
 	n := len(keys)
 	if n < 2 {
 		return
 	}
-	var hist [8][256]int32
-	width := 4
-	if ^K(0) > math.MaxUint32 {
-		width = 8
-		for _, k := range keys {
-			hi := uint64(k) >> 32
-			hist[0][byte(k)]++
-			hist[1][byte(k>>8)]++
-			hist[2][byte(k>>16)]++
-			hist[3][byte(k>>24)]++
-			hist[4][byte(hi)]++
-			hist[5][byte(hi>>8)]++
-			hist[6][byte(hi>>16)]++
-			hist[7][byte(hi>>24)]++
-		}
-	} else {
-		for _, k := range keys {
-			hist[0][byte(k)]++
-			hist[1][byte(k>>8)]++
-			hist[2][byte(k>>16)]++
-			hist[3][byte(k>>24)]++
-		}
+	var hist [4][256]int32
+	for _, k := range keys {
+		hist[0][byte(k)]++
+		hist[1][byte(k>>8)]++
+		hist[2][byte(k>>16)]++
+		hist[3][byte(k>>24)]++
 	}
 	srcK, srcV, dstK, dstV := keys, vals, bufK[:n], bufV[:n]
-	for d := range width {
+	for d := range hist {
 		shift := uint(8 * d)
 		h := &hist[d]
 		if int(h[byte(srcK[0]>>shift)]) == n {

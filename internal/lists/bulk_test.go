@@ -2,6 +2,7 @@ package lists
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -96,34 +97,84 @@ func storable(tuples []vec.Sparse) []vec.Sparse {
 	return out
 }
 
+// prefixTieTuples draws n tuples over m dimensions whose values crowd a
+// few 32-bit key prefixes — runs of up to 400 ulp-neighbours, one group
+// straddling two prefixes — with one in five an exact repeat, shuffled:
+// the radix pass leaves hundreds of postings tied, for the tie pass to
+// rank on the full key and the id.
+func prefixTieTuples(rng *rand.Rand, n, m int) []vec.Sparse {
+	// The last base's low 32 bits are 200 ulps short of a carry into the
+	// prefix.
+	straddle := math.Float64frombits((math.Float64bits(0.6) | 0xffffffff) - 200)
+	bases := []float64{0.3, 0.3 + 0x1p-33, 1 - 0x1p-40, straddle}
+	tuples := make([]vec.Sparse, n)
+	for d := 0; d < m; d++ {
+		vals := make([]float64, n)
+		for i := range vals {
+			if i > 0 && rng.Intn(5) == 0 {
+				vals[i] = vals[rng.Intn(i)]
+				continue
+			}
+			v := bases[rng.Intn(len(bases))]
+			for k := rng.Intn(400); k > 0; k-- {
+				v = math.Nextafter(v, 2)
+			}
+			vals[i] = v
+		}
+		rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		for id, v := range vals {
+			tuples[id] = append(tuples[id], vec.Entry{Dim: d, Val: v})
+		}
+	}
+	return tuples
+}
+
 // TestBulkOrderMatchesComparator: the kernel's list order is the
 // comparator's, in all three of its outputs, whatever the list length
-// (both sides of radixCutover) and whatever the worker count; and the
-// files it writes (of the storable entries) do not depend on the worker
-// count.
+// (both sides of radixCutover), however crowded the 32-bit key prefixes
+// and whatever the worker count; and the files it writes (of the
+// storable entries) do not depend on the worker count.
 func TestBulkOrderMatchesComparator(t *testing.T) {
+	type input struct {
+		name   string
+		tuples []vec.Sparse
+		m      int
+	}
+	var inputs []input
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 12; trial++ {
 		n := []int{1, 7, radixCutover - 1, radixCutover, radixCutover + 1, 900, 3000}[trial%7]
 		m := 3 + rng.Intn(12)
-		tuples := awkwardTuples(rng, n, m)
-		ref := referencePostings(tuples)
+		inputs = append(inputs, input{fmt.Sprintf("trial %d", trial), awkwardTuples(rng, n, m), m})
+	}
+	ties := prefixTieTuples(rand.New(rand.NewSource(41)), 3000, 3)
+	inputs = append(inputs, input{"prefix ties", ties, 3})
+	prefixes := map[uint64]int{}
+	for _, tp := range ties {
+		prefixes[SortKey(tp[0].Val)>>32]++
+	}
+	if len(prefixes) > 10 {
+		t.Fatalf("prefix ties: %d distinct prefixes among 3000 values", len(prefixes))
+	}
 
+	for _, in := range inputs {
+		name, tuples, m := in.name, in.tuples, in.m
+		ref := referencePostings(tuples)
 		rows := BuildPostings(tuples)
 		if len(rows) != len(ref) {
-			t.Fatalf("trial %d: BuildPostings has %d lists, reference %d", trial, len(rows), len(ref))
+			t.Fatalf("%s: BuildPostings has %d lists, reference %d", name, len(rows), len(ref))
 		}
 		cols := BuildColumnar(tuples)
 		for d, want := range ref {
 			if !slices.EqualFunc(rows[d], want, samePosting) {
-				t.Fatalf("trial %d dim %d: BuildPostings order differs from the comparator's", trial, d)
+				t.Fatalf("%s dim %d: BuildPostings order differs from the comparator's", name, d)
 			}
 			if cols[d].Len() != len(want) {
-				t.Fatalf("trial %d dim %d: columnar length %d, want %d", trial, d, cols[d].Len(), len(want))
+				t.Fatalf("%s dim %d: columnar length %d, want %d", name, d, cols[d].Len(), len(want))
 			}
 			for i, w := range want {
 				if !samePosting(cols[d].At(i), w) {
-					t.Fatalf("trial %d dim %d posting %d: columnar %v, want %v", trial, d, i, cols[d].At(i), w)
+					t.Fatalf("%s dim %d posting %d: columnar %v, want %v", name, d, i, cols[d].At(i), w)
 				}
 			}
 		}
@@ -153,19 +204,19 @@ func TestBulkOrderMatchesComparator(t *testing.T) {
 			}
 			for d := 0; d < m; d++ {
 				if ix.ListLen(d) != len(ref[d]) {
-					t.Fatalf("trial %d dim %d: file list length %d, want %d", trial, d, ix.ListLen(d), len(ref[d]))
+					t.Fatalf("%s dim %d: file list length %d, want %d", name, d, ix.ListLen(d), len(ref[d]))
 				}
 				cur := ix.Cursor(d)
 				for i, w := range ref[d] {
 					if p, ok := cur.Next(); !ok || !samePosting(p, w) {
-						t.Fatalf("trial %d dim %d posting %d: file has %v, want %v", trial, d, i, p, w)
+						t.Fatalf("%s dim %d posting %d: file has %v, want %v", name, d, i, p, w)
 					}
 				}
 			}
 			ix.Close()
 		}
 		if !bytes.Equal(files[0][0], files[1][0]) || !bytes.Equal(files[0][1], files[1][1]) {
-			t.Fatalf("trial %d: files written by 1 worker and by 5 differ", trial)
+			t.Fatalf("%s: files written by 1 worker and by 5 differ", name)
 		}
 	}
 }

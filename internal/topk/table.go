@@ -247,10 +247,10 @@ func (t *Table) sortRanked(pos, buf []int32, rk *ranker) []int32 {
 	return buf
 }
 
-// radixRun ranks one run of at most rankRun positions: the radix kernel
-// the bulk load sorts lists with (lists.RadixSort) orders them by the top
-// 32 bits of their score's key — four passes, not eight — and the rare
-// runs of rows that agree on those are then ranked by comparison.
+// radixRun ranks one run of at most rankRun positions the way the bulk
+// load ranks its lists: the radix kernel (lists.RadixSort) orders them by
+// the top 32 bits of their score's key, and the rare runs of rows that
+// agree on those are then ranked by comparison.
 func (t *Table) radixRun(pos, posBuf []int32, rk *ranker) {
 	keys := rk.keys[:len(pos)]
 	for i, p := range pos {
