@@ -1,5 +1,6 @@
 # Tier-1 verification and day-to-day targets. `make ci` is the one
-# command the verify loop runs: build, vet, tests, race tests.
+# command the verify loop runs: build, vet, lint, the fused multiply-add
+# check, tests, race tests.
 
 GO ?= go
 
@@ -10,7 +11,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION) -X repro/internal/obs.Commit=$(COMMIT)
 
-.PHONY: all build test race vet lint loc fuzz-smoke vuln bench-smoke test-wal test-replication test-failover test-obs test-shard test-oracle check-docs ci
+.PHONY: all build test race vet lint check-fma loc fuzz-smoke vuln bench-smoke test-wal test-replication test-failover test-obs test-shard test-oracle check-docs ci
 
 all: ci
 
@@ -46,6 +47,36 @@ vet:
 # the stock suite (copylocks, lostcancel, printf, ...).
 lint:
 	$(GO) run ./cmd/irlint ./...
+
+# No implicit fused multiply-add in the deterministic packages. The Go
+# spec lets the compiler fuse x*y + z into one rounding, and gc does on
+# arm64, ppc64le, riscv64 and loong64 (never on amd64), so a score, a
+# crossing or a stopping test could differ in the last ulp from one
+# architecture to the next. An explicit float64(x*y) rounds the product
+# and prevents the fusion. The packages' test binaries are cross-compiled
+# for those four architectures and disassembled (no emulator runs them):
+# any fused instruction in a non-test function of this module fails.
+FMA_ARCHS := arm64 ppc64le riscv64 loong64
+FMA_PKGS  := vec geom core topk oracle stb
+
+check-fma:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for arch in $(FMA_ARCHS); do \
+		for pkg in $(FMA_PKGS); do \
+			GOARCH=$$arch $(GO) test -c -o "$$tmp/t" ./internal/$$pkg || exit 1; \
+			$(GO) tool objdump -s '^repro/internal/' "$$tmp/t" > "$$tmp/dis" || exit 1; \
+			awk -v arch=$$arch '/^TEXT / { fn = $$2; keep = $$3 !~ /_test\.go$$/; next } \
+				keep && match($$0, /\tFN?M(ADD|SUB)[DS]?[ \t]/) { \
+					print arch, fn, $$1, substr($$0, RSTART + 1, RLENGTH - 2) }' "$$tmp/dis" >> "$$tmp/fused"; \
+		done; \
+	done && \
+	sort -u "$$tmp/fused" > "$$tmp/found" && \
+	if [ -s "$$tmp/found" ]; then \
+		cat "$$tmp/found"; \
+		echo "check-fma: fused multiply-add at $$(wc -l < "$$tmp/found") places; wrap each product in float64(...)"; \
+		exit 1; \
+	fi && \
+	echo "check-fma: no fused multiply-add on $(FMA_ARCHS)"
 
 # Non-test Go outside bench/ and testdata/: the figure ISSUE files and
 # every ROADMAP re-anchor quote.
@@ -174,4 +205,4 @@ test-oracle:
 check-docs:
 	$(GO) run ./cmd/docscheck
 
-ci: build vet lint test race
+ci: build vet lint check-fma test race

@@ -360,9 +360,9 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 	qj := c.q.Weights[jx]
 	needUpper := !c.view.WasSortedAccessed(jx, dk.ID, dkj)
 
-	sBar := sk + b.hi*dkj
-	sUnd := sk + b.lo*dkj
-	t := c.sc.thresholds(c.q.Len()) // reused across resume checks
+	sBar := sk + float64(b.hi*dkj)
+	sUnd := sk + float64(b.lo*dkj)
+	t := c.sc.thr // reused across resume checks
 	for {
 		if c.stop() {
 			return
@@ -371,12 +371,12 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 		sumOther := 0.0
 		for i, ti := range t {
 			if i != jx {
-				sumOther += c.q.Weights[i] * ti
+				sumOther += float64(c.q.Weights[i] * ti)
 			}
 		}
 		tj := t[jx]
-		condL := sumOther+(qj+b.lo)*tj > sUnd
-		condU := needUpper && sumOther+(qj+b.hi)*tj > sBar
+		condL := sumOther+float64((qj+b.lo)*tj) > sUnd
+		condU := needUpper && sumOther+float64((qj+b.hi)*tj) > sBar
 		if !condL && !condU {
 			return
 		}
@@ -388,7 +388,7 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 		c.noteEvaluated(jx)
 		crit, kind := lemma1(sk, dkj, c.rows.Score(p), c.rows.Coord(p, jx))
 		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
-		sBar = sk + b.hi*dkj
-		sUnd = sk + b.lo*dkj
+		sBar = sk + float64(b.hi*dkj)
+		sUnd = sk + float64(b.lo*dkj)
 	}
 }

@@ -23,8 +23,8 @@
 // exactly as the published pseudo-code reads: the dimensions run in
 // ascending order, and each dimension's Phase 3 resumes the same TA run,
 // so later dimensions see earlier dimensions' pulls. Concurrency is
-// between queries: each has its own run, its own pooled scratch and its
-// own Metrics.
+// between queries: each has its own run, its own scratch and its own
+// Metrics.
 // I/O charges land on the index's (atomic) meter; the SeqPages and
 // RandReads deltas in Metrics bracket the whole call.
 package core
@@ -258,7 +258,7 @@ type computer struct {
 
 // dimComputer is the working state of the region computation: the
 // shared read-only computer plus the scan view Phase 3 resumes, the
-// metrics, and pooled scratch (evaluation memo and candidate-order
+// metrics, and the scratch (evaluation memo and candidate-order
 // buffers), all of them carried from one dimension to the next.
 type dimComputer struct {
 	*computer
@@ -378,9 +378,9 @@ func (d *dimComputer) failed() error {
 // computeSequential is the paper-literal pipeline: one shared scan, one
 // evaluation memo reset per dimension, metrics accumulated in place.
 func (c *computer) computeSequential(r Runner, out *Output, met *Metrics) error {
-	sc := getScratch()
-	defer putScratch(sc)
-	d := c.newDim(r, met, sc)
+	sc := scratch{thr: make([]float64, c.q.Len())}
+	defer sc.release()
+	d := c.newDim(r, met, &sc)
 	for jx := range c.q.Dims {
 		sc.resetEval()
 		out.Regions[jx] = d.computeDim(jx)
@@ -422,7 +422,7 @@ func (d *dimComputer) evaluate(jx int, pos int32) {
 		return
 	}
 	d.sc.mark.set(int(pos))
-	if err := d.ix.Project(d.id(pos), nil, nil); err != nil && d.err == nil {
+	if err := d.ix.Project(d.rows.ID(pos), nil, nil); err != nil && d.err == nil {
 		d.err = err
 	}
 	d.noteEvaluated(jx)

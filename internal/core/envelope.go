@@ -274,7 +274,7 @@ func (c *dimComputer) envelopeSide(jx, phi int, bd *boundary, mirror bool) {
 // y = Σ qi·ti + tj·x (constant on the mirrored side, since coordinates
 // are non-negative) no longer intersects either envelope (§6 Phase 3).
 func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
-	t := c.sc.thresholds(c.q.Len()) // reused across resume checks
+	t := c.sc.thr // reused across resume checks
 	for {
 		if c.stop() {
 			return
@@ -282,7 +282,7 @@ func (c *dimComputer) envelopePhase3(jx int, right, left *boundary) {
 		c.view.ThresholdsInto(t)
 		base := 0.0
 		for i, ti := range t {
-			base += c.q.Weights[i] * ti
+			base += float64(c.q.Weights[i] * ti)
 		}
 		capR := geom.Line{A: base, B: t[jx]}
 		capL := geom.Line{A: base, B: 0}

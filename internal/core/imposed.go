@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/lists"
-	"repro/internal/storage"
 	"repro/internal/topk"
 	"repro/internal/vec"
 )
@@ -157,9 +156,8 @@ func (v *imposedRunner) WasSortedAccessed(i, id int, val float64) bool {
 	return v.inner.WasSortedAccessed(i, local, val)
 }
 
-func (v *imposedRunner) Index() lists.Index {
-	return &offsetIndex{Index: v.inner.Index(), base: v.base}
-}
+// Index returns the shard's index, under local ids: the table's own.
+func (v *imposedRunner) Index() lists.Index { return v.inner.Index() }
 
 func (v *imposedRunner) RunContext(ctx context.Context) error { return v.inner.RunContext(ctx) }
 
@@ -207,52 +205,6 @@ func (v *imposedRunner) lines(pos []int32) []topk.Scored {
 		out[i].ID += v.base
 	}
 	return out
-}
-
-// offsetIndex presents a shard-local index under global tuple ids:
-// both random accesses subtract the shard base, the cardinality covers
-// the global id range [0, base+n), and sorted-access cursors translate
-// posting ids on the way out.
-type offsetIndex struct {
-	lists.Index
-	base int
-}
-
-func (o *offsetIndex) NumTuples() int          { return o.base + o.Index.NumTuples() }
-func (o *offsetIndex) Tuple(id int) vec.Sparse { return o.Index.Tuple(id - o.base) }
-
-func (o *offsetIndex) Project(id int, dims []int, dst []float64) error {
-	return o.Index.Project(id-o.base, dims, dst)
-}
-
-func (o *offsetIndex) Cursor(dim int) lists.Cursor {
-	return &offsetCursor{Cursor: o.Index.Cursor(dim), base: o.base}
-}
-
-func (o *offsetIndex) WithStats(st *storage.IOStats) lists.Index {
-	return &offsetIndex{Index: o.Index.WithStats(st), base: o.base}
-}
-
-// offsetCursor translates posting ids of a shard-local cursor.
-type offsetCursor struct {
-	lists.Cursor
-	base int
-}
-
-func (c *offsetCursor) Peek() (storage.Posting, bool) {
-	p, ok := c.Cursor.Peek()
-	p.ID += c.base
-	return p, ok
-}
-
-func (c *offsetCursor) Next() (storage.Posting, bool) {
-	p, ok := c.Cursor.Next()
-	p.ID += c.base
-	return p, ok
-}
-
-func (c *offsetCursor) Clone() lists.Cursor {
-	return &offsetCursor{Cursor: c.Cursor.Clone(), base: c.base}
 }
 
 // ReplayRegions is the coordinator-side envelope-path merge: it reruns

@@ -18,8 +18,7 @@ import (
 // charge-only call with no dimensions — cost the meter the same reads,
 // bytes and pool bypasses. Covered: MemIndex; DiskIndex; Overlay over
 // the disk index with inserted, replaced and deleted tuples on both
-// sides of the base boundary; offsetIndex at a non-zero shard base,
-// whose embedded index would otherwise be asked for the wrong tuple.
+// sides of the base boundary.
 func TestProjectIsTuple(t *testing.T) {
 	rng := rand.New(rand.NewSource(1601))
 	cs := fixture.RandCase(rng, 300, 10, 4, 5)
@@ -55,7 +54,6 @@ func TestProjectIsTuple(t *testing.T) {
 		}
 	}
 
-	const base = 1000
 	mem := lists.NewMemIndex(slices.Clone(cs.Tuples), m)
 	for _, tc := range []struct {
 		name   string
@@ -65,7 +63,6 @@ func TestProjectIsTuple(t *testing.T) {
 		{"mem", mem, 0, n},
 		{"disk", disk, 0, n},
 		{"overlay", ov, 0, n + 20},
-		{"offset", &offsetIndex{Index: mem, base: base}, base, base + n},
 	} {
 		for id := tc.lo; id < tc.hi; id++ {
 			dims := rng.Perm(m)[:1+rng.Intn(m)]

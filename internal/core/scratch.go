@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-	"sync"
-
-	"repro/internal/topk"
-)
+import "repro/internal/topk"
 
 // scratch is the working memory of one region computation: the
 // evaluation memo plus the candidate-set buffers of Phase 2 and Phase 3.
@@ -14,10 +9,9 @@ import (
 // it grows with the candidate list, not with the dataset. The rank order
 // itself is the scan's, not kept here. The per-candidate buffers are
 // spans of topk's page arena (topk.GrowSpan), not heap memory.
-// One scratch serves every dimension of the computation; it is recycled
-// across queries through scratchPool. Nothing in it escapes a ComputeView
-// call — regions carry ids and deviations only — so its spans go back to
-// the arena when the computation finishes.
+// One scratch serves every dimension of one ComputeView call. Nothing in
+// it escapes the call — regions carry ids and deviations only — so its
+// spans go back to the arena when the computation finishes.
 type scratch struct {
 	// mark is the evaluation memo: table row p was fetched in the
 	// current dimension iff bit p is set. resetEval clears it.
@@ -41,24 +35,8 @@ func (b bitset) set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 // words is the length of a bitset of n bits.
 func words(n int) int { return (n + 63) >> 6 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-func getScratch() *scratch { return scratchPool.Get().(*scratch) }
-
-// putScratch hands the scratch's spans back to the arena and returns
-// the scratch to the pool, which then holds no per-candidate memory: the
-// next computation takes spans of the sizes it needs from the arena,
-// not the deepest query's buffers kept per pooled scratch. (A cap that
-// trimmed those buffers on release was measured to cost more in
-// regrowth than it returned, as it regrew them on the heap by copying;
-// docs/operations.md.)
-func putScratch(sc *scratch) {
-	sc.release()
-	scratchPool.Put(sc)
-}
-
-// release hands back the spans; under scratch poisoning
-// (topk.PoisonScratch) they and the threshold buffer are overwritten.
+// release hands the spans back to the arena (under topk.PoisonScratch
+// they are overwritten first).
 func (sc *scratch) release() {
 	topk.ReleaseSpan(sc.mark)
 	topk.ReleaseSpan(sc.filtered)
@@ -66,12 +44,6 @@ func (sc *scratch) release() {
 	topk.ReleaseSpan(sc.idx)
 	topk.ReleaseSpan(sc.processed)
 	sc.mark, sc.filtered, sc.coords, sc.idx, sc.processed = nil, nil, nil, nil, nil
-	if topk.ScratchPoisoned() {
-		thr := sc.thr[:cap(sc.thr)]
-		for i := range thr {
-			thr[i] = math.NaN()
-		}
-	}
 }
 
 // resetEval forgets every evaluation: the next dimension refetches.
@@ -98,12 +70,3 @@ func (sc *scratch) resetProcessed(n int) bitset {
 // resize returns s with length n as a span, taking a larger one only
 // when the capacity falls short. The contents are unspecified.
 func resize[T topk.Elem](s []T, n int) []T { return topk.GrowSpan(s[:0], n) }
-
-// thresholds returns the threshold buffer with length qlen.
-func (sc *scratch) thresholds(qlen int) []float64 {
-	if cap(sc.thr) < qlen {
-		sc.thr = make([]float64, qlen)
-	}
-	sc.thr = sc.thr[:qlen]
-	return sc.thr
-}

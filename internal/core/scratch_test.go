@@ -12,7 +12,7 @@ import (
 )
 
 // TestEvalMemoResets drives the evaluation memo, a bit per row, through
-// the life of a pooled scratch: a reset forgets every mark, and a memo
+// the life of a scratch: a reset forgets every mark, and a memo
 // extended over a recycled span — all ones under scratch poisoning —
 // keeps its old marks and reads the new rows as not evaluated.
 func TestEvalMemoResets(t *testing.T) {

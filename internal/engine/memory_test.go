@@ -17,8 +17,8 @@ import (
 )
 
 // liveHeap returns the heap in use after a full collection. Two cycles:
-// sync.Pool contents survive the first one in the victim cache, and the
-// pooled per-query scratch is not what this measures.
+// sync.Pool contents survive the first one in the victim cache, and
+// pooled buffers are not what this measures.
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -165,7 +165,7 @@ func TestAnswersDetachedFromScratch(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Churn: more queries take and poison the pooled scratch again.
+		// Churn: more queries take released spans and poison them again.
 		for i := 0; i < 4; i++ {
 			other := fixture.RandCase(rng, 200, 8, 3, 4)
 			analyzeMust(t, New(lists.NewMemIndex(other.Tuples, other.M), Config{}), other.Q, other.K, Options{})

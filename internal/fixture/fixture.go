@@ -45,7 +45,7 @@ func RandCase(rng *rand.Rand, n, m, qlen, k int) Case {
 	dims := rng.Perm(m)[:qlen]
 	weights := make([]float64, qlen)
 	for i := range weights {
-		weights[i] = 0.05 + 0.95*rng.Float64()
+		weights[i] = 0.05 + float64(0.95*rng.Float64())
 	}
 	q := vec.MustQuery(dims, weights)
 
@@ -60,7 +60,7 @@ func RandCase(rng *rand.Rand, n, m, qlen, k int) Case {
 		}
 		perm := rng.Perm(qlen)
 		for _, p := range perm[:nz] {
-			entries = append(entries, vec.Entry{Dim: q.Dims[p], Val: 0.05 + 0.95*rng.Float64()})
+			entries = append(entries, vec.Entry{Dim: q.Dims[p], Val: 0.05 + float64(0.95*rng.Float64())})
 		}
 		// Sprinkle non-query coordinates (they never affect scores).
 		for d := 0; d < m; d++ {

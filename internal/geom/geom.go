@@ -24,7 +24,7 @@ type Line struct {
 }
 
 // Eval returns the line's value at x.
-func (l Line) Eval(x float64) float64 { return l.A + l.B*x }
+func (l Line) Eval(x float64) float64 { return l.A + float64(l.B*x) }
 
 // IntersectX returns the x-coordinate where l and o cross. ok is false
 // for parallel lines (including identical ones).
@@ -64,8 +64,8 @@ func (h Hyperplane) Distance(p []float64) float64 {
 	n := 0.0
 	dot := 0.0
 	for i, v := range h.N {
-		n += v * v
-		dot += v * p[i]
+		n += float64(v * v)
+		dot += float64(v * p[i])
 	}
 	if n == 0 {
 		return math.Inf(1)

@@ -335,7 +335,7 @@ func (ix *DiskIndex) Cursor(dim int) Cursor {
 
 // Tuple fetches a tuple, charging one random read. It panics when the
 // read fails: Index.Tuple returns no error, and only callers off the
-// query path (GET /tuple, the write path, loaders) use it.
+// query path (the facade, the write path, loaders) use it.
 func (ix *DiskIndex) Tuple(id int) vec.Sparse {
 	t, err := ix.tf.GetWith(id, ix.stats)
 	if err != nil {

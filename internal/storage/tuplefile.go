@@ -257,8 +257,8 @@ func (tf *TupleFile) Get(id int) (vec.Sparse, error) { return tf.GetWith(id, tf.
 
 // GetWith fetches tuple id, charging the random read to st instead of the
 // file's meter (st is typically a per-query child of the shared meter).
-// It materializes the whole vector: /tuple, the write path and loaders
-// want that; the query path projects instead (ProjectWith).
+// It materializes the whole vector: the write path and loaders want
+// that; the query path projects instead (ProjectWith).
 func (tf *TupleFile) GetWith(id int, st *IOStats) (vec.Sparse, error) {
 	raw, nnz, err := tf.record(id, st)
 	if err != nil {

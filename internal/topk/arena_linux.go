@@ -135,9 +135,10 @@ func sweep() {
 }
 
 // PageBytes reports the bytes of scan memory the process keeps
-// resident: the spans held by scans and region computations (candidate
-// table pages, rank orders, core's per-candidate buffers) plus idle
-// pages not yet handed back. The heap statistics count none of them.
+// resident: the spans held by scans and region computations (encountered
+// sets, candidate table pages, rank orders and their radix keys, core's
+// per-candidate buffers) plus idle pages not yet handed back. The heap
+// statistics count none of them.
 func PageBytes() int64 {
 	arena.mu.Lock()
 	defer arena.mu.Unlock()

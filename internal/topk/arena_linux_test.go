@@ -15,13 +15,13 @@ import (
 )
 
 // offHeapBytes is the bytes ta holds outside the Go heap: its table
-// pages and the span of its rank order.
+// pages and the spans of its encountered set and rank order.
 func offHeapBytes(ta *TA) int {
 	pages := len(ta.rows.id.pages) + len(ta.rows.score.pages) + len(ta.rows.mask.pages)
 	for _, c := range ta.rows.coord {
 		pages += len(c.pages)
 	}
-	return pages*pageBytes + 4*cap(ta.order)
+	return pages*pageBytes + 8*cap(ta.seen) + 4*cap(ta.order)
 }
 
 // arenaCounts reads the arena's test counters: chunks mapped, bytes
@@ -92,8 +92,9 @@ func TestIdlePagesReturnToOS(t *testing.T) {
 		tablePages += (n + perPage - 1) / perPage
 	}
 	tablePages += qlen * ((n + pageRows - 1) / pageRows)
+	scanPages := tablePages + 1 // and the encountered set: n bits in one page
 	held := offHeapBytes(ta) + 8*cap(big)
-	if want := tablePages*pageBytes + 4*cap(ta.order) + 8*bigLen; held != want {
+	if want := scanPages*pageBytes + 4*cap(ta.order) + 8*bigLen; held != want {
 		t.Fatalf("a scan of %d rows and a big buffer hold %d B, want %d", n, held, want)
 	}
 	if now, _ := HeldBytes(); int(now) != held {
@@ -117,7 +118,7 @@ func TestIdlePagesReturnToOS(t *testing.T) {
 
 	chunks, returned, sweeps := arenaCounts()
 	ta.Release()
-	if got, want := int(PageBytes()), tablePages*pageBytes+idle; got != want {
+	if got, want := int(PageBytes()), scanPages*pageBytes+idle; got != want {
 		t.Fatalf("gauge reads %d B after the scan's release, want its %d B of idle pages", got, want)
 	}
 	collect(t)
@@ -129,8 +130,8 @@ func TestIdlePagesReturnToOS(t *testing.T) {
 	if got := PageBytes(); got != 0 {
 		t.Fatalf("gauge reads %d B after three collections, want 0", got)
 	}
-	if _, r, _ := arenaCounts(); r-returned != tablePages*pageBytes+idle {
-		t.Fatalf("%d B handed back to the kernel, want the %d B of idle pages", r-returned, tablePages*pageBytes+idle)
+	if _, r, _ := arenaCounts(); r-returned != scanPages*pageBytes+idle {
+		t.Fatalf("%d B handed back to the kernel, want the %d B of idle pages", r-returned, scanPages*pageBytes+idle)
 	}
 
 	ta, big = scan()

@@ -32,17 +32,18 @@ import (
 // member's ranked top-k.
 type Multi struct {
 	scan    scanState // q = {Dims, per-dim max weight}: probe steering only
-	sc      *scratch  // pooled scan memory; nil once released
 	queries []vec.Query
 	flatW   []float64 // len(queries)×qlen member weight rows
+	proj    []float64 // the projection of the tuple being encountered
 
 	rows    Table            // shared: id, mask, coordinates; scores are per member
 	scores  []column[uint64] // scores[m] is member m's score column over rows
 	heaps   [][]float64
 	memDone []bool
 
-	results [][]Scored // memoized Result(i)
-	done    bool
+	results  [][]Scored // memoized Result(i)
+	done     bool
+	released bool
 }
 
 // NewMulti prepares a fused run. All queries must share the identical
@@ -73,20 +74,16 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 		}
 		flatW = append(flatW, q.Weights...)
 	}
-	sc := getScratch(ix.NumTuples(), qlen)
-	if cap(sc.scores) < len(queries) {
-		sc.scores = append(sc.scores[:cap(sc.scores)], make([]column[uint64], len(queries)-cap(sc.scores))...)
-	}
 	m := &Multi{
 		// Steering weights: probing the list maximizing wmax_j·t_j
 		// drains every member's threshold fastest; the scan's q is
 		// never used for scoring or projection beyond its Dims.
-		scan:    newScanState(ix, vec.Query{Dims: base.Dims, Weights: wmax}, k, policy, sc),
-		sc:      sc,
+		scan:    newScanState(ix, vec.Query{Dims: base.Dims, Weights: wmax}, k, policy),
 		queries: queries,
 		flatW:   flatW,
-		rows:    sc.rows,
-		scores:  sc.scores[:len(queries)],
+		proj:    make([]float64, qlen),
+		rows:    newTable(qlen),
+		scores:  make([]column[uint64], len(queries)),
 		heaps:   make([][]float64, len(queries)),
 		memDone: make([]bool, len(queries)),
 	}
@@ -94,24 +91,21 @@ func NewMulti(ix lists.Index, queries []vec.Query, k int, policy ProbePolicy) *M
 	return m
 }
 
-// Release returns the shared scan's pages and scratch to their pools.
-// The Multi is dead afterwards; member results are copies and survive.
-// Releasing twice is a no-op.
+// Release hands the shared scan's encountered set and pages back to the
+// arena. The Multi is dead afterwards; member results are copies and
+// survive. Releasing twice is a no-op.
 func (m *Multi) Release() {
-	if m.sc == nil {
+	if m.released {
 		return
 	}
 	runtime.SetFinalizer(m, nil)
-	sc := m.sc
 	m.rows.release()
 	for i := range m.scores {
 		m.scores[i].release()
 	}
-	sc.rows = m.rows
-	m.sc, m.rows, m.scores, m.results = nil, Table{}, nil, nil
-	m.scan.cursors, m.scan.last, m.scan.consumed, m.scan.seen = nil, nil, nil, nil
-	m.done = false
-	putScratch(sc)
+	m.scan = m.scan.release()
+	m.rows, m.scores, m.results = Table{}, nil, nil
+	m.done, m.released = false, true
 }
 
 // termCheckStride is how often (in sorted accesses) the fused scan runs
@@ -128,7 +122,7 @@ func (m *Multi) RunContext(ctx context.Context) error {
 	if m.done {
 		return m.scan.Err()
 	}
-	if m.sc == nil {
+	if m.released {
 		panic("topk: RunContext after Release")
 	}
 	nq := len(m.queries)
@@ -157,7 +151,7 @@ func (m *Multi) RunContext(ctx context.Context) error {
 		// the scores fan out, through vec.DotBatch. Each row is
 		// bit-identical to the member's solo vec.Dot (every output has
 		// its own accumulator).
-		proj := m.sc.proj
+		proj := m.proj
 		if m.scan.err = m.scan.ix.Project(p.ID, m.scan.q.Dims, proj); m.scan.err != nil {
 			break
 		}
@@ -251,7 +245,7 @@ func (m *Multi) Result(i int) []Scored {
 }
 
 func (m *Multi) mustBeDone(op string) {
-	if m.sc == nil {
+	if m.released {
 		panic("topk: " + op + " after Release")
 	}
 	if !m.done {

@@ -89,7 +89,7 @@ func (n *NRA) Run() {
 				n.entries[p.ID] = e
 			}
 			e.mask |= 1 << uint(i)
-			e.lower += n.weights[i] * p.Val
+			e.lower += float64(n.weights[i] * p.Val)
 		}
 		if n.tryFinish(!progressed) {
 			return
@@ -119,7 +119,7 @@ func (n *NRA) upper(e *nraEntry, t []float64) float64 {
 	u := e.lower
 	for i := range n.cursors {
 		if e.mask&(1<<uint(i)) == 0 {
-			u += n.weights[i] * t[i]
+			u += float64(n.weights[i] * t[i])
 		}
 	}
 	return u
@@ -139,7 +139,7 @@ func (n *NRA) tryFinish(exhausted bool) bool {
 	kth := top[n.k-1].lower
 	unseen := 0.0
 	for i, w := range n.weights {
-		unseen += w * t[i]
+		unseen += float64(w * t[i])
 	}
 	if !exhausted && unseen > kth {
 		return false

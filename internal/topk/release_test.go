@@ -12,10 +12,10 @@ import (
 	"repro/internal/vec"
 )
 
-// TestMain runs the whole package with scratch poisoning on: every
-// released scratch is overwritten with NaN/-1, so a test that reads a
-// released run's memory — or a run that trusts stale scratch contents —
-// fails instead of passing by luck.
+// TestMain runs the whole package with scratch poisoning on: every span
+// handed back to the arena is overwritten with NaN/-1, so a test that
+// reads a released run's memory — or a run that trusts what a span held
+// before — fails instead of passing by luck.
 func TestMain(m *testing.M) {
 	PoisonScratch(true)
 	os.Exit(m.Run())
@@ -34,7 +34,8 @@ func assertClean(t *testing.T, what string, s []Scored, q vec.Query) {
 }
 
 // TestCompactSurvivesRelease: a compacted result is independent of the
-// run's scratch, which the next run of a different shape reuses.
+// run's memory, which the arena hands to the next run of a different
+// shape.
 func TestCompactSurvivesRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
@@ -50,8 +51,8 @@ func TestCompactSurvivesRelease(t *testing.T) {
 		ta.Release()
 		ta.Release() // idempotent
 
-		// Another run takes the pooled scratch (or a fresh one) and
-		// scribbles over it.
+		// Another run takes the released spans (or fresh ones) and
+		// scribbles over them.
 		other := fixture.RandCase(rng, 50+rng.Intn(300), 8, 2+rng.Intn(5), 3)
 		tb := New(lists.NewMemIndex(other.Tuples, other.M), other.Q, other.K, RoundRobin)
 		mustRun(t, tb)

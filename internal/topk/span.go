@@ -7,10 +7,12 @@ import (
 )
 
 // A span is what the page arena hands out: pointer-free memory in which
-// a scan and the region computation over it hold their per-candidate
-// state — the candidate table's pages, the rank order, core's memo and
-// candidate-set columns — instead of the Go heap, where GOGC would count
-// it twice and a pooled owner would keep the deepest query's size.
+// a scan and the region computation over it hold their per-query state
+// — the encountered set, the candidate table's pages, the rank order and
+// the radix keys that produce it, core's memo and candidate-set columns
+// — instead of the Go heap, where GOGC would count it twice. A query
+// takes its spans when it needs them and hands them back when done: the
+// arena is the one place scan memory comes from and goes back to.
 //
 // A span of up to pageBytes is a page. Pages are all alike: a released
 // one goes on the arena's free list, where the next scan takes it, and
@@ -35,7 +37,7 @@ func spanBytes(n int) int {
 // Elem is what a span may hold: pointer-free, so no collector ever needs
 // to see the memory.
 type Elem interface {
-	~int32 | ~uint64 | ~float64
+	~int32 | ~uint32 | ~uint64 | ~float64
 }
 
 // GrowSpan returns s with length n, its first len(s) elements kept, so
@@ -81,17 +83,17 @@ func ReleaseSpan[T Elem](s []T) {
 	}
 	p := unsafe.Pointer(unsafe.SliceData(s))
 	if poisonScratch.Load() {
-		b := unsafe.Slice((*byte)(p), n)
-		for i := range b {
-			b[i] = 0xff // -1 and NaN
+		w := unsafe.Slice((*uint64)(p), n/8) // a span is whole 4 KiB units
+		for i := range w {
+			w[i] = ^uint64(0) // -1 and NaN
 		}
 	}
-	if n == pageBytes {
-		putPage((*page)(p))
-		return
-	}
 	hold(-n)
-	freeBuffer(p, n)
+	if n == pageBytes {
+		freePage(p)
+	} else {
+		freeBuffer(p, n)
+	}
 }
 
 func getPage() *page {
@@ -99,10 +101,15 @@ func getPage() *page {
 	return (*page)(allocPage())
 }
 
-func putPage(pg *page) {
-	hold(-pageBytes)
-	freePage(unsafe.Pointer(pg))
-}
+var poisonScratch atomic.Bool
+
+// PoisonScratch makes every span handed back to the arena — table pages
+// included — get overwritten with all ones first (NaN, -1), so a value
+// that still aliases released scan memory turns into garbage the
+// bit-identity suites catch. Tests of this package and of the layers
+// above it (core, engine, shard) switch it on from TestMain; nothing else
+// calls it.
+func PoisonScratch(on bool) { poisonScratch.Store(on) }
 
 // held is the bytes of spans handed out and not yet released; heldPeak
 // is its high-water mark since HeldBytes last read it.

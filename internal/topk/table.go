@@ -13,8 +13,8 @@ import (
 // column, 16384 of a 4-byte one and so on. Pages are pointer-free, all
 // alike and never resized, so an idle one serves any column of any
 // later scan — or goes back to the system at no cost to anyone: nothing
-// is ever copied out of a page to make room. getPage and putPage take
-// and return them (see span.go).
+// is ever copied out of a page to make room. getPage takes them and
+// ReleaseSpan hands them back (see span.go).
 const (
 	pageRows  = 1 << 13 // 8-byte rows per page
 	pageBytes = 8 * pageRows
@@ -53,20 +53,12 @@ func (c *column[T]) put(p int32, v T) {
 	*c.cell(p) = v
 }
 
-// release hands the column's pages back and empties it,
-// keeping the directory's capacity for the next scan.
+// release hands the column's pages back and empties it.
 func (c *column[T]) release() {
-	poison := poisonScratch.Load()
 	for _, pg := range c.pages {
-		if poison {
-			for i := range pg {
-				pg[i] = ^uint64(0) // id -1, NaN score and coordinate, full mask
-			}
-		}
-		putPage(pg)
+		ReleaseSpan(pg[:])
 	}
-	clear(c.pages)
-	c.pages = c.pages[:0]
+	c.pages = nil
 }
 
 // maskColumn holds the partition masks in the fewest bytes that hold a
@@ -136,14 +128,9 @@ type Table struct {
 	coord []column[uint64] // one per query dimension
 }
 
-// reset empties the table for a scan of qlen query dimensions.
-func (t *Table) reset(qlen int) {
-	t.n = 0
-	t.mask.shift = maskShift(qlen)
-	if cap(t.coord) < qlen {
-		t.coord = append(t.coord[:cap(t.coord)], make([]column[uint64], qlen-cap(t.coord))...)
-	}
-	t.coord = t.coord[:qlen]
+// newTable returns an empty table for a scan of qlen query dimensions.
+func newTable(qlen int) Table {
+	return Table{mask: maskColumn{shift: maskShift(qlen)}, coord: make([]column[uint64], qlen)}
 }
 
 // add appends a row without a score and returns its position; the caller
@@ -164,9 +151,8 @@ func (t *Table) release() {
 	t.id.release()
 	t.score.release()
 	t.mask.release()
-	coord := t.coord[:cap(t.coord)]
-	for j := range coord {
-		coord[j].release()
+	for j := range t.coord {
+		t.coord[j].release()
 	}
 	t.n = 0
 }
@@ -203,32 +189,30 @@ func (t *Table) before(a, b int32) bool {
 const rankCutover = 128
 
 // rankRun is the most positions one radix sort ranks at once; longer
-// lists are ranked in runs and the runs merged, so the radix keys take
-// 8 B × rankRun whatever the length ranked.
+// lists are ranked in runs and the runs merged, so the radix keys of a
+// run and the kernel's second key buffer, 2 × rankRun uint32, take one
+// page whatever the length ranked.
 const rankRun = pageRows
-
-// ranker holds the radix keys of one run and the kernel's second key
-// buffer. A TA's lives in its pooled scratch.
-type ranker struct {
-	keys, keyBuf [rankRun]uint32
-}
 
 // sortRanked sorts positions into rank order and returns buf, grown to
 // len(pos) from a span if it was shorter, for the caller to reuse and
 // hand back (buf is nil or a span, see GrowSpan). From rankCutover on
 // it ranks runs of rankRun positions by radix (radixRun, with buf as the
-// kernel's second position buffer) and merges the runs through buf;
-// below it, it compares.
-func (t *Table) sortRanked(pos, buf []int32, rk *ranker) []int32 {
+// kernel's second position buffer and the radix keys in a page held for
+// the length of the sort) and merges the runs through buf; below it, it
+// compares.
+func (t *Table) sortRanked(pos, buf []int32) []int32 {
 	if len(pos) < rankCutover {
 		t.compareRanked(pos)
 		return buf
 	}
 	buf = GrowSpan(buf[:0], len(pos))
+	keys := GrowSpan([]uint32(nil), 2*rankRun)
 	for lo := 0; lo < len(pos); lo += rankRun {
 		hi := min(lo+rankRun, len(pos))
-		t.radixRun(pos[lo:hi], buf[lo:hi], rk)
+		t.radixRun(pos[lo:hi], buf[lo:hi], keys)
 	}
+	ReleaseSpan(keys)
 	src, dst := pos, buf
 	for w := rankRun; w < len(pos); w *= 2 {
 		for lo := 0; lo < len(pos); lo += 2 * w {
@@ -250,9 +234,9 @@ func (t *Table) sortRanked(pos, buf []int32, rk *ranker) []int32 {
 // radixRun ranks one run of at most rankRun positions the way the bulk
 // load ranks its lists: the radix kernel (lists.RadixSort) orders them by
 // the top 32 bits of their score's key, and the rare runs of rows that
-// agree on those are then ranked by comparison.
-func (t *Table) radixRun(pos, posBuf []int32, rk *ranker) {
-	keys := rk.keys[:len(pos)]
+// agree on those are then ranked by comparison. keys holds 2 × rankRun.
+func (t *Table) radixRun(pos, posBuf []int32, keys []uint32) {
+	keys, keyBuf := keys[:len(pos)], keys[rankRun:rankRun+len(pos)]
 	for i, p := range pos {
 		s := t.Score(p)
 		if s == 0 {
@@ -260,7 +244,7 @@ func (t *Table) radixRun(pos, posBuf []int32, rk *ranker) {
 		}
 		keys[i] = uint32(lists.SortKey(s) >> 32)
 	}
-	lists.RadixSort(keys, pos, rk.keyBuf[:len(pos)], posBuf)
+	lists.RadixSort(keys, pos, keyBuf, posBuf)
 	for lo := 0; lo < len(keys); {
 		hi := lo + 1
 		for hi < len(keys) && keys[hi] == keys[lo] {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/lists"
 	"repro/internal/vec"
@@ -48,8 +47,8 @@ func exhaust(v interface{ Resume() (int32, bool) }) {
 // slices grown by append allocate about five times the final size on the
 // way there.) The bound covers everything the run allocates besides: the
 // rank order, the bitset, cursors, the result. Where the arena lives
-// outside the heap, the heap holds nothing per row: the rank order is
-// arena bytes too.
+// outside the heap, the heap holds nothing per row or per tuple: the
+// rank order, the encountered set and the radix keys are arena bytes too.
 func TestScanAllocatesLinearly(t *testing.T) {
 	const n, qlen, k = 50_000, 4, 10
 	tuples, q := denseCase(rand.New(rand.NewSource(31)), n, qlen, 1<<20)
@@ -78,9 +77,9 @@ func TestScanAllocatesLinearly(t *testing.T) {
 	if got := heap + uint64(drawn); got > bound {
 		t.Fatalf("scan of %d rows × %d B allocated %d B, bound %d", n, rowBytes, got, bound)
 	}
-	// The radix buffers, the bitset (n/8 B), the cursors and the result
-	// are all the heap keeps; one byte per row would exceed this.
-	if drawn > 0 && heap > uint64(unsafe.Sizeof(ranker{}))+n/8+32<<10 {
+	// The cursors, the per-list bookkeeping and the result are all the
+	// heap keeps; one byte per row would exceed this.
+	if drawn > 0 && heap > 32<<10 {
 		t.Fatalf("scan of %d rows allocated %d heap bytes besides its %d B of arena memory", n, heap, drawn)
 	}
 }
@@ -181,8 +180,7 @@ func TestRankingMergesTails(t *testing.T) {
 // as the list.
 func TestRadixRankIsCompareRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	var tab Table
-	tab.reset(1)
+	tab := newTable(1)
 	const rows = 3*pageRows + 500
 	for _, id := range rng.Perm(rows) {
 		score := float64(rng.Intn(40)) / 8
@@ -198,7 +196,6 @@ func TestRadixRankIsCompareRank(t *testing.T) {
 	sizes := []int{rankCutover - 1, rankCutover, rankCutover + 1, 1000,
 		rankRun - 1, rankRun, rankRun + 1, 2*rankRun + 7, 3 * rankRun, rows - 1}
 	var buf []int32
-	rk := new(ranker)
 	for trial, size := range sizes {
 		from := rng.Intn(rows - size + 1)
 		pos := make([]int32, size)
@@ -208,7 +205,7 @@ func TestRadixRankIsCompareRank(t *testing.T) {
 		rng.Shuffle(size, func(i, j int) { pos[i], pos[j] = pos[j], pos[i] })
 		want := slices.Clone(pos)
 		tab.compareRanked(want)
-		buf = tab.sortRanked(pos, buf, rk)
+		buf = tab.sortRanked(pos, buf)
 		if !slices.Equal(pos, want) {
 			t.Fatalf("trial %d: radix ranking of rows [%d,%d) differs from the comparator's", trial, from, from+size)
 		}

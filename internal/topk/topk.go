@@ -9,7 +9,7 @@
 // state is resumable — Phase 3 of Scan/CPT continues the very same scan.
 //
 // Every encountered tuple lives in the run's candidate table (Table): a
-// row appended once into pooled pages and addressed by its position from
+// row appended once into arena pages and addressed by its position from
 // then on. Ranking and region computation work on positions; a []Scored
 // is built only where rows leave the scan.
 //
@@ -125,7 +125,8 @@ type scanState struct {
 const ctxCheckStride = 256
 
 // bitset is a fixed-size bit array over tuple ids. One bit per tuple
-// keeps the per-query footprint at n/8 bytes, which matters at large n.
+// keeps the per-query footprint at n/8 bytes, which matters at large n;
+// a scan takes it from the arena as a span.
 type bitset []uint64
 
 func (b bitset) test(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -166,7 +167,7 @@ func (s *scanState) ThresholdScore() float64 {
 	sum := 0.0
 	for i, c := range s.cursors {
 		if p, ok := c.Peek(); ok {
-			sum += s.q.Weights[i] * p.Val
+			sum += float64(s.q.Weights[i] * p.Val)
 		}
 	}
 	return sum
@@ -261,27 +262,25 @@ func (s *scanState) WasSortedAccessed(i int, id int, val float64) bool {
 }
 
 // TA is a resumable threshold-algorithm run: a scan together with the
-// rows it has encountered and their rank order. Its scan state and
-// table directories live in a pooled scratch, its rows in table pages
-// and its rank order in a span: Release recycles all three. A TA that is
-// never released is released by a finalizer once the collector finds it
-// unreachable — pages and spans are not heap objects, so nothing else
-// would take them back.
+// rows it has encountered and their rank order. Its encountered set and
+// rank order are spans and its rows table pages: Release hands all three
+// back to the arena. A TA that is never released is released by a
+// finalizer once the collector finds it unreachable — pages and spans
+// are not heap objects, so nothing else would take them back.
 type TA struct {
 	scanState
-	sc   *scratch // nil once released
 	rows Table
 
 	// order ranks rows [0, len(order)): order[:cut] is R(q), frozen when
 	// the scan terminated, order[cut:] is C(q). Rows past len(order) —
 	// Resume's pulls — are ranked and merged in by the next Ranking call.
 	// It is a span.
-	order  []int32
-	cut    int
-	result []Scored // order[:cut], materialized once
-	done   bool
+	order    []int32
+	cut      int
+	result   []Scored // order[:cut], materialized once
+	done     bool
+	released bool
 
-	rank      *ranker   // radix buffers
 	proj      []float64 // the projection of the tuple being encountered
 	topScores []float64 // min-heap of the k best scores seen so far
 
@@ -290,7 +289,7 @@ type TA struct {
 
 // must panics unless the scan has terminated and still holds its rows.
 func (ta *TA) must(op string) {
-	if ta.sc == nil {
+	if ta.released {
 		panic("topk: " + op + " after Release")
 	}
 	if !ta.done {
@@ -334,7 +333,7 @@ func (ta *TA) finish() {
 	for p := range ta.order {
 		ta.order[p] = int32(p)
 	}
-	ReleaseSpan(ta.rows.sortRanked(ta.order, nil, ta.rank))
+	ReleaseSpan(ta.rows.sortRanked(ta.order, nil))
 	ta.cut = min(ta.k, n)
 	ta.result = ta.rows.Rows(ta.order[:ta.cut])
 	ta.done = true
@@ -367,7 +366,7 @@ func (ta *TA) Ranking() (order []int32, cut int) {
 		for p := old; p < n; p++ {
 			ta.order[p] = int32(p)
 		}
-		tail := ta.rows.sortRanked(ta.order[old:], nil, ta.rank)
+		tail := ta.rows.sortRanked(ta.order[old:], nil)
 		tail = GrowSpan(tail[:0], n-old)
 		copy(tail, ta.order[old:])
 		i, w := old-1, n-1
@@ -429,7 +428,7 @@ func (ta *TA) emitTrace(qpos, tuple int, score float64) {
 		for p := range ranked {
 			ranked[p] = int32(p)
 		}
-		ReleaseSpan(ta.rows.sortRanked(ranked, nil, ta.rank))
+		ReleaseSpan(ta.rows.sortRanked(ranked, nil))
 		for i, p := range ranked {
 			if i < ta.k {
 				ts.ResultIDs = append(ts.ResultIDs, ta.rows.ID(p))
@@ -450,59 +449,62 @@ func New(ix lists.Index, q vec.Query, k int, policy ProbePolicy) *TA {
 	if k < 1 {
 		panic(fmt.Sprintf("topk: k=%d", k))
 	}
-	sc := getScratch(ix.NumTuples(), q.Len())
-	if sc.rank == nil {
-		sc.rank = new(ranker)
-	}
 	ta := &TA{
-		scanState: newScanState(ix, q, k, policy, sc),
-		sc:        sc,
-		rows:      sc.rows,
-		rank:      sc.rank,
-		proj:      sc.proj,
-		topScores: sc.heap,
+		scanState: newScanState(ix, q, k, policy),
+		rows:      newTable(q.Len()),
+		proj:      make([]float64, q.Len()),
+		topScores: make([]float64, 0, min(k, ix.NumTuples())), // never more than the rows
 	}
 	runtime.SetFinalizer(ta, (*TA).Release)
 	return ta
 }
 
-// newScanState opens the query's cursors over the scratch's per-list
-// bookkeeping — the start position shared by New and NewMulti.
-func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy, sc *scratch) scanState {
+// newScanState opens the query's cursors and takes its encountered set
+// from the arena — the start position shared by New and NewMulti.
+func newScanState(ix lists.Index, q vec.Query, k int, policy ProbePolicy) scanState {
+	n, qlen := ix.NumTuples(), q.Len()
 	s := scanState{
 		ix:       ix,
 		q:        q,
 		k:        k,
 		policy:   policy,
-		cursors:  sc.cursors,
-		last:     sc.last,
-		consumed: sc.consumed,
-		seen:     sc.seen,
-		n:        ix.NumTuples(),
+		cursors:  make([]lists.Cursor, qlen),
+		last:     make([]storage.Posting, qlen),
+		consumed: make([]int, qlen),
+		seen:     GrowSpan(bitset(nil), (n+63)/64),
+		n:        n,
 	}
+	clear(s.seen) // a span may hold anything
 	for i, dim := range q.Dims {
 		s.cursors[i] = ix.Cursor(dim)
 	}
 	return s
 }
 
-// Release returns the run's pages, span and scratch to their pools. The
-// table, its rank order and the TA itself are dead afterwards; what was
-// materialized (Result, Candidates, Rows) is a copy and survives.
-// Releasing twice is a no-op.
+// release releases the cursors (their page buffers go back to theirs)
+// and hands the encountered set back to the arena. It returns what the
+// scan counted: all of it that stays readable.
+func (s *scanState) release() scanState {
+	done := scanState{sortedAccesses: s.sortedAccesses, err: s.Err()}
+	for _, c := range s.cursors {
+		c.Release()
+	}
+	ReleaseSpan(s.seen)
+	return done
+}
+
+// Release hands the run's encountered set, pages and rank order back to
+// the arena. The table, its rank order and the TA itself are dead
+// afterwards; what was materialized (Result, Candidates, Rows) is a copy
+// and survives. Releasing twice is a no-op.
 func (ta *TA) Release() {
-	if ta.sc == nil {
+	if ta.released {
 		return
 	}
 	runtime.SetFinalizer(ta, nil)
-	sc := ta.sc
 	ta.rows.release()
 	ReleaseSpan(ta.order)
-	// The directories and the heap may have been regrown; keep the larger arrays.
-	sc.rows, sc.heap = ta.rows, ta.topScores
-	// What the run counted stays readable; what it held does not.
-	*ta = TA{scanState: scanState{sortedAccesses: ta.sortedAccesses, err: ta.Err()}}
-	putScratch(sc)
+	*ta = TA{scanState: ta.scanState.release(), released: true}
 }
 
 // step performs one sorted access and, if it encounters a new tuple, the
@@ -587,7 +589,7 @@ func (ta *TA) RunContext(ctx context.Context) error {
 	if ta.done {
 		return ta.Err()
 	}
-	if ta.sc == nil {
+	if ta.released {
 		panic("topk: RunContext after Release")
 	}
 	for {
@@ -654,4 +656,27 @@ func TopKNaive(tuples []vec.Sparse, q vec.Query, k int) []Scored {
 		k = len(all)
 	}
 	return all[:k]
+}
+
+// Compact returns a deep copy of s whose projections share one
+// len(s)×qlen backing array: two allocations regardless of len(s), and no
+// reference into whatever produced s. It is how a Scored list is handed
+// to a holder that must own it.
+func Compact(s []Scored) []Scored {
+	if s == nil {
+		return nil
+	}
+	total := 0
+	for i := range s {
+		total += len(s[i].Proj)
+	}
+	out := make([]Scored, len(s))
+	backing := make([]float64, total)
+	for i, sc := range s {
+		n := copy(backing, sc.Proj)
+		sc.Proj = backing[:n:n]
+		backing = backing[n:]
+		out[i] = sc
+	}
+	return out
 }

@@ -214,7 +214,7 @@ func (q Query) Score(d Sparse) float64 {
 	for i < len(q.Dims) && j < len(d) {
 		switch {
 		case q.Dims[i] == d[j].Dim:
-			s += q.Weights[i] * d[j].Val
+			s += float64(q.Weights[i] * d[j].Val)
 			i++
 			j++
 		case q.Dims[i] < d[j].Dim:
@@ -267,7 +267,7 @@ func Dot(a, b []float64) float64 {
 	}
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
@@ -286,7 +286,7 @@ func DotBatch(flatW, x, out []float64) {
 		row := flatW[m*q : (m+1)*q]
 		s := 0.0
 		for j := range row {
-			s += row[j] * x[j]
+			s += float64(row[j] * x[j])
 		}
 		out[m] = s
 	}
