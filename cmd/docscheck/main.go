@@ -83,6 +83,10 @@ var (
 	// name it.
 	magicDefRe = regexp.MustCompile(`\[8\]byte\{([^}]*)\}`)
 	magicRe    = regexp.MustCompile(`\b(IR[A-Z]{3})([0-9]{3})\b`)
+	// protoDefRe captures the replication protocol version the source
+	// declares; protoDocRe the version a doc names in a hello.
+	protoDefRe = regexp.MustCompile(`const ProtoVersion = ([0-9]+)`)
+	protoDocRe = regexp.MustCompile(`\bproto = ([0-9]+)`)
 	// testOnlyDocRe captures a row of the static-analysis doc's table of
 	// declarations only tests reach (first cell, backticked): dir.Name or
 	// dir.Type.Method, dir being the package's path under internal/.
@@ -202,10 +206,15 @@ func eachSource(root string, fn func(raw []byte)) error {
 // checkFormatVersions holds the format versions the docs name to the
 // file magics declared in internal/: a version newer than the source's
 // is drift, and so is a doc that names versions of a magic but not the
-// current one.
+// current one. A `proto = N` must name the replication protocol the
+// source declares, exactly.
 func checkFormatVersions(root string) ([]string, error) {
 	current := map[string]string{} // IRTUP → 003
+	proto := ""
 	err := eachSource(root, func(raw []byte) {
+		if m := protoDefRe.FindSubmatch(raw); m != nil {
+			proto = string(m[1])
+		}
 		for _, m := range magicDefRe.FindAllStringSubmatch(string(raw), -1) {
 			var magic strings.Builder
 			for _, b := range strings.Split(m[1], ",") {
@@ -233,6 +242,11 @@ func checkFormatVersions(root string) ([]string, error) {
 		}
 		named, namedCurrent := map[string]bool{}, map[string]bool{}
 		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range protoDocRe.FindAllStringSubmatch(line, -1) {
+				if proto != "" && m[1] != proto {
+					problems = append(problems, fmt.Sprintf("%s:%d: %s, but the source's replication.ProtoVersion is %s", doc, i+1, m[0], proto))
+				}
+			}
 			for _, m := range magicRe.FindAllStringSubmatch(line, -1) {
 				kind, version := m[1], m[2]
 				cur, ok := current[kind]

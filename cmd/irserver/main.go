@@ -269,10 +269,6 @@ func main() {
 			if err != nil {
 				log.Fatalf("irserver: %v", err)
 			}
-			eng.SetReplicationSink(prim)
-			if ackMode == replication.AckQuorum {
-				eng.SetCommitGate(prim.Gate)
-			}
 			ln, err := net.Listen("tcp", *replListen)
 			if err != nil {
 				log.Fatalf("irserver: replication listen: %v", err)

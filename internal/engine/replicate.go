@@ -9,12 +9,12 @@
 //     event order a shipper sees IS the log order. A commit gate, when
 //     set, lets the shipper block Apply until followers have
 //     acknowledged the batch (quorum ack mode).
-//   - On a standby, ApplyReplicated replays a received frame through
-//     the same WAL-append + overlay-mutation + region-certified
-//     cache-invalidation path live Apply uses, asserting sequence
-//     contiguity, so the standby's log and served state are
-//     bit-identical to the primary's at every acknowledged sequence
-//     number.
+//   - On a standby, ApplyReplicated appends a received frame verbatim
+//     to its own WAL and replays it through the same overlay-mutation
+//     and region-certified cache-invalidation path live Apply uses,
+//     asserting sequence contiguity, so the standby's log and served
+//     state are bit-identical to the primary's at every acknowledged
+//     sequence number.
 //
 // Lock ordering: the engine's mu is always taken BEFORE any replication
 // lock (sink callbacks run under mu; the shipper must not call back
@@ -88,52 +88,50 @@ func (e *Engine) LastSeq() uint64 {
 	return e.dur.log.LastSeq()
 }
 
-// ApplyReplicated applies one batch received from a replication stream
-// to a standby engine: the batch is appended to the standby's own WAL
-// (fsynced per the engine's sync policy — quorum followers use
-// fsync-per-batch, so a sent ack means the frame is on stable storage)
-// and then applied through the identical overlay-mutation and
-// region-certified cache-invalidation path live Apply uses. Per-op
-// failures are skipped exactly as recovery replay skips them (the
-// mutation code is deterministic, so they failed identically on the
-// primary), which is what makes the standby's state bit-identical to
-// the primary's at seq.
+// ApplyReplicated applies one frame received from a replication stream
+// to a standby engine and returns its sequence number. The frame is
+// decoded once (wal.DecodeRecord checks its length, CRC and op kinds)
+// and appended verbatim to the standby's own WAL (fsynced per the
+// engine's sync policy — quorum followers use fsync-per-batch, so a
+// sent ack means the frame is on stable storage), then applied through
+// the identical overlay-mutation and region-certified
+// cache-invalidation path live Apply uses. Per-op failures are skipped
+// exactly as recovery replay skips them (the mutation code is
+// deterministic, so they failed identically on the primary), which is
+// what makes the standby's state bit-identical to the primary's at seq.
 //
-// The stream's sequence discipline is enforced: seq must be exactly the
-// engine's next sequence number. A smaller seq is a duplicate delivery
-// (a reconnect race) and is skipped without error; a larger one is a
-// gap and is refused — the follower must resync. Unlike Apply,
-// ApplyReplicated never triggers checkpoint compaction (standbys
-// compact in lockstep with the primary's checkpoint events) and never
-// feeds a replication sink (no cascading replication).
-func (e *Engine) ApplyReplicated(seq uint64, wops []wal.Op) (ApplyResult, error) {
+// The stream's sequence discipline is enforced: the frame must carry
+// exactly the engine's next sequence number. A smaller seq is a
+// duplicate delivery (a reconnect race) and is skipped without error; a
+// larger one is a gap, which the log refuses — the follower must
+// resync. Unlike Apply, ApplyReplicated never triggers checkpoint
+// compaction (standbys compact in lockstep with the primary's
+// checkpoint events) and never feeds a replication sink (no cascading
+// replication).
+func (e *Engine) ApplyReplicated(frame []byte) (uint64, ApplyResult, error) {
 	if e.dur == nil {
-		return ApplyResult{}, fmt.Errorf("engine: ApplyReplicated requires a durable engine (OpenDir with Config.WAL)")
+		return 0, ApplyResult{}, fmt.Errorf("engine: ApplyReplicated requires a durable engine (OpenDir with Config.WAL)")
 	}
 	if e.mut == nil {
-		return ApplyResult{}, fmt.Errorf("engine: %w", ErrImmutable)
+		return 0, ApplyResult{}, fmt.Errorf("engine: %w", ErrImmutable)
+	}
+	seq, wops, err := wal.DecodeRecord(frame)
+	if err != nil {
+		return 0, ApplyResult{}, fmt.Errorf("engine: replicated frame: %w", err)
 	}
 	if len(wops) == 0 {
-		return ApplyResult{}, fmt.Errorf("engine: empty replicated batch: %w", ErrInvalid)
+		return seq, ApplyResult{}, fmt.Errorf("engine: empty replicated batch: %w", ErrInvalid)
 	}
 	ops := engineOps(wops)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	next := e.dur.log.NextSeq()
-	if seq < next {
-		return ApplyResult{}, nil // duplicate delivery: already committed here
+	if seq < e.dur.log.NextSeq() {
+		return seq, ApplyResult{}, nil // duplicate delivery: already committed here
 	}
-	if seq > next {
-		return ApplyResult{}, fmt.Errorf("engine: replicated seq %d leaves a gap (next expected %d)", seq, next)
+	if err := e.dur.log.AppendEncoded(frame); err != nil {
+		return seq, ApplyResult{}, fmt.Errorf("engine: wal append: %w", err)
 	}
-	got, err := e.dur.log.Append(wops)
-	if err != nil {
-		return ApplyResult{}, fmt.Errorf("engine: wal append: %w", err)
-	}
-	if got != seq {
-		return ApplyResult{}, fmt.Errorf("engine: wal assigned seq %d to a frame shipped as %d", got, seq)
-	}
-	return e.runOpsLocked(ops), nil
+	return seq, e.runOpsLocked(ops), nil
 }
 
 // OpenSnapshotFiles opens the live generation's tuple and list files

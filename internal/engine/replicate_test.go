@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -62,8 +63,8 @@ func TestCommitSinkStream(t *testing.T) {
 }
 
 // TestApplyReplicatedSequenceDiscipline: a standby accepts exactly the
-// next sequence number, skips duplicates without effect, and refuses
-// gaps.
+// next sequence number, skips duplicates without effect, refuses gaps
+// and corrupt frames, and logs the frame it accepts byte for byte.
 func TestApplyReplicatedSequenceDiscipline(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
 	dir := t.TempDir()
@@ -72,21 +73,40 @@ func TestApplyReplicatedSequenceDiscipline(t *testing.T) {
 	defer eng.Close()
 
 	ins := []wal.Op{{Kind: wal.OpInsert, Tuple: vec.MustSparse(vec.Entry{Dim: 0, Val: 0.9})}}
-	if _, err := eng.ApplyReplicated(2, ins); err == nil {
+	frame := func(seq uint64) []byte {
+		f, err := wal.EncodeRecord(seq, ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	if _, _, err := eng.ApplyReplicated(frame(2)); err == nil {
 		t.Fatal("gap (seq 2 before 1) accepted")
 	}
-	res, err := eng.ApplyReplicated(1, ins)
-	if err != nil || res.Applied != 1 {
-		t.Fatalf("seq 1: applied=%d err=%v", res.Applied, err)
+	bad := frame(1)
+	bad[len(bad)-1] ^= 0xff
+	if _, _, err := eng.ApplyReplicated(bad); err == nil {
+		t.Fatal("frame with a bad crc accepted")
+	}
+	seq, res, err := eng.ApplyReplicated(frame(1))
+	if err != nil || seq != 1 || res.Applied != 1 {
+		t.Fatalf("seq 1: seq=%d applied=%d err=%v", seq, res.Applied, err)
 	}
 	n := eng.N()
 	// Duplicate delivery: no error, no effect.
-	res, err = eng.ApplyReplicated(1, ins)
+	_, res, err = eng.ApplyReplicated(frame(1))
 	if err != nil || res.Applied != 0 || eng.N() != n {
 		t.Fatalf("duplicate seq 1: applied=%d n=%d (want %d) err=%v", res.Applied, eng.N(), n, err)
 	}
 	if eng.LastSeq() != 1 {
 		t.Fatalf("LastSeq %d after one replicated batch", eng.LastSeq())
+	}
+	var logged [][]byte
+	if _, err := wal.ReplayFrames(filepath.Join(dir, wal.LogName), 0, func(_ uint64, f []byte) error {
+		logged = append(logged, f)
+		return nil
+	}); err != nil || len(logged) != 1 || !bytes.Equal(logged[0], frame(1)) {
+		t.Fatalf("log holds %x (err %v), want the shipped frame %x", logged, err, frame(1))
 	}
 	// Replicated batches survive a reopen like any logged batch.
 	if err := eng.Close(); err != nil {

@@ -279,8 +279,9 @@ func (n *Node) engineConfig() engine.Config {
 	return cfg
 }
 
-// attachPrimary builds a Primary over eng and wires the sink and (in
-// quorum mode) the commit gate. Caller updates role fields.
+// attachPrimary builds a Primary over eng, which wires itself in as
+// the engine's sink and (in quorum mode) commit gate. Caller updates
+// role fields.
 func (n *Node) attachPrimary(eng *engine.Engine) error {
 	prim, err := NewPrimary(eng, n.cfg.Dir, PrimaryConfig{
 		HTTPAddr:          n.cfg.AdvertiseHTTP,
@@ -290,12 +291,6 @@ func (n *Node) attachPrimary(eng *engine.Engine) error {
 	})
 	if err != nil {
 		return err
-	}
-	eng.SetReplicationSink(prim)
-	if n.cfg.AckMode == AckQuorum {
-		eng.SetCommitGate(prim.Gate)
-	} else {
-		eng.SetCommitGate(nil)
 	}
 	n.prim = prim
 	return nil
@@ -606,22 +601,7 @@ func (n *Node) maybePromote(ctx context.Context, views []ClusterInfo) {
 // shipper, flip the role. The epoch is durable before the first write
 // can be accepted.
 func (n *Node) promote(ctx context.Context, newEpoch uint64) error {
-	n.mu.Lock()
-	fol, cancel := n.fol, n.folCancel
-	n.mu.Unlock()
-	var eng *engine.Engine
-	if fol != nil {
-		cancel()
-		<-fol.Done()
-		eng = fol.DetachEngine()
-		n.mu.Lock()
-		n.fol, n.folCancel = nil, nil
-		n.mu.Unlock()
-	} else {
-		n.mu.Lock()
-		eng, n.eng = n.eng, nil
-		n.mu.Unlock()
-	}
+	eng := n.reclaimEngine()
 	if eng == nil {
 		return fmt.Errorf("replication: no open engine to promote (snapshot re-seed in progress)")
 	}
@@ -682,10 +662,6 @@ func (n *Node) demote(ctx context.Context, successor ClusterInfo, haveSuccessor 
 		}
 		prim.Depose(epoch, succHTTP)
 	}
-	if eng != nil {
-		eng.SetReplicationSink(nil)
-		eng.SetCommitGate(nil)
-	}
 	n.demotions.Add(1)
 	mDemotions.Inc()
 	if haveSuccessor {
@@ -698,23 +674,14 @@ func (n *Node) demote(ctx context.Context, successor ClusterInfo, haveSuccessor 
 // reconnect loop is handling any transient).
 func (n *Node) retarget(ctx context.Context, v ClusterInfo) {
 	n.mu.Lock()
-	fol, cancel := n.fol, n.folCancel
+	fol := n.fol
 	if fol != nil && fol.cfg.PrimaryAddr == v.ReplAddr {
 		n.primHTTP = v.HTTPAddr
 		n.mu.Unlock()
 		return
 	}
 	n.mu.Unlock()
-	var eng *engine.Engine
-	if fol != nil {
-		cancel()
-		<-fol.Done()
-		eng = fol.DetachEngine()
-	} else {
-		n.mu.Lock()
-		eng, n.eng = n.eng, nil
-		n.mu.Unlock()
-	}
+	eng := n.reclaimEngine()
 	f := NewFollower(FollowerConfig{
 		Dir:           n.cfg.Dir,
 		PrimaryAddr:   v.ReplAddr,
@@ -735,6 +702,23 @@ func (n *Node) retarget(ctx context.Context, v ClusterInfo) {
 	n.primHTTP = v.HTTPAddr
 	n.mu.Unlock()
 	go f.Run(fctx)
+}
+
+// reclaimEngine takes the node's engine back for a role change. A
+// running follower is stopped (cancel, wait on Done) and its engine
+// detached; with no follower the node's own engine is taken. Nil when
+// the follower was mid-re-seed.
+func (n *Node) reclaimEngine() *engine.Engine {
+	n.mu.Lock()
+	fol, cancel, eng := n.fol, n.folCancel, n.eng
+	n.fol, n.folCancel, n.eng = nil, nil, nil
+	n.mu.Unlock()
+	if fol == nil {
+		return eng
+	}
+	cancel()
+	<-fol.Done()
+	return fol.DetachEngine()
 }
 
 // Promote forces promotion NOW — the POST /promote operator override.

@@ -402,7 +402,7 @@ func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
 	pEng := c.node(prim).Engine()
 	tail := pEng.LastSeq()
 
-	frames := make(map[uint64][]wal.Op)
+	frames := make(map[uint64][]byte)
 	for i := range c.members {
 		if c.node(i) == nil {
 			continue
@@ -411,9 +411,9 @@ func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
 		if _, err := os.Stat(logPath); err != nil {
 			continue
 		}
-		if _, err := wal.Replay(logPath, 0, func(seq uint64, ops []wal.Op) error {
+		if _, err := wal.ReplayFrames(logPath, 0, func(seq uint64, frame []byte) error {
 			if _, ok := frames[seq]; !ok {
-				frames[seq] = ops
+				frames[seq] = frame
 			}
 			return nil
 		}); err != nil {
@@ -429,11 +429,11 @@ func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
 	}
 	defer oracle.Close()
 	for seq := uint64(1); seq <= tail; seq++ {
-		ops, ok := frames[seq]
+		frame, ok := frames[seq]
 		if !ok {
 			t.Fatalf("committed frame %d missing from every surviving log", seq)
 		}
-		if _, err := oracle.ApplyReplicated(seq, ops); err != nil {
+		if _, _, err := oracle.ApplyReplicated(frame); err != nil {
 			t.Fatalf("oracle replay seq %d: %v", seq, err)
 		}
 	}

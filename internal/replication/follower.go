@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"net"
 	"os"
@@ -21,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/storage"
 	"repro/internal/wal"
 )
 
@@ -417,16 +417,13 @@ func (f *Follower) session(ctx context.Context) error {
 		}
 		switch kind {
 		case msgRecord:
-			seq, ops, err := wal.DecodeRecord(payload)
-			if err != nil {
-				return fmt.Errorf("bad frame: %w", err)
-			}
 			eng := f.Engine()
 			if eng == nil {
 				return fmt.Errorf("frame before snapshot completed")
 			}
-			if _, err := eng.ApplyReplicated(seq, ops); err != nil {
-				return fmt.Errorf("apply seq %d: %w", seq, err)
+			seq, _, err := eng.ApplyReplicated(payload)
+			if err != nil {
+				return fmt.Errorf("apply frame: %w", err)
 			}
 			f.lastApplied.Store(seq)
 			f.bytesReceived.Add(int64(len(payload)))
@@ -493,8 +490,10 @@ func (f *Follower) session(ctx context.Context) error {
 // loadSnapshot re-seeds the local directory from a full transfer: the
 // current engine (if any) is closed, the local dataset state wiped, the
 // generation files and base manifest written durably, and a fresh
-// engine opened at the manifest's sequence.
-func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) error {
+// engine opened at the manifest's sequence. A transfer that fails is
+// wiped too: a partial tuples.dat would pass hasDataset, and the next
+// session would try to open it instead of re-seeding.
+func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) (err error) {
 	f.mu.Lock()
 	eng := f.eng
 	f.eng = nil
@@ -507,6 +506,11 @@ func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) error {
 	if err := wipeDataset(f.cfg.Dir); err != nil {
 		return err
 	}
+	defer func() {
+		if err != nil {
+			wipeDataset(f.cfg.Dir)
+		}
+	}()
 
 	received := map[string]bool{}
 	var man wal.Manifest
@@ -548,7 +552,7 @@ func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) error {
 	if err := writeDatasetID(f.cfg.Dir, datasetID); err != nil {
 		return err
 	}
-	eng, err := engine.OpenDir(f.cfg.Dir, 0, f.engineConfig())
+	eng, err = engine.OpenDir(f.cfg.Dir, 0, f.engineConfig())
 	if err != nil {
 		return fmt.Errorf("open snapshot: %w", err)
 	}
@@ -561,17 +565,16 @@ func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) error {
 	return nil
 }
 
-// receiveFile streams one snapshot file to disk, verifying size and the
-// whole-file CRC before the fsync, so a truncated or corrupted transfer
-// is rejected before the manifest is saved and the re-seeded engine
-// swapped in.
+// receiveFile streams one snapshot file to disk and checks it against
+// its own IRCRC001 trailer, so a truncated or corrupted file — in
+// transit or already on the primary's disk — is rejected before the
+// manifest is saved and the re-seeded engine swapped in.
 func (f *Follower) receiveFile(conn net.Conn, fb fileBegin) error {
 	path := filepath.Join(f.cfg.Dir, fb.Name)
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	crc := crc32.NewIEEE()
 	var got int64
 	for got < fb.Size {
 		kind, payload, err := readMsg(conn)
@@ -587,22 +590,20 @@ func (f *Follower) receiveFile(conn net.Conn, fb fileBegin) error {
 			out.Close()
 			return err
 		}
-		crc.Write(payload)
 		got += int64(len(payload))
 	}
 	if got != fb.Size {
 		out.Close()
 		return fmt.Errorf("got %d bytes, want %d", got, fb.Size)
 	}
-	if crc.Sum32() != fb.Crc32 {
-		out.Close()
-		return fmt.Errorf("crc mismatch: got %08x, want %08x (truncated or corrupted transfer)", crc.Sum32(), fb.Crc32)
-	}
 	if err := out.Sync(); err != nil {
 		out.Close()
 		return err
 	}
-	return out.Close()
+	if err := out.Close(); err != nil {
+		return err
+	}
+	return storage.VerifyChecksum(path)
 }
 
 // validSnapshotName confines transferred files to plain dataset file

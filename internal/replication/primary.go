@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -101,10 +100,11 @@ type Primary struct {
 }
 
 // NewPrimary builds the shipper for an already-opened durable engine on
-// dir. It must be created — and attached via eng.SetReplicationSink —
-// after engine.OpenDir and before the engine serves any traffic, so the
-// in-memory history (seeded here from wal.log) stays contiguous with
-// the live commit stream.
+// dir and attaches it as the engine's replication sink — and, in
+// quorum mode, Gate as its commit gate (otherwise the gate is cleared).
+// Build it after engine.OpenDir and before the engine serves any
+// traffic, so the in-memory history (seeded here from wal.log) stays
+// contiguous with the live commit stream. Close detaches both.
 func NewPrimary(eng *engine.Engine, dir string, cfg PrimaryConfig) (*Primary, error) {
 	if !eng.Durable() {
 		return nil, fmt.Errorf("replication: primary requires a durable engine (-wal)")
@@ -138,7 +138,7 @@ func NewPrimary(eng *engine.Engine, dir string, cfg PrimaryConfig) (*Primary, er
 	p.cond = sync.NewCond(&p.mu)
 	// Seed the history with the log's un-checkpointed frames: a
 	// follower resuming anywhere at or past the manifest can stream.
-	res, err := wal.ReplayFrames(filepath.Join(dir, wal.LogName), man.LastSeq, func(seq uint64, frame []byte) error {
+	_, err = wal.ReplayFrames(filepath.Join(dir, wal.LogName), man.LastSeq, func(seq uint64, frame []byte) error {
 		p.events = append(p.events, event{seq: seq, frame: frame})
 		p.bufferedBytes += int64(len(frame))
 		p.tailSeq = seq
@@ -147,7 +147,12 @@ func NewPrimary(eng *engine.Engine, dir string, cfg PrimaryConfig) (*Primary, er
 	if err != nil {
 		return nil, fmt.Errorf("replication: seed from %s: %w", wal.LogName, err)
 	}
-	_ = res
+	eng.SetReplicationSink(p)
+	if cfg.AckMode == AckQuorum {
+		eng.SetCommitGate(p.Gate)
+	} else {
+		eng.SetCommitGate(nil)
+	}
 	return p, nil
 }
 
@@ -301,8 +306,8 @@ func (p *Primary) Serve(ln net.Listener) error {
 	}
 }
 
-// Close stops accepting, severs every session and wakes any quorum
-// waiter (which then fails).
+// Close stops accepting, severs every session, wakes any quorum
+// waiter (which then fails) and detaches the shipper from the engine.
 func (p *Primary) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -316,6 +321,9 @@ func (p *Primary) Close() error {
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	// engine.mu orders before p.mu: detach only once p.mu is released.
+	p.eng.SetReplicationSink(nil)
+	p.eng.SetCommitGate(nil)
 	if ln != nil {
 		return ln.Close()
 	}
@@ -577,8 +585,6 @@ func (p *Primary) handle(conn net.Conn) {
 // sendSnapshot streams the live generation files and their manifest.
 // The file handles are pinned by the engine (see OpenSnapshotFiles), so
 // a checkpoint sweeping the generation mid-transfer cannot corrupt it.
-// Each file header carries a whole-file CRC so the follower can reject
-// a truncated or corrupted transfer before swapping engines.
 func (p *Primary) sendSnapshot(s *session) (wal.Manifest, error) {
 	man, tuples, lists, err := p.eng.OpenSnapshotFiles()
 	if err != nil {
@@ -598,24 +604,17 @@ func (p *Primary) sendSnapshot(s *session) (wal.Manifest, error) {
 	return man, nil
 }
 
-// sendFile ships one snapshot file: one pass over the file computes the
-// CRC announced in the header, a second streams it through a chunk
-// buffer. The file is read, not mapped, so a snapshot leaves nothing of
-// the generation in the primary's resident set.
+// sendFile ships one snapshot file through a chunk buffer, reading it
+// once. The file is read, not mapped, so a snapshot leaves nothing of
+// the generation in the primary's resident set; the follower checks
+// what it received against the file's own trailer.
 func (p *Primary) sendFile(s *session, name string, f *os.File) error {
 	st, err := f.Stat()
 	if err != nil {
 		return err
 	}
 	size := st.Size()
-	crc := crc32.NewIEEE()
-	if _, err := io.Copy(crc, f); err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if err := s.sendJSON(msgFileBegin, fileBegin{Name: name, Size: size, Crc32: crc.Sum32()}); err != nil {
+	if err := s.sendJSON(msgFileBegin, fileBegin{Name: name, Size: size}); err != nil {
 		return err
 	}
 	buf := make([]byte, snapshotChunkBytes)

@@ -11,16 +11,16 @@
 // primary's frames through the identical Engine.ApplyReplicated path
 // live Apply uses, including region-certified cache invalidation, so a
 // standby that has applied sequence number S serves answers
-// bit-identical to the primary at S (the WAL encoding and the mutation
-// code are deterministic; see docs/replication.md for the full
-// argument and the property tests that pin it).
+// bit-identical to the primary at S (its log holds the primary's bytes
+// and the mutation code is deterministic; see docs/replication.md for
+// the full argument and the property tests that pin it).
 //
 // # Invariants
 //
 //   - Frames are shipped verbatim (the exact bytes appended to the
 //     primary's log) in strictly increasing, gap-free sequence order;
-//     the follower verifies each frame's CRC and sequence before
-//     appending it to its own log.
+//     the follower verifies each frame's CRC and sequence and appends
+//     the same bytes to its own log.
 //   - A follower ack for sequence S means the follower has fsynced its
 //     log through S (followers always run fsync-per-batch), so in
 //     quorum ack mode a successful Apply implies the batch is on stable
@@ -60,8 +60,8 @@ import (
 )
 
 // ProtoVersion is the handshake protocol version. A primary refuses
-// hellos carrying any other value.
-const ProtoVersion = 1
+// hellos carrying any other value, and a follower a welcome.
+const ProtoVersion = 2
 
 // DatasetIDName is the file naming a dataset's replication identity
 // inside its data directory. The primary mints it on first use; a
@@ -152,13 +152,11 @@ type deposed struct {
 	HTTPAddr string `json:"http_addr,omitempty"`
 }
 
-// fileBegin announces one snapshot file. Crc32 (IEEE, whole file) lets
-// the receiver detect a truncated or corrupted transfer before the
-// re-seeded engine ever opens the data.
+// fileBegin announces one snapshot file. The file's own IRCRC001
+// trailer is what the receiver checks it by.
 type fileBegin struct {
-	Name  string `json:"name"`
-	Size  int64  `json:"size"`
-	Crc32 uint32 `json:"crc32,omitempty"`
+	Name string `json:"name"`
+	Size int64  `json:"size"`
 }
 
 // tail is the primary's heartbeat, letting followers measure lag even

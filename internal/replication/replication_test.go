@@ -64,10 +64,6 @@ func startPrimary(t testing.TB, dir string, ack AckMode, ackTimeout time.Duratio
 		eng.Close()
 		t.Fatal(err)
 	}
-	eng.SetReplicationSink(prim)
-	if ack == AckQuorum {
-		eng.SetCommitGate(prim.Gate)
-	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +349,8 @@ func TestSnapshotFallback(t *testing.T) {
 // TestCheckpointLockstepFold: a connected follower receives the
 // checkpoint manifest and folds its own overlay in lockstep — its
 // generation advances and its log empties — without disturbing
-// equality.
+// equality. Before the fold and after it, the follower's log holds the
+// primary's frames byte for byte: it appends what it receives verbatim.
 func TestCheckpointLockstepFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pdir, fdir := t.TempDir(), t.TempDir()
@@ -366,6 +363,7 @@ func TestCheckpointLockstepFold(t *testing.T) {
 
 	applyRandom(t, p.eng, rng, 3)
 	waitFor(t, "pre-checkpoint catch-up", caughtUp(p, fh))
+	assertSameLog(t, "streamed", pdir, fdir)
 	if err := p.eng.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +375,7 @@ func TestCheckpointLockstepFold(t *testing.T) {
 	applyRandom(t, p.eng, rng, 2)
 	waitFor(t, "post-checkpoint catch-up", caughtUp(p, fh))
 	assertEnginesEqual(t, p.eng, fh.f.Engine())
+	assertSameLog(t, "after the fold", pdir, fdir)
 }
 
 // TestQuorumAckDurability is the acceptance test of quorum mode: a

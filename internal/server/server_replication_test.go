@@ -67,7 +67,6 @@ func (rp *replPair) startPrimary(t *testing.T, replAddr string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetReplicationSink(prim)
 	ln, err := net.Listen("tcp", replAddr)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,12 +10,12 @@ import (
 	"repro/internal/vec"
 )
 
-// FuzzDecodeRecord feeds arbitrary bytes through the frame decoder the
-// replication follower trusts at the wire. Properties: never panic,
-// never over-allocate on a corrupt count, and — because the encoding
-// is deterministic (followers' logs must end up byte-identical to the
-// primary's) — every frame that decodes must re-encode to exactly the
-// input bytes.
+// FuzzDecodeRecord feeds arbitrary bytes through the frame decoder a
+// replication standby trusts at the wire. Properties: never panic,
+// never over-allocate on a corrupt count, and — because a standby logs
+// what it accepts verbatim — every frame that decodes must go through
+// AppendEncoded at its own sequence number and replay, through the
+// recovery scan, to exactly the decoded ops.
 func FuzzDecodeRecord(f *testing.F) {
 	seedOps := [][]Op{
 		nil,
@@ -42,14 +43,51 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re, err := EncodeRecord(seq, ops)
+		path := filepath.Join(t.TempDir(), "wal.log")
+		w, _, err := Open(path, SyncPolicy{Mode: SyncNone}, seq-1, nil)
 		if err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(re, frame) {
-			t.Fatalf("decode/encode round trip is not byte-identical:\n in: %x\nout: %x", frame, re)
+		if err := w.AppendEncoded(frame); err != nil {
+			t.Fatalf("decoded frame refused at its own seq %d: %v", seq, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var replayed [][]Op
+		if _, err := Replay(path, 0, func(got uint64, ops []Op) error {
+			if got != seq {
+				t.Fatalf("replayed seq %d, appended %d", got, seq)
+			}
+			replayed = append(replayed, ops)
+			return nil
+		}); err != nil {
+			t.Fatalf("recovery refused a frame the standby accepted: %v", err)
+		}
+		if len(replayed) != 1 || !sameOps(replayed[0], ops) {
+			t.Fatalf("replay gave %+v, decode gave %+v", replayed, ops)
 		}
 	})
+}
+
+// sameOps compares op batches with values by their bits, so a NaN the
+// fuzzer wrote compares equal to itself.
+func sameOps(a, b []Op) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Kind != b[i].Kind || a[i].ID != b[i].ID || len(a[i].Tuple) != len(b[i].Tuple) {
+			return false
+		}
+		for j, e := range a[i].Tuple {
+			f := b[i].Tuple[j]
+			if e.Dim != f.Dim || math.Float64bits(e.Val) != math.Float64bits(f.Val) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // FuzzReplay writes arbitrary bytes as a wal.log and runs the

@@ -43,12 +43,11 @@
 //
 // # Replication
 //
-// The record encoding is deterministic, so frames double as the
-// replication wire format: EncodeRecord/DecodeRecord expose one
-// record's exact bytes, and ReplayFrames re-serializes an existing
-// log's records for shipping. A standby that appends the same (seq,
-// ops) records ends up with a byte-identical log (internal/replication
-// builds on exactly this property).
+// Frames double as the replication wire format. A primary ships the
+// bytes AppendFrame committed, and ReplayFrames hands on an existing
+// log's frames as they were read. A standby checks each received frame
+// with DecodeRecord and appends it verbatim with AppendEncoded, so its
+// log holds the primary's bytes (internal/replication builds on this).
 package wal
 
 import (
@@ -237,19 +236,18 @@ func Open(path string, policy SyncPolicy, from uint64, apply func(seq uint64, op
 		}
 		size = headerSize
 	} else {
-		sc, err := scan(f, size, from, apply)
+		end, err := scanFrames(f, size, replayer(&res, from, apply))
 		if err != nil {
 			f.Close()
 			return nil, ReplayResult{}, err
 		}
-		res = sc.ReplayResult
-		if sc.truncateAt >= 0 {
-			res.TruncatedBytes = size - sc.truncateAt
-			if err := f.Truncate(sc.truncateAt); err != nil {
+		if end < size {
+			res.TruncatedBytes = size - end
+			if err := f.Truncate(end); err != nil {
 				f.Close()
 				return nil, ReplayResult{}, err
 			}
-			size = sc.truncateAt
+			size = end
 			if size < headerSize {
 				// The crash interrupted file creation itself: start over.
 				if _, err := f.WriteAt(logMagic[:], 0); err != nil {
@@ -322,12 +320,6 @@ func (w *Writer) AppendFrame(ops []Op) (uint64, []byte, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.failed != nil {
-		return 0, nil, w.failed
-	}
-	if err, _ := w.syncErr.Load().(error); err != nil {
-		return 0, nil, fmt.Errorf("wal: background sync failed: %w", err)
-	}
 	seq := w.nextSeq
 	frame, err := encodeRecord(seq, ops)
 	if err != nil {
@@ -338,14 +330,48 @@ func (w *Writer) AppendFrame(ops []Op) (uint64, []byte, error) {
 		// corruption (and truncate away) become an acknowledged write.
 		return 0, nil, fmt.Errorf("wal: batch encodes to %d bytes, above the %d-byte record limit — split it", len(frame)-frameSize, maxRecordBytes)
 	}
+	if err := w.appendLocked(frame); err != nil {
+		return 0, nil, err
+	}
+	return seq, frame, nil
+}
+
+// AppendEncoded appends a frame another log committed, verbatim — the
+// replication standby's append, so its log holds the primary's bytes.
+// The frame must pass the checks recovery applies (length prefix,
+// record limit, CRC) and carry the writer's next sequence number;
+// anything else is refused and leaves the log as it was. Commit,
+// fsync and rollback are Append's.
+func (w *Writer) AppendEncoded(frame []byte) error {
+	seq, err := checkFrame(frame)
+	if err != nil {
+		return err
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if seq != w.nextSeq {
+		return fmt.Errorf("wal: frame carries seq %d, the log's next is %d", seq, w.nextSeq)
+	}
+	return w.appendLocked(frame)
+}
+
+// appendLocked commits one encoded frame carrying w.nextSeq: write,
+// fsync under SyncBatch, and roll back on failure. w.mu must be held.
+func (w *Writer) appendLocked(frame []byte) error {
+	if w.failed != nil {
+		return w.failed
+	}
+	if err, _ := w.syncErr.Load().(error); err != nil {
+		return fmt.Errorf("wal: background sync failed: %w", err)
+	}
 	if _, err := w.f.Write(frame); err != nil {
-		return 0, nil, w.rollback(err)
+		return w.rollback(err)
 	}
 	if w.policy.Mode == SyncBatch {
 		// The fsync is part of the commit: a record whose durability the
 		// caller was told failed must not replay on restart.
 		if err := w.f.Sync(); err != nil {
-			return 0, nil, w.rollback(err)
+			return w.rollback(err)
 		}
 		w.syncs.Add(1)
 	}
@@ -355,7 +381,7 @@ func (w *Writer) AppendFrame(ops []Op) (uint64, []byte, error) {
 	if w.policy.Mode == SyncInterval {
 		w.dirty.Store(true)
 	}
-	return seq, frame, nil
+	return nil
 }
 
 // rollback restores the log to its last committed length after a failed
@@ -448,29 +474,36 @@ func (w *Writer) Policy() SyncPolicy { return w.policy }
 // from, tolerating a torn tail without repairing it (no write happens —
 // the path read-only openers use). A missing log replays as empty.
 func Replay(path string, from uint64, apply func(seq uint64, ops []Op) error) (ReplayResult, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return ReplayResult{}, nil
-	}
+	var res ReplayResult
+	size, end, err := scanFile(path, replayer(&res, from, apply))
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	defer f.Close()
-	st, err := f.Stat()
+	res.TruncatedBytes = size - end
+	return res, nil
+}
+
+// ReplayFrames scans the log read-only like Replay, but hands the
+// caller each record's frame (length prefix + CRC + payload) as it was
+// read instead of its decoded ops — the form the replication primary
+// ships over the wire. Records with seq <= from are skipped; a torn
+// tail is tolerated without repair; a missing log replays as empty.
+// The frame slice is freshly allocated per record and may be retained.
+func ReplayFrames(path string, from uint64, fn func(seq uint64, frame []byte) error) (ReplayResult, error) {
+	var res ReplayResult
+	size, end, err := scanFile(path, func(off int64, seq uint64, frame []byte) error {
+		res.LastSeq = seq
+		if seq <= from {
+			res.SkippedRecords++
+			return nil
+		}
+		res.Records++
+		return fn(seq, frame)
+	})
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	if st.Size() == 0 {
-		return ReplayResult{}, nil
-	}
-	sc, err := scan(f, st.Size(), from, apply)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	res := sc.ReplayResult
-	if sc.truncateAt >= 0 {
-		res.TruncatedBytes = st.Size() - sc.truncateAt
-	}
+	res.TruncatedBytes = size - end
 	return res, nil
 }
 
@@ -486,47 +519,53 @@ type Info struct {
 
 // Inspect scans the log read-only. A torn tail is reported via Size vs
 // the last offset (no repair is performed); mid-log corruption is an
-// error.
+// error. A missing log inspects as empty.
 func Inspect(path string) (Info, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Info{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return Info{}, err
-	}
 	var info Info
-	info.Size = st.Size()
-	if _, err := scanFrames(f, st.Size(), func(off int64, seq uint64, payload []byte) error {
+	size, _, err := scanFile(path, func(off int64, seq uint64, frame []byte) error {
 		info.Records++
 		info.LastSeq = seq
 		info.Offsets = append(info.Offsets, off)
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return Info{}, err
 	}
+	info.Size = size
 	return info, nil
 }
 
-type scanResult struct {
-	ReplayResult
-	// truncateAt is the offset at which a torn tail must be cut, or -1
-	// for a clean log.
-	truncateAt int64
+// scanFile is the read-only prelude of Replay, ReplayFrames and
+// Inspect: it scans the log at path with fn and returns the file's size
+// and the offset of its first torn frame. A missing log is empty.
+func scanFile(path string, fn func(off int64, seq uint64, frame []byte) error) (size, end int64, err error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return 0, 0, nil
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	end, err = scanFrames(f, st.Size(), fn)
+	return st.Size(), end, err
 }
 
-// scan walks the log frames, applying each record with seq > from.
-func scan(f *os.File, size int64, from uint64, apply func(seq uint64, ops []Op) error) (scanResult, error) {
-	res := scanResult{truncateAt: -1}
-	end, err := scanFrames(f, size, func(off int64, seq uint64, payload []byte) error {
+// replayer is the scanner callback of Open and Replay: it decodes every
+// record with seq > from and hands its ops to apply (which may be
+// nil), counting into res.
+func replayer(res *ReplayResult, from uint64, apply func(seq uint64, ops []Op) error) func(off int64, seq uint64, frame []byte) error {
+	return func(off int64, seq uint64, frame []byte) error {
 		res.LastSeq = seq
 		if seq <= from {
 			res.SkippedRecords++
 			return nil
 		}
-		ops, err := decodeOps(payload)
+		ops, err := decodeOps(frame[frameSize:])
 		if err != nil {
 			return fmt.Errorf("%w: record at %d (seq %d): %v", ErrCorrupt, off, seq, err)
 		}
@@ -536,21 +575,14 @@ func scan(f *os.File, size int64, from uint64, apply func(seq uint64, ops []Op) 
 			return apply(seq, ops)
 		}
 		return nil
-	})
-	if err != nil {
-		return scanResult{}, err
 	}
-	if end < size {
-		res.truncateAt = end
-	}
-	return res, nil
 }
 
 // scanFrames iterates the log's frames, calling fn with each record's
-// offset, sequence number and payload. It returns the offset of the
-// first torn frame (== size for a clean log); a bad frame that is not
-// the file's tail is ErrCorrupt.
-func scanFrames(f *os.File, size int64, fn func(off int64, seq uint64, payload []byte) error) (int64, error) {
+// offset, sequence number and whole frame as read (a fresh slice per
+// record). It returns the offset of the first torn frame (== size for
+// a clean log); a bad frame that is not the file's tail is ErrCorrupt.
+func scanFrames(f *os.File, size int64, fn func(off int64, seq uint64, frame []byte) error) (int64, error) {
 	if size < headerSize {
 		// Shorter than the magic: a crash during creation. Treat the
 		// whole file as torn.
@@ -565,16 +597,16 @@ func scanFrames(f *os.File, size int64, fn func(off int64, seq uint64, payload [
 	}
 	off := int64(headerSize)
 	var prevSeq uint64
-	frame := make([]byte, frameSize)
+	head := make([]byte, frameSize)
 	for off < size {
 		if size-off < frameSize {
 			return off, nil // torn frame header
 		}
-		if _, err := f.ReadAt(frame, off); err != nil {
+		if _, err := f.ReadAt(head, off); err != nil {
 			return 0, err
 		}
-		plen := int64(binary.LittleEndian.Uint32(frame[0:4]))
-		wantCRC := binary.LittleEndian.Uint32(frame[4:8])
+		plen := int64(binary.LittleEndian.Uint32(head[0:4]))
+		wantCRC := binary.LittleEndian.Uint32(head[4:8])
 		if off+frameSize+plen > size {
 			// The frame claims more bytes than the file holds: the tail
 			// the crash interrupted.
@@ -590,10 +622,12 @@ func scanFrames(f *os.File, size int64, fn func(off int64, seq uint64, payload [
 			}
 			return 0, fmt.Errorf("%w: frame at %d claims %d bytes (limit %d)", ErrCorrupt, off, plen, maxRecordBytes)
 		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, off+frameSize); err != nil {
+		frame := make([]byte, frameSize+plen)
+		copy(frame, head)
+		if _, err := f.ReadAt(frame[frameSize:], off+frameSize); err != nil {
 			return 0, err
 		}
+		payload := frame[frameSize:]
 		if crc32.Checksum(payload, castagnoli) != wantCRC {
 			if off+frameSize+plen == size {
 				return off, nil // corrupt final frame: torn write
@@ -618,7 +652,7 @@ func scanFrames(f *os.File, size int64, fn func(off int64, seq uint64, payload [
 		if prevSeq != 0 && seq != prevSeq+1 {
 			return 0, fmt.Errorf("%w: sequence jump %d → %d at offset %d", ErrCorrupt, prevSeq, seq, off)
 		}
-		if err := fn(off, seq, payload); err != nil {
+		if err := fn(off, seq, frame); err != nil {
 			return 0, err
 		}
 		prevSeq = seq
@@ -652,85 +686,47 @@ func zeroTail(f *os.File, off, size int64) bool {
 }
 
 // EncodeRecord builds the full on-disk frame (length prefix + CRC +
-// payload) for one batch. The encoding is deterministic: the same
-// (seq, ops) always yields the same bytes, which is what lets the
-// replication subsystem ship frames verbatim and a follower's log end
-// up byte-identical to the primary's for the same record sequence.
+// payload) for one batch, exactly as Append would log it at seq.
 func EncodeRecord(seq uint64, ops []Op) ([]byte, error) {
 	return encodeRecord(seq, ops)
 }
 
 // DecodeRecord parses one full frame as produced by EncodeRecord (and
-// as stored in the log): it validates the length prefix and CRC, then
-// decodes the sequence number and ops. The replication follower runs
-// every received frame through this before applying it, so a corrupted
-// or truncated frame is rejected at the wire instead of poisoning the
-// standby's log.
+// as stored in the log): it validates the frame as AppendEncoded does,
+// then decodes the sequence number and ops. A standby runs every
+// received frame through this before applying it, so a corrupted or
+// truncated frame is rejected at the wire instead of poisoning its log.
 func DecodeRecord(frame []byte) (seq uint64, ops []Op, err error) {
-	if len(frame) < frameSize+12 {
-		return 0, nil, fmt.Errorf("wal: frame too short (%d bytes)", len(frame))
+	if seq, err = checkFrame(frame); err != nil {
+		return 0, nil, err
 	}
-	plen := int(binary.LittleEndian.Uint32(frame[0:4]))
-	wantCRC := binary.LittleEndian.Uint32(frame[4:8])
-	if plen != len(frame)-frameSize {
-		return 0, nil, fmt.Errorf("wal: frame length prefix %d does not match %d payload bytes", plen, len(frame)-frameSize)
-	}
-	payload := frame[frameSize:]
-	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return 0, nil, fmt.Errorf("wal: frame crc mismatch")
-	}
-	seq = binary.LittleEndian.Uint64(payload[0:8])
-	ops, err = decodeOps(payload)
-	if err != nil {
+	if ops, err = decodeOps(frame[frameSize:]); err != nil {
 		return 0, nil, err
 	}
 	return seq, ops, nil
 }
 
-// ReplayFrames scans the log read-only like Replay, but hands the
-// caller each record's full re-serialized frame (length prefix + CRC +
-// payload) instead of its decoded ops — the form the replication
-// primary ships over the wire. Records with seq <= from are skipped; a
-// torn tail is tolerated without repair; a missing log replays as
-// empty. The frame slice is freshly allocated per record and may be
-// retained.
-func ReplayFrames(path string, from uint64, fn func(seq uint64, frame []byte) error) (ReplayResult, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return ReplayResult{}, nil
+// checkFrame validates one whole frame's length prefix, record limit
+// and CRC, and returns its sequence number.
+func checkFrame(frame []byte) (uint64, error) {
+	if len(frame) < frameSize+12 {
+		return 0, fmt.Errorf("wal: frame too short (%d bytes)", len(frame))
 	}
-	if err != nil {
-		return ReplayResult{}, err
+	plen := int(binary.LittleEndian.Uint32(frame[0:4]))
+	if plen > maxRecordBytes {
+		return 0, fmt.Errorf("wal: frame claims %d payload bytes, above the %d-byte record limit", plen, maxRecordBytes)
 	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return ReplayResult{}, err
+	if plen != len(frame)-frameSize {
+		return 0, fmt.Errorf("wal: frame length prefix %d does not match %d payload bytes", plen, len(frame)-frameSize)
 	}
-	if st.Size() == 0 {
-		return ReplayResult{}, nil
+	if crc32.Checksum(frame[frameSize:], castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return 0, fmt.Errorf("wal: frame crc mismatch")
 	}
-	var res ReplayResult
-	end, err := scanFrames(f, st.Size(), func(off int64, seq uint64, payload []byte) error {
-		res.LastSeq = seq
-		if seq <= from {
-			res.SkippedRecords++
-			return nil
-		}
-		res.Records++
-		frame := make([]byte, 0, frameSize+len(payload))
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, castagnoli))
-		frame = append(frame, payload...)
-		return fn(seq, frame)
-	})
-	if err != nil {
-		return ReplayResult{}, err
+	seq := binary.LittleEndian.Uint64(frame[frameSize:])
+	if seq == 0 {
+		return 0, fmt.Errorf("wal: frame carries sequence 0 (sequences start at 1)")
 	}
-	if end < st.Size() {
-		res.TruncatedBytes = st.Size() - end
-	}
-	return res, nil
+	return seq, nil
 }
 
 // encodeRecord builds the full frame (header + payload) for one batch.

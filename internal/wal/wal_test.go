@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -391,5 +394,71 @@ func TestManifestRoundtrip(t *testing.T) {
 	}
 	if _, _, err := LoadManifest(dir); err == nil {
 		t.Fatal("corrupt manifest loaded")
+	}
+}
+
+// TestAppendEncoded: a frame another log committed is appended byte for
+// byte at the writer's next sequence; a frame that fails a check the
+// recovery scan would also apply, or carries any other sequence, is
+// refused and leaves the log exactly as it was.
+func TestAppendEncoded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _, err := Open(path, SyncPolicy{Mode: SyncBatch}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	frame := func(seq uint64) []byte {
+		f, err := EncodeRecord(seq, testOps(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	if err := w.AppendEncoded(frame(1)); err != nil {
+		t.Fatal(err)
+	}
+	badCRC := frame(2)
+	badCRC[len(badCRC)-1] ^= 0xff
+	oversize := binary.LittleEndian.AppendUint32(nil, maxRecordBytes+1)
+	oversize = append(oversize, frame(2)[4:]...)
+	for _, tc := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"bad crc", "crc mismatch", badCRC},
+		{"sequence gap", "seq 3", frame(3)},
+		{"duplicate sequence", "seq 1", frame(1)},
+		{"payload over the record limit", "record limit", oversize},
+		{"cut short", "length prefix", frame(2)[:len(frame(2))-3]},
+		{"sequence zero", "sequence 0", frame(0)},
+	} {
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendEncoded(tc.frame); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err %v, want one naming %q", tc.name, err, tc.want)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) || w.NextSeq() != 2 || w.Size() != int64(len(before)) {
+			t.Fatalf("%s: refused frame changed the log (%d → %d bytes, next seq %d)", tc.name, len(before), len(after), w.NextSeq())
+		}
+	}
+	if err := w.AppendEncoded(frame(2)); err != nil {
+		t.Fatal(err)
+	}
+	var logged [][]byte
+	if _, err := ReplayFrames(path, 0, func(_ uint64, f []byte) error {
+		logged = append(logged, f)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(logged) != 2 || !bytes.Equal(logged[0], frame(1)) || !bytes.Equal(logged[1], frame(2)) {
+		t.Fatalf("log holds %x, want the two appended frames", logged)
 	}
 }
