@@ -57,7 +57,7 @@ lint:
 # for those four architectures and disassembled (no emulator runs them):
 # any fused instruction in a non-test function of this module fails.
 FMA_ARCHS := arm64 ppc64le riscv64 loong64
-FMA_PKGS  := vec geom core topk oracle stb
+FMA_PKGS  := vec geom core topk oracle stb dataset
 
 check-fma:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

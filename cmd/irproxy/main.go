@@ -22,9 +22,9 @@
 // shard's primary plus standbys — joined by ';'), fans /topk and
 // /analyze out to every shard, routes /update and /delete batches to
 // the owning shards, and merges the answers bit-identically to a
-// single node over the union (docs/sharding.md). A shard failure fails
-// the query closed unless -allow-partial, which degrades to a flagged
-// partial answer (X-Partial header). The coordinator's front is
+// single node over the union (docs/sharding.md). A shard that does not
+// answer within its retry budget fails the query closed, a 502: a
+// merge without it would certify no region. The coordinator's front is
 // internal/server over the merge, so it serves the whole single-node
 // surface — batches, /stats (build block only), /readyz, the slow log
 // — and the ir_http_* families beside the per-shard fan-out counters
@@ -69,7 +69,6 @@ func main() {
 		shutdownTo   = flag.Duration("shutdown-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
 		shardMap     = flag.String("shard-map", "", "coordinator mode: shards.json manifest of the range partition (irgen -shards); requires -shard-nodes")
 		shardNodes   = flag.String("shard-nodes", "", "per-shard seed groups, ','-separated in shard order; members within a group ';'-separated")
-		allowPartial = flag.Bool("allow-partial", false, "coordinator mode: merge surviving shards on a shard failure (flagged X-Partial) instead of failing closed")
 		shardRetries = flag.Int("shard-retries", 1, "coordinator mode: read RPC relaunches per shard after a timeout or error (mutations never retry)")
 		shardTimeout = flag.Duration("shard-timeout", 0, "coordinator mode: per-attempt shard RPC bound (0 = bounded by the request context only)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (off when empty)")
@@ -120,7 +119,6 @@ func main() {
 			log.Fatalf("irproxy: %v", err)
 		}
 		coord, err := shard.New(mp, backends, shard.Config{
-			AllowPartial:   *allowPartial,
 			MaxRetries:     *shardRetries,
 			AttemptTimeout: *shardTimeout,
 		})
@@ -128,8 +126,8 @@ func main() {
 			log.Fatalf("irproxy: %v", err)
 		}
 		handler = shard.NewHandler(coord)
-		fmt.Printf("irproxy: shard coordinator on %s over %d shards (%d tuples, %d dims), allow-partial=%v\n",
-			*addr, mp.NumShards(), mf.N, mf.M, *allowPartial)
+		fmt.Printf("irproxy: shard coordinator on %s over %d shards (%d tuples, %d dims)\n",
+			*addr, mp.NumShards(), mf.N, mf.M)
 
 	default:
 		seeds := splitList(*nodes)

@@ -315,10 +315,6 @@ const (
 	// scatter-gather coordinator (internal/shard). No cache was
 	// consulted, so transports report no cache disposition for it.
 	SourceMerged
-	// SourcePartial is SourceMerged with one or more shards missing
-	// (allow-partial coordinators only): a partial result may miss
-	// tuples and a partial region is NOT a certificate.
-	SourcePartial
 )
 
 func (s Source) String() string {
@@ -335,8 +331,6 @@ func (s Source) String() string {
 		return "dedup"
 	case SourceMerged:
 		return "merged"
-	case SourcePartial:
-		return "partial"
 	default:
 		return fmt.Sprintf("source(%d)", int(s))
 	}

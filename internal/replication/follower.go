@@ -260,16 +260,18 @@ func (f *Follower) Close() error {
 	return nil
 }
 
-// hasDataset reports whether dir holds an openable dataset (a manifest
-// or the generation-0 default files).
+// hasDataset reports whether dir holds an openable dataset: a manifest,
+// or generation-0 default files that both pass their own trailer check.
+// A transfer cut short leaves a partial tuples.dat and no manifest; that
+// directory is fresh, so the next session asks for a snapshot instead of
+// failing to open it at every reconnect.
 func hasDataset(dir string) bool {
 	if _, err := os.Stat(filepath.Join(dir, wal.ManifestName)); err == nil {
 		return true
 	}
-	if _, err := os.Stat(filepath.Join(dir, wal.DefaultManifest().Tuples)); err == nil {
-		return true
-	}
-	return false
+	def := wal.DefaultManifest()
+	return storage.VerifyChecksum(filepath.Join(dir, def.Tuples)) == nil &&
+		storage.VerifyChecksum(filepath.Join(dir, def.Lists)) == nil
 }
 
 // session runs one connection lifecycle: handshake, optional snapshot
@@ -404,6 +406,10 @@ func (f *Follower) session(ctx context.Context) error {
 		return fmt.Errorf("primary offered %s but follower has no dataset", w.Mode)
 	}
 
+	// Streaming: the errors of earlier sessions are history.
+	f.mu.Lock()
+	f.lastErr = ""
+	f.mu.Unlock()
 	f.lastBeatNanos.Store(time.Now().UnixNano())
 	f.connected.Store(true)
 	ackBuf := make([]byte, 8)
@@ -491,8 +497,7 @@ func (f *Follower) session(ctx context.Context) error {
 // current engine (if any) is closed, the local dataset state wiped, the
 // generation files and base manifest written durably, and a fresh
 // engine opened at the manifest's sequence. A transfer that fails is
-// wiped too: a partial tuples.dat would pass hasDataset, and the next
-// session would try to open it instead of re-seeding.
+// wiped too, so no partial file is left for a later open to trip over.
 func (f *Follower) loadSnapshot(conn net.Conn, datasetID string) (err error) {
 	f.mu.Lock()
 	eng := f.eng

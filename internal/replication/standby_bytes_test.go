@@ -46,7 +46,7 @@ func assertSameLog(t testing.TB, what, pdir, fdir string) {
 // the primary's disk — one data byte flipped, its trailer intact — is
 // refused by a fresh follower's trailer check, so the follower stays
 // without an engine and says why. Once the byte is restored the same
-// follower bootstraps.
+// follower bootstraps, and streaming clears the error it reported.
 func TestCorruptGenerationNeverShipped(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	pdir, fdir := t.TempDir(), t.TempDir()
@@ -87,5 +87,39 @@ func TestCorruptGenerationNeverShipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "bootstrap from the restored file", caughtUp(p, fh))
+	assertEnginesEqual(t, p.eng, fh.f.Engine())
+	waitFor(t, "the stream", func() bool { return fh.f.Stats().Connected })
+	if msg := fh.f.Stats().LastError; msg != "" {
+		t.Fatalf("streaming follower still reports last error %q", msg)
+	}
+}
+
+// TestTruncatedGenerationZeroReseeds: a follower directory holding only
+// the head of a tuples.dat and no MANIFEST — what a snapshot transfer
+// cut short by a crash leaves — is no dataset, so the follower asks for
+// a snapshot and becomes ready instead of failing to open the file at
+// every reconnect.
+func TestTruncatedGenerationZeroReseeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	pdir, fdir := t.TempDir(), t.TempDir()
+	saveDataset(t, pdir, genTuples(rng, 40))
+	p := startPrimary(t, pdir, AckAsync, 0)
+	defer p.close(t)
+
+	name := wal.DefaultManifest().Tuples
+	raw, err := os.ReadFile(filepath.Join(pdir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(fdir, name), raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fh := startFollower(t, fdir, p.addr)
+	defer fh.stop(t)
+	waitFor(t, "bootstrap over the truncated file", func() bool { return fh.f.Readiness(0) == nil })
+	if st := fh.f.Stats(); st.SnapshotsLoaded != 1 {
+		t.Fatalf("follower loaded %d snapshots, want 1", st.SnapshotsLoaded)
+	}
 	assertEnginesEqual(t, p.eng, fh.f.Engine())
 }

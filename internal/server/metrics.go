@@ -31,7 +31,7 @@ var (
 	mInFlight = obs.NewGauge("ir_http_in_flight",
 		"requests currently being handled")
 	mDisposition = obs.NewCounterVec("ir_http_cache_disposition_total",
-		"query answers by cache disposition (miss, hit, hit-region, bypass, dedup; merged, partial on a shard coordinator)",
+		"query answers by cache disposition (miss, hit, hit-region, bypass, dedup; merged on a shard coordinator)",
 		"disposition")
 	mValidationFailures = obs.NewCounter("ir_http_validation_failures_total",
 		"requests rejected by query validation (bad k, dimension range, weights, phi)")

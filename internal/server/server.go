@@ -46,8 +46,8 @@
 //
 // Request bodies are POST-only, JSON, and capped at 64 MiB (413 beyond).
 // On a coordinator front merged answers carry no cache disposition,
-// degraded ones (-allow-partial) an X-Partial header and "partial":
-// true, and a shard that does not answer is a 502.
+// and a shard that does not answer is a 502: the front never serves a
+// merge that is missing a shard.
 //
 // A Server is built once, by New, from a Config that fixes its role: a
 // Querier accessor plus optional hooks, where a nil hook is a plain
@@ -91,8 +91,7 @@ import (
 // Querier is the execution surface the server serves: single and
 // batched ranked queries and analyses, plus the write path. Answers
 // report how they were produced through engine.Source — a cache
-// disposition from an engine, SourceMerged/SourcePartial from a
-// coordinator.
+// disposition from an engine, SourceMerged from a coordinator.
 type Querier interface {
 	TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Scored, engine.TopKInfo, error)
 	Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*engine.Analysis, error)
@@ -315,11 +314,6 @@ type AnalyzeResponse struct {
 	Regions []RegionJSON  `json:"regions"`
 	Metrics MetricsJSON   `json:"metrics"`
 	Cache   string        `json:"cache,omitempty"`
-	// Partial marks a degraded scatter-gather answer merged without
-	// every shard (coordinator deployments with -allow-partial only).
-	// A partial region is NOT a certificate — the missing shards'
-	// constraints are absent.
-	Partial bool `json:"partial,omitempty"`
 }
 
 // MetricsJSON carries the metering of one analysis.
@@ -361,10 +355,7 @@ type BatchTopKRequest struct {
 type TopKEntryResponse struct {
 	Result []ResultEntry `json:"result,omitempty"`
 	Cache  string        `json:"cache,omitempty"`
-	// Partial marks a degraded scatter-gather answer, as in
-	// AnalyzeResponse.
-	Partial bool   `json:"partial,omitempty"`
-	Error   string `json:"error,omitempty"`
+	Error  string        `json:"error,omitempty"`
 }
 
 // BatchTopKResponse is the body of a successful /batchtopk; Responses
@@ -467,25 +458,16 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if cache := cacheField(info.Source); cache != "" {
 		w.Header().Set("X-Cache", cache)
 	}
-	markPartial(w, info.Source)
 	writeJSON(w, http.StatusOK, toEntries(res))
 }
 
 // cacheField is the cache disposition a response reports: none for a
 // coordinator's merged answer, which consulted no cache.
 func cacheField(src engine.Source) string {
-	if src == engine.SourceMerged || src == engine.SourcePartial {
+	if src == engine.SourceMerged {
 		return ""
 	}
 	return src.String()
-}
-
-// markPartial flags a degraded scatter-gather answer (merged without
-// every shard) in the response header.
-func markPartial(w http.ResponseWriter, src engine.Source) {
-	if src == engine.SourcePartial {
-		w.Header().Set("X-Partial", "true")
-	}
 }
 
 // parseQuery maps a read request to the engine's terms. Every read
@@ -556,7 +538,6 @@ func toAnalyzeResponse(a *engine.Analysis) AnalyzeResponse {
 		Regions: toRegionsJSON(a.Regions),
 		Metrics: toMetricsJSON(a.Metrics),
 		Cache:   cacheField(a.Source),
-		Partial: a.Source == engine.SourcePartial,
 	}
 }
 
@@ -582,7 +563,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	s.recordSlow(r, "analyze", req, a.Source, total, a.Timings,
 		a.Metrics.Phase1, a.Metrics.Phase2+a.Metrics.Phase3,
 		a.Metrics.SeqPages, a.Metrics.RandReads)
-	markPartial(w, a.Source)
 	writeJSON(w, http.StatusOK, toAnalyzeResponse(a))
 }
 
@@ -669,9 +649,8 @@ func (s *Server) handleBatchTopK(w http.ResponseWriter, r *http.Request) {
 		}
 		observeDisposition(res.Source)
 		resp.Responses[i] = TopKEntryResponse{
-			Result:  toEntries(res.Result),
-			Cache:   cacheField(res.Source),
-			Partial: res.Source == engine.SourcePartial,
+			Result: toEntries(res.Result),
+			Cache:  cacheField(res.Source),
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)

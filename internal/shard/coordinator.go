@@ -12,21 +12,18 @@ import (
 	"repro/internal/vec"
 )
 
-// Config tunes the coordinator's fan-out behavior.
+// Config tunes the coordinator's fan-out behavior. A query fails
+// closed: a shard that does not answer within its retry budget fails
+// the whole query, since a merge without it is no certificate.
 type Config struct {
-	// AllowPartial merges the surviving shards' answers when one or more
-	// shards fail, flagging the result as Partial, instead of failing
-	// closed. A partial /topk may miss result tuples; a partial /analyze
-	// region is NOT a certificate (the missing shard's constraints are
-	// absent) — which is why closed is the default.
-	AllowPartial bool
 	// MaxRetries is how many times a read RPC is relaunched after a
 	// per-attempt timeout or an error. Mutations never retry: Apply is
 	// not idempotent, so a timed-out write fails closed immediately.
 	MaxRetries int
 	// AttemptTimeout bounds each read attempt; a lapsed attempt is
-	// superseded, its late answer discarded by the generation guard.
-	// Zero means attempts are bounded only by the caller's context.
+	// cancelled and superseded, and an answer it still sends is
+	// discarded by the generation guard. Zero means attempts are
+	// bounded only by the caller's context.
 	AttemptTimeout time.Duration
 }
 
@@ -59,155 +56,132 @@ type reply struct {
 
 // callShard runs one shard's read RPC with the retry and
 // attempt-generation discipline: at most one answer is ever returned,
-// and only from the LATEST attempt. A retried call after a timeout must
-// not merge the first attempt's answer — neither twice (double-count)
+// and only from the LATEST attempt. Each attempt runs under its own
+// context, cancelled once the attempt can no longer count: when a newer
+// attempt supersedes it, and when callShard returns. A backend that
+// ignores the cancellation may still answer; the generation guard
+// drops that answer rather than merge it — neither twice (double-count)
 // nor at all: between the attempts a mutation may have committed, and
 // the stale answer could resurrect a tombstoned tuple into the merge
 // (the lists.Overlay hazard; see TestRetryNoDoubleMerge).
 func (c *Coordinator) callShard(ctx context.Context, op string, i int, call func(context.Context) (any, error)) (any, error) {
 	attempts := c.cfg.MaxRetries + 1
 	ch := make(chan reply, attempts) // buffered: stale attempts never block
-	launch := func(gen int) {
+	gen := -1
+	var actx context.Context
+	cancel := context.CancelFunc(func() {})
+	defer func() { cancel() }()
+	launch := func() {
+		cancel()
+		if c.cfg.AttemptTimeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+		} else {
+			actx, cancel = context.WithCancel(ctx)
+		}
+		gen++
 		//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
 		mFanout.Inc(op)
-		go func() {
+		go func(ctx context.Context, gen int) {
 			v, err := call(ctx)
 			ch <- reply{gen: gen, val: v, err: err}
-		}()
+		}(actx, gen)
 	}
 
-	gen := 0
-	launch(gen)
-	var timer *time.Timer
-	var timeout <-chan time.Time // nil: blocks forever
-	arm := func() {
-		if c.cfg.AttemptTimeout <= 0 {
-			return
-		}
-		if timer == nil {
-			timer = time.NewTimer(c.cfg.AttemptTimeout)
-		} else {
-			timer.Reset(c.cfg.AttemptTimeout)
-		}
-		timeout = timer.C
-	}
-	arm()
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-
+	launch()
 	for {
+		var err error
 		select {
 		case r := <-ch:
 			if r.gen != gen {
-				// A superseded attempt finally answered. Its view may
-				// predate mutations the fresh attempt saw; drop it.
-				mStaleDrops.Inc()
-				continue
-			}
-			if r.err != nil {
-				if gen+1 < attempts && ctx.Err() == nil {
-					gen++
-					mRetries.Inc()
-					launch(gen)
-					arm()
-					continue
+				// A superseded attempt answered after all. Its view may
+				// predate mutations the fresh attempt saw; drop it. Its
+				// error, most likely its own cancellation, is no answer.
+				if r.err == nil {
+					mStaleDrops.Inc()
 				}
-				//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
-				mFanoutErrors.Inc(op)
-				return nil, fmt.Errorf("shard %d: %s: %w", i, op, r.err)
-			}
-			return r.val, nil
-		case <-timeout:
-			if gen+1 < attempts {
-				gen++
-				mRetries.Inc()
-				launch(gen)
-				arm()
 				continue
 			}
-			//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
-			mFanoutErrors.Inc(op)
-			return nil, fmt.Errorf("shard %d: %s: attempt timed out after %v", i, op, c.cfg.AttemptTimeout)
-		case <-ctx.Done():
-			//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
-			mFanoutErrors.Inc(op)
-			return nil, fmt.Errorf("shard %d: %s: %w", i, op, ctx.Err())
+			if r.err == nil {
+				return r.val, nil
+			}
+			err = r.err
+		case <-actx.Done():
+			if err = ctx.Err(); err == nil {
+				err = fmt.Errorf("attempt timed out after %v", c.cfg.AttemptTimeout)
+			}
 		}
+		if gen+1 == attempts || ctx.Err() != nil {
+			return nil, fmt.Errorf("shard %d: %s: %w", i, op, err)
+		}
+		mRetries.Inc()
+		launch()
 	}
 }
 
-// fanout runs call against every shard in parallel. vals[i] is shard
-// i's answer; failed lists the shards that exhausted their budget. With
-// AllowPartial unset any failure fails the whole query (fail closed).
-func (c *Coordinator) fanout(ctx context.Context, op string, call func(ctx context.Context, i int) (any, error)) (vals []any, failed []int, err error) {
-	vals = make([]any, len(c.backends))
-	errs := make([]error, len(c.backends))
+// fanout runs call against every shard in parallel; vals[i] is shard
+// i's answer. Any failure fails the whole query: the first shard to
+// exhaust its budget cancels its siblings, and its error is the one
+// returned.
+func (c *Coordinator) fanout(ctx context.Context, op string, call func(ctx context.Context, i int) (any, error)) ([]any, error) {
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	vals := make([]any, len(c.backends))
+	first := make(chan error, 1)
 	var wg sync.WaitGroup
 	for i := range c.backends {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], errs[i] = c.callShard(ctx, op, i, func(ctx context.Context) (any, error) {
+			v, err := c.callShard(fctx, op, i, func(ctx context.Context) (any, error) {
 				return call(ctx, i)
 			})
+			if err == nil {
+				vals[i] = v
+				return
+			}
+			if fctx.Err() != nil && ctx.Err() == nil {
+				return // cancelled because a sibling already failed
+			}
+			//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
+			mFanoutErrors.Inc(op)
+			select {
+			case first <- err:
+				cancel()
+			default:
+			}
 		}(i)
 	}
 	wg.Wait()
-	for i, e := range errs {
-		if e != nil {
-			failed = append(failed, i)
-			err = e
-		}
+	select {
+	case err := <-first:
+		return nil, err
+	default:
+		return vals, nil
 	}
-	if err != nil {
-		if !c.cfg.AllowPartial {
-			return nil, failed, err
-		}
-		mPartial.Inc()
-	}
-	return vals, failed, nil
-}
-
-// TopKResult is a merged top-k answer. Partial is only ever true under
-// AllowPartial; Failed lists the shards whose answers are missing.
-type TopKResult struct {
-	Result  []topk.Scored
-	Partial bool
-	Failed  []int
 }
 
 // TopK scatter-gathers the query and heap-merges the per-shard lists
 // into the global top-k under global ids — bit-identical in ids,
 // scores and order to a single-node engine over the union.
-func (c *Coordinator) TopK(ctx context.Context, q vec.Query, k int) (*TopKResult, error) {
-	lists, failed, err := c.topkFanout(ctx, q, k)
+func (c *Coordinator) TopK(ctx context.Context, q vec.Query, k int) ([]topk.Scored, error) {
+	lists, err := c.topkFanout(ctx, q, k)
 	if err != nil {
 		return nil, err
 	}
-	return &TopKResult{
-		Result:  mergeTopK(lists, k),
-		Partial: len(failed) > 0,
-		Failed:  failed,
-	}, nil
+	return mergeTopK(lists, k), nil
 }
 
 // topkFanout is round 1 of both TopK and Analyze: per-shard top-k lists
-// translated to global ids (nil for failed shards under AllowPartial).
-func (c *Coordinator) topkFanout(ctx context.Context, q vec.Query, k int) ([][]topk.Scored, []int, error) {
-	vals, failed, err := c.fanout(ctx, "topk", func(ctx context.Context, i int) (any, error) {
+// translated to global ids.
+func (c *Coordinator) topkFanout(ctx context.Context, q vec.Query, k int) ([][]topk.Scored, error) {
+	vals, err := c.fanout(ctx, "topk", func(ctx context.Context, i int) (any, error) {
 		return c.backends[i].TopK(ctx, q, k)
 	})
 	if err != nil {
-		return nil, failed, err
+		return nil, err
 	}
 	lists := make([][]topk.Scored, len(vals))
 	for i, v := range vals {
-		if v == nil {
-			continue
-		}
 		local := v.([]topk.Scored)
 		base := c.m.Base(i)
 		global := make([]topk.Scored, len(local))
@@ -217,17 +191,16 @@ func (c *Coordinator) topkFanout(ctx context.Context, q vec.Query, k int) ([][]t
 		}
 		lists[i] = global
 	}
-	return lists, failed, nil
+	return lists, nil
 }
 
 // Analysis is a merged immutable-region answer. The embedded Output
 // carries the global result and regions; Metrics sums the shards' work.
-// A Partial analysis is NOT a certificate — the failed shards'
-// constraints are missing, so the region is an over-approximation.
+// It stays a type of its own, not a bare *core.Output, for
+// bench/ladder.go, which names it and may not change before ROADMAP.md
+// item 3 removes it.
 type Analysis struct {
 	*core.Output
-	Partial bool
-	Failed  []int
 }
 
 // Analyze computes the global top-k and its immutable regions in two
@@ -239,7 +212,7 @@ type Analysis struct {
 // merges are bit-identical to a single-node Analyze over the union of
 // the shards' tuples; docs/sharding.md gives the argument.
 func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*Analysis, error) {
-	lists, failedTopK, err := c.topkFanout(ctx, q, k)
+	lists, err := c.topkFanout(ctx, q, k)
 	if err != nil {
 		return nil, err
 	}
@@ -249,12 +222,7 @@ func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engi
 		out   *core.Output
 		lines []topk.Scored
 	}
-	vals, failedAn, err := c.fanout(ctx, "analyze", func(ctx context.Context, i int) (any, error) {
-		if lists[i] == nil && len(failedTopK) > 0 {
-			// The shard already failed round 1; its round-2 constraints
-			// would certify a result merged without its tuples anyway.
-			return nil, fmt.Errorf("skipped after top-k failure")
-		}
+	vals, err := c.fanout(ctx, "analyze", func(ctx context.Context, i int) (any, error) {
 		out, lines, err := c.backends[i].AnalyzeImposed(ctx, q, k, c.m.Base(i), res, opts)
 		if err != nil {
 			return nil, err
@@ -265,19 +233,12 @@ func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engi
 		return nil, err
 	}
 
-	failed := mergeFailed(failedTopK, failedAn)
-	var outs []*core.Output
+	outs := make([]*core.Output, len(vals))
 	var lines []topk.Scored
-	for _, v := range vals {
-		if v == nil {
-			continue
-		}
+	for i, v := range vals {
 		ans := v.(shardAnswer)
-		outs = append(outs, ans.out)
+		outs[i] = ans.out
 		lines = append(lines, ans.lines...)
-	}
-	if len(outs) == 0 {
-		return nil, fmt.Errorf("shard: no shard answered")
 	}
 
 	out := &core.Output{
@@ -287,7 +248,7 @@ func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engi
 		Regions: mergeRegions(q, k, res, outs, lines, opts),
 		Metrics: mergeMetrics(outs),
 	}
-	return &Analysis{Output: out, Partial: len(failed) > 0, Failed: failed}, nil
+	return &Analysis{Output: out}, nil
 }
 
 // Apply routes a mutation batch to the owning shards: inserts go to the
@@ -342,19 +303,4 @@ func (c *Coordinator) target(op engine.Op) int {
 		return c.m.NumShards() - 1
 	}
 	return c.m.Owner(op.ID)
-}
-
-// mergeFailed unions two ascending failed-shard lists.
-func mergeFailed(a, b []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, l := range [2][]int{a, b} {
-		for _, i := range l {
-			if !seen[i] {
-				seen[i] = true
-				out = append(out, i)
-			}
-		}
-	}
-	return out
 }

@@ -105,7 +105,7 @@ func TestRetryNoDoubleMerge(t *testing.T) {
 	staleBefore := mStaleDrops.Value()
 
 	type res struct {
-		r   *TopKResult
+		r   []topk.Scored
 		err error
 	}
 	done := make(chan res, 1)
@@ -147,10 +147,10 @@ func TestRetryNoDoubleMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single topk: %v", err)
 	}
-	diffScored(t, "retry/topk", r.r.Result, want)
-	for _, sc := range r.r.Result {
+	diffScored(t, "retry/topk", r.r, want)
+	for _, sc := range r.r {
 		if sc.Score == 1e9 {
-			t.Fatalf("stale pre-delete answer merged: %+v", r.r.Result)
+			t.Fatalf("stale pre-delete answer merged: %+v", r.r)
 		}
 	}
 	if got := mStaleDrops.Value() - staleBefore; got != 1 {
@@ -158,7 +158,7 @@ func TestRetryNoDoubleMerge(t *testing.T) {
 	}
 }
 
-// TestFailClosed pins the default partial-failure posture: any shard
+// TestFailClosed pins the shard-failure posture: any shard
 // failing its RPC budget fails the whole query with the shard named,
 // for reads; mutations fail closed with no retry at all.
 func TestFailClosed(t *testing.T) {
@@ -182,53 +182,105 @@ func TestFailClosed(t *testing.T) {
 	}
 }
 
-// TestAllowPartial pins the degraded-but-flagged posture: with
-// AllowPartial the merge proceeds over the surviving shards, the answer
-// is marked Partial with the failed shard listed, and the partial-merge
-// counter ticks.
-func TestAllowPartial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4205))
-	ctx := context.Background()
-	cs := fixture.RandCase(rng, 60, 6, 2, 3)
-	coord := localCoord(t, cs.Tuples, cs.M, 4, Config{AllowPartial: true})
-	coord.backends[1] = failingBackend{err: errors.New("shard down")}
+// stalledBackend answers no TopK until the attempt's context ends. It
+// keeps every attempt's context, and notes at each entry whether the
+// attempt before it had already been cancelled.
+type stalledBackend struct {
+	failingBackend
+	mu       sync.Mutex
+	ctxs     []context.Context
+	prevDone []bool
+}
 
-	// The expected degraded answer: a single node over the union minus
-	// the failed shard's id range.
-	var surviving []vec.Sparse
-	lo, hi := coord.m.Base(1), coord.m.Base(2)
-	for id, tu := range cs.Tuples {
-		if id < lo || id >= hi {
-			surviving = append(surviving, tu)
+func (s *stalledBackend) TopK(ctx context.Context, _ vec.Query, _ int) ([]topk.Scored, error) {
+	s.mu.Lock()
+	s.prevDone = append(s.prevDone, len(s.ctxs) == 0 || s.ctxs[len(s.ctxs)-1].Err() != nil)
+	s.ctxs = append(s.ctxs, ctx)
+	s.mu.Unlock()
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestStalledShardAttemptsCancelled: every attempt on a shard that never
+// answers is cancelled once a newer attempt supersedes it, and none
+// outlives the query, so a stalled shard holds one attempt at a time
+// instead of MaxRetries+1.
+func TestStalledShardAttemptsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stalled := &stalledBackend{}
+	mp, err := NewMap([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := New(mp, []Backend{stalled}, Config{MaxRetries: 3, AttemptTimeout: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.TopK(ctx, vec.MustQuery([]int{0}, []float64{1}), 1); err == nil {
+		t.Fatal("topk over a stalled shard succeeded")
+	}
+	stalled.mu.Lock()
+	defer stalled.mu.Unlock()
+	if len(stalled.ctxs) != 4 {
+		t.Fatalf("%d attempts, want 4", len(stalled.ctxs))
+	}
+	for i, done := range stalled.prevDone {
+		if !done {
+			t.Errorf("attempt %d entered while attempt %d was still live", i, i-1)
 		}
 	}
-
-	partialBefore := mPartial.Value()
-	got, err := coord.TopK(ctx, cs.Q, cs.K)
-	if err != nil {
-		t.Fatalf("partial topk: %v", err)
-	}
-	if !got.Partial || len(got.Failed) != 1 || got.Failed[0] != 1 {
-		t.Fatalf("partial flags = %+v, want Partial with shard 1 failed", got)
-	}
-	naive := topk.TopKNaive(surviving, cs.Q, cs.K)
-	if len(got.Result) != len(naive) {
-		t.Fatalf("partial merge has %d results, want %d", len(got.Result), len(naive))
-	}
-	for i, sc := range got.Result {
-		if sc.Score != naive[i].Score {
-			t.Fatalf("partial merge score[%d] = %v, want %v", i, sc.Score, naive[i].Score)
+	for i, actx := range stalled.ctxs {
+		if actx.Err() == nil {
+			t.Errorf("attempt %d still live after the query returned", i)
 		}
 	}
-	if mPartial.Value() == partialBefore {
-		t.Fatal("partial merge did not tick ir_shard_partial_total")
-	}
+}
 
-	an, err := coord.Analyze(ctx, cs.Q, cs.K, engine.Options{})
-	if err != nil {
-		t.Fatalf("partial analyze: %v", err)
+// slowBackend answers TopK after a long stall unless its context ends
+// first, and keeps that context.
+type slowBackend struct {
+	failingBackend
+	ctx chan context.Context
+}
+
+func (s *slowBackend) TopK(ctx context.Context, _ vec.Query, _ int) ([]topk.Scored, error) {
+	s.ctx <- ctx
+	select {
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-time.After(3 * time.Second):
+		return nil, nil
 	}
-	if !an.Partial || len(an.Failed) != 1 || an.Failed[0] != 1 {
-		t.Fatalf("partial analyze flags = %+v/%v", an.Partial, an.Failed)
+}
+
+// TestFailFastCancelsSiblings: the first shard to fail fails the query
+// at once with its own error, cancels the shards still running, and only
+// it counts as a fan-out error.
+func TestFailFastCancelsSiblings(t *testing.T) {
+	boom := errors.New("shard down")
+	slow := &slowBackend{failingBackend: failingBackend{err: boom}, ctx: make(chan context.Context, 1)}
+	mp, err := NewMap([]int{0, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := New(mp, []Backend{failingBackend{err: boom}, slow}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errsBefore := mFanoutErrors.Value("topk")
+	start := time.Now()
+	_, err = coord.TopK(context.Background(), vec.MustQuery([]int{0}, []float64{1}), 1)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("failed query returned after %v, the sibling's stall", elapsed)
+	}
+	if !errors.Is(err, boom) {
+		t.Fatalf("topk error = %v, want wrapped %v", err, boom)
+	}
+	if sctx := <-slow.ctx; sctx.Err() != context.Canceled {
+		t.Errorf("sibling's context: %v, want cancelled", sctx.Err())
+	}
+	if got := mFanoutErrors.Value("topk") - errsBefore; got != 1 {
+		t.Errorf("fan-out errors grew by %d, want 1", got)
 	}
 }

@@ -162,9 +162,8 @@ func SelfBeacon(nodeID, httpAddr string) func() any {
 // NewHandler exposes the coordinator behind the single-node surface —
 // internal/server's routes, validation, status mapping, middleware and
 // slow log — so existing clients work unchanged against a sharded
-// deployment. Degraded answers (allow-partial) carry an X-Partial
-// header and the partial response field; /stats has no engine blocks
-// and the batch routes fan out per item.
+// deployment. A shard that does not answer is a 502; /stats has no
+// engine blocks and the batch routes fan out per item.
 func NewHandler(c *Coordinator) http.Handler {
 	return server.New(server.Config{
 		Querier:   func() server.Querier { return querier{c} },
@@ -190,20 +189,12 @@ func upstream(err error) error {
 	return fmt.Errorf("%w: %w", server.ErrUpstream, err)
 }
 
-// source reports a merged answer's provenance in the engine's terms.
-func source(partial bool) engine.Source {
-	if partial {
-		return engine.SourcePartial
-	}
-	return engine.SourceMerged
-}
-
 func (a querier) TopKMetered(ctx context.Context, q vec.Query, k int) ([]topk.Scored, engine.TopKInfo, error) {
 	res, err := a.c.TopK(ctx, q, k)
 	if err != nil {
 		return nil, engine.TopKInfo{}, upstream(err)
 	}
-	return res.Result, engine.TopKInfo{Source: source(res.Partial)}, nil
+	return res, engine.TopKInfo{Source: engine.SourceMerged}, nil
 }
 
 func (a querier) Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*engine.Analysis, error) {
@@ -211,7 +202,7 @@ func (a querier) Analyze(ctx context.Context, q vec.Query, k int, opts engine.Op
 	if err != nil {
 		return nil, upstream(err)
 	}
-	return &engine.Analysis{Output: an.Output, Source: source(an.Partial)}, nil
+	return &engine.Analysis{Output: an.Output, Source: engine.SourceMerged}, nil
 }
 
 // TopKBatch and AnalyzeBatch answer item by item, each a fan-out of

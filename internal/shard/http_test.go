@@ -20,7 +20,6 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/topk"
 	"repro/internal/vec"
 )
 
@@ -163,10 +162,7 @@ func TestHTTPShardedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: single topk: %v", tag, err)
 		}
-		diffScored(t, tag+"/topk", got.Result, want)
-		if got.Partial {
-			t.Fatalf("%s: healthy cluster answered Partial", tag)
-		}
+		diffScored(t, tag+"/topk", got, want)
 		for vi, opts := range optsVariants(rng) {
 			if opts.Iterative {
 				continue // the shard wire carries no Iterative: no served request sets it
@@ -209,14 +205,11 @@ func TestHTTPShardedBitIdentical(t *testing.T) {
 
 	// The public front speaks the single-node JSON dialect.
 	var entries []server.ResultEntry
-	code, hdr := hc.postJSON(t, "/topk", server.QueryRequest{
+	code, _ := hc.postJSON(t, "/topk", server.QueryRequest{
 		Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K,
 	}, &entries)
 	if code != http.StatusOK {
 		t.Fatalf("front /topk status %d", code)
-	}
-	if hdr.Get("X-Partial") != "" {
-		t.Fatal("healthy front set X-Partial")
 	}
 	want, _, err := single.TopKMetered(ctx, cs.Q, cs.K)
 	if err != nil {
@@ -240,9 +233,6 @@ func TestHTTPShardedBitIdentical(t *testing.T) {
 	ref, err := single.Analyze(ctx, cs.Q, cs.K, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if an.Partial {
-		t.Fatal("healthy front flagged /analyze partial")
 	}
 	if len(an.Regions) != len(ref.Regions) {
 		t.Fatalf("front /analyze returned %d regions, want %d", len(an.Regions), len(ref.Regions))
@@ -297,64 +287,6 @@ func TestHTTPShardKilledFailsClosed(t *testing.T) {
 	}
 	if got := hc.scrapeMetric(t, `ir_shard_fanout_errors_total{op="topk"}`); got <= errsBefore {
 		t.Fatalf("ir_shard_fanout_errors_total{op=topk} did not grow: %v -> %v", errsBefore, got)
-	}
-}
-
-// TestHTTPAllowPartialDegraded pins the -allow-partial posture end to
-// end: with a shard dead the front still answers, flags the degradation
-// (X-Partial header, partial field), serves the surviving shards' merge,
-// and ticks the partial-merge counter.
-func TestHTTPAllowPartialDegraded(t *testing.T) {
-	rng := rand.New(rand.NewSource(4303))
-	cs := fixture.RandCase(rng, 60, 6, 2, 3)
-	hc := newHTTPCluster(t, cs.Tuples, cs.M, 3, Config{AllowPartial: true})
-
-	partialBefore := hc.scrapeMetric(t, "ir_shard_partial_total")
-	hc.shards[1].Close()
-
-	var entries []server.ResultEntry
-	code, hdr := hc.postJSON(t, "/topk", server.QueryRequest{
-		Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K,
-	}, &entries)
-	if code != http.StatusOK {
-		t.Fatalf("degraded front /topk status %d, want 200", code)
-	}
-	if hdr.Get("X-Partial") != "true" {
-		t.Fatal("degraded front /topk did not set X-Partial")
-	}
-
-	// The degraded answer is a single node over the union minus the dead
-	// shard's range (ids renumbered in the oracle, so scores only).
-	var surviving []vec.Sparse
-	lo, hi := hc.coord.m.Base(1), hc.coord.m.Base(2)
-	for id, tu := range cs.Tuples {
-		if id < lo || id >= hi {
-			surviving = append(surviving, tu)
-		}
-	}
-	naive := topk.TopKNaive(surviving, cs.Q, cs.K)
-	if len(entries) != len(naive) {
-		t.Fatalf("degraded /topk has %d entries, want %d", len(entries), len(naive))
-	}
-	for i, e := range entries {
-		if e.Score != naive[i].Score {
-			t.Fatalf("degraded /topk score[%d] = %v, want %v", i, e.Score, naive[i].Score)
-		}
-	}
-
-	var an server.AnalyzeResponse
-	code, hdr = hc.postJSON(t, "/analyze", server.QueryRequest{
-		Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K,
-	}, &an)
-	if code != http.StatusOK {
-		t.Fatalf("degraded front /analyze status %d, want 200", code)
-	}
-	if !an.Partial || hdr.Get("X-Partial") != "true" {
-		t.Fatal("degraded front /analyze did not flag partial")
-	}
-
-	if got := hc.scrapeMetric(t, "ir_shard_partial_total"); got <= partialBefore {
-		t.Fatalf("ir_shard_partial_total did not grow: %v -> %v", partialBefore, got)
 	}
 }
 
@@ -464,7 +396,7 @@ func TestHTTPRound2Reply(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := mustJSON(t, server.ShardAnalyzeRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K,
-			Imposed: res.Result, Phi: phi, Method: "cpt"})
+			Imposed: res, Phi: phi, Method: "cpt"})
 		resp, err := http.Post(hc.shards[0].URL+"/shard/analyze", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func stRound2(b *testing.B) (tuples []vec.Sparse, c *Coordinator, q vec.Query, k
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ds.Tuples, c, q, k, merged.Result, engine.Options{Options: core.Options{Method: core.MethodCPT, Phi: 2}}
+	return ds.Tuples, c, q, k, merged, engine.Options{Options: core.Options{Method: core.MethodCPT, Phi: 2}}
 }
 
 // BenchmarkReplayRegions times the coordinator's merge (sort + replay)

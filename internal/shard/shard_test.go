@@ -180,10 +180,7 @@ func TestShardedBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %s: sharded topk: %v", trial, stage, err)
 				}
-				if got.Partial {
-					t.Fatalf("trial %d %s: unexpected partial topk", trial, stage)
-				}
-				diffScored(t, stage+"/topk", got.Result, want)
+				diffScored(t, stage+"/topk", got, want)
 
 				for oi, opts := range variants {
 					wa, err := single.Analyze(ctx, cs.Q, cs.K, opts)
@@ -193,9 +190,6 @@ func TestShardedBitIdentical(t *testing.T) {
 					ga, err := coord.Analyze(ctx, cs.Q, cs.K, opts)
 					if err != nil {
 						t.Fatalf("trial %d %s opts %d: sharded analyze: %v", trial, stage, oi, err)
-					}
-					if ga.Partial {
-						t.Fatalf("trial %d %s opts %d: unexpected partial analyze", trial, stage, oi)
 					}
 					diffOutputs(t, stage+"/analyze", ga.Output, wa.Output)
 				}
@@ -245,7 +239,7 @@ func TestShardedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d ties: sharded topk: %v", trial, err)
 			}
-			diffScored(t, "ties/topk", got.Result, want)
+			diffScored(t, "ties/topk", got, want)
 		}
 	}
 }
