@@ -43,9 +43,9 @@ type benchEnv struct {
 	wsj  *dataset.Dataset
 	kb   *dataset.Dataset
 	st   *dataset.Dataset
-	wsjI *lists.MemIndex
-	kbI  *lists.MemIndex
-	stI  *lists.MemIndex
+	wsjI *lists.Overlay
+	kbI  *lists.Overlay
+	stI  *lists.Overlay
 }
 
 var env benchEnv
@@ -291,7 +291,7 @@ func BenchmarkCacheAnalyze(b *testing.B) {
 	}{
 		{"miss", env.wsjI, qs},
 		{"miss-st", env.stI, stQs},
-		{"miss-st-disk", lists.NewOverlay(disk), stQs},
+		{"miss-st-disk", disk, stQs},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			eng := engine.New(tc.ix, engine.Config{MaxConcurrent: -1})
@@ -400,7 +400,7 @@ func BenchmarkColdStream(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer disk.Close()
-	eng := engine.New(lists.NewOverlay(disk), engine.Config{})
+	eng := engine.New(disk, engine.Config{})
 	streams := []*coldStream{newColdStream(st.M, 1, 0), newColdStream(st.M, 1, 1)}
 	st = nil
 	// A collection that also hands the generator's freed heap back to the

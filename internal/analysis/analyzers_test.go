@@ -29,7 +29,7 @@ func TestErrMap(t *testing.T) {
 
 func TestDetCore(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.DetCore,
-		"detcore/internal/core", "detcore/internal/util")
+		"detcore/internal/core", "detcore/internal/vec", "detcore/internal/util")
 }
 
 func TestObsReg(t *testing.T) {

@@ -12,3 +12,5 @@ func Count(m map[string]int) int {
 }
 
 func Stamp() time.Time { return time.Now() }
+
+func Axpy(a, x, y float64) float64 { return a*x + y }

@@ -57,7 +57,7 @@ func New(name string, tuples []vec.Sparse, m int) *Dataset {
 func (d *Dataset) N() int { return len(d.Tuples) }
 
 // Index builds an in-memory inverted-list index over the dataset.
-func (d *Dataset) Index() *lists.MemIndex { return lists.NewMemIndex(d.Tuples, d.M) }
+func (d *Dataset) Index() *lists.Overlay { return lists.NewMemIndex(d.Tuples, d.M) }
 
 // Save persists the dataset in the on-disk storage formats.
 func (d *Dataset) Save(tuplePath, listPath string) error {

@@ -173,16 +173,15 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 }
 
 // OverlayStats measures the write overlay's in-memory delta; ok is
-// false when there is none: a ReadOnly engine that serves its index as
-// it is. Every writable engine has one, in-memory ones included.
+// false when there is none: a ReadOnly engine. Every writable engine
+// has one, in-memory ones included.
 func (e *Engine) OverlayStats() (lists.DeltaStats, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ov, ok := e.ix.(*lists.Overlay)
-	if !ok {
+	if e.mut == nil {
 		return lists.DeltaStats{}, false
 	}
-	return ov.DeltaStats(), true
+	return e.mut.DeltaStats(), true
 }
 
 // OpenDir opens a persisted dataset directory, following its manifest
@@ -272,21 +271,23 @@ func openSnapshot(dir string, cfg Config) (wal.Manifest, *Engine, error) {
 	if err != nil {
 		return man, nil, err
 	}
+	e := New(ix, cfg)
+	e.closer = ix.Close
 	// An existing log holds committed batches the dataset files lack;
-	// serve them even though this open will not write.
-	ov := lists.NewOverlay(ix)
-	replayedOps := 0
-	res, err := wal.Replay(filepath.Join(dir, wal.LogName), man.LastSeq, replayInto(ov, &replayedOps))
+	// serve them even though this open will not write (a ReadOnly engine
+	// takes an overlay only when there are some).
+	ov := e.mut
+	if ov == nil {
+		ov = lists.NewOverlay(ix)
+	}
+	res, err := wal.Replay(filepath.Join(dir, wal.LogName), man.LastSeq, replayInto(ov, new(int)))
 	if err != nil {
 		ix.Close()
 		return man, nil, fmt.Errorf("engine: replay %s: %w", wal.LogName, err)
 	}
-	var top lists.Index = ov
-	if cfg.ReadOnly && res.Records == 0 {
-		top = ix // nothing replayed: serve the raw files
+	if res.Records > 0 {
+		e.ix = ov
 	}
-	e := New(top, cfg)
-	e.closer = ix.Close
 	e.epoch.Store(man.Epoch)
 	e.epochs = append([]wal.EpochStart(nil), man.Epochs...)
 	return man, e, nil
@@ -316,15 +317,14 @@ func openDurableDir(dir string, cfg Config) (*Engine, error) {
 	if err != nil {
 		return fail(err)
 	}
-	ov := lists.NewOverlay(ix)
+	e := New(ix, cfg)
+	e.closer = ix.Close
 	replayedOps := 0
-	w, res, err := wal.Open(filepath.Join(dir, wal.LogName), cfg.WALSync, man.LastSeq, replayInto(ov, &replayedOps))
+	w, res, err := wal.Open(filepath.Join(dir, wal.LogName), cfg.WALSync, man.LastSeq, replayInto(e.mut, &replayedOps))
 	if err != nil {
 		ix.Close()
 		return fail(fmt.Errorf("engine: open wal: %w", err))
 	}
-	e := New(ov, cfg)
-	e.closer = ix.Close
 	threshold := cfg.CheckpointBytes
 	if threshold == 0 {
 		threshold = DefaultCheckpointBytes

@@ -168,16 +168,13 @@ type Engine struct {
 
 // New builds an Engine over an existing index. Unless the config says
 // ReadOnly, Apply is enabled: the engine serves and mutates a write
-// overlay over ix (ix itself, when it already is one), so the index,
-// and the tuples it was built from, are never written.
+// overlay of its own over ix, so the index, and the tuples it was built
+// from, are never written.
 func New(ix lists.Index, cfg Config) *Engine {
 	e := &Engine{ix: ix, cfg: cfg}
 	if !cfg.ReadOnly {
-		ov, ok := ix.(*lists.Overlay)
-		if !ok {
-			ov = lists.NewOverlay(ix)
-		}
-		e.ix, e.mut = ov, ov
+		e.mut = lists.NewOverlay(ix)
+		e.ix = e.mut
 	}
 	limit := cfg.MaxConcurrent
 	if limit == 0 {

@@ -212,7 +212,7 @@ func TestMissAllocsIndependentOfAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer disk.Close()
-	ix := lists.NewOverlay(disk)
+	ix := disk
 
 	// Every run asks about a subspace of its own (a window of four
 	// consecutive dimensions), so with the cache on each one is a miss.

@@ -42,13 +42,13 @@ var Golden = Config{Queries: 5, Scale: 0.5, Seed: 1}
 type Runner struct {
 	cfg    Config
 	data   map[string]*dataset.Dataset
-	index  map[string]*lists.MemIndex
+	index  map[string]lists.Index
 	tables map[string]Table
 }
 
 // NewRunner prepares a run of the registry at cfg.
 func NewRunner(cfg Config) *Runner {
-	return &Runner{cfg: cfg, data: map[string]*dataset.Dataset{}, index: map[string]*lists.MemIndex{}, tables: map[string]Table{}}
+	return &Runner{cfg: cfg, data: map[string]*dataset.Dataset{}, index: map[string]lists.Index{}, tables: map[string]Table{}}
 }
 
 // The three evaluation datasets of §7.1 (synthetic stand-ins, see
@@ -63,7 +63,7 @@ const (
 // WSJ's terms per document scale with the vocabulary so that term
 // co-occurrence stays in the sparse regime of the real corpus at every
 // scale (the property the pruning results depend on).
-func (r *Runner) Dataset(name string) (*dataset.Dataset, *lists.MemIndex) {
+func (r *Runner) Dataset(name string) (*dataset.Dataset, lists.Index) {
 	if d, ok := r.data[name]; ok {
 		return d, r.index[name]
 	}

@@ -12,11 +12,12 @@ import (
 )
 
 // The bulk-load kernel: every way this package turns tuples into sorted
-// inverted lists — MemIndex (BuildColumnar), the row form (BuildPostings)
-// and the dataset files (SaveDataset: irgen and shard builds) — carves
-// and sorts through the code in this file, so the in-memory and on-disk
-// list orders cannot diverge. A checkpoint rewrite does not come through
-// here: its lists are already sorted, and SaveIndex merges them.
+// inverted lists — an in-memory index (BuildColumnar), the row form
+// (BuildPostings) and the dataset files (SaveDataset: irgen and shard
+// builds) — carves and sorts through the code in this file, so the
+// in-memory and on-disk list orders cannot diverge. A checkpoint rewrite
+// does not come through here: its lists are already sorted, and
+// SaveIndex merges them.
 //
 // A posting is held as a sort key plus its tuple id. The key is the
 // coordinate's IEEE-754 bits mapped so that unsigned ascending key order

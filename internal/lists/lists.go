@@ -2,18 +2,19 @@
 // paper's system model (§3): for each dimension j an inverted list Lj of
 // 〈tuple, coordinate〉 entries sorted by descending coordinate, plus
 // random access to full tuples through an external file. Two
-// implementations share one interface: MemIndex keeps everything in
-// memory while still metering logical I/O (the paper's CPU charts stand
-// in for the memory-resident setting, §7.1), and DiskIndex reads the
-// storage package's on-disk formats.
+// implementations hold data: DiskIndex reads the storage package's
+// on-disk formats, and Overlay keeps tuples and sorted lists in memory
+// over a base index, metered as the files would charge them. An
+// in-memory dataset (NewMemIndex, what the paper's CPU charts measure,
+// §7.1) is an Overlay over an empty base.
 //
 // # Mutability and overlay merge rules
 //
-// MemIndex and DiskIndex are read-only. The write path
-// (Insert/Update/Delete) has one implementation, Overlay, which makes
-// either writable without writing to it: it layers (1) delta posting
-// lists, merged into every cursor in the order BuildPostings would
-// produce (descending value, ties by ascending id), (2) a tombstone set
+// DiskIndex is read-only. The write path (Insert/Update/Delete) has one
+// implementation, Overlay, which makes its base writable without writing
+// to it: it layers (1) delta posting lists, merged into every cursor in
+// the order BuildPostings would produce (descending value, ties by
+// ascending id), (2) a tombstone set
 // hiding base postings of changed or deleted ids, and (3) an id-stable
 // tuple override table.
 // The merge invariants: a base id is either served from the base or
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/storage"
@@ -140,8 +142,8 @@ func BuildPostings(tuples []vec.Sparse) map[int][]storage.Posting {
 }
 
 // BuildColumnar constructs the per-dimension inverted lists directly in
-// the columnar layout MemIndex serves from, in BuildPostings' order. The
-// lists are carved from one allocation per column.
+// the columnar layout an overlay's delta is held in, in BuildPostings'
+// order. The lists are carved from one allocation per column.
 func BuildColumnar(tuples []vec.Sparse) map[int]PostingList {
 	b := carve(tuples)
 	b.sortAll()
@@ -157,99 +159,61 @@ func BuildColumnar(tuples []vec.Sparse) map[int]PostingList {
 	return out
 }
 
-// MemIndex is an in-memory Index. Logical I/O is still metered: cursors
-// charge one sequential page per postingsPerPage entries consumed, and
-// Tuple charges one random read — so experiment I/O counts are identical
-// to the disk-backed path.
-type MemIndex struct {
-	tuples []vec.Sparse
-	lists  map[int]PostingList
-	m      int
-	stats  *storage.IOStats
-}
-
-// NewMemIndex builds an in-memory index over tuples in [0,1]^m. The
-// index reads tuples in place and never writes them.
-func NewMemIndex(tuples []vec.Sparse, m int) *MemIndex {
-	return &MemIndex{
-		tuples: tuples,
-		lists:  BuildColumnar(tuples),
-		m:      m,
-		stats:  &storage.IOStats{},
+// NewMemIndex builds an in-memory index over tuples in [0,1]^m: an
+// overlay over an empty base holding every tuple as an insert, so it
+// serves, charges and reports (DeltaStats) what an empty overlay would
+// after Insert(t) for each t in id order (Insert refuses an empty tuple;
+// an engine over the index reads one as deleted). It takes its own copy
+// of the slice, shares the vectors and never writes them.
+func NewMemIndex(tuples []vec.Sparse, m int) *Overlay {
+	ov := NewOverlay(&emptyIndex{m})
+	ov.stats = &storage.IOStats{}
+	ov.added = slices.Clone(tuples)
+	ov.delta = BuildColumnar(tuples)
+	ov.ds.Added = len(tuples)
+	for _, t := range tuples {
+		ov.ds.DeltaPostings += len(t)
+		ov.ds.Bytes += tupleBytes(t) + 12*int64(len(t))
 	}
+	return ov
 }
 
-// NumTuples returns the dataset cardinality.
-func (ix *MemIndex) NumTuples() int { return len(ix.tuples) }
+// emptyIndex is the base of an in-memory index: it holds no tuple and
+// no list, so nothing reads it and it has no meter. WithStats returns it
+// as it is, so a query's view of it allocates nothing.
+type emptyIndex struct{ m int }
 
-// Dim returns the dimensionality m.
-func (ix *MemIndex) Dim() int { return ix.m }
+func (e *emptyIndex) NumTuples() int                   { return 0 }
+func (e *emptyIndex) Dim() int                         { return e.m }
+func (e *emptyIndex) ListLen(int) int                  { return 0 }
+func (e *emptyIndex) Cursor(int) Cursor                { return &deltaCursor{} }
+func (e *emptyIndex) Stats() *storage.IOStats          { return nil }
+func (e *emptyIndex) WithStats(*storage.IOStats) Index { return e }
+func (e *emptyIndex) Tuple(id int) vec.Sparse          { panic(e.Project(id, nil, nil)) }
 
-// ListLen returns the length of dim's inverted list.
-func (ix *MemIndex) ListLen(dim int) int { return ix.lists[dim].Len() }
-
-// Stats returns the I/O meter.
-func (ix *MemIndex) Stats() *storage.IOStats { return ix.stats }
-
-// WithStats returns a view over the same data charging st.
-func (ix *MemIndex) WithStats(st *storage.IOStats) Index {
-	cp := *ix
-	cp.stats = st
-	return &cp
+func (e *emptyIndex) Project(id int, _ []int, _ []float64) error {
+	return fmt.Errorf("lists: no tuple %d in an empty index", id)
 }
 
-// Cursor opens a sorted-access cursor on dim.
-func (ix *MemIndex) Cursor(dim int) Cursor {
-	pl := ix.lists[dim]
-	return &memCursor{ids: pl.IDs, vals: pl.Vals, stats: ix.stats}
-}
-
-// Tuple fetches a tuple, charging one random read.
-func (ix *MemIndex) Tuple(id int) vec.Sparse {
-	t := ix.tuples[id]
-	ix.stats.AddRandRead(storage.RecordBytes(len(t), ix.m))
-	return t
-}
-
-// Project charges Tuple's random read and projects from memory.
-func (ix *MemIndex) Project(id int, dims []int, dst []float64) error {
-	projectMem(ix.tuples[id], ix.m, dims, dst, ix.stats)
-	return nil
-}
-
-// projectMem is Project over a memory-resident tuple, charged like its
-// record in a tuple file of dimensionality m.
-func projectMem(t vec.Sparse, m int, dims []int, dst []float64, st *storage.IOStats) {
-	st.AddRandRead(storage.RecordBytes(len(t), m))
-	vec.Query{Dims: dims}.ProjectInto(t, dst)
-}
-
-// Postings materializes the raw list of a dimension in row form; used by
-// dataset statistics and tests, not the query path.
-func (ix *MemIndex) Postings(dim int) []storage.Posting {
-	pl := ix.lists[dim]
-	out := make([]storage.Posting, pl.Len())
-	for i := range out {
-		out[i] = pl.At(i)
-	}
-	return out
-}
-
-type memCursor struct {
+// deltaCursor reads one in-memory posting list. It charges one
+// sequential page per postingsPerPage postings consumed, as a list
+// file's cursor does: this is the one place that rule is written for
+// memory-resident postings.
+type deltaCursor struct {
 	ids   []int32
 	vals  []float64
 	stats *storage.IOStats
 	pos   int
 }
 
-func (c *memCursor) Peek() (storage.Posting, bool) {
+func (c *deltaCursor) Peek() (storage.Posting, bool) {
 	if c.pos >= len(c.ids) {
 		return storage.Posting{}, false
 	}
 	return storage.Posting{ID: int(c.ids[c.pos]), Val: c.vals[c.pos]}, true
 }
 
-func (c *memCursor) Next() (storage.Posting, bool) {
+func (c *deltaCursor) Next() (storage.Posting, bool) {
 	p, ok := c.Peek()
 	if !ok {
 		return storage.Posting{}, false
@@ -261,11 +225,11 @@ func (c *memCursor) Next() (storage.Posting, bool) {
 	return p, true
 }
 
-func (c *memCursor) Consumed() int { return c.pos }
-func (c *memCursor) Err() error    { return nil }
-func (c *memCursor) Release()      {}
+func (c *deltaCursor) Consumed() int { return c.pos }
+func (c *deltaCursor) Err() error    { return nil }
+func (c *deltaCursor) Release()      {}
 
-func (c *memCursor) Clone() Cursor {
+func (c *deltaCursor) Clone() Cursor {
 	cp := *c
 	return &cp
 }

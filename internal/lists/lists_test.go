@@ -62,6 +62,94 @@ func TestMemIndexBasics(t *testing.T) {
 	}
 }
 
+// TestMemIndexIsInserts: an in-memory index is an empty overlay after
+// one Insert per tuple, in id order. Over random tuple sets — tied
+// values, sparse rows, m up to 64, lists several pages long — the two
+// agree on sizes, on every cursor's postings, Consumed and page charges,
+// on what Tuple and Project charge, and on DeltaStats. Writes to the
+// built index never reach the caller's tuples.
+func TestMemIndexIsInserts(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 40; trial++ {
+		m := 1 + rng.Intn(64)
+		density := 0.02 + 0.6*rng.Float64()
+		ties := rng.Intn(2) == 0
+		ts := make([]vec.Sparse, rng.Intn(1200))
+		for i := range ts {
+			var entries []vec.Entry
+			for len(entries) == 0 {
+				for d := 0; d < m; d++ {
+					if rng.Float64() < density {
+						v := 1 - rng.Float64()
+						if ties {
+							v = float64(1+rng.Intn(4)) / 4
+						}
+						entries = append(entries, vec.Entry{Dim: d, Val: v})
+					}
+				}
+			}
+			ts[i] = vec.MustSparse(entries...)
+		}
+		given := cloneTuples(ts)
+
+		built := NewMemIndex(ts, m)
+		ins := NewMemIndex(nil, m)
+		for _, tu := range ts {
+			if _, err := ins.Insert(tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if built.NumTuples() != ins.NumTuples() || built.DeltaStats() != ins.DeltaStats() {
+			t.Fatalf("trial %d: n %d, stats %+v; after inserts n %d, stats %+v",
+				trial, built.NumTuples(), built.DeltaStats(), ins.NumTuples(), ins.DeltaStats())
+		}
+		for d := 0; d < m; d++ {
+			if built.ListLen(d) != ins.ListLen(d) {
+				t.Fatalf("trial %d dim %d: ListLen %d, after inserts %d", trial, d, built.ListLen(d), ins.ListLen(d))
+			}
+			var a, b storage.IOStats
+			got, want := drain(built.WithStats(&a).Cursor(d), &a), drain(ins.WithStats(&b).Cursor(d), &b)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d dim %d: the cursors differ", trial, d)
+			}
+		}
+		for id := range ts {
+			dims := rng.Perm(m)[:1+rng.Intn(min(m, 8))]
+			sort.Ints(dims)
+			var a, b storage.IOStats
+			gt, wt := built.WithStats(&a).Tuple(id), ins.WithStats(&b).Tuple(id)
+			gp, wp := make([]float64, len(dims)), make([]float64, len(dims))
+			if err := built.WithStats(&a).Project(id, dims, gp); err != nil {
+				t.Fatal(err)
+			}
+			if err := ins.WithStats(&b).Project(id, dims, wp); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gt, wt) || !slices.Equal(gp, wp) || a != b {
+				t.Fatalf("trial %d tuple %d: %v %v charged %+v; after inserts %v %v charged %+v", trial, id, gt, gp, &a, wt, wp, &b)
+			}
+		}
+
+		if len(ts) < 2 {
+			continue
+		}
+		if _, err := built.Update(0, vec.MustSparse(vec.Entry{Dim: 0, Val: 0.5})); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := built.Delete(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := built.Insert(vec.MustSparse(vec.Entry{Dim: m - 1, Val: 0.5})); err != nil {
+			t.Fatal(err)
+		}
+		for i := range given {
+			if !slices.Equal(ts[i], given[i]) {
+				t.Fatalf("trial %d: caller's tuple %d reads %v after writes, was %v", trial, i, ts[i], given[i])
+			}
+		}
+	}
+}
+
 // shapedTuples draws n tuples over m dimensions, each with between lo
 // and hi entries (of at most m) at random dimensions: ST-shaped when
 // nearly every dimension is set, WSJ-shaped when few of many are.

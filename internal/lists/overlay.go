@@ -2,10 +2,10 @@
 // static — immutable regions certify result validity against *weight*
 // change — but the orthogonal axis, *data* change, is what the engine's
 // region-certified cache invalidation is built on. An Overlay makes a
-// read-only Index (a MemIndex or a DiskIndex) writable without writing
-// to it: new and updated tuples live in memory as delta posting lists;
-// base postings of updated or deleted tuples are tombstoned and skipped
-// by the merged cursor. The merged sorted order is exactly
+// read-only Index (a DiskIndex, or another overlay) writable without
+// writing to it: new and updated tuples live in memory as delta posting
+// lists; base postings of updated or deleted tuples are tombstoned and
+// skipped by the merged cursor. The merged sorted order is exactly
 // BuildPostings' (descending value, ties by ascending id), so to the
 // query path an overlay is indistinguishable from an index freshly built
 // on the post-update dataset.
@@ -111,17 +111,25 @@ func (ov *Overlay) WithStats(st *storage.IOStats) Index {
 	return &cp
 }
 
-// Tuple fetches a tuple, charging one random read. Overlay-resident
-// versions are charged like MemIndex tuples.
-func (ov *Overlay) Tuple(id int) vec.Sparse {
+// resident returns the overlay's own version of tuple id, charging the
+// random read of its record in a tuple file; ok is false when the base
+// serves the id.
+func (ov *Overlay) resident(id int) (t vec.Sparse, ok bool) {
 	if id >= ov.baseN {
-		t := ov.added[id-ov.baseN]
-		ov.stats.AddRandRead(storage.RecordBytes(len(t), ov.m))
-		return t
+		t, ok = ov.added[id-ov.baseN], true
+	} else if e, over := ov.over[id]; over {
+		t, ok = e.t, true
 	}
-	if e, ok := ov.over[id]; ok {
-		ov.stats.AddRandRead(storage.RecordBytes(len(e.t), ov.m))
-		return e.t
+	if ok {
+		ov.stats.AddRandRead(storage.RecordBytes(len(t), ov.m))
+	}
+	return t, ok
+}
+
+// Tuple fetches a tuple, charging one random read.
+func (ov *Overlay) Tuple(id int) vec.Sparse {
+	if t, ok := ov.resident(id); ok {
+		return t
 	}
 	return ov.base.Tuple(id)
 }
@@ -129,13 +137,11 @@ func (ov *Overlay) Tuple(id int) vec.Sparse {
 // Project follows Tuple: overlay-resident versions project from memory,
 // everything else from the base.
 func (ov *Overlay) Project(id int, dims []int, dst []float64) error {
-	if id >= ov.baseN {
-		projectMem(ov.added[id-ov.baseN], ov.m, dims, dst, ov.stats)
-	} else if e, ok := ov.over[id]; ok {
-		projectMem(e.t, ov.m, dims, dst, ov.stats)
-	} else {
+	t, ok := ov.resident(id)
+	if !ok {
 		return ov.base.Project(id, dims, dst)
 	}
+	vec.Query{Dims: dims}.ProjectInto(t, dst)
 	return nil
 }
 
@@ -218,17 +224,20 @@ func (ov *Overlay) overridden(id int) bool {
 // write has touched since the last checkpoint — no delta postings, no
 // tombstoned base postings — has nothing to merge or skip, so its cursor
 // is the base cursor itself: same postings, same Consumed, same charges.
+// Likewise a dimension the base has no list for (every dimension of an
+// in-memory index) is read from the delta alone.
 func (ov *Overlay) Cursor(dim int) Cursor {
 	pl := ov.delta[dim]
-	if pl.Len() == 0 && ov.deadPerDim[dim] == 0 {
+	switch {
+	case pl.Len() == 0 && ov.deadPerDim[dim] == 0:
 		return ov.base.Cursor(dim)
+	case ov.base.ListLen(dim) == 0:
+		return &deltaCursor{ids: pl.IDs, vals: pl.Vals, stats: ov.stats}
 	}
 	return &overlayCursor{
 		base:  ov.base.Cursor(dim),
 		dead:  ov.deadBase,
-		ids:   pl.IDs,
-		vals:  pl.Vals,
-		stats: ov.stats,
+		delta: deltaCursor{ids: pl.IDs, vals: pl.Vals, stats: ov.stats},
 	}
 }
 
@@ -419,11 +428,8 @@ func (ov *Overlay) Delete(id int) (vec.Sparse, error) {
 type overlayCursor struct {
 	base  Cursor
 	dead  []uint64
-	ids   []int32
-	vals  []float64
-	pos   int // delta position
+	delta deltaCursor
 	n     int // merged postings consumed
-	stats *storage.IOStats
 }
 
 // skipDead consumes base postings of tombstoned tuples. Reading past
@@ -444,11 +450,8 @@ func (c *overlayCursor) skipDead() {
 func (c *overlayCursor) peek() (p storage.Posting, fromDelta, ok bool) {
 	c.skipDead()
 	bp, bok := c.base.Peek()
-	if c.pos < len(c.ids) {
-		dp := storage.Posting{ID: int(c.ids[c.pos]), Val: c.vals[c.pos]}
-		if !bok || dp.Val > bp.Val || (dp.Val == bp.Val && dp.ID < bp.ID) {
-			return dp, true, true
-		}
+	if dp, dok := c.delta.Peek(); dok && (!bok || dp.Val > bp.Val || (dp.Val == bp.Val && dp.ID < bp.ID)) {
+		return dp, true, true
 	}
 	return bp, false, bok
 }
@@ -459,18 +462,13 @@ func (c *overlayCursor) Peek() (storage.Posting, bool) {
 }
 
 func (c *overlayCursor) Next() (storage.Posting, bool) {
-	p, fromDelta, ok := c.peek()
+	_, fromDelta, ok := c.peek()
 	if !ok {
 		return storage.Posting{}, false
 	}
 	c.n++
 	if fromDelta {
-		// Charge the delta side like MemIndex postings.
-		if c.pos%postingsPerPage == 0 {
-			c.stats.AddSeqPage(1)
-		}
-		c.pos++
-		return p, true
+		return c.delta.Next()
 	}
 	return c.base.Next()
 }

@@ -15,7 +15,7 @@ import (
 // dimension, forced here for any dimension.
 func mergingCursor(ov *Overlay, dim int) Cursor {
 	pl := ov.delta[dim]
-	return &overlayCursor{base: ov.base.Cursor(dim), dead: ov.deadBase, ids: pl.IDs, vals: pl.Vals, stats: ov.stats}
+	return &overlayCursor{base: ov.base.Cursor(dim), dead: ov.deadBase, delta: deltaCursor{ids: pl.IDs, vals: pl.Vals, stats: ov.stats}}
 }
 
 type cursorStep struct {

@@ -152,7 +152,7 @@ func TestWasSortedAccessed(t *testing.T) {
 		mustRun(t, ta)
 		for i, dim := range cs.Q.Dims {
 			consumed := ta.consumed[i]
-			postings := ix.Postings(dim)
+			postings := lists.BuildPostings(cs.Tuples)[dim]
 			inPrefix := map[int]bool{}
 			for _, p := range postings[:consumed] {
 				inPrefix[p.ID] = true
