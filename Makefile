@@ -182,10 +182,10 @@ test-obs:
 
 # Sharding focus: the scatter-gather coordinator suite — bit-identity
 # to a single node across shard counts 1/2/4/8 with mutations, the
-# region-certificate property, the retry double-count guard, the
-# shard-killed fault-injection e2e, and the dialect-parity test (the
-# coordinator front answers like a single node because it is
-# internal/server) — all under -race.
+# region-certificate property, one retry loop and one live attempt per
+# shard RPC, the shard-killed fault-injection e2e, and the
+# dialect-parity test (the coordinator front answers like a single node
+# because it is internal/server) — all under -race.
 test-shard:
 	$(GO) test -race -count=1 ./internal/shard/
 

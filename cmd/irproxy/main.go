@@ -22,8 +22,9 @@
 // shard's primary plus standbys — joined by ';'), fans /topk and
 // /analyze out to every shard, routes /update and /delete batches to
 // the owning shards, and merges the answers bit-identically to a
-// single node over the union (docs/sharding.md). A shard that does not
-// answer within its retry budget fails the query closed, a 502: a
+// single node over the union (docs/sharding.md). -max-retries,
+// -retry-base, -retry-cap and -request-timeout govern every shard RPC;
+// a shard that still does not answer fails the query closed, a 502: a
 // merge without it would certify no region. The coordinator's front is
 // internal/server over the merge, so it serves the whole single-node
 // surface — batches, /stats (build block only), /readyz, the slow log
@@ -58,21 +59,19 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8000", "proxy listen address")
-		nodes        = flag.String("nodes", "", "comma-separated cluster member HTTP base URLs (seeds for topology discovery)")
-		id           = flag.String("id", "", "proxy identity seeding the deterministic retry jitter (default: the node list)")
-		maxRetries   = flag.Int("max-retries", 8, "retry attempts per request before answering 502")
-		retryBase    = flag.Duration("retry-base", 50*time.Millisecond, "initial retry backoff (doubles per attempt)")
-		retryCap     = flag.Duration("retry-cap", 2*time.Second, "retry backoff ceiling")
-		topologyTTL  = flag.Duration("topology-ttl", time.Second, "how long a discovered topology is trusted before re-probing")
-		reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-attempt upstream request timeout")
-		shutdownTo   = flag.Duration("shutdown-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
-		shardMap     = flag.String("shard-map", "", "coordinator mode: shards.json manifest of the range partition (irgen -shards); requires -shard-nodes")
-		shardNodes   = flag.String("shard-nodes", "", "per-shard seed groups, ','-separated in shard order; members within a group ';'-separated")
-		shardRetries = flag.Int("shard-retries", 1, "coordinator mode: read RPC relaunches per shard after a timeout or error (mutations never retry)")
-		shardTimeout = flag.Duration("shard-timeout", 0, "coordinator mode: per-attempt shard RPC bound (0 = bounded by the request context only)")
-		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (off when empty)")
-		version      = flag.Bool("version", false, "print version and exit")
+		addr        = flag.String("addr", ":8000", "proxy listen address")
+		nodes       = flag.String("nodes", "", "comma-separated cluster member HTTP base URLs (seeds for topology discovery)")
+		id          = flag.String("id", "", "proxy identity seeding the deterministic retry jitter (default: the node list)")
+		maxRetries  = flag.Int("max-retries", 8, "retry attempts per request before answering 502")
+		retryBase   = flag.Duration("retry-base", 50*time.Millisecond, "initial retry backoff (doubles per attempt)")
+		retryCap    = flag.Duration("retry-cap", 2*time.Second, "retry backoff ceiling")
+		topologyTTL = flag.Duration("topology-ttl", time.Second, "how long a discovered topology is trusted before re-probing")
+		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-attempt upstream request timeout, shard RPCs included")
+		shutdownTo  = flag.Duration("shutdown-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
+		shardMap    = flag.String("shard-map", "", "coordinator mode: shards.json manifest of the range partition (irgen -shards); requires -shard-nodes")
+		shardNodes  = flag.String("shard-nodes", "", "per-shard seed groups, ','-separated in shard order; members within a group ';'-separated")
+		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (off when empty)")
+		version     = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 
@@ -118,10 +117,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("irproxy: %v", err)
 		}
-		coord, err := shard.New(mp, backends, shard.Config{
-			MaxRetries:     *shardRetries,
-			AttemptTimeout: *shardTimeout,
-		})
+		coord, err := shard.New(mp, backends, shard.Config{})
 		if err != nil {
 			log.Fatalf("irproxy: %v", err)
 		}

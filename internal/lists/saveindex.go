@@ -2,6 +2,7 @@ package lists
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"repro/internal/storage"
 )
@@ -17,10 +18,13 @@ import (
 // the size of the base.
 //
 // The overlay must not change during the call: hand in a Freeze copy
-// unless writers are excluded some other way. Over a base that is not a
-// DiskIndex the same files come out of the overlay's cursors and Tuple.
+// unless writers are excluded some other way. Its base must be a
+// DiskIndex, whose files the merge reads.
 func SaveIndex(tuplePath, listPath string, ov *Overlay) (SaveIndexStats, error) {
-	disk, _ := ov.base.(*DiskIndex)
+	disk, ok := ov.base.(*DiskIndex)
+	if !ok {
+		return SaveIndexStats{}, fmt.Errorf("lists: SaveIndex needs an overlay over a DiskIndex, not a %T", ov.base)
+	}
 	var st SaveIndexStats
 	tupleErr := make(chan error, 1)
 	go func() { tupleErr <- ov.saveTuples(tuplePath, disk, &st) }()
@@ -51,10 +55,8 @@ func (ov *Overlay) saveTuples(path string, disk *DiskIndex, st *SaveIndexStats) 
 			return storage.RecordBytes(len(ov.added[id-ov.baseN]), ov.m)
 		case ov.overridden(id):
 			return storage.RecordBytes(len(ov.over[id].t), ov.m)
-		case disk != nil:
-			return disk.tf.RecordSize(id)
 		}
-		return storage.RecordBytes(len(ov.base.Tuple(id)), ov.m)
+		return disk.tf.RecordSize(id)
 	}
 	return storage.WriteTupleRecords(path, ov.NumTuples(), ov.m, size, func(out *storage.TupleSink) error {
 		buf := make([]byte, readScratch)
@@ -69,17 +71,10 @@ func (ov *Overlay) saveTuples(path string, disk *DiskIndex, st *SaveIndexStats) 
 			for end < ov.baseN && !ov.overridden(end) {
 				end++
 			}
-			if disk != nil {
-				if err := disk.tf.RawRecords(id, end, buf, out.Raw); err != nil {
-					return err
-				}
-				st.RecordsCopied += end - id
-			} else {
-				for i := id; i < end; i++ {
-					out.Tuple(ov.base.Tuple(i))
-				}
-				st.RecordsEncoded += end - id
+			if err := disk.tf.RawRecords(id, end, buf, out.Raw); err != nil {
+				return err
 			}
+			st.RecordsCopied += end - id
 			id = end
 		}
 		for _, t := range ov.added {
@@ -108,22 +103,10 @@ func (ov *Overlay) saveLists(path string, disk *DiskIndex, st *SaveIndexStats) e
 		}
 	}
 	buf := make([]byte, readScratch)
-	var ids []int32
-	var vals []float64
 	return storage.WriteListFile(path, ov.m, dims, counts, func(i int, out *storage.ListSink) error {
 		d := dims[i]
 		pl := ov.delta[d]
-		switch {
-		case disk == nil:
-			st.ListsMerged++
-			ids, vals = ids[:0], vals[:0]
-			c := ov.Cursor(d)
-			for p, ok := c.Next(); ok; p, ok = c.Next() {
-				ids, vals = append(ids, int32(p.ID)), append(vals, p.Val)
-			}
-			out.Append(ids, vals)
-			return nil
-		case pl.Len() == 0 && ov.deadPerDim[d] == 0:
+		if pl.Len() == 0 && ov.deadPerDim[d] == 0 {
 			st.ListsCopied++
 			return disk.lf.RawPostings(d, buf, out.Raw)
 		}

@@ -12,14 +12,13 @@ import (
 	"repro/internal/vec"
 )
 
-// mirror drives the same mutations into an overlay over the disk files
-// and one over a MemIndex of the same tuples, and keeps what the test
-// needs to predict SaveIndex's copy counts: the live view, the base ids
-// some write has overridden, and the dimensions that lost a base posting.
+// mirror drives mutations into an overlay over the disk files, and
+// keeps what the test needs to predict SaveIndex's copy counts: the live
+// view, the base ids some write has overridden, and the dimensions that
+// lost a base posting.
 type mirror struct {
 	t      *testing.T
 	disk   *lists.Overlay
-	mem    *lists.Overlay
 	baseN  int
 	keep   int          // the tuple live never picks
 	shadow []vec.Sparse // nil = deleted
@@ -59,9 +58,8 @@ func (mr *mirror) merged() map[int]bool {
 func (mr *mirror) insert(tu vec.Sparse) int {
 	mr.t.Helper()
 	id, err := mr.disk.Insert(tu)
-	id2, err2 := mr.mem.Insert(tu)
-	if err != nil || err2 != nil || id != id2 || id != len(mr.shadow) {
-		mr.t.Fatalf("insert: ids %d/%d (want %d), errs %v/%v", id, id2, len(mr.shadow), err, err2)
+	if err != nil || id != len(mr.shadow) {
+		mr.t.Fatalf("insert: id %d (want %d), err %v", id, len(mr.shadow), err)
 	}
 	mr.shadow = append(mr.shadow, tu)
 	return id
@@ -70,9 +68,8 @@ func (mr *mirror) insert(tu vec.Sparse) int {
 func (mr *mirror) update(id int, tu vec.Sparse) {
 	mr.t.Helper()
 	old, err := mr.disk.Update(id, tu)
-	_, err2 := mr.mem.Update(id, tu)
-	if err != nil || err2 != nil {
-		mr.t.Fatalf("update %d: %v/%v", id, err, err2)
+	if err != nil {
+		mr.t.Fatalf("update %d: %v", id, err)
 	}
 	mr.shadow[id] = tu
 	mr.override(id, old)
@@ -81,9 +78,8 @@ func (mr *mirror) update(id int, tu vec.Sparse) {
 func (mr *mirror) delete(id int) {
 	mr.t.Helper()
 	old, err := mr.disk.Delete(id)
-	_, err2 := mr.mem.Delete(id)
-	if err != nil || err2 != nil {
-		mr.t.Fatalf("delete %d: %v/%v", id, err, err2)
+	if err != nil {
+		mr.t.Fatalf("delete %d: %v", id, err)
 	}
 	mr.shadow[id] = nil
 	mr.override(id, old)
@@ -128,10 +124,10 @@ func (mr *mirror) draw(rng *rand.Rand, m int) vec.Sparse {
 // TestSaveIndexIsSaveDataset is the checkpoint's contract: merging a
 // frozen overlay with its base files (SaveIndex) writes, byte for byte,
 // the files the bulk loader writes from the decoded live view
-// (SaveDataset(Materialize())) — over a disk base, where untouched lists
-// and records are copied as encoded, and over a memory base, through the
-// cursors. Each generation is built on the one before, so tombstones
-// (empty records) are carried from file to file.
+// (SaveDataset(Materialize())), with untouched lists and records copied
+// as encoded. Each generation is built on the one before, so tombstones
+// (empty records) are carried from file to file. An overlay over no
+// files has nothing to merge with, and SaveIndex refuses it.
 func TestSaveIndexIsSaveDataset(t *testing.T) {
 	wsj := dataset.GenerateWSJ(dataset.WSJConfig{Docs: 500, Vocab: 400, MeanTerms: 12, Seed: 17})
 	st := dataset.GenerateST(dataset.STConfig{N: 700, M: 6, Seed: 17})
@@ -153,6 +149,9 @@ func TestSaveIndexIsSaveDataset(t *testing.T) {
 			if err := lists.SaveDataset(tp, lp, base, m); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := lists.SaveIndex(tp+".mem", lp+".mem", lists.NewMemIndex(base, m)); err == nil {
+				t.Fatal("SaveIndex over an in-memory dataset succeeded")
+			}
 			rng := rand.New(rand.NewSource(1701))
 			for gen := 1; gen <= 3; gen++ {
 				disk, err := lists.OpenDiskIndex(tp, lp)
@@ -162,7 +161,6 @@ func TestSaveIndexIsSaveDataset(t *testing.T) {
 				mr := &mirror{t: t, disk: lists.NewOverlay(disk), baseN: disk.NumTuples(),
 					keep: quietID, over: map[int]bool{}, lost: map[int]bool{}}
 				mr.shadow = mr.disk.Materialize()
-				mr.mem = lists.NewOverlay(lists.NewMemIndex(cloneAll(mr.shadow), m))
 
 				// An empty delta: the generation is a copy of its base.
 				etp, elp := checkSaves(t, dir, "empty", mr, m)
@@ -226,10 +224,9 @@ func TestSaveIndexIsSaveDataset(t *testing.T) {
 	}
 }
 
-// checkSaves writes the mirror's view three ways — the reference, the
-// merge over the disk base and the merge over the memory base — demands
-// equal bytes, checks the copy counts against the mirror's bookkeeping,
-// and returns the disk merge's files.
+// checkSaves writes the mirror's view two ways — the reference and the
+// merge over the disk base — demands equal bytes, checks the copy counts
+// against the mirror's bookkeeping, and returns the merge's files.
 func checkSaves(t *testing.T, dir, tag string, mr *mirror, m int) (tuplePath, listPath string) {
 	t.Helper()
 	path := func(kind, how string) string { return filepath.Join(dir, kind+"."+tag+"."+how+".dat") }
@@ -244,13 +241,8 @@ func checkSaves(t *testing.T, dir, tag string, mr *mirror, m int) (tuplePath, li
 	if seq, rnd, by := mr.disk.Stats().Snapshot(); seq != seq0 || rnd != rand0 || by != bytes0 {
 		t.Fatalf("%s: SaveIndex charged the overlay's meter: seq %d→%d rand %d→%d", tag, seq0, seq, rand0, rnd)
 	}
-	memGot, err := lists.SaveIndex(path("tuples", "mem"), path("lists", "mem"), mr.mem.Freeze())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, kind := range []string{"tuples", "lists"} {
 		sameFile(t, path(kind, "disk"), path(kind, "ref"))
-		sameFile(t, path(kind, "mem"), path(kind, "ref"))
 	}
 
 	// What must have been copied as encoded: every base record no write
@@ -274,10 +266,6 @@ func checkSaves(t *testing.T, dir, tag string, mr *mirror, m int) (tuplePath, li
 	}
 	if tag != "empty" && (want.ListsCopied == 0 || want.ListsMerged == 0 || want.RecordsCopied == 0 || want.RecordsEncoded == 0) {
 		t.Fatalf("%s: the case does not exercise both paths: %+v", tag, want)
-	}
-	wantMem := lists.SaveIndexStats{ListsMerged: want.ListsCopied + want.ListsMerged, RecordsEncoded: len(mr.shadow)}
-	if memGot != wantMem {
-		t.Fatalf("%s: memory base copied/encoded %+v, want %+v", tag, memGot, wantMem)
 	}
 	return path("tuples", "disk"), path("lists", "disk")
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -12,116 +11,39 @@ import (
 	"repro/internal/vec"
 )
 
-// Config tunes the coordinator's fan-out behavior. A query fails
-// closed: a shard that does not answer within its retry budget fails
-// the whole query, since a merge without it is no certificate.
+// Config sets nothing that takes effect: each shard RPC is one call, and
+// the group client's loop (internal/client) is the only retry policy.
 type Config struct {
-	// MaxRetries is how many times a read RPC is relaunched after a
-	// per-attempt timeout or an error. Mutations never retry: Apply is
-	// not idempotent, so a timed-out write fails closed immediately.
+	// MaxRetries does nothing; it stays for bench/ladder.go:590, which
+	// sets it; ROADMAP item 3 removes it.
 	MaxRetries int
-	// AttemptTimeout bounds each read attempt; a lapsed attempt is
-	// cancelled and superseded, and an answer it still sends is
-	// discarded by the generation guard. Zero means attempts are
-	// bounded only by the caller's context.
-	AttemptTimeout time.Duration
 }
 
 // Coordinator fans queries out to the shard backends in parallel and
-// merges the answers. Safe for concurrent use; mutation batches
-// serialize against each other (insert-id assignment must be ordered)
-// but not against reads.
+// merges the answers. A query fails closed: a shard whose RPC fails
+// after its group client's retries fails the whole query, since a merge
+// without it is no certificate. Safe for concurrent use; mutation
+// batches serialize against each other (insert-id assignment must be
+// ordered) but not against reads.
 type Coordinator struct {
 	m        Map
 	backends []Backend
-	cfg      Config
 
 	applyMu sync.Mutex
 }
 
 // New builds a coordinator over one backend per Map range.
-func New(m Map, backends []Backend, cfg Config) (*Coordinator, error) {
+func New(m Map, backends []Backend, _ Config) (*Coordinator, error) {
 	if len(backends) != m.NumShards() {
 		return nil, fmt.Errorf("shard: %d backends for %d ranges", len(backends), m.NumShards())
 	}
-	return &Coordinator{m: m, backends: backends, cfg: cfg}, nil
+	return &Coordinator{m: m, backends: backends}, nil
 }
 
-// reply carries one attempt's answer back to the fan-out slot.
-type reply struct {
-	gen int
-	val any
-	err error
-}
-
-// callShard runs one shard's read RPC with the retry and
-// attempt-generation discipline: at most one answer is ever returned,
-// and only from the LATEST attempt. Each attempt runs under its own
-// context, cancelled once the attempt can no longer count: when a newer
-// attempt supersedes it, and when callShard returns. A backend that
-// ignores the cancellation may still answer; the generation guard
-// drops that answer rather than merge it — neither twice (double-count)
-// nor at all: between the attempts a mutation may have committed, and
-// the stale answer could resurrect a tombstoned tuple into the merge
-// (the lists.Overlay hazard; see TestRetryNoDoubleMerge).
-func (c *Coordinator) callShard(ctx context.Context, op string, i int, call func(context.Context) (any, error)) (any, error) {
-	attempts := c.cfg.MaxRetries + 1
-	ch := make(chan reply, attempts) // buffered: stale attempts never block
-	gen := -1
-	var actx context.Context
-	cancel := context.CancelFunc(func() {})
-	defer func() { cancel() }()
-	launch := func() {
-		cancel()
-		if c.cfg.AttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		} else {
-			actx, cancel = context.WithCancel(ctx)
-		}
-		gen++
-		//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
-		mFanout.Inc(op)
-		go func(ctx context.Context, gen int) {
-			v, err := call(ctx)
-			ch <- reply{gen: gen, val: v, err: err}
-		}(actx, gen)
-	}
-
-	launch()
-	for {
-		var err error
-		select {
-		case r := <-ch:
-			if r.gen != gen {
-				// A superseded attempt answered after all. Its view may
-				// predate mutations the fresh attempt saw; drop it. Its
-				// error, most likely its own cancellation, is no answer.
-				if r.err == nil {
-					mStaleDrops.Inc()
-				}
-				continue
-			}
-			if r.err == nil {
-				return r.val, nil
-			}
-			err = r.err
-		case <-actx.Done():
-			if err = ctx.Err(); err == nil {
-				err = fmt.Errorf("attempt timed out after %v", c.cfg.AttemptTimeout)
-			}
-		}
-		if gen+1 == attempts || ctx.Err() != nil {
-			return nil, fmt.Errorf("shard %d: %s: %w", i, op, err)
-		}
-		mRetries.Inc()
-		launch()
-	}
-}
-
-// fanout runs call against every shard in parallel; vals[i] is shard
-// i's answer. Any failure fails the whole query: the first shard to
-// exhaust its budget cancels its siblings, and its error is the one
-// returned.
+// fanout runs call against every shard in parallel, once per shard;
+// vals[i] is shard i's answer. Any failure fails the whole query: the
+// first shard to fail cancels its siblings, and its error is the one
+// returned. fanout waits for every call, so no attempt outlives it.
 func (c *Coordinator) fanout(ctx context.Context, op string, call func(ctx context.Context, i int) (any, error)) ([]any, error) {
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -132,9 +54,9 @@ func (c *Coordinator) fanout(ctx context.Context, op string, call func(ctx conte
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.callShard(fctx, op, i, func(ctx context.Context) (any, error) {
-				return call(ctx, i)
-			})
+			//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
+			mFanout.Inc(op)
+			v, err := call(fctx, i)
 			if err == nil {
 				vals[i] = v
 				return
@@ -145,7 +67,7 @@ func (c *Coordinator) fanout(ctx context.Context, op string, call func(ctx conte
 			//lint:allow obsreg op is one of the three fan-out verbs (topk, analyze, apply), a closed set
 			mFanoutErrors.Inc(op)
 			select {
-			case first <- err:
+			case first <- fmt.Errorf("shard %d: %s: %w", i, op, err):
 				cancel()
 			default:
 			}
@@ -256,8 +178,10 @@ func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engi
 // the minted global ids equal a single node's — updates and deletes to
 // the range owner. Runs of consecutive same-shard ops stay one batch,
 // preserving in-shard order; results come back under global ids.
-// Mutations never retry (a timed-out insert retried could apply twice)
-// and fail closed on the first shard error.
+// The coordinator sends each sub-batch once and fails closed on the
+// first shard error. Over HTTP the group client may resend a write
+// after a transport error or a plain 503, so delivery is at-least-once
+// (see internal/client).
 func (c *Coordinator) Apply(ops []engine.Op) (engine.ApplyResult, error) {
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,12 +36,13 @@ type httpCluster struct {
 
 func newHTTPCluster(t *testing.T, tuples []vec.Sparse, m, shards int, ccfg Config) *httpCluster {
 	t.Helper()
-	return newHTTPClusterWrapped(t, tuples, m, shards, ccfg, func(_ int, h http.Handler) http.Handler { return h })
+	return newHTTPClusterWrapped(t, tuples, m, shards, ccfg, nil, func(_ int, h http.Handler) http.Handler { return h })
 }
 
 // newHTTPClusterWrapped is newHTTPCluster with shard i's handler passed
-// through wrap first, so a test can observe what reaches the shards.
-func newHTTPClusterWrapped(t *testing.T, tuples []vec.Sparse, m, shards int, ccfg Config, wrap func(i int, h http.Handler) http.Handler) *httpCluster {
+// through wrap first, so a test can observe what reaches the shards,
+// and each group client's config through tune, when it is not nil.
+func newHTTPClusterWrapped(t *testing.T, tuples []vec.Sparse, m, shards int, ccfg Config, tune func(*client.Config), wrap func(i int, h http.Handler) http.Handler) *httpCluster {
 	t.Helper()
 	bases := EvenBases(len(tuples), shards)
 	engines, err := engine.NewLocalShards(tuples, m, bases, engine.Config{CacheEntries: -1})
@@ -61,7 +63,7 @@ func newHTTPClusterWrapped(t *testing.T, tuples []vec.Sparse, m, shards int, ccf
 		ts.Config.Handler = wrap(i, srv.Handler())
 		ts.Start()
 		t.Cleanup(ts.Close) // idempotent; tests may Close earlier to kill a shard
-		cl, err := client.New(client.Config{
+		cfg := client.Config{
 			Seeds:       []string{ts.URL},
 			ID:          fmt.Sprintf("%s-shard-%d", t.Name(), i),
 			MaxRetries:  2,
@@ -69,7 +71,11 @@ func newHTTPClusterWrapped(t *testing.T, tuples []vec.Sparse, m, shards int, ccf
 			RetryCap:    10 * time.Millisecond,
 			TopologyTTL: 100 * time.Millisecond,
 			HTTPClient:  &http.Client{Timeout: 5 * time.Second},
-		})
+		}
+		if tune != nil {
+			tune(&cfg)
+		}
+		cl, err := client.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +305,7 @@ func TestHTTPRequestIDReachesShards(t *testing.T) {
 	cs := fixture.RandCase(rng, 60, 6, 2, 3)
 	var mu sync.Mutex
 	seen := map[string][]string{} // shard RPC path -> inbound IDs
-	hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 2, Config{}, func(_ int, h http.Handler) http.Handler {
+	hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 2, Config{}, nil, func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if strings.HasPrefix(r.URL.Path, "/shard/") {
 				mu.Lock()
@@ -410,4 +416,106 @@ func TestHTTPRound2Reply(t *testing.T) {
 			t.Errorf("phi=%d: /shard/analyze reply has a lines field: %v\n%s", phi, has, raw)
 		}
 	}
+}
+
+// TestOneRetryLoopPerShardRPC: a shard RPC is one call through its group
+// client, whose loop is the only retry policy. A shard that answers
+// every /shard/topk with a 503 sees the client's MaxRetries+1 attempts
+// and the front answers 502. A shard that never answers sees as many,
+// one at a time: the client's timeout cancels each attempt before the
+// next starts, and none outlives the query.
+func TestOneRetryLoopPerShardRPC(t *testing.T) {
+	rng := rand.New(rand.NewSource(4306))
+	cs := fixture.RandCase(rng, 60, 6, 2, 3)
+	const attempts = 2 + 1 // the harness's group client: MaxRetries 2
+
+	t.Run("unavailable", func(t *testing.T) {
+		var seen atomic.Int32
+		hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 2, Config{}, nil, func(i int, h http.Handler) http.Handler {
+			if i != 0 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/shard/topk" {
+					h.ServeHTTP(w, r)
+					return
+				}
+				seen.Add(1)
+				http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			})
+		})
+		code, _ := hc.postJSON(t, "/topk", server.QueryRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K}, nil)
+		if code != http.StatusBadGateway {
+			t.Fatalf("front /topk over an unavailable shard: status %d, want 502", code)
+		}
+		if got := seen.Load(); got != attempts {
+			t.Fatalf("the shard saw %d /shard/topk attempts, want %d", got, attempts)
+		}
+	})
+
+	t.Run("stalled", func(t *testing.T) {
+		var (
+			mu            sync.Mutex
+			ctxs          []context.Context
+			live, maxLive int
+		)
+		hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 1, Config{}, func(c *client.Config) {
+			// Backoff well above the loopback cancel latency, so an
+			// attempt's handler has seen its cancellation before the next
+			// attempt is sent.
+			c.HTTPClient = &http.Client{Timeout: 50 * time.Millisecond}
+			c.RetryBase, c.RetryCap = 100*time.Millisecond, 100*time.Millisecond
+		}, func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/shard/topk" {
+					h.ServeHTTP(w, r)
+					return
+				}
+				// Drained as the real handler drains it: only then does the
+				// server watch the connection and cancel the request's
+				// context when the client hangs up.
+				io.Copy(io.Discard, r.Body)
+				mu.Lock()
+				ctxs = append(ctxs, r.Context())
+				live++
+				maxLive = max(maxLive, live)
+				mu.Unlock()
+				select { // bounded, so that a context never cancelled fails the test instead of hanging it
+				case <-r.Context().Done():
+				case <-time.After(5 * time.Second):
+				}
+				mu.Lock()
+				live--
+				mu.Unlock()
+			})
+		})
+		if _, err := hc.coord.TopK(context.Background(), cs.Q, cs.K); err == nil {
+			t.Fatal("topk over a stalled shard succeeded")
+		}
+		mu.Lock()
+		n, most := len(ctxs), maxLive
+		mu.Unlock()
+		if n != attempts {
+			t.Fatalf("the shard saw %d /shard/topk attempts, want %d", n, attempts)
+		}
+		if most != 1 {
+			t.Fatalf("%d attempts were blocked on the shard at once, want 1", most)
+		}
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			mu.Lock()
+			open := live
+			mu.Unlock()
+			if open == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d attempts still live 2 s after the query returned", open)
+			}
+		}
+		for i, actx := range ctxs {
+			if actx.Err() == nil {
+				t.Errorf("attempt %d's context still live", i)
+			}
+		}
+	})
 }

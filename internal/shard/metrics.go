@@ -9,9 +9,5 @@ var (
 	mFanout = obs.NewCounterVec("ir_shard_fanout_total",
 		"shard RPCs the coordinator fanned out, by op (topk, analyze, apply)", "op")
 	mFanoutErrors = obs.NewCounterVec("ir_shard_fanout_errors_total",
-		"shard RPCs that failed after exhausting their retry budget, by op; a shard cancelled because a sibling failed first is not counted", "op")
-	mRetries = obs.NewCounter("ir_shard_retries_total",
-		"shard RPC attempts relaunched after a per-attempt timeout or a transient error")
-	mStaleDrops = obs.NewCounter("ir_shard_stale_drops_total",
-		"late answers from superseded shard RPC attempts discarded by the attempt-generation guard instead of being merged a second time")
+		"shard RPCs that failed after the group client's retries, by op; a shard cancelled because a sibling failed first is not counted", "op")
 )
