@@ -130,7 +130,9 @@ vuln:
 # and a write checked against 64 cached certificates (its allocs/op is
 # the invalidation pass's garbage). BenchmarkBatchTopK is the measurement
 # topk.Multi stands on: 16 ranked queries over one subspace, fused into
-# one scan against sixteen scans of their own.
+# one scan against sixteen scans of their own. BenchmarkCheckpointWriters
+# has 1, 2 and 4 writers race the checkpoints they trigger: every
+# rewrite should win (won-share 1) and the log stay near the threshold.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
@@ -140,7 +142,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchTopK' -benchmem -benchtime=20x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
 	$(GO) test -run '^$$' -bench 'BenchmarkGenerate' -benchmem -benchtime=3x ./internal/dataset/
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint' -benchmem -benchtime=3x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint$$' -benchmem -benchtime=3x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpointWriters' -benchtime=1x ./internal/engine/
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
 
 # Durability focus: the WAL package under -race, the crash-recovery and

@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,14 +21,27 @@ import (
 	"repro/internal/wal"
 )
 
-// TestCheckpointLostRaceBacksOff: when a batch lands during every
-// rewrite, no checkpoint can truncate the log, so the log stays above
-// the threshold for good. The trigger used to fire on every batch from
-// then on — a full dataset rewrite per write, the write half of the
-// two-writer livelock. It now re-arms only after another threshold of
-// growth past the lost snapshot, so the number of rewrites follows the
-// bytes written, not the number of batches.
-func TestCheckpointLostRaceBacksOff(t *testing.T) {
+// generationFiles counts the checkpoint generations whose files are in
+// dir (the original irgen pair, generation 0, is not one).
+func generationFiles(t testing.TB, dir string) int {
+	t.Helper()
+	tuples, err := filepath.Glob(filepath.Join(dir, "tuples.g*.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, err := filepath.Glob(filepath.Join(dir, "lists.g*.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return max(len(tuples), len(lists))
+}
+
+// TestCheckpointEveryRewriteWins: a batch lands during every rewrite,
+// and every rewrite still publishes, cuts the log down to that batch
+// and swaps to the new generation. The log never holds more than the
+// threshold plus one rewrite's tail, at most two generations' files
+// are on disk, and the engine, reopened, answers like a fresh one.
+func TestCheckpointEveryRewriteWins(t *testing.T) {
 	const threshold = 4096
 	rng := rand.New(rand.NewSource(41))
 	cs := fixture.RandCase(rng, 40, 4, 2, 2)
@@ -46,34 +62,36 @@ func TestCheckpointLostRaceBacksOff(t *testing.T) {
 	})
 	shadow := cloneTuples(cs.Tuples)
 	rewrites := 0
+	var tail int64 // the largest log a cut left
 	var injected sync.WaitGroup
 	// Runs under the checkpoint mutex, between the rewrite and the
-	// publish: the injected batch makes this checkpoint lose the race.
-	// The injecting Apply then queues behind this very checkpoint, so it
-	// runs on its own goroutine. (The cap only keeps a regression from
-	// rewriting forever: without the back-off every injected batch
-	// starts the next rewrite.)
+	// publish: the injected batch is this rewrite's tail. The injecting
+	// Apply then queues behind this very checkpoint, so it runs on its
+	// own goroutine.
 	eng.dur.ckptHook = func(step string) error {
-		if step != "files" {
-			return nil
-		}
-		if rewrites++; rewrites > 500 {
-			return nil
-		}
-		select {
-		case <-landed: // the triggering batch's own notice
-		default:
-		}
-		mid := randOpTuple(rng, cs.M)
-		injected.Add(1)
-		go func() {
-			defer injected.Done()
-			if res, err := eng.Apply([]Op{{Kind: OpInsert, Tuple: mid}}); err != nil || res.Applied != 1 {
-				t.Errorf("mid-rewrite apply: %+v %v", res, err)
+		switch step {
+		case "files":
+			rewrites++
+			if n := generationFiles(t, dir); n > 2 {
+				t.Errorf("rewrite %d: %d generations' files on disk", rewrites, n)
 			}
-		}()
-		<-landed
-		shadow = append(shadow, mid)
+			select {
+			case <-landed: // the triggering batch's own notice
+			default:
+			}
+			mid := randOpTuple(rng, cs.M)
+			injected.Add(1)
+			go func() {
+				defer injected.Done()
+				if res, err := eng.Apply([]Op{{Kind: OpInsert, Tuple: mid}}); err != nil || res.Applied != 1 {
+					t.Errorf("mid-rewrite apply: %+v %v", res, err)
+				}
+			}()
+			<-landed
+			shadow = append(shadow, mid)
+		case "truncate":
+			tail = max(tail, eng.dur.log.Size())
+		}
 		return nil
 	}
 
@@ -82,24 +100,26 @@ func TestCheckpointLostRaceBacksOff(t *testing.T) {
 		tu := randOpTuple(rng, cs.M)
 		mustApply(t, eng, Op{Kind: OpInsert, Tuple: tu})
 		shadow = append(shadow, tu)
+		st := eng.DurabilityStats()
+		if st.Generation != uint64(st.Checkpoints) || st.LastCheckpointError != "" {
+			t.Fatalf("batch %d: a rewrite did not publish, cut and swap: %+v", i, st)
+		}
+		if st.LogBytes > threshold+tail {
+			t.Fatalf("batch %d: log %d B, above the threshold %d plus one rewrite's tail %d", i, st.LogBytes, threshold, tail)
+		}
 	}
 	injected.Wait()
 
 	st := eng.DurabilityStats()
-	ov, _ := eng.OverlayStats()
-	if st.Checkpoints != 0 {
-		t.Fatalf("a checkpoint won although a batch landed during every rewrite: %+v", st)
+	t.Logf("%d rewrites for %d+%d batches, %d won, log %d B, largest cut log %d B", rewrites, batches, rewrites, st.Checkpoints, st.LogBytes, tail)
+	if rewrites < 5 || st.Checkpoints != int64(rewrites) || st.Generation != uint64(rewrites) {
+		t.Fatalf("%d rewrites, %d checkpoints, generation %d: want every rewrite (at least 5) to win", rewrites, st.Checkpoints, st.Generation)
 	}
-	// Between two triggers the log or the overlay delta grew by at least
-	// one threshold, and neither was ever cut back.
-	limit := int(st.LogBytes/threshold) + int(ov.Bytes/threshold) + 1
-	t.Logf("%d rewrites for %d+%d batches, log %d B, overlay %d B", rewrites, batches, rewrites, st.LogBytes, ov.Bytes)
-	if rewrites < 1 || rewrites > limit {
-		t.Fatalf("%d rewrites for %d batches (log %d B, overlay %d B, threshold %d): want 1..%d",
-			rewrites, batches, st.LogBytes, ov.Bytes, threshold, limit)
+	if tail <= 8 {
+		t.Fatalf("no cut kept a batch (largest cut log %d B): the test lands none during a rewrite", tail)
 	}
-	if rewrites*4 > batches {
-		t.Fatalf("%d rewrites for %d batches: the trigger still follows the batch count", rewrites, batches)
+	if n := generationFiles(t, dir); n != 1 {
+		t.Fatalf("%d generations' files on disk, want the live one", n)
 	}
 
 	opts := Options{Options: core.Options{Method: core.MethodCPT}}
@@ -111,6 +131,160 @@ func TestCheckpointLostRaceBacksOff(t *testing.T) {
 	reopened := openDurable(t, dir, Config{CheckpointBytes: -1})
 	defer reopened.Close()
 	assertSameAnswers(t, reopened, fresh, cs.Q, cs.K, opts)
+}
+
+// TestCheckpointFourWriters: four writers apply single-insert batches
+// back to back over a small threshold, so batches land during the
+// rewrites; every rewrite publishes, cuts and swaps, the log stays
+// within the threshold plus one batch per writer (the tail a rewrite
+// can gather while the other writers queue behind it, and the batch
+// that crossed), at most two generations' files are ever on disk, and
+// the engine, reopened, answers like a fresh one over the tuples the
+// inserts were given.
+func TestCheckpointFourWriters(t *testing.T) {
+	const (
+		threshold = 4096
+		writers   = 4
+		perWriter = 150
+	)
+	rng := rand.New(rand.NewSource(47))
+	cs := fixture.RandCase(rng, 40, 4, 2, 2)
+	dir := t.TempDir()
+	saveDir(t, dir, cs.Tuples, cs.M)
+	eng := openDurable(t, dir, Config{CheckpointBytes: threshold, WALSync: wal.SyncPolicy{Mode: wal.SyncNone}})
+	rewrites, tails := 0, 0
+	eng.dur.ckptHook = func(step string) error { // under ckptMu
+		switch step {
+		case "files":
+			rewrites++
+			if n := generationFiles(t, dir); n > 2 {
+				t.Errorf("rewrite %d: %d generations' files on disk", rewrites, n)
+			}
+		case "truncate":
+			if eng.dur.log.Size() > 8 {
+				tails++
+			}
+		}
+		return nil
+	}
+
+	// Every batch is one insert of a tuple with all m entries, so every
+	// frame has the same size.
+	full := func(rng *rand.Rand) vec.Sparse {
+		entries := make([]vec.Entry, cs.M)
+		for d := range entries {
+			entries[d] = vec.Entry{Dim: d, Val: 0.05 + 0.9*rng.Float64()}
+		}
+		return vec.MustSparse(entries...)
+	}
+	frame, err := wal.EncodeRecord(1, walOps([]Op{{Kind: OpInsert, Tuple: full(rng)}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int64(threshold + writers*len(frame))
+
+	var mu sync.Mutex
+	inserted := map[int]vec.Sparse{}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wrng := rand.New(rand.NewSource(int64(100 + w)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tu := full(wrng)
+				res, err := eng.Apply([]Op{{Kind: OpInsert, Tuple: tu}})
+				if err != nil || res.Applied != 1 {
+					t.Errorf("writer apply: %+v %v", res, err)
+					return
+				}
+				mu.Lock()
+				inserted[res.Results[0].ID] = tu
+				mu.Unlock()
+				if st := eng.DurabilityStats(); st.LogBytes > limit {
+					t.Errorf("log %d B, above the threshold %d plus one batch per writer (%d B)", st.LogBytes, threshold, limit)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	st := eng.DurabilityStats()
+	t.Logf("%d rewrites, %d won, %d kept a tail, log %d B", rewrites, st.Checkpoints, tails, st.LogBytes)
+	if rewrites < 5 || st.Checkpoints != int64(rewrites) || st.Generation != uint64(rewrites) || st.LastCheckpointError != "" {
+		t.Fatalf("%d rewrites: want every one (at least 5) to publish, cut and swap: %+v", rewrites, st)
+	}
+	if n := generationFiles(t, dir); n != 1 {
+		t.Fatalf("%d generations' files on disk, want the live one", n)
+	}
+	shadow := cloneTuples(cs.Tuples)
+	for id := len(shadow); id < len(cs.Tuples)+writers*perWriter; id++ {
+		tu, ok := inserted[id]
+		if !ok {
+			t.Fatalf("no insert was given id %d", id)
+		}
+		shadow = append(shadow, tu)
+	}
+	opts := Options{Options: core.Options{Method: core.MethodCPT}}
+	fresh := memEngine(shadow, cs.M, Config{CacheEntries: -1})
+	assertSameAnswers(t, eng, fresh, cs.Q, cs.K, opts)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDurable(t, dir, Config{CheckpointBytes: -1})
+	defer reopened.Close()
+	assertSameAnswers(t, reopened, fresh, cs.Q, cs.K, opts)
+	assertSameAnswers(t, reopened, fresh, randSubspaceQuery(rng, cs.M, 3), cs.K, opts)
+}
+
+// TestCheckpointSwapUnderReaders: a checkpoint swaps the served index
+// under the write lock while readers keep asking for what a swap cannot
+// change (the dimensionality, the I/O meter, writability) and for the
+// index itself. Under -race this fails if any of them reads the swapped
+// fields without the lock, as query validation once did.
+func TestCheckpointSwapUnderReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	cs := fixture.RandCase(rng, 200, 6, 3, 3)
+	dir := t.TempDir()
+	saveDir(t, dir, cs.Tuples, cs.M)
+	eng := openDurable(t, dir, Config{CheckpointBytes: 2048, CacheEntries: -1, WALSync: wal.SyncPolicy{Mode: wal.SyncNone}})
+	defer eng.Close()
+
+	done := make(chan struct{})
+	read := make(chan int)
+	go func() {
+		n := 0
+		defer func() { read <- n }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, _, err := eng.TopKMetered(context.Background(), cs.Q, cs.K); err != nil {
+				t.Errorf("top-k during checkpoints: %v", err)
+				return
+			}
+			if eng.Dim() != cs.M || eng.Stats() == nil || eng.Index() == nil || !eng.Mutable() {
+				t.Error("a reader saw the engine change shape across a checkpoint")
+				return
+			}
+			n++
+		}
+	}()
+	for i := 0; i < 300; i++ {
+		mustApply(t, eng, Op{Kind: OpInsert, Tuple: randOpTuple(rng, cs.M)})
+	}
+	close(done)
+	reads := <-read
+	if st := eng.DurabilityStats(); st.Checkpoints < 5 || st.LastCheckpointError != "" {
+		t.Fatalf("the writer's checkpoints: %+v, want at least 5 and no error", st)
+	}
+	t.Logf("%d checkpoints under %d reads", eng.DurabilityStats().Checkpoints, reads)
 }
 
 // TestCheckpointWriteFailure: a rewrite that runs out of space (the next
@@ -328,6 +502,66 @@ func BenchmarkCheckpoint(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkCheckpointWriters runs 1, 2 and 4 writers applying 1 500
+// single-insert batches each, back to back, over ST n = 50 000 with a
+// 256 KiB checkpoint threshold and an fsync per batch, so batches land
+// during the rewrites the writers trigger. It reports the rewrites
+// (generations minted), the share of them that won (published, cut the
+// log and swapped), the largest log seen after a batch, and the p99 of
+// Apply, which a writer that triggers a checkpoint pays for.
+func BenchmarkCheckpointWriters(b *testing.B) {
+	const perWriter = 1500
+	d := dataset.GenerateST(dataset.STConfig{N: 50000, Seed: 1})
+	for _, writers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			dir := b.TempDir()
+			saveDir(b, dir, d.Tuples, d.M)
+			eng := openDurable(b, dir, Config{CheckpointBytes: 256 << 10, CacheEntries: -1})
+			defer eng.Close()
+			var (
+				mu      sync.Mutex
+				lat     []time.Duration
+				peakLog int64
+			)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(seed int64) {
+						defer wg.Done()
+						rng := rand.New(rand.NewSource(seed))
+						mine := make([]time.Duration, 0, perWriter)
+						var peak int64
+						for j := 0; j < perWriter; j++ {
+							tu := d.Tuples[rng.Intn(d.N())]
+							t0 := time.Now()
+							if _, err := eng.Apply([]Op{{Kind: OpInsert, Tuple: tu}}); err != nil {
+								b.Error(err)
+								return
+							}
+							mine = append(mine, time.Since(t0))
+							peak = max(peak, eng.DurabilityStats().LogBytes)
+						}
+						mu.Lock()
+						lat = append(lat, mine...)
+						peakLog = max(peakLog, peak)
+						mu.Unlock()
+					}(int64(i*writers + w))
+				}
+				wg.Wait()
+			}
+			b.StopTimer()
+			st := eng.DurabilityStats()
+			slices.Sort(lat)
+			b.ReportMetric(float64(st.Generation), "rewrites")
+			b.ReportMetric(float64(st.Checkpoints)/float64(max(st.Generation, 1)), "won-share")
+			b.ReportMetric(float64(peakLog)/1000, "peak-log-KB")
+			b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds())/1000, "apply-p99-ms")
 		})
 	}
 }

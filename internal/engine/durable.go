@@ -31,10 +31,13 @@
 //     sequence they contain (crash here: the new generation serves, and
 //     replay skips every record at or below LastSeq instead of
 //     double-applying);
-//  3. truncate the log (crash here: the log is already empty — nothing
-//     to replay);
-//  4. swap the live index to the new generation and drop the previous
-//     checkpoint's files (in-memory only; a crash just reopens).
+//  3. cut the log down to its tail, the batches that landed during the
+//     rewrite (crash here: the log holds exactly what the new files
+//     lack; a crash before the cut's rename leaves the whole log, which
+//     step 2's skip handles);
+//  4. swap the live index to a fresh overlay over the new generation
+//     with the tail replayed into it, and drop the previous
+//     generation's files (in-memory only; a crash just reopens).
 //
 // The expensive rewrite runs off the engine's write lock (queries keep
 // flowing; only the publish steps drain them briefly); see checkpoint()
@@ -92,16 +95,9 @@ type durable struct {
 	checkpointBytes int64        // resolved threshold; <= 0 disables auto-compaction
 	lastCkptErr     atomic.Value // string: last auto-checkpoint failure
 
-	// A checkpoint that lost the race to a concurrent batch could not
-	// truncate the log or drop the overlay, so both still stand above the
-	// threshold; lostLog and lostDelta are their sizes at that snapshot,
-	// and the trigger re-arms only once either has grown by another
-	// threshold beyond it. Zero after a checkpoint that won. Guarded by
-	// the engine's mu.
-	lostLog, lostDelta int64
-
 	// ckptHook, when non-nil, is called after each named checkpoint step
-	// ("snapshot", "files", "manifest", "truncate"); returning an error
+	// ("snapshot", "files", "manifest", and "truncate" after the log
+	// cut); returning an error
 	// aborts the checkpoint there. Crash-injection tests use it to stop the
 	// sequence mid-flight and reopen the directory as a fresh process
 	// would.
@@ -423,7 +419,7 @@ func (e *Engine) checkpointDue() bool {
 	d := e.dur
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return d.log.Size()-d.lostLog >= d.checkpointBytes || e.mut.DeltaStats().Bytes-d.lostDelta >= d.checkpointBytes
+	return d.log.Size() >= d.checkpointBytes || e.mut.DeltaStats().Bytes >= d.checkpointBytes
 }
 
 // checkpoint performs the compaction sequence of the package comment in
@@ -435,14 +431,15 @@ func (e *Engine) checkpointDue() bool {
 //     queries run concurrently, mutations are excluded;
 //   - rewrite (no lock): merge the frozen delta with the base files into
 //     the new generation's files (lists.SaveIndex) and fsync them;
-//   - publish (write lock): manifest rename, log truncation, live-index
-//     swap, stale-generation sweep.
+//   - publish (write lock): manifest rename, log cut, live-index swap,
+//     stale-generation sweep.
 //
-// If a batch lands between snapshot and publish, the new files are
-// missing it: the manifest is still published (the files plus the
-// intact log are consistent — replay skips only what they fold), but
-// the truncation and swap are skipped and the next trigger retries.
-// force skips the threshold re-check.
+// Batches that land between snapshot and publish are the log's tail,
+// the frames after the snapshot's log position: the cut keeps exactly
+// them, and the fresh overlay over the new files replays them, so every
+// checkpoint that finishes its rewrite publishes, cuts and swaps. The
+// publish holds the write lock for O(tail), not O(delta). force skips
+// the threshold re-check.
 func (e *Engine) checkpoint(force bool) error {
 	d := e.dur
 	d.ckptMu.Lock()
@@ -473,8 +470,7 @@ func (e *Engine) checkpoint(force bool) error {
 	// Phase 1: snapshot. ckptMu is held, so d.gen cannot move under us.
 	e.mu.RLock()
 	frozen := e.mut.Freeze()
-	seq := d.log.LastSeq()
-	snapLog, snapDelta := d.log.Size(), e.mut.DeltaStats().Bytes
+	seq, snapLog := d.log.LastSeq(), d.log.Size()
 	e.mu.RUnlock()
 	mCheckpointPhaseSeconds.Observe("snapshot", lap())
 	if err := hook("snapshot"); err != nil {
@@ -512,13 +508,13 @@ func (e *Engine) checkpoint(force bool) error {
 	defer e.mu.Unlock()
 
 	// The manifest names the snapshot's log position: replay skips
-	// exactly what the files fold, so publishing is safe even if more
-	// batches have landed since. The in-memory generation advances with
-	// the manifest: if any later step fails, a retry must mint a FRESH
-	// generation rather than rewrite files the published manifest
-	// already names (an in-place rewrite is not atomic — a crash
-	// mid-rewrite would leave the manifest pointing at half-written
-	// files).
+	// exactly what the files fold, whatever landed since. The in-memory
+	// generation advances with the manifest: if any later step fails, a
+	// retry must mint a FRESH generation rather than rewrite files the
+	// published manifest already names (an in-place rewrite is not
+	// atomic — a crash mid-rewrite would leave the manifest pointing at
+	// half-written files). Until the swap below, the old overlay keeps
+	// serving the same logical data.
 	man := wal.Manifest{Gen: gen, Tuples: tn, Lists: ln, LastSeq: seq,
 		Epoch: e.epoch.Load(), Epochs: e.EpochTimeline()}
 	if err := man.Save(d.dir); err != nil {
@@ -529,32 +525,9 @@ func (e *Engine) checkpoint(force bool) error {
 		return err
 	}
 
-	if d.log.LastSeq() != seq {
-		// Batches landed during the rewrite; the new files miss them, so
-		// the log must keep its records and the served overlay its
-		// delta. Everything is still consistent — the next trigger
-		// compacts the remainder onto this generation. Followers still
-		// learn the manifest (they may fold their own overlays), but the
-		// shipper must keep its frame history: the log was not emptied.
-		if e.replSink != nil {
-			e.replSink.CheckpointEvent(man, false)
-		}
-		// Sweep here too, or every lost race leaves a full dataset copy
-		// behind until some later checkpoint wins. The manifest's
-		// generation is the one a reopen needs; the served one stays
-		// readable through its open mapping/handles after the unlink
-		// (the POSIX reliance OpenSnapshotFiles documents).
-		wal.RemoveStaleGenerations(d.dir, gen)
-		// The log and the overlay stay as large as they were, so the
-		// size trigger would fire on every following batch and start a
-		// full rewrite each time; measure growth from this snapshot on.
-		d.lostLog, d.lostDelta = snapLog, snapDelta
-		return nil
-	}
-
-	// The log's records are all folded in; drop them.
-	if err := d.log.Truncate(); err != nil {
-		return fmt.Errorf("engine: checkpoint truncate wal: %w", err)
+	// Keep only the tail: the frames the new files lack.
+	if err := d.log.CutBefore(snapLog); err != nil {
+		return fmt.Errorf("engine: checkpoint cut wal: %w", err)
 	}
 	if err := hook("truncate"); err != nil {
 		return err
@@ -563,10 +536,11 @@ func (e *Engine) checkpoint(force bool) error {
 	// a follower behind them resyncs via snapshot transfer. Delivered
 	// under the write lock, so the event is ordered against CommitFrame.
 	if e.replSink != nil {
-		e.replSink.CheckpointEvent(man, true)
+		e.replSink.CheckpointEvent(man)
 	}
 
-	// Swap the live index to the new generation. The engine-wide I/O
+	// Swap the live index to the new generation, with the tail replayed
+	// into a fresh overlay by recovery's own path. The engine-wide I/O
 	// meter carries over, so /stats stays cumulative across compactions.
 	// Failing here is recoverable: the old index keeps serving the same
 	// logical data, and the next open follows the manifest.
@@ -574,7 +548,11 @@ func (e *Engine) checkpoint(force bool) error {
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint reopen: %w", err)
 	}
-	newOv := lists.NewOverlay(disk.WithStats(e.ix.Stats()))
+	newOv := lists.NewOverlay(disk.WithStats(e.stats))
+	if _, err := wal.Replay(filepath.Join(d.dir, wal.LogName), seq, replayInto(newOv, new(int))); err != nil {
+		disk.Close()
+		return fmt.Errorf("engine: checkpoint replay tail: %w", err)
+	}
 	oldClose := e.closer
 	e.ix = newOv
 	e.mut = newOv
@@ -586,7 +564,6 @@ func (e *Engine) checkpoint(force bool) error {
 	// generation plus any orphans earlier failed checkpoints left. The
 	// original irgen files (generation 0) never match the pattern.
 	wal.RemoveStaleGenerations(d.dir, gen)
-	d.lostLog, d.lostDelta = 0, 0
 	d.checkpoints.Add(1)
 	return nil
 }

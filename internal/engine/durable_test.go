@@ -456,92 +456,131 @@ func TestCheckpointDeletedIDStaysDeleted(t *testing.T) {
 
 // TestCheckpointCrashSteps injects a crash after each step of the
 // compaction ordering and reopens the directory as a fresh process
-// would: every crash point must recover to the same live view.
+// would: every crash point must recover to the same live view, also
+// when a batch landed during the rewrite (the "+tail" cases).
 func TestCheckpointCrashSteps(t *testing.T) {
 	for _, step := range []string{"files", "manifest", "truncate"} {
-		t.Run(step, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(99))
-			cs := fixture.RandCase(rng, 40, 4, 3, 2)
-			dir := t.TempDir()
-			saveDir(t, dir, cs.Tuples, cs.M)
-			eng := openDurable(t, dir, Config{CheckpointBytes: -1})
-
-			shadow := cloneTuples(cs.Tuples)
-			var ops []Op
-			for j := 0; j < 5; j++ {
-				tu := randOpTuple(rng, cs.M)
-				ops = append(ops, Op{Kind: OpInsert, Tuple: tu})
-				shadow = append(shadow, tu)
+		for _, withTail := range []bool{false, true} {
+			name := step
+			if withTail {
+				name += "+tail"
 			}
-			ops = append(ops, Op{Kind: OpDelete, ID: 0})
-			shadow[0] = nil
-			mustApply(t, eng, ops...)
-
-			crash := fmt.Errorf("injected crash after %s", step)
-			eng.dur.ckptHook = func(s string) error {
-				if s == step {
-					return crash
-				}
-				return nil
-			}
-			if err := eng.Checkpoint(); err != crash {
-				t.Fatalf("checkpoint err %v, want injected crash", err)
-			}
-			// The machine died here: the engine is abandoned un-Closed.
-			// A real crash drops the flock with the process; in-process
-			// we release it by hand so the "new process" can take over.
-			eng.dur.lock.Release()
-
-			re := openDurable(t, dir, Config{CheckpointBytes: -1})
-			defer re.Close()
-			fresh := memEngine(cloneTuples(shadow), cs.M, Config{CacheEntries: -1})
-			opts := Options{Options: core.Options{Method: core.MethodCPT}}
-			assertSameAnswers(t, re, fresh, cs.Q, cs.K, opts)
-			assertSameAnswers(t, re, fresh, randSubspaceQuery(rng, cs.M, 2), cs.K, opts)
-
-			// Recovery semantics per crash point: before the manifest
-			// rename the old generation + full log is the truth; after it
-			// the new generation serves and the log's records are skipped
-			// (manifest) or gone (truncate).
-			man, ok, err := wal.LoadManifest(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st := re.DurabilityStats()
-			switch step {
-			case "files":
-				if ok {
-					t.Fatal("manifest exists before the rename step")
-				}
-				if st.ReplayedRecords != 1 {
-					t.Fatalf("replayed %d, want the full log", st.ReplayedRecords)
-				}
-			case "manifest", "truncate":
-				if !ok || man.Gen != 1 {
-					t.Fatalf("manifest %+v ok=%v", man, ok)
-				}
-				if st.ReplayedRecords != 0 {
-					t.Fatalf("replayed %d records already folded into the checkpoint", st.ReplayedRecords)
-				}
-				if st.Generation != 1 {
-					t.Fatalf("generation %d, want 1", st.Generation)
-				}
-			}
-
-			// And the recovered engine can itself checkpoint cleanly.
-			if err := re.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			assertSameAnswers(t, re, fresh, cs.Q, cs.K, opts)
-		})
+			t.Run(name, func(t *testing.T) { checkpointCrashStep(t, step, withTail) })
+		}
 	}
 }
 
-// TestCheckpointConcurrentApply: a batch landing during the (unlocked)
-// dataset rewrite must not be lost — the checkpoint publishes the new
-// generation but keeps the log and overlay (truncating would drop the
-// batch's only durable copy), and the next checkpoint folds it.
-func TestCheckpointConcurrentApply(t *testing.T) {
+func checkpointCrashStep(t *testing.T, step string, withTail bool) {
+	rng := rand.New(rand.NewSource(99))
+	cs := fixture.RandCase(rng, 40, 4, 3, 2)
+	dir := t.TempDir()
+	saveDir(t, dir, cs.Tuples, cs.M)
+	eng := openDurable(t, dir, Config{CheckpointBytes: -1})
+
+	shadow := cloneTuples(cs.Tuples)
+	var ops []Op
+	for j := 0; j < 5; j++ {
+		tu := randOpTuple(rng, cs.M)
+		ops = append(ops, Op{Kind: OpInsert, Tuple: tu})
+		shadow = append(shadow, tu)
+	}
+	ops = append(ops, Op{Kind: OpDelete, ID: 0})
+	shadow[0] = nil
+	mustApply(t, eng, ops...)
+
+	crash := fmt.Errorf("injected crash after %s", step)
+	eng.dur.ckptHook = func(s string) error {
+		if s == "files" && withTail {
+			tu := randOpTuple(rng, cs.M)
+			mustApply(t, eng, Op{Kind: OpInsert, Tuple: tu}, Op{Kind: OpDelete, ID: 1})
+			shadow = append(shadow, tu)
+			shadow[1] = nil
+		}
+		if s == step {
+			return crash
+		}
+		return nil
+	}
+	if err := eng.Checkpoint(); err != crash {
+		t.Fatalf("checkpoint err %v, want injected crash", err)
+	}
+	// The machine died here: the engine is abandoned un-Closed.
+	// A real crash drops the flock with the process; in-process
+	// we release it by hand so the "new process" can take over.
+	eng.dur.lock.Release()
+	// A crash inside the log cut, before its rename, leaves the
+	// temporary log beside the whole one.
+	tmp := filepath.Join(dir, wal.LogName+".tmp")
+	if step == "manifest" {
+		if err := os.WriteFile(tmp, []byte("IRWAL001 half a cut"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	re := openDurable(t, dir, Config{CheckpointBytes: -1})
+	defer re.Close()
+	fresh := memEngine(cloneTuples(shadow), cs.M, Config{CacheEntries: -1})
+	opts := Options{Options: core.Options{Method: core.MethodCPT}}
+	assertSameAnswers(t, re, fresh, cs.Q, cs.K, opts)
+	assertSameAnswers(t, re, fresh, randSubspaceQuery(rng, cs.M, 2), cs.K, opts)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("reopen left the interrupted cut's temporary log: %v", err)
+	}
+
+	// Recovery semantics per crash point: before the manifest
+	// rename the old generation + full log is the truth; after it
+	// the new generation serves and the log's folded records are
+	// skipped (manifest) or gone (truncate). The tail batch replays
+	// in both.
+	man, ok, err := wal.LoadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := wal.Inspect(filepath.Join(dir, wal.LogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := 0
+	if withTail {
+		tail = 1
+	}
+	st := re.DurabilityStats()
+	switch step {
+	case "files":
+		if ok {
+			t.Fatal("manifest exists before the rename step")
+		}
+		if st.ReplayedRecords != 1+tail {
+			t.Fatalf("replayed %d, want the full log", st.ReplayedRecords)
+		}
+	case "manifest", "truncate":
+		if !ok || man.Gen != 1 || man.LastSeq != 1 {
+			t.Fatalf("manifest %+v ok=%v", man, ok)
+		}
+		if st.ReplayedRecords != tail {
+			t.Fatalf("replayed %d records, want the %d after the checkpoint's", st.ReplayedRecords, tail)
+		}
+		if st.Generation != 1 {
+			t.Fatalf("generation %d, want 1", st.Generation)
+		}
+		if logged := map[string]int{"manifest": 1 + tail, "truncate": tail}[step]; info.Records != logged {
+			t.Fatalf("the log holds %d records, want %d", info.Records, logged)
+		}
+	}
+
+	// And the recovered engine can itself checkpoint cleanly.
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	assertSameAnswers(t, re, fresh, cs.Q, cs.K, opts)
+}
+
+// TestCheckpointKeepsMidRewriteBatch: a batch landing during the
+// (unlocked) dataset rewrite is the log's tail. The checkpoint
+// publishes the new generation, cuts the log down to that batch (its
+// only durable copy) and swaps to a fresh overlay that replays it; the
+// next checkpoint folds it.
+func TestCheckpointKeepsMidRewriteBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	cs := fixture.RandCase(rng, 30, 4, 2, 2)
 	dir := t.TempDir()
@@ -572,40 +611,38 @@ func TestCheckpointConcurrentApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.DurabilityStats()
-	if st.Generation != 1 {
-		t.Fatalf("generation %d, want 1 (manifest published)", st.Generation)
+	if st.Generation != 1 || st.Checkpoints != 1 {
+		t.Fatalf("stats %+v, want generation 1 published and swapped to", st)
 	}
-	if st.Checkpoints != 0 {
-		t.Fatalf("checkpoints %d, want 0 (swap skipped: the log still owns a batch)", st.Checkpoints)
+	if info, err := wal.Inspect(filepath.Join(dir, wal.LogName)); err != nil || info.Records != 1 || info.LastSeq != 2 {
+		t.Fatalf("log %+v err=%v, want the mid-rewrite batch (seq 2) as its only record", info, err)
 	}
-	if info, err := wal.Inspect(filepath.Join(dir, wal.LogName)); err != nil || info.Records != 2 {
-		t.Fatalf("log records %+v err=%v, want both batches kept", info, err)
+	if ov, _ := eng.OverlayStats(); ov.Added != 1 || ov.Overridden != 0 || ov.Tombstoned != 0 {
+		t.Fatalf("served overlay %+v, want the mid-rewrite insert alone", ov)
 	}
 	opts := Options{Options: core.Options{Method: core.MethodCPT}}
 	fresh := memEngine(cloneTuples(shadow), cs.M, Config{CacheEntries: -1})
 	assertSameAnswers(t, eng, fresh, cs.Q, cs.K, opts)
 
-	// Quiescent retry completes: gen 2, log truncated, state unchanged.
+	// Quiescent retry completes: gen 2, log empty, state unchanged.
 	if err := eng.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	st = eng.DurabilityStats()
-	if st.Generation != 2 || st.Checkpoints != 1 {
+	if st.Generation != 2 || st.Checkpoints != 2 {
 		t.Fatalf("post-retry stats %+v", st)
 	}
 	if info, _ := wal.Inspect(filepath.Join(dir, wal.LogName)); info.Records != 0 {
-		t.Fatalf("log not truncated after quiescent checkpoint: %+v", info)
+		t.Fatalf("log not emptied by a quiescent checkpoint: %+v", info)
 	}
 	assertSameAnswers(t, eng, fresh, cs.Q, cs.K, opts)
 }
 
-// TestCheckpointLostRaceSweeps: a checkpoint that loses the race to a
-// concurrent batch publishes a generation it cannot swap to. Each such
-// loss used to leave a full dataset copy on disk until some later
-// checkpoint won; now the losing branch sweeps too, so at most two
-// generations' files remain, and a reopen of the directory replays to
-// the same state.
-func TestCheckpointLostRaceSweeps(t *testing.T) {
+// TestCheckpointWithTailSweeps: five checkpoints, each with a batch
+// landing during its rewrite, all publish and swap, and each sweeps the
+// generation it replaced: one generation's files remain, the served one
+// answers, and a reopen of the directory replays to the same state.
+func TestCheckpointWithTailSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	cs := fixture.RandCase(rng, 30, 4, 2, 2)
 	dir := t.TempDir()
@@ -613,8 +650,8 @@ func TestCheckpointLostRaceSweeps(t *testing.T) {
 	eng := openDurable(t, dir, Config{CheckpointBytes: -1})
 
 	shadow := cloneTuples(cs.Tuples)
-	const losses = 5
-	for i := 0; i < losses; i++ {
+	const rewrites = 5
+	for i := 0; i < rewrites; i++ {
 		mid := randOpTuple(rng, cs.M)
 		eng.dur.ckptHook = func(step string) error {
 			if step == "files" {
@@ -631,22 +668,20 @@ func TestCheckpointLostRaceSweeps(t *testing.T) {
 		}
 	}
 	st := eng.DurabilityStats()
-	if st.Generation != losses || st.Checkpoints != 0 {
-		t.Fatalf("stats %+v, want generation %d published and no swap", st, losses)
+	if st.Generation != rewrites || st.Checkpoints != rewrites {
+		t.Fatalf("stats %+v, want generation %d published and swapped to by as many checkpoints", st, rewrites)
 	}
 	for _, pat := range []string{"tuples.g*.dat", "lists.g*.dat"} {
 		left, err := filepath.Glob(filepath.Join(dir, pat))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(left) > 2 {
-			t.Fatalf("%d lost races left %d %s files on disk: %v", losses, len(left), pat, left)
+		if len(left) != 1 {
+			t.Fatalf("%d checkpoints left %d %s files on disk, want the live one: %v", rewrites, len(left), pat, left)
 		}
 	}
 	opts := Options{Options: core.Options{Method: core.MethodCPT}}
 	fresh := memEngine(cloneTuples(shadow), cs.M, Config{CacheEntries: -1})
-	// The served generation's files are unlinked by now; it must still
-	// answer through its open handles.
 	assertSameAnswers(t, eng, fresh, cs.Q, cs.K, opts)
 
 	if err := eng.Close(); err != nil {

@@ -129,13 +129,21 @@ type Config struct {
 // Engine executes subspace top-k queries and immutable-region analyses
 // over one index.
 type Engine struct {
-	ix     lists.Index
-	mut    *lists.Overlay // the write path; nil when ReadOnly
-	cfg    Config
-	sem    chan struct{} // nil when unlimited
-	cache  *cache        // nil when disabled
-	closer func() error
-	dur    *durable // non-nil when the engine has a write-ahead log
+	// ix and mut are swapped by a checkpoint under the write lock, so
+	// every read of them holds mu. What a swap cannot change is kept
+	// apart, set once by New and read without a lock: the
+	// dimensionality, the engine-wide I/O meter the swap carries over,
+	// and whether the engine is writable.
+	ix      lists.Index
+	mut     *lists.Overlay // the write path; nil when ReadOnly
+	dim     int
+	stats   *storage.IOStats
+	mutable bool
+	cfg     Config
+	sem     chan struct{} // nil when unlimited
+	cache   *cache        // nil when disabled
+	closer  func() error
+	dur     *durable // non-nil when the engine has a write-ahead log
 
 	// Replication hooks (replicate.go). Both are set once, before the
 	// engine serves traffic, and never change afterwards: replSink
@@ -171,8 +179,8 @@ type Engine struct {
 // overlay of its own over ix, so the index, and the tuples it was built
 // from, are never written.
 func New(ix lists.Index, cfg Config) *Engine {
-	e := &Engine{ix: ix, cfg: cfg}
-	if !cfg.ReadOnly {
+	e := &Engine{ix: ix, dim: ix.Dim(), stats: ix.Stats(), mutable: !cfg.ReadOnly, cfg: cfg}
+	if e.mutable {
 		e.mut = lists.NewOverlay(ix)
 		e.ix = e.mut
 	}
@@ -258,11 +266,16 @@ func (e *Engine) Close() error {
 	return firstErr
 }
 
-// Index exposes the underlying index (read-only).
-func (e *Engine) Index() lists.Index { return e.ix }
+// Index exposes the underlying index (read-only): the one served now,
+// which a later checkpoint may swap for the next generation's.
+func (e *Engine) Index() lists.Index {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.ix
+}
 
 // Stats exposes the index-wide I/O meter.
-func (e *Engine) Stats() *storage.IOStats { return e.ix.Stats() }
+func (e *Engine) Stats() *storage.IOStats { return e.stats }
 
 // N returns the dataset cardinality (including tombstoned slots; it
 // grows with inserts).
@@ -273,7 +286,7 @@ func (e *Engine) N() int {
 }
 
 // Dim returns the dataset dimensionality m.
-func (e *Engine) Dim() int { return e.ix.Dim() }
+func (e *Engine) Dim() int { return e.dim }
 
 // Tuple fetches one tuple by id (counted as a random I/O).
 func (e *Engine) Tuple(id int) vec.Sparse {
@@ -375,8 +388,8 @@ func (e *Engine) validate(q vec.Query, k, phi int) error {
 	}
 	prev := -1
 	for i, d := range q.Dims {
-		if d < 0 || d >= e.ix.Dim() {
-			return fmt.Errorf("engine: dimension %d out of range [0,%d): %w", d, e.ix.Dim(), ErrInvalid)
+		if d < 0 || d >= e.dim {
+			return fmt.Errorf("engine: dimension %d out of range [0,%d): %w", d, e.dim, ErrInvalid)
 		}
 		if d == prev {
 			return fmt.Errorf("engine: duplicate query dimension %d: %w", d, ErrInvalid)
@@ -434,7 +447,7 @@ func (e *Engine) run(ctx context.Context, fn func(ix lists.Index, queued time.Du
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	queued := time.Since(t0)
-	ix := e.ix.WithStats(e.ix.Stats().PerQuery())
+	ix := e.ix.WithStats(e.stats.PerQuery())
 	defer ix.Stats().Flush()
 	return fn(ix, queued)
 }

@@ -33,7 +33,7 @@ var (
 		"wall time of one durable checkpoint (snapshot, rewrite, publish)",
 		obs.LatencyBuckets)
 	mCheckpointPhaseSeconds = obs.NewHistogramVec("ir_engine_checkpoint_phase_seconds",
-		"wall time of one durable checkpoint's phases: snapshot (freeze the overlay's delta under the read lock), rewrite (merge it with the served generation's files into the new generation's, unlocked), sync (fsync files and directory, unlocked), publish (manifest, log truncation and index swap under the write lock, including the wait for it)",
+		"wall time of one durable checkpoint's phases: snapshot (freeze the overlay's delta under the read lock), rewrite (merge it with the served generation's files into the new generation's, unlocked), sync (fsync files and directory, unlocked), publish (manifest, log cut to the tail, tail replay and index swap under the write lock, including the wait for it)",
 		"phase", obs.LatencyBuckets)
 	mCheckpointLists = obs.NewCounterVec("ir_engine_checkpoint_lists_total",
 		"inverted lists written by checkpoint rewrites: copied (no write touched the dimension; its extent is taken from the served list file as encoded) or merged (base postings streamed through the delta)",

@@ -121,7 +121,7 @@ type MutationStats struct {
 }
 
 // Mutable reports whether Apply is enabled.
-func (e *Engine) Mutable() bool { return e.mut != nil }
+func (e *Engine) Mutable() bool { return e.mutable }
 
 // MutationStats snapshots the write-path counters.
 func (e *Engine) MutationStats() MutationStats {
@@ -156,7 +156,7 @@ type tupleChange struct {
 // log or overlay triggers checkpoint compaction before Apply returns
 // (see durable.go).
 func (e *Engine) Apply(ops []Op) (ApplyResult, error) {
-	if e.mut == nil {
+	if !e.mutable {
 		return ApplyResult{}, fmt.Errorf("engine: %w", ErrImmutable)
 	}
 	if len(ops) == 0 {

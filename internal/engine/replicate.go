@@ -49,11 +49,12 @@ type ReplicationSink interface {
 	// appended to the WAL (wal.EncodeRecord encoding). Frames arrive in
 	// strictly increasing, gap-free sequence order.
 	CommitFrame(seq uint64, frame []byte)
-	// CheckpointEvent delivers a published checkpoint manifest.
-	// logTruncated reports whether the WAL was emptied (every record at
-	// or below man.LastSeq is folded into the manifest's files); when
-	// false, a batch landed mid-rewrite and the log retains its records.
-	CheckpointEvent(man wal.Manifest, logTruncated bool)
+	// CheckpointEvent delivers a published checkpoint manifest once the
+	// WAL is cut: every record at or below man.LastSeq is folded into
+	// the manifest's files and gone from the log, which keeps only the
+	// frames after it (batches that landed during the rewrite, already
+	// delivered through CommitFrame).
+	CheckpointEvent(man wal.Manifest)
 }
 
 // SetReplicationSink attaches (or detaches, with nil) the primary-side
@@ -112,7 +113,7 @@ func (e *Engine) ApplyReplicated(frame []byte) (uint64, ApplyResult, error) {
 	if e.dur == nil {
 		return 0, ApplyResult{}, fmt.Errorf("engine: ApplyReplicated requires a durable engine (OpenDir with Config.WAL)")
 	}
-	if e.mut == nil {
+	if !e.mutable {
 		return 0, ApplyResult{}, fmt.Errorf("engine: %w", ErrImmutable)
 	}
 	seq, wops, err := wal.DecodeRecord(frame)

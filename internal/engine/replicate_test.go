@@ -18,7 +18,6 @@ type recordingSink struct {
 	seqs   []uint64
 	frames [][]byte
 	ckpts  []wal.Manifest
-	truncs []bool
 }
 
 func (r *recordingSink) CommitFrame(seq uint64, frame []byte) {
@@ -26,9 +25,8 @@ func (r *recordingSink) CommitFrame(seq uint64, frame []byte) {
 	r.frames = append(r.frames, frame)
 }
 
-func (r *recordingSink) CheckpointEvent(man wal.Manifest, truncated bool) {
+func (r *recordingSink) CheckpointEvent(man wal.Manifest) {
 	r.ckpts = append(r.ckpts, man)
-	r.truncs = append(r.truncs, truncated)
 }
 
 // TestCommitSinkStream: every Apply batch reaches the sink as a
@@ -139,8 +137,8 @@ func TestCommitGateQuorumError(t *testing.T) {
 	}
 }
 
-// TestCheckpointEventSink: a truncating checkpoint reaches the sink
-// with its manifest, after the frames it folds.
+// TestCheckpointEventSink: a checkpoint reaches the sink with its
+// manifest, after the frames it folds.
 func TestCheckpointEventSink(t *testing.T) {
 	tuples, _, _ := fixture.RunningExample()
 	dir := t.TempDir()
@@ -155,8 +153,8 @@ func TestCheckpointEventSink(t *testing.T) {
 	if err := eng.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.ckpts) != 1 || !sink.truncs[0] {
-		t.Fatalf("sink checkpoints %v truncated %v", sink.ckpts, sink.truncs)
+	if len(sink.ckpts) != 1 {
+		t.Fatalf("sink checkpoints %v", sink.ckpts)
 	}
 	if got := sink.ckpts[0].LastSeq; got != 2 {
 		t.Fatalf("checkpoint folded through seq %d, want 2", got)

@@ -1,7 +1,7 @@
 // The primary side: a Primary implements engine.ReplicationSink,
-// buffering every committed WAL frame since the last checkpoint
-// truncation (so its memory footprint is bounded by the engine's
-// checkpoint threshold) and fanning the stream out to follower
+// buffering every committed WAL frame the last checkpoint did not fold
+// (what the log holds, so its memory footprint is bounded by the
+// engine's checkpoint threshold) and fanning the stream out to follower
 // sessions. It also implements the quorum commit gate.
 package replication
 
@@ -170,32 +170,33 @@ func (p *Primary) CommitFrame(seq uint64, frame []byte) {
 	p.cond.Broadcast()
 }
 
-// CheckpointEvent implements engine.ReplicationSink. On a truncating
-// checkpoint the shipped history before the event is dropped (those
-// frames are folded into the generation files snapshot transfers now
-// serve) and any session that had not yet sent them is killed — on
-// reconnect its resume point predates minStreamSeq, which is exactly
-// the snapshot-fallback condition.
-func (p *Primary) CheckpointEvent(man wal.Manifest, logTruncated bool) {
+// CheckpointEvent implements engine.ReplicationSink. The shipped
+// history is cut through man.LastSeq: the frames at or below it are
+// folded into the generation files snapshot transfers now serve, and
+// the earlier checkpoint events go with them. The frames after it, the
+// batches that landed during the rewrite, stay ahead of this event, as
+// they stay in the log. A session that had not yet sent everything
+// dropped is killed — on reconnect its resume point predates
+// minStreamSeq, which is exactly the snapshot-fallback condition.
+func (p *Primary) CheckpointEvent(man wal.Manifest) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.events = append(p.events, event{seq: man.LastSeq, man: man})
-	if logTruncated {
-		cut := int64(len(p.events)) - 1 // absolute: firstIdx + cut
-		for s := range p.sessions {
-			if s.streamIdx >= 0 && s.streamIdx < p.firstIdx+cut {
-				s.kill()
-			}
+	cut := 0 // the first kept event: the first frame past man.LastSeq, or this one
+	for cut < len(p.events)-1 && (p.events[cut].frame == nil || p.events[cut].seq <= man.LastSeq) {
+		cut++
+	}
+	for s := range p.sessions {
+		if s.streamIdx >= 0 && s.streamIdx < p.firstIdx+int64(cut) {
+			s.kill()
 		}
-		kept := make([]event, len(p.events)-int(cut))
-		copy(kept, p.events[cut:])
-		p.events = kept
-		p.firstIdx += cut
-		p.minStreamSeq = man.LastSeq
-		p.bufferedBytes = 0
-		for _, ev := range p.events {
-			p.bufferedBytes += int64(len(ev.frame))
-		}
+	}
+	p.events = append([]event(nil), p.events[cut:]...)
+	p.firstIdx += int64(cut)
+	p.minStreamSeq = man.LastSeq
+	p.bufferedBytes = 0
+	for _, ev := range p.events {
+		p.bufferedBytes += int64(len(ev.frame))
 	}
 	p.cond.Broadcast()
 }
@@ -428,7 +429,7 @@ func (p *Primary) handle(conn net.Conn) {
 		return
 	}
 
-	// Register before deciding the mode, so a concurrent truncation
+	// Register before deciding the mode, so a concurrent checkpoint cut
 	// either sees this session (and leaves streamIdx=-1 alone) or
 	// happened before and is reflected in minStreamSeq.
 	p.mu.Lock()
@@ -487,7 +488,7 @@ func (p *Primary) handle(conn net.Conn) {
 	// Position the stream: the first retained event past resumeSeq.
 	p.mu.Lock()
 	if resumeSeq < p.minStreamSeq {
-		// A truncating checkpoint completed while the snapshot streamed
+		// A checkpoint cut the history while the snapshot streamed
 		// and the frames this follower now needs are gone. Re-seeding is
 		// the follower's reconnect logic; tell it to come back.
 		p.mu.Unlock()

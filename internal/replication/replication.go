@@ -28,8 +28,8 @@
 //   - The primary retains, in memory, every frame not yet folded into
 //     its checkpointed dataset files (bounded by the engine's
 //     checkpoint threshold). A follower whose resume point predates
-//     that history — the primary's log was checkpoint-truncated past
-//     the follower's sequence — is re-seeded with a full snapshot
+//     that history — a checkpoint cut the primary's log past the
+//     follower's sequence — is re-seeded with a full snapshot
 //     transfer of the current generation files.
 //   - Checkpoint manifests are forwarded in stream order; a follower
 //     folds its own overlay (a local checkpoint) when it receives one,

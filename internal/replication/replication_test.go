@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -330,7 +332,7 @@ func TestSnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ms := p.prim.Stats().MinStreamSeq; ms == 0 {
-		t.Fatal("truncating checkpoint did not advance min_stream_seq")
+		t.Fatal("the checkpoint did not advance min_stream_seq")
 	}
 	applyRandom(t, p.eng, rng, 2) // post-checkpoint traffic streams normally
 
@@ -376,6 +378,117 @@ func TestCheckpointLockstepFold(t *testing.T) {
 	waitFor(t, "post-checkpoint catch-up", caughtUp(p, fh))
 	assertEnginesEqual(t, p.eng, fh.f.Engine())
 	assertSameLog(t, "after the fold", pdir, fdir)
+}
+
+// tailSink sits between the engine and its shipper and measures each
+// checkpoint's tail: the frames committed before the checkpoint's event
+// with sequences past what it folds. Its methods run under the engine's
+// write lock.
+type tailSink struct {
+	*Primary
+	last uint64
+	tail atomic.Uint64 // the latest checkpoint's
+}
+
+func (s *tailSink) CommitFrame(seq uint64, frame []byte) {
+	s.last = seq
+	s.Primary.CommitFrame(seq, frame)
+}
+
+func (s *tailSink) CheckpointEvent(man wal.Manifest) {
+	s.tail.Store(s.last - man.LastSeq)
+	s.Primary.CheckpointEvent(man)
+}
+
+// TestCheckpointTailStreams: batches that land during the primary's
+// rewrite are the cut log's tail, and the shipper keeps them too. A
+// writer runs through forced checkpoints until one publish keeps a
+// non-empty tail. The connected follower then ends equal to the
+// primary, with every frame of its log the primary's frame of the same
+// sequence, byte for byte; and a follower that bootstraps after that
+// checkpoint streams the tail from the shipper, which must therefore
+// cut its history by sequence and not at the checkpoint event, and
+// ends equal as well.
+func TestCheckpointTailStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	pdir, fdir, bdir := t.TempDir(), t.TempDir(), t.TempDir()
+	saveDataset(t, pdir, genTuples(rng, 40))
+	p := startPrimary(t, pdir, AckAsync, 0)
+	defer p.close(t)
+	fh := startFollower(t, fdir, p.addr)
+	defer fh.stop(t)
+	waitFor(t, "initial sync", caughtUp(p, fh))
+	applyRandom(t, p.eng, rng, 3)
+	sink := &tailSink{Primary: p.prim, last: p.eng.LastSeq()}
+	p.eng.SetReplicationSink(sink)
+
+	var tail uint64
+	for round := 0; round < 50 && tail == 0; round++ {
+		ckpt := make(chan error, 1)
+		go func() { ckpt <- p.eng.Checkpoint() }()
+		wrng := rand.New(rand.NewSource(int64(round)))
+	write:
+		for {
+			if _, err := p.eng.Apply(randBatch(wrng, p.eng.N())); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-ckpt:
+				if err != nil {
+					t.Fatal(err)
+				}
+				break write
+			default:
+			}
+		}
+		tail = sink.tail.Load()
+	}
+	if tail == 0 {
+		t.Fatal("no checkpoint kept a tail in 50 rounds")
+	}
+	man, _, err := wal.LoadManifest(pdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := p.prim.Stats(); ps.MinStreamSeq != man.LastSeq || uint64(ps.BufferedRecords) != p.eng.LastSeq()-man.LastSeq {
+		t.Fatalf("shipper %+v after the checkpoint through seq %d: want every frame after it", ps, man.LastSeq)
+	}
+	t.Logf("checkpoint through seq %d kept a tail of %d frames", man.LastSeq, tail)
+
+	late := startFollower(t, bdir, p.addr)
+	defer late.stop(t)
+	waitFor(t, "late bootstrap + the tail", caughtUp(p, late))
+	waitFor(t, "connected follower catch-up", caughtUp(p, fh))
+	assertEnginesEqual(t, p.eng, fh.f.Engine())
+	assertEnginesEqual(t, p.eng, late.f.Engine())
+
+	applyRandom(t, p.eng, rng, 3)
+	waitFor(t, "post-checkpoint catch-up", caughtUp(p, fh))
+	waitFor(t, "late follower catch-up", caughtUp(p, late))
+	assertEnginesEqual(t, p.eng, fh.f.Engine())
+	assertEnginesEqual(t, p.eng, late.f.Engine())
+	primary := map[uint64][]byte{}
+	if _, err := wal.ReplayFrames(filepath.Join(pdir, wal.LogName), 0, func(seq uint64, frame []byte) error {
+		primary[seq] = frame
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{fdir, bdir} {
+		n := 0
+		if _, err := wal.ReplayFrames(filepath.Join(dir, wal.LogName), 0, func(seq uint64, frame []byte) error {
+			n++
+			if !bytes.Equal(frame, primary[seq]) {
+				return fmt.Errorf("frame %d differs:\nprimary %x\nstandby %x", seq, primary[seq], frame)
+			}
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		if n == 0 {
+			t.Fatalf("%s: the standby's log is empty, nothing compared", dir)
+		}
+	}
 }
 
 // TestQuorumAckDurability is the acceptance test of quorum mode: a

@@ -39,7 +39,7 @@
 //   - SyncBatch (default): fsync on every Append — at most the batch
 //     being written is lost.
 //   - SyncInterval: a background goroutine fsyncs every Interval.
-//   - SyncNone: fsync only on Close and Truncate.
+//   - SyncNone: fsync only on Close and CutBefore.
 //
 // # Replication
 //
@@ -82,6 +82,9 @@ const (
 	// maxRecordBytes bounds a single record's payload; anything larger in
 	// a length prefix is corruption, not a real batch.
 	maxRecordBytes = 1 << 30
+	// tempSuffix names the file CutBefore builds next to the log; one a
+	// crash left behind is removed by Open.
+	tempSuffix = ".tmp"
 )
 
 // OpKind selects a logged mutation. The values are the on-disk
@@ -207,6 +210,10 @@ type Writer struct {
 // returns a Writer positioned to append the next record. apply may be
 // nil to skip replay work while still scanning and repairing.
 func Open(path string, policy SyncPolicy, from uint64, apply func(seq uint64, ops []Op) error) (*Writer, ReplayResult, error) {
+	// A cut the crash interrupted before its rename: the log is whole.
+	if err := os.Remove(path + tempSuffix); err != nil && !os.IsNotExist(err) {
+		return nil, ReplayResult{}, err
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, ReplayResult{}, err
@@ -289,11 +296,18 @@ func (w *Writer) syncLoop() {
 			return
 		case <-t.C:
 			if w.dirty.Swap(false) {
-				if err := w.f.Sync(); err != nil {
+				// The fsync runs without w.mu, so appends never wait on
+				// it. A cut that closed f meanwhile fsynced its new file
+				// whole.
+				w.mu.Lock()
+				f := w.f
+				w.mu.Unlock()
+				if err := f.Sync(); err == nil {
+					w.syncs.Add(1)
+				} else if !errors.Is(err, os.ErrClosed) {
 					w.syncErr.Store(err)
 					return
 				}
-				w.syncs.Add(1)
 			}
 		}
 	}
@@ -400,24 +414,44 @@ func (w *Writer) rollback(cause error) error {
 	return cause
 }
 
-// Truncate discards every logged record — the checkpoint has folded
-// them into the dataset files — while keeping the sequence counter
-// monotonic. The truncation is fsynced before returning.
-func (w *Writer) Truncate() error {
+// CutBefore replaces the log with one that holds only its frames from
+// byte offset off on, verbatim: the records a checkpoint did not fold.
+// off must be a frame boundary, such as a Size the caller read. The
+// kept frames go to a temporary file, which is fsynced and renamed over
+// the log before the directory is fsynced, so a crash leaves either the
+// whole old log or the cut one. The sequence counter and the counters
+// carry on. A failure before the rename leaves the log as it was; after
+// it, appends go to the new file even if the directory fsync fails.
+func (w *Writer) CutBefore(off int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.f.Truncate(headerSize); err != nil {
+	if off < headerSize || off > w.size {
+		return fmt.Errorf("wal: cut at %d outside the log's frames [%d, %d]", off, headerSize, w.size)
+	}
+	tmp := w.path + tempSuffix
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if _, err := w.f.Seek(headerSize, io.SeekStart); err != nil {
-		return err
+	_, err = f.Write(logMagic[:])
+	if err == nil {
+		_, err = io.Copy(f, io.NewSectionReader(w.f, off, w.size-off))
 	}
-	if err := w.f.Sync(); err != nil {
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, w.path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return err
 	}
 	w.syncs.Add(1)
-	w.size = headerSize
-	return nil
+	w.f.Close() // an interval fsync running on it finishes first
+	w.f, w.size = f, headerSize+w.size-off
+	return SyncDir(filepath.Dir(w.path))
 }
 
 // Close stops the background syncer (if any), fsyncs and closes the

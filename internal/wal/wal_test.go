@@ -272,37 +272,104 @@ func TestMidLogCorruption(t *testing.T) {
 	}
 }
 
+// TestTruncateKeepsSequence: CutBefore drops the frames before a cut
+// point, keeps the ones after it byte for byte, and the next append
+// carries on the sequence. A temporary log a crash left behind is
+// removed by the next Open.
 func TestTruncateKeepsSequence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	w, _, err := Open(path, SyncPolicy{Mode: SyncBatch}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cut int64
 	for i := 0; i < 4; i++ {
+		if i == 2 {
+			cut = w.Size()
+		}
 		if _, err := w.Append(testOps(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Truncate(); err != nil {
+	before, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != headerSize {
-		t.Fatalf("post-truncate size %d", w.Size())
+	if err := w.CutBefore(w.Size() + 1); err == nil {
+		t.Fatal("a cut past the log's end was accepted")
+	}
+	if err := w.CutBefore(cut); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(append([]byte{}, before[:headerSize]...), before[cut:]...); !bytes.Equal(after, want) {
+		t.Fatalf("cut log is %d bytes, want the header and the %d bytes from the cut on", len(after), len(before)-int(cut))
+	}
+	if w.Size() != int64(len(after)) {
+		t.Fatalf("post-cut size %d, file holds %d", w.Size(), len(after))
 	}
 	seq, err := w.Append(testOps(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq != 5 {
-		t.Fatalf("post-truncate seq %d, want 5 (monotonic across truncation)", seq)
+		t.Fatalf("post-cut seq %d, want 5 (monotonic across the cut)", seq)
+	}
+	if err := w.CutBefore(w.Size()); err != nil {
+		t.Fatal(err)
+	}
+	if w.Size() != headerSize {
+		t.Fatalf("a cut at the end left %d bytes", w.Size())
+	}
+	if seq, err := w.Append(testOps(1)); err != nil || seq != 6 {
+		t.Fatalf("append after an emptying cut: seq %d, %v", seq, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Reopen as after a checkpoint at seq 4: only record 5 replays.
-	got, seqs, _ := replayAll(t, path, 4)
-	if len(got) != 1 || seqs[0] != 5 {
-		t.Fatalf("replay after truncate: %d records, seqs %v", len(got), seqs)
+	if err := os.WriteFile(path+tempSuffix, []byte("half a cut"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen as after a checkpoint at seq 5: only record 6 replays.
+	got, seqs, _ := replayAll(t, path, 5)
+	if len(got) != 1 || seqs[0] != 6 {
+		t.Fatalf("replay after the cut: %d records, seqs %v", len(got), seqs)
+	}
+	if _, err := os.Stat(path + tempSuffix); !os.IsNotExist(err) {
+		t.Fatalf("open left the temporary log of an interrupted cut: %v", err)
+	}
+}
+
+// TestCutBeforeIntervalSync: the interval syncer fsyncs without the
+// writer's mutex, so cuts swap the file under it; no append is lost and
+// the syncer never reports the swapped-out file's error.
+func TestCutBeforeIntervalSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	w, _, err := Open(path, SyncPolicy{Mode: SyncInterval, Interval: time.Microsecond}, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastSeq uint64
+	for i := 0; i < 200; i++ {
+		off := w.Size()
+		if lastSeq, err = w.Append(testOps(1)); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			if err := w.CutBefore(off); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, seqs, _ := replayAll(t, path, 0)
+	if len(seqs) == 0 || seqs[len(seqs)-1] != lastSeq {
+		t.Fatalf("after the cuts the log replays seqs %v, want it to end at %d", seqs, lastSeq)
 	}
 }
 
