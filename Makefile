@@ -11,7 +11,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -X repro/internal/obs.Version=$(VERSION) -X repro/internal/obs.Commit=$(COMMIT)
 
-.PHONY: all build test race vet lint check-fma loc fuzz-smoke vuln bench-smoke test-wal test-replication test-failover test-obs test-shard test-oracle check-docs ci
+.PHONY: all build test race vet lint check-fma loc fuzz-smoke vuln bench-smoke bench-json test-wal test-replication test-failover test-obs test-shard test-oracle check-docs ci
 
 all: ci
 
@@ -133,18 +133,31 @@ vuln:
 # one scan against sixteen scans of their own. BenchmarkCheckpointWriters
 # has 1, 2 and 4 writers race the checkpoints they trigger: every
 # rewrite should win (won-share 1) and the log stay near the threshold.
+BENCH_FLAGS ?=
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
-	$(GO) test -run '^$$' -bench 'BenchmarkApplyInvalidation|BenchmarkCacheTopK' -benchmem -benchtime=200ms .
-	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
-	$(GO) test -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkBatchTopK' -benchmem -benchtime=20x .
-	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
-	$(GO) test -run '^$$' -bench 'BenchmarkGenerate' -benchmem -benchtime=3x ./internal/dataset/
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint$$' -benchmem -benchtime=3x ./internal/engine/
-	$(GO) test -run '^$$' -bench 'BenchmarkCheckpointWriters' -benchtime=1x ./internal/engine/
-	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkApplyInvalidation|BenchmarkCacheTopK' -benchmem -benchtime=200ms .
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkBatchTopK' -benchmem -benchtime=20x .
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkGenerate' -benchmem -benchtime=3x ./internal/dataset/
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkCheckpoint$$' -benchmem -benchtime=3x ./internal/engine/
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkCheckpointWriters' -benchtime=1x ./internal/engine/
+	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
+
+# The bench-smoke set, six runs of each benchmark, summarised by
+# cmd/benchjson into BENCH_<PR>.json: per benchmark the median, min and
+# max of ns/op, B/op, allocs/op and every custom metric, with the Go
+# version, GOMAXPROCS, host and commit. The min–max range is the
+# benchmark's noise band on that host. The raw output is left in
+# BENCH_<PR>.txt if summarising fails.
+bench-json:
+	@test -n "$(PR)" || { echo 'usage: make bench-json PR=<n>' >&2; exit 2; }
+	$(MAKE) -s --no-print-directory bench-smoke BENCH_FLAGS=-count=6 > BENCH_$(PR).txt
+	$(GO) run ./cmd/benchjson -commit '$(VERSION)' < BENCH_$(PR).txt > BENCH_$(PR).json
+	rm BENCH_$(PR).txt
 
 # Durability focus: the WAL package under -race, the crash-recovery and
 # checkpoint property tests — the checkpoint's contract with the bulk
@@ -186,7 +199,8 @@ test-obs:
 # Sharding focus: the scatter-gather coordinator suite — bit-identity
 # to a single node across shard counts 1/2/4/8 with mutations, the
 # region-certificate property, one retry loop and one live attempt per
-# shard RPC, the shard-killed fault-injection e2e, and the
+# shard RPC within one time budget, a stalled write that ends with its
+# client, the shard-killed fault-injection e2e, and the
 # dialect-parity test (the coordinator front answers like a single node
 # because it is internal/server) — all under -race.
 test-shard:

@@ -5,7 +5,8 @@
 // rides out a failover transparently: on a 409 referral it follows the
 // Location header to the new primary, on a 503 or a dead connection it
 // re-resolves the topology and retries with capped, deterministically
-// jittered backoff.
+// jittered backoff, until the request's -request-timeout budget is
+// spent or its client hangs up.
 //
 // The proxy is stateless — kill -9 it and restart; everything it knows
 // is rediscovered from -nodes within one probe. Run several behind a
@@ -22,14 +23,14 @@
 // shard's primary plus standbys — joined by ';'), fans /topk and
 // /analyze out to every shard, routes /update and /delete batches to
 // the owning shards, and merges the answers bit-identically to a
-// single node over the union (docs/sharding.md). -max-retries,
-// -retry-base, -retry-cap and -request-timeout govern every shard RPC;
-// a shard that still does not answer fails the query closed, a 502: a
-// merge without it would certify no region. The coordinator's front is
-// internal/server over the merge, so it serves the whole single-node
-// surface — batches, /stats (build block only), /readyz, the slow log
-// — and the ir_http_* families beside the per-shard fan-out counters
-// on GET /metrics.
+// single node over the union (docs/sharding.md). -request-timeout
+// bounds every shard RPC, all its attempts and the -retry-base /
+// -retry-cap backoff between them; a shard that does not answer within
+// it fails the query closed, a 502: a merge without it would certify
+// no region. The coordinator's front is internal/server over the
+// merge, so it serves the whole single-node surface — batches, /stats
+// (build block only), /readyz, the slow log — and the ir_http_*
+// families beside the per-shard fan-out counters on GET /metrics.
 //
 // Usage:
 //
@@ -62,11 +63,10 @@ func main() {
 		addr        = flag.String("addr", ":8000", "proxy listen address")
 		nodes       = flag.String("nodes", "", "comma-separated cluster member HTTP base URLs (seeds for topology discovery)")
 		id          = flag.String("id", "", "proxy identity seeding the deterministic retry jitter (default: the node list)")
-		maxRetries  = flag.Int("max-retries", 8, "retry attempts per request before answering 502")
 		retryBase   = flag.Duration("retry-base", 50*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		retryCap    = flag.Duration("retry-cap", 2*time.Second, "retry backoff ceiling")
 		topologyTTL = flag.Duration("topology-ttl", time.Second, "how long a discovered topology is trusted before re-probing")
-		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-attempt upstream request timeout, shard RPCs included")
+		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "time budget of one upstream call, shard RPCs included: every attempt and the backoff between them")
 		shutdownTo  = flag.Duration("shutdown-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
 		shardMap    = flag.String("shard-map", "", "coordinator mode: shards.json manifest of the range partition (irgen -shards); requires -shard-nodes")
 		shardNodes  = flag.String("shard-nodes", "", "per-shard seed groups, ','-separated in shard order; members within a group ';'-separated")
@@ -87,12 +87,11 @@ func main() {
 	defer stop()
 
 	clientCfg := client.Config{
-		ID:          *id,
-		MaxRetries:  *maxRetries,
-		RetryBase:   *retryBase,
-		RetryCap:    *retryCap,
-		TopologyTTL: *topologyTTL,
-		HTTPClient:  &http.Client{Timeout: *reqTimeout},
+		ID:             *id,
+		RequestTimeout: *reqTimeout,
+		RetryBase:      *retryBase,
+		RetryCap:       *retryCap,
+		TopologyTTL:    *topologyTTL,
 	}
 
 	var handler http.Handler

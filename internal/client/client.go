@@ -4,6 +4,14 @@
 // the least-lagged ready standby, and rides out a failover with capped,
 // deterministically-jittered retries.
 //
+// # Time budget
+//
+// A call is bounded by time, not by a count of tries: Do retries until
+// Config.RequestTimeout has passed or the caller's context ends, and
+// the budget covers every attempt, the backoff between them and the
+// reading of the returned body. A handler that calls with its request's
+// context gives up when its own caller hangs up.
+//
 // # Routing rules
 //
 //   - Writes (/update, /delete) go to the confirmed primary. A 409
@@ -50,8 +58,9 @@ type Config struct {
 	// ID seeds the deterministic retry jitter (default: joined seeds).
 	// Distinct clients should use distinct IDs so their retries spread.
 	ID string
-	// MaxRetries bounds the retry loop per request (default 8).
-	MaxRetries int
+	// RequestTimeout bounds one call: every attempt and the backoff
+	// between them (default 10s). A caller's context may end it sooner.
+	RequestTimeout time.Duration
 	// RetryBase and RetryCap bound the exponential backoff between
 	// retries (defaults 50ms and 2s).
 	RetryBase time.Duration
@@ -59,7 +68,8 @@ type Config struct {
 	// TopologyTTL is how long a discovered topology is trusted before
 	// re-probing (default 1s). Errors invalidate it immediately.
 	TopologyTTL time.Duration
-	// HTTPClient overrides the transport (default: 10s timeout).
+	// HTTPClient overrides the transport (default: no timeout of its
+	// own; RequestTimeout bounds each call).
 	HTTPClient *http.Client
 }
 
@@ -67,8 +77,8 @@ func (c *Config) setDefaults() {
 	if c.ID == "" {
 		c.ID = strings.Join(c.Seeds, ",")
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 8
+	if c.RequestTimeout <= 0 {
+		c.RequestTimeout = 10 * time.Second
 	}
 	if c.RetryBase <= 0 {
 		c.RetryBase = 50 * time.Millisecond
@@ -80,7 +90,7 @@ func (c *Config) setDefaults() {
 		c.TopologyTTL = time.Second
 	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Timeout: 10 * time.Second}
+		c.HTTPClient = &http.Client{}
 	}
 }
 
@@ -118,9 +128,11 @@ func WritePath(path string) bool {
 }
 
 // Refresh probes the seeds (plus every previously discovered member)
-// and rebuilds the topology. Returns the number of members that
-// answered.
+// and rebuilds the topology, within one RequestTimeout. Returns the
+// number of members that answered.
 func (c *Client) Refresh(ctx context.Context) int {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	defer cancel()
 	targets := make(map[string]bool)
 	for _, s := range c.cfg.Seeds {
 		targets[s] = true
@@ -268,9 +280,10 @@ func sortedKeys(m map[string]replication.ClusterInfo) []string {
 	return keys
 }
 
-// Do routes one request through the cluster with retries. The body (if
-// any) is buffered so it can be replayed; the caller owns closing the
-// returned response's body.
+// Do routes one request through the cluster, retrying within the
+// call's time budget (see the package comment). The body (if any) is
+// buffered so it can be replayed; the caller owns closing the returned
+// response's body, and the budget ends when it does.
 func (c *Client) Do(ctx context.Context, method, path, rawQuery string, header http.Header, body []byte) (*http.Response, error) {
 	write := WritePath(path)
 	if write {
@@ -278,12 +291,14 @@ func (c *Client) Do(ctx context.Context, method, path, rawQuery string, header h
 	} else {
 		mRequests.Inc("read")
 	}
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			mRetries.Inc()
 			if err := c.sleep(ctx, attempt); err != nil {
-				return nil, err
+				cancel()
+				return nil, fmt.Errorf("client: giving up after %d attempts: %w (last: %w)", attempt, err, lastErr)
 			}
 		}
 		base, err := c.target(ctx, write)
@@ -335,11 +350,24 @@ func (c *Client) Do(ctx context.Context, method, path, rawQuery string, header h
 			lastErr = fmt.Errorf("client: %s %s: node unreachable (502)", method, path)
 		default:
 			// Success, a client error, or an indeterminate write
-			// failure: the caller decides.
+			// failure: the caller decides, reading the body under the
+			// same budget.
+			resp.Body = budgetBody{resp.Body, cancel}
 			return resp, nil
 		}
 	}
-	return nil, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxRetries+1, lastErr)
+}
+
+// budgetBody ends a call's budget when the caller closes the body it
+// reads after Do has returned.
+type budgetBody struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b budgetBody) Close() error {
+	defer b.cancel()
+	return b.ReadCloser.Close()
 }
 
 func (c *Client) send(ctx context.Context, base, method, path, rawQuery string, header http.Header, body []byte) (*http.Response, error) {

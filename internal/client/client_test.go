@@ -3,7 +3,9 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -62,13 +64,12 @@ func testClient(t *testing.T, nodes ...*fakeNode) *Client {
 		seeds[i] = n.hs.URL
 	}
 	c, err := New(Config{
-		Seeds:       seeds,
-		ID:          t.Name(),
-		MaxRetries:  4,
-		RetryBase:   5 * time.Millisecond,
-		RetryCap:    20 * time.Millisecond,
-		TopologyTTL: 50 * time.Millisecond,
-		HTTPClient:  &http.Client{Timeout: 2 * time.Second},
+		Seeds:          seeds,
+		ID:             t.Name(),
+		RequestTimeout: 2 * time.Second,
+		RetryBase:      5 * time.Millisecond,
+		RetryCap:       20 * time.Millisecond,
+		TopologyTTL:    50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +154,77 @@ func TestRetryOn503ThenSuccess(t *testing.T) {
 	}
 	if got := n.writes.Load(); got != 3 {
 		t.Fatalf("expected 3 attempts (2 failures + success), got %d", got)
+	}
+}
+
+// TestGiveUpAtTheBudget: a call that never succeeds ends when its time
+// budget does, after as many attempts as fit in it, or at its caller's
+// deadline when that comes first.
+func TestGiveUpAtTheBudget(t *testing.T) {
+	const slack = 250 * time.Millisecond
+	n := newFakeNode(t)
+	n.setInfo(replication.ClusterInfo{Role: "primary", Confirmed: true, Epoch: 1})
+	unavailable := func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"no confirmed primary"}`, http.StatusServiceUnavailable)
+	}
+	n.onWrite.Store(&unavailable)
+
+	c := testClient(t, n)
+	c.cfg.RequestTimeout = 300 * time.Millisecond
+	start := time.Now()
+	err := c.PostJSON(context.Background(), "/update", []byte(`{}`), nil)
+	elapsed := time.Since(start)
+	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a write to a node that answers 503 forever: %v, want the budget's deadline", err)
+	}
+	if elapsed > c.cfg.RequestTimeout+slack {
+		t.Fatalf("gave up after %v, want within the %v budget + %v", elapsed, c.cfg.RequestTimeout, slack)
+	}
+	if got := n.writes.Load(); got < 2 {
+		t.Fatalf("gave up after %d attempts, want at least 2", got)
+	}
+
+	c.cfg.RequestTimeout = 10 * time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	if err := c.PostJSON(ctx, "/update", []byte(`{}`), nil); err == nil {
+		t.Fatal("a write to a node that answers 503 forever succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > 100*time.Millisecond+slack {
+		t.Fatalf("gave up after %v, want at the caller's 100ms deadline", elapsed)
+	}
+}
+
+// TestBodyReadUnderTheBudget: the budget outlives Do, so the caller can
+// read a successful response's body, and ends when the body is closed.
+func TestBodyReadUnderTheBudget(t *testing.T) {
+	n := newFakeNode(t)
+	n.setInfo(replication.ClusterInfo{Role: "primary", Confirmed: true, Epoch: 1})
+	slow := func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"applied":`))
+		w.(http.Flusher).Flush()
+		time.Sleep(50 * time.Millisecond)
+		w.Write([]byte(`1}`))
+	}
+	n.onWrite.Store(&slow)
+
+	c := testClient(t, n)
+	resp, err := c.Do(context.Background(), http.MethodPost, "/update", "", nil, []byte(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || string(raw) != `{"applied":1}` {
+		t.Fatalf("body read after Do returned: %q, %v", raw, err)
+	}
+	budget := resp.Request.Context()
+	if budget.Err() != nil {
+		t.Fatalf("budget ended before the body was closed: %v", budget.Err())
+	}
+	resp.Body.Close()
+	if budget.Err() != context.Canceled {
+		t.Fatalf("budget after the body was closed: %v, want cancelled", budget.Err())
 	}
 }
 

@@ -133,6 +133,36 @@ func TestCheckpointEveryRewriteWins(t *testing.T) {
 	assertSameAnswers(t, reopened, fresh, cs.Q, cs.K, opts)
 }
 
+// TestCheckpointNotDueOnTheBitmap: the overlay's tombstone bitmap, one
+// bit per base tuple, is nothing a checkpoint can fold, so it does not
+// count toward the threshold. Over a base whose bitmap alone is above
+// the threshold, a forced checkpoint leaves an empty log, and one small
+// write after it runs no checkpoint.
+func TestCheckpointNotDueOnTheBitmap(t *testing.T) {
+	const threshold = 4096
+	rng := rand.New(rand.NewSource(45))
+	const m = 4
+	tuples := make([]vec.Sparse, 8*threshold+64) // a bitmap of threshold+8 B
+	for i := range tuples {
+		tuples[i] = randOpTuple(rng, m)
+	}
+	dir := t.TempDir()
+	saveDir(t, dir, tuples, m)
+	eng := openDurable(t, dir, Config{CheckpointBytes: threshold, WALSync: wal.SyncPolicy{Mode: wal.SyncNone}})
+	defer eng.Close()
+
+	if err := eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.DurabilityStats()
+	mustApply(t, eng, Op{Kind: OpInsert, Tuple: randOpTuple(rng, m)})
+	after := eng.DurabilityStats()
+	if n := after.Checkpoints - before.Checkpoints; n != 0 {
+		t.Fatalf("one small write after a checkpoint ran %d more (log %d B, overlay %d B, threshold %d B)",
+			n, after.LogBytes, eng.mut.DeltaStats().Bytes, threshold)
+	}
+}
+
 // TestCheckpointFourWriters: four writers apply single-insert batches
 // back to back over a small threshold, so batches land during the
 // rewrites; every rewrite publishes, cuts and swaps, the log stays

@@ -1,6 +1,6 @@
-// The write path: Engine.Apply feeds tuple inserts, updates and deletes
-// to the engine's write overlay and decides — per cached analysis —
-// whether the cached certificate survives the change.
+// The write path: Engine.ApplyContext feeds tuple inserts, updates and
+// deletes to the engine's write overlay and decides — per cached
+// analysis — whether the cached certificate survives the change.
 //
 // # Region-certified invalidation
 //
@@ -42,6 +42,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -145,17 +146,27 @@ type tupleChange struct {
 	hasNew   bool
 }
 
-// Apply executes a batch of mutations and invalidates exactly the
-// cached analyses the changes can affect (see the package comment for
-// the certificate). The batch is applied under the engine's write lock:
-// it waits for in-flight queries to drain, and once Apply returns every
-// answer — cached or computed — reflects the post-batch dataset. Ops
-// apply independently in order; per-op failures are reported in
-// Results and do not fail the batch. On a durable engine the batch is
-// appended to the write-ahead log before any mutation, and an outgrown
-// log or overlay triggers checkpoint compaction before Apply returns
-// (see durable.go).
+// Apply is ApplyContext with a context that never ends. It stays for
+// bench/ladder.go, which calls it and may not change before ROADMAP
+// item 3 removes it.
 func (e *Engine) Apply(ops []Op) (ApplyResult, error) {
+	return e.ApplyContext(context.TODO(), ops)
+}
+
+// ApplyContext executes a batch of mutations and invalidates exactly
+// the cached analyses the changes can affect (see the package comment
+// for the certificate). The batch is applied under the engine's write
+// lock: it waits for in-flight queries to drain, and once ApplyContext
+// returns every answer — cached or computed — reflects the post-batch
+// dataset. Ops apply independently in order; per-op failures are
+// reported in Results and do not fail the batch. On a durable engine
+// the batch is appended to the write-ahead log before any mutation, and
+// an outgrown log or overlay triggers checkpoint compaction before
+// ApplyContext returns (see durable.go). A batch whose ctx has ended by
+// the time it holds the write lock is refused untouched; once logged it
+// completes, and the quorum wait stays bounded by the commit gate's own
+// timeout.
+func (e *Engine) ApplyContext(ctx context.Context, ops []Op) (ApplyResult, error) {
 	if !e.mutable {
 		return ApplyResult{}, fmt.Errorf("engine: %w", ErrImmutable)
 	}
@@ -164,7 +175,7 @@ func (e *Engine) Apply(ops []Op) (ApplyResult, error) {
 	}
 	applyStart := time.Now()
 	defer func() { mApplySeconds.Observe(time.Since(applyStart).Seconds()) }()
-	res, seq, gate, err := e.lockAndApply(ops)
+	res, seq, gate, err := e.lockAndApply(ctx, ops)
 	if err != nil {
 		return res, err
 	}
@@ -190,15 +201,18 @@ func (e *Engine) Apply(ops []Op) (ApplyResult, error) {
 	return res, gateErr
 }
 
-// lockAndApply is Apply's critical section: it takes the write lock
-// itself (hence the name — a *Locked suffix would claim the caller
-// holds it), then fence check, log, ship, mutate, invalidate. It
-// returns the batch's WAL sequence number (0 when the engine is not
-// durable or nothing was logged) and the commit gate captured under
-// the lock.
-func (e *Engine) lockAndApply(ops []Op) (ApplyResult, uint64, func(seq uint64) error, error) {
+// lockAndApply is ApplyContext's critical section: it takes the write
+// lock itself (hence the name — a *Locked suffix would claim the caller
+// holds it), then context check, fence check, log, ship, mutate,
+// invalidate. It returns the batch's WAL sequence number (0 when the
+// engine is not durable or nothing was logged) and the commit gate
+// captured under the lock.
+func (e *Engine) lockAndApply(ctx context.Context, ops []Op) (ApplyResult, uint64, func(seq uint64) error, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		return ApplyResult{}, 0, nil, fmt.Errorf("engine: batch not applied: %w", err)
+	}
 	// Fencing: once a newer primary epoch has been observed, this node
 	// must not commit client writes — they would branch the history a
 	// live primary is extending under the new epoch.

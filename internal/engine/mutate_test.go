@@ -172,6 +172,33 @@ func TestApplyRunningExampleCertificates(t *testing.T) {
 	}
 }
 
+// TestApplyContextRefusesAnEndedContext: a batch whose context has
+// ended by the time it holds the write lock is refused untouched —
+// nothing logged, nothing applied — and the next batch applies as usual.
+func TestApplyContextRefusesAnEndedContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	cs := fixture.RandCase(rng, 40, 4, 2, 2)
+	dir := t.TempDir()
+	saveDir(t, dir, cs.Tuples, cs.M)
+	eng := openDurable(t, dir, Config{CheckpointBytes: -1})
+	defer eng.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n, logged := eng.N(), eng.DurabilityStats().LogBytes
+	if _, err := eng.ApplyContext(ctx, []Op{{Kind: OpInsert, Tuple: randOpTuple(rng, cs.M)}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a batch under an ended context: %v, want it refused", err)
+	}
+	if eng.N() != n || eng.DurabilityStats().LogBytes != logged || eng.MutationStats().Batches != 0 {
+		t.Fatalf("a refused batch left a trace: n %d -> %d, log %d -> %d B, %d batches",
+			n, eng.N(), logged, eng.DurabilityStats().LogBytes, eng.MutationStats().Batches)
+	}
+	mustApply(t, eng, Op{Kind: OpInsert, Tuple: randOpTuple(rng, cs.M)})
+	if eng.N() != n+1 {
+		t.Fatalf("the next batch left n at %d, want %d", eng.N(), n+1)
+	}
+}
+
 // randOpTuple draws a non-empty mutation payload (empty tuples are
 // rejected: they are the on-disk tombstone encoding); half the draws
 // are low-valued so the certificate has genuine survivors to prove.

@@ -83,7 +83,6 @@ func NewOverlay(base Index) *Overlay {
 		deadPerDim: make(map[int]int),
 		delta:      make(map[int]PostingList),
 	}
-	ov.ds.Bytes = 8 * int64(len(ov.deadBase))
 	return ov
 }
 
@@ -161,7 +160,9 @@ type DeltaStats struct {
 	// Bytes approximates the delta's memory footprint: tuple payloads at
 	// 12 B/entry plus delta postings at 12 B plus fixed per-slot
 	// overheads. It is an estimate for bounding growth, not an exact
-	// accounting.
+	// accounting. The tombstone bitmap is left out: it is one bit per
+	// base tuple whatever the delta holds, so no checkpoint can shrink
+	// it, and a checkpoint threshold below it would fire on every write.
 	Bytes int64 `json:"bytes"`
 }
 

@@ -504,7 +504,6 @@ func recountDelta(ov *Overlay) DeltaStats {
 		st.DeltaPostings += pl.Len()
 		st.Bytes += 12 * int64(pl.Len())
 	}
-	st.Bytes += 8 * int64(len(ov.deadBase))
 	return st
 }
 

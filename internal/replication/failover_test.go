@@ -22,7 +22,6 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -362,33 +361,115 @@ func (c *cluster) waitConverged() int {
 }
 
 func updateBody(rng *rand.Rand) []byte {
+	t := make(vec.Sparse, fDims)
+	for d := range t {
+		t[d] = vec.Entry{Dim: d, Val: rng.Float64()}
+	}
+	return tupleBody(t)
+}
+
+// tupleBody is the /update body that inserts t, so a tuple read back
+// from an engine renders as the body that inserted it.
+func tupleBody(t vec.Sparse) []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `{"ops":[{"tuple":[`)
-	for d := 0; d < fDims; d++ {
-		if d > 0 {
+	for i, e := range t {
+		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, `{"dim":%d,"val":%.9f}`, d, rng.Float64())
+		fmt.Fprintf(&b, `{"dim":%d,"val":%.9f}`, e.Dim, e.Val)
 	}
 	fmt.Fprintf(&b, `]}]}`)
 	return b.Bytes()
 }
 
-func newChaosClient(t testing.TB, c *cluster, id string) *client.Client {
+// newChaosClient routes through the cluster over rt (nil: the default
+// transport). A call's 5 s budget is about the window the 31 attempts
+// of the earlier retry count spanned: 4.05 s of backoff before jitter.
+func newChaosClient(t testing.TB, c *cluster, id string, rt http.RoundTripper) *client.Client {
 	t.Helper()
 	cl, err := client.New(client.Config{
-		Seeds:       c.urls(),
-		ID:          id,
-		MaxRetries:  30,
-		RetryBase:   10 * time.Millisecond,
-		RetryCap:    150 * time.Millisecond,
-		TopologyTTL: 75 * time.Millisecond,
-		HTTPClient:  &http.Client{Timeout: 5 * time.Second},
+		Seeds:          c.urls(),
+		ID:             id,
+		RequestTimeout: 5 * time.Second,
+		RetryBase:      10 * time.Millisecond,
+		RetryCap:       150 * time.Millisecond,
+		TopologyTTL:    75 * time.Millisecond,
+		HTTPClient:     &http.Client{Transport: rt},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cl
+}
+
+// ackRecorder is the chaos writer's transport: it remembers which
+// member answered the latest 200 /update, so a lost acknowledged write
+// can name the member that acknowledged it.
+type ackRecorder struct {
+	mu   sync.Mutex
+	last string // base URL
+}
+
+func (a *ackRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && r.URL.Path == "/update" && resp.StatusCode == http.StatusOK {
+		a.mu.Lock()
+		a.last = r.URL.Scheme + "://" + r.URL.Host
+		a.mu.Unlock()
+	}
+	return resp, err
+}
+
+func (a *ackRecorder) lastAck() string {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.last
+}
+
+// ackedWrite is one acknowledged chaos write: its body, the member that
+// acknowledged it and when, from the trial's start.
+type ackedWrite struct {
+	body   string
+	member int
+	at     time.Duration
+}
+
+// memberOf returns the index of the member at base URL u, or -1.
+func (c *cluster) memberOf(u string) int {
+	for i, m := range c.members {
+		if m.hs.URL == u {
+			return i
+		}
+	}
+	return -1
+}
+
+// lostReport is the post-mortem of a chaos trial that lost acknowledged
+// writes: each acknowledged write the healed primary does not hold, with
+// the member that acknowledged it, then every member's last sequence
+// number and epoch timeline.
+func (c *cluster) lostReport(prim *engine.Engine, acks []ackedWrite) string {
+	held := make(map[string]bool)
+	for id := 0; id < prim.N(); id++ {
+		held[string(tupleBody(prim.Tuple(id)))] = true
+	}
+	var b bytes.Buffer
+	for _, a := range acks {
+		if !held[a.body] {
+			fmt.Fprintf(&b, "  lost %s: acknowledged by member %d at %v\n", a.body, a.member, a.at.Round(time.Millisecond))
+		}
+	}
+	for i := range c.members {
+		n := c.node(i)
+		if n == nil || n.Engine() == nil {
+			fmt.Fprintf(&b, "  member %d: down\n", i)
+			continue
+		}
+		e := n.Engine()
+		fmt.Fprintf(&b, "  member %d: last_seq=%d epochs=%+v\n", i, e.LastSeq(), e.EpochTimeline())
+	}
+	return b.String()
 }
 
 // oracleCheck rebuilds the committed history on a fresh single-node
@@ -460,7 +541,7 @@ func TestClusterFailoverHeals(t *testing.T) {
 		t.Fatalf("boot primary is member %d, want 0", prim)
 	}
 
-	cl := newChaosClient(t, c, "heal-test")
+	cl := newChaosClient(t, c, "heal-test", nil)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if err := cl.PostJSON(ctx, "/update", updateBody(rng), nil); err != nil {
@@ -503,7 +584,7 @@ func TestDeposedPrimaryRefusesAndRejoins(t *testing.T) {
 	c := newCluster(t, 3, tuples)
 	c.waitConverged()
 
-	cl := newChaosClient(t, c, "depose-test")
+	cl := newChaosClient(t, c, "depose-test", nil)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if err := cl.PostJSON(ctx, "/update", updateBody(rng), nil); err != nil {
@@ -575,7 +656,8 @@ func runChaosTrial(t *testing.T, seed int64) {
 
 	ctx, cancelLoad := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	var acked atomic.Int64
+	var acks []ackedWrite // the writer's until wg.Wait
+	start := time.Now()
 
 	// Writer: hammer /update through the routing client; count only
 	// 200-acknowledged batches. Each batch is one insert.
@@ -583,10 +665,12 @@ func runChaosTrial(t *testing.T, seed int64) {
 	go func() {
 		defer wg.Done()
 		wrng := rand.New(rand.NewSource(seed*31 + 1))
-		cl := newChaosClient(t, c, fmt.Sprintf("chaos-writer-%d", seed))
+		rec := &ackRecorder{}
+		cl := newChaosClient(t, c, fmt.Sprintf("chaos-writer-%d", seed), rec)
 		for ctx.Err() == nil {
-			if err := cl.PostJSON(ctx, "/update", updateBody(wrng), nil); err == nil {
-				acked.Add(1)
+			body := updateBody(wrng)
+			if err := cl.PostJSON(ctx, "/update", body, nil); err == nil {
+				acks = append(acks, ackedWrite{string(body), c.memberOf(rec.lastAck()), time.Since(start)})
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -596,7 +680,7 @@ func runChaosTrial(t *testing.T, seed int64) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cl := newChaosClient(t, c, fmt.Sprintf("chaos-reader-%d", seed))
+		cl := newChaosClient(t, c, fmt.Sprintf("chaos-reader-%d", seed), nil)
 		body := []byte(`{"dims":[0,1],"weights":[0.8,0.4],"k":5,"phi":1}`)
 		for ctx.Err() == nil {
 			_ = cl.PostJSON(ctx, "/analyze", body, nil)
@@ -608,11 +692,16 @@ func runChaosTrial(t *testing.T, seed int64) {
 	// restarts, at most one member down at a time — the quorum design
 	// tolerates any single-node loss.
 	down := -1
+	var schedule []string // for the post-mortem
+	note := func(what string, i int) {
+		schedule = append(schedule, fmt.Sprintf("%v %s %d", time.Since(start).Round(time.Millisecond), what, i))
+	}
 	events := 4 + rng.Intn(3)
 	for e := 0; e < events; e++ {
 		time.Sleep(time.Duration(150+rng.Intn(200)) * time.Millisecond)
 		if down >= 0 {
 			c.start(down, false)
+			note("restart", down)
 			down = -1
 			continue
 		}
@@ -632,12 +721,14 @@ func runChaosTrial(t *testing.T, seed int64) {
 		}
 		if victim >= 0 {
 			c.kill(victim)
+			note("kill", victim)
 			down = victim
 		}
 	}
 	if down >= 0 {
 		time.Sleep(200 * time.Millisecond)
 		c.start(down, false)
+		note("restart", down)
 	}
 
 	// Let the cluster heal under load, then stop the load and wait for
@@ -651,15 +742,15 @@ func runChaosTrial(t *testing.T, seed int64) {
 	// so the primary must hold at least seed + acked tuples (retries
 	// can legitimately add more — at-least-once delivery).
 	pEng := c.node(prim).Engine()
-	wantAtLeast := len(tuples) + int(acked.Load())
+	wantAtLeast := len(tuples) + len(acks)
 	if got := pEng.N(); got < wantAtLeast {
-		t.Fatalf("acknowledged writes lost: %d tuples on the healed primary, want >= %d (%d acked)",
-			got, wantAtLeast, acked.Load())
+		t.Fatalf("acknowledged writes lost (seed %d): %d tuples on the healed primary member %d, want >= %d (%d acked)\nschedule: %v\n%s",
+			seed, got, prim, wantAtLeast, len(acks), schedule, c.lostReport(pEng, acks))
 	}
 	c.oracleCheck(tuples, prim)
 	if testing.Verbose() {
 		t.Logf("seed %d: %d acked writes, healed primary member %d at seq %d epoch %d",
-			seed, acked.Load(), prim, pEng.LastSeq(), c.node(prim).ClusterInfo().Epoch)
+			seed, len(acks), prim, pEng.LastSeq(), c.node(prim).ClusterInfo().Epoch)
 	}
 }
 

@@ -97,10 +97,12 @@ type Querier interface {
 	Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*engine.Analysis, error)
 	TopKBatch(ctx context.Context, items []engine.TopKItem) []engine.TopKResult
 	AnalyzeBatch(ctx context.Context, items []engine.BatchItem) []engine.BatchResult
-	// Mutable reports whether Apply is enabled; a read-only Querier
-	// answers the write endpoints 409 whatever the payload.
+	// Mutable reports whether ApplyContext is enabled; a read-only
+	// Querier answers the write endpoints 409 whatever the payload.
 	Mutable() bool
-	Apply(ops []engine.Op) (engine.ApplyResult, error)
+	// ApplyContext runs a write batch; ctx is the request's, so a batch
+	// whose client has hung up before it is logged is refused.
+	ApplyContext(ctx context.Context, ops []engine.Op) (engine.ApplyResult, error)
 }
 
 // ErrUpstream tags a failure of something the Querier depends on — a
@@ -750,7 +752,7 @@ func (s *Server) applyOps(w http.ResponseWriter, r *http.Request, ops []engine.O
 	}
 	resp := MutateResponse{Results: results}
 	if len(ops) > 0 {
-		res, err := qr.Apply(ops)
+		res, err := qr.ApplyContext(r.Context(), ops)
 		if err != nil {
 			engineError(w, err)
 			return

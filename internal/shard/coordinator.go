@@ -29,7 +29,9 @@ type Coordinator struct {
 	m        Map
 	backends []Backend
 
-	applyMu sync.Mutex
+	// applyTurn holds a token while a batch is being applied; a batch
+	// waits for its turn under its own context.
+	applyTurn chan struct{}
 }
 
 // New builds a coordinator over one backend per Map range.
@@ -37,7 +39,7 @@ func New(m Map, backends []Backend, _ Config) (*Coordinator, error) {
 	if len(backends) != m.NumShards() {
 		return nil, fmt.Errorf("shard: %d backends for %d ranges", len(backends), m.NumShards())
 	}
-	return &Coordinator{m: m, backends: backends}, nil
+	return &Coordinator{m: m, backends: backends, applyTurn: make(chan struct{}, 1)}, nil
 }
 
 // fanout runs call against every shard in parallel, once per shard;
@@ -181,10 +183,15 @@ func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engi
 // The coordinator sends each sub-batch once and fails closed on the
 // first shard error. Over HTTP the group client may resend a write
 // after a transport error or a plain 503, so delivery is at-least-once
-// (see internal/client).
-func (c *Coordinator) Apply(ops []engine.Op) (engine.ApplyResult, error) {
-	c.applyMu.Lock()
-	defer c.applyMu.Unlock()
+// (see internal/client). ctx bounds the wait for this batch's turn and
+// every call it makes: once it ends, no further sub-batch is sent.
+func (c *Coordinator) Apply(ctx context.Context, ops []engine.Op) (engine.ApplyResult, error) {
+	select {
+	case c.applyTurn <- struct{}{}:
+		defer func() { <-c.applyTurn }()
+	case <-ctx.Done():
+		return engine.ApplyResult{}, fmt.Errorf("shard: apply: %w", ctx.Err())
+	}
 	res := engine.ApplyResult{Results: make([]engine.OpResult, len(ops))}
 	for start := 0; start < len(ops); {
 		shard := c.target(ops[start])
@@ -201,7 +208,7 @@ func (c *Coordinator) Apply(ops []engine.Op) (engine.ApplyResult, error) {
 			}
 			local[j] = op
 		}
-		sr, err := c.backends[shard].Apply(local)
+		sr, err := c.backends[shard].Apply(ctx, local)
 		if err != nil {
 			mFanoutErrors.Inc("apply")
 			return res, fmt.Errorf("shard %d: apply: %w", shard, err)

@@ -23,7 +23,7 @@ func (f failingBackend) TopK(context.Context, vec.Query, int) ([]topk.Scored, er
 func (f failingBackend) AnalyzeImposed(context.Context, vec.Query, int, int, []topk.Scored, engine.Options) (*core.Output, []topk.Scored, error) {
 	return nil, nil, f.err
 }
-func (f failingBackend) Apply([]engine.Op) (engine.ApplyResult, error) {
+func (f failingBackend) Apply(context.Context, []engine.Op) (engine.ApplyResult, error) {
 	return engine.ApplyResult{}, f.err
 }
 
@@ -46,7 +46,7 @@ func TestFailClosed(t *testing.T) {
 	}
 	// The failing shard owns ids [Base(2), Base(3)): a delete routed
 	// there must fail, and the batch must stop at it.
-	if _, err := coord.Apply([]engine.Op{{Kind: engine.OpDelete, ID: coord.m.Base(2)}}); !errors.Is(err, boom) {
+	if _, err := coord.Apply(ctx, []engine.Op{{Kind: engine.OpDelete, ID: coord.m.Base(2)}}); !errors.Is(err, boom) {
 		t.Fatalf("apply error = %v, want wrapped %v", err, boom)
 	}
 }

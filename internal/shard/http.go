@@ -84,9 +84,9 @@ func (h HTTPBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base in
 // Apply ships the batch as /update and /delete calls, splitting runs at
 // kind boundaries (inserts and updates share /update; deletes need
 // /delete) while preserving op order. Per-op engine errors come back as
-// strings; they are surfaced as opaque errors in the same slots.
-func (h HTTPBackend) Apply(ops []engine.Op) (engine.ApplyResult, error) {
-	ctx := context.Background()
+// strings; they are surfaced as opaque errors in the same slots. Each
+// call has the group client's time budget, within ctx.
+func (h HTTPBackend) Apply(ctx context.Context, ops []engine.Op) (engine.ApplyResult, error) {
 	res := engine.ApplyResult{Results: make([]engine.OpResult, len(ops))}
 	for start := 0; start < len(ops); {
 		del := ops[start].Kind == engine.OpDelete
@@ -228,7 +228,7 @@ func (a querier) AnalyzeBatch(ctx context.Context, items []engine.BatchItem) []e
 // Mutable is always true: a read-only shard refuses its own writes.
 func (a querier) Mutable() bool { return true }
 
-func (a querier) Apply(ops []engine.Op) (engine.ApplyResult, error) {
-	res, err := a.c.Apply(ops)
+func (a querier) ApplyContext(ctx context.Context, ops []engine.Op) (engine.ApplyResult, error) {
+	res, err := a.c.Apply(ctx, ops)
 	return res, upstream(err)
 }

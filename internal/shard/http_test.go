@@ -64,13 +64,12 @@ func newHTTPClusterWrapped(t *testing.T, tuples []vec.Sparse, m, shards int, ccf
 		ts.Start()
 		t.Cleanup(ts.Close) // idempotent; tests may Close earlier to kill a shard
 		cfg := client.Config{
-			Seeds:       []string{ts.URL},
-			ID:          fmt.Sprintf("%s-shard-%d", t.Name(), i),
-			MaxRetries:  2,
-			RetryBase:   2 * time.Millisecond,
-			RetryCap:    10 * time.Millisecond,
-			TopologyTTL: 100 * time.Millisecond,
-			HTTPClient:  &http.Client{Timeout: 5 * time.Second},
+			Seeds:          []string{ts.URL},
+			ID:             fmt.Sprintf("%s-shard-%d", t.Name(), i),
+			RequestTimeout: 2 * time.Second,
+			RetryBase:      2 * time.Millisecond,
+			RetryCap:       10 * time.Millisecond,
+			TopologyTTL:    100 * time.Millisecond,
 		}
 		if tune != nil {
 			tune(&cfg)
@@ -187,7 +186,7 @@ func TestHTTPShardedBitIdentical(t *testing.T) {
 	check("pre-mutation")
 
 	ops := randOps(rng, cs.Q, cs.M, len(cs.Tuples), 12)
-	gotRes, err := hc.coord.Apply(ops)
+	gotRes, err := hc.coord.Apply(ctx, ops)
 	if err != nil {
 		t.Fatalf("http apply: %v", err)
 	}
@@ -262,7 +261,10 @@ func TestHTTPShardKilledFailsClosed(t *testing.T) {
 	rng := rand.New(rand.NewSource(4302))
 	ctx := context.Background()
 	cs := fixture.RandCase(rng, 60, 6, 2, 3)
-	hc := newHTTPCluster(t, cs.Tuples, cs.M, 3, Config{})
+	// A dead shard is retried until the call's budget ends; keep it short.
+	hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 3, Config{}, func(c *client.Config) {
+		c.RequestTimeout = 300 * time.Millisecond
+	}, func(_ int, h http.Handler) http.Handler { return h })
 
 	// Healthy first: the failure below must be the kill, not setup.
 	if _, err := hc.coord.TopK(ctx, cs.Q, cs.K); err != nil {
@@ -284,7 +286,7 @@ func TestHTTPShardKilledFailsClosed(t *testing.T) {
 	}
 	// A delete owned by the dead shard fails closed, with no retry.
 	victim := hc.coord.m.Base(1)
-	if _, err := hc.coord.Apply([]engine.Op{{Kind: engine.OpDelete, ID: victim}}); err == nil {
+	if _, err := hc.coord.Apply(ctx, []engine.Op{{Kind: engine.OpDelete, ID: victim}}); err == nil {
 		t.Fatal("apply routed to dead shard succeeded")
 	}
 
@@ -419,19 +421,28 @@ func TestHTTPRound2Reply(t *testing.T) {
 }
 
 // TestOneRetryLoopPerShardRPC: a shard RPC is one call through its group
-// client, whose loop is the only retry policy. A shard that answers
-// every /shard/topk with a 503 sees the client's MaxRetries+1 attempts
-// and the front answers 502. A shard that never answers sees as many,
-// one at a time: the client's timeout cancels each attempt before the
-// next starts, and none outlives the query.
+// client, whose loop is the only retry policy and whose time budget is
+// the only bound. A shard that answers every /shard/topk with a 503 sees
+// at least two attempts and no more than the backoff schedule fits in
+// the budget, and the front answers 502 once the budget is spent. A
+// shard that never answers sees attempts one at a time: the client's
+// own per-attempt timeout cancels each before the next starts, none
+// outlives the query, and the query ends with the budget.
 func TestOneRetryLoopPerShardRPC(t *testing.T) {
 	rng := rand.New(rand.NewSource(4306))
 	cs := fixture.RandCase(rng, 60, 6, 2, 3)
-	const attempts = 2 + 1 // the harness's group client: MaxRetries 2
+	const (
+		budget = 300 * time.Millisecond
+		slack  = 250 * time.Millisecond
+	)
 
 	t.Run("unavailable", func(t *testing.T) {
 		var seen atomic.Int32
-		hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 2, Config{}, nil, func(i int, h http.Handler) http.Handler {
+		var base, ceiling time.Duration
+		hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 2, Config{}, func(c *client.Config) {
+			c.RequestTimeout = budget
+			base, ceiling = c.RetryBase, c.RetryCap
+		}, func(i int, h http.Handler) http.Handler {
 			if i != 0 {
 				return h
 			}
@@ -444,12 +455,18 @@ func TestOneRetryLoopPerShardRPC(t *testing.T) {
 				http.Error(w, "unavailable", http.StatusServiceUnavailable)
 			})
 		})
+		start := time.Now()
 		code, _ := hc.postJSON(t, "/topk", server.QueryRequest{Dims: cs.Q.Dims, Weights: cs.Q.Weights, K: cs.K}, nil)
+		elapsed := time.Since(start)
 		if code != http.StatusBadGateway {
 			t.Fatalf("front /topk over an unavailable shard: status %d, want 502", code)
 		}
-		if got := seen.Load(); got != attempts {
-			t.Fatalf("the shard saw %d /shard/topk attempts, want %d", got, attempts)
+		if elapsed > budget+slack {
+			t.Fatalf("front /topk answered after %v, want within the %v budget + %v", elapsed, budget, slack)
+		}
+		most := scheduleAttempts(base, ceiling, budget)
+		if got := int(seen.Load()); got < 2 || got > most {
+			t.Fatalf("the shard saw %d /shard/topk attempts, want 2 to %d", got, most)
 		}
 	})
 
@@ -460,9 +477,11 @@ func TestOneRetryLoopPerShardRPC(t *testing.T) {
 			live, maxLive int
 		)
 		hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 1, Config{}, func(c *client.Config) {
-			// Backoff well above the loopback cancel latency, so an
-			// attempt's handler has seen its cancellation before the next
-			// attempt is sent.
+			// A per-attempt bound of the caller's choosing, and backoff
+			// well above the loopback cancel latency, so an attempt's
+			// handler has seen its cancellation before the next attempt
+			// is sent.
+			c.RequestTimeout = budget
 			c.HTTPClient = &http.Client{Timeout: 50 * time.Millisecond}
 			c.RetryBase, c.RetryCap = 100*time.Millisecond, 100*time.Millisecond
 		}, func(_ int, h http.Handler) http.Handler {
@@ -489,14 +508,18 @@ func TestOneRetryLoopPerShardRPC(t *testing.T) {
 				mu.Unlock()
 			})
 		})
+		start := time.Now()
 		if _, err := hc.coord.TopK(context.Background(), cs.Q, cs.K); err == nil {
 			t.Fatal("topk over a stalled shard succeeded")
+		}
+		if elapsed := time.Since(start); elapsed > budget+slack {
+			t.Fatalf("topk over a stalled shard returned after %v, want within the %v budget + %v", elapsed, budget, slack)
 		}
 		mu.Lock()
 		n, most := len(ctxs), maxLive
 		mu.Unlock()
-		if n != attempts {
-			t.Fatalf("the shard saw %d /shard/topk attempts, want %d", n, attempts)
+		if n < 2 {
+			t.Fatalf("the shard saw %d /shard/topk attempts, want at least 2", n)
 		}
 		if most != 1 {
 			t.Fatalf("%d attempts were blocked on the shard at once, want 1", most)
@@ -518,4 +541,115 @@ func TestOneRetryLoopPerShardRPC(t *testing.T) {
 			}
 		}
 	})
+}
+
+// scheduleAttempts is the most attempts the group client's backoff
+// schedule fits in budget: every backoff at its unjittered minimum.
+func scheduleAttempts(base, ceiling, budget time.Duration) int {
+	n := 1
+	for slept := time.Duration(0); ; n++ {
+		d := base << uint(n-1)
+		if d > ceiling || d <= 0 {
+			d = ceiling
+		}
+		if slept+d > budget {
+			return n
+		}
+		slept += d
+	}
+}
+
+// TestStalledWriteEndsWithItsClient: a write through the coordinator is
+// bounded by its client. The one shard holds every /update until the
+// request's context ends. Once the front's client gives up, the attempt
+// in flight is cancelled and no other reaches the shard, although the
+// group client's own budget and per-attempt timeout have time left; and
+// a second write queued behind the first returns when its own context
+// ends, not after the first's retries.
+func TestStalledWriteEndsWithItsClient(t *testing.T) {
+	rng := rand.New(rand.NewSource(4307))
+	cs := fixture.RandCase(rng, 60, 6, 2, 3)
+	var (
+		mu       sync.Mutex
+		attempts int
+		ended    []time.Time // when each attempt's context ended
+	)
+	hc := newHTTPClusterWrapped(t, cs.Tuples, cs.M, 1, Config{}, func(c *client.Config) {
+		c.RequestTimeout = 10 * time.Second
+		c.HTTPClient = &http.Client{Timeout: time.Second}
+		c.RetryBase, c.RetryCap = 100*time.Millisecond, 100*time.Millisecond
+	}, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/update" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			io.Copy(io.Discard, r.Body) // so that the server watches the connection
+			mu.Lock()
+			attempts++
+			mu.Unlock()
+			select {
+			case <-r.Context().Done():
+			case <-time.After(5 * time.Second):
+			}
+			mu.Lock()
+			ended = append(ended, time.Now())
+			mu.Unlock()
+		})
+	})
+	seen := func() (int, []time.Time) {
+		mu.Lock()
+		defer mu.Unlock()
+		return attempts, append([]time.Time(nil), ended...)
+	}
+	body := mustJSON(t, server.UpdateRequest{Ops: []server.UpdateOpJSON{{Tuple: cs.Tuples[0]}}})
+
+	gaveUp := make(chan time.Time, 1)
+	go func() {
+		front := &http.Client{Timeout: 500 * time.Millisecond}
+		resp, err := front.Post(hc.front.URL+"/update", "application/json", strings.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			t.Errorf("the stalled write answered %d", resp.StatusCode)
+		}
+		gaveUp <- time.Now()
+	}()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if n, _ := seen(); n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first write never reached the shard")
+		}
+	}
+
+	// The second write waits for the first's turn under its own context.
+	const wait = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), wait)
+	defer cancel()
+	start := time.Now()
+	if _, err := hc.coord.Apply(ctx, []engine.Op{{Kind: engine.OpInsert, Tuple: cs.Tuples[1]}}); err == nil {
+		t.Error("the queued write succeeded")
+	}
+	if elapsed := time.Since(start); elapsed > wait+150*time.Millisecond {
+		t.Errorf("the queued write returned after %v, want about its own %v", elapsed, wait)
+	}
+
+	giveUp := <-gaveUp
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ends := seen(); len(ends) > 0 {
+			if lag := ends[0].Sub(giveUp); lag > 200*time.Millisecond {
+				t.Errorf("the attempt in flight ended %v after its client gave up, want within 200ms", lag)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the attempt in flight outlived its client by 2 s")
+		}
+	}
+	// At the old write path the group client went on resending here.
+	time.Sleep(1500 * time.Millisecond)
+	if n, _ := seen(); n != 1 {
+		t.Fatalf("the shard saw %d /update attempts, want only the one in flight when the client gave up", n)
+	}
 }

@@ -86,8 +86,9 @@ type Backend interface {
 	// and, when opts take the envelope path, the shard's lines the
 	// coordinator's replay can use.
 	AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts engine.Options) (*core.Output, []topk.Scored, error)
-	// Apply applies a mutation batch under LOCAL ids.
-	Apply(ops []engine.Op) (engine.ApplyResult, error)
+	// Apply applies a mutation batch under LOCAL ids. ctx bounds the
+	// wait to send it, not a batch a shard has already logged.
+	Apply(ctx context.Context, ops []engine.Op) (engine.ApplyResult, error)
 }
 
 // Local adapts an in-process engine to the Backend surface — the
@@ -106,8 +107,8 @@ func (l Local) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imp
 	return l.E.AnalyzeImposed(ctx, q, k, base, imposed, opts)
 }
 
-func (l Local) Apply(ops []engine.Op) (engine.ApplyResult, error) {
-	return l.E.Apply(ops)
+func (l Local) Apply(ctx context.Context, ops []engine.Op) (engine.ApplyResult, error) {
+	return l.E.ApplyContext(ctx, ops)
 }
 
 // NewLocal range-partitions a dataset into the given number of

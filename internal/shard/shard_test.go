@@ -205,7 +205,7 @@ func TestShardedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: single apply: %v", trial, err)
 			}
-			gr, err := coord.Apply(ops)
+			gr, err := coord.Apply(ctx, ops)
 			if err != nil {
 				t.Fatalf("trial %d: sharded apply: %v", trial, err)
 			}

@@ -292,7 +292,9 @@ func (e *Engine) Mutable() bool { return e.eng.Mutable() }
 // cannot alter their result anywhere in their region polytope; only the
 // rest are evicted. Ops apply independently in order, with per-op
 // errors in ApplyResult.Results.
-func (e *Engine) Apply(ops []Op) (ApplyResult, error) { return e.eng.Apply(ops) }
+func (e *Engine) Apply(ops []Op) (ApplyResult, error) {
+	return e.eng.ApplyContext(context.TODO(), ops)
+}
 
 // MutationStats snapshots the write-path counters.
 func (e *Engine) MutationStats() MutationStats { return e.eng.MutationStats() }
