@@ -133,29 +133,30 @@ vuln:
 # one scan against sixteen scans of their own. BenchmarkCheckpointWriters
 # has 1, 2 and 4 writers race the checkpoints they trigger: every
 # rewrite should win (won-share 1) and the log stay near the threshold.
-BENCH_FLAGS ?=
 bench-smoke:
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFig/fig10|BenchmarkServerAnalyzeParallel' \
 		-benchmem -benchtime=200ms .
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkApplyInvalidation|BenchmarkCacheTopK' -benchmem -benchtime=200ms .
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkBatchTopK' -benchmem -benchtime=20x .
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkGenerate' -benchmem -benchtime=3x ./internal/dataset/
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkCheckpoint$$' -benchmem -benchtime=3x ./internal/engine/
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkCheckpointWriters' -benchtime=1x ./internal/engine/
-	$(GO) test $(BENCH_FLAGS) -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyInvalidation|BenchmarkCacheTopK' -benchmem -benchtime=200ms .
+	$(GO) test -run '^$$' -bench 'BenchmarkCacheAnalyze/miss-st-disk' -benchmem -benchtime=200x .
+	$(GO) test -run '^$$' -bench 'BenchmarkColdStream' -benchmem -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchTopK' -benchmem -benchtime=20x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSaveDataset|BenchmarkBuildColumnar' -benchmem -benchtime=3x ./internal/lists/
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate' -benchmem -benchtime=3x ./internal/dataset/
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpoint$$' -benchmem -benchtime=3x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkCheckpointWriters' -benchtime=1x ./internal/engine/
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayRegions|BenchmarkShardReply' -benchmem -benchtime=20x ./internal/shard/
 
 # The bench-smoke set, six runs of each benchmark, summarised by
 # cmd/benchjson into BENCH_<PR>.json: per benchmark the median, min and
 # max of ns/op, B/op, allocs/op and every custom metric, with the Go
-# version, GOMAXPROCS, host and commit. The min–max range is the
-# benchmark's noise band on that host. The raw output is left in
-# BENCH_<PR>.txt if summarising fails.
+# version, GOMAXPROCS, host and commit. The min–max range is the spread
+# within one run of six; it understates the spread between runs
+# (ROADMAP item 22). go test takes -count from GOFLAGS, which make
+# passes on to the recipe. The raw output is left in BENCH_<PR>.txt if
+# summarising fails.
 bench-json:
 	@test -n "$(PR)" || { echo 'usage: make bench-json PR=<n>' >&2; exit 2; }
-	$(MAKE) -s --no-print-directory bench-smoke BENCH_FLAGS=-count=6 > BENCH_$(PR).txt
+	$(MAKE) -s --no-print-directory bench-smoke GOFLAGS=-count=6 > BENCH_$(PR).txt
 	$(GO) run ./cmd/benchjson -commit '$(VERSION)' < BENCH_$(PR).txt > BENCH_$(PR).json
 	rm BENCH_$(PR).txt
 

@@ -2,8 +2,9 @@
 // record `make bench-json PR=<n>` writes to BENCH_<n>.json. Each
 // benchmark, run -count times, becomes one entry holding the median,
 // minimum and maximum of every metric it reports — ns/op, B/op,
-// allocs/op and its custom metrics — so the min–max range is the
-// benchmark's noise band on that host. The record also carries the Go
+// allocs/op and its custom metrics. The min–max range is the spread
+// within one run of -count repetitions; it understates the spread
+// between runs on a shared host. The record also carries the Go
 // version, GOMAXPROCS, host, CPU and commit of the run.
 //
 // Usage:

@@ -6,7 +6,9 @@
 // Location header to the new primary, on a 503 or a dead connection it
 // re-resolves the topology and retries with capped, deterministically
 // jittered backoff, until the request's -request-timeout budget is
-// spent or its client hangs up.
+// spent or its client hangs up. An attempt or topology probe that has
+// not answered within half of what is left of the budget is abandoned,
+// so a member that hangs leaves time to retry on another.
 //
 // The proxy is stateless — kill -9 it and restart; everything it knows
 // is rediscovered from -nodes within one probe. Run several behind a
@@ -66,7 +68,7 @@ func main() {
 		retryBase   = flag.Duration("retry-base", 50*time.Millisecond, "initial retry backoff (doubles per attempt)")
 		retryCap    = flag.Duration("retry-cap", 2*time.Second, "retry backoff ceiling")
 		topologyTTL = flag.Duration("topology-ttl", time.Second, "how long a discovered topology is trusted before re-probing")
-		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "time budget of one upstream call, shard RPCs included: every attempt and the backoff between them")
+		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "time budget of one upstream call, shard RPCs included: every attempt and the backoff between them, with half of what is left for each attempt")
 		shutdownTo  = flag.Duration("shutdown-timeout", 10*time.Second, "how long graceful shutdown waits for in-flight requests")
 		shardMap    = flag.String("shard-map", "", "coordinator mode: shards.json manifest of the range partition (irgen -shards); requires -shard-nodes")
 		shardNodes  = flag.String("shard-nodes", "", "per-shard seed groups, ','-separated in shard order; members within a group ';'-separated")

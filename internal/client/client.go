@@ -10,7 +10,11 @@
 // Config.RequestTimeout has passed or the caller's context ends, and
 // the budget covers every attempt, the backoff between them and the
 // reading of the returned body. A handler that calls with its request's
-// context gives up when its own caller hangs up.
+// context gives up when its own caller hangs up. Each attempt (the
+// reading of its body included), and each topology probe round, gets
+// half of what is left of the budget: a member that accepts connections
+// but never answers is abandoned in time to retry elsewhere, and drops
+// out of the topology when its probe runs out.
 //
 // # Routing rules
 //
@@ -60,6 +64,8 @@ type Config struct {
 	ID string
 	// RequestTimeout bounds one call: every attempt and the backoff
 	// between them (default 10s). A caller's context may end it sooner.
+	// An attempt or probe round that has not answered within half of
+	// what is left of it is abandoned.
 	RequestTimeout time.Duration
 	// RetryBase and RetryCap bound the exponential backoff between
 	// retries (defaults 50ms and 2s).
@@ -128,10 +134,10 @@ func WritePath(path string) bool {
 }
 
 // Refresh probes the seeds (plus every previously discovered member)
-// and rebuilds the topology, within one RequestTimeout. Returns the
-// number of members that answered.
+// and rebuilds the topology from the members that answer within one
+// share of the budget. Returns the number of members that answered.
 func (c *Client) Refresh(ctx context.Context) int {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	ctx, cancel := c.share(ctx)
 	defer cancel()
 	targets := make(map[string]bool)
 	for _, s := range c.cfg.Seeds {
@@ -350,27 +356,41 @@ func (c *Client) Do(ctx context.Context, method, path, rawQuery string, header h
 			lastErr = fmt.Errorf("client: %s %s: node unreachable (502)", method, path)
 		default:
 			// Success, a client error, or an indeterminate write
-			// failure: the caller decides, reading the body under the
-			// same budget.
-			resp.Body = budgetBody{resp.Body, cancel}
+			// failure: the caller decides, reading the body within
+			// the attempt's share of the budget.
+			resp.Body = cancelBody{resp.Body, cancel}
 			return resp, nil
 		}
 	}
 }
 
-// budgetBody ends a call's budget when the caller closes the body it
-// reads after Do has returned.
-type budgetBody struct {
+// share bounds one attempt or probe round by half of what is left of
+// ctx's deadline, or of one RequestTimeout when ctx has none sooner, so
+// a member that never answers leaves the other half for a retry.
+func (c *Client) share(ctx context.Context) (context.Context, context.CancelFunc) {
+	left := c.cfg.RequestTimeout
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < left {
+		left = time.Until(dl)
+	}
+	return context.WithTimeout(ctx, left/2)
+}
+
+// cancelBody ends a context when the caller closes the body it reads
+// under it: an attempt's, and for the response Do returns, the call's.
+type cancelBody struct {
 	io.ReadCloser
 	cancel context.CancelFunc
 }
 
-func (b budgetBody) Close() error {
+func (b cancelBody) Close() error {
 	defer b.cancel()
 	return b.ReadCloser.Close()
 }
 
+// send makes one attempt within one share of ctx's budget; closing the
+// response's body ends the attempt.
 func (c *Client) send(ctx context.Context, base, method, path, rawQuery string, header http.Header, body []byte) (*http.Response, error) {
+	ctx, cancel := c.share(ctx)
 	u := base + path
 	if rawQuery != "" {
 		u += "?" + rawQuery
@@ -381,6 +401,7 @@ func (c *Client) send(ctx context.Context, base, method, path, rawQuery string, 
 	}
 	req, err := http.NewRequestWithContext(ctx, method, u, rd)
 	if err != nil {
+		cancel()
 		return nil, err
 	}
 	for k, vs := range header {
@@ -388,7 +409,13 @@ func (c *Client) send(ctx context.Context, base, method, path, rawQuery string, 
 			req.Header.Add(k, v)
 		}
 	}
-	return c.cfg.HTTPClient.Do(req)
+	resp, err := c.cfg.HTTPClient.Do(req)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	resp.Body = cancelBody{resp.Body, cancel}
+	return resp, nil
 }
 
 // sleep blocks for the attempt's backoff: base·2^(attempt-1), capped,

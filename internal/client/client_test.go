@@ -22,11 +22,15 @@ type fakeNode struct {
 	writes atomic.Int64
 	// onWrite, when set, scripts /update's response; default 200.
 	onWrite atomic.Pointer[func(w http.ResponseWriter, r *http.Request)]
+	// hung, when set, holds every request until its caller gives up or
+	// release closes: a member that accepts connections but never answers.
+	hung    atomic.Bool
+	release chan struct{}
 }
 
 func newFakeNode(t *testing.T) *fakeNode {
 	t.Helper()
-	n := &fakeNode{}
+	n := &fakeNode{release: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/cluster", func(w http.ResponseWriter, r *http.Request) {
 		ci := n.info.Load()
@@ -47,9 +51,23 @@ func newFakeNode(t *testing.T) *fakeNode {
 	mux.HandleFunc("/analyze", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(fmt.Sprintf(`{"served_by":%q}`, n.hs.URL)))
 	})
-	n.hs = httptest.NewServer(mux)
+	n.hs = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n.hung.Load() {
+			n.hold(r)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(n.hs.Close)
+	t.Cleanup(func() { close(n.release) }) // runs first: Close waits for handlers
 	return n
+}
+
+func (n *fakeNode) hold(r *http.Request) {
+	select {
+	case <-r.Context().Done():
+	case <-n.release:
+	}
 }
 
 func (n *fakeNode) setInfo(ci replication.ClusterInfo) {
@@ -225,6 +243,52 @@ func TestBodyReadUnderTheBudget(t *testing.T) {
 	resp.Body.Close()
 	if budget.Err() != context.Canceled {
 		t.Fatalf("budget after the body was closed: %v, want cancelled", budget.Err())
+	}
+}
+
+// TestHungMemberAbandonedInTime: a member that accepts connections but
+// never answers costs one share of the budget, not all of it. The
+// member first claims the newest primary epoch, then freezes on its
+// first write: that attempt is abandoned, the frozen member's probe
+// runs out and it drops out of the topology, and the retry lands on
+// the other primary. A read then goes to the answering standby.
+func TestHungMemberAbandonedInTime(t *testing.T) {
+	hung, prim, standby := newFakeNode(t), newFakeNode(t), newFakeNode(t)
+	hung.setInfo(replication.ClusterInfo{Role: "primary", Confirmed: true, Epoch: 2})
+	prim.setInfo(replication.ClusterInfo{Role: "primary", Confirmed: true, Epoch: 1})
+	standby.setInfo(replication.ClusterInfo{Role: "follower", Connected: true, Ready: true})
+	freeze := func(w http.ResponseWriter, r *http.Request) {
+		hung.hung.Store(true)
+		hung.hold(r)
+	}
+	hung.onWrite.Store(&freeze)
+
+	c := testClient(t, hung, prim, standby)
+	c.cfg.RequestTimeout = 800 * time.Millisecond
+	start := time.Now()
+	if err := c.PostJSON(context.Background(), "/update", []byte(`{}`), nil); err != nil {
+		t.Fatalf("write with one member hung: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > c.cfg.RequestTimeout {
+		t.Fatalf("write took %v, want within the %v budget", elapsed, c.cfg.RequestTimeout)
+	}
+	if hung.writes.Load() != 1 || prim.writes.Load() != 1 {
+		t.Fatalf("writes: hung member %d, live primary %d; want 1 and 1", hung.writes.Load(), prim.writes.Load())
+	}
+
+	c.Invalidate()
+	start = time.Now()
+	var got struct {
+		ServedBy string `json:"served_by"`
+	}
+	if err := c.PostJSON(context.Background(), "/analyze", []byte(`{}`), &got); err != nil {
+		t.Fatalf("read with one member hung: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > c.cfg.RequestTimeout {
+		t.Fatalf("read took %v, want within the %v budget", elapsed, c.cfg.RequestTimeout)
+	}
+	if got.ServedBy != standby.hs.URL {
+		t.Fatalf("read served by %q, want the answering standby %q", got.ServedBy, standby.hs.URL)
 	}
 }
 
