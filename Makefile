@@ -24,8 +24,9 @@ build:
 	GOOS=openbsd $(GO) build ./...
 	GOOS=netbsd $(GO) build ./...
 
-# -short keeps the long randomized soaks (failover chaos trials) out of
-# the tier-1 fast path; make test-failover runs them in full. bench/ is
+# -short keeps the long randomized runs out of the tier-1 fast path;
+# the failover explorer needs GOEXPERIMENT=synctest and runs only in
+# make test-failover (and its build in make vet). bench/ is
 # a module of its own (the benchmark harness, `replace repro => ../`),
 # so ./... does not reach it: test and vet it explicitly, or a signature
 # slip in internal/* breaks the benchmark without failing CI.
@@ -36,8 +37,11 @@ test:
 race:
 	$(GO) test -short -race ./...
 
+# The second line vets the failover explorer, whose files build only
+# with GOEXPERIMENT=synctest, so they cannot stop compiling unnoticed.
 vet:
 	$(GO) vet ./...
+	GOEXPERIMENT=synctest $(GO) vet ./internal/replication/
 	$(GO) vet -C bench ./...
 
 # Invariant lint: the repo-specific analyzers of internal/analysis
@@ -179,13 +183,16 @@ test-replication:
 	$(GO) test -race -run 'TestCommit|TestApplyReplicated|TestCheckpointEventSink|TestOpenDirManifestMoved' ./internal/engine/
 	$(GO) test -race -run 'TestStandbyHTTP|TestNilEngine' ./internal/server/
 
-# Failover focus: the chaos property suite under -race with a full
-# 50-trial soak (each trial kills/restarts members at random while a
-# client hammers writes, then proves the healed topology bit-identical
-# to a single-node oracle), the deposed-primary regression, the
-# coordinator internals, and the routing client/proxy unit tests.
+# Failover focus: the failover explorer under -race, 200 seeded
+# schedules per row in virtual time (GOEXPERIMENT=synctest; kills,
+# restarts, cut links and partitions of 3- and 5-member quorum clusters
+# under writes, invariants I1–I4 after every step, see
+# docs/replication.md), the real-TCP smoke trials and the
+# deposed-primary regression, the coordinator internals, and the
+# routing client/proxy unit tests.
 test-failover:
-	FAILOVER_SOAK_TRIALS=50 $(GO) test -race -run 'TestClusterFailover|TestDeposedPrimary|TestFailoverChaos' -timeout 20m ./internal/replication/
+	GOEXPERIMENT=synctest $(GO) test -race -run 'TestFailoverExplorer' -timeout 30m ./internal/replication/ -explorer.schedules=200
+	$(GO) test -race -run 'TestClusterFailover|TestDeposedPrimary|TestFailoverChaos' ./internal/replication/
 	$(GO) test -race -run 'TestBackoffJitter|TestHeartbeatAge|TestQuorumPartitioned|TestHandshakeFences' ./internal/replication/
 	$(GO) test -race -run 'TestFence|TestAdvanceEpoch|TestAdoptEpoch' ./internal/engine/
 	$(GO) test -race ./internal/client/

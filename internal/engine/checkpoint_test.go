@@ -410,6 +410,12 @@ func TestCloseDuringCheckpoint(t *testing.T) {
 	if err := <-closed; err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	// A checkpoint that an Apply in flight at Close triggers afterwards is
+	// refused: the files it would read are unmapped.
+	eng.dur.ckptHook = nil
+	if err := eng.Checkpoint(); err == nil {
+		t.Fatal("a checkpoint ran after Close")
+	}
 	orphans, _ := filepath.Glob(filepath.Join(dir, "*.g*.dat"))
 	if len(orphans) != 2 {
 		t.Fatalf("the stopped checkpoint left %v, want its two unpublished files", orphans)

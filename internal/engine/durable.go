@@ -89,8 +89,11 @@ type durable struct {
 	// ckptMu serializes checkpoints against each other (they span lock
 	// regions, so the engine's RWMutex alone cannot) and against Close:
 	// the rewrite reads the served generation's files under no other
-	// lock.
+	// lock. closed, set by Close under it, turns away a checkpoint that
+	// an Apply still in flight at Close triggers afterwards, which would
+	// read unmapped files.
 	ckptMu          sync.Mutex
+	closed          bool
 	checkpoints     atomic.Int64
 	checkpointBytes int64        // resolved threshold; <= 0 disables auto-compaction
 	lastCkptErr     atomic.Value // string: last auto-checkpoint failure
@@ -444,6 +447,9 @@ func (e *Engine) checkpoint(force bool) error {
 	d := e.dur
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
+	if d.closed {
+		return fmt.Errorf("engine: checkpoint after Close")
+	}
 	if !force && !e.checkpointDue() {
 		return nil // another trigger compacted while we queued
 	}

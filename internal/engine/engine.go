@@ -245,6 +245,7 @@ func (e *Engine) Close() error {
 		// wait it out (ckptMu before mu, the documented order).
 		e.dur.ckptMu.Lock()
 		defer e.dur.ckptMu.Unlock()
+		e.dur.closed = true
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -29,9 +29,12 @@
 // # Split-brain prevention
 //
 // Two primaries can only both accept writes if each believes itself
-// current. The Node makes that unreachable by construction:
+// current. The Node makes that unreachable by construction; the
+// invariant named after each claim is the one the failover explorer
+// (explorer_test.go, docs/replication.md) checks it by after every
+// step of its fault schedules:
 //
-//  1. A node never accepts client writes unless it is a CONFIRMED
+//  1. (I2, I3) A node never accepts client writes unless it is a CONFIRMED
 //     primary, and confirmation is supporter-based and continuously
 //     re-evaluated: a supporter is a member whose probe reports it as
 //     a connected follower of THIS node at THIS node's epoch, and the
@@ -41,16 +44,25 @@
 //     disjoint supporter majorities simultaneously — even if a race
 //     mints the same epoch twice, at most one of the pair can accept
 //     writes, and the equal-epoch rival rule below demotes the loser.
-//  2. Promotion requires a majority of members reachable, and a fresh
+//  2. (I1) Promotion requires a majority of members reachable, and a fresh
 //     primary starts UNCONFIRMED (unless the cluster is a singleton):
 //     it serves 409/503, never a write, until a probe round shows a
 //     supporter majority. Equal-epoch rivals resolve deterministically
 //     — lower (seq, id) demotes, and a loser that never confirmed
 //     never acked a write at that epoch, so nothing is lost.
-//  3. The epoch is persisted in the MANIFEST before the promoted
+//  3. (I1) The epoch is persisted in the MANIFEST before the promoted
 //     primary accepts its first write, and every handshake carries
 //     epochs both ways, so any contact between a stale primary and the
 //     rest of the cluster fences the stale one (engine.Fence).
+//
+// No acknowledged write is lost (I2) because a quorum-mode primary
+// acknowledges only once it and its ackers form a majority of the
+// configured cluster (Primary.Gate's floor), the election picks the
+// newest history of a majority (newerHistory: last epoch, then
+// length), and a member never follows a primary with an older history
+// than its own unless that primary is confirmed at a higher epoch
+// (followable) — so a winner elected from views that missed the newest
+// frames is outvoted, not followed.
 //
 // The orthodox alternative is consensus (Raft) on every write; this
 // coordinator deliberately keeps the data path untouched (the PR 5
@@ -90,6 +102,10 @@ type ClusterInfo struct {
 	Confirmed bool   `json:"confirmed"` // primary only: leadership verified against a majority
 	Epoch     uint64 `json:"epoch"`
 	LastSeq   uint64 `json:"last_seq"`
+	// LastEpoch is the epoch that wrote the frame at LastSeq: with it,
+	// the election ranks histories as (LastEpoch, LastSeq), not by
+	// length alone.
+	LastEpoch uint64 `json:"last_epoch"`
 	DatasetID string `json:"dataset_id,omitempty"`
 	// HTTPAddr is this node's advertised HTTP base URL; ReplAddr its
 	// live replication listener.
@@ -172,6 +188,10 @@ type NodeConfig struct {
 	// FollowerConfig).
 	DialTimeout   time.Duration
 	RetryInterval time.Duration
+	// Network carries the replication listener, the follower role's
+	// dial and the /cluster probes (nil: TCP); the Node hands it to
+	// every Follower it runs.
+	Network Network
 }
 
 func (c *NodeConfig) setDefaults() {
@@ -192,6 +212,9 @@ func (c *NodeConfig) setDefaults() {
 	}
 	if c.ReadyLag == 0 {
 		c.ReadyLag = 1024
+	}
+	if c.Network == nil {
+		c.Network = tcpNetwork{}
 	}
 }
 
@@ -234,7 +257,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:  cfg,
 		done: make(chan struct{}),
-		hc:   &http.Client{Timeout: cfg.FailoverTimeout},
+		hc:   &http.Client{Timeout: cfg.FailoverTimeout, Transport: cfg.Network.Transport()},
 		role: RoleFollower,
 	}
 	if hasDataset(cfg.Dir) {
@@ -244,7 +267,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		n.eng = eng
 	}
-	ln, err := net.Listen("tcp", cfg.ReplListen)
+	ln, err := cfg.Network.Listen(cfg.ReplListen)
 	if err != nil {
 		if n.eng != nil {
 			n.eng.Close()
@@ -292,6 +315,7 @@ func (n *Node) attachPrimary(eng *engine.Engine) error {
 	if err != nil {
 		return err
 	}
+	prim.minAcks = n.majority() - 1
 	n.prim = prim
 	return nil
 }
@@ -514,30 +538,13 @@ func (n *Node) probePeers(ctx context.Context) []ClusterInfo {
 }
 
 // pickPrimary selects the live primary to follow: highest epoch not
-// below our own, confirmed preferred.
+// below our own, confirmed preferred, never one that would cost us
+// history (see followable).
 func (n *Node) pickPrimary(views []ClusterInfo) (ClusterInfo, bool) {
-	myEpoch, mySeq := uint64(0), uint64(0)
-	if eng := n.liveEngine(); eng != nil {
-		myEpoch, mySeq = eng.Epoch(), eng.LastSeq()
-	}
 	var best ClusterInfo
 	found := false
 	for _, v := range views {
-		if v.Role != string(RolePrimary) || !datasetCompatible(n.datasetID(), v.DatasetID) {
-			continue
-		}
-		if v.Epoch < myEpoch {
-			continue // deposed and hasn't noticed; never follow backwards
-		}
-		if v.Epoch == myEpoch && v.LastSeq < mySeq {
-			// An equal-epoch primary BEHIND our committed history cannot
-			// have written our frames — it is the loser of a double-mint
-			// race, not our regime's owner. Following it would wipe
-			// legitimate (possibly acknowledged) history; falling through
-			// to the election path instead promotes the freshest survivor
-			// at a higher epoch, which deposes it cleanly. (A genuinely
-			// newer primary always carries a higher epoch; the sequence
-			// guard never applies to it.)
+		if v.Role != string(RolePrimary) || !datasetCompatible(n.datasetID(), v.DatasetID) || !n.followable(v) {
 			continue
 		}
 		if !found || v.Epoch > best.Epoch ||
@@ -548,11 +555,44 @@ func (n *Node) pickPrimary(views []ClusterInfo) (ClusterInfo, bool) {
 	return best, found
 }
 
+// followable reports whether this member may follow primary v: never
+// one below our epoch (deposed, and has not noticed), and never one
+// with an older history than ours (newerHistory) unless it is
+// confirmed at a higher epoch. Following it would wipe our newer
+// frames, which may be quorum-acknowledged writes: an unconfirmed
+// primary behind us was elected from views that missed them (a probe
+// that failed while the old primary kept acknowledging with us), an
+// equal-epoch one lost a double-mint race. Passing it over falls
+// through to the election, which our newer history wins at a higher
+// epoch. A confirmed higher-epoch primary has a supporter majority
+// behind it, so what we hold past it was never acknowledged.
+func (n *Node) followable(v ClusterInfo) bool {
+	eng := n.liveEngine()
+	if eng == nil {
+		return true
+	}
+	myEpoch, mySeq := eng.Epoch(), eng.LastSeq()
+	if v.Epoch < myEpoch {
+		return false
+	}
+	return !newerHistory(eng.EpochAt(mySeq), mySeq, v.LastEpoch, v.LastSeq) || (v.Epoch > myEpoch && v.Confirmed)
+}
+
+// newerHistory reports whether a log ending at seq s1, written by epoch
+// e1, is newer than one ending at (e2, s2): the later epoch wins, then
+// the longer log. Length alone misleads once two sides of a partition
+// have both written: the side that lost its majority keeps logging
+// batches its quorum gate then refuses, and those must not outrank the
+// acknowledged frames of the epoch that replaced it.
+func newerHistory(e1, s1, e2, s2 uint64) bool {
+	return e1 > e2 || (e1 == e2 && s1 > s2)
+}
+
 // maybePromote runs the election: with a majority of members reachable
-// and no live primary, the follower with the highest fsynced sequence
-// (node ID breaking ties) promotes itself under epoch max(seen)+1.
-// Every reachable member computes the same winner, so only one
-// promotes.
+// and no live primary, the follower with the newest fsynced history
+// (newerHistory; node ID breaking ties) promotes itself under epoch
+// max(seen)+1. Every reachable member computes the same winner, so only
+// one promotes.
 func (n *Node) maybePromote(ctx context.Context, views []ClusterInfo) {
 	eng := n.liveEngine()
 	if eng == nil {
@@ -564,7 +604,7 @@ func (n *Node) maybePromote(ctx context.Context, views []ClusterInfo) {
 		myEpoch = fb // never mint an epoch at or below one we know exists
 	}
 	reachable, maxEpoch := 1, myEpoch
-	winID, winSeq := myID, mySeq
+	winID, winSeq, winEpoch := myID, mySeq, eng.EpochAt(mySeq)
 	for _, v := range views {
 		if !datasetCompatible(n.datasetID(), v.DatasetID) {
 			continue
@@ -576,8 +616,9 @@ func (n *Node) maybePromote(ctx context.Context, views []ClusterInfo) {
 		if v.Role != string(RoleFollower) || v.DatasetID == "" {
 			continue // empty members cannot win; primaries were handled earlier
 		}
-		if v.LastSeq > winSeq || (v.LastSeq == winSeq && v.NodeID > winID) {
-			winID, winSeq = v.NodeID, v.LastSeq
+		if newerHistory(v.LastEpoch, v.LastSeq, winEpoch, winSeq) ||
+			(v.LastEpoch == winEpoch && v.LastSeq == winSeq && v.NodeID > winID) {
+			winID, winSeq, winEpoch = v.NodeID, v.LastSeq, v.LastEpoch
 		}
 	}
 	if reachable < n.majority() {
@@ -664,7 +705,7 @@ func (n *Node) demote(ctx context.Context, successor ClusterInfo, haveSuccessor 
 	}
 	n.demotions.Add(1)
 	mDemotions.Inc()
-	if haveSuccessor {
+	if haveSuccessor && n.followable(successor) {
 		n.retarget(ctx, successor)
 	}
 }
@@ -688,6 +729,7 @@ func (n *Node) retarget(ctx context.Context, v ClusterInfo) {
 		Engine:        n.cfg.Engine,
 		DialTimeout:   n.cfg.DialTimeout,
 		RetryInterval: n.cfg.RetryInterval,
+		Network:       n.cfg.Network,
 		ID:            n.cfg.NodeID,
 		// A demoted primary's un-replicated tail is a divergent branch
 		// under a dead epoch; re-seeding is the designed recovery.
@@ -844,6 +886,7 @@ func (n *Node) ClusterInfo() ClusterInfo {
 	if eng := n.liveEngine(); eng != nil {
 		ci.Epoch = eng.Epoch()
 		ci.LastSeq = eng.LastSeq()
+		ci.LastEpoch = eng.EpochAt(ci.LastSeq)
 	}
 	if fol != nil {
 		st := fol.Stats()

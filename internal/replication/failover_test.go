@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -68,10 +67,9 @@ func fWaitFor(t testing.TB, desc string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", desc)
 }
 
-// fAssertEnginesEqual proves a and b answer the probe queries
-// bit-identically (cache bypassed).
-func fAssertEnginesEqual(t testing.TB, label string, a, b *engine.Engine) {
-	t.Helper()
+// enginesDiff reports the first probe query a and b do not answer
+// bit-identically (cache bypassed), nil when they agree.
+func enginesDiff(label string, a, b *engine.Engine) error {
 	opts := engine.Options{Options: core.Options{Method: core.MethodCPT}, NoCache: true}
 	specs := [][2][]float64{
 		{{0, 1}, {0.8, 0.4}},
@@ -86,29 +84,31 @@ func fAssertEnginesEqual(t testing.TB, label string, a, b *engine.Engine) {
 		}
 		q, err := vec.NewQuery(dims, s[1])
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		aa, err := a.Analyze(context.Background(), q, 5, opts)
 		if err != nil {
-			t.Fatalf("%s: query %d on oracle: %v", label, qi, err)
+			return fmt.Errorf("%s: query %d on the reference: %v", label, qi, err)
 		}
 		ba, err := b.Analyze(context.Background(), q, 5, opts)
 		if err != nil {
-			t.Fatalf("%s: query %d: %v", label, qi, err)
+			return fmt.Errorf("%s: query %d: %v", label, qi, err)
 		}
 		if !reflect.DeepEqual(aa.Result, ba.Result) || !reflect.DeepEqual(aa.Regions, ba.Regions) {
-			t.Fatalf("%s: query %d diverged:\n  oracle %+v\n  got    %+v", label, qi, aa.Result, ba.Result)
+			return fmt.Errorf("%s: query %d diverged:\n  reference %+v\n  got       %+v", label, qi, aa.Result, ba.Result)
 		}
 	}
+	return nil
 }
 
-// clusterMember is one node: a stable httptest URL whose handler is
-// swapped on kill/restart, so peers and clients keep a fixed address
-// across the member's crashes — like a machine that reboots.
+// clusterMember is one node: a stable URL whose handler is swapped on
+// kill/restart, so peers and clients keep a fixed address across the
+// member's crashes — like a machine that reboots.
 type clusterMember struct {
 	idx    int
 	dir    string
-	hs     *httptest.Server
+	url    string
+	hs     *httptest.Server // nil on an in-memory network
 	mu     sync.Mutex
 	h      http.Handler // nil = process dead
 	node   *replication.Node
@@ -135,16 +135,21 @@ func (m *clusterMember) setHandler(h http.Handler) {
 type cluster struct {
 	t       *testing.T
 	members []*clusterMember
+	// ckptBytes is every member's Engine.CheckpointBytes; network, when
+	// set, gives member i its replication.Network (nil: TCP).
+	ckptBytes int64
+	network   func(i int) replication.Network
 }
 
 // newCluster brings up n members: member 0 boots as primary over the
 // seed dataset, the rest bootstrap themselves via snapshot transfer.
 func newCluster(t *testing.T, n int, tuples []vec.Sparse) *cluster {
 	t.Helper()
-	c := &cluster{t: t}
+	c := &cluster{t: t, ckptBytes: -1}
 	for i := 0; i < n; i++ {
 		m := &clusterMember{idx: i, dir: t.TempDir()}
 		m.hs = httptest.NewServer(m)
+		m.url = m.hs.URL
 		c.members = append(c.members, m)
 	}
 	t.Cleanup(c.close)
@@ -164,14 +169,18 @@ func (c *cluster) start(i int, bootPrimary bool) {
 	peers := make([]string, 0, len(c.members)-1)
 	for j, p := range c.members {
 		if j != i {
-			peers = append(peers, p.hs.URL)
+			peers = append(peers, p.url)
 		}
+	}
+	var network replication.Network
+	if c.network != nil {
+		network = c.network(i)
 	}
 	node, err := replication.NewNode(replication.NodeConfig{
 		Dir:               m.dir,
-		Engine:            engine.Config{CheckpointBytes: -1},
+		Engine:            engine.Config{CheckpointBytes: c.ckptBytes},
 		NodeID:            fmt.Sprintf("node-%d", i),
-		AdvertiseHTTP:     m.hs.URL,
+		AdvertiseHTTP:     m.url,
 		Peers:             peers,
 		ClusterSize:       len(c.members),
 		StartPrimary:      bootPrimary,
@@ -182,6 +191,7 @@ func (c *cluster) start(i int, bootPrimary bool) {
 		ProbeInterval:     40 * time.Millisecond,
 		ReadyLag:          1 << 20,
 		RetryInterval:     20 * time.Millisecond,
+		Network:           network,
 	})
 	if err != nil {
 		c.t.Fatalf("start member %d: %v", i, err)
@@ -229,7 +239,9 @@ func (c *cluster) close() {
 		c.kill(i)
 	}
 	for _, m := range c.members {
-		m.hs.Close()
+		if m.hs != nil {
+			m.hs.Close()
+		}
 	}
 }
 
@@ -243,7 +255,7 @@ func (c *cluster) node(i int) *replication.Node {
 func (c *cluster) urls() []string {
 	out := make([]string, len(c.members))
 	for i, m := range c.members {
-		out[i] = m.hs.URL
+		out[i] = m.url
 	}
 	return out
 }
@@ -323,40 +335,46 @@ func (c *cluster) waitHealed() int {
 	return prim
 }
 
-// waitConverged waits for full quiescent convergence: a healed
-// topology whose live followers have caught up to the primary's
-// sequence and epoch. Only meaningful once the write load has stopped.
+// waitConverged waits for full quiescent convergence (see converged).
+// Only meaningful once the write load has stopped.
 func (c *cluster) waitConverged() int {
 	c.t.Helper()
-	var prim int
+	prim := -1
 	c.fWaitTopology("cluster convergence", func() bool {
-		prim = c.primaryIdx()
-		if prim < 0 {
-			return false
-		}
-		pn := c.node(prim)
-		if pn == nil {
-			return false
-		}
-		pi := pn.ClusterInfo()
-		for i := range c.members {
-			if i == prim {
-				continue
-			}
-			n := c.node(i)
-			if n == nil {
-				continue // still down; fine
-			}
-			ci := n.ClusterInfo()
-			if ci.Role != string(replication.RoleFollower) || !ci.Connected {
-				return false
-			}
-			if ci.Epoch != pi.Epoch || ci.LastSeq != pi.LastSeq {
-				return false
-			}
-		}
-		return true
+		prim = c.converged()
+		return prim >= 0
 	})
+	return prim
+}
+
+// converged returns the confirmed primary of a healed topology whose
+// live followers have caught up to its sequence and epoch, or -1.
+func (c *cluster) converged() int {
+	prim := c.primaryIdx()
+	if prim < 0 {
+		return -1
+	}
+	pn := c.node(prim)
+	if pn == nil {
+		return -1
+	}
+	pi := pn.ClusterInfo()
+	for i := range c.members {
+		if i == prim {
+			continue
+		}
+		n := c.node(i)
+		if n == nil {
+			continue // still down; fine
+		}
+		ci := n.ClusterInfo()
+		if ci.Role != string(replication.RoleFollower) || !ci.Connected {
+			return -1
+		}
+		if ci.Epoch != pi.Epoch || ci.LastSeq != pi.LastSeq {
+			return -1
+		}
+	}
 	return prim
 }
 
@@ -428,17 +446,19 @@ func (a *ackRecorder) lastAck() string {
 }
 
 // ackedWrite is one acknowledged chaos write: its body, the member that
-// acknowledged it and when, from the trial's start.
+// acknowledged it and when, from the trial's start, and (explorer only)
+// the epoch it was acknowledged at.
 type ackedWrite struct {
 	body   string
 	member int
 	at     time.Duration
+	epoch  uint64
 }
 
 // memberOf returns the index of the member at base URL u, or -1.
 func (c *cluster) memberOf(u string) int {
 	for i, m := range c.members {
-		if m.hs.URL == u {
+		if m.url == u {
 			return i
 		}
 	}
@@ -474,12 +494,13 @@ func (c *cluster) lostReport(prim *engine.Engine, acks []ackedWrite) string {
 
 // oracleCheck rebuilds the committed history on a fresh single-node
 // engine — seed dataset plus the committed WAL prefix replayed frame by
-// frame — and asserts every live member answers bit-identically to it.
-// Frames are collected across all live members' logs because a member
-// that was re-seeded mid-trial keeps only a suffix of the log.
-func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
+// frame — and reports the first live member that does not answer
+// bit-identically to it. Frames are collected across all live members'
+// logs because a member that was re-seeded mid-trial keeps only a
+// suffix of the log; a checkpoint folds the prefix away, so it needs
+// CheckpointBytes -1.
+func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) error {
 	t := c.t
-	t.Helper()
 	pEng := c.node(prim).Engine()
 	tail := pEng.LastSeq()
 
@@ -498,7 +519,7 @@ func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
 			}
 			return nil
 		}); err != nil {
-			t.Fatalf("reading member %d log: %v", i, err)
+			return fmt.Errorf("reading member %d log: %v", i, err)
 		}
 	}
 
@@ -506,16 +527,16 @@ func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
 	fSaveDataset(t, oracleDir, tuples)
 	oracle, err := engine.OpenDir(oracleDir, 0, engine.Config{WAL: true, CheckpointBytes: -1})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer oracle.Close()
 	for seq := uint64(1); seq <= tail; seq++ {
 		frame, ok := frames[seq]
 		if !ok {
-			t.Fatalf("committed frame %d missing from every surviving log", seq)
+			return fmt.Errorf("committed frame %d missing from every surviving log", seq)
 		}
 		if _, _, err := oracle.ApplyReplicated(frame); err != nil {
-			t.Fatalf("oracle replay seq %d: %v", seq, err)
+			return fmt.Errorf("oracle replay seq %d: %v", seq, err)
 		}
 	}
 
@@ -524,8 +545,11 @@ func (c *cluster) oracleCheck(tuples []vec.Sparse, prim int) {
 		if n == nil || n.Engine() == nil {
 			continue
 		}
-		fAssertEnginesEqual(t, fmt.Sprintf("member %d vs oracle", i), oracle, n.Engine())
+		if err := enginesDiff(fmt.Sprintf("member %d vs oracle", i), oracle, n.Engine()); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // TestClusterFailoverHeals is the tentpole scenario straight: kill the
@@ -569,7 +593,9 @@ func TestClusterFailoverHeals(t *testing.T) {
 	// The crashed member reboots (as a follower) and rejoins.
 	c.start(0, false)
 	prim = c.waitConverged()
-	c.oracleCheck(tuples, prim)
+	if err := c.oracleCheck(tuples, prim); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestDeposedPrimaryRefusesAndRejoins is the fencing regression pinned
@@ -594,7 +620,7 @@ func TestDeposedPrimaryRefusesAndRejoins(t *testing.T) {
 
 	c.kill(0)
 	fWaitFor(t, "successor elected", func() bool { return c.primaryIdx() > 0 })
-	successor := c.members[c.primaryIdx()].hs.URL
+	successor := c.members[c.primaryIdx()].url
 
 	// The deposed primary comes back believing it is still the boss.
 	c.start(0, true)
@@ -607,7 +633,7 @@ func TestDeposedPrimaryRefusesAndRejoins(t *testing.T) {
 	}}
 	saw409 := false
 	fWaitFor(t, "deposed primary refuses with a 409 referral", func() bool {
-		resp, err := hc.Post(c.members[0].hs.URL+"/update", "application/json", bytes.NewReader(updateBody(rng)))
+		resp, err := hc.Post(c.members[0].url+"/update", "application/json", bytes.NewReader(updateBody(rng)))
 		if err != nil {
 			return false
 		}
@@ -641,7 +667,9 @@ func TestDeposedPrimaryRefusesAndRejoins(t *testing.T) {
 	if ci.Role != string(replication.RoleFollower) || !ci.Connected {
 		t.Fatalf("member 0 did not rejoin as a connected follower: %+v", ci)
 	}
-	c.oracleCheck(tuples, prim)
+	if err := c.oracleCheck(tuples, prim); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // runChaosTrial runs one randomized kill/restart schedule against a
@@ -670,7 +698,7 @@ func runChaosTrial(t *testing.T, seed int64) {
 		for ctx.Err() == nil {
 			body := updateBody(wrng)
 			if err := cl.PostJSON(ctx, "/update", body, nil); err == nil {
-				acks = append(acks, ackedWrite{string(body), c.memberOf(rec.lastAck()), time.Since(start)})
+				acks = append(acks, ackedWrite{body: string(body), member: c.memberOf(rec.lastAck()), at: time.Since(start)})
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -747,41 +775,22 @@ func runChaosTrial(t *testing.T, seed int64) {
 		t.Fatalf("acknowledged writes lost (seed %d): %d tuples on the healed primary member %d, want >= %d (%d acked)\nschedule: %v\n%s",
 			seed, got, prim, wantAtLeast, len(acks), schedule, c.lostReport(pEng, acks))
 	}
-	c.oracleCheck(tuples, prim)
+	if err := c.oracleCheck(tuples, prim); err != nil {
+		t.Fatal(err)
+	}
 	if testing.Verbose() {
 		t.Logf("seed %d: %d acked writes, healed primary member %d at seq %d epoch %d",
 			seed, len(acks), prim, pEng.LastSeq(), c.node(prim).ClusterInfo().Epoch)
 	}
 }
 
-// TestFailoverChaosProperty: a few fixed-seed chaos trials — the tier-1
-// smoke version of the soak.
+// TestFailoverChaosProperty: a few fixed-seed chaos trials over real
+// TCP — the tier-1 smoke test of the default network. The replayable
+// fault runner is TestFailoverExplorer (explorer_test.go), which runs
+// these kill/restart schedules and partitions in virtual time.
 func TestFailoverChaosProperty(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaosTrial(t, seed)
-		})
-	}
-}
-
-// TestFailoverChaosSoak: the long randomized soak (make test-failover
-// runs it at FAILOVER_SOAK_TRIALS=50 under -race). Skipped under
-// -short so the tier-1 suite stays fast.
-func TestFailoverChaosSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak skipped under -short (run make test-failover)")
-	}
-	trials := 8
-	if s := os.Getenv("FAILOVER_SOAK_TRIALS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			t.Fatalf("bad FAILOVER_SOAK_TRIALS %q", s)
-		}
-		trials = n
-	}
-	for i := 0; i < trials; i++ {
-		seed := int64(100 + i)
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			runChaosTrial(t, seed)
 		})

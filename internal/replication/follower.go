@@ -54,6 +54,8 @@ type FollowerConfig struct {
 	// to an operator; the failover coordinator turns it on because a
 	// demoted primary's un-replicated tail is exactly such a branch.
 	WipeOnDiverge bool
+	// Network dials the primary (nil: TCP).
+	Network Network
 }
 
 // Follower replicates a primary into a local durable engine.
@@ -89,6 +91,9 @@ func NewFollower(cfg FollowerConfig) *Follower {
 	}
 	if cfg.ID == "" {
 		cfg.ID = cfg.Dir
+	}
+	if cfg.Network == nil {
+		cfg.Network = tcpNetwork{}
 	}
 	f := &Follower{cfg: cfg, done: make(chan struct{}), jitter: JitterFraction(cfg.ID)}
 	gaugeFollower.Store(f)
@@ -302,8 +307,9 @@ func (f *Follower) session(ctx context.Context) error {
 		return err
 	}
 
-	d := net.Dialer{Timeout: f.cfg.DialTimeout}
-	conn, err := d.DialContext(ctx, "tcp", f.cfg.PrimaryAddr)
+	dctx, cancel := context.WithTimeout(ctx, f.cfg.DialTimeout)
+	conn, err := f.cfg.Network.Dial(dctx, f.cfg.PrimaryAddr)
+	cancel()
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,9 @@ const (
 	// the primary; followers catch up in the background.
 	AckAsync AckMode = iota
 	// AckQuorum: Apply additionally blocks until max(1, ⌈n/2⌉) of the n
-	// connected followers confirm an fsync of the batch's frame.
+	// connected followers confirm an fsync of the batch's frame (on a
+	// cluster member, at least a cluster majority with the primary; see
+	// Gate).
 	AckQuorum
 )
 
@@ -93,6 +95,11 @@ type Primary struct {
 	sessions      map[*session]struct{}
 	ln            net.Listener
 	closed        bool
+	// minAcks is the fewest follower acks a quorum takes whatever n is:
+	// a cluster member (Node) sets it so that the primary and its ackers
+	// are a majority of the configured membership, not of whoever is
+	// still connected.
+	minAcks int
 
 	snapshots      atomic.Int64
 	quorumFailures atomic.Int64
@@ -202,11 +209,12 @@ func (p *Primary) CheckpointEvent(man wal.Manifest) {
 }
 
 // Gate is the quorum commit gate (engine.SetCommitGate): it blocks
-// until max(1, ⌈n/2⌉) of the n streaming followers have acknowledged
-// an fsync through seq, or AckTimeout passes. With no followers
-// connected the quorum is unsatisfiable and the gate waits for one to
-// arrive (up to the timeout) — a quorum-mode primary never silently
-// degrades to async.
+// until max(1, ⌈n/2⌉) of the n streaming followers — on a cluster
+// member at least enough to make, with the primary, a majority of the
+// configured cluster — have acknowledged an fsync through seq, or
+// AckTimeout passes. With no followers connected the quorum is
+// unsatisfiable and the gate waits for one to arrive (up to the
+// timeout) — a quorum-mode primary never silently degrades to async.
 //
 // When the gate times out, any streaming session whose ack did not
 // advance during the whole window is reaped (killed and excluded from
@@ -249,10 +257,7 @@ func (p *Primary) Gate(seq uint64) error {
 				got++
 			}
 		}
-		need := (n + 1) / 2
-		if need < 1 {
-			need = 1
-		}
+		need := max((n+1)/2, 1, p.minAcks)
 		if n > 0 && got >= need {
 			return nil
 		}

@@ -48,11 +48,14 @@
 package replication
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 
@@ -69,6 +72,30 @@ const ProtoVersion = 2
 // handshake cross-checks it so a follower can never replay frames of a
 // different dataset onto its state.
 const DatasetIDName = "DATASET_ID"
+
+// Network is how a member reaches the others: the replication
+// listener, the replication dial and the transport of the /cluster
+// probes. NodeConfig and FollowerConfig take one; nil is TCP and
+// http.DefaultTransport. Tests substitute an in-memory network to run a
+// cluster in virtual time (docs/replication.md, "Failover in virtual
+// time").
+type Network interface {
+	Listen(address string) (net.Listener, error)
+	Dial(ctx context.Context, address string) (net.Conn, error)
+	Transport() http.RoundTripper
+}
+
+// tcpNetwork is the Network a nil field stands for.
+type tcpNetwork struct{}
+
+func (tcpNetwork) Listen(address string) (net.Listener, error) { return net.Listen("tcp", address) }
+
+func (tcpNetwork) Dial(ctx context.Context, address string) (net.Conn, error) {
+	var d net.Dialer
+	return d.DialContext(ctx, "tcp", address)
+}
+
+func (tcpNetwork) Transport() http.RoundTripper { return http.DefaultTransport }
 
 // Message kinds. Every message on the wire is `kind byte | len uint32
 // LE | payload`; see docs/replication.md for the per-kind payloads.

@@ -380,6 +380,65 @@ func TestCheckpointLockstepFold(t *testing.T) {
 	assertSameLog(t, "after the fold", pdir, fdir)
 }
 
+// TestFollowerCrashSteps: a follower that dies during its snapshot
+// bootstrap restarts on what the crash left in its directory — after
+// each generation file it received, after the manifest, after the
+// dataset id — and resumes or re-seeds, never wedges, and ends with the
+// primary's wal.log frames. The directories are cut from a complete
+// bootstrap in the order loadSnapshot writes them, over a generation 0
+// (default file names) and a checkpointed generation 1.
+func TestFollowerCrashSteps(t *testing.T) {
+	for _, checkpointed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpointed=%v", checkpointed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			pdir, ref := t.TempDir(), t.TempDir()
+			saveDataset(t, pdir, genTuples(rng, 40))
+			p := startPrimary(t, pdir, AckAsync, 0)
+			defer p.close(t)
+			applyRandom(t, p.eng, rng, 3)
+			if checkpointed {
+				if err := p.eng.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				applyRandom(t, p.eng, rng, 2)
+			}
+			fh := startFollower(t, ref, p.addr)
+			waitFor(t, "reference bootstrap", caughtUp(p, fh))
+			fh.stop(t)
+			man, ok, err := wal.LoadManifest(ref)
+			if err != nil || !ok {
+				t.Fatalf("reference bootstrap left no manifest: %v", err)
+			}
+			written := []string{man.Tuples, man.Lists, wal.ManifestName, DatasetIDName}
+			for k := 1; k <= len(written); k++ {
+				fdir := t.TempDir()
+				for _, name := range written[:k] {
+					raw, err := os.ReadFile(filepath.Join(ref, name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(filepath.Join(fdir, name), raw, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fh := startFollower(t, fdir, p.addr)
+				applyRandom(t, p.eng, rng, 1)
+				waitFor(t, fmt.Sprintf("restart after %s", written[k-1]), caughtUp(p, fh))
+				assertEnginesEqual(t, p.eng, fh.f.Engine())
+				assertSameLog(t, "after "+written[k-1], pdir, fdir)
+				want := int64(1) // a part of the set re-seeds
+				if k == len(written) {
+					want = 0 // the whole set resumes
+				}
+				if got := fh.f.Stats().SnapshotsLoaded; got != want {
+					t.Fatalf("after %s: %d snapshots loaded, want %d", written[k-1], got, want)
+				}
+				fh.stop(t)
+			}
+		})
+	}
+}
+
 // tailSink sits between the engine and its shipper and measures each
 // checkpoint's tail: the frames committed before the checkpoint's event
 // with sequences past what it folds. Its methods run under the engine's
