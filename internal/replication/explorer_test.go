@@ -105,8 +105,8 @@ func TestFailoverExplorer(t *testing.T) {
 						t.Logf("%d acknowledged writes; end state %s\n  %s", out.acked, out.final, strings.Join(out.steps, "\n  "))
 					}
 					if out.err != nil {
-						t.Fatalf("%s seed %d: %v\nschedule:\n  %s\nend state: %s\nreplay: GOEXPERIMENT=synctest go test -run 'TestFailoverExplorer/%s/seed=%d$' ./internal/replication/",
-							row.name, seed, out.err, strings.Join(out.steps, "\n  "), out.final, row.name, seed)
+						t.Fatalf("%s seed %d: %v\nschedule:\n  %s\nend state: %s\nreplay: GOEXPERIMENT=synctest go test -run 'TestFailoverExplorer/%s/seed=%d$' ./internal/replication/ -explorer.schedules=%d",
+							row.name, seed, out.err, strings.Join(out.steps, "\n  "), out.final, row.name, seed, seed)
 					}
 				})
 			}
