@@ -186,14 +186,15 @@ test-replication:
 # Failover focus: the failover explorer under -race, 200 seeded
 # schedules per row in virtual time (GOEXPERIMENT=synctest; kills,
 # restarts, cut links and partitions of 3- and 5-member quorum clusters
-# under writes, invariants I1–I4 after every step, see
-# docs/replication.md), the real-TCP smoke trials and the
-# deposed-primary regression, the coordinator internals, and the
-# routing client/proxy unit tests.
+# under writes, invariants I1–I5 after every step, see
+# docs/replication.md), the real-TCP smoke trials, the deposed-primary
+# and dual-boot-primary regressions, the coordinator internals (ballots
+# and the membership they number among them), and the routing
+# client/proxy unit tests.
 test-failover:
 	GOEXPERIMENT=synctest $(GO) test -race -run 'TestFailoverExplorer' -timeout 30m ./internal/replication/ -explorer.schedules=200
-	$(GO) test -race -run 'TestClusterFailover|TestDeposedPrimary|TestFailoverChaos' ./internal/replication/
-	$(GO) test -race -run 'TestBackoffJitter|TestHeartbeatAge|TestQuorumPartitioned|TestHandshakeFences' ./internal/replication/
+	$(GO) test -race -run 'TestClusterFailover|TestDeposedPrimary|TestDualBootPrimary|TestFailoverChaos' ./internal/replication/
+	$(GO) test -race -run 'TestBackoffJitter|TestHeartbeatAge|TestQuorumPartitioned|TestHandshakeFences|TestBallotsDisjoint|TestNewNodeRefuses|TestForeignMembership' ./internal/replication/
 	$(GO) test -race -run 'TestFence|TestAdvanceEpoch|TestAdoptEpoch' ./internal/engine/
 	$(GO) test -race ./internal/client/
 

@@ -14,12 +14,13 @@
 //     away. Only then does it probe the peers' GET /cluster endpoints
 //     to discover a live primary or stand for election.
 //   - The election is deterministic: among the reachable members
-//     (which must be a majority of the configured cluster size), the
-//     follower with the highest fsynced sequence wins, node ID
-//     breaking ties. Every reachable member computes the same winner
+//     (which must be a majority of the membership, AdvertiseHTTP plus
+//     Peers), the follower with the newest fsynced history wins, node
+//     ID breaking ties. Every reachable member computes the same winner
 //     from the same views; only the winner promotes itself.
-//   - Promotion advances the fencing epoch to max(all observed)+1 and
-//     persists it (engine.AdvanceEpoch) before serving a single write.
+//   - Promotion advances the fencing epoch to the member's next ballot
+//     above every epoch observed (Node.ballot) and persists it
+//     (engine.AdvanceEpoch) before serving a single write.
 //   - A deposed primary learns of the newer epoch through a probe or a
 //     follower's handshake, fences itself (client writes fail with
 //     409), broadcasts msgDeposed to its sessions, and rejoins as a
@@ -39,25 +40,25 @@
 //     re-evaluated: a supporter is a member whose probe reports it as
 //     a connected follower of THIS node at THIS node's epoch, and the
 //     node is confirmed only while supporters (counting itself) form
-//     a majority of the configured cluster size. A follower streams
-//     from exactly one primary, so two primaries can never hold
-//     disjoint supporter majorities simultaneously — even if a race
-//     mints the same epoch twice, at most one of the pair can accept
-//     writes, and the equal-epoch rival rule below demotes the loser.
+//     a majority of the membership. A follower streams from exactly
+//     one primary, so two primaries can never hold disjoint supporter
+//     majorities simultaneously.
 //  2. (I1) Promotion requires a majority of members reachable, and a fresh
 //     primary starts UNCONFIRMED (unless the cluster is a singleton):
 //     it serves 409/503, never a write, until a probe round shows a
-//     supporter majority. Equal-epoch rivals resolve deterministically
-//     — lower (seq, id) demotes, and a loser that never confirmed
-//     never acked a write at that epoch, so nothing is lost.
+//     supporter majority.
 //  3. (I1) The epoch is persisted in the MANIFEST before the promoted
 //     primary accepts its first write, and every handshake carries
 //     epochs both ways, so any contact between a stale primary and the
 //     rest of the cluster fences the stale one (engine.Fence).
+//  4. (I5) An epoch has at most one primary: members mint epochs from
+//     disjoint ballots (Node.ballot), a boot primary included, so an
+//     (epoch, seq) pair names one frame and the handshake's check of
+//     the epoch at last_seq tells two histories apart.
 //
 // No acknowledged write is lost (I2) because a quorum-mode primary
 // acknowledges only once it and its ackers form a majority of the
-// configured cluster (Primary.Gate's floor), the election picks the
+// membership (Primary.Gate's floor), the election picks the
 // newest history of a majority (newerHistory: last epoch, then
 // length), and a member never follows a primary with an older history
 // than its own unless that primary is confirmed at a higher epoch
@@ -71,12 +72,16 @@
 package replication
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -161,11 +166,11 @@ type NodeConfig struct {
 	// told to dial (default: the bound listener address).
 	ReplListen    string
 	AdvertiseRepl string
-	// Peers are the OTHER members' AdvertiseHTTP base URLs.
-	// ClusterSize is the full membership count for majority math
-	// (default len(Peers)+1).
-	Peers       []string
-	ClusterSize int
+	// Peers are the OTHER members' AdvertiseHTTP base URLs. With
+	// AdvertiseHTTP they are the membership, at most 64 members:
+	// majority math and the ballot index read it, and every member must
+	// be configured with the same one.
+	Peers []string
 	// StartPrimary makes this member boot in the primary role. It
 	// still must confirm leadership against a majority before
 	// accepting writes (see the package comment).
@@ -200,9 +205,6 @@ func (c *NodeConfig) setDefaults() {
 	}
 	if c.ReplListen == "" {
 		c.ReplListen = "127.0.0.1:0"
-	}
-	if c.ClusterSize <= 0 {
-		c.ClusterSize = len(c.Peers) + 1
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
@@ -242,7 +244,11 @@ type Node struct {
 	eng       *engine.Engine // the engine, whenever not owned by fol
 	primHTTP  string         // believed current primary's HTTP base URL
 	lastErr   string
+	foreign   string // the last probe round's peers of another membership
 	dsID      string // cached DATASET_ID
+
+	members []string // the sorted membership: AdvertiseHTTP plus Peers
+	index   uint64   // this member's position in members, its ballots' low bits
 
 	elections  atomic.Int64
 	promotions atomic.Int64
@@ -254,11 +260,23 @@ type Node struct {
 // Call Run to start coordinating.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	cfg.setDefaults()
+	members := sortedMembers(cfg.AdvertiseHTTP, cfg.Peers)
+	switch {
+	case len(members) > 1<<ballotBits:
+		return nil, fmt.Errorf("replication: %d members; a cluster has at most %d", len(members), 1<<ballotBits)
+	case slices.Contains(cfg.Peers, cfg.AdvertiseHTTP):
+		return nil, fmt.Errorf("replication: %s lists itself among its peers", cfg.AdvertiseHTTP)
+	case len(slices.Compact(slices.Clone(members))) < len(members):
+		return nil, fmt.Errorf("replication: a peer is listed twice in %v", cfg.Peers)
+	}
 	n := &Node{
-		cfg:  cfg,
-		done: make(chan struct{}),
-		hc:   &http.Client{Timeout: cfg.FailoverTimeout, Transport: cfg.Network.Transport()},
-		role: RoleFollower,
+		cfg:     cfg,
+		runCtx:  context.Background(), // Run's, once it runs
+		done:    make(chan struct{}),
+		hc:      &http.Client{Timeout: cfg.FailoverTimeout, Transport: cfg.Network.Transport()},
+		role:    RoleFollower,
+		members: members,
+		index:   uint64(slices.Index(members, cfg.AdvertiseHTTP)),
 	}
 	if hasDataset(cfg.Dir) {
 		eng, err := engine.OpenDir(cfg.Dir, 0, n.engineConfig())
@@ -286,7 +304,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		n.role = RolePrimary
-		n.confirmed = cfg.ClusterSize == 1 // nobody to confirm against
 		n.primHTTP = cfg.AdvertiseHTTP
 	}
 	return n, nil
@@ -339,6 +356,9 @@ func (n *Node) Run(ctx context.Context) {
 	n.mu.Lock()
 	n.runCtx = ctx
 	n.mu.Unlock()
+	if n.cfg.StartPrimary {
+		n.bootBallot(ctx)
+	}
 	go n.acceptLoop()
 	n.step(ctx)
 	t := time.NewTicker(n.cfg.ProbeInterval)
@@ -350,6 +370,26 @@ func (n *Node) Run(ctx context.Context) {
 			return
 		case <-t.C:
 			n.step(ctx)
+		}
+	}
+}
+
+// bootBallot gives a boot primary an epoch of its own before it accepts
+// a session: the one its directory holds is 0 on every fresh member, or
+// another member's if it once followed that member, and an epoch has
+// one writer. A peer at a higher epoch fences it instead, and the first
+// step demotes it.
+func (n *Node) bootBallot(ctx context.Context) {
+	n.stepMu.Lock()
+	defer n.stepMu.Unlock()
+	eng, views := n.liveEngine(), n.probePeers(ctx)
+	for _, v := range views {
+		eng.Fence(v.Epoch)
+	}
+	if !eng.Fenced() {
+		if err := eng.AdvanceEpoch(n.ballot(highestEpoch(eng, views))); err != nil {
+			n.demote(ctx, ClusterInfo{})
+			n.setErr(fmt.Sprintf("boot ballot failed: %v", err))
 		}
 	}
 }
@@ -419,8 +459,8 @@ func (n *Node) step(ctx context.Context) {
 }
 
 // stepPrimary probes the peers for a higher epoch (self-fence +
-// demotion), resolves equal-epoch rivalries, and re-evaluates the
-// supporter majority that confirms leadership.
+// demotion) and re-evaluates the supporter majority that confirms
+// leadership.
 func (n *Node) stepPrimary(ctx context.Context) {
 	n.mu.Lock()
 	eng := n.eng
@@ -429,64 +469,37 @@ func (n *Node) stepPrimary(ctx context.Context) {
 		return // shutting down
 	}
 	views := n.probePeers(ctx)
-	myEpoch, myID := eng.Epoch(), n.cfg.NodeID
+	myEpoch := eng.Epoch()
 	var successor ClusterInfo
-	haveSuccessor := false
-	rivalWins := false
 	supporters := 1 // self
 	for _, v := range views {
-		if !datasetCompatible(n.datasetID(), v.DatasetID) {
-			continue
-		}
 		if v.Epoch > myEpoch {
 			eng.Fence(v.Epoch)
+			if v.Role == string(RolePrimary) {
+				successor = v
+			}
 		}
 		if v.Role == string(RoleFollower) && v.Connected &&
 			v.Epoch == myEpoch && v.PrimaryHTTP == n.cfg.AdvertiseHTTP {
 			supporters++
 		}
-		if v.Role != string(RolePrimary) || v.NodeID == myID {
-			continue
-		}
-		if v.Epoch > myEpoch {
-			successor, haveSuccessor = v, true
-		} else if v.Epoch == myEpoch {
-			// Equal-epoch rival: two concurrent elections minted the same
-			// epoch from stale views (or a dual boot-primary
-			// misconfiguration). Neither outranks the other by epoch, so
-			// without a tiebreak both would stand forever — the
-			// deterministic loser stands down, confirmed or not. The
-			// loser cannot have acknowledged writes at this epoch: writes
-			// require confirmation, confirmation requires a supporter
-			// majority, and a follower streams from exactly one primary
-			// at a time.
-			if v.LastSeq > eng.LastSeq() || (v.LastSeq == eng.LastSeq() && v.NodeID > myID) {
-				rivalWins = true
-				successor, haveSuccessor = v, true
-			}
-		}
 	}
-	if eng.Fenced() || rivalWins {
-		n.demote(ctx, successor, haveSuccessor)
+	if eng.Fenced() {
+		n.demote(ctx, successor)
 		return
 	}
 	// Confirmation is continuous and supporter-based: leadership holds
 	// only while this primary plus the followers CONNECTED TO IT at its
-	// epoch form a majority of the configured cluster. Mere
-	// reachability is not enough — two concurrent elections can each
-	// reach a majority, but two disjoint supporter majorities cannot
-	// exist.
-	confirmed := supporters >= n.majority()
+	// epoch form a majority of the membership. Mere reachability is not
+	// enough — two concurrent elections can each reach a majority, but
+	// two disjoint supporter majorities cannot exist.
 	n.mu.Lock()
-	n.confirmed = confirmed
-	if confirmed {
-		n.lastErr = ""
+	n.confirmed, n.lastErr = supporters >= n.majority(), ""
+	if !n.confirmed {
+		n.lastErr = fmt.Sprintf("leadership unconfirmed: %d of %d members support this primary (majority %d)",
+			supporters, len(n.members), n.majority())
 	}
 	n.mu.Unlock()
-	if !confirmed {
-		n.setErr(fmt.Sprintf("leadership unconfirmed: %d of %d members support this primary (majority %d)",
-			supporters, n.cfg.ClusterSize, n.majority()))
-	}
 }
 
 // stepFollower checks primary health over the heartbeat stream and,
@@ -509,31 +522,37 @@ func (n *Node) stepFollower(ctx context.Context) {
 	n.maybePromote(ctx, views)
 }
 
-// probePeers fetches every peer's /cluster concurrently; unreachable
-// peers are simply absent from the result.
+// probePeers fetches every peer's /cluster concurrently. Unreachable
+// peers are absent from the result, and so are peers that cannot be in
+// this cluster: another dataset, or another membership (its ballots and
+// majorities are not ours), which the Stats' last_error names.
 func (n *Node) probePeers(ctx context.Context) []ClusterInfo {
-	type slot struct {
-		ci ClusterInfo
-		ok bool
-	}
-	slots := make([]slot, len(n.cfg.Peers))
+	slots := make([]*ClusterInfo, len(n.cfg.Peers))
 	var wg sync.WaitGroup
 	for i, peer := range n.cfg.Peers {
 		wg.Add(1)
-		go func(i int, base string) {
+		go func() {
 			defer wg.Done()
-			if ci, err := FetchClusterInfo(ctx, n.hc, base); err == nil {
-				slots[i] = slot{ci, true}
+			if ci, err := FetchClusterInfo(ctx, n.hc, peer); err == nil {
+				slots[i] = &ci
 			}
-		}(i, peer)
+		}()
 	}
 	wg.Wait()
 	views := make([]ClusterInfo, 0, len(slots))
-	for _, s := range slots {
-		if s.ok {
-			views = append(views, s.ci)
+	dsID, foreign := n.datasetID(), ""
+	for _, v := range slots {
+		switch {
+		case v == nil || dsID != "" && v.DatasetID != "" && v.DatasetID != dsID: // "": not yet seeded
+		case !slices.Equal(sortedMembers(v.HTTPAddr, v.Peers), n.members):
+			foreign += fmt.Sprintf("; ignoring %s: membership %v is not ours", v.HTTPAddr, sortedMembers(v.HTTPAddr, v.Peers))
+		default:
+			views = append(views, *v)
 		}
 	}
+	n.mu.Lock()
+	n.foreign = foreign
+	n.mu.Unlock()
 	return views
 }
 
@@ -544,7 +563,7 @@ func (n *Node) pickPrimary(views []ClusterInfo) (ClusterInfo, bool) {
 	var best ClusterInfo
 	found := false
 	for _, v := range views {
-		if v.Role != string(RolePrimary) || !datasetCompatible(n.datasetID(), v.DatasetID) || !n.followable(v) {
+		if v.Role != string(RolePrimary) || !n.followable(v) {
 			continue
 		}
 		if !found || v.Epoch > best.Epoch ||
@@ -561,10 +580,9 @@ func (n *Node) pickPrimary(views []ClusterInfo) (ClusterInfo, bool) {
 // confirmed at a higher epoch. Following it would wipe our newer
 // frames, which may be quorum-acknowledged writes: an unconfirmed
 // primary behind us was elected from views that missed them (a probe
-// that failed while the old primary kept acknowledging with us), an
-// equal-epoch one lost a double-mint race. Passing it over falls
-// through to the election, which our newer history wins at a higher
-// epoch. A confirmed higher-epoch primary has a supporter majority
+// that failed while the old primary kept acknowledging with us).
+// Passing it over falls through to the election, which our newer
+// history wins at a higher epoch. A confirmed higher-epoch primary has a supporter majority
 // behind it, so what we hold past it was never acknowledged.
 func (n *Node) followable(v ClusterInfo) bool {
 	eng := n.liveEngine()
@@ -590,29 +608,19 @@ func newerHistory(e1, s1, e2, s2 uint64) bool {
 
 // maybePromote runs the election: with a majority of members reachable
 // and no live primary, the follower with the newest fsynced history
-// (newerHistory; node ID breaking ties) promotes itself under epoch
-// max(seen)+1. Every reachable member computes the same winner, so only
-// one promotes.
+// (newerHistory; node ID breaking ties) promotes itself under its next
+// ballot. Every reachable member computes the same winner, so only one
+// promotes.
 func (n *Node) maybePromote(ctx context.Context, views []ClusterInfo) {
 	eng := n.liveEngine()
 	if eng == nil {
 		n.setErr("no local dataset: cannot stand for election")
 		return
 	}
-	myID, mySeq, myEpoch := n.cfg.NodeID, eng.LastSeq(), eng.Epoch()
-	if fb := eng.FencedBy(); fb > myEpoch {
-		myEpoch = fb // never mint an epoch at or below one we know exists
-	}
-	reachable, maxEpoch := 1, myEpoch
+	myID, mySeq := n.cfg.NodeID, eng.LastSeq()
+	reachable := 1 + len(views)
 	winID, winSeq, winEpoch := myID, mySeq, eng.EpochAt(mySeq)
 	for _, v := range views {
-		if !datasetCompatible(n.datasetID(), v.DatasetID) {
-			continue
-		}
-		reachable++
-		if v.Epoch > maxEpoch {
-			maxEpoch = v.Epoch
-		}
 		if v.Role != string(RoleFollower) || v.DatasetID == "" {
 			continue // empty members cannot win; primaries were handled earlier
 		}
@@ -623,7 +631,7 @@ func (n *Node) maybePromote(ctx context.Context, views []ClusterInfo) {
 	}
 	if reachable < n.majority() {
 		n.setErr(fmt.Sprintf("no election quorum: %d of %d members reachable (majority %d)",
-			reachable, n.cfg.ClusterSize, n.majority()))
+			reachable, len(n.members), n.majority()))
 		return
 	}
 	n.elections.Add(1)
@@ -632,80 +640,68 @@ func (n *Node) maybePromote(ctx context.Context, views []ClusterInfo) {
 		n.setErr(fmt.Sprintf("election: waiting for %s (seq %d) to promote", winID, winSeq))
 		return
 	}
-	if err := n.promote(ctx, maxEpoch+1); err != nil {
+	if _, err := n.promote(ctx, views); err != nil {
 		n.setErr(fmt.Sprintf("promotion failed: %v", err))
 	}
 }
 
-// promote turns this member into the primary under newEpoch: stop the
-// follower, reclaim the engine, persist the epoch advance, attach the
-// shipper, flip the role. The epoch is durable before the first write
-// can be accepted.
-func (n *Node) promote(ctx context.Context, newEpoch uint64) error {
+// promote turns this member into the primary under its next ballot
+// above every epoch it knows of (its own, its fence, the views'): stop
+// the follower, reclaim the engine, persist the epoch advance, attach
+// the shipper, flip the role. The epoch is durable before the first
+// write can be accepted.
+func (n *Node) promote(ctx context.Context, views []ClusterInfo) (uint64, error) {
 	eng := n.reclaimEngine()
 	if eng == nil {
-		return fmt.Errorf("replication: no open engine to promote (snapshot re-seed in progress)")
+		return 0, fmt.Errorf("replication: no open engine to promote (snapshot re-seed in progress)")
 	}
 	restore := func() {
 		n.mu.Lock()
 		n.eng = eng
 		n.mu.Unlock()
 	}
-	if err := eng.AdvanceEpoch(newEpoch); err != nil {
+	epoch := n.ballot(highestEpoch(eng, views))
+	if err := eng.AdvanceEpoch(epoch); err != nil {
 		restore()
-		return err
+		return 0, err
 	}
 	n.mu.Lock()
 	if err := n.attachPrimary(eng); err != nil {
 		n.mu.Unlock()
 		restore()
-		return err
+		return 0, err
 	}
 	n.eng = eng
 	n.role = RolePrimary
 	// Confirmation waits for a supporter majority (the next coordination
-	// step): two concurrent elections can mint the same epoch from stale
-	// views, and acknowledging writes before the survivors have actually
-	// re-pointed here would let both winners ack. A singleton cluster
-	// has no supporters to wait for.
-	n.confirmed = n.cfg.ClusterSize == 1
+	// step). A singleton cluster has no supporters to wait for.
+	n.confirmed = len(n.members) == 1
 	n.primHTTP = n.cfg.AdvertiseHTTP
 	n.lastErr = ""
 	n.mu.Unlock()
 	n.promotions.Add(1)
 	mPromotions.Inc()
-	return nil
+	return epoch, nil
 }
 
 // demote turns a fenced (or outbid) primary back into a follower:
 // announce msgDeposed to the sessions, tear the shipper down, keep the
-// engine, and re-point at the successor when one is known.
-func (n *Node) demote(ctx context.Context, successor ClusterInfo, haveSuccessor bool) {
+// engine, and re-point at the successor when one is known (a zero
+// successor: none).
+func (n *Node) demote(ctx context.Context, successor ClusterInfo) {
 	n.mu.Lock()
 	prim, eng := n.prim, n.eng
 	n.prim = nil
 	n.role = RoleFollower
 	n.confirmed = false
-	if haveSuccessor {
-		n.primHTTP = successor.HTTPAddr
-	} else {
-		n.primHTTP = ""
-	}
+	n.primHTTP = successor.HTTPAddr
 	n.mu.Unlock()
-	if prim != nil {
-		epoch := uint64(0)
-		if eng != nil {
-			epoch = eng.FencedBy()
-		}
-		succHTTP := ""
-		if haveSuccessor {
-			succHTTP = successor.HTTPAddr
-		}
-		prim.Depose(epoch, succHTTP)
+	if prim != nil && eng != nil {
+		prim.Depose(eng.FencedBy(), successor.HTTPAddr)
 	}
 	n.demotions.Add(1)
 	mDemotions.Inc()
-	if haveSuccessor && n.followable(successor) {
+	if successor.HTTPAddr != "" && n.followable(successor) {
 		n.retarget(ctx, successor)
 	}
 }
@@ -771,33 +767,15 @@ func (n *Node) Promote() (uint64, error) {
 	n.stepMu.Lock()
 	defer n.stepMu.Unlock()
 	n.mu.Lock()
-	ctx := n.runCtx
-	role := n.role
+	ctx, role := n.runCtx, n.role
 	n.mu.Unlock()
 	if role == RolePrimary {
 		return 0, fmt.Errorf("replication: already primary")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	eng := n.liveEngine()
-	if eng == nil {
+	if n.liveEngine() == nil {
 		return 0, fmt.Errorf("replication: no local dataset to promote")
 	}
-	maxEpoch := eng.Epoch()
-	if fb := eng.FencedBy(); fb > maxEpoch {
-		maxEpoch = fb
-	}
-	for _, v := range n.probePeers(ctx) {
-		if datasetCompatible(n.datasetID(), v.DatasetID) && v.Epoch > maxEpoch {
-			maxEpoch = v.Epoch
-		}
-	}
-	newEpoch := maxEpoch + 1
-	if err := n.promote(ctx, newEpoch); err != nil {
-		return 0, err
-	}
-	return newEpoch, nil
+	return n.promote(ctx, n.probePeers(ctx))
 }
 
 // Engine returns the currently serving engine (nil mid-bootstrap).
@@ -852,10 +830,7 @@ func (n *Node) Readiness() error {
 			return fmt.Errorf("fenced by epoch %d (deposed primary)", eng.FencedBy())
 		}
 		if !confirmed {
-			if lastErr != "" {
-				return fmt.Errorf("leadership unconfirmed: %s", lastErr)
-			}
-			return fmt.Errorf("leadership unconfirmed")
+			return errors.New(cmp.Or(lastErr, "leadership unconfirmed")) // stepPrimary's says why
 		}
 		return nil
 	}
@@ -917,7 +892,7 @@ type NodeStats struct {
 // Stats snapshots the coordinator and its active role.
 func (n *Node) Stats() NodeStats {
 	n.mu.Lock()
-	role, confirmed, prim, fol, lastErr := n.role, n.confirmed, n.prim, n.fol, n.lastErr
+	role, confirmed, prim, fol, lastErr := n.role, n.confirmed, n.prim, n.fol, n.lastErr+n.foreign
 	n.mu.Unlock()
 	st := NodeStats{
 		NodeID:     n.cfg.NodeID,
@@ -926,7 +901,7 @@ func (n *Node) Stats() NodeStats {
 		Elections:  n.elections.Load(),
 		Promotions: n.promotions.Load(),
 		Demotions:  n.demotions.Load(),
-		LastError:  lastErr,
+		LastError:  strings.TrimPrefix(lastErr, "; "),
 	}
 	if eng := n.liveEngine(); eng != nil {
 		st.Epoch = eng.Epoch()
@@ -942,7 +917,42 @@ func (n *Node) Stats() NodeStats {
 	return st
 }
 
-func (n *Node) majority() int { return n.cfg.ClusterSize/2 + 1 }
+func (n *Node) majority() int { return len(n.members)/2 + 1 }
+
+// ballotBits is how many low bits of an epoch name the member that
+// minted it, so a cluster has at most 64 members.
+const ballotBits = 6
+
+// ballot returns the smallest epoch above seen whose low ballotBits
+// bits are this member's index: members draw their epochs from
+// disjoint sets, as Paxos proposers draw proposal numbers, so no two
+// members ever mint the same epoch.
+func (n *Node) ballot(seen uint64) uint64 {
+	b := seen&^(1<<ballotBits-1) | n.index
+	if b <= seen {
+		b += 1 << ballotBits
+	}
+	return b
+}
+
+// highestEpoch is the highest epoch this member knows exists: its own,
+// the one that fenced it, and every view's. A ballot above it outbids
+// every live primary.
+func highestEpoch(eng *engine.Engine, views []ClusterInfo) uint64 {
+	e := max(eng.Epoch(), eng.FencedBy())
+	for _, v := range views {
+		e = max(e, v.Epoch)
+	}
+	return e
+}
+
+// sortedMembers is the membership a member with address self and peers
+// is configured with.
+func sortedMembers(self string, peers []string) []string {
+	m := append([]string{self}, peers...)
+	slices.Sort(m)
+	return m
+}
 
 func (n *Node) setErr(s string) {
 	n.mu.Lock()
@@ -953,22 +963,9 @@ func (n *Node) setErr(s string) {
 // datasetID returns (and caches once known) the member's DATASET_ID.
 func (n *Node) datasetID() string {
 	n.mu.Lock()
-	id := n.dsID
-	n.mu.Unlock()
-	if id != "" {
-		return id
+	defer n.mu.Unlock()
+	if n.dsID == "" {
+		n.dsID, _ = ReadDatasetID(n.cfg.Dir)
 	}
-	id, _ = ReadDatasetID(n.cfg.Dir)
-	if id != "" {
-		n.mu.Lock()
-		n.dsID = id
-		n.mu.Unlock()
-	}
-	return id
-}
-
-// datasetCompatible reports whether two members can belong to the same
-// cluster ("" means not-yet-seeded and is compatible with anything).
-func datasetCompatible(a, b string) bool {
-	return a == "" || b == "" || a == b
+	return n.dsID
 }

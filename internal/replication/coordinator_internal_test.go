@@ -1,10 +1,16 @@
 package replication
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -231,5 +237,107 @@ func TestHandshakeFencesStalePrimary(t *testing.T) {
 	}
 	if _, err := p.eng.Apply(randBatch(rng, p.eng.N())); !errors.Is(err, engine.ErrFenced) {
 		t.Fatalf("fenced primary accepted a write: %v", err)
+	}
+}
+
+// TestBallotsDisjoint: for every cluster size, each member's ballot is
+// the smallest epoch above what it has seen whose low bits are its
+// index, and no epoch is ever minted by two members.
+func TestBallotsDisjoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for size := 1; size <= 1<<ballotBits; size++ {
+		minted := map[uint64]int{}
+		for trial := 0; trial < 40; trial++ {
+			seen := uint64(rng.Intn(400)) // small: members' ballots meet
+			if trial%4 == 0 {
+				seen = rng.Uint64() >> 1
+			}
+			for i := 0; i < size; i++ {
+				b := (&Node{index: uint64(i)}).ballot(seen)
+				if b <= seen || b-seen > 1<<ballotBits || b&(1<<ballotBits-1) != uint64(i) {
+					t.Fatalf("size %d: member %d's ballot above %d is %d", size, i, seen, b)
+				}
+				if j, ok := minted[b]; ok && j != i {
+					t.Fatalf("size %d: members %d and %d both mint epoch %d", size, j, i, b)
+				}
+				minted[b] = i
+			}
+		}
+	}
+}
+
+// TestNewNodeRefusesMembership: a membership ballots cannot number is
+// refused before anything is opened.
+func TestNewNodeRefusesMembership(t *testing.T) {
+	many := make([]string, 1<<ballotBits)
+	for i := range many {
+		many[i] = fmt.Sprintf("http://m%d", i)
+	}
+	for _, tc := range []struct {
+		name  string
+		peers []string
+		want  string
+	}{
+		{"65 members", many, "at most 64"},
+		{"duplicate peer", []string{"http://a", "http://b", "http://a"}, "listed twice"},
+		{"itself a peer", []string{"http://a", "http://self"}, "lists itself"},
+	} {
+		if _, err := NewNode(NodeConfig{Dir: t.TempDir(), AdvertiseHTTP: "http://self", Peers: tc.peers}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewNode error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	n, err := NewNode(NodeConfig{Dir: t.TempDir(), AdvertiseHTTP: "http://self", Peers: many[:len(many)-1]})
+	if err != nil {
+		t.Fatalf("64 members: %v", err)
+	}
+	n.shutdown()
+}
+
+// TestForeignMembershipNeverCounted: a peer whose /cluster names another
+// membership is dropped from the probe views, so it never supports a
+// primary, and last_error names it. With our membership the same peer
+// confirms the primary.
+func TestForeignMembershipNeverCounted(t *testing.T) {
+	dir := t.TempDir()
+	saveDataset(t, dir, genTuples(rand.New(rand.NewSource(17)), 20))
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	var (
+		mu   sync.Mutex
+		view ClusterInfo
+	)
+	supporter := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		json.NewEncoder(w).Encode(view)
+	}))
+	defer supporter.Close()
+	n, err := NewNode(NodeConfig{Dir: dir, AdvertiseHTTP: "http://self", Peers: []string{supporter.URL, down.URL}, StartPrimary: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.shutdown()
+	for _, tc := range []struct {
+		peers     []string
+		confirmed bool
+	}{
+		{[]string{"http://self", down.URL, "http://stranger"}, false},
+		{[]string{"http://self"}, false},
+		{[]string{down.URL, "http://self"}, true},
+	} {
+		mu.Lock()
+		view = ClusterInfo{
+			NodeID: "supporter", Role: string(RoleFollower), Connected: true, Epoch: n.Engine().Epoch(),
+			PrimaryHTTP: "http://self", HTTPAddr: supporter.URL, Peers: tc.peers,
+		}
+		mu.Unlock()
+		n.step(context.Background())
+		st := n.Stats()
+		if st.Confirmed != tc.confirmed {
+			t.Errorf("supporter with peers %v: confirmed %v, want %v (last_error %q)", tc.peers, st.Confirmed, tc.confirmed, st.LastError)
+		}
+		if named := strings.Contains(st.LastError, "ignoring "+supporter.URL); named == tc.confirmed {
+			t.Errorf("supporter with peers %v: last_error %q", tc.peers, st.LastError)
+		}
 	}
 }

@@ -13,7 +13,8 @@
 //     confirmed;
 //   - I4: after healing, each follower's wal.log holds the primary's
 //     frames byte for byte, from the point each last folded, with no
-//     gap up to the primary's last.
+//     gap up to the primary's last;
+//   - I5: at most one member ever holds the primary role at an epoch.
 //
 // A schedule is drawn from its seed, and every action is followed by
 // synctest.Wait, so the cluster is quiescent whenever the explorer
@@ -67,10 +68,12 @@ var explorerRows = []explorerRow{
 	// faults3 25: m2, cut off from the primary, is elected on a stale
 	// view, and m1 follows it onto a shorter history (followable).
 	// faults3 359: a follower's newest frames are of a later epoch than a
-	// longer log's (followable's use of newerHistory). faults5 38: a
-	// primary cut off with one follower acknowledges with it alone
-	// (Primary.Gate's floor).
-	{name: "faults3-pinned", members: 3, ckptBytes: -1, seeds: []int64{25, 359}},
+	// longer log's (followable's use of newerHistory). faults3 1572: m1
+	// and m2 both promote from views that share m0, and with one epoch
+	// minted twice m1's refused frame 22 passes for m2's acknowledged
+	// one (ballots). faults5 38: a primary cut off with one follower
+	// acknowledges with it alone (Primary.Gate's floor).
+	{name: "faults3-pinned", members: 3, ckptBytes: -1, seeds: []int64{25, 359, 1572}},
 	{name: "faults5-pinned", members: 5, ckptBytes: -1, seeds: []int64{38}},
 }
 
@@ -178,6 +181,7 @@ type explorer struct {
 	mu        sync.Mutex // the ledger below; writes land from their own goroutines
 	acks      []ackedWrite
 	writer    map[uint64]int // I1: the member that answered 200 at each epoch
+	primary   map[uint64]int // I5: the member seen primary at each epoch
 	confirmed uint64         // the highest epoch seen confirmed
 	err       error          // the first violation
 }
@@ -185,13 +189,14 @@ type explorer struct {
 func newExplorer(t *testing.T, row explorerRow, seed int64) *explorer {
 	rng := rand.New(rand.NewSource(seed))
 	x := &explorer{
-		row:    row,
-		rng:    rng,
-		wrng:   rand.New(rand.NewSource(seed*31 + 1)),
-		tuples: fGenTuples(rng, 30),
-		start:  time.Now(),
-		down:   make([]bool, row.members),
-		writer: map[uint64]int{},
+		row:     row,
+		rng:     rng,
+		wrng:    rand.New(rand.NewSource(seed*31 + 1)),
+		tuples:  fGenTuples(rng, 30),
+		start:   time.Now(),
+		down:    make([]bool, row.members),
+		writer:  map[uint64]int{},
+		primary: map[uint64]int{},
 	}
 	x.c = &cluster{t: t, ckptBytes: row.ckptBytes}
 	x.sn = newSimNet(x.c)
@@ -446,8 +451,8 @@ func (x *explorer) acked(m int, epoch, confirmedBefore uint64, body []byte) {
 	x.acks = append(x.acks, ackedWrite{body: string(body), member: m, at: time.Since(x.start), epoch: epoch})
 }
 
-// check samples every member: the confirmed epoch I3 compares with,
-// and I2 on each confirmed primary.
+// check samples every member: I5 on each primary, the confirmed epoch
+// I3 compares with, and I2 on each confirmed primary.
 func (x *explorer) check() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -457,7 +462,15 @@ func (x *explorer) check() {
 			continue
 		}
 		ci := n.ClusterInfo()
-		if ci.Role != string(replication.RolePrimary) || !ci.Confirmed {
+		if ci.Role != string(replication.RolePrimary) {
+			continue
+		}
+		if p, ok := x.primary[ci.Epoch]; ok && p != i {
+			x.failLocked("I5: members m%d and m%d both held the primary role at epoch %d", p, i, ci.Epoch)
+			return
+		}
+		x.primary[ci.Epoch] = i
+		if !ci.Confirmed {
 			continue
 		}
 		x.confirmed = max(x.confirmed, ci.Epoch)

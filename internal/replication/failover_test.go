@@ -145,6 +145,17 @@ type cluster struct {
 // seed dataset, the rest bootstrap themselves via snapshot transfer.
 func newCluster(t *testing.T, n int, tuples []vec.Sparse) *cluster {
 	t.Helper()
+	c := newMembers(t, n)
+	fSaveDataset(t, c.members[0].dir, tuples)
+	for i := range c.members {
+		c.start(i, i == 0)
+	}
+	return c
+}
+
+// newMembers gives n members their addresses and empty directories,
+// starting none.
+func newMembers(t *testing.T, n int) *cluster {
 	c := &cluster{t: t, ckptBytes: -1}
 	for i := 0; i < n; i++ {
 		m := &clusterMember{idx: i, dir: t.TempDir()}
@@ -153,10 +164,6 @@ func newCluster(t *testing.T, n int, tuples []vec.Sparse) *cluster {
 		c.members = append(c.members, m)
 	}
 	t.Cleanup(c.close)
-	fSaveDataset(t, c.members[0].dir, tuples)
-	for i := range c.members {
-		c.start(i, i == 0)
-	}
 	return c
 }
 
@@ -182,7 +189,6 @@ func (c *cluster) start(i int, bootPrimary bool) {
 		NodeID:            fmt.Sprintf("node-%d", i),
 		AdvertiseHTTP:     m.url,
 		Peers:             peers,
-		ClusterSize:       len(c.members),
 		StartPrimary:      bootPrimary,
 		AckMode:           replication.AckQuorum,
 		AckTimeout:        2 * time.Second,
@@ -667,6 +673,40 @@ func TestDeposedPrimaryRefusesAndRejoins(t *testing.T) {
 	if ci.Role != string(replication.RoleFollower) || !ci.Connected {
 		t.Fatalf("member 0 did not rejoin as a connected follower: %+v", ci)
 	}
+	if err := c.oracleCheck(tuples, prim); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDualBootPrimaryConverges: two members booted with
+// -cluster-primary over copies of one dataset (same DATASET_ID) converge
+// on one confirmed primary with the other as its follower, and writes
+// flow. Each boot primary mints its own ballot before it accepts a
+// session, so the lower epoch is fenced by the higher; two boot
+// primaries left at the directory's epoch would both stand at it, the
+// second unconfirmed for good.
+func TestDualBootPrimaryConverges(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	tuples := fGenTuples(rng, 30)
+	c := newMembers(t, 3)
+	for _, m := range c.members[:2] {
+		fSaveDataset(t, m.dir, tuples)
+		if err := os.WriteFile(filepath.Join(m.dir, replication.DatasetIDName), []byte("dual-boot\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.start(0, true)
+	c.start(1, true)
+	c.start(2, false)
+	c.waitConverged()
+
+	cl := newChaosClient(t, c, "dual-boot-test", nil)
+	for i := 0; i < 3; i++ {
+		if err := cl.PostJSON(context.Background(), "/update", updateBody(rng), nil); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	prim := c.waitConverged()
 	if err := c.oracleCheck(tuples, prim); err != nil {
 		t.Fatal(err)
 	}
