@@ -90,7 +90,8 @@ loc:
 # 10-second native-fuzz budget per target: the WAL frame decoder, the
 # crash-recovery scanner, the query validation gate, the shard route's
 # imposed result, the tuple- and list-file openers with every read
-# their files then serve, and the shard manifest loader. The committed
+# their files then serve, the shard manifest loader, and the exact
+# geometric predicates against math/big.Rat. The committed
 # seed corpora under testdata/fuzz replay in every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRecord -fuzztime=10s ./internal/wal
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzOpenTupleFile -fuzztime=10s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzOpenListFile -fuzztime=10s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzLoadManifest -fuzztime=10s ./internal/shard
+	$(GO) test -run='^$$' -fuzz=FuzzCrossingOrder -fuzztime=10s ./internal/geom
 
 # Known-vulnerability report, never a gate: runs where the govulncheck
 # binary exists and prints a skip note where it does not (the build
@@ -218,8 +220,9 @@ test-shard:
 # Exact-oracle focus: TestMethodsMatchOracle at full scale — 100 000
 # general-position and 100 000 tie-heavy instances (grids, duplicates),
 # each held to internal/oracle's exact answer for every method, φ 0–2,
-# composition on and off. The two rows run in parallel; a plain `go test`
-# draws 150 instances per row. About 6 minutes on 2 CPUs.
+# composition on and off, bit for bit. No side is skipped: ties and
+# lines through one point have the canonical answer. The two rows run
+# in parallel; a plain `go test` draws 150 instances per row.
 test-oracle:
 	ORACLE_INSTANCES=100000 $(GO) test -count=1 -run 'TestMethodsMatchOracle' -v -timeout 30m ./internal/core/
 

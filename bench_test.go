@@ -166,7 +166,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw, n := geom.NewSweep(lines, 0, 1), 0
+		sw, n := geom.NewSweep(lines, geom.At(1)), 0
 		for ; n < 41; n++ {
 			if _, ok := sw.Next(); !ok {
 				break
@@ -188,7 +188,7 @@ func BenchmarkKthEnvelope(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := geom.KthEnvelope(lines, 10, 0, 1)
+		env := geom.KthEnvelope(lines, 10, geom.At(1))
 		if len(env.Lines) == 0 {
 			b.Fatal("empty envelope")
 		}

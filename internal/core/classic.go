@@ -1,69 +1,96 @@
 package core
 
-import "repro/internal/topk"
+import (
+	"repro/internal/geom"
+	"repro/internal/topk"
+)
 
-// lemma1 returns the critical deviation at which `below` catches up with
-// `above` when the weight of the inspected dimension changes (Lemma 1),
-// along with which bound it constrains: +1 the upper (Formula 2), -1 the
-// lower (Formula 3), 0 neither (parallel score lines).
-func lemma1(aboveScore, aboveCoord, belowScore, belowCoord float64) (float64, int) {
-	diff := belowCoord - aboveCoord
+// lemma1 returns where `below` catches up with `above` when the weight
+// of the inspected dimension changes (Lemma 1), exactly, along with which
+// bound it constrains: +1 the upper (Formula 2), -1 the lower (Formula
+// 3), 0 neither (parallel score lines). A lower-bound crossing is at the
+// mirrored deviation −δ, so on both sides it lies at x ≥ 0.
+func lemma1(aboveScore, aboveCoord, belowScore, belowCoord float64) (geom.X, int) {
 	switch {
-	case diff > 0:
-		return (aboveScore - belowScore) / diff, +1
-	case diff < 0:
-		return (aboveScore - belowScore) / diff, -1
+	case belowCoord > aboveCoord:
+		return geom.X{P: geom.Line{A: aboveScore, B: aboveCoord}, Q: geom.Line{A: belowScore, B: belowCoord}}, +1
+	case belowCoord < aboveCoord:
+		return geom.X{P: geom.Line{A: aboveScore, B: -aboveCoord}, Q: geom.Line{A: belowScore, B: -belowCoord}}, -1
 	default:
-		return 0, 0
+		return geom.X{}, 0
 	}
 }
 
-// boundState accumulates the φ=0 immutable region of one dimension. The
-// perturbations are held by value: Scan offers one per candidate, and a
-// pointer would send each of them to the heap.
+// bound is one side of the φ=0 region: the first crossing offered so
+// far in the canonical order — exact position (mirrored on the lower
+// side), then the id of the line moving up, then of the line moving
+// down — or, while none is, the domain edge, where a crossing is no
+// perturbation. The perturbation is held by value: Scan offers one per
+// candidate, and a pointer would send each of them to the heap.
+type bound struct {
+	at  geom.X
+	p   Perturbation
+	set bool
+}
+
+// offer makes the crossing of p.Below over p.Above at x the bound if it
+// comes first.
+func (b *bound) offer(x geom.X, p Perturbation) {
+	c := geom.Cmp(x, b.at)
+	if c < 0 || c == 0 && b.set && (p.Below < b.p.Below || p.Below == b.p.Below && p.Above < b.p.Above) {
+		b.at, b.p, b.set = x, p, true
+	}
+}
+
+// reaches reports whether a line below dk at 0 and nowhere above cap
+// could cross dk no later than the bound: cap is not below dk there (a
+// tie at a crossing bound goes to the ids, one at the domain edge is no
+// perturbation). Lines are mirrored on the lower side, as at.
+func (b *bound) reaches(cap, dk geom.Line) bool {
+	s := geom.Sign(cap, dk, b.at)
+	return s > 0 || s == 0 && b.set
+}
+
+// delta returns the bound as a deviation magnitude, rounded inward.
+func (b *bound) delta(edge float64) float64 {
+	if !b.set {
+		return edge
+	}
+	return b.at.Floor()
+}
+
+// boundState accumulates the φ=0 immutable region of one dimension.
 type boundState struct {
-	lo, hi            float64
-	leftP, rightP     Perturbation
-	hasLeft, hasRight bool
+	hi, lo bound
 }
 
-// applyUpper tightens the upper bound to crit if smaller, recording the
-// perturbation that materializes there.
-func (b *boundState) applyUpper(crit float64, p Perturbation) {
-	if crit < b.hi {
-		b.hi = crit
-		p.Delta = crit
-		b.rightP, b.hasRight = p, true
-	}
-}
-
-// applyLower tightens the lower bound to crit if larger.
-func (b *boundState) applyLower(crit float64, p Perturbation) {
-	if crit > b.lo {
-		b.lo = crit
-		p.Delta = crit
-		b.leftP, b.hasLeft = p, true
-	}
+// newBoundState starts both bounds at the domain edges 1 − qj and −qj.
+func newBoundState(qj float64) *boundState {
+	return &boundState{hi: bound{at: geom.At(1 - qj)}, lo: bound{at: geom.At(qj)}}
 }
 
 // apply dispatches a Lemma-1 outcome to the matching bound.
-func (b *boundState) apply(crit float64, kind int, p Perturbation) {
+func (b *boundState) apply(x geom.X, kind int, p Perturbation) {
 	switch kind {
 	case +1:
-		b.applyUpper(crit, p)
+		b.hi.offer(x, p)
 	case -1:
-		b.applyLower(crit, p)
+		b.lo.offer(x, p)
 	}
 }
 
 // regions materializes the boundState into the reported Regions.
-func (b *boundState) regions(dim, qpos int) Regions {
-	r := Regions{Dim: dim, QPos: qpos, Lo: b.lo, Hi: b.hi}
-	if b.hasRight {
-		r.Right = []Perturbation{b.rightP}
+func (b *boundState) regions(dim, qpos int, qj float64) Regions {
+	r := Regions{Dim: dim, QPos: qpos, Lo: -b.lo.delta(qj), Hi: b.hi.delta(1 - qj)}
+	if b.hi.set {
+		p := b.hi.p
+		p.Delta = r.Hi
+		r.Right = []Perturbation{p}
 	}
-	if b.hasLeft {
-		r.Left = []Perturbation{b.leftP}
+	if b.lo.set {
+		p := b.lo.p
+		p.Delta = r.Lo
+		r.Left = []Perturbation{p}
 	}
 	return r
 }
@@ -71,7 +98,7 @@ func (b *boundState) regions(dim, qpos int) Regions {
 // classicDim runs the three-phase φ=0 pipeline (§4, §5) on one dimension.
 func (c *dimComputer) classicDim(jx int) Regions {
 	qj := c.q.Weights[jx]
-	b := &boundState{lo: -qj, hi: 1 - qj}
+	b := newBoundState(qj)
 
 	t0 := stopwatch()
 	c.phase1(jx, b)
@@ -92,9 +119,16 @@ func (c *dimComputer) classicDim(jx int) Regions {
 
 	t2 := stopwatch()
 	c.phase3(jx, b)
+	if c.opts.Method == MethodPrune || c.opts.Method == MethodCPT {
+		dk := c.dk()
+		c.offerCH(jx, func(p int32) {
+			x, kind := lemma1(dk.Score, dk.Proj[jx], c.rows.Score(p), c.rows.Coord(p, jx))
+			b.apply(x, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
+		})
+	}
 	c.met.Phase3 += t2()
 
-	return b.regions(c.q.Dims[jx], jx)
+	return b.regions(c.q.Dims[jx], jx, qj)
 }
 
 // phase1 (Algorithm 1) derives the interim region from reorderings among
@@ -106,8 +140,8 @@ func (c *dimComputer) phase1(jx int, b *boundState) {
 	}
 	for a := 0; a+1 < len(c.res); a++ {
 		above, below := c.res[a], c.res[a+1]
-		crit, kind := lemma1(above.Score, above.Proj[jx], below.Score, below.Proj[jx])
-		b.apply(crit, kind, Perturbation{Above: above.ID, Below: below.ID})
+		x, kind := lemma1(above.Score, above.Proj[jx], below.Score, below.Proj[jx])
+		b.apply(x, kind, Perturbation{Above: above.ID, Below: below.ID})
 	}
 }
 
@@ -169,6 +203,25 @@ func (c *dimComputer) prunedSet(jx, phi int) []int32 {
 	return c.filterClasses(jx, phi+1, phi+1)
 }
 
+// offerCH hands every CH candidate of dimension jx to offer, unevaluated.
+// Lemma 3 prunes CH from the lower side because, under exact scores,
+// every CH line meets 0 at the domain edge δ = −qj, where the weight is
+// 0, and so cannot cross d_k inside it. A float64 score moves each line
+// by its own rounding, so one can cross d_k just inside the edge — when
+// d_k is CH too, or two coordinates nearly tie — and that is an event
+// of the exact arrangement. The pruned methods offer those lines after
+// Phase 3 without charging an evaluation: the line is the scan's score
+// and coordinate, and the score alone fixes a CH tuple's coordinate,
+// which is why Lemma 3 needs no fetch.
+func (c *dimComputer) offerCH(jx int, offer func(p int32)) {
+	bit := uint64(1) << uint(jx)
+	for _, p := range c.fullSet() {
+		if c.rows.Mask(p) == bit {
+			offer(p)
+		}
+	}
+}
+
 // phase2Evaluate checks every candidate in set against the k-th result
 // tuple (Scan's Phase 2; also Prune's, on the reduced set).
 func (c *dimComputer) phase2Evaluate(jx int, set []int32, b *boundState) {
@@ -179,8 +232,8 @@ func (c *dimComputer) phase2Evaluate(jx int, set []int32, b *boundState) {
 			return
 		}
 		c.evaluate(jx, p)
-		crit, kind := lemma1(dk.Score, dkj, c.rows.Score(p), c.rows.Coord(p, jx))
-		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
+		x, kind := lemma1(dk.Score, dkj, c.rows.Score(p), c.rows.Coord(p, jx))
+		b.apply(x, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
 	}
 }
 
@@ -299,22 +352,23 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 		processed.set(int(i))
 		c.evaluate(jx, set[i])
 		if apply {
-			crit, kind := lemma1(sk, dkj, rows.Score(set[i]), coords[i])
-			b.apply(crit, kind, Perturbation{Above: dk.ID, Below: c.id(set[i]), Entry: true})
+			x, kind := lemma1(sk, dkj, rows.Score(set[i]), coords[i])
+			b.apply(x, kind, Perturbation{Above: dk.ID, Below: c.id(set[i]), Entry: true})
 		}
 	}
 	// stepSide performs one side's termination test and, if still active,
 	// one pull from its coordinate list (Alg. 3 lines 9–14 for the lower
-	// bound on SLj↑, lines 15–20 for the upper on SLj↓). It returns the
-	// updated active flag.
+	// bound on SLj↑, lines 15–20 for the upper on SLj↓). An unseen
+	// candidate scores at most the top of SLS and lies no further from
+	// dkj than the head of the list: the cap line of those two crosses dk
+	// first. It returns the updated active flag.
 	iS := 0
-	stepSide := func(h *slj) bool {
+	stepSide := func(h *slj, bd *bound, sgn float64) bool {
 		ni, ok := h.peek(processed)
 		if !ok || !firstUnprocessed(processed, len(set), &iS) {
 			return false // this side of dk, or the whole set, is exhausted
 		}
-		crit := (sk - rows.Score(set[iS])) / (coords[ni] - dkj)
-		if (h.asc && crit <= b.lo) || (!h.asc && crit >= b.hi) {
+		if !bd.reaches(geom.Line{A: rows.Score(set[iS]), B: sgn * coords[ni]}, geom.Line{A: sk, B: sgn * dkj}) {
 			return false // no unseen candidate can tighten this bound
 		}
 		pull(ni, true)
@@ -341,10 +395,10 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 			pull(int32(iS), (cj < dkj && activeL) || (cj > dkj && activeU))
 		}
 		if activeL {
-			activeL = stepSide(&up)
+			activeL = stepSide(&up, &b.lo, -1)
 		}
 		if activeU {
-			activeU = stepSide(&down)
+			activeU = stepSide(&down, &b.hi, 1)
 		}
 	}
 }
@@ -352,31 +406,32 @@ func (c *dimComputer) phase2Threshold(jx int, set []int32, b *boundState) {
 // phase3 (Algorithm 2) resumes the TA scan to rule out — or account for —
 // tuples never encountered. The upper side is skipped when dk's posting
 // in list jx was consumed by sorted access (§4: all higher-coordinate
-// tuples were then already encountered).
+// tuples were then already encountered). An unseen tuple's line lies
+// below the cap line Σ qi·ti + δ·tj: its score is at most the
+// threshold score, its coordinate at most tj, and qj + δ ≥ 0. Below
+// δ = 0 that holds of exact scores; a float64 score is within n·u of
+// its exact one (n = qlen sums of rounded products, u = 2⁻⁵³), so the
+// lower cap is raised by (2n+4)·u of the threshold score.
 func (c *dimComputer) phase3(jx int, b *boundState) {
 	dk := c.dk()
 	dkj := dk.Proj[jx]
-	sk := dk.Score
-	qj := c.q.Weights[jx]
 	needUpper := !c.view.WasSortedAccessed(jx, dk.ID, dkj)
+	dkHi, dkLo := geom.Line{A: dk.Score, B: dkj}, geom.Line{A: dk.Score, B: -dkj}
 
-	sBar := sk + float64(b.hi*dkj)
-	sUnd := sk + float64(b.lo*dkj)
+	rounding := float64(2*len(c.q.Dims)+4) * 0x1p-53
 	t := c.sc.thr // reused across resume checks
 	for {
 		if c.stop() {
 			return
 		}
 		c.view.ThresholdsInto(t)
-		sumOther := 0.0
+		base := 0.0
 		for i, ti := range t {
-			if i != jx {
-				sumOther += float64(c.q.Weights[i] * ti)
-			}
+			base += float64(c.q.Weights[i] * ti)
 		}
 		tj := t[jx]
-		condL := sumOther+float64((qj+b.lo)*tj) > sUnd
-		condU := needUpper && sumOther+float64((qj+b.hi)*tj) > sBar
+		condL := b.lo.reaches(geom.Line{A: base + float64(base*rounding), B: -tj}, dkLo)
+		condU := needUpper && b.hi.reaches(geom.Line{A: base, B: tj}, dkHi)
 		if !condL && !condU {
 			return
 		}
@@ -386,9 +441,7 @@ func (c *dimComputer) phase3(jx int, b *boundState) {
 		}
 		c.met.Phase3Pulled++
 		c.noteEvaluated(jx)
-		crit, kind := lemma1(sk, dkj, c.rows.Score(p), c.rows.Coord(p, jx))
-		b.apply(crit, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
-		sBar = sk + float64(b.hi*dkj)
-		sUnd = sk + float64(b.lo*dkj)
+		x, kind := lemma1(dk.Score, dkj, c.rows.Score(p), c.rows.Coord(p, jx))
+		b.apply(x, kind, Perturbation{Above: dk.ID, Below: c.id(p), Entry: true})
 	}
 }

@@ -224,3 +224,33 @@ func TestDegenerateEqualCoordinates(t *testing.T) {
 		t.Errorf("parallel tuples: region (%v,%v), want full domain", r0.Lo, r0.Hi)
 	}
 }
+
+// TestTiedResultSwapsAtZero: two tuples that tie at q rank by id, and
+// the second, steeper on dimension 0, overtakes the first at Δ = 0 — on
+// every path. Tuples (0.25, 0.75), (0.75, 0.25) and (0.1, 0.1) at
+// q = (0.5, 0.5), k = 2: every method at φ = 0, 1 and 2 reports the
+// first upward perturbation of dimension 0 as 1 over 0 at Δ 0, and
+// nothing downward.
+func TestTiedResultSwapsAtZero(t *testing.T) {
+	tuples := []vec.Sparse{
+		vec.FromDense([]float64{0.25, 0.75}),
+		vec.FromDense([]float64{0.75, 0.25}),
+		vec.FromDense([]float64{0.1, 0.1}),
+	}
+	q := vec.MustQuery([]int{0, 1}, []float64{0.5, 0.5})
+	want := core.Perturbation{Delta: 0, Above: 0, Below: 1}
+	for phi := 0; phi <= 2; phi++ {
+		for _, method := range core.Methods {
+			ta := topk.New(lists.NewMemIndex(tuples, 2), q, 2, topk.BestList)
+			out, err := core.Compute(context.Background(), ta, core.Options{Method: method, Phi: phi})
+			ta.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := out.Regions[0]
+			if r.Hi != 0 || r.Lo != -0.5 || len(r.Right) == 0 || r.Right[0] != want || len(r.Left) != 0 {
+				t.Errorf("φ=%d %v: region [%v, %v], right %+v, left %+v; want [-0.5, 0] and %+v first", phi, method, r.Lo, r.Hi, r.Right, r.Left, want)
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -14,15 +13,26 @@ import (
 // boundary is the k-th–highest envelope of the accepted lines, and the
 // perturbation events are the line crossings that touch the top-k. The
 // horizon is the (φ+1)-th event — deviations past it are irrelevant.
+// Positions are exact (geom.X); an event's Delta is set, rounded inward,
+// only when the regions are assembled.
 type boundary struct {
 	k, phi    int
 	compOnly  bool
 	domainEnd float64
 	lines     []geom.Line
-	events    []Perturbation // ascending x (pre-mirror deltas)
-	horizon   float64
+	events    []event // canonical order (pre-mirror positions)
+	horizon   geom.X
 	env       geom.PiecewiseLinear
-	decided   float64 // the shortest horizon this pass decided under (settle)
+	// decided is the shortest horizon this pass decided under (settle),
+	// if undecided is false.
+	decided   geom.X
+	undecided bool
+}
+
+// event is a perturbation at an exact position.
+type event struct {
+	at geom.X
+	p  Perturbation
 }
 
 // resultLines are the k result lines of dimension jx on one side.
@@ -43,7 +53,7 @@ func resultLines(res []topk.Scored, jx int, mirror bool) []geom.Line {
 // newBoundary seeds a boundary with the k result lines.
 func newBoundary(res []topk.Scored, jx, phi int, domainEnd float64, mirror, compOnly bool) *boundary {
 	b := &boundary{k: len(res), phi: phi, compOnly: compOnly, domainEnd: domainEnd,
-		lines: resultLines(res, jx, mirror)}
+		lines: resultLines(res, jx, mirror), undecided: true}
 	b.rebuild()
 	return b
 }
@@ -52,9 +62,9 @@ func newBoundary(res []topk.Scored, jx, phi int, domainEnd float64, mirror, comp
 // a membership change. Crossings strictly below the top-k are ignored;
 // a crossing at ranks (k-1, k) is an entry (composition change).
 func (b *boundary) rebuild() {
-	sw := geom.NewSweep(b.lines, 0, b.domainEnd)
+	b.horizon = geom.At(b.domainEnd)
+	sw := geom.NewSweep(b.lines, b.horizon)
 	b.events = b.events[:0]
-	b.horizon = b.domainEnd
 	for {
 		cr, ok := sw.Next()
 		if !ok {
@@ -67,30 +77,31 @@ func (b *boundary) rebuild() {
 		if b.compOnly && !entry {
 			continue
 		}
-		b.events = append(b.events, Perturbation{
-			Delta: cr.X,
+		b.events = append(b.events, event{cr.X, Perturbation{
 			Above: b.lines[cr.I].ID,
 			Below: b.lines[cr.J].ID,
 			Entry: entry,
-		})
+		}})
 		if len(b.events) == b.phi+1 {
 			b.horizon = cr.X
 			break
 		}
 	}
-	b.env = geom.KthEnvelope(b.lines, b.k, 0, b.horizon)
+	b.env = geom.KthEnvelope(b.lines, b.k, b.horizon)
 }
 
-// consider tests whether a candidate line can climb above the boundary
-// within the horizon; if so it joins the tracked set (coord pre-mirrored
-// by the caller) unless it is there already. The k-th envelope only
-// rises as lines are added, but for φ > 0 the horizon may not fall (an
-// early entry can push later events out of the top k), so a rejection
-// holds only within the horizon it was decided under: decide records it.
+// consider tests whether a candidate line reaches the boundary — comes
+// level with the k-th envelope — anywhere up to the horizon; if so it
+// joins the tracked set (coord pre-mirrored by the caller) unless it is
+// there already. A line that only touches the envelope can still move
+// an event: its id may come first among lines through one point. The
+// k-th envelope only rises as lines are added, but for φ > 0 the
+// horizon may not fall (an early entry can push later events out of the
+// top k), so a rejection holds only within the horizon it was decided
+// under: decide records it.
 func (b *boundary) consider(id int, score, coord float64) bool {
 	ln := geom.Line{A: score, B: coord, ID: id}
-	x, ok := b.env.FirstCrossingAbove(ln)
-	if !ok || x >= b.horizon {
+	if b.env.AboveLine(ln) {
 		b.decide()
 		return false
 	}
@@ -105,26 +116,35 @@ func (b *boundary) consider(id int, score, coord float64) bool {
 // decide notes a rejection, or a stop, decided under the current
 // horizon, and returns true so that it can close the stop's condition.
 func (b *boundary) decide() bool {
-	b.decided = min(b.decided, b.horizon)
+	if b.undecided || geom.Cmp(b.horizon, b.decided) < 0 {
+		b.decided, b.undecided = b.horizon, false
+	}
 	return true
 }
+
+// outgrown reports whether the horizon lies past one a rejection or
+// stop of this pass was decided under.
+func (b *boundary) outgrown() bool { return !b.undecided && geom.Cmp(b.horizon, b.decided) > 0 }
 
 // settle repeats pass — offers to both boundaries — until no horizon has
 // outgrown one its rejections or stops were decided under. Tracked lines
 // are not added twice, nor are evaluations charged twice (the memo).
 func settle(right, left *boundary, pass func()) {
-	for stale := true; stale; stale = right.horizon > right.decided || left.horizon > left.decided {
-		right.decided, left.decided = math.Inf(1), math.Inf(1)
+	for stale := true; stale; stale = right.outgrown() || left.outgrown() {
+		right.undecided, left.undecided = true, true
 		pass()
 	}
 }
 
-// innerBound returns the first perturbation position, or the domain end.
-func (b *boundary) innerBound() float64 {
-	if len(b.events) > 0 {
-		return b.events[0].Delta
+// perturbations returns the events with their deltas, rounded inward:
+// sign·x rounded toward 0.
+func (b *boundary) perturbations(sign float64) []Perturbation {
+	var out []Perturbation
+	for _, e := range b.events {
+		e.p.Delta = sign * e.at.Floor()
+		out = append(out, e.p)
 	}
-	return b.domainEnd
+	return out
 }
 
 // envelopeDim computes up to phi+1 immutable regions per side of
@@ -146,9 +166,13 @@ func (c *dimComputer) envelopeDim(jx, phi int) Regions {
 		c.met.Phase2 += t1()
 
 		// Phase 3: resume TA until the unseen-tuple cap line clears both
-		// envelopes.
+		// envelopes; then the CH lines Lemma 3 pruned from the lower side
+		// (offerCH).
 		t2 := stopwatch()
 		c.envelopePhase3(jx, right, left)
+		if c.opts.Method == MethodPrune || c.opts.Method == MethodCPT {
+			c.offerCH(jx, func(p int32) { left.consider(c.id(p), c.rows.Score(p), -c.rows.Coord(p, jx)) })
+		}
 		c.met.Phase3 += t2()
 	})
 
@@ -158,11 +182,12 @@ func (c *dimComputer) envelopeDim(jx, phi int) Regions {
 // assembleRegions converts the two boundaries into the reported Regions
 // (left-side deltas un-mirrored to negative values).
 func assembleRegions(dim, jx int, qj float64, right, left *boundary) Regions {
-	reg := Regions{Dim: dim, QPos: jx, Hi: right.innerBound(), Lo: -left.innerBound()}
-	reg.Right = append(reg.Right, right.events...)
-	for _, p := range left.events {
-		p.Delta = -p.Delta
-		reg.Left = append(reg.Left, p)
+	reg := Regions{Dim: dim, QPos: jx, Hi: 1 - qj, Lo: -qj, Right: right.perturbations(1), Left: left.perturbations(-1)}
+	if len(reg.Right) > 0 {
+		reg.Hi = reg.Right[0].Delta
+	}
+	if len(reg.Left) > 0 {
+		reg.Lo = reg.Left[0].Delta
 	}
 	return reg
 }

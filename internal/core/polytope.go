@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 
+	"repro/internal/geom"
 	"repro/internal/topk"
 )
 
@@ -31,16 +33,6 @@ func SafeConcurrent(regions []Regions, devs []float64) (bool, error) {
 	return PolytopeOf(make([]float64, len(regions)), regions).Contains(devs), nil
 }
 
-// ReachTol is the one region tolerance: how far below the result's
-// lowest line a line may stay and still count as reaching it. A line
-// that defines a region bound meets that line exactly at a polytope
-// vertex, but re-evaluated from the stored bound and scores the gap
-// rounds to ulp-scale noise of either sign (TestReachTolDerived measures
-// it); the tolerance keeps such lines on the reaching side. It is orders
-// of magnitude above that rounding (scores are O(qlen)) and far below
-// any gap in untied data.
-const ReachTol = 1e-9
-
 // Polytope is the cross-polytope of footnote 1 around an anchor weight
 // vector W: per query position j the semi-axes Lo[j] ≤ 0 ≤ Hi[j], and
 // the 2·qlen vertices W + Lo[j]·e_j and W + Hi[j]·e_j. It is the one
@@ -58,6 +50,25 @@ func PolytopeOf(w []float64, regions []Regions) Polytope {
 		p.Lo[i], p.Hi[i] = reg.Lo, reg.Hi
 	}
 	return p
+}
+
+// Closure is p with every bound a perturbation of regions defines moved
+// one float64 outward. Such a bound is the exact crossing rounded inward,
+// so the closure contains the exact region, its boundary included: the
+// line that defines a bound, and any line tied with it there, reaches
+// the closure. regions must be the ones p was made of.
+func (p Polytope) Closure(regions []Regions) Polytope {
+	c := axes(p.W, len(regions))
+	for j, reg := range regions {
+		c.Lo[j], c.Hi[j] = p.Lo[j], p.Hi[j]
+		if len(reg.Left) > 0 {
+			c.Lo[j] = math.Nextafter(c.Lo[j], math.Inf(-1))
+		}
+		if len(reg.Right) > 0 {
+			c.Hi[j] = math.Nextafter(c.Hi[j], math.Inf(1))
+		}
+	}
+	return c
 }
 
 // Domain is the whole weight domain [0, 1]^qlen as a polytope around w
@@ -107,34 +118,59 @@ func (p Polytope) Contains(w []float64) bool {
 }
 
 // Reaches reports whether the line of a tuple with projection proj and
-// anchor score score (its score at W) comes within ReachTol of the
-// lowest line of res anywhere in the polytope. That lowest line is E_R,
-// the k-th envelope of the k result lines, and as their minimum it is
-// concave, so the gap ℓ − E_R is convex and peaks at the anchor or at
-// an axis vertex. Per result line r, with c = proj − r.Proj, that peak
-// is
+// anchor score score (its score at W) reaches the lowest line of res —
+// comes level with it or above — anywhere in the polytope, exactly. That
+// lowest line is E_R, the k-th envelope of the k result lines, and as
+// their minimum it is concave, so the gap ℓ − E_R is convex and peaks at
+// the anchor or at an axis vertex. Per result line r, with
+// c = proj − r.Proj, that peak is
 //
 //	score − r.Score + max(0, max_j max(Hi_j·c_j, Lo_j·c_j)),
 //
-// O(k·qlen) and no sweep. The last result line, usually the tightest,
-// is tried first. proj must be parallel to W.
+// O(k·qlen) and no sweep. It is evaluated in float64 against its forward
+// error bound — each difference and product rounds once, then the sum:
+// under 3u of |score − r.Score| + max, u = 2⁻⁵³; the bound takes 4u, as
+// geom's predicates do — and only inside the bound is the gap at each
+// vertex decided exactly (geom.Sign). The bounds round inward, so a line
+// that meets E_R only at an exact region bound outside them does not
+// reach. The last result line, usually the tightest, is tried first.
+// proj must be parallel to W.
 func (p Polytope) Reaches(res []topk.Scored, score float64, proj []float64) bool {
 	if len(proj) != len(p.W) {
 		panic("core: Polytope.Reaches projection length mismatch")
 	}
 	for i := len(res) - 1; i >= 0; i-- {
-		rp := res[i].Proj
-		extra := 0.0
+		r := res[i]
+		d, extra := score-r.Score, 0.0
 		for j, pj := range proj {
-			c := pj - rp[j]
-			if v := p.Hi[j] * c; v > extra {
-				extra = v
-			}
-			if v := p.Lo[j] * c; v > extra {
-				extra = v
+			if c := pj - r.Proj[j]; c > 0 {
+				extra = max(extra, float64(p.Hi[j]*c))
+			} else {
+				extra = max(extra, float64(p.Lo[j]*c))
 			}
 		}
-		if score-res[i].Score+extra > -ReachTol {
+		switch gap, bound := d+extra, float64((math.Abs(d)+extra)*0x1p-51)+0x1p-1070; {
+		case gap > bound:
+			return true
+		case !(gap < -bound) && p.reachesAtVertex(r, score, proj):
+			return true
+		}
+	}
+	return false
+}
+
+// reachesAtVertex decides Reaches for one result line exactly: the gap's
+// sign at the anchor and at the one vertex per dimension on c_j's side.
+func (p Polytope) reachesAtVertex(r topk.Scored, score float64, proj []float64) bool {
+	if score >= r.Score {
+		return true
+	}
+	for j, pj := range proj {
+		x := p.Hi[j]
+		if pj < r.Proj[j] {
+			x = p.Lo[j]
+		}
+		if geom.Sign(geom.Line{A: score, B: pj}, geom.Line{A: r.Score, B: r.Proj[j]}, geom.At(x)) >= 0 {
 			return true
 		}
 	}

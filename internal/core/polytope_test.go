@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -181,58 +182,63 @@ func TestPolytopeContains(t *testing.T) {
 	p.Reaches([]topk.Scored{{Proj: []float64{1, 2, 3}}}, 0, []float64{1, 2})
 }
 
-// TestReachTolDerived derives core.ReachTol. On general-position
-// instances, the two lines of every side's first perturbation meet
-// exactly at the polytope vertex that perturbation bounds; evaluated
-// there the way Reaches evaluates a line (anchor-score difference plus
-// semi-axis times coordinate difference), their gap is pure rounding.
-// That residue must be ulp-scale, ReachTol must clear its maximum by
-// three orders of magnitude, and every entering line that defines a
-// bound must reach its own analysis' polytope.
-func TestReachTolDerived(t *testing.T) {
+// TestBoundsRoundInward: every reported deviation is the exact crossing
+// of its perturbation's two lines rounded toward the query — the largest
+// float64 not above it on the right, the smallest not below it on the
+// left — so every served region lies inside the exact one, and a
+// certificate tested against it (Polytope.Reaches) needs no slack. The
+// crossings are recomputed here in math/big from the scores the engine
+// ranks by.
+func TestBoundsRoundInward(t *testing.T) {
 	rng := rand.New(rand.NewSource(506))
-	maxRes, vertices := 0.0, 0
+	rat := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+	var held, inexact int
 	for trial := 0; trial < 200; trial++ {
 		cs := fixture.RandCase(rng, 40+rng.Intn(120), 6, 2+rng.Intn(3), 1+rng.Intn(5))
-		ta := topk.New(lists.NewMemIndex(cs.Tuples, cs.M), cs.Q, cs.K, topk.BestList)
-		out, err := core.Compute(context.Background(), ta, core.Options{Method: core.MethodCPT})
-		ta.Release()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out.Result) < cs.K {
-			continue
+		if trial%2 == 1 {
+			tuples, m, q, k, _ := core.RandShardedCase(rng, 60)
+			cs = fixture.Case{Tuples: tuples, M: m, Q: q, K: k}
 		}
 		line := map[int]topk.Scored{}
 		for _, sc := range topk.TopKNaive(cs.Tuples, cs.Q, len(cs.Tuples)) {
 			line[sc.ID] = sc
 		}
-		poly := core.PolytopeOf(cs.Q.Weights, out.Regions)
-		for jx, reg := range out.Regions {
-			for _, side := range []struct {
-				x     float64
-				perts []core.Perturbation
-			}{{reg.Hi, reg.Right}, {reg.Lo, reg.Left}} {
-				if len(side.perts) == 0 {
-					continue // a domain-edge bound: no line defines it
-				}
-				a, b := line[side.perts[0].Above], line[side.perts[0].Below]
-				res := math.Abs(b.Score - a.Score + side.x*(b.Proj[jx]-a.Proj[jx]))
-				maxRes = max(maxRes, res)
-				vertices++
-				if res > 1e-14 {
-					t.Errorf("trial %d dim %d: lines %d and %d miss at their vertex %v by %.3g", trial, reg.Dim, a.ID, b.ID, side.x, res)
-				}
-				if side.perts[0].Entry && !poly.Reaches(out.Result, b.Score, b.Proj) {
-					t.Errorf("trial %d dim %d: line %d defines bound %v but does not reach the polytope", trial, reg.Dim, b.ID, side.x)
+		for _, phi := range []int{0, 2} {
+			ta := topk.New(lists.NewMemIndex(cs.Tuples, cs.M), cs.Q, cs.K, topk.BestList)
+			out, err := core.Compute(context.Background(), ta, core.Options{Method: core.MethodCPT, Phi: phi})
+			ta.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for jx, reg := range out.Regions {
+				for _, side := range []struct {
+					perts []core.Perturbation
+					away  float64 // the direction away from the query
+				}{{reg.Right, math.Inf(1)}, {reg.Left, math.Inf(-1)}} {
+					for _, p := range side.perts {
+						a, b := line[p.Above], line[p.Below]
+						x := new(big.Rat).Sub(rat(a.Score), rat(b.Score))
+						x.Quo(x, new(big.Rat).Sub(rat(b.Proj[jx]), rat(a.Proj[jx])))
+						in, past := rat(p.Delta).Cmp(x), rat(math.Nextafter(p.Delta, side.away)).Cmp(x)
+						if side.away < 0 {
+							in, past = -in, -past
+						}
+						if in > 0 || past <= 0 {
+							t.Errorf("trial %d φ=%d dim %d: %+v, exact crossing %s: not rounded inward", trial, phi, reg.Dim, p, x.FloatString(20))
+						}
+						held++
+						if in < 0 {
+							inexact++
+						}
+					}
 				}
 			}
 		}
 	}
-	if vertices == 0 || core.ReachTol < 1e3*maxRes {
-		t.Fatalf("ReachTol %g is not 10³ above the largest vertex residue %.3g (%d vertices)", core.ReachTol, maxRes, vertices)
+	if inexact == 0 {
+		t.Fatalf("none of %d deviations needed rounding", held)
 	}
-	t.Logf("largest vertex residue %.3g over %d bound-defining vertices", maxRes, vertices)
+	t.Logf("%d deviations held, %d of them rounded", held, inexact)
 }
 
 // TestValidityPolygonVsSTB: the STB ball B(q, ρ), clipped to the weight

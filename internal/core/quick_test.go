@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/fixture"
+	"repro/internal/geom"
 	"repro/internal/lists"
 	"repro/internal/topk"
 )
@@ -24,9 +25,8 @@ func TestQuickLemma1(t *testing.T) {
 		aboveScore := belowScore + rng.Float64() // above wins at δ=0
 
 		scoreAt := func(s, c, d float64) float64 { return s + d*c }
-		crit, kind := lemma1(aboveScore, aboveCoord, belowScore, belowCoord)
-		switch kind {
-		case 0:
+		x, kind := lemma1(aboveScore, aboveCoord, belowScore, belowCoord)
+		if kind == 0 {
 			// Parallel: the gap never closes for any deviation.
 			for _, d := range []float64{-1, -0.5, 0.5, 1} {
 				if scoreAt(belowScore, belowCoord, d) > scoreAt(aboveScore, aboveCoord, d) {
@@ -34,24 +34,15 @@ func TestQuickLemma1(t *testing.T) {
 				}
 			}
 			return true
-		case +1:
-			if crit < 0 {
-				return false // above leads at δ=0, so the catch-up is at δ≥0
-			}
-			inside := crit * 0.99
-			beyond := crit*1.01 + 1e-12
-			return scoreAt(belowScore, belowCoord, inside) <= scoreAt(aboveScore, aboveCoord, inside) &&
-				scoreAt(belowScore, belowCoord, beyond) >= scoreAt(aboveScore, aboveCoord, beyond)
-		case -1:
-			if crit > 0 {
-				return false
-			}
-			inside := crit * 0.99
-			beyond := crit*1.01 - 1e-12
-			return scoreAt(belowScore, belowCoord, inside) <= scoreAt(aboveScore, aboveCoord, inside) &&
-				scoreAt(belowScore, belowCoord, beyond) >= scoreAt(aboveScore, aboveCoord, beyond)
 		}
-		return false
+		if x.Floor() < 0 {
+			return false // above leads at δ=0, so the catch-up is on the side kind names
+		}
+		crit := float64(kind) * x.Floor()
+		inside := crit * 0.99
+		beyond := crit*1.01 + float64(kind)*1e-12
+		return scoreAt(belowScore, belowCoord, inside) <= scoreAt(aboveScore, aboveCoord, inside) &&
+			scoreAt(belowScore, belowCoord, beyond) >= scoreAt(aboveScore, aboveCoord, beyond)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -63,26 +54,24 @@ func TestQuickLemma1(t *testing.T) {
 func TestQuickBoundStateMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	f := func() bool {
-		b := &boundState{lo: -1, hi: 1}
+		b := newBoundState(0.5)
 		for i := 0; i < 50; i++ {
-			crit := rng.Float64()*2 - 1
-			kind := +1
-			if crit < 0 {
-				kind = -1
-			}
-			prevLo, prevHi := b.lo, b.hi
-			b.apply(crit, kind, Perturbation{Above: i, Below: i + 1})
-			if b.lo < prevLo || b.hi > prevHi {
+			below := rng.Float64()
+			x, kind := lemma1(below+rng.Float64(), rng.Float64(), below, rng.Float64())
+			prevLo, prevHi := b.lo.at, b.hi.at
+			b.apply(x, kind, Perturbation{Above: i, Below: i + 1})
+			if geom.Cmp(b.lo.at, prevLo) > 0 || geom.Cmp(b.hi.at, prevHi) > 0 {
 				return false // widened
 			}
-			if b.lo > b.hi {
-				return false // crossed over: impossible with crit sign split
-			}
 		}
-		if b.hasRight && b.rightP.Delta != b.hi {
+		r := b.regions(0, 0, 0.5)
+		if r.Lo > 0 || r.Hi < 0 || r.Lo < -0.5 || r.Hi > 0.5 {
 			return false
 		}
-		if b.hasLeft && b.leftP.Delta != b.lo {
+		if len(r.Right) > 0 && r.Right[0].Delta != r.Hi {
+			return false
+		}
+		if len(r.Left) > 0 && r.Left[0].Delta != r.Lo {
 			return false
 		}
 		return true

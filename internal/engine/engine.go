@@ -51,8 +51,8 @@
 // its cross-polytope provably has the cached ranked result. Apply
 // keeps an entry serving only if, for every changed tuple, the maximum
 // of the linear score gap against every cached result line over the
-// whole polytope is safely negative (closed form over the cached
-// projections, O(k·qlen), zero index I/O — see mutate.go). The same
+// polytope's closure is negative, decided exactly (closed form over the
+// cached projections, O(k·qlen), zero index I/O — see mutate.go). The same
 // certificate is what makes replication standbys trustworthy: a
 // standby replays Apply batches through the identical path, so its
 // cache is invalidated exactly as the primary's was.

@@ -18,6 +18,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/wal"
 )
@@ -75,9 +76,12 @@ func (e *Engine) EpochTimeline() []wal.EpochStart {
 // LastSeq()+1 on belong to the new epoch. The timeline entry and the
 // epoch are persisted in the MANIFEST before the call returns, so a
 // crash immediately after promotion still comes back knowing it is the
-// epoch-newEpoch primary. newEpoch must exceed both the current epoch
-// and any observed foreign epoch (a promotion that does not outbid a
-// known-live epoch would mint a second primary).
+// epoch-newEpoch primary; a failed save leaves both as they were.
+// newEpoch must exceed both the current epoch and any observed foreign
+// epoch (a promotion that does not outbid a known-live epoch would mint
+// a second primary). An epoch that owns no frame — the last entry starts
+// where the new one does, as on every reboot of a primary with no write
+// in between — is replaced rather than kept: EpochAt answers the same.
 func (e *Engine) AdvanceEpoch(newEpoch uint64) error {
 	if e.dur == nil {
 		return fmt.Errorf("engine: epoch advance requires a durable engine")
@@ -90,14 +94,12 @@ func (e *Engine) AdvanceEpoch(newEpoch uint64) error {
 	if fb := e.fencedBy.Load(); newEpoch <= fb {
 		return fmt.Errorf("engine: epoch %d does not outbid observed epoch %d", newEpoch, fb)
 	}
-	e.epochsMu.Lock()
-	e.epochs = append(e.epochs, wal.EpochStart{Epoch: newEpoch, StartSeq: e.dur.log.LastSeq() + 1})
-	e.epochsMu.Unlock()
-	if err := e.persistEpochLocked(newEpoch); err != nil {
-		return err
+	start := wal.EpochStart{Epoch: newEpoch, StartSeq: e.dur.log.LastSeq() + 1}
+	timeline := e.EpochTimeline()
+	if n := len(timeline); n > 0 && timeline[n-1].StartSeq == start.StartSeq {
+		timeline = timeline[:n-1]
 	}
-	e.epoch.Store(newEpoch)
-	return nil
+	return e.setEpochLocked(newEpoch, append(timeline, start))
 }
 
 // AdoptEpoch replaces this node's epoch and timeline with a primary's
@@ -112,42 +114,18 @@ func (e *Engine) AdoptEpoch(epoch uint64, timeline []wal.EpochStart) error {
 	defer e.mu.Unlock()
 	if cur := e.epoch.Load(); epoch < cur {
 		return fmt.Errorf("engine: refusing to adopt stale epoch %d (local epoch %d)", epoch, cur)
-	} else if epoch == cur && timelineEqual(e.epochTimelineLocked(), timeline) {
+	} else if epoch == cur && slices.Equal(e.EpochTimeline(), timeline) {
 		return nil // already current: skip the manifest rewrite
 	}
-	e.epochsMu.Lock()
-	e.epochs = append([]wal.EpochStart(nil), timeline...)
-	e.epochsMu.Unlock()
-	if err := e.persistEpochLocked(epoch); err != nil {
-		return err
-	}
-	e.epoch.Store(epoch)
-	return nil
+	return e.setEpochLocked(epoch, slices.Clone(timeline))
 }
 
-func (e *Engine) epochTimelineLocked() []wal.EpochStart {
-	e.epochsMu.Lock()
-	defer e.epochsMu.Unlock()
-	return e.epochs
-}
-
-func timelineEqual(a, b []wal.EpochStart) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// persistEpochLocked rewrites the MANIFEST carrying the given epoch and
-// the current timeline, preserving the generation naming. Callers hold
-// the engine's write lock, which serializes this against the checkpoint
-// publish phase (the only other manifest writer under the dir lock).
-func (e *Engine) persistEpochLocked(epoch uint64) error {
+// setEpochLocked persists epoch and timeline in the MANIFEST, preserving
+// the generation naming, and only then makes them the node's: a failed
+// save changes nothing. Callers hold the engine's write lock, which
+// serializes this against the checkpoint publish phase (the only other
+// manifest writer under the dir lock).
+func (e *Engine) setEpochLocked(epoch uint64, timeline []wal.EpochStart) error {
 	man, ok, err := wal.LoadManifest(e.dur.dir)
 	if err != nil {
 		return fmt.Errorf("engine: epoch persist: %w", err)
@@ -156,12 +134,13 @@ func (e *Engine) persistEpochLocked(epoch uint64) error {
 		man = wal.DefaultManifest()
 		man.LastSeq = 0
 	}
-	man.Epoch = epoch
-	e.epochsMu.Lock()
-	man.Epochs = append([]wal.EpochStart(nil), e.epochs...)
-	e.epochsMu.Unlock()
+	man.Epoch, man.Epochs = epoch, timeline
 	if err := man.Save(e.dur.dir); err != nil {
 		return fmt.Errorf("engine: epoch persist: %w", err)
 	}
+	e.epochsMu.Lock()
+	e.epochs = timeline
+	e.epochsMu.Unlock()
+	e.epoch.Store(epoch)
 	return nil
 }

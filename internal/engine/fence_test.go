@@ -3,7 +3,9 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/lists"
@@ -135,5 +137,61 @@ func TestAdoptEpoch(t *testing.T) {
 	// reconnect handshake does it.
 	if err := eng.AdoptEpoch(4, timeline); err != nil {
 		t.Fatalf("idempotent adopt failed: %v", err)
+	}
+}
+
+// TestEpochSaveFailureChangesNothing: a MANIFEST that cannot be saved (a
+// directory squats on its temporary name) fails AdvanceEpoch and
+// AdoptEpoch and leaves the epoch and the timeline as they were — so no
+// later manifest writes an epoch the node never took.
+func TestEpochSaveFailureChangesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	eng, dir := fenceTestEngine(t)
+	defer eng.Close()
+	if err := eng.AdvanceEpoch(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Apply(fenceTestOp(rng)); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.EpochTimeline()
+	if err := os.Mkdir(filepath.Join(dir, wal.ManifestName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceEpoch(3); err == nil {
+		t.Fatal("AdvanceEpoch succeeded without a MANIFEST")
+	}
+	if err := eng.AdoptEpoch(5, []wal.EpochStart{{Epoch: 5, StartSeq: 1}}); err == nil {
+		t.Fatal("AdoptEpoch succeeded without a MANIFEST")
+	}
+	if got := eng.EpochTimeline(); eng.Epoch() != 2 || !slices.Equal(got, before) {
+		t.Fatalf("after failed saves: epoch %d, timeline %v; want 2, %v", eng.Epoch(), got, before)
+	}
+}
+
+// TestAdvanceEpochReplacesAnEmptyEpoch: an epoch that owns no frame is
+// replaced by the next one, which starts at the same sequence; one that
+// owns frames stays.
+func TestAdvanceEpochReplacesAnEmptyEpoch(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	eng, _ := fenceTestEngine(t)
+	defer eng.Close()
+	for epoch := uint64(1); epoch <= 3; epoch++ {
+		if err := eng.AdvanceEpoch(epoch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := eng.LastSeq() + 1
+	if got := eng.EpochTimeline(); !slices.Equal(got, []wal.EpochStart{{Epoch: 3, StartSeq: start}}) {
+		t.Fatalf("three advances with no write: %v", got)
+	}
+	if _, err := eng.Apply(fenceTestOp(rng)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AdvanceEpoch(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.EpochTimeline(); !slices.Equal(got, []wal.EpochStart{{Epoch: 3, StartSeq: start}, {Epoch: 4, StartSeq: start + 1}}) {
+		t.Fatalf("an advance after a write: %v", got)
 	}
 }

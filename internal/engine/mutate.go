@@ -8,24 +8,25 @@
 // cross-polytope P (the entry's core.Polytope: anchor w, semi-axes per
 // dimension j of [Lo_j, Hi_j]) has the cached ranked result R. Within P
 // no perturbation occurs, so the k-th line is the cached d_k everywhere
-// in P and every result line stays above it. A changed tuple t with
-// subspace projection p can break the certificate only if its score
-// line can reach some cached result line inside P, which is
-// P.Reaches(R, w·p, p): the gap is convex in w', so its maximum over P
-// is attained at the anchor or an axis vertex and has the closed form
+// in P and every result line stays above it. The served bounds are the
+// exact crossings rounded inward; their closure C (P.Closure: each
+// perturbation-defined bound one float64 outward) contains the exact
+// region, boundary included. A changed tuple t with subspace projection
+// p can alter the ranked result, the region bounds, or the boundary
+// perturbation only if its score line reaches some cached result line
+// inside C, which is C.Reaches(R, w·p, p): the gap is convex in w', so
+// its maximum over C is attained at the anchor or an axis vertex,
 //
 //	w·p − r.Score + max_j max(Hi_j·c_j, Lo_j·c_j),   c = p − r.Proj
 //
 // with the stored score r.Score as the result line's intercept —
-// O(k·qlen) arithmetic over the cached projections, no index I/O. If
-// the maximum stays below −core.ReachTol for every result line (d_k
-// first: it is the tightest), the change provably cannot alter the
-// ranked result, the region bounds, or the boundary perturbation
-// anywhere in P, and the entry keeps serving. Anything closer is a
-// crossing, ties included: equality would hand the ranking to the id
-// tiebreak, which the certificate does not model. Checking all result
-// lines (not just d_k) also covers CompositionOnly entries, whose
-// members may reorder inside P.
+// O(k·qlen) signs over the cached projections, decided exactly, no index
+// I/O. If it is negative for every result line (d_k first: it is the
+// tightest), the entry keeps serving. Zero is a crossing, ties included:
+// equality hands the ranking to the id tiebreak, and the line that
+// defines a bound meets d_k inside C, at most one float64 past P.
+// Checking all result lines (not just d_k) also covers CompositionOnly
+// entries, whose members may reorder inside P.
 //
 // Conservative short-cuts, in order:
 //
@@ -355,10 +356,11 @@ func changeSurvives(en *entry, ch tupleChange, oldP, newP []float64) bool {
 	if en.sig.phi > 0 {
 		return false // perturbation schedules reach beyond the polytope
 	}
-	if ch.hasOld && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, oldP), oldP) {
+	cert := en.poly.Closure(en.out.Regions)
+	if ch.hasOld && cert.Reaches(en.out.Result, vec.Dot(en.poly.W, oldP), oldP) {
 		return false
 	}
-	if ch.hasNew && en.poly.Reaches(en.out.Result, vec.Dot(en.poly.W, newP), newP) {
+	if ch.hasNew && cert.Reaches(en.out.Result, vec.Dot(en.poly.W, newP), newP) {
 		return false
 	}
 	return true

@@ -10,114 +10,66 @@ import (
 // domain [Breaks[0], Breaks[len-1]]. Segment i covers
 // [Breaks[i], Breaks[i+1]] and evaluates Lines[i]. The φ>0 machinery uses
 // it to represent the score of the k-th ranked tuple as the weight
-// deviation x varies (the "lower envelope" of §6, Fig. 9).
+// deviation x varies (the "lower envelope" of §6, Fig. 9). The breaks
+// are exact: every inner one is where two consecutive segment lines
+// cross.
 type PiecewiseLinear struct {
-	Breaks []float64
+	Breaks []X
 	Lines  []Line
+	// end is a float64 at or past the last break and under is at or
+	// below p over the domain (KthEnvelope sets both, bounded marks
+	// them): AboveLine's first test, one comparison for a line far below.
+	end, under float64
+	bounded    bool
 }
 
 // Eval evaluates the function at x, clamped to the domain.
 func (p PiecewiseLinear) Eval(x float64) float64 {
-	return p.segmentAt(x).Eval(x)
-}
-
-// segmentAt returns the line active at x (clamped to the domain).
-func (p PiecewiseLinear) segmentAt(x float64) Line {
 	n := len(p.Lines)
 	if n == 0 {
 		panic("geom: empty PiecewiseLinear")
 	}
-	i := sort.SearchFloat64s(p.Breaks, x) // first break >= x
-	switch {
-	case i <= 0:
-		return p.Lines[0]
-	case i >= len(p.Breaks):
-		return p.Lines[n-1]
-	default:
-		return p.Lines[i-1]
-	}
+	i := sort.Search(len(p.Breaks), func(i int) bool { return Cmp(p.Breaks[i], At(x)) >= 0 }) // first break >= x
+	return p.Lines[min(max(i-1, 0), n-1)].Eval(x)
 }
 
-// MinDiff returns the minimum of p(x) - l(x) over the domain. Because
-// both functions are piecewise linear, the minimum is attained at a
-// breakpoint or a domain endpoint. Each breakpoint is evaluated on the
-// segment segmentAt picks there — the one ending at it, or for a run of
-// equal breaks the one ending at the run's first — found in one pass
-// instead of a search per break, so the result is Eval's to the bit.
-func (p PiecewiseLinear) MinDiff(l Line) float64 {
-	if len(p.Breaks) > 0 && len(p.Lines) == 0 {
-		panic("geom: empty PiecewiseLinear")
+// AboveLine reports whether p(x) > l(x) over the entire domain, exactly:
+// the test "the line cannot reach the envelope" that rejects a candidate
+// (§6) and stops a probe. Both functions are linear between breaks, so
+// it suffices that p is above l at every break — and a break needs no
+// test when l is no steeper than the segment that ends there, since l
+// was below that segment where it began.
+func (p PiecewiseLinear) AboveLine(l Line) bool {
+	if p.bounded && l.A < p.under && bound(l, p.end, 1) < p.under {
+		return true
 	}
-	min := math.Inf(1)
-	seg := 0
 	for i, x := range p.Breaks {
-		if i > 0 && x != p.Breaks[i-1] {
-			seg = i - 1
-		}
-		if d := p.Lines[seg].Eval(x) - l.Eval(x); d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// AboveLine reports whether p(x) >= l(x) over the entire domain; the
-// termination test "threshold line does not intersect the lower
-// envelope" of §6.
-func (p PiecewiseLinear) AboveLine(l Line) bool { return p.MinDiff(l) >= 0 }
-
-// FirstCrossingAbove returns the smallest x in the domain where
-// l(x) > p(x), i.e. where the line climbs strictly above the envelope,
-// and ok=false if it never does. This is the entry point of a candidate
-// into the top-k result.
-func (p PiecewiseLinear) FirstCrossingAbove(l Line) (float64, bool) {
-	for i := 0; i < len(p.Lines); i++ {
-		lo, hi := p.Breaks[i], p.Breaks[i+1]
-		seg := p.Lines[i]
-		dLo := l.Eval(lo) - seg.Eval(lo)
-		dHi := l.Eval(hi) - seg.Eval(hi)
-		if dLo > 0 {
-			return lo, true
-		}
-		if dHi <= 0 {
+		if i > 0 && l.B <= p.Lines[i-1].B {
 			continue
 		}
-		// crosses inside (lo, hi]
-		x, ok := l.IntersectX(seg)
-		if !ok {
-			continue
+		if Sign(l, p.Lines[min(i, len(p.Lines)-1)], x) >= 0 {
+			return false
 		}
-		if x < lo {
-			x = lo
-		}
-		if x > hi {
-			x = hi
-		}
-		return x, true
 	}
-	return 0, false
-}
-
-func (p PiecewiseLinear) String() string {
-	return fmt.Sprintf("pwl{breaks=%v}", p.Breaks)
+	return true
 }
 
 // KthEnvelope computes the piecewise-linear function giving the k-th
-// highest of lines (k=1 is the upper envelope, k=len(lines) the lower).
-// It runs the arrangement sweep and records every x where the identity of
-// the rank-k line changes. Complexity O((n + I) log n) with I the number
-// of crossings in the window — ample for the k + O(φ) lines the
-// immutable-region boundary tracks.
-func KthEnvelope(lines []Line, k int, xmin, xmax float64) PiecewiseLinear {
+// highest of lines (k=1 is the upper envelope, k=len(lines) the lower)
+// over [0, end]. It runs the arrangement sweep and records every
+// crossing where the identity of the rank-k line changes. Complexity
+// O((n + I) log n) with I the number of crossings in the window — ample
+// for the k + O(φ) lines the immutable-region boundary tracks.
+func KthEnvelope(lines []Line, k int, end X) PiecewiseLinear {
 	if len(lines) == 0 {
 		panic("geom: KthEnvelope of no lines")
 	}
 	if k < 1 || k > len(lines) {
 		panic(fmt.Sprintf("geom: rank %d out of range [1,%d]", k, len(lines)))
 	}
-	sw := NewSweep(lines, xmin, xmax)
+	sw := NewSweep(lines, end)
 	cur := lines[sw.order[k-1]]
-	breaks := []float64{xmin}
+	breaks := []X{At(0)}
 	var segs []Line
 	for {
 		c, ok := sw.Next()
@@ -131,7 +83,27 @@ func KthEnvelope(lines []Line, k int, xmin, xmax float64) PiecewiseLinear {
 			cur = next
 		}
 	}
-	breaks = append(breaks, xmax)
+	breaks = append(breaks, end)
 	segs = append(segs, cur)
-	return PiecewiseLinear{Breaks: breaks, Lines: segs}
+	p := PiecewiseLinear{Breaks: breaks, Lines: segs, bounded: true}
+	// The end's float64 quotient rounds three times, under 3u of it;
+	// 8u past it is past the end. Every segment line is then at least
+	// min(A, A + B·end) over the domain.
+	p.end = (end.P.A - end.Q.A) / (end.Q.B - end.P.B)
+	p.end += float64(math.Abs(p.end) * 0x1p-50)
+	p.under = math.Inf(1)
+	for _, m := range segs {
+		p.under = min(p.under, m.A, bound(m, p.end, -1))
+	}
+	return p
+}
+
+// bound returns a float64 at or above (dir = 1) or at or below (dir = −1)
+// m.A + m.B·x: the sum and the product each round once, under 2u of
+// |m.A| + |m.B·x| with u = 2⁻⁵³, and the margin takes 8u, plus a term for
+// a product that underflows.
+func bound(m Line, x, dir float64) float64 {
+	v := float64(m.B * x)
+	margin := float64((math.Abs(m.A)+math.Abs(v))*0x1p-50) + 0x1p-1070
+	return m.A + v + float64(dir*margin)
 }

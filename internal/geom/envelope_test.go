@@ -2,7 +2,9 @@ package geom
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -22,8 +24,8 @@ func kthHighestAt(lines []Line, k int, x float64) float64 {
 // TestKthEnvelopeMatchesPointwise samples the envelope across its domain
 // and compares with the exact k-th level. The last rows are two
 // identical lines and a third through a point on them, at k = 3: past
-// that point the lowest line is the third one or the pair, whichever
-// the sweep swapped there.
+// that point the lowest is the third line or the pair, whichever the
+// sweep swapped there.
 func TestKthEnvelopeMatchesPointwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 120; trial++ {
@@ -37,12 +39,12 @@ func TestKthEnvelopeMatchesPointwise(t *testing.T) {
 			lines = []Line{l, l, {A: l.Eval(x0) - slope*x0, B: slope}}
 			k = 3
 		}
-		env := KthEnvelope(lines, k, 0, xmax)
-		if len(env.Breaks) != len(env.Lines)+1 || !sort.Float64sAreSorted(env.Breaks) {
+		env := KthEnvelope(lines, k, At(xmax))
+		if len(env.Breaks) != len(env.Lines)+1 || !slices.IsSortedFunc(env.Breaks, Cmp) {
 			t.Fatalf("trial %d: %d breaks %v for %d lines", trial, len(env.Breaks), env.Breaks, len(env.Lines))
 		}
-		if lo, hi := env.Breaks[0], env.Breaks[len(env.Breaks)-1]; lo != 0 || hi != xmax {
-			t.Fatalf("trial %d: domain (%v,%v), want (0,%v)", trial, lo, hi, xmax)
+		if lo, hi := env.Breaks[0], env.Breaks[len(env.Breaks)-1]; Cmp(lo, At(0)) != 0 || Cmp(hi, At(xmax)) != 0 {
+			t.Fatalf("trial %d: domain (%v,%v), want (0,%v)", trial, lo.Floor(), hi.Floor(), xmax)
 		}
 		for s := 0; s <= 40; s++ {
 			x := xmax * float64(s) / 40
@@ -54,49 +56,82 @@ func TestKthEnvelopeMatchesPointwise(t *testing.T) {
 	}
 }
 
-// TestFirstCrossingAbove compares against dense sampling.
-func TestFirstCrossingAbove(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(6)
-		lines := randLines(rng, n)
-		k := 1 + rng.Intn(n)
-		env := KthEnvelope(lines, k, 0, 1)
-		probe := Line{A: rng.Float64() - 0.5, B: 2 * (rng.Float64() - 0.25)}
-		x, ok := env.FirstCrossingAbove(probe)
-		// sample
-		firstSample, found := 0.0, false
-		for s := 0; s <= 2000; s++ {
-			xx := float64(s) / 2000
-			if probe.Eval(xx) > env.Eval(xx)+1e-12 {
-				firstSample, found = xx, true
-				break
-			}
-		}
-		if ok != found {
-			// Tolerate a hairline disagreement only when the crossing
-			// grazes the domain edge.
-			if found && firstSample > 0.999 {
+// reachesLevel reports, exactly, whether l comes level with the k-th
+// highest of lines anywhere on [0, end]: l minus that level is linear
+// between the level's breaks, which are among the pairwise crossings,
+// so the two ends and those crossings decide.
+func reachesLevel(lines []Line, k int, end float64, l Line) bool {
+	rat := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+	at := func(m Line, x *big.Rat) *big.Rat {
+		v := new(big.Rat).Mul(rat(m.B), x)
+		return v.Add(v, rat(m.A))
+	}
+	xs := []*big.Rat{rat(0), rat(end)}
+	for i := range lines {
+		for j := i + 1; j < len(lines); j++ {
+			if lines[i].B == lines[j].B {
 				continue
 			}
-			t.Fatalf("trial %d: ok=%v but sampling found=%v (first=%v)", trial, ok, found, firstSample)
-		}
-		if ok && math.Abs(x-firstSample) > 1e-3+1e-9 {
-			t.Fatalf("trial %d: crossing at %v, sampling says ~%v", trial, x, firstSample)
+			x := new(big.Rat).Sub(rat(lines[j].A), rat(lines[i].A))
+			if x.Quo(x, new(big.Rat).Sub(rat(lines[i].B), rat(lines[j].B))); x.Sign() > 0 && x.Cmp(xs[1]) < 0 {
+				xs = append(xs, x)
+			}
 		}
 	}
+	for _, x := range xs {
+		vals := make([]*big.Rat, len(lines))
+		for i, m := range lines {
+			vals[i] = at(m, x)
+		}
+		slices.SortFunc(vals, func(a, b *big.Rat) int { return b.Cmp(a) })
+		if at(l, x).Cmp(vals[k-1]) >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
-func TestAboveLineAndMinDiff(t *testing.T) {
-	env := KthEnvelope([]Line{{A: 1, B: 1, ID: 0}}, 1, 0, 1)
-	if !env.AboveLine(Line{A: 0.5, B: 1}) {
-		t.Fatal("parallel lower line should be below")
+// TestAboveLine: the envelope is above a line iff the line comes level
+// with the k-th level nowhere in the domain — touching counts as
+// reaching, at a break and on the domain end too — decided exactly,
+// against an all-pairs reference in math/big, in general position and
+// on a grid, where probes touch the envelope.
+func TestAboveLine(t *testing.T) {
+	env := KthEnvelope([]Line{{A: 1, B: 1, ID: 0}}, 1, At(1))
+	for _, c := range []struct {
+		name string
+		env  PiecewiseLinear
+		l    Line
+		want bool
+	}{
+		{"a parallel lower line", env, Line{A: 0.5, B: 1}, true},
+		{"a steeper line crossing inside", env, Line{A: 0.5, B: 2}, false},
+		{"a line meeting it on the domain end", env, Line{A: 0, B: 2}, false},
+		{"a line touching a break", KthEnvelope([]Line{{A: 1, B: 0, ID: 0}, {A: 0, B: 2, ID: 1}}, 1, At(1)), Line{A: 0.5, B: 1}, false},
+	} {
+		if got := c.env.AboveLine(c.l); got != c.want {
+			t.Errorf("%s: AboveLine = %v, want %v", c.name, got, c.want)
+		}
 	}
-	if env.AboveLine(Line{A: 0.5, B: 2}) {
-		t.Fatal("steeper line crosses inside the domain")
+	rng := rand.New(rand.NewSource(22))
+	var above, reaching int
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(6)
+		lines, probe := randLines(rng, n), Line{A: rng.Float64() - 0.5, B: 2 * (rng.Float64() - 0.25)}
+		if trial%2 == 1 {
+			lines, probe = gridLines(rng, n), gridLines(rng, 1)[0]
+		}
+		k := 1 + rng.Intn(n)
+		if got, want := KthEnvelope(lines, k, At(1)).AboveLine(probe), !reachesLevel(lines, k, 1, probe); got != want {
+			t.Fatalf("trial %d: lines %v k=%d probe %v: AboveLine = %v, want %v", trial, lines, k, probe, got, want)
+		} else if got {
+			above++
+		} else {
+			reaching++
+		}
 	}
-	if d := env.MinDiff(Line{A: 0.5, B: 1}); math.Abs(d-0.5) > 1e-15 {
-		t.Fatalf("MinDiff = %v, want 0.5", d)
+	if above == 0 || reaching == 0 {
+		t.Fatalf("probes: %d below the envelope, %d reaching it", above, reaching)
 	}
 }
 
@@ -106,43 +141,5 @@ func TestKthEnvelopePanics(t *testing.T) {
 			t.Fatal("no panic for rank out of range")
 		}
 	}()
-	KthEnvelope([]Line{{A: 1, B: 1}}, 2, 0, 1)
-}
-
-// minDiffEval is MinDiff as it was written before its one-pass form:
-// Eval, and so segmentAt's binary search, at every break.
-func minDiffEval(p PiecewiseLinear, l Line) float64 {
-	min := math.Inf(1)
-	for _, x := range p.Breaks {
-		if d := p.Eval(x) - l.Eval(x); d < min {
-			min = d
-		}
-	}
-	return min
-}
-
-// TestMinDiffIsPerBreakEval: the one-pass MinDiff equals, to the bit,
-// the per-break Eval form on random envelopes — with runs of equal
-// breaks (at the domain's ends too), and single-segment ones — against
-// random lines.
-func TestMinDiffIsPerBreakEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 2000; trial++ {
-		segs := 1 + rng.Intn(8)
-		if trial%5 == 0 {
-			segs = 1
-		}
-		p := PiecewiseLinear{Breaks: make([]float64, segs+1), Lines: randLines(rng, segs)}
-		for i := range p.Breaks {
-			p.Breaks[i] = float64(rng.Intn(6)) / 5 // a coarse grid: duplicates are common
-		}
-		sort.Float64s(p.Breaks)
-		for probe := 0; probe < 5; probe++ {
-			l := Line{A: rng.Float64() - 0.5, B: 2 * (rng.Float64() - 0.5)}
-			got, want := p.MinDiff(l), minDiffEval(p, l)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("trial %d: breaks %v: MinDiff %v, per-break Eval %v", trial, p.Breaks, got, want)
-			}
-		}
-	}
+	KthEnvelope([]Line{{A: 1, B: 1}}, 2, At(1))
 }

@@ -1,12 +1,16 @@
 // Package geom provides the computational-geometry substrate for
 // immutable-region computation: lines in score–deviation space, pairwise
 // crossings via an arrangement sweep, k-th–rank envelopes, and the
-// hyperplane distance of the STB comparator. Everything is hand-rolled
-// on float64. Degeneracies are handled deterministically rather than
-// rejected: lines tied at the sweep's start are ranked by slope, then by
-// index, and lines through one point swap pairwise there, each pair
-// once, in no canonical order. The sweep is held to internal/oracle's
-// exact crossings.
+// hyperplane distance of the STB comparator. Lines have float64
+// coefficients, and every comparison between them is decided exactly
+// (exact.go): a float64 evaluation with a forward error bound, redone
+// in math/big only when the value falls inside it. Degeneracies have
+// one canonical answer rather than being rejected: the sweep starts in
+// a top-k result's order (value descending, then ID ascending), and
+// crossings at one x come in order of the ID of the line moving up, then
+// of the line moving down, so lines through one point swap pairwise
+// there, each pair once, always in the same order. The sweep is held to
+// internal/oracle's exact crossings.
 package geom
 
 import (
@@ -26,16 +30,6 @@ type Line struct {
 // Eval returns the line's value at x.
 func (l Line) Eval(x float64) float64 { return l.A + float64(l.B*x) }
 
-// IntersectX returns the x-coordinate where l and o cross. ok is false
-// for parallel lines (including identical ones).
-func (l Line) IntersectX(o Line) (x float64, ok bool) {
-	db := l.B - o.B
-	if db == 0 {
-		return 0, false
-	}
-	return (o.A - l.A) / db, true
-}
-
 func (l Line) String() string { return fmt.Sprintf("y=%.6g%+.6gx (id=%d)", l.A, l.B, l.ID) }
 
 // Crossing is a pairwise intersection of two lines at X, as Sweep
@@ -43,7 +37,7 @@ func (l Line) String() string { return fmt.Sprintf("y=%.6g%+.6gx (id=%d)", l.A, 
 // at rank RankAbove (0 = highest), when the sweep swaps them — unless
 // other lines pass through the same point, I's rank just before X.
 type Crossing struct {
-	X         float64
+	X         X
 	I, J      int
 	RankAbove int
 }

@@ -11,18 +11,6 @@ import (
 	"repro/internal/oracle"
 )
 
-func TestLineIntersectX(t *testing.T) {
-	a := Line{A: 0, B: 1}
-	b := Line{A: 1, B: 0}
-	x, ok := a.IntersectX(b)
-	if !ok || x != 1 {
-		t.Fatalf("IntersectX = %v,%v, want 1,true", x, ok)
-	}
-	if _, ok := a.IntersectX(Line{A: 5, B: 1}); ok {
-		t.Fatal("parallel lines reported as crossing")
-	}
-}
-
 func randLines(rng *rand.Rand, n int) []Line {
 	lines := make([]Line, n)
 	for i := range lines {
@@ -40,16 +28,32 @@ func oracleLines(lines []Line) []oracle.Line {
 	return out
 }
 
+// gridLines draws n lines from a coarse grid: exact ties at 0, parallel
+// and identical lines, lines through one point.
+func gridLines(rng *rand.Rand, n int) []Line {
+	lines := make([]Line, n)
+	for i := range lines {
+		lines[i] = Line{A: float64(rng.Intn(5)) / 4, B: float64(rng.Intn(5)) / 4, ID: i}
+	}
+	return lines
+}
+
 // TestSweepMatchesAllPairs: the event-queue sweep must produce exactly
-// the crossings the exact all-pairs enumeration finds, in the same order.
+// the swaps the oracle's all-pairs replay finds, in the same canonical
+// order and at the same ranks, each X rounded down to the bit — in
+// general position and on a grid, where lines tie at 0 and meet several
+// at one point.
 func TestSweepMatchesAllPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(12)
 		lines := randLines(rng, n)
-		xmin, xmax := 0.0, 1+rng.Float64()
-		want := oracle.Crossings(oracleLines(lines), xmin, xmax)
-		sw := NewSweep(lines, xmin, xmax)
+		if trial >= 100 {
+			lines = gridLines(rng, n)
+		}
+		xmax := 1 + rng.Float64()
+		want := oracle.Crossings(oracleLines(lines), xmax)
+		sw := NewSweep(lines, At(xmax))
 		var got []Crossing
 		for {
 			c, ok := sw.Next()
@@ -61,13 +65,11 @@ func TestSweepMatchesAllPairs(t *testing.T) {
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d crossings, want %d", trial, len(got), len(want))
 		}
-		for i := range want {
-			if math.Abs(got[i].X-want[i].X) > 1e-12 {
-				t.Fatalf("trial %d crossing %d: x=%v, want %v", trial, i, got[i].X, want[i].X)
-			}
-			if got[i].I != want[i].I || got[i].J != want[i].J {
-				t.Fatalf("trial %d crossing %d: pair (%d,%d), want (%d,%d)",
-					trial, i, got[i].I, got[i].J, want[i].I, want[i].J)
+		for i, w := range want {
+			g := got[i]
+			if g.X.Floor() != w.X || g.I != w.I || g.J != w.J || g.RankAbove != w.Rank {
+				t.Fatalf("trial %d crossing %d: x=%v pair (%d,%d) at rank %d, want x=%v (%d,%d) at %d",
+					trial, i, g.X.Floor(), g.I, g.J, g.RankAbove, w.X, w.I, w.J, w.Rank)
 			}
 		}
 	}
@@ -86,7 +88,7 @@ func TestSweepRanks(t *testing.T) {
 			order[i] = i
 		}
 		sort.Slice(order, func(a, b int) bool { return lines[order[a]].A > lines[order[b]].A })
-		sw := NewSweep(lines, 0, 2)
+		sw := NewSweep(lines, At(2))
 		for c, ok := sw.Next(); ok; c, ok = sw.Next() {
 			n++
 			if r := c.RankAbove; order[r] != c.I || order[r+1] != c.J {
@@ -96,7 +98,7 @@ func TestSweepRanks(t *testing.T) {
 			if !general {
 				continue
 			}
-			x := c.X - 1e-9
+			x := c.X.Floor() - 1e-9
 			higher := 0
 			vi := lines[c.I].Eval(x)
 			for k, l := range lines {

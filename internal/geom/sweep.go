@@ -14,21 +14,19 @@ import (
 // popped event swap the pair and schedule the new adjacencies.
 type Sweep struct {
 	lines []Line
-	xmax  float64
+	end   X
 	// order[r] is the index (into lines) of the line currently at rank r,
 	// rank 0 being the highest value.
 	order []int
 	rank  []int // inverse of order
 	ev    eventQueue
-	lastX float64
 }
 
-// NewSweep prepares a sweep over (xmin, xmax). Lines are ranked at xmin;
-// ties in value are broken by slope so that the order is correct
-// immediately to the right of xmin (the overtaking line already counts as
-// being above).
-func NewSweep(lines []Line, xmin, xmax float64) *Sweep {
-	s := &Sweep{lines: lines, xmax: xmax, lastX: xmin}
+// NewSweep prepares a sweep over [0, end). The lines start in the order
+// of a top-k result: value at 0 descending, then ID ascending. A tied
+// pair whose lower line is the steeper one therefore crosses at 0.
+func NewSweep(lines []Line, end X) *Sweep {
+	s := &Sweep{lines: lines, end: end, ev: eventQueue{lines: lines}}
 	n := len(lines)
 	s.order = make([]int, n)
 	for i := range s.order {
@@ -36,17 +34,15 @@ func NewSweep(lines []Line, xmin, xmax float64) *Sweep {
 	}
 	sort.SliceStable(s.order, func(a, b int) bool {
 		la, lb := lines[s.order[a]], lines[s.order[b]]
-		ya, yb := la.Eval(xmin), lb.Eval(xmin)
-		if ya != yb {
-			return ya > yb
+		if la.A != lb.A {
+			return la.A > lb.A
 		}
-		return la.B > lb.B
+		return la.ID < lb.ID
 	})
 	s.rank = make([]int, n)
 	for r, i := range s.order {
 		s.rank[i] = r
 	}
-	heap.Init(&s.ev)
 	for r := 0; r+1 < n; r++ {
 		s.schedule(r)
 	}
@@ -54,32 +50,31 @@ func NewSweep(lines []Line, xmin, xmax float64) *Sweep {
 }
 
 // schedule enqueues the crossing between ranks r and r+1 if the lower
-// line overtakes the upper (so a pair swaps once) in [current position,
-// xmax): where lines meet in one point, the pairs the first swap makes
-// adjacent cross at the current position too.
+// line overtakes the upper (so a pair swaps once) before end. The pair
+// is ordered where the sweep stands, so they cross there or later: where
+// lines meet in one point, the pairs the first swap makes adjacent cross
+// at the current position too.
 func (s *Sweep) schedule(r int) {
 	i, j := s.order[r], s.order[r+1]
 	if s.lines[j].B <= s.lines[i].B {
 		return
 	}
-	x, _ := s.lines[i].IntersectX(s.lines[j])
-	if x < s.lastX || x >= s.xmax {
-		return
+	if x := (X{s.lines[i], s.lines[j]}); Cmp(x, s.end) < 0 {
+		heap.Push(&s.ev, event{x: x, i: i, j: j})
 	}
-	heap.Push(&s.ev, event{x: x, i: i, j: j})
 }
 
-// Next returns the next crossing in x order, or ok=false when the window
-// is exhausted. The returned Crossing has I above J just before the
-// crossing (I is overtaken by J at X).
+// Next returns the next crossing, or ok=false when the window is
+// exhausted. Crossings come in canonical order: by exact x, then by the
+// ID of the line moving up (J), then of the line moving down (I). J is
+// directly below I just before the crossing, and overtakes it at X.
 func (s *Sweep) Next() (Crossing, bool) {
-	for len(s.ev) > 0 {
+	for len(s.ev.ev) > 0 {
 		e := heap.Pop(&s.ev).(event)
 		ri, rj := s.rank[e.i], s.rank[e.j]
 		if rj != ri+1 {
 			continue // stale event: the pair is no longer adjacent
 		}
-		s.lastX = e.x
 		// swap ranks
 		s.order[ri], s.order[rj] = e.j, e.i
 		s.rank[e.i], s.rank[e.j] = rj, ri
@@ -95,20 +90,31 @@ func (s *Sweep) Next() (Crossing, bool) {
 }
 
 type event struct {
-	x    float64
+	x    X
 	i, j int
 }
 
-type eventQueue []event
+type eventQueue struct {
+	lines []Line
+	ev    []event
+}
 
-func (q eventQueue) Len() int            { return len(q) }
-func (q eventQueue) Less(a, b int) bool  { return q[a].x < q[b].x }
-func (q eventQueue) Swap(a, b int)       { q[a], q[b] = q[b], q[a] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
+func (q eventQueue) Len() int { return len(q.ev) }
+func (q eventQueue) Less(a, b int) bool {
+	u, v := q.ev[a], q.ev[b]
+	if c := Cmp(u.x, v.x); c != 0 {
+		return c < 0
+	}
+	if eu, ev := q.lines[u.j].ID, q.lines[v.j].ID; eu != ev {
+		return eu < ev
+	}
+	return q.lines[u.i].ID < q.lines[v.i].ID
+}
+func (q eventQueue) Swap(a, b int)       { q.ev[a], q.ev[b] = q.ev[b], q.ev[a] }
+func (q *eventQueue) Push(x interface{}) { q.ev = append(q.ev, x.(event)) }
 func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
+	n := len(q.ev)
+	e := q.ev[n-1]
+	q.ev = q.ev[:n-1]
 	return e
 }

@@ -341,3 +341,27 @@ func TestForeignMembershipNeverCounted(t *testing.T) {
 		}
 	}
 }
+
+// TestSingletonRebootKeepsOneEpoch: a singleton -cluster-primary mints a
+// ballot epoch at every boot. Booted, then restarted three times with no
+// write in between, it holds one timeline entry — each new epoch
+// replaces one that owns no frame — naming the epoch it serves under.
+func TestSingletonRebootKeepsOneEpoch(t *testing.T) {
+	dir := t.TempDir()
+	saveDataset(t, dir, genTuples(rand.New(rand.NewSource(18)), 20))
+	var last uint64
+	for boot := 0; boot < 4; boot++ {
+		n, err := NewNode(NodeConfig{Dir: dir, AdvertiseHTTP: "http://self", StartPrimary: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.bootBallot(context.Background())
+		eng := n.Engine()
+		tl, epoch := eng.EpochTimeline(), eng.Epoch()
+		n.shutdown()
+		if epoch <= last || len(tl) != 1 || tl[0].Epoch != epoch {
+			t.Fatalf("boot %d: epoch %d (last %d), timeline %v; want one entry for a new epoch", boot, epoch, last, tl)
+		}
+		last = epoch
+	}
+}

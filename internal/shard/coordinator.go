@@ -130,7 +130,7 @@ type Analysis struct {
 // Analyze computes the global top-k and its immutable regions in two
 // network rounds: merge the per-shard top-k lists into the global
 // result R, then fan R back out so every shard reports the constraints
-// its own tuples impose on it, and merge those — strict min/max of the
+// its own tuples impose on it, and merge those — the first of the
 // per-dimension bounds on the classic φ = 0 path, an exact event replay
 // of the union of shard-contributed lines on the envelope paths. Both
 // merges are bit-identical to a single-node Analyze over the union of
@@ -165,11 +165,15 @@ func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engi
 		lines = append(lines, ans.lines...)
 	}
 
+	regions, err := mergeRegions(q, k, res, outs, lines, opts)
+	if err != nil {
+		return nil, err
+	}
 	out := &core.Output{
 		Query:   q,
 		K:       k,
 		Result:  res,
-		Regions: mergeRegions(q, k, res, outs, lines, opts),
+		Regions: regions,
 		Metrics: mergeMetrics(outs),
 	}
 	return &Analysis{Output: out}, nil

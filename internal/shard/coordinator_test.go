@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +50,35 @@ func TestFailClosed(t *testing.T) {
 	// there must fail, and the batch must stop at it.
 	if _, err := coord.Apply(ctx, []engine.Op{{Kind: engine.OpDelete, ID: coord.m.Base(2)}}); !errors.Is(err, boom) {
 		t.Fatalf("apply error = %v, want wrapped %v", err, boom)
+	}
+}
+
+// invertedBackend answers round 2 as its shard does, then swaps one
+// dimension's φ = 0 bounds, as a shard answering over data that changed
+// between the rounds might.
+type invertedBackend struct{ Backend }
+
+func (b invertedBackend) AnalyzeImposed(ctx context.Context, q vec.Query, k, base int, imposed []topk.Scored, opts engine.Options) (*core.Output, []topk.Scored, error) {
+	out, lines, err := b.Backend.AnalyzeImposed(ctx, q, k, base, imposed, opts)
+	if err == nil {
+		r := &out.Regions[0]
+		r.Lo, r.Hi = 0.2, 0.1
+	}
+	return out, lines, err
+}
+
+// TestImpossibleRegionFailsClosed: a merged region that excludes its
+// own query is refused, a 502 at the front, never served.
+func TestImpossibleRegionFailsClosed(t *testing.T) {
+	cs := fixture.RandCase(rand.New(rand.NewSource(4205)), 40, 6, 2, 3)
+	coord := localCoord(t, cs.Tuples, cs.M, 2, Config{})
+	coord.backends[1] = invertedBackend{coord.backends[1]}
+	if _, err := coord.Analyze(context.Background(), cs.Q, cs.K, engine.Options{}); err == nil || !strings.Contains(err.Error(), "excludes its query") {
+		t.Fatalf("analyze error = %v, want the inverted region refused", err)
+	}
+	w := call(NewHandler(coord), http.MethodPost, "/analyze", mustJSON(t, map[string]any{"dims": cs.Q.Dims, "weights": cs.Q.Weights, "k": cs.K}))
+	if w.Code != http.StatusBadGateway {
+		t.Fatalf("/analyze: %d %s, want 502", w.Code, w.Body)
 	}
 }
 

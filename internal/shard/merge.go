@@ -8,6 +8,7 @@ package shard
 
 import (
 	"container/heap"
+	"fmt"
 	"slices"
 
 	"repro/internal/core"
@@ -67,9 +68,13 @@ func mergeTopK(lists [][]topk.Scored, k int) []topk.Scored {
 // mirroring core's computeDim dispatch: the envelope paths (φ > 0,
 // iterative or not, and composition-only) merge by replaying the
 // union of shard-contributed lines against the imposed result; the
-// classic φ = 0 path merges by strict min/max of the per-shard bounds
-// and is sent no lines.
-func mergeRegions(q vec.Query, k int, res []topk.Scored, outs []*core.Output, lines []topk.Scored, opts engine.Options) []core.Regions {
+// classic φ = 0 path merges the per-shard bounds and is sent no lines.
+// Bounds round inward, so every region contains its query: a merged
+// region with Lo > 0, Hi < 0 or a NaN bound can only come from shards
+// that disagree about the data (a write between the rounds), and it is
+// refused rather than served.
+func mergeRegions(q vec.Query, k int, res []topk.Scored, outs []*core.Output, lines []topk.Scored, opts engine.Options) ([]core.Regions, error) {
+	var merged []core.Regions
 	if opts.Envelope() {
 		// Shards contribute disjoint tuple sets (imposed members are
 		// excluded shard-side), so the union needs no dedup. The replay
@@ -77,36 +82,52 @@ func mergeRegions(q vec.Query, k int, res []topk.Scored, outs []*core.Output, li
 		// candidate order just makes the merge deterministic.
 		lines = slices.Clone(lines)
 		slices.SortFunc(lines, topk.ByRank)
-		return core.ReplayRegions(q, k, res, lines, opts.Options)
+		merged = core.ReplayRegions(q, k, res, lines, opts.Options)
+	} else {
+		merged = mergeClassic(outs)
 	}
-	return mergeClassic(outs)
+	for _, r := range merged {
+		if !(r.Lo <= 0 && r.Hi >= 0) {
+			return nil, fmt.Errorf("shard: merged region [%v, %v] of dimension %d excludes its query", r.Lo, r.Hi, r.Dim)
+		}
+	}
+	return merged, nil
 }
 
-// mergeClassic merges φ = 0 regions by per-dimension strict min/max.
-// Every shard's bounds already include the result-reordering (Phase 1)
-// constraints — computed from the identical imposed-result floats — so
-// the strict min over shards of the upper bounds equals the single
-// node's min over all constraints, exactly: each bound is the same
-// Lemma-1 quotient of the same (score, coordinate) operands. The
-// winning shard's perturbation rides along; a cross-shard exact tie
-// resolves to the earlier shard, as the single node's strict-<
-// first-seen rule resolves it to the earlier candidate.
+// mergeClassic merges φ = 0 regions per dimension and side: the shard
+// bound that comes first in the canonical order — nearest to the query,
+// then the smaller id of the tuple moving up, then of the one moving
+// down — wins, its perturbation riding along. Every shard's bounds
+// already include the result-reordering (Phase 1) constraints, computed
+// from the identical imposed-result floats, so this is the single
+// node's choice over all constraints. A shard reports its bound rounded
+// inward; two bounds that round to one float64 are taken to be one
+// position.
 func mergeClassic(outs []*core.Output) []core.Regions {
 	merged := append([]core.Regions(nil), outs[0].Regions...)
 	for _, out := range outs[1:] {
 		for jx := range merged {
-			s := out.Regions[jx]
-			if s.Hi < merged[jx].Hi {
-				merged[jx].Hi = s.Hi
-				merged[jx].Right = s.Right
+			s, m := out.Regions[jx], &merged[jx]
+			if s.Hi < m.Hi || s.Hi == m.Hi && firstPert(s.Right, m.Right) {
+				m.Hi, m.Right = s.Hi, s.Right
 			}
-			if s.Lo > merged[jx].Lo {
-				merged[jx].Lo = s.Lo
-				merged[jx].Left = s.Left
+			if s.Lo > m.Lo || s.Lo == m.Lo && firstPert(s.Left, m.Left) {
+				m.Lo, m.Left = s.Lo, s.Left
 			}
 		}
 	}
 	return merged
+}
+
+// firstPert reports whether bound a's perturbation precedes bound b's at
+// the same position: by the id of the tuple moving up, then of the one
+// moving down. A bound without one is the domain edge, which no
+// perturbation shares.
+func firstPert(a, b []core.Perturbation) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	return a[0].Below < b[0].Below || a[0].Below == b[0].Below && a[0].Above < b[0].Above
 }
 
 // mergeMetrics sums the shards' work counters in shard order. Merged

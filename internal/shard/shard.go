@@ -12,7 +12,7 @@
 // regions merge in two rounds: the coordinator first merges the global
 // result R, then asks every shard for the constraints its own tuples
 // impose on R (engine.AnalyzeImposed over core.WithImposed); at φ = 0
-// the per-dimension bounds combine by strict min/max and no lines
+// the per-dimension bounds combine by min/max, ties by id, and no lines
 // travel; at φ > 0 every shard also ships its lines that can reach
 // R's k-th envelope and the coordinator replays their union through
 // core.ReplayRegions. docs/sharding.md carries the correctness

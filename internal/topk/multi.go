@@ -220,7 +220,7 @@ func (m *Multi) allSatisfied(thrVec, memThr []float64) bool {
 		if done {
 			continue
 		}
-		if len(m.heaps[mi]) >= m.scan.k && m.heaps[mi][0] >= memThr[mi] {
+		if len(m.heaps[mi]) >= m.scan.k && m.heaps[mi][0] > memThr[mi] {
 			m.memDone[mi] = true
 			continue
 		}

@@ -2,7 +2,7 @@
 // Fagin et al. as used by the paper (§2, Fig. 2): inverted lists are
 // probed by sorted access; every newly encountered tuple is fetched in
 // full by random access to compute its score; the search stops when the
-// k-th best score reaches the threshold S(t,q) of the fictitious tuple
+// k-th best score passes the threshold S(t,q) of the fictitious tuple
 // t = 〈t1,…,tm〉. Unlike textbook TA, the run retains every encountered
 // non-result tuple in the candidate list C(q) (decreasing score order),
 // which is the raw material of immutable-region computation, and the
@@ -593,9 +593,11 @@ func (ta *TA) RunContext(ctx context.Context) error {
 		panic("topk: RunContext after Release")
 	}
 	for {
-		// Termination: k-th tentative score ≥ threshold. topScores[0] is
-		// the k-th highest score among encountered tuples.
-		if ta.rows.Len() >= ta.k && ta.topScores[0] >= ta.ThresholdScore() {
+		// Termination: k-th tentative score > threshold. topScores[0] is
+		// the k-th highest score among encountered tuples. At equality an
+		// unseen tuple may tie the k-th with a smaller id, which ranks
+		// first (ByRank), so the scan goes on.
+		if ta.rows.Len() >= ta.k && ta.topScores[0] > ta.ThresholdScore() {
 			break
 		}
 		if _, _, ok := ta.step(); !ok {
