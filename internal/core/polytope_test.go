@@ -186,13 +186,14 @@ func TestPolytopeContains(t *testing.T) {
 // of its perturbation's two lines rounded toward the query — the largest
 // float64 not above it on the right, the smallest not below it on the
 // left — so every served region lies inside the exact one, and a
-// certificate tested against it (Polytope.Reaches) needs no slack. The
+// certificate tested against its closure (Polytope.Reaches) needs no
+// slack: the line entering at a φ = 0 bound reaches the closure. The
 // crossings are recomputed here in math/big from the scores the engine
 // ranks by.
 func TestBoundsRoundInward(t *testing.T) {
 	rng := rand.New(rand.NewSource(506))
 	rat := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
-	var held, inexact int
+	var held, inexact, entries int
 	for trial := 0; trial < 200; trial++ {
 		cs := fixture.RandCase(rng, 40+rng.Intn(120), 6, 2+rng.Intn(3), 1+rng.Intn(5))
 		if trial%2 == 1 {
@@ -210,11 +211,22 @@ func TestBoundsRoundInward(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cert := core.PolytopeOf(cs.Q.Weights, out.Regions).Closure(out.Regions)
 			for jx, reg := range out.Regions {
 				for _, side := range []struct {
 					perts []core.Perturbation
 					away  float64 // the direction away from the query
 				}{{reg.Right, math.Inf(1)}, {reg.Left, math.Inf(-1)}} {
+					// At φ = 0 the first perturbation defines the bound; a
+					// line entering there reaches the closure, which the
+					// cache certificate rests on.
+					if phi == 0 && len(side.perts) > 0 && side.perts[0].Entry {
+						b := line[side.perts[0].Below]
+						if !cert.Reaches(out.Result, b.Score, b.Proj) {
+							t.Errorf("trial %d dim %d: line %d defines a bound but does not reach the closure", trial, reg.Dim, b.ID)
+						}
+						entries++
+					}
 					for _, p := range side.perts {
 						a, b := line[p.Above], line[p.Below]
 						x := new(big.Rat).Sub(rat(a.Score), rat(b.Score))
@@ -235,10 +247,10 @@ func TestBoundsRoundInward(t *testing.T) {
 			}
 		}
 	}
-	if inexact == 0 {
-		t.Fatalf("none of %d deviations needed rounding", held)
+	if inexact == 0 || entries == 0 {
+		t.Fatalf("none of %d deviations needed rounding, or no bound was an entry (%d)", held, entries)
 	}
-	t.Logf("%d deviations held, %d of them rounded", held, inexact)
+	t.Logf("%d deviations held, %d of them rounded; %d entering lines reach the closure", held, inexact, entries)
 }
 
 // TestValidityPolygonVsSTB: the STB ball B(q, ρ), clipped to the weight

@@ -17,10 +17,9 @@ type PiecewiseLinear struct {
 	Breaks []X
 	Lines  []Line
 	// end is a float64 at or past the last break and under is at or
-	// below p over the domain (KthEnvelope sets both, bounded marks
-	// them): AboveLine's first test, one comparison for a line far below.
+	// below p over the domain (KthEnvelope, the one constructor, sets
+	// both): AboveLine's first test, one comparison for a line far below.
 	end, under float64
-	bounded    bool
 }
 
 // Eval evaluates the function at x, clamped to the domain.
@@ -40,7 +39,7 @@ func (p PiecewiseLinear) Eval(x float64) float64 {
 // test when l is no steeper than the segment that ends there, since l
 // was below that segment where it began.
 func (p PiecewiseLinear) AboveLine(l Line) bool {
-	if p.bounded && l.A < p.under && bound(l, p.end, 1) < p.under {
+	if l.A < p.under && bound(l, p.end, 1) < p.under {
 		return true
 	}
 	for i, x := range p.Breaks {
@@ -85,7 +84,7 @@ func KthEnvelope(lines []Line, k int, end X) PiecewiseLinear {
 	}
 	breaks = append(breaks, end)
 	segs = append(segs, cur)
-	p := PiecewiseLinear{Breaks: breaks, Lines: segs, bounded: true}
+	p := PiecewiseLinear{Breaks: breaks, Lines: segs}
 	// The end's float64 quotient rounds three times, under 3u of it;
 	// 8u past it is past the end. Every segment line is then at least
 	// min(A, A + B·end) over the domain.

@@ -4,7 +4,8 @@
 // hyperplane distance of the STB comparator. Lines have float64
 // coefficients, and every comparison between them is decided exactly
 // (exact.go): a float64 evaluation with a forward error bound, redone
-// in math/big only when the value falls inside it. Degeneracies have
+// exactly, as a sum of two-products, only when the value falls inside
+// it. Degeneracies have
 // one canonical answer rather than being rejected: the sweep starts in
 // a top-k result's order (value descending, then ID ascending), and
 // crossings at one x come in order of the ID of the line moving up, then

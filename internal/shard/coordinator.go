@@ -134,7 +134,11 @@ type Analysis struct {
 // per-dimension bounds on the classic φ = 0 path, an exact event replay
 // of the union of shard-contributed lines on the envelope paths. Both
 // merges are bit-identical to a single-node Analyze over the union of
-// the shards' tuples; docs/sharding.md gives the argument.
+// the shards' tuples, with one exception at φ = 0: when two shards'
+// first crossings are distinct but round to one float64, the bound is
+// the same but the merge names the smaller ids, not the earlier
+// crossing's, as it holds neither line. docs/sharding.md ("Regions at
+// φ = 0") gives the argument.
 func (c *Coordinator) Analyze(ctx context.Context, q vec.Query, k int, opts engine.Options) (*Analysis, error) {
 	lists, err := c.topkFanout(ctx, q, k)
 	if err != nil {
